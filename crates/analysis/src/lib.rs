@@ -49,13 +49,13 @@ pub mod vuln;
 pub mod wordpress;
 
 pub use accum::{
-    apply_filter, fold_store, fold_study, genesis_ranks, snapshot_alive_set,
-    store_filter_verdict, AccumCtx, Accumulate, StudyAccum, StudyArtifacts,
+    apply_filter, fold_store, fold_study, genesis_ranks, snapshot_alive_set, store_filter_verdict,
+    AccumCtx, Accumulate, StudyAccum, StudyArtifacts,
 };
-pub use webvuln_net::filter::FINAL_WEEKS;
 #[allow(deprecated)]
 pub use dataset::{collect_dataset, collect_dataset_with};
 pub use dataset::{CollectConfig, Collector, Dataset, WeekSnapshot};
 #[allow(deprecated)]
 pub use store_io::collect_dataset_checkpointed;
 pub use store_io::CheckpointOutcome;
+pub use webvuln_net::filter::FINAL_WEEKS;

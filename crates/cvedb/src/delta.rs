@@ -109,7 +109,9 @@ impl Stanza {
                     .to_interval_set(),
             ),
         };
-        let attack = self.attack.ok_or_else(|| err(line, "missing key: attack"))?;
+        let attack = self
+            .attack
+            .ok_or_else(|| err(line, "missing key: attack"))?;
         let disclosed = self
             .disclosed
             .ok_or_else(|| err(line, "missing key: disclosed"))?;
@@ -171,9 +173,8 @@ pub fn parse_delta(text: &str) -> Result<Vec<VulnRecord>, DeltaError> {
                 )
             }
             "disclosed" => {
-                stanza.disclosed = Some(
-                    Date::parse(value).map_err(|e| err(lineno, format!("disclosed: {e}")))?,
-                )
+                stanza.disclosed =
+                    Some(Date::parse(value).map_err(|e| err(lineno, format!("disclosed: {e}")))?)
             }
             "patched-version" => {
                 stanza.patched_version = Some(
@@ -266,7 +267,8 @@ disclosed: 2021-03-29
         let bad_attack = "id: X\nattack: phrenology\n";
         assert!(parse_delta(bad_attack).is_err());
 
-        let bad_range = "id: X\nlibrary: jquery\nclaimed: banana\nattack: xss\ndisclosed: 2020-01-01\n";
+        let bad_range =
+            "id: X\nlibrary: jquery\nclaimed: banana\nattack: xss\ndisclosed: 2020-01-01\n";
         let e = parse_delta(bad_range).unwrap_err();
         assert!(e.detail.contains("claimed range"), "{e}");
     }

@@ -42,9 +42,9 @@ mod record;
 mod wordpress;
 
 pub use browsers::{browser_flash_support, BrowserSupport};
-pub use delta::{parse_delta, DeltaError};
 pub use date::{Date, ParseDateError};
 pub use db::{Basis, VulnDb};
+pub use delta::{parse_delta, DeltaError};
 pub use library::{catalog, wordpress_catalog, Catalog, LibraryId, Release};
 pub use record::{builtin_records, classify, Accuracy, AttackType, VulnRecord};
 pub use wordpress::{wordpress_cves, WordPressCve, WordPressEvents};

@@ -244,7 +244,10 @@ mod tests {
             .map(|i| policy.full_jitter_backoff_ns(&format!("host{i}.example"), 3))
             .collect();
         assert!(samples.iter().any(|&d| d < capped / 4), "low tail present");
-        assert!(samples.iter().any(|&d| d > 3 * capped / 4), "high tail present");
+        assert!(
+            samples.iter().any(|&d| d > 3 * capped / 4),
+            "high tail present"
+        );
         let distinct: std::collections::HashSet<u64> = samples.iter().copied().collect();
         assert!(distinct.len() > 150, "distinct: {}", distinct.len());
     }

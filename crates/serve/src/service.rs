@@ -164,9 +164,8 @@ impl QueryService {
             ApiError::NotFound("live alerting not enabled (no watch root)".to_string())
         })?;
         let cfg = webvuln_watch::WatchConfig::new(root);
-        let snapshot =
-            webvuln_watch::OutboxSnapshot::load(&cfg.outbox_wal(), &cfg.alert_log())
-                .map_err(|e| ApiError::Unavailable(format!("outbox read failed: {e}")))?;
+        let snapshot = webvuln_watch::OutboxSnapshot::load(&cfg.outbox_wal(), &cfg.alert_log())
+            .map_err(|e| ApiError::Unavailable(format!("outbox read failed: {e}")))?;
         let mut alerts = Arr::new();
         for alert in &snapshot.alerts {
             alerts.push_raw(
@@ -569,8 +568,24 @@ mod tests {
                 shards_scanned: 1,
                 shards_total: 2,
             };
-            let a = Alert::new("CVE-2099-0001", "jquery", "site-1.example", 0, 2, 3, coverage);
-            let b = Alert::new("CVE-2099-0001", "jquery", "site-2.example", 1, 2, 2, coverage);
+            let a = Alert::new(
+                "CVE-2099-0001",
+                "jquery",
+                "site-1.example",
+                0,
+                2,
+                3,
+                coverage,
+            );
+            let b = Alert::new(
+                "CVE-2099-0001",
+                "jquery",
+                "site-2.example",
+                1,
+                2,
+                2,
+                coverage,
+            );
             outbox.enqueue(&a).expect("enqueue");
             outbox.deliver_pending().expect("deliver");
             outbox.enqueue(&b).expect("enqueue");

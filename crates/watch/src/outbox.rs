@@ -17,7 +17,7 @@
 
 use crate::alert::Alert;
 use crate::error::WatchError;
-use crate::wal::{Cursor, FrameLog, write_u64};
+use crate::wal::{write_u64, Cursor, FrameLog};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -64,9 +64,11 @@ pub struct Outbox {
 impl Outbox {
     /// Opens the outbox, healing torn tails in both files and replaying
     /// the WAL into the owed set.
-    pub fn open(wal_path: &Path, delivery_log: &Path) -> Result<(Outbox, OutboxRecovery), WatchError> {
-        let (wal, frames) =
-            FrameLog::open(wal_path).map_err(|e| WatchError::io(wal_path, e))?;
+    pub fn open(
+        wal_path: &Path,
+        delivery_log: &Path,
+    ) -> Result<(Outbox, OutboxRecovery), WatchError> {
+        let (wal, frames) = FrameLog::open(wal_path).map_err(|e| WatchError::io(wal_path, e))?;
         let mut enqueued = BTreeMap::new();
         let mut order = Vec::new();
         let mut acked = BTreeSet::new();
@@ -194,7 +196,10 @@ impl Outbox {
 
     /// Count of owed alerts.
     pub fn pending_count(&self) -> usize {
-        self.order.iter().filter(|id| !self.acked.contains(id)).count()
+        self.order
+            .iter()
+            .filter(|id| !self.acked.contains(id))
+            .count()
     }
 
     /// Count of IDs present in the delivery log.
@@ -219,7 +224,8 @@ fn heal_delivery_log(path: &Path) -> Result<BTreeSet<u64>, WatchError> {
         .map_err(|e| WatchError::io(path, e))?;
     let mut text = String::new();
     let mut raw = Vec::new();
-    file.read_to_end(&mut raw).map_err(|e| WatchError::io(path, e))?;
+    file.read_to_end(&mut raw)
+        .map_err(|e| WatchError::io(path, e))?;
     // The log is ASCII by construction; lossy decode keeps a torn
     // multi-byte write from wedging recovery.
     text.push_str(&String::from_utf8_lossy(&raw));
@@ -232,7 +238,8 @@ fn heal_delivery_log(path: &Path) -> Result<BTreeSet<u64>, WatchError> {
             .and_then(|()| file.sync_all())
             .map_err(|e| WatchError::io(path, e))?;
     }
-    file.seek(SeekFrom::End(0)).map_err(|e| WatchError::io(path, e))?;
+    file.seek(SeekFrom::End(0))
+        .map_err(|e| WatchError::io(path, e))?;
     Ok(text[..clean_len]
         .lines()
         .filter_map(Alert::log_line_id)

@@ -154,9 +154,10 @@ fn decode_week(path: &Path, payload: &[u8]) -> Result<WeekData, WatchError> {
         path,
     };
     let week = r.u64("week index")? as usize;
-    let date_days = r.cur.i64().ok_or_else(|| {
-        WatchError::corrupt(path, "week date")
-    })?;
+    let date_days = r
+        .cur
+        .i64()
+        .ok_or_else(|| WatchError::corrupt(path, "week date"))?;
     let n_records = r.u64("record count")?;
     if n_records > payload.len() as u64 {
         return Err(r.bad("record count"));
@@ -473,10 +474,7 @@ mod tests {
         let genesis = Genesis {
             start_days: 17_600,
             weeks_total: 12,
-            ranks: vec![
-                ("site000.example".into(), 1),
-                ("site001.example".into(), 2),
-            ],
+            ranks: vec![("site000.example".into(), 1), ("site001.example".into(), 2)],
         };
         let path = write_genesis_file(&dir, &genesis).unwrap();
         assert_eq!(read_genesis_file(&path).unwrap(), genesis);

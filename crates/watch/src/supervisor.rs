@@ -159,7 +159,9 @@ pub fn supervise(
     };
 
     'supervise: while report.ticks < cfg.max_ticks {
-        let opened = run_guarded(AssertUnwindSafe(|| Watcher::open(watch_cfg.clone(), telemetry)));
+        let opened = run_guarded(AssertUnwindSafe(|| {
+            Watcher::open(watch_cfg.clone(), telemetry)
+        }));
         let mut watcher = match opened {
             Ok(watcher) => watcher,
             Err(detail) => {
@@ -173,7 +175,9 @@ pub fn supervise(
         while report.ticks < cfg.max_ticks {
             let start = Instant::now().duration_since(base).as_nanos() as u64;
             heartbeat.flagged.store(false, Ordering::Relaxed);
-            heartbeat.busy_since_ns.store(start.max(1), Ordering::Relaxed);
+            heartbeat
+                .busy_since_ns
+                .store(start.max(1), Ordering::Relaxed);
             let ticked = run_guarded(AssertUnwindSafe(|| watcher.tick()));
             heartbeat.busy_since_ns.store(0, Ordering::Relaxed);
             match ticked {
@@ -231,7 +235,9 @@ fn fail(
 }
 
 /// Runs `f`, converting both `Err` and panic into an error string.
-fn run_guarded<T>(f: impl FnOnce() -> Result<T, WatchError> + std::panic::UnwindSafe) -> Result<T, String> {
+fn run_guarded<T>(
+    f: impl FnOnce() -> Result<T, WatchError> + std::panic::UnwindSafe,
+) -> Result<T, String> {
     match catch_unwind(f) {
         Ok(Ok(value)) => Ok(value),
         Ok(Err(e)) => Err(e.to_string()),

@@ -400,7 +400,10 @@ impl Watcher {
         self.live = fold_study(reader, &self.db, self.cfg.threads)?;
         self.live_stale = false;
         report.refolds += 1;
-        self.telemetry.registry().counter("watch.refolds_total").inc();
+        self.telemetry
+            .registry()
+            .counter("watch.refolds_total")
+            .inc();
         Ok(())
     }
 

@@ -193,7 +193,10 @@ fn measure(corpus: &Corpus, domains: usize, weeks: usize) -> (Point, Watcher, Pa
     let report = watcher.tick().expect("retro tick");
     let retro_ms = ms(start);
     assert_eq!(report.deltas_applied, 1, "the delta batch must apply");
-    assert!(report.alerts_enqueued > 0, "the retro-scan must find exposure");
+    assert!(
+        report.alerts_enqueued > 0,
+        "the retro-scan must find exposure"
+    );
     assert_eq!(report.alerts_delivered, report.alerts_enqueued);
 
     let last_tick_ms = *tick_ms.last().expect("at least one tick");
@@ -216,13 +219,15 @@ fn measure(corpus: &Corpus, domains: usize, weeks: usize) -> (Point, Watcher, Pa
 /// Deletes one shard under the live watcher, lands a fresh delta batch,
 /// and times the degraded retro-scan — it must complete and annotate.
 fn measure_degraded(watcher: &mut Watcher, root: &Path, point: &Point) -> DegradedPoint {
-    std::fs::remove_file(root.join("store").join(shard_file_name(1)))
-        .expect("quarantine shard 1");
+    std::fs::remove_file(root.join("store").join(shard_file_name(1))).expect("quarantine shard 1");
     land_delta(root, "2026-09-batch.cvedelta", DELTA_DEGRADED);
     let start = Instant::now();
     let report = watcher.tick().expect("degraded retro tick");
     let retro_ms = ms(start);
-    assert_eq!(report.deltas_applied, 1, "degraded retro-scan must complete");
+    assert_eq!(
+        report.deltas_applied, 1,
+        "degraded retro-scan must complete"
+    );
     let log = std::fs::read_to_string(root.join("alerts.log")).expect("alert log");
     let coverage = log
         .lines()

@@ -95,10 +95,8 @@ fn corpus() -> &'static Corpus {
 /// A fresh watch root with `weeks` corpus weeks spooled and (optionally)
 /// the delta batch already landed.
 fn seed_root(tag: &str, weeks: usize, with_delta: bool) -> PathBuf {
-    let root = std::env::temp_dir().join(format!(
-        "webvuln-chaoswatch-{tag}-{}",
-        std::process::id()
-    ));
+    let root =
+        std::env::temp_dir().join(format!("webvuln-chaoswatch-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let spool = root.join("spool");
     std::fs::create_dir_all(&spool).expect("create spool");
@@ -456,7 +454,11 @@ fn supervisor_gives_up_on_a_persistent_fault_then_recovers() {
     assert!(report.gave_up, "a persistent fault must exhaust the budget");
     assert_eq!(report.restarts, 2, "budget of 2 retries");
     assert!(
-        report.last_error.as_deref().unwrap_or("").contains("watch.retro"),
+        report
+            .last_error
+            .as_deref()
+            .unwrap_or("")
+            .contains("watch.retro"),
         "the give-up reason must name the site: {:?}",
         report.last_error
     );

@@ -10,8 +10,7 @@
 
 use webvuln::analysis::store_io::week_to_snapshot;
 use webvuln::analysis::{
-    apply_filter, fold_study, genesis_ranks, store_filter_verdict, AccumCtx, Accumulate,
-    StudyAccum,
+    apply_filter, fold_study, genesis_ranks, store_filter_verdict, AccumCtx, Accumulate, StudyAccum,
 };
 use webvuln::core::{Pipeline, StudyConfig};
 use webvuln::cvedb::VulnDb;
@@ -72,7 +71,11 @@ fn degraded_fold_and_stream_skip_the_dead_shard_deterministically() {
     assert!(reader.is_degraded());
     assert_eq!(reader.shard_count(), SHARDS);
     assert_eq!(
-        reader.shard_health().iter().filter(|h| !h.is_healthy()).count(),
+        reader
+            .shard_health()
+            .iter()
+            .filter(|h| !h.is_healthy())
+            .count(),
         1
     );
     assert_eq!(reader.weeks_committed(), WEEKS, "weeks survive the loss");
