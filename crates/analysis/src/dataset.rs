@@ -19,7 +19,7 @@ use webvuln_telemetry::{Counter, Telemetry};
 use webvuln_webgen::{Ecosystem, Timeline};
 
 /// One analysed weekly snapshot.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeekSnapshot {
     /// Snapshot index.
     pub week: usize,
@@ -35,7 +35,6 @@ pub struct WeekSnapshot {
     /// snapshot (graceful degradation: the domain stayed down all week).
     /// Their summaries still record the true failed fetch, so the
     /// inaccessibility filter is unaffected.
-    #[serde(default)]
     pub carried_forward: BTreeSet<String>,
 }
 
@@ -53,7 +52,7 @@ impl WeekSnapshot {
 }
 
 /// The full longitudinal dataset.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug)]
 pub struct Dataset {
     /// The snapshot timeline.
     pub timeline: Timeline,
@@ -736,47 +735,6 @@ impl Dataset {
     pub fn week_count(&self) -> usize {
         self.weeks.len()
     }
-
-    /// Serializes the analysed dataset to JSON — the library's analogue of
-    /// the paper's public data release. Fingerprints, fetch summaries and
-    /// ranks are preserved; raw page bytes are not (they are reproducible
-    /// from the ecosystem seed).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("dataset types are serde-safe")
-    }
-
-    /// Deserializes a dataset previously written by [`Dataset::to_json`].
-    pub fn from_json(json: &str) -> Result<Dataset, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Writes the JSON form to `path`, streaming through a buffered
-    /// writer rather than materialising the whole document in memory.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let path = path.as_ref();
-        let annotate =
-            |e: std::io::Error| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-        let file = std::fs::File::create(path).map_err(annotate)?;
-        let mut writer = std::io::BufWriter::new(file);
-        serde_json::to_writer(&mut writer, self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e))
-            .and_then(|()| writer.flush())
-            .map_err(annotate)
-    }
-
-    /// Reads a dataset from a JSON file. Errors name the offending file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Dataset> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-        Dataset::from_json(&text).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e}", path.display()),
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -793,22 +751,6 @@ pub(crate) mod testkit {
             .run(ecosystem)
             .expect("plain collection is infallible")
             .dataset
-    }
-
-    /// True when the linked `serde_json` actually serializes. The
-    /// offline shadow build links an always-`Err` stub (so the
-    /// workspace compiles with no network access); JSON round-trip
-    /// tests probe this and skip themselves — loudly — rather than
-    /// fail on the stub. The binary store covers persistence there.
-    pub fn serde_json_is_functional() -> bool {
-        let sample = FetchSummary {
-            status: Some(203),
-            body_len: 17,
-        };
-        serde_json::to_string(&sample)
-            .ok()
-            .and_then(|json| serde_json::from_str::<FetchSummary>(&json).ok())
-            == Some(sample)
     }
 
     /// A small but fully featured dataset: 1,200 domains, 30 weeks
@@ -905,64 +847,6 @@ mod tests {
                 .zip(&wb.pages)
                 .all(|((da, pa), (db, pb))| da == db && pa == pb));
         }
-    }
-
-    #[test]
-    fn json_round_trip_preserves_every_analysis() {
-        if !testkit::serde_json_is_functional() {
-            eprintln!("skipped: serde_json is a non-serializing stub in this build");
-            return;
-        }
-        let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
-            seed: 8,
-            domain_count: 120,
-            timeline: Timeline::truncated(5),
-        }));
-        let original = testkit::collect(&eco, CollectConfig::default());
-        let json = original.to_json();
-        let restored = Dataset::from_json(&json).expect("valid JSON");
-        assert_eq!(restored.week_count(), original.week_count());
-        assert_eq!(restored.ranks, original.ranks);
-        assert_eq!(restored.filtered_out, original.filtered_out);
-        for (a, b) in original.weeks.iter().zip(&restored.weeks) {
-            assert_eq!(a.week, b.week);
-            assert_eq!(a.date, b.date);
-            assert_eq!(a.pages, b.pages);
-            assert_eq!(a.summaries, b.summaries);
-        }
-    }
-
-    #[test]
-    fn save_and_load_files() {
-        if !testkit::serde_json_is_functional() {
-            eprintln!("skipped: serde_json is a non-serializing stub in this build");
-            return;
-        }
-        let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
-            seed: 9,
-            domain_count: 40,
-            timeline: Timeline::truncated(2),
-        }));
-        let original = testkit::collect(&eco, CollectConfig::default());
-        let path = std::env::temp_dir().join("webvuln-dataset-test.json");
-        original.save(&path).expect("write");
-        let restored = Dataset::load(&path).expect("read");
-        assert_eq!(restored.week_count(), original.week_count());
-        let _ = std::fs::remove_file(&path);
-        let err = Dataset::load("/nonexistent/never.json").expect_err("missing file");
-        assert!(
-            err.to_string().contains("never.json"),
-            "error names the file: {err}"
-        );
-        // Parse failures are annotated too.
-        let bad = std::env::temp_dir().join("webvuln-dataset-bad.json");
-        std::fs::write(&bad, "{ not json").expect("write");
-        let err = Dataset::load(&bad).expect_err("invalid JSON");
-        assert!(
-            err.to_string().contains("webvuln-dataset-bad.json"),
-            "error names the file: {err}"
-        );
-        let _ = std::fs::remove_file(&bad);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::dataset::{CollectConfig, Dataset, WeekCollector, WeekSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use webvuln_cvedb::{Date, LibraryId};
@@ -23,7 +24,7 @@ use webvuln_store::{
 };
 
 pub use webvuln_store::StoreError;
-use webvuln_telemetry::Telemetry;
+use webvuln_telemetry::{json_string, Telemetry};
 use webvuln_version::Version;
 use webvuln_webgen::{Ecosystem, Timeline};
 
@@ -338,17 +339,21 @@ pub fn stream_snapshots(
     reader.iter_weeks().map(|week| week_to_snapshot(&week?))
 }
 
-/// Streams a store straight into `out` as `Dataset`-shaped JSON —
-/// byte-identical to `Dataset::load_store(path)?.to_json()` — without
-/// ever holding more than one decoded week: the envelope is written by
-/// hand and each snapshot is serialized as it is decoded.
+/// Streams a store straight into `out` as one `Dataset`-shaped JSON
+/// document — the analogue of the paper's public data release — without
+/// ever holding more than one decoded week. The emitter is write-only
+/// and hand-written; `tests/golden/export.json` pins the shape:
+/// `{"timeline":{"start","weeks"},"ranks":{domain:rank},"weeks":[…],
+/// "filtered_out":[domain]}`, each week `{"week","date","pages":
+/// {domain:page},"summaries":{domain:{"status","body_len"}},
+/// "carried_forward":[domain]}`. Unit enums are their variant names,
+/// `None` is `null`, and versions and dates are their `Display` strings.
 ///
 /// An unfinalized store takes a preliminary summaries-only pass to
 /// recompute the §4.1 verdict exactly as materialization would;
 /// a finalized store uses its stored verdict and streams in one pass.
 pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::io::Result<()> {
     let store_err = |e: StoreError| std::io::Error::other(e.to_string());
-    let json_err = |e: serde_json::Error| std::io::Error::other(e.to_string());
     let (timeline, ranks) = genesis_to_parts(reader.genesis()).map_err(store_err)?;
     let filtered: Vec<String> = match reader.filtered_out() {
         Some(filtered) => filtered.to_vec(),
@@ -364,12 +369,15 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
         }
     };
     let drop: BTreeSet<&String> = filtered.iter().collect();
-    write!(
-        out,
-        "{{\"timeline\":{},\"ranks\":{},\"weeks\":[",
-        serde_json::to_string(&timeline).map_err(json_err)?,
-        serde_json::to_string(&ranks).map_err(json_err)?,
-    )?;
+    let mut buf = format!(
+        "{{\"timeline\":{{\"start\":\"{}\",\"weeks\":{}}},\"ranks\":",
+        timeline.start, timeline.weeks
+    );
+    json_seq(&mut buf, "{}", &ranks, |buf, (domain, rank)| {
+        json_str(buf, "", Some(domain));
+        let _ = write!(buf, ":{rank}");
+    });
+    buf.push_str(",\"weeks\":[");
     for (index, week) in reader.iter_weeks().enumerate() {
         let mut snapshot = week_to_snapshot(&week.map_err(store_err)?).map_err(store_err)?;
         snapshot.pages.retain(|domain, _| !drop.contains(domain));
@@ -380,15 +388,140 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
             .carried_forward
             .retain(|domain| !drop.contains(domain));
         if index > 0 {
-            out.write_all(b",")?;
+            buf.push(',');
         }
-        serde_json::to_writer(&mut *out, &snapshot).map_err(json_err)?;
+        json_snapshot(&mut buf, &snapshot);
+        out.write_all(buf.as_bytes())?;
+        buf.clear();
     }
-    write!(
-        out,
-        "],\"filtered_out\":{}}}",
-        serde_json::to_string(&filtered).map_err(json_err)?,
-    )
+    buf.push_str("],\"filtered_out\":");
+    json_seq(&mut buf, "[]", &filtered, |buf, d| {
+        json_str(buf, "", Some(d))
+    });
+    buf.push('}');
+    out.write_all(buf.as_bytes())
+}
+
+/// Writes `items` between the two `brackets`, comma-separated.
+fn json_seq<T>(
+    buf: &mut String,
+    brackets: &str,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    buf.push_str(&brackets[..1]);
+    for (index, value) in items.into_iter().enumerate() {
+        if index > 0 {
+            buf.push(',');
+        }
+        item(buf, value);
+    }
+    buf.push_str(&brackets[1..]);
+}
+
+/// Writes `prefix` (raw JSON, usually `,"key":`) and then `value` as a
+/// JSON string, or `null`.
+fn json_str(buf: &mut String, prefix: &str, value: Option<&str>) {
+    buf.push_str(prefix);
+    match value {
+        Some(value) => json_string(value, buf),
+        None => buf.push_str("null"),
+    }
+}
+
+/// [`json_str`] for a version, written as its `Display` string.
+fn json_version(buf: &mut String, prefix: &str, version: Option<&Version>) {
+    json_str(buf, prefix, version.map(Version::to_string).as_deref());
+}
+
+fn json_snapshot(buf: &mut String, snapshot: &WeekSnapshot) {
+    let _ = write!(
+        buf,
+        "{{\"week\":{},\"date\":\"{}\",\"pages\":",
+        snapshot.week, snapshot.date
+    );
+    json_seq(buf, "{}", &snapshot.pages, |buf, (domain, page)| {
+        json_str(buf, "", Some(domain));
+        buf.push(':');
+        json_page(buf, page);
+    });
+    buf.push_str(",\"summaries\":");
+    json_seq(buf, "{}", &snapshot.summaries, |buf, (domain, s)| {
+        json_str(buf, "", Some(domain));
+        match s.status {
+            Some(status) => {
+                let _ = write!(buf, ":{{\"status\":{status}");
+            }
+            None => buf.push_str(":{\"status\":null"),
+        }
+        let _ = write!(buf, ",\"body_len\":{}}}", s.body_len);
+    });
+    buf.push_str(",\"carried_forward\":");
+    json_seq(buf, "[]", &snapshot.carried_forward, |buf, d| {
+        json_str(buf, "", Some(d))
+    });
+    buf.push('}');
+}
+
+fn json_page(buf: &mut String, page: &PageAnalysis) {
+    buf.push_str("{\"detections\":");
+    json_seq(buf, "[]", &page.detections, |buf, d| {
+        // `{:?}` of a unit enum variant is the variant's name.
+        let _ = write!(buf, "{{\"library\":\"{:?}\"", d.library);
+        json_version(buf, ",\"version\":", d.version.as_ref());
+        match &d.inclusion {
+            DetectedInclusion::Internal => buf.push_str(",\"inclusion\":\"Internal\""),
+            DetectedInclusion::External { host } => {
+                json_str(buf, ",\"inclusion\":{\"External\":{\"host\":", Some(host));
+                buf.push_str("}}");
+            }
+        }
+        let _ = write!(buf, ",\"integrity\":{}", d.integrity);
+        json_str(buf, ",\"crossorigin\":", d.crossorigin.as_deref());
+        json_str(buf, ",\"url\":", Some(&d.url));
+        buf.push('}');
+    });
+    let _ = write!(
+        buf,
+        ",\"wordpress\":{{\"detected\":{}",
+        page.wordpress.is_some()
+    );
+    json_version(
+        buf,
+        ",\"version\":",
+        page.wordpress.as_ref().and_then(Option::as_ref),
+    );
+    buf.push_str("},\"flash\":");
+    json_seq(buf, "[]", &page.flash, |buf, f| {
+        json_str(buf, "{\"swf_url\":", Some(&f.swf_url));
+        json_str(
+            buf,
+            ",\"allow_script_access\":",
+            f.allow_script_access.as_deref(),
+        );
+        buf.push('}');
+    });
+    buf.push_str(",\"resource_types\":");
+    json_seq(buf, "[]", &page.resource_types, |buf, rt| {
+        let _ = write!(buf, "\"{rt:?}\"");
+    });
+    buf.push_str(",\"github_scripts\":");
+    json_seq(buf, "[]", &page.github_scripts, |buf, script| {
+        json_str(buf, "{\"host\":", Some(&script.host));
+        json_str(buf, ",\"url\":", Some(&script.url));
+        let _ = write!(buf, ",\"integrity\":{}", script.integrity);
+        json_str(buf, ",\"crossorigin\":", script.crossorigin.as_deref());
+        buf.push('}');
+    });
+    let _ = write!(
+        buf,
+        ",\"external_scripts\":{},\"external_scripts_without_integrity\":{},\"crossorigin_values\":",
+        page.external_scripts, page.external_scripts_without_integrity
+    );
+    json_seq(buf, "[]", &page.crossorigin_values, |buf, v| {
+        json_str(buf, "", Some(v))
+    });
+    buf.push('}');
 }
 
 // ---------------------------------------------------------------------------
@@ -472,6 +605,9 @@ impl FilterWindow {
 /// [`StoreWriter`] for `shards == 1`, a [`ShardedStoreWriter`] directory
 /// otherwise. Selection happens once, at open; the collection loop only
 /// sees the shared commit/finalize surface.
+// One writer exists per collection, so the unused bytes of the smaller
+// variant cost nothing worth an indirection on every commit.
+#[allow(clippy::large_enum_variant)]
 enum CheckpointWriter {
     Single(StoreWriter),
     Sharded(ShardedStoreWriter),
@@ -856,44 +992,40 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn store_is_much_smaller_than_json() {
-        if !testkit::serde_json_is_functional() {
-            eprintln!("skipped: serde_json is a non-serializing stub in this build");
-            return;
-        }
-        let data = testkit::small();
-        let path = temp_store("size");
-        data.save_store(&path).expect("save");
-        let store_len = std::fs::metadata(&path).expect("stat").len();
-        let json_len = data.to_json().len() as u64;
-        assert!(
-            store_len * 4 < json_len,
-            "store {store_len} bytes vs JSON {json_len} bytes"
-        );
-        let _ = std::fs::remove_file(&path);
+    fn export_to_string(path: &Path) -> String {
+        let reader = AnyReader::open(path).expect("open");
+        let mut out = Vec::new();
+        export_json(&reader, &mut out).expect("export");
+        String::from_utf8(out).expect("utf8")
     }
 
     #[test]
-    fn streaming_json_export_matches_materialized_to_json() {
-        if !testkit::serde_json_is_functional() {
-            eprintln!("skipped: serde_json is a non-serializing stub in this build");
-            return;
-        }
-        let eco = small_eco(23, 90, 6);
+    fn json_export_matches_the_golden_file() {
+        let eco = small_eco(23, 16, 3);
         let data = testkit::collect(&eco, CollectConfig::default());
         let path = temp_store("export-json");
         data.save_store(&path).expect("save");
-
-        // Finalized store: one streaming pass, byte-identical output.
+        let exported = export_to_string(&path);
+        let golden = include_str!("../tests/golden/export.json");
+        if exported != golden {
+            let actual = std::env::temp_dir().join("webvuln-export-actual.json");
+            std::fs::write(&actual, &exported).expect("write actual");
+            panic!(
+                "export-json document shape changed; compare {} with tests/golden/export.json",
+                actual.display()
+            );
+        }
+        // The document covers the whole store, as `store info` counts it.
         let reader = AnyReader::open(&path).expect("open");
-        let mut streamed = Vec::new();
-        export_json(&reader, &mut streamed).expect("export");
-        let materialized = Dataset::load_store(&path).expect("load").to_json();
-        assert_eq!(String::from_utf8(streamed).expect("utf8"), materialized);
+        assert_eq!(
+            exported.matches("{\"week\":").count(),
+            reader.weeks_committed()
+        );
+        assert_eq!(reader.genesis().ranks.len(), 16);
 
-        // Unfinalized (checkpoint) store: the verdict is recomputed and
-        // the bytes still match the materialized load.
+        // Unfinalized (checkpoint) store: the §4.1 verdict is recomputed
+        // while streaming, and the bytes match the export of the same
+        // store materialized (which recomputes it too) and saved finalized.
         let raw = temp_store("export-json-raw");
         let mut writer =
             StoreWriter::create(&raw, genesis_for(&data.timeline, &eco.domain_names()))
@@ -906,13 +1038,65 @@ mod tests {
         drop(writer);
         let reader = AnyReader::open(&raw).expect("open raw");
         assert!(reader.filtered_out().is_none(), "store must be unfinalized");
-        let mut streamed = Vec::new();
-        export_json(&reader, &mut streamed).expect("export raw");
-        let materialized = Dataset::load_store(&raw).expect("load raw").to_json();
-        assert_eq!(String::from_utf8(streamed).expect("utf8"), materialized);
+        let finalized = temp_store("export-json-refinalized");
+        Dataset::load_store(&raw)
+            .expect("load raw")
+            .save_store(&finalized)
+            .expect("save");
+        assert!(
+            export_to_string(&raw) == export_to_string(&finalized),
+            "streamed and materialized verdicts differ"
+        );
 
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&raw);
+        for path in [path, raw, finalized] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    /// The shapes a small generated store never contains; the golden file
+    /// pins the rest.
+    #[test]
+    fn json_export_writes_the_rare_variants() {
+        let page = PageAnalysis {
+            wordpress: Some(None),
+            flash: vec![FlashDetection {
+                swf_url: "/a \"b\".swf".to_string(),
+                allow_script_access: Some("always".to_string()),
+            }],
+            github_scripts: vec![ExternalScript {
+                host: "x.github.io".to_string(),
+                url: "https://x.github.io/x.js".to_string(),
+                integrity: true,
+                crossorigin: None,
+            }],
+            ..PageAnalysis::default()
+        };
+        let down = FetchSummary {
+            status: None,
+            body_len: 0,
+        };
+        let snapshot = WeekSnapshot {
+            week: 7,
+            date: Date::new(2018, 4, 23),
+            pages: BTreeMap::from([("a.com".to_string(), page)]),
+            summaries: BTreeMap::from([("a.com".to_string(), down)]),
+            carried_forward: BTreeSet::from(["a.com".to_string()]),
+        };
+        let mut out = String::new();
+        json_snapshot(&mut out, &snapshot);
+        assert_eq!(
+            out,
+            concat!(
+                r#"{"week":7,"date":"2018-04-23","pages":{"a.com":{"detections":[],"#,
+                r#""wordpress":{"detected":true,"version":null},"#,
+                r#""flash":[{"swf_url":"/a \"b\".swf","allow_script_access":"always"}],"#,
+                r#""resource_types":[],"github_scripts":[{"host":"x.github.io","#,
+                r#""url":"https://x.github.io/x.js","integrity":true,"crossorigin":null}],"#,
+                r#""external_scripts":0,"external_scripts_without_integrity":0,"#,
+                r#""crossorigin_values":[]}},"summaries":{"a.com":{"status":null,"#,
+                r#""body_len":0}},"carried_forward":["a.com"]}"#,
+            )
+        );
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! survive `Dataset -> snapshot store -> Dataset` exactly, and the store
 //! reader must never panic on arbitrarily mutilated store bytes.
 
-use proptest::prelude::*;
 use std::sync::Arc;
 use webvuln_analysis::dataset::{CollectConfig, Collector, Dataset};
+use webvuln_failpoint::check;
 use webvuln_store::StoreReader;
 use webvuln_webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn temp_path(tag: &str, seed: u64) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!(
-        "webvuln-proptest-{tag}-{seed}-{}.wvstore",
+        "webvuln-property-{tag}-{seed}-{}.wvstore",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
@@ -42,38 +42,32 @@ fn assert_datasets_equal(a: &Dataset, b: &Dataset) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// `save_store` followed by `load_store` reproduces the dataset for
-    /// arbitrary small ecosystems.
-    #[test]
-    fn dataset_survives_the_store(
-        seed in 0u64..10_000,
-        domains in 5usize..60,
-        weeks in 1usize..5,
-    ) {
+/// `save_store` followed by `load_store` reproduces the dataset for
+/// arbitrary small ecosystems.
+#[test]
+fn dataset_survives_the_store() {
+    check::run("dataset_survives_the_store", 10, |g| {
+        let seed = g.range(0..=9_999);
+        let domains = g.range(5..=59) as usize;
+        let weeks = g.range(1..=4) as usize;
         let original = collect(seed, domains, weeks);
         let path = temp_path("roundtrip", seed);
         original.save_store(&path).expect("save_store");
         let restored = Dataset::load_store(&path).expect("load_store");
         let _ = std::fs::remove_file(&path);
         assert_datasets_equal(&original, &restored);
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Flipping any byte of a valid store either still opens (the damage
-    /// landed in slack the CRCs do not cover, e.g. the rewritable footer)
-    /// or yields a typed error — never a panic, and never silently wrong
-    /// week counts beyond dropping the tail.
-    #[test]
-    fn mutilated_stores_never_panic(
-        position_permille in 0usize..1000,
-        flip in 1u8..=255,
-    ) {
+/// Flipping any byte of a valid store either still opens (the damage
+/// landed in slack the CRCs do not cover, e.g. the rewritable footer)
+/// or yields a typed error — never a panic, and never silently wrong
+/// week counts beyond dropping the tail.
+#[test]
+fn mutilated_stores_never_panic() {
+    check::run("mutilated_stores_never_panic", 24, |g| {
+        let position_permille = g.range(0..=999) as usize;
+        let flip = g.range(1..=255) as u8;
         let dataset = collect(7, 20, 3);
         let path = temp_path("mutate", position_permille as u64);
         dataset.save_store(&path).expect("save_store");
@@ -82,10 +76,10 @@ proptest! {
         bytes[position] ^= flip;
         std::fs::write(&path, &bytes).expect("write mutant");
         if let Ok(reader) = StoreReader::open(&path) {
-            prop_assert!(reader.weeks_committed() <= 3);
+            assert!(reader.weeks_committed() <= 3);
             // Whatever still opens must also still decode or fail cleanly.
             let _ = reader.verify();
         }
         let _ = std::fs::remove_file(&path);
-    }
+    });
 }

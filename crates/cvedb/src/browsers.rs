@@ -6,10 +6,8 @@
 //! and steers users to `www.flash.cn` — the ecosystem that keeps Chinese
 //! websites on Flash after end-of-life (§8).
 
-use serde::{Deserialize, Serialize};
-
 /// One Table 3 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrowserSupport {
     /// Browser name.
     pub name: &'static str,

@@ -5,12 +5,11 @@
 //! This is a minimal proleptic-Gregorian date — no time zones, no times —
 //! using Howard Hinnant's civil-days algorithms for O(1) conversion.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A calendar date (proleptic Gregorian).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     /// Days since 1970-01-01 (may be negative).
     days: i32,

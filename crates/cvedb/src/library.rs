@@ -11,12 +11,11 @@
 //! (only paper-critical boundaries matter).
 
 use crate::date::Date;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use webvuln_version::Version;
 
 /// One of the top-15 libraries (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LibraryId {
     /// jQuery — 64.0% of websites, the dominant library.
     JQuery,
@@ -131,7 +130,7 @@ impl fmt::Display for LibraryId {
 }
 
 /// One published release of a library.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Release {
     /// The version.
     pub version: Version,
@@ -140,7 +139,7 @@ pub struct Release {
 }
 
 /// The release history of one library, sorted by version ascending.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Catalog {
     /// Which library this catalog describes.
     pub library: LibraryId,

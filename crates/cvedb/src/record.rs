@@ -5,12 +5,11 @@
 
 use crate::date::Date;
 use crate::library::LibraryId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use webvuln_version::{Interval, IntervalSet, Version};
 
 /// Attack class of a vulnerability (paper §6.2 taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackType {
     /// Cross-site scripting (20 of the 27 CVEs).
     Xss,
@@ -41,7 +40,7 @@ impl fmt::Display for AttackType {
 
 /// How a CVE's claimed range relates to the measured True Vulnerable
 /// Versions (paper §6.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Accuracy {
     /// Claimed range matches the measured range (or was not re-measured).
     Accurate,
@@ -80,7 +79,7 @@ pub fn classify(claimed: &IntervalSet, tvv: &IntervalSet) -> Accuracy {
 }
 
 /// One vulnerability report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VulnRecord {
     /// CVE identifier, or an advisory tag when no CVE was assigned (the
     /// jQuery-Migrate XSS is tracked only by Snyk/GitHub).

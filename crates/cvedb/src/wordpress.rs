@@ -7,11 +7,10 @@
 //! most recent and five most severe of its 6,155 disclosed CVEs.
 
 use crate::date::Date;
-use serde::{Deserialize, Serialize};
 use webvuln_version::{Interval, IntervalSet, Version};
 
 /// One WordPress CVE (Table 4 row).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WordPressCve {
     /// CVE identifier.
     pub id: String,
@@ -126,7 +125,7 @@ pub fn wordpress_cves() -> Vec<WordPressCve> {
 }
 
 /// The WordPress event timeline the study attributes update waves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WordPressEvents {
     /// WordPress 5.5 disables jQuery-Migrate by default (usage dip starts).
     pub wp55_migrate_disabled: Date,

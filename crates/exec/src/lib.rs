@@ -4,8 +4,8 @@
 //! over 201 weeks only becomes tractable when fetch and fingerprint work
 //! fans out across every core. This crate provides the one execution
 //! primitive the pipeline needs — a parallel `map` over a slice — built
-//! on plain `std` so it compiles with a bare `rustc --test` in offline
-//! containers, exactly like `webvuln-telemetry` and `webvuln-resilience`.
+//! on plain `std`, exactly like `webvuln-telemetry` and
+//! `webvuln-resilience`.
 //!
 //! Design:
 //!

@@ -6,16 +6,15 @@
 //! every interesting site and showing the run converges anyway. This
 //! crate provides the injection primitive: a registry of named sites
 //! (`"store.segment.mid_write"`, `"phase.crawl"`, …) that production code
-//! probes via [`check`] / the [`failpoint!`] macro, and that tests arm
+//! probes via [`check()`] / the [`failpoint!`] macro, and that tests arm
 //! with an [`Action`] — return an error, panic (simulating a crash), or
 //! charge a virtual delay.
 //!
 //! Design rules, matching the rest of the workspace:
 //!
-//! - **Dependency-free.** Plain `std` only; compiles with a bare
-//!   `rustc --edition 2021 --test` like `webvuln-exec` and
+//! - **Dependency-free.** Plain `std` only, like `webvuln-exec` and
 //!   `webvuln-telemetry`.
-//! - **Zero-cost when disarmed.** [`check`] is a single relaxed atomic
+//! - **Zero-cost when disarmed.** [`check()`] is a single relaxed atomic
 //!   load and a predictable branch while no site is armed; the registry
 //!   mutex is touched only once something is armed.
 //! - **Deterministic.** Nothing here reads the wall clock or an RNG.
@@ -29,9 +28,15 @@
 //! `FAILPOINTS: &[&str]` catalog; `webvuln-core` unions them), so the
 //! chaos harness can enumerate every registered site and prove
 //! crash-recovery at each one.
+//!
+//! The crate also carries the workspace's property-testing helper, the
+//! [`check`](mod@check) module: the same seeded, clock-free style applied
+//! to generating test inputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod check;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -41,13 +46,13 @@ use std::sync::Mutex;
 /// What an armed fail-point does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// [`check`] returns `Err(`[`Injected`]`)` — for sites with an error
+    /// [`check()`] returns `Err(`[`Injected`]`)` — for sites with an error
     /// channel (the store writer, the checkpoint loop).
     Error,
-    /// [`check`] panics — simulating a crash mid-operation. The chaos
+    /// [`check()`] panics — simulating a crash mid-operation. The chaos
     /// harness catches the unwind at the run boundary and resumes.
     Panic,
-    /// [`check`] returns `Ok(ns)`: a virtual delay for the caller to
+    /// [`check()`] returns `Ok(ns)`: a virtual delay for the caller to
     /// charge against its task cost or clock (never slept).
     Delay(u64),
 }
@@ -114,11 +119,11 @@ struct Inner {
 /// A registry of armed fail-points.
 ///
 /// Production code probes the process-wide instance through the free
-/// functions ([`check`], [`arm`], [`reset`], …); unit tests that want
+/// functions ([`check()`], [`arm`], [`reset`], …); unit tests that want
 /// isolation can hold their own `Failpoints`.
 #[derive(Debug)]
 pub struct Failpoints {
-    /// Fast-path gate: false whenever no site is armed, so [`check`]
+    /// Fast-path gate: false whenever no site is armed, so [`check()`]
     /// costs one relaxed load on the fault-free path.
     active: AtomicBool,
     inner: Mutex<Inner>,
@@ -257,7 +262,7 @@ impl Failpoints {
         self.check_armed(site, key)
     }
 
-    /// Like [`check`], but escalates [`Action::Error`] to a panic — for
+    /// Like [`check()`], but escalates [`Action::Error`] to a panic — for
     /// probe sites that have no error channel (phase boundaries, worker
     /// loops).
     #[inline]
@@ -370,7 +375,7 @@ pub fn hit(site: &'static str, key: &str) -> u64 {
 
 /// Probes a named fail-point on the global registry:
 /// `failpoint!("store.segment.mid_write")` or
-/// `failpoint!("crawl.fetch", domain)`. Expands to [`check`] — the call
+/// `failpoint!("crawl.fetch", domain)`. Expands to [`check()`] — the call
 /// site decides how to route the injected error / charge the delay.
 #[macro_export]
 macro_rules! failpoint {

@@ -3,7 +3,6 @@
 //! the paper delegates to Wappalyzer (§4.2).
 
 use crate::patterns::{fingerprints, wordpress_fingerprint, Fingerprint, WordPressFingerprint};
-use serde::{Deserialize, Serialize};
 use webvuln_cvedb::LibraryId;
 use webvuln_exec::{ExecStats, Executor};
 use webvuln_html::{extract, url_host, Document, PageResources, ScriptRef};
@@ -12,7 +11,7 @@ use webvuln_telemetry::{Counter, Registry};
 use webvuln_version::Version;
 
 /// Broad resource classes counted in Figure 2(b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceType {
     /// Any JavaScript (inline or external).
     JavaScript,
@@ -61,7 +60,7 @@ impl ResourceType {
 }
 
 /// How a detected library is included.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectedInclusion {
     /// Same-origin (or inline).
     Internal,
@@ -73,7 +72,7 @@ pub enum DetectedInclusion {
 }
 
 /// One detected library deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Detection {
     /// The library.
     pub library: LibraryId,
@@ -97,7 +96,7 @@ impl Detection {
 }
 
 /// Flash-specific findings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashDetection {
     /// `.swf` URL.
     pub swf_url: String,
@@ -106,7 +105,7 @@ pub struct FlashDetection {
 }
 
 /// An external script that is not one of the known libraries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExternalScript {
     /// Serving host.
     pub host: String,
@@ -119,14 +118,11 @@ pub struct ExternalScript {
 }
 
 /// Everything the engine extracts from one page.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageAnalysis {
     /// Detected library deployments.
     pub detections: Vec<Detection>,
     /// WordPress: `Some(version)`; `Some(None)` = detected, no version.
-    /// (Custom serde representation: plain JSON `null` cannot tell
-    /// `Some(None)` from `None`.)
-    #[serde(with = "wordpress_serde")]
     pub wordpress: Option<Option<Version>>,
     /// Flash findings.
     pub flash: Vec<FlashDetection>,
@@ -639,37 +635,6 @@ fn push_detection(out: &mut PageAnalysis, det: Detection) {
 impl Default for Engine {
     fn default() -> Self {
         Engine::new()
-    }
-}
-
-/// Serde representation for the nested WordPress option: a struct with an
-/// explicit `detected` flag, since JSON `null` collapses `Some(None)`.
-mod wordpress_serde {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use webvuln_version::Version;
-
-    #[derive(Serialize, Deserialize)]
-    struct Wp {
-        detected: bool,
-        version: Option<Version>,
-    }
-
-    pub fn serialize<S: Serializer>(
-        value: &Option<Option<Version>>,
-        serializer: S,
-    ) -> Result<S::Ok, S::Error> {
-        Wp {
-            detected: value.is_some(),
-            version: value.clone().flatten(),
-        }
-        .serialize(serializer)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        deserializer: D,
-    ) -> Result<Option<Option<Version>>, D::Error> {
-        let wp = Wp::deserialize(deserializer)?;
-        Ok(if wp.detected { Some(wp.version) } else { None })
     }
 }
 

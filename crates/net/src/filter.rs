@@ -27,7 +27,7 @@ pub fn page_is_error_or_empty(status: Option<u16>, body_len: usize) -> bool {
 
 /// Per-domain, per-week summary used by the filter (a slimmed-down
 /// [`FetchRecord`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchSummary {
     /// HTTP status, `None` for transport failures.
     pub status: Option<u16>,

@@ -7,11 +7,10 @@ use crate::error::{NetError, Result};
 use crate::fault::FaultPlan;
 use crate::http::{Request, Response, Status};
 use crate::transport::ByteStream;
-use parking_lot::Mutex;
 use std::io::{self, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use webvuln_telemetry::{Counter, Registry};
@@ -62,7 +61,7 @@ pub fn serve_connection_until(
     let writer = Shared(Arc::clone(&shared.0));
     let mut reader = MessageReader::new(shared);
     let write_all = |bytes: &[u8]| -> Result<()> {
-        let mut guard = writer.0.lock();
+        let mut guard = lock(&writer.0);
         guard.write_all(bytes)?;
         guard.flush()?;
         Ok(())
@@ -106,13 +105,21 @@ pub fn serve_connection_until(
     }
 }
 
+/// Locks ignoring poison: every update under these mutexes is a single
+/// read, write or counter bump, so the data is valid at every step, and a
+/// panicking handler must not wedge the connection or the `VirtualNet`
+/// attempts map for the other workers.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Shared stream handle letting the codec reader and the response writer
 /// reference the same connection.
 struct Shared<'a>(Arc<Mutex<&'a mut dyn ByteStream>>);
 
 impl Read for Shared<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.lock().read(buf)
+        lock(&self.0).read(buf)
     }
 }
 
@@ -326,7 +333,7 @@ impl VirtualNet {
 impl Connect for VirtualNet {
     fn connect(&self, host: &str) -> Result<Box<dyn ByteStream>> {
         let attempt = {
-            let mut attempts = self.attempts.lock();
+            let mut attempts = lock(&self.attempts);
             let slot = attempts.entry(host.to_string()).or_insert(0);
             let current = *slot;
             *slot += 1;

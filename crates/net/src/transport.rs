@@ -3,16 +3,15 @@
 //! The whole HTTP stack is written against [`ByteStream`] (blocking
 //! `Read + Write`), with two families of implementations:
 //!
-//! * [`mem_pipe`] — an in-memory duplex stream over crossbeam channels,
-//!   used to test the server loop without sockets;
+//! * [`mem_pipe`] — an in-memory duplex stream over `std::sync::mpsc`
+//!   channels, used to test the server loop without sockets;
 //! * `std::net::TcpStream` — real TCP, via the blanket impl.
 //!
 //! The crawler's in-process "virtual internet" uses a third, thread-free
 //! transport defined in [`crate::server`].
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::{self, Read, Write};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A blocking, bidirectional byte stream.
 pub trait ByteStream: Read + Write + Send {}
@@ -21,10 +20,11 @@ impl<T: Read + Write + Send> ByteStream for T {}
 
 /// One end of an in-memory duplex pipe.
 pub struct MemStream {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-    /// Unconsumed remainder of the chunk currently being read.
-    pending: Bytes,
+    tx: Sender<Vec<u8>>,
+    rx: Receiver<Vec<u8>>,
+    /// The chunk currently being read; `pending[offset..]` is unconsumed.
+    pending: Vec<u8>,
+    offset: usize,
     /// Set once the write side has been shut down.
     closed: bool,
 }
@@ -32,19 +32,21 @@ pub struct MemStream {
 /// Creates a connected pair of in-memory streams. Bytes written to one end
 /// become readable at the other; dropping an end signals EOF.
 pub fn mem_pipe() -> (MemStream, MemStream) {
-    let (atx, brx) = unbounded();
-    let (btx, arx) = unbounded();
+    let (atx, brx) = channel();
+    let (btx, arx) = channel();
     (
         MemStream {
             tx: atx,
             rx: arx,
-            pending: Bytes::new(),
+            pending: Vec::new(),
+            offset: 0,
             closed: false,
         },
         MemStream {
             tx: btx,
             rx: brx,
-            pending: Bytes::new(),
+            pending: Vec::new(),
+            offset: 0,
             closed: false,
         },
     )
@@ -55,7 +57,7 @@ impl MemStream {
     /// buffered chunks. Reading remains possible.
     pub fn shutdown_write(&mut self) {
         // Replacing the sender with a dropped one closes the channel.
-        let (dead_tx, _) = unbounded();
+        let (dead_tx, _) = channel();
         self.tx = dead_tx;
         self.closed = true;
     }
@@ -63,15 +65,19 @@ impl MemStream {
 
 impl Read for MemStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pending.is_empty() {
+        if self.offset == self.pending.len() {
             match self.rx.recv() {
-                Ok(chunk) => self.pending = chunk,
+                Ok(chunk) => {
+                    self.pending = chunk;
+                    self.offset = 0;
+                }
                 Err(_) => return Ok(0), // peer dropped: EOF
             }
         }
-        let n = self.pending.len().min(buf.len());
-        buf[..n].copy_from_slice(&self.pending[..n]);
-        self.pending = self.pending.slice(n..);
+        let rest = &self.pending[self.offset..];
+        let n = rest.len().min(buf.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        self.offset += n;
         Ok(n)
     }
 }
@@ -85,7 +91,7 @@ impl Write for MemStream {
             ));
         }
         self.tx
-            .send(Bytes::copy_from_slice(buf))
+            .send(buf.to_vec())
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))?;
         Ok(buf.len())
     }

@@ -2,75 +2,71 @@
 //! workspace's linear-time Pike VM: on the syntax subset both support,
 //! the two independently-written engines must agree on every input.
 
-use proptest::prelude::*;
+use webvuln_failpoint::check::{self, Gen};
 use webvuln_pattern::Pattern;
 use webvuln_poclab::{BtOutcome, BtRegex};
 
 /// Generates patterns in the shared subset: literals, classes, groups,
 /// alternation and quantifiers — shallow enough that the backtracker
 /// terminates fast.
-fn arb_pattern() -> impl Strategy<Value = String> {
-    let atom = prop_oneof![
-        "[a-c]",                  // literal
-        Just(".".to_string()),    // any
-        Just("[ab]".to_string()), // class
-        Just("[^c]".to_string()), // negated class
-        Just("\\d".to_string()),  // perl class
-    ];
-    let quantified = (
-        atom,
-        prop_oneof![Just(""), Just("*"), Just("+"), Just("?"),],
-    )
-        .prop_map(|(a, q)| format!("{a}{q}"));
-    let seq = proptest::collection::vec(quantified, 1..4).prop_map(|v| v.concat());
+fn arb_pattern(g: &mut Gen) -> String {
+    fn seq(g: &mut Gen) -> String {
+        g.vec(1..=3, |g| {
+            // literal, any, class, negated class, perl class
+            let atom = *g.pick(&["a", "b", "c", ".", "[ab]", "[^c]", "\\d"]);
+            let quantifier = *g.pick(&["", "*", "+", "?"]);
+            format!("{atom}{quantifier}")
+        })
+        .concat()
+    }
     // Optional alternation of two sequences, wrapped in a group.
-    (seq.clone(), proptest::option::of(seq)).prop_map(|(a, b)| match b {
-        Some(b) => format!("({a}|{b})"),
-        None => a,
-    })
+    let a = seq(g);
+    if g.bool() {
+        format!("({a}|{})", seq(g))
+    } else {
+        a
+    }
 }
 
-proptest! {
-    /// Anchored-at-start match decisions agree between the two engines.
-    #[test]
-    fn backtracker_agrees_with_pike_vm(
-        pattern in arb_pattern(),
-        input in "[a-d0-2]{0,10}",
-    ) {
+/// Anchored-at-start match decisions agree between the two engines.
+#[test]
+fn backtracker_agrees_with_pike_vm() {
+    check::run("backtracker_agrees_with_pike_vm", 256, |g| {
+        let pattern = arb_pattern(g);
+        let input = g.string("abcd012", 0..=10);
         let bt = BtRegex::new(&pattern);
         // The backtracker is start-anchored and allows the match to end
         // anywhere; mirror that with a `^(?:…)` prefix for the Pike VM.
         let pike = Pattern::new(&format!("^(?:{pattern})")).expect("subset compiles");
 
         let (bt_outcome, _steps) = bt.run(&input, 2_000_000);
-        prop_assume!(bt_outcome != BtOutcome::BudgetExhausted);
-        let bt_matched = bt_outcome == BtOutcome::Matched;
-        let pike_matched = pike.is_match(&input);
-        prop_assert_eq!(
-            bt_matched,
-            pike_matched,
-            "pattern {:?} on {:?}",
-            pattern,
-            input
+        if bt_outcome == BtOutcome::BudgetExhausted {
+            return;
+        }
+        assert_eq!(
+            bt_outcome == BtOutcome::Matched,
+            pike.is_match(&input),
+            "pattern {pattern:?} on {input:?}"
         );
-    }
+    });
+}
 
-    /// With the `$` anchor appended, full-string decisions also agree.
-    #[test]
-    fn anchored_full_match_agrees(
-        pattern in arb_pattern(),
-        input in "[a-d]{0,8}",
-    ) {
+/// With the `$` anchor appended, full-string decisions also agree.
+#[test]
+fn anchored_full_match_agrees() {
+    check::run("anchored_full_match_agrees", 256, |g| {
+        let pattern = arb_pattern(g);
+        let input = g.string("abcd", 0..=8);
         let bt = BtRegex::new(&format!("{pattern}$"));
         let pike = Pattern::new(&format!("^(?:{pattern})$")).expect("subset compiles");
         let (bt_outcome, _steps) = bt.run(&input, 2_000_000);
-        prop_assume!(bt_outcome != BtOutcome::BudgetExhausted);
-        prop_assert_eq!(
+        if bt_outcome == BtOutcome::BudgetExhausted {
+            return;
+        }
+        assert_eq!(
             bt_outcome == BtOutcome::Matched,
             pike.is_match(&input),
-            "pattern {:?} on {:?}",
-            pattern,
-            input
+            "pattern {pattern:?} on {input:?}"
         );
-    }
+    });
 }

@@ -129,6 +129,11 @@ pub struct HostBreakers {
     shards: Vec<Mutex<BTreeMap<String, CircuitBreaker>>>,
 }
 
+/// The shard `host`'s breaker lives in.
+fn shard_index(host: &str) -> usize {
+    (crate::mix(0xb4ea_4e85, host) % BREAKER_SHARDS as u64) as usize
+}
+
 impl HostBreakers {
     /// An empty registry handing out breakers configured with `config`.
     pub fn new(config: BreakerConfig) -> HostBreakers {
@@ -141,8 +146,7 @@ impl HostBreakers {
     }
 
     fn shard(&self, host: &str) -> &Mutex<BTreeMap<String, CircuitBreaker>> {
-        let index = (crate::mix(0xb4ea_4e85, host) % BREAKER_SHARDS as u64) as usize;
-        &self.shards[index]
+        &self.shards[shard_index(host)]
     }
 
     /// Whether `host` may be fetched right now. Hosts with no history
@@ -390,7 +394,7 @@ mod tests {
         // a single shard mutex — which may change timing, never outcomes.
         let colliding: Vec<String> = (0u32..)
             .map(|i| format!("collide-{i}.example"))
-            .filter(|h| crate::mix(0xb4ea_4e85, h) % BREAKER_SHARDS as u64 == 0)
+            .filter(|h| shard_index(h) == 0)
             .take(8)
             .collect();
         assert_eq!(colliding.len(), 8);

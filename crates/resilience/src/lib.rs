@@ -25,8 +25,7 @@
 //!   retry attempts entirely.
 //!
 //! Like `webvuln-telemetry` and `webvuln-store`, the crate is
-//! dependency-free (std only) and compiles under bare
-//! `rustc --edition 2021 --test`.
+//! dependency-free (std only).
 //!
 //! ```
 //! use webvuln_resilience::{RetryPolicy, VirtualClock};

@@ -11,7 +11,7 @@
 //! * **cache_hot** — no injected delay; every request after warmup is a
 //!   response-cache hit. Reports the raw hit path's RPS and p50/p99.
 //!
-//! Run: `cargo run --example serve_bench` (or the shadow-built binary).
+//! Run: `cargo run --example serve_bench`.
 //! Output is the `BENCH_serve.json` document on stdout.
 
 use std::io::Write as _;

@@ -9,21 +9,7 @@
 
 /// Appends `s` to `out` as a JSON string literal (with the quotes).
 pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    webvuln_telemetry::json_string(s, out);
 }
 
 /// The JSON token for a float: shortest-round-trip decimal, or `null`

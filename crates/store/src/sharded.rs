@@ -136,6 +136,9 @@ pub struct ShardedResumed {
     pub shards_rolled_back: usize,
 }
 
+/// One shard's slice of a week, claimed by exactly one commit worker.
+type ShardJob<'a> = Mutex<Option<(usize, &'a mut StoreWriter, WeekData)>>;
+
 /// Writes a sharded snapshot store: one [`StoreWriter`] per shard plus
 /// the group manifest.
 pub struct ShardedStoreWriter {
@@ -301,7 +304,7 @@ impl ShardedStoreWriter {
             });
         }
         let parts = split_week(week, self.writers.len());
-        let jobs: Vec<Mutex<Option<(usize, &mut StoreWriter, WeekData)>>> = self
+        let jobs: Vec<ShardJob<'_>> = self
             .writers
             .iter_mut()
             .zip(parts)

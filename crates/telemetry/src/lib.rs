@@ -51,7 +51,7 @@ mod span;
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use progress::{NullProgress, Progress, ProgressEvent, StderrProgress};
 pub use registry::Registry;
-pub use snapshot::{fmt_nanos, HistogramSnapshot, Snapshot, SpanSnapshot};
+pub use snapshot::{fmt_nanos, json_string, HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::Span;
 
 use std::sync::Arc;

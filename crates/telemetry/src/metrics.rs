@@ -121,12 +121,7 @@ impl Histogram {
 
     /// Mean observation (0 when empty).
     pub fn mean(&self) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            0
-        } else {
-            self.sum() / count
-        }
+        self.sum().checked_div(self.count()).unwrap_or(0)
     }
 
     /// The non-empty buckets as `(upper_bound, count)` pairs, sorted by

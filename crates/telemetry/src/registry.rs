@@ -40,7 +40,7 @@ impl Registry {
 
     /// The process-wide registry used when no registry is injected.
     pub fn global() -> &'static Registry {
-        &**Registry::global_cell()
+        Registry::global_cell()
     }
 
     /// The process-wide registry as a shared handle.

@@ -225,8 +225,8 @@ pub fn fmt_nanos(nanos: u64) -> String {
     }
 }
 
-/// Writes `s` as a JSON string literal (quoted, escaped).
-fn json_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal (quoted, escaped).
+pub fn json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -8,12 +8,11 @@
 //! sets with union, intersection and difference.
 
 use crate::version::Version;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// One endpoint of an interval.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Bound {
     /// No constraint at this end.
     Unbounded,
@@ -67,7 +66,7 @@ fn cmp_upper(a: &Bound, b: &Bound) -> Ordering {
 }
 
 /// A contiguous, possibly unbounded range of versions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Lower endpoint.
     pub lo: Bound,
@@ -222,7 +221,7 @@ impl fmt::Display for Interval {
 }
 
 /// A set of versions represented as sorted, disjoint, non-empty intervals.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IntervalSet {
     intervals: Vec<Interval>,
 }

@@ -4,12 +4,11 @@
 
 use crate::interval::{Interval, IntervalSet};
 use crate::version::{ParseVersionError, Version};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `<`
     Lt,
@@ -36,7 +35,7 @@ impl fmt::Display for Op {
 }
 
 /// A single comparison against a version.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Comparator {
     /// The operator.
     pub op: Op,
@@ -85,7 +84,7 @@ impl fmt::Display for Comparator {
 /// * `1.0.3 ~ 3.5.0` (inclusive-start, **inclusive**-end tilde range)
 /// * `= 2.2` or bare `2.2` (exact)
 /// * `*`, `all`, `all versions` (everything)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionReq {
     comparators: Vec<Comparator>,
 }

@@ -9,7 +9,6 @@
 //! numeric components compared positionally with missing components treated
 //! as zero, and pre-releases ordered before the corresponding release.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
@@ -19,7 +18,7 @@ use std::str::FromStr;
 /// Equality, ordering and hashing all treat trailing zero components as
 /// absent (`1.9 == 1.9.0`), while [`fmt::Display`] preserves the components
 /// as written so that version strings round-trip.
-#[derive(Debug, Clone, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Eq)]
 pub struct Version {
     /// Numeric components, most significant first. Never empty.
     parts: Vec<u32>,
@@ -347,14 +346,6 @@ mod tests {
         assert!(v("2.2.3") < v("3.6.0"), "docusign's jQuery in TVV range");
         assert!(v("3.5.1") < v("3.6.0"), "microsoft's jQuery in TVV range");
         assert!(v("1.4.1") < v("3.3.2"), "jQuery-Migrate dominant vs latest");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let x = v("1.12.4");
-        let json = serde_json::to_string(&x).expect("serialize");
-        let back: Version = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(x, back);
     }
 
     #[test]

@@ -1,96 +1,121 @@
 //! Property-based tests for version ordering and interval-set algebra.
 
-use proptest::prelude::*;
+use webvuln_failpoint::check::{self, Gen};
 use webvuln_version::{Interval, IntervalSet, Version, VersionReq};
 
-/// Strategy producing arbitrary (small) versions.
-fn arb_version() -> impl Strategy<Value = Version> {
-    (0u32..8, 0u32..8, 0u32..8).prop_map(|(a, b, c)| Version::semver(a, b, c))
+/// An arbitrary (small) version.
+fn arb_version(g: &mut Gen) -> Version {
+    let mut part = || g.range(0..=7) as u32;
+    Version::semver(part(), part(), part())
 }
 
-/// Strategy producing an interval set built from random half-open ranges.
-fn arb_set() -> impl Strategy<Value = IntervalSet> {
-    proptest::collection::vec((arb_version(), arb_version()), 0..5).prop_map(|pairs| {
-        IntervalSet::from_intervals(pairs.into_iter().map(|(a, b)| {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            Interval::half_open(lo, hi)
-        }))
-    })
+/// An interval set built from random half-open ranges.
+fn arb_set(g: &mut Gen) -> IntervalSet {
+    let pairs = g.vec(0..=4, |g| (arb_version(g), arb_version(g)));
+    IntervalSet::from_intervals(pairs.into_iter().map(|(a, b)| {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        Interval::half_open(lo, hi)
+    }))
 }
 
-proptest! {
-    /// Version ordering is total and consistent with equality.
-    #[test]
-    fn ordering_is_total(a in arb_version(), b in arb_version()) {
+/// Version ordering is total and consistent with equality.
+#[test]
+fn ordering_is_total() {
+    check::run("ordering_is_total", 256, |g| {
         use std::cmp::Ordering::*;
+        let (a, b) = (arb_version(g), arb_version(g));
         match a.cmp(&b) {
-            Less => prop_assert!(b > a),
-            Greater => prop_assert!(b < a),
-            Equal => prop_assert_eq!(&a, &b),
+            Less => assert!(b > a),
+            Greater => assert!(b < a),
+            Equal => assert_eq!(&a, &b),
         }
-    }
+    });
+}
 
-    /// Parsing a displayed version yields an equal version.
-    #[test]
-    fn display_parse_round_trip(v in arb_version()) {
+/// Parsing a displayed version yields an equal version.
+#[test]
+fn display_parse_round_trip() {
+    check::run("display_parse_round_trip", 256, |g| {
+        let v = arb_version(g);
         let s = v.to_string();
         let back = Version::parse(&s).expect("displayed versions parse");
-        prop_assert_eq!(v, back);
-    }
+        assert_eq!(v, back);
+    });
+}
 
-    /// De Morgan over interval sets: ¬(A ∪ B) = ¬A ∩ ¬B, checked pointwise.
-    #[test]
-    fn de_morgan_pointwise(a in arb_set(), b in arb_set(), probe in arb_version()) {
+/// De Morgan over interval sets: ¬(A ∪ B) = ¬A ∩ ¬B, checked pointwise.
+#[test]
+fn de_morgan_pointwise() {
+    check::run("de_morgan_pointwise", 256, |g| {
+        let (a, b, probe) = (arb_set(g), arb_set(g), arb_version(g));
         let lhs = a.union(&b).complement();
         let rhs = a.complement().intersect(&b.complement());
-        prop_assert_eq!(lhs.contains(&probe), rhs.contains(&probe));
-    }
+        assert_eq!(lhs.contains(&probe), rhs.contains(&probe));
+    });
+}
 
-    /// Subtraction semantics: x ∈ A \ B ⇔ x ∈ A ∧ x ∉ B.
-    #[test]
-    fn subtract_pointwise(a in arb_set(), b in arb_set(), probe in arb_version()) {
+/// Subtraction semantics: x ∈ A \ B ⇔ x ∈ A ∧ x ∉ B.
+#[test]
+fn subtract_pointwise() {
+    check::run("subtract_pointwise", 256, |g| {
+        let (a, b, probe) = (arb_set(g), arb_set(g), arb_version(g));
         let diff = a.subtract(&b);
-        prop_assert_eq!(diff.contains(&probe), a.contains(&probe) && !b.contains(&probe));
-    }
+        assert_eq!(
+            diff.contains(&probe),
+            a.contains(&probe) && !b.contains(&probe)
+        );
+    });
+}
 
-    /// Union semantics, pointwise.
-    #[test]
-    fn union_pointwise(a in arb_set(), b in arb_set(), probe in arb_version()) {
-        prop_assert_eq!(
+/// Union semantics, pointwise.
+#[test]
+fn union_pointwise() {
+    check::run("union_pointwise", 256, |g| {
+        let (a, b, probe) = (arb_set(g), arb_set(g), arb_version(g));
+        assert_eq!(
             a.union(&b).contains(&probe),
             a.contains(&probe) || b.contains(&probe)
         );
-    }
+    });
+}
 
-    /// Double complement is identity.
-    #[test]
-    fn double_complement(a in arb_set(), probe in arb_version()) {
-        prop_assert_eq!(a.complement().complement().contains(&probe), a.contains(&probe));
-    }
+/// Double complement is identity.
+#[test]
+fn double_complement() {
+    check::run("double_complement", 256, |g| {
+        let (a, probe) = (arb_set(g), arb_version(g));
+        assert_eq!(
+            a.complement().complement().contains(&probe),
+            a.contains(&probe)
+        );
+    });
+}
 
-    /// Canonical invariant: interval sets never hold empty or overlapping
-    /// intervals after construction.
-    #[test]
-    fn canonical_form(a in arb_set()) {
+/// Canonical invariant: interval sets never hold empty or overlapping
+/// intervals after construction.
+#[test]
+fn canonical_form() {
+    check::run("canonical_form", 256, |g| {
+        let a = arb_set(g);
         for iv in a.intervals() {
-            prop_assert!(!iv.is_empty());
+            assert!(!iv.is_empty());
         }
         for w in a.intervals().windows(2) {
             // Strictly disjoint and ordered: the intersection must be empty.
-            prop_assert!(w[0].intersect(&w[1]).is_empty());
+            assert!(w[0].intersect(&w[1]).is_empty());
         }
-    }
+    });
+}
 
-    /// A requirement built from any single comparator string agrees with
-    /// its interval-set form on arbitrary probes.
-    #[test]
-    fn req_matches_interval_set(
-        op in prop::sample::select(vec!["<", "<=", ">", ">=", "="]),
-        v in arb_version(),
-        probe in arb_version(),
-    ) {
+/// A requirement built from any single comparator string agrees with
+/// its interval-set form on arbitrary probes.
+#[test]
+fn req_matches_interval_set() {
+    check::run("req_matches_interval_set", 256, |g| {
+        let op = *g.pick(&["<", "<=", ">", ">=", "="]);
+        let (v, probe) = (arb_version(g), arb_version(g));
         let spec = format!("{op} {v}");
         let req = VersionReq::parse(&spec).expect("valid requirement");
-        prop_assert_eq!(req.matches(&probe), req.to_interval_set().contains(&probe));
-    }
+        assert_eq!(req.matches(&probe), req.to_interval_set().contains(&probe));
+    });
 }

@@ -220,6 +220,7 @@ fn heal_delivery_log(path: &Path) -> Result<BTreeSet<u64>, WatchError> {
         .read(true)
         .write(true)
         .create(true)
+        .truncate(false)
         .open(path)
         .map_err(|e| WatchError::io(path, e))?;
     let mut text = String::new();

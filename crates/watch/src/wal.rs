@@ -210,6 +210,7 @@ impl FrameLog {
             .read(true)
             .write(true)
             .create(true)
+            .truncate(false)
             .open(path)?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;

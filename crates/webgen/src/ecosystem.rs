@@ -158,7 +158,7 @@ impl Handler for WeekHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webvuln_net::{crawl, CrawlConfig, VirtualNet};
+    use webvuln_net::{CrawlOptions, VirtualNet};
 
     fn small() -> Arc<Ecosystem> {
         Arc::new(Ecosystem::generate(EcosystemConfig {
@@ -214,7 +214,7 @@ mod tests {
         let eco = small();
         let net = VirtualNet::new(Arc::new(eco.handler(0)));
         let names = eco.domain_names();
-        let snapshot = crawl(&names, &net, CrawlConfig { concurrency: 4 });
+        let snapshot = CrawlOptions::new().threads(4).run(&names, &net);
         assert_eq!(snapshot.len(), names.len());
         let usable = snapshot.values().filter(|r| r.is_usable(400)).count();
         assert!(

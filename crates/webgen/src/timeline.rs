@@ -4,11 +4,10 @@
 //! issues, analysing 201. The simulator models the 201 analysed weeks
 //! directly (pruned weeks never reach the analysis anyway).
 
-use serde::{Deserialize, Serialize};
 use webvuln_cvedb::Date;
 
 /// Weekly snapshot timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timeline {
     /// Date of week 0's snapshot.
     pub start: Date,

@@ -26,8 +26,8 @@
 //! high-water mark: measuring several configurations in one process
 //! would report the maximum of them all for each.
 //!
-//! Run: `cargo run --release --example scale_bench` (or the shadow-built
-//! binary). Output is the `BENCH_scale.json` document on stdout; the
+//! Run: `cargo run --release --example scale_bench`. Output is the
+//! `BENCH_scale.json` document on stdout; the
 //! `domains_per_sec` figure counts domain-week snapshots collected,
 //! committed, and analyzed per wall-clock second. `--smoke` runs the
 //! CI-sized subset (10k domains, 4 vs 16 weeks) and asserts the gate.

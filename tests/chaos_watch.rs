@@ -179,9 +179,11 @@ fn cold_fold_fingerprint(root: &Path, watcher: &Watcher, threads: usize) -> Stri
     format!("{:#?}", cold.finish(watcher.db()))
 }
 
-/// The unkilled reference at (threads, shards): store bytes, live
-/// fingerprint, sorted alert log.
-fn reference(threads: usize, shards: usize) -> (Vec<(String, Vec<u8>)>, String, Vec<String>) {
+/// Store bytes by file name, live fingerprint, sorted alert log.
+type Converged = (Vec<(String, Vec<u8>)>, String, Vec<String>);
+
+/// The unkilled reference at (threads, shards).
+fn reference(threads: usize, shards: usize) -> Converged {
     let root = seed_root(&format!("ref-{threads}t-{shards}s"), WEEKS, true);
     let (watcher, reports) = run_to_idle(&root, threads, shards);
     assert_eq!(watcher.weeks_committed(), WEEKS);
