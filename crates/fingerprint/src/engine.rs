@@ -6,7 +6,7 @@ use crate::patterns::{fingerprints, wordpress_fingerprint, Fingerprint, WordPres
 use webvuln_cvedb::LibraryId;
 use webvuln_exec::{ExecStats, Executor};
 use webvuln_html::{extract, url_host, Document, PageResources, ScriptRef};
-use webvuln_pattern::thread_vm_steps;
+use webvuln_pattern::{thread_vm_steps, Captures, Pattern};
 use webvuln_telemetry::{Counter, Registry};
 use webvuln_version::Version;
 
@@ -195,7 +195,8 @@ struct Tally {
 /// Stable labels and flat offsets for every compiled pattern, so the
 /// self-profiler can attribute VM steps to individual patterns
 /// (`jQuery/url#0`, `WordPress/generator`, …) without allocating on the
-/// match path. Built once per [`Engine`].
+/// match path, and the literal gates in the same numbering. Built once
+/// per [`Engine`].
 struct PatternIndex {
     /// One label per pattern, flat.
     labels: Vec<String>,
@@ -207,26 +208,40 @@ struct PatternIndex {
     generator: usize,
     /// Index of the WordPress path pattern.
     path: usize,
+    /// Over every URL pattern and the WordPress path pattern: one scan per
+    /// script `src`.
+    url_gate: LiteralGate,
+    /// Over every inline-banner pattern: one scan per inline script.
+    inline_gate: LiteralGate,
+    /// Over the WordPress path pattern alone, for `<link href>`.
+    path_gate: LiteralGate,
 }
 
 impl PatternIndex {
-    fn build(db: &[Fingerprint]) -> PatternIndex {
+    fn build(db: &[Fingerprint], wordpress: &WordPressFingerprint) -> PatternIndex {
         let mut labels = Vec::new();
         let mut url_base = Vec::with_capacity(db.len());
         let mut inline_base = Vec::with_capacity(db.len());
+        let mut url_gate = LiteralGate::new();
+        let mut inline_gate = LiteralGate::new();
+        let mut path_gate = LiteralGate::new();
         for fp in db {
             url_base.push(labels.len());
-            for i in 0..fp.url_patterns.len() {
+            for (i, pattern) in fp.url_patterns.iter().enumerate() {
+                url_gate.add(labels.len(), pattern);
                 labels.push(format!("{}/url#{i}", fp.library.name()));
             }
             inline_base.push(labels.len());
-            for i in 0..fp.inline_patterns.len() {
+            for (i, pattern) in fp.inline_patterns.iter().enumerate() {
+                inline_gate.add(labels.len(), pattern);
                 labels.push(format!("{}/inline#{i}", fp.library.name()));
             }
         }
         let generator = labels.len();
         labels.push("WordPress/generator".to_string());
         let path = labels.len();
+        url_gate.add(path, &wordpress.path);
+        path_gate.add(path, &wordpress.path);
         labels.push("WordPress/path".to_string());
         PatternIndex {
             labels,
@@ -234,6 +249,75 @@ impl PatternIndex {
             inline_base,
             generator,
             path,
+            url_gate,
+            inline_gate,
+            path_gate,
+        }
+    }
+}
+
+/// A set of flat pattern indices (the [`PatternIndex`] numbering).
+struct Candidates(Vec<u64>);
+
+impl Candidates {
+    fn with_capacity(patterns: usize) -> Candidates {
+        Candidates(vec![0; patterns.div_ceil(64)])
+    }
+
+    fn insert(&mut self, pattern: usize) {
+        self.0[pattern / 64] |= 1 << (pattern % 64);
+    }
+
+    fn contains(&self, pattern: usize) -> bool {
+        self.0[pattern / 64] & (1 << (pattern % 64)) != 0
+    }
+}
+
+/// Decides in one pass over a text which of a group of patterns can match
+/// it at all: a pattern whose every match begins with a literal
+/// ([`Pattern::literal_prefix`]) cannot match a text the literal does not
+/// occur in. Only the candidates then run the regex VM. Literals are
+/// compared ASCII-case-insensitively, which for a case-sensitive pattern
+/// merely lets a few more candidates through.
+struct LiteralGate {
+    /// `by_first[b]`: the patterns whose lower-cased literal starts with
+    /// byte `b`, each with the rest of its literal.
+    by_first: Vec<Vec<(usize, Box<[u8]>)>>,
+    /// Patterns without a literal: candidates for every text.
+    always: Vec<usize>,
+}
+
+impl LiteralGate {
+    fn new() -> LiteralGate {
+        LiteralGate {
+            by_first: vec![Vec::new(); 256],
+            always: Vec::new(),
+        }
+    }
+
+    /// Puts `pattern`, flat index `slot`, behind this gate.
+    fn add(&mut self, slot: usize, pattern: &Pattern) {
+        let literal = pattern.literal_prefix().to_ascii_lowercase();
+        match literal.as_bytes().split_first() {
+            Some((&first, rest)) => self.by_first[first as usize].push((slot, rest.into())),
+            None => self.always.push(slot),
+        }
+    }
+
+    /// Replaces `out` with the patterns of this gate that can match `text`.
+    fn scan(&self, text: &str, out: &mut Candidates) {
+        out.0.fill(0);
+        for &index in &self.always {
+            out.insert(index);
+        }
+        let text = text.as_bytes();
+        for (at, byte) in text.iter().enumerate() {
+            let after = &text[at + 1..];
+            for (index, rest) in &self.by_first[byte.to_ascii_lowercase() as usize] {
+                if after.len() >= rest.len() && after[..rest.len()].eq_ignore_ascii_case(rest) {
+                    out.insert(*index);
+                }
+            }
         }
     }
 }
@@ -266,6 +350,33 @@ fn profiled<T>(
     }
 }
 
+/// What `analyze_resources` carries from pattern to pattern on one page.
+struct PageState {
+    tally: Tally,
+    prof: PageProfile,
+    /// The patterns the latest gate scan let through.
+    candidates: Candidates,
+}
+
+impl PageState {
+    /// Runs `pattern` (flat index `slot`) over `text` and counts the
+    /// evaluation, unless the gate has ruled the pattern out.
+    fn captures<'t>(
+        &mut self,
+        slot: usize,
+        pattern: &Pattern,
+        text: &'t str,
+    ) -> Option<Captures<'t>> {
+        if !self.candidates.contains(slot) {
+            return None;
+        }
+        self.tally.patterns += 1;
+        profiled(&mut self.prof, slot, Option::is_some, || {
+            pattern.captures(text)
+        })
+    }
+}
+
 /// The fingerprint engine. Compile once, analyze many pages; `Engine` is
 /// immutable and `Sync`, so workers can share one instance.
 pub struct Engine {
@@ -280,10 +391,11 @@ impl Engine {
     /// Compiles the built-in fingerprint database.
     pub fn new() -> Engine {
         let db = fingerprints();
-        let index = PatternIndex::build(&db);
+        let wordpress = wordpress_fingerprint();
+        let index = PatternIndex::build(&db, &wordpress);
         Engine {
             db,
-            wordpress: wordpress_fingerprint(),
+            wordpress,
             use_inline: true,
             metrics: None,
             index,
@@ -352,54 +464,38 @@ impl Engine {
     /// Analyzes already-extracted page resources.
     pub fn analyze_resources(&self, resources: &PageResources, domain: &str) -> PageAnalysis {
         let steps_before = thread_vm_steps();
-        let mut tally = Tally::default();
-        // One profiler check per page: when a tracer is on this causal
-        // path, every pattern evaluation below is individually timed in
-        // VM steps and flushed to the tracer once, at the end.
-        let mut prof: PageProfile = if webvuln_trace::profiling() {
-            Some(vec![
-                webvuln_trace::PatternStat::default();
-                self.index.labels.len()
-            ])
-        } else {
-            None
+        let mut page = PageState {
+            tally: Tally::default(),
+            // One profiler check per page: when a tracer is on this causal
+            // path, every pattern evaluation below is individually timed in
+            // VM steps and flushed to the tracer once, at the end.
+            prof: webvuln_trace::profiling()
+                .then(|| vec![webvuln_trace::PatternStat::default(); self.index.labels.len()]),
+            candidates: Candidates::with_capacity(self.index.labels.len()),
         };
         let mut out = PageAnalysis::default();
         let mut wp_version: Option<Option<Version>> = None;
         let mut wp_path_hit = false;
 
+        let (path_slot, path) = (self.index.path, &self.wordpress.path);
         for script in &resources.scripts {
             match &script.src {
                 Some(src) => {
-                    self.match_script_url(script, src, domain, &mut out, &mut tally, &mut prof);
-                    tally.patterns += 1;
-                    if profiled(
-                        &mut prof,
-                        self.index.path,
-                        |m: &bool| *m,
-                        || self.wordpress.path.is_match(src),
-                    ) {
-                        wp_path_hit = true;
-                    }
+                    self.index.url_gate.scan(src, &mut page.candidates);
+                    self.match_script_url(script, src, domain, &mut out, &mut page);
+                    wp_path_hit |= page.captures(path_slot, path, src).is_some();
                 }
-                None => self.match_inline(&script.inline, &mut out, &mut tally, &mut prof),
+                None => self.match_inline(&script.inline, &mut out, &mut page),
             }
         }
         for link in &resources.links {
-            tally.patterns += 1;
-            if profiled(
-                &mut prof,
-                self.index.path,
-                |m: &bool| *m,
-                || self.wordpress.path.is_match(&link.href),
-            ) {
-                wp_path_hit = true;
-            }
+            self.index.path_gate.scan(&link.href, &mut page.candidates);
+            wp_path_hit |= page.captures(path_slot, path, &link.href).is_some();
         }
         for generator in &resources.generators {
-            tally.patterns += 1;
+            page.tally.patterns += 1;
             let caps = profiled(
-                &mut prof,
+                &mut page.prof,
                 self.index.generator,
                 |c: &Option<_>| c.is_some(),
                 || self.wordpress.generator.captures(generator),
@@ -410,7 +506,7 @@ impl Engine {
                     .filter(|s| !s.is_empty())
                     .and_then(|s| Version::parse(s).ok());
                 wp_version = Some(version);
-                tally.hits_meta += 1;
+                page.tally.hits_meta += 1;
             }
         }
         if wp_version.is_none() && wp_path_hit {
@@ -429,16 +525,16 @@ impl Engine {
 
         if let Some(metrics) = &self.metrics {
             metrics.pages.inc();
-            metrics.patterns_evaluated.add(tally.patterns);
+            metrics.patterns_evaluated.add(page.tally.patterns);
             metrics
                 .vm_steps
                 .add(thread_vm_steps().wrapping_sub(steps_before));
-            metrics.hits_url.add(tally.hits_url);
-            metrics.hits_inline.add(tally.hits_inline);
-            metrics.hits_meta.add(tally.hits_meta);
-            metrics.misses.add(tally.misses);
+            metrics.hits_url.add(page.tally.hits_url);
+            metrics.hits_inline.add(page.tally.hits_inline);
+            metrics.hits_meta.add(page.tally.hits_meta);
+            metrics.misses.add(page.tally.misses);
         }
-        if let Some(stats) = prof {
+        if let Some(stats) = page.prof {
             // One tracer lock for the whole page; zero-eval slots are
             // skipped inside.
             webvuln_trace::pattern_stats_add(
@@ -454,8 +550,7 @@ impl Engine {
         src: &str,
         domain: &str,
         out: &mut PageAnalysis,
-        tally: &mut Tally,
-        prof: &mut PageProfile,
+        page: &mut PageState,
     ) {
         let external_host = url_host(src)
             .filter(|h| !h.eq_ignore_ascii_case(domain))
@@ -478,14 +573,7 @@ impl Engine {
         }
         for (fi, fp) in self.db.iter().enumerate() {
             for (pi, pat) in fp.url_patterns.iter().enumerate() {
-                tally.patterns += 1;
-                let caps = profiled(
-                    prof,
-                    self.index.url_base[fi] + pi,
-                    |c: &Option<_>| c.is_some(),
-                    || pat.captures(src),
-                );
-                if let Some(caps) = caps {
+                if let Some(caps) = page.captures(self.index.url_base[fi] + pi, pat, src) {
                     let version = caps
                         .get(1)
                         .filter(|s| !s.is_empty())
@@ -505,34 +593,22 @@ impl Engine {
                             url: src.to_string(),
                         },
                     );
-                    tally.hits_url += 1;
+                    page.tally.hits_url += 1;
                     return; // first matching library wins for this script
                 }
             }
         }
-        tally.misses += 1;
+        page.tally.misses += 1;
     }
 
-    fn match_inline(
-        &self,
-        text: &str,
-        out: &mut PageAnalysis,
-        tally: &mut Tally,
-        prof: &mut PageProfile,
-    ) {
+    fn match_inline(&self, text: &str, out: &mut PageAnalysis, page: &mut PageState) {
         if !self.use_inline || text.is_empty() {
             return;
         }
+        self.index.inline_gate.scan(text, &mut page.candidates);
         for (fi, fp) in self.db.iter().enumerate() {
             for (pi, pat) in fp.inline_patterns.iter().enumerate() {
-                tally.patterns += 1;
-                let caps = profiled(
-                    prof,
-                    self.index.inline_base[fi] + pi,
-                    |c: &Option<_>| c.is_some(),
-                    || pat.captures(text),
-                );
-                if let Some(caps) = caps {
+                if let Some(caps) = page.captures(self.index.inline_base[fi] + pi, pat, text) {
                     let version = caps
                         .get(1)
                         .filter(|s| !s.is_empty())
@@ -548,7 +624,7 @@ impl Engine {
                             url: String::new(),
                         },
                     );
-                    tally.hits_inline += 1;
+                    page.tally.hits_inline += 1;
                     break;
                 }
             }
@@ -595,27 +671,26 @@ impl Engine {
 }
 
 fn classify_url(url: &str, add: &mut dyn FnMut(ResourceType)) {
-    let path = url
-        .split(['?', '#'])
-        .next()
-        .unwrap_or(url)
-        .to_ascii_lowercase();
-    if path.ends_with(".php") || path.contains(".php") {
+    let path = url.split(['?', '#']).next().unwrap_or(url).as_bytes();
+    let ends_with = |ext: &[u8]| {
+        path.len() >= ext.len() && path[path.len() - ext.len()..].eq_ignore_ascii_case(ext)
+    };
+    if path.windows(4).any(|w| w.eq_ignore_ascii_case(b".php")) {
         add(ResourceType::ImportedHtml);
     }
-    if path.ends_with(".xml") {
+    if ends_with(b".xml") {
         add(ResourceType::Xml);
     }
-    if path.ends_with(".svg") {
+    if ends_with(b".svg") {
         add(ResourceType::Svg);
     }
-    if path.ends_with(".axd") || url.contains(".axd?") {
+    if ends_with(b".axd") || url.contains(".axd?") {
         add(ResourceType::Axd);
     }
-    if path.ends_with(".css") {
+    if ends_with(b".css") {
         add(ResourceType::Css);
     }
-    if path.ends_with(".ico") {
+    if ends_with(b".ico") {
         add(ResourceType::Favicon);
     }
 }
@@ -848,6 +923,34 @@ mod tests {
     }
 
     #[test]
+    fn literal_gate_lets_through_exactly_the_possible_patterns() {
+        let sources = ["jquery", r"/wp-(?:a|b)", r"\d+", "^jquery", "Mixed-Case"];
+        let patterns: Vec<Pattern> = sources.iter().map(|s| Pattern::new(s).unwrap()).collect();
+        let mut gate = LiteralGate::new();
+        // Flat indices need not be dense or start at zero.
+        for (slot, pattern) in (60..).step_by(2).zip(&patterns) {
+            gate.add(slot, pattern);
+        }
+        let mut candidates = Candidates::with_capacity(70);
+        let mut let_through = |text: &str| {
+            gate.scan(text, &mut candidates);
+            (0..70)
+                .filter(|&i| candidates.contains(i))
+                .collect::<Vec<_>>()
+        };
+        // No literal (`\d+`) or anchored (`^jquery`): always candidates.
+        assert_eq!(let_through(""), [64, 66]);
+        assert_eq!(let_through("jquer/wp"), [64, 66]);
+        // A literal that is the whole text, in any case, and one cut short.
+        assert_eq!(let_through("JQuery"), [60, 64, 66]);
+        assert_eq!(let_through("x/WP-"), [62, 64, 66]);
+        assert_eq!(let_through("éjqueryé/wp"), [60, 64, 66]);
+        assert_eq!(let_through("mixed-case /wp-"), [62, 64, 66, 68]);
+        // Each scan starts from nothing.
+        assert_eq!(let_through("-"), [64, 66]);
+    }
+
+    #[test]
     fn profiler_attributes_vm_steps_to_individual_patterns() {
         let tracer = webvuln_trace::Tracer::new(webvuln_trace::TraceMode::Ring);
         let html = r#"
@@ -890,10 +993,22 @@ mod tests {
             .map(|(_, s)| *s)
             .expect("generator evaluated");
         assert_eq!(wp.matches, 1);
-        // The unknown script walked (and missed) many patterns; each
-        // evaluation is individually attributed, never lumped.
+        // An evaluation is a run of the regex VM. The gate lets a pattern
+        // run only on a URL its literal prefix occurs in: nothing of
+        // jQuery-Migrate ran, the seven patterns whose literal is a bare
+        // `/` ran on both scripts or (after the CDN script's hit) on the
+        // unknown one, and each run is individually attributed, never
+        // lumped.
+        let evals = |label: &str| {
+            let stat = data.patterns.iter().find(|(l, _)| l == label);
+            stat.map_or(0, |(_, s)| s.evals)
+        };
+        assert_eq!(evals("jQuery-Migrate/url#0"), 0);
+        assert_eq!(evals("jQuery-UI/url#1"), 2);
+        assert_eq!(evals("Bootstrap/url#0"), 1);
+        assert_eq!(evals("WordPress/path"), 0);
         let total_evals: u64 = data.patterns.iter().map(|(_, s)| s.evals).sum();
-        assert!(total_evals > 10, "evals = {total_evals}");
+        assert_eq!(total_evals, 4 + 7 + 1, "CDN script, unknown script, meta");
         // Without a tracer the profiler adds nothing.
         let again = e.analyze(html, "site.example");
         assert_eq!(again, baseline);
@@ -918,7 +1033,9 @@ mod tests {
         assert_eq!(snap.counter("fp.hits_inline_total"), Some(1));
         assert_eq!(snap.counter("fp.hits_meta_total"), Some(1));
         assert_eq!(snap.counter("fp.misses_total"), Some(1));
-        assert!(snap.counter("fp.patterns_evaluated_total").unwrap_or(0) > 3);
+        // VM runs: 4 on the CDN URL (the hit is the fourth candidate), 1 on
+        // the banner, 7 on the unknown script, 1 on the generator.
+        assert_eq!(snap.counter("fp.patterns_evaluated_total"), Some(13));
         assert!(snap.counter("fp.vm_steps_total").unwrap_or(0) > 0);
 
         // The default engine records nothing.

@@ -107,6 +107,19 @@ impl Pattern {
         self.prog.group_count
     }
 
+    /// A literal every match begins with (lower-cased for a
+    /// case-insensitive pattern), or `""` when the pattern has none or is
+    /// anchored with `^`. A text the literal does not occur in — compared
+    /// ASCII-case-insensitively when the pattern is — cannot match, which
+    /// lets a caller with many patterns rule most out in one pass.
+    pub fn literal_prefix(&self) -> &str {
+        if self.prog.anchored_start {
+            ""
+        } else {
+            &self.prog.literal_prefix
+        }
+    }
+
     /// Returns true if the pattern matches anywhere in `text`.
     pub fn is_match(&self, text: &str) -> bool {
         self.find(text).is_some()
@@ -121,7 +134,7 @@ impl Pattern {
     ///
     /// `start` must lie on a character boundary.
     pub fn find_at<'t>(&self, text: &'t str, start: usize) -> Option<Match<'t>> {
-        let slots = self.exec_at(text, start)?;
+        let slots = vm::exec(&self.prog, text, start)?;
         Some(Match {
             text,
             start: slots[0].expect("group 0 start"),
@@ -136,7 +149,7 @@ impl Pattern {
 
     /// Like [`Pattern::captures`], starting the search at byte offset `start`.
     pub fn captures_at<'t>(&self, text: &'t str, start: usize) -> Option<Captures<'t>> {
-        let slots = self.exec_at(text, start)?;
+        let slots = vm::exec(&self.prog, text, start)?;
         Some(Captures { text, slots })
     }
 
@@ -176,52 +189,12 @@ impl Pattern {
             done: false,
         }
     }
-
-    fn exec_at(&self, text: &str, start: usize) -> Option<vm::Slots> {
-        // Literal-prefix fast path: a match must contain the prefix, so
-        // skip ahead to its first occurrence before running the VM.
-        let start = if !self.prog.literal_prefix.is_empty() && !self.prog.anchored_start {
-            let hay = &text[start..];
-            let at = if self.prog.case_insensitive {
-                find_ascii_ci(hay, &self.prog.literal_prefix)?
-            } else {
-                hay.find(&self.prog.literal_prefix)?
-            };
-            start + at
-        } else {
-            start
-        };
-        vm::exec(&self.prog, text, start)
-    }
 }
 
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.source)
     }
-}
-
-/// Case-insensitive substring search assuming `needle` is already
-/// lower-cased ASCII.
-fn find_ascii_ci(haystack: &str, needle: &str) -> Option<usize> {
-    if needle.is_empty() {
-        return Some(0);
-    }
-    let hay = haystack.as_bytes();
-    let nee = needle.as_bytes();
-    if hay.len() < nee.len() {
-        return None;
-    }
-    'outer: for i in 0..=(hay.len() - nee.len()) {
-        for (j, &n) in nee.iter().enumerate() {
-            if hay[i + j].to_ascii_lowercase() != n {
-                continue 'outer;
-            }
-        }
-        // `i` is a char boundary because the first needle byte is ASCII.
-        return Some(i);
-    }
-    None
 }
 
 /// A single match: a located substring of the haystack.
