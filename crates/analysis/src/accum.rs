@@ -10,15 +10,20 @@
 //!   domain partitions** of the same week sequence.
 //!
 //! `merge` is associative with [`Default`] as identity, so a store can
-//! be folded shard-parallel (each shard holds a domain partition) or
-//! week-partitioned on the exec pool, and the finished artifacts are
-//! byte-identical to the sequential materialized path: all floating-
+//! be folded as domain-disjoint slices on the exec pool (a shard each, or
+//! a hash partition of a single file each), and the finished artifacts
+//! are byte-identical to the sequential materialized path: all floating-
 //! point aggregation happens in `finish` from merged integer state, in
 //! canonical (week, domain) order, never during absorb or merge.
 //!
+//! The CVE join itself — which records apply to a detected `(library,
+//! version)` — is answered by [`VulnDb::verdict`] from the verdict index
+//! the database builds once; absorbing asks it once per detection.
+//!
 //! [`fold_store`] is the streaming entry point: it drives any
 //! [`AnyReader`] through an accumulator without materializing a
-//! [`Dataset`], so peak memory is one decoded week plus the accumulator.
+//! [`Dataset`], so peak memory is one decoded week per worker plus the
+//! accumulator.
 
 use crate::dataset::{Dataset, WeekSnapshot};
 use crate::flash::{flash_eol, tier_cutoff, FlashByTld, FlashUsage, ScriptAccessAudit};
@@ -26,17 +31,16 @@ use crate::landscape::{is_cdn_host, CdnBreakdown, LibraryRow, UsageTrend};
 use crate::resources::{CollectionSeries, ResourceUsage};
 use crate::sri::{CrossoriginCensus, GithubReport, SriAdoption};
 use crate::stats::{mean, median, Cdf};
-use crate::store_io::week_to_snapshot;
+use crate::store_io::week_into_snapshot;
 use crate::updates::{RegressionEvent, UpdateDelayReport, UpdateEvent, WordPressUsage};
 use crate::vuln::{CveImpact, PrevalenceSeries, RefinementSummary, VulnCountDistribution};
 use crate::wordpress::WordPressCveRow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
-use webvuln_cvedb::{Basis, Date, LibraryId, VulnDb};
+use webvuln_cvedb::{Basis, Date, LibraryId, Verdict, VulnDb, VulnRecord};
 use webvuln_exec::Executor;
-use webvuln_fingerprint::{DetectedInclusion, ResourceType};
+use webvuln_fingerprint::{DetectedInclusion, Detection, PageAnalysis, ResourceType};
 use webvuln_net::filter::{page_is_error_or_empty, FINAL_WEEKS};
-use webvuln_store::{shard_of, AnyReader, Genesis, ShardedStoreReader, StoreError, WeekStream};
+use webvuln_store::{shard_of, AnyReader, Genesis, StoreError, WeekData, WeekStream};
 use webvuln_version::Version;
 
 // ---------------------------------------------------------------------------
@@ -88,6 +92,40 @@ fn add_counts<K: Ord>(into: &mut BTreeMap<K, usize>, from: BTreeMap<K, usize>) {
     for (key, count) in from {
         *into.entry(key).or_default() += count;
     }
+}
+
+/// `*counts.entry(key.clone()).or_default() += 1`, cloning the key only
+/// the first time it is seen.
+fn bump<K: Ord + Clone>(counts: &mut BTreeMap<K, usize>, key: &K) {
+    match counts.get_mut(key) {
+        Some(count) => *count += 1,
+        None => {
+            counts.insert(key.clone(), 1);
+        }
+    }
+}
+
+/// Runs `update` on `domain`'s entry, creating it on first sight: one
+/// lookup and no key clone for a domain already tracked.
+fn with_domain<V: Default>(
+    map: &mut BTreeMap<String, V>,
+    domain: &String,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(domain) {
+        Some(state) => update(state),
+        None => update(map.entry(domain.clone()).or_default()),
+    }
+}
+
+/// The page's first detection of each library, indexed by
+/// [`LibraryId::index`] — every `page.library(..)` answer in one pass.
+fn first_detections(page: &PageAnalysis) -> [Option<&Detection>; LibraryId::ALL.len()] {
+    let mut first = [None; LibraryId::ALL.len()];
+    for det in &page.detections {
+        first[det.library.index()].get_or_insert(det);
+    }
+    first
 }
 
 /// Sorts partition-tagged events back into the sequential scan order:
@@ -166,8 +204,8 @@ impl LandscapeAccum {
             users: vec![0; LibraryId::ALL.len()],
         };
         for page in snapshot.pages.values() {
-            for (index, &library) in LibraryId::ALL.iter().enumerate() {
-                let Some(det) = page.library(library) else {
+            for (index, det) in first_detections(page).into_iter().enumerate() {
+                let Some(det) = det else {
                     continue;
                 };
                 week.users[index] += 1;
@@ -179,12 +217,12 @@ impl LandscapeAccum {
                         if is_cdn_host(host) {
                             lib.external_cdn += 1;
                         }
-                        *lib.host_counts.entry(host.clone()).or_default() += 1;
+                        bump(&mut lib.host_counts, host);
                         lib.host_total += 1;
                     }
                 }
                 if let Some(version) = &det.version {
-                    *lib.version_counts.entry(version.clone()).or_default() += 1;
+                    bump(&mut lib.version_counts, version);
                     lib.users_with_version += 1;
                 }
             }
@@ -367,68 +405,59 @@ impl CveExposureAccum {
 
     /// Folds one week in.
     pub fn absorb_week(&mut self, snapshot: &WeekSnapshot, db: &VulnDb) {
-        let records = db.records();
         let mut week = ExposureWeek {
             date: Some(snapshot.date),
             collected: snapshot.pages.len(),
-            per_record: vec![(0, 0, 0); records.len()],
+            per_record: vec![(0, 0, 0); db.records().len()],
             ..ExposureWeek::default()
         };
         for (domain, page) in &snapshot.pages {
-            let mut any_claimed = false;
-            let mut any_tvv = false;
+            // One verdict per detection; each library's first detection
+            // keeps its own for the per-record cells below.
+            let mut first: [Option<Option<Verdict<'_>>>; LibraryId::ALL.len()] =
+                [None; LibraryId::ALL.len()];
             let mut count_claimed = 0u64;
             let mut count_tvv = 0u64;
             for det in &page.detections {
-                let Some(version) = &det.version else {
-                    continue;
-                };
-                if db.is_vulnerable_known_by(det.library, version, Basis::CveClaimed, snapshot.date)
-                {
-                    any_claimed = true;
+                let verdict = det
+                    .version
+                    .as_ref()
+                    .map(|version| db.verdict(det.library, version));
+                if let Some(verdict) = &verdict {
+                    count_claimed +=
+                        verdict.count_known_by(Basis::CveClaimed, snapshot.date) as u64;
+                    count_tvv +=
+                        verdict.count_known_by(Basis::TrueVulnerable, snapshot.date) as u64;
                 }
-                if db.is_vulnerable_known_by(
-                    det.library,
-                    version,
-                    Basis::TrueVulnerable,
-                    snapshot.date,
-                ) {
-                    any_tvv = true;
-                }
-                count_claimed +=
-                    db.vuln_count_known_by(det.library, version, Basis::CveClaimed, snapshot.date)
-                        as u64;
-                count_tvv += db.vuln_count_known_by(
-                    det.library,
-                    version,
-                    Basis::TrueVulnerable,
-                    snapshot.date,
-                ) as u64;
+                first[det.library.index()].get_or_insert(verdict);
             }
-            if any_claimed {
+            if count_claimed > 0 {
                 week.vulnerable_claimed += 1;
             }
-            if any_tvv {
+            if count_tvv > 0 {
                 week.vulnerable_tvv += 1;
             }
-            let site = self.per_site.entry(domain.clone()).or_default();
-            site.claimed += count_claimed;
-            site.tvv += count_tvv;
-            site.weeks += 1;
-            for (index, record) in records.iter().enumerate() {
-                let Some(det) = page.library(record.library) else {
+            with_domain(&mut self.per_site, domain, |site| {
+                site.claimed += count_claimed;
+                site.tvv += count_tvv;
+                site.weeks += 1;
+            });
+            for (library, verdict) in LibraryId::ALL.into_iter().zip(first) {
+                let Some(verdict) = verdict else {
                     continue;
                 };
-                let cell = &mut week.per_record[index];
-                cell.0 += 1;
-                let Some(version) = &det.version else {
-                    continue;
-                };
-                if record.claims(version) {
-                    cell.1 += 1;
-                }
-                if record.truly_affects(version) {
-                    cell.2 += 1;
+                for (pos, &index) in db.record_indices(library).iter().enumerate() {
+                    let cell = &mut week.per_record[index];
+                    cell.0 += 1;
+                    let Some(verdict) = &verdict else {
+                        continue;
+                    };
+                    if verdict.applies(pos, Basis::CveClaimed) {
+                        cell.1 += 1;
+                    }
+                    if verdict.applies(pos, Basis::TrueVulnerable) {
+                        cell.2 += 1;
+                    }
                 }
             }
         }
@@ -577,17 +606,28 @@ struct BehaviorWeek {
     wordpress: usize,
 }
 
+/// What the cross-week trackers remember about one domain. A site runs
+/// a handful of libraries, so each list stays a few entries long.
+#[derive(Debug, Default)]
+struct DomainTrack {
+    /// Per patched record (by index in `db.records()`), the vulnerable
+    /// version last seen under the CVE-claimed ranges.
+    armed_claimed: Vec<(usize, Version)>,
+    /// The same under the True Vulnerable Versions.
+    armed_tvv: Vec<(usize, Version)>,
+    /// The version each library was last seen at.
+    last_versions: Vec<(LibraryId, Version)>,
+}
+
 /// Accumulator behind [`crate::updates::update_delays`],
 /// [`crate::updates::regressions`], [`crate::updates::wordpress_usage`]
 /// and [`crate::wordpress::table4`].
 #[derive(Debug, Default)]
 pub struct UpdateBehaviorAccum {
     weeks: Vec<BehaviorWeek>,
-    armed_claimed: BTreeMap<(String, usize), Version>,
-    armed_tvv: BTreeMap<(String, usize), Version>,
+    domains: BTreeMap<String, DomainTrack>,
     events_claimed: Vec<(usize, String, UpdateEvent)>,
     events_tvv: Vec<(usize, String, UpdateEvent)>,
-    last_versions: BTreeMap<(String, LibraryId), Version>,
     regressions: Vec<(usize, String, RegressionEvent)>,
     /// WordPress core versions at the newest absorbed week.
     final_wordpress: Option<(usize, Vec<Version>)>,
@@ -605,11 +645,20 @@ impl UpdateBehaviorAccum {
 
     /// Folds one week in.
     pub fn absorb_week(&mut self, snapshot: &WeekSnapshot, db: &VulnDb) {
-        let patched: Vec<(usize, &webvuln_cvedb::VulnRecord)> = db
+        // Patched records in corpus order, each with its position among
+        // its library's records (the verdict's bit) and its patch date.
+        let patched: Vec<(usize, &VulnRecord, usize, Date)> = db
             .records()
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.patched_date.is_some())
+            .filter_map(|(idx, record)| {
+                let pos = db
+                    .record_indices(record.library)
+                    .iter()
+                    .position(|&i| i == idx)
+                    .expect("every record is indexed under its library");
+                Some((idx, record, pos, record.patched_date?))
+            })
             .collect();
         let mut wordpress = 0usize;
         let mut wp_versions = Vec::new();
@@ -620,58 +669,77 @@ impl UpdateBehaviorAccum {
             if let Some(Some(version)) = &page.wordpress {
                 wp_versions.push(version.clone());
             }
-            // Security updates (§7), both bases in one pass.
-            for &(idx, record) in &patched {
-                let Some(det) = page.library(record.library) else {
-                    continue;
-                };
-                let Some(version) = &det.version else {
-                    continue;
-                };
-                let patched_date = record.patched_date.expect("filtered");
-                for (armed, events, affected) in [
-                    (
-                        &mut self.armed_claimed,
-                        &mut self.events_claimed,
-                        record.claims(version),
-                    ),
-                    (
-                        &mut self.armed_tvv,
-                        &mut self.events_tvv,
-                        record.truly_affects(version),
-                    ),
-                ] {
-                    let key = (domain.clone(), idx);
-                    if affected {
-                        armed.insert(key, version.clone());
-                    } else if let Some(from_version) = armed.remove(&key) {
-                        if version > &from_version && snapshot.date >= patched_date {
-                            events.push((
-                                snapshot.week,
-                                domain.clone(),
-                                UpdateEvent {
-                                    domain: domain.clone(),
-                                    vuln_id: record.id.clone(),
-                                    from_version,
-                                    to_version: version.clone(),
-                                    observed: snapshot.date,
-                                    delay_days: snapshot.date.days_since(patched_date),
-                                    wordpress: page.wordpress.is_some(),
-                                },
-                            ));
+            // Both trackers below only ever look at versioned detections.
+            if page.detections.iter().all(|det| det.version.is_none()) {
+                continue;
+            }
+            let first = first_detections(page);
+            let (events_claimed, events_tvv) = (&mut self.events_claimed, &mut self.events_tvv);
+            let regressions = &mut self.regressions;
+            with_domain(&mut self.domains, domain, |track| {
+                // Security updates (§7), both bases in one pass.
+                let mut verdicts: [Option<Verdict<'_>>; LibraryId::ALL.len()] =
+                    [None; LibraryId::ALL.len()];
+                for &(idx, record, pos, patched_date) in &patched {
+                    let library = record.library.index();
+                    let Some(version) = first[library].and_then(|det| det.version.as_ref()) else {
+                        continue;
+                    };
+                    let verdict = *verdicts[library]
+                        .get_or_insert_with(|| db.verdict(record.library, version));
+                    for (armed, events, basis) in [
+                        (
+                            &mut track.armed_claimed,
+                            &mut *events_claimed,
+                            Basis::CveClaimed,
+                        ),
+                        (
+                            &mut track.armed_tvv,
+                            &mut *events_tvv,
+                            Basis::TrueVulnerable,
+                        ),
+                    ] {
+                        let slot = armed.iter().position(|&(armed_idx, _)| armed_idx == idx);
+                        if verdict.applies(pos, basis) {
+                            match slot {
+                                Some(slot) => armed[slot].1.clone_from(version),
+                                None => armed.push((idx, version.clone())),
+                            }
+                        } else if let Some(slot) = slot {
+                            let (_, from_version) = armed.swap_remove(slot);
+                            if version > &from_version && snapshot.date >= patched_date {
+                                events.push((
+                                    snapshot.week,
+                                    domain.clone(),
+                                    UpdateEvent {
+                                        domain: domain.clone(),
+                                        vuln_id: record.id.clone(),
+                                        from_version,
+                                        to_version: version.clone(),
+                                        observed: snapshot.date,
+                                        delay_days: snapshot.date.days_since(patched_date),
+                                        wordpress: page.wordpress.is_some(),
+                                    },
+                                ));
+                            }
                         }
                     }
                 }
-            }
-            // Version regressions (§9).
-            for det in &page.detections {
-                let Some(version) = &det.version else {
-                    continue;
-                };
-                let key = (domain.clone(), det.library);
-                if let Some(prev) = self.last_versions.get(&key) {
+                // Version regressions (§9).
+                for det in &page.detections {
+                    let Some(version) = &det.version else {
+                        continue;
+                    };
+                    let last = track
+                        .last_versions
+                        .iter_mut()
+                        .find(|(library, _)| *library == det.library);
+                    let Some((_, prev)) = last else {
+                        track.last_versions.push((det.library, version.clone()));
+                        continue;
+                    };
                     if version < prev {
-                        self.regressions.push((
+                        regressions.push((
                             snapshot.week,
                             domain.clone(),
                             RegressionEvent {
@@ -689,9 +757,9 @@ impl UpdateBehaviorAccum {
                             },
                         ));
                     }
+                    prev.clone_from(version);
                 }
-                self.last_versions.insert(key, version.clone());
-            }
+            });
         }
         match &mut self.final_wordpress {
             Some((week, versions)) if *week == snapshot.week => versions.extend(wp_versions),
@@ -799,16 +867,14 @@ impl Accumulate for UpdateBehaviorAccum {
         self.absorb_week(snapshot, ctx.db);
     }
 
-    fn merge(&mut self, other: UpdateBehaviorAccum) {
+    fn merge(&mut self, mut other: UpdateBehaviorAccum) {
         zip_merge(&mut self.weeks, other.weeks, |into, from| {
             into.collected += from.collected;
             into.wordpress += from.wordpress;
         });
-        self.armed_claimed.extend(other.armed_claimed);
-        self.armed_tvv.extend(other.armed_tvv);
+        self.domains.append(&mut other.domains);
         self.events_claimed.extend(other.events_claimed);
         self.events_tvv.extend(other.events_tvv);
-        self.last_versions.extend(other.last_versions);
         self.regressions.extend(other.regressions);
         match (&mut self.final_wordpress, other.final_wordpress) {
             (Some((week, versions)), Some((other_week, other_versions))) => {
@@ -1460,7 +1526,7 @@ pub fn store_filter_verdict(reader: &AnyReader) -> Result<BTreeSet<String>, Stor
     }
     let mut alive: BTreeSet<String> = BTreeSet::new();
     for week in reader.stream().range(weeks - window, weeks) {
-        alive.extend(snapshot_alive_set(&week_to_snapshot(&week?)?));
+        alive.extend(snapshot_alive_set(&week_into_snapshot(week?)?));
     }
     Ok(reader
         .genesis()
@@ -1498,45 +1564,23 @@ pub fn apply_filter(snapshot: &mut WeekSnapshot, filtered: &BTreeSet<String>) {
         .retain(|domain| !filtered.contains(domain));
 }
 
-/// Splits a week's pages into `parts` domain partitions using the
-/// store's shard hash, so every partition sees the same domains in every
-/// week. Carry-forward markers partition with their domain; summaries
-/// are not partitioned — accumulators never read them.
-fn partition_snapshot(snapshot: WeekSnapshot, parts: usize) -> Vec<WeekSnapshot> {
-    let parts = parts.max(1);
-    let mut out: Vec<WeekSnapshot> = (0..parts)
-        .map(|_| WeekSnapshot {
-            week: snapshot.week,
-            date: snapshot.date,
-            pages: BTreeMap::new(),
-            summaries: BTreeMap::new(),
-            carried_forward: BTreeSet::new(),
-        })
-        .collect();
-    for (domain, page) in snapshot.pages {
-        let part = shard_of(&domain, parts);
-        out[part].pages.insert(domain, page);
-    }
-    for domain in snapshot.carried_forward {
-        let part = shard_of(&domain, parts);
-        out[part].carried_forward.insert(domain);
-    }
-    out
-}
-
 /// Folds a store through an accumulator without materializing a
-/// [`Dataset`]. Peak memory is one decoded week plus the accumulator
-/// (times the thread count when folding in parallel).
+/// [`Dataset`]. Peak memory is the accumulator plus one decoded week per
+/// worker, whatever the week count.
 ///
-/// Three execution plans, all producing byte-identical artifacts:
+/// Three ways to cut the store into domain-disjoint slices, one fold
+/// loop ([`fold_slices`]), byte-identical artifacts:
 ///
-/// * sharded store, `threads > 1` — one fold per shard on the exec
-///   pool (shards partition domains), merged in shard order; unhealthy
-///   shards of a degraded reader contribute the identity;
-/// * single-file store, `threads > 1` — each decoded week is domain-
-///   partitioned with [`shard_of`] and absorbed by per-partition
-///   accumulators that persist across weeks, merged at the end;
-/// * `threads <= 1` — a plain sequential fold.
+/// * sharded store, `threads > 1` — a slice per shard (shards partition
+///   domains); unhealthy shards of a degraded reader contribute the
+///   identity;
+/// * single-file store, `threads > 1` — a slice per worker, at most one
+///   per core: each worker decodes, from the per-week offset index, only
+///   the records [`shard_of`] assigns it. Nothing decoded ever changes
+///   threads: a week handed to another thread costs more in cache misses
+///   on both sides than the hand-off overlaps (measured: a decode-ahead
+///   pipeline and a per-week barrier both ran no faster than one thread);
+/// * `threads <= 1` — the whole store as one slice.
 pub fn fold_store<A>(
     reader: &AnyReader,
     ctx: &AccumCtx<'_>,
@@ -1549,19 +1593,24 @@ where
     let threads = threads.max(1);
     if let AnyReader::Sharded(sharded) = reader {
         if threads > 1 && sharded.shard_count() > 1 {
-            return fold_sharded(sharded, ctx, &filtered, threads);
+            return fold_slices(sharded.shard_count(), threads, ctx, &filtered, |shard| {
+                sharded
+                    .shard_reader(shard)
+                    .into_iter()
+                    .flat_map(WeekStream::over_single)
+            });
         }
     }
-    if threads > 1 {
-        return fold_partitioned(reader, ctx, &filtered, threads);
+    // More slices than cores only adds threads that take turns.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let parts = threads.min(cores);
+    if parts > 1 {
+        return fold_slices(parts, parts, ctx, &filtered, |part| {
+            (0..reader.weeks_committed())
+                .map(move |week| reader.week_where(week, |host| shard_of(host, parts) == part))
+        });
     }
-    let mut accum = A::default();
-    for week in reader.stream() {
-        let mut snapshot = week_to_snapshot(&week?)?;
-        apply_filter(&mut snapshot, &filtered);
-        accum.absorb(&snapshot, ctx);
-    }
-    Ok(accum)
+    fold_slices(1, 1, ctx, &filtered, |_| reader.stream())
 }
 
 /// Convenience: folds the full study accumulator over a store using the
@@ -1576,77 +1625,43 @@ pub fn fold_study(
     fold_store(reader, &ctx, threads)
 }
 
-fn fold_sharded<A>(
-    sharded: &ShardedStoreReader,
+/// Folds `slices` domain-disjoint slices of a store on the exec pool —
+/// `weeks_of(slice)` streams one slice's weeks in order — and merges the
+/// accumulators in slice order. Each week is converted consuming its
+/// decoded records, filtered, absorbed and dropped on the one worker
+/// that decoded it.
+fn fold_slices<A, I>(
+    slices: usize,
+    threads: usize,
     ctx: &AccumCtx<'_>,
     filtered: &BTreeSet<String>,
-    threads: usize,
+    weeks_of: impl Fn(usize) -> I + Sync,
 ) -> Result<A, StoreError>
 where
     A: Accumulate + Default + Send,
+    I: Iterator<Item = Result<WeekData, StoreError>>,
 {
-    let indices: Vec<usize> = (0..sharded.shard_count()).collect();
+    let indices: Vec<usize> = (0..slices).collect();
     let executor = Executor::new(threads).chunk_size(1);
-    let parts = executor.map(&indices, |&index| -> Result<A, StoreError> {
-        let Some(shard) = sharded.shard_reader(index) else {
-            // Degraded store: an unavailable shard serves no domains and
-            // contributes the identity, mirroring what the merged reader
-            // would decode for its records.
-            return Ok(A::default());
-        };
+    let folded = executor.map(&indices, |&slice| -> Result<A, StoreError> {
         let mut accum = A::default();
-        for week in WeekStream::over_single(shard) {
-            let mut snapshot = week_to_snapshot(&week?)?;
+        for week in weeks_of(slice) {
+            let mut snapshot = week_into_snapshot(week?)?;
             apply_filter(&mut snapshot, filtered);
             accum.absorb(&snapshot, ctx);
         }
         Ok(accum)
     });
-    let mut merged = A::default();
-    for part in parts {
-        merged.merge(part?);
+    let mut folded = folded.into_iter();
+    let mut merged = folded.next().expect("a fold has at least one slice")?;
+    for slice in folded {
+        merged.merge(slice?);
     }
     Ok(merged)
 }
 
-fn fold_partitioned<A>(
-    reader: &AnyReader,
-    ctx: &AccumCtx<'_>,
-    filtered: &BTreeSet<String>,
-    threads: usize,
-) -> Result<A, StoreError>
-where
-    A: Accumulate + Default + Send,
-{
-    let executor = Executor::new(threads).chunk_size(1);
-    let slots: Vec<Mutex<Option<A>>> = (0..threads)
-        .map(|_| Mutex::new(Some(A::default())))
-        .collect();
-    let indices: Vec<usize> = (0..threads).collect();
-    for week in reader.stream() {
-        let mut snapshot = week_to_snapshot(&week?)?;
-        apply_filter(&mut snapshot, filtered);
-        let parts = partition_snapshot(snapshot, threads);
-        executor.map(&indices, |&index| {
-            let mut accum = slots[index]
-                .lock()
-                .expect("accumulator slot")
-                .take()
-                .expect("slot occupied");
-            accum.absorb(&parts[index], ctx);
-            *slots[index].lock().expect("accumulator slot") = Some(accum);
-        });
-    }
-    let mut merged = A::default();
-    for slot in slots {
-        let part = slot
-            .into_inner()
-            .expect("accumulator slot")
-            .expect("slot occupied");
-        merged.merge(part);
-    }
-    Ok(merged)
-}
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -411,6 +411,8 @@ pub(crate) struct WeekCollector {
     executor: Executor,
     breakers: Option<HostBreakers>,
     clock: VirtualClock,
+    /// Each domain's last usable page — kept only under
+    /// [`CollectConfig::carry_forward`], its one reader.
     last_usable: BTreeMap<String, PageAnalysis>,
     carry_forward: Counter,
     /// Tasks quarantined under supervision (crawl + fingerprint),
@@ -579,7 +581,9 @@ impl WeekCollector {
                 summaries.insert(domain.clone(), FetchSummary::from(&record));
                 if record.is_usable(EMPTY_PAGE_THRESHOLD) {
                     let analysis = analyses.next().expect("one analysis per usable page");
-                    self.last_usable.insert(domain.clone(), analysis.clone());
+                    if self.config.carry_forward {
+                        self.last_usable.insert(domain.clone(), analysis.clone());
+                    }
                     pages.insert(domain, analysis);
                 } else if self.config.carry_forward
                     && page_is_error_or_empty(record.status, record.body_len())
@@ -671,6 +675,9 @@ impl WeekCollector {
                 }
             }
             breakers.tick_round();
+        }
+        if !self.config.carry_forward {
+            return;
         }
         for (domain, page) in &snapshot.pages {
             if !snapshot.carried_forward.contains(domain) {

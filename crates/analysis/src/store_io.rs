@@ -103,10 +103,10 @@ fn parse_version(text: &str) -> Result<Version, StoreError> {
         .map_err(|e| StoreError::Mismatch(format!("stored version {text:?} unparsable: {e}")))
 }
 
-fn record_to_page(record: &PageRecord) -> Result<PageAnalysis, StoreError> {
+fn record_into_page(record: PageRecord) -> Result<PageAnalysis, StoreError> {
     let detections = record
         .detections
-        .iter()
+        .into_iter()
         .map(|d| {
             let library = LibraryId::from_slug(&d.library).ok_or_else(|| {
                 StoreError::Mismatch(format!("unknown library slug {:?}", d.library))
@@ -114,13 +114,13 @@ fn record_to_page(record: &PageRecord) -> Result<PageAnalysis, StoreError> {
             Ok(Detection {
                 library,
                 version: d.version.as_deref().map(parse_version).transpose()?,
-                inclusion: match &d.external_host {
+                inclusion: match d.external_host {
                     None => DetectedInclusion::Internal,
-                    Some(host) => DetectedInclusion::External { host: host.clone() },
+                    Some(host) => DetectedInclusion::External { host },
                 },
                 integrity: d.integrity,
-                crossorigin: d.crossorigin.clone(),
-                url: d.url.clone(),
+                crossorigin: d.crossorigin,
+                url: d.url,
             })
         })
         .collect::<Result<Vec<_>, StoreError>>()?;
@@ -133,10 +133,10 @@ fn record_to_page(record: &PageRecord) -> Result<PageAnalysis, StoreError> {
         },
         flash: record
             .flash
-            .iter()
+            .into_iter()
             .map(|f| FlashDetection {
-                swf_url: f.swf_url.clone(),
-                allow_script_access: f.allow_script_access.clone(),
+                swf_url: f.swf_url,
+                allow_script_access: f.allow_script_access,
             })
             .collect(),
         resource_types: record
@@ -146,17 +146,17 @@ fn record_to_page(record: &PageRecord) -> Result<PageAnalysis, StoreError> {
             .collect::<Result<Vec<_>, StoreError>>()?,
         github_scripts: record
             .github_scripts
-            .iter()
+            .into_iter()
             .map(|s| ExternalScript {
-                host: s.host.clone(),
-                url: s.url.clone(),
+                host: s.host,
+                url: s.url,
                 integrity: s.integrity,
-                crossorigin: s.crossorigin.clone(),
+                crossorigin: s.crossorigin,
             })
             .collect(),
         external_scripts: record.external_scripts as usize,
         external_scripts_without_integrity: record.external_scripts_without_integrity as usize,
-        crossorigin_values: record.crossorigin_values.clone(),
+        crossorigin_values: record.crossorigin_values,
     })
 }
 
@@ -180,40 +180,47 @@ pub fn snapshot_to_week(snapshot: &WeekSnapshot) -> WeekData {
     }
 }
 
-/// Converts a decoded store week back into an analysed snapshot.
+/// Converts a decoded store week back into an analysed snapshot,
+/// consuming it: every string the snapshot keeps is moved, not copied.
 ///
 /// Carried-forward flags are not stored explicitly: a live crawl only
 /// attaches a page to an error-or-empty fetch when carry-forward
 /// degradation substituted the last usable snapshot, so the flag is
 /// reconstructed from exactly that combination.
-pub fn week_to_snapshot(week: &WeekData) -> Result<WeekSnapshot, StoreError> {
+pub fn week_into_snapshot(week: WeekData) -> Result<WeekSnapshot, StoreError> {
     let date_days = i32::try_from(week.date_days)
         .map_err(|_| StoreError::Mismatch(format!("week date {} out of range", week.date_days)))?;
-    let mut pages = BTreeMap::new();
-    let mut summaries = BTreeMap::new();
+    // Records arrive host-sorted, so collecting the maps from vectors
+    // builds them in one pass.
+    let mut pages = Vec::new();
+    let mut summaries = Vec::with_capacity(week.records.len());
     let mut carried_forward = BTreeSet::new();
-    for record in &week.records {
-        summaries.insert(
-            record.host.clone(),
-            FetchSummary {
-                status: record.status,
-                body_len: record.body_len as usize,
-            },
-        );
-        if let Some(page) = &record.page {
-            pages.insert(record.host.clone(), record_to_page(page)?);
-            if page_is_error_or_empty(record.status, record.body_len as usize) {
+    for record in week.records {
+        let body_len = record.body_len as usize;
+        if let Some(page) = record.page {
+            if page_is_error_or_empty(record.status, body_len) {
                 carried_forward.insert(record.host.clone());
             }
+            pages.push((record.host.clone(), record_into_page(page)?));
         }
+        let summary = FetchSummary {
+            status: record.status,
+            body_len,
+        };
+        summaries.push((record.host, summary));
     }
     Ok(WeekSnapshot {
         week: week.week,
         date: Date::from_day_number(date_days),
-        pages,
-        summaries,
+        pages: pages.into_iter().collect(),
+        summaries: summaries.into_iter().collect(),
         carried_forward,
     })
+}
+
+/// [`week_into_snapshot`] for a caller that keeps the decoded week.
+pub fn week_to_snapshot(week: &WeekData) -> Result<WeekSnapshot, StoreError> {
+    week_into_snapshot(week.clone())
 }
 
 fn genesis_for(timeline: &Timeline, names: &[String]) -> Genesis {
@@ -306,7 +313,7 @@ pub fn dataset_from_reader(reader: &AnyReader) -> Result<Dataset, StoreError> {
     let (timeline, ranks) = genesis_to_parts(reader.genesis())?;
     let mut weeks = Vec::with_capacity(reader.weeks_committed());
     for week in reader.iter_weeks() {
-        weeks.push(week_to_snapshot(&week?)?);
+        weeks.push(week_into_snapshot(week?)?);
     }
     let mut dataset = Dataset {
         timeline,
@@ -336,7 +343,7 @@ pub fn dataset_from_reader(reader: &AnyReader) -> Result<Dataset, StoreError> {
 pub fn stream_snapshots(
     reader: &StoreReader,
 ) -> impl Iterator<Item = Result<WeekSnapshot, StoreError>> + '_ {
-    reader.iter_weeks().map(|week| week_to_snapshot(&week?))
+    reader.iter_weeks().map(|week| week_into_snapshot(week?))
 }
 
 /// Streams a store straight into `out` as one `Dataset`-shaped JSON
@@ -360,7 +367,7 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
         None => {
             let mut weekly = Vec::with_capacity(reader.weeks_committed());
             for week in reader.iter_weeks() {
-                let snapshot = week_to_snapshot(&week.map_err(store_err)?).map_err(store_err)?;
+                let snapshot = week_into_snapshot(week.map_err(store_err)?).map_err(store_err)?;
                 weekly.push(snapshot.summaries);
             }
             inaccessible_domains(&weekly, webvuln_net::filter::FINAL_WEEKS)
@@ -379,7 +386,7 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
     });
     buf.push_str(",\"weeks\":[");
     for (index, week) in reader.iter_weeks().enumerate() {
-        let mut snapshot = week_to_snapshot(&week.map_err(store_err)?).map_err(store_err)?;
+        let mut snapshot = week_into_snapshot(week.map_err(store_err)?).map_err(store_err)?;
         snapshot.pages.retain(|domain, _| !drop.contains(domain));
         snapshot
             .summaries
@@ -829,8 +836,8 @@ pub(crate) fn collect_checkpointed(
         }
         let (timeline, ranks) = genesis_to_parts(writer.genesis())?;
         let mut weeks: Vec<WeekSnapshot> = Vec::new();
-        for (i, week) in resumed.weeks.iter().enumerate() {
-            let snapshot = week_to_snapshot(week)?;
+        for (i, week) in resumed.weeks.into_iter().enumerate() {
+            let snapshot = week_into_snapshot(week)?;
             emit_restored(i, &snapshot);
             if !streaming {
                 weeks.push(snapshot);
@@ -867,7 +874,7 @@ pub(crate) fn collect_checkpointed(
         Vec::with_capacity(if streaming { 0 } else { timeline.weeks });
     let mut filter = FilterWindow::new();
     for (i, week) in resumed.weeks.into_iter().enumerate() {
-        let snapshot = week_to_snapshot(&week)?;
+        let snapshot = week_into_snapshot(week)?;
         emit_restored(i, &snapshot);
         collector.replay_week(&snapshot);
         if streaming {
@@ -1235,6 +1242,53 @@ mod tests {
         assert_eq!(outcome.weeks_recovered, 3);
         assert_eq!(outcome.weeks_crawled, 3);
         assert_datasets_equal(&plain, &outcome.dataset);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resumed_carry_forward_run_carries_the_same_pages() {
+        // The carry-forward baseline is only kept when the feature is on;
+        // a resume must rebuild it from the store all the same.
+        const KILLED_AFTER: usize = 3;
+        let eco = small_eco(61, 200, 8);
+        let config = CollectConfig {
+            faults: FaultPlan {
+                seed: 61,
+                transient_fail_permille: 250,
+                heal_after_attempts: 1,
+                ..FaultPlan::none()
+            },
+            carry_forward: true,
+            ..CollectConfig::default()
+        };
+        let plain = testkit::collect(&eco, config);
+        let path = temp_store("carry-resume");
+        let telemetry = Telemetry::new();
+        {
+            let mut collector = WeekCollector::new(&eco, config, &telemetry);
+            let timeline = *eco.timeline();
+            let mut writer =
+                StoreWriter::create(&path, genesis_for(&timeline, &eco.domain_names()))
+                    .expect("create");
+            for (week, date) in timeline.iter().take(KILLED_AFTER) {
+                let snap = collector.collect_week(week, date, &telemetry);
+                writer
+                    .commit_week(&snapshot_to_week(&snap))
+                    .expect("commit");
+            }
+        }
+        let outcome = collect_checkpointed(&eco, config, &Telemetry::new(), &path, true, false)
+            .expect("resume");
+        assert_eq!(outcome.weeks_recovered, KILLED_AFTER);
+        assert_datasets_equal(&plain, &outcome.dataset);
+        // Every page carried in the first crawled week was last fetched
+        // before the kill, so it can only have come from the replay.
+        assert!(
+            !outcome.dataset.weeks[KILLED_AFTER]
+                .carried_forward
+                .is_empty(),
+            "fixture must carry replayed pages across the resume point"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

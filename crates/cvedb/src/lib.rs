@@ -43,7 +43,7 @@ mod wordpress;
 
 pub use browsers::{browser_flash_support, BrowserSupport};
 pub use date::{Date, ParseDateError};
-pub use db::{Basis, VulnDb};
+pub use db::{Basis, Verdict, VulnDb};
 pub use delta::{parse_delta, DeltaError};
 pub use library::{catalog, wordpress_catalog, Catalog, LibraryId, Release};
 pub use record::{builtin_records, classify, Accuracy, AttackType, VulnRecord};

@@ -69,6 +69,11 @@ impl LibraryId {
         LibraryId::PolyfillIo,
     ];
 
+    /// Position in [`LibraryId::ALL`] — a dense key for per-library tables.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Canonical display name (as printed in the paper).
     pub fn name(&self) -> &'static str {
         match self {
@@ -613,6 +618,13 @@ pub fn wordpress_catalog() -> Vec<Release> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (position, lib) in LibraryId::ALL.into_iter().enumerate() {
+            assert_eq!(lib.index(), position, "{lib}");
+        }
+    }
 
     #[test]
     fn slugs_round_trip() {

@@ -11,8 +11,8 @@
 //!
 //! - **Fixed worker pool** sized by [`std::thread::available_parallelism`]
 //!   (or an explicit `threads(n)` override). Workers live for the duration
-//!   of one [`Executor::map`] call via [`std::thread::scope`]; no unsafe,
-//!   no leaked threads.
+//!   of one [`Executor::map`] call via [`std::thread::scope`] and are
+//!   joined before it returns; no unsafe, no leaked threads.
 //! - **Chunked sharding.** The input slice is cut into contiguous chunks
 //!   (roughly four per worker) and each chunk is assigned a *home* worker
 //!   by a seeded hash of its index, so the initial distribution is stable
@@ -333,6 +333,19 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// Joins every worker of a scope before the scope ends. The scope itself
+/// only waits until each closure has returned, which is before the OS
+/// thread has exited and given its allocator arena back; a `map` called
+/// right after would then sometimes be handed fresh arenas instead, and
+/// the process's peak memory would depend on that race.
+fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
+    for handle in handles {
+        if let Err(payload) = handle.join() {
+            resume_unwind(payload);
+        }
+    }
+}
+
 /// A reusable parallel-map executor.
 ///
 /// Construction is cheap (no threads are spawned until [`Executor::map`]
@@ -491,6 +504,7 @@ impl Executor {
         let panicked: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
 
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(threads);
             for worker in 0..threads {
                 let deques = &deques;
                 let bounds = &bounds;
@@ -503,7 +517,7 @@ impl Executor {
                 let f = &f;
                 let trace = trace.as_ref();
                 let seed = self.seed;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     let mut local_busy: u64 = 0;
                     loop {
                         if abort.load(Ordering::Acquire) {
@@ -575,8 +589,9 @@ impl Executor {
                         remaining.fetch_sub(1, Ordering::AcqRel);
                     }
                     busy_ns[worker].store(local_busy, Ordering::Relaxed);
-                });
+                }));
             }
+            join_all(handles);
         });
 
         let mut panics = panicked.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -692,6 +707,7 @@ impl Executor {
         let base = Instant::now();
 
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(threads + 1);
             for worker in 0..threads {
                 let deques = &deques;
                 let bounds = &bounds;
@@ -706,7 +722,7 @@ impl Executor {
                 let trace = trace.as_ref();
                 let seed = self.seed;
                 let base = &base;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     let mut local_busy: u64 = 0;
                     loop {
                         let mut task = lock_ignore_poison(&deques[worker]).pop_front();
@@ -770,7 +786,7 @@ impl Executor {
                         }
                     }
                     busy_ns[worker].store(local_busy, Ordering::Relaxed);
-                });
+                }));
             }
 
             if supervise.stall_ms != u64::MAX {
@@ -779,7 +795,7 @@ impl Executor {
                 let base = &base;
                 let watchdog_done = &watchdog_done;
                 let stall_ms = supervise.stall_ms;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     // Observational watchdog: flags each over-threshold
                     // (worker, task) pair once. It cannot cancel work —
                     // CI's hard test timeout backstops a true hang.
@@ -807,8 +823,9 @@ impl Executor {
                             }
                         }
                     }
-                });
+                }));
             }
+            join_all(handles);
         });
 
         let mut tagged = results.into_inner().unwrap_or_else(|p| p.into_inner());

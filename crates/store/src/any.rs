@@ -117,6 +117,19 @@ impl AnyReader {
         }
     }
 
+    /// Decodes only the records of week `week` whose host `keep`
+    /// accepts; see [`StoreReader::week_where`].
+    pub fn week_where(
+        &self,
+        week: usize,
+        keep: impl Fn(&str) -> bool,
+    ) -> Result<WeekData, StoreError> {
+        match self {
+            AnyReader::Single(r) => r.week_where(week, keep),
+            AnyReader::Sharded(r) => r.week_where(week, keep),
+        }
+    }
+
     /// Iterates every committed week in order.
     pub fn iter_weeks(&self) -> impl Iterator<Item = Result<WeekData, StoreError>> + '_ {
         (0..self.weeks_committed()).map(move |week| self.week(week))

@@ -810,4 +810,50 @@ mod tests {
         }
         assert_eq!(total, 3 * 9);
     }
+    #[test]
+    fn week_where_decodes_exactly_the_accepted_hosts() {
+        let single = TempStore::new("where-single");
+        let mut writer = StoreWriter::create(&single.path, genesis(9, 3)).expect("create");
+        let sharded = TempDir::new("where-sharded");
+        let mut sharded_writer =
+            ShardedStoreWriter::create(&sharded.path, genesis(9, 3), 4).expect("create");
+        // Week 1 repeats week 0, so its records are back-references.
+        for (w, source) in [(0, 0), (1, 0), (2, 2)] {
+            let mut week = testkit::week(source, 9);
+            week.week = w;
+            writer.commit_week(&week).expect("commit");
+            sharded_writer.commit_week(&week).expect("commit");
+        }
+
+        for path in [&single.path, &sharded.path] {
+            let reader = AnyReader::open(path).expect("open");
+            for w in 0..3 {
+                let full = reader.week(w).expect("week");
+                assert_eq!(reader.week_where(w, |_| true).expect("all"), full);
+                let none = reader.week_where(w, |_| false).expect("none");
+                assert_eq!((none.week, none.date_days), (full.week, full.date_days));
+                assert!(none.records.is_empty());
+                // Hash partitions split the week and keep host order.
+                let mut rejoined = Vec::new();
+                for part in 0..3 {
+                    let slice = reader
+                        .week_where(w, |host| shard_of(host, 3) == part)
+                        .expect("partition");
+                    let expected: Vec<&DomainRecord> = full
+                        .records
+                        .iter()
+                        .filter(|r| shard_of(&r.host, 3) == part)
+                        .collect();
+                    assert_eq!(slice.records.iter().collect::<Vec<_>>(), expected);
+                    rejoined.extend(slice.records);
+                }
+                rejoined.sort_by(|a, b| a.host.cmp(&b.host));
+                assert_eq!(rejoined, full.records);
+            }
+            assert!(matches!(
+                reader.week_where(3, |_| true),
+                Err(StoreError::UnknownWeek(3))
+            ));
+        }
+    }
 }

@@ -140,6 +140,33 @@ impl StoreReader {
         })
     }
 
+    /// Decodes only the records of week `week` whose host `keep` accepts,
+    /// in host order, each straight from its indexed offset — what a fold
+    /// over one domain partition needs, at that partition's share of the
+    /// week's decode cost.
+    pub fn week_where(
+        &self,
+        week: usize,
+        keep: impl Fn(&str) -> bool,
+    ) -> Result<WeekData, StoreError> {
+        let entry = self.entry(week)?;
+        let mut records = Vec::new();
+        for &(sym, offset) in &entry.prefix.index {
+            let host = self
+                .table
+                .resolve(sym)
+                .ok_or_else(|| StoreError::corrupt(offset, "index host symbol unknown"))?;
+            if keep(host) {
+                records.push(decode_body_at(&self.segments, &self.table, host, offset)?.0);
+            }
+        }
+        Ok(WeekData {
+            week,
+            date_days: entry.prefix.date_days,
+            records,
+        })
+    }
+
     /// Iterates every committed week in order, decoding lazily.
     pub fn iter_weeks(&self) -> impl Iterator<Item = Result<WeekData, StoreError>> + '_ {
         (0..self.weeks.len()).map(move |week| self.week(week))

@@ -707,13 +707,31 @@ impl ShardedStoreReader {
     /// sorted by host. On a degraded open the unavailable shards' records
     /// are absent.
     pub fn week(&self, week: usize) -> Result<WeekData, StoreError> {
+        self.merged_week(week, |reader| reader.week(week))
+    }
+
+    /// [`ShardedStoreReader::week`] restricted to the hosts `keep`
+    /// accepts; see [`StoreReader::week_where`].
+    pub fn week_where(
+        &self,
+        week: usize,
+        keep: impl Fn(&str) -> bool,
+    ) -> Result<WeekData, StoreError> {
+        self.merged_week(week, |reader| reader.week_where(week, &keep))
+    }
+
+    fn merged_week(
+        &self,
+        week: usize,
+        slice: impl Fn(&StoreReader) -> Result<WeekData, StoreError>,
+    ) -> Result<WeekData, StoreError> {
         if week >= self.weeks_committed() {
             return Err(StoreError::UnknownWeek(week));
         }
         let mut date_days = None;
         let mut parts = Vec::new();
         for reader in self.readers.iter().flatten() {
-            let part = reader.week(week)?;
+            let part = slice(reader)?;
             date_days.get_or_insert(part.date_days);
             parts.push(part);
         }

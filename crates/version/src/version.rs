@@ -18,12 +18,28 @@ use std::str::FromStr;
 /// Equality, ordering and hashing all treat trailing zero components as
 /// absent (`1.9 == 1.9.0`), while [`fmt::Display`] preserves the components
 /// as written so that version strings round-trip.
-#[derive(Debug, Clone, Eq)]
+#[derive(Debug, Eq)]
 pub struct Version {
     /// Numeric components, most significant first. Never empty.
     parts: Vec<u32>,
     /// Pre-release identifier (the part after `-`), if any.
     pre: Option<String>,
+}
+
+impl Clone for Version {
+    fn clone(&self) -> Self {
+        Version {
+            parts: self.parts.clone(),
+            pre: self.pre.clone(),
+        }
+    }
+
+    /// Overwrites `self` reusing its buffers — per-domain trackers store
+    /// "the version seen this week" over last week's without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.parts.clone_from(&source.parts);
+        self.pre.clone_from(&source.pre);
+    }
 }
 
 impl PartialEq for Version {
@@ -215,14 +231,20 @@ impl fmt::Display for Version {
 
 impl Ord for Version {
     fn cmp(&self, other: &Self) -> Ordering {
-        let len = self.parts.len().max(other.parts.len());
-        for i in 0..len {
-            let a = self.parts.get(i).copied().unwrap_or(0);
-            let b = other.parts.get(i).copied().unwrap_or(0);
-            match a.cmp(&b) {
-                Ordering::Equal => continue,
-                non_eq => return non_eq,
-            }
+        // Positional over the shared prefix; past it, the longer side
+        // wins exactly when it has a non-zero component left.
+        let shared = self.parts.len().min(other.parts.len());
+        let (ours, our_rest) = self.parts.split_at(shared);
+        let (theirs, their_rest) = other.parts.split_at(shared);
+        match ours.cmp(theirs) {
+            Ordering::Equal => {}
+            non_eq => return non_eq,
+        }
+        if our_rest.iter().any(|&part| part != 0) {
+            return Ordering::Greater;
+        }
+        if their_rest.iter().any(|&part| part != 0) {
+            return Ordering::Less;
         }
         match (&self.pre, &other.pre) {
             (None, None) => Ordering::Equal,
@@ -346,6 +368,16 @@ mod tests {
         assert!(v("2.2.3") < v("3.6.0"), "docusign's jQuery in TVV range");
         assert!(v("3.5.1") < v("3.6.0"), "microsoft's jQuery in TVV range");
         assert!(v("1.4.1") < v("3.3.2"), "jQuery-Migrate dominant vs latest");
+    }
+
+    #[test]
+    fn clone_from_overwrites_every_field() {
+        let mut slot = v("1.2.3-beta.1");
+        slot.clone_from(&v("3.5"));
+        assert_eq!(slot.to_string(), "3.5");
+        assert_eq!(slot.pre(), None);
+        slot.clone_from(&v("1.0.0.1-rc.2"));
+        assert_eq!(slot.to_string(), "1.0.0.1-rc.2");
     }
 
     #[test]

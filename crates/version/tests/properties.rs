@@ -32,6 +32,35 @@ fn ordering_is_total() {
     });
 }
 
+/// Ordering compares positionally with missing components read as
+/// zero, whatever the two lengths, and only then looks at pre-releases.
+#[test]
+fn ordering_pads_missing_components() {
+    check::run("ordering_pads_missing_components", 512, |g| {
+        let arb = |g: &mut Gen| {
+            let parts = g.vec(1..=5, |g| g.range(0..=2) as u32);
+            let pre = *g.pick(&["", "", "-rc.1", "-rc.2", "-beta"]);
+            let text: Vec<String> = parts.iter().map(u32::to_string).collect();
+            let version = Version::parse(&format!("{}{pre}", text.join("."))).expect("valid");
+            (parts, pre, version)
+        };
+        let (a_parts, a_pre, a) = arb(g);
+        let (b_parts, b_pre, b) = arb(g);
+        let padded = |parts: &[u32]| {
+            let mut padded = parts.to_vec();
+            padded.resize(5, 0);
+            padded
+        };
+        let expected = padded(&a_parts).cmp(&padded(&b_parts)).then_with(|| {
+            // Same numbers: a bare `0` carrying each tag orders the same way.
+            let tagged = |pre: &str| Version::parse(&format!("0{pre}")).expect("valid");
+            tagged(a_pre).cmp(&tagged(b_pre))
+        });
+        assert_eq!(a.cmp(&b), expected, "{a} vs {b}");
+        assert_eq!(b.cmp(&a), expected.reverse(), "{b} vs {a}");
+    });
+}
+
 /// Parsing a displayed version yields an equal version.
 #[test]
 fn display_parse_round_trip() {

@@ -36,16 +36,16 @@ use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
 use crate::outbox::{Outbox, OutboxRecovery};
 use crate::spool::{read_genesis_file, read_week_file, scan_spool, GENESIS_FILE};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use webvuln_analysis::store_io::week_to_snapshot;
+use webvuln_analysis::store_io::week_into_snapshot;
 use webvuln_analysis::{
     apply_filter, fold_study, genesis_ranks, snapshot_alive_set, AccumCtx, Accumulate, StudyAccum,
     FINAL_WEEKS,
 };
-use webvuln_cvedb::{parse_delta, LibraryId, VulnDb, VulnRecord};
+use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
 use webvuln_store::{AnyReader, ShardedStoreWriter, MANIFEST_FILE};
 use webvuln_telemetry::Telemetry;
 use webvuln_version::Version;
@@ -266,7 +266,7 @@ impl Watcher {
             let reader = AnyReader::open_degraded(&store_dir)?;
             let mut filter_window = VecDeque::with_capacity(FINAL_WEEKS);
             for week in reader.stream().range(weeks - FINAL_WEEKS.min(weeks), weeks) {
-                filter_window.push_back(snapshot_alive_set(&week_to_snapshot(&week?)?));
+                filter_window.push_back(snapshot_alive_set(&week_into_snapshot(week?)?));
             }
             let live = fold_study(&reader, &db, cfg.threads)?;
             (live, filter_window)
@@ -347,7 +347,7 @@ impl Watcher {
             self.writer.commit_week(&week)?;
             // The incremental step: absorb exactly what a cold fold's
             // per-week iteration would.
-            let mut snapshot = week_to_snapshot(&week)?;
+            let mut snapshot = week_into_snapshot(week)?;
             // Slide the §4.1 window before filtering: the alive set is
             // read from the summaries, which apply_filter leaves alone.
             if self.filter_window.len() == FINAL_WEEKS {
@@ -465,57 +465,64 @@ impl Watcher {
             shards_scanned: health.iter().filter(|h| h.is_healthy()).count() as u32,
             shards_total: health.len() as u32,
         };
-        // (record index, domain) → (first week, last week, weeks seen).
-        let mut spans: BTreeMap<(usize, String), (u32, u32, u32)> = BTreeMap::new();
+        // Per record, domain → (first week, last week, weeks seen).
+        let mut spans: Vec<BTreeMap<String, (u32, u32, u32)>> =
+            vec![BTreeMap::new(); records.len()];
+        // Each distinct version string is parsed once per scan; `None`
+        // remembers one that does not parse.
+        let mut parsed: HashMap<String, Option<Version>> = HashMap::new();
         for week in reader.stream() {
             let week = week?;
             let wk = week.week as u32;
             for domain in &week.records {
                 let Some(page) = &domain.page else { continue };
                 for det in &page.detections {
-                    let Some(version) = det.version.as_deref() else {
+                    let Some(text) = det.version.as_deref() else {
                         continue;
                     };
-                    let Ok(version) = Version::parse(version) else {
-                        continue;
-                    };
-                    let Some(library) = LibraryId::from_slug(&det.library) else {
-                        continue;
-                    };
-                    for (index, record) in records.iter().enumerate() {
-                        if record.library != library || !record.claims(&version) {
+                    for (record, domains) in records.iter().zip(&mut spans) {
+                        if record.library.slug() != det.library {
                             continue;
                         }
-                        spans
-                            .entry((index, domain.host.clone()))
-                            .and_modify(|(_, last, seen)| {
+                        if !parsed.contains_key(text) {
+                            parsed.insert(text.to_string(), Version::parse(text).ok());
+                        }
+                        if !parsed[text].as_ref().is_some_and(|v| record.claims(v)) {
+                            continue;
+                        }
+                        match domains.get_mut(&domain.host) {
+                            Some((_, last, seen)) => {
                                 if *last != wk {
                                     *seen += 1;
                                 }
                                 *last = wk;
-                            })
-                            .or_insert((wk, wk, 1));
+                            }
+                            None => {
+                                domains.insert(domain.host.clone(), (wk, wk, 1));
+                            }
+                        }
                     }
                 }
             }
         }
         let mut enqueued = 0;
         let mut deduped = 0;
-        for ((index, domain), (first, last, seen)) in spans {
-            let record = &records[index];
-            let alert = Alert::new(
-                &record.id,
-                record.library.slug(),
-                &domain,
-                first,
-                last,
-                seen,
-                coverage,
-            );
-            if self.outbox.enqueue(&alert)? {
-                enqueued += 1;
-            } else {
-                deduped += 1;
+        for (record, domains) in records.iter().zip(spans) {
+            for (domain, (first, last, seen)) in domains {
+                let alert = Alert::new(
+                    &record.id,
+                    record.library.slug(),
+                    &domain,
+                    first,
+                    last,
+                    seen,
+                    coverage,
+                );
+                if self.outbox.enqueue(&alert)? {
+                    enqueued += 1;
+                } else {
+                    deduped += 1;
+                }
             }
         }
         Ok((enqueued, deduped))
