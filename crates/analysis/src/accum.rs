@@ -26,6 +26,7 @@
 //! accumulator.
 
 use crate::dataset::{Dataset, WeekSnapshot};
+use crate::filter::{apply_filter, store_filter_verdict};
 use crate::flash::{flash_eol, tier_cutoff, FlashByTld, FlashUsage, ScriptAccessAudit};
 use crate::landscape::{is_cdn_host, CdnBreakdown, LibraryRow, UsageTrend};
 use crate::resources::{CollectionSeries, ResourceUsage};
@@ -39,7 +40,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use webvuln_cvedb::{Basis, Date, LibraryId, Verdict, VulnDb, VulnRecord};
 use webvuln_exec::Executor;
 use webvuln_fingerprint::{DetectedInclusion, Detection, PageAnalysis, ResourceType};
-use webvuln_net::filter::{page_is_error_or_empty, FINAL_WEEKS};
 use webvuln_store::{shard_of, AnyReader, Genesis, StoreError, WeekData, WeekStream};
 use webvuln_version::Version;
 
@@ -102,6 +102,31 @@ fn bump<K: Ord + Clone>(counts: &mut BTreeMap<K, usize>, key: &K) {
         None => {
             counts.insert(key.clone(), 1);
         }
+    }
+}
+
+/// Adds `count` sightings of `version`. `Version`'s `Ord` makes `2.2` and
+/// `2.2.0` one key, so which *spelling* the key keeps — the one Table 1
+/// prints — is decided by a rule that ignores arrival order (fewest
+/// components, then the shorter, then the lesser pre-release tag):
+/// absorbing or merging mixed spellings in any order keeps the same one.
+fn count_version(counts: &mut BTreeMap<Version, usize>, version: &Version, count: usize) {
+    fn spelling(v: &Version) -> (usize, Option<usize>, Option<&str>) {
+        (v.parts().len(), v.pre().map(str::len), v.pre())
+    }
+    let respelled = match counts.range_mut(version..=version).next() {
+        Some((kept, total)) => {
+            *total += count;
+            spelling(version) < spelling(kept)
+        }
+        None => {
+            counts.insert(version.clone(), count);
+            false
+        }
+    };
+    if respelled {
+        let total = counts.remove(version).expect("counted above");
+        counts.insert(version.clone(), total);
     }
 }
 
@@ -173,8 +198,7 @@ struct LibraryState {
     host_total: usize,
 }
 
-/// Accumulator behind [`crate::landscape::table1`],
-/// [`crate::landscape::usage_trends`] and [`crate::landscape::table5`].
+/// The §6.1 landscape: Table 1, Figure 3's usage trends and Table 5.
 #[derive(Debug, Default)]
 pub struct LandscapeAccum {
     weeks: Vec<LandscapeWeek>,
@@ -222,7 +246,7 @@ impl LandscapeAccum {
                     }
                 }
                 if let Some(version) = &det.version {
-                    bump(&mut lib.version_counts, version);
+                    count_version(&mut lib.version_counts, version, 1);
                     lib.users_with_version += 1;
                 }
             }
@@ -357,7 +381,9 @@ impl Accumulate for LandscapeAccum {
             into.external_cdn += from.external_cdn;
             into.users_with_version += from.users_with_version;
             into.host_total += from.host_total;
-            add_counts(&mut into.version_counts, from.version_counts);
+            for (version, count) in &from.version_counts {
+                count_version(&mut into.version_counts, version, *count);
+            }
             add_counts(&mut into.host_counts, from.host_counts);
         }
     }
@@ -384,9 +410,8 @@ struct SiteVulnSums {
     weeks: u64,
 }
 
-/// Accumulator behind [`crate::vuln::prevalence`],
-/// [`crate::vuln::cve_impact`], [`crate::vuln::vuln_count_distribution`]
-/// and [`crate::vuln::refinement_summary`].
+/// CVE exposure: §6.2 prevalence, per-CVE impact (Table 2, Figures 5/14),
+/// Figure 12's distribution and the §6.4 refinement summary.
 #[derive(Debug, Default)]
 pub struct CveExposureAccum {
     weeks: Vec<ExposureWeek>,
@@ -619,9 +644,8 @@ struct DomainTrack {
     last_versions: Vec<(LibraryId, Version)>,
 }
 
-/// Accumulator behind [`crate::updates::update_delays`],
-/// [`crate::updates::regressions`], [`crate::updates::wordpress_usage`]
-/// and [`crate::wordpress::table4`].
+/// Update behavior: §7 update delays, §9 regressions, Figure 9's
+/// WordPress usage and Table 4.
 #[derive(Debug, Default)]
 pub struct UpdateBehaviorAccum {
     weeks: Vec<BehaviorWeek>,
@@ -902,8 +926,7 @@ struct CollectionWeek {
     using: Vec<usize>,
 }
 
-/// Accumulator behind [`crate::resources::collection_series`] and
-/// [`crate::resources::resource_usage`].
+/// Figure 2: the collected-pages series and resource-class usage.
 #[derive(Debug, Default)]
 pub struct CollectionAccum {
     weeks: Vec<CollectionWeek>,
@@ -1019,9 +1042,8 @@ struct FlashFinalWeek {
     all: usize,
 }
 
-/// Accumulator behind [`crate::flash::flash_usage`],
-/// [`crate::flash::script_access_audit`] and
-/// [`crate::flash::flash_by_tld`].
+/// §8 Flash: Figure 8's usage, Figure 11's `AllowScriptAccess` audit and
+/// the post-EOL TLD census.
 #[derive(Debug, Default)]
 pub struct FlashAccum {
     weeks: Vec<FlashWeek>,
@@ -1219,8 +1241,7 @@ struct SriWeek {
     github_sites: usize,
 }
 
-/// Accumulator behind [`crate::sri::sri_adoption`],
-/// [`crate::sri::crossorigin_census`] and [`crate::sri::github_report`].
+/// §6.5: Figure 10's SRI adoption, the `crossorigin` census and Table 6.
 #[derive(Debug, Default)]
 pub struct SriAccum {
     weeks: Vec<SriWeek>,
@@ -1508,62 +1529,6 @@ pub fn genesis_ranks(genesis: &Genesis) -> BTreeMap<String, usize> {
         .collect()
 }
 
-/// The §4.1 filter verdict for a store: the stored set when finalized,
-/// otherwise recomputed from the trailing [`FINAL_WEEKS`] snapshots.
-///
-/// The recomputation takes its candidates from the genesis rank list
-/// rather than from domains observed in earlier weeks; the extra
-/// candidates (ranked but never collected) have no pages anywhere, so
-/// marking them dropped cannot change what a fold absorbs.
-pub fn store_filter_verdict(reader: &AnyReader) -> Result<BTreeSet<String>, StoreError> {
-    if let Some(filtered) = reader.filtered_out() {
-        return Ok(filtered.iter().cloned().collect());
-    }
-    let weeks = reader.weeks_committed();
-    let window = FINAL_WEEKS.min(weeks);
-    if window == 0 {
-        return Ok(BTreeSet::new());
-    }
-    let mut alive: BTreeSet<String> = BTreeSet::new();
-    for week in reader.stream().range(weeks - window, weeks) {
-        alive.extend(snapshot_alive_set(&week_into_snapshot(week?)?));
-    }
-    Ok(reader
-        .genesis()
-        .ranks
-        .iter()
-        .filter(|(host, _)| !alive.contains(host))
-        .map(|(host, _)| host.clone())
-        .collect())
-}
-
-/// The domains one week's summaries show reachable — the snapshot's
-/// contribution to the §4.1 trailing-window verdict. A consumer holding
-/// the alive sets of the trailing [`FINAL_WEEKS`] snapshots can maintain
-/// [`store_filter_verdict`]'s answer incrementally (dropped = ranked
-/// domains alive in none of them) without re-reading the store.
-pub fn snapshot_alive_set(snapshot: &WeekSnapshot) -> BTreeSet<String> {
-    snapshot
-        .summaries
-        .iter()
-        .filter(|(_, summary)| !page_is_error_or_empty(summary.status, summary.body_len))
-        .map(|(domain, _)| domain.clone())
-        .collect()
-}
-
-/// Drops filtered-out domains from a decoded snapshot — the per-week
-/// step every fold plan applies before absorbing, shared with the watch
-/// daemon's live ingester so an incrementally-maintained accumulator
-/// absorbs exactly what a cold [`fold_store`] would.
-pub fn apply_filter(snapshot: &mut WeekSnapshot, filtered: &BTreeSet<String>) {
-    snapshot
-        .pages
-        .retain(|domain, _| !filtered.contains(domain));
-    snapshot
-        .carried_forward
-        .retain(|domain| !filtered.contains(domain));
-}
-
 /// Folds a store through an accumulator without materializing a
 /// [`Dataset`]. Peak memory is the accumulator plus one decoded week per
 /// worker, whatever the week count.
@@ -1709,30 +1674,27 @@ mod tests {
         let db = VulnDb::builtin();
         let accum = StudyAccum::over(data, &db);
         let artifacts = accum.finish(&db);
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                format!("{:?}", artifacts.table1),
-                format!("{:?}", crate::landscape::table1(data, &db))
-            );
-            assert_eq!(
-                format!("{:?}", artifacts.trends),
-                format!("{:?}", crate::landscape::usage_trends(data))
-            );
-            assert_eq!(
-                format!("{:?}", artifacts.collection),
-                format!("{:?}", crate::resources::collection_series(data))
-            );
-            let impacts: Vec<CveImpact> = db
-                .records()
-                .iter()
-                .filter_map(|r| crate::vuln::cve_impact(data, &db, &r.id))
-                .collect();
-            assert_eq!(
-                format!("{:?}", artifacts.cve_impacts),
-                format!("{:?}", impacts)
-            );
-        }
+        assert_eq!(
+            format!("{:?}", artifacts.table1),
+            format!("{:?}", crate::landscape::table1(data, &db))
+        );
+        assert_eq!(
+            format!("{:?}", artifacts.trends),
+            format!("{:?}", crate::landscape::usage_trends(data))
+        );
+        assert_eq!(
+            format!("{:?}", artifacts.collection),
+            format!("{:?}", crate::resources::collection_series(data))
+        );
+        let impacts: Vec<CveImpact> = db
+            .records()
+            .iter()
+            .filter_map(|r| crate::vuln::cve_impact(data, &db, &r.id))
+            .collect();
+        assert_eq!(
+            format!("{:?}", artifacts.cve_impacts),
+            format!("{:?}", impacts)
+        );
         assert_eq!(
             format!("{:?}", artifacts.resources),
             format!("{:?}", crate::resources::resource_usage(data))

@@ -40,7 +40,7 @@ impl LandscapeAccum {
                     }
                 }
                 if let Some(version) = &det.version {
-                    *lib.version_counts.entry(version.clone()).or_default() += 1;
+                    count_version(&mut lib.version_counts, version, 1);
                     lib.users_with_version += 1;
                 }
             }
@@ -326,11 +326,20 @@ struct Corpus<'a> {
 /// A version for `library`: usually a catalog release, sometimes a
 /// respelled one, sometimes one no catalog holds, sometimes none at all.
 fn version(g: &mut Gen, corpus: &Corpus<'_>, library: LibraryId) -> Option<Version> {
-    let release = g.pick(&corpus.db.catalog(library).releases).version.clone();
+    let releases = &corpus.db.catalog(library).releases;
+    // Half of a respelling case's draws come from the newest few releases,
+    // so that both spellings of one version — and of the newest observed,
+    // which Table 1 prints — meet in one case, on either side of a merge.
+    let pool = if corpus.respell && g.bool() {
+        &releases[releases.len().saturating_sub(3)..]
+    } else {
+        &releases[..]
+    };
+    let release = g.pick(pool).version.clone();
     match g.range(0..=9) {
         0 | 1 => None,
         2 => Some(Version::parse("9.9.9-beta").expect("valid version")),
-        3 if corpus.respell => {
+        3..=5 if corpus.respell => {
             let text = release.to_string();
             let respelled = match text.strip_suffix(".0") {
                 Some(shorter) => shorter.to_string(),
@@ -507,14 +516,10 @@ fn rewritten_accumulators_agree_with_the_oracle() {
             db: &db,
             ranks: &ranks,
         };
-        // Merging keeps, of two spellings of one version, whichever the
-        // merge order puts first (`LandscapeAccum::version_counts` keys),
-        // so respelled cases are checked whole only.
-        let respell = g.bool();
         let corpus = Corpus {
             db: &db,
             wordpress: &wordpress,
-            respell,
+            respell: g.bool(),
         };
         let weeks = weeks(g, &corpus, &domains);
 
@@ -526,9 +531,6 @@ fn rewritten_accumulators_agree_with_the_oracle() {
         }
         let expected = format!("{:#?}", oracle.into_accum().finish(&db));
         assert_same(&format!("{:#?}", whole.finish(&db)), &expected, "whole");
-        if respell {
-            return;
-        }
 
         // Random domain partitions absorb the first weeks and are merged
         // in a random order; the merged accumulator absorbs the rest

@@ -2,7 +2,10 @@
 //! (synthetic) web over the real HTTP stack, fingerprint every usable
 //! landing page, and apply the inaccessible-domain filter.
 
-use crate::store_io::{CheckpointOutcome, StoreError};
+use crate::filter::{apply_filter, FilterWindow};
+use crate::store_io::{
+    genesis_for, week_into_snapshot, CheckpointOutcome, CheckpointWriter, StoreError,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,9 +14,8 @@ use webvuln_cvedb::Date;
 use webvuln_exec::{Executor, SuperviseConfig};
 use webvuln_fingerprint::{Engine, PageAnalysis};
 use webvuln_net::{
-    inaccessible_domains, page_is_error_or_empty, record_exec_stats, BreakerConfig, CrawlOptions,
-    FaultPlan, FetchRecord, FetchSummary, HostBreakers, RetryPolicy, VirtualClock, VirtualNet,
-    EMPTY_PAGE_THRESHOLD,
+    page_is_error_or_empty, record_exec_stats, BreakerConfig, CrawlOptions, FaultPlan, FetchRecord,
+    FetchSummary, HostBreakers, RetryPolicy, VirtualClock, VirtualNet, EMPTY_PAGE_THRESHOLD,
 };
 use webvuln_telemetry::{Counter, Telemetry};
 use webvuln_webgen::{Ecosystem, Timeline};
@@ -233,17 +235,17 @@ impl<'a> Collector<'a> {
         self
     }
 
-    /// Streaming collection: each crawled week is committed to the
-    /// [`checkpoint`](Collector::checkpoint) store and then dropped, so
-    /// peak memory is one in-flight week plus the trailing-month fetch
-    /// summaries the §4.1 filter needs — never the whole timeline. The
-    /// store file is byte-identical to a materialized run's and the
-    /// filter verdict is computed from the same rule; the returned
-    /// [`CheckpointOutcome::dataset`] is a thin shell (timeline, ranks,
-    /// `filtered_out` — no weeks). Analyze the store afterwards with
-    /// [`fold_study`](crate::accum::fold_study) or stream it with
-    /// [`WeekStream`](webvuln_store::WeekStream). Requires a checkpoint
-    /// store; [`run`](Collector::run) rejects the combination otherwise.
+    /// Whether [`run`](Collector::run) keeps the weeks: `false` (the
+    /// default) returns every snapshot in
+    /// [`CheckpointOutcome::dataset`]; `true` drops each week once it is
+    /// committed and fed to the §4.1 filter window, so peak memory is one
+    /// in-flight week plus the window, and the returned dataset is a thin
+    /// shell (timeline, ranks, `filtered_out` — no weeks). Nothing else
+    /// changes: same loop, same committed bytes, same verdict. Analyze
+    /// the store afterwards with [`fold_study`](crate::accum::fold_study).
+    /// Requires a checkpoint store — dropped weeks have to be readable
+    /// from somewhere; [`run`](Collector::run) rejects the combination
+    /// otherwise.
     pub fn streaming(mut self, streaming: bool) -> Self {
         self.streaming = streaming;
         self
@@ -254,9 +256,24 @@ impl<'a> Collector<'a> {
         self.config
     }
 
-    /// Collects the dataset. Only the checkpointed path can fail; a
-    /// collection without [`checkpoint`](Collector::checkpoint) always
-    /// returns `Ok` with every week freshly crawled.
+    /// Collects the dataset — the one collection loop: restore and
+    /// replay what a resumed store already holds; per remaining week
+    /// collect, commit if there is a store, feed the filter window, and
+    /// keep the snapshot unless streaming; then take the §4.1 verdict,
+    /// finalize the store and apply the verdict to the kept weeks. A
+    /// finalized store is this loop with no week left to crawl.
+    ///
+    /// With `resume` set and a store present, committed weeks are
+    /// restored from disk (after torn-tail recovery) and only the missing
+    /// ones are crawled; the restored crawl is byte-for-byte the crawl
+    /// that produced them, because collection is deterministic in the
+    /// ecosystem seed. The store must have been created from the same
+    /// ecosystem — timeline and domain list are checked against its
+    /// genesis segment.
+    ///
+    /// A run without [`checkpoint`](Collector::checkpoint) fails only
+    /// under [`supervise`](Collector::supervise), when quarantined tasks
+    /// exceed the failure budget.
     pub fn run(&self, ecosystem: &Arc<Ecosystem>) -> Result<CheckpointOutcome, StoreError> {
         let fallback;
         let telemetry = match self.telemetry {
@@ -266,149 +283,148 @@ impl<'a> Collector<'a> {
                 &fallback
             }
         };
-        match &self.store {
-            Some(path) => crate::store_io::collect_checkpointed(
-                ecosystem,
-                self.config,
-                telemetry,
-                path,
-                self.resume,
-                self.streaming,
-            ),
-            None => {
-                if self.streaming {
-                    return Err(StoreError::Mismatch(
-                        "streaming collection needs a checkpoint store: each week is \
-                         committed and dropped, so without a store there would be \
-                         nowhere to read the snapshots back from"
-                            .to_string(),
-                    ));
-                }
-                let dataset = collect_plain(ecosystem, self.config, telemetry)?;
-                let weeks_crawled = dataset.week_count();
-                Ok(CheckpointOutcome {
-                    dataset,
-                    weeks_crawled,
-                    weeks_recovered: 0,
-                    torn_bytes_recovered: 0,
-                })
-            }
+        if self.streaming && self.store.is_none() {
+            return Err(StoreError::Mismatch(
+                "streaming collection needs a checkpoint store: each week is \
+                 committed and dropped, so without a store there would be \
+                 nowhere to read the snapshots back from"
+                    .to_string(),
+            ));
         }
-    }
-}
+        let config = self.config;
+        let timeline = *ecosystem.timeline();
+        let names = ecosystem.domain_names();
 
-/// Crawls every week of `ecosystem` and fingerprints the results.
-#[deprecated(note = "use `Collector::new().run(ecosystem)`")]
-pub fn collect_dataset(ecosystem: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
-    Collector::from_config(config)
-        .run(ecosystem)
-        .expect("plain collection fails only on an exceeded failure budget")
-        .dataset
-}
+        let (mut writer, restored) = match &self.store {
+            Some(path) => {
+                let genesis = genesis_for(&timeline, &names);
+                let (writer, restored) =
+                    CheckpointWriter::open(path, genesis, &config, self.resume, telemetry)?;
+                (Some(writer), restored)
+            }
+            None => Default::default(),
+        };
+        let weeks_recovered = restored.weeks.len();
+        if restored.filtered_out.is_some() && weeks_recovered != timeline.weeks {
+            return Err(StoreError::Mismatch(format!(
+                "store is finalized but holds {weeks_recovered} of {} weeks",
+                timeline.weeks
+            )));
+        }
 
-/// Like [`collect_dataset`], recording crawl/fingerprint metrics, per-week
-/// phase spans, and weekly progress events into `telemetry`.
-#[deprecated(note = "use `Collector::new().telemetry(telemetry).run(ecosystem)`")]
-pub fn collect_dataset_with(
-    ecosystem: &Arc<Ecosystem>,
-    config: CollectConfig,
-    telemetry: &Telemetry,
-) -> Dataset {
-    Collector::from_config(config)
-        .telemetry(telemetry)
-        .run(ecosystem)
-        .expect("plain collection fails only on an exceeded failure budget")
-        .dataset
-}
+        let mut collector = WeekCollector::new(ecosystem, config, telemetry);
+        let mut window = FilterWindow::new();
+        let mut kept = Vec::with_capacity(if self.streaming { 0 } else { timeline.weeks });
+        let mut sink = |snapshot: WeekSnapshot| {
+            window.absorb(&snapshot.summaries);
+            if !self.streaming {
+                kept.push(snapshot);
+            }
+        };
 
-/// The non-checkpointed collection loop behind [`Collector::run`].
-///
-/// When weeks share no cross-week state (no circuit breakers, no
-/// carry-forward), they are independent crawls of independent snapshots:
-/// the loop fans whole weeks out across the worker pool (each week then
-/// crawling single-threaded so the pool is not oversubscribed) and
-/// merges in week order. Otherwise weeks run sequentially and the
-/// parallelism lives inside each week's crawl and fingerprint phases.
-/// Both paths produce byte-identical datasets.
-///
-/// Fails only under [`CollectConfig::supervise`], when quarantined tasks
-/// exceed the failure budget — checked after each week sequentially, or
-/// once after the fan-out on the parallel-week path.
-fn collect_plain(
-    ecosystem: &Arc<Ecosystem>,
-    config: CollectConfig,
-    telemetry: &Telemetry,
-) -> Result<Dataset, StoreError> {
-    let timeline = *ecosystem.timeline();
-    let week_list: Vec<(usize, Date)> = timeline.iter().collect();
-    let weeks_independent = config.breaker.is_none() && !config.carry_forward;
-    let collector = WeekCollector::new(ecosystem, config, telemetry);
-
-    let weeks: Vec<WeekSnapshot> = if weeks_independent && config.concurrency != 1 {
-        let executor = Executor::new(config.concurrency);
-        let (weeks, stats) = executor.map_with_stats(&week_list, |&(week, date)| {
-            collector.collect_week_independent(week, date, telemetry)
-        });
-        record_exec_stats(telemetry.registry(), &stats);
-        collector.check_failure_budget()?;
-        for snapshot in &weeks {
+        // Replaying the restored weeks puts the week-to-week state —
+        // circuit breakers, carry-forward baselines — exactly where the
+        // interrupted run left it.
+        for week in restored.weeks {
+            let snapshot = week_into_snapshot(week)?;
             telemetry.emit(
                 "crawl",
                 snapshot.week as u64 + 1,
                 timeline.weeks as u64,
-                &format!("{}: {} pages", snapshot.date, snapshot.collected()),
+                &format!(
+                    "{}: {} pages (restored from store)",
+                    snapshot.date,
+                    snapshot.collected()
+                ),
             );
+            collector.replay_week(&snapshot);
+            sink(snapshot);
         }
-        weeks
-    } else {
-        let mut collector = collector;
-        let mut weeks = Vec::with_capacity(week_list.len());
-        for &(week, date) in &week_list {
-            let snapshot = collector.collect_week(week, date, telemetry);
+
+        // Scheduling: weeks that share no state (no circuit breakers, no
+        // carry-forward) and have no store to be committed to in order
+        // are crawled a whole week per pool worker, each week
+        // single-threaded so the pool is not oversubscribed; otherwise
+        // one week at a time with the pool inside the week. Same
+        // `collect_week`, same snapshots — the fan-out is kept because it
+        // measured faster (CHANGES.md, PR 16), not for what it computes.
+        let remaining: Vec<(usize, Date)> = timeline.iter().skip(weeks_recovered).collect();
+        let fan_out =
+            writer.is_none() && collector.weeks_are_independent() && config.concurrency != 1;
+        let mut fanned = fan_out.then(|| {
+            let (weeks, stats) = Executor::new(config.concurrency)
+                .map_with_stats(&remaining, |&(week, date)| {
+                    collector.collect_week(week, date, 1, telemetry)
+                });
+            record_exec_stats(telemetry.registry(), &stats);
+            weeks.into_iter()
+        });
+        for &(week, date) in &remaining {
+            let mut snapshot = match &mut fanned {
+                Some(weeks) => weeks.next().expect("one snapshot per fanned-out week"),
+                None => collector.collect_week(week, date, config.concurrency, telemetry),
+            };
+            collector.settle_week(&mut snapshot);
             collector.check_failure_budget()?;
+            if let Some(writer) = &mut writer {
+                writer.commit(&snapshot, telemetry)?;
+            }
             telemetry.emit(
                 "crawl",
                 week as u64 + 1,
                 timeline.weeks as u64,
                 &format!("{date}: {} pages", snapshot.collected()),
             );
-            weeks.push(snapshot);
+            sink(snapshot);
         }
-        weeks
-    };
 
-    let ranks = ecosystem
-        .domain_names()
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i + 1))
-        .collect();
-    let mut dataset = Dataset {
-        timeline,
-        ranks,
-        weeks,
-        filtered_out: Vec::new(),
-    };
-    dataset.apply_inaccessibility_filter();
-    Ok(dataset)
+        // A store that was already finalized keeps its stored verdict
+        // (its weeks may have been saved post-filter).
+        let filtered = match restored.filtered_out {
+            Some(filtered) => filtered.into_iter().collect(),
+            None => {
+                let filtered = window.verdict(&names);
+                if let Some(writer) = &mut writer {
+                    let listed: Vec<String> = filtered.iter().cloned().collect();
+                    writer.finalize(&listed)?;
+                }
+                filtered
+            }
+        };
+        let mut dataset = Dataset {
+            timeline,
+            ranks: names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| (name.clone(), i + 1))
+                .collect(),
+            weeks: kept,
+            filtered_out: Vec::new(),
+        };
+        dataset.apply_filter(&filtered);
+        Ok(CheckpointOutcome {
+            dataset,
+            weeks_crawled: remaining.len(),
+            weeks_recovered,
+            torn_bytes_recovered: restored.torn_bytes,
+        })
+    }
 }
 
-/// The stateful per-week collector shared by [`collect_dataset_with`] and
-/// the checkpointed collector in [`crate::store_io`].
+/// The per-week collector behind [`Collector::run`].
 ///
 /// Week-to-week state lives here: per-host circuit breakers, the virtual
 /// backoff clock, and each domain's last usable fingerprint (the
-/// carry-forward source). The checkpointed collector reconstructs this
-/// state from a restored store by [`replay_week`](WeekCollector::replay_week)ing
+/// carry-forward source). A resumed run reconstructs this state from the
+/// restored store by [`replay_week`](WeekCollector::replay_week)ing
 /// every recovered snapshot — breaker transitions are a pure function of
-/// each host's outcome sequence, so a resumed run continues exactly where
-/// an uninterrupted one would be.
+/// each host's outcome sequence, so it continues exactly where an
+/// uninterrupted one would be.
 pub(crate) struct WeekCollector {
     ecosystem: Arc<Ecosystem>,
     names: Vec<String>,
     config: CollectConfig,
     engine: Engine,
-    executor: Executor,
     breakers: Option<HostBreakers>,
     clock: VirtualClock,
     /// Each domain's last usable page — kept only under
@@ -416,8 +432,8 @@ pub(crate) struct WeekCollector {
     last_usable: BTreeMap<String, PageAnalysis>,
     carry_forward: Counter,
     /// Tasks quarantined under supervision (crawl + fingerprint),
-    /// accumulated atomically so the parallel-week path can count
-    /// through `&self`.
+    /// accumulated atomically so fanned-out weeks can count through
+    /// `&self`.
     task_failures: AtomicU64,
 }
 
@@ -432,7 +448,6 @@ impl WeekCollector {
             names: ecosystem.domain_names(),
             config,
             engine: Engine::instrumented(telemetry.registry()),
-            executor: Executor::new(config.concurrency),
             breakers: config.breaker.map(HostBreakers::new),
             clock: VirtualClock::new(),
             last_usable: BTreeMap::new(),
@@ -441,19 +456,21 @@ impl WeekCollector {
         }
     }
 
-    /// Tasks quarantined so far across all supervised phases.
-    pub(crate) fn task_failures(&self) -> u64 {
-        self.task_failures.load(Ordering::Relaxed)
+    /// True when no week reads state an earlier week wrote (no circuit
+    /// breakers, no carry-forward), so weeks may be collected in any
+    /// order or at once.
+    fn weeks_are_independent(&self) -> bool {
+        self.breakers.is_none() && !self.config.carry_forward
     }
 
     /// Fails the run once quarantined tasks outnumber the supervision
     /// budget. A no-op without [`CollectConfig::supervise`] (nothing is
     /// ever quarantined) or with the default unlimited budget.
-    pub(crate) fn check_failure_budget(&self) -> Result<(), StoreError> {
+    fn check_failure_budget(&self) -> Result<(), StoreError> {
         let Some(supervise) = self.config.supervise else {
             return Ok(());
         };
-        let failures = self.task_failures();
+        let failures = self.task_failures.load(Ordering::Relaxed);
         if failures > supervise.max_failures {
             return Err(StoreError::FailureBudgetExceeded {
                 failures,
@@ -472,8 +489,8 @@ impl WeekCollector {
     ) -> BTreeMap<String, FetchRecord> {
         // Trace scopes stamp every fetch event below with (phase, week);
         // they reset the task field so the week summary emitted at the
-        // end has identical canonical keys on the sequential and
-        // parallel-week paths.
+        // end has identical canonical keys whether or not the weeks were
+        // fanned out.
         let _trace_phase = webvuln_trace::phase_scope("crawl");
         let _trace_week = webvuln_trace::week_scope(week as u64);
         let _ = webvuln_failpoint::hit("phase.crawl", &week.to_string());
@@ -555,24 +572,26 @@ impl WeekCollector {
         (outcomes.into_iter().flatten().collect(), demoted)
     }
 
-    /// Crawls and fingerprints one weekly snapshot, advancing breaker and
-    /// carry-forward state.
+    /// Crawls and fingerprints one weekly snapshot on `threads` workers:
+    /// the half of a week that touches no carry-forward state, so fanned-
+    /// out weeks can run it at once. [`settle_week`](Self::settle_week)
+    /// is the other half.
     pub(crate) fn collect_week(
-        &mut self,
+        &self,
         week: usize,
         date: Date,
+        threads: usize,
         telemetry: &Telemetry,
     ) -> WeekSnapshot {
-        let mut records = self.fetch_week(week, self.config.concurrency, telemetry);
+        let mut records = self.fetch_week(week, threads, telemetry);
         let mut pages = BTreeMap::new();
         let mut summaries = BTreeMap::new();
-        let mut carried_forward = BTreeSet::new();
         {
             let _span = telemetry.span("fingerprint");
             // Parallel pass over the usable bodies, then a sequential
-            // merge in domain order that advances carry-forward state.
+            // merge in domain order.
             let (analyses, demoted) =
-                self.fingerprint_usable(week, &records, &self.executor, telemetry);
+                self.fingerprint_usable(week, &records, &Executor::new(threads), telemetry);
             for record in demoted {
                 records.insert(record.domain.clone(), record);
             }
@@ -581,73 +600,7 @@ impl WeekCollector {
                 summaries.insert(domain.clone(), FetchSummary::from(&record));
                 if record.is_usable(EMPTY_PAGE_THRESHOLD) {
                     let analysis = analyses.next().expect("one analysis per usable page");
-                    if self.config.carry_forward {
-                        self.last_usable.insert(domain.clone(), analysis.clone());
-                    }
                     pages.insert(domain, analysis);
-                } else if self.config.carry_forward
-                    && page_is_error_or_empty(record.status, record.body_len())
-                {
-                    // The domain stayed down: degrade gracefully by
-                    // reusing its last usable fingerprint. (Carrying only
-                    // error/empty weeks keeps the page↔summary invariant
-                    // the store reconstruction relies on.)
-                    if let Some(prior) = self.last_usable.get(&domain) {
-                        pages.insert(domain.clone(), prior.clone());
-                        carried_forward.insert(domain);
-                        self.carry_forward.inc();
-                    }
-                }
-            }
-        }
-        if let Some(breakers) = &self.breakers {
-            breakers.tick_round();
-        }
-        WeekSnapshot {
-            week,
-            date,
-            pages,
-            summaries,
-            carried_forward,
-        }
-    }
-
-    /// Collects one week with no cross-week state: used by the
-    /// parallel-week fast path, where each week runs on one pool worker
-    /// (so the inner crawl and fingerprint stay single-threaded).
-    ///
-    /// Only valid when weeks are independent — no circuit breakers, no
-    /// carry-forward. Produces exactly what [`collect_week`] would for
-    /// the same week, because without those features `collect_week`
-    /// neither reads nor is affected by the state it advances.
-    pub(crate) fn collect_week_independent(
-        &self,
-        week: usize,
-        date: Date,
-        telemetry: &Telemetry,
-    ) -> WeekSnapshot {
-        debug_assert!(
-            self.breakers.is_none() && !self.config.carry_forward,
-            "parallel weeks require independent weeks"
-        );
-        let mut records = self.fetch_week(week, 1, telemetry);
-        let mut pages = BTreeMap::new();
-        let mut summaries = BTreeMap::new();
-        {
-            let _span = telemetry.span("fingerprint");
-            let (analyses, demoted) =
-                self.fingerprint_usable(week, &records, &Executor::new(1), telemetry);
-            for record in demoted {
-                records.insert(record.domain.clone(), record);
-            }
-            let mut analyses = analyses.into_iter();
-            for (domain, record) in records {
-                summaries.insert(domain.clone(), FetchSummary::from(&record));
-                if record.is_usable(EMPTY_PAGE_THRESHOLD) {
-                    pages.insert(
-                        domain,
-                        analyses.next().expect("one analysis per usable page"),
-                    );
                 }
             }
         }
@@ -660,6 +613,33 @@ impl WeekCollector {
         }
     }
 
+    /// Advances the week-to-week state past a freshly collected snapshot,
+    /// in week order: under carry-forward, remembers every usable page
+    /// and gives a domain that stayed down its last usable one; then
+    /// ticks the breaker round.
+    pub(crate) fn settle_week(&mut self, snapshot: &mut WeekSnapshot) {
+        if self.config.carry_forward {
+            for (domain, summary) in &snapshot.summaries {
+                if let Some(page) = snapshot.pages.get(domain) {
+                    self.last_usable.insert(domain.clone(), page.clone());
+                } else if page_is_error_or_empty(summary.status, summary.body_len) {
+                    // The domain stayed down: degrade gracefully by
+                    // reusing its last usable fingerprint. (Carrying only
+                    // error/empty weeks keeps the page↔summary invariant
+                    // the store reconstruction relies on.)
+                    if let Some(prior) = self.last_usable.get(domain) {
+                        snapshot.pages.insert(domain.clone(), prior.clone());
+                        snapshot.carried_forward.insert(domain.clone());
+                        self.carry_forward.inc();
+                    }
+                }
+            }
+        }
+        if let Some(breakers) = &self.breakers {
+            breakers.tick_round();
+        }
+    }
+
     /// Replays a restored snapshot's outcomes into breaker and
     /// carry-forward state without crawling.
     ///
@@ -667,7 +647,7 @@ impl WeekCollector {
     /// breaker admitted it (which, inductively, matches whether the live
     /// run fetched or skipped it), any HTTP status counts as success, and
     /// the round ticks once at the end.
-    pub(crate) fn replay_week(&mut self, snapshot: &WeekSnapshot) {
+    fn replay_week(&mut self, snapshot: &WeekSnapshot) {
         if let Some(breakers) = &self.breakers {
             for (domain, summary) in &snapshot.summaries {
                 if breakers.allow(domain) {
@@ -688,18 +668,16 @@ impl WeekCollector {
 }
 
 impl Dataset {
-    /// Applies the §4.1 filter: domains that are error/empty for the four
-    /// consecutive final weeks are dropped from every snapshot.
-    pub fn apply_inaccessibility_filter(&mut self) {
-        let weekly: Vec<BTreeMap<String, FetchSummary>> =
-            self.weeks.iter().map(|w| w.summaries.clone()).collect();
-        let drop = inaccessible_domains(&weekly, webvuln_net::filter::FINAL_WEEKS);
+    /// Applies a §4.1 verdict: drops `filtered` from every snapshot —
+    /// pages and, since a [`Dataset`] shows them, fetch summaries — and
+    /// records it as [`filtered_out`](Dataset::filtered_out).
+    pub fn apply_filter(&mut self, filtered: &BTreeSet<String>) {
         for week in &mut self.weeks {
-            week.pages.retain(|d, _| !drop.contains(d));
-            week.summaries.retain(|d, _| !drop.contains(d));
-            week.carried_forward.retain(|d| !drop.contains(d));
+            apply_filter(week, filtered);
+            week.summaries
+                .retain(|domain, _| !filtered.contains(domain));
         }
-        self.filtered_out = drop.into_iter().collect();
+        self.filtered_out = filtered.iter().cloned().collect();
     }
 
     /// Total carried-forward page instances across all weeks.
@@ -935,9 +913,9 @@ mod tests {
     #[test]
     fn parallel_weeks_match_sequential_weeks() {
         // No breakers, no carry-forward: weeks are independent, so
-        // threads(8) takes the parallel-week fast path while threads(1)
-        // runs the sequential loop. Same dataset either way, even under
-        // hostile faults with retries.
+        // threads(8) fans whole weeks out across the pool while
+        // threads(1) collects them one by one. Same dataset either way,
+        // even under hostile faults with retries.
         let make = |threads| {
             let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
                 seed: 63,
@@ -990,23 +968,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_the_builder() {
-        let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
-            seed: 65,
-            domain_count: 60,
-            timeline: Timeline::truncated(3),
-        }));
-        let config = CollectConfig::default();
-        let builder = testkit::collect(&eco, config);
-        assert_datasets_identical(&collect_dataset(&eco, config), &builder);
-        assert_datasets_identical(
-            &collect_dataset_with(&eco, config, &Telemetry::new()),
-            &builder,
-        );
-    }
-
-    #[test]
     fn builder_round_trips_its_config() {
         let config = CollectConfig {
             concurrency: 3,
@@ -1034,8 +995,8 @@ mod tests {
     #[test]
     fn supervised_fault_free_collection_matches_unsupervised() {
         // Supervision must be a pure containment layer: with no panics
-        // and no deadline pressure it changes nothing, on either the
-        // sequential (carry-forward) or parallel-week path.
+        // and no deadline pressure it changes nothing, whether the weeks
+        // run in order (carry-forward) or fanned out.
         let make = |supervise, carry_forward| {
             let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
                 seed: 66,

@@ -1,9 +1,9 @@
 //! §8 — insecure Adobe Flash: usage decay across rank tiers (Figure 8),
 //! the `AllowScriptAccess` audit (Figure 11), and the post-EOL census.
 
-use crate::dataset::Dataset;
-use crate::stats::mean;
 use webvuln_cvedb::Date;
+#[cfg(test)]
+use {crate::dataset::Dataset, crate::stats::mean};
 
 /// Flash's end-of-life date (Adobe, Jan 1 2021).
 pub fn flash_eol() -> Date {
@@ -24,7 +24,9 @@ pub struct FlashUsage {
 /// Builds Figure 8. Rank tiers scale with the dataset: "top-10K" and
 /// "top-1K" become the top 1% and top 0.1% of the simulated list when it
 /// is smaller than the real Alexa 1M.
-pub fn flash_usage(data: &Dataset) -> FlashUsage {
+/// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn flash_usage(data: &Dataset) -> FlashUsage {
     let population = data.ranks.len().max(1);
     let tier_10k = tier_cutoff(population, 10_000);
     let tier_1k = tier_cutoff(population, 1_000);
@@ -95,7 +97,9 @@ pub struct FlashByTld {
 }
 
 /// Builds the post-EOL Flash TLD census from the final snapshot.
-pub fn flash_by_tld(data: &Dataset) -> FlashByTld {
+/// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn flash_by_tld(data: &Dataset) -> FlashByTld {
     let mut counts: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
     let mut cn_flash = 0usize;
     let mut flash_total = 0usize;
@@ -141,7 +145,9 @@ pub struct ScriptAccessAudit {
 }
 
 /// Builds Figure 11.
-pub fn script_access_audit(data: &Dataset) -> ScriptAccessAudit {
+/// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn script_access_audit(data: &Dataset) -> ScriptAccessAudit {
     let points: Vec<(Date, usize, usize, usize)> = data
         .weeks
         .iter()
@@ -188,6 +194,7 @@ pub fn script_access_audit(data: &Dataset) -> ScriptAccessAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum::FlashAccum;
     use crate::dataset::testkit;
 
     #[test]
@@ -199,7 +206,7 @@ mod tests {
     #[test]
     fn fig8_flash_decays_but_survives_eol() {
         let data = testkit::long();
-        let usage = flash_usage(data);
+        let usage = FlashAccum::over(data).usage();
         let first = usage.points.first().expect("non-empty").1;
         let last = usage.points.last().expect("non-empty").1;
         assert!(first > 0, "flash exists at the start");
@@ -216,7 +223,7 @@ mod tests {
     #[test]
     fn fig11_audit_is_structurally_sound() {
         let data = testkit::long();
-        let audit = script_access_audit(data);
+        let audit = FlashAccum::over(data).script_access();
         assert_eq!(audit.points.len(), data.week_count());
         for &(_, flash, with_param, always) in &audit.points {
             assert!(always <= with_param, "always ⊆ param setters");
@@ -234,7 +241,7 @@ mod tests {
     #[test]
     fn cn_sites_overrepresented_in_post_eol_flash() {
         let data = testkit::long();
-        let census = flash_by_tld(data);
+        let census = FlashAccum::over(data).by_tld();
         // The .cn multiplier in the model (3x presence, 0.4x removal)
         // must surface as over-representation relative to the base rate —
         // §8's "why do Chinese websites still use Flash" finding.
@@ -254,7 +261,7 @@ mod tests {
     #[test]
     fn tier_counts_are_monotone() {
         let data = testkit::long();
-        let usage = flash_usage(data);
+        let usage = FlashAccum::over(data).usage();
         for &(_, all, top10k, top1k) in &usage.points {
             assert!(top1k <= top10k);
             assert!(top10k <= all);

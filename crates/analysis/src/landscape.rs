@@ -2,12 +2,13 @@
 //! types, versions, vulnerabilities), Figure 3 (usage trends) and Table 5
 //! (top CDNs per library).
 
-use crate::dataset::Dataset;
-use crate::stats::mean;
-use std::collections::BTreeMap;
-use webvuln_cvedb::{Date, LibraryId, VulnDb};
-use webvuln_fingerprint::DetectedInclusion;
+use webvuln_cvedb::{Date, LibraryId};
 use webvuln_version::Version;
+#[cfg(test)]
+use {
+    crate::dataset::Dataset, crate::stats::mean, std::collections::BTreeMap, webvuln_cvedb::VulnDb,
+    webvuln_fingerprint::DetectedInclusion,
+};
 
 /// One Table 1 row.
 #[derive(Debug, Clone)]
@@ -64,14 +65,9 @@ pub fn is_cdn_host(host: &str) -> bool {
 }
 
 /// Builds Table 1 for the top-15 libraries, ordered by usage.
-///
-/// Kept as the one-shot reference implementation; the accumulator
-/// equivalence tests pin [`crate::accum::LandscapeAccum`] against it.
-#[deprecated(
-    note = "use accum::LandscapeAccum::over(data).table1(db) or fold a store \
-                     with accum::fold_study"
-)]
-pub fn table1(data: &Dataset, db: &VulnDb) -> Vec<LibraryRow> {
+/// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn table1(data: &Dataset, db: &VulnDb) -> Vec<LibraryRow> {
     let mut rows: Vec<LibraryRow> = LibraryId::ALL
         .iter()
         .map(|&library| library_row(data, db, library))
@@ -80,6 +76,7 @@ pub fn table1(data: &Dataset, db: &VulnDb) -> Vec<LibraryRow> {
     rows
 }
 
+#[cfg(test)]
 fn library_row(data: &Dataset, db: &VulnDb, library: LibraryId) -> LibraryRow {
     let mut weekly_share = Vec::new();
     let mut weekly_sites = Vec::new();
@@ -174,14 +171,9 @@ impl UsageTrend {
 }
 
 /// Builds Figure 3's series for every library.
-///
-/// Kept as the one-shot reference implementation; the accumulator
-/// equivalence tests pin [`crate::accum::LandscapeAccum`] against it.
-#[deprecated(
-    note = "use accum::LandscapeAccum::over(data).trends() or fold a store \
-                     with accum::fold_study"
-)]
-pub fn usage_trends(data: &Dataset) -> Vec<UsageTrend> {
+/// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn usage_trends(data: &Dataset) -> Vec<UsageTrend> {
     LibraryId::ALL
         .iter()
         .map(|&library| UsageTrend {
@@ -213,7 +205,9 @@ pub struct CdnBreakdown {
 }
 
 /// Builds Table 5: top external hosts per library.
-pub fn table5(data: &Dataset, top: usize) -> Vec<CdnBreakdown> {
+/// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn table5(data: &Dataset, top: usize) -> Vec<CdnBreakdown> {
     LibraryId::ALL
         .iter()
         .map(|&library| {
@@ -241,17 +235,16 @@ pub fn table5(data: &Dataset, top: usize) -> Vec<CdnBreakdown> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the deprecated reference implementations
 mod tests {
     use super::*;
+    use crate::accum::LandscapeAccum;
     use crate::dataset::testkit;
-    use webvuln_cvedb::VulnDb;
 
     #[test]
     fn table1_order_and_shares_match_paper() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = table1(data, &db);
+        let rows = LandscapeAccum::over(data).table1(&db);
         assert_eq!(rows.len(), 15);
         assert_eq!(rows[0].library, LibraryId::JQuery, "jQuery is #1");
         let jq = &rows[0];
@@ -284,7 +277,7 @@ mod tests {
     fn jquery_dominant_version_is_1_12_4() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = table1(data, &db);
+        let rows = LandscapeAccum::over(data).table1(&db);
         let jq = &rows[0];
         let (dominant, share) = jq.dominant.clone().expect("jQuery has versions");
         assert_eq!(dominant.to_string(), "1.12.4");
@@ -298,7 +291,7 @@ mod tests {
     fn inclusion_splits_track_table1() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = table1(data, &db);
+        let rows = LandscapeAccum::over(data).table1(&db);
         let jq = &rows[0];
         // Table 1: jQuery 59.2% internal / 40.8% external, 96.1% CDN.
         // WordPress's bundled (internal) copies push our split higher.
@@ -319,7 +312,7 @@ mod tests {
     fn vuln_report_counts_come_from_db() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = table1(data, &db);
+        let rows = LandscapeAccum::over(data).table1(&db);
         let by = |lib: LibraryId| {
             rows.iter()
                 .find(|r| r.library == lib)
@@ -335,7 +328,7 @@ mod tests {
     fn versions_found_do_not_exceed_catalog() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        for row in table1(data, &db) {
+        for row in LandscapeAccum::over(data).table1(&db) {
             assert!(
                 row.versions_found <= row.versions_total,
                 "{}: {} > {}",
@@ -349,7 +342,7 @@ mod tests {
     #[test]
     fn trends_have_full_length() {
         let data = testkit::small();
-        let trends = usage_trends(data);
+        let trends = LandscapeAccum::over(data).trends();
         assert_eq!(trends.len(), 15);
         for t in &trends {
             assert_eq!(t.points.len(), data.week_count());
@@ -359,7 +352,7 @@ mod tests {
     #[test]
     fn table5_jquery_top_host_is_google() {
         let data = testkit::small();
-        let cdns = table5(data, 3);
+        let cdns = LandscapeAccum::over(data).table5(3);
         let jq = cdns
             .iter()
             .find(|c| c.library == LibraryId::JQuery)

@@ -5,8 +5,10 @@
 //! table and figure of the paper's evaluation (§5–§8). See DESIGN.md's
 //! experiment index for the artifact-to-function mapping.
 //!
-//! * [`dataset`] — §4 collection: weekly crawls over the virtual internet,
-//!   usability filtering, the trailing-month inaccessibility rule.
+//! * [`dataset`] — §4 collection: weekly crawls over the virtual internet
+//!   and usability filtering, in one loop ([`Collector::run`]).
+//! * [`filter`] — the §4.1 trailing-month inaccessibility rule as one
+//!   incremental [`FilterWindow`].
 //! * [`resources`] — Figure 2 (collection series, resource classes).
 //! * [`landscape`] — Table 1, Figure 3, Table 5 (library usage landscape).
 //! * [`vuln`] — §6.2/§6.4: prevalence, per-CVE impact (Table 2, Figures
@@ -18,7 +20,7 @@
 //!   Table 6 GitHub-hosted inclusions.
 //! * [`wordpress`] — Table 4 WordPress CVE census.
 //! * [`store_io`] — binary snapshot-store persistence: save/load through
-//!   `webvuln-store` and the checkpoint/resume collector.
+//!   `webvuln-store`, the JSON export and the checkpoint writer.
 //! * [`accum`] — the mergeable streaming accumulators behind every
 //!   artifact above, and [`accum::fold_store`] for folding a snapshot
 //!   store without materializing a [`Dataset`].
@@ -38,6 +40,7 @@ pub const FAILPOINTS: &[&str] = &["checkpoint.commit", "phase.crawl", "phase.fin
 
 pub mod accum;
 pub mod dataset;
+pub mod filter;
 pub mod flash;
 pub mod landscape;
 pub mod resources;
@@ -49,13 +52,8 @@ pub mod vuln;
 pub mod wordpress;
 
 pub use accum::{
-    apply_filter, fold_store, fold_study, genesis_ranks, snapshot_alive_set, store_filter_verdict,
-    AccumCtx, Accumulate, StudyAccum, StudyArtifacts,
+    fold_store, fold_study, genesis_ranks, AccumCtx, Accumulate, StudyAccum, StudyArtifacts,
 };
-#[allow(deprecated)]
-pub use dataset::{collect_dataset, collect_dataset_with};
 pub use dataset::{CollectConfig, Collector, Dataset, WeekSnapshot};
-#[allow(deprecated)]
-pub use store_io::collect_dataset_checkpointed;
+pub use filter::{apply_filter, store_filter_verdict, FilterWindow};
 pub use store_io::CheckpointOutcome;
-pub use webvuln_net::filter::FINAL_WEEKS;

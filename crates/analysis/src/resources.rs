@@ -1,9 +1,9 @@
 //! §5 / Figure 2: collected-website series and resource-type usage.
 
-use crate::dataset::Dataset;
-use crate::stats::mean;
 use webvuln_cvedb::Date;
 use webvuln_fingerprint::ResourceType;
+#[cfg(test)]
+use {crate::dataset::Dataset, crate::stats::mean};
 
 /// Figure 2(a): pages collected per week.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,14 +15,9 @@ pub struct CollectionSeries {
 }
 
 /// Builds Figure 2(a).
-///
-/// Kept as the one-shot reference implementation; the accumulator
-/// equivalence tests pin [`crate::accum::CollectionAccum`] against it.
-#[deprecated(
-    note = "use accum::CollectionAccum::over(data).collection() or fold a \
-                     store with accum::fold_study"
-)]
-pub fn collection_series(data: &Dataset) -> CollectionSeries {
+/// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn collection_series(data: &Dataset) -> CollectionSeries {
     let points: Vec<(Date, usize)> = data.weeks.iter().map(|w| (w.date, w.collected())).collect();
     let average = mean(&points.iter().map(|&(_, c)| c as f64).collect::<Vec<_>>());
     CollectionSeries { points, average }
@@ -40,7 +35,9 @@ pub struct ResourceUsage {
 }
 
 /// Builds Figure 2(b) for all eight classes, ordered by average share.
-pub fn resource_usage(data: &Dataset) -> Vec<ResourceUsage> {
+/// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn resource_usage(data: &Dataset) -> Vec<ResourceUsage> {
     let mut out: Vec<ResourceUsage> = ResourceType::ALL
         .iter()
         .map(|&resource| {
@@ -74,15 +71,15 @@ pub fn resource_usage(data: &Dataset) -> Vec<ResourceUsage> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the deprecated reference implementations
 mod tests {
     use super::*;
+    use crate::accum::CollectionAccum;
     use crate::dataset::testkit;
 
     #[test]
     fn collection_series_is_stable() {
         let data = testkit::small();
-        let series = collection_series(data);
+        let series = CollectionAccum::over(data).collection();
         assert_eq!(series.points.len(), 30);
         // The collected count stays within a narrow band week to week
         // (Fig 2a is flat apart from noise).
@@ -108,7 +105,7 @@ mod tests {
     #[test]
     fn resource_ordering_matches_fig2b() {
         let data = testkit::small();
-        let usage = resource_usage(data);
+        let usage = CollectionAccum::over(data).resources();
         let share = |t: ResourceType| {
             usage
                 .iter()

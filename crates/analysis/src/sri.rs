@@ -2,10 +2,9 @@
 //! Subresource Integrity adoption (Figure 10), `crossorigin` hygiene, and
 //! GitHub-hosted inclusions (Table 6).
 
-use crate::dataset::Dataset;
-use crate::stats::mean;
-use std::collections::BTreeMap;
 use webvuln_cvedb::Date;
+#[cfg(test)]
+use {crate::dataset::Dataset, crate::stats::mean, std::collections::BTreeMap};
 
 /// Figure 10: SRI adoption over time.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,7 +17,9 @@ pub struct SriAdoption {
 }
 
 /// Builds Figure 10.
-pub fn sri_adoption(data: &Dataset) -> SriAdoption {
+/// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn sri_adoption(data: &Dataset) -> SriAdoption {
     let points: Vec<(Date, usize, usize)> = data
         .weeks
         .iter()
@@ -60,7 +61,9 @@ pub struct CrossoriginCensus {
 }
 
 /// Builds the census across all weeks.
-pub fn crossorigin_census(data: &Dataset) -> CrossoriginCensus {
+/// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn crossorigin_census(data: &Dataset) -> CrossoriginCensus {
     let mut anonymous = 0usize;
     let mut credentials = 0usize;
     let mut total = 0usize;
@@ -100,7 +103,9 @@ pub struct GithubReport {
 }
 
 /// Builds Table 6.
-pub fn github_report(data: &Dataset) -> GithubReport {
+/// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn github_report(data: &Dataset) -> GithubReport {
     let mut weekly_counts = Vec::new();
     let mut host_counts: BTreeMap<String, usize> = BTreeMap::new();
     let mut with_sri = 0usize;
@@ -145,13 +150,13 @@ pub fn github_report(data: &Dataset) -> GithubReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::accum::SriAccum;
     use crate::dataset::testkit;
 
     #[test]
     fn fig10_unprotected_externals_dominate() {
         let data = testkit::small();
-        let adoption = sri_adoption(data);
+        let adoption = SriAccum::over(data).adoption();
         // Paper: 99.7% of sites have at least one unprotected external.
         assert!(
             adoption.average_unprotected_share > 0.95,
@@ -166,7 +171,7 @@ mod tests {
     #[test]
     fn crossorigin_census_prefers_anonymous() {
         let data = testkit::small();
-        let census = crossorigin_census(data);
+        let census = SriAccum::over(data).crossorigin();
         if census.total > 10 {
             assert!(
                 census.anonymous_share > 0.8,
@@ -180,7 +185,7 @@ mod tests {
     #[test]
     fn github_hosting_is_rare_and_mostly_unprotected() {
         let data = testkit::small();
-        let report = github_report(data);
+        let report = SriAccum::over(data).github();
         let avg_share = report.average_sites / data.average_collected();
         // Paper: ~0.21% of sites (1,670 / 782,300).
         assert!(

@@ -1,32 +1,33 @@
 //! Bridge between the analysis dataset and the `webvuln-store` binary
 //! snapshot store: type conversions, [`Dataset::save_store`] /
-//! [`Dataset::load_store`], streaming snapshot iteration, and the
-//! checkpoint/resume collector used by `study --store`.
+//! [`Dataset::load_store`], the JSON export, and the checkpoint writer
+//! [`Collector::run`](crate::dataset::Collector::run) commits through
+//! under `study --store`.
 //!
 //! The store is dependency-free and speaks a plain-string record model;
 //! this module is the single place that maps [`PageAnalysis`] and friends
 //! into it and back. Telemetry: every commit records into `store.*`
 //! counters and the `store.commit_latency_ns` histogram.
 
-use crate::dataset::{CollectConfig, Dataset, WeekCollector, WeekSnapshot};
+use crate::dataset::{CollectConfig, Dataset, WeekSnapshot};
+use crate::filter::{apply_filter, store_filter_verdict};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 use webvuln_cvedb::{Date, LibraryId};
 use webvuln_fingerprint::{
     DetectedInclusion, Detection, ExternalScript, FlashDetection, PageAnalysis, ResourceType,
 };
-use webvuln_net::{inaccessible_domains, page_is_error_or_empty, FetchSummary};
+use webvuln_net::{page_is_error_or_empty, FetchSummary};
 use webvuln_store::{
-    AnyReader, CommitInfo, DetectionRecord, DomainRecord, FlashRecord, Genesis, PageRecord,
-    ScriptRecord, ShardedStoreWriter, StoreReader, StoreWriter, WeekData, WordPressRecord,
+    AnyReader, DetectionRecord, DomainRecord, FlashRecord, Genesis, PageRecord, ScriptRecord,
+    ShardedStoreWriter, StoreWriter, WeekData, WordPressRecord,
 };
 
 pub use webvuln_store::StoreError;
 use webvuln_telemetry::{json_string, Telemetry};
 use webvuln_version::Version;
-use webvuln_webgen::{Ecosystem, Timeline};
+use webvuln_webgen::Timeline;
 
 // ---------------------------------------------------------------------------
 // Type conversions
@@ -223,7 +224,7 @@ pub fn week_to_snapshot(week: &WeekData) -> Result<WeekSnapshot, StoreError> {
     week_into_snapshot(week.clone())
 }
 
-fn genesis_for(timeline: &Timeline, names: &[String]) -> Genesis {
+pub(crate) fn genesis_for(timeline: &Timeline, names: &[String]) -> Genesis {
     Genesis {
         start_days: i64::from(timeline.start.day_number()),
         weeks_total: timeline.weeks,
@@ -280,11 +281,25 @@ impl Dataset {
 
     /// Reads a dataset from a binary snapshot store.
     ///
-    /// A finalized store applies its stored filter verdict; an
-    /// unfinalized (checkpoint) store recomputes the §4.1 filter over
+    /// A finalized store applies its stored filter verdict (a no-op when
+    /// the weeks were saved post-filter, and what completes a raw
+    /// checkpoint store); an unfinalized one takes the §4.1 verdict over
     /// whatever weeks were committed.
     pub fn load_store(path: impl AsRef<Path>) -> Result<Dataset, StoreError> {
-        dataset_from_reader(&AnyReader::open(path.as_ref())?)
+        let reader = AnyReader::open(path.as_ref())?;
+        let (timeline, ranks) = genesis_to_parts(reader.genesis())?;
+        let mut weeks = Vec::with_capacity(reader.weeks_committed());
+        for week in reader.iter_weeks() {
+            weeks.push(week_into_snapshot(week?)?);
+        }
+        let mut dataset = Dataset {
+            timeline,
+            ranks,
+            weeks,
+            filtered_out: Vec::new(),
+        };
+        dataset.apply_filter(&store_filter_verdict(&reader)?);
+        Ok(dataset)
     }
 
     /// Builds a weeks-free shell from an opened store: timeline, ranks,
@@ -293,57 +308,13 @@ impl Dataset {
     /// stays available without materialising any week.
     pub fn shell_from_reader(reader: &AnyReader) -> Result<Dataset, StoreError> {
         let (timeline, ranks) = genesis_to_parts(reader.genesis())?;
-        let filtered_out = crate::accum::store_filter_verdict(reader)?
-            .into_iter()
-            .collect();
         Ok(Dataset {
             timeline,
             ranks,
             weeks: Vec::new(),
-            filtered_out,
+            filtered_out: store_filter_verdict(reader)?.into_iter().collect(),
         })
     }
-}
-
-/// Materialises a [`Dataset`] from an already-opened store of either
-/// layout. This is [`Dataset::load_store`] minus the open, so callers
-/// holding a degraded [`AnyReader`] (the serve layer) can build the
-/// dataset from whatever weeks the healthy shards can merge.
-pub fn dataset_from_reader(reader: &AnyReader) -> Result<Dataset, StoreError> {
-    let (timeline, ranks) = genesis_to_parts(reader.genesis())?;
-    let mut weeks = Vec::with_capacity(reader.weeks_committed());
-    for week in reader.iter_weeks() {
-        weeks.push(week_into_snapshot(week?)?);
-    }
-    let mut dataset = Dataset {
-        timeline,
-        ranks,
-        weeks,
-        filtered_out: Vec::new(),
-    };
-    match reader.filtered_out() {
-        Some(filtered) => {
-            // Finalized: the verdict is authoritative. Dropping the
-            // listed domains is a no-op when the weeks were stored
-            // post-filter, and completes a raw checkpoint store.
-            for week in &mut dataset.weeks {
-                week.pages.retain(|d, _| !filtered.contains(d));
-                week.summaries.retain(|d, _| !filtered.contains(d));
-                week.carried_forward.retain(|d| !filtered.contains(d));
-            }
-            dataset.filtered_out = filtered.to_vec();
-        }
-        None => dataset.apply_inaccessibility_filter(),
-    }
-    Ok(dataset)
-}
-
-/// Streams the snapshots of a store without materialising a [`Dataset`]:
-/// each week is decoded on demand and can be dropped before the next.
-pub fn stream_snapshots(
-    reader: &StoreReader,
-) -> impl Iterator<Item = Result<WeekSnapshot, StoreError>> + '_ {
-    reader.iter_weeks().map(|week| week_into_snapshot(week?))
 }
 
 /// Streams a store straight into `out` as one `Dataset`-shaped JSON
@@ -356,26 +327,13 @@ pub fn stream_snapshots(
 /// "carried_forward":[domain]}`. Unit enums are their variant names,
 /// `None` is `null`, and versions and dates are their `Display` strings.
 ///
-/// An unfinalized store takes a preliminary summaries-only pass to
-/// recompute the §4.1 verdict exactly as materialization would;
-/// a finalized store uses its stored verdict and streams in one pass.
+/// An unfinalized store first reads its trailing weeks for the §4.1
+/// verdict, exactly as materialization would; a finalized store uses its
+/// stored verdict and streams in one pass.
 pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::io::Result<()> {
     let store_err = |e: StoreError| std::io::Error::other(e.to_string());
     let (timeline, ranks) = genesis_to_parts(reader.genesis()).map_err(store_err)?;
-    let filtered: Vec<String> = match reader.filtered_out() {
-        Some(filtered) => filtered.to_vec(),
-        None => {
-            let mut weekly = Vec::with_capacity(reader.weeks_committed());
-            for week in reader.iter_weeks() {
-                let snapshot = week_into_snapshot(week.map_err(store_err)?).map_err(store_err)?;
-                weekly.push(snapshot.summaries);
-            }
-            inaccessible_domains(&weekly, webvuln_net::filter::FINAL_WEEKS)
-                .into_iter()
-                .collect()
-        }
-    };
-    let drop: BTreeSet<&String> = filtered.iter().collect();
+    let filtered = store_filter_verdict(reader).map_err(store_err)?;
     let mut buf = format!(
         "{{\"timeline\":{{\"start\":\"{}\",\"weeks\":{}}},\"ranks\":",
         timeline.start, timeline.weeks
@@ -387,13 +345,10 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
     buf.push_str(",\"weeks\":[");
     for (index, week) in reader.iter_weeks().enumerate() {
         let mut snapshot = week_into_snapshot(week.map_err(store_err)?).map_err(store_err)?;
-        snapshot.pages.retain(|domain, _| !drop.contains(domain));
+        apply_filter(&mut snapshot, &filtered);
         snapshot
             .summaries
-            .retain(|domain, _| !drop.contains(domain));
-        snapshot
-            .carried_forward
-            .retain(|domain| !drop.contains(domain));
+            .retain(|domain, _| !filtered.contains(domain));
         if index > 0 {
             buf.push(',');
         }
@@ -548,84 +503,29 @@ pub struct CheckpointOutcome {
     pub torn_bytes_recovered: u64,
 }
 
-/// Collects a dataset, committing every crawled week to the snapshot
-/// store at `store_path` as it completes.
-#[deprecated(note = "use `Collector::from_config(config).telemetry(telemetry)\
-            .checkpoint(store_path).resume(resume).run(ecosystem)`")]
-pub fn collect_dataset_checkpointed(
-    ecosystem: &Arc<Ecosystem>,
-    config: CollectConfig,
-    telemetry: &Telemetry,
-    store_path: &Path,
-    resume: bool,
-) -> Result<CheckpointOutcome, StoreError> {
-    collect_checkpointed(ecosystem, config, telemetry, store_path, resume, false)
-}
-
-/// Streaming state for the §4.1 inaccessibility filter: the candidate
-/// set (every domain seen in any week's summaries) and the trailing
-/// [`FINAL_WEEKS`](webvuln_net::filter::FINAL_WEEKS) summary maps.
-/// [`verdict`](FilterWindow::verdict) applies exactly the
-/// [`inaccessible_domains`] rule — a candidate is dropped when it is
-/// error/empty (or absent) in every window week — without retaining the
-/// full timeline, so a streaming collection's filter state stays
-/// O(domains), not O(domains x weeks).
-struct FilterWindow {
-    observed: BTreeSet<String>,
-    window: std::collections::VecDeque<BTreeMap<String, FetchSummary>>,
-}
-
-impl FilterWindow {
-    fn new() -> FilterWindow {
-        FilterWindow {
-            observed: BTreeSet::new(),
-            window: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn absorb(&mut self, summaries: &BTreeMap<String, FetchSummary>) {
-        self.observed.extend(summaries.keys().cloned());
-        if self.window.len() == webvuln_net::filter::FINAL_WEEKS {
-            self.window.pop_front();
-        }
-        self.window.push_back(summaries.clone());
-    }
-
-    fn verdict(&self) -> Vec<String> {
-        if self.window.is_empty() {
-            return Vec::new();
-        }
-        self.observed
-            .iter()
-            .filter(|domain| {
-                self.window.iter().all(|week| match week.get(*domain) {
-                    None => true,
-                    Some(s) => page_is_error_or_empty(s.status, s.body_len),
-                })
-            })
-            .cloned()
-            .collect()
-    }
-}
-
-/// The checkpoint writer behind [`collect_checkpointed`]: a single-file
+/// The checkpoint writer behind
+/// [`Collector::run`](crate::dataset::Collector::run): a single-file
 /// [`StoreWriter`] for `shards == 1`, a [`ShardedStoreWriter`] directory
 /// otherwise. Selection happens once, at open; the collection loop only
 /// sees the shared commit/finalize surface.
 // One writer exists per collection, so the unused bytes of the smaller
 // variant cost nothing worth an indirection on every commit.
 #[allow(clippy::large_enum_variant)]
-enum CheckpointWriter {
+pub(crate) enum CheckpointWriter {
     Single(StoreWriter),
     Sharded(ShardedStoreWriter),
 }
 
-/// What [`CheckpointWriter::open`] restored from disk.
-struct ResumedCheckpoint {
-    writer: CheckpointWriter,
-    weeks: Vec<WeekData>,
-    filtered_out: Option<Vec<String>>,
-    torn_bytes: u64,
+/// What [`CheckpointWriter::open`] restored from disk — nothing, for a
+/// fresh store.
+#[derive(Default)]
+pub(crate) struct Restored {
+    /// The committed weeks, in order.
+    pub(crate) weeks: Vec<WeekData>,
+    /// The stored §4.1 verdict, when the store was already finalized.
+    pub(crate) filtered_out: Option<Vec<String>>,
+    /// Torn tail bytes truncated during recovery.
+    pub(crate) torn_bytes: u64,
 }
 
 impl CheckpointWriter {
@@ -648,54 +548,76 @@ impl CheckpointWriter {
     /// Opens or creates the checkpoint store. With `resume` set and a
     /// store on disk, the layout is read back from the path (a directory
     /// is sharded, a file is not) and must agree with `config.shards`;
-    /// committed weeks are restored after torn-tail recovery. A store
-    /// that never got its genesis (or manifest) to disk is recreated.
-    fn open(
+    /// committed weeks are restored after torn-tail recovery, and the
+    /// store must have been created from `genesis`. A store that never
+    /// got its genesis (or manifest) to disk is recreated.
+    pub(crate) fn open(
         store_path: &Path,
         genesis: Genesis,
         config: &CollectConfig,
         resume: bool,
-    ) -> Result<ResumedCheckpoint, StoreError> {
-        let fresh = |writer| ResumedCheckpoint {
-            writer,
-            weeks: Vec::new(),
-            filtered_out: None,
-            torn_bytes: 0,
-        };
-        if !(resume && store_path.exists()) {
-            return Ok(fresh(CheckpointWriter::create(
-                store_path, genesis, config,
-            )?));
-        }
-        verify_resume_store(store_path)?;
-        if store_path.is_dir() {
-            match ShardedStoreWriter::resume(store_path) {
-                Ok(resumed) => {
-                    let writer = resumed.writer.threads(config.concurrency);
-                    if writer.shard_count() != config.shards {
-                        return Err(StoreError::Mismatch(format!(
-                            "store at {} has {} shards but the study asked for {}; \
-                             rerun with --shards {} or start a fresh store",
-                            store_path.display(),
-                            writer.shard_count(),
-                            config.shards,
-                            writer.shard_count(),
-                        )));
-                    }
-                    Ok(ResumedCheckpoint {
-                        writer: CheckpointWriter::Sharded(writer),
-                        weeks: resumed.weeks,
-                        filtered_out: resumed.filtered_out,
-                        torn_bytes: resumed.torn_bytes,
-                    })
-                }
-                // Killed before the first manifest commit: nothing worth
-                // resuming; start over.
-                Err(StoreError::MissingGenesis) => Ok(fresh(CheckpointWriter::create(
-                    store_path, genesis, config,
-                )?)),
-                Err(e) => Err(e),
+        telemetry: &Telemetry,
+    ) -> Result<(CheckpointWriter, Restored), StoreError> {
+        let resumed = if resume && store_path.exists() {
+            verify_resume_store(store_path)?;
+            match CheckpointWriter::resume(store_path, config) {
+                // Killed before the genesis segment (or the first
+                // manifest) hit the disk: nothing worth resuming.
+                Err(StoreError::MissingGenesis) => None,
+                resumed => Some(resumed?),
             }
+        } else {
+            None
+        };
+        let (writer, restored) = match resumed {
+            Some(resumed) => resumed,
+            None => (
+                CheckpointWriter::create(store_path, genesis.clone(), config)?,
+                Restored::default(),
+            ),
+        };
+        if writer.genesis() != &genesis {
+            return Err(StoreError::Mismatch(
+                "store was created from a different ecosystem \
+                 (seed, domain count, or timeline differ)"
+                    .to_string(),
+            ));
+        }
+        let registry = telemetry.registry();
+        registry
+            .counter("store.weeks_recovered_total")
+            .add(restored.weeks.len() as u64);
+        registry
+            .counter("store.torn_bytes_recovered_total")
+            .add(restored.torn_bytes);
+        Ok((writer, restored))
+    }
+
+    fn resume(
+        store_path: &Path,
+        config: &CollectConfig,
+    ) -> Result<(CheckpointWriter, Restored), StoreError> {
+        if store_path.is_dir() {
+            let resumed = ShardedStoreWriter::resume(store_path)?;
+            let writer = resumed.writer.threads(config.concurrency);
+            if writer.shard_count() != config.shards {
+                return Err(StoreError::Mismatch(format!(
+                    "store at {} has {} shards but the study asked for {}; \
+                     rerun with --shards {} or start a fresh store",
+                    store_path.display(),
+                    writer.shard_count(),
+                    config.shards,
+                    writer.shard_count(),
+                )));
+            }
+            Ok((
+                CheckpointWriter::Sharded(writer),
+                Restored {
+                    weeks: resumed.weeks,
+                    filtered_out: resumed.filtered_out,
+                    torn_bytes: resumed.torn_bytes,
+                },
+            ))
         } else {
             if config.shards > 1 {
                 return Err(StoreError::Mismatch(format!(
@@ -705,20 +627,15 @@ impl CheckpointWriter {
                     config.shards,
                 )));
             }
-            match StoreWriter::resume(store_path) {
-                Ok(resumed) => Ok(ResumedCheckpoint {
-                    writer: CheckpointWriter::Single(resumed.writer),
+            let resumed = StoreWriter::resume(store_path)?;
+            Ok((
+                CheckpointWriter::Single(resumed.writer),
+                Restored {
                     weeks: resumed.weeks,
                     filtered_out: resumed.filtered_out,
                     torn_bytes: resumed.torn_bytes,
-                }),
-                // A crash before the genesis segment hit the disk leaves
-                // nothing worth resuming; start over.
-                Err(StoreError::MissingGenesis) => Ok(fresh(CheckpointWriter::create(
-                    store_path, genesis, config,
-                )?)),
-                Err(e) => Err(e),
-            }
+                },
+            ))
         }
     }
 
@@ -729,14 +646,47 @@ impl CheckpointWriter {
         }
     }
 
-    fn commit_week(&mut self, week: &WeekData) -> Result<CommitInfo, StoreError> {
-        match self {
-            CheckpointWriter::Single(w) => w.commit_week(week),
-            CheckpointWriter::Sharded(w) => w.commit_week(week),
-        }
+    /// Commits one collected week, accounting it to the `store.*`
+    /// counters, the `store.commit_latency_ns` histogram and the `store`
+    /// phase span.
+    pub(crate) fn commit(
+        &mut self,
+        snapshot: &WeekSnapshot,
+        telemetry: &Telemetry,
+    ) -> Result<(), StoreError> {
+        let registry = telemetry.registry();
+        let info = {
+            let _span = telemetry.span("store");
+            let week_key = snapshot.week.to_string();
+            let _ = webvuln_failpoint::failpoint!("checkpoint.commit", &week_key)?;
+            let started = std::time::Instant::now();
+            let week = snapshot_to_week(snapshot);
+            let info = match self {
+                CheckpointWriter::Single(w) => w.commit_week(&week),
+                CheckpointWriter::Sharded(w) => w.commit_week(&week),
+            }?;
+            registry
+                .histogram("store.commit_latency_ns")
+                .record_duration(started.elapsed());
+            info
+        };
+        registry.counter("store.segments_total").add(1);
+        registry
+            .counter("store.delta_hits_total")
+            .add(info.delta_hits as u64);
+        registry
+            .counter("store.delta_misses_total")
+            .add((info.records - info.delta_hits) as u64);
+        registry
+            .counter("store.raw_bytes_total")
+            .add(info.raw_bytes);
+        registry
+            .counter("store.encoded_bytes_total")
+            .add(info.encoded_bytes);
+        Ok(())
     }
 
-    fn finalize(&mut self, filtered_out: &[String]) -> Result<(), StoreError> {
+    pub(crate) fn finalize(&mut self, filtered_out: &[String]) -> Result<(), StoreError> {
         match self {
             CheckpointWriter::Single(w) => w.finalize(filtered_out),
             CheckpointWriter::Sharded(w) => w.finalize(filtered_out),
@@ -766,196 +716,50 @@ fn verify_resume_store(store_path: &Path) -> Result<(), StoreError> {
     }
 }
 
-/// The checkpointed collection loop behind
-/// [`Collector::run`](crate::dataset::Collector::run).
-///
-/// With `resume` set and an existing store present, committed weeks are
-/// restored from disk (after torn-tail recovery) and only the missing
-/// weeks are crawled; the restored crawl is byte-for-byte the crawl that
-/// produced them, because collection is deterministic in the ecosystem
-/// seed. The store must have been created from the same ecosystem —
-/// timeline and domain list are checked against the genesis segment.
-///
-/// With `streaming` set, each week is dropped right after its commit:
-/// only the [`FilterWindow`] (candidate domains plus the trailing-month
-/// summaries) is retained, the committed bytes and filter verdict are
-/// identical to a materialized run's, and the returned dataset is a
-/// thin shell with no weeks.
-pub(crate) fn collect_checkpointed(
-    ecosystem: &Arc<Ecosystem>,
-    config: CollectConfig,
-    telemetry: &Telemetry,
-    store_path: &Path,
-    resume: bool,
-    streaming: bool,
-) -> Result<CheckpointOutcome, StoreError> {
-    let registry = telemetry.registry();
-    let names = ecosystem.domain_names();
-    let timeline = *ecosystem.timeline();
-    let expected = genesis_for(&timeline, &names);
-
-    // Open or create the store, restoring any committed weeks.
-    let resumed = CheckpointWriter::open(store_path, expected.clone(), &config, resume)?;
-    if resumed.writer.genesis() != &expected {
-        return Err(StoreError::Mismatch(
-            "store was created from a different ecosystem \
-             (seed, domain count, or timeline differ)"
-                .to_string(),
-        ));
-    }
-    let torn_bytes_recovered = resumed.torn_bytes;
-    let finalized_filter = resumed.filtered_out;
-    let mut writer = resumed.writer;
-    let weeks_recovered = resumed.weeks.len();
-    registry
-        .counter("store.weeks_recovered_total")
-        .add(weeks_recovered as u64);
-    registry
-        .counter("store.torn_bytes_recovered_total")
-        .add(torn_bytes_recovered);
-    let emit_restored = |i: usize, snapshot: &WeekSnapshot| {
-        telemetry.emit(
-            "crawl",
-            i as u64 + 1,
-            timeline.weeks as u64,
-            &format!(
-                "{}: {} pages (restored from store)",
-                snapshot.date,
-                snapshot.collected()
-            ),
-        );
-    };
-
-    // A finalized store is a completed run: nothing left to crawl.
-    if let Some(filtered) = finalized_filter {
-        if weeks_recovered != timeline.weeks {
-            return Err(StoreError::Mismatch(format!(
-                "store is finalized but holds {weeks_recovered} of {} weeks",
-                timeline.weeks
-            )));
-        }
-        let (timeline, ranks) = genesis_to_parts(writer.genesis())?;
-        let mut weeks: Vec<WeekSnapshot> = Vec::new();
-        for (i, week) in resumed.weeks.into_iter().enumerate() {
-            let snapshot = week_into_snapshot(week)?;
-            emit_restored(i, &snapshot);
-            if !streaming {
-                weeks.push(snapshot);
-            }
-        }
-        let mut dataset = Dataset {
-            timeline,
-            ranks,
-            weeks,
-            filtered_out: Vec::new(),
-        };
-        for week in &mut dataset.weeks {
-            week.pages.retain(|d, _| !filtered.contains(d));
-            week.summaries.retain(|d, _| !filtered.contains(d));
-            week.carried_forward.retain(|d| !filtered.contains(d));
-        }
-        dataset.filtered_out = filtered;
-        return Ok(CheckpointOutcome {
-            dataset,
-            weeks_crawled: 0,
-            weeks_recovered,
-            torn_bytes_recovered,
-        });
-    }
-
-    // Replay the restored weeks through the collector so week-to-week
-    // state — circuit breakers, carry-forward baselines — resumes
-    // exactly where the interrupted run left it. A materialized run
-    // keeps every snapshot for the returned dataset; a streaming run
-    // keeps only the filter window and drops each snapshot once
-    // replayed.
-    let mut collector = WeekCollector::new(ecosystem, config, telemetry);
-    let mut snapshots: Vec<WeekSnapshot> =
-        Vec::with_capacity(if streaming { 0 } else { timeline.weeks });
-    let mut filter = FilterWindow::new();
-    for (i, week) in resumed.weeks.into_iter().enumerate() {
-        let snapshot = week_into_snapshot(week)?;
-        emit_restored(i, &snapshot);
-        collector.replay_week(&snapshot);
-        if streaming {
-            filter.absorb(&snapshot.summaries);
-        } else {
-            snapshots.push(snapshot);
-        }
-    }
-    let segments = registry.counter("store.segments_total");
-    let delta_hits = registry.counter("store.delta_hits_total");
-    let delta_misses = registry.counter("store.delta_misses_total");
-    let raw_bytes = registry.counter("store.raw_bytes_total");
-    let encoded_bytes = registry.counter("store.encoded_bytes_total");
-    let commit_latency = registry.histogram("store.commit_latency_ns");
-    let mut weeks_crawled = 0;
-    for (week, date) in timeline.iter().skip(weeks_recovered) {
-        let snapshot = collector.collect_week(week, date, telemetry);
-        collector.check_failure_budget()?;
-        let info = {
-            let _span = telemetry.span("store");
-            let week_key = week.to_string();
-            let _ = webvuln_failpoint::failpoint!("checkpoint.commit", &week_key)?;
-            let started = std::time::Instant::now();
-            let info = writer.commit_week(&snapshot_to_week(&snapshot))?;
-            commit_latency.record_duration(started.elapsed());
-            info
-        };
-        segments.add(1);
-        delta_hits.add(info.delta_hits as u64);
-        delta_misses.add((info.records - info.delta_hits) as u64);
-        raw_bytes.add(info.raw_bytes);
-        encoded_bytes.add(info.encoded_bytes);
-        telemetry.emit(
-            "crawl",
-            week as u64 + 1,
-            timeline.weeks as u64,
-            &format!("{date}: {} pages", snapshot.collected()),
-        );
-        if streaming {
-            filter.absorb(&snapshot.summaries);
-        } else {
-            snapshots.push(snapshot);
-        }
-        weeks_crawled += 1;
-    }
-
-    // All weeks present: filter, record the verdict, finalize. The
-    // streaming verdict comes from the filter window (same §4.1 rule,
-    // same sorted order); the snapshots vector is empty, so the dataset
-    // below is the documented shell.
-    let ranks = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i + 1))
-        .collect();
-    let mut dataset = Dataset {
-        timeline,
-        ranks,
-        weeks: snapshots,
-        filtered_out: Vec::new(),
-    };
-    if streaming {
-        dataset.filtered_out = filter.verdict();
-    } else {
-        dataset.apply_inaccessibility_filter();
-    }
-    writer.finalize(&dataset.filtered_out)?;
-    Ok(CheckpointOutcome {
-        dataset,
-        weeks_crawled,
-        weeks_recovered,
-        torn_bytes_recovered,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::testkit;
+    use crate::dataset::{testkit, Collector, WeekCollector};
+    use std::sync::Arc;
     use webvuln_net::{BreakerConfig, FaultPlan, RetryPolicy};
-    use webvuln_webgen::EcosystemConfig;
+    use webvuln_webgen::{Ecosystem, EcosystemConfig};
+
+    /// A checkpointed [`Collector::run`], spelled positionally.
+    fn collect_checkpointed(
+        eco: &Arc<Ecosystem>,
+        config: CollectConfig,
+        telemetry: &Telemetry,
+        store_path: &Path,
+        resume: bool,
+        streaming: bool,
+    ) -> Result<CheckpointOutcome, StoreError> {
+        Collector::from_config(config)
+            .telemetry(telemetry)
+            .checkpoint(store_path)
+            .resume(resume)
+            .streaming(streaming)
+            .run(eco)
+    }
+
+    /// Leaves the store a run killed after `weeks` commits would: those
+    /// weeks on disk, no finalize.
+    fn commit_first_weeks(
+        eco: &Arc<Ecosystem>,
+        config: CollectConfig,
+        telemetry: &Telemetry,
+        store_path: &Path,
+        weeks: usize,
+    ) {
+        let mut collector = WeekCollector::new(eco, config, telemetry);
+        let timeline = *eco.timeline();
+        let genesis = genesis_for(&timeline, &eco.domain_names());
+        let mut writer = CheckpointWriter::create(store_path, genesis, &config).expect("create");
+        for (week, date) in timeline.iter().take(weeks) {
+            let mut snapshot = collector.collect_week(week, date, config.concurrency, telemetry);
+            collector.settle_week(&mut snapshot);
+            writer.commit(&snapshot, telemetry).expect("commit");
+        }
+    }
 
     fn temp_store(tag: &str) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!(
@@ -1136,19 +940,7 @@ mod tests {
         let path = temp_store("resume");
         let telemetry = Telemetry::new();
         // Simulate a run killed after week 3: commit 4 weeks by hand.
-        {
-            let mut collector = WeekCollector::new(&eco, CollectConfig::default(), &telemetry);
-            let timeline = *eco.timeline();
-            let mut writer =
-                StoreWriter::create(&path, genesis_for(&timeline, &eco.domain_names()))
-                    .expect("create");
-            for (week, date) in timeline.iter().take(4) {
-                let snap = collector.collect_week(week, date, &telemetry);
-                writer
-                    .commit_week(&snapshot_to_week(&snap))
-                    .expect("commit");
-            }
-        }
+        commit_first_weeks(&eco, CollectConfig::default(), &telemetry, &path, 4);
         let telemetry = Telemetry::new();
         let outcome = collect_checkpointed(
             &eco,
@@ -1224,19 +1016,7 @@ mod tests {
         let telemetry = Telemetry::new();
         // Kill after week 2: breaker and carry-forward state must be
         // replayed from the store for the resumed weeks to match.
-        {
-            let mut collector = WeekCollector::new(&eco, config, &telemetry);
-            let timeline = *eco.timeline();
-            let mut writer =
-                StoreWriter::create(&path, genesis_for(&timeline, &eco.domain_names()))
-                    .expect("create");
-            for (week, date) in timeline.iter().take(3) {
-                let snap = collector.collect_week(week, date, &telemetry);
-                writer
-                    .commit_week(&snapshot_to_week(&snap))
-                    .expect("commit");
-            }
-        }
+        commit_first_weeks(&eco, config, &telemetry, &path, 3);
         let outcome = collect_checkpointed(&eco, config, &Telemetry::new(), &path, true, false)
             .expect("resume");
         assert_eq!(outcome.weeks_recovered, 3);
@@ -1264,19 +1044,7 @@ mod tests {
         let plain = testkit::collect(&eco, config);
         let path = temp_store("carry-resume");
         let telemetry = Telemetry::new();
-        {
-            let mut collector = WeekCollector::new(&eco, config, &telemetry);
-            let timeline = *eco.timeline();
-            let mut writer =
-                StoreWriter::create(&path, genesis_for(&timeline, &eco.domain_names()))
-                    .expect("create");
-            for (week, date) in timeline.iter().take(KILLED_AFTER) {
-                let snap = collector.collect_week(week, date, &telemetry);
-                writer
-                    .commit_week(&snapshot_to_week(&snap))
-                    .expect("commit");
-            }
-        }
+        commit_first_weeks(&eco, config, &telemetry, &path, KILLED_AFTER);
         let outcome = collect_checkpointed(&eco, config, &Telemetry::new(), &path, true, false)
             .expect("resume");
         assert_eq!(outcome.weeks_recovered, KILLED_AFTER);
@@ -1388,19 +1156,7 @@ mod tests {
         };
         let telemetry = Telemetry::new();
         // Simulate a run killed after week 3: commit 4 weeks by hand.
-        {
-            let mut collector = WeekCollector::new(&eco, config, &telemetry);
-            let timeline = *eco.timeline();
-            let mut writer =
-                ShardedStoreWriter::create(&dir, genesis_for(&timeline, &eco.domain_names()), 3)
-                    .expect("create");
-            for (week, date) in timeline.iter().take(4) {
-                let snap = collector.collect_week(week, date, &telemetry);
-                writer
-                    .commit_week(&snapshot_to_week(&snap))
-                    .expect("commit");
-            }
-        }
+        commit_first_weeks(&eco, config, &telemetry, &dir, 4);
         let outcome = collect_checkpointed(&eco, config, &Telemetry::new(), &dir, true, false)
             .expect("resume");
         assert_eq!(outcome.weeks_recovered, 4);
@@ -1455,34 +1211,6 @@ mod tests {
             .run(&eco)
             .expect_err("no store to stream through");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
-    }
-
-    #[test]
-    fn filter_window_matches_the_batch_filter_rule() {
-        // The streaming filter state (candidate set + trailing window)
-        // must reproduce `inaccessible_domains` exactly, including the
-        // sorted order of the verdict.
-        let eco = small_eco(64, 120, 8);
-        let config = CollectConfig {
-            faults: FaultPlan::hostile(64),
-            ..CollectConfig::default()
-        };
-        let telemetry = Telemetry::new();
-        let mut collector = WeekCollector::new(&eco, config, &telemetry);
-        let mut window = FilterWindow::new();
-        let mut weekly = Vec::new();
-        let timeline = *eco.timeline();
-        for (week, date) in timeline.iter() {
-            let snap = collector.collect_week(week, date, &telemetry);
-            window.absorb(&snap.summaries);
-            weekly.push(snap.summaries.clone());
-        }
-        let batch: Vec<String> = inaccessible_domains(&weekly, webvuln_net::filter::FINAL_WEEKS)
-            .into_iter()
-            .collect();
-        assert_eq!(window.verdict(), batch);
-        // Degenerate input: no weeks absorbed, no verdict.
-        assert!(FilterWindow::new().verdict().is_empty());
     }
 
     #[test]
@@ -1563,19 +1291,7 @@ mod tests {
         let path = temp_store("stream-resume");
         let telemetry = Telemetry::new();
         // Simulate a run killed after week 3: commit 4 weeks by hand.
-        {
-            let mut collector = WeekCollector::new(&eco, CollectConfig::default(), &telemetry);
-            let timeline = *eco.timeline();
-            let mut writer =
-                StoreWriter::create(&path, genesis_for(&timeline, &eco.domain_names()))
-                    .expect("create");
-            for (week, date) in timeline.iter().take(4) {
-                let snap = collector.collect_week(week, date, &telemetry);
-                writer
-                    .commit_week(&snapshot_to_week(&snap))
-                    .expect("commit");
-            }
-        }
+        commit_first_weeks(&eco, CollectConfig::default(), &telemetry, &path, 4);
         let outcome = collect_checkpointed(
             &eco,
             CollectConfig::default(),
@@ -1608,24 +1324,6 @@ mod tests {
         assert_eq!(finalized.weeks_crawled, 0);
         assert!(finalized.dataset.weeks.is_empty());
         assert_eq!(finalized.dataset.filtered_out, plain.filtered_out);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn streaming_matches_loading() {
-        let eco = small_eco(21, 80, 4);
-        let original = testkit::collect(&eco, CollectConfig::default());
-        let path = temp_store("stream");
-        original.save_store(&path).expect("save");
-        let reader = StoreReader::open(&path).expect("open");
-        let streamed: Vec<WeekSnapshot> = stream_snapshots(&reader)
-            .collect::<Result<_, _>>()
-            .expect("stream");
-        assert_eq!(streamed.len(), original.weeks.len());
-        for (a, b) in original.weeks.iter().zip(&streamed) {
-            assert_eq!(a.summaries, b.summaries);
-            assert_eq!(a.pages, b.pages);
-        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -4,10 +4,11 @@
 //! headline 531.2 days, and 701.2 days under True Vulnerable Versions).
 
 use crate::dataset::Dataset;
-use crate::stats::mean;
 use std::collections::BTreeMap;
-use webvuln_cvedb::{Basis, Date, LibraryId, VulnDb};
+use webvuln_cvedb::{Basis, Date, LibraryId};
 use webvuln_version::Version;
+#[cfg(test)]
+use {crate::stats::mean, webvuln_cvedb::VulnDb};
 
 /// Weekly site counts for one specific library version.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +125,9 @@ pub struct WordPressUsage {
 }
 
 /// Builds Figure 9.
-pub fn wordpress_usage(data: &Dataset) -> WordPressUsage {
+/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn wordpress_usage(data: &Dataset) -> WordPressUsage {
     let points: Vec<(Date, usize, usize)> = data
         .weeks
         .iter()
@@ -192,7 +195,9 @@ pub struct UpdateDelayReport {
 /// days between the patch release and the first snapshot where the site
 /// runs a version outside the affected range (having been inside it on
 /// the previous snapshot), counting only post-patch updates.
-pub fn update_delays(data: &Dataset, db: &VulnDb, basis: Basis) -> UpdateDelayReport {
+/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn update_delays(data: &Dataset, db: &VulnDb, basis: Basis) -> UpdateDelayReport {
     let mut events = Vec::new();
     // Track, per (domain, record), the last affected version seen.
     let mut armed: BTreeMap<(String, usize), Version> = BTreeMap::new();
@@ -290,7 +295,9 @@ pub struct RegressionEvent {
 
 /// Scans the dataset for version downgrades (the paper's §9 future-work
 /// question: do sites update and then regress for compatibility?).
-pub fn regressions(data: &Dataset, db: &VulnDb) -> Vec<RegressionEvent> {
+/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn regressions(data: &Dataset, db: &VulnDb) -> Vec<RegressionEvent> {
     let mut last: BTreeMap<(String, LibraryId), Version> = BTreeMap::new();
     let mut out = Vec::new();
     for week in &data.weeks {
@@ -327,6 +334,7 @@ pub fn regressions(data: &Dataset, db: &VulnDb) -> Vec<RegressionEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum::UpdateBehaviorAccum;
     use crate::dataset::testkit;
 
     fn v(s: &str) -> Version {
@@ -388,7 +396,7 @@ mod tests {
     #[test]
     fn fig9_wordpress_share() {
         let data = testkit::small();
-        let usage = wordpress_usage(data);
+        let usage = UpdateBehaviorAccum::over(data, &VulnDb::builtin()).wordpress_usage();
         assert!(
             (0.20..0.34).contains(&usage.average_share),
             "WordPress {:.3} ≈ 26.9%",
@@ -412,7 +420,8 @@ mod tests {
     fn update_delays_are_positive_and_tvv_is_slower() {
         let data = testkit::long();
         let db = VulnDb::builtin();
-        let claimed = update_delays(data, &db, Basis::CveClaimed);
+        let behavior = UpdateBehaviorAccum::over(data, &db);
+        let claimed = behavior.delays(Basis::CveClaimed);
         assert!(
             !claimed.events.is_empty(),
             "some updates observed over four years"
@@ -422,7 +431,7 @@ mod tests {
             assert!(e.delay_days >= 0);
             assert!(e.to_version > e.from_version);
         }
-        let tvv = update_delays(data, &db, Basis::TrueVulnerable);
+        let tvv = behavior.delays(Basis::TrueVulnerable);
         // §7: understated CVEs make the true window longer — moving to
         // 3.5.1 clears the claimed ranges but not CVE-2020-7656's true
         // range, which only 3.6.0 (Aug 2021 wave) escapes.
@@ -438,7 +447,7 @@ mod tests {
     fn regressions_exist_and_mostly_reenter_vulnerable_ranges() {
         let data = testkit::long();
         let db = VulnDb::builtin();
-        let events = regressions(data, &db);
+        let events = UpdateBehaviorAccum::over(data, &db).regression_events();
         assert!(
             !events.is_empty(),
             "some upgrade-then-rollback cycles over four years"
@@ -461,7 +470,7 @@ mod tests {
     fn update_delay_magnitude_matches_paper_scale() {
         let data = testkit::long();
         let db = VulnDb::builtin();
-        let report = update_delays(data, &db, Basis::CveClaimed);
+        let report = UpdateBehaviorAccum::over(data, &db).delays(Basis::CveClaimed);
         // Paper: 531.2 days on average. Our synthetic dynamics should land
         // in the same "takes the better part of a year or more" regime.
         assert!(

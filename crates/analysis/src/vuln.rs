@@ -3,10 +3,15 @@
 //! Versions), per-CVE affected-website series (Table 2, Figures 5/14),
 //! and the per-website vulnerability-count CDF (Figure 12).
 
-use crate::dataset::Dataset;
-use crate::stats::{mean, median, Cdf};
-use std::collections::BTreeMap;
-use webvuln_cvedb::{Basis, Date, VulnDb};
+use crate::stats::Cdf;
+use webvuln_cvedb::{Basis, Date};
+#[cfg(test)]
+use {
+    crate::dataset::Dataset,
+    crate::stats::{mean, median},
+    std::collections::BTreeMap,
+    webvuln_cvedb::VulnDb,
+};
 
 /// Weekly prevalence of vulnerable websites under one basis.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +28,10 @@ pub struct PrevalenceSeries {
 /// least one vulnerable library. A site counts as vulnerable in week `w`
 /// only through reports already *disclosed* by `w` — what a developer
 /// consulting the CVE database that week could know. (Retroactive
-/// constant-range counting is what [`cve_impact`] does instead.)
-pub fn prevalence(data: &Dataset, db: &VulnDb, basis: Basis) -> PrevalenceSeries {
+/// constant-range counting is what [`CveImpact`] holds instead.)
+/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn prevalence(data: &Dataset, db: &VulnDb, basis: Basis) -> PrevalenceSeries {
     let points: Vec<(Date, f64)> = data
         .weeks
         .iter()
@@ -71,14 +78,9 @@ pub struct CveImpact {
 
 /// Builds per-CVE impact series (Figures 5 and 14; Table 2's website
 /// columns).
-///
-/// Kept as the one-shot reference implementation; the accumulator
-/// equivalence tests pin [`crate::accum::CveExposureAccum`] against it.
-#[deprecated(
-    note = "use accum::CveExposureAccum::over(data, db).cve_impacts(db) or \
-                     fold a store with accum::fold_study"
-)]
-pub fn cve_impact(data: &Dataset, db: &VulnDb, id: &str) -> Option<CveImpact> {
+/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn cve_impact(data: &Dataset, db: &VulnDb, id: &str) -> Option<CveImpact> {
     let record = db.record(id)?;
     let mut claimed_sites = Vec::new();
     let mut true_sites = Vec::new();
@@ -145,7 +147,13 @@ pub struct VulnCountDistribution {
 
 /// Builds Figure 12 under one basis: for every website, the average
 /// number of vulnerabilities it carries across the weeks it was observed.
-pub fn vuln_count_distribution(data: &Dataset, db: &VulnDb, basis: Basis) -> VulnCountDistribution {
+/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn vuln_count_distribution(
+    data: &Dataset,
+    db: &VulnDb,
+    basis: Basis,
+) -> VulnCountDistribution {
     let mut per_site: BTreeMap<&String, (u64, u64)> = BTreeMap::new(); // (sum, weeks)
     for week in &data.weeks {
         for (domain, page) in &week.pages {
@@ -185,7 +193,9 @@ pub struct RefinementSummary {
 }
 
 /// Compares the two bases (the "+2%" takeaway, and its growth over time).
-pub fn refinement_summary(data: &Dataset, db: &VulnDb) -> RefinementSummary {
+/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn refinement_summary(data: &Dataset, db: &VulnDb) -> RefinementSummary {
     let claimed = prevalence(data, db, Basis::CveClaimed);
     let tvv = prevalence(data, db, Basis::TrueVulnerable);
     let gap = claimed
@@ -202,16 +212,24 @@ pub fn refinement_summary(data: &Dataset, db: &VulnDb) -> RefinementSummary {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the deprecated reference implementations
 mod tests {
     use super::*;
+    use crate::accum::CveExposureAccum;
     use crate::dataset::testkit;
+
+    /// One report's impact series, as the accumulator computes it.
+    fn impact_of(data: &Dataset, db: &VulnDb, id: &str) -> Option<CveImpact> {
+        CveExposureAccum::over(data, db)
+            .cve_impacts(db)
+            .into_iter()
+            .find(|impact| impact.id == id)
+    }
 
     #[test]
     fn prevalence_matches_headline_shape() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let claimed = prevalence(data, &db, Basis::CveClaimed);
+        let claimed = CveExposureAccum::over(data, &db).prevalence(Basis::CveClaimed);
         // Early-study snapshots (2018): most jQuery versions in the wild
         // are claimed-vulnerable, so prevalence sits well above the
         // paper's four-year average of 41.2% (which is pulled down by the
@@ -222,7 +240,7 @@ mod tests {
             "claimed prevalence {:.3}",
             claimed.average
         );
-        let tvv = prevalence(data, &db, Basis::TrueVulnerable);
+        let tvv = CveExposureAccum::over(data, &db).prevalence(Basis::TrueVulnerable);
         assert!(
             tvv.average >= claimed.average,
             "TVV ≥ claimed: {:.3} vs {:.3}",
@@ -235,7 +253,7 @@ mod tests {
     fn cve_2020_7656_has_larger_true_impact() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let impact = cve_impact(data, &db, "CVE-2020-7656").expect("impact");
+        let impact = impact_of(data, &db, "CVE-2020-7656").expect("impact");
         // Fig 5(a): the true range (< 3.6.0) covers far more sites than
         // the claimed range (< 1.9.0).
         assert!(
@@ -250,7 +268,7 @@ mod tests {
     fn cve_2020_11022_is_overstated_in_impact() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let impact = cve_impact(data, &db, "CVE-2020-11022").expect("impact");
+        let impact = impact_of(data, &db, "CVE-2020-11022").expect("impact");
         // Fig 5(c): fewer sites are truly vulnerable than claimed.
         assert!(impact.true_average < impact.claimed_average);
         assert!(impact.true_average > 0.0);
@@ -262,7 +280,7 @@ mod tests {
         let db = VulnDb::builtin();
         // Table 2: CVE-2020-11023 affects ~56% of jQuery sites (the 2018
         // share is higher since 3.5+ doesn't exist yet).
-        let impact = cve_impact(data, &db, "CVE-2020-11023").expect("impact");
+        let impact = impact_of(data, &db, "CVE-2020-11023").expect("impact");
         assert!(
             impact.claimed_share_of_users > 0.5,
             "share {:.3}",
@@ -274,15 +292,16 @@ mod tests {
     fn unknown_cve_yields_none() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        assert!(cve_impact(data, &db, "CVE-1999-0001").is_none());
+        assert!(impact_of(data, &db, "CVE-1999-0001").is_none());
     }
 
     #[test]
     fn fig12_tvv_counts_dominate_claimed() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let claimed = vuln_count_distribution(data, &db, Basis::CveClaimed);
-        let tvv = vuln_count_distribution(data, &db, Basis::TrueVulnerable);
+        let exposure = CveExposureAccum::over(data, &db);
+        let claimed = exposure.distribution(Basis::CveClaimed);
+        let tvv = exposure.distribution(Basis::TrueVulnerable);
         assert!(tvv.mean >= claimed.mean, "{} vs {}", tvv.mean, claimed.mean);
         assert!(claimed.mean > 0.0);
         // CDF sanity: at the max the CDF reaches 1.
@@ -299,7 +318,7 @@ mod tests {
     fn refinement_gap_favours_tvv_on_average() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let summary = refinement_summary(data, &db);
+        let summary = CveExposureAccum::over(data, &db).refinement();
         // §6.4: the corrected information uncovers more vulnerable sites
         // on average (+2% in the paper; +0.1% in its 2018 slice, which is
         // the era this fixture covers). Individual weeks may dip slightly

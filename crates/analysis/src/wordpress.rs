@@ -3,7 +3,9 @@
 
 use crate::dataset::Dataset;
 use std::collections::BTreeMap;
-use webvuln_cvedb::{VulnDb, WordPressCve};
+#[cfg(test)]
+use webvuln_cvedb::VulnDb;
+use webvuln_cvedb::WordPressCve;
 use webvuln_version::Version;
 
 /// One Table 4 output row.
@@ -19,7 +21,9 @@ pub struct WordPressCveRow {
 }
 
 /// Builds Table 4 from the final snapshot (the paper reports a census).
-pub fn table4(data: &Dataset, db: &VulnDb) -> Vec<WordPressCveRow> {
+/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+#[cfg(test)]
+pub(crate) fn table4(data: &Dataset, db: &VulnDb) -> Vec<WordPressCveRow> {
     let last = data.weeks.last();
     let versions: Vec<Version> = last
         .map(|week| {
@@ -58,13 +62,14 @@ pub fn version_census(data: &Dataset, week: usize) -> BTreeMap<Version, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum::UpdateBehaviorAccum;
     use crate::dataset::testkit;
 
     #[test]
     fn recent_cves_affect_more_sites_than_ancient_ones() {
         let data = testkit::long();
         let db = VulnDb::builtin();
-        let rows = table4(data, &db);
+        let rows = UpdateBehaviorAccum::over(data, &db).table4(&db);
         assert_eq!(rows.len(), 10);
         // Paper: ~97.7% of WP sites are affected by the most recent CVEs
         // (they cover broad version ranges up to 5.8.3), while the most

@@ -26,10 +26,8 @@ pub use report::{
     render_telemetry, render_validation, series_to_csv, telemetry_json,
 };
 pub use study::{
-    analyze, analyze_store, analyze_with, failpoint_catalog, Pipeline, StudyBuilder, StudyConfig,
+    analyze_store, analyze_with, failpoint_catalog, Pipeline, StudyBuilder, StudyConfig,
     StudyResults, FAILPOINTS,
 };
-#[allow(deprecated)]
-pub use study::{run_study, run_study_checkpointed, run_study_with};
 pub use webvuln_telemetry::{Snapshot, StderrProgress, Telemetry};
 pub use webvuln_trace::{TraceData, TraceMode};

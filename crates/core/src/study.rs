@@ -350,16 +350,18 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Paper-scale memory mode: each crawled week is committed to the
-    /// [`checkpoint`](Pipeline::checkpoint) store and dropped, and the
-    /// analyses then stream the finalized store back through the
-    /// mergeable accumulators on `threads` workers. Peak memory is one
-    /// in-flight week plus the accumulator state instead of the whole
-    /// timeline; the rendered report is byte-identical to a
-    /// materialized run's, whatever the thread or shard count. The
-    /// attached [`StudyResults::dataset`] is a thin shell (timeline,
-    /// ranks, filter verdict — no weeks). Requires a checkpoint store;
-    /// [`run`](Pipeline::run) rejects the combination otherwise.
+    /// Whether the run keeps the crawled weeks in memory: `false` (the
+    /// default) keeps them and analyzes the kept snapshots; `true` drops
+    /// each week once it is committed to the
+    /// [`checkpoint`](Pipeline::checkpoint) store and analyzes the
+    /// finalized store instead, on `threads` workers. Nothing else
+    /// changes — same collection loop, same analysis driver, a report
+    /// byte-identical whatever the thread or shard count — except peak
+    /// memory (one in-flight week plus the accumulator state instead of
+    /// the whole timeline) and the attached [`StudyResults::dataset`],
+    /// a thin shell (timeline, ranks, filter verdict — no weeks) when
+    /// streaming. Requires a checkpoint store; [`run`](Pipeline::run)
+    /// rejects the combination otherwise.
     pub fn streaming(mut self, streaming: bool) -> Self {
         self.streaming = streaming;
         self
@@ -440,20 +442,11 @@ impl<'a> Pipeline<'a> {
             carry_forward: config.carry_forward,
             supervise: config.supervise,
         })
-        .telemetry(telemetry);
-        if self.streaming && self.store.is_none() {
-            return Err(StoreError::Mismatch(
-                "streaming pipeline needs a checkpoint store: each week is \
-                 committed and dropped, then the analyses stream the store \
-                 back — without one there is nowhere to stream from"
-                    .to_string(),
-            ));
-        }
+        .telemetry(telemetry)
+        .resume(self.resume)
+        .streaming(self.streaming);
         if let Some(path) = &self.store {
-            collector = collector
-                .checkpoint(path)
-                .resume(self.resume)
-                .streaming(self.streaming);
+            collector = collector.checkpoint(path);
         }
         let outcome = match collector.run(&ecosystem) {
             Ok(outcome) => outcome,
@@ -469,10 +462,9 @@ impl<'a> Pipeline<'a> {
             }
         };
         let mut results = if self.streaming {
-            // The store is the buffer: collection just dropped every
-            // committed week, so stream them back through the mergeable
-            // accumulators instead of analyzing an in-memory dataset.
-            let store = self.store.as_ref().expect("checked above");
+            // Collection dropped every committed week: the store is the
+            // week source.
+            let store = self.store.as_ref().expect("streaming ran with a store");
             analyze_store(config, store, telemetry)?
         } else {
             analyze_with(config, outcome.dataset, telemetry)
@@ -484,84 +476,13 @@ impl<'a> Pipeline<'a> {
     }
 }
 
-/// Runs the full study.
-#[deprecated(note = "use `Pipeline::new(config).run()`")]
-pub fn run_study(config: StudyConfig) -> StudyResults {
-    Pipeline::new(config)
-        .run()
-        .expect("non-checkpointed study is infallible")
-}
-
-/// Runs the full study, recording metrics, per-phase spans, and progress
-/// events through `telemetry`.
-#[deprecated(note = "use `Pipeline::new(config).telemetry(telemetry).run()`")]
-pub fn run_study_with(config: StudyConfig, telemetry: &Telemetry) -> StudyResults {
-    Pipeline::new(config)
-        .telemetry(telemetry)
-        .run()
-        .expect("non-checkpointed study is infallible")
-}
-
-/// Runs the full study with week-by-week checkpointing into the snapshot
-/// store at `store_path`.
-#[deprecated(note = "use `Pipeline::new(config).telemetry(telemetry)\
-            .checkpoint(store_path).resume(resume).run()`")]
-pub fn run_study_checkpointed(
-    config: StudyConfig,
-    telemetry: &Telemetry,
-    store_path: &std::path::Path,
-    resume: bool,
-) -> Result<StudyResults, StoreError> {
-    Pipeline::new(config)
-        .telemetry(telemetry)
-        .checkpoint(store_path)
-        .resume(resume)
-        .run()
-}
-
-/// Runs all analyses over an already-collected dataset.
-pub fn analyze(config: StudyConfig, dataset: Dataset) -> StudyResults {
-    analyze_with(config, dataset, &Telemetry::new())
-}
-
-/// Like [`analyze`], timing the CVE-join and table-building phases
-/// through `telemetry`. The snapshot attached to the results is taken
-/// from `telemetry` after both phases complete.
+/// Runs all analyses over an already-collected dataset, timing the
+/// CVE-join and table-building phases through `telemetry`. The snapshot
+/// attached to the results is taken from `telemetry` after both phases
+/// complete.
 pub fn analyze_with(config: StudyConfig, dataset: Dataset, telemetry: &Telemetry) -> StudyResults {
-    let (db, lab, accum) = {
-        let _span = telemetry.span("join");
-        let _trace = webvuln_trace::phase_scope("join");
-        let _ = webvuln_failpoint::hit("phase.join", "");
-        let db = VulnDb::builtin();
-        let lab = Lab::new();
-        let accum = StudyAccum::over(&dataset, &db);
-        webvuln_trace::emit(
-            "join.done",
-            "",
-            &format!("cve_impacts={}", db.records().len()),
-            db.records().len() as u64 * 1_000,
-            webvuln_trace::Sink::Export,
-        );
-        (db, lab, accum)
-    };
-    let mut results = {
-        let _span = telemetry.span("analyze");
-        let _trace = webvuln_trace::phase_scope("analyze");
-        let _ = webvuln_failpoint::hit("phase.analyze", "");
-        let weeks = dataset.week_count();
-        let artifacts = accum.finish(&db);
-        let results = build_results(config, dataset, db, &lab, artifacts);
-        webvuln_trace::emit(
-            "analyze.done",
-            "",
-            &format!("weeks={weeks}"),
-            weeks as u64 * 1_000,
-            webvuln_trace::Sink::Export,
-        );
-        results
-    };
-    results.telemetry = telemetry.snapshot();
-    results
+    analyze_weeks(config, WeekSource::Kept(dataset), telemetry)
+        .expect("folding kept snapshots reads no store")
 }
 
 /// Streams an existing snapshot store (either layout) through the
@@ -580,13 +501,34 @@ pub fn analyze_store(
     } else {
         AnyReader::open(store)?
     };
+    analyze_weeks(config, WeekSource::Store(reader), telemetry)
+}
+
+/// Where the analysis driver reads its weeks from.
+enum WeekSource {
+    /// The snapshots a non-streaming collection kept.
+    Kept(Dataset),
+    /// An opened snapshot store.
+    Store(AnyReader),
+}
+
+/// The analysis driver: the CVE join (one fold of every week through the
+/// study accumulator) and the table/figure build, over either source.
+fn analyze_weeks(
+    config: StudyConfig,
+    source: WeekSource,
+    telemetry: &Telemetry,
+) -> Result<StudyResults, StoreError> {
     let (db, lab, accum) = {
         let _span = telemetry.span("join");
         let _trace = webvuln_trace::phase_scope("join");
         let _ = webvuln_failpoint::hit("phase.join", "");
         let db = VulnDb::builtin();
         let lab = Lab::new();
-        let accum = fold_study(&reader, &db, config.concurrency)?;
+        let accum = match &source {
+            WeekSource::Kept(dataset) => StudyAccum::over(dataset, &db),
+            WeekSource::Store(reader) => fold_study(reader, &db, config.concurrency)?,
+        };
         webvuln_trace::emit(
             "join.done",
             "",
@@ -600,9 +542,14 @@ pub fn analyze_store(
         let _span = telemetry.span("analyze");
         let _trace = webvuln_trace::phase_scope("analyze");
         let _ = webvuln_failpoint::hit("phase.analyze", "");
-        let weeks = reader.weeks_committed();
         let artifacts = accum.finish(&db);
-        let dataset = Dataset::shell_from_reader(&reader)?;
+        let (weeks, dataset) = match source {
+            WeekSource::Kept(dataset) => (dataset.week_count(), dataset),
+            WeekSource::Store(reader) => (
+                reader.weeks_committed(),
+                Dataset::shell_from_reader(&reader)?,
+            ),
+        };
         let results = build_results(config, dataset, db, &lab, artifacts);
         webvuln_trace::emit(
             "analyze.done",
@@ -864,27 +811,5 @@ mod tests {
             assert_eq!(wa.pages, wb.pages);
             assert_eq!(wa.summaries, wb.summaries);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_the_builder() {
-        let config = StudyConfig {
-            domain_count: 60,
-            timeline: Timeline::truncated(3),
-            ..StudyConfig::quick()
-        };
-        let builder = Pipeline::new(config).run().expect("study");
-        let legacy = run_study(config);
-        assert_eq!(legacy.dataset.weeks.len(), builder.dataset.weeks.len());
-        for (a, b) in legacy.dataset.weeks.iter().zip(&builder.dataset.weeks) {
-            assert_eq!(a.pages, b.pages);
-            assert_eq!(a.summaries, b.summaries);
-        }
-        let legacy = run_study_with(config, &Telemetry::new());
-        assert_eq!(
-            legacy.collection.points.len(),
-            builder.collection.points.len()
-        );
     }
 }

@@ -15,9 +15,7 @@
 //! per-host [`HostBreakers`], and accounts its backoff against a
 //! [`VirtualClock`] instead of sleeping. Every retry decision is a pure
 //! function of `(policy seed, domain, attempt)`, so the resilient path is
-//! exactly as deterministic as the single-attempt one. The legacy entry
-//! points ([`crawl`], [`crawl_instrumented`], [`crawl_resilient`]) remain
-//! as deprecated shims over the builder.
+//! exactly as deterministic as the single-attempt one.
 
 use crate::client::fetch;
 use crate::error::ErrorClass;
@@ -89,19 +87,6 @@ impl FetchRecord {
             attempts: 0,
             recovered: false,
         }
-    }
-}
-
-/// Crawler configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CrawlConfig {
-    /// Number of worker threads.
-    pub concurrency: usize,
-}
-
-impl Default for CrawlConfig {
-    fn default() -> Self {
-        CrawlConfig { concurrency: 8 }
     }
 }
 
@@ -289,18 +274,13 @@ impl<'a> CrawlOptions<'a> {
     /// the global registry.
     pub fn new() -> CrawlOptions<'a> {
         CrawlOptions {
-            threads: CrawlConfig::default().concurrency,
+            threads: 8,
             retry: RetryPolicy::none(),
             breakers: None,
             clock: None,
             registry: None,
             supervise: None,
         }
-    }
-
-    /// Carries the thread count over from a legacy [`CrawlConfig`].
-    pub fn from_config(config: CrawlConfig) -> CrawlOptions<'a> {
-        CrawlOptions::new().threads(config.concurrency)
     }
 
     /// Worker threads for the fetch pool. `0` sizes the pool by
@@ -489,58 +469,6 @@ impl<'a> CrawlOptions<'a> {
     }
 }
 
-/// Fetches the landing page of every domain. Returns records in domain
-/// order (deterministic regardless of scheduling).
-///
-/// Metrics land in the [global registry](Registry::global).
-#[deprecated(note = "use `CrawlOptions::new().run(domains, connector)`")]
-pub fn crawl(
-    domains: &[String],
-    connector: &dyn Connect,
-    config: CrawlConfig,
-) -> BTreeMap<String, FetchRecord> {
-    CrawlOptions::from_config(config).run(domains, connector)
-}
-
-/// Like [`crawl`], recording fetch counts, byte totals, status classes and
-/// per-request latency into `registry` (`net.*` metrics).
-#[deprecated(note = "use `CrawlOptions::new().registry(registry).run(domains, connector)`")]
-pub fn crawl_instrumented(
-    domains: &[String],
-    connector: &dyn Connect,
-    config: CrawlConfig,
-    registry: &Registry,
-) -> BTreeMap<String, FetchRecord> {
-    CrawlOptions::from_config(config)
-        .registry(registry)
-        .run(domains, connector)
-}
-
-/// The resilient crawl: each domain is fetched under `retry`, skipping
-/// hosts whose circuit breaker is open, with backoff delays accounted
-/// against `clock`.
-#[deprecated(
-    note = "use `CrawlOptions::new().retry(retry).breakers(b).clock(clock).registry(registry).run(domains, connector)`"
-)]
-pub fn crawl_resilient(
-    domains: &[String],
-    connector: &dyn Connect,
-    config: CrawlConfig,
-    retry: RetryPolicy,
-    breakers: Option<&HostBreakers>,
-    clock: &VirtualClock,
-    registry: &Registry,
-) -> BTreeMap<String, FetchRecord> {
-    let mut options = CrawlOptions::from_config(config)
-        .retry(retry)
-        .clock(clock)
-        .registry(registry);
-    if let Some(breakers) = breakers {
-        options = options.breakers(breakers);
-    }
-    options.run(domains, connector)
-}
-
 /// Fetches one domain's landing page, folding all failure modes into a
 /// [`FetchRecord`] (the crawler never aborts the snapshot on one domain).
 pub fn fetch_domain(connector: &dyn Connect, domain: &str) -> FetchRecord {
@@ -549,8 +477,8 @@ pub fn fetch_domain(connector: &dyn Connect, domain: &str) -> FetchRecord {
 
 /// Like [`fetch_domain`], retrying transient failures (refused
 /// connections, timeouts, truncations, 5xx responses) under `retry`.
-/// Retry metrics go to a scratch registry; use [`crawl_resilient`] when
-/// counters matter.
+/// Retry metrics go to a scratch registry; use
+/// [`CrawlOptions::registry`] when counters matter.
 pub fn fetch_domain_with_retry(
     connector: &dyn Connect,
     domain: &str,
@@ -1291,67 +1219,5 @@ mod tests {
                 .run(&ds, &net)
         };
         assert_eq!(plain, resilient);
-    }
-
-    /// The nine legacy entry points live on as deprecated shims; this
-    /// module is the only place allowed to call the crawler's three.
-    #[allow(deprecated)]
-    mod legacy_shims {
-        use super::*;
-
-        #[test]
-        fn crawl_matches_the_builder() {
-            let ds = domains(24);
-            let plan = FaultPlan::realistic(7);
-            let via_shim = {
-                let net = VirtualNet::new(content_handler()).with_faults(plan);
-                crawl(&ds, &net, CrawlConfig { concurrency: 4 })
-            };
-            let via_builder = {
-                let net = VirtualNet::new(content_handler()).with_faults(plan);
-                CrawlOptions::new().threads(4).run(&ds, &net)
-            };
-            assert_eq!(via_shim, via_builder);
-        }
-
-        #[test]
-        fn crawl_instrumented_matches_the_builder() {
-            let ds = domains(16);
-            let registry = webvuln_telemetry::Registry::new();
-            let net = VirtualNet::new(content_handler());
-            let via_shim = crawl_instrumented(&ds, &net, CrawlConfig::default(), &registry);
-            assert_eq!(
-                registry.snapshot().counter("net.fetches_total"),
-                Some(16),
-                "shim still instruments"
-            );
-            let via_builder = CrawlOptions::new().run(&ds, &net);
-            assert_eq!(via_shim, via_builder);
-        }
-
-        #[test]
-        fn crawl_resilient_matches_the_builder() {
-            let ds = domains(16);
-            let plan = FaultPlan::hostile(13);
-            let run_shim = || {
-                let net = VirtualNet::new(content_handler()).with_faults(plan);
-                crawl_resilient(
-                    &ds,
-                    &net,
-                    CrawlConfig::default(),
-                    RetryPolicy::standard(2),
-                    None,
-                    &VirtualClock::new(),
-                    &webvuln_telemetry::Registry::new(),
-                )
-            };
-            let run_builder = || {
-                let net = VirtualNet::new(content_handler()).with_faults(plan);
-                CrawlOptions::new()
-                    .retry(RetryPolicy::standard(2))
-                    .run(&ds, &net)
-            };
-            assert_eq!(run_shim(), run_builder());
-        }
     }
 }

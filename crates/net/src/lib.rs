@@ -54,11 +54,8 @@ mod server;
 mod transport;
 
 pub use client::{fetch, fetch_once, fetch_with_redirects, MAX_REDIRECTS};
-#[allow(deprecated)]
-pub use crawler::{crawl, crawl_instrumented, crawl_resilient};
 pub use crawler::{
-    fetch_domain, fetch_domain_with_retry, record_exec_stats, CrawlConfig, CrawlOptions,
-    FetchRecord, FAILPOINTS,
+    fetch_domain, fetch_domain_with_retry, record_exec_stats, CrawlOptions, FetchRecord, FAILPOINTS,
 };
 pub use error::{ErrorClass, NetError, Result};
 pub use fault::{mix, FaultPlan};

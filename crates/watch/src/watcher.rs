@@ -23,9 +23,9 @@
 //! *not* persisted — the store is its journal: a cold open refolds it
 //! with [`fold_study`], and every incremental absorb afterwards is
 //! exactly the fold's per-week step ([`apply_filter`] + `absorb`). The
-//! §4.1 filter window rides along the same way: the trailing
-//! [`FINAL_WEEKS`] alive sets are held in memory (rebuilt from the
-//! store on open), so an arrival tick costs one week — read, commit,
+//! §4.1 filter rides along the same way: the [`FilterWindow`] over the
+//! trailing weeks is held in memory (rebuilt from the store on open),
+//! so an arrival tick costs one week — read, commit,
 //! absorb — independent of how much history the store holds. Verdict
 //! drift (domains crossing the trailing-inaccessibility boundary, a
 //! weekly occurrence at scale) marks the live state stale rather than
@@ -36,14 +36,13 @@ use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
 use crate::outbox::{Outbox, OutboxRecovery};
 use crate::spool::{read_genesis_file, read_week_file, scan_spool, GENESIS_FILE};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use webvuln_analysis::store_io::week_into_snapshot;
 use webvuln_analysis::{
-    apply_filter, fold_study, genesis_ranks, snapshot_alive_set, AccumCtx, Accumulate, StudyAccum,
-    FINAL_WEEKS,
+    apply_filter, fold_study, genesis_ranks, AccumCtx, Accumulate, FilterWindow, StudyAccum,
 };
 use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
 use webvuln_store::{AnyReader, ShardedStoreWriter, MANIFEST_FILE};
@@ -204,10 +203,10 @@ pub struct Watcher {
     db: VulnDb,
     live: StudyAccum,
     filtered: BTreeSet<String>,
-    /// Per-week alive sets of the trailing [`FINAL_WEEKS`] committed
-    /// weeks, newest last — the §4.1 verdict is derived from this in
-    /// memory, so a steady-state tick never re-reads the store.
-    filter_window: VecDeque<BTreeSet<String>>,
+    /// The §4.1 window over the trailing committed weeks — the verdict
+    /// is derived from this in memory, so a steady-state tick never
+    /// re-reads the store.
+    filter_window: FilterWindow,
     /// True when `live` was folded under an older verdict than
     /// `filtered` — settled by a refold on the next quiet tick.
     live_stale: bool,
@@ -261,19 +260,14 @@ impl Watcher {
             .counter("watch.outbox_replayed_total")
             .add(recovery.replayed as u64);
 
-        let weeks = writer.weeks_committed();
-        let (live, filter_window) = if weeks > 0 {
+        let (live, filter_window) = if writer.weeks_committed() > 0 {
             let reader = AnyReader::open_degraded(&store_dir)?;
-            let mut filter_window = VecDeque::with_capacity(FINAL_WEEKS);
-            for week in reader.stream().range(weeks - FINAL_WEEKS.min(weeks), weeks) {
-                filter_window.push_back(snapshot_alive_set(&week_into_snapshot(week?)?));
-            }
             let live = fold_study(&reader, &db, cfg.threads)?;
-            (live, filter_window)
+            (live, FilterWindow::from_store(&reader)?)
         } else {
-            (StudyAccum::default(), VecDeque::new())
+            (StudyAccum::default(), FilterWindow::new())
         };
-        let filtered = window_verdict(&ranks, &filter_window);
+        let filtered = filter_window.verdict(ranks.keys());
 
         Ok(Watcher {
             cfg,
@@ -348,12 +342,7 @@ impl Watcher {
             // The incremental step: absorb exactly what a cold fold's
             // per-week iteration would.
             let mut snapshot = week_into_snapshot(week)?;
-            // Slide the §4.1 window before filtering: the alive set is
-            // read from the summaries, which apply_filter leaves alone.
-            if self.filter_window.len() == FINAL_WEEKS {
-                self.filter_window.pop_front();
-            }
-            self.filter_window.push_back(snapshot_alive_set(&snapshot));
+            self.filter_window.absorb(&snapshot.summaries);
             apply_filter(&mut snapshot, &self.filtered);
             let ctx = AccumCtx {
                 db: &self.db,
@@ -384,7 +373,7 @@ impl Watcher {
     ///
     /// [`store_filter_verdict`]: webvuln_analysis::store_filter_verdict
     fn refresh_filter(&mut self) {
-        let fresh = window_verdict(&self.ranks, &self.filter_window);
+        let fresh = self.filter_window.verdict(self.ranks.keys());
         if fresh != self.filtered {
             let flips = fresh.symmetric_difference(&self.filtered).count();
             self.telemetry
@@ -589,27 +578,6 @@ pub fn scan_deltas(dir: &Path) -> Result<Vec<(String, PathBuf)>, WatchError> {
     }
     deltas.sort();
     Ok(deltas)
-}
-
-/// The §4.1 verdict from a trailing window of per-week alive sets: a
-/// ranked domain is dropped when no window week saw it reachable. With
-/// the window rebuilt from (or maintained in lockstep with) the store's
-/// trailing [`FINAL_WEEKS`] weeks, this equals what
-/// [`store_filter_verdict`](webvuln_analysis::store_filter_verdict)
-/// reads back from the store — an empty window (empty store) drops
-/// nothing, matching its zero-week case.
-fn window_verdict(
-    ranks: &BTreeMap<String, usize>,
-    window: &VecDeque<BTreeSet<String>>,
-) -> BTreeSet<String> {
-    if window.is_empty() {
-        return BTreeSet::new();
-    }
-    ranks
-        .keys()
-        .filter(|host| !window.iter().any(|alive| alive.contains(*host)))
-        .cloned()
-        .collect()
 }
 
 fn parse_delta_file(path: &Path) -> Result<Vec<VulnRecord>, WatchError> {

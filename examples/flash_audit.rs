@@ -9,8 +9,9 @@
 //! ecosystem that keeps Flash alive (Table 3).
 
 use std::sync::Arc;
+use webvuln::analysis::accum::FlashAccum;
 use webvuln::analysis::dataset::Collector;
-use webvuln::analysis::flash::{flash_eol, flash_usage, script_access_audit};
+use webvuln::analysis::flash::flash_eol;
 use webvuln::core::render_table3;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
@@ -27,7 +28,8 @@ fn main() {
     }));
     let data = Collector::new().run(&eco).expect("collection").dataset;
 
-    let usage = flash_usage(&data);
+    let flash = FlashAccum::over(&data);
+    let usage = flash.usage();
     println!("Figure 8 — Flash usage over the study");
     let eol = flash_eol();
     for (i, &(date, all, top10k, top1k)) in usage.points.iter().enumerate() {
@@ -41,7 +43,7 @@ fn main() {
         usage.average, usage.average_after_eol
     );
 
-    let audit = script_access_audit(&data);
+    let audit = flash.script_access();
     println!("Figure 11 — AllowScriptAccess audit");
     println!(
         "  insecure 'always' share: {:.1}% early -> {:.1}% late (avg {:.1}%)",

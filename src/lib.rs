@@ -68,10 +68,6 @@ pub use webvuln_serve::{ApiHandler, ApiServer, QueryService, ServeConfig};
 // The store's front door: one opener for both layouts plus a streaming
 // iterator over committed weeks, so consumers need not know whether a
 // path is a single file or a shard directory.
-#[deprecated(note = "open stores through `AnyReader` (it handles both layouts and \
-                     degraded shard sets); reach `StoreReader` via `webvuln::store` \
-                     only when a single-file reader is explicitly required")]
-pub use webvuln_store::StoreReader;
 pub use webvuln_store::{AnyReader, WeekStream};
 // The live-ingestion front door: point a watcher (or a whole supervised
 // daemon) at a watch root without spelling the module paths.

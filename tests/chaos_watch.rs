@@ -63,33 +63,36 @@ struct Corpus {
 
 static CORPUS: OnceLock<Corpus> = OnceLock::new();
 
-/// One hostile-fault pipeline run, split back into genesis + weeks.
-fn corpus() -> &'static Corpus {
-    CORPUS.get_or_init(|| {
-        let store = std::env::temp_dir().join(format!(
-            "webvuln-chaoswatch-corpus-{}.wvstore",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&store);
-        Pipeline::new(StudyConfig {
-            seed: 8_100,
-            domain_count: DOMAINS,
-            timeline: Timeline::truncated(WEEKS),
-            faults: FaultPlan::hostile(8_100),
-            carry_forward: true,
-            ..StudyConfig::default()
-        })
-        .checkpoint(&store)
-        .run()
-        .expect("corpus pipeline run");
-        let reader = AnyReader::open(&store).expect("open corpus store");
-        let genesis = reader.genesis().clone();
-        let weeks = (0..reader.weeks_committed())
-            .map(|w| reader.week(w).expect("corpus week"))
-            .collect();
-        let _ = std::fs::remove_file(&store);
-        Corpus { genesis, weeks }
+/// One hostile-fault pipeline run of `weeks` weeks, split back into
+/// genesis + weeks.
+fn build_corpus(weeks: usize) -> Corpus {
+    let store = std::env::temp_dir().join(format!(
+        "webvuln-chaoswatch-corpus-{weeks}-{}.wvstore",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
+    Pipeline::new(StudyConfig {
+        seed: 8_100,
+        domain_count: DOMAINS,
+        timeline: Timeline::truncated(weeks),
+        faults: FaultPlan::hostile(8_100),
+        carry_forward: true,
+        ..StudyConfig::default()
     })
+    .checkpoint(&store)
+    .run()
+    .expect("corpus pipeline run");
+    let reader = AnyReader::open(&store).expect("open corpus store");
+    let genesis = reader.genesis().clone();
+    let weeks = (0..reader.weeks_committed())
+        .map(|w| reader.week(w).expect("corpus week"))
+        .collect();
+    let _ = std::fs::remove_file(&store);
+    Corpus { genesis, weeks }
+}
+
+fn corpus() -> &'static Corpus {
+    CORPUS.get_or_init(|| build_corpus(WEEKS))
 }
 
 /// A fresh watch root with `weeks` corpus weeks spooled and (optionally)
@@ -270,6 +273,85 @@ fn live_accumulator_matches_a_cold_fold_and_reopen_is_idle() {
     assert_eq!(reports[0].weeks_ingested, 0);
     assert_eq!(live_fingerprint(&third), live);
     assert_eq!(store_bytes(&root), bytes);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The daemon's economics, as counts: with a 32-week spool arriving one
+/// week file per tick, every arrival tick ingests exactly that week and
+/// never refolds — its cost is one week, whatever history the store
+/// holds. Refolds happen only on the quiet tick after an arrival (§4.1
+/// verdict drift settling) or on the tick a CVE delta lands, and after
+/// every quiet tick the live state is exactly a cold fold's.
+#[test]
+fn arrival_ticks_ingest_one_week_and_never_refold() {
+    const HISTORY: usize = 32;
+    let _guard = lock();
+    reset();
+    let corpus = build_corpus(HISTORY);
+    let root = std::env::temp_dir().join(format!(
+        "webvuln-chaoswatch-arrivals-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    let spool = root.join("spool");
+    std::fs::create_dir_all(&spool).expect("create spool");
+    write_genesis_file(&spool, &corpus.genesis).expect("write genesis");
+
+    let telemetry = Telemetry::new();
+    let cfg = WatchConfig::new(&root).threads(2).shards(4);
+    let mut watcher = Watcher::open(cfg, &telemetry).expect("open watcher");
+    let mut settle_refolds = 0;
+    for (index, week) in corpus.weeks.iter().enumerate() {
+        write_week_file(&spool, week).expect("write week");
+        let arrival = watcher.tick().expect("arrival tick");
+        assert_eq!(arrival.weeks_ingested, 1, "arrival of week {index}");
+        assert_eq!(arrival.refolds, 0, "arrival of week {index} refolded");
+        let quiet = watcher.tick().expect("quiet tick");
+        assert_eq!(quiet.weeks_ingested, 0);
+        assert!(quiet.refolds <= 1, "one settle refold at most: {quiet:?}");
+        settle_refolds += quiet.refolds;
+        assert!(
+            watcher.tick().expect("idle tick").is_idle(),
+            "nothing may be left to settle after the quiet tick of week {index}"
+        );
+    }
+    assert_eq!(watcher.weeks_committed(), HISTORY);
+    assert!(
+        settle_refolds > 0,
+        "the hostile corpus must drift the §4.1 verdict at least once"
+    );
+    assert_eq!(
+        live_fingerprint(&watcher),
+        cold_fold_fingerprint(&root, &watcher, 2),
+        "live state after the last quiet tick != cold fold"
+    );
+
+    // The other tick that may refold: a CVE delta extends the database.
+    land_delta(&root);
+    let delta = watcher.tick().expect("delta tick");
+    assert_eq!((delta.weeks_ingested, delta.refolds), (0, 1));
+    assert_eq!(delta.deltas_applied, 1);
+    assert_eq!(
+        live_fingerprint(&watcher),
+        cold_fold_fingerprint(&root, &watcher, 2)
+    );
+
+    // The counters agree with the per-tick reports: no refold hid in an
+    // arrival tick, no week was ingested outside one.
+    let counters = telemetry.snapshot();
+    assert_eq!(
+        counters.counter("watch.weeks_ingested_total"),
+        Some(HISTORY as u64)
+    );
+    assert_eq!(
+        counters.counter("watch.refolds_total"),
+        Some(settle_refolds as u64 + 1)
+    );
+    assert_eq!(
+        counters.counter("watch.ticks_total"),
+        Some(3 * HISTORY as u64 + 1)
+    );
+    drop(watcher);
     let _ = std::fs::remove_dir_all(&root);
 }
 
