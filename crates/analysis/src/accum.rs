@@ -1534,7 +1534,7 @@ pub fn genesis_ranks(genesis: &Genesis) -> BTreeMap<String, usize> {
 /// worker, whatever the week count.
 ///
 /// Three ways to cut the store into domain-disjoint slices, one fold
-/// loop ([`fold_slices`]), byte-identical artifacts:
+/// loop (`fold_slices`), byte-identical artifacts:
 ///
 /// * sharded store, `threads > 1` — a slice per shard (shards partition
 ///   domains); unhealthy shards of a degraded reader contribute the

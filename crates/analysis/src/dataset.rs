@@ -14,9 +14,10 @@ use webvuln_cvedb::Date;
 use webvuln_exec::{Executor, SuperviseConfig};
 use webvuln_fingerprint::{Engine, PageAnalysis};
 use webvuln_net::{
-    page_is_error_or_empty, record_exec_stats, BreakerConfig, CrawlOptions, FaultPlan, FetchRecord,
-    FetchSummary, HostBreakers, RetryPolicy, VirtualClock, VirtualNet, EMPTY_PAGE_THRESHOLD,
+    page_is_error_or_empty, BreakerConfig, CrawlOptions, FaultPlan, FetchRecord, FetchSummary,
+    HostBreakers, RetryPolicy, VirtualClock, VirtualNet, EMPTY_PAGE_THRESHOLD,
 };
+use webvuln_telemetry::trace::{self, Sink};
 use webvuln_telemetry::{Counter, Telemetry};
 use webvuln_webgen::{Ecosystem, Timeline};
 
@@ -144,7 +145,7 @@ impl Default for Collector<'_> {
 
 impl<'a> Collector<'a> {
     /// A fault-free, single-attempt, non-checkpointed collection on the
-    /// default 8-thread pool, accounting to the global telemetry.
+    /// default 8-thread pool, accounting to a private telemetry handle.
     pub fn new() -> Collector<'a> {
         Collector::from_config(CollectConfig::default())
     }
@@ -206,7 +207,8 @@ impl<'a> Collector<'a> {
     }
 
     /// Records crawl/fingerprint metrics, per-week phase spans, and
-    /// weekly progress events into `telemetry`.
+    /// weekly progress events into `telemetry` instead of a handle
+    /// private to the run.
     pub fn telemetry(mut self, telemetry: &'a Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -275,14 +277,8 @@ impl<'a> Collector<'a> {
     /// under [`supervise`](Collector::supervise), when quarantined tasks
     /// exceed the failure budget.
     pub fn run(&self, ecosystem: &Arc<Ecosystem>) -> Result<CheckpointOutcome, StoreError> {
-        let fallback;
-        let telemetry = match self.telemetry {
-            Some(telemetry) => telemetry,
-            None => {
-                fallback = Telemetry::global();
-                &fallback
-            }
-        };
+        let private = Telemetry::new();
+        let telemetry = self.telemetry.unwrap_or(&private);
         if self.streaming && self.store.is_none() {
             return Err(StoreError::Mismatch(
                 "streaming collection needs a checkpoint store: each week is \
@@ -327,7 +323,7 @@ impl<'a> Collector<'a> {
         // interrupted run left it.
         for week in restored.weeks {
             let snapshot = week_into_snapshot(week)?;
-            telemetry.emit(
+            telemetry.progress(
                 "crawl",
                 snapshot.week as u64 + 1,
                 timeline.weeks as u64,
@@ -356,7 +352,7 @@ impl<'a> Collector<'a> {
                 .map_with_stats(&remaining, |&(week, date)| {
                     collector.collect_week(week, date, 1, telemetry)
                 });
-            record_exec_stats(telemetry.registry(), &stats);
+            stats.record(telemetry.registry());
             weeks.into_iter()
         });
         for &(week, date) in &remaining {
@@ -369,7 +365,7 @@ impl<'a> Collector<'a> {
             if let Some(writer) = &mut writer {
                 writer.commit(&snapshot, telemetry)?;
             }
-            telemetry.emit(
+            telemetry.progress(
                 "crawl",
                 week as u64 + 1,
                 timeline.weeks as u64,
@@ -487,19 +483,17 @@ impl WeekCollector {
         threads: usize,
         telemetry: &Telemetry,
     ) -> BTreeMap<String, FetchRecord> {
-        // Trace scopes stamp every fetch event below with (phase, week);
-        // they reset the task field so the week summary emitted at the
-        // end has identical canonical keys whether or not the weeks were
-        // fanned out.
-        let _trace_phase = webvuln_trace::phase_scope("crawl");
-        let _trace_week = webvuln_trace::week_scope(week as u64);
         let _ = webvuln_failpoint::hit("phase.crawl", &week.to_string());
         let registry = telemetry.registry();
         let net = VirtualNet::new(Arc::new(self.ecosystem.handler(week)))
             .with_fault_metrics(registry)
             .with_week(week)
             .with_faults(self.config.faults);
-        let _span = telemetry.span("crawl");
+        // Stamps every fetch event below with (phase, week) and resets
+        // the task field, so the week summary emitted at the end has
+        // identical canonical keys whether or not the weeks were fanned
+        // out.
+        let _phase = telemetry.phase("crawl").week(week);
         let mut options = CrawlOptions::new()
             .threads(threads)
             .retry(self.config.retry)
@@ -514,12 +508,12 @@ impl WeekCollector {
         let (records, failures) = options.run_contained(&self.names, &net);
         self.task_failures
             .fetch_add(failures.len() as u64, Ordering::Relaxed);
-        webvuln_trace::emit(
+        trace::emit(
             "crawl.week",
             "",
             &format!("domains={} quarantined={}", records.len(), failures.len()),
             self.names.len() as u64 * 1_000,
-            webvuln_trace::Sink::Export,
+            Sink::Export,
         );
         records
     }
@@ -539,30 +533,28 @@ impl WeekCollector {
         executor: &Executor,
         telemetry: &Telemetry,
     ) -> (Vec<PageAnalysis>, Vec<FetchRecord>) {
-        let _trace_phase = webvuln_trace::phase_scope("fingerprint");
-        let _trace_week = webvuln_trace::week_scope(week as u64);
         let _ = webvuln_failpoint::hit("phase.fingerprint", &week.to_string());
         let usable: Vec<(&str, &str)> = records
             .iter()
             .filter(|(_, record)| record.is_usable(EMPTY_PAGE_THRESHOLD))
             .map(|(domain, record)| (domain.as_str(), record.body.as_str()))
             .collect();
-        webvuln_trace::emit(
+        trace::emit(
             "fingerprint.week",
             "",
             &format!("usable={}", usable.len()),
             usable.len() as u64 * 1_000,
-            webvuln_trace::Sink::Export,
+            Sink::Export,
         );
+        // The engine is immutable and `Sync`: every worker shares it.
+        let analyze = |&(domain, html): &(&str, &str)| self.engine.analyze(html, domain);
         let Some(supervise) = self.config.supervise else {
-            let (analyses, stats) = self.engine.analyze_batch(&usable, executor);
-            record_exec_stats(telemetry.registry(), &stats);
+            let (analyses, stats) = executor.map_with_stats(&usable, analyze);
+            stats.record(telemetry.registry());
             return (analyses, Vec::new());
         };
-        let (outcomes, stats, failures) = self
-            .engine
-            .analyze_batch_supervised(&usable, executor, supervise);
-        record_exec_stats(telemetry.registry(), &stats);
+        let (outcomes, stats, failures) = executor.map_supervised(&usable, supervise, analyze);
+        stats.record(telemetry.registry());
         self.task_failures
             .fetch_add(failures.len() as u64, Ordering::Relaxed);
         let demoted = failures
@@ -587,7 +579,7 @@ impl WeekCollector {
         let mut pages = BTreeMap::new();
         let mut summaries = BTreeMap::new();
         {
-            let _span = telemetry.span("fingerprint");
+            let _phase = telemetry.phase("fingerprint").week(week);
             // Parallel pass over the usable bodies, then a sequential
             // merge in domain order.
             let (analyses, demoted) =
@@ -695,20 +687,6 @@ impl Dataset {
             .map(WeekSnapshot::collected)
             .sum::<usize>() as f64
             / self.weeks.len() as f64
-    }
-
-    /// Every domain observed with a usable page at least once.
-    pub fn observed_domains(&self) -> Vec<&String> {
-        let mut out: Vec<&String> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for week in &self.weeks {
-            for domain in week.pages.keys() {
-                if seen.insert(domain) {
-                    out.push(domain);
-                }
-            }
-        }
-        out
     }
 
     /// The rank of a domain (1-based), when known.

@@ -656,7 +656,7 @@ impl CheckpointWriter {
     ) -> Result<(), StoreError> {
         let registry = telemetry.registry();
         let info = {
-            let _span = telemetry.span("store");
+            let _phase = telemetry.phase("store").week(snapshot.week);
             let week_key = snapshot.week.to_string();
             let _ = webvuln_failpoint::failpoint!("checkpoint.commit", &week_key)?;
             let started = std::time::Instant::now();

@@ -26,8 +26,6 @@ pub use report::{
     render_telemetry, render_validation, series_to_csv, telemetry_json,
 };
 pub use study::{
-    analyze_store, analyze_with, failpoint_catalog, Pipeline, StudyBuilder, StudyConfig,
-    StudyResults, FAILPOINTS,
+    analyze_store, analyze_with, failpoint_catalog, Pipeline, StudyConfig, StudyResults, FAILPOINTS,
 };
-pub use webvuln_telemetry::{Snapshot, StderrProgress, Telemetry};
-pub use webvuln_trace::{TraceData, TraceMode};
+pub use webvuln_telemetry::{Snapshot, StderrProgress, Telemetry, TraceData, TraceMode};

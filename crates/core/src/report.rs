@@ -548,10 +548,12 @@ mod tests {
 
     #[test]
     fn traced_report_appends_cost_centers() {
+        let telemetry =
+            webvuln_telemetry::Telemetry::new().with_trace(webvuln_telemetry::TraceMode::Full);
         let traced = Pipeline::new(StudyConfig::quick())
             .domains(60)
             .timeline(Timeline::truncated(3))
-            .trace(webvuln_trace::TraceMode::Full)
+            .telemetry(&telemetry)
             .run()
             .expect("study");
         let report = full_report(&traced);

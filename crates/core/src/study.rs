@@ -20,8 +20,8 @@ use webvuln_exec::SuperviseConfig;
 use webvuln_net::{BreakerConfig, FaultPlan, RetryPolicy};
 use webvuln_poclab::{Lab, ValidationReport};
 use webvuln_store::AnyReader;
-use webvuln_telemetry::{Snapshot, Telemetry};
-use webvuln_trace::{TraceData, TraceMode, Tracer};
+use webvuln_telemetry::trace::{self, Sink};
+use webvuln_telemetry::{Snapshot, Telemetry, TraceData, Tracer};
 use webvuln_webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 /// Fail-point sites owned by this crate: the three study phases that run
@@ -183,10 +183,11 @@ pub struct StudyResults {
     /// [`webvuln_telemetry`]): `net.*` crawler counters, `fp.*`
     /// fingerprint counters, and a span per pipeline phase.
     pub telemetry: Snapshot,
-    /// Causal trace of the run (see [`webvuln_trace`]): canonical event
-    /// log, per-pattern VM-step attribution, and per-domain fetch
-    /// lifecycles. `None` unless the pipeline enabled
-    /// [`trace`](Pipeline::trace).
+    /// Causal trace of the run (see [`webvuln_telemetry::trace`]):
+    /// canonical event log, per-pattern VM-step attribution, and
+    /// per-domain fetch lifecycles. `None` unless the injected
+    /// [`telemetry`](Pipeline::telemetry) was built
+    /// [`with_trace`](Telemetry::with_trace).
     pub trace: Option<TraceData>,
 }
 
@@ -210,12 +211,7 @@ pub struct Pipeline<'a> {
     store: Option<PathBuf>,
     resume: bool,
     streaming: bool,
-    trace: TraceMode,
 }
-
-/// Alias for [`Pipeline`]: `StudyBuilder::from(config)` reads naturally
-/// when the builder starts from an existing [`StudyConfig`].
-pub type StudyBuilder<'a> = Pipeline<'a>;
 
 impl From<StudyConfig> for Pipeline<'_> {
     fn from(config: StudyConfig) -> Self {
@@ -238,7 +234,6 @@ impl<'a> Pipeline<'a> {
             store: None,
             resume: false,
             streaming: false,
-            trace: TraceMode::Disabled,
         }
     }
 
@@ -322,10 +317,13 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Records metrics, per-phase spans
-    /// (`generate`/`crawl`/`fingerprint`/`join`/`analyze`), and progress
-    /// events through `telemetry`. Without this, telemetry goes to a
-    /// registry private to the run, attached to
-    /// [`StudyResults::telemetry`].
+    /// (`generate`/`crawl`/`fingerprint`/`store`/`join`/`analyze`),
+    /// progress events and — when the handle was built
+    /// [`with_trace`](Telemetry::with_trace) — the causal trace through
+    /// `telemetry`. Without this, telemetry goes to an untraced registry
+    /// private to the run, attached to [`StudyResults::telemetry`]. A
+    /// handle accounts one run: a second run through it adds to the same
+    /// counters and cost attribution.
     pub fn telemetry(mut self, telemetry: &'a Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -367,18 +365,6 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Causal tracing for this run (default: [`TraceMode::Disabled`]).
-    /// [`TraceMode::Ring`] keeps only the flight recorder (bounded
-    /// memory, panic/quarantine context); [`TraceMode::Full`] also
-    /// retains the exportable event log, cost attribution, and the
-    /// "Top cost centers" report section, attached to
-    /// [`StudyResults::trace`]. The trace never changes the study's
-    /// results — only what is observed about them.
-    pub fn trace(mut self, mode: TraceMode) -> Self {
-        self.trace = mode;
-        self
-    }
-
     /// The accumulated [`StudyConfig`] (builder round-trip).
     pub fn build(&self) -> StudyConfig {
         self.config
@@ -389,30 +375,20 @@ impl<'a> Pipeline<'a> {
     /// [`supervise`](Pipeline::supervise), when quarantined tasks exceed
     /// the failure budget.
     pub fn run(&self) -> Result<StudyResults, StoreError> {
-        let fallback;
-        let telemetry = match self.telemetry {
-            Some(telemetry) => telemetry,
-            None => {
-                fallback = Telemetry::new();
-                &fallback
-            }
-        };
+        let private = Telemetry::new();
+        let telemetry = self.telemetry.unwrap_or(&private);
         let config = self.config;
-        let tracer = match self.trace {
-            TraceMode::Disabled => None,
-            mode => Some(Tracer::new(mode)),
-        };
-        let _trace_guard = tracer.as_ref().map(Tracer::install);
+        let tracer = telemetry.tracer();
+        let _trace_guard = tracer.map(Tracer::install);
         let ecosystem = {
-            let _span = telemetry.span("generate");
-            let _trace = webvuln_trace::phase_scope("generate");
+            let _phase = telemetry.phase("generate");
             let _ = webvuln_failpoint::hit("phase.generate", "");
             let ecosystem = Arc::new(Ecosystem::generate(EcosystemConfig {
                 seed: config.seed,
                 domain_count: config.domain_count,
                 timeline: config.timeline,
             }));
-            webvuln_trace::emit(
+            trace::emit(
                 "generate.done",
                 "",
                 &format!(
@@ -420,11 +396,11 @@ impl<'a> Pipeline<'a> {
                     config.domain_count, config.timeline.weeks
                 ),
                 config.domain_count as u64 * 1_000,
-                webvuln_trace::Sink::Export,
+                Sink::Export,
             );
             ecosystem
         };
-        telemetry.emit(
+        telemetry.progress(
             "generate",
             1,
             1,
@@ -454,7 +430,7 @@ impl<'a> Pipeline<'a> {
                 // The run is aborting (failure budget exhausted or a
                 // store error): dump the flight recorder so the final
                 // moments of every in-flight task are not lost.
-                if let Some(tracer) = &tracer {
+                if let Some(tracer) = tracer {
                     eprintln!("study aborted: {err}");
                     eprintln!("{}", tracer.flight_recorder_dump());
                 }
@@ -469,9 +445,7 @@ impl<'a> Pipeline<'a> {
         } else {
             analyze_with(config, outcome.dataset, telemetry)
         };
-        if let Some(tracer) = &tracer {
-            results.trace = Some(tracer.finish());
-        }
+        results.trace = tracer.map(Tracer::finish);
         Ok(results)
     }
 }
@@ -520,8 +494,7 @@ fn analyze_weeks(
     telemetry: &Telemetry,
 ) -> Result<StudyResults, StoreError> {
     let (db, lab, accum) = {
-        let _span = telemetry.span("join");
-        let _trace = webvuln_trace::phase_scope("join");
+        let _phase = telemetry.phase("join");
         let _ = webvuln_failpoint::hit("phase.join", "");
         let db = VulnDb::builtin();
         let lab = Lab::new();
@@ -529,18 +502,17 @@ fn analyze_weeks(
             WeekSource::Kept(dataset) => StudyAccum::over(dataset, &db),
             WeekSource::Store(reader) => fold_study(reader, &db, config.concurrency)?,
         };
-        webvuln_trace::emit(
+        trace::emit(
             "join.done",
             "",
             &format!("cve_impacts={}", db.records().len()),
             db.records().len() as u64 * 1_000,
-            webvuln_trace::Sink::Export,
+            Sink::Export,
         );
         (db, lab, accum)
     };
     let mut results = {
-        let _span = telemetry.span("analyze");
-        let _trace = webvuln_trace::phase_scope("analyze");
+        let _phase = telemetry.phase("analyze");
         let _ = webvuln_failpoint::hit("phase.analyze", "");
         let artifacts = accum.finish(&db);
         let (weeks, dataset) = match source {
@@ -551,12 +523,12 @@ fn analyze_weeks(
             ),
         };
         let results = build_results(config, dataset, db, &lab, artifacts);
-        webvuln_trace::emit(
+        trace::emit(
             "analyze.done",
             "",
             &format!("weeks={weeks}"),
             weeks as u64 * 1_000,
-            webvuln_trace::Sink::Export,
+            Sink::Export,
         );
         results
     };
@@ -606,6 +578,7 @@ fn build_results(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webvuln_telemetry::TraceMode;
 
     #[test]
     fn quick_study_produces_all_artifacts() {
@@ -689,10 +662,10 @@ mod tests {
 
     #[test]
     fn builder_round_trips_every_config_field() {
-        // `StudyBuilder::from(config).build()` must preserve every field,
+        // `Pipeline::from(config).build()` must preserve every field,
         // for quick() and for a fully customised config.
         let quick = StudyConfig::quick();
-        assert_eq!(StudyBuilder::from(quick).build(), quick);
+        assert_eq!(Pipeline::from(quick).build(), quick);
         let custom = StudyConfig {
             seed: 7,
             domain_count: 123,
@@ -705,7 +678,7 @@ mod tests {
             carry_forward: true,
             supervise: Some(SuperviseConfig::default().max_failures(5)),
         };
-        assert_eq!(StudyBuilder::from(custom).build(), custom);
+        assert_eq!(Pipeline::from(custom).build(), custom);
         // Builder setters land in the built config too.
         let built = Pipeline::new(quick)
             .seed(7)
@@ -767,11 +740,12 @@ mod tests {
     #[test]
     fn traced_study_is_deterministic_and_attributes_costs() {
         let run = |threads| {
+            let telemetry = Telemetry::new().with_trace(TraceMode::Full);
             Pipeline::new(StudyConfig::quick())
                 .domains(80)
                 .timeline(Timeline::truncated(4))
                 .threads(threads)
-                .trace(TraceMode::Full)
+                .telemetry(&telemetry)
                 .run()
                 .expect("study")
         };

@@ -38,10 +38,13 @@
 //!   past the deadline into [`ExecStats::stalls`] — observational only,
 //!   so it can never perturb results.
 //!
+//! All three maps are thin callers of one scheduling core, generic over
+//! what runs around each item (propagate a panic, or quarantine it), so
+//! the deques, the steal scan, the joins and the merge exist once.
+//!
 //! Scheduling statistics ([`ExecStats`]: tasks, steals, per-worker busy
-//! nanoseconds, containment counts) are returned out-of-band so callers
-//! can feed `exec.*` telemetry without this crate depending on
-//! `webvuln-telemetry`.
+//! nanoseconds, containment counts) are returned out-of-band;
+//! [`ExecStats::record`] publishes them as the `exec.*` metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +55,9 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use webvuln_telemetry::trace::{self, Sink, TraceCtx};
+use webvuln_telemetry::Registry;
 
 /// Fail-point sites owned by this crate, for the chaos-harness catalog.
 ///
@@ -109,8 +114,8 @@ fn probe_task() {
 ///
 /// Everything here describes *how* the work was executed, never *what* it
 /// produced: stats vary run to run (steals depend on OS scheduling) while
-/// the mapped results stay byte-identical. Callers surface these as
-/// `exec.*` telemetry counters and histograms.
+/// the mapped results stay byte-identical. [`ExecStats::record`] surfaces
+/// them as `exec.*` telemetry counters and histograms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecStats {
     /// Number of worker threads the pool ran with.
@@ -146,6 +151,42 @@ impl ExecStats {
             panics: 0,
             deadline_exceeded: 0,
             stalls: 0,
+        }
+    }
+
+    fn count_failures(&mut self, failures: &[TaskFailure]) {
+        self.panics = failures
+            .iter()
+            .filter(|t| t.kind == FailureKind::Panic)
+            .count() as u64;
+        self.deadline_exceeded = failures.len() as u64 - self.panics;
+    }
+
+    /// Adds this run's scheduling stats to the `exec.*` metrics of
+    /// `registry`: `exec.tasks_total`, `exec.steals_total`, the
+    /// `exec.workers` gauge and the `exec.worker_busy_ns` per-worker busy
+    /// histogram. Failure containment counters (`exec.panics_total`,
+    /// `exec.deadline_exceeded_total`, `exec.quarantined_total`,
+    /// `exec.stalls_total`) are published only when nonzero, so fault-free
+    /// snapshots keep their historical shape.
+    pub fn record(&self, registry: &Registry) {
+        registry.counter("exec.tasks_total").add(self.tasks);
+        registry.counter("exec.steals_total").add(self.steals);
+        registry.gauge("exec.workers").set(self.threads as i64);
+        let busy = registry.histogram("exec.worker_busy_ns");
+        for &ns in &self.worker_busy_ns {
+            busy.record(ns);
+        }
+        let quarantined = self.panics + self.deadline_exceeded;
+        for (name, count) in [
+            ("exec.panics_total", self.panics),
+            ("exec.deadline_exceeded_total", self.deadline_exceeded),
+            ("exec.quarantined_total", quarantined),
+            ("exec.stalls_total", self.stalls),
+        ] {
+            if count > 0 {
+                registry.counter(name).add(count);
+            }
         }
     }
 }
@@ -272,60 +313,65 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one supervised task: installs the propagated trace context,
-/// resets the virtual cost, catches unwinds, applies the deadline.
-/// Returns the result or records a [`TaskFailure`] carrying the task's
-/// flight-recorder tail.
-fn run_supervised_item<T, R, F>(
-    f: &F,
-    item: &T,
-    index: usize,
-    worker: u64,
-    deadline_ns: u64,
-    trace: Option<&webvuln_trace::TraceCtx>,
-    failures: &mut Vec<TaskFailure>,
-) -> Option<R>
-where
-    F: Fn(&T) -> R,
-{
-    let _scope = webvuln_trace::task_scope(trace, index as u64, worker);
-    // Ring-only breadcrumb: guarantees the tail is non-empty even when
-    // the very first thing the task does (the fail-point probe) panics.
-    webvuln_trace::emit("task.begin", "", "", 0, webvuln_trace::Sink::RingOnly);
-    let _ = take_task_cost();
-    // AssertUnwindSafe: on panic the task's partial result is discarded
-    // and the item is quarantined; mapped closures observe only shared
-    // state that is itself unwind-tolerant (atomic counters, breakers
-    // keyed per domain).
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        probe_task();
-        f(item)
-    }));
-    let elapsed_ns = take_task_cost();
-    match caught {
-        Ok(value) if elapsed_ns <= deadline_ns => Some(value),
-        Ok(_) => {
-            failures.push(TaskFailure {
-                index,
-                kind: FailureKind::DeadlineExceeded,
-                payload: format!(
-                    "virtual task cost {elapsed_ns}ns exceeded deadline {deadline_ns}ns"
-                ),
-                elapsed_ns,
-                trace_tail: webvuln_trace::current_tail(),
-            });
-            None
+/// The observational stall watchdog of a supervised map: workers stamp
+/// when their current item started, one extra thread counts each
+/// (worker, item) pair seen past the threshold once. It cannot cancel
+/// work — CI's hard test timeout backstops a true hang.
+struct Watchdog {
+    stall_ms: u64,
+    base: Instant,
+    /// Wall milliseconds since `base` (+1, so 0 means idle) when each
+    /// worker's current item started — the watchdog's only input.
+    item_started_ms: Vec<AtomicU64>,
+    stalls: AtomicU64,
+    /// Set once every worker has joined, so the pool never waits out the
+    /// poll interval on a short run.
+    done: (Mutex<bool>, Condvar),
+}
+
+impl Watchdog {
+    fn now_ms(&self) -> u64 {
+        self.base.elapsed().as_millis().min(u64::MAX as u128) as u64 + 1
+    }
+
+    /// Stamps `worker`'s current item as started now, or as finished.
+    fn stamp(&self, worker: usize, started: bool) {
+        let at_ms = if started { self.now_ms() } else { 0 };
+        self.item_started_ms[worker].store(at_ms, Ordering::Relaxed);
+    }
+
+    /// The watchdog thread: polls until [`Watchdog::stop`].
+    fn watch(&self) {
+        let poll = Duration::from_millis((self.stall_ms / 4).clamp(1, 50));
+        let mut flagged: Vec<u64> = vec![0; self.item_started_ms.len()];
+        let (done, signal) = &self.done;
+        let mut guard = lock_ignore_poison(done);
+        loop {
+            guard = signal
+                .wait_timeout(guard, poll)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+            if *guard {
+                break;
+            }
+            let now_ms = self.now_ms();
+            for (flag, started) in flagged.iter_mut().zip(&self.item_started_ms) {
+                let started = started.load(Ordering::Relaxed);
+                if started != 0
+                    && now_ms.saturating_sub(started) > self.stall_ms
+                    && *flag != started
+                {
+                    *flag = started;
+                    self.stalls.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
-        Err(payload) => {
-            failures.push(TaskFailure {
-                index,
-                kind: FailureKind::Panic,
-                payload: payload_text(payload.as_ref()),
-                elapsed_ns,
-                trace_tail: webvuln_trace::current_tail(),
-            });
-            None
-        }
+    }
+
+    fn stop(&self) {
+        let (done, signal) = &self.done;
+        *lock_ignore_poison(done) = true;
+        signal.notify_all();
     }
 }
 
@@ -333,12 +379,14 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Joins every worker of a scope before the scope ends. The scope itself
+/// Joins every thread of a scope before the scope ends. The scope itself
 /// only waits until each closure has returned, which is before the OS
 /// thread has exited and given its allocator arena back; a `map` called
 /// right after would then sometimes be handed fresh arenas instead, and
 /// the process's peak memory would depend on that race.
-fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
+fn join_all<'scope, T>(
+    handles: impl IntoIterator<Item = std::thread::ScopedJoinHandle<'scope, T>>,
+) {
     for handle in handles {
         if let Err(payload) = handle.join() {
             resume_unwind(payload);
@@ -455,171 +503,14 @@ impl Executor {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let threads = self.threads().max(1);
-        if items.is_empty() {
-            return (Vec::new(), ExecStats::empty(threads));
-        }
-        // Captured once on the calling thread; each item (re-)installs it
-        // as its task scope so events land in the caller's trace no
-        // matter which worker ends up running a stolen chunk.
-        let trace = webvuln_trace::capture();
-        let bounds = self.chunk_bounds(items.len(), threads);
-        let tasks = bounds.len() as u64;
-
-        if threads == 1 || bounds.len() == 1 {
-            // Inline fast path: no pool, no locks — the degenerate case
-            // the determinism tests compare everything against. Panics
-            // propagate natively here, matching the pooled path's
-            // lowest-index re-raise (sequential order *is* index order).
-            let started = Instant::now();
-            let out: Vec<R> = items
-                .iter()
-                .enumerate()
-                .map(|(index, item)| {
-                    let _scope = webvuln_trace::task_scope(trace.as_ref(), index as u64, 0);
-                    probe_task();
-                    f(item)
-                })
-                .collect();
-            let mut stats = ExecStats::empty(threads);
-            stats.items = items.len() as u64;
-            stats.tasks = tasks;
-            stats.worker_busy_ns[0] = started.elapsed().as_nanos() as u64;
-            return (out, stats);
-        }
-
-        // Seeded home assignment: chunk i starts on worker mix(seed, i).
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (index, _) in bounds.iter().enumerate() {
-            let home = (mix(self.seed, index as u64) % threads as u64) as usize;
-            lock_ignore_poison(&deques[home]).push_back(index);
-        }
-
-        let remaining = AtomicUsize::new(bounds.len());
-        let abort = AtomicBool::new(false);
-        let steals = AtomicU64::new(0);
-        let busy_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        let results: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(bounds.len()));
-        let panicked: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                let deques = &deques;
-                let bounds = &bounds;
-                let remaining = &remaining;
-                let abort = &abort;
-                let steals = &steals;
-                let busy_ns = &busy_ns;
-                let results = &results;
-                let panicked = &panicked;
-                let f = &f;
-                let trace = trace.as_ref();
-                let seed = self.seed;
-                handles.push(scope.spawn(move || {
-                    let mut local_busy: u64 = 0;
-                    loop {
-                        if abort.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // Own deque first (front), then seeded-order scan
-                        // of the victims (back) — classic work stealing.
-                        let mut task = lock_ignore_poison(&deques[worker]).pop_front();
-                        let mut stolen = false;
-                        if task.is_none() {
-                            let start = (mix(seed, worker as u64) % threads as u64) as usize;
-                            // `offset` starts at 0 so the scan visits every
-                            // other worker: starting at 1 would skip `start`
-                            // itself, and a worker whose seeded start equals
-                            // its own index would then have no victims at
-                            // all (with two workers, no stealing ever).
-                            for offset in 0..threads {
-                                let victim = (start + offset) % threads;
-                                if victim == worker {
-                                    continue;
-                                }
-                                task = lock_ignore_poison(&deques[victim]).pop_back();
-                                if task.is_some() {
-                                    stolen = true;
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(index) = task else {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            // Chunks are in flight on other workers and
-                            // nothing is stealable: yield and re-scan.
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        if stolen {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let (lo, hi) = bounds[index];
-                        let started = Instant::now();
-                        // AssertUnwindSafe: the partial chunk output is
-                        // discarded and the panic re-raised after every
-                        // worker joins — no torn state is ever observed.
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            items[lo..hi]
-                                .iter()
-                                .enumerate()
-                                .map(|(offset, item)| {
-                                    let _scope = webvuln_trace::task_scope(
-                                        trace,
-                                        (lo + offset) as u64,
-                                        worker as u64,
-                                    );
-                                    probe_task();
-                                    f(item)
-                                })
-                                .collect::<Vec<R>>()
-                        }));
-                        local_busy += started.elapsed().as_nanos() as u64;
-                        match run {
-                            Ok(out) => lock_ignore_poison(results).push((index, out)),
-                            Err(payload) => {
-                                lock_ignore_poison(panicked).push((index, payload));
-                                abort.store(true, Ordering::Release);
-                            }
-                        }
-                        remaining.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    busy_ns[worker].store(local_busy, Ordering::Relaxed);
-                }));
-            }
-            join_all(handles);
+        // The propagate policy: the mapped closure and nothing else — a
+        // panic escapes to the core, which drains the pool and re-raises it.
+        let (out, stats, _) = self.schedule(items, None, |item, index, worker, ctx, _| {
+            let _scope = trace::task_scope(ctx, index as u64, worker);
+            probe_task();
+            f(item)
         });
-
-        let mut panics = panicked.into_inner().unwrap_or_else(|p| p.into_inner());
-        if !panics.is_empty() {
-            // A crash escapes the run here: dump the flight recorder so
-            // the panic comes with its last-N-events context.
-            if let Some(trace) = &trace {
-                eprintln!("{}", trace.flight_recorder_dump());
-            }
-            // Deterministic propagation: always re-raise the panic of the
-            // lowest-index chunk that failed before the pool drained.
-            panics.sort_by_key(|(index, _)| *index);
-            let (_, payload) = panics.remove(0);
-            resume_unwind(payload);
-        }
-
-        // Deterministic merge: completion order is scheduling-dependent,
-        // index order is not.
-        let mut tagged = results.into_inner().unwrap_or_else(|p| p.into_inner());
-        tagged.sort_unstable_by_key(|(index, _)| *index);
-        let merged: Vec<R> = tagged.into_iter().flat_map(|(_, out)| out).collect();
-
-        let mut stats = ExecStats::empty(threads);
-        stats.items = items.len() as u64;
-        stats.tasks = tasks;
-        stats.steals = steals.into_inner();
-        stats.worker_busy_ns = busy_ns.into_iter().map(AtomicU64::into_inner).collect();
-        (merged, stats)
+        (out, stats)
     }
 
     /// Maps `f` over `items` under supervision: each task runs inside
@@ -644,208 +535,242 @@ impl Executor {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let threads = self.threads().max(1);
-        if items.is_empty() {
-            return (Vec::new(), ExecStats::empty(threads), Vec::new());
-        }
-        let trace = webvuln_trace::capture();
-        let bounds = self.chunk_bounds(items.len(), threads);
-        let tasks = bounds.len() as u64;
         let deadline_ns = supervise.deadline_ns;
+        let stall_ms = (supervise.stall_ms != u64::MAX).then_some(supervise.stall_ms);
+        // The quarantine policy: reset the virtual cost, catch the unwind,
+        // apply the deadline; a failing item leaves `None` plus a
+        // `TaskFailure` carrying the task's flight-recorder tail.
+        self.schedule(items, stall_ms, |item, index, worker, ctx, failures| {
+            let _scope = trace::task_scope(ctx, index as u64, worker);
+            // Ring-only breadcrumb: guarantees the tail is non-empty even
+            // when the very first thing the task does (the fail-point
+            // probe) panics.
+            trace::emit("task.begin", "", "", 0, Sink::RingOnly);
+            let _ = take_task_cost();
+            // AssertUnwindSafe: on panic the task's partial result is
+            // discarded and the item is quarantined; mapped closures
+            // observe only shared state that is itself unwind-tolerant
+            // (atomic counters, breakers keyed per domain).
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                probe_task();
+                f(item)
+            }));
+            let elapsed_ns = take_task_cost();
+            let (kind, payload) = match caught {
+                Ok(value) if elapsed_ns <= deadline_ns => return Some(value),
+                Ok(_) => (
+                    FailureKind::DeadlineExceeded,
+                    format!("virtual task cost {elapsed_ns}ns exceeded deadline {deadline_ns}ns"),
+                ),
+                Err(payload) => (FailureKind::Panic, payload_text(payload.as_ref())),
+            };
+            failures.push(TaskFailure {
+                index,
+                kind,
+                payload,
+                elapsed_ns,
+                trace_tail: trace::current_tail(),
+            });
+            None
+        })
+    }
+
+    /// The scheduling core behind every map, generic over the per-item
+    /// policy (so each caller compiles its own copy of the loop and pays
+    /// for no other): `run_item(item, index, worker, trace context,
+    /// failures)` runs one item on a physical worker; a panic that escapes
+    /// it aborts the pool and is re-raised on the caller, a failure it
+    /// pushes is not. Returns the outputs in input order, the scheduling
+    /// stats, and the pushed failures in index order. `stall_ms` adds the
+    /// stall watchdog to a pooled run.
+    fn schedule<T, O, P>(
+        &self,
+        items: &[T],
+        stall_ms: Option<u64>,
+        run_item: P,
+    ) -> (Vec<O>, ExecStats, Vec<TaskFailure>)
+    where
+        T: Sync,
+        O: Send,
+        P: Fn(&T, usize, u64, Option<&TraceCtx>, &mut Vec<TaskFailure>) -> O + Sync,
+    {
+        let threads = self.threads().max(1);
+        let mut stats = ExecStats::empty(threads);
+        if items.is_empty() {
+            return (Vec::new(), stats, Vec::new());
+        }
+        // Captured once on the calling thread; each item (re-)installs it
+        // as its task scope so events land in the caller's trace no
+        // matter which worker ends up running a stolen chunk.
+        let ctx = trace::capture();
+        let ctx = ctx.as_ref();
+        let bounds = self.chunk_bounds(items.len(), threads);
+        stats.items = items.len() as u64;
+        stats.tasks = bounds.len() as u64;
 
         if threads == 1 || bounds.len() == 1 {
+            // Inline fast path: no pool, no locks — the degenerate case
+            // the determinism tests compare everything against. Panics
+            // propagate natively here, matching the pooled path's
+            // lowest-index re-raise (sequential order *is* index order).
             let started = Instant::now();
             let mut failures = Vec::new();
-            let out: Vec<Option<R>> = items
+            let out = items
                 .iter()
                 .enumerate()
-                .map(|(index, item)| {
-                    run_supervised_item(
-                        &f,
-                        item,
-                        index,
-                        0,
-                        deadline_ns,
-                        trace.as_ref(),
-                        &mut failures,
-                    )
-                })
+                .map(|(index, item)| run_item(item, index, 0, ctx, &mut failures))
                 .collect();
-            let mut stats = ExecStats::empty(threads);
-            stats.items = items.len() as u64;
-            stats.tasks = tasks;
             stats.worker_busy_ns[0] = started.elapsed().as_nanos() as u64;
-            stats.panics = failures
-                .iter()
-                .filter(|t| t.kind == FailureKind::Panic)
-                .count() as u64;
-            stats.deadline_exceeded = failures.len() as u64 - stats.panics;
+            stats.count_failures(&failures);
             return (out, stats, failures);
         }
 
+        let seed = self.seed;
+        // Seeded home assignment: chunk i starts on worker mix(seed, i).
         let deques: Vec<Mutex<VecDeque<usize>>> =
             (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (index, _) in bounds.iter().enumerate() {
-            let home = (mix(self.seed, index as u64) % threads as u64) as usize;
+        for index in 0..bounds.len() {
+            let home = (mix(seed, index as u64) % threads as u64) as usize;
             lock_ignore_poison(&deques[home]).push_back(index);
         }
 
         let remaining = AtomicUsize::new(bounds.len());
+        let abort = AtomicBool::new(false);
         let steals = AtomicU64::new(0);
-        let stall_events = AtomicU64::new(0);
         let busy_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        // Wall milliseconds (+1, so 0 means idle) when each worker's
-        // current task started — the stall watchdog's only input.
-        let task_started_ms: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        let results: Mutex<Vec<(usize, Vec<Option<R>>)>> =
-            Mutex::new(Vec::with_capacity(bounds.len()));
+        let results: Mutex<Vec<(usize, Vec<O>)>> = Mutex::new(Vec::with_capacity(bounds.len()));
         let all_failures: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
-        // Completion signal for the watchdog: the worker finishing the
-        // last chunk notifies, so the scope join never waits out the
-        // watchdog's poll interval on a short run.
-        let watchdog_done = (Mutex::new(false), Condvar::new());
-        let base = Instant::now();
+        let panicked: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
+        let watchdog = stall_ms.map(|stall_ms| Watchdog {
+            stall_ms,
+            base: Instant::now(),
+            item_started_ms: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+            stalls: AtomicU64::new(0),
+            done: (Mutex::new(false), Condvar::new()),
+        });
+        let watchdog = watchdog.as_ref();
 
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads + 1);
-            for worker in 0..threads {
-                let deques = &deques;
-                let bounds = &bounds;
-                let remaining = &remaining;
-                let steals = &steals;
-                let busy_ns = &busy_ns;
-                let task_started_ms = &task_started_ms;
-                let results = &results;
-                let all_failures = &all_failures;
-                let watchdog_done = &watchdog_done;
-                let f = &f;
-                let trace = trace.as_ref();
-                let seed = self.seed;
-                let base = &base;
-                handles.push(scope.spawn(move || {
-                    let mut local_busy: u64 = 0;
-                    loop {
-                        let mut task = lock_ignore_poison(&deques[worker]).pop_front();
-                        let mut stolen = false;
-                        if task.is_none() {
-                            let start = (mix(seed, worker as u64) % threads as u64) as usize;
-                            // `offset` starts at 0 so the scan visits every
-                            // other worker: starting at 1 would skip `start`
-                            // itself, and a worker whose seeded start equals
-                            // its own index would then have no victims at
-                            // all (with two workers, no stealing ever).
-                            for offset in 0..threads {
-                                let victim = (start + offset) % threads;
-                                if victim == worker {
-                                    continue;
-                                }
-                                task = lock_ignore_poison(&deques[victim]).pop_back();
-                                if task.is_some() {
-                                    stolen = true;
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(index) = task else {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
+        let work = |worker: usize| {
+            let mut local_busy: u64 = 0;
+            loop {
+                if abort.load(Ordering::Acquire) {
+                    break;
+                }
+                // Own deque first (front), then seeded-order scan of the
+                // victims (back) — classic work stealing.
+                let mut task = lock_ignore_poison(&deques[worker]).pop_front();
+                let mut stolen = false;
+                if task.is_none() {
+                    let start = (mix(seed, worker as u64) % threads as u64) as usize;
+                    // `offset` starts at 0 so the scan visits every other
+                    // worker: starting at 1 would never visit `start`
+                    // itself, and with two workers the one whose seeded
+                    // start is its peer would have no victims at all (no
+                    // stealing ever).
+                    for offset in 0..threads {
+                        let victim = (start + offset) % threads;
+                        if victim == worker {
                             continue;
-                        };
-                        if stolen {
-                            steals.fetch_add(1, Ordering::Relaxed);
                         }
-                        let (lo, hi) = bounds[index];
-                        let started = Instant::now();
-                        let mut failures = Vec::new();
-                        let mut out: Vec<Option<R>> = Vec::with_capacity(hi - lo);
-                        for (offset, item) in items[lo..hi].iter().enumerate() {
-                            let now_ms = base.elapsed().as_millis().min(u64::MAX as u128) as u64;
-                            task_started_ms[worker].store(now_ms + 1, Ordering::Relaxed);
-                            out.push(run_supervised_item(
-                                f,
-                                item,
-                                lo + offset,
-                                worker as u64,
-                                deadline_ns,
-                                trace,
-                                &mut failures,
-                            ));
-                            task_started_ms[worker].store(0, Ordering::Relaxed);
-                        }
-                        local_busy += started.elapsed().as_nanos() as u64;
-                        lock_ignore_poison(results).push((index, out));
-                        if !failures.is_empty() {
-                            lock_ignore_poison(all_failures).append(&mut failures);
-                        }
-                        if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            let (done, signal) = watchdog_done;
-                            *lock_ignore_poison(done) = true;
-                            signal.notify_all();
-                        }
-                    }
-                    busy_ns[worker].store(local_busy, Ordering::Relaxed);
-                }));
-            }
-
-            if supervise.stall_ms != u64::MAX {
-                let stall_events = &stall_events;
-                let task_started_ms = &task_started_ms;
-                let base = &base;
-                let watchdog_done = &watchdog_done;
-                let stall_ms = supervise.stall_ms;
-                handles.push(scope.spawn(move || {
-                    // Observational watchdog: flags each over-threshold
-                    // (worker, task) pair once. It cannot cancel work —
-                    // CI's hard test timeout backstops a true hang.
-                    let poll = std::time::Duration::from_millis((stall_ms / 4).clamp(1, 50));
-                    let mut flagged: Vec<u64> = vec![0; threads];
-                    let (done, signal) = watchdog_done;
-                    let mut guard = lock_ignore_poison(done);
-                    while !*guard {
-                        guard = signal
-                            .wait_timeout(guard, poll)
-                            .unwrap_or_else(|p| p.into_inner())
-                            .0;
-                        if *guard {
+                        task = lock_ignore_poison(&deques[victim]).pop_back();
+                        if task.is_some() {
+                            stolen = true;
                             break;
                         }
-                        let now_ms = base.elapsed().as_millis().min(u64::MAX as u128) as u64 + 1;
-                        for (worker, flag) in flagged.iter_mut().enumerate() {
-                            let started = task_started_ms[worker].load(Ordering::Relaxed);
-                            if started != 0
-                                && now_ms.saturating_sub(started) > stall_ms
-                                && *flag != started
-                            {
-                                *flag = started;
-                                stall_events.fetch_add(1, Ordering::Relaxed);
-                            }
+                    }
+                }
+                let Some(index) = task else {
+                    if remaining.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    // Chunks are in flight on other workers and nothing
+                    // is stealable: yield and re-scan.
+                    std::thread::yield_now();
+                    continue;
+                };
+                if stolen {
+                    steals.fetch_add(1, Ordering::Relaxed);
+                }
+                let (lo, hi) = bounds[index];
+                let started = Instant::now();
+                let mut failures = Vec::new();
+                // AssertUnwindSafe: the partial chunk output is discarded
+                // and the panic re-raised after every worker joins — no
+                // torn state is ever observed.
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let mut out = Vec::with_capacity(hi - lo);
+                    for (offset, item) in items[lo..hi].iter().enumerate() {
+                        if let Some(watchdog) = watchdog {
+                            watchdog.stamp(worker, true);
+                        }
+                        out.push(run_item(
+                            item,
+                            lo + offset,
+                            worker as u64,
+                            ctx,
+                            &mut failures,
+                        ));
+                        if let Some(watchdog) = watchdog {
+                            watchdog.stamp(worker, false);
                         }
                     }
+                    out
                 }));
+                local_busy += started.elapsed().as_nanos() as u64;
+                match run {
+                    Ok(out) => lock_ignore_poison(&results).push((index, out)),
+                    Err(payload) => {
+                        lock_ignore_poison(&panicked).push((index, payload));
+                        abort.store(true, Ordering::Release);
+                    }
+                }
+                if !failures.is_empty() {
+                    lock_ignore_poison(&all_failures).append(&mut failures);
+                }
+                remaining.fetch_sub(1, Ordering::AcqRel);
             }
-            join_all(handles);
+            busy_ns[worker].store(local_busy, Ordering::Relaxed);
+        };
+
+        std::thread::scope(|scope| {
+            let work = &work;
+            let workers: Vec<_> = (0..threads)
+                .map(|worker| scope.spawn(move || work(worker)))
+                .collect();
+            let watcher = watchdog.map(|watchdog| scope.spawn(|| watchdog.watch()));
+            join_all(workers);
+            if let Some(watchdog) = watchdog {
+                watchdog.stop();
+            }
+            join_all(watcher);
         });
 
+        let mut panics = panicked.into_inner().unwrap_or_else(|p| p.into_inner());
+        if !panics.is_empty() {
+            // A crash escapes the run here: dump the flight recorder so
+            // the panic comes with its last-N-events context.
+            if let Some(ctx) = ctx {
+                eprintln!("{}", ctx.flight_recorder_dump());
+            }
+            // Deterministic propagation: always re-raise the panic of the
+            // lowest-index chunk that failed before the pool drained.
+            panics.sort_by_key(|(index, _)| *index);
+            let (_, payload) = panics.remove(0);
+            resume_unwind(payload);
+        }
+
+        // Deterministic merge: completion order is scheduling-dependent,
+        // index order is not.
         let mut tagged = results.into_inner().unwrap_or_else(|p| p.into_inner());
         tagged.sort_unstable_by_key(|(index, _)| *index);
-        let merged: Vec<Option<R>> = tagged.into_iter().flat_map(|(_, out)| out).collect();
-
+        let merged = tagged.into_iter().flat_map(|(_, out)| out).collect();
         let mut failures = all_failures.into_inner().unwrap_or_else(|p| p.into_inner());
-        failures.sort_by_key(|t| t.index);
+        failures.sort_by_key(|failure| failure.index);
 
-        let mut stats = ExecStats::empty(threads);
-        stats.items = items.len() as u64;
-        stats.tasks = tasks;
         stats.steals = steals.into_inner();
         stats.worker_busy_ns = busy_ns.into_iter().map(AtomicU64::into_inner).collect();
-        stats.panics = failures
-            .iter()
-            .filter(|t| t.kind == FailureKind::Panic)
-            .count() as u64;
-        stats.deadline_exceeded = failures.len() as u64 - stats.panics;
-        stats.stalls = stall_events.into_inner();
+        stats.stalls = watchdog.map_or(0, |w| w.stalls.load(Ordering::Relaxed));
+        stats.count_failures(&failures);
         (merged, stats, failures)
     }
 }
@@ -1100,16 +1025,16 @@ mod tests {
 
     #[test]
     fn trace_context_propagates_and_failures_carry_tails() {
-        let tracer = webvuln_trace::Tracer::new(webvuln_trace::TraceMode::Full);
+        let tracer = trace::Tracer::new(trace::TraceMode::Full);
         let items: Vec<u64> = (0..120).collect();
         let run = |threads: usize| {
             let _g = tracer.install();
-            let _p = webvuln_trace::phase_scope("crawl");
+            let _p = trace::phase_scope("crawl");
             Executor::new(threads).chunk_size(5).map_supervised(
                 &items,
                 SuperviseConfig::new(),
                 |n| {
-                    webvuln_trace::emit("item.seen", "", "", 100, webvuln_trace::Sink::Export);
+                    trace::emit("item.seen", "", "", 100, Sink::Export);
                     if n % 37 == 1 {
                         panic!("bad item {n}");
                     }
@@ -1158,6 +1083,130 @@ mod tests {
         item_events.dedup();
         assert_eq!(item_events.len(), items.len(), "every task index covered");
         assert!(data.events.iter().all(|e| e.phase == "crawl"));
+    }
+
+    /// The scheduling core against sequential oracles, over random item
+    /// counts, chunk sizes, seeds and failing items, at every thread
+    /// count: scheduling decides who runs a chunk and when, never what
+    /// the caller gets back.
+    #[test]
+    fn every_map_agrees_with_a_sequential_oracle() {
+        const DEADLINE_NS: u64 = 1_000;
+
+        struct Running<'a>(&'a AtomicUsize);
+        impl Drop for Running<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+
+        webvuln_failpoint::check::run("exec maps agree with sequential oracles", 96, |g| {
+            // An item is its index and a byte that decides its fate.
+            let items: Vec<(usize, u8)> = g.bytes(0..=300).into_iter().enumerate().collect();
+            let chunk_size = g.range(0..=40) as usize;
+            let seed = g.range(0..=u64::MAX);
+            let panic_every = *g.pick(&[0u8, 5, 31, 251]);
+            let late_every = *g.pick(&[0u8, 7, 29]);
+            let panics = |b: u8| panic_every != 0 && b % panic_every == 1;
+            let late = |b: u8| late_every != 0 && b % late_every == 2;
+            let value = |i: usize, b: u8| i as u64 * 257 + u64::from(b);
+            let cost = |i: usize, b: u8| match late(b) {
+                true => DEADLINE_NS + 1 + i as u64,
+                false => i as u64 % DEADLINE_NS,
+            };
+            let task = |&(i, b): &(usize, u8)| {
+                if panics(b) {
+                    panic!("item {i} exploded");
+                }
+                charge_task(cost(i, b));
+                value(i, b)
+            };
+
+            // The oracles: `map` without failing items, `map_supervised`
+            // with them.
+            let plain: Vec<u64> = items.iter().map(|&(i, b)| value(i, b)).collect();
+            let exploding: Vec<String> = items
+                .iter()
+                .filter(|&&(_, b)| panics(b))
+                .map(|(i, _)| format!("item {i} exploded"))
+                .collect();
+            let mut supervised = Vec::new();
+            let mut quarantined = Vec::new();
+            for &(i, b) in &items {
+                supervised.push((!panics(b) && !late(b)).then(|| value(i, b)));
+                if panics(b) {
+                    quarantined.push((i, FailureKind::Panic, format!("item {i} exploded")));
+                } else if late(b) {
+                    let text = format!(
+                        "virtual task cost {}ns exceeded deadline {DEADLINE_NS}ns",
+                        cost(i, b)
+                    );
+                    quarantined.push((i, FailureKind::DeadlineExceeded, text));
+                }
+            }
+
+            for threads in [1, 2, 3, 8] {
+                let exec = Executor::new(threads).chunk_size(chunk_size).seed(seed);
+
+                // Liveness: C chunks on N workers put min(C, N) items in
+                // flight at once — every idle worker finds a chunk to
+                // steal. Items hold their slot until that many overlap (or
+                // a deadline passes, so a broken scan fails instead of
+                // hanging).
+                let overlap = threads.min(exec.chunk_bounds(items.len(), threads).len());
+                let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let out = exec.map(&items, |&(i, b)| {
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    let give_up = Instant::now() + Duration::from_secs(2);
+                    while peak.load(Ordering::SeqCst) < overlap && Instant::now() < give_up {
+                        std::thread::yield_now();
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    value(i, b)
+                });
+                assert_eq!(out, plain, "threads={threads}");
+                assert_eq!(peak.into_inner(), overlap, "threads={threads}: overlap");
+
+                // Propagate: the sequential map, or one of the panics —
+                // and nothing still running once `map` has unwound.
+                let running = AtomicUsize::new(0);
+                let unwound = catch_unwind(AssertUnwindSafe(|| {
+                    exec.map(&items, |item| {
+                        running.fetch_add(1, Ordering::SeqCst);
+                        let _running = Running(&running);
+                        task(item)
+                    })
+                }));
+                assert_eq!(running.into_inner(), 0, "threads={threads}: joined");
+                match unwound {
+                    Ok(out) => {
+                        assert!(exploding.is_empty(), "threads={threads}: panic swallowed");
+                        assert_eq!(out, plain, "threads={threads}");
+                    }
+                    Err(payload) => {
+                        let text = payload_text(payload.as_ref());
+                        assert!(exploding.contains(&text), "threads={threads}: {text}");
+                    }
+                }
+
+                // Quarantine: outputs, failures and counts, exactly.
+                let supervise = SuperviseConfig::new().deadline_ns(DEADLINE_NS);
+                let (out, stats, failures) = exec.map_supervised(&items, supervise, task);
+                assert_eq!(out, supervised, "threads={threads}");
+                let failures: Vec<_> = failures
+                    .into_iter()
+                    .map(|t| (t.index, t.kind, t.payload))
+                    .collect();
+                assert_eq!(failures, quarantined, "threads={threads}");
+                assert_eq!(stats.panics, exploding.len() as u64, "threads={threads}");
+                assert_eq!(
+                    stats.deadline_exceeded,
+                    (quarantined.len() - exploding.len()) as u64,
+                    "threads={threads}"
+                );
+            }
+        });
     }
 
     #[test]

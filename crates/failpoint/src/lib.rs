@@ -320,11 +320,6 @@ impl Failpoints {
 /// [`failpoint!`] macro.
 static GLOBAL: Failpoints = Failpoints::new();
 
-/// The process-wide registry.
-pub fn global() -> &'static Failpoints {
-    &GLOBAL
-}
-
 /// Arms `site` on the global registry. See [`Failpoints::arm`].
 pub fn arm(site: &'static str, action: Action) {
     GLOBAL.arm(site, action);

@@ -4,10 +4,9 @@
 
 use crate::patterns::{fingerprints, wordpress_fingerprint, Fingerprint, WordPressFingerprint};
 use webvuln_cvedb::LibraryId;
-use webvuln_exec::{ExecStats, Executor};
 use webvuln_html::{extract, url_host, Document, PageResources, ScriptRef};
 use webvuln_pattern::{thread_vm_steps, Captures, Pattern};
-use webvuln_telemetry::{Counter, Registry};
+use webvuln_telemetry::{trace, Counter, Registry};
 use webvuln_version::Version;
 
 /// Broad resource classes counted in Figure 2(b).
@@ -86,13 +85,6 @@ pub struct Detection {
     pub crossorigin: Option<String>,
     /// The URL the detection came from (empty for inline detections).
     pub url: String,
-}
-
-impl Detection {
-    /// True when served from another origin.
-    pub fn is_external(&self) -> bool {
-        matches!(self.inclusion, DetectedInclusion::External { .. })
-    }
 }
 
 /// Flash-specific findings.
@@ -326,7 +318,7 @@ impl LiteralGate {
 /// [`PatternIndex`], accumulated with plain integer adds and flushed into
 /// the tracer once per page. `None` when tracing is off — the match loops
 /// then pay nothing.
-type PageProfile = Option<Vec<webvuln_trace::PatternStat>>;
+type PageProfile = Option<Vec<trace::PatternStat>>;
 
 /// Evaluates `pattern(input)` through `eval`, charging the VM steps and
 /// eval/match counts to `slot` when profiling.
@@ -429,38 +421,6 @@ impl Engine {
         self.analyze_resources(&resources, domain)
     }
 
-    /// Analyzes a batch of `(domain, html)` pages on `executor`,
-    /// returning analyses in input order plus the run's scheduling
-    /// stats. The engine is immutable and `Sync`, so every worker shares
-    /// this instance; results are byte-identical for any thread count.
-    pub fn analyze_batch(
-        &self,
-        pages: &[(&str, &str)],
-        executor: &Executor,
-    ) -> (Vec<PageAnalysis>, ExecStats) {
-        executor.map_with_stats(pages, |&(domain, html)| self.analyze(html, domain))
-    }
-
-    /// [`Engine::analyze_batch`] under supervision: a page whose analysis
-    /// panics or blows the virtual deadline yields `None` plus a
-    /// structured [`TaskFailure`](webvuln_exec::TaskFailure) instead of
-    /// aborting the batch. Quarantine decisions are deterministic, so
-    /// outputs stay byte-identical for any thread count.
-    pub fn analyze_batch_supervised(
-        &self,
-        pages: &[(&str, &str)],
-        executor: &Executor,
-        supervise: webvuln_exec::SuperviseConfig,
-    ) -> (
-        Vec<Option<PageAnalysis>>,
-        ExecStats,
-        Vec<webvuln_exec::TaskFailure>,
-    ) {
-        executor.map_supervised(pages, supervise, |&(domain, html)| {
-            self.analyze(html, domain)
-        })
-    }
-
     /// Analyzes already-extracted page resources.
     pub fn analyze_resources(&self, resources: &PageResources, domain: &str) -> PageAnalysis {
         let steps_before = thread_vm_steps();
@@ -469,8 +429,8 @@ impl Engine {
             // One profiler check per page: when a tracer is on this causal
             // path, every pattern evaluation below is individually timed in
             // VM steps and flushed to the tracer once, at the end.
-            prof: webvuln_trace::profiling()
-                .then(|| vec![webvuln_trace::PatternStat::default(); self.index.labels.len()]),
+            prof: trace::profiling()
+                .then(|| vec![trace::PatternStat::default(); self.index.labels.len()]),
             candidates: Candidates::with_capacity(self.index.labels.len()),
         };
         let mut out = PageAnalysis::default();
@@ -537,9 +497,7 @@ impl Engine {
         if let Some(stats) = page.prof {
             // One tracer lock for the whole page; zero-eval slots are
             // skipped inside.
-            webvuln_trace::pattern_stats_add(
-                self.index.labels.iter().map(String::as_str).zip(stats),
-            );
+            trace::pattern_stats_add(self.index.labels.iter().map(String::as_str).zip(stats));
         }
         out
     }
@@ -760,9 +718,9 @@ mod tests {
             .map(|&(domain, html)| engine.analyze(html, domain))
             .collect();
         for threads in [1, 2, 8] {
-            let (batch, stats) = engine.analyze_batch(&refs, &Executor::new(threads));
+            let batch = webvuln_exec::Executor::new(threads)
+                .map(&refs, |&(domain, html)| engine.analyze(html, domain));
             assert_eq!(batch, sequential, "threads={threads}");
-            assert_eq!(stats.items, 60);
         }
     }
 
@@ -952,7 +910,7 @@ mod tests {
 
     #[test]
     fn profiler_attributes_vm_steps_to_individual_patterns() {
-        let tracer = webvuln_trace::Tracer::new(webvuln_trace::TraceMode::Ring);
+        let tracer = trace::Tracer::new(trace::TraceMode::Ring);
         let html = r#"
             <meta name="generator" content="WordPress 5.6">
             <script src="https://ajax.googleapis.com/ajax/libs/jquery/1.12.4/jquery.min.js"></script>

@@ -473,7 +473,7 @@ fn gated_engine_equals_the_ungated_reference() {
         .collect();
     let sequential: Vec<PageAnalysis> = refs.iter().map(|&(d, h)| full.analyze(h, d)).collect();
     for threads in [1, 2, 8] {
-        let (batch, _) = full.analyze_batch(&refs, &Executor::new(threads));
+        let batch = Executor::new(threads).map(&refs, |&(d, h)| full.analyze(h, d));
         assert_eq!(batch, sequential, "threads={threads}");
     }
 }

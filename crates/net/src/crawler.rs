@@ -23,7 +23,7 @@ use crate::error::ErrorClass;
 use crate::server::Connect;
 use std::collections::BTreeMap;
 use std::time::Instant;
-use webvuln_exec::{charge_task, ExecStats, Executor, SuperviseConfig, TaskFailure};
+use webvuln_exec::{charge_task, Executor, SuperviseConfig, TaskFailure};
 use webvuln_resilience::{HostBreakers, RetryPolicy, VirtualClock};
 use webvuln_telemetry::{Counter, Histogram, Registry};
 
@@ -203,38 +203,6 @@ impl RetryMetrics {
     }
 }
 
-/// Copies one executor run's scheduling stats into `exec.*` telemetry:
-/// `exec.tasks_total`, `exec.steals_total`, the `exec.workers` gauge and
-/// the `exec.worker_busy_ns` per-worker busy histogram. Failure
-/// containment counters (`exec.panics_total`,
-/// `exec.deadline_exceeded_total`, `exec.quarantined_total`,
-/// `exec.stalls_total`) are published only when nonzero, so fault-free
-/// snapshots keep their historical shape.
-pub fn record_exec_stats(registry: &Registry, stats: &ExecStats) {
-    registry.counter("exec.tasks_total").add(stats.tasks);
-    registry.counter("exec.steals_total").add(stats.steals);
-    registry.gauge("exec.workers").set(stats.threads as i64);
-    let busy = registry.histogram("exec.worker_busy_ns");
-    for &ns in &stats.worker_busy_ns {
-        busy.record(ns);
-    }
-    if stats.panics > 0 {
-        registry.counter("exec.panics_total").add(stats.panics);
-    }
-    if stats.deadline_exceeded > 0 {
-        registry
-            .counter("exec.deadline_exceeded_total")
-            .add(stats.deadline_exceeded);
-    }
-    let quarantined = stats.panics + stats.deadline_exceeded;
-    if quarantined > 0 {
-        registry.counter("exec.quarantined_total").add(quarantined);
-    }
-    if stats.stalls > 0 {
-        registry.counter("exec.stalls_total").add(stats.stalls);
-    }
-}
-
 /// Builder for one crawl: thread count, resilience, and telemetry compose
 /// as orthogonal options, then [`run`](CrawlOptions::run) executes the
 /// fetches on a work-stealing pool and returns records in domain order.
@@ -252,7 +220,7 @@ pub fn record_exec_stats(registry: &Registry, stats: &ExecStats) {
 ///
 /// Defaults: 8 worker threads (`threads(0)` sizes the pool by
 /// [`std::thread::available_parallelism`]), no retries, no breakers, a
-/// private [`VirtualClock`], the [global registry](Registry::global).
+/// private [`VirtualClock`], a private [`Registry`] nobody reads.
 #[derive(Clone, Copy)]
 pub struct CrawlOptions<'a> {
     threads: usize,
@@ -270,8 +238,8 @@ impl Default for CrawlOptions<'_> {
 }
 
 impl<'a> CrawlOptions<'a> {
-    /// Single-attempt crawl on the default 8-thread pool, accounting to
-    /// the global registry.
+    /// Single-attempt crawl on the default 8-thread pool, its metrics
+    /// going nowhere until [`registry`](CrawlOptions::registry) is set.
     pub fn new() -> CrawlOptions<'a> {
         CrawlOptions {
             threads: 8,
@@ -312,8 +280,8 @@ impl<'a> CrawlOptions<'a> {
         self
     }
 
-    /// Records `net.*` and `exec.*` metrics into `registry` instead of
-    /// the global one.
+    /// Records `net.*` and `exec.*` metrics into `registry` instead of a
+    /// private one dropped with the run.
     pub fn registry(mut self, registry: &'a Registry) -> Self {
         self.registry = Some(registry);
         self
@@ -371,7 +339,8 @@ impl<'a> CrawlOptions<'a> {
         domains: &[String],
         connector: &dyn Connect,
     ) -> (BTreeMap<String, FetchRecord>, Vec<TaskFailure>) {
-        let registry = self.registry.unwrap_or_else(|| Registry::global());
+        let private = Registry::new();
+        let registry = self.registry.unwrap_or(&private);
         let metrics = CrawlerMetrics::from_registry(registry);
         // The plain path keeps retry counters out of the caller's
         // registry (they would all be zero); a scratch registry absorbs
@@ -391,109 +360,46 @@ impl<'a> CrawlOptions<'a> {
                 &owned_clock
             }
         };
-        let retry = &self.retry;
-        let breakers = self.breakers;
-
-        let Some(supervise) = self.supervise else {
-            let (records, stats) = Executor::new(self.threads).map_with_stats(domains, |domain| {
-                let started = Instant::now();
-                let record = fetch_domain_resilient(
-                    connector,
-                    domain,
-                    retry,
-                    breakers,
-                    clock,
-                    &retry_metrics,
-                );
-                let elapsed_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                metrics.record(registry, &record, elapsed_ns);
-                record
-            });
-            record_exec_stats(registry, &stats);
-            let records = records
-                .into_iter()
-                .map(|record| (record.domain.clone(), record))
-                .collect();
-            return (records, Vec::new());
+        let fetch = |domain: &String| {
+            let started = Instant::now();
+            let record = fetch_domain_resilient(
+                connector,
+                domain,
+                &self.retry,
+                self.breakers,
+                clock,
+                &retry_metrics,
+            );
+            let elapsed_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            (record, elapsed_ns)
         };
+        let executor = Executor::new(self.threads);
+        let (outcomes, stats, failures) = match self.supervise {
+            Some(supervise) => executor.map_supervised(domains, supervise, fetch),
+            None => {
+                let (outcomes, stats) = executor.map_with_stats(domains, fetch);
+                (outcomes.into_iter().map(Some).collect(), stats, Vec::new())
+            }
+        };
+        stats.record(registry);
 
-        // Supervised path: metrics are recorded after the map (once per
-        // final record, quarantined or not), so a task that completes
-        // but blows its deadline is not double-counted.
-        let (outcomes, stats, failures) =
-            Executor::new(self.threads).map_supervised(domains, supervise, |domain| {
-                let started = Instant::now();
-                let record = fetch_domain_resilient(
-                    connector,
-                    domain,
-                    retry,
-                    breakers,
-                    clock,
-                    &retry_metrics,
-                );
-                let elapsed_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                (record, elapsed_ns)
-            });
-        record_exec_stats(registry, &stats);
+        // Metrics are recorded here, once per final record, quarantined
+        // or not, so a task that completes but blows its deadline is not
+        // double-counted.
         let mut quarantined = failures.iter();
-        let mut next_failure = quarantined.next();
         let mut records = BTreeMap::new();
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            let record = match outcome {
-                Some((record, elapsed_ns)) => {
-                    metrics.record(registry, &record, elapsed_ns);
-                    record
-                }
-                None => {
-                    let failure = match next_failure {
-                        Some(failure) if failure.index == index => failure,
-                        _ => unreachable!("every quarantined slot has a TaskFailure"),
-                    };
-                    next_failure = quarantined.next();
-                    let record = FetchRecord {
-                        domain: domains[index].clone(),
-                        status: None,
-                        body: String::new(),
-                        error: Some(format!("quarantined: {}", failure.describe())),
-                        error_class: None,
-                        attempts: 0,
-                        recovered: false,
-                    };
-                    metrics.record(registry, &record, 0);
-                    record
-                }
-            };
+        for (domain, outcome) in domains.iter().zip(outcomes) {
+            let (record, elapsed_ns) = outcome.unwrap_or_else(|| {
+                let failure = quarantined
+                    .next()
+                    .expect("every quarantined slot has a TaskFailure");
+                (FetchRecord::quarantined(domain, failure), 0)
+            });
+            metrics.record(registry, &record, elapsed_ns);
             records.insert(record.domain.clone(), record);
         }
         (records, failures)
     }
-}
-
-/// Fetches one domain's landing page, folding all failure modes into a
-/// [`FetchRecord`] (the crawler never aborts the snapshot on one domain).
-pub fn fetch_domain(connector: &dyn Connect, domain: &str) -> FetchRecord {
-    fetch_domain_with_retry(connector, domain, &RetryPolicy::none())
-}
-
-/// Like [`fetch_domain`], retrying transient failures (refused
-/// connections, timeouts, truncations, 5xx responses) under `retry`.
-/// Retry metrics go to a scratch registry; use
-/// [`CrawlOptions::registry`] when counters matter.
-pub fn fetch_domain_with_retry(
-    connector: &dyn Connect,
-    domain: &str,
-    retry: &RetryPolicy,
-) -> FetchRecord {
-    let scratch = Registry::new();
-    let metrics = RetryMetrics::from_registry(&scratch);
-    fetch_domain_resilient(
-        connector,
-        domain,
-        retry,
-        None,
-        &VirtualClock::new(),
-        &metrics,
-    )
 }
 
 /// Nominal deterministic cost of one connection attempt, used for trace
@@ -505,7 +411,7 @@ const ATTEMPT_COST_NS: u64 = 1_000_000;
 /// The full resilient fetch: breaker gate, retry loop, outcome recording.
 /// When tracing is on, the whole lifecycle — fail-point hits, breaker
 /// skips, each backoff, the final outcome — is emitted as trace events
-/// and attributed to the domain via [`webvuln_trace::domain_stat_add`].
+/// and attributed to the domain via [`webvuln_telemetry::trace::domain_stat_add`].
 fn fetch_domain_resilient(
     connector: &dyn Connect,
     domain: &str,
@@ -514,7 +420,7 @@ fn fetch_domain_resilient(
     clock: &VirtualClock,
     metrics: &RetryMetrics,
 ) -> FetchRecord {
-    use webvuln_trace::{domain_stat_add, emit, DomainStat, Sink};
+    use webvuln_telemetry::trace::{domain_stat_add, emit, DomainStat, Sink};
 
     // Ring-only breadcrumb before the fail-point probe: an injected
     // panic's flight-recorder tail always names the domain it hit.
@@ -662,6 +568,7 @@ mod tests {
     use std::sync::Arc;
     use webvuln_exec::FailureKind;
     use webvuln_resilience::BreakerConfig;
+    use webvuln_telemetry::trace;
 
     fn domains(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("site{i:04}.example")).collect()
@@ -1151,10 +1058,10 @@ mod tests {
 
     #[test]
     fn traced_crawl_attributes_cost_to_domains() {
-        let tracer = webvuln_trace::Tracer::new(webvuln_trace::TraceMode::Full);
+        let tracer = trace::Tracer::new(trace::TraceMode::Full);
         {
             let _g = tracer.install();
-            let _p = webvuln_trace::phase_scope("crawl");
+            let _p = trace::phase_scope("crawl");
             let plan = FaultPlan {
                 seed: 31,
                 transient_fail_permille: 1000,
@@ -1200,7 +1107,7 @@ mod tests {
         assert!(data
             .events
             .iter()
-            .all(|e| e.phase == "crawl" && e.task != webvuln_trace::NONE));
+            .all(|e| e.phase == "crawl" && e.task != trace::NONE));
     }
 
     #[test]

@@ -54,9 +54,7 @@ mod server;
 mod transport;
 
 pub use client::{fetch, fetch_once, fetch_with_redirects, MAX_REDIRECTS};
-pub use crawler::{
-    fetch_domain, fetch_domain_with_retry, record_exec_stats, CrawlOptions, FetchRecord, FAILPOINTS,
-};
+pub use crawler::{CrawlOptions, FetchRecord, FAILPOINTS};
 pub use error::{ErrorClass, NetError, Result};
 pub use fault::{mix, FaultPlan};
 pub use filter::{

@@ -222,30 +222,23 @@ pub trait Connect: Send + Sync {
 /// points this at a local [`TcpServer`], playing DNS for the test realm).
 pub struct TcpConnector {
     addr: SocketAddr,
-    timeout: Duration,
 }
+
+/// Connect and read timeout of a [`TcpConnector`].
+const TCP_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl TcpConnector {
     /// Creates a connector dialing `addr` for every host.
     pub fn fixed(addr: SocketAddr) -> TcpConnector {
-        TcpConnector {
-            addr,
-            timeout: Duration::from_secs(5),
-        }
-    }
-
-    /// Overrides the connect/read timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> TcpConnector {
-        self.timeout = timeout;
-        self
+        TcpConnector { addr }
     }
 }
 
 impl Connect for TcpConnector {
     fn connect(&self, _host: &str) -> Result<Box<dyn ByteStream>> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.timeout).map_err(NetError::Io)?;
+        let stream = TcpStream::connect_timeout(&self.addr, TCP_TIMEOUT).map_err(NetError::Io)?;
         stream
-            .set_read_timeout(Some(self.timeout))
+            .set_read_timeout(Some(TCP_TIMEOUT))
             .map_err(NetError::Io)?;
         stream.set_nodelay(true).ok();
         Ok(Box::new(stream))
@@ -274,7 +267,7 @@ pub struct VirtualNet {
 
 /// Counters for each injected-fault kind, recorded at the moment the fault
 /// actually bites (a truncation point past the response is not a fault).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct FaultMetrics {
     refused: Counter,
     transient_refused: Counter,
@@ -303,7 +296,9 @@ impl VirtualNet {
         VirtualNet {
             handler,
             faults: FaultPlan::none(),
-            metrics: FaultMetrics::from_registry(Registry::global()),
+            // Detached counters: nothing reads them until
+            // `with_fault_metrics` swaps in a registry's.
+            metrics: FaultMetrics::default(),
             week: 0,
             attempts: Mutex::new(std::collections::HashMap::new()),
         }
@@ -323,7 +318,7 @@ impl VirtualNet {
     }
 
     /// Accounts injected faults (`net.faults_*` counters) against
-    /// `registry` instead of the global one.
+    /// `registry`; without this they are counted nowhere.
     pub fn with_fault_metrics(mut self, registry: &Registry) -> VirtualNet {
         self.metrics = FaultMetrics::from_registry(registry);
         self

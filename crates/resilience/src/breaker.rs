@@ -116,7 +116,7 @@ const BREAKER_SHARDS: usize = 16;
 /// A lazily populated map of per-host breakers, shared by the crawler's
 /// worker threads.
 ///
-/// The map is split into [`BREAKER_SHARDS`] independently locked shards
+/// The map is split into 16 (`BREAKER_SHARDS`) independently locked shards
 /// keyed by a hash of the host name, so parallel workers fetching
 /// different hosts almost never contend on the same mutex. Each host's
 /// entry is still only ever touched by the worker fetching that host

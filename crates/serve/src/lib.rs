@@ -17,7 +17,8 @@
 //!   [`StoreReader`](webvuln_store::StoreReader) (O(1) per-domain random
 //!   access) plus the precomputed `webvuln-analysis` tables, so served
 //!   bodies agree with the batch reports by construction.
-//! * [`ApiHandler`] — an instrumented `webvuln-net` [`Handler`]: router →
+//! * [`ApiHandler`] — an instrumented `webvuln-net`
+//!   [`Handler`](webvuln_net::Handler): router →
 //!   fail-points → cache → service, with panic quarantine (`serve.*`
 //!   telemetry names the counters, gauges and latency histograms).
 //! * [`ApiServer`] — the pooled TCP front end: a non-blocking accept
@@ -40,7 +41,7 @@
 //! use webvuln_telemetry::Registry;
 //!
 //! let service = Arc::new(QueryService::open(std::path::Path::new("study.wvstore")).unwrap());
-//! let registry = Registry::global_arc();
+//! let registry = Registry::new();
 //! let mut server = ApiServer::serve(service, ServeConfig::default(), &registry).unwrap();
 //! println!("serving http://{}", server.addr());
 //! # server.shutdown();

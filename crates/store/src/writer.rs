@@ -43,6 +43,7 @@ use crate::record::WeekData;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use webvuln_telemetry::trace;
 
 /// Running totals over everything this writer has committed (including
 /// segments recovered on resume).
@@ -283,8 +284,13 @@ impl StoreWriter {
             .ok_or_else(|| StoreError::Mismatch("no week commit is open".into()))?;
         let week = enc.week();
         let records = enc.records_staged();
-        let _phase = webvuln_trace::phase_scope("store");
-        let _week = webvuln_trace::week_scope(week as u64);
+        // The writer enters the `store` scope itself: callers without a
+        // `Telemetry` (`Dataset::save_store`, the watch daemon) commit
+        // through here too, and a shard's commit runs inside an executor
+        // task — the scope's task reset keeps `store.commit` keyed
+        // (store, week, -, 0) whatever the shard count.
+        let _phase = trace::phase_scope("store");
+        let _week = trace::week_scope(week as u64);
         let encoded = enc.finish(&self.table, self.data_end);
         let envelope = encode_segment(kind::WEEK, &encoded.payload);
         self.append_segment(&envelope, kind::WEEK, week)?;
@@ -298,7 +304,7 @@ impl StoreWriter {
         self.stats.encoded_bytes += encoded.encoded_bytes;
         // Synthetic cost: proportional to bytes appended, never wall time,
         // so traces stay byte-identical across runs and thread counts.
-        webvuln_trace::emit(
+        trace::emit(
             "store.commit",
             "",
             &format!(
@@ -308,7 +314,7 @@ impl StoreWriter {
                 envelope.len()
             ),
             envelope.len() as u64 * 200,
-            webvuln_trace::Sink::Export,
+            trace::Sink::Export,
         );
         Ok(CommitInfo {
             week,
@@ -331,25 +337,25 @@ impl StoreWriter {
                 "cannot finalize with a week commit open".into(),
             ));
         }
-        let _phase = webvuln_trace::phase_scope("store");
-        webvuln_trace::emit(
+        let _phase = trace::phase_scope("store");
+        trace::emit(
             "store.finalize.begin",
             "",
             &format!("filtered_out={}", filtered_out.len()),
             0,
-            webvuln_trace::Sink::RingOnly,
+            trace::Sink::RingOnly,
         );
         let _ = webvuln_failpoint::failpoint!("store.finalize")?;
         let payload = format::encode_finalize(filtered_out, &mut self.table);
         let envelope = encode_segment(kind::FINALIZE, &payload);
         self.append_segment(&envelope, kind::FINALIZE, 0)?;
         self.finalized = true;
-        webvuln_trace::emit(
+        trace::emit(
             "store.finalize",
             "",
             &format!("filtered_out={}", filtered_out.len()),
             envelope.len() as u64 * 200,
-            webvuln_trace::Sink::Export,
+            trace::Sink::Export,
         );
         Ok(())
     }

@@ -9,7 +9,7 @@ use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 use crate::span::Span;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 #[derive(Clone, Copy)]
@@ -23,7 +23,7 @@ struct SpanStat {
 }
 
 /// A named collection of metrics. Create one per run for exact, isolated
-/// accounting, or use [`Registry::global`] for ambient instrumentation.
+/// accounting.
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
@@ -36,21 +36,6 @@ impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// The process-wide registry used when no registry is injected.
-    pub fn global() -> &'static Registry {
-        Registry::global_cell()
-    }
-
-    /// The process-wide registry as a shared handle.
-    pub fn global_arc() -> Arc<Registry> {
-        Arc::clone(Registry::global_cell())
-    }
-
-    fn global_cell() -> &'static Arc<Registry> {
-        static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(Registry::new()))
     }
 
     /// Gets or creates the counter `name` and returns a recording handle.

@@ -1,46 +1,18 @@
-//! Causal event tracing, flight recording, and cost attribution for the
-//! study pipeline.
+//! The causal tracer: task context propagated across the executor, the
+//! ring-buffer flight recorder, the per-pattern / per-domain
+//! self-profiler, and the Chrome trace-event exporter. The crate docs
+//! state what each piece is for and the determinism and overhead
+//! contracts they keep.
 //!
-//! Aggregate counters (`webvuln-telemetry`) say *that* a crawl is slow or
-//! failing; this crate says *which* domain, fingerprint pattern, or retry
-//! storm is responsible. It provides four cooperating pieces:
-//!
-//! * **Causal events** carrying a task context — phase, week, task index,
-//!   worker — held in a thread-local and *propagated across the
-//!   work-stealing executor*: `webvuln-exec` captures the caller's context
-//!   with [`capture`] and re-installs it with [`task_scope`] on whichever
-//!   worker ends up running a stolen chunk, so events land in the right
-//!   trace regardless of scheduling.
-//! * A fixed-size, lock-sharded **ring-buffer flight recorder**. Every
-//!   event also lands in a small per-task tail kept inside the active
-//!   scope; [`current_tail`] renders it for attachment to quarantine
-//!   records, and [`Tracer::flight_recorder_dump`] renders the shared
-//!   rings for panic/budget-exhaustion dumps.
-//! * A **self-profiler**: [`pattern_stats_add`] attributes regex-VM steps
-//!   to individual fingerprint patterns, [`domain_stat_add`] attributes
-//!   retry/backoff/breaker cost to individual domains. Both aggregate
-//!   with commutative adds, so totals are identical for any thread count.
-//! * A **Chrome trace-event JSON exporter** ([`TraceData::to_chrome_json`],
-//!   loadable in Perfetto / `chrome://tracing`) plus a "Top cost centers"
-//!   text report ([`TraceData::render_top_cost_centers`]).
-//!
-//! # Determinism
-//!
-//! Wall-clock timestamps differ run to run and the virtual clock's
-//! *intermediate* readings are interleaving-dependent, so events carry no
-//! timestamps at all — only a deterministic `cost_ns`. The exporter sorts
-//! events canonically (phase, week, task, seq, …) and *synthesizes* a
-//! timeline from the costs; physical worker ids are folded onto
-//! [`LANES`] deterministic lanes. The result: the exported JSON is
-//! byte-identical for any thread count.
-//!
-//! # Overhead
-//!
-//! When no tracer is installed anywhere in the process, every entry point
-//! is a single relaxed atomic load (the same design as
-//! `webvuln-failpoint`). Scopes and events only pay for allocation and a
-//! shard lock once a tracer is installed on the current causal path.
+//! Everything here is *ambient*: [`emit`], [`capture`], [`task_scope`],
+//! [`current_tail`], [`profiling`] and the `*_stat_add` functions find
+//! the [`Tracer`] through a thread-local, so the executor, the crawler,
+//! the store writer and the fingerprint engine record without being
+//! handed a [`Telemetry`](crate::Telemetry). The handle owns the tracer
+//! ([`Telemetry::with_trace`](crate::Telemetry::with_trace)) and enters
+//! phase and week scopes ([`Telemetry::phase`](crate::Telemetry::phase)).
 
+use crate::snapshot::json_string;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -454,26 +426,18 @@ impl Drop for TaskScope {
 /// drops: week/task reset, sequence restarts. No-op when tracing is off
 /// on this path.
 pub fn phase_scope(phase: &'static str) -> FieldScope {
-    if !enabled() {
-        return FieldScope { prev: None };
-    }
-    CURRENT.with(|c| {
-        let mut c = c.borrow_mut();
-        if c.tracer.is_none() {
-            return FieldScope { prev: None };
-        }
-        let prev = (c.phase, c.week, c.task, c.seq);
-        c.phase = phase;
-        c.week = NONE;
-        c.task = NONE;
-        c.seq = 0;
-        FieldScope { prev: Some(prev) }
-    })
+    field_scope(|c| (c.phase, c.week) = (phase, NONE))
 }
 
 /// Enters week `week` of the current phase until the guard drops:
 /// task resets, sequence restarts. No-op when tracing is off.
 pub fn week_scope(week: u64) -> FieldScope {
+    field_scope(|c| c.week = week)
+}
+
+/// Saves the context's fields, lets `enter` change phase/week, and
+/// resets task and sequence.
+fn field_scope(enter: impl FnOnce(&mut Ctx)) -> FieldScope {
     if !enabled() {
         return FieldScope { prev: None };
     }
@@ -483,7 +447,7 @@ pub fn week_scope(week: u64) -> FieldScope {
             return FieldScope { prev: None };
         }
         let prev = (c.phase, c.week, c.task, c.seq);
-        c.week = week;
+        enter(&mut c);
         c.task = NONE;
         c.seq = 0;
         FieldScope { prev: Some(prev) }
@@ -904,25 +868,9 @@ fn signed(value: u64) -> i64 {
     }
 }
 
-/// Writes `s` as a JSON string literal (quoted, escaped).
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
+// White-box tests of the recorder's internals; the tracer's contract
+// (scoping, propagation, canonical export, profilers) is tested at the
+// crate root.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,67 +886,6 @@ mod tests {
         assert!(!profiling());
         domain_stat_add("x.example", DomainStat::default());
         pattern_stats_add([("p", PatternStat::default())]);
-    }
-
-    #[test]
-    fn install_scopes_and_sequences() {
-        let tracer = Tracer::new(TraceMode::Full);
-        {
-            let _g = tracer.install();
-            assert!(profiling());
-            let _p = phase_scope("crawl");
-            let _w = week_scope(3);
-            emit("crawl.week", "", "domains=2", 5_000, Sink::Export);
-            let parent = capture().expect("tracing on");
-            {
-                let _t = task_scope(Some(&parent), 7, 2);
-                emit("fetch.begin", "a.example", "", 0, Sink::RingOnly);
-                emit("fetch.outcome", "a.example", "200", 2_000, Sink::Export);
-            }
-            // Scope restored: coordinator sequence continues after task.
-            emit("crawl.week.done", "", "", 1_000, Sink::Export);
-        }
-        let data = tracer.finish();
-        // Ring-only events are not exported.
-        assert_eq!(data.events.len(), 3);
-        // Canonical order: task events first, then coordinator summaries
-        // (task == NONE sorts last within the week).
-        assert_eq!(data.events[0].name, "fetch.outcome");
-        assert_eq!(data.events[0].task, 7);
-        assert_eq!(data.events[0].seq, 1, "task seq counts ring-only begin");
-        assert_eq!(data.events[0].worker, 1 + 7 % LANES, "lane, not worker 2");
-        assert_eq!(data.events[1].name, "crawl.week");
-        assert_eq!(data.events[1].week, 3);
-        assert_eq!(data.events[1].task, NONE);
-        assert_eq!(data.events[1].seq, 0);
-        assert_eq!(data.events[2].name, "crawl.week.done");
-        assert_eq!(data.events[2].seq, 1, "coordinator seq resumes");
-    }
-
-    #[test]
-    fn context_propagates_across_threads() {
-        let tracer = Tracer::new(TraceMode::Full);
-        let _g = tracer.install();
-        let _p = phase_scope("fingerprint");
-        let _w = week_scope(11);
-        let parent = capture().expect("tracing on");
-        std::thread::scope(|scope| {
-            for (task, worker) in [(0u64, 1u64), (1, 0)] {
-                let parent = parent.clone();
-                scope.spawn(move || {
-                    let _t = task_scope(Some(&parent), task, worker);
-                    emit("page.analyzed", "", "", 1_000, Sink::Export);
-                });
-            }
-        });
-        let data = tracer.finish();
-        assert_eq!(data.events.len(), 2);
-        for ev in &data.events {
-            assert_eq!(ev.phase, "fingerprint");
-            assert_eq!(ev.week, 11);
-        }
-        assert_eq!(data.events[0].task, 0);
-        assert_eq!(data.events[1].task, 1);
     }
 
     #[test]
@@ -1054,195 +941,6 @@ mod tests {
         assert_eq!(tail_a, tail_b);
         // Outside any scope the tail is empty again.
         assert!(current_tail().is_empty());
-    }
-
-    #[test]
-    fn canonical_export_is_independent_of_interleaving() {
-        let run = |order: &[usize]| {
-            let tracer = Tracer::new(TraceMode::Full);
-            let _g = tracer.install();
-            let _p = phase_scope("crawl");
-            let _w = week_scope(0);
-            let parent = capture().expect("on");
-            for &task in order {
-                let _t = task_scope(Some(&parent), task as u64, task as u64 % 3);
-                emit(
-                    "fetch.begin",
-                    &format!("d{task}.example"),
-                    "",
-                    0,
-                    Sink::RingOnly,
-                );
-                emit(
-                    "fetch.outcome",
-                    &format!("d{task}.example"),
-                    "200",
-                    1_000 * (task as u64 + 1),
-                    Sink::Export,
-                );
-            }
-            tracer.finish().to_chrome_json()
-        };
-        let a = run(&[0, 1, 2, 3, 4, 5]);
-        let b = run(&[5, 3, 1, 4, 2, 0]);
-        assert_eq!(a, b, "export must not depend on execution order");
-    }
-
-    #[test]
-    fn profilers_aggregate_commutatively() {
-        let tracer = Tracer::new(TraceMode::Ring);
-        let _g = tracer.install();
-        pattern_stats_add([
-            (
-                "jQuery/url#0",
-                PatternStat {
-                    evals: 2,
-                    matches: 1,
-                    vm_steps: 40,
-                },
-            ),
-            (
-                "Bootstrap/url#0",
-                PatternStat {
-                    evals: 1,
-                    matches: 0,
-                    vm_steps: 25,
-                },
-            ),
-        ]);
-        pattern_stats_add([(
-            "jQuery/url#0",
-            PatternStat {
-                evals: 1,
-                matches: 0,
-                vm_steps: 10,
-            },
-        )]);
-        // Zero-eval entries are skipped.
-        pattern_stats_add([("Never/url#0", PatternStat::default())]);
-        domain_stat_add(
-            "slow.example",
-            DomainStat {
-                fetches: 1,
-                attempts: 3,
-                retries: 2,
-                backoff_ns: 5_000,
-                cost_ns: 8_000,
-                errors: 1,
-                ..DomainStat::default()
-            },
-        );
-        domain_stat_add(
-            "slow.example",
-            DomainStat {
-                fetches: 1,
-                attempts: 1,
-                cost_ns: 1_000,
-                ..DomainStat::default()
-            },
-        );
-        let data = tracer.finish();
-        assert_eq!(data.patterns.len(), 2);
-        let jq = &data
-            .patterns
-            .iter()
-            .find(|(l, _)| l == "jQuery/url#0")
-            .expect("jq")
-            .1;
-        assert_eq!((jq.evals, jq.matches, jq.vm_steps), (3, 1, 50));
-        assert_eq!(data.domains.len(), 1);
-        let slow = &data.domains[0].1;
-        assert_eq!(slow.fetches, 2);
-        assert_eq!(slow.attempts, 4);
-        assert_eq!(slow.cost_ns, 9_000);
-    }
-
-    #[test]
-    fn top_cost_centers_ranks_and_names() {
-        let tracer = Tracer::new(TraceMode::Full);
-        {
-            let _g = tracer.install();
-            let _p = phase_scope("crawl");
-            let _w = week_scope(0);
-            emit("crawl.week", "", "", 1_000, Sink::Export);
-            pattern_stats_add([
-                (
-                    "big/url#0",
-                    PatternStat {
-                        evals: 5,
-                        matches: 2,
-                        vm_steps: 900,
-                    },
-                ),
-                (
-                    "small/url#0",
-                    PatternStat {
-                        evals: 5,
-                        matches: 2,
-                        vm_steps: 10,
-                    },
-                ),
-            ]);
-            domain_stat_add(
-                "slow.example",
-                DomainStat {
-                    fetches: 1,
-                    attempts: 4,
-                    retries: 3,
-                    cost_ns: 9_000,
-                    ..DomainStat::default()
-                },
-            );
-            domain_stat_add(
-                "fast.example",
-                DomainStat {
-                    fetches: 1,
-                    attempts: 1,
-                    cost_ns: 100,
-                    ..DomainStat::default()
-                },
-            );
-        }
-        let report = tracer.finish().render_top_cost_centers(5);
-        assert!(report.contains("Top cost centers"), "{report}");
-        let big = report.find("big/url#0").expect("big listed");
-        let small = report.find("small/url#0").expect("small listed");
-        assert!(big < small, "ranked by vm_steps:\n{report}");
-        let slow = report.find("slow.example").expect("slow listed");
-        let fast = report.find("fast.example").expect("fast listed");
-        assert!(slow < fast, "ranked by cost:\n{report}");
-        assert!(report.contains("Phase timeline"), "{report}");
-        assert!(report.contains("crawl"), "{report}");
-    }
-
-    #[test]
-    fn chrome_json_shape() {
-        let tracer = Tracer::new(TraceMode::Full);
-        {
-            let _g = tracer.install();
-            for (phase, week) in [("generate", NONE), ("crawl", 0), ("crawl", 1)] {
-                let _p = phase_scope(phase);
-                let _w = (week != NONE).then(|| week_scope(week));
-                emit("note", "", "", 2_000, Sink::Export);
-                let parent = capture().expect("on");
-                let _t = task_scope(Some(&parent), 2, 0);
-                emit("work", "d.example", "ok", 3_000, Sink::Export);
-            }
-        }
-        let json = tracer.finish().to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"), "{json}");
-        assert!(json.contains("\"phase:generate\""), "{json}");
-        assert!(json.contains("\"phase:crawl\""), "{json}");
-        assert!(json.contains("\"crawl week 0\""), "{json}");
-        assert!(json.contains("\"crawl week 1\""), "{json}");
-        assert!(json.contains("\"thread_name\""), "{json}");
-        assert!(json.contains("\"domain\":\"d.example\""), "{json}");
-        assert!(json.contains("\"worker\":3"), "task 2 -> lane 3: {json}");
-        // Phase spans must not overlap: crawl starts after generate ends.
-        let gen_span = json.find("\"phase:generate\"").expect("generate span");
-        let crawl_span = json.find("\"phase:crawl\"").expect("crawl span");
-        assert!(gen_span < crawl_span, "canonical phase order: {json}");
     }
 
     #[test]

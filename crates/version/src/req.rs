@@ -123,11 +123,6 @@ impl VersionReq {
         }
     }
 
-    /// Builds a requirement from comparators (conjunction).
-    pub fn from_comparators(comparators: Vec<Comparator>) -> Self {
-        VersionReq { comparators }
-    }
-
     /// Parses a requirement string; see the type docs for accepted syntax.
     pub fn parse(input: &str) -> Result<Self, ParseReqError> {
         let s = input.trim();

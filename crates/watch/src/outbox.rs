@@ -201,16 +201,6 @@ impl Outbox {
             .filter(|id| !self.acked.contains(id))
             .count()
     }
-
-    /// Count of IDs present in the delivery log.
-    pub fn delivered_count(&self) -> usize {
-        self.delivered.len()
-    }
-
-    /// Count of distinct alerts ever journaled.
-    pub fn enqueued_count(&self) -> usize {
-        self.order.len()
-    }
 }
 
 /// Truncates a torn (unterminated) last line, then returns the set of

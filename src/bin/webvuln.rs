@@ -206,6 +206,10 @@ fn cmd_study(args: &[String]) {
     if args.iter().any(|a| a == "--progress") {
         telemetry = telemetry.with_stderr_progress();
     }
+    let trace_out = flag(args, "--trace");
+    if trace_out.is_some() {
+        telemetry = telemetry.with_trace(TraceMode::Full);
+    }
     eprintln!("study: {domains} domains x {weeks} weeks (seed {seed})");
     let mut pipeline = Pipeline::new(config).telemetry(&telemetry);
     if let Some(budget) = flag(args, "--max-task-failures").and_then(|v| v.parse().ok()) {
@@ -222,10 +226,6 @@ fn cmd_study(args: &[String]) {
     } else if streaming {
         eprintln!("study: --streaming needs --store PATH (the store is the buffer)");
         std::process::exit(2);
-    }
-    let trace_out = flag(args, "--trace");
-    if trace_out.is_some() {
-        pipeline = pipeline.trace(TraceMode::Full);
     }
     let results = match pipeline.run() {
         Ok(results) => {

@@ -24,8 +24,7 @@
 //! | [`serve`] | `webvuln-serve` | multi-threaded query API over the store |
 //! | [`watch`] | `webvuln-watch` | live-ingestion daemon + retro-scan alerting |
 //! | [`store`] | `webvuln-store` | binary snapshot store (checkpoint/resume) |
-//! | [`telemetry`] | `webvuln-telemetry` | metrics, spans, progress |
-//! | [`trace`] | `webvuln-trace` | causal tracing, flight recorder, cost attribution |
+//! | [`telemetry`] | `webvuln-telemetry` | metrics, spans, progress, causal tracing + flight recorder |
 //! | [`core`] | `webvuln-core` | study orchestration + reports |
 //!
 //! ## Quickstart
@@ -57,7 +56,6 @@ pub use webvuln_resilience as resilience;
 pub use webvuln_serve as serve;
 pub use webvuln_store as store;
 pub use webvuln_telemetry as telemetry;
-pub use webvuln_trace as trace;
 pub use webvuln_version as version;
 pub use webvuln_watch as watch;
 pub use webvuln_webgen as webgen;

@@ -7,10 +7,11 @@
 //! contract at the full-pipeline level.
 
 use std::sync::Arc;
-use webvuln::core::{full_report, Pipeline, StudyConfig, TraceMode};
+use webvuln::core::{full_report, Pipeline, StudyConfig};
 use webvuln::exec::{Executor, SuperviseConfig};
 use webvuln::net::{FaultPlan, RetryPolicy};
-use webvuln::trace::Tracer;
+use webvuln::telemetry::trace::{self, Sink};
+use webvuln::telemetry::{Telemetry, TraceMode, Tracer};
 use webvuln::webgen::Timeline;
 
 fn hostile_pipeline(threads: usize) -> Pipeline<'static> {
@@ -25,8 +26,9 @@ fn hostile_pipeline(threads: usize) -> Pipeline<'static> {
 #[test]
 fn hostile_traced_study_is_byte_identical_across_thread_counts() {
     let traced = |threads: usize| {
+        let telemetry = Telemetry::new().with_trace(TraceMode::Full);
         let results = hostile_pipeline(threads)
-            .trace(TraceMode::Full)
+            .telemetry(&telemetry)
             .run()
             .expect("study");
         (results.trace.clone().expect("trace enabled"), results)
@@ -68,8 +70,9 @@ fn hostile_traced_study_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn tracing_never_changes_the_dataset() {
+    let telemetry = Telemetry::new().with_trace(TraceMode::Full);
     let traced = hostile_pipeline(2)
-        .trace(TraceMode::Full)
+        .telemetry(&telemetry)
         .run()
         .expect("traced study");
     let untraced = hostile_pipeline(2).run().expect("untraced study");
@@ -91,13 +94,7 @@ fn quarantined_failures_carry_flight_recorder_tails() {
     let executor = Arc::new(Executor::new(4));
     let (out, _stats, failures) =
         executor.map_supervised(&items, SuperviseConfig::new().max_failures(64), |n| {
-            webvuln::trace::emit(
-                "item.seen",
-                "",
-                &format!("n={n}"),
-                10,
-                webvuln::trace::Sink::RingOnly,
-            );
+            trace::emit("item.seen", "", &format!("n={n}"), 10, Sink::RingOnly);
             if n % 7 == 3 {
                 panic!("injected failure on item {n}");
             }
@@ -117,4 +114,49 @@ fn quarantined_failures_carry_flight_recorder_tails() {
             failure.trace_tail
         );
     }
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The canonical trace of one small hostile study, pinned byte for byte:
+/// event count, length and hash of the Chrome export, hash of the
+/// cost-centers report. The constants were recorded at the commit before
+/// the tracer moved into `webvuln-telemetry` and the executor's two
+/// scheduling loops became one; any change to which events a run emits,
+/// their context, order or rendering moves them.
+#[test]
+fn canonical_trace_bytes_are_pinned() {
+    let telemetry = Telemetry::new().with_trace(TraceMode::Full);
+    let results = Pipeline::new(StudyConfig::quick())
+        .seed(42)
+        .domains(120)
+        .timeline(Timeline::truncated(4))
+        .faults(FaultPlan::hostile(42))
+        .retry(RetryPolicy::standard(2))
+        .threads(2)
+        .telemetry(&telemetry)
+        .run()
+        .expect("study");
+    let trace = results.trace.expect("trace enabled");
+    let chrome = trace.to_chrome_json();
+    let top = trace.render_top_cost_centers(10);
+    assert_eq!(
+        (
+            trace.events.len(),
+            chrome.len(),
+            fnv1a(chrome.as_bytes()),
+            fnv1a(top.as_bytes())
+        ),
+        (
+            857,
+            204_404,
+            9_806_218_450_281_843_348,
+            13_107_769_405_798_961_923
+        )
+    );
 }
