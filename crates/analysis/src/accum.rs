@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use webvuln_cvedb::{Basis, Date, LibraryId, Verdict, VulnDb, VulnRecord};
 use webvuln_exec::Executor;
 use webvuln_fingerprint::{DetectedInclusion, Detection, PageAnalysis, ResourceType};
-use webvuln_store::{shard_of, AnyReader, Genesis, StoreError, WeekData, WeekStream};
+use webvuln_store::{shard_of, AnyReader, Genesis, StoreError, WeekData};
 use webvuln_version::Version;
 
 // ---------------------------------------------------------------------------
@@ -1556,15 +1556,14 @@ where
 {
     let filtered = store_filter_verdict(reader)?;
     let threads = threads.max(1);
-    if let AnyReader::Sharded(sharded) = reader {
-        if threads > 1 && sharded.shard_count() > 1 {
-            return fold_slices(sharded.shard_count(), threads, ctx, &filtered, |shard| {
-                sharded
-                    .shard_reader(shard)
-                    .into_iter()
-                    .flat_map(WeekStream::over_single)
-            });
-        }
+    if threads > 1 && reader.shard_count() > 1 {
+        let weeks = reader.weeks_committed();
+        return fold_slices(reader.shard_count(), threads, ctx, &filtered, |shard| {
+            reader
+                .shard_reader(shard)
+                .into_iter()
+                .flat_map(move |shard| (0..weeks).map(move |week| shard.week(week)))
+        });
     }
     // More slices than cores only adds threads that take turns.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

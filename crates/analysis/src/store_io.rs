@@ -289,7 +289,7 @@ impl Dataset {
         let reader = AnyReader::open(path.as_ref())?;
         let (timeline, ranks) = genesis_to_parts(reader.genesis())?;
         let mut weeks = Vec::with_capacity(reader.weeks_committed());
-        for week in reader.iter_weeks() {
+        for week in reader.stream() {
             weeks.push(week_into_snapshot(week?)?);
         }
         let mut dataset = Dataset {
@@ -343,7 +343,7 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
         let _ = write!(buf, ":{rank}");
     });
     buf.push_str(",\"weeks\":[");
-    for (index, week) in reader.iter_weeks().enumerate() {
+    for (index, week) in reader.stream().enumerate() {
         let mut snapshot = week_into_snapshot(week.map_err(store_err)?).map_err(store_err)?;
         apply_filter(&mut snapshot, &filtered);
         snapshot

@@ -470,11 +470,7 @@ pub fn analyze_store(
     store: &std::path::Path,
     telemetry: &Telemetry,
 ) -> Result<StudyResults, StoreError> {
-    let reader = if store.is_dir() {
-        AnyReader::open_degraded(store)?
-    } else {
-        AnyReader::open(store)?
-    };
+    let reader = AnyReader::open_degraded(store)?;
     analyze_weeks(config, WeekSource::Store(reader), telemetry)
 }
 

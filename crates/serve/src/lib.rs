@@ -14,7 +14,7 @@
 //! * [`Route`] / [`route`] — the request router and structured
 //!   [`ApiError`] responses (404/400/405/503).
 //! * [`QueryService`] — evaluates routes against a read-only
-//!   [`StoreReader`](webvuln_store::StoreReader) (O(1) per-domain random
+//!   [`AnyReader`](webvuln_store::AnyReader) (per-domain random
 //!   access) plus the precomputed `webvuln-analysis` tables, so served
 //!   bodies agree with the batch reports by construction.
 //! * [`ApiHandler`] — an instrumented `webvuln-net`

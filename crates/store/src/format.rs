@@ -1,4 +1,4 @@
-//! On-disk format: file header, segment envelopes, footer index, and the
+//! On-disk format: file header, segment envelopes, footer, and the
 //! recovery scan.
 //!
 //! ```text
@@ -12,20 +12,30 @@
 //! Real segments come in three kinds, always in this file order:
 //! one *genesis* (timeline + rank list), then one *week* segment per
 //! committed snapshot (strictly sequential), then at most one *finalize*
-//! segment (the inaccessibility-filter verdict). The footer is a
-//! rewritten-in-place index of every segment, locatable from the file
-//! tail; when a crash tears it (or any trailing segment), the scan
-//! recovers the longest valid prefix and reports the torn byte count.
+//! segment (the inaccessibility-filter verdict). The footer lists every
+//! segment and is rewritten in place after each commit, but nothing
+//! decodes that list: every open walks the file front to back
+//! ([`scan`]), and random access comes from the index inside each week
+//! segment. What the footer is for is the commit — its rewrite is the
+//! writer's `sync_data` point — and a tail marker telling a cleanly
+//! closed file from one whose last commit was cut short. When a crash
+//! tears it (or any trailing segment), the scan recovers the longest
+//! valid prefix and reports the torn byte count.
 //!
 //! Every payload begins with a string block — the strings first
 //! interned by that segment — so symbols are assigned in file order and
 //! any sequential reader reconstructs the writer's exact table.
+//!
+//! A *standalone segment file* is `header ‖ segment` and nothing else:
+//! one week with a fresh string table and no delta state
+//! ([`encode_week_file`]), or one genesis ([`encode_genesis_file`] —
+//! the first bytes of every store). The watch spool ships weeks in it.
 
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::intern::Interner;
 use crate::record::{decode_body, encode_body, DomainRecord, WeekData};
-use crate::varint::{write_i64, write_u64, Cursor};
+use crate::varint::{write_i64, write_str, write_u64, Cursor};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Read;
@@ -121,7 +131,7 @@ impl RawSegment {
         self.offset + 5
     }
 
-    /// This segment's footer index entry. `week` must be supplied by the
+    /// This segment's footer entry. `week` must be supplied by the
     /// structural layer (the envelope does not repeat it).
     pub fn meta(&self, week: usize) -> SegmentMeta {
         SegmentMeta {
@@ -147,32 +157,36 @@ pub struct Scan {
     pub had_footer: bool,
 }
 
-/// Walks the file, validating envelopes, CRCs, and segment ordering
-/// (genesis first, weeks sequential, finalize last). Stops at the first
-/// invalid byte: everything before it is the recovered store, everything
-/// after is the torn tail.
-pub fn scan(file: &mut File, path: &Path) -> Result<Scan, StoreError> {
-    let file_len = file.metadata().map_err(|e| StoreError::io(path, e))?.len();
-    if file_len < HEADER_LEN {
-        return Err(StoreError::BadMagic);
-    }
-    let mut bytes = Vec::with_capacity(file_len as usize);
-    file.read_to_end(&mut bytes)
-        .map_err(|e| StoreError::io(path, e))?;
-    if bytes[..8] != MAGIC {
+/// Checks the 16-byte file header: magic and format version.
+fn check_header(bytes: &[u8]) -> Result<(), StoreError> {
+    if (bytes.len() as u64) < HEADER_LEN || bytes[..8] != MAGIC {
         return Err(StoreError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
+    Ok(())
+}
+
+/// Walks the file, validating envelopes, CRCs, and the order of segment
+/// kinds (genesis first, then weeks, finalize last). That the weeks
+/// count 0, 1, 2, … is checked by whoever decodes their headers:
+/// `StoreReader::open` and `StoreWriter::resume`. Stops at the first
+/// invalid byte: everything before it is the recovered store, everything
+/// after is the torn tail.
+pub fn scan(file: &mut File, path: &Path) -> Result<Scan, StoreError> {
+    let file_len = file.metadata().map_err(|e| StoreError::io(path, e))?.len();
+    let mut bytes = Vec::with_capacity(file_len as usize);
+    file.read_to_end(&mut bytes)
+        .map_err(|e| StoreError::io(path, e))?;
+    check_header(&bytes)?;
 
     let mut segments = Vec::new();
     let mut pos = HEADER_LEN;
     let mut data_end = HEADER_LEN;
     let mut valid_end = HEADER_LEN;
     let mut had_footer = false;
-    let mut next_week = 0usize;
     let mut finalized = false;
 
     while pos < file_len {
@@ -181,14 +195,7 @@ pub fn scan(file: &mut File, path: &Path) -> Result<Scan, StoreError> {
         };
         let structurally_ok = match segment.kind {
             kind::GENESIS => segments.is_empty(),
-            kind::WEEK => {
-                // Weeks are strictly sequential and precede finalize.
-                let ok = !segments.is_empty() && !finalized;
-                if ok {
-                    next_week += 1;
-                }
-                ok
-            }
+            kind::WEEK => !segments.is_empty() && !finalized,
             kind::FINALIZE => {
                 let ok = !segments.is_empty() && !finalized;
                 finalized = ok;
@@ -224,7 +231,6 @@ pub fn scan(file: &mut File, path: &Path) -> Result<Scan, StoreError> {
     if segments.is_empty() {
         return Err(StoreError::MissingGenesis);
     }
-    let _ = next_week;
     Ok(Scan {
         segments,
         data_end,
@@ -276,8 +282,7 @@ fn encode_string_block(table: &Interner, out: &mut Vec<u8>) {
     let new = table.new_strings();
     write_u64(out, new.len() as u64);
     for s in new {
-        write_u64(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
+        write_str(out, s);
     }
 }
 
@@ -292,10 +297,7 @@ pub fn decode_string_block(
         |cur: &Cursor<'_>, what: &str| StoreError::corrupt(base_offset + cur.pos() as u64, what);
     let count = cur.len().ok_or_else(|| bad(cur, "string block count"))?;
     for _ in 0..count {
-        let len = cur.len().ok_or_else(|| bad(cur, "string length"))?;
-        let raw = cur.bytes(len).ok_or_else(|| bad(cur, "string bytes"))?;
-        let s = std::str::from_utf8(raw).map_err(|_| bad(cur, "string not UTF-8"))?;
-        table.push_decoded(s);
+        table.push_decoded(cur.str().ok_or_else(|| bad(cur, "string block entry"))?);
     }
     Ok(())
 }
@@ -340,6 +342,9 @@ pub fn decode_genesis(
             .to_string();
         let rank = cur.u64().ok_or_else(|| bad(&cur, "rank value"))?;
         ranks.push((host, rank));
+    }
+    if !cur.is_empty() {
+        return Err(bad(&cur, "trailing bytes after ranks"));
     }
     Ok(Genesis {
         start_days,
@@ -406,7 +411,8 @@ pub struct EncodedWeek {
     pub encoded_bytes: u64,
 }
 
-/// One record as staged by [`WeekEncoder::append`].
+/// One record as staged by [`encode_week`] before the segment's string
+/// block — and with it every absolute offset — is known.
 struct EncEntry {
     host_sym: u32,
     /// Canonical body offset when delta-hit against the previous week.
@@ -420,143 +426,6 @@ struct EncEntry {
     hash: u128,
 }
 
-/// Incremental week encoder: records arrive in host-sorted batches via
-/// [`WeekEncoder::append`] and are encoded (and delta-compressed) as they
-/// arrive, so a streaming collector never holds a whole week's
-/// [`WeekData`] — only the growing encoded region.
-///
-/// `begin → append* → finish` produces bytes identical to a one-shot
-/// [`encode_week`] over the concatenated batches.
-pub struct WeekEncoder {
-    week: usize,
-    date_days: i64,
-    /// The records region *without* its leading count varint (the count
-    /// is unknown until `finish`).
-    body: Vec<u8>,
-    entries: Vec<EncEntry>,
-    delta_hits: usize,
-    raw_bytes: u64,
-}
-
-impl WeekEncoder {
-    /// Starts a week segment. Marks the interner so the string block
-    /// captures exactly the strings this segment introduces.
-    pub fn begin(week: usize, date_days: i64, table: &mut Interner) -> WeekEncoder {
-        table.set_mark();
-        WeekEncoder {
-            week,
-            date_days,
-            body: Vec::new(),
-            entries: Vec::new(),
-            delta_hits: 0,
-            raw_bytes: 0,
-        }
-    }
-
-    /// The week index this encoder is staging.
-    pub fn week(&self) -> usize {
-        self.week
-    }
-
-    /// The snapshot date, days since the Unix epoch.
-    pub fn date_days(&self) -> i64 {
-        self.date_days
-    }
-
-    /// Records staged so far.
-    pub fn records_staged(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Encodes a batch of records onto the staged region. Batches must
-    /// arrive in host-sorted order across the whole week.
-    pub fn append(&mut self, records: &[DomainRecord], table: &mut Interner, prev: &PrevWeek) {
-        for record in records {
-            let host_sym = table.intern(&record.host);
-            let mut encoded = Vec::new();
-            encode_body(record, table, &mut encoded);
-            self.raw_bytes += encoded.len() as u64;
-            let hash = body_hash(&encoded);
-            let backref = match prev.get(&host_sym) {
-                Some(p) if p.len == encoded.len() && p.hash == hash => Some(p.offset),
-                _ => None,
-            };
-            write_u64(&mut self.body, u64::from(host_sym));
-            let mut rel = 0u64;
-            match backref {
-                Some(target) => {
-                    self.delta_hits += 1;
-                    self.body.push(1);
-                    write_u64(&mut self.body, target);
-                }
-                None => {
-                    self.body.push(0);
-                    rel = self.body.len() as u64;
-                    self.body.extend_from_slice(&encoded);
-                }
-            }
-            self.entries.push(EncEntry {
-                host_sym,
-                backref,
-                rel,
-                len: encoded.len(),
-                hash,
-            });
-        }
-    }
-
-    /// Seals the segment: prepends the record count, resolves absolute
-    /// body offsets against `seg_offset`, and assembles the payload.
-    pub fn finish(self, table: &Interner, seg_offset: u64) -> EncodedWeek {
-        let mut records = Vec::with_capacity(self.body.len() + 9);
-        write_u64(&mut records, self.entries.len() as u64);
-        let count_len = records.len() as u64;
-        records.extend_from_slice(&self.body);
-
-        let mut prefix = Vec::new();
-        encode_string_block(table, &mut prefix);
-        write_u64(&mut prefix, self.week as u64);
-        write_i64(&mut prefix, self.date_days);
-        write_u64(&mut prefix, records.len() as u64);
-        let records_abs = seg_offset + 5 + prefix.len() as u64;
-
-        let mut index = Vec::with_capacity(self.entries.len());
-        let mut next_prev = PrevWeek::with_capacity(self.entries.len());
-        for entry in &self.entries {
-            let body_abs = match entry.backref {
-                Some(target) => target,
-                None => records_abs + count_len + entry.rel,
-            };
-            index.push((entry.host_sym, body_abs));
-            next_prev.insert(
-                entry.host_sym,
-                PrevBody {
-                    offset: body_abs,
-                    len: entry.len,
-                    hash: entry.hash,
-                },
-            );
-        }
-
-        let mut payload = prefix;
-        let encoded_bytes = records.len() as u64;
-        payload.extend_from_slice(&records);
-        write_u64(&mut payload, index.len() as u64);
-        for (host_sym, body_abs) in &index {
-            write_u64(&mut payload, u64::from(*host_sym));
-            write_u64(&mut payload, *body_abs);
-        }
-
-        EncodedWeek {
-            payload,
-            next_prev,
-            delta_hits: self.delta_hits,
-            raw_bytes: self.raw_bytes,
-            encoded_bytes,
-        }
-    }
-}
-
 /// Encodes a week segment at file offset `seg_offset`, delta-compressing
 /// against `prev` (the previous committed week's body map).
 ///
@@ -568,9 +437,90 @@ pub fn encode_week(
     prev: &PrevWeek,
     seg_offset: u64,
 ) -> EncodedWeek {
-    let mut enc = WeekEncoder::begin(week.week, week.date_days, table);
-    enc.append(&week.records, table, prev);
-    enc.finish(table, seg_offset)
+    // Mark the interner so the string block captures exactly the strings
+    // this segment introduces.
+    table.set_mark();
+    // The records region *without* its leading count varint.
+    let mut body = Vec::new();
+    let mut entries = Vec::with_capacity(week.records.len());
+    let mut delta_hits = 0;
+    let mut raw_bytes = 0u64;
+    for record in &week.records {
+        let host_sym = table.intern(&record.host);
+        let mut encoded = Vec::new();
+        encode_body(record, table, &mut encoded);
+        raw_bytes += encoded.len() as u64;
+        let hash = body_hash(&encoded);
+        let backref = match prev.get(&host_sym) {
+            Some(p) if p.len == encoded.len() && p.hash == hash => Some(p.offset),
+            _ => None,
+        };
+        write_u64(&mut body, u64::from(host_sym));
+        let mut rel = 0u64;
+        match backref {
+            Some(target) => {
+                delta_hits += 1;
+                body.push(1);
+                write_u64(&mut body, target);
+            }
+            None => {
+                body.push(0);
+                rel = body.len() as u64;
+                body.extend_from_slice(&encoded);
+            }
+        }
+        entries.push(EncEntry {
+            host_sym,
+            backref,
+            rel,
+            len: encoded.len(),
+            hash,
+        });
+    }
+
+    // Seal the segment: prepend the record count, resolve absolute body
+    // offsets against `seg_offset`, and assemble the payload.
+    let mut records = Vec::with_capacity(body.len() + 9);
+    write_u64(&mut records, entries.len() as u64);
+    let count_len = records.len() as u64;
+    records.extend_from_slice(&body);
+
+    let mut prefix = Vec::new();
+    encode_string_block(table, &mut prefix);
+    write_u64(&mut prefix, week.week as u64);
+    write_i64(&mut prefix, week.date_days);
+    write_u64(&mut prefix, records.len() as u64);
+    let records_abs = seg_offset + 5 + prefix.len() as u64;
+
+    let mut payload = prefix;
+    let encoded_bytes = records.len() as u64;
+    payload.extend_from_slice(&records);
+    write_u64(&mut payload, entries.len() as u64);
+    let mut next_prev = PrevWeek::with_capacity(entries.len());
+    for entry in &entries {
+        let body_abs = match entry.backref {
+            Some(target) => target,
+            None => records_abs + count_len + entry.rel,
+        };
+        write_u64(&mut payload, u64::from(entry.host_sym));
+        write_u64(&mut payload, body_abs);
+        next_prev.insert(
+            entry.host_sym,
+            PrevBody {
+                offset: body_abs,
+                len: entry.len,
+                hash: entry.hash,
+            },
+        );
+    }
+
+    EncodedWeek {
+        payload,
+        next_prev,
+        delta_hits,
+        raw_bytes,
+        encoded_bytes,
+    }
 }
 
 /// The cheaply-decoded part of a week segment: header fields and the
@@ -626,7 +576,7 @@ pub fn decode_week_prefix(
 }
 
 /// One record of a fully decoded week.
-pub struct DecodedRecord {
+pub struct DecodedRecord<'a> {
     /// The host's symbol in the file-global table.
     pub host_sym: u32,
     /// Absolute file offset of the canonical (full) body — for
@@ -637,7 +587,7 @@ pub struct DecodedRecord {
     /// The decoded record.
     pub record: DomainRecord,
     /// The canonical body bytes (delta state for the next week).
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
 }
 
 /// Finds the scanned segment containing absolute payload offset `abs` and
@@ -654,28 +604,28 @@ pub fn locate(segments: &[RawSegment], abs: u64) -> Option<(&RawSegment, usize)>
 
 /// Decodes the record body stored at absolute file offset `abs`, returning
 /// the record and its exact encoded bytes.
-pub fn decode_body_at(
-    segments: &[RawSegment],
+pub fn decode_body_at<'a>(
+    segments: &'a [RawSegment],
     table: &Interner,
     host: &str,
     abs: u64,
-) -> Result<(DomainRecord, Vec<u8>), StoreError> {
+) -> Result<(DomainRecord, &'a [u8]), StoreError> {
     let (seg, rel) = locate(segments, abs)
         .ok_or_else(|| StoreError::corrupt(abs, "body offset outside any segment"))?;
     let mut cur = Cursor::new(&seg.payload[rel..]);
     let record = decode_body(&mut cur, table, host, abs)?;
-    Ok((record, seg.payload[rel..rel + cur.pos()].to_vec()))
+    Ok((record, &seg.payload[rel..rel + cur.pos()]))
 }
 
 /// Fully decodes the records region of the week segment at
 /// `segments[seg_index]`, resolving back-references through earlier
 /// segments, and cross-checks the region against the on-disk index.
-pub fn decode_week_full(
-    segments: &[RawSegment],
+pub fn decode_week_full<'a>(
+    segments: &'a [RawSegment],
     seg_index: usize,
     prefix: &WeekPrefix,
     table: &Interner,
-) -> Result<Vec<DecodedRecord>, StoreError> {
+) -> Result<Vec<DecodedRecord<'a>>, StoreError> {
     let seg = &segments[seg_index];
     let region = &seg.payload[prefix.records_pos..prefix.records_pos + prefix.records_len];
     let region_abs = seg.payload_offset() + prefix.records_pos as u64;
@@ -695,8 +645,7 @@ pub fn decode_week_full(
         }
         let host = table
             .resolve(host_sym)
-            .ok_or_else(|| bad(&cur, "record host symbol unknown"))?
-            .to_string();
+            .ok_or_else(|| bad(&cur, "record host symbol unknown"))?;
         let decoded = match cur.u8().ok_or_else(|| bad(&cur, "record tag"))? {
             0 => {
                 let body_abs = region_abs + cur.pos() as u64;
@@ -704,13 +653,13 @@ pub fn decode_week_full(
                     return Err(bad(&cur, "body offset disagrees with index"));
                 }
                 let body_start = cur.pos();
-                let record = decode_body(&mut cur, table, &host, body_abs)?;
+                let record = decode_body(&mut cur, table, host, body_abs)?;
                 DecodedRecord {
                     host_sym,
                     body_offset: body_abs,
                     backref: false,
                     record,
-                    body: region[body_start..cur.pos()].to_vec(),
+                    body: &region[body_start..cur.pos()],
                 }
             }
             1 => {
@@ -718,10 +667,12 @@ pub fn decode_week_full(
                 if target != index_off {
                     return Err(bad(&cur, "backref offset disagrees with index"));
                 }
-                if target >= region_abs {
-                    return Err(bad(&cur, "backref points forward"));
+                // A back-reference names a body in an earlier segment —
+                // never this one, whose prefix would decode as garbage.
+                if target >= seg.offset {
+                    return Err(bad(&cur, "backref does not point into an earlier segment"));
                 }
-                let (record, body) = decode_body_at(segments, table, &host, target)?;
+                let (record, body) = decode_body_at(segments, table, host, target)?;
                 DecodedRecord {
                     host_sym,
                     body_offset: target,
@@ -777,4 +728,70 @@ pub fn decode_finalize(
         );
     }
     Ok(hosts)
+}
+
+// ---------------------------------------------------------------------------
+// Standalone segment files
+// ---------------------------------------------------------------------------
+
+fn segment_file(seg_kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = encode_header().to_vec();
+    out.extend_from_slice(&encode_segment(seg_kind, payload));
+    out
+}
+
+/// Parses `header ‖ segment` where the segment is of kind `want` and the
+/// last thing in `bytes`.
+fn read_segment_file(bytes: &[u8], want: u8) -> Result<RawSegment, StoreError> {
+    check_header(bytes)?;
+    let seg = read_envelope(bytes, HEADER_LEN)
+        .ok_or_else(|| StoreError::corrupt(HEADER_LEN, "segment envelope (length or CRC)"))?;
+    if seg.kind != want {
+        return Err(StoreError::corrupt(
+            HEADER_LEN,
+            format!("segment kind {}, expected {want}", seg.kind),
+        ));
+    }
+    let end = HEADER_LEN + seg.env_len;
+    if end != bytes.len() as u64 {
+        return Err(StoreError::corrupt(end, "trailing bytes after the segment"));
+    }
+    Ok(seg)
+}
+
+/// Encodes `week` as a standalone file: the header and one week segment
+/// with its own string table and every body in full.
+pub fn encode_week_file(week: &WeekData) -> Vec<u8> {
+    let encoded = encode_week(week, &mut Interner::new(), &PrevWeek::new(), HEADER_LEN);
+    segment_file(kind::WEEK, &encoded.payload)
+}
+
+/// Decodes a file written by [`encode_week_file`]. With no earlier
+/// segment to point into, a back-reference is refused as corrupt.
+pub fn decode_week_file(bytes: &[u8]) -> Result<WeekData, StoreError> {
+    let segments = [read_segment_file(bytes, kind::WEEK)?];
+    let mut table = Interner::new();
+    let base = segments[0].payload_offset();
+    let prefix = decode_week_prefix(&segments[0].payload, &mut table, base)?;
+    let decoded = decode_week_full(&segments, 0, &prefix, &table)?;
+    Ok(WeekData {
+        week: prefix.week,
+        date_days: prefix.date_days,
+        records: decoded.into_iter().map(|d| d.record).collect(),
+    })
+}
+
+/// Encodes `genesis` as a standalone file — byte for byte what
+/// `StoreWriter::create` writes first.
+pub fn encode_genesis_file(genesis: &Genesis) -> Vec<u8> {
+    segment_file(
+        kind::GENESIS,
+        &encode_genesis(genesis, &mut Interner::new()),
+    )
+}
+
+/// Decodes a file written by [`encode_genesis_file`].
+pub fn decode_genesis_file(bytes: &[u8]) -> Result<Genesis, StoreError> {
+    let seg = read_segment_file(bytes, kind::GENESIS)?;
+    decode_genesis(&seg.payload, &mut Interner::new(), seg.payload_offset())
 }

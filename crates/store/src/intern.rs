@@ -13,7 +13,12 @@ use std::collections::HashMap;
 #[derive(Default)]
 pub struct Interner {
     strings: Vec<String>,
+    /// Reverse map over `strings[..indexed]`. Decoding appends without
+    /// filling it — a one-segment decode only ever resolves symbols —
+    /// and [`Interner::index_decoded`] catches it up for whoever looks
+    /// strings up by value.
     by_value: HashMap<String, u32>,
+    indexed: usize,
     mark: usize,
 }
 
@@ -25,13 +30,24 @@ impl Interner {
 
     /// Returns the symbol for `value`, inserting it if unseen.
     pub fn intern(&mut self, value: &str) -> u32 {
+        self.index_decoded();
         if let Some(&sym) = self.by_value.get(value) {
             return sym;
         }
         let sym = u32::try_from(self.strings.len()).expect("interner overflow");
         self.strings.push(value.to_string());
         self.by_value.insert(value.to_string(), sym);
+        self.indexed = self.strings.len();
         sym
+    }
+
+    /// Brings the reverse map up to date with every decoded string. A
+    /// string a corrupt block repeats keeps its first symbol.
+    pub fn index_decoded(&mut self) {
+        for (sym, value) in self.strings.iter().enumerate().skip(self.indexed) {
+            self.by_value.entry(value.clone()).or_insert(sym as u32);
+        }
+        self.indexed = self.strings.len();
     }
 
     /// The string behind `sym`, if allocated.
@@ -39,8 +55,10 @@ impl Interner {
         self.strings.get(sym as usize).map(String::as_str)
     }
 
-    /// The symbol of an already-interned string.
+    /// The symbol of an already-interned string. Decoded strings count
+    /// once [`Interner::index_decoded`] has run.
     pub fn lookup(&self, value: &str) -> Option<u32> {
+        debug_assert_eq!(self.indexed, self.strings.len(), "reverse map is stale");
         self.by_value.get(value).copied()
     }
 
@@ -58,8 +76,8 @@ impl Interner {
 
     /// Appends a string decoded from a segment's string block, preserving
     /// writer symbol order.
-    pub fn push_decoded(&mut self, value: &str) {
-        self.intern(value);
+    pub fn push_decoded(&mut self, value: String) {
+        self.strings.push(value);
     }
 }
 
@@ -78,6 +96,20 @@ mod tests {
         assert_eq!(table.resolve(7), None);
         assert_eq!(table.lookup("beta.example"), Some(b));
         assert_eq!(table.lookup("gamma.example"), None);
+    }
+
+    #[test]
+    fn decoded_strings_are_indexed_on_demand() {
+        let mut table = Interner::new();
+        table.push_decoded("alpha.example".to_string());
+        table.push_decoded("beta.example".to_string());
+        assert_eq!(table.resolve(1), Some("beta.example"));
+        // `intern` catches the reverse map up before it looks.
+        assert_eq!(table.intern("beta.example"), 1);
+        assert_eq!(table.intern("gamma.example"), 2);
+        table.push_decoded("delta.example".to_string());
+        table.index_decoded();
+        assert_eq!(table.lookup("delta.example"), Some(3));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! near-identical copies of every stable page. This store fixes both:
 //!
 //! * **Checkpointing** — [`StoreWriter::commit_week`] appends one
-//!   CRC-protected segment per crawled week and re-syncs a footer index,
-//!   so a killed study loses at most the week in flight.
+//!   CRC-protected segment per crawled week, then rewrites and syncs the
+//!   footer, so a killed study loses at most the week in flight.
 //! * **Resume** — [`StoreWriter::resume`] walks the file, truncates any
 //!   torn tail (a mid-commit crash), and hands back every intact week so
 //!   the crawl continues from the first missing one.
@@ -20,9 +20,13 @@
 //!   file ends up a fraction of the JSON dump's size.
 //! * **String interning** — hosts, library slugs, version strings, and
 //!   URLs are written once, file-wide, and referenced by varint symbol.
-//! * **Random access** — a footer index plus per-week offset tables give
-//!   [`StoreReader::get`] O(1) access to one `(domain, week)` record
-//!   without decoding anything else.
+//! * **Random access** — every week segment carries its own
+//!   `(host, body offset)` index, which the reader hashes at open, so
+//!   [`AnyReader::get`] reaches one `(domain, week)` record without
+//!   decoding anything else. The footer is *not* that index: it lists
+//!   the segments, but no reader decodes the list (every open walks the
+//!   file and checks each CRC). Its rewrite is the commit's `sync_data`
+//!   point, and its presence marks a file whose last commit completed.
 //!
 //! * **Sharding** — a store can also be a *directory*: N shard files
 //!   keyed by domain hash ([`shard_of`]), written in parallel by one
@@ -30,9 +34,16 @@
 //!   manifest whose atomic rename is the group's single commit point.
 //!   [`ShardedStoreWriter`] keeps the same crash guarantee as the
 //!   single file — a kill yields epoch E or E+1 across *all* shards,
-//!   never a mix — and [`AnyReader`] serves either layout, degraded
-//!   reads included. [`scrub`] walks every CRC and can quarantine,
+//!   never a mix. [`scrub`] walks every CRC and can quarantine,
 //!   rebuild, and roll back corrupt shards.
+//! * **One reader** — [`AnyReader`] opens either layout (a single file
+//!   is one healthy shard with no manifest), degraded reads included;
+//!   [`StoreReader`] is what one file is.
+//! * **One codec** — [`codec`] publishes the primitives every other
+//!   on-disk format in the workspace is built from (CRC-32, varints,
+//!   the bounds-checked cursor) and the *standalone segment file*: one
+//!   week or one genesis as `header ‖ segment`, which is how the watch
+//!   spool ships weeks.
 //!
 //! The crate has no third-party dependencies (std plus the workspace's
 //! own fail-point/trace/exec crates) and knows nothing about the
@@ -41,7 +52,7 @@
 //! snapshots into and out of.
 //!
 //! ```
-//! use webvuln_store::{Genesis, StoreReader, StoreWriter, WeekData};
+//! use webvuln_store::{AnyReader, Genesis, StoreWriter, WeekData};
 //!
 //! # let dir = std::env::temp_dir().join(format!("wvs-doc-{}", std::process::id()));
 //! # std::fs::create_dir_all(&dir).unwrap();
@@ -55,7 +66,7 @@
 //! writer
 //!     .commit_week(&WeekData { week: 0, date_days: 17_600, records: vec![] })
 //!     .unwrap();
-//! let reader = StoreReader::open(&path).unwrap();
+//! let reader = AnyReader::open(&path).unwrap();
 //! assert_eq!(reader.weeks_committed(), 1);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
@@ -63,7 +74,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod any;
 mod crc32;
 mod error;
 mod format;
@@ -77,12 +87,20 @@ mod stream;
 mod varint;
 mod writer;
 
-pub use any::AnyReader;
+/// The workspace's one binary codec: the primitives the store's own
+/// format is written in, and one segment as a standalone file. The
+/// watch daemon's frame log, alert payloads and spool files are built
+/// from these.
+pub mod codec {
+    pub use crate::crc32::crc32;
+    pub use crate::format::{
+        decode_genesis_file, decode_week_file, encode_genesis_file, encode_week_file,
+    };
+    pub use crate::varint::{write_i64, write_str, write_u64, Cursor};
+}
+
 pub use error::StoreError;
-pub use format::{
-    body_hash, encode_week, Genesis, PrevBody, PrevWeek, WeekEncoder, FORMAT_VERSION, HEADER_LEN,
-    MAGIC,
-};
+pub use format::{Genesis, FORMAT_VERSION};
 pub use manifest::{Manifest, MANIFEST_FILE, MANIFEST_LEN, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use reader::StoreReader;
 pub use record::{
@@ -90,8 +108,8 @@ pub use record::{
 };
 pub use scrub::{scrub, ScrubOutcome, ScrubReport, ShardScrub, ShardStatus};
 pub use sharded::{
-    shard_file_name, shard_of, shard_path, split_week, ShardHealth, ShardedResumed,
-    ShardedStoreReader, ShardedStoreWriter, QUARANTINE_SUFFIX,
+    shard_file_name, shard_of, shard_path, split_week, AnyReader, ShardHealth, ShardedResumed,
+    ShardedStoreWriter, QUARANTINE_SUFFIX,
 };
 pub use stream::WeekStream;
 pub use writer::{CommitInfo, Resumed, StoreWriter, WriterStats, FAILPOINTS};
@@ -338,7 +356,7 @@ mod tests {
     fn sharded_store_matches_the_unsharded_view() {
         let tmp = TempDir::new("sharded-roundtrip");
         write_sharded(&tmp.path, 3, 12, 4);
-        let reader = ShardedStoreReader::open(&tmp.path).expect("open");
+        let reader = AnyReader::open(&tmp.path).expect("open");
         assert_eq!(reader.weeks_committed(), 3);
         assert_eq!(reader.shard_count(), 4);
         assert!(!reader.is_degraded());
@@ -356,10 +374,16 @@ mod tests {
             reader.get("nope.example", 0),
             Err(StoreError::UnknownDomain(_))
         ));
-        // AnyReader auto-detects the layout.
-        let any = AnyReader::open(&tmp.path).expect("any open");
-        assert_eq!(any.shard_count(), 4);
-        assert_eq!(any.week(2).expect("week"), testkit::week(2, 12));
+        assert_eq!(reader.manifest().expect("a group has a manifest").weeks, 3);
+        // A single file is one healthy shard with no manifest.
+        let single = TempStore::new("sharded-roundtrip-single");
+        write_weeks(&single.path, 3, 12);
+        let single = AnyReader::open(&single.path).expect("open single");
+        assert_eq!(single.shard_count(), 1);
+        assert!(single.manifest().is_none());
+        assert_eq!(single.shard_health(), [ShardHealth::Healthy]);
+        assert_eq!(single.shard_for("site003.example"), (0, None));
+        assert_eq!(single.week(2).expect("week"), testkit::week(2, 12));
     }
 
     #[test]
@@ -435,9 +459,9 @@ mod tests {
             ),
             "{err}"
         );
-        assert!(ShardedStoreReader::open(&tmp.path).is_err());
+        assert!(AnyReader::open(&tmp.path).is_err());
         // Degraded open still serves the healthy shard.
-        let degraded = ShardedStoreReader::open_degraded(&tmp.path).expect("degraded");
+        let degraded = AnyReader::open_degraded(&tmp.path).expect("degraded");
         assert!(degraded.is_degraded());
         assert!(degraded.shard_health()[0].is_healthy());
         assert!(!degraded.shard_health()[1].is_healthy());
@@ -574,7 +598,7 @@ mod tests {
         for w in target..3 {
             writer.commit_week(&testkit::week(w, 10)).expect("replay");
         }
-        let reader = ShardedStoreReader::open(&tmp.path).expect("open");
+        let reader = AnyReader::open(&tmp.path).expect("open");
         for w in 0..3 {
             assert_eq!(reader.week(w).expect("week"), testkit::week(w, 10));
         }
@@ -666,51 +690,27 @@ mod tests {
     }
 
     #[test]
-    fn incremental_commit_is_byte_identical_to_one_shot() {
-        let one_shot = TempStore::new("inc-oneshot");
-        let batched = TempStore::new("inc-batched");
-        write_weeks(&one_shot.path, 3, 10);
-
-        let mut writer = StoreWriter::create(&batched.path, genesis(10, 3)).expect("create");
-        for w in 0..3 {
-            let week = testkit::week(w, 10);
-            writer.begin_week(week.week, week.date_days).expect("begin");
-            // Uneven batch splits must not affect the bytes.
-            for chunk in week.records.chunks(1 + w * 3) {
-                writer.append_records(chunk).expect("append");
-            }
-            let info = writer.end_week().expect("end");
-            assert_eq!(info.records, 10);
+    fn standalone_segment_files_are_store_bytes() {
+        // A genesis file is the first bytes of every store created with it.
+        let tmp = TempStore::new("standalone");
+        let study = genesis(5, 2);
+        let _writer = StoreWriter::create(&tmp.path, study.clone()).expect("create");
+        let file = codec::encode_genesis_file(&study);
+        assert!(std::fs::read(&tmp.path).expect("read").starts_with(&file));
+        assert_eq!(codec::decode_genesis_file(&file).expect("genesis"), study);
+        // A week file holds the week in full, whatever came before it.
+        let empty = WeekData {
+            week: 3,
+            date_days: -4,
+            records: vec![],
+        };
+        for week in [testkit::week(7, 9), empty] {
+            let file = codec::encode_week_file(&week);
+            assert_eq!(codec::decode_week_file(&file).expect("week"), week);
+            // Each decoder refuses the other's kind.
+            assert!(codec::decode_genesis_file(&file).is_err());
         }
-        assert_eq!(
-            std::fs::read(&one_shot.path).expect("one-shot bytes"),
-            std::fs::read(&batched.path).expect("batched bytes"),
-        );
-    }
-
-    #[test]
-    fn incremental_commit_guards_misuse() {
-        let tmp = TempStore::new("inc-guards");
-        let mut writer = StoreWriter::create(&tmp.path, genesis(4, 2)).expect("create");
-        assert!(matches!(
-            writer.append_records(&[]),
-            Err(StoreError::Mismatch(_))
-        ));
-        assert!(matches!(writer.end_week(), Err(StoreError::Mismatch(_))));
-        writer.begin_week(0, 17_600).expect("begin");
-        assert!(matches!(
-            writer.begin_week(0, 17_600),
-            Err(StoreError::Mismatch(_))
-        ));
-        assert!(matches!(writer.finalize(&[]), Err(StoreError::Mismatch(_))));
-        writer.end_week().expect("end empty week");
-        assert!(matches!(
-            writer.begin_week(3, 17_607),
-            Err(StoreError::WeekOutOfOrder {
-                expected: 1,
-                got: 3
-            })
-        ));
+        assert!(codec::decode_week_file(&file).is_err());
     }
 
     #[test]
@@ -743,32 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_incremental_commit_matches_one_shot_bytes() {
-        let one_shot = TempDir::new("shinc-oneshot");
-        let batched = TempDir::new("shinc-batched");
-        let mut a = ShardedStoreWriter::create(&one_shot.path, genesis(12, 2), 3).expect("create");
-        let mut b = ShardedStoreWriter::create(&batched.path, genesis(12, 2), 3).expect("create");
-        for w in 0..2 {
-            let week = testkit::week(w, 12);
-            a.commit_week(&week).expect("one-shot commit");
-            b.begin_week(week.week, week.date_days).expect("begin");
-            for chunk in week.records.chunks(5) {
-                b.append_records(chunk).expect("append");
-            }
-            let info = b.end_week().expect("end");
-            assert_eq!(info.records, 12);
-        }
-        for index in 0..3 {
-            assert_eq!(
-                std::fs::read(shard_path(&one_shot.path, index)).expect("one-shot shard"),
-                std::fs::read(shard_path(&batched.path, index)).expect("batched shard"),
-                "shard {index} bytes diverge"
-            );
-        }
-        assert_eq!(a.epoch(), b.epoch());
-    }
-
-    #[test]
     fn week_stream_yields_canonical_order_for_both_layouts() {
         let single = TempStore::new("stream-single");
         write_weeks(&single.path, 3, 9);
@@ -798,18 +772,19 @@ mod tests {
         }
 
         // Per-shard streams cover the partition exactly.
-        let reader = ShardedStoreReader::open(&sharded.path).expect("open sharded");
+        let reader = AnyReader::open(&sharded.path).expect("open sharded");
         let mut total = 0;
         for index in 0..4 {
             let shard = reader.shard_reader(index).expect("healthy shard");
-            for week in WeekStream::over_single(shard) {
-                let week = week.expect("shard week");
+            for week in 0..reader.weeks_committed() {
+                let week = shard.week(week).expect("shard week");
                 assert!(week.records.iter().all(|r| shard_of(&r.host, 4) == index));
                 total += week.records.len();
             }
         }
         assert_eq!(total, 3 * 9);
     }
+
     #[test]
     fn week_where_decodes_exactly_the_accepted_hosts() {
         let single = TempStore::new("where-single");

@@ -1,11 +1,14 @@
-//! The store reader: open, iterate weeks, random access, verify.
+//! The reader of one store file (one shard): open, decode weeks, random
+//! access, verify. [`crate::AnyReader`] is what consumers open.
 //!
 //! Opening a store scans the whole file once, verifying every segment
 //! CRC and decoding only the cheap structural parts (string blocks, week
 //! headers, indexes). Record bodies stay encoded until asked for — a
-//! whole-week decode via [`StoreReader::week`] or an O(1) single-record
-//! lookup via [`StoreReader::get`], which follows the footer-indexed
-//! per-week offset table straight to the body bytes.
+//! whole-week decode via [`StoreReader::week`] or a single-record lookup
+//! via [`StoreReader::get`], which follows the offset index carried
+//! inside that week's segment (hashed by host at open) straight to the
+//! body bytes. The file's footer plays no part in it; see
+//! [`crate::format`].
 
 use crate::error::StoreError;
 use crate::format::{
@@ -23,7 +26,7 @@ struct WeekEntry {
     by_host: HashMap<u32, u64>,
 }
 
-/// Read-only access to a snapshot store.
+/// Read-only access to one store file.
 pub struct StoreReader {
     path: PathBuf,
     segments: Vec<RawSegment>,
@@ -76,6 +79,8 @@ impl StoreReader {
             }
         }
         let genesis = genesis.ok_or(StoreError::MissingGenesis)?;
+        // `get` looks hosts up by value.
+        table.index_decoded();
         Ok(StoreReader {
             path: path.to_path_buf(),
             segments: scanned.segments,
@@ -113,7 +118,8 @@ impl StoreReader {
         self.torn_bytes
     }
 
-    /// Whether the file ended with an intact footer index.
+    /// Whether the file ended with an intact footer — the mark of a
+    /// commit that ran to its sync.
     pub fn had_footer(&self) -> bool {
         self.had_footer
     }
@@ -167,13 +173,8 @@ impl StoreReader {
         })
     }
 
-    /// Iterates every committed week in order, decoding lazily.
-    pub fn iter_weeks(&self) -> impl Iterator<Item = Result<WeekData, StoreError>> + '_ {
-        (0..self.weeks.len()).map(move |week| self.week(week))
-    }
-
-    /// O(1) random access: the record for `domain` in `week`, located via
-    /// the per-week offset index without decoding anything else.
+    /// Random access: the record for `domain` in `week`, located via the
+    /// week segment's offset index without decoding anything else.
     pub fn get(&self, domain: &str, week: usize) -> Result<DomainRecord, StoreError> {
         let sym = self
             .table

@@ -16,12 +16,17 @@
 //! synced); finding one means lost or hand-edited bytes, and resume
 //! refuses with [`StoreError::ShardBehind`] rather than serve a
 //! mixed-epoch store.
+//!
+//! [`AnyReader`] reads a group back, degraded if need be — and every
+//! other store too: a single `.wvstore` file is one healthy shard with
+//! no manifest.
 
 use crate::error::StoreError;
 use crate::format::Genesis;
 use crate::manifest::{self, Manifest};
 use crate::reader::StoreReader;
 use crate::record::{DomainRecord, WeekData};
+use crate::stream::WeekStream;
 use crate::writer::{CommitInfo, StoreWriter, WriterStats};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,12 +37,15 @@ use webvuln_exec::Executor;
 /// shard count. Stable across runs, platforms, and thread counts — the
 /// store layout depends on it.
 pub fn shard_of(host: &str, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in host.as_bytes() {
         hash ^= u64::from(*byte);
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
-    (hash % shards.max(1) as u64) as usize
+    (hash % shards as u64) as usize
 }
 
 /// File name of shard `index` inside a sharded-store directory.
@@ -73,9 +81,16 @@ pub fn split_week(week: &WeekData, shards: usize) -> Vec<WeekData> {
 }
 
 /// Merges per-shard week slices back into one group week, sorted by host.
-fn merge_week(week: usize, date_days: i64, parts: Vec<WeekData>) -> WeekData {
-    let mut records: Vec<DomainRecord> = parts.into_iter().flat_map(|p| p.records).collect();
-    records.sort_by(|a, b| a.host.cmp(&b.host));
+fn merge_week(week: usize, date_days: i64, mut parts: Vec<WeekData>) -> WeekData {
+    // One part (a single file, the last healthy shard) is already in
+    // host order: hand its records back without a copy or a sort.
+    let records = if parts.len() == 1 {
+        parts.remove(0).records
+    } else {
+        let mut records: Vec<DomainRecord> = parts.into_iter().flat_map(|p| p.records).collect();
+        records.sort_by(|a, b| a.host.cmp(&b.host));
+        records
+    };
     WeekData {
         week,
         date_days,
@@ -347,89 +362,6 @@ impl ShardedStoreWriter {
         Ok(info)
     }
 
-    /// Opens an incremental group-week commit: every shard starts staging
-    /// the same week. Records then arrive in host-sorted batches via
-    /// [`ShardedStoreWriter::append_records`] — routed to their shard by
-    /// domain hash as they arrive, so no full group [`WeekData`] is ever
-    /// held — and [`ShardedStoreWriter::end_week`] seals every shard in
-    /// parallel and publishes the week with one manifest rename.
-    pub fn begin_week(&mut self, week: usize, date_days: i64) -> Result<(), StoreError> {
-        if self.manifest.finalized {
-            return Err(StoreError::AlreadyFinalized);
-        }
-        let expected = self.manifest.weeks as usize;
-        if week != expected {
-            return Err(StoreError::WeekOutOfOrder {
-                expected,
-                got: week,
-            });
-        }
-        for writer in &mut self.writers {
-            writer.begin_week(week, date_days)?;
-        }
-        Ok(())
-    }
-
-    /// Routes a host-sorted batch of records to the open per-shard week
-    /// commits. The stable per-record routing reproduces the partition
-    /// [`split_week`] computes, so the resulting shard files are
-    /// byte-identical to a one-shot [`ShardedStoreWriter::commit_week`].
-    pub fn append_records(&mut self, records: &[DomainRecord]) -> Result<(), StoreError> {
-        let shards = self.writers.len();
-        for record in records {
-            self.writers[shard_of(&record.host, shards)]
-                .append_records(std::slice::from_ref(record))?;
-        }
-        Ok(())
-    }
-
-    /// Seals the open group-week commit: every shard's segment is
-    /// finished and appended in parallel on the exec pool, then the week
-    /// is published with one atomic manifest rename.
-    pub fn end_week(&mut self) -> Result<CommitInfo, StoreError> {
-        let week = self.manifest.weeks as usize;
-        let jobs: Vec<Mutex<Option<(usize, &mut StoreWriter)>>> = self
-            .writers
-            .iter_mut()
-            .enumerate()
-            .map(|(index, writer)| Mutex::new(Some((index, writer))))
-            .collect();
-        let results = Executor::new(self.threads).chunk_size(1).map(&jobs, |job| {
-            let (index, writer) = job
-                .lock()
-                .expect("shard job lock")
-                .take()
-                .expect("each shard job runs exactly once");
-            let key = index.to_string();
-            let _ = webvuln_failpoint::failpoint!("store.shard.mid_write", &key)?;
-            writer.end_week()
-        });
-        let mut info = CommitInfo {
-            week,
-            records: 0,
-            delta_hits: 0,
-            raw_bytes: 0,
-            encoded_bytes: 0,
-            segment_bytes: 0,
-        };
-        for result in results {
-            let shard_info = result?;
-            info.records += shard_info.records;
-            info.delta_hits += shard_info.delta_hits;
-            info.raw_bytes += shard_info.raw_bytes;
-            info.encoded_bytes += shard_info.encoded_bytes;
-            info.segment_bytes += shard_info.segment_bytes;
-        }
-        let next = Manifest {
-            epoch: self.manifest.epoch + 1,
-            weeks: self.manifest.weeks + 1,
-            ..self.manifest
-        };
-        manifest::commit(&self.dir, &next)?;
-        self.manifest = next;
-        Ok(info)
-    }
-
     /// Writes the finalize verdict to every shard (each carries the full
     /// group list, so scrub can recover it from any healthy shard), then
     /// publishes with one manifest rename.
@@ -515,22 +447,27 @@ impl ShardHealth {
     }
 }
 
-/// Read-only access to a sharded store, merged back into the single-file
-/// store's view: group weeks sorted by host, O(1) `(domain, week)`
-/// lookups routed by domain hash.
-pub struct ShardedStoreReader {
-    dir: PathBuf,
-    manifest: Manifest,
+/// Read-only access to a snapshot store of either layout: a sharded
+/// directory (a `MANIFEST` plus `shard-*.wvstore` files) or a single
+/// `.wvstore` file, which is one healthy shard with no manifest. Group
+/// weeks come back sorted by host, `(domain, week)` lookups route by
+/// domain hash, and consumers — the analysis fold, the serve layer, the
+/// watch daemon, the CLI — need not know which layout they were given.
+pub struct AnyReader {
+    path: PathBuf,
+    manifest: Option<Manifest>,
+    weeks: usize,
+    finalized: bool,
     readers: Vec<Option<StoreReader>>,
     health: Vec<ShardHealth>,
     genesis: Genesis,
 }
 
-impl ShardedStoreReader {
-    /// Opens a sharded store strictly: every shard must open and agree
-    /// with the manifest, or the open fails with that shard's error.
-    pub fn open(dir: &Path) -> Result<ShardedStoreReader, StoreError> {
-        let reader = Self::open_degraded(dir)?;
+impl AnyReader {
+    /// Opens `path` strictly: every shard must open and agree with the
+    /// manifest, or the open fails with that shard's error.
+    pub fn open(path: &Path) -> Result<AnyReader, StoreError> {
+        let reader = Self::open_degraded(path)?;
         for (index, health) in reader.health.iter().enumerate() {
             if let ShardHealth::Unavailable { detail } = health {
                 return Err(StoreError::ShardUnavailable {
@@ -542,11 +479,26 @@ impl ShardedStoreReader {
         Ok(reader)
     }
 
-    /// Opens a sharded store tolerantly: shards that are missing, corrupt,
+    /// Opens `path` tolerantly: shards that are missing, corrupt,
     /// quarantined, or inconsistent with the manifest are marked
     /// [`ShardHealth::Unavailable`] and queries routed to them fail with
     /// [`StoreError::ShardUnavailable`]; everything else serves normally.
-    pub fn open_degraded(dir: &Path) -> Result<ShardedStoreReader, StoreError> {
+    /// A single file has no shard to lose and opens as [`AnyReader::open`]
+    /// does.
+    pub fn open_degraded(path: &Path) -> Result<AnyReader, StoreError> {
+        if !path.is_dir() {
+            let reader = StoreReader::open(path)?;
+            return Ok(AnyReader {
+                path: path.to_path_buf(),
+                manifest: None,
+                weeks: reader.weeks_committed(),
+                finalized: reader.is_finalized(),
+                genesis: reader.genesis().clone(),
+                readers: vec![Some(reader)],
+                health: vec![ShardHealth::Healthy],
+            });
+        }
+        let dir = path;
         let manifest = manifest::load(dir)?;
         let shards = manifest.shards as usize;
         let committed = manifest.weeks as usize;
@@ -609,46 +561,49 @@ impl ShardedStoreReader {
                 .map(|r| r.genesis())
                 .collect::<Vec<_>>(),
         )?;
-        Ok(ShardedStoreReader {
-            dir: dir.to_path_buf(),
-            manifest,
+        Ok(AnyReader {
+            path: dir.to_path_buf(),
+            manifest: Some(manifest),
+            weeks: committed,
+            finalized: manifest.finalized,
             readers,
             health,
             genesis,
         })
     }
 
-    /// The merged genesis over healthy shards (degraded opens miss the
-    /// unavailable shards' domains).
+    /// The study metadata: a single file's own, or the merge over healthy
+    /// shards (degraded opens miss the unavailable shards' domains).
     pub fn genesis(&self) -> &Genesis {
         &self.genesis
     }
 
-    /// Weeks committed, as published by the manifest.
+    /// Weeks committed — as published by the manifest when there is one.
     pub fn weeks_committed(&self) -> usize {
-        self.manifest.weeks as usize
+        self.weeks
     }
 
-    /// Whether the group is finalized, as published by the manifest.
+    /// Whether the store is finalized — as published by the manifest
+    /// when there is one.
     pub fn is_finalized(&self) -> bool {
-        self.manifest.finalized
+        self.finalized
     }
 
     /// The stored filter verdict from the first healthy shard (every
-    /// shard carries the full group list).
+    /// shard carries the full group list); `Some` only when finalized.
     pub fn filtered_out(&self) -> Option<&[String]> {
-        if !self.manifest.finalized {
+        if !self.finalized {
             return None;
         }
-        self.readers.iter().flatten().next()?.filtered_out()
+        self.healthy().next()?.filtered_out()
     }
 
-    /// The group manifest.
-    pub fn manifest(&self) -> Manifest {
+    /// The group manifest; `None` for a single-file store.
+    pub fn manifest(&self) -> Option<Manifest> {
         self.manifest
     }
 
-    /// Number of shards in the group.
+    /// Number of shards (1 for a single-file store).
     pub fn shard_count(&self) -> usize {
         self.health.len()
     }
@@ -658,60 +613,66 @@ impl ShardedStoreReader {
         &self.health
     }
 
-    /// Direct read access to one shard's single-file reader (`None` when
-    /// the shard is unavailable). Streaming folds use this to decode
-    /// shards in parallel, one worker per shard.
+    /// Direct read access to one shard's file (`None` when the shard is
+    /// unavailable). Streaming folds use this to decode shards in
+    /// parallel, one worker per shard. A shard a crashed writer left
+    /// ahead of the manifest holds weeks past
+    /// [`AnyReader::weeks_committed`]; they were never published.
     pub fn shard_reader(&self, index: usize) -> Option<&StoreReader> {
         self.readers.get(index)?.as_ref()
     }
 
-    /// Whether any shard is unavailable.
+    /// Whether any shard is unavailable (never for single files).
     pub fn is_degraded(&self) -> bool {
         self.health.iter().any(|h| !h.is_healthy())
     }
 
-    /// The shard a domain routes to, plus its health.
-    pub fn shard_for(&self, domain: &str) -> (usize, &ShardHealth) {
+    /// The shard `domain` routes to and, if that shard is unavailable,
+    /// the reason. Single-file stores always answer `(0, None)`.
+    pub fn shard_for(&self, domain: &str) -> (usize, Option<String>) {
         let shard = shard_of(domain, self.health.len());
-        (shard, &self.health[shard])
+        match &self.health[shard] {
+            ShardHealth::Healthy => (shard, None),
+            ShardHealth::Unavailable { detail } => (shard, Some(detail.clone())),
+        }
     }
 
-    /// The store directory.
+    /// The store path (file or directory).
     pub fn path(&self) -> &Path {
-        &self.dir
+        &self.path
     }
 
     /// Torn tail bytes observed across healthy shards.
     pub fn torn_bytes(&self) -> u64 {
-        self.readers.iter().flatten().map(|r| r.torn_bytes()).sum()
+        self.healthy().map(|r| r.torn_bytes()).sum()
     }
 
     /// Total validated data bytes across healthy shards.
     pub fn data_bytes(&self) -> u64 {
-        self.readers.iter().flatten().map(|r| r.data_bytes()).sum()
+        self.healthy().map(|r| r.data_bytes()).sum()
     }
 
-    /// The snapshot date of committed week `week`.
+    /// The snapshot date (days since epoch) of committed week `week`.
     pub fn week_date_days(&self, week: usize) -> Result<i64, StoreError> {
-        if week >= self.weeks_committed() {
+        if week >= self.weeks {
             return Err(StoreError::UnknownWeek(week));
         }
-        let reader =
-            self.readers.iter().flatten().next().ok_or_else(|| {
-                StoreError::corrupt(0, "no healthy shard to read the week date from")
-            })?;
+        let reader = self
+            .healthy()
+            .next()
+            .ok_or_else(|| StoreError::corrupt(0, "no healthy shard to read the week date from"))?;
         reader.week_date_days(week)
     }
 
-    /// Fully decodes group week `week`, merged across healthy shards and
+    /// Fully decodes week `week`, merged across healthy shards and
     /// sorted by host. On a degraded open the unavailable shards' records
     /// are absent.
     pub fn week(&self, week: usize) -> Result<WeekData, StoreError> {
         self.merged_week(week, |reader| reader.week(week))
     }
 
-    /// [`ShardedStoreReader::week`] restricted to the hosts `keep`
-    /// accepts; see [`StoreReader::week_where`].
+    /// [`AnyReader::week`] restricted to the hosts `keep` accepts; see
+    /// [`StoreReader::week_where`].
     pub fn week_where(
         &self,
         week: usize,
@@ -720,42 +681,43 @@ impl ShardedStoreReader {
         self.merged_week(week, |reader| reader.week_where(week, &keep))
     }
 
+    fn healthy(&self) -> impl Iterator<Item = &StoreReader> {
+        self.readers.iter().flatten()
+    }
+
     fn merged_week(
         &self,
         week: usize,
         slice: impl Fn(&StoreReader) -> Result<WeekData, StoreError>,
     ) -> Result<WeekData, StoreError> {
-        if week >= self.weeks_committed() {
+        if week >= self.weeks {
             return Err(StoreError::UnknownWeek(week));
         }
-        let mut date_days = None;
-        let mut parts = Vec::new();
-        for reader in self.readers.iter().flatten() {
-            let part = slice(reader)?;
-            date_days.get_or_insert(part.date_days);
-            parts.push(part);
-        }
-        let date_days =
-            date_days.ok_or_else(|| StoreError::corrupt(0, "no healthy shard holds this week"))?;
+        let parts = self.healthy().map(slice).collect::<Result<Vec<_>, _>>()?;
+        let date_days = parts
+            .first()
+            .ok_or_else(|| StoreError::corrupt(0, "no healthy shard holds this week"))?
+            .date_days;
         Ok(merge_week(week, date_days, parts))
     }
 
-    /// Iterates every committed group week in order.
-    pub fn iter_weeks(&self) -> impl Iterator<Item = Result<WeekData, StoreError>> + '_ {
-        (0..self.weeks_committed()).map(move |week| self.week(week))
+    /// Streams every committed week, one decoded [`WeekData`] at a time
+    /// — the entry point for the streaming analysis pass.
+    pub fn stream(&self) -> WeekStream<'_> {
+        WeekStream::over(self)
     }
 
-    /// O(1) random access, routed to the owning shard by domain hash.
-    /// Routing to an unavailable shard fails with
+    /// Random access to one `(domain, week)` record, routed to the owning
+    /// shard by domain hash. Routing to an unavailable shard fails with
     /// [`StoreError::ShardUnavailable`] — the caller can tell "this
     /// domain's shard is down" (retryable, serve answers 503) apart from
     /// "this domain does not exist" (404).
     pub fn get(&self, domain: &str, week: usize) -> Result<DomainRecord, StoreError> {
-        if week >= self.weeks_committed() {
+        if week >= self.weeks {
             return Err(StoreError::UnknownWeek(week));
         }
-        let (shard, health) = self.shard_for(domain);
-        match (&self.readers[shard], health) {
+        let shard = shard_of(domain, self.health.len());
+        match (&self.readers[shard], &self.health[shard]) {
             (Some(reader), _) => reader.get(domain, week),
             (None, ShardHealth::Unavailable { detail }) => Err(StoreError::ShardUnavailable {
                 shard,
@@ -770,13 +732,12 @@ impl ShardedStoreReader {
     /// fails on the first unavailable shard. Returns per-week record
     /// counts summed across shards.
     pub fn verify(&self) -> Result<Vec<usize>, StoreError> {
-        let committed = self.weeks_committed();
-        let mut counts = vec![0usize; committed];
+        let mut counts = vec![0usize; self.weeks];
         for (index, reader) in self.readers.iter().enumerate() {
             match reader {
                 Some(reader) => {
                     let shard_counts = reader.verify()?;
-                    for (week, count) in shard_counts.iter().take(committed).enumerate() {
+                    for (week, count) in shard_counts.iter().take(self.weeks).enumerate() {
                         counts[week] += count;
                     }
                 }
@@ -798,7 +759,7 @@ impl ShardedStoreReader {
     pub fn delta_stats(&self) -> Result<(usize, usize), StoreError> {
         let mut hits = 0;
         let mut total = 0;
-        for reader in self.readers.iter().flatten() {
+        for reader in self.healthy() {
             let (h, t) = reader.delta_stats()?;
             hits += h;
             total += t;

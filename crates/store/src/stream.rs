@@ -11,10 +11,9 @@
 //! reader's structural index — independent of how many weeks (or
 //! domains) the store holds beyond the single week in flight.
 
-use crate::any::AnyReader;
 use crate::error::StoreError;
-use crate::reader::StoreReader;
 use crate::record::WeekData;
+use crate::sharded::AnyReader;
 
 /// Iterator over a store's committed weeks, decoding one at a time.
 ///
@@ -22,14 +21,9 @@ use crate::record::WeekData;
 /// for one week does not end the stream (later weeks may still be
 /// intact), so callers decide whether to abort or skip.
 pub struct WeekStream<'a> {
-    source: Source<'a>,
+    reader: &'a AnyReader,
     next: usize,
     end: usize,
-}
-
-enum Source<'a> {
-    Any(&'a AnyReader),
-    Single(&'a StoreReader),
 }
 
 impl<'a> WeekStream<'a> {
@@ -37,18 +31,7 @@ impl<'a> WeekStream<'a> {
     pub fn over(reader: &'a AnyReader) -> WeekStream<'a> {
         WeekStream {
             end: reader.weeks_committed(),
-            source: Source::Any(reader),
-            next: 0,
-        }
-    }
-
-    /// Streams every committed week of one single-file store (for a
-    /// sharded store, one shard's slice). Per-shard parallel folds use
-    /// this via [`crate::ShardedStoreReader::shard_reader`].
-    pub fn over_single(reader: &'a StoreReader) -> WeekStream<'a> {
-        WeekStream {
-            end: reader.weeks_committed(),
-            source: Source::Single(reader),
+            reader,
             next: 0,
         }
     }
@@ -76,10 +59,7 @@ impl Iterator for WeekStream<'_> {
         }
         let week = self.next;
         self.next += 1;
-        Some(match &self.source {
-            Source::Any(r) => r.week(week),
-            Source::Single(r) => r.week(week),
-        })
+        Some(self.reader.week(week))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

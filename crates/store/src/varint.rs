@@ -25,6 +25,12 @@ pub fn write_i64(out: &mut Vec<u8>, value: i64) {
     write_u64(out, ((value << 1) ^ (value >> 63)) as u64);
 }
 
+/// Appends `value` as a length-prefixed UTF-8 string.
+pub fn write_str(out: &mut Vec<u8>, value: &str) {
+    write_u64(out, value.len() as u64);
+    out.extend_from_slice(value.as_bytes());
+}
+
 /// The number of bytes [`write_u64`] would emit for `value`.
 #[cfg(test)]
 pub fn len_u64(value: u64) -> usize {
@@ -101,6 +107,12 @@ impl<'a> Cursor<'a> {
         Some(slice)
     }
 
+    /// Reads a length-prefixed UTF-8 string written by [`write_str`].
+    pub fn str(&mut self) -> Option<String> {
+        let len = self.len()?;
+        String::from_utf8(self.bytes(len)?.to_vec()).ok()
+    }
+
     /// Advances past `n` bytes without looking at them.
     pub fn skip(&mut self, n: usize) -> Option<()> {
         self.bytes(n).map(|_| ())
@@ -145,6 +157,20 @@ mod tests {
             let mut cur = Cursor::new(&buf);
             assert_eq!(cur.i64(), Some(value));
         }
+    }
+
+    #[test]
+    fn strings_round_trip_and_reject_bad_lengths() {
+        let mut buf = Vec::new();
+        write_str(&mut buf, "héllo.example");
+        write_str(&mut buf, "");
+        let mut cur = Cursor::new(&buf);
+        assert_eq!(cur.str().as_deref(), Some("héllo.example"));
+        assert_eq!(cur.str().as_deref(), Some(""));
+        assert!(cur.is_empty());
+        // A length past the end, and bytes that are not UTF-8.
+        assert_eq!(Cursor::new(&[5, b'a']).str(), None);
+        assert_eq!(Cursor::new(&[2, 0xC3, 0x28]).str(), None);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub const FAILPOINTS: &[&str] = &[
 
 use crate::error::StoreError;
 use crate::format::{
-    self, decode_week_full, encode_footer, encode_genesis, encode_header, encode_segment, kind,
-    scan, Genesis, PrevBody, PrevWeek, SegmentMeta, WeekEncoder,
+    self, decode_week_full, encode_footer, encode_genesis, encode_header, encode_segment,
+    encode_week, kind, scan, Genesis, PrevBody, PrevWeek, SegmentMeta,
 };
 use crate::intern::Interner;
 use crate::record::WeekData;
@@ -104,7 +104,6 @@ pub struct StoreWriter {
     finalized: bool,
     data_end: u64,
     prev: PrevWeek,
-    pending: Option<WeekEncoder>,
     stats: WriterStats,
 }
 
@@ -142,7 +141,6 @@ impl StoreWriter {
             finalized: false,
             data_end,
             prev: PrevWeek::new(),
-            pending: None,
             stats: WriterStats::default(),
         };
         writer.rewrite_footer()?;
@@ -177,7 +175,7 @@ impl StoreWriter {
                     let decoded = decode_week_full(&scanned.segments, i, &prefix, &table)?;
                     prev = decoded
                         .iter()
-                        .map(|d| (d.host_sym, PrevBody::of(d.body_offset, &d.body)))
+                        .map(|d| (d.host_sym, PrevBody::of(d.body_offset, d.body)))
                         .collect();
                     weeks.push(WeekData {
                         week: prefix.week,
@@ -212,7 +210,6 @@ impl StoreWriter {
             finalized: filtered_out.is_some(),
             data_end: scanned.data_end,
             prev,
-            pending: None,
             stats: WriterStats {
                 torn_bytes_recovered: scanned.torn_bytes,
                 ..WriterStats::default()
@@ -229,71 +226,31 @@ impl StoreWriter {
         })
     }
 
-    /// Appends one weekly snapshot. Weeks must arrive in order, starting
-    /// at 0 (or at the first uncommitted week after a resume).
-    ///
-    /// Equivalent to `begin_week` + one `append_records` + `end_week`;
-    /// streaming callers use those directly to commit a week in batches
-    /// without ever materializing its [`WeekData`].
+    /// Appends one weekly snapshot: encodes the segment, appends it,
+    /// rewrites the footer, and advances the delta state. Weeks must
+    /// arrive in order, starting at 0 (or at the first uncommitted week
+    /// after a resume), with records sorted by host.
     pub fn commit_week(&mut self, week: &WeekData) -> Result<CommitInfo, StoreError> {
-        self.begin_week(week.week, week.date_days)?;
-        self.append_records(&week.records)?;
-        self.end_week()
-    }
-
-    /// Opens an incremental week commit. Records then arrive in
-    /// host-sorted batches via [`StoreWriter::append_records`], and
-    /// [`StoreWriter::end_week`] seals and appends the segment.
-    pub fn begin_week(&mut self, week: usize, date_days: i64) -> Result<(), StoreError> {
         if self.finalized {
             return Err(StoreError::AlreadyFinalized);
         }
-        if self.pending.is_some() {
-            return Err(StoreError::Mismatch("a week commit is already open".into()));
-        }
-        if week != self.next_week {
+        if week.week != self.next_week {
             return Err(StoreError::WeekOutOfOrder {
                 expected: self.next_week,
-                got: week,
+                got: week.week,
             });
         }
-        self.pending = Some(WeekEncoder::begin(week, date_days, &mut self.table));
-        Ok(())
-    }
-
-    /// Encodes a batch of records onto the open week commit. Batches must
-    /// be host-sorted across the whole week (the canonical record order).
-    pub fn append_records(
-        &mut self,
-        records: &[crate::record::DomainRecord],
-    ) -> Result<(), StoreError> {
-        let enc = self
-            .pending
-            .as_mut()
-            .ok_or_else(|| StoreError::Mismatch("no week commit is open".into()))?;
-        enc.append(records, &mut self.table, &self.prev);
-        Ok(())
-    }
-
-    /// Seals the open week commit: appends the segment, rewrites the
-    /// footer, and advances the delta state.
-    pub fn end_week(&mut self) -> Result<CommitInfo, StoreError> {
-        let enc = self
-            .pending
-            .take()
-            .ok_or_else(|| StoreError::Mismatch("no week commit is open".into()))?;
-        let week = enc.week();
-        let records = enc.records_staged();
+        let records = week.records.len();
         // The writer enters the `store` scope itself: callers without a
         // `Telemetry` (`Dataset::save_store`, the watch daemon) commit
         // through here too, and a shard's commit runs inside an executor
         // task — the scope's task reset keeps `store.commit` keyed
         // (store, week, -, 0) whatever the shard count.
         let _phase = trace::phase_scope("store");
-        let _week = trace::week_scope(week as u64);
-        let encoded = enc.finish(&self.table, self.data_end);
+        let _week = trace::week_scope(week.week as u64);
+        let encoded = encode_week(week, &mut self.table, &self.prev, self.data_end);
         let envelope = encode_segment(kind::WEEK, &encoded.payload);
-        self.append_segment(&envelope, kind::WEEK, week)?;
+        self.append_segment(&envelope, kind::WEEK, week.week)?;
 
         self.prev = encoded.next_prev;
         self.next_week += 1;
@@ -317,7 +274,7 @@ impl StoreWriter {
             trace::Sink::Export,
         );
         Ok(CommitInfo {
-            week,
+            week: week.week,
             records,
             delta_hits: encoded.delta_hits,
             raw_bytes: encoded.raw_bytes,
@@ -331,11 +288,6 @@ impl StoreWriter {
     pub fn finalize(&mut self, filtered_out: &[String]) -> Result<(), StoreError> {
         if self.finalized {
             return Err(StoreError::AlreadyFinalized);
-        }
-        if self.pending.is_some() {
-            return Err(StoreError::Mismatch(
-                "cannot finalize with a week commit open".into(),
-            ));
         }
         let _phase = trace::phase_scope("store");
         trace::emit(

@@ -1,7 +1,7 @@
 //! Exposure alerts: the unit the retro-scanner emits and the outbox
 //! journals.
 
-use crate::wal::{write_str, write_u64, Cursor};
+use webvuln_store::codec::{write_str, write_u64, Cursor};
 
 /// How much of the store a retro-scan actually covered. A degraded store
 /// (quarantined or missing shard files) downgrades coverage instead of

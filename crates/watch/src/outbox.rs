@@ -17,11 +17,12 @@
 
 use crate::alert::Alert;
 use crate::error::WatchError;
-use crate::wal::{write_u64, Cursor, FrameLog};
+use crate::wal::FrameLog;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use webvuln_store::codec::{write_u64, Cursor};
 
 const TAG_ENQUEUE: u8 = 1;
 const TAG_ACK: u8 = 2;

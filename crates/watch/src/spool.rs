@@ -2,27 +2,23 @@
 //!
 //! A producer (a crawler on another machine, a test, the bench) drops
 //! `week-NNNNN.wvweek` files into the spool directory; the watcher
-//! commits them through the sharded store writer in week order. Files
-//! are self-checking (magic + CRC over the payload) so a torn or
-//! half-copied spool file is rejected — the producer re-drops it —
-//! rather than committed. `genesis.wvgenesis` bootstraps a store the
-//! first time a watcher opens an empty root.
+//! commits them through the sharded store writer in week order.
+//! `genesis.wvgenesis` bootstraps a store the first time a watcher opens
+//! an empty root.
 //!
-//! The format is this crate's own (varint/CRC, mirroring the store's
-//! codec idiom) because the store keeps its interned segment codec
-//! private — and a spool file is a transport envelope, not a store
-//! segment: it must be decodable standalone, without shard context.
+//! A spool file is a store file holding one segment — the store's
+//! header, then one week (own string table, every body in full) or one
+//! genesis, encoded and checked by [`webvuln_store::codec`]. Magic,
+//! version, segment kind, length and CRC are all the store's, so a torn
+//! or half-copied file — anything that is not exactly one such segment
+//! — is refused (the producer re-drops it) rather than committed.
 
 use crate::error::WatchError;
-use crate::wal::{crc32, write_i64, write_str, write_u64, Cursor};
 use std::path::{Path, PathBuf};
-use webvuln_store::{
-    DetectionRecord, DomainRecord, FlashRecord, Genesis, PageRecord, ScriptRecord, WeekData,
-    WordPressRecord,
+use webvuln_store::codec::{
+    decode_genesis_file, decode_week_file, encode_genesis_file, encode_week_file,
 };
-
-const WEEK_MAGIC: &[u8; 8] = b"WVWEEK01";
-const GENESIS_MAGIC: &[u8; 8] = b"WVGENES1";
+use webvuln_store::{Genesis, StoreError, WeekData};
 
 /// The spool file name for week `index`.
 pub fn week_file_name(index: usize) -> String {
@@ -32,281 +28,34 @@ pub fn week_file_name(index: usize) -> String {
 /// The genesis bootstrap file name.
 pub const GENESIS_FILE: &str = "genesis.wvgenesis";
 
-fn opt_str(out: &mut Vec<u8>, value: Option<&str>) {
-    match value {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            write_str(out, s);
-        }
-    }
-}
-
-fn encode_week(week: &WeekData) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_u64(&mut out, week.week as u64);
-    write_i64(&mut out, week.date_days);
-    write_u64(&mut out, week.records.len() as u64);
-    for record in &week.records {
-        write_str(&mut out, &record.host);
-        match record.status {
-            None => out.push(0),
-            Some(status) => {
-                out.push(1);
-                write_u64(&mut out, u64::from(status));
-            }
-        }
-        write_u64(&mut out, record.body_len);
-        match &record.page {
-            None => out.push(0),
-            Some(page) => {
-                out.push(1);
-                encode_page(&mut out, page);
-            }
-        }
-    }
-    out
-}
-
-fn encode_page(out: &mut Vec<u8>, page: &PageRecord) {
-    write_u64(out, page.detections.len() as u64);
-    for det in &page.detections {
-        write_str(out, &det.library);
-        opt_str(out, det.version.as_deref());
-        opt_str(out, det.external_host.as_deref());
-        out.push(u8::from(det.integrity));
-        opt_str(out, det.crossorigin.as_deref());
-        write_str(out, &det.url);
-    }
-    match &page.wordpress {
-        WordPressRecord::Absent => out.push(0),
-        WordPressRecord::DetectedUnknownVersion => out.push(1),
-        WordPressRecord::Detected(version) => {
-            out.push(2);
-            write_str(out, version);
-        }
-    }
-    write_u64(out, page.flash.len() as u64);
-    for flash in &page.flash {
-        write_str(out, &flash.swf_url);
-        opt_str(out, flash.allow_script_access.as_deref());
-    }
-    write_u64(out, page.resource_types.len() as u64);
-    out.extend_from_slice(&page.resource_types);
-    write_u64(out, page.github_scripts.len() as u64);
-    for script in &page.github_scripts {
-        write_str(out, &script.host);
-        write_str(out, &script.url);
-        out.push(u8::from(script.integrity));
-        opt_str(out, script.crossorigin.as_deref());
-    }
-    write_u64(out, page.external_scripts);
-    write_u64(out, page.external_scripts_without_integrity);
-    write_u64(out, page.crossorigin_values.len() as u64);
-    for value in &page.crossorigin_values {
-        write_str(out, value);
-    }
-}
-
-struct WeekReader<'a, 'b> {
-    cur: &'b mut Cursor<'a>,
-    path: &'b Path,
-}
-
-impl WeekReader<'_, '_> {
-    fn bad(&self, what: &str) -> WatchError {
-        WatchError::corrupt(self.path, format!("{what} at byte {}", self.cur.pos()))
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WatchError> {
-        self.cur.u8().ok_or_else(|| self.bad(what))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WatchError> {
-        self.cur.u64().ok_or_else(|| self.bad(what))
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, WatchError> {
-        self.cur.str().ok_or_else(|| self.bad(what))
-    }
-
-    fn opt_str(&mut self, what: &str) -> Result<Option<String>, WatchError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str(what)?)),
-            _ => Err(self.bad(what)),
-        }
-    }
-
-    fn bool(&mut self, what: &str) -> Result<bool, WatchError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(self.bad(what)),
-        }
-    }
-}
-
-fn decode_week(path: &Path, payload: &[u8]) -> Result<WeekData, WatchError> {
-    let mut cur = Cursor::new(payload);
-    let mut r = WeekReader {
-        cur: &mut cur,
-        path,
-    };
-    let week = r.u64("week index")? as usize;
-    let date_days = r
-        .cur
-        .i64()
-        .ok_or_else(|| WatchError::corrupt(path, "week date"))?;
-    let n_records = r.u64("record count")?;
-    if n_records > payload.len() as u64 {
-        return Err(r.bad("record count"));
-    }
-    let mut records = Vec::with_capacity(n_records as usize);
-    for _ in 0..n_records {
-        let host = r.str("host")?;
-        let status = match r.u8("status tag")? {
-            0 => None,
-            1 => {
-                let raw = r.u64("status")?;
-                Some(u16::try_from(raw).map_err(|_| r.bad("status range"))?)
-            }
-            _ => return Err(r.bad("status tag")),
-        };
-        let body_len = r.u64("body length")?;
-        let page = match r.u8("page tag")? {
-            0 => None,
-            1 => Some(decode_page(&mut r)?),
-            _ => return Err(r.bad("page tag")),
-        };
-        records.push(DomainRecord {
-            host,
-            status,
-            body_len,
-            page,
-        });
-    }
-    if !r.cur.is_empty() {
-        return Err(WatchError::corrupt(path, "trailing bytes"));
-    }
-    Ok(WeekData {
-        week,
-        date_days,
-        records,
-    })
-}
-
-fn decode_page(r: &mut WeekReader<'_, '_>) -> Result<PageRecord, WatchError> {
-    let n_det = r.u64("detection count")?;
-    let mut detections = Vec::with_capacity(n_det.min(1024) as usize);
-    for _ in 0..n_det {
-        detections.push(DetectionRecord {
-            library: r.str("library")?,
-            version: r.opt_str("version")?,
-            external_host: r.opt_str("external host")?,
-            integrity: r.bool("integrity")?,
-            crossorigin: r.opt_str("crossorigin")?,
-            url: r.str("detection url")?,
-        });
-    }
-    let wordpress = match r.u8("wordpress tag")? {
-        0 => WordPressRecord::Absent,
-        1 => WordPressRecord::DetectedUnknownVersion,
-        2 => WordPressRecord::Detected(r.str("wordpress version")?),
-        _ => return Err(r.bad("wordpress tag")),
-    };
-    let n_flash = r.u64("flash count")?;
-    let mut flash = Vec::with_capacity(n_flash.min(1024) as usize);
-    for _ in 0..n_flash {
-        flash.push(FlashRecord {
-            swf_url: r.str("swf url")?,
-            allow_script_access: r.opt_str("allow_script_access")?,
-        });
-    }
-    let n_types = r.u64("resource-type count")? as usize;
-    let mut resource_types = Vec::with_capacity(n_types.min(1024));
-    for _ in 0..n_types {
-        resource_types.push(r.u8("resource type")?);
-    }
-    let n_github = r.u64("github script count")?;
-    let mut github_scripts = Vec::with_capacity(n_github.min(1024) as usize);
-    for _ in 0..n_github {
-        github_scripts.push(ScriptRecord {
-            host: r.str("script host")?,
-            url: r.str("script url")?,
-            integrity: r.bool("script integrity")?,
-            crossorigin: r.opt_str("script crossorigin")?,
-        });
-    }
-    let external_scripts = r.u64("external script count")?;
-    let external_scripts_without_integrity = r.u64("unprotected script count")?;
-    let n_co = r.u64("crossorigin value count")?;
-    let mut crossorigin_values = Vec::with_capacity(n_co.min(1024) as usize);
-    for _ in 0..n_co {
-        crossorigin_values.push(r.str("crossorigin value")?);
-    }
-    Ok(PageRecord {
-        detections,
-        wordpress,
-        flash,
-        resource_types,
-        github_scripts,
-        external_scripts,
-        external_scripts_without_integrity,
-        crossorigin_values,
-    })
-}
-
-fn write_checked(path: &Path, magic: &[u8; 8], payload: &[u8]) -> Result<(), WatchError> {
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(magic);
-    let mut header = Vec::new();
-    write_u64(&mut header, payload.len() as u64);
-    write_u64(&mut header, u64::from(crc32(payload)));
-    out.extend_from_slice(&header);
-    out.extend_from_slice(payload);
+fn write_file(spool_dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, WatchError> {
+    std::fs::create_dir_all(spool_dir).map_err(|e| WatchError::io(spool_dir, e))?;
+    let path = spool_dir.join(name);
     // Write to a temp name then rename, so a producer crash never leaves
     // a plausible-but-partial spool file under the real name.
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &out).map_err(|e| WatchError::io(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| WatchError::io(path, e))
+    std::fs::write(&tmp, bytes).map_err(|e| WatchError::io(&tmp, e))?;
+    std::fs::rename(&tmp, &path).map_err(|e| WatchError::io(&path, e))?;
+    Ok(path)
 }
 
-fn read_checked(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, WatchError> {
-    let data = std::fs::read(path).map_err(|e| WatchError::io(path, e))?;
-    if data.len() < 8 || &data[..8] != magic {
-        return Err(WatchError::corrupt(path, "bad magic"));
-    }
-    let mut cur = Cursor::new(&data[8..]);
-    let len = cur
-        .u64()
-        .ok_or_else(|| WatchError::corrupt(path, "payload length"))?;
-    let crc = cur
-        .u64()
-        .ok_or_else(|| WatchError::corrupt(path, "payload crc"))?;
-    let start = 8 + cur.pos();
-    if len != (data.len() - start) as u64 {
-        return Err(WatchError::corrupt(path, "payload length mismatch"));
-    }
-    let payload = &data[start..];
-    if u64::from(crc32(payload)) != crc {
-        return Err(WatchError::corrupt(path, "payload crc mismatch"));
-    }
-    Ok(payload.to_vec())
+fn read_file<T>(path: &Path, decode: fn(&[u8]) -> Result<T, StoreError>) -> Result<T, WatchError> {
+    let bytes = std::fs::read(path).map_err(|e| WatchError::io(path, e))?;
+    decode(&bytes).map_err(|e| WatchError::corrupt(path, e.to_string()))
 }
 
 /// Writes `week` as a self-checking spool file under `spool_dir`.
 pub fn write_week_file(spool_dir: &Path, week: &WeekData) -> Result<PathBuf, WatchError> {
-    std::fs::create_dir_all(spool_dir).map_err(|e| WatchError::io(spool_dir, e))?;
-    let path = spool_dir.join(week_file_name(week.week));
-    write_checked(&path, WEEK_MAGIC, &encode_week(week))?;
-    Ok(path)
+    write_file(
+        spool_dir,
+        &week_file_name(week.week),
+        &encode_week_file(week),
+    )
 }
 
 /// Reads and verifies one spool week file.
 pub fn read_week_file(path: &Path) -> Result<WeekData, WatchError> {
-    let payload = read_checked(path, WEEK_MAGIC)?;
-    decode_week(path, &payload)
+    read_file(path, decode_week_file)
 }
 
 /// Lists spool week files as `(week index, path)`, sorted by week.
@@ -336,50 +85,20 @@ pub fn scan_spool(spool_dir: &Path) -> Result<Vec<(usize, PathBuf)>, WatchError>
 
 /// Writes the genesis bootstrap file under `spool_dir`.
 pub fn write_genesis_file(spool_dir: &Path, genesis: &Genesis) -> Result<PathBuf, WatchError> {
-    std::fs::create_dir_all(spool_dir).map_err(|e| WatchError::io(spool_dir, e))?;
-    let mut payload = Vec::new();
-    write_i64(&mut payload, genesis.start_days);
-    write_u64(&mut payload, genesis.weeks_total as u64);
-    write_u64(&mut payload, genesis.ranks.len() as u64);
-    for (host, rank) in &genesis.ranks {
-        write_str(&mut payload, host);
-        write_u64(&mut payload, *rank);
-    }
-    let path = spool_dir.join(GENESIS_FILE);
-    write_checked(&path, GENESIS_MAGIC, &payload)?;
-    Ok(path)
+    write_file(spool_dir, GENESIS_FILE, &encode_genesis_file(genesis))
 }
 
 /// Reads the genesis bootstrap file.
 pub fn read_genesis_file(path: &Path) -> Result<Genesis, WatchError> {
-    let payload = read_checked(path, GENESIS_MAGIC)?;
-    let mut cur = Cursor::new(&payload);
-    let bad = |what: &str| WatchError::corrupt(path, what);
-    let start_days = cur.i64().ok_or_else(|| bad("start_days"))?;
-    let weeks_total = cur.u64().ok_or_else(|| bad("weeks_total"))? as usize;
-    let n_ranks = cur.u64().ok_or_else(|| bad("rank count"))?;
-    if n_ranks > payload.len() as u64 {
-        return Err(bad("rank count"));
-    }
-    let mut ranks = Vec::with_capacity(n_ranks as usize);
-    for _ in 0..n_ranks {
-        let host = cur.str().ok_or_else(|| bad("rank host"))?;
-        let rank = cur.u64().ok_or_else(|| bad("rank value"))?;
-        ranks.push((host, rank));
-    }
-    if !cur.is_empty() {
-        return Err(bad("trailing bytes"));
-    }
-    Ok(Genesis {
-        start_days,
-        weeks_total,
-        ranks,
-    })
+    read_file(path, decode_genesis_file)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webvuln_store::{
+        DetectionRecord, DomainRecord, FlashRecord, PageRecord, ScriptRecord, WordPressRecord,
+    };
 
     fn sample_week(index: usize) -> WeekData {
         WeekData {

@@ -181,8 +181,8 @@ pub fn load_watch_state(root: &Path) -> WatchState {
         state.weeks_committed = reader.weeks_committed() as u64;
         state.shards = reader.shard_count() as u32;
         state.degraded = reader.is_degraded();
-        if let AnyReader::Sharded(sharded) = &reader {
-            state.epoch = sharded.manifest().epoch;
+        if let Some(manifest) = reader.manifest() {
+            state.epoch = manifest.epoch;
         }
     }
     if let Ok(snapshot) = crate::outbox::OutboxSnapshot::load(&cfg.outbox_wal(), &cfg.alert_log()) {

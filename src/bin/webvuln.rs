@@ -453,8 +453,8 @@ fn cmd_store(args: &[String]) {
             if reader.shard_count() > 1 {
                 println!("shards:     {}", reader.shard_count());
             }
-            if let webvuln::store::AnyReader::Sharded(sharded) = &reader {
-                println!("epoch:      {}", sharded.manifest().epoch);
+            if let Some(manifest) = reader.manifest() {
+                println!("epoch:      {}", manifest.epoch);
             }
             println!("domains:    {}", genesis.ranks.len());
             println!(
@@ -491,9 +491,9 @@ fn cmd_store(args: &[String]) {
             }
             // Per-shard breakdown: week/record counts for the healthy
             // shards, the quarantine reason for the rest.
-            if let webvuln::store::AnyReader::Sharded(sharded) = &reader {
-                for index in 0..sharded.shard_count() {
-                    match sharded.shard_reader(index) {
+            if reader.manifest().is_some() {
+                for index in 0..reader.shard_count() {
+                    match reader.shard_reader(index) {
                         Some(shard) => {
                             let records = shard
                                 .delta_stats()
@@ -506,7 +506,7 @@ fn cmd_store(args: &[String]) {
                             );
                         }
                         None => {
-                            let detail = match &sharded.shard_health()[index] {
+                            let detail = match &reader.shard_health()[index] {
                                 webvuln::store::ShardHealth::Unavailable { detail } => {
                                     detail.clone()
                                 }

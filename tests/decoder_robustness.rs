@@ -1,8 +1,9 @@
 //! Never-panic / never-hang / no-unbounded-allocation suite for the
 //! decoders of outside input that the codec, tokeniser and store
 //! corruption suites do not cover: CVE delta text, pattern source, the
-//! sharded-store manifest, the watch frame log and its varint cursor,
-//! and the spool's week and genesis files.
+//! sharded-store manifest, the watch frame log and the store's varint
+//! cursor under it, the spool's week and genesis files, and a whole
+//! store — single file and one shard of a group — behind `AnyReader`.
 //!
 //! One table, one driver: every row names a decoder and a corpus of
 //! valid encodings; the driver feeds the decoder arbitrary bytes and
@@ -21,10 +22,11 @@ use webvuln::analysis::store_io::snapshot_to_week;
 use webvuln::cvedb::parse_delta;
 use webvuln::failpoint::check::{self, Gen};
 use webvuln::pattern::Pattern;
-use webvuln::store::{Genesis, Manifest};
-use webvuln::watch::wal::{
-    crc32, read_frames, write_frame, write_i64, write_str, write_u64, Cursor,
+use webvuln::store::codec::{crc32, write_i64, write_str, write_u64, Cursor};
+use webvuln::store::{
+    shard_path, AnyReader, Genesis, Manifest, ShardedStoreWriter, StoreWriter, WeekData,
 };
+use webvuln::watch::wal::{read_frames, write_frame};
 use webvuln::watch::{read_genesis_file, read_week_file, write_genesis_file, write_week_file};
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
@@ -132,37 +134,83 @@ fn mutant(g: &mut Gen, corpus: &[Vec<u8>]) -> Vec<u8> {
     bytes
 }
 
-/// Rewrites a spool file's envelope (magic, length, CRC, payload) with
-/// the length and CRC its payload actually has, so damage to the payload
-/// reaches the decoder behind the checksum.
-fn reseal(file: &[u8]) -> Vec<u8> {
-    let (magic, rest) = file.split_at(file.len().min(8));
-    let mut cur = Cursor::new(rest);
-    let _ = (cur.u64(), cur.u64());
-    let payload = &rest[cur.pos()..];
-    let mut out = magic.to_vec();
-    write_u64(&mut out, payload.len() as u64);
-    write_u64(&mut out, u64::from(crc32(payload)));
+/// Bytes of a store file's header, and of a segment envelope around its
+/// payload: kind, `u32` length in front, CRC behind.
+const HEADER: usize = 16;
+const ENVELOPE: usize = 9;
+
+/// A segment envelope of `kind` around `payload`, CRC included.
+fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = vec![kind];
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
     out
 }
 
-/// A row for a spool file reader: each input is read back from a scratch
-/// file twice, as mutilated and resealed.
-fn file_row<T: 'static, E: 'static>(
+/// Rewrites a spool file — header, one segment — so the envelope carries
+/// the length and CRC its payload actually has, and damage to the
+/// payload reaches the decoders behind the checksum.
+fn reseal(file: &[u8]) -> Vec<u8> {
+    if file.len() < HEADER + ENVELOPE {
+        return file.to_vec();
+    }
+    let mut out = file[..HEADER].to_vec();
+    out.extend(seal(file[HEADER], &file[HEADER + 5..file.len() - 4]));
+    out
+}
+
+/// Rewrites the CRC of every segment of a store file whose declared
+/// length still fits (the footer's 12-byte trailer is stepped over), so
+/// the scan accepts the damaged payloads and hands them on.
+fn reseal_segments(file: &[u8]) -> Vec<u8> {
+    let mut out = file.to_vec();
+    let mut pos = HEADER;
+    while let Some(head) = file.get(pos..pos + 5) {
+        let len = u32::from_le_bytes(head[1..5].try_into().expect("4 bytes")) as usize;
+        let Some(end) = (pos + 5)
+            .checked_add(len)
+            .filter(|end| end + 4 <= file.len())
+        else {
+            break;
+        };
+        out.splice(pos..end + 4, seal(head[0], &file[pos + 5..end]));
+        pos = end + 4 + if head[0] == 0xFF { 12 } else { 0 };
+    }
+    out
+}
+
+/// A row for a reader of a file at a fixed path: each input is written
+/// there and read back twice, as mutilated and as resealed.
+fn file_row(
     name: &'static str,
-    scratch: &Path,
-    valid: &Path,
-    read: fn(&Path) -> Result<T, E>,
+    target: std::path::PathBuf,
+    reseal: fn(&[u8]) -> Vec<u8>,
+    read: impl Fn() -> bool + 'static,
 ) -> Row {
-    let scratch = scratch.join(name);
-    let corpus = vec![std::fs::read(valid).expect("read valid file")];
+    let corpus = vec![std::fs::read(&target).expect("read valid file")];
     row(name, ALLOC_FLOOR, corpus, move |bytes| {
         [bytes.to_vec(), reseal(bytes)].iter().all(|candidate| {
-            std::fs::write(&scratch, candidate).expect("write scratch file");
-            read(&scratch).is_ok()
+            std::fs::write(&target, candidate).expect("write scratch file");
+            read()
         })
     })
+}
+
+/// Opens the store at `path` tolerantly and drives every read path over
+/// whatever it serves; accepted when it verifies.
+fn drive_store(path: &Path) -> bool {
+    let Ok(reader) = AnyReader::open_degraded(path) else {
+        return false;
+    };
+    let verified = reader.verify().is_ok();
+    for week in 0..reader.weeks_committed() {
+        let _ = reader.week_where(week, |host| host.len() % 2 == 0);
+        for (host, _) in &reader.genesis().ranks {
+            let _ = reader.get(host, week);
+        }
+    }
+    verified
 }
 
 const DELTA: &str = "# webvuln cve delta v1\n\
@@ -196,6 +244,34 @@ fn rows(dir: &Path) -> Vec<Row> {
         weeks_total: 12,
         ranks: vec![("a.example".to_string(), 1), ("b.example".to_string(), 2)],
     };
+    // The same week three times over: full bodies, then back-references,
+    // then one changed record; finalized with one domain filtered out.
+    let store_genesis = Genesis {
+        start_days: week.date_days,
+        weeks_total: 3,
+        ranks: (1..)
+            .zip(&week.records)
+            .map(|(rank, r)| (r.host.clone(), rank))
+            .collect(),
+    };
+    let mut store_weeks: Vec<WeekData> = (0..3)
+        .map(|w| WeekData {
+            week: w,
+            ..week.clone()
+        })
+        .collect();
+    store_weeks[2].records[0].body_len += 1;
+    let filtered = [week.records[1].host.clone()];
+    let single = dir.join("single.wvstore");
+    let group = dir.join("group");
+    let mut writer = StoreWriter::create(&single, store_genesis.clone()).expect("create store");
+    let mut sharded = ShardedStoreWriter::create(&group, store_genesis, 2).expect("create group");
+    for store_week in &store_weeks {
+        writer.commit_week(store_week).expect("commit");
+        sharded.commit_week(store_week).expect("commit shards");
+    }
+    writer.finalize(&filtered).expect("finalize");
+    sharded.finalize(&filtered).expect("finalize shards");
     let mut frames = Vec::new();
     for payload in [&b"first"[..], b"", DELTA.as_bytes()] {
         write_frame(&mut frames, payload);
@@ -256,7 +332,7 @@ fn rows(dir: &Path) -> Vec<Row> {
             },
         ),
         // Reads `u8, u64, i64, str` records until the bytes run out.
-        row("watch::wal::Cursor", ALLOC_FLOOR, vec![fields], |bytes| {
+        row("store::codec::Cursor", ALLOC_FLOOR, vec![fields], |bytes| {
             let mut cur = Cursor::new(bytes);
             for step in 0.. {
                 if cur.is_empty() {
@@ -276,17 +352,31 @@ fn rows(dir: &Path) -> Vec<Row> {
             }
             true
         }),
+        {
+            let path = write_week_file(dir, &week).expect("week file");
+            let read = path.clone();
+            file_row("watch::read_week_file", path, reseal, move || {
+                read_week_file(&read).is_ok()
+            })
+        },
+        {
+            let path = write_genesis_file(dir, &genesis).expect("genesis file");
+            let read = path.clone();
+            file_row("watch::read_genesis_file", path, reseal, move || {
+                read_genesis_file(&read).is_ok()
+            })
+        },
         file_row(
-            "watch::read_week_file",
-            dir,
-            &write_week_file(dir, &week).expect("week file"),
-            read_week_file,
+            "store::AnyReader over a single file",
+            single.clone(),
+            reseal_segments,
+            move || drive_store(&single),
         ),
         file_row(
-            "watch::read_genesis_file",
-            dir,
-            &write_genesis_file(dir, &genesis).expect("genesis file"),
-            read_genesis_file,
+            "store::AnyReader over a damaged shard",
+            shard_path(&group, 0),
+            reseal_segments,
+            move || drive_store(&group),
         ),
     ]
 }
