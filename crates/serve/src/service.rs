@@ -586,9 +586,9 @@ mod tests {
                 2,
                 coverage,
             );
-            outbox.enqueue(&a).expect("enqueue");
+            outbox.enqueue(&[a]).expect("enqueue");
             outbox.deliver_pending().expect("deliver");
-            outbox.enqueue(&b).expect("enqueue");
+            outbox.enqueue(&[b]).expect("enqueue");
         }
 
         // Without a watch root the endpoint is a 404.

@@ -36,6 +36,7 @@ use crate::error::StoreError;
 use crate::intern::Interner;
 use crate::record::{decode_body, encode_body, DomainRecord, WeekData};
 use crate::varint::{write_i64, write_str, write_u64, Cursor};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Read;
@@ -431,8 +432,8 @@ struct EncEntry {
 ///
 /// Records must be sorted by host name; the canonical encoding (and the
 /// byte-identical comparison underlying delta hits) depends on it.
-pub fn encode_week(
-    week: &WeekData,
+pub fn encode_week<R: Borrow<DomainRecord>>(
+    week: &WeekData<R>,
     table: &mut Interner,
     prev: &PrevWeek,
     seg_offset: u64,
@@ -446,6 +447,7 @@ pub fn encode_week(
     let mut delta_hits = 0;
     let mut raw_bytes = 0u64;
     for record in &week.records {
+        let record = record.borrow();
         let host_sym = table.intern(&record.host);
         let mut encoded = Vec::new();
         encode_body(record, table, &mut encoded);

@@ -14,15 +14,17 @@ use crate::error::StoreError;
 use crate::intern::Interner;
 use crate::varint::{write_u64, Cursor};
 
-/// One weekly snapshot, ready to commit.
+/// One weekly snapshot, ready to commit. The writers only read the
+/// records, so a shard's slice of a group week is a
+/// `WeekData<&DomainRecord>` borrowing from it, not a clone.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WeekData {
+pub struct WeekData<R = DomainRecord> {
     /// Zero-based snapshot index.
     pub week: usize,
     /// Snapshot date as days since the Unix epoch.
     pub date_days: i64,
     /// Per-domain outcomes, sorted by host name.
-    pub records: Vec<DomainRecord>,
+    pub records: Vec<R>,
 }
 
 /// The outcome of fetching one domain in one week.

@@ -65,7 +65,17 @@ pub const QUARANTINE_SUFFIX: &str = "quarantined";
 /// host; a stable partition keeps every shard's slice sorted too, and
 /// re-merging sorted slices by host reproduces the group order exactly.
 pub fn split_week(week: &WeekData, shards: usize) -> Vec<WeekData> {
-    let mut parts: Vec<WeekData> = (0..shards)
+    partition_week(week, shards, DomainRecord::clone)
+}
+
+/// [`split_week`] with each record cloned, or — a commit, which only
+/// reads them — lent (`|r| r`).
+fn partition_week<'a, R>(
+    week: &'a WeekData,
+    shards: usize,
+    lend: impl Fn(&'a DomainRecord) -> R,
+) -> Vec<WeekData<R>> {
+    let mut parts: Vec<WeekData<R>> = (0..shards)
         .map(|_| WeekData {
             week: week.week,
             date_days: week.date_days,
@@ -75,7 +85,7 @@ pub fn split_week(week: &WeekData, shards: usize) -> Vec<WeekData> {
     for record in &week.records {
         parts[shard_of(&record.host, shards)]
             .records
-            .push(record.clone());
+            .push(lend(record));
     }
     parts
 }
@@ -151,8 +161,9 @@ pub struct ShardedResumed {
     pub shards_rolled_back: usize,
 }
 
-/// One shard's slice of a week, claimed by exactly one commit worker.
-type ShardJob<'a> = Mutex<Option<(usize, &'a mut StoreWriter, WeekData)>>;
+/// One shard's slice of a week — borrowed from the group week, never
+/// cloned — claimed by exactly one commit worker.
+type ShardJob<'a> = Mutex<Option<(usize, &'a mut StoreWriter, WeekData<&'a DomainRecord>)>>;
 
 /// Writes a sharded snapshot store: one [`StoreWriter`] per shard plus
 /// the group manifest.
@@ -318,7 +329,7 @@ impl ShardedStoreWriter {
                 got: week.week,
             });
         }
-        let parts = split_week(week, self.writers.len());
+        let parts = partition_week(week, self.writers.len(), |record| record);
         let jobs: Vec<ShardJob<'_>> = self
             .writers
             .iter_mut()
@@ -334,7 +345,7 @@ impl ShardedStoreWriter {
                 .expect("each shard job runs exactly once");
             let key = index.to_string();
             let _ = webvuln_failpoint::failpoint!("store.shard.mid_write", &key)?;
-            writer.commit_week(&part)
+            writer.commit_lent(&part)
         });
         let mut info = CommitInfo {
             week: week.week,

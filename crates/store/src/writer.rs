@@ -39,7 +39,8 @@ use crate::format::{
     encode_week, kind, scan, Genesis, PrevBody, PrevWeek, SegmentMeta,
 };
 use crate::intern::Interner;
-use crate::record::WeekData;
+use crate::record::{DomainRecord, WeekData};
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -231,6 +232,14 @@ impl StoreWriter {
     /// arrive in order, starting at 0 (or at the first uncommitted week
     /// after a resume), with records sorted by host.
     pub fn commit_week(&mut self, week: &WeekData) -> Result<CommitInfo, StoreError> {
+        self.commit_lent(week)
+    }
+
+    /// [`StoreWriter::commit_week`] over records the caller only lends.
+    pub(crate) fn commit_lent<R: Borrow<DomainRecord>>(
+        &mut self,
+        week: &WeekData<R>,
+    ) -> Result<CommitInfo, StoreError> {
         if self.finalized {
             return Err(StoreError::AlreadyFinalized);
         }

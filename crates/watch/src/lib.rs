@@ -15,9 +15,9 @@
 //! * **Retro-scans** commit by appending to an applied-journal; a crash
 //!   mid-scan replays the scan and the outbox dedups the alerts by
 //!   their deterministic ID ([`alert_id`]).
-//! * **Delivery** runs through a CRC-framed write-ahead log with
-//!   at-least-once semantics plus ID dedup — exactly-once effective
-//!   ([`Outbox`]).
+//! * **Delivery** runs through a CRC-framed write-ahead log, a round
+//!   (three synced batches) at a time, with at-least-once semantics
+//!   plus ID dedup — exactly-once effective ([`Outbox`]).
 //! * **Supervision** catches faults and panics, backs restarts off with
 //!   seeded full jitter on the virtual clock, and reopens the watcher
 //!   from disk — reopen *is* the recovery path ([`supervise`]).
@@ -32,11 +32,14 @@
 ///
 /// - `watch.ingest` — fires after a spool week is read but before it is
 ///   committed to the store (key: the week index).
-/// - `watch.outbox.append` — fires before an alert's ENQUEUE frame is
-///   journaled (key: the alert ID in hex).
-/// - `watch.outbox.deliver` — fires twice per owed alert: before the
-///   delivery-log append (key `<id>:deliver`) and between the append
-///   and the ACK frame (key `<id>:ack`).
+/// - `watch.outbox.append` — fires per fresh alert while a scan's
+///   ENQUEUE batch is framed, before its one append and sync (key: the
+///   alert ID in hex).
+/// - `watch.outbox.deliver` — fires twice per owed alert, once in each
+///   phase of a round: before the lines' one write and sync (key
+///   `<id>:deliver` — every ENQUEUE durable, no line written), and
+///   after that sync, before the ACKs' one append and sync (key
+///   `<id>:ack` — every line durable, no ACK written).
 /// - `watch.retro` — fires before a delta file's retro-scan begins
 ///   (key: the delta file name).
 pub const FAILPOINTS: &[&str] = &[

@@ -8,20 +8,37 @@
 //! * `alerts.log` — the delivery target: one text line per alert, ID
 //!   first. Appending the line *is* the delivery.
 //!
-//! The protocol is at-least-once: a crash after the log append but
-//! before the ACK leaves the alert owed, and a reopened outbox will try
+//! The unit of durability is the *round*, not the alert:
+//! [`Outbox::enqueue`] journals a retro-scan's whole alert slice with one
+//! multi-frame append and one sync; [`Outbox::deliver_pending`] writes
+//! every owed line and syncs once, then every ACK and syncs once — three
+//! syncs a round, however many alerts it carries. Three ordering rules
+//! carry the exactly-once argument:
+//!
+//! 1. ENQUEUE frames are durable before any of their lines is written.
+//! 2. Every line of a round is durable before any ACK of that round is
+//!    written.
+//! 3. In-memory sets advance only after the sync that makes them true.
+//!
+//! The protocol is at-least-once: a crash after the lines' sync and
+//! before the ACKs' leaves the round owed, and a reopened outbox tries
 //! again. Delivery is idempotent — the reopened outbox reloads the
 //! delivered-ID set from `alerts.log` and skips IDs already present, so
-//! the log never carries a duplicate: at-least-once journaling plus
-//! deterministic IDs is exactly-once effective.
+//! at-least-once journaling plus deterministic IDs is exactly-once
+//! effective. A crash tears a batch anywhere: the WAL reopens to its
+//! whole-frame prefix, the log to its last newline, and the replayed scan
+//! or round supplies the rest. A fail-point *error* mid-batch flushes
+//! what is already framed, advances the state for exactly that prefix,
+//! then returns (a panic flushes nothing; both converge the same way).
 
 use crate::alert::Alert;
 use crate::error::WatchError;
-use crate::wal::FrameLog;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fs::OpenOptions;
+use crate::wal::{write_frame, FrameLog};
+use std::collections::BTreeSet;
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use webvuln_failpoint::Injected;
 use webvuln_store::codec::{write_u64, Cursor};
 
 const TAG_ENQUEUE: u8 = 1;
@@ -54,12 +71,14 @@ pub struct Outbox {
     wal: FrameLog,
     wal_path: PathBuf,
     delivery_path: PathBuf,
-    /// Owed and acked alerts by ID, in enqueue order.
-    enqueued: BTreeMap<u64, Alert>,
-    order: Vec<u64>,
-    acked: BTreeSet<u64>,
+    /// Every ID ever journaled, owed or acked: the enqueue dedup key.
+    known: BTreeSet<u64>,
+    /// Alerts journaled but not yet acked, in enqueue order.
+    owed: Vec<Alert>,
     /// IDs present in the delivery log.
     delivered: BTreeSet<u64>,
+    /// `sync_data` calls made since open.
+    syncs: u64,
 }
 
 impl Outbox {
@@ -70,8 +89,8 @@ impl Outbox {
         delivery_log: &Path,
     ) -> Result<(Outbox, OutboxRecovery), WatchError> {
         let (wal, frames) = FrameLog::open(wal_path).map_err(|e| WatchError::io(wal_path, e))?;
-        let mut enqueued = BTreeMap::new();
-        let mut order = Vec::new();
+        let mut known = BTreeSet::new();
+        let mut owed = Vec::new();
         let mut acked = BTreeSet::new();
         let mut replayed = 0usize;
         for payload in &frames.payloads {
@@ -81,10 +100,9 @@ impl Outbox {
                     let alert = Alert::decode(&mut cur).ok_or_else(|| {
                         WatchError::corrupt(wal_path, "undecodable ENQUEUE frame")
                     })?;
-                    if !enqueued.contains_key(&alert.id) {
-                        order.push(alert.id);
+                    if known.insert(alert.id) {
+                        owed.push(alert);
                     }
-                    enqueued.insert(alert.id, alert);
                     replayed += 1;
                 }
                 Some(TAG_ACK) => {
@@ -96,11 +114,15 @@ impl Outbox {
                 _ => return Err(WatchError::corrupt(wal_path, "unknown frame tag")),
             }
         }
-        let delivered = heal_delivery_log(delivery_log)?;
-        let pending = order.iter().filter(|id| !acked.contains(id)).count();
+        owed.retain(|alert| !acked.contains(&alert.id));
+        let (_, log) = heal_line_log(delivery_log)?;
+        let delivered: BTreeSet<u64> = String::from_utf8_lossy(&log)
+            .lines()
+            .filter_map(Alert::log_line_id)
+            .collect();
         let recovery = OutboxRecovery {
             replayed,
-            pending,
+            pending: owed.len(),
             delivered: delivered.len(),
         };
         Ok((
@@ -108,105 +130,133 @@ impl Outbox {
                 wal,
                 wal_path: wal_path.to_path_buf(),
                 delivery_path: delivery_log.to_path_buf(),
-                enqueued,
-                order,
-                acked,
+                known,
+                owed,
                 delivered,
+                syncs: 0,
             },
             recovery,
         ))
     }
 
-    /// Journals an alert as owed. Re-enqueueing an ID already journaled
-    /// (a retro-scan replayed after a crash) is a no-op returning
-    /// `false` — the WAL stays append-only and duplicate-free.
-    pub fn enqueue(&mut self, alert: &Alert) -> Result<bool, WatchError> {
-        if self.enqueued.contains_key(&alert.id) {
-            return Ok(false);
-        }
-        let key = format!("{:016x}", alert.id);
-        let _ = webvuln_failpoint::failpoint!("watch.outbox.append", &key)?;
-        let mut payload = Vec::new();
-        payload.push(TAG_ENQUEUE);
-        alert.encode(&mut payload);
-        self.wal
-            .append(&payload)
-            .map_err(|e| WatchError::io(&self.wal_path, e))?;
-        self.order.push(alert.id);
-        self.enqueued.insert(alert.id, alert.clone());
-        Ok(true)
+    /// Journals a retro-scan's alerts as owed — one append, one sync —
+    /// and returns `(fresh, deduped)`: an ID already journaled (a scan
+    /// replayed after a crash) or repeated in the slice is skipped, so
+    /// the WAL stays duplicate-free. `watch.outbox.append` fires per
+    /// fresh alert (key: its ID in hex) before the batch is written.
+    pub fn enqueue(&mut self, alerts: &[Alert]) -> Result<(usize, usize), WatchError> {
+        let mut frames = Vec::new();
+        let mut fresh: Vec<&Alert> = Vec::new();
+        let mut batch = BTreeSet::new();
+        let failed = alerts.iter().try_for_each(|alert| {
+            if self.known.contains(&alert.id) || !batch.insert(alert.id) {
+                return Ok(());
+            }
+            let key = format!("{:016x}", alert.id);
+            webvuln_failpoint::failpoint!("watch.outbox.append", &key)?;
+            let mut payload = vec![TAG_ENQUEUE];
+            alert.encode(&mut payload);
+            write_frame(&mut frames, &payload);
+            fresh.push(alert);
+            Ok::<(), Injected>(())
+        });
+        self.append_wal(&frames)?;
+        self.known.extend(fresh.iter().map(|alert| alert.id));
+        self.owed.extend(fresh.iter().map(|&alert| alert.clone()));
+        failed?;
+        Ok((fresh.len(), alerts.len() - fresh.len()))
     }
 
-    /// Delivers every owed alert: appends its line to the delivery log
-    /// (unless its ID is already there), then ACKs it in the WAL. The
-    /// `watch.outbox.deliver` fail-point fires twice per alert — before
-    /// the log append (`…:deliver`) and between the append and the ACK
-    /// (`…:ack`) — so the chaos harness can kill inside either window.
+    /// Delivers every owed alert in two synced phases: lines, then ACKs.
+    /// `watch.outbox.deliver` fires per owed alert before each phase's
+    /// write — key `<id>:deliver` (a kill finds nothing of the round on
+    /// disk), then `<id>:ack` (every line durable, no ACK).
     pub fn deliver_pending(&mut self) -> Result<DeliveryReport, WatchError> {
         let mut report = DeliveryReport::default();
-        let owed: Vec<u64> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|id| !self.acked.contains(id))
-            .collect();
-        for id in owed {
-            let alert = self.enqueued[&id].clone();
-            let key = format!("{id:016x}:deliver");
-            let _ = webvuln_failpoint::failpoint!("watch.outbox.deliver", &key)?;
-            if self.delivered.contains(&id) {
+        let mut lines = String::new();
+        let mut fresh = Vec::new();
+        let failed = self.owed.iter().try_for_each(|alert| {
+            let key = format!("{:016x}:deliver", alert.id);
+            webvuln_failpoint::failpoint!("watch.outbox.deliver", &key)?;
+            if self.delivered.contains(&alert.id) {
                 report.deduped += 1;
             } else {
-                self.append_delivery_line(&alert)?;
-                self.delivered.insert(id);
-                report.delivered += 1;
+                lines.push_str(&alert.log_line());
+                lines.push('\n');
+                fresh.push(alert.id);
             }
-            let key = format!("{id:016x}:ack");
-            let _ = webvuln_failpoint::failpoint!("watch.outbox.deliver", &key)?;
-            let mut payload = Vec::new();
-            payload.push(TAG_ACK);
-            write_u64(&mut payload, id);
-            self.wal
-                .append(&payload)
-                .map_err(|e| WatchError::io(&self.wal_path, e))?;
-            self.acked.insert(id);
-        }
+            Ok::<(), Injected>(())
+        });
+        self.append_lines(&lines)?;
+        report.delivered = fresh.len();
+        self.delivered.extend(fresh);
+        failed?;
+
+        let mut frames = Vec::new();
+        let mut acked = 0;
+        let failed = self.owed.iter().try_for_each(|alert| {
+            let key = format!("{:016x}:ack", alert.id);
+            webvuln_failpoint::failpoint!("watch.outbox.deliver", &key)?;
+            let mut payload = vec![TAG_ACK];
+            write_u64(&mut payload, alert.id);
+            write_frame(&mut frames, &payload);
+            acked += 1;
+            Ok::<(), Injected>(())
+        });
+        self.append_wal(&frames)?;
+        self.owed.drain(..acked);
+        failed?;
         Ok(report)
     }
 
-    fn append_delivery_line(&self, alert: &Alert) -> Result<(), WatchError> {
-        let mut file = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&self.delivery_path)
-            .map_err(|e| WatchError::io(&self.delivery_path, e))?;
-        let line = format!("{}\n", alert.log_line());
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| WatchError::io(&self.delivery_path, e))
+    /// One WAL batch: one write, one sync; an empty one touches nothing.
+    fn append_wal(&mut self, frames: &[u8]) -> Result<(), WatchError> {
+        if !frames.is_empty() {
+            self.wal
+                .append_frames(frames)
+                .map_err(|e| WatchError::io(&self.wal_path, e))?;
+            self.syncs += 1;
+        }
+        Ok(())
+    }
+
+    /// One delivery-log batch: one open, one write, one sync.
+    fn append_lines(&mut self, lines: &str) -> Result<(), WatchError> {
+        if !lines.is_empty() {
+            let mut file = OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(&self.delivery_path)
+                .map_err(|e| WatchError::io(&self.delivery_path, e))?;
+            file.write_all(lines.as_bytes())
+                .and_then(|()| file.sync_data())
+                .map_err(|e| WatchError::io(&self.delivery_path, e))?;
+            self.syncs += 1;
+        }
+        Ok(())
     }
 
     /// Alerts journaled but not yet acked, in enqueue order.
-    pub fn pending(&self) -> Vec<&Alert> {
-        self.order
-            .iter()
-            .filter(|id| !self.acked.contains(id))
-            .map(|id| &self.enqueued[id])
-            .collect()
+    pub fn pending(&self) -> &[Alert] {
+        &self.owed
     }
 
     /// Count of owed alerts.
     pub fn pending_count(&self) -> usize {
-        self.order
-            .iter()
-            .filter(|id| !self.acked.contains(id))
-            .count()
+        self.owed.len()
+    }
+
+    /// `sync_data` calls since open: one per non-empty batch.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 }
 
-/// Truncates a torn (unterminated) last line, then returns the set of
-/// alert IDs the delivery log already holds.
-fn heal_delivery_log(path: &Path) -> Result<BTreeSet<u64>, WatchError> {
+/// Opens a line log, truncates a torn (unterminated) last line, and
+/// returns the file positioned for appends plus its clean content. The
+/// cut is found in the raw bytes: a crashed writer can leave non-UTF-8
+/// garbage, and a lossy decode's offsets are not the file's.
+pub(crate) fn heal_line_log(path: &Path) -> Result<(File, Vec<u8>), WatchError> {
     let mut file = OpenOptions::new()
         .read(true)
         .write(true)
@@ -214,28 +264,22 @@ fn heal_delivery_log(path: &Path) -> Result<BTreeSet<u64>, WatchError> {
         .truncate(false)
         .open(path)
         .map_err(|e| WatchError::io(path, e))?;
-    let mut text = String::new();
     let mut raw = Vec::new();
     file.read_to_end(&mut raw)
         .map_err(|e| WatchError::io(path, e))?;
-    // The log is ASCII by construction; lossy decode keeps a torn
-    // multi-byte write from wedging recovery.
-    text.push_str(&String::from_utf8_lossy(&raw));
-    let clean_len = match text.rfind('\n') {
-        Some(pos) => pos + 1,
-        None => 0,
-    };
+    let clean_len = raw
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |pos| pos + 1);
     if clean_len < raw.len() {
         file.set_len(clean_len as u64)
             .and_then(|()| file.sync_all())
             .map_err(|e| WatchError::io(path, e))?;
+        raw.truncate(clean_len);
     }
     file.seek(SeekFrom::End(0))
         .map_err(|e| WatchError::io(path, e))?;
-    Ok(text[..clean_len]
-        .lines()
-        .filter_map(Alert::log_line_id)
-        .collect())
+    Ok((file, raw))
 }
 
 /// A read-only view of an outbox, safe to take while a daemon owns the
@@ -298,6 +342,22 @@ impl OutboxSnapshot {
 mod tests {
     use super::*;
     use crate::alert::Coverage;
+    use crate::wal::read_frames;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Mutex, MutexGuard};
+    use webvuln_failpoint::check::{self, Gen};
+    use webvuln_failpoint::{arm_key, hits, reset, Action};
+
+    /// Serializes this module: the fail-point registry is process-global
+    /// and every test here builds the same `alert(n)` IDs, so one test's
+    /// armed key would fire inside another's round.
+    static FP_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock() -> MutexGuard<'static, ()> {
+        let guard = FP_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        reset();
+        guard
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wvoutbox-{}-{name}", std::process::id()));
@@ -321,6 +381,10 @@ mod tests {
         )
     }
 
+    fn alerts(n: u32) -> Vec<Alert> {
+        (0..n).map(alert).collect()
+    }
+
     fn log_ids(path: &Path) -> Vec<u64> {
         std::fs::read_to_string(path)
             .unwrap_or_default()
@@ -329,17 +393,67 @@ mod tests {
             .collect()
     }
 
+    /// The parent's per-alert protocol, kept as the oracle the batch
+    /// path is checked against: every ENQUEUE frame, every delivery line
+    /// and every ACK frame is its own write and its own sync.
+    impl Outbox {
+        fn oracle_enqueue(&mut self, alert: &Alert) -> Result<bool, WatchError> {
+            if self.known.contains(&alert.id) {
+                return Ok(false);
+            }
+            let key = format!("{:016x}", alert.id);
+            let _ = webvuln_failpoint::failpoint!("watch.outbox.append", &key)?;
+            let mut payload = vec![TAG_ENQUEUE];
+            alert.encode(&mut payload);
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &payload);
+            self.append_wal(&frame)?;
+            self.known.insert(alert.id);
+            self.owed.push(alert.clone());
+            Ok(true)
+        }
+
+        fn oracle_deliver_pending(&mut self) -> Result<DeliveryReport, WatchError> {
+            let mut report = DeliveryReport::default();
+            while let Some(alert) = self.owed.first().cloned() {
+                let key = format!("{:016x}:deliver", alert.id);
+                let _ = webvuln_failpoint::failpoint!("watch.outbox.deliver", &key)?;
+                if self.delivered.contains(&alert.id) {
+                    report.deduped += 1;
+                } else {
+                    self.append_lines(&format!("{}\n", alert.log_line()))?;
+                    self.delivered.insert(alert.id);
+                    report.delivered += 1;
+                }
+                let key = format!("{:016x}:ack", alert.id);
+                let _ = webvuln_failpoint::failpoint!("watch.outbox.deliver", &key)?;
+                let mut payload = vec![TAG_ACK];
+                write_u64(&mut payload, alert.id);
+                let mut frame = Vec::new();
+                write_frame(&mut frame, &payload);
+                self.append_wal(&frame)?;
+                self.owed.remove(0);
+            }
+            Ok(report)
+        }
+    }
+
     #[test]
     fn enqueue_deliver_ack_round_trip() {
+        let _guard = lock();
         let dir = tmp("round");
         let wal = dir.join("outbox.wal");
         let log = dir.join("alerts.log");
         let (mut outbox, recovery) = Outbox::open(&wal, &log).unwrap();
         assert_eq!(recovery, OutboxRecovery::default());
-        assert!(outbox.enqueue(&alert(1)).unwrap());
-        assert!(outbox.enqueue(&alert(2)).unwrap());
-        assert!(!outbox.enqueue(&alert(1)).unwrap(), "duplicate is a no-op");
+        assert_eq!(outbox.enqueue(&[alert(1), alert(2)]).unwrap(), (2, 0));
+        assert_eq!(
+            outbox.enqueue(&[alert(1)]).unwrap(),
+            (0, 1),
+            "duplicate is a no-op"
+        );
         assert_eq!(outbox.pending_count(), 2);
+        assert_eq!(outbox.pending(), [alert(1), alert(2)]);
         let report = outbox.deliver_pending().unwrap();
         assert_eq!(report.delivered, 2);
         assert_eq!(report.deduped, 0);
@@ -356,15 +470,18 @@ mod tests {
 
     #[test]
     fn crash_between_delivery_and_ack_is_deduped() {
+        let _guard = lock();
         let dir = tmp("dedup");
         let wal = dir.join("outbox.wal");
         let log = dir.join("alerts.log");
         {
             let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
-            outbox.enqueue(&alert(7)).unwrap();
+            outbox.enqueue(&[alert(7)]).unwrap();
             // Simulate delivery-then-crash: append the line by hand,
             // never ack.
-            outbox.append_delivery_line(&alert(7)).unwrap();
+            outbox
+                .append_lines(&format!("{}\n", alert(7).log_line()))
+                .unwrap();
         }
         let (mut outbox, recovery) = Outbox::open(&wal, &log).unwrap();
         assert_eq!(recovery.pending, 1);
@@ -378,12 +495,13 @@ mod tests {
 
     #[test]
     fn torn_delivery_log_line_is_healed() {
+        let _guard = lock();
         let dir = tmp("torn");
         let wal = dir.join("outbox.wal");
         let log = dir.join("alerts.log");
         {
             let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
-            outbox.enqueue(&alert(1)).unwrap();
+            outbox.enqueue(&[alert(1)]).unwrap();
             outbox.deliver_pending().unwrap();
         }
         // Tear the log mid-line.
@@ -396,17 +514,48 @@ mod tests {
         assert_eq!(std::fs::metadata(&log).unwrap().len(), healthy as u64);
     }
 
+    /// The cut is a raw byte offset: a non-UTF-8 byte before the last
+    /// newline (three bytes once lossily decoded) must not shift it, or
+    /// the next line lands on what is left of the torn tail and its ID
+    /// never parses.
+    #[test]
+    fn non_utf8_garbage_before_the_last_newline_does_not_shift_the_cut() {
+        let _guard = lock();
+        let dir = tmp("rawcut");
+        let wal = dir.join("outbox.wal");
+        let log = dir.join("alerts.log");
+        {
+            let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
+            outbox.enqueue(&[alert(1)]).unwrap();
+            outbox.deliver_pending().unwrap();
+        }
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes.extend_from_slice(b"\xff\xfe\n");
+        let healthy = bytes.len();
+        bytes.extend_from_slice(b"deadbeef00");
+        std::fs::write(&log, &bytes).unwrap();
+        {
+            let (mut outbox, recovery) = Outbox::open(&wal, &log).unwrap();
+            assert_eq!(recovery.delivered, 1);
+            assert_eq!(std::fs::metadata(&log).unwrap().len(), healthy as u64);
+            outbox.enqueue(&[alert(2)]).unwrap();
+            outbox.deliver_pending().unwrap();
+        }
+        let (_, recovery) = Outbox::open(&wal, &log).unwrap();
+        assert_eq!(recovery.delivered, 2, "the line after the heal parses");
+    }
+
     #[test]
     fn snapshot_reads_without_mutating() {
+        let _guard = lock();
         let dir = tmp("snap");
         let wal = dir.join("outbox.wal");
         let log = dir.join("alerts.log");
         {
             let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
-            outbox.enqueue(&alert(1)).unwrap();
-            outbox.enqueue(&alert(2)).unwrap();
+            outbox.enqueue(&[alert(1), alert(2)]).unwrap();
             outbox.deliver_pending().unwrap();
-            outbox.enqueue(&alert(3)).unwrap();
+            outbox.enqueue(&[alert(3)]).unwrap();
         }
         let before = std::fs::read(&wal).unwrap();
         let snapshot = OutboxSnapshot::load(&wal, &log).unwrap();
@@ -418,5 +567,274 @@ mod tests {
         // Missing files are empty, not errors.
         let empty = OutboxSnapshot::load(&dir.join("nope.wal"), &dir.join("nope.log")).unwrap();
         assert!(empty.alerts.is_empty());
+    }
+
+    #[test]
+    fn a_repeated_id_in_one_slice_is_journaled_once() {
+        let _guard = lock();
+        let dir = tmp("repeat");
+        let wal = dir.join("outbox.wal");
+        let log = dir.join("alerts.log");
+        let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
+        let slice = [alert(1), alert(2), alert(1), alert(1)];
+        assert_eq!(outbox.enqueue(&slice).unwrap(), (2, 2));
+        assert_eq!(outbox.pending(), [alert(1), alert(2)]);
+        assert_eq!(read_frames(&std::fs::read(&wal).unwrap()).payloads.len(), 2);
+        assert_eq!(outbox.deliver_pending().unwrap().delivered, 2);
+        assert_eq!(log_ids(&log), vec![alert(1).id, alert(2).id]);
+    }
+
+    /// A crash can tear the one multi-frame write anywhere. Whatever the
+    /// cut, the reopened WAL is the batch's whole-frame prefix, and the
+    /// replayed scan journals exactly the frames that were lost — the
+    /// file ends up byte-identical to the untorn one.
+    #[test]
+    fn a_torn_batch_reopens_to_its_whole_frame_prefix() {
+        let _guard = lock();
+        let dir = tmp("tornbatch");
+        let wal = dir.join("outbox.wal");
+        let log = dir.join("alerts.log");
+        let slice = alerts(3);
+        {
+            let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
+            assert_eq!(outbox.enqueue(&slice).unwrap(), (3, 0));
+            assert_eq!(outbox.syncs(), 1);
+        }
+        let full = std::fs::read(&wal).unwrap();
+        let mut ends = Vec::new();
+        for cut in 0..=full.len() {
+            if read_frames(&full[..cut]).clean_len == cut as u64 {
+                ends.push(cut);
+            }
+        }
+        assert_eq!(ends.len(), 4, "frame boundaries: {ends:?}");
+        for cut in 0..=full.len() {
+            let whole = ends.iter().filter(|&&end| end != 0 && end <= cut).count();
+            std::fs::write(&wal, &full[..cut]).unwrap();
+            let (mut outbox, recovery) = Outbox::open(&wal, &log).unwrap();
+            assert_eq!(recovery.replayed, whole, "cut at {cut}");
+            assert_eq!(outbox.pending(), &slice[..whole], "cut at {cut}");
+            assert_eq!(
+                std::fs::metadata(&wal).unwrap().len(),
+                ends[whole] as u64,
+                "cut at {cut}: torn tail truncated"
+            );
+            assert_eq!(
+                outbox.enqueue(&slice).unwrap(),
+                (3 - whole, whole),
+                "cut at {cut}"
+            );
+            assert_eq!(std::fs::read(&wal).unwrap(), full, "cut at {cut}");
+        }
+    }
+
+    /// The window rule 2 opens: every line of the round is durable, no
+    /// ACK is. A reopen finds the whole round owed and already delivered.
+    #[test]
+    fn crash_after_the_lines_sync_redelivers_nothing() {
+        let _guard = lock();
+        let dir = tmp("linesync");
+        let wal = dir.join("outbox.wal");
+        let log = dir.join("alerts.log");
+        let slice = alerts(5);
+        arm_key(
+            "watch.outbox.deliver",
+            &format!("{:016x}:ack", slice[0].id),
+            Action::Panic,
+        );
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
+            outbox.enqueue(&slice).unwrap();
+            outbox.deliver_pending()
+        }));
+        reset();
+        assert!(crashed.is_err(), "the :ack window never fired");
+        let lines = std::fs::read(&log).unwrap();
+        assert_eq!(log_ids(&log).len(), 5);
+
+        let (mut outbox, recovery) = Outbox::open(&wal, &log).unwrap();
+        assert_eq!((recovery.pending, recovery.delivered), (5, 5));
+        let report = outbox.deliver_pending().unwrap();
+        assert_eq!((report.delivered, report.deduped), (0, 5));
+        assert_eq!(outbox.syncs(), 1, "only the ACK batch is written");
+        assert_eq!(std::fs::read(&log).unwrap(), lines, "log unchanged");
+        assert_eq!(outbox.pending_count(), 0);
+    }
+
+    /// An injected error mid-batch flushes the prefix already framed and
+    /// advances the state for exactly that prefix.
+    #[test]
+    fn an_error_at_the_kth_ack_leaves_the_acks_before_it_durable() {
+        let _guard = lock();
+        let slice = alerts(6);
+        for k in 1..=slice.len() {
+            let dir = tmp("kthack");
+            let wal = dir.join("outbox.wal");
+            let log = dir.join("alerts.log");
+            let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
+            outbox.enqueue(&slice).unwrap();
+            arm_key(
+                "watch.outbox.deliver",
+                &format!("{:016x}:ack", slice[k - 1].id),
+                Action::Error,
+            );
+            let failed = outbox.deliver_pending();
+            reset();
+            assert!(matches!(failed, Err(WatchError::Injected(_))), "k = {k}");
+            let snapshot = OutboxSnapshot::load(&wal, &log).unwrap();
+            assert_eq!(snapshot.delivered.len(), slice.len(), "k = {k}: N lines");
+            assert_eq!(snapshot.acked.len(), k - 1, "k = {k}");
+            assert_eq!(outbox.pending(), &slice[k - 1..], "k = {k}");
+            // The same outbox finishes the round; so does a reopened one.
+            let (mut reopened, recovery) = Outbox::open(&wal, &log).unwrap();
+            assert_eq!(recovery.pending, slice.len() - (k - 1), "k = {k}");
+            for outbox in [&mut outbox, &mut reopened] {
+                let report = outbox.deliver_pending().unwrap();
+                assert_eq!(
+                    (report.delivered, report.deduped),
+                    (0, slice.len() - (k - 1))
+                );
+            }
+            assert_eq!(log_ids(&log).len(), slice.len(), "k = {k}: no duplicate");
+        }
+    }
+
+    /// An injected error at the k-th `watch.outbox.append` journals the
+    /// k−1 alerts framed before it, and a replay journals the rest.
+    #[test]
+    fn an_error_at_the_kth_append_journals_the_alerts_before_it() {
+        let _guard = lock();
+        let dir = tmp("kthappend");
+        let wal = dir.join("outbox.wal");
+        let log = dir.join("alerts.log");
+        let slice = alerts(4);
+        let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
+        arm_key(
+            "watch.outbox.append",
+            &format!("{:016x}", slice[2].id),
+            Action::Error,
+        );
+        let failed = outbox.enqueue(&slice);
+        reset();
+        assert!(matches!(failed, Err(WatchError::Injected(_))));
+        assert_eq!(outbox.pending(), &slice[..2]);
+        assert_eq!(read_frames(&std::fs::read(&wal).unwrap()).payloads.len(), 2);
+        assert_eq!(outbox.enqueue(&slice).unwrap(), (2, 2));
+        assert_eq!(outbox.pending(), &slice[..]);
+    }
+
+    /// Syncs are the cost this protocol is built around, so they are
+    /// asserted as counts: three per round whatever it carries (the
+    /// per-alert protocol paid 3 N), none when nothing is owed.
+    #[test]
+    fn a_round_costs_three_syncs_and_an_idle_round_none() {
+        let _guard = lock();
+        for n in [3, 40, 500] {
+            let dir = tmp("syncs");
+            let wal = dir.join("outbox.wal");
+            let log = dir.join("alerts.log");
+            let (mut outbox, _) = Outbox::open(&wal, &log).unwrap();
+            let slice = alerts(n);
+            assert_eq!(outbox.enqueue(&slice).unwrap(), (n as usize, 0));
+            assert_eq!(outbox.syncs(), 1, "n = {n}");
+            assert_eq!(outbox.deliver_pending().unwrap().delivered, n as usize);
+            assert_eq!(outbox.syncs(), 3, "n = {n}");
+
+            // Idle: nothing owed, so nothing is visited and nothing synced
+            // — in this outbox and in one reopened over the acked journal.
+            let (reopened, recovery) = Outbox::open(&wal, &log).unwrap();
+            assert_eq!((recovery.replayed, recovery.pending), (n as usize, 0));
+            for mut outbox in [outbox, reopened] {
+                assert!(outbox.owed.is_empty(), "no acked alert is kept");
+                let syncs = outbox.syncs();
+                // An arm that never matches switches hit counting on.
+                arm_key("watch.outbox.deliver", "never", Action::Error);
+                assert_eq!(outbox.deliver_pending().unwrap(), DeliveryReport::default());
+                assert_eq!(outbox.enqueue(&[]).unwrap(), (0, 0));
+                assert_eq!(outbox.enqueue(&slice).unwrap(), (0, n as usize));
+                assert_eq!(hits("watch.outbox.deliver"), 0, "n = {n}");
+                reset();
+                assert_eq!(outbox.syncs(), syncs, "n = {n}: idle round synced");
+            }
+        }
+    }
+
+    /// One scripted round: journal a slice (indices into a small alert
+    /// pool, so repeats and re-enqueues happen), optionally drain.
+    #[derive(Debug)]
+    struct Round {
+        reopen: bool,
+        predelivered: Vec<u32>,
+        slice: Vec<u32>,
+        deliver: bool,
+    }
+
+    /// Drives `rounds` through the batch path or the per-alert oracle
+    /// and returns every report plus the two files' bytes.
+    fn drive(tag: &str, rounds: &[Round], batch: bool) -> (Vec<[usize; 4]>, Vec<u8>, Vec<u8>) {
+        let dir = tmp(tag);
+        let wal = dir.join("outbox.wal");
+        let log = dir.join("alerts.log");
+        let mut outbox = None;
+        let mut reports = Vec::new();
+        for round in rounds {
+            if round.reopen {
+                outbox = None;
+            }
+            if outbox.is_none() {
+                // Lines a crashed predecessor delivered without acking
+                // (or before the ENQUEUE of a later, identical scan).
+                let mut file = OpenOptions::new()
+                    .append(true)
+                    .create(true)
+                    .open(&log)
+                    .unwrap();
+                for &n in &round.predelivered {
+                    writeln!(file, "{}", alert(n).log_line()).unwrap();
+                }
+                outbox = Some(Outbox::open(&wal, &log).unwrap().0);
+            }
+            let outbox = outbox.as_mut().unwrap();
+            let slice: Vec<Alert> = round.slice.iter().map(|&n| alert(n)).collect();
+            let (fresh, deduped) = if batch {
+                outbox.enqueue(&slice).unwrap()
+            } else {
+                let fresh = slice
+                    .iter()
+                    .filter(|a| outbox.oracle_enqueue(a).unwrap())
+                    .count();
+                (fresh, slice.len() - fresh)
+            };
+            let delivery = match (round.deliver, batch) {
+                (false, _) => DeliveryReport::default(),
+                (true, true) => outbox.deliver_pending().unwrap(),
+                (true, false) => outbox.oracle_deliver_pending().unwrap(),
+            };
+            reports.push([fresh, deduped, delivery.delivered, delivery.deduped]);
+        }
+        drop(outbox);
+        (
+            reports,
+            std::fs::read(&wal).unwrap(),
+            std::fs::read(&log).unwrap(),
+        )
+    }
+
+    #[test]
+    fn batch_rounds_write_the_bytes_the_per_alert_oracle_writes() {
+        let _guard = lock();
+        check::run("outbox batch path equals the oracle", 96, |g: &mut Gen| {
+            let rounds = g.vec(1..=4, |g| Round {
+                reopen: g.bool(),
+                predelivered: g.vec(0..=3, |g| g.range(0..=9) as u32),
+                slice: g.vec(0..=12, |g| g.range(0..=9) as u32),
+                deliver: g.bool(),
+            });
+            let batch = drive("oracle-batch", &rounds, true);
+            let oracle = drive("oracle-alert", &rounds, false);
+            assert_eq!(batch.0, oracle.0, "reports differ for {rounds:?}");
+            assert_eq!(batch.1, oracle.1, "outbox.wal differs for {rounds:?}");
+            assert_eq!(batch.2, oracle.2, "alerts.log differs for {rounds:?}");
+        });
     }
 }

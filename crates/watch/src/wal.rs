@@ -2,10 +2,13 @@
 //! the alert outbox.
 //!
 //! Frame layout: `[len varint][crc32 varint][payload bytes]`, where the
-//! CRC covers the payload only. A crash can tear at most the last frame;
-//! [`read_frames`] stops at the first incomplete or CRC-failing frame and
-//! reports how many clean bytes precede it, so reopening truncates the
-//! torn tail and appends resume from a consistent prefix — the same heal
+//! CRC covers the payload only. The unit of durability is the *batch*:
+//! [`FrameLog::append_frames`] writes any number of frames with one
+//! `write_all` and one `sync_data` (a single frame is a batch of one). A
+//! crash can tear the batch anywhere; [`read_frames`] stops at the first
+//! incomplete or CRC-failing frame and reports how many clean bytes
+//! precede it, so reopening keeps the batch's whole-frame prefix,
+//! truncates the rest and appends resume from there — the same heal
 //! discipline as the snapshot store's segment log, in the store's codec.
 
 use std::fs::{File, OpenOptions};
@@ -51,7 +54,7 @@ pub fn read_frames(data: &[u8]) -> Frames {
 }
 
 /// An append handle on a frame log whose torn tail (if any) has been
-/// truncated away. Every append is flushed before returning.
+/// truncated away. Every batch is synced before its append returns.
 pub struct FrameLog {
     file: File,
 }
@@ -78,11 +81,10 @@ impl FrameLog {
         Ok((FrameLog { file }, frames))
     }
 
-    /// Appends one framed payload and flushes it to disk.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(payload.len() + 12);
-        write_frame(&mut buf, payload);
-        self.file.write_all(&buf)?;
+    /// Appends `frames` — [`write_frame`] outputs, back to back — with
+    /// one write and one sync: all of them are durable on return.
+    pub fn append_frames(&mut self, frames: &[u8]) -> io::Result<()> {
+        self.file.write_all(frames)?;
         self.file.sync_data()
     }
 }
@@ -133,8 +135,10 @@ mod tests {
         {
             let (mut log, frames) = FrameLog::open(&path).unwrap();
             assert!(frames.payloads.is_empty());
-            log.append(b"one").unwrap();
-            log.append(b"two").unwrap();
+            let mut batch = Vec::new();
+            write_frame(&mut batch, b"one");
+            write_frame(&mut batch, b"two");
+            log.append_frames(&batch).unwrap();
         }
         // Tear the tail by hand.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -145,7 +149,9 @@ mod tests {
             let (mut log, frames) = FrameLog::open(&path).unwrap();
             assert_eq!(frames.payloads, vec![b"one".to_vec(), b"two".to_vec()]);
             assert_eq!(frames.clean_len, full as u64);
-            log.append(b"three").unwrap();
+            let mut batch = Vec::new();
+            write_frame(&mut batch, b"three");
+            log.append_frames(&batch).unwrap();
         }
         let (_, frames) = FrameLog::open(&path).unwrap();
         assert_eq!(

@@ -19,7 +19,7 @@
 //! keyed on the committed week count), retro-scan completion is the
 //! applied-journal append (a crash mid-scan replays the scan, and the
 //! outbox dedups the replayed alerts by deterministic ID), and delivery
-//! is the outbox's journaled two-phase append. The live accumulator is
+//! is the outbox's journaled three-sync round. The live accumulator is
 //! *not* persisted — the store is its journal: a cold open refolds it
 //! with [`fold_study`], and every incremental absorb afterwards is
 //! exactly the fold's per-week step ([`apply_filter`] + `absorb`). The
@@ -34,10 +34,9 @@
 
 use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
-use crate::outbox::{Outbox, OutboxRecovery};
+use crate::outbox::{heal_line_log, Outbox, OutboxRecovery};
 use crate::spool::{read_genesis_file, read_week_file, scan_spool, GENESIS_FILE};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use webvuln_analysis::store_io::week_into_snapshot;
@@ -295,6 +294,17 @@ impl Watcher {
     /// newly-arrived CVE deltas (retro-scanning history for exposure),
     /// then deliver owed alerts.
     pub fn tick(&mut self) -> Result<TickReport, WatchError> {
+        let syncs_before = self.outbox.syncs();
+        let report = self.run_tick();
+        // On the error path too: a failed round synced what it had framed.
+        self.telemetry
+            .registry()
+            .counter("watch.outbox_syncs_total")
+            .add(self.outbox.syncs() - syncs_before);
+        report
+    }
+
+    fn run_tick(&mut self) -> Result<TickReport, WatchError> {
         let registry = self.telemetry.registry_arc();
         registry.counter("watch.ticks_total").inc();
         let mut report = TickReport::default();
@@ -399,30 +409,38 @@ impl Watcher {
     fn apply_deltas(&mut self, report: &mut TickReport) -> Result<(), WatchError> {
         let registry = self.telemetry.registry_arc();
         let mut db_grew = false;
-        let deltas = scan_deltas(&self.cfg.deltas_dir())?;
-        for (name, path) in &deltas {
-            if self.known_deltas.contains(name) {
+        // Each new file is parsed once: its records extend the database
+        // and, until its scan is journaled, drive the retro-scan.
+        let mut unapplied = Vec::new();
+        for (name, path) in scan_deltas(&self.cfg.deltas_dir())? {
+            let applied = self.applied_deltas.contains(&name);
+            if applied && self.known_deltas.contains(&name) {
                 continue;
             }
-            let records = parse_delta_file(path)?;
-            if self.db.extend(records) > 0 {
-                db_grew = true;
+            let records = parse_delta_file(&path)?;
+            if self.known_deltas.insert(name.clone()) {
+                db_grew |= self.db.extend(records.clone()) > 0;
             }
-            self.known_deltas.insert(name.clone());
+            if !applied {
+                unapplied.push((name, records));
+            }
         }
-        if db_grew && self.writer.weeks_committed() > 0 {
+        // One read-only open serves the refold and every scan of the tick.
+        let work = db_grew || !unapplied.is_empty();
+        let reader = (work && self.writer.weeks_committed() > 0)
+            .then(|| AnyReader::open_degraded(&self.cfg.store_dir()))
+            .transpose()?;
+        if let (true, Some(reader)) = (db_grew, &reader) {
             // The exposure accumulators consult the database while
             // absorbing, so new records invalidate the live state.
-            let reader = AnyReader::open_degraded(&self.cfg.store_dir())?;
-            self.refold(&reader, report)?;
+            self.refold(reader, report)?;
         }
-        for (name, path) in &deltas {
-            if self.applied_deltas.contains(name) {
-                continue;
-            }
-            let _ = webvuln_failpoint::failpoint!("watch.retro", name)?;
-            let records = parse_delta_file(path)?;
-            let (enqueued, deduped) = self.retro_scan(&records)?;
+        for (name, records) in unapplied {
+            let _ = webvuln_failpoint::failpoint!("watch.retro", &name)?;
+            let (enqueued, deduped) = match &reader {
+                Some(reader) if !records.is_empty() => self.retro_scan(reader, &records)?,
+                _ => (0, 0),
+            };
             report.alerts_enqueued += enqueued;
             report.alerts_deduped += deduped;
             registry
@@ -433,8 +451,8 @@ impl Watcher {
                 .add(deduped as u64);
             // Journaling completion is the commit point: a crash before
             // this line replays the scan, and the outbox dedups it.
-            self.journal_applied(name)?;
-            self.applied_deltas.insert(name.clone());
+            self.journal_applied(&name)?;
+            self.applied_deltas.insert(name);
             report.deltas_applied += 1;
             registry.counter("watch.deltas_applied_total").inc();
         }
@@ -442,13 +460,14 @@ impl Watcher {
     }
 
     /// Scans the full committed history for domains exposed to
-    /// `records`. A degraded store downgrades coverage (annotated on
-    /// every alert) instead of failing the scan.
-    fn retro_scan(&mut self, records: &[VulnRecord]) -> Result<(usize, usize), WatchError> {
-        if records.is_empty() || self.writer.weeks_committed() == 0 {
-            return Ok((0, 0));
-        }
-        let reader = AnyReader::open_degraded(&self.cfg.store_dir())?;
+    /// `records` and journals the alerts as one outbox batch. A degraded
+    /// store downgrades coverage (annotated on every alert) instead of
+    /// failing the scan.
+    fn retro_scan(
+        &mut self,
+        reader: &AnyReader,
+        records: &[VulnRecord],
+    ) -> Result<(usize, usize), WatchError> {
         let health = reader.shard_health();
         let coverage = Coverage {
             shards_scanned: health.iter().filter(|h| h.is_healthy()).count() as u32,
@@ -494,11 +513,10 @@ impl Watcher {
                 }
             }
         }
-        let mut enqueued = 0;
-        let mut deduped = 0;
+        let mut alerts = Vec::new();
         for (record, domains) in records.iter().zip(spans) {
             for (domain, (first, last, seen)) in domains {
-                let alert = Alert::new(
+                alerts.push(Alert::new(
                     &record.id,
                     record.library.slug(),
                     &domain,
@@ -506,24 +524,17 @@ impl Watcher {
                     last,
                     seen,
                     coverage,
-                );
-                if self.outbox.enqueue(&alert)? {
-                    enqueued += 1;
-                } else {
-                    deduped += 1;
-                }
+                ));
             }
         }
-        Ok((enqueued, deduped))
+        self.outbox.enqueue(&alerts)
     }
 
+    /// Appends `name` to the applied journal, first cutting a torn last
+    /// line a crashed append left — the next name must not land on it.
     fn journal_applied(&self, name: &str) -> Result<(), WatchError> {
         let path = self.cfg.applied_journal();
-        let mut file = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-            .map_err(|e| WatchError::io(&path, e))?;
+        let (mut file, _) = heal_line_log(&path)?;
         file.write_all(format!("{name}\n").as_bytes())
             .and_then(|()| file.sync_data())
             .map_err(|e| WatchError::io(&path, e))

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 use webvuln::analysis::fold_study;
 use webvuln::core::{Pipeline, StudyConfig};
-use webvuln::failpoint::{arm, arm_nth, disarm, reset, Action};
+use webvuln::failpoint::{arm, arm_key, arm_nth, disarm, reset, Action};
 use webvuln::net::FaultPlan;
 use webvuln::resilience::RetryPolicy;
 use webvuln::store::{AnyReader, Genesis, WeekData};
@@ -185,8 +185,10 @@ fn cold_fold_fingerprint(root: &Path, watcher: &Watcher, threads: usize) -> Stri
 /// Store bytes by file name, live fingerprint, sorted alert log.
 type Converged = (Vec<(String, Vec<u8>)>, String, Vec<String>);
 
-/// The unkilled reference at (threads, shards).
-fn reference(threads: usize, shards: usize) -> Converged {
+/// The unkilled reference at (threads, shards), plus its alert IDs in
+/// enqueue order — the keys of the outbox's crash windows. IDs are
+/// content-addressed, so they are the same in every cell.
+fn reference(threads: usize, shards: usize) -> (Converged, Vec<u64>) {
     let root = seed_root(&format!("ref-{threads}t-{shards}s"), WEEKS, true);
     let (watcher, reports) = run_to_idle(&root, threads, shards);
     assert_eq!(watcher.weeks_committed(), WEEKS);
@@ -203,9 +205,15 @@ fn reference(threads: usize, shards: usize) -> Converged {
         live_fingerprint(&watcher),
         alert_lines(&root),
     );
+    let ids = OutboxSnapshot::load(&root.join("outbox.wal"), &root.join("alerts.log"))
+        .expect("load outbox")
+        .alerts
+        .iter()
+        .map(|alert| alert.id)
+        .collect();
     drop(watcher);
     let _ = std::fs::remove_dir_all(&root);
-    result
+    (result, ids)
 }
 
 /// Baseline integrity: a clean daemon run commits every spooled week,
@@ -351,8 +359,24 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
         counters.counter("watch.ticks_total"),
         Some(3 * HISTORY as u64 + 1)
     );
+    // The outbox's durability unit is the round: the delta tick's
+    // ENQUEUE batch, line batch and ACK batch are one sync each,
+    // however many alerts the scan produced (per alert it was 3 N), and
+    // no other tick of the run touched the outbox.
+    assert!(delta.alerts_enqueued >= 3, "{delta:?}");
+    assert_eq!(delta.alerts_delivered, delta.alerts_enqueued);
+    assert_eq!(counters.counter("watch.outbox_syncs_total"), Some(3));
+    assert_eq!(watcher.outbox().syncs(), 3);
     drop(watcher);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Which hit of a fail-point site a kill is armed on.
+enum Window {
+    /// The site's n-th hit (1-based).
+    Nth(u64),
+    /// The hit carrying this key.
+    Key(String),
 }
 
 /// The tentpole: kill the daemon at every `watch.*` fail-point (several
@@ -362,57 +386,127 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
 fn kill_at_every_watch_fail_point_then_restart_converges() {
     let _guard = lock();
     reset();
-    let (ref_bytes, ref_live, ref_alerts) = reference(2, 4);
+    let ((ref_bytes, ref_live, ref_alerts), ids) = reference(2, 4);
+    let (first, third) = (ids[0], ids[2]);
 
-    // (site, 1-based hit). watch.ingest hits once per committed week;
-    // watch.outbox.append once per fresh alert; watch.outbox.deliver
-    // twice per owed alert (the pre-log `:deliver` window, then the
-    // post-log pre-ack `:ack` window); watch.retro once per delta file.
-    let kills: &[(&str, u64)] = &[
-        ("watch.ingest", 1),
-        ("watch.ingest", 3),
-        ("watch.ingest", WEEKS as u64),
-        ("watch.retro", 1),
-        ("watch.outbox.append", 1),
-        ("watch.outbox.append", 3),
-        ("watch.outbox.deliver", 1), // first alert, before its log line
-        ("watch.outbox.deliver", 2), // first alert, logged but unacked
-        ("watch.outbox.deliver", 5), // third alert's deliver window
+    let n = ids.len();
+
+    // watch.ingest hits once per committed week and watch.retro once per
+    // delta file. The outbox works in rounds, so its windows are
+    // addressed by alert: watch.outbox.append fires per fresh alert
+    // while the ENQUEUE batch is framed (nothing of it on disk yet);
+    // `<id>:deliver` fires while the lines are collected (every ENQUEUE
+    // durable, no line written); `<id>:ack` fires while the ACKs are
+    // framed (every line durable, no ACK written). A panic loses the
+    // batch in flight; an error flushes what was framed before it. The
+    // third column is what the kill must leave on disk — [ENQUEUEs,
+    // lines, ACKs] after a panic and after an error — where the row
+    // pins it.
+    let key = |id: u64, suffix: &str| Window::Key(format!("{id:016x}{suffix}"));
+    let kills = [
+        ("watch.ingest", Window::Nth(1), None),
+        ("watch.ingest", Window::Nth(3), None),
+        ("watch.ingest", Window::Nth(WEEKS as u64), None),
+        ("watch.retro", Window::Nth(1), None),
+        ("watch.outbox.append", Window::Nth(1), None),
+        ("watch.outbox.append", Window::Nth(3), None),
+        (
+            "watch.outbox.append",
+            key(first, ""),
+            Some([[0, 0, 0], [0, 0, 0]]),
+        ),
+        (
+            "watch.outbox.append",
+            key(third, ""),
+            Some([[0, 0, 0], [2, 0, 0]]),
+        ),
+        // First, second and fifth alert's `:deliver`.
+        ("watch.outbox.deliver", Window::Nth(1), None),
+        (
+            "watch.outbox.deliver",
+            Window::Nth(2),
+            Some([[n, 0, 0], [n, 1, 0]]),
+        ),
+        ("watch.outbox.deliver", Window::Nth(5), None),
+        (
+            "watch.outbox.deliver",
+            key(first, ":deliver"),
+            Some([[n, 0, 0], [n, 0, 0]]),
+        ),
+        (
+            "watch.outbox.deliver",
+            key(third, ":deliver"),
+            Some([[n, 0, 0], [n, 2, 0]]),
+        ),
+        (
+            "watch.outbox.deliver",
+            key(first, ":ack"),
+            Some([[n, n, 0], [n, n, 0]]),
+        ),
+        (
+            "watch.outbox.deliver",
+            key(third, ":ack"),
+            Some([[n, n, 0], [n, n, 2]]),
+        ),
     ];
-    for &(site, nth) in kills {
-        let tag = format!("kill-{}-{nth}", site.replace('.', "-"));
-        let root = seed_root(&tag, WEEKS, true);
-        arm_nth(site, nth, Action::Panic);
-        let crashed = catch_unwind(AssertUnwindSafe(|| run_to_idle(&root, 2, 4)));
-        reset();
-        assert!(
-            crashed.is_err(),
-            "fail-point {site} hit {nth} never fired — kill schedule stale?"
-        );
+    for (side, action) in [Action::Panic, Action::Error].into_iter().enumerate() {
+        for (row, (site, window, on_disk)) in kills.iter().enumerate() {
+            let at = match window {
+                Window::Nth(nth) => format!("{site}#{nth} ({action:?})"),
+                Window::Key(key) => format!("{site}[{key}] ({action:?})"),
+            };
+            let root = seed_root(&format!("kill-{row}"), WEEKS, true);
+            match window {
+                Window::Nth(nth) => arm_nth(site, *nth, action),
+                Window::Key(key) => arm_key(site, key, action),
+            }
+            // An injected error surfaces as a failed tick, which
+            // `run_to_idle` turns into the same unwind a panic is.
+            let crashed = catch_unwind(AssertUnwindSafe(|| run_to_idle(&root, 2, 4)));
+            reset();
+            assert!(
+                crashed.is_err(),
+                "fail-point {at} never fired — kill schedule stale?"
+            );
+            if let Some(on_disk) = on_disk {
+                let snapshot =
+                    OutboxSnapshot::load(&root.join("outbox.wal"), &root.join("alerts.log"))
+                        .expect("load outbox");
+                assert_eq!(
+                    [
+                        snapshot.alerts.len(),
+                        snapshot.delivered.len(),
+                        snapshot.acked.len()
+                    ],
+                    on_disk[side],
+                    "[ENQUEUEs, lines, ACKs] on disk after the kill at {at}"
+                );
+            }
 
-        let (watcher, _) = run_to_idle(&root, 2, 4);
-        assert_eq!(
-            store_bytes(&root),
-            ref_bytes,
-            "store after kill at {site}#{nth} must match the unkilled run"
-        );
-        assert_eq!(
-            live_fingerprint(&watcher),
-            ref_live,
-            "live accumulator after kill at {site}#{nth} diverged"
-        );
-        assert_eq!(
-            live_fingerprint(&watcher),
-            cold_fold_fingerprint(&root, &watcher, 2),
-            "live accumulator after kill at {site}#{nth} != cold fold"
-        );
-        assert_eq!(
-            alert_lines(&root),
-            ref_alerts,
-            "alert log after kill at {site}#{nth} lost or duplicated alerts"
-        );
-        assert_eq!(watcher.outbox().pending_count(), 0);
-        let _ = std::fs::remove_dir_all(&root);
+            let (watcher, _) = run_to_idle(&root, 2, 4);
+            assert_eq!(
+                store_bytes(&root),
+                ref_bytes,
+                "store after kill at {at} must match the unkilled run"
+            );
+            assert_eq!(
+                live_fingerprint(&watcher),
+                ref_live,
+                "live accumulator after kill at {at} diverged"
+            );
+            assert_eq!(
+                live_fingerprint(&watcher),
+                cold_fold_fingerprint(&root, &watcher, 2),
+                "live accumulator after kill at {at} != cold fold"
+            );
+            assert_eq!(
+                alert_lines(&root),
+                ref_alerts,
+                "alert log after kill at {at} lost or duplicated alerts"
+            );
+            assert_eq!(watcher.outbox().pending_count(), 0);
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 }
 
@@ -434,8 +528,11 @@ fn without_coverage(lines: &[String]) -> Vec<String> {
 fn kill_matrix_across_threads_and_shards_converges_identically() {
     let _guard = lock();
     reset();
-    let (_, ref_live, ref_alerts) = reference(1, 1);
+    let ((_, ref_live, ref_alerts), ids) = reference(1, 1);
     let ref_alerts = without_coverage(&ref_alerts);
+    // The delivery kill lands where a round is most exposed: every line
+    // durable, the third alert's ACK — and so every ACK — unwritten.
+    let mid_delivery = format!("{:016x}:ack", ids[2]);
 
     for threads in [1, 2, 8] {
         for shards in [1, 4] {
@@ -455,7 +552,7 @@ fn kill_matrix_across_threads_and_shards_converges_identically() {
             let crashed = catch_unwind(AssertUnwindSafe(|| run_to_idle(&root, threads, shards)));
             reset();
             assert!(crashed.is_err(), "{tag}: ingest kill never fired");
-            arm_nth("watch.outbox.deliver", 2, Action::Panic);
+            arm_key("watch.outbox.deliver", &mid_delivery, Action::Panic);
             let crashed = catch_unwind(AssertUnwindSafe(|| run_to_idle(&root, threads, shards)));
             reset();
             assert!(crashed.is_err(), "{tag}: deliver kill never fired");
@@ -605,5 +702,35 @@ fn degraded_retro_scan_completes_with_coverage_annotations() {
     let state = load_watch_state(&root);
     assert!(state.degraded, "the observer must see the quarantine");
     assert_eq!(state.deltas_applied, 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crashed append can leave `deltas.applied` ending in a torn name.
+/// The next append must cut it first: landing on it would fuse the two
+/// into a name no delta file has, so every reopen would replay the scan
+/// once more, forever.
+#[test]
+fn torn_applied_journal_is_healed_before_the_next_append() {
+    let _guard = lock();
+    reset();
+    let root = seed_root("torn-applied", WEEKS, true);
+    let (watcher, _) = run_to_idle(&root, 2, 4);
+    drop(watcher);
+    let journal = root.join("deltas.applied");
+    let clean = std::fs::read(&journal).expect("read applied journal");
+    assert_eq!(clean, b"2026-08-batch.cvedelta\n");
+    std::fs::write(&journal, &clean[..clean.len() - 5]).expect("tear the journal");
+
+    // The torn name reads as not-applied: the scan replays (every alert
+    // dedups) and its completion is journaled again — on a clean line.
+    let (watcher, reports) = run_to_idle(&root, 2, 4);
+    assert_eq!(reports[0].deltas_applied, 1);
+    assert_eq!(reports[0].alerts_enqueued, 0);
+    assert!(reports[0].alerts_deduped >= 3);
+    drop(watcher);
+    assert_eq!(std::fs::read(&journal).expect("read journal"), clean);
+    let (_, reports) = run_to_idle(&root, 2, 4);
+    assert_eq!(reports.len(), 1, "the delta must now read as applied");
+    assert_eq!(load_watch_state(&root).deltas_applied, 1);
     let _ = std::fs::remove_dir_all(&root);
 }
