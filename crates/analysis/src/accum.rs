@@ -1,10 +1,10 @@
 //! Mergeable streaming accumulators — the paper-scale analysis core.
 //!
 //! Every figure and table the study produces folds over the dataset one
-//! [`WeekSnapshot`] at a time. This module reifies those folds as
-//! accumulators with two operations:
+//! week at a time. This module reifies those folds as accumulators with
+//! two operations:
 //!
-//! * `absorb(snapshot, ctx)` — fold one week in (weeks must arrive in
+//! * `absorb(week, ctx)` — fold one [`WeekView`] in (weeks must arrive in
 //!   ascending order for the cross-week trackers to arm correctly);
 //! * `merge(other)` — combine two accumulators built over **disjoint
 //!   domain partitions** of the same week sequence.
@@ -22,25 +22,28 @@
 //!
 //! [`fold_store`] is the streaming entry point: it drives any
 //! [`AnyReader`] through an accumulator without materializing a
-//! [`Dataset`], so peak memory is one decoded week per worker plus the
+//! [`Dataset`] or a [`WeekSnapshot`](crate::WeekSnapshot) — each worker
+//! absorbs its weeks as [`DecodedWeek`] views over the reader's own
+//! records — so peak memory is one borrowed week per worker plus the
 //! accumulator.
 
-use crate::dataset::{Dataset, WeekSnapshot};
-use crate::filter::{apply_filter, store_filter_verdict};
+use crate::dataset::Dataset;
+use crate::filter::store_filter_verdict;
 use crate::flash::{flash_eol, tier_cutoff, FlashByTld, FlashUsage, ScriptAccessAudit};
 use crate::landscape::{is_cdn_host, CdnBreakdown, LibraryRow, UsageTrend};
 use crate::resources::{CollectionSeries, ResourceUsage};
 use crate::sri::{CrossoriginCensus, GithubReport, SriAdoption};
 use crate::stats::{mean, median, Cdf};
-use crate::store_io::week_into_snapshot;
+use crate::store_io::{DecodedWeek, SymbolCache};
 use crate::updates::{RegressionEvent, UpdateDelayReport, UpdateEvent, WordPressUsage};
+use crate::view::{DetectionView, PageView, WeekView};
 use crate::vuln::{CveImpact, PrevalenceSeries, RefinementSummary, VulnCountDistribution};
 use crate::wordpress::WordPressCveRow;
 use std::collections::{BTreeMap, BTreeSet};
 use webvuln_cvedb::{Basis, Date, LibraryId, Verdict, VulnDb, VulnRecord};
 use webvuln_exec::Executor;
-use webvuln_fingerprint::{DetectedInclusion, Detection, PageAnalysis, ResourceType};
-use webvuln_store::{shard_of, AnyReader, Genesis, StoreError, WeekData};
+use webvuln_fingerprint::ResourceType;
+use webvuln_store::{shard_of, AnyReader, Genesis, StoreError, StoreReader};
 use webvuln_version::Version;
 
 // ---------------------------------------------------------------------------
@@ -56,16 +59,29 @@ pub struct AccumCtx<'a> {
     pub ranks: &'a BTreeMap<String, usize>,
 }
 
-/// A mergeable fold over week snapshots.
+/// A mergeable fold over weeks.
 ///
 /// Implementations must satisfy, for domain-disjoint partitions absorbed
 /// over the same weeks in order: `merge` is associative, commutative up
 /// to the deterministic finish, and `Default` is its identity.
 pub trait Accumulate: Sized + Send {
     /// Folds one week in. Weeks must be absorbed in ascending order.
-    fn absorb(&mut self, snapshot: &WeekSnapshot, ctx: &AccumCtx<'_>);
+    fn absorb<W: WeekView>(&mut self, week: &W, ctx: &AccumCtx<'_>);
     /// Combines a partition's state into `self`.
     fn merge(&mut self, other: Self);
+
+    /// Builds the accumulator over a materialized dataset.
+    fn over(data: &Dataset, db: &VulnDb) -> Self
+    where
+        Self: Default,
+    {
+        let ranks = &data.ranks;
+        let mut accum = Self::default();
+        for week in &data.weeks {
+            accum.absorb(week, &AccumCtx { db, ranks });
+        }
+        accum
+    }
 }
 
 /// Merges two per-week vectors pointwise with `combine`; either side may
@@ -94,13 +110,13 @@ fn add_counts<K: Ord>(into: &mut BTreeMap<K, usize>, from: BTreeMap<K, usize>) {
     }
 }
 
-/// `*counts.entry(key.clone()).or_default() += 1`, cloning the key only
-/// the first time it is seen.
-fn bump<K: Ord + Clone>(counts: &mut BTreeMap<K, usize>, key: &K) {
+/// `*counts.entry(key.to_string()).or_default() += 1`, allocating the key
+/// only the first time it is seen.
+fn bump(counts: &mut BTreeMap<String, usize>, key: &str) {
     match counts.get_mut(key) {
         Some(count) => *count += 1,
         None => {
-            counts.insert(key.clone(), 1);
+            counts.insert(key.to_string(), 1);
         }
     }
 }
@@ -134,20 +150,20 @@ fn count_version(counts: &mut BTreeMap<Version, usize>, version: &Version, count
 /// lookup and no key clone for a domain already tracked.
 fn with_domain<V: Default>(
     map: &mut BTreeMap<String, V>,
-    domain: &String,
+    domain: &str,
     update: impl FnOnce(&mut V),
 ) {
     match map.get_mut(domain) {
         Some(state) => update(state),
-        None => update(map.entry(domain.clone()).or_default()),
+        None => update(map.entry(domain.to_string()).or_default()),
     }
 }
 
 /// The page's first detection of each library, indexed by
 /// [`LibraryId::index`] — every `page.library(..)` answer in one pass.
-fn first_detections(page: &PageAnalysis) -> [Option<&Detection>; LibraryId::ALL.len()] {
+fn first_detections(page: &impl PageView) -> [Option<DetectionView<'_>>; LibraryId::ALL.len()] {
     let mut first = [None; LibraryId::ALL.len()];
-    for det in &page.detections {
+    for det in page.detections() {
         first[det.library.index()].get_or_insert(det);
     }
     first
@@ -206,54 +222,6 @@ pub struct LandscapeAccum {
 }
 
 impl LandscapeAccum {
-    /// Builds the accumulator over a materialized dataset.
-    pub fn over(data: &Dataset) -> LandscapeAccum {
-        let mut accum = LandscapeAccum::default();
-        for week in &data.weeks {
-            accum.absorb_week(week);
-        }
-        accum
-    }
-
-    /// Folds one week in.
-    pub fn absorb_week(&mut self, snapshot: &WeekSnapshot) {
-        if self.libs.is_empty() {
-            self.libs
-                .resize_with(LibraryId::ALL.len(), LibraryState::default);
-        }
-        let mut week = LandscapeWeek {
-            date: Some(snapshot.date),
-            collected: snapshot.pages.len(),
-            carried: snapshot.carried_forward.len(),
-            users: vec![0; LibraryId::ALL.len()],
-        };
-        for page in snapshot.pages.values() {
-            for (index, det) in first_detections(page).into_iter().enumerate() {
-                let Some(det) = det else {
-                    continue;
-                };
-                week.users[index] += 1;
-                let lib = &mut self.libs[index];
-                match &det.inclusion {
-                    DetectedInclusion::Internal => lib.internal += 1,
-                    DetectedInclusion::External { host } => {
-                        lib.external += 1;
-                        if is_cdn_host(host) {
-                            lib.external_cdn += 1;
-                        }
-                        bump(&mut lib.host_counts, host);
-                        lib.host_total += 1;
-                    }
-                }
-                if let Some(version) = &det.version {
-                    count_version(&mut lib.version_counts, version, 1);
-                    lib.users_with_version += 1;
-                }
-            }
-        }
-        self.weeks.push(week);
-    }
-
     /// Table 1 rows, ordered by usage share descending.
     pub fn table1(&self, db: &VulnDb) -> Vec<LibraryRow> {
         let mut rows: Vec<LibraryRow> = LibraryId::ALL
@@ -356,8 +324,42 @@ impl LandscapeAccum {
 }
 
 impl Accumulate for LandscapeAccum {
-    fn absorb(&mut self, snapshot: &WeekSnapshot, _ctx: &AccumCtx<'_>) {
-        self.absorb_week(snapshot);
+    fn absorb<W: WeekView>(&mut self, snapshot: &W, _ctx: &AccumCtx<'_>) {
+        if self.libs.is_empty() {
+            self.libs
+                .resize_with(LibraryId::ALL.len(), LibraryState::default);
+        }
+        let mut week = LandscapeWeek {
+            date: Some(snapshot.date()),
+            collected: snapshot.collected(),
+            carried: snapshot.carried(),
+            users: vec![0; LibraryId::ALL.len()],
+        };
+        for (_, page) in snapshot.pages() {
+            for (index, det) in first_detections(page).into_iter().enumerate() {
+                let Some(det) = det else {
+                    continue;
+                };
+                week.users[index] += 1;
+                let lib = &mut self.libs[index];
+                match det.external_host {
+                    None => lib.internal += 1,
+                    Some(host) => {
+                        lib.external += 1;
+                        if is_cdn_host(host) {
+                            lib.external_cdn += 1;
+                        }
+                        bump(&mut lib.host_counts, host);
+                        lib.host_total += 1;
+                    }
+                }
+                if let Some(version) = det.version {
+                    count_version(&mut lib.version_counts, version, 1);
+                    lib.users_with_version += 1;
+                }
+            }
+        }
+        self.weeks.push(week);
     }
 
     fn merge(&mut self, other: LandscapeAccum) {
@@ -419,76 +421,6 @@ pub struct CveExposureAccum {
 }
 
 impl CveExposureAccum {
-    /// Builds the accumulator over a materialized dataset.
-    pub fn over(data: &Dataset, db: &VulnDb) -> CveExposureAccum {
-        let mut accum = CveExposureAccum::default();
-        for week in &data.weeks {
-            accum.absorb_week(week, db);
-        }
-        accum
-    }
-
-    /// Folds one week in.
-    pub fn absorb_week(&mut self, snapshot: &WeekSnapshot, db: &VulnDb) {
-        let mut week = ExposureWeek {
-            date: Some(snapshot.date),
-            collected: snapshot.pages.len(),
-            per_record: vec![(0, 0, 0); db.records().len()],
-            ..ExposureWeek::default()
-        };
-        for (domain, page) in &snapshot.pages {
-            // One verdict per detection; each library's first detection
-            // keeps its own for the per-record cells below.
-            let mut first: [Option<Option<Verdict<'_>>>; LibraryId::ALL.len()] =
-                [None; LibraryId::ALL.len()];
-            let mut count_claimed = 0u64;
-            let mut count_tvv = 0u64;
-            for det in &page.detections {
-                let verdict = det
-                    .version
-                    .as_ref()
-                    .map(|version| db.verdict(det.library, version));
-                if let Some(verdict) = &verdict {
-                    count_claimed +=
-                        verdict.count_known_by(Basis::CveClaimed, snapshot.date) as u64;
-                    count_tvv +=
-                        verdict.count_known_by(Basis::TrueVulnerable, snapshot.date) as u64;
-                }
-                first[det.library.index()].get_or_insert(verdict);
-            }
-            if count_claimed > 0 {
-                week.vulnerable_claimed += 1;
-            }
-            if count_tvv > 0 {
-                week.vulnerable_tvv += 1;
-            }
-            with_domain(&mut self.per_site, domain, |site| {
-                site.claimed += count_claimed;
-                site.tvv += count_tvv;
-                site.weeks += 1;
-            });
-            for (library, verdict) in LibraryId::ALL.into_iter().zip(first) {
-                let Some(verdict) = verdict else {
-                    continue;
-                };
-                for (pos, &index) in db.record_indices(library).iter().enumerate() {
-                    let cell = &mut week.per_record[index];
-                    cell.0 += 1;
-                    let Some(verdict) = &verdict else {
-                        continue;
-                    };
-                    if verdict.applies(pos, Basis::CveClaimed) {
-                        cell.1 += 1;
-                    }
-                    if verdict.applies(pos, Basis::TrueVulnerable) {
-                        cell.2 += 1;
-                    }
-                }
-            }
-        }
-        self.weeks.push(week);
-    }
-
     /// §6.2's weekly prevalence series under one basis.
     pub fn prevalence(&self, basis: Basis) -> PrevalenceSeries {
         let points: Vec<(Date, f64)> = self
@@ -596,8 +528,61 @@ impl CveExposureAccum {
 }
 
 impl Accumulate for CveExposureAccum {
-    fn absorb(&mut self, snapshot: &WeekSnapshot, ctx: &AccumCtx<'_>) {
-        self.absorb_week(snapshot, ctx.db);
+    fn absorb<W: WeekView>(&mut self, snapshot: &W, ctx: &AccumCtx<'_>) {
+        let db = ctx.db;
+        let date = snapshot.date();
+        let mut week = ExposureWeek {
+            date: Some(date),
+            collected: snapshot.collected(),
+            per_record: vec![(0, 0, 0); db.records().len()],
+            ..ExposureWeek::default()
+        };
+        for (domain, page) in snapshot.pages() {
+            // One verdict per detection; each library's first detection
+            // keeps its own for the per-record cells below.
+            let mut first: [Option<Option<Verdict<'_>>>; LibraryId::ALL.len()] =
+                [None; LibraryId::ALL.len()];
+            let mut count_claimed = 0u64;
+            let mut count_tvv = 0u64;
+            for det in page.detections() {
+                let verdict = det.version.map(|version| db.verdict(det.library, version));
+                if let Some(verdict) = &verdict {
+                    count_claimed += verdict.count_known_by(Basis::CveClaimed, date) as u64;
+                    count_tvv += verdict.count_known_by(Basis::TrueVulnerable, date) as u64;
+                }
+                first[det.library.index()].get_or_insert(verdict);
+            }
+            if count_claimed > 0 {
+                week.vulnerable_claimed += 1;
+            }
+            if count_tvv > 0 {
+                week.vulnerable_tvv += 1;
+            }
+            with_domain(&mut self.per_site, domain, |site| {
+                site.claimed += count_claimed;
+                site.tvv += count_tvv;
+                site.weeks += 1;
+            });
+            for (library, verdict) in LibraryId::ALL.into_iter().zip(first) {
+                let Some(verdict) = verdict else {
+                    continue;
+                };
+                for (pos, &index) in db.record_indices(library).iter().enumerate() {
+                    let cell = &mut week.per_record[index];
+                    cell.0 += 1;
+                    let Some(verdict) = &verdict else {
+                        continue;
+                    };
+                    if verdict.applies(pos, Basis::CveClaimed) {
+                        cell.1 += 1;
+                    }
+                    if verdict.applies(pos, Basis::TrueVulnerable) {
+                        cell.2 += 1;
+                    }
+                }
+            }
+        }
+        self.weeks.push(week);
     }
 
     fn merge(&mut self, other: CveExposureAccum) {
@@ -658,145 +643,6 @@ pub struct UpdateBehaviorAccum {
 }
 
 impl UpdateBehaviorAccum {
-    /// Builds the accumulator over a materialized dataset.
-    pub fn over(data: &Dataset, db: &VulnDb) -> UpdateBehaviorAccum {
-        let mut accum = UpdateBehaviorAccum::default();
-        for week in &data.weeks {
-            accum.absorb_week(week, db);
-        }
-        accum
-    }
-
-    /// Folds one week in.
-    pub fn absorb_week(&mut self, snapshot: &WeekSnapshot, db: &VulnDb) {
-        // Patched records in corpus order, each with its position among
-        // its library's records (the verdict's bit) and its patch date.
-        let patched: Vec<(usize, &VulnRecord, usize, Date)> = db
-            .records()
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, record)| {
-                let pos = db
-                    .record_indices(record.library)
-                    .iter()
-                    .position(|&i| i == idx)
-                    .expect("every record is indexed under its library");
-                Some((idx, record, pos, record.patched_date?))
-            })
-            .collect();
-        let mut wordpress = 0usize;
-        let mut wp_versions = Vec::new();
-        for (domain, page) in &snapshot.pages {
-            if page.wordpress.is_some() {
-                wordpress += 1;
-            }
-            if let Some(Some(version)) = &page.wordpress {
-                wp_versions.push(version.clone());
-            }
-            // Both trackers below only ever look at versioned detections.
-            if page.detections.iter().all(|det| det.version.is_none()) {
-                continue;
-            }
-            let first = first_detections(page);
-            let (events_claimed, events_tvv) = (&mut self.events_claimed, &mut self.events_tvv);
-            let regressions = &mut self.regressions;
-            with_domain(&mut self.domains, domain, |track| {
-                // Security updates (§7), both bases in one pass.
-                let mut verdicts: [Option<Verdict<'_>>; LibraryId::ALL.len()] =
-                    [None; LibraryId::ALL.len()];
-                for &(idx, record, pos, patched_date) in &patched {
-                    let library = record.library.index();
-                    let Some(version) = first[library].and_then(|det| det.version.as_ref()) else {
-                        continue;
-                    };
-                    let verdict = *verdicts[library]
-                        .get_or_insert_with(|| db.verdict(record.library, version));
-                    for (armed, events, basis) in [
-                        (
-                            &mut track.armed_claimed,
-                            &mut *events_claimed,
-                            Basis::CveClaimed,
-                        ),
-                        (
-                            &mut track.armed_tvv,
-                            &mut *events_tvv,
-                            Basis::TrueVulnerable,
-                        ),
-                    ] {
-                        let slot = armed.iter().position(|&(armed_idx, _)| armed_idx == idx);
-                        if verdict.applies(pos, basis) {
-                            match slot {
-                                Some(slot) => armed[slot].1.clone_from(version),
-                                None => armed.push((idx, version.clone())),
-                            }
-                        } else if let Some(slot) = slot {
-                            let (_, from_version) = armed.swap_remove(slot);
-                            if version > &from_version && snapshot.date >= patched_date {
-                                events.push((
-                                    snapshot.week,
-                                    domain.clone(),
-                                    UpdateEvent {
-                                        domain: domain.clone(),
-                                        vuln_id: record.id.clone(),
-                                        from_version,
-                                        to_version: version.clone(),
-                                        observed: snapshot.date,
-                                        delay_days: snapshot.date.days_since(patched_date),
-                                        wordpress: page.wordpress.is_some(),
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                }
-                // Version regressions (§9).
-                for det in &page.detections {
-                    let Some(version) = &det.version else {
-                        continue;
-                    };
-                    let last = track
-                        .last_versions
-                        .iter_mut()
-                        .find(|(library, _)| *library == det.library);
-                    let Some((_, prev)) = last else {
-                        track.last_versions.push((det.library, version.clone()));
-                        continue;
-                    };
-                    if version < prev {
-                        regressions.push((
-                            snapshot.week,
-                            domain.clone(),
-                            RegressionEvent {
-                                domain: domain.clone(),
-                                library: det.library,
-                                from_version: prev.clone(),
-                                to_version: version.clone(),
-                                observed: snapshot.date,
-                                back_into_vulnerable: db.is_vulnerable_known_by(
-                                    det.library,
-                                    version,
-                                    Basis::CveClaimed,
-                                    snapshot.date,
-                                ),
-                            },
-                        ));
-                    }
-                    prev.clone_from(version);
-                }
-            });
-        }
-        match &mut self.final_wordpress {
-            Some((week, versions)) if *week == snapshot.week => versions.extend(wp_versions),
-            Some((week, _)) if *week > snapshot.week => {}
-            slot => *slot = Some((snapshot.week, wp_versions)),
-        }
-        self.weeks.push(BehaviorWeek {
-            date: Some(snapshot.date),
-            collected: snapshot.pages.len(),
-            wordpress,
-        });
-    }
-
     /// §7's update-delay report under one basis.
     pub fn delays(&self, basis: Basis) -> UpdateDelayReport {
         let mut tagged: Vec<(usize, String, UpdateEvent)> = match basis {
@@ -887,8 +733,136 @@ impl UpdateBehaviorAccum {
 }
 
 impl Accumulate for UpdateBehaviorAccum {
-    fn absorb(&mut self, snapshot: &WeekSnapshot, ctx: &AccumCtx<'_>) {
-        self.absorb_week(snapshot, ctx.db);
+    fn absorb<W: WeekView>(&mut self, snapshot: &W, ctx: &AccumCtx<'_>) {
+        let db = ctx.db;
+        let (this_week, date) = (snapshot.week(), snapshot.date());
+        // Patched records in corpus order, each with its position among
+        // its library's records (the verdict's bit) and its patch date.
+        let patched: Vec<(usize, &VulnRecord, usize, Date)> = db
+            .records()
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, record)| {
+                let pos = db
+                    .record_indices(record.library)
+                    .iter()
+                    .position(|&i| i == idx)
+                    .expect("every record is indexed under its library");
+                Some((idx, record, pos, record.patched_date?))
+            })
+            .collect();
+        let mut wordpress = 0usize;
+        let mut wp_versions = Vec::new();
+        for (domain, page) in snapshot.pages() {
+            let on_wordpress = page.wordpress();
+            if on_wordpress.is_some() {
+                wordpress += 1;
+            }
+            if let Some(Some(version)) = on_wordpress {
+                wp_versions.push(version.clone());
+            }
+            // Both trackers below only ever look at versioned detections.
+            if page.detections().all(|det| det.version.is_none()) {
+                continue;
+            }
+            let first = first_detections(page);
+            let (events_claimed, events_tvv) = (&mut self.events_claimed, &mut self.events_tvv);
+            let regressions = &mut self.regressions;
+            with_domain(&mut self.domains, domain, |track| {
+                // Security updates (§7), both bases in one pass.
+                let mut verdicts: [Option<Verdict<'_>>; LibraryId::ALL.len()] =
+                    [None; LibraryId::ALL.len()];
+                for &(idx, record, pos, patched_date) in &patched {
+                    let library = record.library.index();
+                    let Some(version) = first[library].and_then(|det| det.version) else {
+                        continue;
+                    };
+                    let verdict = *verdicts[library]
+                        .get_or_insert_with(|| db.verdict(record.library, version));
+                    for (armed, events, basis) in [
+                        (
+                            &mut track.armed_claimed,
+                            &mut *events_claimed,
+                            Basis::CveClaimed,
+                        ),
+                        (
+                            &mut track.armed_tvv,
+                            &mut *events_tvv,
+                            Basis::TrueVulnerable,
+                        ),
+                    ] {
+                        let slot = armed.iter().position(|&(armed_idx, _)| armed_idx == idx);
+                        if verdict.applies(pos, basis) {
+                            match slot {
+                                Some(slot) => armed[slot].1.clone_from(version),
+                                None => armed.push((idx, version.clone())),
+                            }
+                        } else if let Some(slot) = slot {
+                            let (_, from_version) = armed.swap_remove(slot);
+                            if version > &from_version && date >= patched_date {
+                                events.push((
+                                    this_week,
+                                    domain.to_string(),
+                                    UpdateEvent {
+                                        domain: domain.to_string(),
+                                        vuln_id: record.id.clone(),
+                                        from_version,
+                                        to_version: version.clone(),
+                                        observed: date,
+                                        delay_days: date.days_since(patched_date),
+                                        wordpress: on_wordpress.is_some(),
+                                    },
+                                ));
+                            }
+                        }
+                    }
+                }
+                // Version regressions (§9).
+                for det in page.detections() {
+                    let Some(version) = det.version else {
+                        continue;
+                    };
+                    let last = track
+                        .last_versions
+                        .iter_mut()
+                        .find(|(library, _)| *library == det.library);
+                    let Some((_, prev)) = last else {
+                        track.last_versions.push((det.library, version.clone()));
+                        continue;
+                    };
+                    if version < prev {
+                        regressions.push((
+                            this_week,
+                            domain.to_string(),
+                            RegressionEvent {
+                                domain: domain.to_string(),
+                                library: det.library,
+                                from_version: prev.clone(),
+                                to_version: version.clone(),
+                                observed: date,
+                                back_into_vulnerable: db.is_vulnerable_known_by(
+                                    det.library,
+                                    version,
+                                    Basis::CveClaimed,
+                                    date,
+                                ),
+                            },
+                        ));
+                    }
+                    prev.clone_from(version);
+                }
+            });
+        }
+        match &mut self.final_wordpress {
+            Some((week, versions)) if *week == this_week => versions.extend(wp_versions),
+            Some((week, _)) if *week > this_week => {}
+            slot => *slot = Some((this_week, wp_versions)),
+        }
+        self.weeks.push(BehaviorWeek {
+            date: Some(date),
+            collected: snapshot.collected(),
+            wordpress,
+        });
     }
 
     fn merge(&mut self, mut other: UpdateBehaviorAccum) {
@@ -933,32 +907,6 @@ pub struct CollectionAccum {
 }
 
 impl CollectionAccum {
-    /// Builds the accumulator over a materialized dataset.
-    pub fn over(data: &Dataset) -> CollectionAccum {
-        let mut accum = CollectionAccum::default();
-        for week in &data.weeks {
-            accum.absorb_week(week);
-        }
-        accum
-    }
-
-    /// Folds one week in.
-    pub fn absorb_week(&mut self, snapshot: &WeekSnapshot) {
-        let mut week = CollectionWeek {
-            date: Some(snapshot.date),
-            collected: snapshot.pages.len(),
-            using: vec![0; ResourceType::ALL.len()],
-        };
-        for page in snapshot.pages.values() {
-            for (index, resource) in ResourceType::ALL.iter().enumerate() {
-                if page.resource_types.contains(resource) {
-                    week.using[index] += 1;
-                }
-            }
-        }
-        self.weeks.push(week);
-    }
-
     /// Figure 2(a): pages collected per week.
     pub fn collection(&self) -> CollectionSeries {
         let points: Vec<(Date, usize)> = self
@@ -1004,8 +952,20 @@ impl CollectionAccum {
 }
 
 impl Accumulate for CollectionAccum {
-    fn absorb(&mut self, snapshot: &WeekSnapshot, _ctx: &AccumCtx<'_>) {
-        self.absorb_week(snapshot);
+    fn absorb<W: WeekView>(&mut self, snapshot: &W, _ctx: &AccumCtx<'_>) {
+        let mut week = CollectionWeek {
+            date: Some(snapshot.date()),
+            collected: snapshot.collected(),
+            using: vec![0; ResourceType::ALL.len()],
+        };
+        for (_, page) in snapshot.pages() {
+            for (class, users) in week.using.iter_mut().enumerate() {
+                if page.uses_resource(class) {
+                    *users += 1;
+                }
+            }
+        }
+        self.weeks.push(week);
     }
 
     fn merge(&mut self, other: CollectionAccum) {
@@ -1051,76 +1011,6 @@ pub struct FlashAccum {
 }
 
 impl FlashAccum {
-    /// Builds the accumulator over a materialized dataset.
-    pub fn over(data: &Dataset) -> FlashAccum {
-        let mut accum = FlashAccum::default();
-        for week in &data.weeks {
-            accum.absorb_week(week, &data.ranks);
-        }
-        accum
-    }
-
-    /// Folds one week in. `ranks` must be the full study population.
-    pub fn absorb_week(&mut self, snapshot: &WeekSnapshot, ranks: &BTreeMap<String, usize>) {
-        let population = ranks.len().max(1);
-        let tier_10k = tier_cutoff(population, 10_000);
-        let tier_1k = tier_cutoff(population, 1_000);
-        let mut week = FlashWeek {
-            date: Some(snapshot.date),
-            ..FlashWeek::default()
-        };
-        let mut finale = FlashFinalWeek {
-            week: snapshot.week,
-            ..FlashFinalWeek::default()
-        };
-        for (domain, page) in &snapshot.pages {
-            let tld = domain.rsplit('.').next().unwrap_or("");
-            finale.all += 1;
-            if tld == "cn" {
-                finale.cn_all += 1;
-            }
-            if page.flash.is_empty() {
-                continue;
-            }
-            week.flash += 1;
-            finale.flash_total += 1;
-            if tld == "cn" {
-                finale.cn_flash += 1;
-            }
-            *finale.tld_counts.entry(tld.to_string()).or_default() += 1;
-            if let Some(rank) = ranks.get(domain).copied() {
-                if rank <= tier_10k {
-                    week.top10k += 1;
-                }
-                if rank <= tier_1k {
-                    week.top1k += 1;
-                }
-            }
-            let param = page
-                .flash
-                .iter()
-                .find_map(|f| f.allow_script_access.as_deref());
-            if let Some(value) = param {
-                week.with_param += 1;
-                if value == "always" {
-                    week.always += 1;
-                }
-            }
-        }
-        self.weeks.push(week);
-        match &mut self.last {
-            Some(last) if last.week == finale.week => {
-                last.flash_total += finale.flash_total;
-                last.cn_flash += finale.cn_flash;
-                last.cn_all += finale.cn_all;
-                last.all += finale.all;
-                add_counts(&mut last.tld_counts, finale.tld_counts);
-            }
-            Some(last) if last.week > finale.week => {}
-            slot => *slot = Some(finale),
-        }
-    }
-
     /// Figure 8: Flash usage by rank tier.
     pub fn usage(&self) -> FlashUsage {
         let points: Vec<(Date, usize, usize, usize)> = self
@@ -1199,8 +1089,61 @@ impl FlashAccum {
 }
 
 impl Accumulate for FlashAccum {
-    fn absorb(&mut self, snapshot: &WeekSnapshot, ctx: &AccumCtx<'_>) {
-        self.absorb_week(snapshot, ctx.ranks);
+    fn absorb<W: WeekView>(&mut self, snapshot: &W, ctx: &AccumCtx<'_>) {
+        let ranks = ctx.ranks;
+        let population = ranks.len().max(1);
+        let tier_10k = tier_cutoff(population, 10_000);
+        let tier_1k = tier_cutoff(population, 1_000);
+        let mut week = FlashWeek {
+            date: Some(snapshot.date()),
+            ..FlashWeek::default()
+        };
+        let mut finale = FlashFinalWeek {
+            week: snapshot.week(),
+            ..FlashFinalWeek::default()
+        };
+        for (domain, page) in snapshot.pages() {
+            let tld = domain.rsplit('.').next().unwrap_or("");
+            finale.all += 1;
+            if tld == "cn" {
+                finale.cn_all += 1;
+            }
+            let Some(param) = page.flash() else {
+                continue;
+            };
+            week.flash += 1;
+            finale.flash_total += 1;
+            if tld == "cn" {
+                finale.cn_flash += 1;
+            }
+            *finale.tld_counts.entry(tld.to_string()).or_default() += 1;
+            if let Some(rank) = ranks.get(domain).copied() {
+                if rank <= tier_10k {
+                    week.top10k += 1;
+                }
+                if rank <= tier_1k {
+                    week.top1k += 1;
+                }
+            }
+            if let Some(value) = param {
+                week.with_param += 1;
+                if value == "always" {
+                    week.always += 1;
+                }
+            }
+        }
+        self.weeks.push(week);
+        match &mut self.last {
+            Some(last) if last.week == finale.week => {
+                last.flash_total += finale.flash_total;
+                last.cn_flash += finale.cn_flash;
+                last.cn_all += finale.cn_all;
+                last.all += finale.all;
+                add_counts(&mut last.tld_counts, finale.tld_counts);
+            }
+            Some(last) if last.week > finale.week => {}
+            slot => *slot = Some(finale),
+        }
     }
 
     fn merge(&mut self, other: FlashAccum) {
@@ -1255,58 +1198,6 @@ pub struct SriAccum {
 }
 
 impl SriAccum {
-    /// Builds the accumulator over a materialized dataset.
-    pub fn over(data: &Dataset) -> SriAccum {
-        let mut accum = SriAccum::default();
-        for week in &data.weeks {
-            accum.absorb_week(week, &data.ranks);
-        }
-        accum
-    }
-
-    /// Folds one week in. `ranks` must be the full study population.
-    pub fn absorb_week(&mut self, snapshot: &WeekSnapshot, ranks: &BTreeMap<String, usize>) {
-        let population = ranks.len().max(1);
-        let tier = (population / 100).max(1); // scaled "top-10K of 1M"
-        let mut week = SriWeek {
-            date: Some(snapshot.date),
-            ..SriWeek::default()
-        };
-        for (domain, page) in &snapshot.pages {
-            if page.external_scripts > 0 {
-                week.with_external += 1;
-                if page.external_scripts_without_integrity > 0 {
-                    week.unprotected += 1;
-                }
-            }
-            for value in &page.crossorigin_values {
-                self.crossorigin_total += 1;
-                match value.as_str() {
-                    "anonymous" => self.anonymous += 1,
-                    "use-credentials" => self.credentials += 1,
-                    _ => {}
-                }
-            }
-            if page.github_scripts.is_empty() {
-                continue;
-            }
-            week.github_sites += 1;
-            for script in &page.github_scripts {
-                *self.host_counts.entry(script.host.clone()).or_default() += 1;
-                self.inclusions += 1;
-                if script.integrity {
-                    self.with_sri += 1;
-                }
-            }
-            if let Some(rank) = ranks.get(domain).copied() {
-                if rank <= tier {
-                    self.top_tier.insert(domain.clone(), rank);
-                }
-            }
-        }
-        self.weeks.push(week);
-    }
-
     /// Figure 10: SRI adoption over time.
     pub fn adoption(&self) -> SriAdoption {
         let points: Vec<(Date, usize, usize)> = self
@@ -1361,8 +1252,49 @@ impl SriAccum {
 }
 
 impl Accumulate for SriAccum {
-    fn absorb(&mut self, snapshot: &WeekSnapshot, ctx: &AccumCtx<'_>) {
-        self.absorb_week(snapshot, ctx.ranks);
+    fn absorb<W: WeekView>(&mut self, snapshot: &W, ctx: &AccumCtx<'_>) {
+        let ranks = ctx.ranks;
+        let population = ranks.len().max(1);
+        let tier = (population / 100).max(1); // scaled "top-10K of 1M"
+        let mut week = SriWeek {
+            date: Some(snapshot.date()),
+            ..SriWeek::default()
+        };
+        for (domain, page) in snapshot.pages() {
+            let (external, unprotected) = page.external_scripts();
+            if external > 0 {
+                week.with_external += 1;
+                if unprotected > 0 {
+                    week.unprotected += 1;
+                }
+            }
+            for value in page.crossorigin_values() {
+                self.crossorigin_total += 1;
+                match value {
+                    "anonymous" => self.anonymous += 1,
+                    "use-credentials" => self.credentials += 1,
+                    _ => {}
+                }
+            }
+            let mut github = page.github_scripts().peekable();
+            if github.peek().is_none() {
+                continue;
+            }
+            week.github_sites += 1;
+            for (host, integrity) in github {
+                bump(&mut self.host_counts, host);
+                self.inclusions += 1;
+                if integrity {
+                    self.with_sri += 1;
+                }
+            }
+            if let Some(rank) = ranks.get(domain).copied() {
+                if rank <= tier {
+                    self.top_tier.insert(domain.to_string(), rank);
+                }
+            }
+        }
+        self.weeks.push(week);
     }
 
     fn merge(&mut self, other: SriAccum) {
@@ -1454,19 +1386,6 @@ pub struct StudyAccum {
 }
 
 impl StudyAccum {
-    /// Builds the accumulator over a materialized dataset.
-    pub fn over(data: &Dataset, db: &VulnDb) -> StudyAccum {
-        let ctx = AccumCtx {
-            db,
-            ranks: &data.ranks,
-        };
-        let mut accum = StudyAccum::default();
-        for week in &data.weeks {
-            accum.absorb(week, &ctx);
-        }
-        accum
-    }
-
     /// Produces every analysis artifact from the accumulated state.
     pub fn finish(&self, db: &VulnDb) -> StudyArtifacts {
         StudyArtifacts {
@@ -1497,13 +1416,13 @@ impl StudyAccum {
 }
 
 impl Accumulate for StudyAccum {
-    fn absorb(&mut self, snapshot: &WeekSnapshot, ctx: &AccumCtx<'_>) {
-        self.landscape.absorb(snapshot, ctx);
-        self.exposure.absorb(snapshot, ctx);
-        self.behavior.absorb(snapshot, ctx);
-        self.collection.absorb(snapshot, ctx);
-        self.flash.absorb(snapshot, ctx);
-        self.sri.absorb(snapshot, ctx);
+    fn absorb<W: WeekView>(&mut self, week: &W, ctx: &AccumCtx<'_>) {
+        self.landscape.absorb(week, ctx);
+        self.exposure.absorb(week, ctx);
+        self.behavior.absorb(week, ctx);
+        self.collection.absorb(week, ctx);
+        self.flash.absorb(week, ctx);
+        self.sri.absorb(week, ctx);
     }
 
     fn merge(&mut self, other: StudyAccum) {
@@ -1530,55 +1449,55 @@ pub fn genesis_ranks(genesis: &Genesis) -> BTreeMap<String, usize> {
 }
 
 /// Folds a store through an accumulator without materializing a
-/// [`Dataset`]. Peak memory is the accumulator plus one decoded week per
-/// worker, whatever the week count.
+/// [`Dataset`], dropping the domains of the §4.1 verdict `filtered`. Peak
+/// memory is the accumulator plus one borrowed week per worker, whatever
+/// the week count.
 ///
-/// Three ways to cut the store into domain-disjoint slices, one fold
-/// loop (`fold_slices`), byte-identical artifacts:
+/// Two ways to cut the store into domain-disjoint slices, one fold loop
+/// (`fold_slice`) per slice, byte-identical artifacts:
 ///
-/// * sharded store, `threads > 1` — a slice per shard (shards partition
-///   domains); unhealthy shards of a degraded reader contribute the
-///   identity;
-/// * single-file store, `threads > 1` — a slice per worker, at most one
-///   per core: each worker decodes, from the per-week offset index, only
-///   the records [`shard_of`] assigns it. Nothing decoded ever changes
-///   threads: a week handed to another thread costs more in cache misses
-///   on both sides than the hand-off overlaps (measured: a decode-ahead
-///   pipeline and a per-week barrier both ran no faster than one thread);
-/// * `threads <= 1` — the whole store as one slice.
+/// * sharded store — a slice per shard (shards partition domains), on up
+///   to `threads` workers; unhealthy shards of a degraded reader
+///   contribute the identity;
+/// * single-file store — a slice per worker, at most one per core: each
+///   worker decodes, from the per-week offset index, only the records
+///   [`shard_of`] assigns it. Nothing decoded ever changes threads: a
+///   week handed to another thread costs more in cache misses on both
+///   sides than the hand-off overlaps (measured: a decode-ahead pipeline
+///   and a per-week barrier both ran no faster than one thread).
+///
+/// Either way a slice reads one file, so one [`SymbolCache`] serves it.
 pub fn fold_store<A>(
     reader: &AnyReader,
     ctx: &AccumCtx<'_>,
     threads: usize,
+    filtered: &BTreeSet<String>,
 ) -> Result<A, StoreError>
 where
     A: Accumulate + Default + Send,
 {
-    let filtered = store_filter_verdict(reader)?;
     let threads = threads.max(1);
-    if threads > 1 && reader.shard_count() > 1 {
-        let weeks = reader.weeks_committed();
-        return fold_slices(reader.shard_count(), threads, ctx, &filtered, |shard| {
-            reader
-                .shard_reader(shard)
-                .into_iter()
-                .flat_map(move |shard| (0..weeks).map(move |week| shard.week(week)))
+    let weeks = reader.weeks_committed();
+    if reader.shard_count() > 1 {
+        return fold_slices(reader.shard_count(), threads, |shard| {
+            match reader.shard_reader(shard) {
+                Some(shard) => fold_slice(shard, weeks, |_| true, filtered, ctx),
+                None => Ok(A::default()),
+            }
         });
     }
+    let file = reader.shard_reader(0).expect("a single file is a shard");
     // More slices than cores only adds threads that take turns.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let parts = threads.min(cores);
-    if parts > 1 {
-        return fold_slices(parts, parts, ctx, &filtered, |part| {
-            (0..reader.weeks_committed())
-                .map(move |week| reader.week_where(week, |host| shard_of(host, parts) == part))
-        });
-    }
-    fold_slices(1, 1, ctx, &filtered, |_| reader.stream())
+    fold_slices(parts, parts, |part| {
+        let mine = |host: &str| shard_of(host, parts) == part;
+        fold_slice(file, weeks, mine, filtered, ctx)
+    })
 }
 
 /// Convenience: folds the full study accumulator over a store using the
-/// genesis rank list for context.
+/// genesis rank list for context and the store's own §4.1 verdict.
 pub fn fold_study(
     reader: &AnyReader,
     db: &VulnDb,
@@ -1586,42 +1505,46 @@ pub fn fold_study(
 ) -> Result<StudyAccum, StoreError> {
     let ranks = genesis_ranks(reader.genesis());
     let ctx = AccumCtx { db, ranks: &ranks };
-    fold_store(reader, &ctx, threads)
+    fold_store(reader, &ctx, threads, &store_filter_verdict(reader)?)
 }
 
-/// Folds `slices` domain-disjoint slices of a store on the exec pool —
-/// `weeks_of(slice)` streams one slice's weeks in order — and merges the
-/// accumulators in slice order. Each week is converted consuming its
-/// decoded records, filtered, absorbed and dropped on the one worker
-/// that decoded it.
-fn fold_slices<A, I>(
+/// Folds `slices` domain-disjoint slices of a store on the exec pool and
+/// merges the accumulators in slice order.
+fn fold_slices<A>(
     slices: usize,
     threads: usize,
-    ctx: &AccumCtx<'_>,
-    filtered: &BTreeSet<String>,
-    weeks_of: impl Fn(usize) -> I + Sync,
+    fold: impl Fn(usize) -> Result<A, StoreError> + Sync,
 ) -> Result<A, StoreError>
 where
-    A: Accumulate + Default + Send,
-    I: Iterator<Item = Result<WeekData, StoreError>>,
+    A: Accumulate + Send,
 {
     let indices: Vec<usize> = (0..slices).collect();
     let executor = Executor::new(threads).chunk_size(1);
-    let folded = executor.map(&indices, |&slice| -> Result<A, StoreError> {
-        let mut accum = A::default();
-        for week in weeks_of(slice) {
-            let mut snapshot = week_into_snapshot(week?)?;
-            apply_filter(&mut snapshot, filtered);
-            accum.absorb(&snapshot, ctx);
-        }
-        Ok(accum)
-    });
-    let mut folded = folded.into_iter();
+    let mut folded = executor.map(&indices, |&slice| fold(slice)).into_iter();
     let mut merged = folded.next().expect("a fold has at least one slice")?;
     for slice in folded {
         merged.merge(slice?);
     }
     Ok(merged)
+}
+
+/// One slice's fold: the first `weeks` weeks of `file`, the records whose
+/// host `keep` accepts, each week decoded as borrowed records and
+/// absorbed in place on the one worker that decoded it.
+fn fold_slice<A: Accumulate + Default>(
+    file: &StoreReader,
+    weeks: usize,
+    keep: impl Fn(&str) -> bool,
+    filtered: &BTreeSet<String>,
+    ctx: &AccumCtx<'_>,
+) -> Result<A, StoreError> {
+    let mut accum = A::default();
+    let mut symbols = SymbolCache::default();
+    for week in 0..weeks {
+        let records = file.week_records(week, &keep)?;
+        accum.absorb(&DecodedWeek::new(&records, filtered, &mut symbols)?, ctx);
+    }
+    Ok(accum)
 }
 
 #[cfg(test)]
@@ -1910,6 +1833,56 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stored_version_that_does_not_parse_fails_the_fold_by_name() {
+        use webvuln_store::{DetectionRecord, DomainRecord, PageRecord, StoreWriter, WeekData};
+        let path = std::env::temp_dir().join(format!("accum-badver-{}", std::process::id()));
+        let record = |host: &str, version: &str| DomainRecord {
+            host: host.to_string(),
+            status: Some(200),
+            body_len: 5_000,
+            page: Some(PageRecord {
+                detections: vec![DetectionRecord {
+                    library: "jquery".to_string(),
+                    version: Some(version.to_string()),
+                    external_host: None,
+                    integrity: false,
+                    crossorigin: None,
+                    url: String::new(),
+                }],
+                ..PageRecord::default()
+            }),
+        };
+        let genesis = Genesis {
+            start_days: 17_600,
+            weeks_total: 2,
+            ranks: vec![("a.com".to_string(), 1), ("b.com".to_string(), 2)],
+        };
+        let mut writer = StoreWriter::create(&path, genesis).expect("create");
+        // The string is first seen in week 1, on one domain of two.
+        for (week, b_version) in [(0, "3.5.1"), (1, "three.five")] {
+            let records = vec![record("a.com", "1.12.4"), record("b.com", b_version)];
+            let date_days = 17_600 + 7 * week as i64;
+            let week = WeekData {
+                week,
+                date_days,
+                records,
+            };
+            writer.commit_week(&week).expect("commit");
+        }
+        drop(writer);
+        let reader = AnyReader::open(&path).expect("open");
+        for threads in [1, 2] {
+            match fold_study(&reader, &VulnDb::builtin(), threads) {
+                Err(StoreError::Mismatch(detail)) => {
+                    assert!(detail.contains("\"three.five\""), "{detail}")
+                }
+                other => panic!("{threads} threads: expected a mismatch, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use crate::filter::{apply_filter, FilterWindow};
 use crate::store_io::{
-    genesis_for, week_into_snapshot, CheckpointOutcome, CheckpointWriter, StoreError,
+    date_from_days, genesis_for, record_into_page, week_into_snapshot, CheckpointOutcome,
+    CheckpointWriter, StoreError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -17,6 +18,7 @@ use webvuln_net::{
     page_is_error_or_empty, BreakerConfig, CrawlOptions, FaultPlan, FetchRecord, FetchSummary,
     HostBreakers, RetryPolicy, VirtualClock, VirtualNet, EMPTY_PAGE_THRESHOLD,
 };
+use webvuln_store::WeekData;
 use webvuln_telemetry::trace::{self, Sink};
 use webvuln_telemetry::{Counter, Telemetry};
 use webvuln_webgen::{Ecosystem, Timeline};
@@ -311,30 +313,28 @@ impl<'a> Collector<'a> {
         let mut collector = WeekCollector::new(ecosystem, config, telemetry);
         let mut window = FilterWindow::new();
         let mut kept = Vec::with_capacity(if self.streaming { 0 } else { timeline.weeks });
-        let mut sink = |snapshot: WeekSnapshot| {
-            window.absorb(&snapshot.summaries);
-            if !self.streaming {
-                kept.push(snapshot);
-            }
-        };
 
         // Replaying the restored weeks puts the week-to-week state —
-        // circuit breakers, carry-forward baselines — exactly where the
-        // interrupted run left it.
+        // circuit breakers, carry-forward baselines, the filter window —
+        // exactly where the interrupted run left it, straight off the
+        // stored records; a snapshot is built only to be kept.
         for week in restored.weeks {
-            let snapshot = week_into_snapshot(week)?;
+            let pages = week.records.iter().filter(|r| r.page.is_some()).count();
             telemetry.progress(
                 "crawl",
-                snapshot.week as u64 + 1,
+                week.week as u64 + 1,
                 timeline.weeks as u64,
                 &format!(
-                    "{}: {} pages (restored from store)",
-                    snapshot.date,
-                    snapshot.collected()
+                    "{}: {pages} pages (restored from store)",
+                    date_from_days(week.date_days)?
                 ),
             );
-            collector.replay_week(&snapshot);
-            sink(snapshot);
+            collector.replay_week(&week)?;
+            let fetched = week.records.iter();
+            window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
+            if !self.streaming {
+                kept.push(week_into_snapshot(week)?);
+            }
         }
 
         // Scheduling: weeks that share no state (no circuit breakers, no
@@ -371,7 +371,11 @@ impl<'a> Collector<'a> {
                 timeline.weeks as u64,
                 &format!("{date}: {} pages", snapshot.collected()),
             );
-            sink(snapshot);
+            let fetched = snapshot.summaries.iter();
+            window.absorb(fetched.map(|(domain, s)| (domain.as_str(), s.status, s.body_len)));
+            if !self.streaming {
+                kept.push(snapshot);
+            }
         }
 
         // A store that was already finalized keeps its stored verdict
@@ -632,30 +636,34 @@ impl WeekCollector {
         }
     }
 
-    /// Replays a restored snapshot's outcomes into breaker and
+    /// Replays a restored week's outcomes into breaker and
     /// carry-forward state without crawling.
     ///
     /// Mirrors the live path exactly: a host is recorded only if its
     /// breaker admitted it (which, inductively, matches whether the live
     /// run fetched or skipped it), any HTTP status counts as success, and
-    /// the round ticks once at the end.
-    fn replay_week(&mut self, snapshot: &WeekSnapshot) {
+    /// the round ticks once at the end. A page beside a failed fetch was
+    /// itself carried forward, so it is not a baseline.
+    fn replay_week(&mut self, week: &WeekData) -> Result<(), StoreError> {
         if let Some(breakers) = &self.breakers {
-            for (domain, summary) in &snapshot.summaries {
-                if breakers.allow(domain) {
-                    breakers.record(domain, summary.status.is_some());
+            for record in &week.records {
+                if breakers.allow(&record.host) {
+                    breakers.record(&record.host, record.status.is_some());
                 }
             }
             breakers.tick_round();
         }
         if !self.config.carry_forward {
-            return;
+            return Ok(());
         }
-        for (domain, page) in &snapshot.pages {
-            if !snapshot.carried_forward.contains(domain) {
-                self.last_usable.insert(domain.clone(), page.clone());
+        for record in &week.records {
+            let fresh = !page_is_error_or_empty(record.status, record.body_len as usize);
+            if let (true, Some(page)) = (fresh, &record.page) {
+                let page = record_into_page(page.clone())?;
+                self.last_usable.insert(record.host.clone(), page);
             }
         }
+        Ok(())
     }
 }
 

@@ -7,9 +7,8 @@
 //! wording and as the window's differential oracle.
 
 use crate::dataset::WeekSnapshot;
-use crate::store_io::week_into_snapshot;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use webvuln_net::filter::{page_is_error_or_empty, FetchSummary, FINAL_WEEKS};
+use std::collections::{BTreeSet, VecDeque};
+use webvuln_net::filter::{page_is_error_or_empty, FINAL_WEEKS};
 use webvuln_store::{AnyReader, StoreError};
 
 /// The trailing [`FINAL_WEEKS`] weeks of the §4.1 filter: per week, the
@@ -37,28 +36,36 @@ impl FilterWindow {
         FilterWindow::default()
     }
 
-    /// The window over a store's trailing committed weeks.
+    /// The window over a store's trailing committed weeks, read off the
+    /// decoded records of every healthy shard.
     pub fn from_store(reader: &AnyReader) -> Result<FilterWindow, StoreError> {
         let weeks = reader.weeks_committed();
         let mut window = FilterWindow::new();
-        for week in reader.stream().range(weeks - FINAL_WEEKS.min(weeks), weeks) {
-            window.absorb(&week_into_snapshot(week?)?.summaries);
+        for week in weeks - FINAL_WEEKS.min(weeks)..weeks {
+            let shards = reader
+                .healthy()
+                .map(|shard| shard.week_records(week, |_| true));
+            let shards = shards.collect::<Result<Vec<_>, _>>()?;
+            let records = shards.iter().flat_map(|shard| &shard.records);
+            window.absorb(records.map(|record| {
+                let body_len = record.body_len as usize;
+                (record.host.text, record.status, body_len)
+            }));
         }
         Ok(window)
     }
 
-    /// Slides the window over the next week's fetch summaries.
-    pub fn absorb(&mut self, summaries: &BTreeMap<String, FetchSummary>) {
+    /// Slides the window over the next week's fetch outcomes:
+    /// `(domain, status, body length)` of every attempted domain.
+    pub fn absorb<'a>(&mut self, fetched: impl IntoIterator<Item = (&'a str, Option<u16>, usize)>) {
         if self.alive.len() == FINAL_WEEKS {
             self.alive.pop_front();
         }
-        self.alive.push_back(
-            summaries
-                .iter()
-                .filter(|(_, summary)| !page_is_error_or_empty(summary.status, summary.body_len))
-                .map(|(domain, _)| domain.clone())
-                .collect(),
-        );
+        let alive = fetched
+            .into_iter()
+            .filter(|&(_, status, body_len)| !page_is_error_or_empty(status, body_len));
+        self.alive
+            .push_back(alive.map(|(domain, ..)| domain.to_string()).collect());
     }
 
     /// The domains of `ranked` to filter out, given the weeks absorbed so
@@ -86,13 +93,12 @@ pub fn store_filter_verdict(reader: &AnyReader) -> Result<BTreeSet<String>, Stor
     Ok(FilterWindow::from_store(reader)?.verdict(ranked))
 }
 
-/// Drops filtered-out domains from a snapshot's pages — the per-week step
-/// of every fold and of the watch daemon's live ingester, so an
-/// incrementally-maintained accumulator absorbs exactly what a cold
-/// [`fold_store`](crate::accum::fold_store) would. The fetch summaries are
-/// left alone: no accumulator reads them, and a [`Dataset`]-facing caller
-/// that shows them drops them on top
-/// ([`Dataset::apply_filter`](crate::dataset::Dataset::apply_filter)).
+/// Drops filtered-out domains from a snapshot's pages, so an accumulator
+/// absorbing the snapshot sees exactly what a store fold — which skips
+/// them in its [`DecodedWeek`](crate::store_io::DecodedWeek) view instead
+/// — would. The fetch summaries are left alone: no accumulator reads
+/// them, and a [`Dataset`]-facing caller that shows them drops them on
+/// top ([`Dataset::apply_filter`](crate::dataset::Dataset::apply_filter)).
 ///
 /// [`Dataset`]: crate::dataset::Dataset
 pub fn apply_filter(snapshot: &mut WeekSnapshot, filtered: &BTreeSet<String>) {
@@ -107,8 +113,13 @@ pub fn apply_filter(snapshot: &mut WeekSnapshot, filtered: &BTreeSet<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use webvuln_failpoint::check::{self, Gen};
-    use webvuln_net::filter::inaccessible_domains;
+    use webvuln_net::filter::{inaccessible_domains, FetchSummary};
+
+    fn absorb(window: &mut FilterWindow, week: &BTreeMap<String, FetchSummary>) {
+        window.absorb(week.iter().map(|(d, s)| (d.as_str(), s.status, s.body_len)));
+    }
 
     fn summary(g: &mut Gen) -> FetchSummary {
         let (status, body_len) = match g.range(0..=5) {
@@ -142,7 +153,7 @@ mod tests {
                         week.insert(domain.clone(), summary(g));
                     }
                 }
-                window.absorb(&week);
+                absorb(&mut window, &week);
                 weekly.push(week);
                 let mut expected = inaccessible_domains(&weekly, FINAL_WEEKS);
                 expected.extend(
@@ -173,7 +184,7 @@ mod tests {
         let ranked = ["seen.com".to_string(), "never.com".to_string()];
         let week = BTreeMap::from([("seen.com".to_string(), ok)]);
         let mut window = FilterWindow::new();
-        window.absorb(&week);
+        absorb(&mut window, &week);
         assert_eq!(
             window.verdict(&ranked),
             BTreeSet::from(["never.com".to_string()])

@@ -194,8 +194,9 @@ pub(crate) fn script_access_audit(data: &Dataset) -> ScriptAccessAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::FlashAccum;
+    use crate::accum::{Accumulate, FlashAccum};
     use crate::dataset::testkit;
+    use webvuln_cvedb::VulnDb;
 
     #[test]
     fn flash_eol_constant_is_correct() {
@@ -206,7 +207,7 @@ mod tests {
     #[test]
     fn fig8_flash_decays_but_survives_eol() {
         let data = testkit::long();
-        let usage = FlashAccum::over(data).usage();
+        let usage = FlashAccum::over(data, &VulnDb::builtin()).usage();
         let first = usage.points.first().expect("non-empty").1;
         let last = usage.points.last().expect("non-empty").1;
         assert!(first > 0, "flash exists at the start");
@@ -223,7 +224,7 @@ mod tests {
     #[test]
     fn fig11_audit_is_structurally_sound() {
         let data = testkit::long();
-        let audit = FlashAccum::over(data).script_access();
+        let audit = FlashAccum::over(data, &VulnDb::builtin()).script_access();
         assert_eq!(audit.points.len(), data.week_count());
         for &(_, flash, with_param, always) in &audit.points {
             assert!(always <= with_param, "always ⊆ param setters");
@@ -241,7 +242,7 @@ mod tests {
     #[test]
     fn cn_sites_overrepresented_in_post_eol_flash() {
         let data = testkit::long();
-        let census = FlashAccum::over(data).by_tld();
+        let census = FlashAccum::over(data, &VulnDb::builtin()).by_tld();
         // The .cn multiplier in the model (3x presence, 0.4x removal)
         // must surface as over-representation relative to the base rate —
         // §8's "why do Chinese websites still use Flash" finding.
@@ -261,7 +262,7 @@ mod tests {
     #[test]
     fn tier_counts_are_monotone() {
         let data = testkit::long();
-        let usage = FlashAccum::over(data).usage();
+        let usage = FlashAccum::over(data, &VulnDb::builtin()).usage();
         for &(_, all, top10k, top1k) in &usage.points {
             assert!(top1k <= top10k);
             assert!(top10k <= all);

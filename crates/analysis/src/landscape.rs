@@ -237,14 +237,14 @@ pub(crate) fn table5(data: &Dataset, top: usize) -> Vec<CdnBreakdown> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::LandscapeAccum;
+    use crate::accum::{Accumulate, LandscapeAccum};
     use crate::dataset::testkit;
 
     #[test]
     fn table1_order_and_shares_match_paper() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = LandscapeAccum::over(data).table1(&db);
+        let rows = LandscapeAccum::over(data, &VulnDb::builtin()).table1(&db);
         assert_eq!(rows.len(), 15);
         assert_eq!(rows[0].library, LibraryId::JQuery, "jQuery is #1");
         let jq = &rows[0];
@@ -277,7 +277,7 @@ mod tests {
     fn jquery_dominant_version_is_1_12_4() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = LandscapeAccum::over(data).table1(&db);
+        let rows = LandscapeAccum::over(data, &VulnDb::builtin()).table1(&db);
         let jq = &rows[0];
         let (dominant, share) = jq.dominant.clone().expect("jQuery has versions");
         assert_eq!(dominant.to_string(), "1.12.4");
@@ -291,7 +291,7 @@ mod tests {
     fn inclusion_splits_track_table1() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = LandscapeAccum::over(data).table1(&db);
+        let rows = LandscapeAccum::over(data, &VulnDb::builtin()).table1(&db);
         let jq = &rows[0];
         // Table 1: jQuery 59.2% internal / 40.8% external, 96.1% CDN.
         // WordPress's bundled (internal) copies push our split higher.
@@ -312,7 +312,7 @@ mod tests {
     fn vuln_report_counts_come_from_db() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        let rows = LandscapeAccum::over(data).table1(&db);
+        let rows = LandscapeAccum::over(data, &VulnDb::builtin()).table1(&db);
         let by = |lib: LibraryId| {
             rows.iter()
                 .find(|r| r.library == lib)
@@ -328,7 +328,7 @@ mod tests {
     fn versions_found_do_not_exceed_catalog() {
         let data = testkit::small();
         let db = VulnDb::builtin();
-        for row in LandscapeAccum::over(data).table1(&db) {
+        for row in LandscapeAccum::over(data, &VulnDb::builtin()).table1(&db) {
             assert!(
                 row.versions_found <= row.versions_total,
                 "{}: {} > {}",
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn trends_have_full_length() {
         let data = testkit::small();
-        let trends = LandscapeAccum::over(data).trends();
+        let trends = LandscapeAccum::over(data, &VulnDb::builtin()).trends();
         assert_eq!(trends.len(), 15);
         for t in &trends {
             assert_eq!(t.points.len(), data.week_count());
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn table5_jquery_top_host_is_google() {
         let data = testkit::small();
-        let cdns = LandscapeAccum::over(data).table5(3);
+        let cdns = LandscapeAccum::over(data, &VulnDb::builtin()).table5(3);
         let jq = cdns
             .iter()
             .find(|c| c.library == LibraryId::JQuery)

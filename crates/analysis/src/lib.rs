@@ -24,6 +24,8 @@
 //! * [`accum`] — the mergeable streaming accumulators behind every
 //!   artifact above, and [`accum::fold_store`] for folding a snapshot
 //!   store without materializing a [`Dataset`].
+//! * [`view`] — what an accumulator reads of a week: a [`WeekSnapshot`]
+//!   or a store's decoded records in place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +50,7 @@ pub mod sri;
 pub mod stats;
 pub mod store_io;
 pub mod updates;
+pub mod view;
 pub mod vuln;
 pub mod wordpress;
 
@@ -57,3 +60,4 @@ pub use accum::{
 pub use dataset::{CollectConfig, Collector, Dataset, WeekSnapshot};
 pub use filter::{apply_filter, store_filter_verdict, FilterWindow};
 pub use store_io::CheckpointOutcome;
+pub use view::{DetectionView, PageView, WeekView};

@@ -73,13 +73,14 @@ pub(crate) fn resource_usage(data: &Dataset) -> Vec<ResourceUsage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::CollectionAccum;
+    use crate::accum::{Accumulate, CollectionAccum};
     use crate::dataset::testkit;
+    use webvuln_cvedb::VulnDb;
 
     #[test]
     fn collection_series_is_stable() {
         let data = testkit::small();
-        let series = CollectionAccum::over(data).collection();
+        let series = CollectionAccum::over(data, &VulnDb::builtin()).collection();
         assert_eq!(series.points.len(), 30);
         // The collected count stays within a narrow band week to week
         // (Fig 2a is flat apart from noise).
@@ -105,7 +106,7 @@ mod tests {
     #[test]
     fn resource_ordering_matches_fig2b() {
         let data = testkit::small();
-        let usage = CollectionAccum::over(data).resources();
+        let usage = CollectionAccum::over(data, &VulnDb::builtin()).resources();
         let share = |t: ResourceType| {
             usage
                 .iter()

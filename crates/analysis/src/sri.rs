@@ -150,13 +150,14 @@ pub(crate) fn github_report(data: &Dataset) -> GithubReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::accum::SriAccum;
+    use crate::accum::{Accumulate, SriAccum};
     use crate::dataset::testkit;
+    use webvuln_cvedb::VulnDb;
 
     #[test]
     fn fig10_unprotected_externals_dominate() {
         let data = testkit::small();
-        let adoption = SriAccum::over(data).adoption();
+        let adoption = SriAccum::over(data, &VulnDb::builtin()).adoption();
         // Paper: 99.7% of sites have at least one unprotected external.
         assert!(
             adoption.average_unprotected_share > 0.95,
@@ -171,7 +172,7 @@ mod tests {
     #[test]
     fn crossorigin_census_prefers_anonymous() {
         let data = testkit::small();
-        let census = SriAccum::over(data).crossorigin();
+        let census = SriAccum::over(data, &VulnDb::builtin()).crossorigin();
         if census.total > 10 {
             assert!(
                 census.anonymous_share > 0.8,
@@ -185,7 +186,7 @@ mod tests {
     #[test]
     fn github_hosting_is_rare_and_mostly_unprotected() {
         let data = testkit::small();
-        let report = SriAccum::over(data).github();
+        let report = SriAccum::over(data, &VulnDb::builtin()).github();
         let avg_share = report.average_sites / data.average_collected();
         // Paper: ~0.21% of sites (1,670 / 782,300).
         assert!(

@@ -6,11 +6,15 @@
 //!
 //! The store is dependency-free and speaks a plain-string record model;
 //! this module is the single place that maps [`PageAnalysis`] and friends
-//! into it and back. Telemetry: every commit records into `store.*`
-//! counters and the `store.commit_latency_ns` histogram.
+//! into it and back — and, for a fold, the place that reads the records
+//! *as* pages without converting them ([`DecodedWeek`]). Telemetry: every
+//! commit records into `store.*` counters and the
+//! `store.commit_latency_ns` histogram.
 
+use crate::accum::genesis_ranks;
 use crate::dataset::{CollectConfig, Dataset, WeekSnapshot};
 use crate::filter::{apply_filter, store_filter_verdict};
+use crate::view::{DetectionView, PageView, WeekView};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,7 +25,7 @@ use webvuln_fingerprint::{
 use webvuln_net::{page_is_error_or_empty, FetchSummary};
 use webvuln_store::{
     AnyReader, DetectionRecord, DomainRecord, FlashRecord, Genesis, PageRecord, ScriptRecord,
-    ShardedStoreWriter, StoreWriter, WeekData, WordPressRecord,
+    ShardedStoreWriter, StoreWriter, Sym, WeekData, WordPressRecord,
 };
 
 pub use webvuln_store::StoreError;
@@ -104,16 +108,24 @@ fn parse_version(text: &str) -> Result<Version, StoreError> {
         .map_err(|e| StoreError::Mismatch(format!("stored version {text:?} unparsable: {e}")))
 }
 
-fn record_into_page(record: PageRecord) -> Result<PageAnalysis, StoreError> {
+fn parse_library(slug: &str) -> Result<LibraryId, StoreError> {
+    LibraryId::from_slug(slug)
+        .ok_or_else(|| StoreError::Mismatch(format!("unknown library slug {slug:?}")))
+}
+
+pub(crate) fn date_from_days(days: i64) -> Result<Date, StoreError> {
+    i32::try_from(days)
+        .map(Date::from_day_number)
+        .map_err(|_| StoreError::Mismatch(format!("week date {days} out of range")))
+}
+
+pub(crate) fn record_into_page(record: PageRecord) -> Result<PageAnalysis, StoreError> {
     let detections = record
         .detections
         .into_iter()
         .map(|d| {
-            let library = LibraryId::from_slug(&d.library).ok_or_else(|| {
-                StoreError::Mismatch(format!("unknown library slug {:?}", d.library))
-            })?;
             Ok(Detection {
-                library,
+                library: parse_library(&d.library)?,
                 version: d.version.as_deref().map(parse_version).transpose()?,
                 inclusion: match d.external_host {
                     None => DetectedInclusion::Internal,
@@ -189,8 +201,7 @@ pub fn snapshot_to_week(snapshot: &WeekSnapshot) -> WeekData {
 /// degradation substituted the last usable snapshot, so the flag is
 /// reconstructed from exactly that combination.
 pub fn week_into_snapshot(week: WeekData) -> Result<WeekSnapshot, StoreError> {
-    let date_days = i32::try_from(week.date_days)
-        .map_err(|_| StoreError::Mismatch(format!("week date {} out of range", week.date_days)))?;
+    let date = date_from_days(week.date_days)?;
     // Records arrive host-sorted, so collecting the maps from vectors
     // builds them in one pass.
     let mut pages = Vec::new();
@@ -212,7 +223,7 @@ pub fn week_into_snapshot(week: WeekData) -> Result<WeekSnapshot, StoreError> {
     }
     Ok(WeekSnapshot {
         week: week.week,
-        date: Date::from_day_number(date_days),
+        date,
         pages: pages.into_iter().collect(),
         summaries: summaries.into_iter().collect(),
         carried_forward,
@@ -222,6 +233,195 @@ pub fn week_into_snapshot(week: WeekData) -> Result<WeekSnapshot, StoreError> {
 /// [`week_into_snapshot`] for a caller that keeps the decoded week.
 pub fn week_to_snapshot(week: &WeekData) -> Result<WeekSnapshot, StoreError> {
     week_into_snapshot(week.clone())
+}
+
+// ---------------------------------------------------------------------------
+// Decoded records as a week view
+// ---------------------------------------------------------------------------
+
+/// What one reader's symbols mean to the analysis, learned at first
+/// sight: a library slug's [`LibraryId`], a version string's parsed
+/// [`Version`]. A fold slice keeps one for all its weeks, so each distinct
+/// string is resolved once per slice, not once per detection per week.
+/// Symbols belong to the string table that issued them: a cache must
+/// never outlive its reader or serve a second one.
+#[derive(Debug, Default)]
+pub struct SymbolCache {
+    libraries: Vec<(u32, LibraryId)>,
+    /// Per symbol, one more than its version's place in `versions`;
+    /// 0 = not seen as a version yet.
+    version_slots: Vec<u32>,
+    versions: Vec<Version>,
+}
+
+impl SymbolCache {
+    /// Resolves everything `page` mentions, failing on the first library
+    /// slug, version string or resource-type code this build cannot read.
+    fn learn(&mut self, page: &PageRecord<Sym<'_>>) -> Result<(), StoreError> {
+        for det in &page.detections {
+            if !self.libraries.iter().any(|&(id, _)| id == det.library.id) {
+                let library = parse_library(det.library.text)?;
+                self.libraries.push((det.library.id, library));
+            }
+            if let Some(version) = det.version {
+                self.learn_version(version)?;
+            }
+        }
+        if let WordPressRecord::Detected(version) = page.wordpress {
+            self.learn_version(version)?;
+        }
+        page.resource_types
+            .iter()
+            .try_for_each(|&code| resource_type_from_code(code).map(drop))
+    }
+
+    fn learn_version(&mut self, version: Sym<'_>) -> Result<(), StoreError> {
+        let id = version.id as usize;
+        if self.version_slots.len() <= id {
+            self.version_slots.resize(id + 1, 0);
+        }
+        if self.version_slots[id] == 0 {
+            self.versions.push(parse_version(version.text)?);
+            self.version_slots[id] = self.versions.len() as u32;
+        }
+        Ok(())
+    }
+
+    fn library(&self, sym: Sym<'_>) -> LibraryId {
+        let known = self.libraries.iter().find(|&&(id, _)| id == sym.id);
+        known.expect("learned before the view was built").1
+    }
+
+    fn version(&self, sym: Sym<'_>) -> &Version {
+        &self.versions[self.version_slots[sym.id as usize] as usize - 1]
+    }
+}
+
+/// A page of a [`DecodedWeek`]: the decoded record where it lies, read
+/// through its reader's [`SymbolCache`].
+pub struct DecodedPage<'a> {
+    page: &'a PageRecord<Sym<'a>>,
+    symbols: &'a SymbolCache,
+}
+
+impl PageView for DecodedPage<'_> {
+    fn detections(&self) -> impl Iterator<Item = DetectionView<'_>> {
+        self.page.detections.iter().map(|det| DetectionView {
+            library: self.symbols.library(det.library),
+            version: det.version.map(|version| self.symbols.version(version)),
+            external_host: det.external_host.map(|host| host.text),
+        })
+    }
+
+    fn wordpress(&self) -> Option<Option<&Version>> {
+        match self.page.wordpress {
+            WordPressRecord::Absent => None,
+            WordPressRecord::DetectedUnknownVersion => Some(None),
+            WordPressRecord::Detected(version) => Some(Some(self.symbols.version(version))),
+        }
+    }
+
+    fn flash(&self) -> Option<Option<&str>> {
+        let stated = || {
+            let values = self.page.flash.iter().map(|f| f.allow_script_access);
+            values.flatten().next().map(|value| value.text)
+        };
+        (!self.page.flash.is_empty()).then(stated)
+    }
+
+    fn uses_resource(&self, class: usize) -> bool {
+        self.page.resource_types.contains(&(class as u8))
+    }
+
+    fn external_scripts(&self) -> (usize, usize) {
+        (
+            self.page.external_scripts as usize,
+            self.page.external_scripts_without_integrity as usize,
+        )
+    }
+
+    fn crossorigin_values(&self) -> impl Iterator<Item = &str> {
+        self.page.crossorigin_values.iter().map(|value| value.text)
+    }
+
+    fn github_scripts(&self) -> impl Iterator<Item = (&str, bool)> {
+        let scripts = self.page.github_scripts.iter();
+        scripts.map(|script| (script.host.text, script.integrity))
+    }
+}
+
+/// One decoded store week as the accumulators read it — the records a
+/// reader's [`week_records`](webvuln_store::StoreReader::week_records)
+/// borrowed from its file, with the §4.1 filter applied as a skip. What
+/// [`week_into_snapshot`] + [`apply_filter`] would hand an accumulator,
+/// without building, filtering or freeing a [`WeekSnapshot`].
+pub struct DecodedWeek<'a> {
+    week: usize,
+    date: Date,
+    carried: usize,
+    pages: Vec<(&'a str, DecodedPage<'a>)>,
+}
+
+impl<'a> DecodedWeek<'a> {
+    /// Views `week` minus the `filtered` domains, teaching `symbols` (the
+    /// cache of the reader that decoded `week`) whatever the week
+    /// mentions for the first time.
+    pub fn new(
+        week: &'a WeekData<DomainRecord<Sym<'a>>>,
+        filtered: &BTreeSet<String>,
+        symbols: &'a mut SymbolCache,
+    ) -> Result<DecodedWeek<'a>, StoreError> {
+        let date = date_from_days(week.date_days)?;
+        let mut carried = 0;
+        let mut kept = Vec::with_capacity(week.records.len());
+        for record in &week.records {
+            let Some(page) = &record.page else { continue };
+            if filtered.contains(record.host.text) {
+                continue;
+            }
+            symbols.learn(page)?;
+            // See `week_into_snapshot`: a page beside a failed fetch was
+            // carried forward.
+            if page_is_error_or_empty(record.status, record.body_len as usize) {
+                carried += 1;
+            }
+            kept.push((record.host.text, page));
+        }
+        let symbols = &*symbols;
+        let pages = kept
+            .into_iter()
+            .map(|(host, page)| (host, DecodedPage { page, symbols }));
+        Ok(DecodedWeek {
+            week: week.week,
+            date,
+            carried,
+            pages: pages.collect(),
+        })
+    }
+}
+
+impl<'a> WeekView for DecodedWeek<'a> {
+    type Page = DecodedPage<'a>;
+
+    fn week(&self) -> usize {
+        self.week
+    }
+
+    fn date(&self) -> Date {
+        self.date
+    }
+
+    fn collected(&self) -> usize {
+        self.pages.len()
+    }
+
+    fn carried(&self) -> usize {
+        self.carried
+    }
+
+    fn pages(&self) -> impl Iterator<Item = (&str, &DecodedPage<'a>)> {
+        self.pages.iter().map(|(domain, page)| (*domain, page))
+    }
 }
 
 pub(crate) fn genesis_for(timeline: &Timeline, names: &[String]) -> Genesis {
@@ -244,12 +444,7 @@ fn genesis_to_parts(genesis: &Genesis) -> Result<(Timeline, BTreeMap<String, usi
         start: Date::from_day_number(start_days),
         weeks: genesis.weeks_total,
     };
-    let ranks = genesis
-        .ranks
-        .iter()
-        .map(|(host, rank)| (host.clone(), *rank as usize))
-        .collect();
-    Ok((timeline, ranks))
+    Ok((timeline, genesis_ranks(genesis)))
 }
 
 // ---------------------------------------------------------------------------
@@ -303,16 +498,21 @@ impl Dataset {
     }
 
     /// Builds a weeks-free shell from an opened store: timeline, ranks,
-    /// and the §4.1 filter verdict, but no snapshots. The streaming
-    /// analysis path attaches this to its results so study metadata
-    /// stays available without materialising any week.
-    pub fn shell_from_reader(reader: &AnyReader) -> Result<Dataset, StoreError> {
+    /// and `filtered` — the store's §4.1 verdict
+    /// ([`store_filter_verdict`]), which the caller's fold needs too — but
+    /// no snapshots. The streaming analysis path attaches this to its
+    /// results so study metadata stays available without materialising
+    /// any week.
+    pub fn shell_from_reader(
+        reader: &AnyReader,
+        filtered: &BTreeSet<String>,
+    ) -> Result<Dataset, StoreError> {
         let (timeline, ranks) = genesis_to_parts(reader.genesis())?;
         Ok(Dataset {
             timeline,
             ranks,
             weeks: Vec::new(),
-            filtered_out: store_filter_verdict(reader)?.into_iter().collect(),
+            filtered_out: filtered.iter().cloned().collect(),
         })
     }
 }

@@ -334,7 +334,7 @@ pub(crate) fn regressions(data: &Dataset, db: &VulnDb) -> Vec<RegressionEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::UpdateBehaviorAccum;
+    use crate::accum::{Accumulate, UpdateBehaviorAccum};
     use crate::dataset::testkit;
 
     fn v(s: &str) -> Version {

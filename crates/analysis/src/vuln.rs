@@ -214,7 +214,7 @@ pub(crate) fn refinement_summary(data: &Dataset, db: &VulnDb) -> RefinementSumma
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::CveExposureAccum;
+    use crate::accum::{Accumulate, CveExposureAccum};
     use crate::dataset::testkit;
 
     /// One report's impact series, as the accumulator computes it.

@@ -62,7 +62,7 @@ pub fn version_census(data: &Dataset, week: usize) -> BTreeMap<Version, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::UpdateBehaviorAccum;
+    use crate::accum::{Accumulate, UpdateBehaviorAccum};
     use crate::dataset::testkit;
 
     #[test]

@@ -168,7 +168,7 @@ pub fn render_validation(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "§6.4 — Version Validation Experiment");
     let mut incorrect = 0;
-    for report in &results.validations {
+    for report in results.validations {
         if report.accuracy == Accuracy::Accurate {
             continue;
         }

@@ -3,12 +3,13 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use webvuln_analysis::accum::{fold_study, StudyAccum, StudyArtifacts};
+use webvuln_analysis::accum::{fold_store, AccumCtx, Accumulate, StudyAccum, StudyArtifacts};
 use webvuln_analysis::dataset::{CollectConfig, Collector, Dataset};
 use webvuln_analysis::flash::{FlashByTld, FlashUsage, ScriptAccessAudit};
 use webvuln_analysis::landscape::{CdnBreakdown, LibraryRow, UsageTrend};
 use webvuln_analysis::resources::{CollectionSeries, ResourceUsage};
 use webvuln_analysis::sri::{CrossoriginCensus, GithubReport, SriAdoption};
+use webvuln_analysis::store_filter_verdict;
 use webvuln_analysis::store_io::StoreError;
 use webvuln_analysis::updates::{RegressionEvent, UpdateDelayReport, WordPressUsage};
 use webvuln_analysis::vuln::{
@@ -18,7 +19,7 @@ use webvuln_analysis::wordpress::WordPressCveRow;
 use webvuln_cvedb::VulnDb;
 use webvuln_exec::SuperviseConfig;
 use webvuln_net::{BreakerConfig, FaultPlan, RetryPolicy};
-use webvuln_poclab::{Lab, ValidationReport};
+use webvuln_poclab::{builtin_validations, ValidationReport};
 use webvuln_store::AnyReader;
 use webvuln_telemetry::trace::{self, Sink};
 use webvuln_telemetry::{Snapshot, Telemetry, TraceData, Tracer};
@@ -177,8 +178,10 @@ pub struct StudyResults {
     pub crossorigin: CrossoriginCensus,
     /// Table 6.
     pub github: GithubReport,
-    /// §6.4 version-validation experiment reports.
-    pub validations: Vec<ValidationReport>,
+    /// §6.4 version-validation experiment reports — a property of the
+    /// built-in database, derived once per process and shared by every
+    /// study in it ([`builtin_validations`]).
+    pub validations: &'static [ValidationReport],
     /// Metrics and phase timings recorded during this run (see
     /// [`webvuln_telemetry`]): `net.*` crawler counters, `fp.*`
     /// fingerprint counters, and a span per pipeline phase.
@@ -483,20 +486,33 @@ enum WeekSource {
 }
 
 /// The analysis driver: the CVE join (one fold of every week through the
-/// study accumulator) and the table/figure build, over either source.
+/// study accumulator) and the table/figure build, over either source. A
+/// store's §4.1 verdict is taken once, for the fold and for the shell.
 fn analyze_weeks(
     config: StudyConfig,
     source: WeekSource,
     telemetry: &Telemetry,
 ) -> Result<StudyResults, StoreError> {
-    let (db, lab, accum) = {
+    let (db, accum, weeks, dataset) = {
         let _phase = telemetry.phase("join");
         let _ = webvuln_failpoint::hit("phase.join", "");
         let db = VulnDb::builtin();
-        let lab = Lab::new();
-        let accum = match &source {
-            WeekSource::Kept(dataset) => StudyAccum::over(dataset, &db),
-            WeekSource::Store(reader) => fold_study(reader, &db, config.concurrency)?,
+        let (accum, weeks, dataset) = match source {
+            WeekSource::Kept(dataset) => (
+                StudyAccum::over(&dataset, &db),
+                dataset.week_count(),
+                dataset,
+            ),
+            WeekSource::Store(reader) => {
+                let filtered = store_filter_verdict(&reader)?;
+                let shell = Dataset::shell_from_reader(&reader, &filtered)?;
+                let ctx = AccumCtx {
+                    db: &db,
+                    ranks: &shell.ranks,
+                };
+                let accum = fold_store(&reader, &ctx, config.concurrency, &filtered)?;
+                (accum, reader.weeks_committed(), shell)
+            }
         };
         trace::emit(
             "join.done",
@@ -505,20 +521,13 @@ fn analyze_weeks(
             db.records().len() as u64 * 1_000,
             Sink::Export,
         );
-        (db, lab, accum)
+        (db, accum, weeks, dataset)
     };
     let mut results = {
         let _phase = telemetry.phase("analyze");
         let _ = webvuln_failpoint::hit("phase.analyze", "");
         let artifacts = accum.finish(&db);
-        let (weeks, dataset) = match source {
-            WeekSource::Kept(dataset) => (dataset.week_count(), dataset),
-            WeekSource::Store(reader) => (
-                reader.weeks_committed(),
-                Dataset::shell_from_reader(&reader)?,
-            ),
-        };
-        let results = build_results(config, dataset, db, &lab, artifacts);
+        let results = build_results(config, dataset, db, artifacts);
         trace::emit(
             "analyze.done",
             "",
@@ -536,7 +545,6 @@ fn build_results(
     config: StudyConfig,
     dataset: Dataset,
     db: VulnDb,
-    lab: &Lab,
     artifacts: StudyArtifacts,
 ) -> StudyResults {
     StudyResults {
@@ -562,7 +570,7 @@ fn build_results(
         sri: artifacts.sri,
         crossorigin: artifacts.crossorigin,
         github: artifacts.github,
-        validations: lab.validate_all(),
+        validations: builtin_validations(),
         telemetry: Snapshot::default(),
         trace: None,
         dataset,

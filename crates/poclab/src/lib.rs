@@ -18,7 +18,8 @@
 //! * [`poc_corpus`] — one PoC per report (the seven found in the wild are
 //!   flagged, matching the paper);
 //! * [`Lab`] — sweeps each library's release catalog through its PoC and
-//!   classifies every report as accurate / understated / overstated.
+//!   classifies every report as accurate / understated / overstated;
+//!   [`builtin_validations`] is that sweep taken once per process.
 //!
 //! ```
 //! use webvuln_poclab::Lab;
@@ -43,6 +44,6 @@ pub mod poc;
 pub mod sandbox;
 
 pub use backtrack::{BtOutcome, BtRegex};
-pub use lab::{Lab, ValidationReport};
+pub use lab::{builtin_validations, sweeps_run, Lab, ValidationReport};
 pub use poc::{poc_corpus, PocExploit, PocResult};
 pub use sandbox::{JsRealm, JsValue, Sandbox};

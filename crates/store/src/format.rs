@@ -34,7 +34,7 @@
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::intern::Interner;
-use crate::record::{decode_body, encode_body, DomainRecord, WeekData};
+use crate::record::{decode_body, encode_body, DomainRecord, FromSym, Sym, WeekData};
 use crate::varint::{write_i64, write_str, write_u64, Cursor};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -577,8 +577,8 @@ pub fn decode_week_prefix(
     })
 }
 
-/// One record of a fully decoded week.
-pub struct DecodedRecord<'a> {
+/// One record of a fully decoded week, its strings held as `S`.
+pub struct DecodedRecord<'a, S> {
     /// The host's symbol in the file-global table.
     pub host_sym: u32,
     /// Absolute file offset of the canonical (full) body — for
@@ -587,7 +587,7 @@ pub struct DecodedRecord<'a> {
     /// Whether this record was stored as a back-reference.
     pub backref: bool,
     /// The decoded record.
-    pub record: DomainRecord,
+    pub record: DomainRecord<S>,
     /// The canonical body bytes (delta state for the next week).
     pub body: &'a [u8],
 }
@@ -606,12 +606,12 @@ pub fn locate(segments: &[RawSegment], abs: u64) -> Option<(&RawSegment, usize)>
 
 /// Decodes the record body stored at absolute file offset `abs`, returning
 /// the record and its exact encoded bytes.
-pub fn decode_body_at<'a>(
+pub fn decode_body_at<'a, S: FromSym<'a>>(
     segments: &'a [RawSegment],
-    table: &Interner,
-    host: &str,
+    table: &'a Interner,
+    host: Sym<'a>,
     abs: u64,
-) -> Result<(DomainRecord, &'a [u8]), StoreError> {
+) -> Result<(DomainRecord<S>, &'a [u8]), StoreError> {
     let (seg, rel) = locate(segments, abs)
         .ok_or_else(|| StoreError::corrupt(abs, "body offset outside any segment"))?;
     let mut cur = Cursor::new(&seg.payload[rel..]);
@@ -622,12 +622,12 @@ pub fn decode_body_at<'a>(
 /// Fully decodes the records region of the week segment at
 /// `segments[seg_index]`, resolving back-references through earlier
 /// segments, and cross-checks the region against the on-disk index.
-pub fn decode_week_full<'a>(
+pub fn decode_week_full<'a, S: FromSym<'a>>(
     segments: &'a [RawSegment],
     seg_index: usize,
     prefix: &WeekPrefix,
-    table: &Interner,
-) -> Result<Vec<DecodedRecord<'a>>, StoreError> {
+    table: &'a Interner,
+) -> Result<Vec<DecodedRecord<'a, S>>, StoreError> {
     let seg = &segments[seg_index];
     let region = &seg.payload[prefix.records_pos..prefix.records_pos + prefix.records_len];
     let region_abs = seg.payload_offset() + prefix.records_pos as u64;
@@ -646,7 +646,7 @@ pub fn decode_week_full<'a>(
             return Err(bad(&cur, "record host disagrees with index"));
         }
         let host = table
-            .resolve(host_sym)
+            .sym(host_sym)
             .ok_or_else(|| bad(&cur, "record host symbol unknown"))?;
         let decoded = match cur.u8().ok_or_else(|| bad(&cur, "record tag"))? {
             0 => {
@@ -768,19 +768,43 @@ pub fn encode_week_file(week: &WeekData) -> Vec<u8> {
     segment_file(kind::WEEK, &encoded.payload)
 }
 
-/// Decodes a file written by [`encode_week_file`]. With no earlier
-/// segment to point into, a back-reference is refused as corrupt.
+/// A parsed standalone week file: its one segment and the string table
+/// the records borrow from.
+pub struct WeekFile {
+    segments: [RawSegment; 1],
+    table: Interner,
+    prefix: WeekPrefix,
+}
+
+impl WeekFile {
+    /// Parses a file written by [`encode_week_file`].
+    pub fn parse(bytes: &[u8]) -> Result<WeekFile, StoreError> {
+        let segments = [read_segment_file(bytes, kind::WEEK)?];
+        let mut table = Interner::new();
+        let base = segments[0].payload_offset();
+        let prefix = decode_week_prefix(&segments[0].payload, &mut table, base)?;
+        Ok(WeekFile {
+            segments,
+            table,
+            prefix,
+        })
+    }
+
+    /// Decodes the week. With no earlier segment to point into, a
+    /// back-reference is refused as corrupt.
+    pub fn week(&self) -> Result<WeekData<DomainRecord<Sym<'_>>>, StoreError> {
+        let decoded = decode_week_full(&self.segments, 0, &self.prefix, &self.table)?;
+        Ok(WeekData {
+            week: self.prefix.week,
+            date_days: self.prefix.date_days,
+            records: decoded.into_iter().map(|d| d.record).collect(),
+        })
+    }
+}
+
+/// Decodes a file written by [`encode_week_file`] into an owned week.
 pub fn decode_week_file(bytes: &[u8]) -> Result<WeekData, StoreError> {
-    let segments = [read_segment_file(bytes, kind::WEEK)?];
-    let mut table = Interner::new();
-    let base = segments[0].payload_offset();
-    let prefix = decode_week_prefix(&segments[0].payload, &mut table, base)?;
-    let decoded = decode_week_full(&segments, 0, &prefix, &table)?;
-    Ok(WeekData {
-        week: prefix.week,
-        date_days: prefix.date_days,
-        records: decoded.into_iter().map(|d| d.record).collect(),
-    })
+    Ok(WeekFile::parse(bytes)?.week()?.to_owned())
 }
 
 /// Encodes `genesis` as a standalone file — byte for byte what

@@ -7,6 +7,7 @@
 //! are assigned in file order, so a reader that walks the segments in
 //! sequence reconstructs the exact table the writer had.
 
+use crate::record::Sym;
 use std::collections::HashMap;
 
 /// An append-only string table with reverse lookup.
@@ -53,6 +54,11 @@ impl Interner {
     /// The string behind `sym`, if allocated.
     pub fn resolve(&self, sym: u32) -> Option<&str> {
         self.strings.get(sym as usize).map(String::as_str)
+    }
+
+    /// `id` paired with the string behind it, as decoded records hold one.
+    pub fn sym(&self, id: u32) -> Option<Sym<'_>> {
+        self.resolve(id).map(|text| Sym { id, text })
     }
 
     /// The symbol of an already-interned string. Decoded strings count

@@ -94,7 +94,7 @@ mod writer;
 pub mod codec {
     pub use crate::crc32::crc32;
     pub use crate::format::{
-        decode_genesis_file, decode_week_file, encode_genesis_file, encode_week_file,
+        decode_genesis_file, decode_week_file, encode_genesis_file, encode_week_file, WeekFile,
     };
     pub use crate::varint::{write_i64, write_str, write_u64, Cursor};
 }
@@ -104,7 +104,8 @@ pub use format::{Genesis, FORMAT_VERSION};
 pub use manifest::{Manifest, MANIFEST_FILE, MANIFEST_LEN, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use reader::StoreReader;
 pub use record::{
-    DetectionRecord, DomainRecord, FlashRecord, PageRecord, ScriptRecord, WeekData, WordPressRecord,
+    DetectionRecord, DomainRecord, FlashRecord, PageRecord, ScriptRecord, Sym, WeekData,
+    WordPressRecord,
 };
 pub use scrub::{scrub, ScrubOutcome, ScrubReport, ShardScrub, ShardStatus};
 pub use sharded::{
@@ -761,14 +762,6 @@ mod tests {
             for (w, week) in weeks.iter().enumerate() {
                 assert_eq!(week, &testkit::week(w, 9), "layout {path:?} week {w}");
             }
-            // Range restriction clamps and re-yields the middle week only.
-            let mid: Vec<WeekData> = reader
-                .stream()
-                .range(1, 2)
-                .collect::<Result<_, _>>()
-                .expect("ranged stream");
-            assert_eq!(mid.len(), 1);
-            assert_eq!(mid[0].week, 1);
         }
 
         // Per-shard streams cover the partition exactly.
@@ -786,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn week_where_decodes_exactly_the_accepted_hosts() {
+    fn week_records_decodes_exactly_the_accepted_hosts() {
         let single = TempStore::new("where-single");
         let mut writer = StoreWriter::create(&single.path, genesis(9, 3)).expect("create");
         let sharded = TempDir::new("where-sharded");
@@ -800,33 +793,37 @@ mod tests {
             sharded_writer.commit_week(&week).expect("commit");
         }
 
-        for path in [&single.path, &sharded.path] {
-            let reader = AnyReader::open(path).expect("open");
+        // Every file of both layouts: the borrowed records, owned, are
+        // the sequential decode's.
+        let single = AnyReader::open(&single.path).expect("open");
+        let sharded = AnyReader::open(&sharded.path).expect("open");
+        for reader in single.healthy().chain(sharded.healthy()) {
             for w in 0..3 {
                 let full = reader.week(w).expect("week");
-                assert_eq!(reader.week_where(w, |_| true).expect("all"), full);
-                let none = reader.week_where(w, |_| false).expect("none");
+                let all = reader.week_records(w, |_| true).expect("all");
+                assert_eq!(all.to_owned(), full);
+                for (borrowed, owned) in all.records.iter().zip(&full.records) {
+                    assert_eq!(&reader.get(borrowed.host.text, w).expect("get"), owned);
+                }
+                let none = reader.week_records(w, |_| false).expect("none");
                 assert_eq!((none.week, none.date_days), (full.week, full.date_days));
                 assert!(none.records.is_empty());
                 // Hash partitions split the week and keep host order.
                 let mut rejoined = Vec::new();
                 for part in 0..3 {
-                    let slice = reader
-                        .week_where(w, |host| shard_of(host, 3) == part)
-                        .expect("partition");
-                    let expected: Vec<&DomainRecord> = full
-                        .records
-                        .iter()
-                        .filter(|r| shard_of(&r.host, 3) == part)
-                        .collect();
-                    assert_eq!(slice.records.iter().collect::<Vec<_>>(), expected);
-                    rejoined.extend(slice.records);
+                    let mine = |host: &str| shard_of(host, 3) == part;
+                    let slice = reader.week_records(w, mine).expect("partition");
+                    let expected: Vec<&DomainRecord> =
+                        full.records.iter().filter(|r| mine(&r.host)).collect();
+                    let slice = slice.to_owned().records;
+                    assert_eq!(slice.iter().collect::<Vec<_>>(), expected);
+                    rejoined.extend(slice);
                 }
                 rejoined.sort_by(|a, b| a.host.cmp(&b.host));
                 assert_eq!(rejoined, full.records);
             }
             assert!(matches!(
-                reader.week_where(3, |_| true),
+                reader.week_records(3, |_| true),
                 Err(StoreError::UnknownWeek(3))
             ));
         }

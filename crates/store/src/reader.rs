@@ -12,10 +12,11 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    self, decode_body_at, decode_week_full, kind, scan, Genesis, RawSegment, WeekPrefix,
+    self, decode_body_at, decode_week_full, kind, scan, DecodedRecord, Genesis, RawSegment,
+    WeekPrefix,
 };
 use crate::intern::Interner;
-use crate::record::{DomainRecord, WeekData};
+use crate::record::{DomainRecord, FromSym, Sym, WeekData};
 use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -137,8 +138,7 @@ impl StoreReader {
     /// Fully decodes week `week`.
     pub fn week(&self, week: usize) -> Result<WeekData, StoreError> {
         let entry = self.entry(week)?;
-        let decoded =
-            decode_week_full(&self.segments, entry.seg_index, &entry.prefix, &self.table)?;
+        let decoded = self.decode_entry::<String>(entry)?;
         Ok(WeekData {
             week,
             date_days: entry.prefix.date_days,
@@ -147,22 +147,23 @@ impl StoreReader {
     }
 
     /// Decodes only the records of week `week` whose host `keep` accepts,
-    /// in host order, each straight from its indexed offset — what a fold
-    /// over one domain partition needs, at that partition's share of the
-    /// week's decode cost.
-    pub fn week_where(
+    /// in host order, each straight from its indexed offset and borrowing
+    /// its strings from this reader's table — what a fold over one domain
+    /// partition needs, at that partition's share of the week's decode
+    /// cost and with no allocation per string.
+    pub fn week_records(
         &self,
         week: usize,
         keep: impl Fn(&str) -> bool,
-    ) -> Result<WeekData, StoreError> {
+    ) -> Result<WeekData<DomainRecord<Sym<'_>>>, StoreError> {
         let entry = self.entry(week)?;
         let mut records = Vec::new();
         for &(sym, offset) in &entry.prefix.index {
             let host = self
                 .table
-                .resolve(sym)
+                .sym(sym)
                 .ok_or_else(|| StoreError::corrupt(offset, "index host symbol unknown"))?;
-            if keep(host) {
+            if keep(host.text) {
                 records.push(decode_body_at(&self.segments, &self.table, host, offset)?.0);
             }
         }
@@ -176,16 +177,17 @@ impl StoreReader {
     /// Random access: the record for `domain` in `week`, located via the
     /// week segment's offset index without decoding anything else.
     pub fn get(&self, domain: &str, week: usize) -> Result<DomainRecord, StoreError> {
-        let sym = self
+        let id = self
             .table
             .lookup(domain)
             .ok_or_else(|| StoreError::UnknownDomain(domain.to_string()))?;
         let entry = self.entry(week)?;
         let offset = *entry
             .by_host
-            .get(&sym)
+            .get(&id)
             .ok_or_else(|| StoreError::UnknownDomain(domain.to_string()))?;
-        let (record, _) = decode_body_at(&self.segments, &self.table, domain, offset)?;
+        let host = Sym { id, text: domain };
+        let (record, _) = decode_body_at(&self.segments, &self.table, host, offset)?;
         Ok(record)
     }
 
@@ -195,9 +197,7 @@ impl StoreReader {
     pub fn verify(&self) -> Result<Vec<usize>, StoreError> {
         let mut counts = Vec::with_capacity(self.weeks.len());
         for entry in &self.weeks {
-            let decoded =
-                decode_week_full(&self.segments, entry.seg_index, &entry.prefix, &self.table)?;
-            counts.push(decoded.len());
+            counts.push(self.decode_entry::<Sym<'_>>(entry)?.len());
         }
         Ok(counts)
     }
@@ -208,8 +208,7 @@ impl StoreReader {
         let mut hits = 0;
         let mut total = 0;
         for entry in &self.weeks {
-            let decoded =
-                decode_week_full(&self.segments, entry.seg_index, &entry.prefix, &self.table)?;
+            let decoded = self.decode_entry::<Sym<'_>>(entry)?;
             total += decoded.len();
             hits += decoded.iter().filter(|d| d.backref).count();
         }
@@ -220,6 +219,14 @@ impl StoreReader {
     /// and any torn tail).
     pub fn data_bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.env_len).sum()
+    }
+
+    /// The sequential, index-cross-checked walk of one week's records.
+    fn decode_entry<'a, S: FromSym<'a>>(
+        &'a self,
+        entry: &WeekEntry,
+    ) -> Result<Vec<DecodedRecord<'a, S>>, StoreError> {
+        decode_week_full(&self.segments, entry.seg_index, &entry.prefix, &self.table)
     }
 
     fn entry(&self, week: usize) -> Result<&WeekEntry, StoreError> {

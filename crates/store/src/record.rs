@@ -9,6 +9,14 @@
 //! bytes (strings resolve to stable symbols, fields are written in a fixed
 //! order). Week-over-week delta detection relies on this — two encoded
 //! bodies are compared byte-for-byte.
+//!
+//! Every record type is generic over how it holds a string. Writers take
+//! the owned form (`S = String`, the default). The one decoder,
+//! [`decode_body`], yields either: the borrowed form (`S = Sym<'_>`: the
+//! reader's symbol and the text it resolves to, no allocation per field)
+//! that a fold absorbs in place, or — the same walk, each [`Sym`] copied
+//! out as it is met ([`FromSym`]) — the owned form a point read returns.
+//! [`DomainRecord::to_owned`] maps the first to the second.
 
 use crate::error::StoreError;
 use crate::intern::Interner;
@@ -27,89 +35,118 @@ pub struct WeekData<R = DomainRecord> {
     pub records: Vec<R>,
 }
 
+/// An interned string as a decoded record holds it. A symbol means
+/// something only within the table of the reader that decoded it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sym<'a> {
+    /// The symbol in the decoding reader's string table.
+    pub id: u32,
+    /// The string it resolves to.
+    pub text: &'a str,
+}
+
+/// How a decoded record holds a string: as the [`Sym`] it was stored as,
+/// or copied out of the table.
+pub trait FromSym<'a> {
+    /// Takes `sym` as decoded.
+    fn from_sym(sym: Sym<'a>) -> Self;
+}
+
+impl<'a> FromSym<'a> for Sym<'a> {
+    fn from_sym(sym: Sym<'a>) -> Self {
+        sym
+    }
+}
+
+impl FromSym<'_> for String {
+    fn from_sym(sym: Sym<'_>) -> String {
+        sym.text.to_string()
+    }
+}
+
 /// The outcome of fetching one domain in one week.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DomainRecord {
+pub struct DomainRecord<S = String> {
     /// Domain name.
-    pub host: String,
+    pub host: S,
     /// HTTP status, `None` for transport failures.
     pub status: Option<u16>,
     /// Response body size in bytes.
     pub body_len: u64,
     /// Fingerprint results; `None` when the page was unusable.
-    pub page: Option<PageRecord>,
+    pub page: Option<PageRecord<S>>,
 }
 
 /// Everything fingerprinting extracted from one usable page.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PageRecord {
+pub struct PageRecord<S = String> {
     /// Detected library deployments.
-    pub detections: Vec<DetectionRecord>,
+    pub detections: Vec<DetectionRecord<S>>,
     /// WordPress detection state.
-    pub wordpress: WordPressRecord,
+    pub wordpress: WordPressRecord<S>,
     /// Flash findings: `(swf URL, AllowScriptAccess value)`.
-    pub flash: Vec<FlashRecord>,
+    pub flash: Vec<FlashRecord<S>>,
     /// Resource-class tags (opaque small integers defined by the caller).
     pub resource_types: Vec<u8>,
     /// External scripts served from GitHub hosts.
-    pub github_scripts: Vec<ScriptRecord>,
+    pub github_scripts: Vec<ScriptRecord<S>>,
     /// Count of external scripts on the page.
     pub external_scripts: u64,
     /// Count of external scripts lacking `integrity`.
     pub external_scripts_without_integrity: u64,
     /// `crossorigin` values seen on integrity-carrying scripts.
-    pub crossorigin_values: Vec<String>,
+    pub crossorigin_values: Vec<S>,
 }
 
 /// One detected library deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetectionRecord {
+pub struct DetectionRecord<S = String> {
     /// Library identifier (a stable slug).
-    pub library: String,
+    pub library: S,
     /// Extracted version string, when observable.
-    pub version: Option<String>,
+    pub version: Option<S>,
     /// Serving host for cross-origin inclusions; `None` = same-origin.
-    pub external_host: Option<String>,
+    pub external_host: Option<S>,
     /// Whether the tag carried `integrity`.
     pub integrity: bool,
     /// The `crossorigin` attribute value, if present.
-    pub crossorigin: Option<String>,
+    pub crossorigin: Option<S>,
     /// The URL the detection came from (empty for inline detections).
-    pub url: String,
+    pub url: S,
 }
 
 /// WordPress detection state (three-valued).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum WordPressRecord {
+pub enum WordPressRecord<S = String> {
     /// Not detected.
     #[default]
     Absent,
     /// Detected, version not observable.
     DetectedUnknownVersion,
     /// Detected with a version string.
-    Detected(String),
+    Detected(S),
 }
 
 /// One Flash embed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlashRecord {
+pub struct FlashRecord<S = String> {
     /// `.swf` URL.
-    pub swf_url: String,
+    pub swf_url: S,
     /// Lower-cased `AllowScriptAccess` value, if specified.
-    pub allow_script_access: Option<String>,
+    pub allow_script_access: Option<S>,
 }
 
 /// One external script reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScriptRecord {
+pub struct ScriptRecord<S = String> {
     /// Serving host.
-    pub host: String,
+    pub host: S,
     /// Full URL.
-    pub url: String,
+    pub url: S,
     /// Whether the tag carried `integrity`.
     pub integrity: bool,
     /// `crossorigin` value, if present.
-    pub crossorigin: Option<String>,
+    pub crossorigin: Option<S>,
 }
 
 fn write_opt_sym(out: &mut Vec<u8>, table: &mut Interner, value: Option<&str>) {
@@ -188,11 +225,11 @@ fn encode_page(page: &PageRecord, table: &mut Interner, out: &mut Vec<u8>) {
 
 struct BodyReader<'a, 'b> {
     cur: &'b mut Cursor<'a>,
-    table: &'b Interner,
+    table: &'a Interner,
     base_offset: u64,
 }
 
-impl BodyReader<'_, '_> {
+impl<'a> BodyReader<'a, '_> {
     fn corrupt(&self, detail: &str) -> StoreError {
         StoreError::corrupt(self.base_offset + self.cur.pos() as u64, detail)
     }
@@ -215,16 +252,16 @@ impl BodyReader<'_, '_> {
         Ok(n as usize)
     }
 
-    fn sym(&mut self, what: &str) -> Result<String, StoreError> {
+    fn sym<S: FromSym<'a>>(&mut self, what: &str) -> Result<S, StoreError> {
         let raw = self.u64(what)?;
-        let sym = u32::try_from(raw).map_err(|_| self.corrupt(what))?;
-        match self.table.resolve(sym) {
-            Some(s) => Ok(s.to_string()),
-            None => Err(self.corrupt(&format!("{what}: unknown symbol {sym}"))),
+        let id = u32::try_from(raw).map_err(|_| self.corrupt(what))?;
+        match self.table.sym(id) {
+            Some(sym) => Ok(S::from_sym(sym)),
+            None => Err(self.corrupt(&format!("{what}: unknown symbol {id}"))),
         }
     }
 
-    fn opt_sym(&mut self, what: &str) -> Result<Option<String>, StoreError> {
+    fn opt_sym<S: FromSym<'a>>(&mut self, what: &str) -> Result<Option<S>, StoreError> {
         match self.u8(what)? {
             0 => Ok(None),
             1 => Ok(Some(self.sym(what)?)),
@@ -241,16 +278,19 @@ impl BodyReader<'_, '_> {
     }
 }
 
-/// Decodes a domain-record body previously written by [`encode_body`].
+/// Decodes a domain-record body previously written by [`encode_body`] —
+/// the store's one record decoder. Every string comes back as `S` takes
+/// it: its symbol and a borrow of `table`'s text (`Sym`), or a copy
+/// (`String`).
 ///
 /// `base_offset` is the body's absolute file offset, used to position
 /// corruption errors.
-pub fn decode_body(
-    cur: &mut Cursor<'_>,
-    table: &Interner,
-    host: &str,
+pub fn decode_body<'a, S: FromSym<'a>>(
+    cur: &mut Cursor<'a>,
+    table: &'a Interner,
+    host: Sym<'a>,
     base_offset: u64,
-) -> Result<DomainRecord, StoreError> {
+) -> Result<DomainRecord<S>, StoreError> {
     let mut r = BodyReader {
         cur,
         table,
@@ -271,14 +311,16 @@ pub fn decode_body(
         _ => return Err(r.corrupt("page tag")),
     };
     Ok(DomainRecord {
-        host: host.to_string(),
+        host: S::from_sym(host),
         status,
         body_len,
         page,
     })
 }
 
-fn decode_page(r: &mut BodyReader<'_, '_>) -> Result<PageRecord, StoreError> {
+fn decode_page<'a, S: FromSym<'a>>(
+    r: &mut BodyReader<'a, '_>,
+) -> Result<PageRecord<S>, StoreError> {
     let n_detections = r.count("detection count")?;
     let mut detections = Vec::with_capacity(n_detections);
     for _ in 0..n_detections {
@@ -306,11 +348,10 @@ fn decode_page(r: &mut BodyReader<'_, '_>) -> Result<PageRecord, StoreError> {
         });
     }
     let n_types = r.count("resource-type count")?;
-    let resource_types = r
-        .cur
-        .bytes(n_types)
-        .ok_or_else(|| StoreError::corrupt(r.base_offset, "resource types"))?
-        .to_vec();
+    let resource_types = match r.cur.bytes(n_types) {
+        Some(types) => types.to_vec(),
+        None => return Err(r.corrupt("resource types")),
+    };
     let n_github = r.count("github script count")?;
     let mut github_scripts = Vec::with_capacity(n_github);
     for _ in 0..n_github {
@@ -338,6 +379,72 @@ fn decode_page(r: &mut BodyReader<'_, '_>) -> Result<PageRecord, StoreError> {
         external_scripts_without_integrity,
         crossorigin_values,
     })
+}
+
+impl DomainRecord<Sym<'_>> {
+    /// The owned record: every borrowed string copied out of the table.
+    pub fn to_owned(&self) -> DomainRecord {
+        let own = |sym: &Sym<'_>| sym.text.to_string();
+        DomainRecord {
+            host: own(&self.host),
+            status: self.status,
+            body_len: self.body_len,
+            page: self.page.as_ref().map(|page| PageRecord {
+                detections: page
+                    .detections
+                    .iter()
+                    .map(|det| DetectionRecord {
+                        library: own(&det.library),
+                        version: det.version.as_ref().map(own),
+                        external_host: det.external_host.as_ref().map(own),
+                        integrity: det.integrity,
+                        crossorigin: det.crossorigin.as_ref().map(own),
+                        url: own(&det.url),
+                    })
+                    .collect(),
+                wordpress: match &page.wordpress {
+                    WordPressRecord::Absent => WordPressRecord::Absent,
+                    WordPressRecord::DetectedUnknownVersion => {
+                        WordPressRecord::DetectedUnknownVersion
+                    }
+                    WordPressRecord::Detected(version) => WordPressRecord::Detected(own(version)),
+                },
+                flash: page
+                    .flash
+                    .iter()
+                    .map(|flash| FlashRecord {
+                        swf_url: own(&flash.swf_url),
+                        allow_script_access: flash.allow_script_access.as_ref().map(own),
+                    })
+                    .collect(),
+                resource_types: page.resource_types.clone(),
+                github_scripts: page
+                    .github_scripts
+                    .iter()
+                    .map(|script| ScriptRecord {
+                        host: own(&script.host),
+                        url: own(&script.url),
+                        integrity: script.integrity,
+                        crossorigin: script.crossorigin.as_ref().map(own),
+                    })
+                    .collect(),
+                external_scripts: page.external_scripts,
+                external_scripts_without_integrity: page.external_scripts_without_integrity,
+                crossorigin_values: page.crossorigin_values.iter().map(own).collect(),
+            }),
+        }
+    }
+}
+
+impl WeekData<DomainRecord<Sym<'_>>> {
+    /// The owned week: [`DomainRecord::to_owned`] of every record.
+    pub fn to_owned(&self) -> WeekData {
+        WeekData {
+            week: self.week,
+            date_days: self.date_days,
+            records: self.records.iter().map(DomainRecord::to_owned).collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -438,9 +545,19 @@ mod tests {
         let mut buf = Vec::new();
         encode_body(record, &mut table, &mut buf);
         let mut cur = Cursor::new(&buf);
-        let back = decode_body(&mut cur, &table, &record.host, 0).expect("decode");
+        let back: DomainRecord =
+            decode_body(&mut cur, &table, host(&record.host), 0).expect("decode");
         assert!(cur.is_empty(), "trailing bytes after decode");
+        // Borrowed, then owned, is the same record.
+        let borrowed: DomainRecord<Sym<'_>> =
+            decode_body(&mut Cursor::new(&buf), &table, host(&record.host), 0).expect("decode");
+        assert_eq!(borrowed.to_owned(), back);
         back
+    }
+
+    /// A host as the segment layer hands it to the body decoder.
+    fn host(text: &str) -> Sym<'_> {
+        Sym { id: 0, text }
     }
 
     #[test]
@@ -509,14 +626,14 @@ mod tests {
         // Status tag 9 is invalid.
         let mut evil = buf.clone();
         evil[0] = 9;
-        let err = decode_body(&mut Cursor::new(&evil), &table, "site.example", 0)
+        let err = decode_body::<String>(&mut Cursor::new(&evil), &table, host("site.example"), 0)
             .expect_err("invalid tag");
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
         // Truncation anywhere must error, never panic.
         for cut in 0..buf.len() {
             let mut cur = Cursor::new(&buf[..cut]);
             assert!(
-                decode_body(&mut cur, &table, "site.example", 0).is_err(),
+                decode_body::<Sym<'_>>(&mut cur, &table, host("site.example"), 0).is_err(),
                 "cut at {cut}"
             );
         }
@@ -529,7 +646,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_body(&record, &mut table, &mut buf);
         let empty = Interner::new();
-        let err = decode_body(&mut Cursor::new(&buf), &empty, "site.example", 0)
+        let err = decode_body::<String>(&mut Cursor::new(&buf), &empty, host("site.example"), 0)
             .expect_err("symbols unresolvable");
         assert!(err.to_string().contains("unknown symbol"), "{err}");
     }

@@ -679,32 +679,11 @@ impl AnyReader {
     /// sorted by host. On a degraded open the unavailable shards' records
     /// are absent.
     pub fn week(&self, week: usize) -> Result<WeekData, StoreError> {
-        self.merged_week(week, |reader| reader.week(week))
-    }
-
-    /// [`AnyReader::week`] restricted to the hosts `keep` accepts; see
-    /// [`StoreReader::week_where`].
-    pub fn week_where(
-        &self,
-        week: usize,
-        keep: impl Fn(&str) -> bool,
-    ) -> Result<WeekData, StoreError> {
-        self.merged_week(week, |reader| reader.week_where(week, &keep))
-    }
-
-    fn healthy(&self) -> impl Iterator<Item = &StoreReader> {
-        self.readers.iter().flatten()
-    }
-
-    fn merged_week(
-        &self,
-        week: usize,
-        slice: impl Fn(&StoreReader) -> Result<WeekData, StoreError>,
-    ) -> Result<WeekData, StoreError> {
         if week >= self.weeks {
             return Err(StoreError::UnknownWeek(week));
         }
-        let parts = self.healthy().map(slice).collect::<Result<Vec<_>, _>>()?;
+        let parts = self.healthy().map(|shard| shard.week(week));
+        let parts = parts.collect::<Result<Vec<_>, _>>()?;
         let date_days = parts
             .first()
             .ok_or_else(|| StoreError::corrupt(0, "no healthy shard holds this week"))?
@@ -712,8 +691,15 @@ impl AnyReader {
         Ok(merge_week(week, date_days, parts))
     }
 
-    /// Streams every committed week, one decoded [`WeekData`] at a time
-    /// — the entry point for the streaming analysis pass.
+    /// The readers of the shards that can be served, in shard order. A
+    /// fold takes its weeks from these, one shard a slice: their records
+    /// borrow from each file's own string table
+    /// ([`StoreReader::week_records`]), which a merged week could not.
+    pub fn healthy(&self) -> impl Iterator<Item = &StoreReader> {
+        self.readers.iter().flatten()
+    }
+
+    /// Streams every committed week, one decoded [`WeekData`] at a time.
     pub fn stream(&self) -> WeekStream<'_> {
         WeekStream::over(self)
     }

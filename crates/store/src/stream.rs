@@ -1,11 +1,13 @@
 //! [`WeekStream`]: streaming iteration over a snapshot store.
 //!
-//! The paper-scale pipeline never materializes the whole study: analysis
-//! folds over one decoded week at a time, in canonical global order
-//! (weeks ascending, records host-sorted within each week — exactly the
-//! order the writer committed). `WeekStream` is that iterator, built on
-//! [`AnyReader`] so both layouts stream identically; a sharded store's
-//! weeks are merged across healthy shards on the fly.
+//! Whoever wants a store's weeks whole and owned — materialization, the
+//! JSON export, a retro-scan — reads them one at a time, in canonical
+//! global order (weeks ascending, records host-sorted within each week —
+//! exactly the order the writer committed). `WeekStream` is that
+//! iterator, built on [`AnyReader`] so both layouts stream identically; a
+//! sharded store's weeks are merged across healthy shards on the fly. (A
+//! fold does not come this way: it borrows each shard's records in place,
+//! [`StoreReader::week_records`](crate::StoreReader::week_records).)
 //!
 //! Peak memory while streaming is one decoded [`WeekData`] plus the
 //! reader's structural index — independent of how many weeks (or
@@ -34,14 +36,6 @@ impl<'a> WeekStream<'a> {
             reader,
             next: 0,
         }
-    }
-
-    /// Restricts the stream to weeks `[from, to)` (clamped to what the
-    /// store holds).
-    pub fn range(mut self, from: usize, to: usize) -> WeekStream<'a> {
-        self.next = from.min(self.end);
-        self.end = to.min(self.end);
-        self
     }
 
     /// Weeks not yet yielded.

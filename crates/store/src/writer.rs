@@ -173,7 +173,8 @@ impl StoreWriter {
                 kind::WEEK => {
                     let prefix = format::decode_week_prefix(&seg.payload, &mut table, base)?;
                     week_no = prefix.week;
-                    let decoded = decode_week_full(&scanned.segments, i, &prefix, &table)?;
+                    let decoded =
+                        decode_week_full::<String>(&scanned.segments, i, &prefix, &table)?;
                     prev = decoded
                         .iter()
                         .map(|d| (d.host_sym, PrevBody::of(d.body_offset, d.body)))

@@ -15,9 +15,7 @@
 
 use crate::error::WatchError;
 use std::path::{Path, PathBuf};
-use webvuln_store::codec::{
-    decode_genesis_file, decode_week_file, encode_genesis_file, encode_week_file,
-};
+use webvuln_store::codec::{decode_genesis_file, encode_genesis_file, encode_week_file, WeekFile};
 use webvuln_store::{Genesis, StoreError, WeekData};
 
 /// The spool file name for week `index`.
@@ -53,9 +51,16 @@ pub fn write_week_file(spool_dir: &Path, week: &WeekData) -> Result<PathBuf, Wat
     )
 }
 
-/// Reads and verifies one spool week file.
+/// Reads and verifies one spool week file, leaving its records to be
+/// decoded in place ([`WeekFile::week`]).
+pub fn open_week_file(path: &Path) -> Result<WeekFile, WatchError> {
+    read_file(path, WeekFile::parse)
+}
+
+/// Reads, verifies and decodes one spool week file.
 pub fn read_week_file(path: &Path) -> Result<WeekData, WatchError> {
-    read_file(path, decode_week_file)
+    let decoded = open_week_file(path)?.week().map(|week| week.to_owned());
+    decoded.map_err(|e| WatchError::corrupt(path, e.to_string()))
 }
 
 /// Lists spool week files as `(week index, path)`, sorted by week.

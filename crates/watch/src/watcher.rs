@@ -22,7 +22,7 @@
 //! is the outbox's journaled three-sync round. The live accumulator is
 //! *not* persisted — the store is its journal: a cold open refolds it
 //! with [`fold_study`], and every incremental absorb afterwards is
-//! exactly the fold's per-week step ([`apply_filter`] + `absorb`). The
+//! exactly the fold's per-week step (`absorb` of a [`DecodedWeek`]). The
 //! §4.1 filter rides along the same way: the [`FilterWindow`] over the
 //! trailing weeks is held in memory (rebuilt from the store on open),
 //! so an arrival tick costs one week — read, commit,
@@ -35,14 +35,12 @@
 use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
 use crate::outbox::{heal_line_log, Outbox, OutboxRecovery};
-use crate::spool::{read_genesis_file, read_week_file, scan_spool, GENESIS_FILE};
+use crate::spool::{open_week_file, read_genesis_file, scan_spool, GENESIS_FILE};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use webvuln_analysis::store_io::week_into_snapshot;
-use webvuln_analysis::{
-    apply_filter, fold_study, genesis_ranks, AccumCtx, Accumulate, FilterWindow, StudyAccum,
-};
+use webvuln_analysis::store_io::{DecodedWeek, SymbolCache};
+use webvuln_analysis::{fold_study, genesis_ranks, AccumCtx, Accumulate, FilterWindow, StudyAccum};
 use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
 use webvuln_store::{AnyReader, ShardedStoreWriter, MANIFEST_FILE};
 use webvuln_telemetry::Telemetry;
@@ -345,20 +343,26 @@ impl Watcher {
                 // are strictly ordered, so stop and wait.
                 break;
             }
-            let week = read_week_file(&path)?;
+            let file = open_week_file(&path)?;
+            let records = file
+                .week()
+                .map_err(|e| WatchError::corrupt(&path, e.to_string()))?;
             let key = index.to_string();
             let _ = webvuln_failpoint::failpoint!("watch.ingest", &key)?;
-            self.writer.commit_week(&week)?;
+            self.writer.commit_week(&records.to_owned())?;
             // The incremental step: absorb exactly what a cold fold's
-            // per-week iteration would.
-            let mut snapshot = week_into_snapshot(week)?;
-            self.filter_window.absorb(&snapshot.summaries);
-            apply_filter(&mut snapshot, &self.filtered);
+            // per-week iteration would, off the spool file's own records
+            // (whose symbols are the file's, hence the cache of its own).
+            let fetched = records.records.iter();
+            self.filter_window
+                .absorb(fetched.map(|r| (r.host.text, r.status, r.body_len as usize)));
+            let mut symbols = SymbolCache::default();
+            let week = DecodedWeek::new(&records, &self.filtered, &mut symbols)?;
             let ctx = AccumCtx {
                 db: &self.db,
                 ranks: &self.ranks,
             };
-            self.live.absorb(&snapshot, &ctx);
+            self.live.absorb(&week, &ctx);
             // Consume the spool file only after the commit: a crash
             // between the two re-skips the week above, then cleans up.
             std::fs::remove_file(&path).map_err(|e| WatchError::io(&path, e))?;

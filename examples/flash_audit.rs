@@ -9,10 +9,11 @@
 //! ecosystem that keeps Flash alive (Table 3).
 
 use std::sync::Arc;
-use webvuln::analysis::accum::FlashAccum;
+use webvuln::analysis::accum::{Accumulate, FlashAccum};
 use webvuln::analysis::dataset::Collector;
 use webvuln::analysis::flash::flash_eol;
 use webvuln::core::render_table3;
+use webvuln::cvedb::VulnDb;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
     }));
     let data = Collector::new().run(&eco).expect("collection").dataset;
 
-    let flash = FlashAccum::over(&data);
+    let flash = FlashAccum::over(&data, &VulnDb::builtin());
     let usage = flash.usage();
     println!("Figure 8 — Flash usage over the study");
     let eol = flash_eol();

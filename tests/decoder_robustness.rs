@@ -22,7 +22,7 @@ use webvuln::analysis::store_io::snapshot_to_week;
 use webvuln::cvedb::parse_delta;
 use webvuln::failpoint::check::{self, Gen};
 use webvuln::pattern::Pattern;
-use webvuln::store::codec::{crc32, write_i64, write_str, write_u64, Cursor};
+use webvuln::store::codec::{crc32, write_i64, write_str, write_u64, Cursor, WeekFile};
 use webvuln::store::{
     shard_path, AnyReader, Genesis, Manifest, ShardedStoreWriter, StoreWriter, WeekData,
 };
@@ -198,14 +198,23 @@ fn file_row(
 }
 
 /// Opens the store at `path` tolerantly and drives every read path over
-/// whatever it serves; accepted when it verifies.
+/// whatever it serves; accepted when it verifies. All of them end in the
+/// store's one record decoder, which yields borrowed records: wherever
+/// the sequential walk of a week decodes, the indexed walk must too, and
+/// its records, owned, must be the same.
 fn drive_store(path: &Path) -> bool {
     let Ok(reader) = AnyReader::open_degraded(path) else {
         return false;
     };
     let verified = reader.verify().is_ok();
     for week in 0..reader.weeks_committed() {
-        let _ = reader.week_where(week, |host| host.len() % 2 == 0);
+        for shard in reader.healthy() {
+            let _ = shard.week_records(week, |host| host.len() % 2 == 0);
+            let borrowed = shard.week_records(week, |_| true);
+            if let Ok(owned) = shard.week(week) {
+                assert_eq!(borrowed.expect("indexed walk").to_owned(), owned);
+            }
+        }
         for (host, _) in &reader.genesis().ranks {
             let _ = reader.get(host, week);
         }
@@ -356,7 +365,13 @@ fn rows(dir: &Path) -> Vec<Row> {
             let path = write_week_file(dir, &week).expect("week file");
             let read = path.clone();
             file_row("watch::read_week_file", path, reseal, move || {
-                read_week_file(&read).is_ok()
+                // The owned week is `to_owned` of the file's borrowed one.
+                let owned = read_week_file(&read).ok();
+                let file = std::fs::read(&read).ok();
+                let file = file.and_then(|bytes| WeekFile::parse(&bytes).ok());
+                let borrowed = file.as_ref().and_then(|file| file.week().ok());
+                assert_eq!(borrowed.map(|week| week.to_owned()), owned);
+                owned.is_some()
             })
         },
         {

@@ -113,7 +113,7 @@ fn faults_shrink_but_do_not_corrupt_the_dataset() {
 fn dataset_scales_linearly_in_shape() {
     // Shares must be scale-invariant: doubling the population leaves the
     // landscape percentages roughly unchanged.
-    use webvuln::analysis::accum::LandscapeAccum;
+    use webvuln::analysis::accum::{Accumulate, LandscapeAccum};
     use webvuln::cvedb::{LibraryId, VulnDb};
     let db = VulnDb::builtin();
     let small = collect(&ecosystem(400, 3), CollectConfig::default());
@@ -126,7 +126,7 @@ fn dataset_scales_linearly_in_shape() {
         CollectConfig::default(),
     );
     let share = |data, lib| {
-        LandscapeAccum::over(data)
+        LandscapeAccum::over(data, &db)
             .table1(&db)
             .into_iter()
             .find(|r| r.library == lib)

@@ -3,23 +3,42 @@
 //! accumulators, so its peak of live heap bytes does not grow with the
 //! number of weeks — and stays under a run that keeps every week.
 //!
-//! Its own binary with one test on one worker thread: the counting
-//! allocator sees the whole process, and bytes live at once do not move
-//! with host load the way a resident-set reading does.
+//! The fold has a contract of the same kind: it absorbs a store's
+//! records where the reader decoded them, so what it allocates per week
+//! is per record, not per string, and what it holds is one borrowed week.
+//!
+//! Its own binary, its tests one at a time on one worker thread: the
+//! counting allocator sees the whole process, and bytes live at once do
+//! not move with host load the way a resident-set reading does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use webvuln::analysis::fold_study;
 use webvuln::core::{Pipeline, StudyConfig};
+use webvuln::cvedb::VulnDb;
 use webvuln::webgen::Timeline;
+use webvuln::AnyReader;
 
-/// Forwards to the system allocator, tracking the bytes currently live
-/// and their high-water mark since the last [`peak_live_bytes`] reset.
+/// Forwards to the system allocator, tracking the bytes currently live,
+/// their high-water mark since the last [`peak_live_bytes`] reset, and
+/// how many allocations were made.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test while it measures. It guards no data, so a test
+/// that failed holding it does not fail the other.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn grew(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -63,8 +82,8 @@ fn peak_live_bytes(run: impl FnOnce()) -> usize {
 const DOMAINS: usize = 500;
 
 /// One checkpointed study of `weeks` weeks; the results are dropped
-/// inside the measured region.
-fn study(weeks: usize, streaming: bool) -> usize {
+/// inside the measured region. Returns the peak and the store.
+fn study(weeks: usize, streaming: bool) -> (usize, std::path::PathBuf) {
     let store = std::env::temp_dir().join(format!(
         "webvuln-streaming-memory-{}-{weeks}-{streaming}.wvstore",
         std::process::id()
@@ -81,15 +100,17 @@ fn study(weeks: usize, streaming: bool) -> usize {
             .run()
             .expect("study");
     });
-    let _ = std::fs::remove_file(&store);
-    peak
+    (peak, store)
 }
 
 #[test]
 fn streaming_peak_heap_is_flat_in_weeks_and_below_materialized() {
-    let short = study(4, true);
-    let long = study(16, true);
-    let kept = study(16, false);
+    let _alone = alone();
+    let [short, long, kept] = [(4, true), (16, true), (16, false)].map(|(weeks, streaming)| {
+        let (peak, store) = study(weeks, streaming);
+        let _ = std::fs::remove_file(&store);
+        peak
+    });
     assert!(
         long * 4 <= short * 5,
         "streaming peak grew with the timeline: {short} B at 4 weeks, {long} B at 16"
@@ -97,5 +118,37 @@ fn streaming_peak_heap_is_flat_in_weeks_and_below_materialized() {
     assert!(
         long < kept,
         "streaming peak {long} B is not below the materialized run's {kept} B at 16 weeks"
+    );
+}
+
+/// What one single-threaded `fold_study` of the 500 × 16 store cost at
+/// the commit before the fold absorbed decoded records in place (it
+/// built, filtered and freed a `WeekSnapshot` of owned strings per week):
+/// allocations per folded week, and peak live bytes above the open
+/// reader. Measured by this test's own code at that commit.
+const PARENT_ALLOCATIONS_PER_WEEK: usize = 5_109;
+const PARENT_PEAK_LIVE_BYTES: usize = 927_067;
+
+#[test]
+fn a_fold_allocates_per_record_and_holds_one_borrowed_week() {
+    let _alone = alone();
+    const WEEKS: usize = 16;
+    let (_, store) = study(WEEKS, true);
+    let reader = AnyReader::open(&store).expect("open");
+    let db = VulnDb::builtin();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    let peak = peak_live_bytes(|| drop(fold_study(&reader, &db, 1).expect("fold")));
+    let per_week = (ALLOCATIONS.load(Ordering::Relaxed) - allocations) / WEEKS;
+    let _ = std::fs::remove_file(&store);
+    println!(
+        "fold of {DOMAINS} x {WEEKS}: {per_week} allocations per week, peak {peak} live bytes"
+    );
+    assert!(
+        per_week * 2 <= PARENT_ALLOCATIONS_PER_WEEK,
+        "{per_week} allocations per folded week; the gate is half of {PARENT_ALLOCATIONS_PER_WEEK}"
+    );
+    assert!(
+        peak <= PARENT_PEAK_LIVE_BYTES,
+        "the fold's peak of live bytes rose: {peak} B against {PARENT_PEAK_LIVE_BYTES} B"
     );
 }
