@@ -16,7 +16,6 @@ use crate::dataset::{CollectConfig, Dataset, WeekSnapshot};
 use crate::filter::{apply_filter, store_filter_verdict};
 use crate::view::{DetectionView, PageView, WeekView};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::path::Path;
 use webvuln_cvedb::{Date, LibraryId};
 use webvuln_fingerprint::{
@@ -29,7 +28,7 @@ use webvuln_store::{
 };
 
 pub use webvuln_store::StoreError;
-use webvuln_telemetry::{json_string, Telemetry};
+use webvuln_telemetry::{JsonWriter, Telemetry};
 use webvuln_version::Version;
 use webvuln_webgen::Timeline;
 
@@ -519,8 +518,8 @@ impl Dataset {
 
 /// Streams a store straight into `out` as one `Dataset`-shaped JSON
 /// document — the analogue of the paper's public data release — without
-/// ever holding more than one decoded week. The emitter is write-only
-/// and hand-written; `tests/golden/export.json` pins the shape:
+/// ever holding more than one decoded week. `tests/golden/export.json`
+/// pins the shape:
 /// `{"timeline":{"start","weeks"},"ranks":{domain:rank},"weeks":[…],
 /// "filtered_out":[domain]}`, each week `{"week","date","pages":
 /// {domain:page},"summaries":{domain:{"status","body_len"}},
@@ -534,156 +533,91 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
     let store_err = |e: StoreError| std::io::Error::other(e.to_string());
     let (timeline, ranks) = genesis_to_parts(reader.genesis()).map_err(store_err)?;
     let filtered = store_filter_verdict(reader).map_err(store_err)?;
-    let mut buf = format!(
-        "{{\"timeline\":{{\"start\":\"{}\",\"weeks\":{}}},\"ranks\":",
-        timeline.start, timeline.weeks
-    );
-    json_seq(&mut buf, "{}", &ranks, |buf, (domain, rank)| {
-        json_str(buf, "", Some(domain));
-        let _ = write!(buf, ":{rank}");
-    });
-    buf.push_str(",\"weeks\":[");
-    for (index, week) in reader.stream().enumerate() {
+    let mut j = JsonWriter::new();
+    j.begin_obj().obj("timeline");
+    j.str("start", &timeline.start.to_string());
+    j.u64("weeks", timeline.weeks as u64).end_obj().obj("ranks");
+    for (domain, rank) in &ranks {
+        j.u64(domain, *rank as u64);
+    }
+    j.end_obj().arr("weeks");
+    for week in reader.stream() {
         let mut snapshot = week_into_snapshot(week.map_err(store_err)?).map_err(store_err)?;
         apply_filter(&mut snapshot, &filtered);
         snapshot
             .summaries
             .retain(|domain, _| !filtered.contains(domain));
-        if index > 0 {
-            buf.push(',');
-        }
-        json_snapshot(&mut buf, &snapshot);
-        out.write_all(buf.as_bytes())?;
-        buf.clear();
+        write_week(&mut j, &snapshot);
+        j.write_to(out)?;
     }
-    buf.push_str("],\"filtered_out\":");
-    json_seq(&mut buf, "[]", &filtered, |buf, d| {
-        json_str(buf, "", Some(d))
-    });
-    buf.push('}');
-    out.write_all(buf.as_bytes())
+    j.end_arr().strs("filtered_out", &filtered).end_obj();
+    j.write_to(out)
 }
 
-/// Writes `items` between the two `brackets`, comma-separated.
-fn json_seq<T>(
-    buf: &mut String,
-    brackets: &str,
-    items: impl IntoIterator<Item = T>,
-    mut item: impl FnMut(&mut String, T),
-) {
-    buf.push_str(&brackets[..1]);
-    for (index, value) in items.into_iter().enumerate() {
-        if index > 0 {
-            buf.push(',');
-        }
-        item(buf, value);
+fn write_week(j: &mut JsonWriter, snapshot: &WeekSnapshot) {
+    j.begin_obj().u64("week", snapshot.week as u64);
+    j.str("date", &snapshot.date.to_string()).obj("pages");
+    for (domain, page) in &snapshot.pages {
+        write_page(j.obj(domain), page);
     }
-    buf.push_str(&brackets[1..]);
-}
-
-/// Writes `prefix` (raw JSON, usually `,"key":`) and then `value` as a
-/// JSON string, or `null`.
-fn json_str(buf: &mut String, prefix: &str, value: Option<&str>) {
-    buf.push_str(prefix);
-    match value {
-        Some(value) => json_string(value, buf),
-        None => buf.push_str("null"),
+    j.end_obj().obj("summaries");
+    for (domain, s) in &snapshot.summaries {
+        j.obj(domain).opt_i64("status", s.status.map(i64::from));
+        j.u64("body_len", s.body_len as u64).end_obj();
     }
+    j.end_obj()
+        .strs("carried_forward", &snapshot.carried_forward);
+    j.end_obj();
 }
 
-/// [`json_str`] for a version, written as its `Display` string.
-fn json_version(buf: &mut String, prefix: &str, version: Option<&Version>) {
-    json_str(buf, prefix, version.map(Version::to_string).as_deref());
-}
-
-fn json_snapshot(buf: &mut String, snapshot: &WeekSnapshot) {
-    let _ = write!(
-        buf,
-        "{{\"week\":{},\"date\":\"{}\",\"pages\":",
-        snapshot.week, snapshot.date
-    );
-    json_seq(buf, "{}", &snapshot.pages, |buf, (domain, page)| {
-        json_str(buf, "", Some(domain));
-        buf.push(':');
-        json_page(buf, page);
-    });
-    buf.push_str(",\"summaries\":");
-    json_seq(buf, "{}", &snapshot.summaries, |buf, (domain, s)| {
-        json_str(buf, "", Some(domain));
-        match s.status {
-            Some(status) => {
-                let _ = write!(buf, ":{{\"status\":{status}");
-            }
-            None => buf.push_str(":{\"status\":null"),
-        }
-        let _ = write!(buf, ",\"body_len\":{}}}", s.body_len);
-    });
-    buf.push_str(",\"carried_forward\":");
-    json_seq(buf, "[]", &snapshot.carried_forward, |buf, d| {
-        json_str(buf, "", Some(d))
-    });
-    buf.push('}');
-}
-
-fn json_page(buf: &mut String, page: &PageAnalysis) {
-    buf.push_str("{\"detections\":");
-    json_seq(buf, "[]", &page.detections, |buf, d| {
+/// Writes the members of a page into the object the caller opened, and
+/// closes it.
+fn write_page(j: &mut JsonWriter, page: &PageAnalysis) {
+    let version = |v: Option<&Version>| v.map(Version::to_string);
+    j.arr("detections");
+    for d in &page.detections {
         // `{:?}` of a unit enum variant is the variant's name.
-        let _ = write!(buf, "{{\"library\":\"{:?}\"", d.library);
-        json_version(buf, ",\"version\":", d.version.as_ref());
+        j.begin_obj().str("library", &format!("{:?}", d.library));
+        j.opt_str("version", version(d.version.as_ref()).as_deref());
         match &d.inclusion {
-            DetectedInclusion::Internal => buf.push_str(",\"inclusion\":\"Internal\""),
+            DetectedInclusion::Internal => j.str("inclusion", "Internal"),
             DetectedInclusion::External { host } => {
-                json_str(buf, ",\"inclusion\":{\"External\":{\"host\":", Some(host));
-                buf.push_str("}}");
+                j.obj("inclusion").obj("External");
+                j.str("host", host).end_obj().end_obj()
             }
-        }
-        let _ = write!(buf, ",\"integrity\":{}", d.integrity);
-        json_str(buf, ",\"crossorigin\":", d.crossorigin.as_deref());
-        json_str(buf, ",\"url\":", Some(&d.url));
-        buf.push('}');
-    });
-    let _ = write!(
-        buf,
-        ",\"wordpress\":{{\"detected\":{}",
-        page.wordpress.is_some()
+        };
+        j.bool("integrity", d.integrity);
+        j.opt_str("crossorigin", d.crossorigin.as_deref());
+        j.str("url", &d.url).end_obj();
+    }
+    let wordpress = page.wordpress.as_ref().and_then(Option::as_ref);
+    j.end_arr().obj("wordpress");
+    j.bool("detected", page.wordpress.is_some());
+    j.opt_str("version", version(wordpress).as_deref());
+    j.end_obj().arr("flash");
+    for f in &page.flash {
+        j.begin_obj().str("swf_url", &f.swf_url);
+        j.opt_str("allow_script_access", f.allow_script_access.as_deref());
+        j.end_obj();
+    }
+    let resource_types = page.resource_types.iter().map(|rt| format!("{rt:?}"));
+    j.end_arr().strs("resource_types", resource_types);
+    j.arr("github_scripts");
+    for script in &page.github_scripts {
+        j.begin_obj().str("host", &script.host);
+        j.str("url", &script.url)
+            .bool("integrity", script.integrity);
+        j.opt_str("crossorigin", script.crossorigin.as_deref());
+        j.end_obj();
+    }
+    let (scripts, bare) = (
+        page.external_scripts,
+        page.external_scripts_without_integrity,
     );
-    json_version(
-        buf,
-        ",\"version\":",
-        page.wordpress.as_ref().and_then(Option::as_ref),
-    );
-    buf.push_str("},\"flash\":");
-    json_seq(buf, "[]", &page.flash, |buf, f| {
-        json_str(buf, "{\"swf_url\":", Some(&f.swf_url));
-        json_str(
-            buf,
-            ",\"allow_script_access\":",
-            f.allow_script_access.as_deref(),
-        );
-        buf.push('}');
-    });
-    buf.push_str(",\"resource_types\":");
-    json_seq(buf, "[]", &page.resource_types, |buf, rt| {
-        let _ = write!(buf, "\"{rt:?}\"");
-    });
-    buf.push_str(",\"github_scripts\":");
-    json_seq(buf, "[]", &page.github_scripts, |buf, script| {
-        json_str(buf, "{\"host\":", Some(&script.host));
-        json_str(buf, ",\"url\":", Some(&script.url));
-        let _ = write!(buf, ",\"integrity\":{}", script.integrity);
-        json_str(buf, ",\"crossorigin\":", script.crossorigin.as_deref());
-        buf.push('}');
-    });
-    let _ = write!(
-        buf,
-        ",\"external_scripts\":{},\"external_scripts_without_integrity\":{},\"crossorigin_values\":",
-        page.external_scripts, page.external_scripts_without_integrity
-    );
-    json_seq(buf, "[]", &page.crossorigin_values, |buf, v| {
-        json_str(buf, "", Some(v))
-    });
-    buf.push('}');
+    j.end_arr().u64("external_scripts", scripts as u64);
+    j.u64("external_scripts_without_integrity", bare as u64);
+    j.strs("crossorigin_values", &page.crossorigin_values);
+    j.end_obj();
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,10 +1027,10 @@ mod tests {
             summaries: BTreeMap::from([("a.com".to_string(), down)]),
             carried_forward: BTreeSet::from(["a.com".to_string()]),
         };
-        let mut out = String::new();
-        json_snapshot(&mut out, &snapshot);
+        let mut out = JsonWriter::new();
+        write_week(&mut out, &snapshot);
         assert_eq!(
-            out,
+            out.finish(),
             concat!(
                 r#"{"week":7,"date":"2018-04-23","pages":{"a.com":{"detections":[],"#,
                 r#""wordpress":{"detected":true,"version":null},"#,

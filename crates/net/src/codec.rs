@@ -108,6 +108,12 @@ impl<R: Read> MessageReader<R> {
         self.inner
     }
 
+    /// The stream, for writing the answer to what was just read. Reading
+    /// from it directly would bypass the reader's buffer.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
     /// Reads one request (server side).
     pub fn read_request(&mut self) -> Result<Request> {
         let head = self.read_head()?;

@@ -12,8 +12,9 @@
 //!   and by the thread-free loopback streams of [`VirtualNet`].
 //! * [`codec`] — HTTP/1.1 wire format: content-length, chunked and
 //!   EOF-delimited bodies, size limits against hostile peers.
-//! * [`serve_connection`] / [`TcpServer`] — the server loop with
-//!   keep-alive and pipelining.
+//! * [`Server`] / [`serve_stream`] — the workspace's one HTTP server:
+//!   accept loop, pooled workers, and the per-connection loop with
+//!   keep-alive and pipelining. The query API is a [`Handler`] on it.
 //! * [`Connect`] — how the client reaches a named host. [`TcpConnector`]
 //!   dials real sockets; [`VirtualNet`] loops back into a [`Handler`]
 //!   in-process (every request still round-trips through the full codec).
@@ -61,10 +62,7 @@ pub use filter::{
     inaccessible_domains, page_is_error_or_empty, FetchSummary, EMPTY_PAGE_THRESHOLD,
 };
 pub use http::{Headers, Method, Request, Response, Status};
-pub use server::{
-    roundtrip, serve_connection, serve_connection_until, Connect, Handler, TcpConnector, TcpServer,
-    VirtualNet,
-};
+pub use server::{serve_stream, Connect, Handler, ServeConfig, Server, TcpConnector, VirtualNet};
 pub use transport::{mem_pipe, ByteStream, MemStream};
 pub use webvuln_exec::{ExecStats, Executor, FailureKind, SuperviseConfig, TaskFailure};
 pub use webvuln_resilience::{

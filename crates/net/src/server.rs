@@ -1,25 +1,49 @@
-//! Server side: the [`Handler`] trait, the connection service loop, a real
-//! TCP server, and the thread-free in-process "virtual internet" connector
-//! the crawler uses for simulation runs.
+//! Server side: the [`Handler`] trait, the workspace's one HTTP server
+//! ([`Server`]: accept loop, pooled workers, and [`serve_stream`], the one
+//! per-connection loop), and the thread-free in-process "virtual internet"
+//! connector the crawler uses for simulation runs.
 
-use crate::codec::{encode_request, encode_response, MessageReader};
+use crate::codec::{encode_response, MessageReader};
 use crate::error::{NetError, Result};
 use crate::fault::FaultPlan;
 use crate::http::{Request, Response, Status};
 use crate::transport::ByteStream;
 use std::io::{self, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use webvuln_telemetry::{Counter, Registry};
+use webvuln_exec::Executor;
+use webvuln_telemetry::{Counter, Gauge, Registry};
 
 /// Produces a response for a request. Implemented by the synthetic web
-/// generator; closures work too.
+/// generator and by the query API; closures work too.
+///
+/// Only [`handle`](Handler::handle) is required. The other methods are
+/// what [`Server`] asks of a handler beyond answering requests; their
+/// defaults are bare status responses and an empty label.
 pub trait Handler: Send + Sync {
     /// Handles one request.
     fn handle(&self, req: &Request) -> Response;
+
+    /// [`handle`](Handler::handle), plus a short label for the route the
+    /// request took — the key of the `serve.mid_response` fail-point.
+    fn handle_labelled(&self, req: &Request) -> (&'static str, Response) {
+        ("", self.handle(req))
+    }
+
+    /// The answer to bytes that do not parse as a request (`400`).
+    fn bad_request(&self) -> Response {
+        Response::status(Status::BAD_REQUEST)
+    }
+
+    /// The answer to a connection over the admission limit (`503`).
+    fn overloaded(&self) -> Response {
+        Response::status(Status::SERVICE_UNAVAILABLE)
+    }
 }
 
 impl<F> Handler for F
@@ -31,160 +55,193 @@ where
     }
 }
 
-/// Serves HTTP/1.1 on one connection until close/EOF/error.
-///
-/// Parse failures answer `400 Bad Request` and close. `Connection: close`
-/// from either side ends the loop after the in-flight exchange. Returns
-/// the number of requests served.
-///
-/// The codec reader keeps its buffer across requests, so pipelined
-/// requests that arrived in one read are served in order rather than lost.
-pub fn serve_connection(stream: &mut dyn ByteStream, handler: &dyn Handler) -> Result<usize> {
-    serve_connection_until(stream, handler, &AtomicBool::new(false))
+/// [`Server`] settings. The cache fields are read by the query API's
+/// handler, not by the server loop.
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// Worker threads in the connection pool.
+    pub threads: usize,
+    /// TCP port to bind on 127.0.0.1 (0 picks an ephemeral port).
+    pub port: u16,
+    /// Connections admitted concurrently (queued + in flight); beyond
+    /// this the accept loop answers `503` and closes.
+    pub max_connections: usize,
+    /// Response-cache capacity in entries.
+    pub cache_capacity: usize,
+    /// Seed for the cache's shard hash.
+    pub seed: u64,
+    /// Keep-alive idle timeout; also bounds drain latency on shutdown,
+    /// since a worker parked in a blocking read notices the drain flag
+    /// within one timeout.
+    pub idle_timeout: Duration,
 }
 
-/// [`serve_connection`] with a drain signal: once `stop` is set, the
-/// in-flight exchange finishes with `Connection: close` appended and the
-/// loop ends instead of reading further requests. This is the graceful
-/// half of [`TcpServer::shutdown`] — keep-alive clients get a clean
-/// final response rather than an abrupt reset.
-pub fn serve_connection_until(
-    stream: &mut dyn ByteStream,
-    handler: &dyn Handler,
-    stop: &AtomicBool,
-) -> Result<usize> {
-    let mut served = 0usize;
-    // The reader holds one handle to the stream for the lifetime of the
-    // connection (preserving read-ahead); responses are written through a
-    // second handle to the same underlying stream.
-    let shared = Shared(Arc::new(Mutex::new(stream)));
-    let writer = Shared(Arc::clone(&shared.0));
-    let mut reader = MessageReader::new(shared);
-    let write_all = |bytes: &[u8]| -> Result<()> {
-        let mut guard = lock(&writer.0);
-        guard.write_all(bytes)?;
-        guard.flush()?;
-        Ok(())
-    };
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(served);
-        }
-        if reader.at_eof() {
-            return Ok(served);
-        }
-        let request = match reader.read_request() {
-            Ok(r) => r,
-            Err(NetError::UnexpectedEof) => return Ok(served),
-            // Keep-alive idle timeout: a blocked read that times out ends
-            // the connection gracefully (the client may simply be holding
-            // the socket open).
-            Err(NetError::Timeout) => return Ok(served),
-            Err(NetError::Io(e)) => return Err(NetError::Io(e)),
-            Err(_) => {
-                let mut wire = Vec::new();
-                encode_response(&Response::status(Status::BAD_REQUEST), false, &mut wire);
-                let _ = write_all(&wire);
-                return Ok(served);
-            }
-        };
-        let close = request.headers.wants_close();
-        let mut response = handler.handle(&request);
-        let draining = stop.load(Ordering::Relaxed);
-        if draining {
-            response.headers.set("Connection", "close");
-        }
-        let close = close || draining || response.headers.wants_close();
-        let mut wire = Vec::new();
-        encode_response(&response, false, &mut wire);
-        write_all(&wire)?;
-        served += 1;
-        if close {
-            return Ok(served);
+impl Default for ServeConfig {
+    fn default() -> ServeConfig {
+        ServeConfig {
+            threads: 4,
+            port: 0,
+            max_connections: 64,
+            cache_capacity: 256,
+            seed: 0,
+            idle_timeout: Duration::from_secs(5),
         }
     }
 }
 
+impl ServeConfig {
+    /// The settings for a server that one crawl of `threads` workers
+    /// talks to: a pool worker per crawl thread, and an admission limit
+    /// such a crawl cannot reach — it holds at most `threads` connections
+    /// open, and each pool worker may still be closing the one before.
+    pub fn for_crawl(threads: usize) -> ServeConfig {
+        let threads = threads.max(1);
+        ServeConfig {
+            threads,
+            max_connections: 2 * threads,
+            ..ServeConfig::default()
+        }
+    }
+}
+
+/// Serves HTTP/1.1 on one connection, with keep-alive, until the peer
+/// closes, goes idle past the stream's read timeout, asks for
+/// `Connection: close`, sends bytes that do not parse (answered with
+/// [`Handler::bad_request`]), or `draining` is set — the exchange in
+/// flight then finishes with `Connection: close` and no further request
+/// is read. Returns the number of requests answered.
+///
+/// One [`MessageReader`] owns the stream for the whole connection, so
+/// requests pipelined into one read are answered in order; responses are
+/// written through the reader's handle. `killed` counts connections the
+/// `serve.mid_response` fail-point cut half-way through a response.
+pub fn serve_stream(
+    stream: &mut dyn ByteStream,
+    handler: &dyn Handler,
+    draining: &AtomicBool,
+    killed: &Counter,
+) -> usize {
+    let mut reader = MessageReader::new(stream);
+    let mut served = 0usize;
+    while !draining.load(Ordering::Relaxed) {
+        let request = match reader.read_request() {
+            Ok(r) => r,
+            // EOF and idle timeout end keep-alive gracefully.
+            Err(NetError::UnexpectedEof | NetError::Timeout | NetError::Io(_)) => break,
+            Err(_) => {
+                let mut wire = Vec::new();
+                encode_response(&handler.bad_request(), false, &mut wire);
+                let _ = reader.get_mut().write_all(&wire);
+                break;
+            }
+        };
+        let (label, mut response) = handler.handle_labelled(&request);
+        let close = request.headers.wants_close() || draining.load(Ordering::Relaxed);
+        if close {
+            response.headers.set("Connection", "close");
+        }
+        let mut wire = Vec::new();
+        encode_response(&response, false, &mut wire);
+        let stream = reader.get_mut();
+        // Injected mid-response kill: half the bytes, then the connection
+        // dies. A `Delay` stalls between encode and write — a slow server
+        // under test.
+        match webvuln_failpoint::check("serve.mid_response", label) {
+            Ok(0) => {}
+            Ok(ns) => std::thread::sleep(Duration::from_nanos(ns)),
+            Err(_) => {
+                killed.inc();
+                let _ = stream.write_all(&wire[..wire.len() / 2]);
+                let _ = stream.flush();
+                break;
+            }
+        }
+        if stream
+            .write_all(&wire)
+            .and_then(|_| stream.flush())
+            .is_err()
+        {
+            break;
+        }
+        served += 1;
+        // Set above, or by the handler itself.
+        if response.headers.wants_close() {
+            break;
+        }
+    }
+    served
+}
+
 /// Locks ignoring poison: every update under these mutexes is a single
-/// read, write or counter bump, so the data is valid at every step, and a
-/// panicking handler must not wedge the connection or the `VirtualNet`
-/// attempts map for the other workers.
+/// receive or counter bump, so the data is valid at every step, and a
+/// panicking handler must not wedge the connection queue or the
+/// `VirtualNet` attempts map for the other workers.
 fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Shared stream handle letting the codec reader and the response writer
-/// reference the same connection.
-struct Shared<'a>(Arc<Mutex<&'a mut dyn ByteStream>>);
-
-impl Read for Shared<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        lock(&self.0).read(buf)
-    }
+/// What the accept loop and the pool workers share.
+struct Shared {
+    handler: Arc<dyn Handler>,
+    draining: AtomicBool,
+    /// Accepted connections on their way to a pool worker; the admission
+    /// limit bounds how many. Workers take turns waiting on it.
+    queue: Mutex<Receiver<TcpStream>>,
+    connections: Counter,
+    accept_faults: Counter,
+    rejected: Counter,
+    killed: Counter,
+    /// Queued + in-flight connections — what the admission limit counts.
+    inflight: Gauge,
 }
 
-/// A real TCP server running the handler on every accepted connection.
-///
-/// Used by the live-crawl example and the TCP integration tests; the
-/// large-scale simulation path uses [`VirtualNet`] instead.
-pub struct TcpServer {
+/// The HTTP server: a non-blocking accept loop with an admission limit
+/// feeding a queue drained by `webvuln-exec` pool workers, each running
+/// [`serve_stream`] on one connection at a time. A fault — a failed or
+/// fail-pointed accept, a panicking handler — costs the one connection
+/// it hits; the listener and the pool live until
+/// [`shutdown`](Server::shutdown). The loop's own counters are the
+/// `serve.connections_total`, `serve.accept_faults_total`,
+/// `serve.rejected_connections_total`, `serve.killed_mid_response_total`
+/// and `serve.inflight` metrics of the registry it is started with.
+pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-impl TcpServer {
-    /// Binds `127.0.0.1:0` (ephemeral port) and starts accepting, with a
-    /// 5-second keep-alive idle timeout.
-    pub fn start(handler: Arc<dyn Handler>) -> Result<TcpServer> {
-        TcpServer::start_with_idle_timeout(handler, Duration::from_secs(5))
-    }
-
-    /// [`start`](TcpServer::start) with an explicit keep-alive idle
-    /// timeout. The timeout also bounds drain latency: a worker parked in
-    /// a blocking read notices the drain flag within one timeout.
-    pub fn start_with_idle_timeout(
+impl Server {
+    /// Binds `127.0.0.1:{config.port}` and starts serving `handler`.
+    pub fn start(
         handler: Arc<dyn Handler>,
-        idle_timeout: Duration,
-    ) -> Result<TcpServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(NetError::Io)?;
+        config: ServeConfig,
+        registry: &Registry,
+    ) -> Result<Server> {
+        let listener = TcpListener::bind(("127.0.0.1", config.port)).map_err(NetError::Io)?;
         let addr = listener.local_addr().map_err(NetError::Io)?;
         listener.set_nonblocking(true).map_err(NetError::Io)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let accept_thread = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            while !flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut conn, _peer)) => {
-                        let handler = Arc::clone(&handler);
-                        let drain = Arc::clone(&flag);
-                        conn.set_nodelay(true).ok();
-                        // Keep-alive idle timeout: without it a client that
-                        // parks an open connection pins the worker forever
-                        // (and `shutdown()` joins workers).
-                        conn.set_read_timeout(Some(idle_timeout)).ok();
-                        workers.push(std::thread::spawn(move || {
-                            let _ = serve_connection_until(&mut conn, handler.as_ref(), &drain);
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Graceful drain: the flag is set, so every worker finishes
-            // its in-flight exchange (marked `Connection: close`) and
-            // returns; joining here is what `shutdown()` waits on.
-            for w in workers {
-                let _ = w.join();
-            }
+        let (accepted, queue) = channel();
+        let shared = Arc::new(Shared {
+            handler,
+            draining: AtomicBool::new(false),
+            queue: Mutex::new(queue),
+            connections: registry.counter("serve.connections_total"),
+            accept_faults: registry.counter("serve.accept_faults_total"),
+            rejected: registry.counter("serve.rejected_connections_total"),
+            killed: registry.counter("serve.killed_mid_response_total"),
+            inflight: registry.gauge("serve.inflight"),
         });
-        Ok(TcpServer {
+        let accept = Arc::clone(&shared);
+        let pool = Arc::clone(&shared);
+        let workers = config.threads.max(1);
+        let threads = vec![
+            std::thread::spawn(move || accept.accept_loop(listener, accepted, &config)),
+            std::thread::spawn(move || pool.run_pool(workers)),
+        ];
+        Ok(Server {
             addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
+            shared,
+            threads,
         })
     }
 
@@ -193,20 +250,97 @@ impl TcpServer {
         self.addr
     }
 
-    /// Graceful shutdown: stop accepting, let in-flight exchanges finish
-    /// (their responses carry `Connection: close`), and join the accept
-    /// thread and every connection worker. Idempotent.
+    /// Graceful drain: stop accepting, let in-flight exchanges finish
+    /// (their responses carry `Connection: close`), join the accept and
+    /// pool threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        self.shared.draining.store(true, Ordering::Relaxed);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
-impl Drop for TcpServer {
+impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl Shared {
+    /// Accepts until the drain flag is set — nothing else ends this loop.
+    /// Returning drops `queue`'s sender, which is what ends the workers.
+    fn accept_loop(&self, listener: TcpListener, queue: Sender<TcpStream>, config: &ServeConfig) {
+        let max = config.max_connections.max(1) as i64;
+        while !self.draining.load(Ordering::Relaxed) {
+            // The `serve.accept` fail-point (keyed by peer address) shares
+            // the branch a failed `accept` takes; its `Panic` action is
+            // caught here so that it, too, costs only this connection.
+            let accepted = listener.accept().and_then(|(conn, peer)| {
+                self.connections.inc();
+                let key = peer.to_string();
+                match catch_unwind(|| webvuln_failpoint::check("serve.accept", &key)) {
+                    Ok(Ok(_)) => Ok(conn),
+                    _ => Err(io::Error::other("injected accept fault")),
+                }
+            });
+            match accepted {
+                Ok(mut conn) if self.inflight.get() >= max => {
+                    self.rejected.inc();
+                    let mut wire = Vec::new();
+                    encode_response(&self.handler.overloaded(), false, &mut wire);
+                    let _ = conn.write_all(&wire).and_then(|_| conn.flush());
+                }
+                Ok(conn) => {
+                    conn.set_nodelay(true).ok();
+                    // Without the idle timeout a client that parks an open
+                    // connection pins its worker forever.
+                    conn.set_read_timeout(Some(config.idle_timeout)).ok();
+                    self.inflight.add(1);
+                    let _ = queue.send(conn);
+                }
+                // Nothing waiting is no fault. Anything else — ECONNABORTED,
+                // EMFILE, an injected fault — loses that accept, not the
+                // listener. Either way, back off.
+                Err(e) => {
+                    if e.kind() != io::ErrorKind::WouldBlock {
+                        self.accept_faults.inc();
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+        }
+    }
+
+    /// Waits for a connection; `None` once the accept loop has ended and
+    /// the queue is empty. The queue's lock is released on return, before
+    /// the connection is served.
+    fn next_connection(&self) -> Option<TcpStream> {
+        lock(&self.queue).recv().ok()
+    }
+
+    /// Runs `threads` worker loops until the queue is closed and empty.
+    fn run_pool(&self, threads: usize) {
+        // `chunk_size(1)` makes every loop its own stealable task, so each
+        // idle executor worker steals exactly one and all of them run
+        // concurrently.
+        let slots: Vec<usize> = (0..threads).collect();
+        Executor::new(threads).chunk_size(1).map(&slots, |_slot| {
+            while let Some(mut conn) = self.next_connection() {
+                // Contain per-connection panics (a handler bug, an armed
+                // `serve.mid_response` panic): the worker and the pool
+                // survive.
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    serve_stream(
+                        &mut conn,
+                        self.handler.as_ref(),
+                        &self.draining,
+                        &self.killed,
+                    )
+                }));
+                self.inflight.add(-1);
+            }
+        });
     }
 }
 
@@ -219,7 +353,7 @@ pub trait Connect: Send + Sync {
 }
 
 /// Connects every host to one fixed TCP address (the live-crawl example
-/// points this at a local [`TcpServer`], playing DNS for the test realm).
+/// points this at a local [`Server`], playing DNS for the test realm).
 pub struct TcpConnector {
     addr: SocketAddr,
 }
@@ -484,23 +618,11 @@ impl Write for LoopbackStream {
     }
 }
 
-/// Encodes a request and returns the handler's encoded response — a pure
-/// helper used by tests and micro-benchmarks to drive the codec path.
-pub fn roundtrip(handler: &dyn Handler, request: &Request) -> Result<Response> {
-    let mut wire = Vec::new();
-    encode_request(request, &mut wire);
-    let mut reader = MessageReader::new(Cursor::new(wire));
-    let parsed = reader.read_request()?;
-    let response = handler.handle(&parsed);
-    let mut resp_wire = Vec::new();
-    encode_response(&response, false, &mut resp_wire);
-    MessageReader::new(Cursor::new(resp_wire)).read_response(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::fetch;
+    use crate::codec::encode_request;
     use crate::transport::mem_pipe;
 
     fn echo_handler() -> Arc<dyn Handler> {
@@ -513,13 +635,21 @@ mod tests {
         })
     }
 
+    /// [`serve_stream`] on one end of a pipe, not draining.
+    fn serve_pipe(mut server: crate::MemStream) -> usize {
+        let handler = echo_handler();
+        let (draining, killed) = (AtomicBool::new(false), Counter::default());
+        serve_stream(&mut server, handler.as_ref(), &draining, &killed)
+    }
+
+    fn start(config: ServeConfig) -> Server {
+        Server::start(echo_handler(), config, &Registry::new()).expect("bind")
+    }
+
     #[test]
     fn serve_connection_over_mem_pipe() {
-        let (mut client, mut server) = mem_pipe();
-        let handler = echo_handler();
-        let t = std::thread::spawn(move || {
-            serve_connection(&mut server, handler.as_ref()).expect("serve ok")
-        });
+        let (mut client, server) = mem_pipe();
+        let t = std::thread::spawn(move || serve_pipe(server));
 
         let mut wire = Vec::new();
         encode_request(&Request::get("pipe.example", "/x"), &mut wire);
@@ -534,11 +664,8 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_multiple_requests() {
-        let (mut client, mut server) = mem_pipe();
-        let handler = echo_handler();
-        let t = std::thread::spawn(move || {
-            serve_connection(&mut server, handler.as_ref()).expect("serve ok")
-        });
+        let (mut client, server) = mem_pipe();
+        let t = std::thread::spawn(move || serve_pipe(server));
         for i in 0..3 {
             let mut wire = Vec::new();
             encode_request(&Request::get("k.example", &format!("/{i}")), &mut wire);
@@ -554,11 +681,8 @@ mod tests {
 
     #[test]
     fn malformed_request_gets_400_and_close() {
-        let (mut client, mut server) = mem_pipe();
-        let handler = echo_handler();
-        let t = std::thread::spawn(move || {
-            serve_connection(&mut server, handler.as_ref()).expect("serve ok")
-        });
+        let (mut client, server) = mem_pipe();
+        let t = std::thread::spawn(move || serve_pipe(server));
         client.write_all(b"NONSENSE\r\n\r\n").expect("send");
         client.shutdown_write();
         let resp = MessageReader::new(&mut client)
@@ -594,7 +718,7 @@ mod tests {
 
     #[test]
     fn tcp_server_end_to_end() {
-        let mut server = TcpServer::start(echo_handler()).expect("bind");
+        let mut server = start(ServeConfig::default());
         let connector = TcpConnector::fixed(server.addr());
         let resp = fetch(&connector, "tcp.example", "/live").expect("fetch");
         assert_eq!(resp.status, Status::OK);
@@ -629,7 +753,7 @@ mod tests {
 
     #[test]
     fn tcp_server_serves_concurrent_keep_alive_clients() {
-        let mut server = TcpServer::start(echo_handler()).expect("bind");
+        let mut server = start(ServeConfig::default());
         let addr = server.addr();
         let clients: Vec<_> = (0..4)
             .map(|tag| std::thread::spawn(move || run_keep_alive_client(addr, tag, 5)))
@@ -641,8 +765,25 @@ mod tests {
     }
 
     #[test]
+    fn an_open_connection_does_not_hold_up_the_next() {
+        // Longer than the client's read timeout: if the worker parked on
+        // `idle` kept the others from the queue, the fetch would fail.
+        let mut server = start(ServeConfig {
+            idle_timeout: Duration::from_secs(30),
+            ..ServeConfig::default()
+        });
+        let idle = TcpStream::connect(server.addr()).expect("connect");
+        for _ in 0..3 {
+            let resp = fetch(&TcpConnector::fixed(server.addr()), "next.example", "/");
+            assert_eq!(resp.expect("fetch").status, Status::OK);
+        }
+        drop(idle); // EOF releases its worker before the drain joins it
+        server.shutdown();
+    }
+
+    #[test]
     fn tcp_server_serves_pipelined_requests_in_order() {
-        let mut server = TcpServer::start(echo_handler()).expect("bind");
+        let mut server = start(ServeConfig::default());
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
         // All three requests written before any response is read.
@@ -664,7 +805,7 @@ mod tests {
 
     #[test]
     fn tcp_server_honors_connection_close() {
-        let mut server = TcpServer::start(echo_handler()).expect("bind");
+        let mut server = start(ServeConfig::default());
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
         let mut req = Request::get("bye.example", "/last");
@@ -684,9 +825,10 @@ mod tests {
 
     #[test]
     fn shutdown_drains_keep_alive_connections_gracefully() {
-        let mut server =
-            TcpServer::start_with_idle_timeout(echo_handler(), Duration::from_millis(200))
-                .expect("bind");
+        let mut server = start(ServeConfig {
+            idle_timeout: Duration::from_millis(200),
+            ..ServeConfig::default()
+        });
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
         // First exchange completes normally on a keep-alive connection.
@@ -715,30 +857,39 @@ mod tests {
 
     #[test]
     fn serve_connection_until_marks_final_response_close() {
-        let (mut client, mut server) = mem_pipe();
         let handler = echo_handler();
-        let stop = Arc::new(AtomicBool::new(true)); // draining from the start
-        let stop_t = Arc::clone(&stop);
-        // Queue a request in the pipe before the loop starts, so the only
-        // variable is whether the drain flag is honored.
+        let killed = Counter::default();
         let mut wire = Vec::new();
         encode_request(&Request::get("d.example", "/inflight"), &mut wire);
+
+        // Draining from the start: the queued request is never read.
+        let (mut client, mut server) = mem_pipe();
         client.write_all(&wire).expect("send");
         drop(client);
-        let t = std::thread::spawn(move || {
-            serve_connection_until(&mut server, handler.as_ref(), &stop_t).expect("serve ok")
-        });
-        // Drain-before-first-read returns without serving the queued
-        // request — the loop must never hang.
-        let served = t.join().expect("join");
+        let draining = AtomicBool::new(true);
+        let served = serve_stream(&mut server, handler.as_ref(), &draining, &killed);
         assert_eq!(served, 0, "drain served {served} requests");
-    }
 
-    #[test]
-    fn roundtrip_helper() {
-        let handler = echo_handler();
-        let resp = roundtrip(handler.as_ref(), &Request::get("h.example", "/rt")).expect("ok");
-        assert!(resp.body_text().contains("target=/rt"));
+        // The drain flag raised while a request is being handled: that
+        // exchange finishes, marked `Connection: close`, and the second
+        // pipelined request is never read.
+        let draining = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&draining);
+        let raising = move |_req: &Request| {
+            flag.store(true, Ordering::Relaxed);
+            Response::html("last")
+        };
+        let (mut client, mut server) = mem_pipe();
+        client
+            .write_all(&[&wire[..], &wire[..]].concat())
+            .expect("send");
+        client.shutdown_write();
+        assert_eq!(serve_stream(&mut server, &raising, &draining, &killed), 1);
+        drop(server);
+        let mut reader = MessageReader::new(&mut client);
+        let resp = reader.read_response(false).expect("response");
+        assert!(resp.headers.wants_close(), "final response must say close");
+        assert!(reader.at_eof(), "nothing follows the final response");
     }
 
     #[test]

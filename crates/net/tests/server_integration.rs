@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use webvuln_net::codec::{encode_request, MessageReader};
-use webvuln_net::{fetch, Request, Response, Status, TcpConnector, TcpServer};
+use webvuln_net::{fetch, Request, Response, ServeConfig, Server, Status, TcpConnector};
+use webvuln_telemetry::Registry;
 
 fn counting_handler() -> (Arc<AtomicUsize>, Arc<dyn webvuln_net::Handler>) {
     let counter = Arc::new(AtomicUsize::new(0));
@@ -19,10 +20,14 @@ fn counting_handler() -> (Arc<AtomicUsize>, Arc<dyn webvuln_net::Handler>) {
     (counter, handler)
 }
 
+fn start(handler: Arc<dyn webvuln_net::Handler>) -> Server {
+    Server::start(handler, ServeConfig::default(), &Registry::new()).expect("bind")
+}
+
 #[test]
 fn keep_alive_reuses_one_connection() {
     let (counter, handler) = counting_handler();
-    let mut server = TcpServer::start(handler).expect("bind");
+    let mut server = start(handler);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -47,7 +52,7 @@ fn keep_alive_reuses_one_connection() {
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let (_, handler) = counting_handler();
-    let mut server = TcpServer::start(handler).expect("bind");
+    let mut server = start(handler);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -72,7 +77,7 @@ fn pipelined_requests_are_answered_in_order() {
 #[test]
 fn concurrent_clients_are_isolated() {
     let (counter, handler) = counting_handler();
-    let mut server = TcpServer::start(handler).expect("bind");
+    let mut server = start(handler);
     let addr = server.addr();
     let threads: Vec<_> = (0..8)
         .map(|i| {
@@ -93,7 +98,7 @@ fn concurrent_clients_are_isolated() {
 #[test]
 fn garbage_gets_400_and_connection_close() {
     let (counter, handler) = counting_handler();
-    let mut server = TcpServer::start(handler).expect("bind");
+    let mut server = start(handler);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -111,7 +116,7 @@ fn garbage_gets_400_and_connection_close() {
 #[test]
 fn connection_close_header_is_honoured() {
     let (_, handler) = counting_handler();
-    let mut server = TcpServer::start(handler).expect("bind");
+    let mut server = start(handler);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -134,7 +139,7 @@ fn connection_close_header_is_honoured() {
 #[test]
 fn oversized_header_block_is_rejected_not_fatal() {
     let (counter, handler) = counting_handler();
-    let mut server = TcpServer::start(handler).expect("bind");
+    let mut server = start(handler);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -162,15 +167,27 @@ fn oversized_header_block_is_rejected_not_fatal() {
 #[test]
 fn idle_keep_alive_connection_is_reaped() {
     // A client that opens a connection and never sends anything must not
-    // pin the server: the 5s idle timeout releases the worker, so
-    // shutdown() completes even while the socket is still open.
+    // pin a worker: the idle timeout releases it while the socket is
+    // still open, and shutdown() does not wait on the parked client.
     let (_, handler) = counting_handler();
-    let mut server = TcpServer::start(handler).expect("bind");
+    let registry = Registry::new();
+    let config = ServeConfig {
+        idle_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(handler, config, &registry).expect("bind");
     let _parked = TcpStream::connect(server.addr()).expect("connect");
     let started = std::time::Instant::now();
+    let wait_for_inflight = |want: i64| {
+        while registry.snapshot().gauge("serve.inflight") != Some(want) {
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "serve.inflight never reached {want}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    wait_for_inflight(1); // admitted
+    wait_for_inflight(0); // reaped, with the client still connected
     server.shutdown();
-    assert!(
-        started.elapsed() < Duration::from_secs(20),
-        "shutdown must not hang on the parked connection"
-    );
 }

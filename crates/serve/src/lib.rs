@@ -6,24 +6,24 @@
 //!
 //! Layering, bottom-up:
 //!
-//! * [`json`] — minimal JSON emission (the workspace's core layers stay
-//!   free of external crates, so bodies are hand-written, deterministic
-//!   text).
 //! * [`ShardedLru`] — the seeded, shard-locked response cache for hot
-//!   tables.
+//!   tables, keyed by a route's canonical path.
 //! * [`Route`] / [`route`] — the request router and structured
 //!   [`ApiError`] responses (404/400/405/503).
 //! * [`QueryService`] — evaluates routes against a read-only
 //!   [`AnyReader`](webvuln_store::AnyReader) (per-domain random
 //!   access) plus the precomputed `webvuln-analysis` tables, so served
-//!   bodies agree with the batch reports by construction.
+//!   bodies agree with the batch reports by construction. Bodies are
+//!   written with the workspace's one
+//!   [`JsonWriter`](webvuln_telemetry::JsonWriter).
 //! * [`ApiHandler`] — an instrumented `webvuln-net`
 //!   [`Handler`](webvuln_net::Handler): router →
 //!   fail-points → cache → service, with panic quarantine (`serve.*`
 //!   telemetry names the counters, gauges and latency histograms).
-//! * [`ApiServer`] — the pooled TCP front end: a non-blocking accept
-//!   loop with an admission limit feeding a bounded queue drained by
-//!   `webvuln-exec` workers, and graceful connection drain on shutdown.
+//! * [`ApiServer`] — `webvuln-net`'s [`Server`](webvuln_net::Server)
+//!   started over an [`ApiHandler`]: the accept loop with its admission
+//!   limit, the worker pool and the graceful drain are the same code the
+//!   crawler's TCP test server runs.
 //!
 //! ## Endpoints
 //!
@@ -51,12 +51,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod json;
 mod router;
 mod server;
 mod service;
 
 pub use cache::ShardedLru;
 pub use router::{route, ApiError, Route};
-pub use server::{ApiHandler, ApiServer, ServeConfig, FAILPOINTS};
+pub use server::{ApiHandler, ApiServer, FAILPOINTS};
 pub use service::QueryService;
+pub use webvuln_net::ServeConfig;

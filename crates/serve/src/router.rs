@@ -1,8 +1,8 @@
 //! Request routing: target paths to typed routes, API errors to
 //! structured JSON responses.
 
-use crate::json::Obj;
 use webvuln_net::{Method, Request, Response, Status};
+use webvuln_telemetry::JsonWriter;
 
 /// A parsed API route.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +31,19 @@ impl Route {
             Route::WeekLandscape(_) => "week_landscape",
             Route::CveExposure(_) => "cve_exposure",
             Route::Alerts => "alerts",
+        }
+    }
+
+    /// The route's canonical path — what [`route`] parses back to this
+    /// route, however the request spelled it — and so the cache key.
+    pub fn path(&self) -> String {
+        match self {
+            Route::Healthz => "/healthz".to_string(),
+            Route::DomainHistory(d) => format!("/domain/{d}/history"),
+            Route::LibraryPrevalence(lib) => format!("/library/{lib}/prevalence"),
+            Route::WeekLandscape(w) => format!("/week/{w}/landscape"),
+            Route::CveExposure(id) => format!("/cve/{id}/exposure"),
+            Route::Alerts => "/alerts".to_string(),
         }
     }
 
@@ -71,8 +84,10 @@ impl ApiError {
             ApiError::BadRequest(d) => ("bad request", d),
             ApiError::Unavailable(d) => ("unavailable", d),
         };
-        let body = Obj::new().str("error", kind).str("detail", detail).finish();
-        Response::new(self.status(), "application/json", body)
+        let mut j = JsonWriter::new();
+        j.begin_obj().str("error", kind);
+        j.str("detail", detail).end_obj();
+        Response::new(self.status(), "application/json", j.finish())
     }
 }
 
@@ -141,6 +156,28 @@ mod tests {
             route(&get("/week/3/landscape/")),
             Ok(Route::WeekLandscape(3))
         );
+    }
+
+    #[test]
+    fn every_spelling_of_a_route_has_one_canonical_path() {
+        for (spelling, canonical) in [
+            ("/week/3/landscape", "/week/3/landscape"),
+            ("/week/3/landscape/", "/week/3/landscape"),
+            ("//week/3/landscape", "/week/3/landscape"),
+            ("/week/03/landscape?x=1", "/week/3/landscape"),
+            ("/domain/a.example/history", "/domain/a.example/history"),
+            ("/library/jquery//prevalence", "/library/jquery/prevalence"),
+            (
+                "/cve/CVE-2020-11022/exposure",
+                "/cve/CVE-2020-11022/exposure",
+            ),
+            ("/healthz/", "/healthz"),
+            ("/alerts", "/alerts"),
+        ] {
+            let parsed = route(&get(spelling)).expect("route");
+            assert_eq!(parsed.path(), canonical, "{spelling}");
+            assert_eq!(route(&get(canonical)), Ok(parsed), "{spelling}");
+        }
     }
 
     #[test]

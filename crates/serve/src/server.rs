@@ -1,77 +1,37 @@
-//! The pooled TCP front end: accept loop, worker pool over the
-//! work-stealing executor, per-request instrumentation, fail-points, and
-//! graceful drain.
-//!
-//! Division of labor with `webvuln-net`: the HTTP types, wire codec and
-//! [`Handler`] contract come from there unchanged ([`ApiHandler`] is an
-//! ordinary `Handler`, so it also runs under `net`'s `TcpServer` or
-//! `VirtualNet` in tests). What this module adds is the serving *policy*:
-//! a bounded connection queue drained by `webvuln-exec` workers instead
-//! of a thread per connection, a response cache, structured errors, and
-//! quarantine — a panicking handler answers `503` and the listener stays
-//! up.
+//! The query API on `webvuln-net`'s server: [`ApiHandler`], an
+//! instrumented [`Handler`] (router → fail-point → cache →
+//! [`QueryService`], with panic quarantine and the `serve.*` request
+//! metrics), and [`ApiServer`], which starts a [`Server`] over it. The
+//! accept loop, the pool and the per-connection loop are `webvuln-net`'s;
+//! what this crate tells them is the JSON shape of the `400` and
+//! over-capacity `503` bodies and the route label of each request.
 
 use crate::cache::ShardedLru;
-use crate::router::{route, ApiError};
+use crate::router::{route, ApiError, Route};
 use crate::service::QueryService;
-use std::collections::VecDeque;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use webvuln_exec::Executor;
-use webvuln_net::codec::{encode_response, MessageReader};
-use webvuln_net::{Handler, NetError, Request, Response, Status};
-use webvuln_telemetry::{Counter, Gauge, Histogram, Registry};
+use webvuln_net::{Handler, NetError, Request, Response, ServeConfig, Server, Status};
+use webvuln_telemetry::{Counter, Histogram, Registry};
 
-/// Fail-point sites this crate registers.
+/// Fail-point sites of the serving path. The first two fire in
+/// `webvuln-net`'s server loop, which every [`ApiServer`] runs on.
 ///
 /// * `serve.accept` — keyed by peer address, checked for every accepted
-///   connection; an injected error or panic drops that connection only.
-/// * `serve.handler` — keyed by route label, checked before evaluating a
-///   request; `Error` answers `503`, `Panic` exercises the quarantine.
+///   connection; an injected error or panic costs that connection only,
+///   exactly like a failed `accept`.
 /// * `serve.mid_response` — keyed by route label, checked after a
 ///   response is encoded; `Error` writes half the bytes and kills the
 ///   connection (the client sees a torn response, the listener lives).
+/// * `serve.handler` — keyed by route label, checked before evaluating a
+///   request; `Error` answers `503`, `Panic` exercises the quarantine.
 pub const FAILPOINTS: &[&str] = &["serve.accept", "serve.handler", "serve.mid_response"];
 
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads in the request pool.
-    pub threads: usize,
-    /// TCP port to bind on 127.0.0.1 (0 picks an ephemeral port).
-    pub port: u16,
-    /// Connections admitted concurrently (queued + in flight); beyond
-    /// this the accept loop answers `503` and closes.
-    pub max_connections: usize,
-    /// Response-cache capacity in entries.
-    pub cache_capacity: usize,
-    /// Seed for the cache's shard hash.
-    pub seed: u64,
-    /// Keep-alive idle timeout; also bounds drain latency on shutdown.
-    pub idle_timeout: Duration,
-}
-
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            threads: 4,
-            port: 0,
-            max_connections: 64,
-            cache_capacity: 256,
-            seed: 0,
-            idle_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Registered `serve.*` metric handles.
-#[derive(Clone)]
-pub(crate) struct Metrics {
+/// Registered `serve.*` request metrics (the connection-level ones are
+/// the server loop's).
+struct Metrics {
     requests: Counter,
     resp_2xx: Counter,
     resp_4xx: Counter,
@@ -79,11 +39,6 @@ pub(crate) struct Metrics {
     cache_hits: Counter,
     cache_misses: Counter,
     handler_panics: Counter,
-    accept_faults: Counter,
-    rejected: Counter,
-    connections: Counter,
-    killed: Counter,
-    inflight: Gauge,
     latency: Vec<(&'static str, Histogram)>,
 }
 
@@ -106,11 +61,6 @@ impl Metrics {
             cache_hits: registry.counter("serve.cache_hits_total"),
             cache_misses: registry.counter("serve.cache_misses_total"),
             handler_panics: registry.counter("serve.handler_panics_total"),
-            accept_faults: registry.counter("serve.accept_faults_total"),
-            rejected: registry.counter("serve.rejected_connections_total"),
-            connections: registry.counter("serve.connections_total"),
-            killed: registry.counter("serve.killed_mid_response_total"),
-            inflight: registry.gauge("serve.inflight"),
             latency: labels
                 .iter()
                 .map(|&l| (l, registry.histogram(&format!("serve.latency_ns.{l}"))))
@@ -139,7 +89,7 @@ impl Metrics {
 
 /// The instrumented request handler: router → fail-points → cache →
 /// [`QueryService`], with panic quarantine. A plain [`Handler`], so it
-/// composes with every server front end in `webvuln-net`.
+/// also runs under `VirtualNet` in tests.
 pub struct ApiHandler {
     service: Arc<QueryService>,
     cache: ShardedLru<Arc<Response>>,
@@ -160,22 +110,13 @@ impl ApiHandler {
         }
     }
 
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The route label for a request (for metrics and fail-point keys).
-    fn label_of(req: &Request) -> &'static str {
-        route(req).map(|r| r.label()).unwrap_or("error")
-    }
-
-    fn dispatch(&self, req: &Request) -> Response {
-        let parsed = match route(req) {
+    fn dispatch(&self, parsed: Result<Route, ApiError>) -> Response {
+        let parsed = match parsed {
             Ok(r) => r,
             Err(e) => return e.to_response(),
         };
         // Injected handler fault: `Error` → 503, `Delay` → a genuinely
-        // slow handler, `Panic` → quarantined below like a real bug.
+        // slow handler, `Panic` → quarantined by the caller like a real bug.
         match webvuln_failpoint::check("serve.handler", parsed.label()) {
             Ok(0) => {}
             Ok(ns) => std::thread::sleep(Duration::from_nanos(ns)),
@@ -183,9 +124,11 @@ impl ApiHandler {
                 return ApiError::Unavailable("injected handler fault".to_string()).to_response()
             }
         }
-        let key = req.target.split('?').next().unwrap_or("").to_string();
-        if parsed.cacheable() {
-            if let Some(cached) = self.cache.get(&key) {
+        // Keyed by the route's canonical path, not the request's spelling
+        // of it: `//week/03/landscape/` must not take a second entry.
+        let key = parsed.cacheable().then(|| parsed.path());
+        if let Some(key) = &key {
+            if let Some(cached) = self.cache.get(key) {
                 self.metrics.cache_hits.inc();
                 return (*cached).clone();
             }
@@ -195,7 +138,7 @@ impl ApiHandler {
         match self.service.evaluate(&parsed, requests_total) {
             Ok(body) => {
                 let response = Response::new(Status::OK, "application/json", body);
-                if parsed.cacheable() {
+                if let Some(key) = key {
                     self.cache.insert(key, Arc::new(response.clone()));
                 }
                 response
@@ -207,10 +150,15 @@ impl ApiHandler {
 
 impl Handler for ApiHandler {
     fn handle(&self, req: &Request) -> Response {
+        self.handle_labelled(req).1
+    }
+
+    fn handle_labelled(&self, req: &Request) -> (&'static str, Response) {
         let start = Instant::now();
         self.metrics.requests.inc();
-        let label = ApiHandler::label_of(req);
-        let response = match catch_unwind(AssertUnwindSafe(|| self.dispatch(req))) {
+        let parsed = route(req);
+        let label = parsed.as_ref().map_or("error", Route::label);
+        let response = match catch_unwind(AssertUnwindSafe(|| self.dispatch(parsed))) {
             Ok(response) => response,
             Err(_) => {
                 // Quarantine: the panic is contained to this request.
@@ -222,271 +170,47 @@ impl Handler for ApiHandler {
         self.metrics
             .latency_for(label)
             .record_duration(start.elapsed());
+        (label, response)
+    }
+
+    fn bad_request(&self) -> Response {
+        // Bytes that do not parse still count as a request.
+        self.metrics.requests.inc();
+        let response = ApiError::BadRequest("unparseable request".to_string()).to_response();
+        self.metrics.count_response(response.status);
         response
     }
-}
 
-/// Bounded multi-producer multi-consumer queue of accepted connections.
-struct ConnQueue {
-    inner: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-struct QueueState {
-    conns: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new() -> ConnQueue {
-        ConnQueue {
-            inner: Mutex::new(QueueState {
-                conns: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, conn: TcpStream) {
-        let mut state = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if !state.closed {
-            state.conns.push_back(conn);
-            self.ready.notify_one();
-        }
-    }
-
-    /// Blocks until a connection is available or the queue is closed and
-    /// drained.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(conn) = state.conns.pop_front() {
-                return Some(conn);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        state.closed = true;
-        self.ready.notify_all();
+    fn overloaded(&self) -> Response {
+        ApiError::Unavailable("connection limit reached".to_string()).to_response()
     }
 }
 
-/// The running API server: a non-blocking accept loop feeding a bounded
-/// queue drained by `webvuln-exec` workers. [`shutdown`](ApiServer::shutdown)
-/// drains gracefully: stop accepting, finish in-flight exchanges, join
-/// every thread.
-pub struct ApiServer {
-    addr: SocketAddr,
-    draining: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    pool_thread: Option<JoinHandle<()>>,
-}
+/// A running query API: `webvuln-net`'s [`Server`] over an
+/// [`ApiHandler`]. [`shutdown`](ApiServer::shutdown) drains gracefully.
+pub struct ApiServer(Server);
 
 impl ApiServer {
-    /// Binds `127.0.0.1:{config.port}` and starts serving `handler`.
-    pub fn start(handler: Arc<ApiHandler>, config: ServeConfig) -> Result<ApiServer, NetError> {
-        let listener = TcpListener::bind(("127.0.0.1", config.port)).map_err(NetError::Io)?;
-        let addr = listener.local_addr().map_err(NetError::Io)?;
-        listener.set_nonblocking(true).map_err(NetError::Io)?;
-
-        let draining = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(ConnQueue::new());
-        // Queued + in-flight connections, for the admission limit.
-        let active = Arc::new(AtomicUsize::new(0));
-        let metrics = handler.metrics().clone();
-
-        let accept_thread = {
-            let flag = Arc::clone(&draining);
-            let queue = Arc::clone(&queue);
-            let active = Arc::clone(&active);
-            let metrics = metrics.clone();
-            let max = config.max_connections.max(1);
-            std::thread::spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((conn, peer)) => {
-                            metrics.connections.inc();
-                            // A panic armed at `serve.accept` must only
-                            // cost this one connection, never the loop.
-                            let key = peer.to_string();
-                            let fault = catch_unwind(AssertUnwindSafe(|| {
-                                webvuln_failpoint::check("serve.accept", &key)
-                            }));
-                            if !matches!(fault, Ok(Ok(_))) {
-                                metrics.accept_faults.inc();
-                                continue; // drop the connection
-                            }
-                            if active.load(Ordering::Relaxed) >= max {
-                                metrics.rejected.inc();
-                                reject_over_capacity(conn);
-                                continue;
-                            }
-                            conn.set_nodelay(true).ok();
-                            conn.set_read_timeout(Some(config.idle_timeout)).ok();
-                            active.fetch_add(1, Ordering::Relaxed);
-                            metrics.inflight.set(active.load(Ordering::Relaxed) as i64);
-                            queue.push(conn);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                queue.close();
-            })
-        };
-
-        let pool_thread = {
-            let flag = Arc::clone(&draining);
-            let queue = Arc::clone(&queue);
-            let handler = Arc::clone(&handler);
-            let threads = config.threads.max(1);
-            std::thread::spawn(move || {
-                // One long-lived worker loop per pool slot; `chunk_size(1)`
-                // makes every loop its own stealable task, so each idle
-                // executor worker steals exactly one and all `threads`
-                // loops run concurrently.
-                let executor = Executor::new(threads).chunk_size(1);
-                let slots: Vec<usize> = (0..threads).collect();
-                executor.map(&slots, |_slot| {
-                    while let Some(conn) = queue.pop() {
-                        // Contain per-connection panics (e.g. an armed
-                        // `serve.mid_response` panic): the worker loop and
-                        // the pool survive.
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            serve_api_connection(conn, handler.as_ref(), &flag)
-                        }));
-                        active.fetch_sub(1, Ordering::Relaxed);
-                        metrics.inflight.set(active.load(Ordering::Relaxed) as i64);
-                    }
-                });
-            })
-        };
-
-        Ok(ApiServer {
-            addr,
-            draining,
-            accept_thread: Some(accept_thread),
-            pool_thread: Some(pool_thread),
-        })
-    }
-
-    /// Convenience: open `service` behind a fresh [`ApiHandler`].
+    /// Opens `service` behind a fresh [`ApiHandler`] and starts serving it
+    /// on `127.0.0.1:{config.port}`.
     pub fn serve(
         service: Arc<QueryService>,
         config: ServeConfig,
         registry: &Registry,
     ) -> Result<ApiServer, NetError> {
         let handler = Arc::new(ApiHandler::new(service, &config, registry));
-        ApiServer::start(handler, config)
+        Server::start(handler, config, registry).map(ApiServer)
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Graceful drain: stop accepting, let in-flight exchanges finish,
-    /// join the accept and pool threads. Idempotent.
+    /// join the server's threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.draining.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.pool_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ApiServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Answers `503` on a connection the admission limit refused.
-fn reject_over_capacity(mut conn: TcpStream) {
-    let response = ApiError::Unavailable("connection limit reached".to_string()).to_response();
-    let mut wire = Vec::new();
-    encode_response(&response, false, &mut wire);
-    let _ = conn.write_all(&wire);
-    let _ = conn.flush();
-}
-
-/// Serves one connection with keep-alive until close/EOF/error/drain.
-/// Returns the number of requests answered.
-fn serve_api_connection(conn: TcpStream, handler: &ApiHandler, draining: &AtomicBool) -> usize {
-    let metrics = handler.metrics();
-    let Ok(read_half) = conn.try_clone() else {
-        return 0;
-    };
-    let mut writer = conn;
-    let mut reader = MessageReader::new(read_half);
-    let mut served = 0usize;
-    loop {
-        if draining.load(Ordering::Relaxed) {
-            return served;
-        }
-        let request = match reader.read_request() {
-            Ok(r) => r,
-            // EOF and idle timeout end keep-alive gracefully.
-            Err(NetError::UnexpectedEof) | Err(NetError::Timeout) | Err(NetError::Io(_)) => {
-                return served;
-            }
-            Err(_) => {
-                // Parse failure: still a request for accounting purposes.
-                metrics.requests.inc();
-                let response =
-                    ApiError::BadRequest("unparseable request".to_string()).to_response();
-                metrics.count_response(response.status);
-                let mut wire = Vec::new();
-                encode_response(&response, false, &mut wire);
-                let _ = writer.write_all(&wire);
-                return served;
-            }
-        };
-        let label = ApiHandler::label_of(&request);
-        let close = request.headers.wants_close() || draining.load(Ordering::Relaxed);
-        let mut response = handler.handle(&request);
-        if close {
-            response.headers.set("Connection", "close");
-        }
-        let mut wire = Vec::new();
-        encode_response(&response, false, &mut wire);
-        // Injected mid-response kill: half the bytes, then the socket
-        // dies. The client sees a torn body; the counters still account
-        // for the request (it was classified above). A `Delay` stalls
-        // between encode and write — a slow server under test.
-        match webvuln_failpoint::check("serve.mid_response", label) {
-            Ok(0) => {}
-            Ok(ns) => std::thread::sleep(Duration::from_nanos(ns)),
-            Err(_) => {
-                metrics.killed.inc();
-                let _ = writer.write_all(&wire[..wire.len() / 2]);
-                let _ = writer.flush();
-                return served;
-            }
-        }
-        if writer
-            .write_all(&wire)
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
-            return served;
-        }
-        served += 1;
-        if close || response.headers.wants_close() {
-            return served;
-        }
+        self.0.shutdown();
     }
 }
 
@@ -518,30 +242,6 @@ mod tests {
         assert_eq!(snap.counter("serve.responses_2xx_total"), Some(1));
         assert_eq!(snap.counter("serve.responses_4xx_total"), Some(2));
         assert_eq!(snap.counter("serve.responses_5xx_total"), Some(1));
-    }
-
-    #[test]
-    fn queue_delivers_then_drains() {
-        let queue = Arc::new(ConnQueue::new());
-        let q = Arc::clone(&queue);
-        let t = std::thread::spawn(move || {
-            let mut got = 0;
-            while q.pop().is_some() {
-                got += 1;
-            }
-            got
-        });
-        // Real sockets: a bound listener hands us connectable streams.
-        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        for _ in 0..3 {
-            let client = TcpStream::connect(addr).expect("connect");
-            let (server_side, _) = listener.accept().expect("accept");
-            drop(client);
-            queue.push(server_side);
-        }
-        queue.close();
-        assert_eq!(t.join().expect("join"), 3);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!   for the same store, and startup memory stays flat in the number
 //!   of weeks.
 
-use crate::json::{Arr, Obj};
 use crate::router::{ApiError, Route};
 use std::path::{Path, PathBuf};
 use webvuln_analysis::accum::{fold_study, LandscapeAccum};
@@ -23,6 +22,7 @@ use webvuln_analysis::landscape::{LibraryRow, UsageTrend};
 use webvuln_analysis::vuln::CveImpact;
 use webvuln_cvedb::{Basis, LibraryId, VulnDb};
 use webvuln_store::{AnyReader, ShardHealth, StoreError};
+use webvuln_telemetry::JsonWriter;
 use webvuln_version::Version;
 
 /// A read-only query service over one snapshot store — single-file or
@@ -109,51 +109,45 @@ impl QueryService {
     pub fn healthz(&self, requests_total: u64) -> String {
         let genesis = self.reader.genesis();
         let degraded = self.reader.is_degraded();
-        let mut shards = Arr::new();
+        let filtered_out = self.reader.filtered_out().map_or(0, |f| f.len());
+        let mut j = JsonWriter::new();
+        j.begin_obj();
+        j.str("status", if degraded { "degraded" } else { "ok" });
+        j.u64("weeks_committed", self.reader.weeks_committed() as u64);
+        j.u64("weeks_total", genesis.weeks_total as u64);
+        j.u64("domains", genesis.ranks.len() as u64);
+        j.bool("finalized", self.reader.is_finalized());
+        j.u64("filtered_out", filtered_out as u64);
+        j.bool("degraded", degraded);
+        j.u64("shard_count", self.reader.shard_count() as u64);
+        j.arr("shards");
         for (index, health) in self.reader.shard_health().iter().enumerate() {
-            let shard = Obj::new().u64("shard", index as u64);
-            let shard = match health {
-                ShardHealth::Healthy => shard.str("status", "healthy"),
+            j.begin_obj().u64("shard", index as u64);
+            match health {
+                ShardHealth::Healthy => j.str("status", "healthy"),
                 ShardHealth::Unavailable { detail } => {
-                    shard.str("status", "unavailable").str("detail", detail)
+                    j.str("status", "unavailable").str("detail", detail)
                 }
             };
-            shards.push_raw(&shard.finish());
+            j.end_obj();
         }
-        let obj = Obj::new()
-            .str("status", if degraded { "degraded" } else { "ok" })
-            .u64("weeks_committed", self.reader.weeks_committed() as u64)
-            .u64("weeks_total", genesis.weeks_total as u64)
-            .u64("domains", genesis.ranks.len() as u64)
-            .bool("finalized", self.reader.is_finalized())
-            .u64(
-                "filtered_out",
-                self.reader.filtered_out().map_or(0, |f| f.len()) as u64,
-            )
-            .bool("degraded", degraded)
-            .u64("shard_count", self.reader.shard_count() as u64)
-            .raw("shards", &shards.finish());
-        let obj = match &self.watch_root {
-            None => obj,
-            Some(root) => {
-                let state = webvuln_watch::load_watch_state(root);
-                obj.raw(
-                    "watch",
-                    &Obj::new()
-                        .bool("store_present", state.store_present)
-                        .u64("weeks_committed", state.weeks_committed)
-                        .u64("epoch", state.epoch)
-                        .u64("shards", state.shards as u64)
-                        .bool("degraded", state.degraded)
-                        .u64("alerts_enqueued", state.alerts_enqueued)
-                        .u64("alerts_pending", state.alerts_pending)
-                        .u64("alerts_delivered", state.alerts_delivered)
-                        .u64("deltas_applied", state.deltas_applied)
-                        .finish(),
-                )
-            }
-        };
-        obj.u64("requests_total", requests_total).finish()
+        j.end_arr();
+        if let Some(root) = &self.watch_root {
+            let state = webvuln_watch::load_watch_state(root);
+            j.obj("watch");
+            j.bool("store_present", state.store_present);
+            j.u64("weeks_committed", state.weeks_committed);
+            j.u64("epoch", state.epoch);
+            j.u64("shards", state.shards as u64);
+            j.bool("degraded", state.degraded);
+            j.u64("alerts_enqueued", state.alerts_enqueued);
+            j.u64("alerts_pending", state.alerts_pending);
+            j.u64("alerts_delivered", state.alerts_delivered);
+            j.u64("deltas_applied", state.deltas_applied);
+            j.end_obj();
+        }
+        j.u64("requests_total", requests_total).end_obj();
+        j.finish()
     }
 
     /// `GET /alerts`: the watch daemon's outbox, read through the
@@ -166,31 +160,28 @@ impl QueryService {
         let cfg = webvuln_watch::WatchConfig::new(root);
         let snapshot = webvuln_watch::OutboxSnapshot::load(&cfg.outbox_wal(), &cfg.alert_log())
             .map_err(|e| ApiError::Unavailable(format!("outbox read failed: {e}")))?;
-        let mut alerts = Arr::new();
+        let mut j = JsonWriter::new();
+        j.begin_obj().u64("total", snapshot.alerts.len() as u64);
+        j.u64("pending", snapshot.pending().len() as u64);
+        j.u64("delivered", snapshot.delivered.len() as u64);
+        j.arr("alerts");
         for alert in &snapshot.alerts {
-            alerts.push_raw(
-                &Obj::new()
-                    .str("id", &format!("{:016x}", alert.id))
-                    .str("cve", &alert.cve_id)
-                    .str("library", &alert.library)
-                    .str("domain", &alert.domain)
-                    .u64("first_week", alert.first_week as u64)
-                    .u64("last_week", alert.last_week as u64)
-                    .u64("weeks_exposed", alert.weeks_exposed as u64)
-                    .u64("coverage_scanned", alert.coverage.shards_scanned as u64)
-                    .u64("coverage_total", alert.coverage.shards_total as u64)
-                    .bool("full_coverage", alert.coverage.is_full())
-                    .bool("delivered", snapshot.delivered.contains(&alert.id))
-                    .bool("acked", snapshot.acked.contains(&alert.id))
-                    .finish(),
-            );
+            j.begin_obj().str("id", &format!("{:016x}", alert.id));
+            j.str("cve", &alert.cve_id);
+            j.str("library", &alert.library);
+            j.str("domain", &alert.domain);
+            j.u64("first_week", alert.first_week as u64);
+            j.u64("last_week", alert.last_week as u64);
+            j.u64("weeks_exposed", alert.weeks_exposed as u64);
+            j.u64("coverage_scanned", alert.coverage.shards_scanned as u64);
+            j.u64("coverage_total", alert.coverage.shards_total as u64);
+            j.bool("full_coverage", alert.coverage.is_full());
+            j.bool("delivered", snapshot.delivered.contains(&alert.id));
+            j.bool("acked", snapshot.acked.contains(&alert.id));
+            j.end_obj();
         }
-        Ok(Obj::new()
-            .u64("total", snapshot.alerts.len() as u64)
-            .u64("pending", snapshot.pending().len() as u64)
-            .u64("delivered", snapshot.delivered.len() as u64)
-            .raw("alerts", &alerts.finish())
-            .finish())
+        j.end_arr().end_obj();
+        Ok(j.finish())
     }
 
     /// `GET /domain/{d}/history`: every committed week's record for one
@@ -212,7 +203,14 @@ impl QueryService {
             .find(|(d, _)| d == domain)
             .map(|&(_, r)| r)
             .ok_or_else(|| ApiError::NotFound(format!("unknown domain '{domain}'")))?;
-        let mut weeks = Arr::new();
+        let filtered_out = self
+            .reader
+            .filtered_out()
+            .is_some_and(|f| f.iter().any(|d| d == domain));
+        let mut j = JsonWriter::new();
+        j.begin_obj().str("domain", domain).u64("rank", rank);
+        j.bool("filtered_out", filtered_out);
+        j.arr("weeks");
         for week in 0..self.reader.weeks_committed() {
             let record = match self.reader.get(domain, week) {
                 Ok(r) => r,
@@ -223,40 +221,22 @@ impl QueryService {
                 .reader
                 .week_date_days(week)
                 .map_err(|e| ApiError::Unavailable(format!("store read failed: {e}")))?;
-            let mut detections = Arr::new();
-            if let Some(page) = &record.page {
-                for det in &page.detections {
-                    detections.push_raw(&self.detection_json(det));
-                }
+            j.begin_obj().u64("week", week as u64);
+            j.i64("date_days", date_days);
+            j.opt_i64("status", record.status.map(i64::from));
+            j.u64("body_len", record.body_len);
+            j.bool("page", record.page.is_some());
+            j.arr("detections");
+            for det in record.page.iter().flat_map(|page| &page.detections) {
+                self.detection_json(&mut j, det);
             }
-            weeks.push_raw(
-                &Obj::new()
-                    .u64("week", week as u64)
-                    .i64("date_days", date_days)
-                    .raw(
-                        "status",
-                        &record.status.map_or("null".to_string(), |s| s.to_string()),
-                    )
-                    .u64("body_len", record.body_len)
-                    .bool("page", record.page.is_some())
-                    .raw("detections", &detections.finish())
-                    .finish(),
-            );
+            j.end_arr().end_obj();
         }
-        Ok(Obj::new()
-            .str("domain", domain)
-            .u64("rank", rank)
-            .bool(
-                "filtered_out",
-                self.reader
-                    .filtered_out()
-                    .is_some_and(|f| f.iter().any(|d| d == domain)),
-            )
-            .raw("weeks", &weeks.finish())
-            .finish())
+        j.end_arr().end_obj();
+        Ok(j.finish())
     }
 
-    fn detection_json(&self, det: &webvuln_store::DetectionRecord) -> String {
+    fn detection_json(&self, j: &mut JsonWriter, det: &webvuln_store::DetectionRecord) {
         // How many disclosed reports claim this exact version — the
         // per-record flavor of the §6.2 prevalence computation.
         let vulns_claimed = LibraryId::from_slug(&det.library)
@@ -264,13 +244,11 @@ impl QueryService {
             .map_or(0, |(lib, ver)| {
                 self.db.vuln_count(lib, &ver, Basis::CveClaimed)
             });
-        Obj::new()
-            .str("library", &det.library)
-            .opt_str("version", det.version.as_deref())
-            .opt_str("external_host", det.external_host.as_deref())
-            .bool("integrity", det.integrity)
-            .u64("vulns_claimed", vulns_claimed as u64)
-            .finish()
+        j.begin_obj().str("library", &det.library);
+        j.opt_str("version", det.version.as_deref());
+        j.opt_str("external_host", det.external_host.as_deref());
+        j.bool("integrity", det.integrity);
+        j.u64("vulns_claimed", vulns_claimed as u64).end_obj();
     }
 
     /// `GET /library/{lib}/prevalence`: the library's Table 1 row plus
@@ -288,30 +266,26 @@ impl QueryService {
             .iter()
             .find(|t| t.library == library)
             .ok_or_else(|| ApiError::Unavailable("usage trend missing".to_string()))?;
-        let mut points = Arr::new();
+        let mut j = JsonWriter::new();
+        j.begin_obj().str("library", slug);
+        j.str("name", library.name());
+        j.f64("average_sites", row.average_sites);
+        j.f64("usage_share", row.usage_share);
+        j.f64("internal_share", row.internal_share);
+        j.f64("external_share", row.external_share);
+        j.f64("cdn_share", row.cdn_share);
+        j.u64("versions_found", row.versions_found as u64);
+        j.u64("versions_total", row.versions_total as u64);
+        j.u64("vuln_reports", row.vuln_reports as u64);
+        j.f64("first_share", trend.first());
+        j.f64("last_share", trend.last());
+        j.arr("points");
         for &(date, share) in &trend.points {
-            points.push_raw(
-                &Obj::new()
-                    .i64("date_days", date.day_number() as i64)
-                    .f64("share", share)
-                    .finish(),
-            );
+            j.begin_obj().i64("date_days", date.day_number() as i64);
+            j.f64("share", share).end_obj();
         }
-        Ok(Obj::new()
-            .str("library", slug)
-            .str("name", library.name())
-            .f64("average_sites", row.average_sites)
-            .f64("usage_share", row.usage_share)
-            .f64("internal_share", row.internal_share)
-            .f64("external_share", row.external_share)
-            .f64("cdn_share", row.cdn_share)
-            .u64("versions_found", row.versions_found as u64)
-            .u64("versions_total", row.versions_total as u64)
-            .u64("vuln_reports", row.vuln_reports as u64)
-            .f64("first_share", trend.first())
-            .f64("last_share", trend.last())
-            .raw("points", &points.finish())
-            .finish())
+        j.end_arr().end_obj();
+        Ok(j.finish())
     }
 
     /// `GET /week/{w}/landscape`: per-library users and share for one
@@ -324,28 +298,22 @@ impl QueryService {
             ))
         })?;
         let total = snapshot.collected.max(1);
-        let mut libraries = Arr::new();
+        let fresh = snapshot.collected - snapshot.carried_forward;
+        let mut j = JsonWriter::new();
+        j.begin_obj().u64("week", week as u64);
+        j.i64("date_days", snapshot.date.day_number() as i64);
+        j.u64("collected", snapshot.collected as u64);
+        j.u64("fresh", fresh as u64);
+        j.u64("carried_forward", snapshot.carried_forward as u64);
+        j.arr("libraries");
         for (index, &library) in LibraryId::ALL.iter().enumerate() {
             let users = snapshot.users[index];
-            libraries.push_raw(
-                &Obj::new()
-                    .str("library", library.slug())
-                    .u64("users", users as u64)
-                    .f64("share", users as f64 / total as f64)
-                    .finish(),
-            );
+            j.begin_obj().str("library", library.slug());
+            j.u64("users", users as u64);
+            j.f64("share", users as f64 / total as f64).end_obj();
         }
-        Ok(Obj::new()
-            .u64("week", week as u64)
-            .i64("date_days", snapshot.date.day_number() as i64)
-            .u64("collected", snapshot.collected as u64)
-            .u64(
-                "fresh",
-                (snapshot.collected - snapshot.carried_forward) as u64,
-            )
-            .u64("carried_forward", snapshot.carried_forward as u64)
-            .raw("libraries", &libraries.finish())
-            .finish())
+        j.end_arr().end_obj();
+        Ok(j.finish())
     }
 
     /// `GET /cve/{id}/exposure`: the report's Table 2 / Figure 5 series
@@ -361,43 +329,29 @@ impl QueryService {
             .record(id)
             .map(|r| r.library.slug())
             .unwrap_or("unknown");
-        let mut points = Arr::new();
-        let mut first_exposed: Option<i64> = None;
-        let mut last_exposed: Option<i64> = None;
-        let mut weeks_exposed = 0u64;
-        for (&(date, claimed), &(_, truly)) in
-            impact.claimed_sites.iter().zip(impact.true_sites.iter())
-        {
-            let days = date.day_number() as i64;
-            if truly > 0 {
-                weeks_exposed += 1;
-                first_exposed.get_or_insert(days);
-                last_exposed = Some(days);
-            }
-            points.push_raw(
-                &Obj::new()
-                    .i64("date_days", days)
-                    .u64("claimed", claimed as u64)
-                    .u64("true", truly as u64)
-                    .finish(),
-            );
+        // The exposure window under True Vulnerable Versions.
+        let points = || impact.claimed_sites.iter().zip(&impact.true_sites);
+        let exposed = || {
+            points()
+                .filter(|(_, &(_, truly))| truly > 0)
+                .map(|(&(date, _), _)| date.day_number() as i64)
+        };
+        let mut j = JsonWriter::new();
+        j.begin_obj().str("id", id).str("library", library);
+        j.f64("claimed_average", impact.claimed_average);
+        j.f64("true_average", impact.true_average);
+        j.f64("claimed_share_of_users", impact.claimed_share_of_users);
+        j.u64("weeks_exposed", exposed().count() as u64);
+        j.opt_i64("first_exposed_days", exposed().next());
+        j.opt_i64("last_exposed_days", exposed().next_back());
+        j.arr("points");
+        for (&(date, claimed), &(_, truly)) in points() {
+            j.begin_obj().i64("date_days", date.day_number() as i64);
+            j.u64("claimed", claimed as u64);
+            j.u64("true", truly as u64).end_obj();
         }
-        let obj = Obj::new()
-            .str("id", id)
-            .str("library", library)
-            .f64("claimed_average", impact.claimed_average)
-            .f64("true_average", impact.true_average)
-            .f64("claimed_share_of_users", impact.claimed_share_of_users)
-            .u64("weeks_exposed", weeks_exposed);
-        let obj = match first_exposed {
-            Some(d) => obj.i64("first_exposed_days", d),
-            None => obj.raw("first_exposed_days", "null"),
-        };
-        let obj = match last_exposed {
-            Some(d) => obj.i64("last_exposed_days", d),
-            None => obj.raw("last_exposed_days", "null"),
-        };
-        Ok(obj.raw("points", &points.finish()).finish())
+        j.end_arr().end_obj();
+        Ok(j.finish())
     }
 }
 

@@ -90,6 +90,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod json;
 mod metrics;
 mod progress;
 mod registry;
@@ -97,10 +98,11 @@ mod snapshot;
 mod span;
 pub mod trace;
 
+pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use progress::{NullProgress, Progress, ProgressEvent, StderrProgress};
 pub use registry::Registry;
-pub use snapshot::{fmt_nanos, json_string, HistogramSnapshot, Snapshot, SpanSnapshot};
+pub use snapshot::{fmt_nanos, HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::Span;
 pub use trace::{TraceData, TraceMode, Tracer};
 

@@ -1,9 +1,7 @@
-//! Point-in-time metric snapshots with text and JSON rendering.
-//!
-//! JSON is hand-rolled (stable key order, integer nanoseconds) so the
-//! telemetry crate stays dependency-free; consumers that want typed access
-//! parse it with whatever JSON stack they already have.
+//! Point-in-time metric snapshots with text and JSON rendering (stable
+//! key order, integer nanoseconds).
 
+use crate::json::JsonWriter;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -152,63 +150,41 @@ impl Snapshot {
     /// Serializes the snapshot as one JSON object with stable key order.
     /// Durations are integer nanoseconds.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(name, &mut out);
-            let _ = write!(out, ":{value}");
+        let mut j = JsonWriter::new();
+        j.begin_obj().obj("counters");
+        for (name, value) in &self.counters {
+            j.u64(name, *value);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(name, &mut out);
-            let _ = write!(out, ":{value}");
+        j.end_obj().obj("gauges");
+        for (name, value) in &self.gauges {
+            j.i64(name, *value);
         }
-        out.push_str("},\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        j.end_obj().arr("histograms");
+        for h in &self.histograms {
+            j.begin_obj().str("name", &h.name).u64("count", h.count);
+            j.u64("sum", h.sum).u64("mean", h.mean).u64("p50", h.p50);
+            j.u64("p90", h.p90).u64("p99", h.p99).u64("max", h.max);
+            j.arr("buckets");
+            for &(le, count) in &h.buckets {
+                j.begin_obj().u64("le", le).u64("count", count).end_obj();
             }
-            out.push_str("{\"name\":");
-            json_string(&h.name, &mut out);
-            let _ = write!(
-                out,
-                ",\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}",
-                h.count, h.sum, h.mean, h.p50, h.p90, h.p99, h.max
-            );
-            out.push_str(",\"buckets\":[");
-            for (j, (le, count)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"le\":{le},\"count\":{count}}}");
-            }
-            out.push_str("]}");
+            j.end_arr().end_obj();
         }
-        out.push_str("],\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"path\":");
-            json_string(&s.path, &mut out);
-            let _ = write!(
-                out,
-                ",\"count\":{},\"total_ns\":{},\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                s.count,
-                s.total.as_nanos(),
-                s.mean.as_nanos(),
-                s.min.as_nanos(),
-                s.max.as_nanos()
-            );
+        j.end_arr().arr("spans");
+        for s in &self.spans {
+            let [total, mean, min, max] = [s.total, s.mean, s.min, s.max].map(nanos);
+            j.begin_obj().str("path", &s.path).u64("count", s.count);
+            j.u64("total_ns", total).u64("mean_ns", mean);
+            j.u64("min_ns", min).u64("max_ns", max).end_obj();
         }
-        out.push_str("]}");
-        out
+        j.end_arr().end_obj();
+        j.finish()
     }
+}
+
+/// A duration as whole nanoseconds (saturating: 2^64 ns is 584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Formats a nanosecond quantity with a human-friendly unit
@@ -223,25 +199,6 @@ pub fn fmt_nanos(nanos: u64) -> String {
     } else {
         format!("{nanos}ns")
     }
-}
-
-/// Appends `s` to `out` as a JSON string literal (quoted, escaped).
-pub fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -301,10 +258,6 @@ mod tests {
         assert!(json.contains("\"spans\":["), "{json}");
         assert!(json.contains("\"path\":\"generate/render\""), "{json}");
         assert!(json.ends_with("]}"), "{json}");
-
-        let mut escaped = String::new();
-        json_string("a\"b\\c\nd\u{1}", &mut escaped);
-        assert_eq!(escaped, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ([`Telemetry::with_trace`](crate::Telemetry::with_trace)) and enters
 //! phase and week scopes ([`Telemetry::phase`](crate::Telemetry::phase)).
 
-use crate::snapshot::json_string;
+use crate::json::JsonWriter;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -705,76 +705,55 @@ impl TraceData {
             e.1 = e.1.max(end);
         }
 
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut sep = |out: &mut String| {
-            if first {
-                first = false;
-            } else {
-                out.push(',');
-            }
+        let mut j = JsonWriter::new();
+        j.begin_obj().arr("traceEvents");
+        let metadata = |j: &mut JsonWriter, kind: &str, tid: usize, name: &str| {
+            j.begin_obj().str("name", kind).str("ph", "M");
+            j.u64("pid", 1).u64("tid", tid as u64);
+            j.obj("args").str("name", name).end_obj().end_obj();
+        };
+        // Opens a complete ("X") event and its `args`, up to the four
+        // members every span's args lead with.
+        type At = (usize, u64, u64); // tid, ts, dur
+        type Of<'a> = (&'a str, u64, u64, u64); // phase, week, task, worker
+        let span = |j: &mut JsonWriter, name: &str, cat: &str, (tid, ts, dur): At, of: Of| {
+            let (phase, week, task, worker) = of;
+            j.begin_obj().str("name", name).str("cat", cat);
+            j.str("ph", "X").u64("pid", 1).u64("tid", tid as u64);
+            j.u64("ts", ts).u64("dur", dur).obj("args");
+            j.str("phase", phase).i64("week", signed(week));
+            j.i64("task", signed(task)).u64("worker", worker);
+        };
+        // An enclosing phase or week span on the coordinator track.
+        let enclosing = |j: &mut JsonWriter, name: &str, cat: &str, phase, week, extent| {
+            let (start, end): (u64, u64) = extent;
+            let at = (0, start, (end - start).max(1));
+            span(j, name, cat, at, (phase, week, NONE, 0));
+            j.str("domain", "").str("detail", "").end_obj().end_obj();
         };
 
-        sep(&mut out);
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"webvuln study\"}}",
-        );
-        for tid in 0..lanes {
-            sep(&mut out);
-            let label = if tid == 0 {
-                "coordinator".to_string()
-            } else {
-                format!("lane-{}", tid - 1)
-            };
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{label}\"}}}}"
-            );
+        metadata(&mut j, "process_name", 0, "webvuln study");
+        metadata(&mut j, "thread_name", 0, "coordinator");
+        for tid in 1..lanes {
+            metadata(&mut j, "thread_name", tid, &format!("lane-{}", tid - 1));
         }
-
-        for (&(_, phase), &(start, end)) in &phase_extents {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"phase:{phase}\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\
-                 \"tid\":0,\"ts\":{start},\"dur\":{},\"args\":{{\"phase\":\"{phase}\",\
-                 \"week\":-1,\"task\":-1,\"worker\":0,\"domain\":\"\",\"detail\":\"\"}}}}",
-                (end - start).max(1)
-            );
+        for (&(_, phase), &extent) in &phase_extents {
+            let name = format!("phase:{phase}");
+            enclosing(&mut j, &name, "phase", phase, NONE, extent);
         }
-        for (&(_, phase, week), &(start, end)) in &week_extents {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{phase} week {week}\",\"cat\":\"week\",\"ph\":\"X\",\"pid\":1,\
-                 \"tid\":0,\"ts\":{start},\"dur\":{},\"args\":{{\"phase\":\"{phase}\",\
-                 \"week\":{week},\"task\":-1,\"worker\":0,\"domain\":\"\",\"detail\":\"\"}}}}",
-                (end - start).max(1)
-            );
+        for (&(_, phase, week), &extent) in &week_extents {
+            let name = format!("{phase} week {week}");
+            enclosing(&mut j, &name, "week", phase, week, extent);
         }
-        for (ev, &(tid, ts, dur)) in self.events.iter().zip(&placed) {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-                 \"ts\":{ts},\"dur\":{dur},\"args\":{{\"phase\":\"{}\",\"week\":{},\
-                 \"task\":{},\"worker\":{},\"seq\":{},\"domain\":",
-                ev.name,
-                ev.phase,
-                signed(ev.week),
-                signed(ev.task),
-                ev.worker,
-                ev.seq,
-            );
-            json_string(&ev.domain, &mut out);
-            out.push_str(",\"detail\":");
-            json_string(&ev.detail, &mut out);
-            let _ = write!(out, ",\"cost_ns\":{}}}}}", ev.cost_ns);
+        for (ev, &at) in self.events.iter().zip(&placed) {
+            let of = (ev.phase, ev.week, ev.task, ev.worker);
+            span(&mut j, ev.name, "event", at, of);
+            j.u64("seq", ev.seq).str("domain", &ev.domain);
+            j.str("detail", &ev.detail).u64("cost_ns", ev.cost_ns);
+            j.end_obj().end_obj();
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        j.end_arr().str("displayTimeUnit", "ms").end_obj();
+        j.finish()
     }
 
     /// Renders the "Top cost centers" report section: the `k` most

@@ -9,7 +9,8 @@
 use std::sync::Arc;
 use webvuln::cvedb::{Basis, VulnDb};
 use webvuln::fingerprint::Engine;
-use webvuln::net::{CrawlOptions, TcpConnector, TcpServer};
+use webvuln::net::{CrawlOptions, ServeConfig, Server, TcpConnector};
+use webvuln::telemetry::Registry;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn main() {
@@ -21,7 +22,11 @@ fn main() {
         timeline: Timeline::paper(),
     }));
 
-    let mut server = TcpServer::start(Arc::new(eco.handler(week))).expect("bind local server");
+    // One pool worker per crawl thread, so no fetch waits in the queue.
+    let threads = 16;
+    let handler = Arc::new(eco.handler(week));
+    let mut server = Server::start(handler, ServeConfig::for_crawl(threads), &Registry::new())
+        .expect("bind local server");
     println!("serving snapshot week {week} on http://{}", server.addr());
 
     // The fixed connector plays DNS: every synthetic host resolves to the
@@ -29,7 +34,7 @@ fn main() {
     let connector = TcpConnector::fixed(server.addr());
     let names = eco.domain_names();
     let started = std::time::Instant::now();
-    let snapshot = CrawlOptions::new().threads(16).run(&names, &connector);
+    let snapshot = CrawlOptions::new().threads(threads).run(&names, &connector);
     let elapsed = started.elapsed();
 
     let usable = snapshot.values().filter(|r| r.is_usable(400)).count();

@@ -24,8 +24,8 @@ use webvuln::core::{
 use webvuln::cvedb::{Accuracy, Basis, VulnDb};
 use webvuln::fingerprint::Engine;
 use webvuln::net::{
-    BreakerConfig, CrawlOptions, FaultPlan, RetryPolicy, TcpConnector, TcpServer, VirtualClock,
-    VirtualNet,
+    BreakerConfig, CrawlOptions, FaultPlan, RetryPolicy, ServeConfig, Server, TcpConnector,
+    VirtualClock, VirtualNet,
 };
 use webvuln::poclab::Lab;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
@@ -370,7 +370,10 @@ fn cmd_crawl(args: &[String]) {
     let names = eco.domain_names();
     let snapshot = if use_tcp {
         let threads = flag_usize(args, "--threads", 16);
-        let mut server = TcpServer::start(Arc::new(eco.handler(week))).expect("bind");
+        // One pool worker per crawl thread, so no fetch waits in the queue.
+        let config = ServeConfig::for_crawl(threads);
+        let mut server =
+            Server::start(Arc::new(eco.handler(week)), config, registry).expect("bind");
         eprintln!("crawling over TCP via {}", server.addr());
         let got = CrawlOptions::new()
             .threads(threads)

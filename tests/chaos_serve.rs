@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use webvuln::analysis::Collector;
-use webvuln::failpoint::{arm_key, arm_nth, reset, Action};
+use webvuln::failpoint::{arm, arm_key, arm_nth, reset, Action};
 use webvuln::net::{fetch, Status, TcpConnector};
 use webvuln::telemetry::Registry;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
@@ -160,6 +160,30 @@ fn accept_fault_drops_one_connection_not_the_listener() {
     assert_eq!(snap.counter("serve.accept_faults_total"), Some(1));
     assert_eq!(snap.counter("serve.connections_total"), Some(2));
     // The dropped connection never became a request.
+    assert_eq!(snap.counter("serve.requests_total"), Some(1));
+}
+
+#[test]
+fn consecutive_accept_errors_do_not_end_the_accept_loop() {
+    let _g = lock();
+    reset();
+    let (server, registry) = start("accept-errors", ServeConfig::default());
+
+    // The fail-point's `Error` action takes the branch a failed `accept`
+    // (ECONNABORTED, EMFILE) takes: that connection is lost.
+    const FAULTS: u64 = 5;
+    arm("serve.accept", Action::Error);
+    for _ in 0..FAULTS {
+        let dropped = get(&server, "/healthz");
+        assert!(dropped.is_err(), "failed accept produced {dropped:?}");
+    }
+    reset();
+
+    // The listener is still there once accepts succeed again.
+    let (status, _) = get(&server, "/healthz").expect("fetch after accept errors");
+    assert_eq!(status, Status::OK);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("serve.accept_faults_total"), Some(FAULTS));
     assert_eq!(snap.counter("serve.requests_total"), Some(1));
 }
 

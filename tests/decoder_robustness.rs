@@ -2,8 +2,9 @@
 //! decoders of outside input that the codec, tokeniser and store
 //! corruption suites do not cover: CVE delta text, pattern source, the
 //! sharded-store manifest, the watch frame log and the store's varint
-//! cursor under it, the spool's week and genesis files, and a whole
-//! store — single file and one shard of a group — behind `AnyReader`.
+//! cursor under it, the spool's week and genesis files, a whole
+//! store — single file and one shard of a group — behind `AnyReader`,
+//! and the HTTP server's per-connection loop.
 //!
 //! One table, one driver: every row names a decoder and a corpus of
 //! valid encodings; the driver feeds the decoder arbitrary bytes and
@@ -21,6 +22,8 @@ use webvuln::analysis::dataset::{CollectConfig, Collector};
 use webvuln::analysis::store_io::snapshot_to_week;
 use webvuln::cvedb::parse_delta;
 use webvuln::failpoint::check::{self, Gen};
+use webvuln::net::codec::{encode_request, MessageReader, MAX_BODY, MAX_HEAD};
+use webvuln::net::{serve_stream, Request, Response, Status};
 use webvuln::pattern::Pattern;
 use webvuln::store::codec::{crc32, write_i64, write_str, write_u64, Cursor, WeekFile};
 use webvuln::store::{
@@ -222,6 +225,93 @@ fn drive_store(path: &Path) -> bool {
     verified
 }
 
+/// A connection whose peer already sent `input` and then closed its
+/// writing half; what the server writes back collects in `output`.
+struct Connection {
+    input: std::io::Cursor<Vec<u8>>,
+    output: Vec<u8>,
+}
+
+impl std::io::Read for Connection {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.input.read(buf)
+    }
+}
+
+impl std::io::Write for Connection {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.output.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs the server's per-connection loop over `bytes`. Whatever they
+/// are, what it writes back is zero or more well-formed responses, one
+/// per request it answered, of which only the last may be the `400`
+/// that ends a connection. Accepted when no `400` was needed.
+fn drive_connection(bytes: &[u8]) -> bool {
+    let mut conn = Connection {
+        input: std::io::Cursor::new(bytes.to_vec()),
+        output: Vec::new(),
+    };
+    let echo = |req: &Request| Response::html(format!("{} +{}", req.target, req.body.len()));
+    let (draining, killed) = (false.into(), Default::default());
+    let served = serve_stream(&mut conn, &echo, &draining, &killed);
+    let mut reader = MessageReader::new(std::io::Cursor::new(conn.output));
+    let mut statuses = Vec::new();
+    while !reader.at_eof() {
+        let response = reader.read_response(false).expect("a well-formed response");
+        statuses.push(response.status);
+    }
+    let refused = statuses.last() == Some(&Status::BAD_REQUEST);
+    assert_eq!(statuses.len(), served + usize::from(refused));
+    assert!(statuses[..served]
+        .iter()
+        .all(|&status| status == Status::OK));
+    !refused
+}
+
+/// Requests for [`drive_connection`]: the framings the codec reads, which
+/// end without a `400`, and the over-limit shapes it must refuse without
+/// buffering what a length field promises.
+fn requests() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let get = |target: &str| {
+        let mut wire = Vec::new();
+        encode_request(&Request::get("a.example", target), &mut wire);
+        wire
+    };
+    let post = |framing: &str| {
+        format!("POST /submit HTTP/1.1\r\nHost: a.example\r\n{framing}").into_bytes()
+    };
+    let padded = format!("X-Pad: {}\r\n\r\n", "y".repeat(MAX_HEAD + (16 << 10)));
+    let clean = vec![
+        get("/"),
+        [get("/first"), get("/second?x=1"), get("/third")].concat(),
+        post("Content-Length: 5\r\n\r\nhello"),
+        post("Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n3;x=1\r\nabc\r\n0\r\nT: t\r\n\r\n"),
+        // Cut off mid-head, and a body that never arrives: the peer is
+        // gone, so there is nobody to answer.
+        get("/cut-off")[..20].to_vec(),
+        post(&format!("Content-Length: {}\r\n\r\nhello", MAX_BODY - 1)),
+        post("Transfer-Encoding: chunked\r\n\r\n7fffff\r\nhello"),
+    ];
+    let refused = vec![
+        post(&padded),
+        post(&format!("Content-Length: {}\r\n\r\nhello", MAX_BODY + 1)),
+        post("Transfer-Encoding: chunked\r\n\r\n7fffffff\r\nhello"),
+        [
+            get("/answered"),
+            b"NONSENSE\r\n\r\n".to_vec(),
+            get("/never-read"),
+        ]
+        .concat(),
+    ];
+    (clean, refused)
+}
+
 const DELTA: &str = "# webvuln cve delta v1\n\
     id: CVE-2099-0001\nlibrary: jquery\nclaimed: < 3.5.0\ntvv: <= 3.5.1\nattack: xss\n\
     disclosed: 2022-04-10\npatched-version: 3.5.0\npatched-date: 2022-04-10\npoc: yes\n\
@@ -379,6 +469,20 @@ fn rows(dir: &Path) -> Vec<Row> {
             let read = path.clone();
             file_row("watch::read_genesis_file", path, reseal, move || {
                 read_genesis_file(&read).is_ok()
+            })
+        },
+        {
+            // Which requests end in a `400` is settled here; the driver
+            // then holds every mutant of either kind to the assertions
+            // `drive_connection` makes. A response echoes its request's
+            // target, so it is input-sized.
+            let (clean, refused) = requests();
+            assert!(clean.iter().all(|request| drive_connection(request)));
+            assert!(!refused.iter().any(|request| drive_connection(request)));
+            let corpus = [clean, refused].concat();
+            row("net::serve_stream", ALLOC_FLOOR, corpus, |bytes| {
+                drive_connection(bytes);
+                true
             })
         },
         file_row(

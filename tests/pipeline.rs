@@ -8,7 +8,8 @@
 use std::sync::Arc;
 use webvuln::analysis::dataset::{CollectConfig, Collector, Dataset};
 use webvuln::fingerprint::Engine;
-use webvuln::net::{CrawlOptions, FaultPlan, TcpConnector, TcpServer, VirtualNet};
+use webvuln::net::{CrawlOptions, FaultPlan, ServeConfig, Server, TcpConnector, VirtualNet};
+use webvuln::telemetry::Registry;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
 
 fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
@@ -35,16 +36,29 @@ fn tcp_and_virtual_transports_agree() {
     let virtual_net = VirtualNet::new(Arc::new(eco.handler(week)));
     let via_memory = CrawlOptions::new().threads(4).run(&names, &virtual_net);
 
-    let mut server = TcpServer::start(Arc::new(eco.handler(week))).expect("bind");
-    let connector = TcpConnector::fixed(server.addr());
-    let via_tcp = CrawlOptions::new().threads(8).run(&names, &connector);
-    server.shutdown();
+    // The server is sized from the crawl's width, so no crawl — narrower
+    // than, as wide as, or wider than the default pool — is ever refused.
+    for threads in [1, 8, 16] {
+        let registry = Registry::new();
+        let handler = Arc::new(eco.handler(week));
+        let mut server =
+            Server::start(handler, ServeConfig::for_crawl(threads), &registry).expect("bind");
+        let connector = TcpConnector::fixed(server.addr());
+        let via_tcp = CrawlOptions::new().threads(threads).run(&names, &connector);
+        server.shutdown();
 
-    assert_eq!(via_memory.len(), via_tcp.len());
-    for (domain, mem_record) in &via_memory {
-        let tcp_record = &via_tcp[domain];
-        assert_eq!(mem_record.status, tcp_record.status, "{domain}");
-        assert_eq!(mem_record.body, tcp_record.body, "{domain}");
+        assert_eq!(via_memory.len(), via_tcp.len());
+        for (domain, mem_record) in &via_memory {
+            let tcp_record = &via_tcp[domain];
+            assert_eq!(
+                mem_record.status, tcp_record.status,
+                "{domain} at {threads}"
+            );
+            assert_eq!(mem_record.body, tcp_record.body, "{domain} at {threads}");
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serve.rejected_connections_total"), Some(0));
+        assert_eq!(snap.counter("serve.accept_faults_total"), Some(0));
     }
 }
 

@@ -193,6 +193,30 @@ fn cache_hits_serve_identical_bodies() {
 }
 
 #[test]
+fn every_spelling_of_a_path_shares_one_cache_entry() {
+    // The cache is keyed by the parsed route, so a client cannot evict
+    // the hot set by respelling one URL.
+    let (server, _svc, registry, _path) = start("spellings", 2);
+    let bodies: Vec<String> = [
+        "/week/2/landscape",
+        "/week/2/landscape/",
+        "//week/2/landscape",
+        "/week/02/landscape",
+    ]
+    .iter()
+    .map(|target| {
+        let (status, body) = get(&server, target);
+        assert_eq!(status, Status::OK, "{target}");
+        body
+    })
+    .collect();
+    assert!(bodies.iter().all(|body| body == &bodies[0]));
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("serve.cache_misses_total"), Some(1));
+    assert_eq!(snap.counter("serve.cache_hits_total"), Some(3));
+}
+
+#[test]
 fn concurrent_clients_all_get_answers() {
     let (server, _svc, registry, _path) = start("concurrent", 4);
     let addr = server.addr();

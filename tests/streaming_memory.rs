@@ -7,6 +7,9 @@
 //! records where the reader decoded them, so what it allocates per week
 //! is per record, not per string, and what it holds is one borrowed week.
 //!
+//! And the HTTP server has one: a connection it has finished with leaves
+//! nothing behind, so its heap does not grow with connections served.
+//!
 //! Its own binary, its tests one at a time on one worker thread: the
 //! counting allocator sees the whole process, and bytes live at once do
 //! not move with host load the way a resident-set reading does.
@@ -17,6 +20,8 @@ use std::sync::Mutex;
 use webvuln::analysis::fold_study;
 use webvuln::core::{Pipeline, StudyConfig};
 use webvuln::cvedb::VulnDb;
+use webvuln::net::{fetch, Request, Response, ServeConfig, Server, TcpConnector};
+use webvuln::telemetry::Registry;
 use webvuln::webgen::Timeline;
 use webvuln::AnyReader;
 
@@ -150,5 +155,36 @@ fn a_fold_allocates_per_record_and_holds_one_borrowed_week() {
     assert!(
         peak <= PARENT_PEAK_LIVE_BYTES,
         "the fold's peak of live bytes rose: {peak} B against {PARENT_PEAK_LIVE_BYTES} B"
+    );
+}
+
+#[test]
+fn a_server_keeps_nothing_of_the_connections_it_has_served() {
+    let _alone = alone();
+    let handler = |req: &Request| Response::html(format!("<html>{}</html>", req.target));
+    let mut server = Server::start(
+        std::sync::Arc::new(handler),
+        ServeConfig::default(),
+        &Registry::new(),
+    )
+    .expect("bind");
+    let connector = TcpConnector::fixed(server.addr());
+    // Sequential open-request-close connections, one fetch each.
+    let connections = |count: usize| {
+        for _ in 0..count {
+            fetch(&connector, "heap.example", "/page").expect("fetch");
+        }
+    };
+    let early = peak_live_bytes(|| connections(200));
+    let late = peak_live_bytes(|| connections(1_800));
+    server.shutdown();
+    println!("peak live bytes: {early} over connections 1-200, {late} over 201-2000");
+    // Which of the four pool workers still hold a finished connection's
+    // 8 KiB read buffer at the peak is timing; a leak of even one
+    // `JoinHandle` per connection (105 KB over these 1800) is past this slack three times over.
+    assert!(
+        late <= early + (32 << 10),
+        "the server's heap grew with connections served: peak {early} B over the \
+         first 200, {late} B over the next 1800"
     );
 }
