@@ -18,7 +18,7 @@ use webvuln_net::{
     page_is_error_or_empty, BreakerConfig, CrawlOptions, FaultPlan, FetchRecord, FetchSummary,
     HostBreakers, RetryPolicy, VirtualClock, VirtualNet, EMPTY_PAGE_THRESHOLD,
 };
-use webvuln_store::WeekData;
+use webvuln_store::{AnyReader, WeekData};
 use webvuln_telemetry::trace::{self, Sink};
 use webvuln_telemetry::{Counter, Telemetry};
 use webvuln_webgen::{Ecosystem, Timeline};
@@ -293,17 +293,18 @@ impl<'a> Collector<'a> {
         let timeline = *ecosystem.timeline();
         let names = ecosystem.domain_names();
 
-        let (mut writer, restored) = match &self.store {
+        let (mut writer, reader) = match &self.store {
             Some(path) => {
                 let genesis = genesis_for(&timeline, &names);
-                let (writer, restored) =
+                let (writer, reader) =
                     CheckpointWriter::open(path, genesis, &config, self.resume, telemetry)?;
-                (Some(writer), restored)
+                (Some(writer), reader)
             }
-            None => Default::default(),
+            None => (None, None),
         };
-        let weeks_recovered = restored.weeks.len();
-        if restored.filtered_out.is_some() && weeks_recovered != timeline.weeks {
+        let weeks_recovered = reader.as_ref().map_or(0, AnyReader::weeks_committed);
+        let stored_verdict = reader.as_ref().and_then(AnyReader::filtered_out);
+        if stored_verdict.is_some() && weeks_recovered != timeline.weeks {
             return Err(StoreError::Mismatch(format!(
                 "store is finalized but holds {weeks_recovered} of {} weeks",
                 timeline.weeks
@@ -314,11 +315,13 @@ impl<'a> Collector<'a> {
         let mut window = FilterWindow::new();
         let mut kept = Vec::with_capacity(if self.streaming { 0 } else { timeline.weeks });
 
-        // Replaying the restored weeks puts the week-to-week state —
-        // circuit breakers, carry-forward baselines, the filter window —
-        // exactly where the interrupted run left it, straight off the
-        // stored records; a snapshot is built only to be kept.
-        for week in restored.weeks {
+        // Replaying the restored weeks, one decoded week in flight, puts
+        // the week-to-week state — circuit breakers, carry-forward
+        // baselines, the filter window — exactly where the interrupted
+        // run left it, straight off the stored records; a snapshot is
+        // built only to be kept.
+        for week in reader.iter().flat_map(AnyReader::stream) {
+            let week = week?;
             let pages = week.records.iter().filter(|r| r.page.is_some()).count();
             telemetry.progress(
                 "crawl",
@@ -380,8 +383,8 @@ impl<'a> Collector<'a> {
 
         // A store that was already finalized keeps its stored verdict
         // (its weeks may have been saved post-filter).
-        let filtered = match restored.filtered_out {
-            Some(filtered) => filtered.into_iter().collect(),
+        let filtered = match stored_verdict {
+            Some(filtered) => filtered.iter().cloned().collect(),
             None => {
                 let filtered = window.verdict(&names);
                 if let Some(writer) = &mut writer {
@@ -406,7 +409,7 @@ impl<'a> Collector<'a> {
             dataset,
             weeks_crawled: remaining.len(),
             weeks_recovered,
-            torn_bytes_recovered: restored.torn_bytes,
+            torn_bytes_recovered: writer.map_or(0, |w| w.torn_bytes_recovered()),
         })
     }
 }

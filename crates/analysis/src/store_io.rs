@@ -650,18 +650,6 @@ pub(crate) enum CheckpointWriter {
     Sharded(ShardedStoreWriter),
 }
 
-/// What [`CheckpointWriter::open`] restored from disk — nothing, for a
-/// fresh store.
-#[derive(Default)]
-pub(crate) struct Restored {
-    /// The committed weeks, in order.
-    pub(crate) weeks: Vec<WeekData>,
-    /// The stored §4.1 verdict, when the store was already finalized.
-    pub(crate) filtered_out: Option<Vec<String>>,
-    /// Torn tail bytes truncated during recovery.
-    pub(crate) torn_bytes: u64,
-}
-
 impl CheckpointWriter {
     fn create(
         store_path: &Path,
@@ -680,35 +668,28 @@ impl CheckpointWriter {
     }
 
     /// Opens or creates the checkpoint store. With `resume` set and a
-    /// store on disk, the layout is read back from the path (a directory
-    /// is sharded, a file is not) and must agree with `config.shards`;
-    /// committed weeks are restored after torn-tail recovery, and the
-    /// store must have been created from `genesis`. A store that never
-    /// got its genesis (or manifest) to disk is recreated.
+    /// store on disk, the store first passes [`verify_resume_store`]; the
+    /// layout is then read back from the path (a directory is sharded, a
+    /// file is not) and must agree with `config.shards`, the writer
+    /// reopens after torn-tail recovery, and the store must have been
+    /// created from `genesis`. The gate's reader comes back beside the
+    /// writer: it is where the committed weeks are read from. A store
+    /// that never got its genesis (or manifest) to disk is recreated.
     pub(crate) fn open(
         store_path: &Path,
         genesis: Genesis,
         config: &CollectConfig,
         resume: bool,
         telemetry: &Telemetry,
-    ) -> Result<(CheckpointWriter, Restored), StoreError> {
-        let resumed = if resume && store_path.exists() {
-            verify_resume_store(store_path)?;
-            match CheckpointWriter::resume(store_path, config) {
-                // Killed before the genesis segment (or the first
-                // manifest) hit the disk: nothing worth resuming.
-                Err(StoreError::MissingGenesis) => None,
-                resumed => Some(resumed?),
-            }
+    ) -> Result<(CheckpointWriter, Option<AnyReader>), StoreError> {
+        let reader = if resume && store_path.exists() {
+            verify_resume_store(store_path)?
         } else {
             None
         };
-        let (writer, restored) = match resumed {
-            Some(resumed) => resumed,
-            None => (
-                CheckpointWriter::create(store_path, genesis.clone(), config)?,
-                Restored::default(),
-            ),
+        let writer = match &reader {
+            Some(_) => CheckpointWriter::resume(store_path, config)?,
+            None => CheckpointWriter::create(store_path, genesis.clone(), config)?,
         };
         if writer.genesis() != &genesis {
             return Err(StoreError::Mismatch(
@@ -720,20 +701,17 @@ impl CheckpointWriter {
         let registry = telemetry.registry();
         registry
             .counter("store.weeks_recovered_total")
-            .add(restored.weeks.len() as u64);
+            .add(reader.as_ref().map_or(0, AnyReader::weeks_committed) as u64);
         registry
             .counter("store.torn_bytes_recovered_total")
-            .add(restored.torn_bytes);
-        Ok((writer, restored))
+            .add(writer.torn_bytes_recovered());
+        Ok((writer, reader))
     }
 
-    fn resume(
-        store_path: &Path,
-        config: &CollectConfig,
-    ) -> Result<(CheckpointWriter, Restored), StoreError> {
+    /// Which layout is on disk, and does its shard count agree.
+    fn resume(store_path: &Path, config: &CollectConfig) -> Result<CheckpointWriter, StoreError> {
         if store_path.is_dir() {
-            let resumed = ShardedStoreWriter::resume(store_path)?;
-            let writer = resumed.writer.threads(config.concurrency);
+            let writer = ShardedStoreWriter::resume(store_path)?.threads(config.concurrency);
             if writer.shard_count() != config.shards {
                 return Err(StoreError::Mismatch(format!(
                     "store at {} has {} shards but the study asked for {}; \
@@ -744,14 +722,7 @@ impl CheckpointWriter {
                     writer.shard_count(),
                 )));
             }
-            Ok((
-                CheckpointWriter::Sharded(writer),
-                Restored {
-                    weeks: resumed.weeks,
-                    filtered_out: resumed.filtered_out,
-                    torn_bytes: resumed.torn_bytes,
-                },
-            ))
+            Ok(CheckpointWriter::Sharded(writer))
         } else {
             if config.shards > 1 {
                 return Err(StoreError::Mismatch(format!(
@@ -761,15 +732,15 @@ impl CheckpointWriter {
                     config.shards,
                 )));
             }
-            let resumed = StoreWriter::resume(store_path)?;
-            Ok((
-                CheckpointWriter::Single(resumed.writer),
-                Restored {
-                    weeks: resumed.weeks,
-                    filtered_out: resumed.filtered_out,
-                    torn_bytes: resumed.torn_bytes,
-                },
-            ))
+            Ok(CheckpointWriter::Single(StoreWriter::resume(store_path)?))
+        }
+    }
+
+    /// Torn tail bytes this writer truncated when it reopened the store.
+    pub(crate) fn torn_bytes_recovered(&self) -> u64 {
+        match self {
+            CheckpointWriter::Single(w) => w.stats().torn_bytes_recovered,
+            CheckpointWriter::Sharded(w) => w.stats().torn_bytes_recovered,
         }
     }
 
@@ -834,14 +805,20 @@ impl CheckpointWriter {
 /// with the store path in the error — instead of resuming from corrupt
 /// snapshots. A torn tail is fine (the scan indexes only intact
 /// segments; resume recovery truncates the rest), and a store that never
-/// got its genesis segment is left for the caller's start-over path.
-/// Sharded stores verify shard by shard through the same [`AnyReader`]
-/// surface; a mixed-epoch group (a shard behind the manifest) fails
-/// here, before the writer touches anything.
-fn verify_resume_store(store_path: &Path) -> Result<(), StoreError> {
-    let verified = AnyReader::open(store_path).and_then(|reader| reader.verify().map(|_| ()));
+/// got its genesis segment is `None`, left for the caller's start-over
+/// path. Sharded stores verify shard by shard through the same
+/// [`AnyReader`] surface; a mixed-epoch group (a shard behind the
+/// manifest) fails here, before the writer touches anything. The reader
+/// that passed holds the intact, manifest-published prefix in memory, so
+/// it stays good while the writer heals the tail or rolls a shard back.
+fn verify_resume_store(store_path: &Path) -> Result<Option<AnyReader>, StoreError> {
+    let verified = AnyReader::open(store_path).and_then(|reader| {
+        reader.verify()?;
+        Ok(reader)
+    });
     match verified {
-        Ok(()) | Err(StoreError::MissingGenesis) => Ok(()),
+        Ok(reader) => Ok(Some(reader)),
+        Err(StoreError::MissingGenesis) => Ok(None),
         Err(e) => Err(StoreError::Mismatch(format!(
             "{}: pre-resume verify failed ({e}); refusing to resume from \
              a corrupt store — delete it or restore a backup",

@@ -22,16 +22,33 @@ pub enum Route {
 }
 
 impl Route {
+    /// Every route's label, in variant order — the one table of them:
+    /// [`Route::label`] indexes it and the server registers a latency
+    /// histogram per entry.
+    pub const LABELS: [&'static str; 6] = [
+        "healthz",
+        "domain_history",
+        "library_prevalence",
+        "week_landscape",
+        "cve_exposure",
+        "alerts",
+    ];
+
+    /// This route's place in [`Route::LABELS`].
+    pub(crate) fn index(&self) -> usize {
+        match self {
+            Route::Healthz => 0,
+            Route::DomainHistory(_) => 1,
+            Route::LibraryPrevalence(_) => 2,
+            Route::WeekLandscape(_) => 3,
+            Route::CveExposure(_) => 4,
+            Route::Alerts => 5,
+        }
+    }
+
     /// Short label used in metric names and fail-point keys.
     pub fn label(&self) -> &'static str {
-        match self {
-            Route::Healthz => "healthz",
-            Route::DomainHistory(_) => "domain_history",
-            Route::LibraryPrevalence(_) => "library_prevalence",
-            Route::WeekLandscape(_) => "week_landscape",
-            Route::CveExposure(_) => "cve_exposure",
-            Route::Alerts => "alerts",
-        }
+        Route::LABELS[self.index()]
     }
 
     /// The route's canonical path — what [`route`] parses back to this

@@ -39,20 +39,13 @@ struct Metrics {
     cache_hits: Counter,
     cache_misses: Counter,
     handler_panics: Counter,
-    latency: Vec<(&'static str, Histogram)>,
+    /// One histogram per [`Route::LABELS`] entry, then `error`'s.
+    latency: Vec<Histogram>,
 }
 
 impl Metrics {
     fn new(registry: &Registry) -> Metrics {
-        let labels = [
-            "healthz",
-            "domain_history",
-            "library_prevalence",
-            "week_landscape",
-            "cve_exposure",
-            "alerts",
-            "error",
-        ];
+        let labels = Route::LABELS.iter().chain(&["error"]);
         Metrics {
             requests: registry.counter("serve.requests_total"),
             resp_2xx: registry.counter("serve.responses_2xx_total"),
@@ -62,18 +55,15 @@ impl Metrics {
             cache_misses: registry.counter("serve.cache_misses_total"),
             handler_panics: registry.counter("serve.handler_panics_total"),
             latency: labels
-                .iter()
-                .map(|&l| (l, registry.histogram(&format!("serve.latency_ns.{l}"))))
+                .map(|l| registry.histogram(&format!("serve.latency_ns.{l}")))
                 .collect(),
         }
     }
 
-    fn latency_for(&self, label: &str) -> &Histogram {
-        self.latency
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, h)| h)
-            .unwrap_or(&self.latency[self.latency.len() - 1].1)
+    /// The histogram of `route`'s label; of `error` for a request that
+    /// did not route.
+    fn latency_for(&self, route: Option<&Route>) -> &Histogram {
+        &self.latency[route.map_or(Route::LABELS.len(), Route::index)]
     }
 
     fn count_response(&self, status: Status) {
@@ -158,6 +148,7 @@ impl Handler for ApiHandler {
         self.metrics.requests.inc();
         let parsed = route(req);
         let label = parsed.as_ref().map_or("error", Route::label);
+        let latency = self.metrics.latency_for(parsed.as_ref().ok());
         let response = match catch_unwind(AssertUnwindSafe(|| self.dispatch(parsed))) {
             Ok(response) => response,
             Err(_) => {
@@ -167,9 +158,7 @@ impl Handler for ApiHandler {
             }
         };
         self.metrics.count_response(response.status);
-        self.metrics
-            .latency_for(label)
-            .record_duration(start.elapsed());
+        latency.record_duration(start.elapsed());
         (label, response)
     }
 
@@ -223,8 +212,8 @@ mod tests {
     fn metrics_fall_back_to_error_label() {
         let registry = Registry::new();
         let metrics = Metrics::new(&registry);
-        metrics.latency_for("healthz").record(10);
-        metrics.latency_for("no-such-endpoint").record(20);
+        metrics.latency_for(Some(&Route::Healthz)).record(10);
+        metrics.latency_for(None).record(20);
         let snap = registry.snapshot();
         assert_eq!(snap.histogram("serve.latency_ns.healthz").unwrap().count, 1);
         assert_eq!(snap.histogram("serve.latency_ns.error").unwrap().count, 1);
@@ -246,6 +235,9 @@ mod tests {
 
     #[test]
     fn route_labels_cover_every_endpoint() {
+        let registry = Registry::new();
+        let metrics = Metrics::new(&registry);
+        let mut slots = std::collections::BTreeSet::new();
         for (target, label) in [
             ("/healthz", "healthz"),
             ("/domain/x/history", "domain_history"),
@@ -256,6 +248,15 @@ mod tests {
         ] {
             let r = route(&Request::get("t", target)).expect("route");
             assert_eq!(r.label(), label);
+            // The route's histogram is the one registered under its label.
+            metrics.latency_for(Some(&r)).record(1);
+            let name = format!("serve.latency_ns.{label}");
+            let recorded = registry.snapshot().histogram(&name).map(|h| h.count);
+            assert_eq!(recorded, Some(1), "{name}");
+            slots.insert(r.index());
         }
+        // One variant per table entry; `error` keeps the slot after them.
+        assert_eq!(slots.len(), Route::LABELS.len());
+        assert_eq!(metrics.latency.len(), Route::LABELS.len() + 1);
     }
 }

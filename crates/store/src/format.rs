@@ -172,10 +172,9 @@ fn check_header(bytes: &[u8]) -> Result<(), StoreError> {
 
 /// Walks the file, validating envelopes, CRCs, and the order of segment
 /// kinds (genesis first, then weeks, finalize last). That the weeks
-/// count 0, 1, 2, … is checked by whoever decodes their headers:
-/// `StoreReader::open` and `StoreWriter::resume`. Stops at the first
-/// invalid byte: everything before it is the recovered store, everything
-/// after is the torn tail.
+/// count 0, 1, 2, … is checked by [`index`], which decodes their
+/// headers. Stops at the first invalid byte: everything before it is the
+/// recovered store, everything after is the torn tail.
 pub fn scan(file: &mut File, path: &Path) -> Result<Scan, StoreError> {
     let file_len = file.metadata().map_err(|e| StoreError::io(path, e))?.len();
     let mut bytes = Vec::with_capacity(file_len as usize);
@@ -730,6 +729,56 @@ pub fn decode_finalize(
         );
     }
     Ok(hosts)
+}
+
+/// What a scanned file's segments say, record bodies left encoded: the
+/// one structural walk under both `StoreReader::open` and
+/// `StoreWriter::resume`.
+pub struct Index {
+    /// The file's string table, in writer symbol order.
+    pub table: Interner,
+    /// The study metadata.
+    pub genesis: Genesis,
+    /// Per committed week, checked to count 0, 1, 2, …: the segment's
+    /// place in [`Scan::segments`] and its decoded prefix.
+    pub weeks: Vec<(usize, WeekPrefix)>,
+    /// The stored filter verdict; `Some` only when finalized.
+    pub filtered_out: Option<Vec<String>>,
+}
+
+/// Decodes every segment's string block and structural part, in file
+/// order, so the table ends up exactly the writer's.
+pub fn index(segments: &[RawSegment]) -> Result<Index, StoreError> {
+    let mut table = Interner::new();
+    let mut genesis = None;
+    let mut weeks = Vec::new();
+    let mut filtered_out = None;
+    for (i, seg) in segments.iter().enumerate() {
+        let base = seg.payload_offset();
+        match seg.kind {
+            kind::GENESIS => genesis = Some(decode_genesis(&seg.payload, &mut table, base)?),
+            kind::WEEK => {
+                let prefix = decode_week_prefix(&seg.payload, &mut table, base)?;
+                if prefix.week != weeks.len() {
+                    return Err(StoreError::WeekOutOfOrder {
+                        expected: weeks.len(),
+                        got: prefix.week,
+                    });
+                }
+                weeks.push((i, prefix));
+            }
+            kind::FINALIZE => {
+                filtered_out = Some(decode_finalize(&seg.payload, &mut table, base)?);
+            }
+            _ => return Err(StoreError::corrupt(seg.offset, "unexpected segment kind")),
+        }
+    }
+    Ok(Index {
+        table,
+        genesis: genesis.ok_or(StoreError::MissingGenesis)?,
+        weeks,
+        filtered_out,
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@
 //! * **Checkpointing** — [`StoreWriter::commit_week`] appends one
 //!   CRC-protected segment per crawled week, then rewrites and syncs the
 //!   footer, so a killed study loses at most the week in flight.
-//! * **Resume** — [`StoreWriter::resume`] walks the file, truncates any
-//!   torn tail (a mid-commit crash), and hands back every intact week so
-//!   the crawl continues from the first missing one.
+//! * **Resume** — [`StoreWriter::resume`] walks the file, checks that
+//!   every committed week decodes, truncates any torn tail (a mid-commit
+//!   crash) and hands back a writer at the first missing week; the
+//!   committed weeks themselves are read through [`AnyReader`].
 //! * **Delta encoding** — record bodies are canonical byte strings;
 //!   a domain whose fingerprint and fetch outcome did not change since
 //!   the previous week is stored as a back-reference to that week's
@@ -109,11 +110,11 @@ pub use record::{
 };
 pub use scrub::{scrub, ScrubOutcome, ScrubReport, ShardScrub, ShardStatus};
 pub use sharded::{
-    shard_file_name, shard_of, shard_path, split_week, AnyReader, ShardHealth, ShardedResumed,
-    ShardedStoreWriter, QUARANTINE_SUFFIX,
+    shard_file_name, shard_of, shard_path, split_week, AnyReader, ShardHealth, ShardedStoreWriter,
+    QUARANTINE_SUFFIX,
 };
 pub use stream::WeekStream;
-pub use writer::{CommitInfo, Resumed, StoreWriter, WriterStats, FAILPOINTS};
+pub use writer::{CommitInfo, StoreWriter, WriterStats, FAILPOINTS};
 
 #[cfg(test)]
 mod tests {
@@ -269,12 +270,13 @@ mod tests {
         {
             write_weeks(&tmp.path, 2, 7);
         }
-        let resumed = StoreWriter::resume(&tmp.path).expect("resume");
-        assert_eq!(resumed.writer.weeks_committed(), 2);
-        assert_eq!(resumed.weeks.len(), 2);
-        assert_eq!(resumed.torn_bytes, 0);
-        assert_eq!(resumed.weeks[1], testkit::week(1, 7));
-        let mut writer = resumed.writer;
+        let mut writer = StoreWriter::resume(&tmp.path).expect("resume");
+        assert_eq!(writer.weeks_committed(), 2);
+        assert_eq!(writer.stats().torn_bytes_recovered, 0);
+        // The committed weeks come back through a reader, unchanged.
+        let reader = AnyReader::open(&tmp.path).expect("open resumed");
+        assert_eq!(reader.weeks_committed(), 2);
+        assert_eq!(reader.week(1).expect("week"), testkit::week(1, 7));
         // Delta state survives resume: an identical week 2 is all hits.
         let mut week2 = testkit::week(1, 7);
         week2.week = 2;
@@ -283,6 +285,37 @@ mod tests {
         let reader = StoreReader::open(&tmp.path).expect("open");
         assert_eq!(reader.weeks_committed(), 3);
         assert_eq!(reader.week(2).expect("week"), week2);
+    }
+
+    #[test]
+    fn resume_refuses_a_corrupt_middle_week_before_writing_a_byte() {
+        let tmp = TempStore::new("resume-corrupt-middle");
+        write_weeks(&tmp.path, 3, 6);
+        let mut bytes = std::fs::read(&tmp.path).expect("read");
+        // Week 1's first record gets tag 7 under a recomputed CRC: the
+        // scan accepts the envelope, only the full decode notices.
+        let mut file = std::fs::File::open(&tmp.path).expect("open");
+        let scanned = format::scan(&mut file, &tmp.path).expect("scan");
+        let index = format::index(&scanned.segments).expect("index");
+        let (seg_index, prefix) = &index.weeks[1];
+        let seg = &scanned.segments[*seg_index];
+        // Record count 6 and host symbol < 128 are one varint byte each.
+        let tag = seg.payload_offset() as usize + prefix.records_pos + 2;
+        assert!(bytes[tag] <= 1, "not a record tag");
+        bytes[tag] = 7;
+        let crc_at = (seg.offset + seg.env_len) as usize - 4;
+        let crc = crc32::crc32(&bytes[seg.offset as usize..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        // A torn tail too: a resume that got as far as writing would cut it.
+        bytes.extend_from_slice(&[0x5A; 29]);
+        std::fs::write(&tmp.path, &bytes).expect("corrupt");
+
+        let reader = StoreReader::open(&tmp.path).expect("the structure is intact");
+        assert_eq!(reader.weeks_committed(), 3);
+        assert!(reader.week(1).is_err());
+        let err = StoreWriter::resume(&tmp.path).err().expect("must refuse");
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert_eq!(std::fs::read(&tmp.path).expect("read"), bytes);
     }
 
     /// A scratch directory that cleans up after itself.
@@ -400,10 +433,11 @@ mod tests {
         // Resume replays the same state without inventing epochs.
         drop(writer);
         let resumed = ShardedStoreWriter::resume(&tmp.path).expect("resume");
-        assert_eq!(resumed.writer.epoch(), 4);
-        assert_eq!(resumed.shards_rolled_back, 0);
-        assert!(resumed.writer.is_finalized());
-        assert_eq!(resumed.filtered_out, Some(vec![]));
+        assert_eq!(resumed.epoch(), 4);
+        assert_eq!(resumed.stats().rolled_back, 0);
+        assert!(resumed.is_finalized());
+        let reader = AnyReader::open(&tmp.path).expect("open resumed");
+        assert_eq!(reader.filtered_out(), Some(&[][..]));
     }
 
     #[test]
@@ -413,9 +447,7 @@ mod tests {
         let before = dir_bytes(&tmp.path);
         // Simulate a crash window: shard 0 committed week 2, but the
         // manifest rename never happened.
-        let mut shard0 = StoreWriter::resume(&shard_path(&tmp.path, 0))
-            .expect("resume shard")
-            .writer;
+        let mut shard0 = StoreWriter::resume(&shard_path(&tmp.path, 0)).expect("resume shard");
         shard0
             .commit_week(&WeekData {
                 week: 2,
@@ -427,12 +459,16 @@ mod tests {
         assert_ne!(dir_bytes(&tmp.path), before, "tamper must change bytes");
 
         let resumed = ShardedStoreWriter::resume(&tmp.path).expect("resume group");
-        assert_eq!(resumed.shards_rolled_back, 1);
-        assert_eq!(resumed.writer.weeks_committed(), 2);
-        assert_eq!(resumed.weeks.len(), 2);
+        assert_eq!(resumed.stats().rolled_back, 1);
+        assert_eq!(resumed.weeks_committed(), 2);
         drop(resumed);
         // Rollback restores the exact pre-crash bytes, manifest included.
         assert_eq!(dir_bytes(&tmp.path), before);
+        let reader = AnyReader::open(&tmp.path).expect("open rolled back");
+        assert_eq!(reader.weeks_committed(), 2);
+        for w in 0..2 {
+            assert_eq!(reader.week(w).expect("week"), testkit::week(w, 10));
+        }
     }
 
     #[test]
@@ -442,7 +478,6 @@ mod tests {
         // Hand-corrupt: drop shard 1 back to one week (no crash does this).
         StoreWriter::resume(&shard_path(&tmp.path, 1))
             .expect("resume shard")
-            .writer
             .truncate_to_weeks(1)
             .expect("truncate");
         let err = match ShardedStoreWriter::resume(&tmp.path) {
@@ -509,16 +544,19 @@ mod tests {
         let tmp = TempStore::new("truncate");
         write_weeks(&tmp.path, 4, 8);
         let full = std::fs::read(&tmp.path).expect("read");
-        let resumed = StoreWriter::resume(&tmp.path)
+        let mut writer = StoreWriter::resume(&tmp.path)
             .expect("resume")
-            .writer
             .truncate_to_weeks(2)
             .expect("truncate");
-        assert_eq!(resumed.writer.weeks_committed(), 2);
-        assert_eq!(resumed.weeks.len(), 2);
+        assert_eq!(writer.weeks_committed(), 2);
+        assert_eq!(writer.stats().rolled_back, 1);
+        let reader = AnyReader::open(&tmp.path).expect("open truncated");
+        assert_eq!(reader.weeks_committed(), 2);
+        for w in 0..2 {
+            assert_eq!(reader.week(w).expect("week"), testkit::week(w, 8));
+        }
         // Replaying the dropped weeks reproduces the original bytes:
         // the interner and delta state were rebuilt correctly.
-        let mut writer = resumed.writer;
         writer.commit_week(&testkit::week(2, 8)).expect("w2");
         writer.commit_week(&testkit::week(3, 8)).expect("w3");
         drop(writer);
@@ -533,9 +571,10 @@ mod tests {
             .finalize(&["site001.example".to_string()])
             .expect("finalize");
         let resumed = writer.truncate_to_weeks(2).expect("truncate");
-        assert!(!resumed.writer.is_finalized());
-        assert_eq!(resumed.writer.weeks_committed(), 2);
-        assert_eq!(resumed.filtered_out, None);
+        assert!(!resumed.is_finalized());
+        assert_eq!(resumed.weeks_committed(), 2);
+        let reader = AnyReader::open(&tmp.path).expect("open truncated");
+        assert_eq!(reader.filtered_out(), None);
     }
 
     #[test]
@@ -593,9 +632,8 @@ mod tests {
         let target = report.rolled_back_to.expect("rollback target");
         assert!(target < 3, "corruption must cost at least one week");
         // The rolled-back group resumes and replays the missing weeks.
-        let resumed = ShardedStoreWriter::resume(&tmp.path).expect("resume");
-        assert_eq!(resumed.writer.weeks_committed(), target);
-        let mut writer = resumed.writer;
+        let mut writer = ShardedStoreWriter::resume(&tmp.path).expect("resume");
+        assert_eq!(writer.weeks_committed(), target);
         for w in target..3 {
             writer.commit_week(&testkit::week(w, 10)).expect("replay");
         }
@@ -734,7 +772,7 @@ mod tests {
         writer.commit_week(&weeks[0]).expect("w0");
         writer.commit_week(&weeks[1]).expect("w1");
         drop(writer);
-        let mut writer = StoreWriter::resume(&resumed.path).expect("resume").writer;
+        let mut writer = StoreWriter::resume(&resumed.path).expect("resume");
         let info = writer.commit_week(&weeks[2]).expect("w2");
         assert_eq!(info.delta_hits, 8, "rebuilt prev state still delta-hits");
         assert_eq!(

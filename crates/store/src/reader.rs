@@ -12,8 +12,7 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    self, decode_body_at, decode_week_full, kind, scan, DecodedRecord, Genesis, RawSegment,
-    WeekPrefix,
+    self, decode_body_at, decode_week_full, scan, DecodedRecord, Genesis, RawSegment, WeekPrefix,
 };
 use crate::intern::Interner;
 use crate::record::{DomainRecord, FromSym, Sym, WeekData};
@@ -48,47 +47,21 @@ impl StoreReader {
     pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
         let mut file = File::open(path).map_err(|e| StoreError::io(path, e))?;
         let scanned = scan(&mut file, path)?;
-        let mut table = Interner::new();
-        let mut genesis = None;
-        let mut weeks: Vec<WeekEntry> = Vec::new();
-        let mut filtered_out = None;
-        for (i, seg) in scanned.segments.iter().enumerate() {
-            let base = seg.payload_offset();
-            match seg.kind {
-                kind::GENESIS => {
-                    genesis = Some(format::decode_genesis(&seg.payload, &mut table, base)?);
-                }
-                kind::WEEK => {
-                    let prefix = format::decode_week_prefix(&seg.payload, &mut table, base)?;
-                    if prefix.week != weeks.len() {
-                        return Err(StoreError::WeekOutOfOrder {
-                            expected: weeks.len(),
-                            got: prefix.week,
-                        });
-                    }
-                    let by_host = prefix.index.iter().copied().collect();
-                    weeks.push(WeekEntry {
-                        seg_index: i,
-                        prefix,
-                        by_host,
-                    });
-                }
-                kind::FINALIZE => {
-                    filtered_out = Some(format::decode_finalize(&seg.payload, &mut table, base)?);
-                }
-                _ => return Err(StoreError::corrupt(seg.offset, "unexpected segment kind")),
-            }
-        }
-        let genesis = genesis.ok_or(StoreError::MissingGenesis)?;
+        let mut index = format::index(&scanned.segments)?;
         // `get` looks hosts up by value.
-        table.index_decoded();
+        index.table.index_decoded();
+        let entry = |(seg_index, prefix): (usize, WeekPrefix)| WeekEntry {
+            seg_index,
+            by_host: prefix.index.iter().copied().collect(),
+            prefix,
+        };
         Ok(StoreReader {
             path: path.to_path_buf(),
             segments: scanned.segments,
-            table,
-            genesis,
-            weeks,
-            filtered_out,
+            table: index.table,
+            genesis: index.genesis,
+            weeks: index.weeks.into_iter().map(entry).collect(),
+            filtered_out: index.filtered_out,
             torn_bytes: scanned.torn_bytes,
             had_footer: scanned.had_footer,
         })

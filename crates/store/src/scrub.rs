@@ -26,7 +26,6 @@
 use crate::error::StoreError;
 use crate::manifest::{self, Manifest};
 use crate::reader::StoreReader;
-use crate::record::WeekData;
 use crate::sharded::{shard_path, QUARANTINE_SUFFIX};
 use crate::writer::StoreWriter;
 use std::fmt;
@@ -194,9 +193,9 @@ struct SourceAssess {
 }
 
 /// Walks one store file, counting the longest fully-decodable week
-/// prefix. Returns `None` when the file is missing or will not open at
-/// all (no usable genesis).
-fn assess_source(path: &Path) -> Result<Option<SourceAssess>, String> {
+/// prefix. Fails, with the reason, when the file is missing or will not
+/// open at all (no usable genesis).
+fn assess_source(path: &Path) -> Result<SourceAssess, String> {
     if !path.exists() {
         return Err(format!("{}: shard file missing", path.display()));
     }
@@ -220,7 +219,7 @@ fn assess_source(path: &Path) -> Result<Option<SourceAssess>, String> {
             }
         }
     }
-    Ok(Some(SourceAssess {
+    Ok(SourceAssess {
         path: path.to_path_buf(),
         valid_weeks: valid,
         records,
@@ -230,12 +229,12 @@ fn assess_source(path: &Path) -> Result<Option<SourceAssess>, String> {
         finalized: reader.is_finalized(),
         filtered_out: reader.filtered_out().map(|f| f.to_vec()),
         first_error,
-    }))
+    })
 }
 
-/// Decodes weeks `0..weeks` from `source` and replays them through a
-/// fresh writer at `dest`. Deterministic encoding makes the rebuilt
-/// prefix byte-identical to what the original writer produced.
+/// Decodes weeks `0..weeks` from `source` and replays them, one at a
+/// time, through a fresh writer at `dest`. Deterministic encoding makes
+/// the rebuilt prefix byte-identical to what the original writer produced.
 fn rebuild_shard(
     source: &Path,
     dest: &Path,
@@ -243,15 +242,9 @@ fn rebuild_shard(
     finalize: Option<&[String]>,
 ) -> Result<(), StoreError> {
     let reader = StoreReader::open(source)?;
-    let mut decoded: Vec<WeekData> = Vec::with_capacity(weeks);
+    let mut writer = StoreWriter::create(dest, reader.genesis().clone())?;
     for week in 0..weeks {
-        decoded.push(reader.week(week)?);
-    }
-    let genesis = reader.genesis().clone();
-    drop(reader);
-    let mut writer = StoreWriter::create(dest, genesis)?;
-    for week in &decoded {
-        writer.commit_week(week)?;
+        writer.commit_week(&reader.week(week)?)?;
     }
     if let Some(filtered) = finalize {
         writer.finalize(filtered)?;
@@ -281,7 +274,7 @@ fn scrub_single(path: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
         detail: String::new(),
     };
     match assess_source(path) {
-        Ok(Some(assess)) => {
+        Ok(assess) => {
             shard.weeks = assess.valid_weeks;
             shard.records = assess.records;
             shard.torn_bytes = assess.torn_bytes;
@@ -307,7 +300,6 @@ fn scrub_single(path: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
                 }
             }
         }
-        Ok(None) => unreachable!("single-file assess never defers"),
         Err(detail) => {
             shard.status = ShardStatus::Corrupt;
             shard.detail = detail;
@@ -345,16 +337,15 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
         let quarantined = quarantine_path(&path);
         let primary = assess_source(&path);
         let fallback = if quarantined.exists() {
-            assess_source(&quarantined).ok().flatten()
+            assess_source(&quarantined).ok()
         } else {
             None
         };
         let chosen = match (primary, fallback) {
-            (Ok(Some(p)), Some(q)) if q.valid_weeks > p.valid_weeks => Ok(q),
-            (Ok(Some(p)), _) => Ok(p),
+            (Ok(p), Some(q)) if q.valid_weeks > p.valid_weeks => Ok(q),
+            (Ok(p), _) => Ok(p),
             (Err(_), Some(q)) => Ok(q),
             (Err(e), None) => Err(e),
-            (Ok(None), _) => unreachable!("assess never defers"),
         };
         assessments.push(chosen);
     }
@@ -437,23 +428,22 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
                         );
                     }
                 } else if repair && recoverable {
-                    let mut resumed = StoreWriter::resume(&path)?;
-                    if resumed.writer.weeks_committed() > shard_target
-                        || (resumed.writer.is_finalized() && !group_finalized)
+                    let mut writer = StoreWriter::resume(&path)?;
+                    if writer.weeks_committed() > shard_target
+                        || (writer.is_finalized() && !group_finalized)
                     {
-                        resumed = resumed.writer.truncate_to_weeks(shard_target)?;
+                        writer = writer.truncate_to_weeks(shard_target)?;
                         shard.status = if shard_target < committed {
                             ShardStatus::RolledBack
                         } else {
                             ShardStatus::Healed
                         };
-                        shard.detail =
-                            format!("truncated to {} weeks", resumed.writer.weeks_committed());
+                        shard.detail = format!("truncated to {} weeks", writer.weeks_committed());
                     } else if assess.torn_bytes > 0 {
                         shard.status = ShardStatus::Healed;
                         shard.detail = format!("dropped {} torn tail bytes", assess.torn_bytes);
                     }
-                    shard.weeks = resumed.writer.weeks_committed();
+                    shard.weeks = writer.weeks_committed();
                 } else {
                     // Assessment only: report what repair would address.
                     if assess.claimed_weeks > committed || (assess.finalized && !manifest.finalized)

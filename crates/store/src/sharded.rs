@@ -144,23 +144,6 @@ fn merge_genesis(parts: &[&Genesis]) -> Result<Genesis, StoreError> {
     })
 }
 
-/// A [`ShardedStoreWriter`] reopened on an existing directory, plus
-/// everything the group already held — the sharded analogue of
-/// [`crate::Resumed`].
-pub struct ShardedResumed {
-    /// The writer, positioned at the first uncommitted week.
-    pub writer: ShardedStoreWriter,
-    /// Every committed week, merged across shards, in week order.
-    pub weeks: Vec<WeekData>,
-    /// The stored filter verdict, present only when finalized.
-    pub filtered_out: Option<Vec<String>>,
-    /// Torn tail bytes dropped across all shards during recovery.
-    pub torn_bytes: u64,
-    /// Shards that had run ahead of the manifest and were rolled back to
-    /// the committed epoch (each one is a recovery event).
-    pub shards_rolled_back: usize,
-}
-
 /// One shard's slice of a week — borrowed from the group week, never
 /// cloned — claimed by exactly one commit worker.
 type ShardJob<'a> = Mutex<Option<(usize, &'a mut StoreWriter, WeekData<&'a DomainRecord>)>>;
@@ -232,19 +215,16 @@ impl ShardedStoreWriter {
         self
     }
 
-    /// Reopens an existing sharded store: heals each shard's torn tail,
-    /// rolls any shard that ran ahead of the manifest back to the
-    /// committed epoch, and refuses mixed-epoch groups a crash cannot
-    /// produce (a shard *behind* the manifest).
-    pub fn resume(dir: &Path) -> Result<ShardedResumed, StoreError> {
+    /// Reopens an existing sharded store for writing: heals each shard's
+    /// torn tail, rolls any shard that ran ahead of the manifest back to
+    /// the committed epoch ([`WriterStats::rolled_back`] counts them), and
+    /// refuses mixed-epoch groups a crash cannot produce (a shard *behind*
+    /// the manifest).
+    pub fn resume(dir: &Path) -> Result<ShardedStoreWriter, StoreError> {
         let manifest = manifest::load(dir)?;
         let shards = manifest.shards as usize;
         let committed = manifest.weeks as usize;
         let mut writers = Vec::with_capacity(shards);
-        let mut shard_weeks: Vec<Vec<WeekData>> = Vec::with_capacity(shards);
-        let mut filtered_out = None;
-        let mut torn_bytes = 0;
-        let mut shards_rolled_back = 0;
         for index in 0..shards {
             let path = shard_path(dir, index);
             if !path.exists() {
@@ -253,63 +233,32 @@ impl ShardedStoreWriter {
                     detail: format!("shard file missing: {}", path.display()),
                 });
             }
-            let mut resumed = StoreWriter::resume(&path)?;
-            torn_bytes += resumed.torn_bytes;
-            let ahead = resumed.writer.weeks_committed() > committed
-                || (resumed.writer.is_finalized() && !manifest.finalized);
-            if ahead {
+            let mut writer = StoreWriter::resume(&path)?;
+            if writer.weeks_committed() > committed
+                || (writer.is_finalized() && !manifest.finalized)
+            {
                 // The shard committed past the manifest before the crash;
                 // the group never published that progress, so drop it.
-                resumed = resumed.writer.truncate_to_weeks(committed)?;
-                shards_rolled_back += 1;
+                writer = writer.truncate_to_weeks(committed)?;
             }
-            if resumed.writer.weeks_committed() < committed
-                || (manifest.finalized && !resumed.writer.is_finalized())
+            if writer.weeks_committed() < committed
+                || (manifest.finalized && !writer.is_finalized())
             {
                 return Err(StoreError::ShardBehind {
                     shard: index,
-                    shard_weeks: resumed.writer.weeks_committed(),
+                    shard_weeks: writer.weeks_committed(),
                     manifest_weeks: committed,
                 });
             }
-            if manifest.finalized {
-                filtered_out = resumed.filtered_out.clone();
-            }
-            shard_weeks.push(resumed.weeks);
-            writers.push(resumed.writer);
+            writers.push(writer);
         }
         let genesis = merge_genesis(&writers.iter().map(|w| w.genesis()).collect::<Vec<_>>())?;
-        let mut weeks = Vec::with_capacity(committed);
-        for week in 0..committed {
-            let empty = WeekData {
-                week,
-                date_days: 0,
-                records: Vec::new(),
-            };
-            let parts: Vec<WeekData> = shard_weeks
-                .iter_mut()
-                .map(|sw| std::mem::replace(&mut sw[week], empty.clone()))
-                .collect();
-            let date_days = parts[0].date_days;
-            if parts.iter().any(|p| p.date_days != date_days) {
-                return Err(StoreError::Mismatch(format!(
-                    "shards disagree on the date of week {week}"
-                )));
-            }
-            weeks.push(merge_week(week, date_days, parts));
-        }
-        Ok(ShardedResumed {
-            writer: ShardedStoreWriter {
-                dir: dir.to_path_buf(),
-                writers,
-                manifest,
-                genesis,
-                threads: 1,
-            },
-            weeks,
-            filtered_out,
-            torn_bytes,
-            shards_rolled_back,
+        Ok(ShardedStoreWriter {
+            dir: dir.to_path_buf(),
+            writers,
+            manifest,
+            genesis,
+            threads: 1,
         })
     }
 
@@ -434,6 +383,7 @@ impl ShardedStoreWriter {
             total.raw_bytes += stats.raw_bytes;
             total.encoded_bytes += stats.encoded_bytes;
             total.torn_bytes_recovered += stats.torn_bytes_recovered;
+            total.rolled_back += stats.rolled_back;
         }
         total
     }
@@ -688,6 +638,11 @@ impl AnyReader {
             .first()
             .ok_or_else(|| StoreError::corrupt(0, "no healthy shard holds this week"))?
             .date_days;
+        if parts.iter().any(|p| p.date_days != date_days) {
+            return Err(StoreError::Mismatch(format!(
+                "shards disagree on the date of week {week}"
+            )));
+        }
         Ok(merge_week(week, date_days, parts))
     }
 

@@ -1,9 +1,9 @@
 //! [`WeekStream`]: streaming iteration over a snapshot store.
 //!
 //! Whoever wants a store's weeks whole and owned — materialization, the
-//! JSON export, a retro-scan — reads them one at a time, in canonical
-//! global order (weeks ascending, records host-sorted within each week —
-//! exactly the order the writer committed). `WeekStream` is that
+//! JSON export, a resumed collection's replay — reads them one at a time,
+//! in canonical global order (weeks ascending, records host-sorted within
+//! each week — exactly the order the writer committed). `WeekStream` is that
 //! iterator, built on [`AnyReader`] so both layouts stream identically; a
 //! sharded store's weeks are merged across healthy shards on the fly. (A
 //! fold does not come this way: it borrows each shard's records in place,

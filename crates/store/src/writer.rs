@@ -39,7 +39,7 @@ use crate::format::{
     encode_week, kind, scan, Genesis, PrevBody, PrevWeek, SegmentMeta,
 };
 use crate::intern::Interner;
-use crate::record::{DomainRecord, WeekData};
+use crate::record::{DomainRecord, Sym, WeekData};
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -62,6 +62,11 @@ pub struct WriterStats {
     pub encoded_bytes: u64,
     /// Torn tail bytes truncated during resume.
     pub torn_bytes_recovered: u64,
+    /// Files cut back to an earlier week by
+    /// [`StoreWriter::truncate_to_weeks`] — for a sharded writer, the
+    /// shards rolled back to the manifest's epoch (each one is a
+    /// recovery event).
+    pub rolled_back: usize,
 }
 
 /// What one [`StoreWriter::commit_week`] call did.
@@ -79,19 +84,6 @@ pub struct CommitInfo {
     pub encoded_bytes: u64,
     /// Total envelope bytes appended (segment only, not the footer).
     pub segment_bytes: u64,
-}
-
-/// A [`StoreWriter`] reopened on an existing file, plus everything the
-/// file already held.
-pub struct Resumed {
-    /// The writer, positioned after the last intact segment.
-    pub writer: StoreWriter,
-    /// Every week already committed, fully decoded, in week order.
-    pub weeks: Vec<WeekData>,
-    /// The stored filter verdict, present only when finalized.
-    pub filtered_out: Option<Vec<String>>,
-    /// Torn tail bytes dropped during recovery.
-    pub torn_bytes: u64,
 }
 
 /// Writes a snapshot store file.
@@ -148,68 +140,39 @@ impl StoreWriter {
         Ok(writer)
     }
 
-    /// Reopens an existing store, truncating any torn tail, and rebuilds
-    /// the delta state so the next commit continues the sequence.
-    pub fn resume(path: &Path) -> Result<Resumed, StoreError> {
+    /// Reopens an existing store for writing: checks that every committed
+    /// week decodes (strings borrowed, nothing kept), then truncates any
+    /// torn tail. The delta state the next commit continues from is the
+    /// last week's bodies. Committed weeks are read through
+    /// [`crate::AnyReader`], never handed back from here.
+    pub fn resume(path: &Path) -> Result<StoreWriter, StoreError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
             .map_err(|e| StoreError::io(path, e))?;
         let scanned = scan(&mut file, path)?;
-        let mut table = Interner::new();
-        let mut genesis = None;
-        let mut weeks = Vec::new();
-        let mut filtered_out = None;
-        let mut metas = Vec::new();
-        let mut prev = PrevWeek::new();
-        for (i, seg) in scanned.segments.iter().enumerate() {
-            let base = seg.payload_offset();
-            let mut week_no = 0;
-            match seg.kind {
-                kind::GENESIS => {
-                    genesis = Some(format::decode_genesis(&seg.payload, &mut table, base)?);
-                }
-                kind::WEEK => {
-                    let prefix = format::decode_week_prefix(&seg.payload, &mut table, base)?;
-                    week_no = prefix.week;
-                    let decoded =
-                        decode_week_full::<String>(&scanned.segments, i, &prefix, &table)?;
-                    prev = decoded
-                        .iter()
-                        .map(|d| (d.host_sym, PrevBody::of(d.body_offset, d.body)))
-                        .collect();
-                    weeks.push(WeekData {
-                        week: prefix.week,
-                        date_days: prefix.date_days,
-                        records: decoded.into_iter().map(|d| d.record).collect(),
-                    });
-                }
-                kind::FINALIZE => {
-                    filtered_out = Some(format::decode_finalize(&seg.payload, &mut table, base)?);
-                }
-                _ => return Err(StoreError::corrupt(seg.offset, "unexpected segment kind")),
-            }
-            metas.push(seg.meta(week_no));
+        let index = format::index(&scanned.segments)?;
+        let mut metas: Vec<SegmentMeta> = scanned.segments.iter().map(|s| s.meta(0)).collect();
+        let mut last = Vec::new();
+        for (seg_index, prefix) in &index.weeks {
+            metas[*seg_index].week = prefix.week;
+            last =
+                decode_week_full::<Sym<'_>>(&scanned.segments, *seg_index, prefix, &index.table)?;
         }
-        let genesis = genesis.ok_or(StoreError::MissingGenesis)?;
-        for (expected, week) in weeks.iter().enumerate() {
-            if week.week != expected {
-                return Err(StoreError::WeekOutOfOrder {
-                    expected,
-                    got: week.week,
-                });
-            }
-        }
+        let prev = last
+            .iter()
+            .map(|d| (d.host_sym, PrevBody::of(d.body_offset, d.body)))
+            .collect();
 
         let mut writer = StoreWriter {
             file,
             path: path.to_path_buf(),
-            table,
+            table: index.table,
             metas,
-            genesis,
-            next_week: weeks.len(),
-            finalized: filtered_out.is_some(),
+            genesis: index.genesis,
+            next_week: index.weeks.len(),
+            finalized: index.filtered_out.is_some(),
             data_end: scanned.data_end,
             prev,
             stats: WriterStats {
@@ -220,12 +183,7 @@ impl StoreWriter {
         // Drop the torn tail (and any stale footer) and re-establish a
         // clean, indexed end of file.
         writer.rewrite_footer()?;
-        Ok(Resumed {
-            writer,
-            weeks,
-            filtered_out,
-            torn_bytes: scanned.torn_bytes,
-        })
+        Ok(writer)
     }
 
     /// Appends one weekly snapshot: encodes the segment, appends it,
@@ -370,7 +328,7 @@ impl StoreWriter {
     /// so the surviving prefix is rescanned from disk to rebuild the
     /// table and delta state. The sharded store uses this to roll a
     /// shard that ran ahead of the manifest back to the committed epoch.
-    pub fn truncate_to_weeks(self, weeks: usize) -> Result<Resumed, StoreError> {
+    pub fn truncate_to_weeks(self, weeks: usize) -> Result<StoreWriter, StoreError> {
         if weeks > self.next_week {
             return Err(StoreError::Mismatch(format!(
                 "cannot truncate to {weeks} weeks: only {} committed",
@@ -389,12 +347,18 @@ impl StoreWriter {
                 _ => break,
             }
         }
-        let StoreWriter { file, path, .. } = self;
+        let StoreWriter {
+            file, path, stats, ..
+        } = self;
         file.set_len(cut)
             .and_then(|_| file.sync_data())
             .map_err(|e| StoreError::io(&path, e))?;
         drop(file);
-        StoreWriter::resume(&path)
+        let mut writer = StoreWriter::resume(&path)?;
+        // What this writer's own resume recovered still happened.
+        writer.stats.torn_bytes_recovered += stats.torn_bytes_recovered;
+        writer.stats.rolled_back = stats.rolled_back + 1;
+        Ok(writer)
     }
 
     /// The number of weeks committed so far (including recovered ones).

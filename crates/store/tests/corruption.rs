@@ -177,17 +177,16 @@ fn resume_truncates_torn_tail_and_continues() {
     // Simulate a crash mid-commit: walk the tear backwards until it bites
     // into a data segment (small tears only clip the rewritable footer).
     let mut cut = bytes.len() - 10;
-    let resumed = loop {
+    let mut writer = loop {
         std::fs::write(&tmp.path, &bytes[..cut]).expect("tear");
         let resumed = StoreWriter::resume(&tmp.path).expect("resume");
-        if resumed.writer.weeks_committed() < 3 {
+        if resumed.weeks_committed() < 3 {
             break resumed;
         }
         cut -= 10;
     };
-    assert!(resumed.torn_bytes > 0);
-    let committed = resumed.writer.weeks_committed();
-    let mut writer = resumed.writer;
+    assert!(writer.stats().torn_bytes_recovered > 0);
+    let committed = writer.weeks_committed();
     for w in committed..3 {
         writer.commit_week(&week(w, 6)).expect("recommit");
     }

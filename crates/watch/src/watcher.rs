@@ -36,15 +36,16 @@ use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
 use crate::outbox::{heal_line_log, Outbox, OutboxRecovery};
 use crate::spool::{open_week_file, read_genesis_file, scan_spool, GENESIS_FILE};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use webvuln_analysis::store_io::{DecodedWeek, SymbolCache};
-use webvuln_analysis::{fold_study, genesis_ranks, AccumCtx, Accumulate, FilterWindow, StudyAccum};
+use webvuln_analysis::{
+    fold_study, genesis_ranks, AccumCtx, Accumulate, FilterWindow, PageView, StudyAccum, WeekView,
+};
 use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
 use webvuln_store::{AnyReader, ShardedStoreWriter, MANIFEST_FILE};
 use webvuln_telemetry::Telemetry;
-use webvuln_version::Version;
 
 /// Where a watcher lives and how wide it runs.
 #[derive(Debug, Clone)]
@@ -227,7 +228,7 @@ impl Watcher {
         std::fs::create_dir_all(cfg.root()).map_err(|e| WatchError::io(cfg.root(), e))?;
         let store_dir = cfg.store_dir();
         let writer = if store_dir.join(MANIFEST_FILE).exists() {
-            ShardedStoreWriter::resume(&store_dir)?.writer
+            ShardedStoreWriter::resume(&store_dir)?
         } else {
             let genesis_path = cfg.spool_dir().join(GENESIS_FILE);
             if !genesis_path.exists() {
@@ -466,7 +467,11 @@ impl Watcher {
     /// Scans the full committed history for domains exposed to
     /// `records` and journals the alerts as one outbox batch. A degraded
     /// store downgrades coverage (annotated on every alert) instead of
-    /// failing the scan.
+    /// failing the scan. It reads what the fold reads — each healthy
+    /// shard's records where the reader decoded them, library and version
+    /// resolved once per shard by a [`SymbolCache`] — so a library slug or
+    /// version string this build cannot read fails the scan by name, as it
+    /// fails the fold [`Watcher::open`] runs first; nothing is skipped.
     fn retro_scan(
         &mut self,
         reader: &AnyReader,
@@ -477,40 +482,34 @@ impl Watcher {
             shards_scanned: health.iter().filter(|h| h.is_healthy()).count() as u32,
             shards_total: health.len() as u32,
         };
-        // Per record, domain → (first week, last week, weeks seen).
+        // Per record, domain → (first week, last week, weeks seen). A
+        // domain lives in one shard, whose weeks are visited in order.
         let mut spans: Vec<BTreeMap<String, (u32, u32, u32)>> =
             vec![BTreeMap::new(); records.len()];
-        // Each distinct version string is parsed once per scan; `None`
-        // remembers one that does not parse.
-        let mut parsed: HashMap<String, Option<Version>> = HashMap::new();
-        for week in reader.stream() {
-            let week = week?;
-            let wk = week.week as u32;
-            for domain in &week.records {
-                let Some(page) = &domain.page else { continue };
-                for det in &page.detections {
-                    let Some(text) = det.version.as_deref() else {
-                        continue;
-                    };
-                    for (record, domains) in records.iter().zip(&mut spans) {
-                        if record.library.slug() != det.library {
-                            continue;
-                        }
-                        if !parsed.contains_key(text) {
-                            parsed.insert(text.to_string(), Version::parse(text).ok());
-                        }
-                        if !parsed[text].as_ref().is_some_and(|v| record.claims(v)) {
-                            continue;
-                        }
-                        match domains.get_mut(&domain.host) {
-                            Some((_, last, seen)) => {
-                                if *last != wk {
-                                    *seen += 1;
-                                }
-                                *last = wk;
+        let unfiltered = BTreeSet::new();
+        for shard in reader.healthy() {
+            let mut symbols = SymbolCache::default();
+            for wk in 0..reader.weeks_committed() {
+                let decoded = shard.week_records(wk, |_| true)?;
+                let week = DecodedWeek::new(&decoded, &unfiltered, &mut symbols)?;
+                let wk = wk as u32;
+                for (domain, page) in week.pages() {
+                    for det in page.detections() {
+                        let Some(version) = det.version else { continue };
+                        for (record, domains) in records.iter().zip(&mut spans) {
+                            if record.library != det.library || !record.claims(version) {
+                                continue;
                             }
-                            None => {
-                                domains.insert(domain.host.clone(), (wk, wk, 1));
+                            match domains.get_mut(domain) {
+                                Some((_, last, seen)) => {
+                                    if *last != wk {
+                                        *seen += 1;
+                                    }
+                                    *last = wk;
+                                }
+                                None => {
+                                    domains.insert(domain.to_string(), (wk, wk, 1));
+                                }
                             }
                         }
                     }

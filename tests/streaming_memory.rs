@@ -7,6 +7,11 @@
 //! records where the reader decoded them, so what it allocates per week
 //! is per record, not per string, and what it holds is one borrowed week.
 //!
+//! Reopening a store for writing has one too: the writer checks that every
+//! committed week decodes and keeps none of them, so a resumed streaming
+//! study holds one restored week at a time and a resume allocates per
+//! record, not per string.
+//!
 //! And the HTTP server has one: a connection it has finished with leaves
 //! nothing behind, so its heap does not grow with connections served.
 //!
@@ -21,6 +26,7 @@ use webvuln::analysis::fold_study;
 use webvuln::core::{Pipeline, StudyConfig};
 use webvuln::cvedb::VulnDb;
 use webvuln::net::{fetch, Request, Response, ServeConfig, Server, TcpConnector};
+use webvuln::store::ShardedStoreWriter;
 use webvuln::telemetry::Registry;
 use webvuln::webgen::Timeline;
 use webvuln::AnyReader;
@@ -86,6 +92,16 @@ fn peak_live_bytes(run: impl FnOnce()) -> usize {
 
 const DOMAINS: usize = 500;
 
+/// The study every test here runs, checkpointed to `store`.
+fn pipeline(weeks: usize, store: &std::path::Path) -> Pipeline<'static> {
+    Pipeline::new(StudyConfig::default())
+        .seed(42)
+        .domains(DOMAINS)
+        .timeline(Timeline::truncated(weeks))
+        .threads(1)
+        .checkpoint(store)
+}
+
 /// One checkpointed study of `weeks` weeks; the results are dropped
 /// inside the measured region. Returns the peak and the store.
 fn study(weeks: usize, streaming: bool) -> (usize, std::path::PathBuf) {
@@ -95,15 +111,8 @@ fn study(weeks: usize, streaming: bool) -> (usize, std::path::PathBuf) {
     ));
     let _ = std::fs::remove_file(&store);
     let peak = peak_live_bytes(|| {
-        Pipeline::new(StudyConfig::default())
-            .seed(42)
-            .domains(DOMAINS)
-            .timeline(Timeline::truncated(weeks))
-            .threads(1)
-            .checkpoint(&store)
-            .streaming(streaming)
-            .run()
-            .expect("study");
+        let study = pipeline(weeks, &store).streaming(streaming).run();
+        study.expect("study");
     });
     (peak, store)
 }
@@ -155,6 +164,56 @@ fn a_fold_allocates_per_record_and_holds_one_borrowed_week() {
     assert!(
         peak <= PARENT_PEAK_LIVE_BYTES,
         "the fold's peak of live bytes rose: {peak} B against {PARENT_PEAK_LIVE_BYTES} B"
+    );
+}
+
+/// What reopening the finished 500 × 16 study cost at the commit before a
+/// resumed store handed back a writer and not an owned copy of its
+/// history, measured by these tests' own code at that commit: the peak of
+/// live bytes of a `resume(true).streaming(true)` run with no week left
+/// to crawl, and the allocations of one `ShardedStoreWriter::resume` of
+/// the same study in four shards.
+const PARENT_RESUMED_RUN_PEAK_LIVE_BYTES: usize = 4_530_307;
+const PARENT_SHARDED_RESUME_ALLOCATIONS: usize = 52_706;
+
+#[test]
+fn a_resumed_streaming_run_holds_one_restored_week() {
+    let _alone = alone();
+    const WEEKS: usize = 16;
+    let (_, store) = study(WEEKS, true);
+    let peak = peak_live_bytes(|| {
+        let resumed = pipeline(WEEKS, &store).resume(true).streaming(true);
+        resumed.run().expect("resumed study");
+    });
+    let _ = std::fs::remove_file(&store);
+    println!("resumed streaming run over {DOMAINS} x {WEEKS}: peak {peak} live bytes");
+    assert!(
+        peak * 2 <= PARENT_RESUMED_RUN_PEAK_LIVE_BYTES,
+        "a resumed streaming run peaked at {peak} live bytes; the gate is half of \
+         {PARENT_RESUMED_RUN_PEAK_LIVE_BYTES}"
+    );
+}
+
+#[test]
+fn a_sharded_resume_allocates_per_record_not_per_string() {
+    let _alone = alone();
+    const WEEKS: usize = 16;
+    let store = std::env::temp_dir().join(format!(
+        "webvuln-streaming-memory-{}-sharded",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&store);
+    let study = pipeline(WEEKS, &store).shards(4).streaming(true).run();
+    study.expect("sharded study");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    drop(ShardedStoreWriter::resume(&store).expect("resume"));
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let _ = std::fs::remove_dir_all(&store);
+    println!("resume of {DOMAINS} x {WEEKS} in 4 shards: {allocations} allocations");
+    assert!(
+        allocations * 2 <= PARENT_SHARDED_RESUME_ALLOCATIONS,
+        "{allocations} allocations to reopen the store; the gate is half of \
+         {PARENT_SHARDED_RESUME_ALLOCATIONS}"
     );
 }
 
