@@ -43,7 +43,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use webvuln_cvedb::{Basis, Date, LibraryId, Verdict, VulnDb, VulnRecord};
 use webvuln_exec::Executor;
 use webvuln_fingerprint::ResourceType;
-use webvuln_store::{shard_of, AnyReader, Genesis, StoreError, StoreReader};
+use webvuln_store::{
+    shard_of, AnyReader, DomainRecord, Genesis, StoreError, StoreReader, Sym, WeekData,
+};
 use webvuln_version::Version;
 
 // ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ struct LibraryState {
 }
 
 /// The §6.1 landscape: Table 1, Figure 3's usage trends and Table 5.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct LandscapeAccum {
     weeks: Vec<LandscapeWeek>,
     libs: Vec<LibraryState>,
@@ -414,7 +416,7 @@ struct SiteVulnSums {
 
 /// CVE exposure: §6.2 prevalence, per-CVE impact (Table 2, Figures 5/14),
 /// Figure 12's distribution and the §6.4 refinement summary.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct CveExposureAccum {
     weeks: Vec<ExposureWeek>,
     per_site: BTreeMap<String, SiteVulnSums>,
@@ -618,7 +620,7 @@ struct BehaviorWeek {
 
 /// What the cross-week trackers remember about one domain. A site runs
 /// a handful of libraries, so each list stays a few entries long.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct DomainTrack {
     /// Per patched record (by index in `db.records()`), the vulnerable
     /// version last seen under the CVE-claimed ranges.
@@ -631,7 +633,7 @@ struct DomainTrack {
 
 /// Update behavior: §7 update delays, §9 regressions, Figure 9's
 /// WordPress usage and Table 4.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct UpdateBehaviorAccum {
     weeks: Vec<BehaviorWeek>,
     domains: BTreeMap<String, DomainTrack>,
@@ -901,7 +903,7 @@ struct CollectionWeek {
 }
 
 /// Figure 2: the collected-pages series and resource-class usage.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct CollectionAccum {
     weeks: Vec<CollectionWeek>,
 }
@@ -1004,7 +1006,7 @@ struct FlashFinalWeek {
 
 /// §8 Flash: Figure 8's usage, Figure 11's `AllowScriptAccess` audit and
 /// the post-EOL TLD census.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FlashAccum {
     weeks: Vec<FlashWeek>,
     last: Option<FlashFinalWeek>,
@@ -1185,7 +1187,7 @@ struct SriWeek {
 }
 
 /// §6.5: Figure 10's SRI adoption, the `crossorigin` census and Table 6.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SriAccum {
     weeks: Vec<SriWeek>,
     anonymous: usize,
@@ -1369,7 +1371,7 @@ pub struct StudyArtifacts {
 }
 
 /// The combined accumulator: one absorb pass feeds every artifact.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct StudyAccum {
     /// Landscape (§6.1).
     pub landscape: LandscapeAccum,
@@ -1453,20 +1455,19 @@ pub fn genesis_ranks(genesis: &Genesis) -> BTreeMap<String, usize> {
 /// memory is the accumulator plus one borrowed week per worker, whatever
 /// the week count.
 ///
-/// Two ways to cut the store into domain-disjoint slices, one fold loop
-/// (`fold_slice`) per slice, byte-identical artifacts:
+/// The store is cut into domain-disjoint parts (see `fold_parts`), every
+/// part folded by the one loop (`fold_group`), the parts merged in
+/// order; the artifacts are byte-identical whatever the cut:
 ///
-/// * sharded store — a slice per shard (shards partition domains), on up
+/// * sharded store — a part per shard (shards partition domains), on up
 ///   to `threads` workers; unhealthy shards of a degraded reader
 ///   contribute the identity;
-/// * single-file store — a slice per worker, at most one per core: each
+/// * single-file store — a part per worker, at most one per core: each
 ///   worker decodes, from the per-week offset index, only the records
 ///   [`shard_of`] assigns it. Nothing decoded ever changes threads: a
 ///   week handed to another thread costs more in cache misses on both
 ///   sides than the hand-off overlaps (measured: a decode-ahead pipeline
 ///   and a per-week barrier both ran no faster than one thread).
-///
-/// Either way a slice reads one file, so one [`SymbolCache`] serves it.
 pub fn fold_store<A>(
     reader: &AnyReader,
     ctx: &AccumCtx<'_>,
@@ -1476,24 +1477,13 @@ pub fn fold_store<A>(
 where
     A: Accumulate + Default + Send,
 {
-    let threads = threads.max(1);
-    let weeks = reader.weeks_committed();
-    if reader.shard_count() > 1 {
-        return fold_slices(reader.shard_count(), threads, |shard| {
-            match reader.shard_reader(shard) {
-                Some(shard) => fold_slice(shard, weeks, |_| true, filtered, ctx),
-                None => Ok(A::default()),
-            }
-        });
-    }
-    let file = reader.shard_reader(0).expect("a single file is a shard");
-    // More slices than cores only adds threads that take turns.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let parts = threads.min(cores);
-    fold_slices(parts, parts, |part| {
-        let mine = |host: &str| shard_of(host, parts) == part;
-        fold_slice(file, weeks, mine, filtered, ctx)
-    })
+    let cut = match reader.shard_count() {
+        1 => workers(threads),
+        shards => shards,
+    };
+    let folded = fold_parts(reader, cut, 0..cut, threads, filtered, ctx)?;
+    let parts = folded.into_iter().filter_map(|(_, part)| part);
+    Ok(parts.reduce(merge_pair).unwrap_or_default())
 }
 
 /// Convenience: folds the full study accumulator over a store using the
@@ -1508,45 +1498,211 @@ pub fn fold_study(
     fold_store(reader, &ctx, threads, &store_filter_verdict(reader)?)
 }
 
-/// Folds `slices` domain-disjoint slices of a store on the exec pool and
-/// merges the accumulators in slice order.
-fn fold_slices<A>(
-    slices: usize,
-    threads: usize,
-    fold: impl Fn(usize) -> Result<A, StoreError> + Sync,
-) -> Result<A, StoreError>
-where
-    A: Accumulate + Send,
-{
-    let indices: Vec<usize> = (0..slices).collect();
-    let executor = Executor::new(threads).chunk_size(1);
-    let mut folded = executor.map(&indices, |&slice| fold(slice)).into_iter();
-    let mut merged = folded.next().expect("a fold has at least one slice")?;
-    for slice in folded {
-        merged.merge(slice?);
-    }
-    Ok(merged)
+fn merge_pair<A: Accumulate>(mut into: A, from: A) -> A {
+    into.merge(from);
+    into
 }
 
-/// One slice's fold: the first `weeks` weeks of `file`, the records whose
-/// host `keep` accepts, each week decoded as borrowed records and
-/// absorbed in place on the one worker that decoded it.
-fn fold_slice<A: Accumulate + Default>(
-    file: &StoreReader,
-    weeks: usize,
-    keep: impl Fn(&str) -> bool,
+/// Workers worth starting for `threads`: more than there are cores only
+/// adds threads that take turns.
+fn workers(threads: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    threads.clamp(1, cores)
+}
+
+/// Folds the `wanted` parts of a store cut `cut` ways: part `p` is the
+/// domains with `shard_of(host, cut) == p`. `cut` is a multiple of the
+/// shard count, so part `p` lies wholly in file `p % shards`
+/// ([`shard_of`] nests) and folding it reads that file alone. Returns
+/// `(part, accumulator)` in part order, `None` where a degraded reader
+/// lacks the part's file.
+///
+/// A file's wanted parts fold as one group — one decode per week, one
+/// [`SymbolCache`] — split only as far as it takes to give every worker
+/// a group.
+fn fold_parts<A>(
+    reader: &AnyReader,
+    cut: usize,
+    wanted: impl IntoIterator<Item = usize>,
+    threads: usize,
     filtered: &BTreeSet<String>,
     ctx: &AccumCtx<'_>,
-) -> Result<A, StoreError> {
-    let mut accum = A::default();
-    let mut symbols = SymbolCache::default();
-    for week in 0..weeks {
-        let records = file.week_records(week, &keep)?;
-        accum.absorb(&DecodedWeek::new(&records, filtered, &mut symbols)?, ctx);
+) -> Result<Vec<(usize, Option<A>)>, StoreError>
+where
+    A: Accumulate + Default + Send,
+{
+    let shards = reader.shard_count();
+    assert_eq!(cut % shards, 0, "a cut must nest inside the shards");
+    let weeks = reader.weeks_committed();
+    let mut by_file = vec![Vec::new(); shards];
+    for part in wanted {
+        by_file[part % shards].push(part);
     }
-    Ok(accum)
+    let files = by_file.iter().filter(|parts| !parts.is_empty()).count();
+    let split = workers(threads).div_ceil(files.max(1));
+    let groups: Vec<(usize, &[usize])> = by_file
+        .iter()
+        .enumerate()
+        .flat_map(|(file, parts)| {
+            let size = parts.len().div_ceil(split).max(1);
+            parts.chunks(size).map(move |group| (file, group))
+        })
+        .collect();
+    let executor = Executor::new(threads.clamp(1, groups.len().max(1))).chunk_size(1);
+    let fold = |&(file, group): &(usize, &[usize])| -> Result<Vec<Option<A>>, StoreError> {
+        let Some(file) = reader.shard_reader(file) else {
+            return Ok(group.iter().map(|_| None).collect());
+        };
+        let whole_file = group.len() == cut / shards;
+        let accums = fold_group(file, weeks, cut, group, whole_file, filtered, ctx)?;
+        Ok(accums.into_iter().map(Some).collect())
+    };
+    let folded = executor.map(&groups, fold);
+    let mut parts = Vec::new();
+    for ((_, group), accums) in groups.iter().zip(folded) {
+        parts.extend(group.iter().copied().zip(accums?));
+    }
+    parts.sort_by_key(|&(part, _)| part);
+    Ok(parts)
 }
 
+/// The fold loop: the first `weeks` weeks of `file`, the records whose
+/// host falls in one of `parts` (ascending part numbers of a `cut`-way
+/// cut; all of the file's when `whole_file`), each week decoded as
+/// borrowed records and absorbed in place, part by part, on the one
+/// worker that decoded it. A host a foreign writer filed under the wrong
+/// shard belongs to no part of this file and is not folded.
+fn fold_group<A: Accumulate + Default>(
+    file: &StoreReader,
+    weeks: usize,
+    cut: usize,
+    parts: &[usize],
+    whole_file: bool,
+    filtered: &BTreeSet<String>,
+    ctx: &AccumCtx<'_>,
+) -> Result<Vec<A>, StoreError> {
+    let part_of = |host: &str| parts.binary_search(&shard_of(host, cut)).ok();
+    let keep = |host: &str| whole_file || part_of(host).is_some();
+    // A lone part's kept records are all its own: no second hash.
+    let place = |host: &str| match parts {
+        [_] => Some(0),
+        _ => part_of(host),
+    };
+    let mut accums: Vec<A> = parts.iter().map(|_| A::default()).collect();
+    let mut symbols = SymbolCache::default();
+    for week in 0..weeks {
+        let records = file.week_records(week, keep)?;
+        let views = DecodedWeek::partition(&records, filtered, &mut symbols, parts.len(), place)?;
+        for (accum, view) in accums.iter_mut().zip(&views) {
+            accum.absorb(view, ctx);
+        }
+    }
+    Ok(accums)
+}
+
+/// Buckets a [`Buckets`] state keeps per shard of its store. A constant:
+/// at 16, the flips of a quiet week (about 1 % of the domains) leave most
+/// buckets alone, and a week's per-bucket rows stay small beside the
+/// per-domain state.
+pub const BUCKETS_PER_SHARD: usize = 16;
+
+/// An accumulator held as its parts, so that it can change by what
+/// changed: the domains are cut `shards` × [`BUCKETS_PER_SHARD`] ways (the
+/// finest cut `fold_parts` nests inside the store's files), every bucket
+/// absorbs every arriving week's share, and when the §4.1 verdict moves
+/// only the buckets the moved domains fall in are folded again, each from
+/// its one file. Read it merged: [`Buckets::merged`] is what
+/// [`fold_store`] returns over the same store under the same verdict.
+#[derive(Debug)]
+pub struct Buckets<A> {
+    /// `None`: the bucket's file was unreadable when the bucket was last
+    /// folded. It holds nothing and absorbs nothing until a refold finds
+    /// the file again — what a degraded cold fold makes of that shard.
+    parts: Vec<Option<A>>,
+}
+
+impl<A: Accumulate + Default + Clone> Buckets<A> {
+    /// The state over an empty store of `shards` files.
+    pub fn new(shards: usize) -> Buckets<A> {
+        Buckets {
+            parts: vec![Some(A::default()); shards.max(1) * BUCKETS_PER_SHARD],
+        }
+    }
+
+    /// The state over `reader`'s committed weeks, minus `filtered`.
+    pub fn fold(
+        reader: &AnyReader,
+        ctx: &AccumCtx<'_>,
+        threads: usize,
+        filtered: &BTreeSet<String>,
+    ) -> Result<Buckets<A>, StoreError> {
+        let mut buckets = Buckets::new(reader.shard_count());
+        buckets.refold(reader, 0..buckets.count(), ctx, threads, filtered)?;
+        Ok(buckets)
+    }
+
+    /// Number of buckets.
+    pub fn count(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// The bucket `host` falls in.
+    pub fn bucket_of(&self, host: &str) -> usize {
+        shard_of(host, self.parts.len())
+    }
+
+    /// Absorbs the next week — `week` as its own file (a spool file, with
+    /// a string table of its own) decoded it — cut by bucket: every bucket
+    /// its share, pages or not. Nothing is absorbed when the week cannot
+    /// be read.
+    pub fn absorb(
+        &mut self,
+        week: &WeekData<DomainRecord<Sym<'_>>>,
+        filtered: &BTreeSet<String>,
+        ctx: &AccumCtx<'_>,
+    ) -> Result<(), StoreError> {
+        let cut = self.parts.len();
+        let place = |host: &str| Some(shard_of(host, cut));
+        let mut symbols = SymbolCache::default();
+        let views = DecodedWeek::partition(week, filtered, &mut symbols, cut, place)?;
+        for (bucket, view) in self.parts.iter_mut().zip(&views) {
+            if let Some(accum) = bucket {
+                accum.absorb(view, ctx);
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds the `wanted` buckets again from `reader` (the store every
+    /// absorbed week was committed to), minus `filtered`, decoding only
+    /// the records that fall in them.
+    pub fn refold(
+        &mut self,
+        reader: &AnyReader,
+        wanted: impl IntoIterator<Item = usize>,
+        ctx: &AccumCtx<'_>,
+        threads: usize,
+        filtered: &BTreeSet<String>,
+    ) -> Result<(), StoreError> {
+        let cut = self.parts.len();
+        let nests = reader.shard_count() * BUCKETS_PER_SHARD == cut;
+        assert!(nests, "not the store this state was cut for");
+        let folded = fold_parts(reader, cut, wanted, threads, filtered, ctx)?;
+        for (bucket, accum) in folded {
+            self.parts[bucket] = accum;
+        }
+        Ok(())
+    }
+
+    /// The whole accumulator: the buckets merged in order.
+    pub fn merged(&self) -> A {
+        let parts = self.parts.iter().flatten().cloned();
+        parts.reduce(merge_pair).unwrap_or_default()
+    }
+}
+
+#[cfg(test)]
+mod bucket_property;
 #[cfg(test)]
 mod oracle;
 

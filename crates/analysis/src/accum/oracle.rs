@@ -323,12 +323,12 @@ fn day(g: &mut Gen) -> Date {
 }
 
 /// What the generators draw from.
-struct Corpus<'a> {
-    db: &'a VulnDb,
-    wordpress: &'a [webvuln_cvedb::Release],
+pub(super) struct Corpus<'a> {
+    pub(super) db: &'a VulnDb,
+    pub(super) wordpress: &'a [webvuln_cvedb::Release],
     /// Whether releases may be spelled with a trailing zero more or less
     /// (equal, printed differently).
-    respell: bool,
+    pub(super) respell: bool,
 }
 
 /// A version for `library`: usually a catalog release, sometimes a
@@ -416,7 +416,7 @@ fn page(g: &mut Gen, corpus: &Corpus<'_>) -> PageAnalysis {
 /// would have recorded beside such pages — a usable fetch beside a fresh
 /// page, a failed one beside a carried page, a failed one or none at all
 /// beside no page — so the weeks survive a store.
-fn weeks(g: &mut Gen, corpus: &Corpus<'_>, domains: &[String]) -> Vec<WeekSnapshot> {
+pub(super) fn weeks(g: &mut Gen, corpus: &Corpus<'_>, domains: &[String]) -> Vec<WeekSnapshot> {
     let mut date = day(g);
     let mut last: BTreeMap<&String, PageAnalysis> = BTreeMap::new();
     let mut week = 0;
@@ -469,7 +469,7 @@ fn weeks(g: &mut Gen, corpus: &Corpus<'_>, domains: &[String]) -> Vec<WeekSnapsh
 
 /// A CVE delta as the watch daemon would apply it; IDs repeat on
 /// purpose (re-applied records must stay no-ops).
-fn delta(g: &mut Gen, db: &VulnDb) -> Vec<VulnRecord> {
+pub(super) fn delta(g: &mut Gen, db: &VulnDb) -> Vec<VulnRecord> {
     g.vec(0..=3, |g| {
         let library = *g.pick(&LIBRARIES);
         let releases = &db.catalog(library).releases;
@@ -539,7 +539,7 @@ fn fold_through_a_store(
 /// Everything an accumulator's readers can see: the finished artifacts,
 /// and the per-week landscape the serve layer answers from (the one place
 /// the carried-forward count shows).
-fn dump(accum: &StudyAccum, db: &VulnDb) -> String {
+pub(super) fn dump(accum: &StudyAccum, db: &VulnDb) -> String {
     let weekly: Vec<_> = (0..accum.landscape.week_count())
         .map(|week| accum.landscape.week(week))
         .collect();
@@ -548,7 +548,7 @@ fn dump(accum: &StudyAccum, db: &VulnDb) -> String {
 
 /// `assert_eq!` on two artifact dumps that reports the first differing
 /// line rather than both dumps whole.
-fn assert_same(actual: &str, expected: &str, what: &str) {
+pub(super) fn assert_same(actual: &str, expected: &str, what: &str) {
     if actual == expected {
         return;
     }

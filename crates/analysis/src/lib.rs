@@ -55,7 +55,8 @@ pub mod vuln;
 pub mod wordpress;
 
 pub use accum::{
-    fold_store, fold_study, genesis_ranks, AccumCtx, Accumulate, StudyAccum, StudyArtifacts,
+    fold_store, fold_study, genesis_ranks, AccumCtx, Accumulate, Buckets, StudyAccum,
+    StudyArtifacts,
 };
 pub use dataset::{CollectConfig, Collector, Dataset, WeekSnapshot};
 pub use filter::{apply_filter, store_filter_verdict, FilterWindow};

@@ -370,32 +370,54 @@ impl<'a> DecodedWeek<'a> {
         filtered: &BTreeSet<String>,
         symbols: &'a mut SymbolCache,
     ) -> Result<DecodedWeek<'a>, StoreError> {
+        let mut whole = DecodedWeek::partition(week, filtered, symbols, 1, |_| Some(0))?;
+        Ok(whole.pop().expect("one part asked for"))
+    }
+
+    /// [`DecodedWeek::new`] cut into `parts` domain-disjoint views: a
+    /// record goes to the view `part_of` names for its host, or nowhere
+    /// on `None`. Every part gets a view, pages or not — accumulators
+    /// merge only when they have absorbed the same weeks.
+    pub fn partition(
+        week: &'a WeekData<DomainRecord<Sym<'a>>>,
+        filtered: &BTreeSet<String>,
+        symbols: &'a mut SymbolCache,
+        parts: usize,
+        part_of: impl Fn(&str) -> Option<usize>,
+    ) -> Result<Vec<DecodedWeek<'a>>, StoreError> {
         let date = date_from_days(week.date_days)?;
-        let mut carried = 0;
-        let mut kept = Vec::with_capacity(week.records.len());
+        let room = week.records.len() / parts + 1;
+        let mut kept: Vec<_> = (0..parts).map(|_| (0, Vec::with_capacity(room))).collect();
         for record in &week.records {
             let Some(page) = &record.page else { continue };
             if filtered.contains(record.host.text) {
                 continue;
             }
+            let Some(part) = part_of(record.host.text) else {
+                continue;
+            };
             symbols.learn(page)?;
+            let (carried, pages) = &mut kept[part];
             // See `week_into_snapshot`: a page beside a failed fetch was
             // carried forward.
             if page_is_error_or_empty(record.status, record.body_len as usize) {
-                carried += 1;
+                *carried += 1;
             }
-            kept.push((record.host.text, page));
+            pages.push((record.host.text, page));
         }
         let symbols = &*symbols;
-        let pages = kept
-            .into_iter()
-            .map(|(host, page)| (host, DecodedPage { page, symbols }));
-        Ok(DecodedWeek {
-            week: week.week,
-            date,
-            carried,
-            pages: pages.collect(),
-        })
+        let view = |(carried, pages): (usize, Vec<(&'a str, &'a PageRecord<Sym<'a>>)>)| {
+            let pages = pages
+                .into_iter()
+                .map(|(host, page)| (host, DecodedPage { page, symbols }));
+            DecodedWeek {
+                week: week.week,
+                date,
+                carried,
+                pages: pages.collect(),
+            }
+        };
+        Ok(kept.into_iter().map(view).collect())
     }
 }
 

@@ -386,6 +386,23 @@ mod tests {
         assert_eq!(shard_of("anything.example", 1), 0);
     }
 
+    /// The nesting a fold's bucket → file mapping relies on: a cut `k`
+    /// times finer than the shard count refines it, never straddles it.
+    #[test]
+    fn a_finer_cut_nests_inside_the_shard_cut() {
+        webvuln_failpoint::check::run("shard_of nests", 256, |g| {
+            let host = g.unicode(0..=40);
+            let k = g.range(1..=64) as usize;
+            for shards in [1usize, 3, 4, 16] {
+                assert_eq!(
+                    shard_of(&host, shards * k) % shards,
+                    shard_of(&host, shards),
+                    "{host:?} at {shards} x {k}"
+                );
+            }
+        });
+    }
+
     #[test]
     fn sharded_store_matches_the_unsharded_view() {
         let tmp = TempDir::new("sharded-roundtrip");

@@ -19,6 +19,7 @@ use crate::record::{DomainRecord, FromSym, Sym, WeekData};
 use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct WeekEntry {
     seg_index: usize,
@@ -36,6 +37,8 @@ pub struct StoreReader {
     filtered_out: Option<Vec<String>>,
     torn_bytes: u64,
     had_footer: bool,
+    /// Records decoded by whole-week reads since open — a statistic.
+    decoded: AtomicU64,
 }
 
 impl StoreReader {
@@ -64,6 +67,7 @@ impl StoreReader {
             filtered_out: index.filtered_out,
             torn_bytes: scanned.torn_bytes,
             had_footer: scanned.had_footer,
+            decoded: AtomicU64::new(0),
         })
     }
 
@@ -103,6 +107,14 @@ impl StoreReader {
         &self.path
     }
 
+    /// Records this reader has decoded through [`StoreReader::week`] and
+    /// [`StoreReader::week_records`] since it was opened: what a caller's
+    /// walk over history cost, as a count ([`StoreReader::get`]'s point
+    /// reads are not in it).
+    pub fn records_decoded(&self) -> u64 {
+        self.decoded.load(Ordering::Relaxed)
+    }
+
     /// The snapshot date (days since epoch) of committed week `week`.
     pub fn week_date_days(&self, week: usize) -> Result<i64, StoreError> {
         self.entry(week).map(|e| e.prefix.date_days)
@@ -112,6 +124,8 @@ impl StoreReader {
     pub fn week(&self, week: usize) -> Result<WeekData, StoreError> {
         let entry = self.entry(week)?;
         let decoded = self.decode_entry::<String>(entry)?;
+        self.decoded
+            .fetch_add(decoded.len() as u64, Ordering::Relaxed);
         Ok(WeekData {
             week,
             date_days: entry.prefix.date_days,
@@ -140,6 +154,8 @@ impl StoreReader {
                 records.push(decode_body_at(&self.segments, &self.table, host, offset)?.0);
             }
         }
+        self.decoded
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
         Ok(WeekData {
             week,
             date_days: entry.prefix.date_days,

@@ -35,7 +35,9 @@ use webvuln_exec::Executor;
 
 /// Deterministic shard assignment: FNV-1a over the host name, mod the
 /// shard count. Stable across runs, platforms, and thread counts — the
-/// store layout depends on it.
+/// store layout depends on it. Being `hash % n`, assignments nest:
+/// `shard_of(h, n * k) % n == shard_of(h, n)`, so a finer cut of the
+/// domains (the analysis fold's parts and buckets) never straddles files.
 pub fn shard_of(host: &str, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
@@ -581,6 +583,12 @@ impl AnyReader {
     /// [`AnyReader::weeks_committed`]; they were never published.
     pub fn shard_reader(&self, index: usize) -> Option<&StoreReader> {
         self.readers.get(index)?.as_ref()
+    }
+
+    /// Records decoded by whole-week reads of any shard since this reader
+    /// was opened ([`StoreReader::records_decoded`], summed).
+    pub fn records_decoded(&self) -> u64 {
+        self.healthy().map(StoreReader::records_decoded).sum()
     }
 
     /// Whether any shard is unavailable (never for single files).

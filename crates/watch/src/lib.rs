@@ -2,8 +2,11 @@
 //!
 //! The supervised live-ingestion daemon: keeps a sharded snapshot store
 //! growing as weekly crawls arrive, keeps the full study accumulator
-//! *live* by absorbing each new week incrementally (never a full refold
-//! on the hot path), and turns newly-disclosed CVEs into per-domain
+//! *live* as domain buckets — each new week absorbed incrementally, and
+//! when the §4.1 verdict drifts only the flipped domains' buckets folded
+//! again on the next quiet tick, so neither the hot path nor the quiet
+//! tick ever refolds the whole history (only a CVE delta extending the
+//! database does) — and turns newly-disclosed CVEs into per-domain
 //! exposure alerts by retro-scanning the committed history.
 //!
 //! The robustness headline is that every side effect is journaled and

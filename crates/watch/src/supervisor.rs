@@ -87,20 +87,6 @@ pub struct SupervisorReport {
     pub totals: TickReport,
 }
 
-impl SupervisorReport {
-    fn absorb_tick(&mut self, tick: &TickReport) {
-        self.ticks += 1;
-        self.totals.weeks_ingested += tick.weeks_ingested;
-        self.totals.weeks_skipped += tick.weeks_skipped;
-        self.totals.refolds += tick.refolds;
-        self.totals.deltas_applied += tick.deltas_applied;
-        self.totals.alerts_enqueued += tick.alerts_enqueued;
-        self.totals.alerts_deduped += tick.alerts_deduped;
-        self.totals.alerts_delivered += tick.alerts_delivered;
-        self.totals.alerts_redelivered += tick.alerts_redelivered;
-    }
-}
-
 /// Shared state between the tick loop and the watchdog thread.
 struct Heartbeat {
     /// Nanoseconds (since `base`) when the in-flight tick started, or 0
@@ -183,7 +169,8 @@ pub fn supervise(
             match ticked {
                 Ok(tick) => {
                     consecutive_failures = 0;
-                    report.absorb_tick(&tick);
+                    report.ticks += 1;
+                    report.totals += tick;
                     if !cfg.tick_pause.is_zero() {
                         std::thread::sleep(cfg.tick_pause);
                     }

@@ -20,17 +20,22 @@
 //! applied-journal append (a crash mid-scan replays the scan, and the
 //! outbox dedups the replayed alerts by deterministic ID), and delivery
 //! is the outbox's journaled three-sync round. The live accumulator is
-//! *not* persisted — the store is its journal: a cold open refolds it
-//! with [`fold_study`], and every incremental absorb afterwards is
-//! exactly the fold's per-week step (`absorb` of a [`DecodedWeek`]). The
-//! §4.1 filter rides along the same way: the [`FilterWindow`] over the
-//! trailing weeks is held in memory (rebuilt from the store on open),
-//! so an arrival tick costs one week — read, commit,
-//! absorb — independent of how much history the store holds. Verdict
-//! drift (domains crossing the trailing-inaccessibility boundary, a
-//! weekly occurrence at scale) marks the live state stale rather than
-//! refolding inline; the catch-up refold settles on the next quiet
-//! tick, so idle still means exactly cold-fold-equal.
+//! *not* persisted — the store is its journal — and it is held as domain
+//! [`Buckets`], merged only when read ([`Watcher::live`]): a cold open
+//! folds every bucket from the store, and an arrival tick hands each
+//! bucket its share of the one new week, which is exactly the fold's
+//! per-week step (`absorb` of a [`DecodedWeek`]). The §4.1 filter rides
+//! along the same way: the [`FilterWindow`] over the trailing weeks is
+//! held in memory (built from the store once, on open), so an arrival
+//! tick costs one week — read, commit, absorb — independent of how much
+//! history the store holds. Verdict drift (domains crossing the
+//! trailing-inaccessibility boundary, a weekly occurrence at scale)
+//! changes the state by what changed: the buckets the flipped domains
+//! fall in are remembered, and the next quiet tick folds those buckets —
+//! and no other record of history — again under the new verdict, so idle
+//! still means exactly cold-fold-equal.
+//!
+//! [`DecodedWeek`]: webvuln_analysis::store_io::DecodedWeek
 
 use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
@@ -41,7 +46,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use webvuln_analysis::store_io::{DecodedWeek, SymbolCache};
 use webvuln_analysis::{
-    fold_study, genesis_ranks, AccumCtx, Accumulate, FilterWindow, PageView, StudyAccum, WeekView,
+    genesis_ranks, AccumCtx, Buckets, FilterWindow, PageView, StudyAccum, WeekView,
 };
 use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
 use webvuln_store::{AnyReader, ShardedStoreWriter, MANIFEST_FILE};
@@ -122,9 +127,13 @@ pub struct TickReport {
     pub weeks_ingested: usize,
     /// Spool weeks skipped as already committed (idempotent redelivery).
     pub weeks_skipped: usize,
-    /// Full refolds of the live accumulator: a CVE delta extending the
-    /// database, or §4.1 verdict drift settling on a quiet tick.
+    /// Times the tick went back to the store's history for the live
+    /// state: once for a CVE delta extending the database (every bucket),
+    /// once for §4.1 verdict drift settling on a quiet tick (the touched
+    /// buckets only). Never on an arrival.
     pub refolds: usize,
+    /// Buckets of the live state those refolds folded again.
+    pub buckets_refolded: usize,
     /// Delta files whose retro-scan completed this tick.
     pub deltas_applied: usize,
     /// Alerts newly journaled into the outbox.
@@ -142,6 +151,33 @@ impl TickReport {
     /// True when the tick changed nothing.
     pub fn is_idle(&self) -> bool {
         *self == TickReport::default()
+    }
+}
+
+impl std::ops::AddAssign for TickReport {
+    fn add_assign(&mut self, tick: TickReport) {
+        // Destructured, so a field added to the report cannot be left out
+        // of a sum.
+        let TickReport {
+            weeks_ingested,
+            weeks_skipped,
+            refolds,
+            buckets_refolded,
+            deltas_applied,
+            alerts_enqueued,
+            alerts_deduped,
+            alerts_delivered,
+            alerts_redelivered,
+        } = tick;
+        self.weeks_ingested += weeks_ingested;
+        self.weeks_skipped += weeks_skipped;
+        self.refolds += refolds;
+        self.buckets_refolded += buckets_refolded;
+        self.deltas_applied += deltas_applied;
+        self.alerts_enqueued += alerts_enqueued;
+        self.alerts_deduped += alerts_deduped;
+        self.alerts_delivered += alerts_delivered;
+        self.alerts_redelivered += alerts_redelivered;
     }
 }
 
@@ -199,15 +235,16 @@ pub struct Watcher {
     telemetry: Telemetry,
     writer: ShardedStoreWriter,
     db: VulnDb,
-    live: StudyAccum,
+    /// The live study accumulator, a bucket per domain part.
+    live: Buckets<StudyAccum>,
     filtered: BTreeSet<String>,
     /// The §4.1 window over the trailing committed weeks — the verdict
     /// is derived from this in memory, so a steady-state tick never
     /// re-reads the store.
     filter_window: FilterWindow,
-    /// True when `live` was folded under an older verdict than
-    /// `filtered` — settled by a refold on the next quiet tick.
-    live_stale: bool,
+    /// Buckets of `live` holding a domain whose verdict flipped since the
+    /// bucket was folded — folded again on the next quiet tick.
+    touched: BTreeSet<usize>,
     ranks: BTreeMap<String, usize>,
     outbox: Outbox,
     recovery: OutboxRecovery,
@@ -222,8 +259,9 @@ impl Watcher {
     ///
     /// Resumes an existing store — healing torn shard tails and rolling
     /// back uncommitted shard progress — or creates one from the spool's
-    /// `genesis.wvgenesis`. The live accumulator is rebuilt with a cold
-    /// fold over whatever the store holds.
+    /// `genesis.wvgenesis`. The live buckets are folded cold from whatever
+    /// the store holds, under the verdict of the one §4.1 window built
+    /// from its trailing weeks.
     pub fn open(cfg: WatchConfig, telemetry: &Telemetry) -> Result<Watcher, WatchError> {
         std::fs::create_dir_all(cfg.root()).map_err(|e| WatchError::io(cfg.root(), e))?;
         let store_dir = cfg.store_dir();
@@ -258,14 +296,24 @@ impl Watcher {
             .counter("watch.outbox_replayed_total")
             .add(recovery.replayed as u64);
 
-        let (live, filter_window) = if writer.weeks_committed() > 0 {
+        let mut live = Buckets::new(writer.shard_count());
+        let mut filter_window = FilterWindow::new();
+        let mut filtered = BTreeSet::new();
+        if writer.weeks_committed() > 0 {
             let reader = AnyReader::open_degraded(&store_dir)?;
-            let live = fold_study(&reader, &db, cfg.threads)?;
-            (live, FilterWindow::from_store(&reader)?)
-        } else {
-            (StudyAccum::default(), FilterWindow::new())
-        };
-        let filtered = filter_window.verdict(ranks.keys());
+            filter_window = FilterWindow::from_store(&reader)?;
+            filtered = filter_window.verdict(ranks.keys());
+            let ctx = AccumCtx {
+                db: &db,
+                ranks: &ranks,
+            };
+            live = Buckets::fold(&reader, &ctx, cfg.threads, &filtered)?;
+            // What the open decoded: the history once, for the buckets,
+            // and the window's trailing weeks once more.
+            registry
+                .counter("watch.records_refolded_total")
+                .add(reader.records_decoded());
+        }
 
         Ok(Watcher {
             cfg,
@@ -275,7 +323,7 @@ impl Watcher {
             live,
             filtered,
             filter_window,
-            live_stale: false,
+            touched: BTreeSet::new(),
             ranks,
             outbox,
             recovery,
@@ -316,12 +364,13 @@ impl Watcher {
             .counter("watch.alerts_delivered_total")
             .add(delivery.delivered as u64);
         // Settle verdict drift on a quiet tick: arrival ticks stay
-        // O(one week) and the catch-up refold lands in the poll gap
-        // that follows. A settling tick reports its refold, so the
-        // daemon is never idle while the live state lags the filter.
-        if self.live_stale && report.weeks_ingested == 0 {
+        // O(one week) and the catch-up refold of the touched buckets
+        // lands in the poll gap that follows. A settling tick reports its
+        // refold, so the daemon is never idle while the live state lags
+        // the filter.
+        if !self.touched.is_empty() && report.weeks_ingested == 0 {
             let reader = AnyReader::open_degraded(&self.cfg.store_dir())?;
-            self.refold(&reader, &mut report)?;
+            self.refold(&reader, false, &mut report)?;
         }
         Ok(report)
     }
@@ -351,19 +400,17 @@ impl Watcher {
             let key = index.to_string();
             let _ = webvuln_failpoint::failpoint!("watch.ingest", &key)?;
             self.writer.commit_week(&records.to_owned())?;
-            // The incremental step: absorb exactly what a cold fold's
-            // per-week iteration would, off the spool file's own records
-            // (whose symbols are the file's, hence the cache of its own).
+            // The incremental step: every bucket absorbs exactly what a
+            // cold fold's per-week iteration would hand it, off the spool
+            // file's own records.
             let fetched = records.records.iter();
             self.filter_window
                 .absorb(fetched.map(|r| (r.host.text, r.status, r.body_len as usize)));
-            let mut symbols = SymbolCache::default();
-            let week = DecodedWeek::new(&records, &self.filtered, &mut symbols)?;
             let ctx = AccumCtx {
                 db: &self.db,
                 ranks: &self.ranks,
             };
-            self.live.absorb(&week, &ctx);
+            self.live.absorb(&records, &self.filtered, &ctx)?;
             // Consume the spool file only after the commit: a crash
             // between the two re-skips the week above, then cleans up.
             std::fs::remove_file(&path).map_err(|e| WatchError::io(&path, e))?;
@@ -379,35 +426,63 @@ impl Watcher {
     /// Re-derives the §4.1 filter verdict from the in-memory trailing
     /// window — the same answer [`store_filter_verdict`] would read back
     /// from the store, without touching it. A changed verdict cannot be
-    /// applied retroactively to an incremental accumulator, so it marks
-    /// the live state stale; the refold that settles it is deferred to
-    /// the next quiet tick. Domains cross the trailing-inaccessibility
-    /// boundary most weeks at scale (the marginal population flaps), so
-    /// paying the refold inside the arrival tick would make every
-    /// arrival cost a full history scan.
+    /// applied retroactively to an incremental accumulator, so the
+    /// buckets the flipped domains fall in are marked touched; folding
+    /// them again is deferred to the next quiet tick. Domains cross the
+    /// trailing-inaccessibility boundary most weeks at scale (the
+    /// marginal population flaps), so paying even that inside the arrival
+    /// tick would make every arrival cost a walk over history.
     ///
     /// [`store_filter_verdict`]: webvuln_analysis::store_filter_verdict
     fn refresh_filter(&mut self) {
         let fresh = self.filter_window.verdict(self.ranks.keys());
-        if fresh != self.filtered {
-            let flips = fresh.symmetric_difference(&self.filtered).count();
+        let mut flips = 0;
+        for domain in fresh.symmetric_difference(&self.filtered) {
+            self.touched.insert(self.live.bucket_of(domain));
+            flips += 1;
+        }
+        if flips > 0 {
             self.telemetry
                 .registry()
                 .counter("watch.filter_flips_total")
-                .add(flips as u64);
+                .add(flips);
             self.filtered = fresh;
-            self.live_stale = true;
         }
     }
 
-    fn refold(&mut self, reader: &AnyReader, report: &mut TickReport) -> Result<(), WatchError> {
-        self.live = fold_study(reader, &self.db, self.cfg.threads)?;
-        self.live_stale = false;
+    /// Folds the touched buckets of the live state — or `every` bucket —
+    /// again from `reader`, under the current verdict and database. The
+    /// touched set is spent only once the fold has succeeded.
+    fn refold(
+        &mut self,
+        reader: &AnyReader,
+        every: bool,
+        report: &mut TickReport,
+    ) -> Result<(), WatchError> {
+        let ctx = AccumCtx {
+            db: &self.db,
+            ranks: &self.ranks,
+        };
+        let buckets: Vec<usize> = if every {
+            (0..self.live.count()).collect()
+        } else {
+            self.touched.iter().copied().collect()
+        };
+        let decoded = reader.records_decoded();
+        let wanted = buckets.iter().copied();
+        self.live
+            .refold(reader, wanted, &ctx, self.cfg.threads, &self.filtered)?;
+        self.touched.clear();
         report.refolds += 1;
-        self.telemetry
-            .registry()
-            .counter("watch.refolds_total")
-            .inc();
+        report.buckets_refolded += buckets.len();
+        let registry = self.telemetry.registry();
+        registry.counter("watch.refolds_total").inc();
+        registry
+            .counter("watch.buckets_refolded_total")
+            .add(buckets.len() as u64);
+        registry
+            .counter("watch.records_refolded_total")
+            .add(reader.records_decoded() - decoded);
         Ok(())
     }
 
@@ -437,8 +512,9 @@ impl Watcher {
             .transpose()?;
         if let (true, Some(reader)) = (db_grew, &reader) {
             // The exposure accumulators consult the database while
-            // absorbing, so new records invalidate the live state.
-            self.refold(reader, report)?;
+            // absorbing, so new records invalidate every bucket — the
+            // touched ones included.
+            self.refold(reader, true, report)?;
         }
         for (name, records) in unapplied {
             let _ = webvuln_failpoint::failpoint!("watch.retro", &name)?;
@@ -487,6 +563,7 @@ impl Watcher {
         let mut spans: Vec<BTreeMap<String, (u32, u32, u32)>> =
             vec![BTreeMap::new(); records.len()];
         let unfiltered = BTreeSet::new();
+        let decoded = reader.records_decoded();
         for shard in reader.healthy() {
             let mut symbols = SymbolCache::default();
             for wk in 0..reader.weeks_committed() {
@@ -516,6 +593,10 @@ impl Watcher {
                 }
             }
         }
+        self.telemetry
+            .registry()
+            .counter("watch.records_scanned_total")
+            .add(reader.records_decoded() - decoded);
         let mut alerts = Vec::new();
         for (record, domains) in records.iter().zip(spans) {
             for (domain, (first, last, seen)) in domains {
@@ -543,9 +624,10 @@ impl Watcher {
             .map_err(|e| WatchError::io(&path, e))
     }
 
-    /// The live study accumulator.
-    pub fn live(&self) -> &StudyAccum {
-        &self.live
+    /// The live study accumulator: the buckets merged, by value. Nothing
+    /// reads it per tick, so a read pays the merges and a tick pays none.
+    pub fn live(&self) -> StudyAccum {
+        self.live.merged()
     }
 
     /// The (possibly delta-extended) vulnerability database.

@@ -719,11 +719,12 @@ fn cmd_watch(args: &[String]) {
 
     println!("watch root: {root}");
     println!(
-        "ticks:      {} ({} weeks ingested, {} skipped, {} refolds)",
+        "ticks:      {} ({} weeks ingested, {} skipped, {} refolds of {} buckets)",
         report.ticks,
         report.totals.weeks_ingested,
         report.totals.weeks_skipped,
-        report.totals.refolds
+        report.totals.refolds,
+        report.totals.buckets_refolded
     );
     println!(
         "deltas:     {} applied ({} alerts enqueued, {} deduped)",

@@ -15,12 +15,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
-use webvuln::analysis::fold_study;
+use webvuln::analysis::accum::BUCKETS_PER_SHARD;
+use webvuln::analysis::{fold_study, FilterWindow};
 use webvuln::core::{Pipeline, StudyConfig};
 use webvuln::failpoint::{arm, arm_key, arm_nth, disarm, reset, Action};
 use webvuln::net::FaultPlan;
 use webvuln::resilience::RetryPolicy;
-use webvuln::store::{AnyReader, Genesis, WeekData};
+use webvuln::store::{shard_of, AnyReader, Genesis, WeekData};
 use webvuln::telemetry::Telemetry;
 use webvuln::watch::{
     load_watch_state, supervise, write_genesis_file, write_week_file, Alert, OutboxSnapshot,
@@ -286,13 +287,18 @@ fn live_accumulator_matches_a_cold_fold_and_reopen_is_idle() {
 
 /// The daemon's economics, as counts: with a 32-week spool arriving one
 /// week file per tick, every arrival tick ingests exactly that week and
-/// never refolds — its cost is one week, whatever history the store
-/// holds. Refolds happen only on the quiet tick after an arrival (§4.1
-/// verdict drift settling) or on the tick a CVE delta lands, and after
-/// every quiet tick the live state is exactly a cold fold's.
+/// decodes no record of history — its cost is one week, whatever the
+/// store holds. History is read again only on the quiet tick after an
+/// arrival (§4.1 verdict drift settling: exactly the records of the
+/// buckets the flipped domains fall in, which the test derives on its own
+/// from the corpus) or on the tick a CVE delta lands (one full fold plus
+/// the retro-scan's walk), and after every quiet tick the live state is
+/// exactly a cold fold's.
 #[test]
 fn arrival_ticks_ingest_one_week_and_never_refold() {
     const HISTORY: usize = 32;
+    const SHARDS: usize = 4;
+    const BUCKETS: usize = SHARDS * BUCKETS_PER_SHARD;
     let _guard = lock();
     reset();
     let corpus = build_corpus(HISTORY);
@@ -306,18 +312,65 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
     write_genesis_file(&spool, &corpus.genesis).expect("write genesis");
 
     let telemetry = Telemetry::new();
-    let cfg = WatchConfig::new(&root).threads(2).shards(4);
+    let counter = |name: &str| telemetry.snapshot().counter(name).unwrap_or(0);
+    let cfg = WatchConfig::new(&root).threads(2).shards(SHARDS);
     let mut watcher = Watcher::open(cfg, &telemetry).expect("open watcher");
-    let mut settle_refolds = 0;
+    // The §4.1 verdict, derived beside the daemon from the same weeks.
+    let ranked: Vec<&String> = corpus.genesis.ranks.iter().map(|(host, _)| host).collect();
+    let mut window = FilterWindow::new();
+    let mut verdict = window.verdict(ranked.iter().copied());
+    let (mut settle_refolds, mut settled_buckets, mut partial_settles) = (0, 0, 0);
+    // History records the daemon has decoded for its live state so far.
+    let mut history = 0;
     for (index, week) in corpus.weeks.iter().enumerate() {
         write_week_file(&spool, week).expect("write week");
         let arrival = watcher.tick().expect("arrival tick");
         assert_eq!(arrival.weeks_ingested, 1, "arrival of week {index}");
         assert_eq!(arrival.refolds, 0, "arrival of week {index} refolded");
+        assert_eq!(
+            counter("watch.records_refolded_total"),
+            history,
+            "the arrival of week {index} read history"
+        );
+
+        let fetched = week.records.iter();
+        window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
+        let fresh = window.verdict(ranked.iter().copied());
+        let touched: std::collections::BTreeSet<usize> = fresh
+            .symmetric_difference(&verdict)
+            .map(|domain| shard_of(domain, BUCKETS))
+            .collect();
+        verdict = fresh;
+        let in_touched = corpus.weeks[..=index]
+            .iter()
+            .flat_map(|week| &week.records)
+            .filter(|record| touched.contains(&shard_of(&record.host, BUCKETS)))
+            .count() as u64;
+        let all: usize = corpus.weeks[..=index].iter().map(|w| w.records.len()).sum();
+
         let quiet = watcher.tick().expect("quiet tick");
         assert_eq!(quiet.weeks_ingested, 0);
-        assert!(quiet.refolds <= 1, "one settle refold at most: {quiet:?}");
+        assert_eq!(quiet.refolds, usize::from(!touched.is_empty()), "{quiet:?}");
+        assert_eq!(quiet.buckets_refolded, touched.len(), "week {index}");
+        history += in_touched;
+        assert_eq!(
+            counter("watch.records_refolded_total"),
+            history,
+            "the settle of week {index} must decode its touched buckets, no more"
+        );
         settle_refolds += quiet.refolds;
+        settled_buckets += quiet.buckets_refolded;
+        if quiet.refolds == 1 && touched.len() < BUCKETS {
+            assert!(
+                in_touched < all as u64,
+                "week {index}: {in_touched} of {all}"
+            );
+            partial_settles += 1;
+        }
+        assert!(
+            index < 3 || touched.len() < BUCKETS,
+            "week {index} flipped all"
+        );
         assert!(
             watcher.tick().expect("idle tick").is_idle(),
             "nothing may be left to settle after the quiet tick of week {index}"
@@ -325,7 +378,7 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
     }
     assert_eq!(watcher.weeks_committed(), HISTORY);
     assert!(
-        settle_refolds > 0,
+        partial_settles > 0,
         "the hostile corpus must drift the §4.1 verdict at least once"
     );
     assert_eq!(
@@ -334,11 +387,16 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
         "live state after the last quiet tick != cold fold"
     );
 
-    // The other tick that may refold: a CVE delta extends the database.
+    // The other tick that goes back to history: a CVE delta extends the
+    // database — every bucket once, then the retro-scan's one walk.
+    let all: u64 = corpus.weeks.iter().map(|w| w.records.len() as u64).sum();
     land_delta(&root);
     let delta = watcher.tick().expect("delta tick");
     assert_eq!((delta.weeks_ingested, delta.refolds), (0, 1));
+    assert_eq!(delta.buckets_refolded, BUCKETS);
     assert_eq!(delta.deltas_applied, 1);
+    assert_eq!(counter("watch.records_refolded_total"), history + all);
+    assert_eq!(counter("watch.records_scanned_total"), all);
     assert_eq!(
         live_fingerprint(&watcher),
         cold_fold_fingerprint(&root, &watcher, 2)
@@ -356,6 +414,10 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
         Some(settle_refolds as u64 + 1)
     );
     assert_eq!(
+        counters.counter("watch.buckets_refolded_total"),
+        Some((settled_buckets + BUCKETS) as u64)
+    );
+    assert_eq!(
         counters.counter("watch.ticks_total"),
         Some(3 * HISTORY as u64 + 1)
     );
@@ -367,6 +429,34 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
     assert_eq!(delta.alerts_delivered, delta.alerts_enqueued);
     assert_eq!(counters.counter("watch.outbox_syncs_total"), Some(3));
     assert_eq!(watcher.outbox().syncs(), 3);
+    drop(watcher);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A cold open decodes every history record once, for the live buckets,
+/// and the trailing §4.1 weeks once more, for the one window it builds
+/// and folds under — not twice more, as when the fold derived a window
+/// of its own beside the watcher's.
+#[test]
+fn open_decodes_the_trailing_window_once() {
+    let _guard = lock();
+    reset();
+    let root = seed_root("open-once", WEEKS, false);
+    drop(run_to_idle(&root, 2, 4));
+    let telemetry = Telemetry::new();
+    let cfg = WatchConfig::new(&root).threads(2).shards(4);
+    let watcher = Watcher::open(cfg, &telemetry).expect("reopen");
+    let records = |weeks: &[WeekData]| weeks.iter().map(|w| w.records.len() as u64).sum::<u64>();
+    let weeks = &corpus().weeks[..WEEKS];
+    let trailing = &weeks[WEEKS - webvuln::net::filter::FINAL_WEEKS..];
+    assert_eq!(
+        telemetry.snapshot().counter("watch.records_refolded_total"),
+        Some(records(weeks) + records(trailing))
+    );
+    assert_eq!(
+        live_fingerprint(&watcher),
+        cold_fold_fingerprint(&root, &watcher, 2)
+    );
     drop(watcher);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -607,6 +697,10 @@ fn supervisor_restarts_through_a_transient_fault() {
     assert_eq!(report.totals.weeks_ingested, WEEKS - 1);
     assert_eq!(report.totals.deltas_applied, 1);
     assert!(report.totals.alerts_delivered > 0);
+    // The totals are the ticks' sum, field for field: the one settle
+    // after the restarted ingest, and the buckets it folded again.
+    assert_eq!(report.totals.refolds, 1);
+    assert!((1..4 * BUCKETS_PER_SHARD).contains(&report.totals.buckets_refolded));
     let state = load_watch_state(&root);
     assert_eq!(state.weeks_committed, WEEKS as u64);
     assert_eq!(state.alerts_pending, 0);
