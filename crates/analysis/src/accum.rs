@@ -1701,9 +1701,7 @@ impl<A: Accumulate + Default + Clone> Buckets<A> {
     }
 }
 
-#[cfg(test)]
 mod bucket_property;
-#[cfg(test)]
 mod oracle;
 
 #[cfg(test)]

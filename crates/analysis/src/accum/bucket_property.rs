@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! [`Buckets`] against the cold fold: a model of the watch daemon's
 //! bookkeeping — arrivals absorbed bucket by bucket, the buckets of
 //! flipped domains remembered, a settle that folds exactly those again —

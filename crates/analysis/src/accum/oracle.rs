@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The slow oracle for the rewritten accumulators: the `absorb_week`
 //! bodies of [`LandscapeAccum`], [`CveExposureAccum`] and
 //! [`UpdateBehaviorAccum`] as they stood before the verdict index and the

@@ -45,6 +45,9 @@
 //!   the bounds-checked cursor) and the *standalone segment file*: one
 //!   week or one genesis as `header ‖ segment`, which is how the watch
 //!   spool ships weeks.
+//! * **One durable-file primitive** — [`durable`]: every append log healed
+//!   on open and every atomic replace in the workspace (the manifest, the
+//!   watch outbox, journal and spool). Only the segment writer does its own.
 //!
 //! The crate has no third-party dependencies (std plus the workspace's
 //! own fail-point/trace/exec crates) and knows nothing about the
@@ -76,6 +79,7 @@
 #![warn(missing_docs)]
 
 mod crc32;
+pub mod durable;
 mod error;
 mod format;
 mod intern;

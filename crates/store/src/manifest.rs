@@ -16,10 +16,10 @@
 //! ```
 
 use crate::crc32::crc32;
+use crate::durable;
 use crate::error::StoreError;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::path::Path;
 
 /// Manifest file magic.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"WVSMANIF";
@@ -27,8 +27,6 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"WVSMANIF";
 pub const MANIFEST_VERSION: u32 = 1;
 /// File name of the committed manifest inside a sharded-store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-/// Scratch name the next manifest is written to before the commit rename.
-pub const MANIFEST_TMP: &str = "MANIFEST.tmp";
 /// Encoded manifest length in bytes.
 pub const MANIFEST_LEN: usize = 37;
 
@@ -87,57 +85,30 @@ impl Manifest {
     }
 }
 
-/// Path of the committed manifest inside `dir`.
-pub fn manifest_path(dir: &Path) -> PathBuf {
-    dir.join(MANIFEST_FILE)
-}
-
-/// Reads the committed manifest, deleting any stale scratch file left by
-/// a kill before the commit rename. A missing manifest means the group
-/// was never created (or died before its very first commit) and maps to
+/// Reads the committed manifest. A missing manifest means the group was
+/// never created (or died before its very first commit) and maps to
 /// [`StoreError::MissingGenesis`], exactly like an empty single-file
-/// store.
+/// store. A stale `MANIFEST.tmp` is the writer's: a reader leaves it, so a
+/// read between a live commit's tmp sync and its rename cannot fail it.
 pub fn load(dir: &Path) -> Result<Manifest, StoreError> {
-    let _ = fs::remove_file(dir.join(MANIFEST_TMP));
-    let path = manifest_path(dir);
-    let mut bytes = Vec::new();
-    match File::open(&path) {
-        Ok(mut file) => file
-            .read_to_end(&mut bytes)
-            .map_err(|e| StoreError::io(&path, e))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(StoreError::MissingGenesis)
-        }
-        Err(e) => return Err(StoreError::io(&path, e)),
-    };
-    Manifest::decode(&bytes)
+    let path = dir.join(MANIFEST_FILE);
+    match fs::read(&path) {
+        Ok(bytes) => Manifest::decode(&bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(StoreError::MissingGenesis),
+        Err(e) => Err(StoreError::io(&path, e)),
+    }
 }
 
-/// Atomically publishes `manifest` as the group's committed state:
-/// write `MANIFEST.tmp` → fsync → rename over `MANIFEST` → fsync the
-/// directory. The rename is the commit point; the
-/// `store.manifest.rename` fail-point fires just before it, so a chaos
-/// kill there leaves every shard synced but the old manifest in force.
+/// Atomically publishes `manifest` as the group's committed state through
+/// [`durable::replace`] (`MANIFEST.tmp` → fsync → rename → directory
+/// fsync). The rename is the commit point; the `store.manifest.rename`
+/// fail-point fires just before it, so a chaos kill there leaves every
+/// shard synced but the old manifest in force.
 pub fn commit(dir: &Path, manifest: &Manifest) -> Result<(), StoreError> {
-    let tmp = dir.join(MANIFEST_TMP);
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)
-        .map_err(|e| StoreError::io(&tmp, e))?;
-    file.write_all(&manifest.encode())
-        .and_then(|_| file.sync_data())
-        .map_err(|e| StoreError::io(&tmp, e))?;
-    drop(file);
-    let _ = webvuln_failpoint::failpoint!("store.manifest.rename")?;
-    let path = manifest_path(dir);
-    fs::rename(&tmp, &path).map_err(|e| StoreError::io(&path, e))?;
-    // Persist the rename itself: sync the containing directory.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    durable::replace(&dir.join(MANIFEST_FILE), &manifest.encode(), || {
+        webvuln_failpoint::failpoint!("store.manifest.rename")?;
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -175,10 +146,13 @@ mod tests {
         ));
     }
 
+    /// A reader that lands between a live commit's tmp sync and its rename
+    /// must leave the tmp alone, or the rename fails with `ENOENT`.
     #[test]
-    fn commit_then_load_round_trips_and_clears_scratch() {
+    fn load_leaves_the_scratch_and_the_next_commit_still_publishes() {
         let dir = std::env::temp_dir().join(format!("wvmanif-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
+        let tmp = dir.join("MANIFEST.tmp");
         let m = Manifest {
             epoch: 2,
             shards: 2,
@@ -186,12 +160,13 @@ mod tests {
             finalized: false,
         };
         commit(&dir, &m).expect("commit");
-        std::fs::write(dir.join(MANIFEST_TMP), b"stale").expect("scratch");
+        std::fs::write(&tmp, b"a stale scratch longer than a manifest").expect("scratch");
         assert_eq!(load(&dir).expect("load"), m);
-        assert!(
-            !dir.join(MANIFEST_TMP).exists(),
-            "stale scratch not cleared"
-        );
+        assert!(tmp.exists(), "a reader deleted the writer's scratch");
+        let next = Manifest { epoch: 3, ..m };
+        commit(&dir, &next).expect("commit over the scratch");
+        assert_eq!(load(&dir).expect("load"), next);
+        assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

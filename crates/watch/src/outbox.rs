@@ -33,13 +33,12 @@
 
 use crate::alert::Alert;
 use crate::error::WatchError;
-use crate::wal::{write_frame, FrameLog};
+use crate::wal::{read_frames, write_frame};
 use std::collections::BTreeSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use webvuln_failpoint::Injected;
 use webvuln_store::codec::{write_u64, Cursor};
+use webvuln_store::durable::{complete_lines, AppendLog};
 
 const TAG_ENQUEUE: u8 = 1;
 const TAG_ACK: u8 = 2;
@@ -66,19 +65,18 @@ pub struct DeliveryReport {
 }
 
 /// The crash-journaled alert outbox. See the module docs for the
-/// protocol.
+/// protocol. It holds both files open, and is their one live handle.
 pub struct Outbox {
-    wal: FrameLog,
-    wal_path: PathBuf,
-    delivery_path: PathBuf,
+    /// `outbox.wal`, clean through its last whole frame.
+    wal: AppendLog,
+    /// `alerts.log`, clean through its last newline.
+    log: AppendLog,
     /// Every ID ever journaled, owed or acked: the enqueue dedup key.
     known: BTreeSet<u64>,
     /// Alerts journaled but not yet acked, in enqueue order.
     owed: Vec<Alert>,
     /// IDs present in the delivery log.
     delivered: BTreeSet<u64>,
-    /// `sync_data` calls made since open.
-    syncs: u64,
 }
 
 impl Outbox {
@@ -88,55 +86,25 @@ impl Outbox {
         wal_path: &Path,
         delivery_log: &Path,
     ) -> Result<(Outbox, OutboxRecovery), WatchError> {
-        let (wal, frames) = FrameLog::open(wal_path).map_err(|e| WatchError::io(wal_path, e))?;
-        let mut known = BTreeSet::new();
-        let mut owed = Vec::new();
-        let mut acked = BTreeSet::new();
-        let mut replayed = 0usize;
-        for payload in &frames.payloads {
-            let mut cur = Cursor::new(payload);
-            match cur.u8() {
-                Some(TAG_ENQUEUE) => {
-                    let alert = Alert::decode(&mut cur).ok_or_else(|| {
-                        WatchError::corrupt(wal_path, "undecodable ENQUEUE frame")
-                    })?;
-                    if known.insert(alert.id) {
-                        owed.push(alert);
-                    }
-                    replayed += 1;
-                }
-                Some(TAG_ACK) => {
-                    let id = cur
-                        .u64()
-                        .ok_or_else(|| WatchError::corrupt(wal_path, "undecodable ACK frame"))?;
-                    acked.insert(id);
-                }
-                _ => return Err(WatchError::corrupt(wal_path, "unknown frame tag")),
-            }
-        }
-        owed.retain(|alert| !acked.contains(&alert.id));
-        let (_, log) = heal_line_log(delivery_log)?;
-        let delivered: BTreeSet<u64> = String::from_utf8_lossy(&log)
-            .lines()
-            .filter_map(Alert::log_line_id)
-            .collect();
+        let (wal, journal) = AppendLog::open(wal_path, |b| read_frames(b).clean_len as usize)?;
+        let (journal, replayed) = replay(wal_path, &journal)?;
+        let known = journal.alerts.iter().map(|alert| alert.id).collect();
+        let owed: Vec<Alert> = journal.pending().into_iter().cloned().collect();
+        let (log, lines) = AppendLog::open(delivery_log, complete_lines)?;
+        let delivered = delivered_ids(&lines);
         let recovery = OutboxRecovery {
             replayed,
             pending: owed.len(),
             delivered: delivered.len(),
         };
-        Ok((
-            Outbox {
-                wal,
-                wal_path: wal_path.to_path_buf(),
-                delivery_path: delivery_log.to_path_buf(),
-                known,
-                owed,
-                delivered,
-                syncs: 0,
-            },
-            recovery,
-        ))
+        let outbox = Outbox {
+            wal,
+            log,
+            known,
+            owed,
+            delivered,
+        };
+        Ok((outbox, recovery))
     }
 
     /// Journals a retro-scan's alerts as owed — one append, one sync —
@@ -160,7 +128,7 @@ impl Outbox {
             fresh.push(alert);
             Ok::<(), Injected>(())
         });
-        self.append_wal(&frames)?;
+        self.wal.append(&frames)?;
         self.known.extend(fresh.iter().map(|alert| alert.id));
         self.owed.extend(fresh.iter().map(|&alert| alert.clone()));
         failed?;
@@ -187,7 +155,7 @@ impl Outbox {
             }
             Ok::<(), Injected>(())
         });
-        self.append_lines(&lines)?;
+        self.log.append(lines.as_bytes())?;
         report.delivered = fresh.len();
         self.delivered.extend(fresh);
         failed?;
@@ -203,37 +171,10 @@ impl Outbox {
             acked += 1;
             Ok::<(), Injected>(())
         });
-        self.append_wal(&frames)?;
+        self.wal.append(&frames)?;
         self.owed.drain(..acked);
         failed?;
         Ok(report)
-    }
-
-    /// One WAL batch: one write, one sync; an empty one touches nothing.
-    fn append_wal(&mut self, frames: &[u8]) -> Result<(), WatchError> {
-        if !frames.is_empty() {
-            self.wal
-                .append_frames(frames)
-                .map_err(|e| WatchError::io(&self.wal_path, e))?;
-            self.syncs += 1;
-        }
-        Ok(())
-    }
-
-    /// One delivery-log batch: one open, one write, one sync.
-    fn append_lines(&mut self, lines: &str) -> Result<(), WatchError> {
-        if !lines.is_empty() {
-            let mut file = OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&self.delivery_path)
-                .map_err(|e| WatchError::io(&self.delivery_path, e))?;
-            file.write_all(lines.as_bytes())
-                .and_then(|()| file.sync_data())
-                .map_err(|e| WatchError::io(&self.delivery_path, e))?;
-            self.syncs += 1;
-        }
-        Ok(())
     }
 
     /// Alerts journaled but not yet acked, in enqueue order.
@@ -246,46 +187,59 @@ impl Outbox {
         self.owed.len()
     }
 
-    /// `sync_data` calls since open: one per non-empty batch.
+    /// `sync_data` calls since open: one per non-empty batch, summed over
+    /// both files.
     pub fn syncs(&self) -> u64 {
-        self.syncs
+        self.wal.syncs() + self.log.syncs()
     }
 }
 
-/// Opens a line log, truncates a torn (unterminated) last line, and
-/// returns the file positioned for appends plus its clean content. The
-/// cut is found in the raw bytes: a crashed writer can leave non-UTF-8
-/// garbage, and a lossy decode's offsets are not the file's.
-pub(crate) fn heal_line_log(path: &Path) -> Result<(File, Vec<u8>), WatchError> {
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)
-        .map_err(|e| WatchError::io(path, e))?;
-    let mut raw = Vec::new();
-    file.read_to_end(&mut raw)
-        .map_err(|e| WatchError::io(path, e))?;
-    let clean_len = raw
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .map_or(0, |pos| pos + 1);
-    if clean_len < raw.len() {
-        file.set_len(clean_len as u64)
-            .and_then(|()| file.sync_all())
-            .map_err(|e| WatchError::io(path, e))?;
-        raw.truncate(clean_len);
+/// Replays a journal's whole frames: every alert journaled (the first
+/// ENQUEUE of each ID, in order) and every ID acked, plus the count of
+/// ENQUEUE frames read. A frame that is CRC-clean but undecodable is
+/// corrupt, not torn.
+fn replay(path: &Path, journal: &[u8]) -> Result<(OutboxSnapshot, usize), WatchError> {
+    let mut snapshot = OutboxSnapshot::default();
+    let mut enqueues = 0;
+    let mut seen = BTreeSet::new();
+    for payload in &read_frames(journal).payloads {
+        let mut cur = Cursor::new(payload);
+        match cur.u8() {
+            Some(TAG_ENQUEUE) => {
+                let alert = Alert::decode(&mut cur)
+                    .ok_or_else(|| WatchError::corrupt(path, "undecodable ENQUEUE frame"))?;
+                if seen.insert(alert.id) {
+                    snapshot.alerts.push(alert);
+                }
+                enqueues += 1;
+            }
+            Some(TAG_ACK) => {
+                let id = cur
+                    .u64()
+                    .ok_or_else(|| WatchError::corrupt(path, "undecodable ACK frame"))?;
+                snapshot.acked.insert(id);
+            }
+            _ => return Err(WatchError::corrupt(path, "unknown frame tag")),
+        }
     }
-    file.seek(SeekFrom::End(0))
-        .map_err(|e| WatchError::io(path, e))?;
-    Ok((file, raw))
+    Ok((snapshot, enqueues))
+}
+
+/// The IDs on the complete lines of a delivery log: an unterminated last
+/// line is torn, so not delivered. The cut is in the raw bytes — a
+/// crashed writer can leave non-UTF-8 garbage, and a lossy decode's
+/// offsets are not the file's.
+fn delivered_ids(log: &[u8]) -> BTreeSet<u64> {
+    String::from_utf8_lossy(&log[..complete_lines(log)])
+        .lines()
+        .filter_map(Alert::log_line_id)
+        .collect()
 }
 
 /// A read-only view of an outbox, safe to take while a daemon owns the
 /// files: scans both files without healing or truncating anything (a
-/// torn tail is simply ignored). The serve layer's `/alerts` endpoint
-/// reads through this.
+/// torn tail is ignored by the clean rule the owner heals with). The
+/// serve layer's `/alerts` endpoint reads through this.
 #[derive(Debug, Clone, Default)]
 pub struct OutboxSnapshot {
     /// Every alert ever journaled, in enqueue order.
@@ -297,35 +251,12 @@ pub struct OutboxSnapshot {
 }
 
 impl OutboxSnapshot {
-    /// Loads the snapshot; missing files read as empty.
+    /// Loads the snapshot; missing files read as empty. Both files are
+    /// read through the rules [`Outbox::open`] replays them with, so the
+    /// two agree on what is journaled, acked and delivered.
     pub fn load(wal_path: &Path, delivery_log: &Path) -> Result<OutboxSnapshot, WatchError> {
-        let mut snapshot = OutboxSnapshot::default();
-        if let Ok(data) = std::fs::read(wal_path) {
-            let frames = crate::wal::read_frames(&data);
-            let mut seen = BTreeSet::new();
-            for payload in &frames.payloads {
-                let mut cur = Cursor::new(payload);
-                match cur.u8() {
-                    Some(TAG_ENQUEUE) => {
-                        if let Some(alert) = Alert::decode(&mut cur) {
-                            if seen.insert(alert.id) {
-                                snapshot.alerts.push(alert);
-                            }
-                        }
-                    }
-                    Some(TAG_ACK) => {
-                        if let Some(id) = cur.u64() {
-                            snapshot.acked.insert(id);
-                        }
-                    }
-                    _ => break,
-                }
-            }
-        }
-        if let Ok(raw) = std::fs::read(delivery_log) {
-            let text = String::from_utf8_lossy(&raw);
-            snapshot.delivered = text.lines().filter_map(Alert::log_line_id).collect();
-        }
+        let (mut snapshot, _) = replay(wal_path, &std::fs::read(wal_path).unwrap_or_default())?;
+        snapshot.delivered = delivered_ids(&std::fs::read(delivery_log).unwrap_or_default());
         Ok(snapshot)
     }
 
@@ -342,8 +273,10 @@ impl OutboxSnapshot {
 mod tests {
     use super::*;
     use crate::alert::Coverage;
-    use crate::wal::read_frames;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::path::PathBuf;
     use std::sync::{Mutex, MutexGuard};
     use webvuln_failpoint::check::{self, Gen};
     use webvuln_failpoint::{arm_key, hits, reset, Action};
@@ -407,7 +340,7 @@ mod tests {
             alert.encode(&mut payload);
             let mut frame = Vec::new();
             write_frame(&mut frame, &payload);
-            self.append_wal(&frame)?;
+            self.wal.append(&frame)?;
             self.known.insert(alert.id);
             self.owed.push(alert.clone());
             Ok(true)
@@ -421,7 +354,8 @@ mod tests {
                 if self.delivered.contains(&alert.id) {
                     report.deduped += 1;
                 } else {
-                    self.append_lines(&format!("{}\n", alert.log_line()))?;
+                    self.log
+                        .append(format!("{}\n", alert.log_line()).as_bytes())?;
                     self.delivered.insert(alert.id);
                     report.delivered += 1;
                 }
@@ -431,7 +365,7 @@ mod tests {
                 write_u64(&mut payload, alert.id);
                 let mut frame = Vec::new();
                 write_frame(&mut frame, &payload);
-                self.append_wal(&frame)?;
+                self.wal.append(&frame)?;
                 self.owed.remove(0);
             }
             Ok(report)
@@ -480,7 +414,8 @@ mod tests {
             // Simulate delivery-then-crash: append the line by hand,
             // never ack.
             outbox
-                .append_lines(&format!("{}\n", alert(7).log_line()))
+                .log
+                .append(format!("{}\n", alert(7).log_line()).as_bytes())
                 .unwrap();
         }
         let (mut outbox, recovery) = Outbox::open(&wal, &log).unwrap();
@@ -543,6 +478,23 @@ mod tests {
         }
         let (_, recovery) = Outbox::open(&wal, &log).unwrap();
         assert_eq!(recovery.delivered, 2, "the line after the heal parses");
+    }
+
+    /// An unterminated last line is torn whatever it holds: what `/alerts`
+    /// and `/healthz` read must not count an ID the owner's reopen cuts
+    /// and delivers again.
+    #[test]
+    fn a_snapshot_does_not_count_a_torn_line_as_delivered() {
+        let _guard = lock();
+        let dir = tmp("tornid");
+        let wal = dir.join("outbox.wal");
+        let log = dir.join("alerts.log");
+        let line = alert(1).log_line();
+        std::fs::write(&log, format!("{line}\n0123456789abcdef")).unwrap();
+        let snapshot = OutboxSnapshot::load(&wal, &log).unwrap();
+        let (_, recovery) = Outbox::open(&wal, &log).unwrap();
+        assert_eq!(snapshot.delivered.len(), 1);
+        assert_eq!(recovery.delivered, 1);
     }
 
     #[test]

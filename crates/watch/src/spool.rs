@@ -16,7 +16,7 @@
 use crate::error::WatchError;
 use std::path::{Path, PathBuf};
 use webvuln_store::codec::{decode_genesis_file, encode_genesis_file, encode_week_file, WeekFile};
-use webvuln_store::{Genesis, StoreError, WeekData};
+use webvuln_store::{durable, Genesis, StoreError, WeekData};
 
 /// The spool file name for week `index`.
 pub fn week_file_name(index: usize) -> String {
@@ -29,11 +29,9 @@ pub const GENESIS_FILE: &str = "genesis.wvgenesis";
 fn write_file(spool_dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, WatchError> {
     std::fs::create_dir_all(spool_dir).map_err(|e| WatchError::io(spool_dir, e))?;
     let path = spool_dir.join(name);
-    // Write to a temp name then rename, so a producer crash never leaves
-    // a plausible-but-partial spool file under the real name.
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| WatchError::io(&tmp, e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| WatchError::io(&path, e))?;
+    // An atomic replace, so a producer crash never leaves a partial (or,
+    // unsynced, an empty) spool file under the real name.
+    durable::replace(&path, bytes, || Ok(()))?;
     Ok(path)
 }
 

@@ -1,19 +1,17 @@
-//! Framed, CRC-checked append-only log — the journaling primitive under
-//! the alert outbox.
+//! Framed, CRC-checked append-only log — the journal format under the
+//! alert outbox.
 //!
 //! Frame layout: `[len varint][crc32 varint][payload bytes]`, where the
 //! CRC covers the payload only. The unit of durability is the *batch*:
-//! [`FrameLog::append_frames`] writes any number of frames with one
-//! `write_all` and one `sync_data` (a single frame is a batch of one). A
-//! crash can tear the batch anywhere; [`read_frames`] stops at the first
-//! incomplete or CRC-failing frame and reports how many clean bytes
-//! precede it, so reopening keeps the batch's whole-frame prefix,
-//! truncates the rest and appends resume from there — the same heal
-//! discipline as the snapshot store's segment log, in the store's codec.
+//! any number of frames go down with one [`AppendLog::append`] — one
+//! write, one `sync_data` (a single frame is a batch of one). A crash can
+//! tear the batch anywhere; [`read_frames`] stops at the first incomplete
+//! or CRC-failing frame and reports how many clean bytes precede it, and
+//! that `clean_len` is the log's clean rule: reopening keeps the batch's
+//! whole-frame prefix, truncates the rest and appends resume from there.
+//!
+//! [`AppendLog::append`]: webvuln_store::durable::AppendLog::append
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
-use std::path::Path;
 use webvuln_store::codec::{crc32, write_u64, Cursor};
 
 /// Appends one CRC-framed payload to `out`.
@@ -53,45 +51,10 @@ pub fn read_frames(data: &[u8]) -> Frames {
     }
 }
 
-/// An append handle on a frame log whose torn tail (if any) has been
-/// truncated away. Every batch is synced before its append returns.
-pub struct FrameLog {
-    file: File,
-}
-
-impl FrameLog {
-    /// Opens (creating if absent) the log at `path`, heals the torn
-    /// tail, and returns the handle plus the surviving payloads.
-    pub fn open(path: &Path) -> io::Result<(FrameLog, Frames)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data)?;
-        let frames = read_frames(&data);
-        if frames.clean_len < data.len() as u64 {
-            file.set_len(frames.clean_len)?;
-            file.sync_all()?;
-        }
-        // Position at the end of the clean prefix for appends.
-        file.seek(io::SeekFrom::End(0))?;
-        Ok((FrameLog { file }, frames))
-    }
-
-    /// Appends `frames` — [`write_frame`] outputs, back to back — with
-    /// one write and one sync: all of them are durable on return.
-    pub fn append_frames(&mut self, frames: &[u8]) -> io::Result<()> {
-        self.file.write_all(frames)?;
-        self.file.sync_data()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webvuln_store::durable::AppendLog;
 
     #[test]
     fn torn_tail_is_detected_at_every_cut() {
@@ -132,13 +95,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("heal.wal");
         let _ = std::fs::remove_file(&path);
+        let open = || {
+            let (log, clean) =
+                AppendLog::open(&path, |b| read_frames(b).clean_len as usize).unwrap();
+            (log, read_frames(&clean))
+        };
         {
-            let (mut log, frames) = FrameLog::open(&path).unwrap();
+            let (mut log, frames) = open();
             assert!(frames.payloads.is_empty());
             let mut batch = Vec::new();
             write_frame(&mut batch, b"one");
             write_frame(&mut batch, b"two");
-            log.append_frames(&batch).unwrap();
+            log.append(&batch).unwrap();
         }
         // Tear the tail by hand.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -146,14 +114,14 @@ mod tests {
         bytes.extend_from_slice(&[0x09, 0xFF, 0xFF]);
         std::fs::write(&path, &bytes).unwrap();
         {
-            let (mut log, frames) = FrameLog::open(&path).unwrap();
+            let (mut log, frames) = open();
             assert_eq!(frames.payloads, vec![b"one".to_vec(), b"two".to_vec()]);
             assert_eq!(frames.clean_len, full as u64);
             let mut batch = Vec::new();
             write_frame(&mut batch, b"three");
-            log.append_frames(&batch).unwrap();
+            log.append(&batch).unwrap();
         }
-        let (_, frames) = FrameLog::open(&path).unwrap();
+        let (_, frames) = open();
         assert_eq!(
             frames.payloads,
             vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]

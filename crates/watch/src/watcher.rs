@@ -39,16 +39,16 @@
 
 use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
-use crate::outbox::{heal_line_log, Outbox, OutboxRecovery};
+use crate::outbox::{Outbox, OutboxRecovery};
 use crate::spool::{open_week_file, read_genesis_file, scan_spool, GENESIS_FILE};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use webvuln_analysis::store_io::{DecodedWeek, SymbolCache};
 use webvuln_analysis::{
     genesis_ranks, AccumCtx, Buckets, FilterWindow, PageView, StudyAccum, WeekView,
 };
 use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
+use webvuln_store::durable::{complete_lines, AppendLog};
 use webvuln_store::{AnyReader, ShardedStoreWriter, MANIFEST_FILE};
 use webvuln_telemetry::Telemetry;
 
@@ -252,6 +252,8 @@ pub struct Watcher {
     known_deltas: BTreeSet<String>,
     /// Delta files whose retro-scan completed (journaled).
     applied_deltas: BTreeSet<String>,
+    /// `deltas.applied`, held open from its first append on.
+    journal: Option<AppendLog>,
 }
 
 impl Watcher {
@@ -329,6 +331,7 @@ impl Watcher {
             recovery,
             known_deltas,
             applied_deltas,
+            journal: None,
         })
     }
 
@@ -614,14 +617,16 @@ impl Watcher {
         self.outbox.enqueue(&alerts)
     }
 
-    /// Appends `name` to the applied journal, first cutting a torn last
-    /// line a crashed append left — the next name must not land on it.
-    fn journal_applied(&self, name: &str) -> Result<(), WatchError> {
-        let path = self.cfg.applied_journal();
-        let (mut file, _) = heal_line_log(&path)?;
-        file.write_all(format!("{name}\n").as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| WatchError::io(&path, e))
+    /// Appends `name` to the applied journal, opened (a torn last line cut,
+    /// so the name cannot land on it) on the first append: a root that
+    /// never saw a delta never gets the file.
+    fn journal_applied(&mut self, name: &str) -> Result<(), WatchError> {
+        let journal = match self.journal.take() {
+            Some(journal) => journal,
+            None => AppendLog::open(&self.cfg.applied_journal(), complete_lines)?.0,
+        };
+        let journal = self.journal.insert(journal);
+        Ok(journal.append(format!("{name}\n").as_bytes())?)
     }
 
     /// The live study accumulator: the buckets merged, by value. Nothing
@@ -688,13 +693,7 @@ fn parse_delta_file(path: &Path) -> Result<Vec<VulnRecord>, WatchError> {
 /// lines count, so a torn final append reads as not-applied and the
 /// retro-scan replays (harmless under ID dedup).
 fn read_applied(path: &Path) -> BTreeSet<String> {
-    let Ok(raw) = std::fs::read(path) else {
-        return BTreeSet::new();
-    };
-    let text = String::from_utf8_lossy(&raw);
-    let clean = match text.rfind('\n') {
-        Some(pos) => &text[..pos + 1],
-        None => "",
-    };
+    let raw = std::fs::read(path).unwrap_or_default();
+    let clean = String::from_utf8_lossy(&raw[..complete_lines(&raw)]);
     clean.lines().map(str::to_string).collect()
 }
