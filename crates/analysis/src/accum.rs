@@ -12,22 +12,20 @@
 //! `merge` is associative with [`Default`] as identity, so a store can
 //! be folded as domain-disjoint slices on the exec pool (a shard each, or
 //! a hash partition of a single file each), and the finished artifacts
-//! are byte-identical to the sequential materialized path: all floating-
-//! point aggregation happens in `finish` from merged integer state, in
+//! are byte-identical to one sequential fold: all floating-point
+//! aggregation happens in `finish` from merged integer state, in
 //! canonical (week, domain) order, never during absorb or merge.
 //!
 //! The CVE join itself — which records apply to a detected `(library,
 //! version)` — is answered by [`VulnDb::verdict`] from the verdict index
 //! the database builds once; absorbing asks it once per detection.
 //!
-//! [`fold_store`] is the streaming entry point: it drives any
-//! [`AnyReader`] through an accumulator without materializing a
-//! [`Dataset`] or a [`WeekSnapshot`](crate::WeekSnapshot) — each worker
-//! absorbs its weeks as [`DecodedWeek`] views over the reader's own
-//! records — so peak memory is one borrowed week per worker plus the
-//! accumulator.
+//! [`fold_store`] is the entry point: it drives any [`AnyReader`] through
+//! an accumulator without building a [`WeekSnapshot`](crate::WeekSnapshot)
+//! — each worker absorbs its weeks as [`DecodedWeek`] views over the
+//! reader's own records — so peak memory is one borrowed week per worker
+//! plus the accumulator.
 
-use crate::dataset::Dataset;
 use crate::filter::store_filter_verdict;
 use crate::flash::{flash_eol, tier_cutoff, FlashByTld, FlashUsage, ScriptAccessAudit};
 use crate::landscape::{is_cdn_host, CdnBreakdown, LibraryRow, UsageTrend};
@@ -71,19 +69,6 @@ pub trait Accumulate: Sized + Send {
     fn absorb<W: WeekView>(&mut self, week: &W, ctx: &AccumCtx<'_>);
     /// Combines a partition's state into `self`.
     fn merge(&mut self, other: Self);
-
-    /// Builds the accumulator over a materialized dataset.
-    fn over(data: &Dataset, db: &VulnDb) -> Self
-    where
-        Self: Default,
-    {
-        let ranks = &data.ranks;
-        let mut accum = Self::default();
-        for week in &data.weeks {
-            accum.absorb(week, &AccumCtx { db, ranks });
-        }
-        accum
-    }
 }
 
 /// Merges two per-week vectors pointwise with `combine`; either side may
@@ -174,7 +159,7 @@ fn first_detections(page: &impl PageView) -> [Option<DetectionView<'_>>; Library
 /// Sorts partition-tagged events back into the sequential scan order:
 /// week ascending, then domain ascending. Within one (week, domain) all
 /// events come from a single partition in absorb order, so the stable
-/// sort reproduces the materialized path exactly.
+/// sort reproduces one sequential fold exactly.
 fn sequential_order<E>(events: &mut [(usize, String, E)]) {
     events.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
 }
@@ -1450,10 +1435,9 @@ pub fn genesis_ranks(genesis: &Genesis) -> BTreeMap<String, usize> {
         .collect()
 }
 
-/// Folds a store through an accumulator without materializing a
-/// [`Dataset`], dropping the domains of the §4.1 verdict `filtered`. Peak
-/// memory is the accumulator plus one borrowed week per worker, whatever
-/// the week count.
+/// Folds a store through an accumulator, dropping the domains of the §4.1
+/// verdict `filtered`. Peak memory is the accumulator plus one borrowed
+/// week per worker, whatever the week count.
 ///
 /// The store is cut into domain-disjoint parts (see `fold_parts`), every
 /// part folded by the one loop (`fold_group`), the parts merged in
@@ -1707,15 +1691,15 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::testkit;
+    use crate::dataset::testkit::{self, Kept, Over};
     use crate::store_io::snapshot_to_week;
-    use webvuln_store::ShardedStoreWriter;
+    use webvuln_store::{ShardedStoreWriter, StoreWriter};
 
     fn artifacts_debug(accum: &StudyAccum, db: &VulnDb) -> String {
         format!("{:#?}", accum.finish(db))
     }
 
-    fn genesis_of(data: &Dataset) -> Genesis {
+    fn genesis_of(data: &Kept) -> Genesis {
         let mut by_rank: Vec<(&String, usize)> = data
             .ranks
             .iter()
@@ -1732,11 +1716,15 @@ mod tests {
         }
     }
 
-    fn write_single(data: &Dataset, path: &std::path::Path) {
-        data.save_store(path).expect("save store");
+    fn write_single(data: &Kept, path: &std::path::Path) {
+        let mut writer = StoreWriter::create(path, genesis_of(data)).expect("create");
+        for week in &data.weeks {
+            writer.commit_week(&snapshot_to_week(week)).expect("commit");
+        }
+        writer.finalize(&data.filtered_out).expect("finalize");
     }
 
-    fn write_sharded(data: &Dataset, dir: &std::path::Path, shards: usize) {
+    fn write_sharded(data: &Kept, dir: &std::path::Path, shards: usize) {
         let mut writer = ShardedStoreWriter::create(dir, genesis_of(data), shards).expect("create");
         for week in &data.weeks {
             writer.commit_week(&snapshot_to_week(week)).expect("commit");
@@ -1991,7 +1979,7 @@ mod tests {
 
     #[test]
     fn a_stored_version_that_does_not_parse_fails_the_fold_by_name() {
-        use webvuln_store::{DetectionRecord, DomainRecord, PageRecord, StoreWriter, WeekData};
+        use webvuln_store::{DetectionRecord, DomainRecord, PageRecord, WeekData};
         let path = std::env::temp_dir().join(format!("accum-badver-{}", std::process::id()));
         let record = |host: &str, version: &str| DomainRecord {
             host: host.to_string(),
@@ -2050,8 +2038,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("open.wvstore");
         {
-            let mut writer =
-                webvuln_store::StoreWriter::create(&path, genesis_of(data)).expect("create");
+            let mut writer = StoreWriter::create(&path, genesis_of(data)).expect("create");
             for week in &data.weeks {
                 writer.commit_week(&snapshot_to_week(week)).expect("commit");
             }

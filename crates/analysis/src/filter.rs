@@ -1,8 +1,8 @@
 //! The §4.1 inaccessibility filter as the pipeline runs it: one trailing
 //! window fed a week at a time, one verdict, one way to drop the verdict's
 //! domains from a snapshot. Collection, [`store_filter_verdict`] (and
-//! through it `load_store`, `export_json` and every fold) and the watch
-//! daemon all hold a [`FilterWindow`]; the batch rule in
+//! through it `export_json` and every fold) and the watch daemon all hold
+//! a [`FilterWindow`]; the batch rule in
 //! [`webvuln_net::filter::inaccessible_domains`] stays as the paper's
 //! wording and as the window's differential oracle.
 
@@ -93,17 +93,16 @@ pub fn store_filter_verdict(reader: &AnyReader) -> Result<BTreeSet<String>, Stor
     Ok(FilterWindow::from_store(reader)?.verdict(ranked))
 }
 
-/// Drops filtered-out domains from a snapshot's pages, so an accumulator
-/// absorbing the snapshot sees exactly what a store fold — which skips
-/// them in its [`DecodedWeek`](crate::store_io::DecodedWeek) view instead
-/// — would. The fetch summaries are left alone: no accumulator reads
-/// them, and a [`Dataset`]-facing caller that shows them drops them on
-/// top ([`Dataset::apply_filter`](crate::dataset::Dataset::apply_filter)).
-///
-/// [`Dataset`]: crate::dataset::Dataset
+/// Drops filtered-out domains from a snapshot — pages, fetch summaries
+/// and carried-forward flags — so an accumulator absorbing the snapshot
+/// sees exactly what a store fold, which skips them in its
+/// [`DecodedWeek`](crate::store_io::DecodedWeek) view instead, would.
 pub fn apply_filter(snapshot: &mut WeekSnapshot, filtered: &BTreeSet<String>) {
     snapshot
         .pages
+        .retain(|domain, _| !filtered.contains(domain));
+    snapshot
+        .summaries
         .retain(|domain, _| !filtered.contains(domain));
     snapshot
         .carried_forward

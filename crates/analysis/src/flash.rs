@@ -3,7 +3,7 @@
 
 use webvuln_cvedb::Date;
 #[cfg(test)]
-use {crate::dataset::Dataset, crate::stats::mean};
+use {crate::dataset::testkit::Kept, crate::stats::mean};
 
 /// Flash's end-of-life date (Adobe, Jan 1 2021).
 pub fn flash_eol() -> Date {
@@ -26,7 +26,7 @@ pub struct FlashUsage {
 /// is smaller than the real Alexa 1M.
 /// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn flash_usage(data: &Dataset) -> FlashUsage {
+pub(crate) fn flash_usage(data: &Kept) -> FlashUsage {
     let population = data.ranks.len().max(1);
     let tier_10k = tier_cutoff(population, 10_000);
     let tier_1k = tier_cutoff(population, 1_000);
@@ -99,7 +99,7 @@ pub struct FlashByTld {
 /// Builds the post-EOL Flash TLD census from the final snapshot.
 /// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn flash_by_tld(data: &Dataset) -> FlashByTld {
+pub(crate) fn flash_by_tld(data: &Kept) -> FlashByTld {
     let mut counts: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
     let mut cn_flash = 0usize;
     let mut flash_total = 0usize;
@@ -147,7 +147,7 @@ pub struct ScriptAccessAudit {
 /// Builds Figure 11.
 /// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn script_access_audit(data: &Dataset) -> ScriptAccessAudit {
+pub(crate) fn script_access_audit(data: &Kept) -> ScriptAccessAudit {
     let points: Vec<(Date, usize, usize, usize)> = data
         .weeks
         .iter()
@@ -194,8 +194,8 @@ pub(crate) fn script_access_audit(data: &Dataset) -> ScriptAccessAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::{Accumulate, FlashAccum};
-    use crate::dataset::testkit;
+    use crate::accum::FlashAccum;
+    use crate::dataset::testkit::{self, Over};
     use webvuln_cvedb::VulnDb;
 
     #[test]

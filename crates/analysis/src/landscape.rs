@@ -6,8 +6,8 @@ use webvuln_cvedb::{Date, LibraryId};
 use webvuln_version::Version;
 #[cfg(test)]
 use {
-    crate::dataset::Dataset, crate::stats::mean, std::collections::BTreeMap, webvuln_cvedb::VulnDb,
-    webvuln_fingerprint::DetectedInclusion,
+    crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap,
+    webvuln_cvedb::VulnDb, webvuln_fingerprint::DetectedInclusion,
 };
 
 /// One Table 1 row.
@@ -67,7 +67,7 @@ pub fn is_cdn_host(host: &str) -> bool {
 /// Builds Table 1 for the top-15 libraries, ordered by usage.
 /// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn table1(data: &Dataset, db: &VulnDb) -> Vec<LibraryRow> {
+pub(crate) fn table1(data: &Kept, db: &VulnDb) -> Vec<LibraryRow> {
     let mut rows: Vec<LibraryRow> = LibraryId::ALL
         .iter()
         .map(|&library| library_row(data, db, library))
@@ -77,7 +77,7 @@ pub(crate) fn table1(data: &Dataset, db: &VulnDb) -> Vec<LibraryRow> {
 }
 
 #[cfg(test)]
-fn library_row(data: &Dataset, db: &VulnDb, library: LibraryId) -> LibraryRow {
+fn library_row(data: &Kept, db: &VulnDb, library: LibraryId) -> LibraryRow {
     let mut weekly_share = Vec::new();
     let mut weekly_sites = Vec::new();
     let mut internal = 0usize;
@@ -173,7 +173,7 @@ impl UsageTrend {
 /// Builds Figure 3's series for every library.
 /// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn usage_trends(data: &Dataset) -> Vec<UsageTrend> {
+pub(crate) fn usage_trends(data: &Kept) -> Vec<UsageTrend> {
     LibraryId::ALL
         .iter()
         .map(|&library| UsageTrend {
@@ -207,7 +207,7 @@ pub struct CdnBreakdown {
 /// Builds Table 5: top external hosts per library.
 /// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn table5(data: &Dataset, top: usize) -> Vec<CdnBreakdown> {
+pub(crate) fn table5(data: &Kept, top: usize) -> Vec<CdnBreakdown> {
     LibraryId::ALL
         .iter()
         .map(|&library| {
@@ -237,8 +237,8 @@ pub(crate) fn table5(data: &Dataset, top: usize) -> Vec<CdnBreakdown> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::{Accumulate, LandscapeAccum};
-    use crate::dataset::testkit;
+    use crate::accum::LandscapeAccum;
+    use crate::dataset::testkit::{self, Over};
 
     #[test]
     fn table1_order_and_shares_match_paper() {

@@ -13,19 +13,19 @@
 //! * [`landscape`] — Table 1, Figure 3, Table 5 (library usage landscape).
 //! * [`vuln`] — §6.2/§6.4: prevalence, per-CVE impact (Table 2, Figures
 //!   5/14), the Figure 12 CDF, claimed-vs-TVV refinement.
-//! * [`updates`] — §7: version trends (Figures 6/7), WordPress
-//!   attribution (Figure 9), the update-delay estimator.
+//! * [`updates`] — §7: WordPress attribution (Figure 9), the update-delay
+//!   estimator; its tests pin the version trends of Figures 6/7.
 //! * [`flash`] — §8: Figure 8 decay, Figure 11 `AllowScriptAccess`.
 //! * [`sri`] — §6.5: Figure 10 SRI adoption, `crossorigin` census,
 //!   Table 6 GitHub-hosted inclusions.
 //! * [`wordpress`] — Table 4 WordPress CVE census.
-//! * [`store_io`] — binary snapshot-store persistence: save/load through
-//!   `webvuln-store`, the JSON export and the checkpoint writer.
+//! * [`store_io`] — the bridge to `webvuln-store`: the writer every
+//!   collection commits through (to a file or to memory), the JSON export.
 //! * [`accum`] — the mergeable streaming accumulators behind every
-//!   artifact above, and [`accum::fold_store`] for folding a snapshot
-//!   store without materializing a [`Dataset`].
-//! * [`view`] — what an accumulator reads of a week: a [`WeekSnapshot`]
-//!   or a store's decoded records in place.
+//!   artifact above, and [`accum::fold_store`], the one way they read a
+//!   store.
+//! * [`view`] — what an accumulator reads of a week: a store's decoded
+//!   records in place, or a [`WeekSnapshot`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 use webvuln_cvedb::Date;
 use webvuln_fingerprint::ResourceType;
 #[cfg(test)]
-use {crate::dataset::Dataset, crate::stats::mean};
+use {crate::dataset::testkit::Kept, crate::stats::mean};
 
 /// Figure 2(a): pages collected per week.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +17,7 @@ pub struct CollectionSeries {
 /// Builds Figure 2(a).
 /// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn collection_series(data: &Dataset) -> CollectionSeries {
+pub(crate) fn collection_series(data: &Kept) -> CollectionSeries {
     let points: Vec<(Date, usize)> = data.weeks.iter().map(|w| (w.date, w.collected())).collect();
     let average = mean(&points.iter().map(|&(_, c)| c as f64).collect::<Vec<_>>());
     CollectionSeries { points, average }
@@ -37,7 +37,7 @@ pub struct ResourceUsage {
 /// Builds Figure 2(b) for all eight classes, ordered by average share.
 /// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn resource_usage(data: &Dataset) -> Vec<ResourceUsage> {
+pub(crate) fn resource_usage(data: &Kept) -> Vec<ResourceUsage> {
     let mut out: Vec<ResourceUsage> = ResourceType::ALL
         .iter()
         .map(|&resource| {
@@ -73,8 +73,8 @@ pub(crate) fn resource_usage(data: &Dataset) -> Vec<ResourceUsage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::{Accumulate, CollectionAccum};
-    use crate::dataset::testkit;
+    use crate::accum::CollectionAccum;
+    use crate::dataset::testkit::{self, Over};
     use webvuln_cvedb::VulnDb;
 
     #[test]

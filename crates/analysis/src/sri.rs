@@ -4,7 +4,7 @@
 
 use webvuln_cvedb::Date;
 #[cfg(test)]
-use {crate::dataset::Dataset, crate::stats::mean, std::collections::BTreeMap};
+use {crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap};
 
 /// Figure 10: SRI adoption over time.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,7 +19,7 @@ pub struct SriAdoption {
 /// Builds Figure 10.
 /// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn sri_adoption(data: &Dataset) -> SriAdoption {
+pub(crate) fn sri_adoption(data: &Kept) -> SriAdoption {
     let points: Vec<(Date, usize, usize)> = data
         .weeks
         .iter()
@@ -63,7 +63,7 @@ pub struct CrossoriginCensus {
 /// Builds the census across all weeks.
 /// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn crossorigin_census(data: &Dataset) -> CrossoriginCensus {
+pub(crate) fn crossorigin_census(data: &Kept) -> CrossoriginCensus {
     let mut anonymous = 0usize;
     let mut credentials = 0usize;
     let mut total = 0usize;
@@ -105,7 +105,7 @@ pub struct GithubReport {
 /// Builds Table 6.
 /// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn github_report(data: &Dataset) -> GithubReport {
+pub(crate) fn github_report(data: &Kept) -> GithubReport {
     let mut weekly_counts = Vec::new();
     let mut host_counts: BTreeMap<String, usize> = BTreeMap::new();
     let mut with_sri = 0usize;
@@ -150,8 +150,8 @@ pub(crate) fn github_report(data: &Dataset) -> GithubReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::accum::{Accumulate, SriAccum};
-    use crate::dataset::testkit;
+    use crate::accum::SriAccum;
+    use crate::dataset::testkit::{self, Over};
     use webvuln_cvedb::VulnDb;
 
     #[test]

@@ -3,22 +3,25 @@
 //! the window-of-vulnerability / update-delay estimator (the paper's
 //! headline 531.2 days, and 701.2 days under True Vulnerable Versions).
 
-use crate::dataset::Dataset;
-use std::collections::BTreeMap;
 use webvuln_cvedb::{Basis, Date, LibraryId};
 use webvuln_version::Version;
 #[cfg(test)]
-use {crate::stats::mean, webvuln_cvedb::VulnDb};
+use {
+    crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap,
+    webvuln_cvedb::VulnDb,
+};
 
 /// Weekly site counts for one specific library version.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct VersionSeries {
+pub(crate) struct VersionSeries {
     /// The version tracked.
     pub version: Version,
     /// `(date, sites running it)` per week.
     pub points: Vec<(Date, usize)>,
 }
 
+#[cfg(test)]
 impl VersionSeries {
     /// Count at the snapshot covering `date` (nearest on/after).
     pub fn at(&self, date: Date) -> usize {
@@ -32,8 +35,10 @@ impl VersionSeries {
 /// Builds per-version usage series for `library` (Figures 6 and 7(a)).
 /// When `versions` is empty, the most popular versions are picked
 /// automatically (up to `auto_top`).
-pub fn version_series(
-    data: &Dataset,
+/// Test-only: what the Figure 6 and 7(a) assertions read.
+#[cfg(test)]
+pub(crate) fn version_series(
+    data: &Kept,
     library: LibraryId,
     versions: &[Version],
     auto_top: usize,
@@ -82,8 +87,9 @@ pub fn version_series(
 
 /// Like [`version_series`], restricted to sites detected as WordPress —
 /// Figure 7(b)'s attribution evidence.
-pub fn version_series_wordpress(
-    data: &Dataset,
+#[cfg(test)]
+pub(crate) fn version_series_wordpress(
+    data: &Kept,
     library: LibraryId,
     versions: &[Version],
 ) -> Vec<VersionSeries> {
@@ -127,7 +133,7 @@ pub struct WordPressUsage {
 /// Builds Figure 9.
 /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn wordpress_usage(data: &Dataset) -> WordPressUsage {
+pub(crate) fn wordpress_usage(data: &Kept) -> WordPressUsage {
     let points: Vec<(Date, usize, usize)> = data
         .weeks
         .iter()
@@ -197,7 +203,7 @@ pub struct UpdateDelayReport {
 /// the previous snapshot), counting only post-patch updates.
 /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn update_delays(data: &Dataset, db: &VulnDb, basis: Basis) -> UpdateDelayReport {
+pub(crate) fn update_delays(data: &Kept, db: &VulnDb, basis: Basis) -> UpdateDelayReport {
     let mut events = Vec::new();
     // Track, per (domain, record), the last affected version seen.
     let mut armed: BTreeMap<(String, usize), Version> = BTreeMap::new();
@@ -297,7 +303,7 @@ pub struct RegressionEvent {
 /// question: do sites update and then regress for compatibility?).
 /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn regressions(data: &Dataset, db: &VulnDb) -> Vec<RegressionEvent> {
+pub(crate) fn regressions(data: &Kept, db: &VulnDb) -> Vec<RegressionEvent> {
     let mut last: BTreeMap<(String, LibraryId), Version> = BTreeMap::new();
     let mut out = Vec::new();
     for week in &data.weeks {
@@ -334,8 +340,8 @@ pub(crate) fn regressions(data: &Dataset, db: &VulnDb) -> Vec<RegressionEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::{Accumulate, UpdateBehaviorAccum};
-    use crate::dataset::testkit;
+    use crate::accum::UpdateBehaviorAccum;
+    use crate::dataset::testkit::{self, Over};
 
     fn v(s: &str) -> Version {
         Version::parse(s).expect("version")

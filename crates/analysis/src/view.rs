@@ -3,11 +3,12 @@
 //! [`Accumulate::absorb`](crate::accum::Accumulate::absorb) takes a
 //! [`WeekView`]: the week index and date, the collected and
 //! carried-forward counts, and the pages in host order — all *after* the
-//! §4.1 filter, so no accumulator ever sees a filtered-out domain. Two
-//! things are a week view: a [`WeekSnapshot`] (what collection produces;
-//! its filter was applied by dropping the pages) and a
-//! [`DecodedWeek`](crate::store_io::DecodedWeek) (the records a store
-//! reader decoded, borrowed in place; its filter is a skip).
+//! §4.1 filter, so no accumulator ever sees a filtered-out domain. Every
+//! fold reads a [`DecodedWeek`](crate::store_io::DecodedWeek): the records
+//! a store reader decoded, borrowed in place, the filter a skip. A
+//! [`WeekSnapshot`] — one crawled week before its commit, its filter
+//! applied by dropping the pages — is a view too, for the reference folds
+//! the tests and the benchmark probe run.
 
 use crate::dataset::WeekSnapshot;
 use webvuln_cvedb::{Date, LibraryId};

@@ -7,7 +7,7 @@ use crate::stats::Cdf;
 use webvuln_cvedb::{Basis, Date};
 #[cfg(test)]
 use {
-    crate::dataset::Dataset,
+    crate::dataset::testkit::Kept,
     crate::stats::{mean, median},
     std::collections::BTreeMap,
     webvuln_cvedb::VulnDb,
@@ -31,7 +31,7 @@ pub struct PrevalenceSeries {
 /// constant-range counting is what [`CveImpact`] holds instead.)
 /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn prevalence(data: &Dataset, db: &VulnDb, basis: Basis) -> PrevalenceSeries {
+pub(crate) fn prevalence(data: &Kept, db: &VulnDb, basis: Basis) -> PrevalenceSeries {
     let points: Vec<(Date, f64)> = data
         .weeks
         .iter()
@@ -80,7 +80,7 @@ pub struct CveImpact {
 /// columns).
 /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn cve_impact(data: &Dataset, db: &VulnDb, id: &str) -> Option<CveImpact> {
+pub(crate) fn cve_impact(data: &Kept, db: &VulnDb, id: &str) -> Option<CveImpact> {
     let record = db.record(id)?;
     let mut claimed_sites = Vec::new();
     let mut true_sites = Vec::new();
@@ -150,7 +150,7 @@ pub struct VulnCountDistribution {
 /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
 #[cfg(test)]
 pub(crate) fn vuln_count_distribution(
-    data: &Dataset,
+    data: &Kept,
     db: &VulnDb,
     basis: Basis,
 ) -> VulnCountDistribution {
@@ -195,7 +195,7 @@ pub struct RefinementSummary {
 /// Compares the two bases (the "+2%" takeaway, and its growth over time).
 /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn refinement_summary(data: &Dataset, db: &VulnDb) -> RefinementSummary {
+pub(crate) fn refinement_summary(data: &Kept, db: &VulnDb) -> RefinementSummary {
     let claimed = prevalence(data, db, Basis::CveClaimed);
     let tvv = prevalence(data, db, Basis::TrueVulnerable);
     let gap = claimed
@@ -214,11 +214,11 @@ pub(crate) fn refinement_summary(data: &Dataset, db: &VulnDb) -> RefinementSumma
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::{Accumulate, CveExposureAccum};
-    use crate::dataset::testkit;
+    use crate::accum::CveExposureAccum;
+    use crate::dataset::testkit::{self, Over};
 
     /// One report's impact series, as the accumulator computes it.
-    fn impact_of(data: &Dataset, db: &VulnDb, id: &str) -> Option<CveImpact> {
+    fn impact_of(data: &Kept, db: &VulnDb, id: &str) -> Option<CveImpact> {
         CveExposureAccum::over(data, db)
             .cve_impacts(db)
             .into_iter()

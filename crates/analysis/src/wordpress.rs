@@ -1,12 +1,12 @@
 //! Table 4 / Appendix: WordPress core versions in the wild and the sites
 //! affected by its ten highlighted CVEs.
 
-use crate::dataset::Dataset;
-use std::collections::BTreeMap;
-#[cfg(test)]
-use webvuln_cvedb::VulnDb;
 use webvuln_cvedb::WordPressCve;
-use webvuln_version::Version;
+#[cfg(test)]
+use {
+    crate::dataset::testkit::Kept, std::collections::BTreeMap, webvuln_cvedb::VulnDb,
+    webvuln_version::Version,
+};
 
 /// One Table 4 output row.
 #[derive(Debug, Clone)]
@@ -23,7 +23,7 @@ pub struct WordPressCveRow {
 /// Builds Table 4 from the final snapshot (the paper reports a census).
 /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn table4(data: &Dataset, db: &VulnDb) -> Vec<WordPressCveRow> {
+pub(crate) fn table4(data: &Kept, db: &VulnDb) -> Vec<WordPressCveRow> {
     let last = data.weeks.last();
     let versions: Vec<Version> = last
         .map(|week| {
@@ -47,7 +47,8 @@ pub(crate) fn table4(data: &Dataset, db: &VulnDb) -> Vec<WordPressCveRow> {
 }
 
 /// Distribution of observed WordPress core versions at one week.
-pub fn version_census(data: &Dataset, week: usize) -> BTreeMap<Version, usize> {
+#[cfg(test)]
+pub(crate) fn version_census(data: &Kept, week: usize) -> BTreeMap<Version, usize> {
     let mut out = BTreeMap::new();
     if let Some(snapshot) = data.weeks.get(week) {
         for page in snapshot.pages.values() {
@@ -62,8 +63,8 @@ pub fn version_census(data: &Dataset, week: usize) -> BTreeMap<Version, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::{Accumulate, UpdateBehaviorAccum};
-    use crate::dataset::testkit;
+    use crate::accum::UpdateBehaviorAccum;
+    use crate::dataset::testkit::{self, Over};
 
     #[test]
     fn recent_cves_affect_more_sites_than_ancient_ones() {

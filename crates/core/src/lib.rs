@@ -26,6 +26,6 @@ pub use report::{
     render_telemetry, render_validation, series_to_csv, telemetry_json,
 };
 pub use study::{
-    analyze_store, analyze_with, failpoint_catalog, Pipeline, StudyConfig, StudyResults, FAILPOINTS,
+    analyze_store, failpoint_catalog, Pipeline, StudyConfig, StudyResults, FAILPOINTS,
 };
 pub use webvuln_telemetry::{Snapshot, StderrProgress, Telemetry, TraceData, TraceMode};

@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use webvuln_analysis::accum::{fold_store, AccumCtx, Accumulate, StudyAccum, StudyArtifacts};
+use webvuln_analysis::accum::{fold_store, AccumCtx, StudyAccum, StudyArtifacts};
 use webvuln_analysis::dataset::{CollectConfig, Collector, Dataset};
 use webvuln_analysis::flash::{FlashByTld, FlashUsage, ScriptAccessAudit};
 use webvuln_analysis::landscape::{CdnBreakdown, LibraryRow, UsageTrend};
@@ -130,7 +130,7 @@ impl StudyConfig {
 pub struct StudyResults {
     /// The configuration used.
     pub config: StudyConfig,
-    /// The collected, filtered dataset.
+    /// The study's timeline, ranks and §4.1 verdict.
     pub dataset: Dataset,
     /// The vulnerability database used for joins.
     pub db: VulnDb,
@@ -205,7 +205,7 @@ pub struct StudyResults {
 ///     .threads(8)
 ///     .run()
 ///     .expect("study");
-/// println!("{} weeks collected", results.dataset.week_count());
+/// println!("{} weeks collected", results.dataset.timeline.weeks);
 /// ```
 #[derive(Clone)]
 pub struct Pipeline<'a> {
@@ -213,7 +213,6 @@ pub struct Pipeline<'a> {
     telemetry: Option<&'a Telemetry>,
     store: Option<PathBuf>,
     resume: bool,
-    streaming: bool,
 }
 
 impl From<StudyConfig> for Pipeline<'_> {
@@ -236,7 +235,6 @@ impl<'a> Pipeline<'a> {
             telemetry: None,
             store: None,
             resume: false,
-            streaming: false,
         }
     }
 
@@ -333,7 +331,7 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Commits every crawled week to the snapshot store at `path` as it
-    /// completes.
+    /// completes, instead of to a store kept in memory.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());
         self
@@ -351,20 +349,11 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Whether the run keeps the crawled weeks in memory: `false` (the
-    /// default) keeps them and analyzes the kept snapshots; `true` drops
-    /// each week once it is committed to the
-    /// [`checkpoint`](Pipeline::checkpoint) store and analyzes the
-    /// finalized store instead, on `threads` workers. Nothing else
-    /// changes — same collection loop, same analysis driver, a report
-    /// byte-identical whatever the thread or shard count — except peak
-    /// memory (one in-flight week plus the accumulator state instead of
-    /// the whole timeline) and the attached [`StudyResults::dataset`],
-    /// a thin shell (timeline, ranks, filter verdict — no weeks) when
-    /// streaming. Requires a checkpoint store; [`run`](Pipeline::run)
-    /// rejects the combination otherwise.
-    pub fn streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
+    /// Does nothing: every run commits each week to its store — the
+    /// [`checkpoint`](Pipeline::checkpoint), or one kept in memory — drops
+    /// it, and folds the store. Kept so that callers written when keeping
+    /// the weeks was the default still build.
+    pub fn streaming(self, _streaming: bool) -> Self {
         self
     }
 
@@ -373,10 +362,11 @@ impl<'a> Pipeline<'a> {
         self.config
     }
 
-    /// Runs the full study. A pipeline without
-    /// [`checkpoint`](Pipeline::checkpoint) fails only under
-    /// [`supervise`](Pipeline::supervise), when quarantined tasks exceed
-    /// the failure budget.
+    /// Runs the full study: collection commits every week to the store,
+    /// and the analysis folds what was committed on `threads` workers. A
+    /// pipeline without [`checkpoint`](Pipeline::checkpoint) fails only
+    /// under [`supervise`](Pipeline::supervise), when quarantined tasks
+    /// exceed the failure budget.
     pub fn run(&self) -> Result<StudyResults, StoreError> {
         let private = Telemetry::new();
         let telemetry = self.telemetry.unwrap_or(&private);
@@ -422,8 +412,7 @@ impl<'a> Pipeline<'a> {
             supervise: config.supervise,
         })
         .telemetry(telemetry)
-        .resume(self.resume)
-        .streaming(self.streaming);
+        .resume(self.resume);
         if let Some(path) = &self.store {
             collector = collector.checkpoint(path);
         }
@@ -440,80 +429,44 @@ impl<'a> Pipeline<'a> {
                 return Err(err);
             }
         };
-        let mut results = if self.streaming {
-            // Collection dropped every committed week: the store is the
-            // week source.
-            let store = self.store.as_ref().expect("streaming ran with a store");
-            analyze_store(config, store, telemetry)?
-        } else {
-            analyze_with(config, outcome.dataset, telemetry)
-        };
+        let mut results = analyze(config, &outcome.reader, telemetry)?;
         results.trace = tracer.map(Tracer::finish);
         Ok(results)
     }
 }
 
-/// Runs all analyses over an already-collected dataset, timing the
-/// CVE-join and table-building phases through `telemetry`. The snapshot
-/// attached to the results is taken from `telemetry` after both phases
-/// complete.
-pub fn analyze_with(config: StudyConfig, dataset: Dataset, telemetry: &Telemetry) -> StudyResults {
-    analyze_weeks(config, WeekSource::Kept(dataset), telemetry)
-        .expect("folding kept snapshots reads no store")
-}
-
-/// Streams an existing snapshot store (either layout) through the
-/// mergeable accumulators and renders the full artifact set, without ever
-/// materializing a [`Dataset`]. Peak memory is one decoded week per
-/// thread plus the accumulator state. The attached `dataset` is a thin
-/// shell (timeline, ranks, and filter verdict only, no weeks) — every
-/// artifact in the results is already computed.
+/// Analyzes an existing snapshot store (either layout, degraded shards
+/// skipped) as [`Pipeline::run`] analyzes the store it committed.
 pub fn analyze_store(
     config: StudyConfig,
     store: &std::path::Path,
     telemetry: &Telemetry,
 ) -> Result<StudyResults, StoreError> {
-    let reader = AnyReader::open_degraded(store)?;
-    analyze_weeks(config, WeekSource::Store(reader), telemetry)
+    analyze(config, &AnyReader::open_degraded(store)?, telemetry)
 }
 
-/// Where the analysis driver reads its weeks from.
-enum WeekSource {
-    /// The snapshots a non-streaming collection kept.
-    Kept(Dataset),
-    /// An opened snapshot store.
-    Store(AnyReader),
-}
-
-/// The analysis driver: the CVE join (one fold of every week through the
-/// study accumulator) and the table/figure build, over either source. A
-/// store's §4.1 verdict is taken once, for the fold and for the shell.
-fn analyze_weeks(
+/// The analysis driver: the CVE join (one fold of every committed week
+/// through the study accumulator, on `config.concurrency` workers) and
+/// the table/figure build, timed through `telemetry`, whose snapshot is
+/// attached to the results. The store's §4.1 verdict is taken once, for
+/// the fold and for the results' [`Dataset`]. Peak memory is one decoded
+/// week per worker plus the accumulator state.
+fn analyze(
     config: StudyConfig,
-    source: WeekSource,
+    reader: &AnyReader,
     telemetry: &Telemetry,
 ) -> Result<StudyResults, StoreError> {
-    let (db, accum, weeks, dataset) = {
+    let (db, accum, dataset) = {
         let _phase = telemetry.phase("join");
         let _ = webvuln_failpoint::hit("phase.join", "");
         let db = VulnDb::builtin();
-        let (accum, weeks, dataset) = match source {
-            WeekSource::Kept(dataset) => (
-                StudyAccum::over(&dataset, &db),
-                dataset.week_count(),
-                dataset,
-            ),
-            WeekSource::Store(reader) => {
-                let filtered = store_filter_verdict(&reader)?;
-                let shell = Dataset::shell_from_reader(&reader, &filtered)?;
-                let ctx = AccumCtx {
-                    db: &db,
-                    ranks: &shell.ranks,
-                };
-                let accum = fold_store(&reader, &ctx, config.concurrency, &filtered)?;
-                (accum, reader.weeks_committed(), shell)
-            }
+        let filtered = store_filter_verdict(reader)?;
+        let dataset = Dataset::shell_from_reader(reader, &filtered)?;
+        let ctx = AccumCtx {
+            db: &db,
+            ranks: &dataset.ranks,
         };
+        let accum: StudyAccum = fold_store(reader, &ctx, config.concurrency, &filtered)?;
         trace::emit(
             "join.done",
             "",
@@ -521,8 +474,9 @@ fn analyze_weeks(
             db.records().len() as u64 * 1_000,
             Sink::Export,
         );
-        (db, accum, weeks, dataset)
+        (db, accum, dataset)
     };
+    let weeks = reader.weeks_committed();
     let mut results = {
         let _phase = telemetry.phase("analyze");
         let _ = webvuln_failpoint::hit("phase.analyze", "");
@@ -582,7 +536,33 @@ fn build_results(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webvuln_analysis::apply_filter;
+    use webvuln_analysis::store_io::week_into_snapshot;
     use webvuln_telemetry::TraceMode;
+
+    fn temp_store(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "webvuln-study-{}-{tag}.wvstore",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Carried-forward pages the §4.1 filter kept, read from a store.
+    fn carried_forward_total(store: &std::path::Path) -> usize {
+        let reader = AnyReader::open(store).expect("open");
+        let filtered = store_filter_verdict(&reader).expect("verdict");
+        let carried = |week| {
+            let mut snapshot = week_into_snapshot(week).expect("snapshot");
+            apply_filter(&mut snapshot, &filtered);
+            snapshot.carried_forward.len()
+        };
+        reader
+            .stream()
+            .map(|week| carried(week.expect("week")))
+            .sum()
+    }
 
     #[test]
     fn quick_study_produces_all_artifacts() {
@@ -620,6 +600,7 @@ mod tests {
     #[test]
     fn resilient_study_records_retry_telemetry() {
         let seed = StudyConfig::quick().seed;
+        let store = temp_store("retry");
         let results = Pipeline::new(StudyConfig::quick())
             .domains(150)
             .timeline(Timeline::truncated(6))
@@ -629,16 +610,18 @@ mod tests {
             .retry(RetryPolicy::standard(3))
             .breaker(BreakerConfig::default())
             .carry_forward(true)
+            .checkpoint(&store)
             .run()
             .expect("study");
         let snap = &results.telemetry;
         assert!(snap.counter("net.retries_total").unwrap_or(0) > 0);
         assert!(snap.counter("net.retry_success_total").unwrap_or(0) > 0);
         assert!(snap.histogram("net.backoff_delay_ns").is_some());
-        // The counter tallies live carry events; the dataset keeps only
-        // those surviving the §4.1 filter.
+        // The counter tallies live carry events; the store's weeks minus
+        // the §4.1 verdict keep only those surviving the filter.
         let carried = snap.counter("net.carry_forward_total").unwrap_or(0);
-        assert!(carried >= results.dataset.carried_forward_total() as u64);
+        assert!(carried >= carried_forward_total(&store) as u64);
+        let _ = std::fs::remove_file(&store);
     }
 
     #[test]
@@ -743,6 +726,7 @@ mod tests {
 
     #[test]
     fn traced_study_is_deterministic_and_attributes_costs() {
+        let traced_store = temp_store("traced");
         let run = |threads| {
             let telemetry = Telemetry::new().with_trace(TraceMode::Full);
             Pipeline::new(StudyConfig::quick())
@@ -750,6 +734,7 @@ mod tests {
                 .timeline(Timeline::truncated(4))
                 .threads(threads)
                 .telemetry(&telemetry)
+                .checkpoint(&traced_store)
                 .run()
                 .expect("study")
         };
@@ -778,16 +763,22 @@ mod tests {
         assert!(ta.patterns.iter().any(|(_, s)| s.vm_steps > 0));
         // Tracing is observational: the study's results are unchanged,
         // and an untraced run attaches no trace at all.
+        let plain_store = temp_store("untraced");
         let plain = Pipeline::new(StudyConfig::quick())
             .domains(80)
             .timeline(Timeline::truncated(4))
+            .checkpoint(&plain_store)
             .run()
             .expect("study");
         assert!(plain.trace.is_none());
         assert_eq!(plain.collection.points.len(), a.collection.points.len());
-        for (wa, wb) in plain.dataset.weeks.iter().zip(&a.dataset.weeks) {
-            assert_eq!(wa.pages, wb.pages);
-            assert_eq!(wa.summaries, wb.summaries);
+        // Every page and summary of every week is in the store's bytes.
+        assert_eq!(
+            std::fs::read(&plain_store).expect("untraced store"),
+            std::fs::read(&traced_store).expect("traced store")
+        );
+        for store in [plain_store, traced_store] {
+            let _ = std::fs::remove_file(store);
         }
     }
 }

@@ -10,8 +10,7 @@
 //! * The table endpoints (`/library`, `/week`, `/cve`) answer from the
 //!   same mergeable accumulators the batch reports use
 //!   ([`webvuln_analysis::accum`]), folded once over the store at open
-//!   — never materializing a [`webvuln_analysis::Dataset`] — so a
-//!   served body is *definitionally* consistent with the batch tables
+//!   one borrowed week at a time — so a served body is *definitionally* consistent with the batch tables
 //!   for the same store, and startup memory stays flat in the number
 //!   of weeks.
 
@@ -39,8 +38,7 @@ pub struct QueryService {
 
 impl QueryService {
     /// Opens `path` and folds the store through the study accumulators,
-    /// precomputing the hot analysis tables without materializing a
-    /// dataset.
+    /// precomputing the hot analysis tables.
     ///
     /// A sharded store opens in degraded mode when shards are missing or
     /// quarantined: the healthy shards keep serving, the analysis tables

@@ -9,7 +9,9 @@
 //!
 //! * **Checkpointing** — [`StoreWriter::commit_week`] appends one
 //!   CRC-protected segment per crawled week, then rewrites and syncs the
-//!   footer, so a killed study loses at most the week in flight.
+//!   footer, so a killed study loses at most the week in flight. A study
+//!   with no store file commits the same bytes to memory
+//!   ([`StoreWriter::in_memory`]) and reads them back the same way.
 //! * **Resume** — [`StoreWriter::resume`] walks the file, checks that
 //!   every committed week decodes, truncates any torn tail (a mid-commit
 //!   crash) and hands back a writer at the first missing week; the
@@ -298,8 +300,7 @@ mod tests {
         let mut bytes = std::fs::read(&tmp.path).expect("read");
         // Week 1's first record gets tag 7 under a recomputed CRC: the
         // scan accepts the envelope, only the full decode notices.
-        let mut file = std::fs::File::open(&tmp.path).expect("open");
-        let scanned = format::scan(&mut file, &tmp.path).expect("scan");
+        let scanned = format::scan(&bytes).expect("scan");
         let index = format::index(&scanned.segments).expect("index");
         let (seg_index, prefix) = &index.weeks[1];
         let seg = &scanned.segments[*seg_index];

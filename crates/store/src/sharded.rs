@@ -426,6 +426,21 @@ pub struct AnyReader {
     genesis: Genesis,
 }
 
+/// One file as the store: a healthy shard with no manifest.
+impl From<StoreReader> for AnyReader {
+    fn from(reader: StoreReader) -> AnyReader {
+        AnyReader {
+            path: reader.path().to_path_buf(),
+            manifest: None,
+            weeks: reader.weeks_committed(),
+            finalized: reader.is_finalized(),
+            genesis: reader.genesis().clone(),
+            readers: vec![Some(reader)],
+            health: vec![ShardHealth::Healthy],
+        }
+    }
+}
+
 impl AnyReader {
     /// Opens `path` strictly: every shard must open and agree with the
     /// manifest, or the open fails with that shard's error.
@@ -450,16 +465,7 @@ impl AnyReader {
     /// does.
     pub fn open_degraded(path: &Path) -> Result<AnyReader, StoreError> {
         if !path.is_dir() {
-            let reader = StoreReader::open(path)?;
-            return Ok(AnyReader {
-                path: path.to_path_buf(),
-                manifest: None,
-                weeks: reader.weeks_committed(),
-                finalized: reader.is_finalized(),
-                genesis: reader.genesis().clone(),
-                readers: vec![Some(reader)],
-                health: vec![ShardHealth::Healthy],
-            });
+            return StoreReader::open(path).map(AnyReader::from);
         }
         let dir = path;
         let manifest = manifest::load(dir)?;

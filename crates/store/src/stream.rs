@@ -1,7 +1,7 @@
 //! [`WeekStream`]: streaming iteration over a snapshot store.
 //!
-//! Whoever wants a store's weeks whole and owned — materialization, the
-//! JSON export, a resumed collection's replay — reads them one at a time,
+//! Whoever wants a store's weeks whole and owned — the JSON export, a
+//! resumed collection's replay — reads them one at a time,
 //! in canonical global order (weeks ascending, records host-sorted within
 //! each week — exactly the order the writer committed). `WeekStream` is that
 //! iterator, built on [`AnyReader`] so both layouts stream identically; a

@@ -9,7 +9,7 @@
 //! ecosystem that keeps Flash alive (Table 3).
 
 use std::sync::Arc;
-use webvuln::analysis::accum::{Accumulate, FlashAccum};
+use webvuln::analysis::accum::{fold_store, AccumCtx, FlashAccum};
 use webvuln::analysis::dataset::Collector;
 use webvuln::analysis::flash::flash_eol;
 use webvuln::core::render_table3;
@@ -27,9 +27,14 @@ fn main() {
         domain_count: domains,
         timeline: Timeline::paper(),
     }));
-    let data = Collector::new().run(&eco).expect("collection").dataset;
-
-    let flash = FlashAccum::over(&data, &VulnDb::builtin());
+    let outcome = Collector::new().run(&eco).expect("collection");
+    let db = VulnDb::builtin();
+    let ctx = AccumCtx {
+        db: &db,
+        ranks: &outcome.dataset.ranks,
+    };
+    let filtered = outcome.dataset.filtered_out.iter().cloned().collect();
+    let flash: FlashAccum = fold_store(&outcome.reader, &ctx, 8, &filtered).expect("fold");
     let usage = flash.usage();
     println!("Figure 8 — Flash usage over the study");
     let eol = flash_eol();

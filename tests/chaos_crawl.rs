@@ -9,8 +9,9 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use webvuln::analysis::dataset::{CollectConfig, Collector};
-use webvuln::analysis::Dataset;
+use webvuln::analysis::apply_filter;
+use webvuln::analysis::dataset::{CollectConfig, Collector, WeekSnapshot};
+use webvuln::analysis::store_io::{week_into_snapshot, CheckpointOutcome};
 use webvuln::core::{full_report, Pipeline, StudyConfig, Telemetry};
 use webvuln::net::{
     BreakerConfig, CrawlOptions, FaultPlan, Request, Response, RetryPolicy, VirtualClock,
@@ -26,41 +27,57 @@ fn ecosystem(seed: u64, domains: usize, weeks: usize) -> Arc<Ecosystem> {
     }))
 }
 
-fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
-    Collector::from_config(config)
-        .run(eco)
-        .expect("collection")
-        .dataset
+/// The weeks a collection committed, minus its §4.1 verdict.
+fn kept_weeks(outcome: CheckpointOutcome) -> Vec<WeekSnapshot> {
+    let filtered: BTreeSet<String> = outcome.dataset.filtered_out.iter().cloned().collect();
+    let kept = |week| {
+        let mut snapshot = week_into_snapshot(week).expect("stored week converts");
+        apply_filter(&mut snapshot, &filtered);
+        snapshot
+    };
+    let weeks = outcome.reader.stream();
+    weeks
+        .map(|week| kept(week.expect("stored week decodes")))
+        .collect()
 }
 
-fn collect_with(eco: &Arc<Ecosystem>, config: CollectConfig, telemetry: &Telemetry) -> Dataset {
-    Collector::from_config(config)
-        .telemetry(telemetry)
-        .run(eco)
-        .expect("collection")
-        .dataset
+fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> CheckpointOutcome {
+    Collector::from_config(config).run(eco).expect("collection")
 }
 
-fn usable_pages(dataset: &Dataset) -> Vec<BTreeSet<String>> {
-    dataset
-        .weeks
+fn collect_with(
+    eco: &Arc<Ecosystem>,
+    config: CollectConfig,
+    telemetry: &Telemetry,
+) -> Vec<WeekSnapshot> {
+    let outcome = Collector::from_config(config).telemetry(telemetry).run(eco);
+    kept_weeks(outcome.expect("collection"))
+}
+
+fn usable_pages(weeks: &[WeekSnapshot]) -> Vec<BTreeSet<String>> {
+    weeks
         .iter()
         .map(|w| w.pages.keys().cloned().collect())
         .collect()
+}
+
+fn average_collected(weeks: &[WeekSnapshot]) -> f64 {
+    let total: usize = weeks.iter().map(WeekSnapshot::collected).sum();
+    total as f64 / weeks.len().max(1) as f64
 }
 
 #[test]
 fn retries_recover_strictly_more_than_a_single_attempt() {
     let eco = ecosystem(4_242, 250, 5);
     let hostile = FaultPlan::hostile(4_242);
-    let single = collect(
+    let single = kept_weeks(collect(
         &eco,
         CollectConfig {
             faults: hostile,
             ..CollectConfig::default()
         },
-    );
-    let retried = collect(
+    ));
+    let retried = kept_weeks(collect(
         &eco,
         CollectConfig {
             faults: hostile,
@@ -68,7 +85,7 @@ fn retries_recover_strictly_more_than_a_single_attempt() {
             retry: RetryPolicy::standard(3),
             ..CollectConfig::default()
         },
-    );
+    ));
     // The first attempt of the retried crawl is the single-attempt crawl,
     // so coverage can only grow: every page the single-attempt crawl got,
     // the retried crawl got too — plus the recovered transients.
@@ -86,7 +103,7 @@ fn retries_recover_strictly_more_than_a_single_attempt() {
         recovered > 0,
         "hostile profile with retries must recover transient failures"
     );
-    assert!(retried.average_collected() > single.average_collected());
+    assert!(average_collected(&retried) > average_collected(&single));
 }
 
 #[test]
@@ -102,10 +119,11 @@ fn chaos_crawl_is_identical_across_concurrency() {
     };
     let serial = collect(&eco, config(1));
     let parallel = collect(&eco, config(8));
-    assert_eq!(serial.ranks, parallel.ranks);
-    assert_eq!(serial.filtered_out, parallel.filtered_out);
-    assert_eq!(serial.weeks.len(), parallel.weeks.len());
-    for (a, b) in serial.weeks.iter().zip(&parallel.weeks) {
+    assert_eq!(serial.dataset.ranks, parallel.dataset.ranks);
+    assert_eq!(serial.dataset.filtered_out, parallel.dataset.filtered_out);
+    let (serial, parallel) = (kept_weeks(serial), kept_weeks(parallel));
+    assert_eq!(serial.len(), parallel.len());
+    for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.summaries, b.summaries);
         assert_eq!(a.pages, b.pages);
         assert_eq!(a.carried_forward, b.carried_forward);
@@ -164,7 +182,7 @@ fn carry_forward_counter_covers_the_dataset_ground_truth() {
     // down for the whole week and their last usable snapshot is carried.
     let eco = ecosystem(4_245, 200, 7);
     let telemetry = Telemetry::new();
-    let dataset = collect_with(
+    let weeks = collect_with(
         &eco,
         CollectConfig {
             faults: FaultPlan {
@@ -179,10 +197,10 @@ fn carry_forward_counter_covers_the_dataset_ground_truth() {
         },
         &telemetry,
     );
-    let carried_kept: usize = dataset.weeks.iter().map(|w| w.carried_forward.len()).sum();
+    let carried_kept: usize = weeks.iter().map(|w| w.carried_forward.len()).sum();
     assert!(carried_kept > 0, "fixture must exercise carry-forward");
-    // The counter tallies live carry events; the dataset keeps only those
-    // surviving the §4.1 inaccessibility filter.
+    // The counter tallies live carry events; the stored weeks minus the
+    // verdict keep only those surviving the §4.1 inaccessibility filter.
     let counted = telemetry
         .snapshot()
         .counter("net.carry_forward_total")
@@ -190,7 +208,7 @@ fn carry_forward_counter_covers_the_dataset_ground_truth() {
     assert!(counted >= carried_kept as u64);
     // Carried pages are flagged, never invented: each one has a summary
     // that is an error or empty for that week.
-    for week in &dataset.weeks {
+    for week in &weeks {
         for domain in &week.carried_forward {
             assert!(week.pages.contains_key(domain));
             let summary = &week.summaries[domain];
@@ -296,13 +314,10 @@ fn study_is_byte_identical_across_threads() {
             analysis_part(&full_report(&many)),
             "analysis report differs at {threads} threads"
         );
+        // The store bytes above pin every week's pages, summaries and
+        // carried-forward flags.
         assert_eq!(one.dataset.ranks, many.dataset.ranks);
         assert_eq!(one.dataset.filtered_out, many.dataset.filtered_out);
-        for (a, b) in one.dataset.weeks.iter().zip(&many.dataset.weeks) {
-            assert_eq!(a.pages, b.pages, "week {} at {threads} threads", a.week);
-            assert_eq!(a.summaries, b.summaries);
-            assert_eq!(a.carried_forward, b.carried_forward);
-        }
     }
 }
 

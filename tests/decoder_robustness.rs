@@ -18,8 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
+use webvuln::analysis::apply_filter;
 use webvuln::analysis::dataset::{CollectConfig, Collector};
-use webvuln::analysis::store_io::snapshot_to_week;
+use webvuln::analysis::store_io::{snapshot_to_week, week_into_snapshot};
 use webvuln::cvedb::parse_delta;
 use webvuln::failpoint::check::{self, Gen};
 use webvuln::net::codec::{encode_request, MessageReader, MAX_BODY, MAX_HEAD};
@@ -333,11 +334,14 @@ fn rows(dir: &Path) -> Vec<Row> {
         domain_count: 12,
         timeline: Timeline::truncated(1),
     }));
-    let dataset = Collector::from_config(CollectConfig::default())
+    let outcome = Collector::from_config(CollectConfig::default())
         .run(&ecosystem)
-        .expect("collection")
-        .dataset;
-    let week = snapshot_to_week(&dataset.weeks[0]);
+        .expect("collection");
+    let filtered = outcome.dataset.filtered_out.iter().cloned().collect();
+    let stored = outcome.reader.week(0).expect("week 0");
+    let mut snapshot = week_into_snapshot(stored).expect("snapshot");
+    apply_filter(&mut snapshot, &filtered);
+    let week = snapshot_to_week(&snapshot);
     let genesis = Genesis {
         start_days: 17_595,
         weeks_total: 12,

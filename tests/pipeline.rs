@@ -5,18 +5,37 @@
 //! identical fingerprints — the property that makes the fast simulation
 //! path a valid stand-in for the socket path.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use webvuln::analysis::dataset::{CollectConfig, Collector, Dataset};
+use webvuln::analysis::apply_filter;
+use webvuln::analysis::dataset::{CollectConfig, Collector, WeekSnapshot};
+use webvuln::analysis::store_io::{week_into_snapshot, CheckpointOutcome};
 use webvuln::fingerprint::Engine;
 use webvuln::net::{CrawlOptions, FaultPlan, ServeConfig, Server, TcpConnector, VirtualNet};
 use webvuln::telemetry::Registry;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
 
-fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
-    Collector::from_config(config)
-        .run(eco)
-        .expect("collection")
-        .dataset
+fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> CheckpointOutcome {
+    Collector::from_config(config).run(eco).expect("collection")
+}
+
+/// The weeks a collection committed, minus its §4.1 verdict.
+fn kept_weeks(outcome: &CheckpointOutcome) -> Vec<WeekSnapshot> {
+    let filtered: BTreeSet<String> = outcome.dataset.filtered_out.iter().cloned().collect();
+    let kept = |week| {
+        let mut snapshot = week_into_snapshot(week).expect("stored week converts");
+        apply_filter(&mut snapshot, &filtered);
+        snapshot
+    };
+    let weeks = outcome.reader.stream();
+    weeks
+        .map(|week| kept(week.expect("stored week decodes")))
+        .collect()
+}
+
+fn average_collected(weeks: &[WeekSnapshot]) -> f64 {
+    let total: usize = weeks.iter().map(WeekSnapshot::collected).sum();
+    total as f64 / weeks.len().max(1) as f64
 }
 
 fn ecosystem(domains: usize, weeks: usize) -> Arc<Ecosystem> {
@@ -95,8 +114,8 @@ fn fingerprints_survive_the_wire() {
 #[test]
 fn faults_shrink_but_do_not_corrupt_the_dataset() {
     let eco = ecosystem(300, 6);
-    let clean = collect(&eco, CollectConfig::default());
-    let faulty = collect(
+    let clean = kept_weeks(&collect(&eco, CollectConfig::default()));
+    let faulty = kept_weeks(&collect(
         &eco,
         CollectConfig {
             concurrency: 4,
@@ -109,10 +128,10 @@ fn faults_shrink_but_do_not_corrupt_the_dataset() {
             },
             ..CollectConfig::default()
         },
-    );
-    assert!(faulty.average_collected() < clean.average_collected());
+    ));
+    assert!(average_collected(&faulty) < average_collected(&clean));
     // Pages that did arrive are identical to the clean crawl's.
-    for (week_clean, week_faulty) in clean.weeks.iter().zip(&faulty.weeks) {
+    for (week_clean, week_faulty) in clean.iter().zip(&faulty) {
         for (domain, page) in &week_faulty.pages {
             let clean_page = week_clean
                 .pages
@@ -127,7 +146,7 @@ fn faults_shrink_but_do_not_corrupt_the_dataset() {
 fn dataset_scales_linearly_in_shape() {
     // Shares must be scale-invariant: doubling the population leaves the
     // landscape percentages roughly unchanged.
-    use webvuln::analysis::accum::{Accumulate, LandscapeAccum};
+    use webvuln::analysis::accum::{fold_store, AccumCtx, LandscapeAccum};
     use webvuln::cvedb::{LibraryId, VulnDb};
     let db = VulnDb::builtin();
     let small = collect(&ecosystem(400, 3), CollectConfig::default());
@@ -139,8 +158,15 @@ fn dataset_scales_linearly_in_shape() {
         })),
         CollectConfig::default(),
     );
-    let share = |data, lib| {
-        LandscapeAccum::over(data, &db)
+    let share = |outcome: &CheckpointOutcome, lib| {
+        let dataset = &outcome.dataset;
+        let ctx = AccumCtx {
+            db: &db,
+            ranks: &dataset.ranks,
+        };
+        let filtered = dataset.filtered_out.iter().cloned().collect();
+        fold_store::<LandscapeAccum>(&outcome.reader, &ctx, 2, &filtered)
+            .expect("fold")
             .table1(&db)
             .into_iter()
             .find(|r| r.library == lib)

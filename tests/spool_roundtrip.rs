@@ -4,8 +4,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use webvuln::analysis::apply_filter;
 use webvuln::analysis::dataset::{CollectConfig, Collector};
-use webvuln::analysis::store_io::snapshot_to_week;
+use webvuln::analysis::store_io::{snapshot_to_week, week_into_snapshot};
 use webvuln::failpoint::check;
 use webvuln::net::FaultPlan;
 use webvuln::store::codec::{crc32, write_i64, write_str, write_u64};
@@ -36,15 +37,22 @@ fn collected_weeks() -> Vec<WeekData> {
         domain_count: 24,
         timeline: Timeline::truncated(6),
     }));
-    let dataset = Collector::from_config(CollectConfig {
+    let outcome = Collector::from_config(CollectConfig {
         faults: FaultPlan::hostile(19),
         carry_forward: true,
         ..CollectConfig::default()
     })
     .run(&ecosystem)
-    .expect("collection")
-    .dataset;
-    dataset.weeks.iter().map(snapshot_to_week).collect()
+    .expect("collection");
+    // The weeks minus the §4.1 verdict, as the analysis sees them.
+    let filtered = outcome.dataset.filtered_out.iter().cloned().collect();
+    let kept = |week| {
+        let mut snapshot = week_into_snapshot(week).expect("snapshot");
+        apply_filter(&mut snapshot, &filtered);
+        snapshot_to_week(&snapshot)
+    };
+    let weeks = outcome.reader.stream();
+    weeks.map(|week| kept(week.expect("week"))).collect()
 }
 
 /// The variants a synthetic crawl rarely or never produces.

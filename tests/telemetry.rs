@@ -24,11 +24,10 @@ fn crawler_fetch_count_equals_dataset_page_count() {
     let weeks = 4;
     let eco = ecosystem(domains, weeks);
     let telemetry = Telemetry::new();
-    let dataset = Collector::from_config(CollectConfig::default())
+    let outcome = Collector::from_config(CollectConfig::default())
         .telemetry(&telemetry)
         .run(&eco)
-        .expect("collection")
-        .dataset;
+        .expect("collection");
 
     // Every domain is attempted every week, regardless of filtering.
     let snap = telemetry.snapshot();
@@ -38,7 +37,16 @@ fn crawler_fetch_count_equals_dataset_page_count() {
     );
     // Every usable page was fingerprinted; filtering only prunes pages
     // afterwards, so the engine saw at least as many as the dataset kept.
-    let kept: u64 = dataset.weeks.iter().map(|w| w.pages.len() as u64).sum();
+    let filtered = &outcome.dataset.filtered_out;
+    let kept = |week: webvuln::store::WeekData| {
+        let pages = week.records.iter().filter(|r| r.page.is_some());
+        pages.filter(|r| !filtered.contains(&r.host)).count() as u64
+    };
+    let kept: u64 = outcome
+        .reader
+        .stream()
+        .map(|w| kept(w.expect("week")))
+        .sum();
     let fingerprinted = snap.counter("fp.pages_total").expect("fp pages");
     assert!(
         fingerprinted >= kept,

@@ -60,8 +60,8 @@ fn hostile_traced_study_is_byte_identical_across_thread_counts() {
     // Observation never changes the observed: the traced datasets agree
     // with each other and the report's cost-centers section is stable.
     assert_eq!(
-        r1.dataset.weeks.len(),
-        r8.dataset.weeks.len(),
+        r1.collection.points.len(),
+        r8.collection.points.len(),
         "week counts agree"
     );
     let report = full_report(&r1);
@@ -70,18 +70,36 @@ fn hostile_traced_study_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn tracing_never_changes_the_dataset() {
+    let store = |tag: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "webvuln-trace-{tag}-{}.wvstore",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    };
+    let (traced_store, untraced_store) = (store("traced"), store("untraced"));
     let telemetry = Telemetry::new().with_trace(TraceMode::Full);
     let traced = hostile_pipeline(2)
         .telemetry(&telemetry)
+        .checkpoint(&traced_store)
         .run()
         .expect("traced study");
-    let untraced = hostile_pipeline(2).run().expect("untraced study");
+    let untraced = hostile_pipeline(2)
+        .checkpoint(&untraced_store)
+        .run()
+        .expect("untraced study");
     assert!(untraced.trace.is_none());
-    for (a, b) in traced.dataset.weeks.iter().zip(&untraced.dataset.weeks) {
-        assert_eq!(a.pages, b.pages, "week {} pages diverge", a.week);
-        assert_eq!(a.summaries, b.summaries, "week {} summaries", a.week);
-    }
+    // Every week's pages and summaries are in the committed bytes.
+    assert_eq!(
+        std::fs::read(&traced_store).expect("traced store"),
+        std::fs::read(&untraced_store).expect("untraced store"),
+        "the committed weeks diverge"
+    );
     assert_eq!(traced.dataset.filtered_out, untraced.dataset.filtered_out);
+    for path in [traced_store, untraced_store] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]
@@ -125,10 +143,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The canonical trace of one small hostile study, pinned byte for byte:
 /// event count, length and hash of the Chrome export, hash of the
-/// cost-centers report. The constants were recorded at the commit before
-/// the tracer moved into `webvuln-telemetry` and the executor's two
-/// scheduling loops became one; any change to which events a run emits,
-/// their context, order or rendering moves them.
+/// cost-centers report. Any change to which events a run emits, their
+/// context, order or rendering moves them.
+///
+/// Last moved when a run without a store began committing its weeks to
+/// one kept in memory: the study now emits `store`-phase events (four
+/// `store.commit`s and a `store.finalize`, 857 → 862 events). Dumped once
+/// at both commits, the pattern and domain profiles were equal and the
+/// other 857 events matched event for event.
 #[test]
 fn canonical_trace_bytes_are_pinned() {
     let telemetry = Telemetry::new().with_trace(TraceMode::Full);
@@ -153,10 +175,10 @@ fn canonical_trace_bytes_are_pinned() {
             fnv1a(top.as_bytes())
         ),
         (
-            857,
-            204_404,
-            9_806_218_450_281_843_348,
-            13_107_769_405_798_961_923
+            862,
+            206_378,
+            2_969_348_227_762_632_320,
+            13_158_849_797_172_554_892
         )
     );
 }

@@ -19,8 +19,7 @@ fn one_sweep_serves_every_analysis_in_the_process() {
     let study = Pipeline::new(StudyConfig::quick())
         .domains(60)
         .timeline(Timeline::truncated(3))
-        .checkpoint(&store)
-        .streaming(true);
+        .checkpoint(&store);
     let config = study.build();
     let first = study.run().expect("study");
     for _ in 0..3 {
