@@ -41,6 +41,9 @@
 //! All three maps are thin callers of one scheduling core, generic over
 //! what runs around each item (propagate a panic, or quarantine it), so
 //! the deques, the steal scan, the joins and the merge exist once.
+//! [`Executor::map_in_order`] is the streaming form: no chunks, no
+//! stealing — workers take items in order and the caller consumes each
+//! result in order while later ones still run.
 //!
 //! Scheduling statistics ([`ExecStats`]: tasks, steals, per-worker busy
 //! nanoseconds, containment counts) are returned out-of-band;
@@ -50,7 +53,7 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -375,6 +378,16 @@ impl Watchdog {
     }
 }
 
+/// What the workers and the sink of one [`Executor::map_in_order`] call
+/// share, under one lock: finished items the sink has not taken, by
+/// index; the next index a worker takes (every index, once the sink
+/// stops); the next index the sink takes.
+struct InOrder<R> {
+    done: BTreeMap<usize, std::thread::Result<R>>,
+    claim: usize,
+    next: usize,
+}
+
 fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -573,6 +586,91 @@ impl Executor {
             });
             None
         })
+    }
+
+    /// Maps `f` over `items` on the pool and hands each result to `sink`
+    /// on the calling thread, in input order, as soon as it and every
+    /// earlier one are done: the caller's in-order work overlaps the
+    /// pool's, and no more than `2 × threads` results wait at once.
+    /// Workers take items one at a time, in order. The first error `sink`
+    /// returns stops the pool — items in flight finish, no new one starts
+    /// — and is returned; a panic in `f` is re-raised here once every
+    /// worker has joined, as [`Executor::map`] re-raises it.
+    pub fn map_in_order<T: Sync, R: Send, E>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+        mut sink: impl FnMut(R) -> Result<(), E>,
+    ) -> Result<ExecStats, E> {
+        let (threads, len) = (self.threads().max(1), items.len());
+        let ctx = trace::capture();
+        let ctx = ctx.as_ref();
+        let state = Mutex::new(InOrder::<R> {
+            done: BTreeMap::new(),
+            claim: 0,
+            next: 0,
+        });
+        let signal = Condvar::new();
+        let wait = |guard| signal.wait(guard).unwrap_or_else(|p| p.into_inner());
+        let busy_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+        let work = |worker: usize| loop {
+            let mut s = lock_ignore_poison(&state);
+            while s.claim < len && s.claim >= s.next + 2 * threads {
+                s = wait(s);
+            }
+            let index = s.claim;
+            if index == len {
+                return;
+            }
+            s.claim += 1;
+            drop(s);
+            let started = Instant::now();
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                let _scope = trace::task_scope(ctx, index as u64, worker as u64);
+                probe_task();
+                f(&items[index])
+            }));
+            busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            lock_ignore_poison(&state).done.insert(index, out);
+            signal.notify_all();
+        };
+        let drained = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|worker| scope.spawn(move || work(worker)))
+                .collect();
+            // A panic in `f` (re-raised here) or in `sink` is caught until
+            // the pool has stopped and joined.
+            let drained = catch_unwind(AssertUnwindSafe(|| {
+                for index in 0..len {
+                    let mut s = lock_ignore_poison(&state);
+                    let out = loop {
+                        match s.done.remove(&index) {
+                            Some(out) => break out,
+                            None => s = wait(s),
+                        }
+                    };
+                    s.next = index + 1;
+                    drop(s);
+                    signal.notify_all();
+                    sink(out.unwrap_or_else(|payload| resume_unwind(payload)))?;
+                }
+                Ok(())
+            }));
+            lock_ignore_poison(&state).claim = len;
+            signal.notify_all();
+            join_all(workers);
+            drained
+        });
+        drained.unwrap_or_else(|payload| {
+            if let Some(ctx) = ctx {
+                eprintln!("{}", ctx.flight_recorder_dump());
+            }
+            resume_unwind(payload)
+        })?;
+        let mut stats = ExecStats::empty(threads);
+        (stats.items, stats.tasks) = (len as u64, len as u64);
+        stats.worker_busy_ns = busy_ns.into_iter().map(AtomicU64::into_inner).collect();
+        Ok(stats)
     }
 
     /// The scheduling core behind every map, generic over the per-item
@@ -923,6 +1021,71 @@ mod tests {
                     }
                     *n
                 })
+            }));
+            let payload = unwound.expect_err("panic must propagate");
+            assert_eq!(payload_text(payload.as_ref()), "task 57 exploded");
+        }
+    }
+
+    #[test]
+    fn map_in_order_hands_results_over_in_order_with_a_bounded_window() {
+        let items: Vec<u64> = (0..300).collect();
+        for threads in [1, 2, 3, 8] {
+            let claimed = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let stats = Executor::new(threads)
+                .map_in_order(
+                    &items,
+                    |n| {
+                        claimed.fetch_add(1, Ordering::SeqCst);
+                        n * 3
+                    },
+                    |out| {
+                        // Workers may run ahead of the sink by the window
+                        // and the items in flight, never further.
+                        let ahead = claimed.load(Ordering::SeqCst) - seen.len();
+                        assert!(ahead <= 3 * threads, "threads={threads}: {ahead} ahead");
+                        seen.push(out);
+                        Ok::<(), ()>(())
+                    },
+                )
+                .expect("sink never fails");
+            let expected: Vec<u64> = items.iter().map(|n| n * 3).collect();
+            assert_eq!(seen, expected, "threads={threads}");
+            assert_eq!((stats.items, stats.worker_busy_ns.len()), (300, threads));
+        }
+    }
+
+    #[test]
+    fn map_in_order_stops_at_the_first_sink_error_and_reraises_panics() {
+        let items: Vec<u64> = (0..500).collect();
+        let ran = AtomicUsize::new(0);
+        let mut taken = 0;
+        let stopped = Executor::new(4).map_in_order(
+            &items,
+            |n| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                *n
+            },
+            |n| {
+                taken += 1;
+                if n == 20 {
+                    return Err(format!("sink refused {n}"));
+                }
+                Ok(())
+            },
+        );
+        assert_eq!(stopped.map(|_| ()), Err("sink refused 20".to_string()));
+        assert_eq!(taken, 21);
+        assert!(ran.load(Ordering::SeqCst) < 500, "the pool stopped early");
+
+        for threads in [1, 2, 8] {
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let explode = |n: &u64| {
+                    assert!(*n != 57 && *n != 90, "task {n} exploded");
+                    *n
+                };
+                Executor::new(threads).map_in_order(&items, explode, |_| Ok::<(), ()>(()))
             }));
             let payload = unwound.expect_err("panic must propagate");
             assert_eq!(payload_text(payload.as_ref()), "task 57 exploded");
