@@ -1532,7 +1532,7 @@ where
             parts.chunks(size).map(move |group| (file, group))
         })
         .collect();
-    let executor = Executor::new(threads.clamp(1, groups.len().max(1))).chunk_size(1);
+    let executor = Executor::new(threads.clamp(1, groups.len().max(1)));
     let fold = |&(file, group): &(usize, &[usize])| -> Result<Vec<Option<A>>, StoreError> {
         let Some(file) = reader.shard_reader(file) else {
             return Ok(group.iter().map(|_| None).collect());

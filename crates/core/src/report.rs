@@ -362,9 +362,8 @@ pub fn render_containment(results: &StudyResults) -> String {
     out
 }
 
-/// Renders the parallel-execution summary: pool size, executor tasks,
-/// work-steal count, and per-worker busy time from the `exec.*` metrics
-/// the work-stealing executor records.
+/// Renders the parallel-execution summary: pool size, executor tasks and
+/// per-worker busy time from the `exec.*` metrics the executor records.
 pub fn render_parallelism(results: &StudyResults) -> String {
     let snap = &results.telemetry;
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
@@ -379,11 +378,6 @@ pub fn render_parallelism(results: &StudyResults) -> String {
         out,
         "  executor tasks:             {}",
         counter("exec.tasks_total")
-    );
-    let _ = writeln!(
-        out,
-        "  work steals:                {}",
-        counter("exec.steals_total")
     );
     if let Some(busy) = snap.histogram("exec.worker_busy_ns") {
         let _ = writeln!(

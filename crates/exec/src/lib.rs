@@ -1,4 +1,4 @@
-//! webvuln-exec — a dependency-free work-stealing executor.
+//! webvuln-exec — a dependency-free parallel-map executor.
 //!
 //! The paper's crawl is embarrassingly parallel per domain: 157.2M pages
 //! over 201 weeks only becomes tractable when fetch and fingerprint work
@@ -11,26 +11,22 @@
 //!
 //! - **Fixed worker pool** sized by [`std::thread::available_parallelism`]
 //!   (or an explicit `threads(n)` override). Workers live for the duration
-//!   of one [`Executor::map`] call via [`std::thread::scope`] and are
-//!   joined before it returns; no unsafe, no leaked threads.
-//! - **Chunked sharding.** The input slice is cut into contiguous chunks
-//!   (roughly four per worker) and each chunk is assigned a *home* worker
-//!   by a seeded hash of its index, so the initial distribution is stable
-//!   for a given `(seed, len, threads)` triple.
-//! - **Work stealing.** Each worker drains its own deque from the front;
-//!   when empty it scans the other deques in a seeded order and steals
-//!   from the back. Stealing only changes *who* runs a chunk, never *what*
-//!   the chunk produces.
-//! - **Deterministic merge.** Every chunk's results are tagged with the
-//!   chunk index and the final output is stitched back in index order, so
-//!   the returned `Vec` is byte-identical regardless of thread count,
-//!   steal interleaving, or scheduling jitter. This is the property the
-//!   chaos suite pins: `run(threads = 1) == run(threads = N)`.
+//!   of one map call via [`std::thread::scope`] and are joined before it
+//!   returns; no unsafe, no leaked threads. A one-worker map runs the
+//!   same loop on the calling thread and spawns no worker.
+//! - **One cursor.** Workers claim the next range of items from one
+//!   shared cursor — about four ranges per worker — and a worker that
+//!   finds the cursor at the end exits. Scheduling only changes *who* runs
+//!   a range, never *what* the range produces.
+//! - **Deterministic merge.** Finished ranges are taken back by index, so
+//!   the returned `Vec` is byte-identical regardless of thread count or
+//!   scheduling jitter. This is the property the chaos suite pins:
+//!   `run(threads = 1) == run(threads = N)`.
 //! - **Failure containment.** A panicking task never hangs or aborts the
-//!   pool. Unsupervised maps catch the unwind, drain the pool, and
-//!   re-raise the lowest-index panic after every worker has joined.
-//!   [`Executor::map_supervised`] goes further: each task runs under
-//!   `catch_unwind` with a per-task *virtual* deadline (tasks charge
+//!   pool. Unsupervised maps catch the unwind, stop the cursor, and
+//!   re-raise the first panic in index order after every worker has
+//!   joined. [`Executor::map_supervised`] goes further: each task runs
+//!   under `catch_unwind` with a per-task *virtual* deadline (tasks charge
 //!   simulated cost via [`charge_task`], mirroring the
 //!   `webvuln-resilience` virtual clock), and a panicking or over-deadline
 //!   task is quarantined as a structured [`TaskFailure`] instead of
@@ -38,14 +34,13 @@
 //!   past the deadline into [`ExecStats::stalls`] — observational only,
 //!   so it can never perturb results.
 //!
-//! All three maps are thin callers of one scheduling core, generic over
-//! what runs around each item (propagate a panic, or quarantine it), so
-//! the deques, the steal scan, the joins and the merge exist once.
-//! [`Executor::map_in_order`] is the streaming form: no chunks, no
-//! stealing — workers take items in order and the caller consumes each
+//! All four maps are thin callers of one loop, generic over what runs
+//! around each item (propagate a panic, or quarantine it), so the cursor,
+//! the joins and the merge exist once. [`Executor::map_in_order`] is the
+//! streaming form: one item per claim, and the caller consumes each
 //! result in order while later ones still run.
 //!
-//! Scheduling statistics ([`ExecStats`]: tasks, steals, per-worker busy
+//! Scheduling statistics ([`ExecStats`]: claims, per-worker busy
 //! nanoseconds, containment counts) are returned out-of-band;
 //! [`ExecStats::record`] publishes them as the `exec.*` metrics.
 
@@ -53,10 +48,11 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use webvuln_telemetry::trace::{self, Sink, TraceCtx};
@@ -70,18 +66,6 @@ use webvuln_telemetry::Registry;
 ///   panic (the worker loop has no error channel), `Delay(ns)` charges
 ///   virtual task cost toward the supervision deadline.
 pub const FAILPOINTS: &[&str] = &["exec.task"];
-
-/// SplitMix64-style mixer used for seeded chunk→worker assignment and
-/// steal-scan ordering. Mirrors the hash used by `webvuln-resilience` for
-/// fault/backoff derivation so scheduling shares the repo's one PRNG idiom.
-fn mix(seed: u64, value: u64) -> u64 {
-    let mut h = seed ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
 
 thread_local! {
     /// Virtual cost accumulated by the task currently running on this
@@ -116,22 +100,19 @@ fn probe_task() {
 /// Scheduling statistics for one [`Executor::map_with_stats`] call.
 ///
 /// Everything here describes *how* the work was executed, never *what* it
-/// produced: stats vary run to run (steals depend on OS scheduling) while
-/// the mapped results stay byte-identical. [`ExecStats::record`] surfaces
-/// them as `exec.*` telemetry counters and histograms.
+/// produced: stats vary run to run (busy time depends on OS scheduling)
+/// while the mapped results stay byte-identical. [`ExecStats::record`]
+/// surfaces them as `exec.*` telemetry counters and histograms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecStats {
     /// Number of worker threads the pool ran with.
     pub threads: usize,
     /// Number of items mapped.
     pub items: u64,
-    /// Number of chunks (tasks) the items were sharded into.
+    /// Number of ranges (tasks) the workers claimed from the cursor.
     pub tasks: u64,
-    /// Number of chunks a worker executed after stealing them from
-    /// another worker's deque.
-    pub steals: u64,
     /// Per-worker busy time in nanoseconds (time spent inside the mapped
-    /// closure, excluding idle spinning). Length equals `threads`.
+    /// closure, excluding waiting). Length equals `threads`.
     pub worker_busy_ns: Vec<u64>,
     /// Supervised tasks quarantined because they panicked.
     pub panics: u64,
@@ -144,37 +125,15 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    fn empty(threads: usize) -> Self {
-        ExecStats {
-            threads,
-            items: 0,
-            tasks: 0,
-            steals: 0,
-            worker_busy_ns: vec![0; threads],
-            panics: 0,
-            deadline_exceeded: 0,
-            stalls: 0,
-        }
-    }
-
-    fn count_failures(&mut self, failures: &[TaskFailure]) {
-        self.panics = failures
-            .iter()
-            .filter(|t| t.kind == FailureKind::Panic)
-            .count() as u64;
-        self.deadline_exceeded = failures.len() as u64 - self.panics;
-    }
-
     /// Adds this run's scheduling stats to the `exec.*` metrics of
-    /// `registry`: `exec.tasks_total`, `exec.steals_total`, the
-    /// `exec.workers` gauge and the `exec.worker_busy_ns` per-worker busy
-    /// histogram. Failure containment counters (`exec.panics_total`,
+    /// `registry`: `exec.tasks_total`, the `exec.workers` gauge and the
+    /// `exec.worker_busy_ns` per-worker busy histogram. Failure
+    /// containment counters (`exec.panics_total`,
     /// `exec.deadline_exceeded_total`, `exec.quarantined_total`,
     /// `exec.stalls_total`) are published only when nonzero, so fault-free
     /// snapshots keep their historical shape.
     pub fn record(&self, registry: &Registry) {
         registry.counter("exec.tasks_total").add(self.tasks);
-        registry.counter("exec.steals_total").add(self.steals);
         registry.gauge("exec.workers").set(self.threads as i64);
         let busy = registry.histogram("exec.worker_busy_ns");
         for &ns in &self.worker_busy_ns {
@@ -378,14 +337,16 @@ impl Watchdog {
     }
 }
 
-/// What the workers and the sink of one [`Executor::map_in_order`] call
-/// share, under one lock: finished items the sink has not taken, by
-/// index; the next index a worker takes (every index, once the sink
-/// stops); the next index the sink takes.
-struct InOrder<R> {
-    done: BTreeMap<usize, std::thread::Result<R>>,
+/// What the workers and the caller of one map share, under one lock.
+struct Cursor<O> {
+    /// First item no worker has claimed; every item, once the run stops.
     claim: usize,
+    /// First item the caller has not taken back.
     next: usize,
+    /// Finished ranges the caller has not taken back, by first item.
+    done: BTreeMap<usize, std::thread::Result<Vec<O>>>,
+    /// Quarantined items, in the order their ranges finished.
+    failures: Vec<TaskFailure>,
 }
 
 fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -422,8 +383,6 @@ fn join_all<'scope, T>(
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    chunk_size: usize,
-    seed: u64,
 }
 
 impl Default for Executor {
@@ -436,32 +395,12 @@ impl Executor {
     /// An executor with an explicit thread count. `0` means "size by
     /// [`std::thread::available_parallelism`]", same as [`Executor::auto`].
     pub fn new(threads: usize) -> Self {
-        Executor {
-            threads,
-            chunk_size: 0,
-            seed: 0x5eed_c0de,
-        }
+        Executor { threads }
     }
 
     /// An executor sized by the host's available parallelism.
     pub fn auto() -> Self {
         Executor::new(0)
-    }
-
-    /// Overrides the chunk size (items per task). `0` (the default) picks
-    /// roughly four chunks per worker. Chunking affects scheduling
-    /// granularity only; results are identical for any chunk size.
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
-    }
-
-    /// Overrides the seed used for chunk→worker assignment and steal-scan
-    /// order. Results are identical for any seed; this exists so chaos
-    /// tests can shake the scheduler.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// The number of worker threads a `map` call will use: the configured
@@ -474,21 +413,6 @@ impl Executor {
                 .map(|n| n.get())
                 .unwrap_or(1)
         }
-    }
-
-    /// Chunk bounds for `len` items: contiguous `(lo, hi)` ranges.
-    fn chunk_bounds(&self, len: usize, threads: usize) -> Vec<(usize, usize)> {
-        let chunk = if self.chunk_size > 0 {
-            self.chunk_size
-        } else {
-            // ~4 chunks per worker keeps the steal queue busy without
-            // drowning in per-chunk bookkeeping.
-            len.div_ceil(threads * 4).max(1)
-        };
-        (0..len)
-            .step_by(chunk)
-            .map(|start| (start, (start + chunk).min(len)))
-            .collect()
     }
 
     /// Maps `f` over `items` in parallel, returning results in input
@@ -506,23 +430,22 @@ impl Executor {
     /// [`Executor::map`] plus the scheduling statistics for the call.
     ///
     /// A panicking task can never hang the pool: the unwind is caught at
-    /// the chunk boundary, every worker drains and joins, and the
-    /// lowest-index caught panic is re-raised on the calling thread. Use
-    /// [`Executor::map_supervised`] to quarantine failures instead of
-    /// propagating them.
+    /// the range boundary, the cursor stops, every worker joins, and the
+    /// first caught panic in index order is re-raised on the calling
+    /// thread. Use [`Executor::map_supervised`] to quarantine failures
+    /// instead of propagating them.
     pub fn map_with_stats<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, ExecStats)
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        // The propagate policy: the mapped closure and nothing else — a
-        // panic escapes to the core, which drains the pool and re-raises it.
-        let (out, stats, _) = self.schedule(items, None, |item, index, worker, ctx, _| {
-            let _scope = trace::task_scope(ctx, index as u64, worker);
-            probe_task();
-            f(item)
-        });
+        let mut out = Vec::with_capacity(items.len());
+        let push = |value| {
+            out.push(value);
+            Ok::<(), Infallible>(())
+        };
+        let Ok(stats) = self.propagate(items, false, push, f);
         (out, stats)
     }
 
@@ -550,10 +473,15 @@ impl Executor {
     {
         let deadline_ns = supervise.deadline_ns;
         let stall_ms = (supervise.stall_ms != u64::MAX).then_some(supervise.stall_ms);
+        let mut out = Vec::with_capacity(items.len());
+        let push = |value| {
+            out.push(value);
+            Ok::<(), Infallible>(())
+        };
         // The quarantine policy: reset the virtual cost, catch the unwind,
         // apply the deadline; a failing item leaves `None` plus a
         // `TaskFailure` carrying the task's flight-recorder tail.
-        self.schedule(items, stall_ms, |item, index, worker, ctx, failures| {
+        let quarantine = |item: &T, index, worker, ctx: Option<&_>, failures: &mut Vec<_>| {
             let _scope = trace::task_scope(ctx, index as u64, worker);
             // Ring-only breadcrumb: guarantees the tail is non-empty even
             // when the very first thing the task does (the fail-point
@@ -585,160 +513,90 @@ impl Executor {
                 trace_tail: trace::current_tail(),
             });
             None
-        })
+        };
+        let Ok((stats, failures)) = self.run(items, false, stall_ms, push, quarantine);
+        (out, stats, failures)
     }
 
     /// Maps `f` over `items` on the pool and hands each result to `sink`
     /// on the calling thread, in input order, as soon as it and every
     /// earlier one are done: the caller's in-order work overlaps the
     /// pool's, and no more than `2 × threads` results wait at once.
-    /// Workers take items one at a time, in order. The first error `sink`
-    /// returns stops the pool — items in flight finish, no new one starts
-    /// — and is returned; a panic in `f` is re-raised here once every
-    /// worker has joined, as [`Executor::map`] re-raises it.
+    /// Workers claim one item at a time, in order; with one worker, the
+    /// calling thread runs the items between results. The first error
+    /// `sink` returns stops the pool — items in flight finish, no new one
+    /// starts — and is returned; a panic in `f` is re-raised here once
+    /// every worker has joined, as [`Executor::map`] re-raises it.
     pub fn map_in_order<T: Sync, R: Send, E>(
         &self,
         items: &[T],
         f: impl Fn(&T) -> R + Sync,
-        mut sink: impl FnMut(R) -> Result<(), E>,
+        sink: impl FnMut(R) -> Result<(), E>,
     ) -> Result<ExecStats, E> {
-        let (threads, len) = (self.threads().max(1), items.len());
-        let ctx = trace::capture();
-        let ctx = ctx.as_ref();
-        let state = Mutex::new(InOrder::<R> {
-            done: BTreeMap::new(),
-            claim: 0,
-            next: 0,
-        });
-        let signal = Condvar::new();
-        let wait = |guard| signal.wait(guard).unwrap_or_else(|p| p.into_inner());
-        let busy_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        let work = |worker: usize| loop {
-            let mut s = lock_ignore_poison(&state);
-            while s.claim < len && s.claim >= s.next + 2 * threads {
-                s = wait(s);
-            }
-            let index = s.claim;
-            if index == len {
-                return;
-            }
-            s.claim += 1;
-            drop(s);
-            let started = Instant::now();
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                let _scope = trace::task_scope(ctx, index as u64, worker as u64);
-                probe_task();
-                f(&items[index])
-            }));
-            busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            lock_ignore_poison(&state).done.insert(index, out);
-            signal.notify_all();
-        };
-        let drained = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|worker| scope.spawn(move || work(worker)))
-                .collect();
-            // A panic in `f` (re-raised here) or in `sink` is caught until
-            // the pool has stopped and joined.
-            let drained = catch_unwind(AssertUnwindSafe(|| {
-                for index in 0..len {
-                    let mut s = lock_ignore_poison(&state);
-                    let out = loop {
-                        match s.done.remove(&index) {
-                            Some(out) => break out,
-                            None => s = wait(s),
-                        }
-                    };
-                    s.next = index + 1;
-                    drop(s);
-                    signal.notify_all();
-                    sink(out.unwrap_or_else(|payload| resume_unwind(payload)))?;
-                }
-                Ok(())
-            }));
-            lock_ignore_poison(&state).claim = len;
-            signal.notify_all();
-            join_all(workers);
-            drained
-        });
-        drained.unwrap_or_else(|payload| {
-            if let Some(ctx) = ctx {
-                eprintln!("{}", ctx.flight_recorder_dump());
-            }
-            resume_unwind(payload)
-        })?;
-        let mut stats = ExecStats::empty(threads);
-        (stats.items, stats.tasks) = (len as u64, len as u64);
-        stats.worker_busy_ns = busy_ns.into_iter().map(AtomicU64::into_inner).collect();
-        Ok(stats)
+        self.propagate(items, true, sink, f)
     }
 
-    /// The scheduling core behind every map, generic over the per-item
-    /// policy (so each caller compiles its own copy of the loop and pays
-    /// for no other): `run_item(item, index, worker, trace context,
-    /// failures)` runs one item on a physical worker; a panic that escapes
-    /// it aborts the pool and is re-raised on the caller, a failure it
-    /// pushes is not. Returns the outputs in input order, the scheduling
-    /// stats, and the pushed failures in index order. `stall_ms` adds the
-    /// stall watchdog to a pooled run.
-    fn schedule<T, O, P>(
+    /// The propagate policy: the mapped closure and nothing else — a panic
+    /// escapes to the loop, which stops the pool and re-raises it.
+    fn propagate<T: Sync, R: Send, E>(
         &self,
         items: &[T],
+        in_order: bool,
+        sink: impl FnMut(R) -> Result<(), E>,
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Result<ExecStats, E> {
+        let propagate = |item: &T, index: usize, worker, ctx: Option<&_>, _: &mut Vec<_>| {
+            let _scope = trace::task_scope(ctx, index as u64, worker);
+            probe_task();
+            f(item)
+        };
+        Ok(self.run(items, in_order, None, sink, propagate)?.0)
+    }
+
+    /// The one worker loop behind every map, generic over the per-item
+    /// policy (so each map compiles its own copy and pays for no other):
+    /// `run_item(item, index, worker, trace context, failures)` runs one
+    /// item; a panic that escapes it stops the pool and is re-raised on
+    /// the caller, a failure it pushes is returned in index order.
+    ///
+    /// Workers claim the next range from one cursor — `len / (4 ×
+    /// threads)` items, rounded up, or one item `in_order` — never past
+    /// `2 × threads` items beyond the first result the caller has not
+    /// taken back when `in_order`. The calling thread takes finished
+    /// ranges back in index order and hands each result to `sink` (the
+    /// first error `sink` returns stops the pool and is returned), and is
+    /// the worker itself when there is one. `stall_ms` adds the stall
+    /// watchdog.
+    fn run<T, O, E>(
+        &self,
+        items: &[T],
+        in_order: bool,
         stall_ms: Option<u64>,
-        run_item: P,
-    ) -> (Vec<O>, ExecStats, Vec<TaskFailure>)
+        mut sink: impl FnMut(O) -> Result<(), E>,
+        run_item: impl Fn(&T, usize, u64, Option<&TraceCtx>, &mut Vec<TaskFailure>) -> O + Sync,
+    ) -> Result<(ExecStats, Vec<TaskFailure>), E>
     where
         T: Sync,
         O: Send,
-        P: Fn(&T, usize, u64, Option<&TraceCtx>, &mut Vec<TaskFailure>) -> O + Sync,
     {
-        let threads = self.threads().max(1);
-        let mut stats = ExecStats::empty(threads);
-        if items.is_empty() {
-            return (Vec::new(), stats, Vec::new());
-        }
+        let (threads, len) = (self.threads(), items.len());
+        let (step, window) = match in_order {
+            true => (1, 2 * threads),
+            false => (len.div_ceil(4 * threads).max(1), len),
+        };
         // Captured once on the calling thread; each item (re-)installs it
-        // as its task scope so events land in the caller's trace no
-        // matter which worker ends up running a stolen chunk.
+        // as its task scope so events land in the caller's trace whichever
+        // worker runs the item.
         let ctx = trace::capture();
         let ctx = ctx.as_ref();
-        let bounds = self.chunk_bounds(items.len(), threads);
-        stats.items = items.len() as u64;
-        stats.tasks = bounds.len() as u64;
-
-        if threads == 1 || bounds.len() == 1 {
-            // Inline fast path: no pool, no locks — the degenerate case
-            // the determinism tests compare everything against. Panics
-            // propagate natively here, matching the pooled path's
-            // lowest-index re-raise (sequential order *is* index order).
-            let started = Instant::now();
-            let mut failures = Vec::new();
-            let out = items
-                .iter()
-                .enumerate()
-                .map(|(index, item)| run_item(item, index, 0, ctx, &mut failures))
-                .collect();
-            stats.worker_busy_ns[0] = started.elapsed().as_nanos() as u64;
-            stats.count_failures(&failures);
-            return (out, stats, failures);
-        }
-
-        let seed = self.seed;
-        // Seeded home assignment: chunk i starts on worker mix(seed, i).
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for index in 0..bounds.len() {
-            let home = (mix(seed, index as u64) % threads as u64) as usize;
-            lock_ignore_poison(&deques[home]).push_back(index);
-        }
-
-        let remaining = AtomicUsize::new(bounds.len());
-        let abort = AtomicBool::new(false);
-        let steals = AtomicU64::new(0);
+        let state = Mutex::new(Cursor {
+            claim: 0,
+            next: 0,
+            done: BTreeMap::new(),
+            failures: Vec::new(),
+        });
+        let signal = Condvar::new();
         let busy_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        let results: Mutex<Vec<(usize, Vec<O>)>> = Mutex::new(Vec::with_capacity(bounds.len()));
-        let all_failures: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
-        let panicked: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
         let watchdog = stall_ms.map(|stall_ms| Watchdog {
             stall_ms,
             base: Instant::now(),
@@ -747,135 +605,131 @@ impl Executor {
             done: (Mutex::new(false), Condvar::new()),
         });
         let watchdog = watchdog.as_ref();
+        // Beside a pool the caller only takes results back. An in-order
+        // caller busy with an item holds every worker past the window (a
+        // store-less study at 8 threads on 2 cores took 2 % more CPU), and
+        // a batch caller running ranges raised `study_fresh` peak RSS from
+        // 15.5 to 17.5 MB at 2 threads.
+        let caller_runs = threads == 1;
 
-        let work = |worker: usize| {
-            let mut local_busy: u64 = 0;
+        let work = |worker: usize,
+                    mut sink: Option<&mut dyn FnMut(O) -> Result<(), E>>|
+         -> Result<(), E> {
+            let mut s = lock_ignore_poison(&state);
             loop {
-                if abort.load(Ordering::Acquire) {
-                    break;
-                }
-                // Own deque first (front), then seeded-order scan of the
-                // victims (back) — classic work stealing.
-                let mut task = lock_ignore_poison(&deques[worker]).pop_front();
-                let mut stolen = false;
-                if task.is_none() {
-                    let start = (mix(seed, worker as u64) % threads as u64) as usize;
-                    // `offset` starts at 0 so the scan visits every other
-                    // worker: starting at 1 would never visit `start`
-                    // itself, and with two workers the one whose seeded
-                    // start is its peer would have no victims at all (no
-                    // stealing ever).
-                    for offset in 0..threads {
-                        let victim = (start + offset) % threads;
-                        if victim == worker {
-                            continue;
+                if let Some(sink) = &mut sink {
+                    let lo = s.next;
+                    if lo == len {
+                        return Ok(());
+                    }
+                    if let Some(out) = s.done.remove(&lo) {
+                        s.next = len.min(lo + step);
+                        drop(s);
+                        signal.notify_all();
+                        for value in out.unwrap_or_else(|payload| resume_unwind(payload)) {
+                            sink(value)?;
                         }
-                        task = lock_ignore_poison(&deques[victim]).pop_back();
-                        if task.is_some() {
-                            stolen = true;
-                            break;
-                        }
+                        s = lock_ignore_poison(&state);
+                        continue;
                     }
                 }
-                let Some(index) = task else {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        break;
+                let lo = s.claim;
+                if lo < len.min(s.next + window) && (caller_runs || sink.is_none()) {
+                    let hi = len.min(lo + step);
+                    s.claim = hi;
+                    drop(s);
+                    let started = Instant::now();
+                    let mut failures = Vec::new();
+                    // AssertUnwindSafe: the partial output of a range that
+                    // panics is discarded, and the caller re-raises the
+                    // panic — no torn state is ever observed.
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        let run = |index| {
+                            if let Some(watchdog) = watchdog {
+                                watchdog.stamp(worker, true);
+                            }
+                            run_item(&items[index], index, worker as u64, ctx, &mut failures)
+                        };
+                        (lo..hi).map(run).collect::<Vec<O>>()
+                    }));
+                    if let Some(watchdog) = watchdog {
+                        watchdog.stamp(worker, false);
                     }
-                    // Chunks are in flight on other workers and nothing
-                    // is stealable: yield and re-scan.
-                    std::thread::yield_now();
-                    continue;
-                };
-                if stolen {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                }
-                let (lo, hi) = bounds[index];
-                let started = Instant::now();
-                let mut failures = Vec::new();
-                // AssertUnwindSafe: the partial chunk output is discarded
-                // and the panic re-raised after every worker joins — no
-                // torn state is ever observed.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for (offset, item) in items[lo..hi].iter().enumerate() {
-                        if let Some(watchdog) = watchdog {
-                            watchdog.stamp(worker, true);
-                        }
-                        out.push(run_item(
-                            item,
-                            lo + offset,
-                            worker as u64,
-                            ctx,
-                            &mut failures,
-                        ));
-                        if let Some(watchdog) = watchdog {
-                            watchdog.stamp(worker, false);
-                        }
+                    let busy = started.elapsed().as_nanos() as u64;
+                    busy_ns[worker].fetch_add(busy, Ordering::Relaxed);
+                    s = lock_ignore_poison(&state);
+                    if out.is_err() {
+                        s.claim = len;
                     }
-                    out
-                }));
-                local_busy += started.elapsed().as_nanos() as u64;
-                match run {
-                    Ok(out) => lock_ignore_poison(&results).push((index, out)),
-                    Err(payload) => {
-                        lock_ignore_poison(&panicked).push((index, payload));
-                        abort.store(true, Ordering::Release);
-                    }
+                    s.failures.append(&mut failures);
+                    s.done.insert(lo, out);
+                    signal.notify_all();
+                } else if sink.is_none() && lo == len {
+                    return Ok(());
+                } else {
+                    s = signal.wait(s).unwrap_or_else(|p| p.into_inner());
                 }
-                if !failures.is_empty() {
-                    lock_ignore_poison(&all_failures).append(&mut failures);
-                }
-                remaining.fetch_sub(1, Ordering::AcqRel);
             }
-            busy_ns[worker].store(local_busy, Ordering::Relaxed);
         };
 
-        std::thread::scope(|scope| {
+        let taken = std::thread::scope(|scope| {
             let work = &work;
-            let workers: Vec<_> = (0..threads)
-                .map(|worker| scope.spawn(move || work(worker)))
+            let first = usize::from(caller_runs);
+            let workers: Vec<_> = (first..threads.min(len.div_ceil(step)))
+                .map(|worker| {
+                    scope.spawn(move || {
+                        let _ = work(worker, None);
+                    })
+                })
                 .collect();
             let watcher = watchdog.map(|watchdog| scope.spawn(|| watchdog.watch()));
+            // A panic re-raised by the take-back, or one in `sink`, is
+            // caught until the pool has stopped and joined.
+            let taken = catch_unwind(AssertUnwindSafe(|| work(0, Some(&mut sink))));
+            lock_ignore_poison(&state).claim = len;
+            signal.notify_all();
             join_all(workers);
             if let Some(watchdog) = watchdog {
                 watchdog.stop();
             }
             join_all(watcher);
+            taken
         });
-
-        let mut panics = panicked.into_inner().unwrap_or_else(|p| p.into_inner());
-        if !panics.is_empty() {
+        taken.unwrap_or_else(|payload| {
             // A crash escapes the run here: dump the flight recorder so
             // the panic comes with its last-N-events context.
             if let Some(ctx) = ctx {
                 eprintln!("{}", ctx.flight_recorder_dump());
             }
-            // Deterministic propagation: always re-raise the panic of the
-            // lowest-index chunk that failed before the pool drained.
-            panics.sort_by_key(|(index, _)| *index);
-            let (_, payload) = panics.remove(0);
-            resume_unwind(payload);
-        }
+            resume_unwind(payload)
+        })?;
 
-        // Deterministic merge: completion order is scheduling-dependent,
-        // index order is not.
-        let mut tagged = results.into_inner().unwrap_or_else(|p| p.into_inner());
-        tagged.sort_unstable_by_key(|(index, _)| *index);
-        let merged = tagged.into_iter().flat_map(|(_, out)| out).collect();
-        let mut failures = all_failures.into_inner().unwrap_or_else(|p| p.into_inner());
+        let mut failures = state
+            .into_inner()
+            .unwrap_or_else(|p| p.into_inner())
+            .failures;
         failures.sort_by_key(|failure| failure.index);
-
-        stats.steals = steals.into_inner();
-        stats.worker_busy_ns = busy_ns.into_iter().map(AtomicU64::into_inner).collect();
-        stats.stalls = watchdog.map_or(0, |w| w.stalls.load(Ordering::Relaxed));
-        stats.count_failures(&failures);
-        (merged, stats, failures)
+        let panics = failures
+            .iter()
+            .filter(|t| t.kind == FailureKind::Panic)
+            .count() as u64;
+        let stats = ExecStats {
+            threads,
+            items: len as u64,
+            tasks: len.div_ceil(step) as u64,
+            worker_busy_ns: busy_ns.into_iter().map(AtomicU64::into_inner).collect(),
+            panics,
+            deadline_exceeded: failures.len() as u64 - panics,
+            stalls: watchdog.map_or(0, |w| w.stalls.load(Ordering::Relaxed)),
+        };
+        Ok((stats, failures))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn maps_in_input_order() {
@@ -891,24 +745,8 @@ mod tests {
         let items: Vec<String> = (0..537).map(|i| format!("domain-{i:04}.example")).collect();
         let reference = Executor::new(1).map(&items, |d| format!("{d}/fetched"));
         for threads in [2, 3, 4, 8, 16] {
-            for seed in [1u64, 42, 0xdead_beef] {
-                let out = Executor::new(threads)
-                    .seed(seed)
-                    .map(&items, |d| format!("{d}/fetched"));
-                assert_eq!(out, reference, "threads={threads} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn identical_across_chunk_sizes() {
-        let items: Vec<u64> = (0..301).collect();
-        let reference: Vec<u64> = items.iter().map(|n| n.wrapping_mul(31)).collect();
-        for chunk in [1, 2, 7, 64, 1_000] {
-            let out = Executor::new(4)
-                .chunk_size(chunk)
-                .map(&items, |n| n.wrapping_mul(31));
-            assert_eq!(out, reference, "chunk={chunk}");
+            let out = Executor::new(threads).map(&items, |d| format!("{d}/fetched"));
+            assert_eq!(out, reference, "threads={threads}");
         }
     }
 
@@ -919,7 +757,6 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(stats.items, 0);
         assert_eq!(stats.tasks, 0);
-        assert_eq!(stats.steals, 0);
         assert_eq!(stats.worker_busy_ns.len(), 8);
     }
 
@@ -941,16 +778,13 @@ mod tests {
     #[test]
     fn stats_account_for_every_item_and_task() {
         let items: Vec<u64> = (0..250).collect();
-        let (out, stats) = Executor::new(4)
-            .chunk_size(10)
-            .map_with_stats(&items, |n| *n);
+        let (out, stats) = Executor::new(4).map_with_stats(&items, |n| *n);
         assert_eq!(out.len(), 250);
         assert_eq!(stats.items, 250);
-        assert_eq!(stats.tasks, 25);
+        // Claims of ceil(250 / 16) = 16 items: 16 of them.
+        assert_eq!(stats.tasks, 16);
         assert_eq!(stats.threads, 4);
         assert_eq!(stats.worker_busy_ns.len(), 4);
-        // Steals never exceed the task count: a chunk runs exactly once.
-        assert!(stats.steals <= stats.tasks);
     }
 
     #[test]
@@ -972,10 +806,10 @@ mod tests {
 
     #[test]
     fn uneven_work_is_rebalanced() {
-        // A pathological distribution (one chunk 100x slower) still
+        // A pathological distribution (one item 100x slower) still
         // completes and still merges in order.
         let items: Vec<u64> = (0..64).collect();
-        let out = Executor::new(4).chunk_size(1).map(&items, |n| {
+        let out = Executor::new(4).map(&items, |n| {
             if *n == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -988,7 +822,7 @@ mod tests {
     #[test]
     fn busy_time_is_recorded() {
         let items: Vec<u64> = (0..8).collect();
-        let (_, stats) = Executor::new(2).chunk_size(1).map_with_stats(&items, |_| {
+        let (_, stats) = Executor::new(2).map_with_stats(&items, |_| {
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
         let total: u64 = stats.worker_busy_ns.iter().sum();
@@ -999,23 +833,14 @@ mod tests {
     }
 
     #[test]
-    fn mix_is_stable() {
-        // Pin the scheduling hash: a silent change would reshuffle home
-        // assignment and invalidate recorded BENCH numbers.
-        assert_eq!(mix(42, 0) % 8, mix(42, 0) % 8);
-        assert_ne!(mix(1, 2), mix(2, 1));
-        assert_ne!(mix(7, 3), mix(7, 4));
-    }
-
-    #[test]
     fn unsupervised_panic_propagates_instead_of_hanging() {
-        // Regression: a panicking task used to leave `remaining` above
-        // zero forever, spinning every other worker. Now the pool drains
-        // and the panic is re-raised on the caller.
+        // Regression: a panicking task used to leave the pool waiting on
+        // it forever. Now the pool drains and the panic is re-raised on
+        // the caller.
         let items: Vec<u64> = (0..200).collect();
         for threads in [1, 2, 4, 8] {
             let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                Executor::new(threads).chunk_size(4).map(&items, |n| {
+                Executor::new(threads).map(&items, |n| {
                     if *n == 57 {
                         panic!("task 57 exploded");
                     }
@@ -1096,16 +921,12 @@ mod tests {
     fn supervised_quarantines_panics_deterministically() {
         let items: Vec<u64> = (0..300).collect();
         let run = |threads: usize| {
-            Executor::new(threads).chunk_size(7).map_supervised(
-                &items,
-                SuperviseConfig::new(),
-                |n| {
-                    if n % 71 == 3 {
-                        panic!("bad item {n}");
-                    }
-                    n * 10
-                },
-            )
+            Executor::new(threads).map_supervised(&items, SuperviseConfig::new(), |n| {
+                if n % 71 == 3 {
+                    panic!("bad item {n}");
+                }
+                n * 10
+            })
         };
         let (ref_out, ref_stats, ref_failures) = run(1);
         assert_eq!(ref_out.len(), 300);
@@ -1131,16 +952,14 @@ mod tests {
         let supervise = SuperviseConfig::new().deadline_ns(1_000);
         for threads in [1, 4] {
             let (out, stats, failures) =
-                Executor::new(threads)
-                    .chunk_size(3)
-                    .map_supervised(&items, supervise, |n| {
-                        if n % 10 == 0 {
-                            charge_task(5_000);
-                        } else {
-                            charge_task(10);
-                        }
-                        *n
-                    });
+                Executor::new(threads).map_supervised(&items, supervise, |n| {
+                    if n % 10 == 0 {
+                        charge_task(5_000);
+                    } else {
+                        charge_task(10);
+                    }
+                    *n
+                });
             assert_eq!(stats.deadline_exceeded, 5, "threads={threads}");
             assert_eq!(stats.panics, 0);
             assert_eq!(
@@ -1169,21 +988,26 @@ mod tests {
     #[test]
     fn stall_watchdog_counts_slow_tasks() {
         // One task sleeps well past a 5ms threshold; the watchdog must
-        // notice without changing the results.
+        // notice without changing the results — with one worker too,
+        // where the calling thread runs every item.
         let items: Vec<u64> = (0..8).collect();
         let supervise = SuperviseConfig::new().stall_ms(5);
-        let (out, stats, failures) =
-            Executor::new(2)
-                .chunk_size(1)
-                .map_supervised(&items, supervise, |n| {
+        for threads in [1, 2] {
+            let (out, stats, failures) =
+                Executor::new(threads).map_supervised(&items, supervise, |n| {
                     if *n == 0 {
                         std::thread::sleep(std::time::Duration::from_millis(40));
                     }
                     *n
                 });
-        assert_eq!(failures, Vec::new());
-        assert_eq!(out.into_iter().flatten().collect::<Vec<_>>(), items);
-        assert!(stats.stalls >= 1, "stalls = {}", stats.stalls);
+            assert_eq!(failures, Vec::new());
+            assert_eq!(out.into_iter().flatten().collect::<Vec<_>>(), items);
+            assert!(
+                stats.stalls >= 1,
+                "threads={threads}: stalls = {}",
+                stats.stalls
+            );
+        }
     }
 
     #[test]
@@ -1193,17 +1017,13 @@ mod tests {
         let run = |threads: usize| {
             let _g = tracer.install();
             let _p = trace::phase_scope("crawl");
-            Executor::new(threads).chunk_size(5).map_supervised(
-                &items,
-                SuperviseConfig::new(),
-                |n| {
-                    trace::emit("item.seen", "", "", 100, Sink::Export);
-                    if n % 37 == 1 {
-                        panic!("bad item {n}");
-                    }
-                    *n
-                },
-            )
+            Executor::new(threads).map_supervised(&items, SuperviseConfig::new(), |n| {
+                trace::emit("item.seen", "", "", 100, Sink::Export);
+                if n % 37 == 1 {
+                    panic!("bad item {n}");
+                }
+                *n
+            })
         };
         let (_, _, ref_failures) = run(1);
         assert_eq!(
@@ -1248,10 +1068,9 @@ mod tests {
         assert!(data.events.iter().all(|e| e.phase == "crawl"));
     }
 
-    /// The scheduling core against sequential oracles, over random item
-    /// counts, chunk sizes, seeds and failing items, at every thread
-    /// count: scheduling decides who runs a chunk and when, never what
-    /// the caller gets back.
+    /// Every map against sequential oracles, over random item counts and
+    /// failing items, at every thread count: scheduling decides who runs
+    /// an item and when, never what the caller gets back.
     #[test]
     fn every_map_agrees_with_a_sequential_oracle() {
         const DEADLINE_NS: u64 = 1_000;
@@ -1266,10 +1085,11 @@ mod tests {
         webvuln_failpoint::check::run("exec maps agree with sequential oracles", 96, |g| {
             // An item is its index and a byte that decides its fate.
             let items: Vec<(usize, u8)> = g.bytes(0..=300).into_iter().enumerate().collect();
-            let chunk_size = g.range(0..=40) as usize;
-            let seed = g.range(0..=u64::MAX);
+            let len = items.len();
             let panic_every = *g.pick(&[0u8, 5, 31, 251]);
             let late_every = *g.pick(&[0u8, 7, 29]);
+            // The in-order sink refuses this result (none, when `len`).
+            let refused = g.range(0..=len as u64) as usize;
             let panics = |b: u8| panic_every != 0 && b % panic_every == 1;
             let late = |b: u8| late_every != 0 && b % late_every == 2;
             let value = |i: usize, b: u8| i as u64 * 257 + u64::from(b);
@@ -1285,8 +1105,8 @@ mod tests {
                 value(i, b)
             };
 
-            // The oracles: `map` without failing items, `map_supervised`
-            // with them.
+            // The oracles: `map` and `map_in_order` without failing items,
+            // `map_supervised` with them.
             let plain: Vec<u64> = items.iter().map(|&(i, b)| value(i, b)).collect();
             let exploding: Vec<String> = items
                 .iter()
@@ -1309,49 +1129,96 @@ mod tests {
             }
 
             for threads in [1, 2, 3, 8] {
-                let exec = Executor::new(threads).chunk_size(chunk_size).seed(seed);
-
-                // Liveness: C chunks on N workers put min(C, N) items in
-                // flight at once — every idle worker finds a chunk to
-                // steal. Items hold their slot until that many overlap (or
-                // a deadline passes, so a broken scan fails instead of
-                // hanging).
-                let overlap = threads.min(exec.chunk_bounds(items.len(), threads).len());
-                let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
-                let out = exec.map(&items, |&(i, b)| {
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    let give_up = Instant::now() + Duration::from_secs(2);
-                    while peak.load(Ordering::SeqCst) < overlap && Instant::now() < give_up {
-                        std::thread::yield_now();
+                let exec = Executor::new(threads);
+                // `map`, or `map_in_order` with a sink that keeps every
+                // result.
+                let collect = |in_order: bool, f: &(dyn Fn(&(usize, u8)) -> u64 + Sync)| {
+                    if !in_order {
+                        return exec.map(&items, f);
                     }
-                    running.fetch_sub(1, Ordering::SeqCst);
-                    value(i, b)
-                });
-                assert_eq!(out, plain, "threads={threads}");
-                assert_eq!(peak.into_inner(), overlap, "threads={threads}: overlap");
+                    let mut out = Vec::new();
+                    let sunk = exec.map_in_order(&items, f, |v| {
+                        out.push(v);
+                        Ok::<(), ()>(())
+                    });
+                    sunk.expect("the sink keeps every result");
+                    out
+                };
 
-                // Propagate: the sequential map, or one of the panics —
-                // and nothing still running once `map` has unwound.
-                let running = AtomicUsize::new(0);
-                let unwound = catch_unwind(AssertUnwindSafe(|| {
-                    exec.map(&items, |item| {
-                        running.fetch_add(1, Ordering::SeqCst);
-                        let _running = Running(&running);
-                        task(item)
-                    })
-                }));
-                assert_eq!(running.into_inner(), 0, "threads={threads}: joined");
-                match unwound {
-                    Ok(out) => {
-                        assert!(exploding.is_empty(), "threads={threads}: panic swallowed");
-                        assert_eq!(out, plain, "threads={threads}");
-                    }
-                    Err(payload) => {
-                        let text = payload_text(payload.as_ref());
-                        assert!(exploding.contains(&text), "threads={threads}: {text}");
+                for in_order in [false, true] {
+                    let form = format!("threads={threads} in_order={in_order}");
+                    // Liveness: C claims on N workers put min(C, N) items
+                    // in flight at once — no worker idles while a claim is
+                    // left. A batch claim is ceil(len / 4N) items, an
+                    // in-order one a single item. Items hold their slot
+                    // until that many overlap (or a deadline passes, so a
+                    // broken cursor fails instead of hanging).
+                    let claims = match in_order {
+                        true => len,
+                        false => len.div_ceil(len.div_ceil(4 * threads).max(1)),
+                    };
+                    let overlap = threads.min(claims);
+                    let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                    let out = collect(in_order, &|&(i, b)| {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        let give_up = Instant::now() + Duration::from_secs(2);
+                        while peak.load(Ordering::SeqCst) < overlap && Instant::now() < give_up {
+                            std::thread::yield_now();
+                        }
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        value(i, b)
+                    });
+                    assert_eq!(out, plain, "{form}");
+                    assert_eq!(peak.into_inner(), overlap, "{form}: overlap");
+
+                    // Propagate: the sequential map, or one of the panics —
+                    // and nothing still running once the map has unwound.
+                    let running = AtomicUsize::new(0);
+                    let unwound = catch_unwind(AssertUnwindSafe(|| {
+                        collect(in_order, &|item| {
+                            running.fetch_add(1, Ordering::SeqCst);
+                            let _running = Running(&running);
+                            task(item)
+                        })
+                    }));
+                    assert_eq!(running.into_inner(), 0, "{form}: joined");
+                    match unwound {
+                        Ok(out) => {
+                            assert!(exploding.is_empty(), "{form}: panic swallowed");
+                            assert_eq!(out, plain, "{form}");
+                        }
+                        Err(payload) => {
+                            let text = payload_text(payload.as_ref());
+                            assert!(exploding.contains(&text), "{form}: {text}");
+                        }
                     }
                 }
+
+                // A sink error stops the pool: it comes back to the caller,
+                // the sink sees nothing after it, and no item starts past
+                // the window beyond the refused result.
+                let ran = AtomicUsize::new(0);
+                let mut seen = Vec::new();
+                let stopped = exec.map_in_order(
+                    &items,
+                    |&(i, b)| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        value(i, b)
+                    },
+                    |v| {
+                        if seen.len() == refused {
+                            return Err(refused);
+                        }
+                        seen.push(v);
+                        Ok(())
+                    },
+                );
+                let expected = if refused < len { Err(refused) } else { Ok(()) };
+                assert_eq!(stopped.map(|_| ()), expected, "threads={threads}");
+                assert_eq!(seen, plain[..refused], "threads={threads}");
+                let bound = len.min(refused + 1 + 2 * threads);
+                assert!(ran.into_inner() <= bound, "threads={threads}: pool ran on");
 
                 // Quarantine: outputs, failures and counts, exactly.
                 let supervise = SuperviseConfig::new().deadline_ns(DEADLINE_NS);
@@ -1383,31 +1250,27 @@ mod tests {
         assert_eq!(out.len(), 10);
     }
 
-    /// Two single-item chunks on two workers must run concurrently for
-    /// every seed. Regression test: the steal scan used to start one slot
-    /// past its seeded origin, so a worker whose origin equaled its own
-    /// index had no victims at all and long-lived tasks (the serve crate's
-    /// per-worker connection loops) serialized on one thread.
+    /// Two single-item claims on two workers must run concurrently: the
+    /// serve crate runs its per-worker connection loops as the items of
+    /// one map, so two that serialized on one thread would leave every
+    /// other connection waiting.
     #[test]
-    fn two_workers_overlap_two_long_tasks_for_every_seed() {
-        use std::sync::atomic::AtomicUsize;
-        for seed in 0..8 {
-            let running = AtomicUsize::new(0);
-            let peak = AtomicUsize::new(0);
-            let slots: Vec<usize> = vec![0, 1];
-            Executor::new(2).chunk_size(1).seed(seed).map(&slots, |_| {
-                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                // Hold the slot until the other task has started (or a
-                // deadline passes, so a broken scan fails fast instead of
-                // deadlocking the test).
-                let deadline = Instant::now() + std::time::Duration::from_millis(500);
-                while peak.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
-                running.fetch_sub(1, Ordering::SeqCst);
-            });
-            assert_eq!(peak.load(Ordering::SeqCst), 2, "seed {seed}: no overlap");
-        }
+    fn two_workers_overlap_two_long_tasks() {
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let slots: Vec<usize> = vec![0, 1];
+        Executor::new(2).map(&slots, |_| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            // Hold the slot until the other task has started (or a
+            // deadline passes, so a broken cursor fails fast instead of
+            // deadlocking the test).
+            let deadline = Instant::now() + std::time::Duration::from_millis(500);
+            while peak.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            running.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert_eq!(peak.load(Ordering::SeqCst), 2, "no overlap");
     }
 }

@@ -1,7 +1,7 @@
 //! The weekly snapshot crawler (paper §4.1).
 //!
 //! Given the domain list and a [`Connect`] transport, the crawler fetches
-//! each domain's landing page on a work-stealing pool
+//! each domain's landing page on a worker pool
 //! ([`webvuln_exec::Executor`]) and returns per-domain [`FetchRecord`]s.
 //! Results are keyed and ordered by domain so that worker scheduling
 //! never changes the dataset.
@@ -205,7 +205,7 @@ impl RetryMetrics {
 
 /// Builder for one crawl: thread count, resilience, and telemetry compose
 /// as orthogonal options, then [`run`](CrawlOptions::run) executes the
-/// fetches on a work-stealing pool and returns records in domain order.
+/// fetches on a worker pool and returns records in domain order.
 ///
 /// ```no_run
 /// # use webvuln_net::{CrawlOptions, VirtualNet, Request, Response, RetryPolicy};

@@ -22,7 +22,7 @@
 //!   truncations, in the spirit of smoltcp's example fault injection,
 //!   plus *transient* faults (refusals, stalls, 5xx bursts) that heal
 //!   after a few attempts.
-//! * [`CrawlOptions`] — the builder for the work-stealing crawler:
+//! * [`CrawlOptions`] — the builder for the parallel crawler:
 //!   threads, retry policy, per-host circuit breakers, simulated-time
 //!   backoff and telemetry compose as orthogonal options, producing
 //!   per-domain [`FetchRecord`]s with scheduling-independent results.

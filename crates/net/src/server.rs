@@ -321,11 +321,10 @@ impl Shared {
 
     /// Runs `threads` worker loops until the queue is closed and empty.
     fn run_pool(&self, threads: usize) {
-        // `chunk_size(1)` makes every loop its own stealable task, so each
-        // idle executor worker steals exactly one and all of them run
+        // One slot per worker is one claim per worker, so every loop runs
         // concurrently.
         let slots: Vec<usize> = (0..threads).collect();
-        Executor::new(threads).chunk_size(1).map(&slots, |_slot| {
+        Executor::new(threads).map(&slots, |_slot| {
             while let Some(mut conn) = self.next_connection() {
                 // Contain per-connection panics (a handler bug, an armed
                 // `serve.mid_response` panic): the worker and the pool

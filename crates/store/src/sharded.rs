@@ -288,7 +288,7 @@ impl ShardedStoreWriter {
             .enumerate()
             .map(|(index, (writer, part))| Mutex::new(Some((index, writer, part))))
             .collect();
-        let results = Executor::new(self.threads).chunk_size(1).map(&jobs, |job| {
+        let results = Executor::new(self.threads).map(&jobs, |job| {
             let (index, writer, part) = job
                 .lock()
                 .expect("shard job lock")

@@ -28,9 +28,9 @@
 //!
 //! * **Causal events** carrying a task context — phase, week, task index,
 //!   worker — held in a thread-local and *propagated across the
-//!   work-stealing executor*: `webvuln-exec` captures the caller's context
+//!   parallel executor*: `webvuln-exec` captures the caller's context
 //!   with [`trace::capture`] and re-installs it with [`trace::task_scope`]
-//!   on whichever worker ends up running a stolen chunk, so events land in
+//!   on whichever worker ends up running an item, so events land in
 //!   the right trace regardless of scheduling.
 //! * A fixed-size, lock-sharded **ring-buffer flight recorder**. Every
 //!   event also lands in a small per-task tail kept inside the active

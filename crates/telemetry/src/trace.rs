@@ -344,9 +344,9 @@ thread_local! {
 }
 
 /// A captured causal context, ready to cross a thread boundary. The
-/// work-stealing executor captures once per `map` call and re-installs
-/// per item with [`task_scope`], so a stolen chunk's events still carry
-/// the phase/week of the code that submitted it.
+/// executor captures once per `map` call and re-installs per item with
+/// [`task_scope`], so an item's events carry, on any worker, the
+/// phase/week of the code that submitted it.
 #[derive(Clone)]
 pub struct TraceCtx {
     tracer: Tracer,

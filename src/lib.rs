@@ -16,7 +16,7 @@
 //! | [`webgen`] | `webvuln-webgen` | synthetic web ecosystem |
 //! | [`net`] | `webvuln-net` | HTTP/1.1 stack + crawler |
 //! | [`resilience`] | `webvuln-resilience` | retries, backoff, circuit breakers |
-//! | [`exec`] | `webvuln-exec` | work-stealing executor, supervised tasks |
+//! | [`exec`] | `webvuln-exec` | parallel-map executor, supervised tasks |
 //! | [`failpoint`] | `webvuln-failpoint` | deterministic fail-point injection |
 //! | [`fingerprint`] | `webvuln-fingerprint` | Wappalyzer-equivalent |
 //! | [`poclab`] | `webvuln-poclab` | version-validation experiment |
