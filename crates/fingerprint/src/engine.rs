@@ -4,7 +4,7 @@
 
 use crate::patterns::{fingerprints, wordpress_fingerprint, Fingerprint, WordPressFingerprint};
 use webvuln_cvedb::LibraryId;
-use webvuln_html::{extract, url_host, Document, PageResources, ScriptRef};
+use webvuln_html::{extract_resources, url_host, PageResources, ScriptRef};
 use webvuln_pattern::{thread_vm_steps, Captures, Pattern};
 use webvuln_telemetry::{trace, Counter, Registry};
 use webvuln_version::Version;
@@ -414,15 +414,14 @@ impl Engine {
         }
     }
 
-    /// Analyzes a landing page fetched from `domain`.
+    /// Analyzes a landing page fetched from `domain`: its resources are
+    /// read in one pass over its tokens, with no tree.
     pub fn analyze(&self, html: &str, domain: &str) -> PageAnalysis {
-        let doc = Document::parse(html);
-        let resources = extract(&doc);
-        self.analyze_resources(&resources, domain)
+        self.analyze_resources(&extract_resources(html), domain)
     }
 
     /// Analyzes already-extracted page resources.
-    pub fn analyze_resources(&self, resources: &PageResources, domain: &str) -> PageAnalysis {
+    pub fn analyze_resources(&self, resources: &PageResources<'_>, domain: &str) -> PageAnalysis {
         let steps_before = thread_vm_steps();
         let mut page = PageState {
             tally: Tally::default(),
@@ -476,8 +475,8 @@ impl Engine {
 
         for flash in &resources.flash {
             out.flash.push(FlashDetection {
-                swf_url: flash.swf_url.clone(),
-                allow_script_access: flash.allow_script_access.clone(),
+                swf_url: flash.swf_url.to_string(),
+                allow_script_access: flash.allow_script_access.as_deref().map(str::to_string),
             });
         }
 
@@ -504,7 +503,7 @@ impl Engine {
 
     fn match_script_url(
         &self,
-        script: &ScriptRef,
+        script: &ScriptRef<'_>,
         src: &str,
         domain: &str,
         out: &mut PageAnalysis,
@@ -525,7 +524,7 @@ impl Engine {
                     host: host.clone(),
                     url: src.to_string(),
                     integrity: script.integrity.is_some(),
-                    crossorigin: script.crossorigin.clone(),
+                    crossorigin: script.crossorigin.as_deref().map(str::to_string),
                 });
             }
         }
@@ -547,7 +546,7 @@ impl Engine {
                             version,
                             inclusion,
                             integrity: script.integrity.is_some(),
-                            crossorigin: script.crossorigin.clone(),
+                            crossorigin: script.crossorigin.as_deref().map(str::to_string),
                             url: src.to_string(),
                         },
                     );
@@ -589,7 +588,7 @@ impl Engine {
         }
     }
 
-    fn classify_resources(&self, resources: &PageResources) -> Vec<ResourceType> {
+    fn classify_resources(&self, resources: &PageResources<'_>) -> Vec<ResourceType> {
         let mut found = Vec::new();
         let mut add = |t: ResourceType| {
             if !found.contains(&t) {
@@ -605,7 +604,7 @@ impl Engine {
             }
         }
         for link in &resources.links {
-            match link.rel.as_str() {
+            match &*link.rel {
                 // The paper classifies `.php`-generated stylesheets as
                 // imported-HTML, not CSS (§5 footnote 7).
                 "stylesheet" if !link.href.contains(".php") => add(ResourceType::Css),
@@ -809,6 +808,18 @@ mod tests {
         assert_eq!(a.flash.len(), 1);
         assert_eq!(a.flash[0].allow_script_access.as_deref(), Some("always"));
         assert!(a.resource_types.contains(&ResourceType::Flash));
+    }
+
+    #[test]
+    fn flash_urls_ending_inside_a_character_do_not_panic() {
+        for html in [
+            r#"<embed src="日ab">"#,
+            r#"<object data="日ab"></object>"#,
+            r#"<object><param name="movie" value="日ab"></object>"#,
+        ] {
+            let a = engine().analyze(html, "f.example");
+            assert!(a.flash.is_empty(), "{html}");
+        }
     }
 
     #[test]

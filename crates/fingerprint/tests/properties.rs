@@ -192,9 +192,9 @@ impl Reference {
                 if host.ends_with(".github.io") || host.ends_with(".github.com") {
                     out.github_scripts.push(ExternalScript {
                         host: host.to_string(),
-                        url: src.clone(),
+                        url: src.to_string(),
                         integrity: script.integrity.is_some(),
-                        crossorigin: script.crossorigin.clone(),
+                        crossorigin: script.crossorigin.as_deref().map(str::to_string),
                     });
                 }
             }
@@ -208,8 +208,8 @@ impl Reference {
                         }
                     }),
                     integrity: script.integrity.is_some(),
-                    crossorigin: script.crossorigin.clone(),
-                    url: src.clone(),
+                    crossorigin: script.crossorigin.as_deref().map(str::to_string),
+                    url: src.to_string(),
                 });
             }
             wp_path_hit |= self.wordpress.path.is_match(src);
@@ -225,7 +225,7 @@ impl Reference {
         }
         for link in &resources.links {
             wp_path_hit |= self.wordpress.path.is_match(&link.href);
-            match link.rel.as_str() {
+            match &*link.rel {
                 "stylesheet" if !link.href.contains(".php") => types.push(ResourceType::Css),
                 "icon" | "shortcut icon" | "apple-touch-icon" => types.push(ResourceType::Favicon),
                 "alternate" if link.href.contains(".xml") || link.href.contains("rss") => {
@@ -249,8 +249,8 @@ impl Reference {
         for flash in &resources.flash {
             types.push(ResourceType::Flash);
             out.flash.push(FlashDetection {
-                swf_url: flash.swf_url.clone(),
-                allow_script_access: flash.allow_script_access.clone(),
+                swf_url: flash.swf_url.to_string(),
+                allow_script_access: flash.allow_script_access.as_deref().map(str::to_string),
             });
         }
         types.sort();

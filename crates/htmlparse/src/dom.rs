@@ -3,9 +3,11 @@
 //! The tree builder is intentionally simple — enough structure for resource
 //! extraction (`<script>` inside `<head>`, `<param>` inside `<object>`, …)
 //! with browser-like recovery for mismatched end tags. It does not
-//! implement the full WHATWG insertion modes.
+//! implement the full WHATWG insertion modes. Its rules live in
+//! [`OpenElements`], which the one-pass extractor keeps too, so both read
+//! the same structure out of the same tokens.
 
-use crate::tokenizer::{tokenize, Token};
+use crate::tokenizer::{decode_entities, Token, Tokenizer};
 
 /// A parsed HTML document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,43 +84,85 @@ const MAX_DEPTH: usize = 256;
 
 /// Void elements never take children (their end tags are ignored).
 fn is_void(name: &str) -> bool {
-    matches!(
-        name,
-        "area"
-            | "base"
-            | "br"
-            | "col"
-            | "embed"
-            | "hr"
-            | "img"
-            | "input"
-            | "link"
-            | "meta"
-            | "param"
-            | "source"
-            | "track"
-            | "wbr"
-    )
+    [
+        "area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta", "param",
+        "source", "track", "wbr",
+    ]
+    .iter()
+    .any(|void| void.eq_ignore_ascii_case(name))
+}
+
+/// What the open-element stack needs of an element.
+pub(crate) trait Named {
+    /// The tag name, in any case.
+    fn name(&self) -> &str;
+}
+
+impl Named for Element {
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+/// The elements open at a point of the token stream, innermost last, and
+/// the rules by which start and end tags change them.
+pub(crate) struct OpenElements<E> {
+    open: Vec<E>,
+}
+
+impl<E: Named> OpenElements<E> {
+    pub(crate) fn new() -> Self {
+        // Pages nest a few dozen deep: one allocation, not a doubling series.
+        OpenElements {
+            open: Vec::with_capacity(32),
+        }
+    }
+
+    /// Whether a start tag named `name` opens an element that takes
+    /// children. Void elements and `/>` tags never do, nor does a tag that
+    /// would nest deeper than [`MAX_DEPTH`]: it stands alone, and what
+    /// follows goes to the element around it.
+    pub(crate) fn takes_children(&self, name: &str, self_closing: bool) -> bool {
+        !self_closing && !is_void(name) && self.open.len() < MAX_DEPTH
+    }
+
+    pub(crate) fn push(&mut self, element: E) {
+        self.open.push(element);
+    }
+
+    pub(crate) fn innermost_mut(&mut self) -> Option<&mut E> {
+        self.open.last_mut()
+    }
+
+    /// How many elements an end tag named `name` closes: the innermost open
+    /// element of that name and everything opened after it. None when no
+    /// such element is open (browser behaviour for stray end tags).
+    pub(crate) fn closed_by(&self, name: &str) -> usize {
+        self.open
+            .iter()
+            .rposition(|e| e.name().eq_ignore_ascii_case(name))
+            .map_or(0, |at| self.open.len() - at)
+    }
+
+    /// Closes the innermost open element.
+    pub(crate) fn pop(&mut self) -> Option<E> {
+        self.open.pop()
+    }
 }
 
 impl Document {
     /// Parses an HTML document. Never fails; malformed markup degrades to
     /// a best-effort tree.
     pub fn parse(html: &str) -> Document {
-        let tokens = tokenize(html);
         let mut builder = Builder {
-            stack: vec![Element {
-                name: "#root".to_string(),
-                attrs: Vec::new(),
-                children: Vec::new(),
-            }],
+            open: OpenElements::new(),
+            root: Vec::new(),
         };
-        for token in tokens {
+        for token in Tokenizer::new(html) {
             builder.feed(token);
         }
-        let root = builder.finish();
         Document {
-            children: root.children,
+            children: builder.finish(),
         }
     }
 
@@ -165,12 +209,13 @@ impl<'a> Iterator for Descendants<'a> {
 }
 
 struct Builder {
-    /// `stack[0]` is the synthetic root; the rest are open elements.
-    stack: Vec<Element>,
+    open: OpenElements<Element>,
+    /// The top-level nodes.
+    root: Vec<Node>,
 }
 
 impl Builder {
-    fn feed(&mut self, token: Token) {
+    fn feed(&mut self, token: Token<'_>) {
         match token {
             Token::StartTag {
                 name,
@@ -178,62 +223,47 @@ impl Builder {
                 self_closing,
             } => {
                 let element = Element {
-                    name: name.clone(),
-                    attrs,
+                    name: name.to_ascii_lowercase(),
+                    attrs: attrs
+                        .iter()
+                        .map(|(k, v)| (k.to_ascii_lowercase(), decode_entities(v).into_owned()))
+                        .collect(),
                     children: Vec::new(),
                 };
-                if self_closing || is_void(&name) || self.stack.len() > MAX_DEPTH {
-                    self.append(Node::Element(element));
+                if self.open.takes_children(name, self_closing) {
+                    self.open.push(element);
                 } else {
-                    self.stack.push(element);
+                    self.append(Node::Element(element));
                 }
             }
-            Token::EndTag { name } => self.close(&name),
-            Token::Text(t) => self.append(Node::Text(t)),
-            Token::Comment(c) => self.append(Node::Comment(c)),
+            Token::EndTag { name } => {
+                for _ in 0..self.open.closed_by(name) {
+                    self.close_innermost();
+                }
+            }
+            Token::Text(t) => self.append(Node::Text(t.into_owned())),
+            Token::Comment(c) => self.append(Node::Comment(c.to_string())),
             Token::Doctype(_) => {}
         }
     }
 
     fn append(&mut self, node: Node) {
-        self.stack
-            .last_mut()
-            .expect("root never popped")
-            .children
-            .push(node);
-    }
-
-    /// Closes the innermost open element matching `name`; everything opened
-    /// after it is implicitly closed. An end tag with no matching open
-    /// element is ignored (browser behaviour for stray end tags).
-    fn close(&mut self, name: &str) {
-        let Some(depth) = self
-            .stack
-            .iter()
-            .rposition(|e| e.name == name && e.name != "#root")
-        else {
-            return;
-        };
-        while self.stack.len() > depth {
-            let done = self.stack.pop().expect("depth bounded");
-            self.stack
-                .last_mut()
-                .expect("root never popped")
-                .children
-                .push(Node::Element(done));
+        match self.open.innermost_mut() {
+            Some(parent) => parent.children.push(node),
+            None => self.root.push(node),
         }
     }
 
-    fn finish(mut self) -> Element {
-        while self.stack.len() > 1 {
-            let done = self.stack.pop().expect("len > 1");
-            self.stack
-                .last_mut()
-                .expect("root remains")
-                .children
-                .push(Node::Element(done));
+    fn close_innermost(&mut self) {
+        let done = self.open.pop().expect("an element is open");
+        self.append(Node::Element(done));
+    }
+
+    fn finish(mut self) -> Vec<Node> {
+        while self.open.innermost_mut().is_some() {
+            self.close_innermost();
         }
-        self.stack.pop().expect("root")
+        self.root
     }
 }
 

@@ -6,327 +6,368 @@
 //! token stream — and follows the WHATWG error-recovery spirit without
 //! implementing the full spec (which fingerprinting does not need).
 //!
+//! It is a pull iterator ([`Tokenizer`]) over tokens that borrow the
+//! input: tag names, attribute sources, comments and raw text are slices
+//! of it, and text is copied only when it holds an entity to decode. Tag
+//! and attribute names keep the case they were written in; compare them
+//! ASCII-case-insensitively.
+//!
 //! `<script>` and `<style>` switch the tokenizer into raw-text mode: their
 //! content is emitted as a single [`Token::Text`] without interpreting `<`.
 
-/// A lexical token of an HTML document.
+use std::borrow::Cow;
+
+/// A lexical token of an HTML document, borrowed from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// `<name attr="value" …>`; `self_closing` reflects a trailing `/`.
     StartTag {
-        /// Lower-cased tag name.
-        name: String,
-        /// Attributes in document order; names lower-cased, values decoded.
-        attrs: Vec<(String, String)>,
+        /// Tag name as written.
+        name: &'a str,
+        /// The attributes, read on demand.
+        attrs: Attributes<'a>,
         /// Whether the tag ended with `/>`.
         self_closing: bool,
     },
     /// `</name>`.
     EndTag {
-        /// Lower-cased tag name.
-        name: String,
+        /// Tag name as written.
+        name: &'a str,
     },
     /// Character data (entity-decoded outside raw-text elements).
-    Text(String),
+    Text(Cow<'a, str>),
     /// `<!-- … -->`.
-    Comment(String),
+    Comment(&'a str),
     /// `<!DOCTYPE …>` (content kept verbatim).
-    Doctype(String),
+    Doctype(&'a str),
+}
+
+/// A start tag's attributes: the tag's source after its name, parsed
+/// again each time they are read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attributes<'a> {
+    src: &'a str,
+}
+
+impl<'a> Attributes<'a> {
+    /// `(name, value)` pairs in document order, both as written: names
+    /// keep their case and values are not entity-decoded (read one with
+    /// [`decode_entities`]). A valueless attribute has the value `""`.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        let mut scan = AttrScan {
+            s: self.src,
+            p: 0,
+            self_closing: false,
+        };
+        std::iter::from_fn(move || scan.next_attr())
+    }
 }
 
 /// Tokenizes `input` into a sequence of [`Token`]s. Never fails.
-pub fn tokenize(input: &str) -> Vec<Token> {
-    Tokenizer::new(input).run()
+pub fn tokenize(input: &str) -> Vec<Token<'_>> {
+    Tokenizer::new(input).collect()
 }
 
 /// Elements whose content is raw text (no markup interpretation).
 fn is_raw_text_element(name: &str) -> bool {
-    matches!(name, "script" | "style" | "textarea" | "title" | "xmp")
+    ["script", "style", "textarea", "title", "xmp"]
+        .iter()
+        .any(|raw| raw.eq_ignore_ascii_case(name))
 }
 
-struct Tokenizer<'a> {
+/// A byte that continues a tag name.
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'-' || b == b':'
+}
+
+/// Length of the tag name `s` starts with.
+fn name_len(s: &str) -> usize {
+    s.bytes().position(|b| !is_name_byte(b)).unwrap_or(s.len())
+}
+
+fn skip_whitespace(s: &str, p: usize) -> usize {
+    p + s[p..]
+        .find(|c: char| !c.is_whitespace())
+        .unwrap_or(s.len() - p)
+}
+
+/// The pull tokenizer: yields the [`Token`]s of `input` in order.
+pub struct Tokenizer<'a> {
     input: &'a str,
     pos: usize,
-    tokens: Vec<Token>,
+    /// The raw-text element whose content comes next.
+    raw: Option<&'a str>,
+    /// A token read while looking for the end of a text run.
+    pending: Option<Token<'a>>,
 }
 
 impl<'a> Tokenizer<'a> {
-    fn new(input: &'a str) -> Self {
+    /// A tokenizer at the start of `input`.
+    pub fn new(input: &'a str) -> Tokenizer<'a> {
         Tokenizer {
             input,
             pos: 0,
-            tokens: Vec::new(),
+            raw: None,
+            pending: None,
         }
     }
 
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
+    /// Whether the `<` at `at` opens markup; any other `<` is text.
+    fn is_markup(&self, at: usize) -> bool {
+        let b = self.input.as_bytes();
+        b[at] == b'<'
+            && b.get(at + 1)
+                .is_some_and(|&c| matches!(c, b'!' | b'?' | b'/') || c.is_ascii_alphabetic())
     }
 
-    fn run(mut self) -> Vec<Token> {
+    /// Where the text starting at `from` ends: the next markup, or the end.
+    fn text_end(&self, from: usize) -> usize {
+        let mut at = from;
+        while let Some(rel) = self.input[at..].find('<') {
+            if self.is_markup(at + rel) {
+                return at + rel;
+            }
+            at += rel + 1;
+        }
+        self.input.len()
+    }
+
+    fn text(&mut self) -> Token<'a> {
+        let start = self.pos;
+        self.pos = self.text_end(start);
+        let mut text = decode_entities(&self.input[start..self.pos]);
+        // Markup that makes no token (`</>`, `<?…>`, a declaration that is
+        // not a doctype) does not end the text: the run after it belongs
+        // to the same token.
         while self.pos < self.input.len() {
-            match self.rest().find('<') {
-                None => {
-                    self.emit_text(self.pos, self.input.len());
-                    break;
-                }
-                Some(rel) => {
-                    let lt = self.pos + rel;
-                    self.emit_text(self.pos, lt);
-                    self.pos = lt;
-                    self.consume_markup();
-                }
+            if let Some(token) = self.markup() {
+                self.pending = Some(token);
+                break;
+            }
+            let from = self.pos;
+            self.pos = self.text_end(from);
+            if from < self.pos {
+                text.to_mut()
+                    .push_str(&decode_entities(&self.input[from..self.pos]));
             }
         }
-        self.tokens
+        Token::Text(text)
     }
 
-    fn emit_text(&mut self, from: usize, to: usize) {
-        if from < to {
-            let decoded = decode_entities(&self.input[from..to]);
-            if let Some(Token::Text(prev)) = self.tokens.last_mut() {
-                prev.push_str(&decoded);
-            } else {
-                self.tokens.push(Token::Text(decoded));
-            }
-        }
-    }
-
-    /// Consumes markup starting at `<` (self.pos points at it).
-    fn consume_markup(&mut self) {
-        let rest = self.rest();
-        debug_assert!(rest.starts_with('<'));
+    /// Consumes the markup at `self.pos` (a `<` that opens markup); `None`
+    /// when it makes no token.
+    fn markup(&mut self) -> Option<Token<'a>> {
+        let rest = &self.input[self.pos..];
         if rest.starts_with("<!--") {
-            self.consume_comment();
-        } else if rest.len() >= 2 && (rest.as_bytes()[1] == b'!' || rest.as_bytes()[1] == b'?') {
-            self.consume_declaration();
-        } else if rest.starts_with("</") {
-            self.consume_end_tag();
-        } else if rest[1..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic())
-        {
-            self.consume_start_tag();
+            Some(self.comment())
+        } else if matches!(rest.as_bytes()[1], b'!' | b'?') {
+            self.declaration()
+        } else if rest.as_bytes()[1] == b'/' {
+            self.end_tag()
         } else {
-            // A lone '<' — literal text.
-            self.emit_text(self.pos, self.pos + 1);
-            self.pos += 1;
+            Some(self.start_tag())
         }
     }
 
-    fn consume_comment(&mut self) {
+    fn comment(&mut self) -> Token<'a> {
         let body_start = self.pos + 4;
-        match self.input[body_start..].find("-->") {
+        let body = &self.input[body_start..];
+        match body.find("-->") {
             Some(rel) => {
-                let body = &self.input[body_start..body_start + rel];
-                self.tokens.push(Token::Comment(body.to_string()));
                 self.pos = body_start + rel + 3;
+                Token::Comment(&body[..rel])
             }
             None => {
                 // Unterminated comment swallows the rest of the document.
-                self.tokens
-                    .push(Token::Comment(self.input[body_start..].to_string()));
                 self.pos = self.input.len();
+                Token::Comment(body)
             }
         }
     }
 
-    fn consume_declaration(&mut self) {
+    fn declaration(&mut self) -> Option<Token<'a>> {
         // `<!DOCTYPE …>`, `<![CDATA[…]]>`, `<?xml …?>` — find closing '>'.
         let start = self.pos;
-        match self.rest().find('>') {
-            Some(rel) => {
-                let inner = &self.input[start + 2..start + rel];
-                let is_doctype = inner
-                    .get(..7)
-                    .is_some_and(|p| p.eq_ignore_ascii_case("DOCTYPE"));
-                if is_doctype {
-                    self.tokens
-                        .push(Token::Doctype(inner[7..].trim().to_string()));
-                }
-                self.pos = start + rel + 1;
-            }
-            None => self.pos = self.input.len(),
-        }
-    }
-
-    fn consume_end_tag(&mut self) {
-        let name_start = self.pos + 2;
-        let after: &str = &self.input[name_start..];
-        let name_len = after
-            .find(|c: char| !c.is_ascii_alphanumeric() && c != '-' && c != ':')
-            .unwrap_or(after.len());
-        let name = after[..name_len].to_ascii_lowercase();
-        // Skip to '>' (tolerating junk inside the end tag).
-        match self.input[name_start + name_len..].find('>') {
-            Some(rel) => self.pos = name_start + name_len + rel + 1,
-            None => self.pos = self.input.len(),
-        }
-        if !name.is_empty() {
-            self.tokens.push(Token::EndTag { name });
-        }
-    }
-
-    fn consume_start_tag(&mut self) {
-        let name_start = self.pos + 1;
-        let after: &str = &self.input[name_start..];
-        let name_len = after
-            .find(|c: char| !c.is_ascii_alphanumeric() && c != '-' && c != ':')
-            .unwrap_or(after.len());
-        let name = after[..name_len].to_ascii_lowercase();
-        let mut p = name_start + name_len;
-        let mut attrs = Vec::new();
-        let mut self_closing = false;
-
-        loop {
-            p += self.input[p..]
-                .find(|c: char| !c.is_whitespace())
-                .unwrap_or(self.input.len() - p);
-            if p >= self.input.len() {
-                break;
-            }
-            let b = self.input.as_bytes()[p];
-            if b == b'>' {
-                p += 1;
-                break;
-            }
-            if b == b'/' {
-                // `/>` or stray slash.
-                if self.input.as_bytes().get(p + 1) == Some(&b'>') {
-                    self_closing = true;
-                    p += 2;
-                    break;
-                }
-                p += 1;
-                continue;
-            }
-            // Attribute name.
-            let attr_start = p;
-            p += self.input[p..]
-                .find(|c: char| c.is_whitespace() || c == '=' || c == '>' || c == '/')
-                .unwrap_or(self.input.len() - p);
-            let attr_name = self.input[attr_start..p].to_ascii_lowercase();
-            if attr_name.is_empty() {
-                // Defensive: avoid an infinite loop on weird bytes.
-                p += self.input[p..].chars().next().map_or(1, char::len_utf8);
-                continue;
-            }
-            // Optional value.
-            let mut q = p;
-            q += self.input[q..]
-                .find(|c: char| !c.is_whitespace())
-                .unwrap_or(self.input.len() - q);
-            if self.input.as_bytes().get(q) == Some(&b'=') {
-                q += 1;
-                q += self.input[q..]
-                    .find(|c: char| !c.is_whitespace())
-                    .unwrap_or(self.input.len() - q);
-                let (value, next) = self.consume_attr_value(q);
-                attrs.push((attr_name, value));
-                p = next;
-            } else {
-                attrs.push((attr_name, String::new()));
-            }
-        }
-        self.pos = p.min(self.input.len());
-
-        let raw = is_raw_text_element(&name);
-        self.tokens.push(Token::StartTag {
-            name: name.clone(),
-            attrs,
-            self_closing,
-        });
-        if raw && !self_closing {
-            self.consume_raw_text(&name);
-        }
-    }
-
-    fn consume_attr_value(&self, at: usize) -> (String, usize) {
-        let bytes = self.input.as_bytes();
-        match bytes.get(at) {
-            Some(&q @ (b'"' | b'\'')) => {
-                let start = at + 1;
-                match self.input[start..].find(q as char) {
-                    Some(rel) => (
-                        decode_entities(&self.input[start..start + rel]),
-                        start + rel + 1,
-                    ),
-                    None => (decode_entities(&self.input[start..]), self.input.len()),
-                }
-            }
-            Some(_) => {
-                let end = self.input[at..]
-                    .find(|c: char| c.is_whitespace() || c == '>')
-                    .map(|r| at + r)
-                    .unwrap_or(self.input.len());
-                (decode_entities(&self.input[at..end]), end)
-            }
-            None => (String::new(), self.input.len()),
-        }
-    }
-
-    /// Consumes raw text until `</name` (case-insensitive), emitting it as
-    /// one Text token plus the closing EndTag.
-    fn consume_raw_text(&mut self, name: &str) {
-        let closer = format!("</{name}");
-        let hay = self.rest();
-        let mut search_from = 0;
-        let end = loop {
-            match find_ci(&hay[search_from..], &closer) {
-                None => break hay.len(),
-                Some(rel) => {
-                    let at = search_from + rel;
-                    // The char after the name must end the tag name.
-                    match hay[at + closer.len()..].chars().next() {
-                        Some(c) if c.is_ascii_alphanumeric() => {
-                            search_from = at + closer.len();
-                        }
-                        _ => break at,
-                    }
-                }
-            }
-        };
-        if end > 0 {
-            // Raw text is *not* entity-decoded (matches browser behaviour).
-            self.tokens.push(Token::Text(hay[..end].to_string()));
-        }
-        if end < hay.len() {
-            self.pos += end;
-            self.consume_end_tag_at_current();
-        } else {
+        let Some(rel) = self.input[start..].find('>') else {
             self.pos = self.input.len();
+            return None;
+        };
+        self.pos = start + rel + 1;
+        let inner = &self.input[start + 2..start + rel];
+        let is_doctype = inner
+            .get(..7)
+            .is_some_and(|p| p.eq_ignore_ascii_case("DOCTYPE"));
+        is_doctype.then(|| Token::Doctype(inner[7..].trim()))
+    }
+
+    fn end_tag(&mut self) -> Option<Token<'a>> {
+        let name_start = self.pos + 2;
+        let name_end = name_start + name_len(&self.input[name_start..]);
+        // Skip to '>' (tolerating junk inside the end tag).
+        self.pos = match self.input[name_end..].find('>') {
+            Some(rel) => name_end + rel + 1,
+            None => self.input.len(),
+        };
+        let name = &self.input[name_start..name_end];
+        (!name.is_empty()).then_some(Token::EndTag { name })
+    }
+
+    fn start_tag(&mut self) -> Token<'a> {
+        let name_start = self.pos + 1;
+        let name_end = name_start + name_len(&self.input[name_start..]);
+        let mut scan = AttrScan {
+            s: self.input,
+            p: name_end,
+            self_closing: false,
+        };
+        while scan.next_attr().is_some() {}
+        self.pos = scan.p.min(self.input.len());
+        let name = &self.input[name_start..name_end];
+        if is_raw_text_element(name) && !scan.self_closing {
+            self.raw = Some(name);
+        }
+        Token::StartTag {
+            name,
+            attrs: Attributes {
+                src: &self.input[name_end..self.pos],
+            },
+            self_closing: scan.self_closing,
         }
     }
 
-    fn consume_end_tag_at_current(&mut self) {
-        debug_assert!(self.rest().starts_with("</"));
-        self.consume_end_tag();
+    /// The content of raw-text element `name`, up to its closer or the end
+    /// of the input. Raw text is *not* entity-decoded (matches browser
+    /// behaviour).
+    fn raw_text(&mut self, name: &str) -> Option<Token<'a>> {
+        let hay = &self.input[self.pos..];
+        let end = closer(hay, name).unwrap_or(hay.len());
+        self.pos += end;
+        (end > 0).then(|| Token::Text(Cow::Borrowed(&hay[..end])))
     }
 }
 
-/// Case-insensitive ASCII substring search.
-fn find_ci(haystack: &str, needle: &str) -> Option<usize> {
-    let hay = haystack.as_bytes();
-    let nee = needle.as_bytes();
-    if nee.is_empty() || hay.len() < nee.len() {
-        return if nee.is_empty() { Some(0) } else { None };
-    }
-    'outer: for i in 0..=(hay.len() - nee.len()) {
-        for (j, &n) in nee.iter().enumerate() {
-            if !hay[i + j].eq_ignore_ascii_case(&n) {
-                continue 'outer;
+impl<'a> Iterator for Tokenizer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(token) = self.pending.take() {
+            return Some(token);
+        }
+        if let Some(name) = self.raw.take() {
+            if let Some(text) = self.raw_text(name) {
+                return Some(text);
             }
         }
-        return Some(i);
+        while self.pos < self.input.len() {
+            if !self.is_markup(self.pos) {
+                return Some(self.text());
+            }
+            if let Some(token) = self.markup() {
+                return Some(token);
+            }
+        }
+        None
+    }
+}
+
+/// Where raw text of element `name` ends in `hay`: at the first `</name`
+/// (ASCII case-insensitive) followed by a byte that cannot continue a tag
+/// name, so that the end tag read there is `name` itself.
+fn closer(hay: &str, name: &str) -> Option<usize> {
+    let bytes = hay.as_bytes();
+    let mut from = 0;
+    while let Some(rel) = hay[from..].find("</") {
+        let at = from + rel;
+        let after = at + 2 + name.len();
+        let named = bytes
+            .get(at + 2..after)
+            .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()));
+        if named && !bytes.get(after).is_some_and(|&b| is_name_byte(b)) {
+            return Some(at);
+        }
+        from = at + 2;
     }
     None
 }
 
-/// Decodes the five standard named entities plus numeric references.
-pub fn decode_entities(s: &str) -> String {
+/// Reads a start tag's attributes from byte `p` of `s` (just past the tag
+/// name) to the tag's end. The tokenizer runs it once to find where the
+/// tag ends; [`Attributes::iter`] runs it again over the same bytes.
+struct AttrScan<'a> {
+    s: &'a str,
+    p: usize,
+    self_closing: bool,
+}
+
+impl<'a> AttrScan<'a> {
+    /// The next `(name, raw value)`, or `None` at the tag's end with `p`
+    /// just past it.
+    fn next_attr(&mut self) -> Option<(&'a str, &'a str)> {
+        let s = self.s;
+        loop {
+            self.p = skip_whitespace(s, self.p);
+            let b = *s.as_bytes().get(self.p)?;
+            if b == b'>' {
+                self.p += 1;
+                return None;
+            }
+            if b == b'/' {
+                // `/>` or stray slash.
+                if s.as_bytes().get(self.p + 1) == Some(&b'>') {
+                    self.self_closing = true;
+                    self.p += 2;
+                    return None;
+                }
+                self.p += 1;
+                continue;
+            }
+            let start = self.p;
+            self.p += s[start..]
+                .find(|c: char| c.is_whitespace() || c == '=' || c == '>' || c == '/')
+                .unwrap_or(s.len() - start);
+            let name = &s[start..self.p];
+            if name.is_empty() {
+                // Defensive: avoid an infinite loop on weird bytes.
+                self.p += s[self.p..].chars().next().map_or(1, char::len_utf8);
+                continue;
+            }
+            // Optional value.
+            let q = skip_whitespace(s, self.p);
+            if s.as_bytes().get(q) != Some(&b'=') {
+                return Some((name, ""));
+            }
+            let (value, next) = attr_value(s, skip_whitespace(s, q + 1));
+            self.p = next;
+            return Some((name, value));
+        }
+    }
+}
+
+/// The raw attribute value at byte `at` of `s`, and the byte after it.
+fn attr_value(s: &str, at: usize) -> (&str, usize) {
+    match s.as_bytes().get(at) {
+        Some(&q @ (b'"' | b'\'')) => {
+            let start = at + 1;
+            match s[start..].find(q as char) {
+                Some(rel) => (&s[start..start + rel], start + rel + 1),
+                None => (&s[start..], s.len()),
+            }
+        }
+        Some(_) => {
+            let end = s[at..]
+                .find(|c: char| c.is_whitespace() || c == '>')
+                .map_or(s.len(), |r| at + r);
+            (&s[at..end], end)
+        }
+        None => ("", s.len()),
+    }
+}
+
+/// Decodes the five standard named entities plus `&nbsp;` and numeric
+/// references; borrows `s` when it holds no `&`.
+pub fn decode_entities(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -371,39 +412,40 @@ pub fn decode_entities(s: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn start(name: &str, attrs: &[(&str, &str)]) -> Token {
-        Token::StartTag {
-            name: name.to_string(),
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            self_closing: false,
+    fn start<'a>(token: &Token<'a>) -> (&'a str, Vec<(&'a str, &'a str)>, bool) {
+        match token {
+            Token::StartTag {
+                name,
+                attrs,
+                self_closing,
+            } => (name, attrs.iter().collect(), *self_closing),
+            other => panic!("not a start tag: {other:?}"),
         }
+    }
+
+    fn text(s: &str) -> Token<'_> {
+        Token::Text(Cow::Borrowed(s))
     }
 
     #[test]
     fn tokenizes_simple_document() {
         let toks = tokenize("<html><body>hi</body></html>");
+        assert_eq!(toks.len(), 5);
+        assert_eq!(start(&toks[0]), ("html", vec![], false));
+        assert_eq!(start(&toks[1]), ("body", vec![], false));
         assert_eq!(
-            toks,
-            vec![
-                start("html", &[]),
-                start("body", &[]),
-                Token::Text("hi".into()),
-                Token::EndTag {
-                    name: "body".into()
-                },
-                Token::EndTag {
-                    name: "html".into()
-                },
+            toks[2..],
+            [
+                text("hi"),
+                Token::EndTag { name: "body" },
+                Token::EndTag { name: "html" },
             ]
         );
     }
@@ -411,68 +453,57 @@ mod tests {
     #[test]
     fn parses_attributes_in_all_quote_styles() {
         let toks = tokenize(r#"<script src="a.js" type='text/javascript' async data-x=5>"#);
-        match &toks[0] {
-            Token::StartTag { name, attrs, .. } => {
-                assert_eq!(name, "script");
-                assert_eq!(
-                    attrs,
-                    &vec![
-                        ("src".to_string(), "a.js".to_string()),
-                        ("type".to_string(), "text/javascript".to_string()),
-                        ("async".to_string(), String::new()),
-                        ("data-x".to_string(), "5".to_string()),
-                    ]
-                );
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            start(&toks[0]),
+            (
+                "script",
+                vec![
+                    ("src", "a.js"),
+                    ("type", "text/javascript"),
+                    ("async", ""),
+                    ("data-x", "5"),
+                ],
+                false
+            )
+        );
     }
 
     #[test]
     fn script_content_is_raw_text() {
         let toks = tokenize("<script>if (a < b) { x(\"</div>\"); }</script>after");
         assert_eq!(toks.len(), 4);
-        match &toks[1] {
-            Token::Text(t) => assert_eq!(t, "if (a < b) { x(\"</div>\"); }"),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(
-            toks[2],
-            Token::EndTag {
-                name: "script".into()
-            }
-        );
-        assert_eq!(toks[3], Token::Text("after".into()));
+        assert_eq!(toks[1], text("if (a < b) { x(\"</div>\"); }"));
+        assert_eq!(toks[2], Token::EndTag { name: "script" });
+        assert_eq!(toks[3], text("after"));
+        // Borrowed from the input: no copy was made.
+        assert!(matches!(&toks[1], Token::Text(Cow::Borrowed(_))));
     }
 
     #[test]
     fn script_closer_embedded_in_string_wins_like_browsers() {
-        // Browsers end script content at the first `</script`; so do we.
+        // Browsers end script content at the first `</script` that a tag
+        // name cannot continue; so do we.
         let toks = tokenize("<script>var s = '</scriptx'; done</script>");
-        match &toks[1] {
-            Token::Text(t) => assert!(t.contains("</scriptx"), "{t}"),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(toks[1], text("var s = '</scriptx'; done"));
+        // `-` and `:` continue a tag name too: `</script-x>` is script text.
+        let toks = tokenize("<script></script-x><script:y>x</SCRIPT >z");
+        assert_eq!(toks[1], text("</script-x><script:y>x"));
+        assert_eq!(toks[2], Token::EndTag { name: "SCRIPT" });
+        assert_eq!(toks[3], text("z"));
     }
 
     #[test]
     fn self_closing_script_does_not_swallow_document() {
         let toks = tokenize("<script src=\"a.js\"/><p>hi</p>");
-        assert!(matches!(
-            &toks[0],
-            Token::StartTag {
-                self_closing: true,
-                ..
-            }
-        ));
-        assert!(matches!(&toks[1], Token::StartTag { name, .. } if name == "p"));
+        assert!(start(&toks[0]).2);
+        assert_eq!(start(&toks[1]).0, "p");
     }
 
     #[test]
     fn comments_and_doctype() {
         let toks = tokenize("<!DOCTYPE html><!-- hello --><p>x</p>");
-        assert_eq!(toks[0], Token::Doctype("html".into()));
-        assert_eq!(toks[1], Token::Comment(" hello ".into()));
+        assert_eq!(toks[0], Token::Doctype("html"));
+        assert_eq!(toks[1], Token::Comment(" hello "));
     }
 
     #[test]
@@ -494,16 +525,29 @@ mod tests {
     #[test]
     fn lone_angle_bracket_is_text() {
         let toks = tokenize("a < b");
-        assert_eq!(toks, vec![Token::Text("a < b".into())]);
+        assert_eq!(toks, vec![text("a < b")]);
+    }
+
+    #[test]
+    fn markup_without_a_token_does_not_split_text() {
+        let toks = tokenize("a</ >b<?xml?>c&amp;<!x>");
+        assert_eq!(toks, vec![Token::Text("abc&".into())]);
     }
 
     #[test]
     fn uppercase_tags_are_lowercased() {
-        let toks = tokenize("<DIV CLASS=\"X\"></DIV>");
+        // Tokens keep the names' case and compare them case-insensitively;
+        // the tree lower-cases them. Values keep theirs.
+        let html = "<DIV CLASS=\"X\"></DIV>";
+        let toks = tokenize(html);
+        assert_eq!(start(&toks[0]), ("DIV", vec![("CLASS", "X")], false));
+        let doc = crate::Document::parse(html);
+        let div = doc.elements().next().expect("div");
         assert_eq!(
-            toks[0],
-            start("div", &[("class", "X")]) // names fold, values don't
+            (div.name.as_str(), &div.attrs[..]),
+            ("div", &[("class".into(), "X".into())][..])
         );
+        assert!(is_raw_text_element("SCRIPT"));
     }
 
     #[test]
@@ -512,16 +556,18 @@ mod tests {
         assert_eq!(decode_entities("&lt;p&gt;"), "<p>");
         assert_eq!(decode_entities("&#65;&#x42;"), "AB");
         assert_eq!(decode_entities("&unknown; &"), "&unknown; &");
-        assert_eq!(decode_entities("no entities"), "no entities");
+        assert!(matches!(
+            decode_entities("no entities"),
+            Cow::Borrowed("no entities")
+        ));
     }
 
     #[test]
     fn attribute_values_are_entity_decoded() {
         let toks = tokenize(r#"<a href="?a=1&amp;b=2">"#);
-        match &toks[0] {
-            Token::StartTag { attrs, .. } => assert_eq!(attrs[0].1, "?a=1&b=2"),
-            other => panic!("{other:?}"),
-        }
+        let (_, attrs, _) = start(&toks[0]);
+        assert_eq!(attrs[0].1, "?a=1&amp;b=2");
+        assert_eq!(decode_entities(attrs[0].1), "?a=1&b=2");
     }
 
     #[test]
@@ -529,22 +575,14 @@ mod tests {
         let html =
             r#"<object data="movie.swf"><param name="AllowScriptAccess" value="always"/></object>"#;
         let toks = tokenize(html);
-        assert!(matches!(&toks[0], Token::StartTag { name, .. } if name == "object"));
-        match &toks[1] {
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => {
-                assert_eq!(name, "param");
-                assert!(self_closing);
-                assert_eq!(
-                    attrs[0],
-                    ("name".to_string(), "AllowScriptAccess".to_string())
-                );
-                assert_eq!(attrs[1], ("value".to_string(), "always".to_string()));
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(start(&toks[0]).0, "object");
+        assert_eq!(
+            start(&toks[1]),
+            (
+                "param",
+                vec![("name", "AllowScriptAccess"), ("value", "always")],
+                true
+            )
+        );
     }
 }

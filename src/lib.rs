@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`pattern`] | `webvuln-pattern` | linear-time regex engine |
 //! | [`version`] | `webvuln-version` | version parsing + interval algebra |
-//! | [`html`] | `webvuln-html` | HTML tokenizer / DOM / extractor |
+//! | [`html`] | `webvuln-html` | pull tokenizer, one-pass extractor, DOM |
 //! | [`cvedb`] | `webvuln-cvedb` | embedded CVE corpus + release catalogs |
 //! | [`webgen`] | `webvuln-webgen` | synthetic web ecosystem |
 //! | [`net`] | `webvuln-net` | HTTP/1.1 stack + crawler |

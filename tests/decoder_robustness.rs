@@ -1,10 +1,10 @@
 //! Never-panic / never-hang / no-unbounded-allocation suite for the
-//! decoders of outside input that the codec, tokeniser and store
-//! corruption suites do not cover: CVE delta text, pattern source, the
-//! sharded-store manifest, the watch frame log and the store's varint
-//! cursor under it, the spool's week and genesis files, a whole
-//! store — single file and one shard of a group — behind `AnyReader`,
-//! and the HTTP server's per-connection loop.
+//! decoders of outside input that the codec and store corruption suites
+//! do not cover: CVE delta text, pattern source, the sharded-store
+//! manifest, the watch frame log and the store's varint cursor under it,
+//! the spool's week and genesis files, a whole store — single file and
+//! one shard of a group — behind `AnyReader`, the HTTP server's
+//! per-connection loop, and the fingerprint engine's page front end.
 //!
 //! One table, one driver: every row names a decoder and a corpus of
 //! valid encodings; the driver feeds the decoder arbitrary bytes and
@@ -15,6 +15,7 @@
 //! so a length field read from the input can never size a buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
@@ -23,6 +24,8 @@ use webvuln::analysis::dataset::{CollectConfig, Collector};
 use webvuln::analysis::store_io::{snapshot_to_week, week_into_snapshot};
 use webvuln::cvedb::parse_delta;
 use webvuln::failpoint::check::{self, Gen};
+use webvuln::fingerprint::Engine;
+use webvuln::html::{extract_resources, PageResources};
 use webvuln::net::codec::{encode_request, MessageReader, MAX_BODY, MAX_HEAD};
 use webvuln::net::{serve_stream, Request, Response, Status};
 use webvuln::pattern::Pattern;
@@ -32,7 +35,7 @@ use webvuln::store::{
 };
 use webvuln::watch::wal::{read_frames, write_frame};
 use webvuln::watch::{read_genesis_file, read_week_file, write_genesis_file, write_week_file};
-use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
+use webvuln::webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
 
 /// Forwards to the system allocator, recording the largest request the
 /// current thread has made since the last [`take_largest`].
@@ -313,6 +316,51 @@ fn requests() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     (clean, refused)
 }
 
+/// Bytes of every string the page front end extracted.
+fn resource_bytes(res: &PageResources<'_>) -> usize {
+    let len = |value: &Option<Cow<'_, str>>| value.as_ref().map_or(0, |v| v.len());
+    let scripts = res
+        .scripts
+        .iter()
+        .map(|s| len(&s.src) + s.inline.len() + len(&s.integrity) + len(&s.crossorigin));
+    let links = res
+        .links
+        .iter()
+        .map(|l| l.rel.len() + l.href.len() + len(&l.integrity));
+    let flash = res
+        .flash
+        .iter()
+        .map(|f| f.swf_url.len() + len(&f.allow_script_access));
+    let lists = [&res.generators, &res.comments, &res.images];
+    let values = lists.into_iter().flatten().map(|v| v.len());
+    scripts.chain(links).chain(flash).chain(values).sum()
+}
+
+/// Pages for the front-end row: rendered ones, hand-written Flash and
+/// inline-banner ones, and the two shapes whose resources once outgrew
+/// the page — script closers a tag name continues, and one `<param>`
+/// inside many `<object>`s.
+fn pages(ecosystem: &Ecosystem) -> Vec<Vec<u8>> {
+    let rendered = ecosystem.models().iter().take(4).filter_map(|model| {
+        match ecosystem.page(&model.name, 0) {
+            PageOutcome::Page(html) => Some(html),
+            _ => None,
+        }
+    });
+    let written = [
+        r#"<object classid="clsid:D27CDB6E"><param name="movie" value="/banner.swf?v=2">
+           <param name="AllowScriptAccess" value="always"><embed src="/banner.swf"
+           allowscriptaccess="always"></object><embed src="/ad.SWF" quality=high>"#
+            .to_string(),
+        "<html><head><script>/*! jQuery v3.5.1 | (c) OpenJS */ core();</script>         <!-- Bootstrap v4.3.1 --><script>// Underscore.js 1.8.3
+</script></head></html>"
+            .to_string(),
+        format!("{}{}", "<script></script-x>".repeat(8), "t".repeat(1000)),
+        format!("{}<param name=movie value={}.swf>", "<object>".repeat(8), "v".repeat(1000)),
+    ];
+    rendered.chain(written).map(String::into_bytes).collect()
+}
+
 const DELTA: &str = "# webvuln cve delta v1\n\
     id: CVE-2099-0001\nlibrary: jquery\nclaimed: < 3.5.0\ntvv: <= 3.5.1\nattack: xss\n\
     disclosed: 2022-04-10\npatched-version: 3.5.0\npatched-date: 2022-04-10\npoc: yes\n\
@@ -397,7 +445,27 @@ fn rows(dir: &Path) -> Vec<Row> {
             .encode()
         })
         .to_vec();
+    let front_end = pages(&ecosystem);
+    let engine = Engine::new();
     vec![
+        // Never rejects: every input is some page. What it extracts is
+        // slices of the page, so it stays within twice the page's size.
+        row(
+            "fingerprint::Engine::analyze",
+            ALLOC_FLOOR,
+            front_end,
+            move |bytes| {
+                let html = String::from_utf8_lossy(bytes);
+                let _ = engine.analyze(&html, "robust.example");
+                let extracted = resource_bytes(&extract_resources(&html));
+                assert!(
+                    extracted <= 2 * html.len(),
+                    "{extracted} bytes of resources from a {}-byte page",
+                    html.len()
+                );
+                true
+            },
+        ),
         row(
             "cvedb::parse_delta",
             ALLOC_FLOOR,
