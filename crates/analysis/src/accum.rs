@@ -1693,7 +1693,7 @@ mod tests {
     use super::*;
     use crate::dataset::testkit::{self, Kept, Over};
     use crate::store_io::snapshot_to_week;
-    use webvuln_store::{ShardedStoreWriter, StoreWriter};
+    use webvuln_store::{AnyWriter, StoreWriter};
 
     fn artifacts_debug(accum: &StudyAccum, db: &VulnDb) -> String {
         format!("{:#?}", accum.finish(db))
@@ -1716,16 +1716,8 @@ mod tests {
         }
     }
 
-    fn write_single(data: &Kept, path: &std::path::Path) {
-        let mut writer = StoreWriter::create(path, genesis_of(data)).expect("create");
-        for week in &data.weeks {
-            writer.commit_week(&snapshot_to_week(week)).expect("commit");
-        }
-        writer.finalize(&data.filtered_out).expect("finalize");
-    }
-
-    fn write_sharded(data: &Kept, dir: &std::path::Path, shards: usize) {
-        let mut writer = ShardedStoreWriter::create(dir, genesis_of(data), shards).expect("create");
+    /// Commits `data` through `writer`, either layout, and finalizes it.
+    fn write_store(data: &Kept, mut writer: AnyWriter) {
         for week in &data.weeks {
             writer.commit_week(&snapshot_to_week(week)).expect("commit");
         }
@@ -1950,27 +1942,23 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
 
         let single = dir.join("study.wvstore");
-        write_single(data, &single);
-        let reader = AnyReader::open(&single).expect("open single");
-        for threads in [1, 2, 8] {
-            let accum = fold_study(&reader, &db, threads).expect("fold");
-            assert_eq!(
-                artifacts_debug(&accum, &db),
-                reference,
-                "single-file fold, {threads} threads"
-            );
-        }
-
+        let writer = StoreWriter::create(&single, genesis_of(data)).expect("create");
+        write_store(data, writer.into());
+        let mut stores = vec![single];
         for shards in [1, 4, 16] {
             let sharded_dir = dir.join(format!("sharded-{shards}"));
-            write_sharded(data, &sharded_dir, shards);
-            let reader = AnyReader::open(&sharded_dir).expect("open sharded");
+            let writer = AnyWriter::create(&sharded_dir, genesis_of(data), shards).expect("create");
+            write_store(data, writer);
+            stores.push(sharded_dir);
+        }
+        for store in &stores {
+            let reader = AnyReader::open(store).expect("open");
             for threads in [1, 2, 8] {
                 let accum = fold_study(&reader, &db, threads).expect("fold");
                 assert_eq!(
                     artifacts_debug(&accum, &db),
                     reference,
-                    "{shards}-shard fold, {threads} threads"
+                    "{store:?} fold, {threads} threads"
                 );
             }
         }

@@ -15,7 +15,7 @@ use crate::store_io::snapshot_to_week;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use webvuln_failpoint::check::{self, Gen};
 use webvuln_store::codec::{encode_week_file, WeekFile};
-use webvuln_store::{shard_file_name, ShardedStoreWriter};
+use webvuln_store::{shard_file_name, AnyWriter};
 
 /// One way to break the bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,7 +139,7 @@ fn settles_to_the_cold_fold(g: &mut Gen, mutation: Option<Mutation>) {
 
     let path = scratch("property");
     let genesis = genesis(&raw[0], raw.len(), &ranked);
-    let mut writer = ShardedStoreWriter::create(&path, genesis, shards).expect("create");
+    let mut writer = AnyWriter::create(&path, genesis, shards).expect("create");
     let mut window = FilterWindow::new();
     let mut model = Model {
         live: Buckets::new(shards),
@@ -244,7 +244,7 @@ fn a_touched_bucket_in_a_dark_shard_settles_to_the_degraded_cold_fold() {
         let last = raw.pop().expect("at least one week");
         let path = scratch("dark");
         let genesis = genesis(raw.first().unwrap_or(&last), raw.len() + 1, &ranked);
-        let mut writer = ShardedStoreWriter::create(&path, genesis, SHARDS).expect("create");
+        let mut writer = AnyWriter::create(&path, genesis, SHARDS).expect("create");
         let mut model = Model {
             live: Buckets::new(SHARDS),
             filtered: BTreeSet::new(),

@@ -15,7 +15,7 @@ use crate::filter::apply_filter;
 use crate::store_io::snapshot_to_week;
 use webvuln_fingerprint::{DetectedInclusion, Detection, PageAnalysis};
 use webvuln_net::FetchSummary;
-use webvuln_store::{ShardedStoreWriter, StoreWriter};
+use webvuln_store::{AnyWriter, StoreWriter};
 
 impl LandscapeAccum {
     /// Folds one week in.
@@ -516,20 +516,12 @@ fn fold_through_a_store(
         weeks_total: weeks.len(),
         ranks,
     };
-    let decoded = weeks.iter().map(snapshot_to_week);
-    match g.range(1..=3) as usize {
-        1 => {
-            let mut writer = StoreWriter::create(&path, genesis).expect("create");
-            for week in decoded {
-                writer.commit_week(&week).expect("commit");
-            }
-        }
-        shards => {
-            let mut writer = ShardedStoreWriter::create(&path, genesis, shards).expect("create");
-            for week in decoded {
-                writer.commit_week(&week).expect("commit");
-            }
-        }
+    let mut writer = match g.range(1..=3) as usize {
+        1 => StoreWriter::create(&path, genesis).expect("create").into(),
+        shards => AnyWriter::create(&path, genesis, shards).expect("create"),
+    };
+    for week in weeks.iter().map(snapshot_to_week) {
+        writer.commit_week(&week).expect("commit");
     }
     let reader = AnyReader::open(&path).expect("open");
     let folded = fold_store(&reader, ctx, g.range(1..=3) as usize, filtered).expect("fold");

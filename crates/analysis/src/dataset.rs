@@ -4,7 +4,8 @@
 
 use crate::filter::FilterWindow;
 use crate::store_io::{
-    date_from_days, genesis_for, week_from_pages, CheckpointOutcome, CheckpointWriter, StoreError,
+    commit_checkpoint, date_from_days, genesis_for, open_checkpoint, week_from_pages,
+    CheckpointOutcome, StoreError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -271,11 +272,8 @@ impl<'a> Collector<'a> {
         let genesis = genesis_for(&timeline, &names);
 
         let (mut writer, reader) = match &self.store {
-            Some(path) => CheckpointWriter::open(path, genesis, &config, self.resume, telemetry)?,
-            None => (
-                CheckpointWriter::Single(StoreWriter::in_memory(genesis)?),
-                None,
-            ),
+            Some(path) => open_checkpoint(path, genesis, &config, self.resume, telemetry)?,
+            None => (StoreWriter::in_memory(genesis)?.into(), None),
         };
         let weeks_recovered = reader.as_ref().map_or(0, AnyReader::weeks_committed);
         let stored_verdict = reader.as_ref().and_then(AnyReader::filtered_out);
@@ -320,7 +318,7 @@ impl<'a> Collector<'a> {
         // computes.
         let remaining: Vec<(usize, Date)> = timeline.iter().skip(weeks_recovered).collect();
         let mut commit = |week: &WeekData| -> Result<(), StoreError> {
-            writer.commit(week, telemetry)?;
+            commit_checkpoint(&mut writer, week, telemetry)?;
             absorb(week, "")
         };
         if self.store.is_none() && collector.weeks_are_independent() && config.concurrency != 1 {
@@ -355,7 +353,7 @@ impl<'a> Collector<'a> {
         // The resume gate's reader has served; the finished store is read
         // through the writer that finished it.
         drop(reader);
-        let torn_bytes_recovered = writer.torn_bytes_recovered();
+        let torn_bytes_recovered = writer.stats().torn_bytes_recovered;
         let reader = writer.into_reader()?;
         Ok(CheckpointOutcome {
             dataset: Dataset::shell_from_reader(&reader, &filtered)?,

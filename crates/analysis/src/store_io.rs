@@ -22,8 +22,8 @@ use webvuln_fingerprint::{
 };
 use webvuln_net::{page_is_error_or_empty, FetchSummary};
 use webvuln_store::{
-    AnyReader, DetectionRecord, DomainRecord, FlashRecord, Genesis, PageRecord, ScriptRecord,
-    ShardedStoreWriter, StoreWriter, Sym, WeekData, WordPressRecord,
+    AnyReader, AnyWriter, DetectionRecord, DomainRecord, FlashRecord, Genesis, PageRecord,
+    ScriptRecord, StoreWriter, Sym, WeekData, WordPressRecord,
 };
 
 pub use webvuln_store::StoreError;
@@ -640,175 +640,99 @@ pub struct CheckpointOutcome {
     pub torn_bytes_recovered: u64,
 }
 
-/// The store writer behind
-/// [`Collector::run`](crate::dataset::Collector::run): a single-file
-/// [`StoreWriter`] — to a file for `shards == 1`, or to memory without a
-/// checkpoint — and a [`ShardedStoreWriter`] directory otherwise.
-/// Selection happens once, at open; the collection loop only sees the
-/// shared commit/finalize surface.
-// One writer exists per collection, so the unused bytes of the smaller
-// variant cost nothing worth an indirection on every commit.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum CheckpointWriter {
-    Single(StoreWriter),
-    Sharded(ShardedStoreWriter),
-}
-
-impl CheckpointWriter {
-    fn create(
-        store_path: &Path,
-        genesis: Genesis,
-        config: &CollectConfig,
-    ) -> Result<CheckpointWriter, StoreError> {
-        if config.shards > 1 {
-            let writer = ShardedStoreWriter::create(store_path, genesis, config.shards)?
-                .threads(config.concurrency);
-            Ok(CheckpointWriter::Sharded(writer))
-        } else {
-            Ok(CheckpointWriter::Single(StoreWriter::create(
-                store_path, genesis,
-            )?))
+/// Opens or creates the checkpoint store a
+/// [`Collector::run`](crate::dataset::Collector::run) commits to: one
+/// file for `shards == 1`, a sharded directory otherwise. With `resume`
+/// set and a store on disk, the store first passes
+/// [`verify_resume_store`], its shard count must agree with
+/// `config.shards` and it must have been created from `genesis` — all
+/// checked on the gate's reader, before the writer reopens the store
+/// (either layout) and heals its tail. The reader comes back beside the
+/// writer: it is where the committed weeks are read from. A store that
+/// never got its genesis (or manifest) to disk is recreated.
+pub(crate) fn open_checkpoint(
+    store_path: &Path,
+    genesis: Genesis,
+    config: &CollectConfig,
+    resume: bool,
+    telemetry: &Telemetry,
+) -> Result<(AnyWriter, Option<AnyReader>), StoreError> {
+    let reader = if resume && store_path.exists() {
+        verify_resume_store(store_path)?
+    } else {
+        None
+    };
+    if let Some(reader) = &reader {
+        let shards = reader.shard_count();
+        if shards != config.shards.max(1) {
+            let holds = match reader.manifest() {
+                Some(_) => format!("{shards} shards"),
+                None => "a single file".to_string(),
+            };
+            return Err(StoreError::Mismatch(format!(
+                "store at {} holds {holds} but the study asked for {} shards; \
+                 rerun with --shards {shards} or start a fresh store",
+                store_path.display(),
+                config.shards,
+            )));
         }
-    }
-
-    /// Opens or creates the checkpoint store. With `resume` set and a
-    /// store on disk, the store first passes [`verify_resume_store`]; the
-    /// layout is then read back from the path (a directory is sharded, a
-    /// file is not) and must agree with `config.shards`, the writer
-    /// reopens after torn-tail recovery, and the store must have been
-    /// created from `genesis`. The gate's reader comes back beside the
-    /// writer: it is where the committed weeks are read from. A store
-    /// that never got its genesis (or manifest) to disk is recreated.
-    pub(crate) fn open(
-        store_path: &Path,
-        genesis: Genesis,
-        config: &CollectConfig,
-        resume: bool,
-        telemetry: &Telemetry,
-    ) -> Result<(CheckpointWriter, Option<AnyReader>), StoreError> {
-        let reader = if resume && store_path.exists() {
-            verify_resume_store(store_path)?
-        } else {
-            None
-        };
-        let writer = match &reader {
-            Some(_) => CheckpointWriter::resume(store_path, config)?,
-            None => CheckpointWriter::create(store_path, genesis.clone(), config)?,
-        };
-        if writer.genesis() != &genesis {
+        if reader.genesis() != &genesis {
             return Err(StoreError::Mismatch(
                 "store was created from a different ecosystem \
                  (seed, domain count, or timeline differ)"
                     .to_string(),
             ));
         }
-        let registry = telemetry.registry();
-        registry
-            .counter("store.weeks_recovered_total")
-            .add(reader.as_ref().map_or(0, AnyReader::weeks_committed) as u64);
-        registry
-            .counter("store.torn_bytes_recovered_total")
-            .add(writer.torn_bytes_recovered());
-        Ok((writer, reader))
     }
+    let writer = match &reader {
+        Some(_) => AnyWriter::resume(store_path)?,
+        None if config.shards > 1 => AnyWriter::create(store_path, genesis, config.shards)?,
+        None => StoreWriter::create(store_path, genesis)?.into(),
+    };
+    let writer = writer.threads(config.concurrency);
+    let registry = telemetry.registry();
+    registry
+        .counter("store.weeks_recovered_total")
+        .add(reader.as_ref().map_or(0, AnyReader::weeks_committed) as u64);
+    registry
+        .counter("store.torn_bytes_recovered_total")
+        .add(writer.stats().torn_bytes_recovered);
+    Ok((writer, reader))
+}
 
-    /// Closes the writer and opens what it committed: one file from the
-    /// writer's own bytes, a sharded directory from disk.
-    pub(crate) fn into_reader(self) -> Result<AnyReader, StoreError> {
-        match self {
-            CheckpointWriter::Single(w) => w.into_reader().map(AnyReader::from),
-            CheckpointWriter::Sharded(w) => AnyReader::open(w.path()),
-        }
-    }
-
-    /// Which layout is on disk, and does its shard count agree.
-    fn resume(store_path: &Path, config: &CollectConfig) -> Result<CheckpointWriter, StoreError> {
-        if store_path.is_dir() {
-            let writer = ShardedStoreWriter::resume(store_path)?.threads(config.concurrency);
-            if writer.shard_count() != config.shards {
-                return Err(StoreError::Mismatch(format!(
-                    "store at {} has {} shards but the study asked for {}; \
-                     rerun with --shards {} or start a fresh store",
-                    store_path.display(),
-                    writer.shard_count(),
-                    config.shards,
-                    writer.shard_count(),
-                )));
-            }
-            Ok(CheckpointWriter::Sharded(writer))
-        } else {
-            if config.shards > 1 {
-                return Err(StoreError::Mismatch(format!(
-                    "store at {} is a single file but the study asked for {} shards; \
-                     rerun without --shards or start a fresh store",
-                    store_path.display(),
-                    config.shards,
-                )));
-            }
-            Ok(CheckpointWriter::Single(StoreWriter::resume(store_path)?))
-        }
-    }
-
-    /// Torn tail bytes this writer truncated when it reopened the store.
-    pub(crate) fn torn_bytes_recovered(&self) -> u64 {
-        match self {
-            CheckpointWriter::Single(w) => w.stats().torn_bytes_recovered,
-            CheckpointWriter::Sharded(w) => w.stats().torn_bytes_recovered,
-        }
-    }
-
-    fn genesis(&self) -> &Genesis {
-        match self {
-            CheckpointWriter::Single(w) => w.genesis(),
-            CheckpointWriter::Sharded(w) => w.genesis(),
-        }
-    }
-
-    /// Commits one collected week, accounting it to the `store.*`
-    /// counters, the `store.commit_latency_ns` histogram and the `store`
-    /// phase span.
-    pub(crate) fn commit(
-        &mut self,
-        week: &WeekData,
-        telemetry: &Telemetry,
-    ) -> Result<(), StoreError> {
-        let registry = telemetry.registry();
-        let info = {
-            let _phase = telemetry.phase("store").week(week.week);
-            let week_key = week.week.to_string();
-            let _ = webvuln_failpoint::failpoint!("checkpoint.commit", &week_key)?;
-            let started = std::time::Instant::now();
-            let info = match self {
-                CheckpointWriter::Single(w) => w.commit_week(week),
-                CheckpointWriter::Sharded(w) => w.commit_week(week),
-            }?;
-            registry
-                .histogram("store.commit_latency_ns")
-                .record_duration(started.elapsed());
-            info
-        };
-        registry.counter("store.segments_total").add(1);
+/// Commits one collected week, accounting it to the `store.*` counters,
+/// the `store.commit_latency_ns` histogram and the `store` phase span.
+pub(crate) fn commit_checkpoint(
+    writer: &mut AnyWriter,
+    week: &WeekData,
+    telemetry: &Telemetry,
+) -> Result<(), StoreError> {
+    let registry = telemetry.registry();
+    let info = {
+        let _phase = telemetry.phase("store").week(week.week);
+        let week_key = week.week.to_string();
+        let _ = webvuln_failpoint::failpoint!("checkpoint.commit", &week_key)?;
+        let started = std::time::Instant::now();
+        let info = writer.commit_week(week)?;
         registry
-            .counter("store.delta_hits_total")
-            .add(info.delta_hits as u64);
-        registry
-            .counter("store.delta_misses_total")
-            .add((info.records - info.delta_hits) as u64);
-        registry
-            .counter("store.raw_bytes_total")
-            .add(info.raw_bytes);
-        registry
-            .counter("store.encoded_bytes_total")
-            .add(info.encoded_bytes);
-        Ok(())
-    }
-
-    pub(crate) fn finalize(&mut self, filtered_out: &[String]) -> Result<(), StoreError> {
-        match self {
-            CheckpointWriter::Single(w) => w.finalize(filtered_out),
-            CheckpointWriter::Sharded(w) => w.finalize(filtered_out),
-        }
-    }
+            .histogram("store.commit_latency_ns")
+            .record_duration(started.elapsed());
+        info
+    };
+    registry.counter("store.segments_total").add(1);
+    registry
+        .counter("store.delta_hits_total")
+        .add(info.delta_hits as u64);
+    registry
+        .counter("store.delta_misses_total")
+        .add((info.records - info.delta_hits) as u64);
+    registry
+        .counter("store.raw_bytes_total")
+        .add(info.raw_bytes);
+    registry
+        .counter("store.encoded_bytes_total")
+        .add(info.encoded_bytes);
+    Ok(())
 }
 
 /// The `--resume` integrity gate: CRC-verifies and fully decodes every
@@ -875,11 +799,12 @@ mod tests {
         let mut collector = WeekCollector::new(eco, config, telemetry);
         let timeline = *eco.timeline();
         let genesis = genesis_for(&timeline, &eco.domain_names());
-        let mut writer = CheckpointWriter::create(store_path, genesis, &config).expect("create");
+        let (mut writer, _) =
+            open_checkpoint(store_path, genesis, &config, false, telemetry).expect("create");
         for (week, date) in timeline.iter().take(weeks) {
             let mut week = collector.collect_week(week, date, config.concurrency, telemetry);
             collector.settle_week(&mut week);
-            writer.commit(&week, telemetry).expect("commit");
+            commit_checkpoint(&mut writer, &week, telemetry).expect("commit");
         }
     }
 
@@ -1210,6 +1135,7 @@ mod tests {
             false,
         )
         .expect("collect");
+        let before = tear(&path);
         let other = small_eco(32, 100, 6);
         let err = collect_checkpointed(
             &other,
@@ -1221,6 +1147,10 @@ mod tests {
         .err()
         .expect("different seed must be rejected");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
+        assert!(
+            std::fs::read(&path).expect("read") == before,
+            "a refusal healed"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1305,6 +1235,10 @@ mod tests {
             ..CollectConfig::default()
         };
         collect_checkpointed(&eco, three, &Telemetry::new(), &dir, false).expect("collect");
+        // A torn tail a refused resume must leave where it is: the refusal
+        // comes before the writer heals anything.
+        let torn = dir.join(webvuln_store::shard_file_name(0));
+        let before = tear(&torn);
         let two = CollectConfig {
             shards: 2,
             ..CollectConfig::default()
@@ -1314,6 +1248,10 @@ mod tests {
             .expect("shard-count change must be rejected");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
         assert!(err.to_string().contains("3 shards"), "{err}");
+        assert!(
+            std::fs::read(&torn).expect("read") == before,
+            "a refusal healed"
+        );
         let _ = std::fs::remove_dir_all(&dir);
 
         // A single-file store cannot be resumed as a sharded study.
@@ -1326,12 +1264,26 @@ mod tests {
             false,
         )
         .expect("collect single");
+        let before = tear(&path);
         let err = collect_checkpointed(&eco, two, &Telemetry::new(), &path, true)
             .err()
             .expect("layout change must be rejected");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
         assert!(err.to_string().contains("single file"), "{err}");
+        assert!(
+            std::fs::read(&path).expect("read") == before,
+            "a refusal healed"
+        );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Appends a torn half-segment to the store file at `path`; returns
+    /// the bytes it then holds.
+    fn tear(path: &Path) -> Vec<u8> {
+        let mut bytes = std::fs::read(path).expect("read");
+        bytes.extend_from_slice(&[0x77; 41]);
+        std::fs::write(path, &bytes).expect("tear");
+        bytes
     }
 
     /// A run with no checkpoint path keeps its store in memory: finalized,

@@ -34,14 +34,15 @@
 //! * **Sharding** — a store can also be a *directory*: N shard files
 //!   keyed by domain hash ([`shard_of`]), written in parallel by one
 //!   [`StoreWriter`] per shard on the `webvuln-exec` pool, with a
-//!   manifest whose atomic rename is the group's single commit point.
-//!   [`ShardedStoreWriter`] keeps the same crash guarantee as the
-//!   single file — a kill yields epoch E or E+1 across *all* shards,
-//!   never a mix. [`scrub`] walks every CRC and can quarantine,
-//!   rebuild, and roll back corrupt shards.
-//! * **One reader** — [`AnyReader`] opens either layout (a single file
-//!   is one healthy shard with no manifest), degraded reads included;
-//!   [`StoreReader`] is what one file is.
+//!   manifest whose atomic rename is the group's single commit point —
+//!   the same crash guarantee as the single file: a kill yields epoch E
+//!   or E+1 across *all* shards, never a mix.
+//! * **One reader, one writer, one scrub** — for either layout, a single
+//!   file being one shard with no manifest. [`AnyReader`] opens a store,
+//!   degraded reads included; [`AnyWriter`] creates, resumes, commits
+//!   and finalizes one; [`scrub`] walks every CRC and can quarantine,
+//!   rebuild, and roll back corrupt shards. [`StoreReader`] and
+//!   [`StoreWriter`] are what one file is.
 //! * **One codec** — [`codec`] publishes the primitives every other
 //!   on-disk format in the workspace is built from (CRC-32, varints,
 //!   the bounds-checked cursor) and the *standalone segment file*: one
@@ -116,8 +117,8 @@ pub use record::{
 };
 pub use scrub::{scrub, ScrubOutcome, ScrubReport, ShardScrub, ShardStatus};
 pub use sharded::{
-    shard_file_name, shard_of, shard_path, split_week, AnyReader, ShardHealth, ShardedStoreWriter,
-    QUARANTINE_SUFFIX,
+    shard_file_name, shard_of, shard_path, split_week, AnyReader, AnyWriter, ShardHealth,
+    ShardedStoreWriter, QUARANTINE_SUFFIX,
 };
 pub use stream::WeekStream;
 pub use writer::{CommitInfo, StoreWriter, WriterStats, FAILPOINTS};
@@ -145,6 +146,7 @@ mod tests {
     impl Drop for TempStore {
         fn drop(&mut self) {
             let _ = std::fs::remove_file(&self.path);
+            let _ = std::fs::remove_file(scrub::quarantine_path(&self.path));
         }
     }
 
@@ -293,24 +295,28 @@ mod tests {
         assert_eq!(reader.week(2).expect("week"), week2);
     }
 
-    #[test]
-    fn resume_refuses_a_corrupt_middle_week_before_writing_a_byte() {
-        let tmp = TempStore::new("resume-corrupt-middle");
-        write_weeks(&tmp.path, 3, 6);
-        let mut bytes = std::fs::read(&tmp.path).expect("read");
-        // Week 1's first record gets tag 7 under a recomputed CRC: the
-        // scan accepts the envelope, only the full decode notices.
-        let scanned = format::scan(&bytes).expect("scan");
+    /// Gives week `week`'s first record tag 7 under a recomputed CRC: the
+    /// scan accepts the envelope, only the full decode notices.
+    fn corrupt_first_record(bytes: &mut [u8], week: usize) {
+        let scanned = format::scan(bytes).expect("scan");
         let index = format::index(&scanned.segments).expect("index");
-        let (seg_index, prefix) = &index.weeks[1];
+        let (seg_index, prefix) = &index.weeks[week];
         let seg = &scanned.segments[*seg_index];
-        // Record count 6 and host symbol < 128 are one varint byte each.
+        // A record count and host symbol < 128 are one varint byte each.
         let tag = seg.payload_offset() as usize + prefix.records_pos + 2;
         assert!(bytes[tag] <= 1, "not a record tag");
         bytes[tag] = 7;
         let crc_at = (seg.offset + seg.env_len) as usize - 4;
         let crc = crc32::crc32(&bytes[seg.offset as usize..crc_at]);
         bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn resume_refuses_a_corrupt_middle_week_before_writing_a_byte() {
+        let tmp = TempStore::new("resume-corrupt-middle");
+        write_weeks(&tmp.path, 3, 6);
+        let mut bytes = std::fs::read(&tmp.path).expect("read");
+        corrupt_first_record(&mut bytes, 1);
         // A torn tail too: a resume that got as far as writing would cut it.
         bytes.extend_from_slice(&[0x5A; 29]);
         std::fs::write(&tmp.path, &bytes).expect("corrupt");
@@ -344,7 +350,7 @@ mod tests {
     }
 
     fn write_sharded(dir: &std::path::Path, weeks: usize, domains: usize, shards: usize) {
-        let mut writer = ShardedStoreWriter::create(dir, genesis(domains, weeks), shards)
+        let mut writer = AnyWriter::create(dir, genesis(domains, weeks), shards)
             .expect("create sharded")
             .threads(2);
         for w in 0..weeks {
@@ -445,17 +451,17 @@ mod tests {
     #[test]
     fn sharded_epoch_counts_every_commit() {
         let tmp = TempDir::new("sharded-epoch");
-        let mut writer = ShardedStoreWriter::create(&tmp.path, genesis(6, 2), 2).expect("create");
-        assert_eq!(writer.epoch(), 1);
+        let mut writer = AnyWriter::create(&tmp.path, genesis(6, 2), 2).expect("create");
+        assert_eq!(writer.manifest().map(|m| m.epoch), Some(1));
         writer.commit_week(&testkit::week(0, 6)).expect("w0");
         writer.commit_week(&testkit::week(1, 6)).expect("w1");
-        assert_eq!(writer.epoch(), 3);
+        assert_eq!(writer.manifest().map(|m| m.epoch), Some(3));
         writer.finalize(&[]).expect("finalize");
-        assert_eq!(writer.epoch(), 4);
+        assert_eq!(writer.manifest().map(|m| m.epoch), Some(4));
         // Resume replays the same state without inventing epochs.
         drop(writer);
-        let resumed = ShardedStoreWriter::resume(&tmp.path).expect("resume");
-        assert_eq!(resumed.epoch(), 4);
+        let resumed = AnyWriter::resume(&tmp.path).expect("resume");
+        assert_eq!(resumed.manifest().map(|m| m.epoch), Some(4));
         assert_eq!(resumed.stats().rolled_back, 0);
         assert!(resumed.is_finalized());
         let reader = AnyReader::open(&tmp.path).expect("open resumed");
@@ -480,7 +486,7 @@ mod tests {
         drop(shard0);
         assert_ne!(dir_bytes(&tmp.path), before, "tamper must change bytes");
 
-        let resumed = ShardedStoreWriter::resume(&tmp.path).expect("resume group");
+        let resumed = AnyWriter::resume(&tmp.path).expect("resume group");
         assert_eq!(resumed.stats().rolled_back, 1);
         assert_eq!(resumed.weeks_committed(), 2);
         drop(resumed);
@@ -502,7 +508,7 @@ mod tests {
             .expect("resume shard")
             .truncate_to_weeks(1)
             .expect("truncate");
-        let err = match ShardedStoreWriter::resume(&tmp.path) {
+        let err = match AnyWriter::resume(&tmp.path) {
             Err(err) => err,
             Ok(_) => panic!("mixed-epoch store must refuse to resume"),
         };
@@ -654,7 +660,7 @@ mod tests {
         let target = report.rolled_back_to.expect("rollback target");
         assert!(target < 3, "corruption must cost at least one week");
         // The rolled-back group resumes and replays the missing weeks.
-        let mut writer = ShardedStoreWriter::resume(&tmp.path).expect("resume");
+        let mut writer = AnyWriter::resume(&tmp.path).expect("resume");
         assert_eq!(writer.weeks_committed(), target);
         for w in target..3 {
             writer.commit_week(&testkit::week(w, 10)).expect("replay");
@@ -714,7 +720,8 @@ mod tests {
     #[test]
     fn scrub_handles_single_file_stores() {
         let tmp = TempStore::new("scrub-single");
-        write_weeks(&tmp.path, 2, 6);
+        write_weeks(&tmp.path, 3, 6);
+        let clean = std::fs::read(&tmp.path).expect("read");
         let report = scrub(&tmp.path, false).expect("scrub");
         assert_eq!(report.outcome, ScrubOutcome::Clean);
         assert!(!report.sharded);
@@ -733,6 +740,166 @@ mod tests {
             scrub(&tmp.path, false).expect("rescrub").outcome,
             ScrubOutcome::Clean
         );
+        // A week that does not decode under a valid CRC costs the file
+        // what it costs a shard: that week on, rebuilt away, and nothing
+        // before it; resume replays the rest.
+        let mut bytes = clean.clone();
+        corrupt_first_record(&mut bytes, 1);
+        std::fs::write(&tmp.path, &bytes).expect("corrupt");
+        let report = scrub(&tmp.path, true).expect("repair");
+        assert_eq!(report.shards[0].status, ShardStatus::Rebuilt);
+        assert_eq!(report.outcome, ScrubOutcome::Healed);
+        assert_eq!(report.rolled_back_to, Some(1));
+        let mut writer = AnyWriter::resume(&tmp.path).expect("the rebuilt prefix resumes");
+        assert_eq!(writer.weeks_committed(), 1);
+        for w in 1..3 {
+            writer.commit_week(&testkit::week(w, 6)).expect("replay");
+        }
+        drop(writer);
+        assert_eq!(std::fs::read(&tmp.path).expect("read"), clean);
+        // The copy the rebuild set aside belongs to that study. A fresh
+        // study at the same path takes it away, so a scrub after the new
+        // study stopped early finds the new file, not the old copy with
+        // more weeks, and leaves it as it is.
+        let parked = scrub::quarantine_path(&tmp.path);
+        std::fs::write(&parked, &clean).expect("a copy holding more weeks");
+        let mut writer = StoreWriter::create(&tmp.path, genesis(4, 3)).expect("create");
+        writer.commit_week(&testkit::week(0, 4)).expect("commit");
+        drop(writer);
+        assert!(!parked.exists(), "create takes the old copy away");
+        let fresh = std::fs::read(&tmp.path).expect("read");
+        let report = scrub(&tmp.path, true).expect("repair");
+        assert_eq!(report.outcome, ScrubOutcome::Clean);
+        assert_eq!(std::fs::read(&tmp.path).expect("read"), fresh);
+    }
+
+    /// Damage a scrub must repair the same way in either layout.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        /// Junk appended after the last commit.
+        Torn(usize),
+        /// The file cut to this many bytes.
+        Cut(u64),
+        /// The byte at this offset inverted.
+        Flip(u64),
+        /// This week's first record undecodable under a valid CRC.
+        BadRecord(usize),
+        /// Moved to its quarantine name, as a scrub killed mid-rebuild
+        /// leaves it.
+        Parked,
+        /// Replaced by bytes that are no store at all.
+        Overwritten,
+    }
+
+    fn inflict(path: &std::path::Path, damage: Damage) {
+        let mut bytes = std::fs::read(path).expect("read");
+        match damage {
+            Damage::Torn(len) => bytes.resize(bytes.len() + len, 0x77),
+            Damage::Cut(len) => bytes.truncate(len as usize),
+            Damage::Flip(at) => bytes[at as usize] ^= 0xFF,
+            Damage::BadRecord(week) => corrupt_first_record(&mut bytes, week),
+            Damage::Parked => {
+                let parked = scrub::quarantine_path(path);
+                std::fs::rename(path, parked).expect("park");
+                return;
+            }
+            Damage::Overwritten => bytes = b"not a store at all".to_vec(),
+        }
+        std::fs::write(path, bytes).expect("damage");
+    }
+
+    /// A single file is one shard with no manifest, to the one writer and
+    /// the one scrub. The same weeks, with a resume anywhere, leave the
+    /// file and a one-shard group's shard the same bytes; the same damage
+    /// to both scrubs to the same verdict and bytes; and either one, once
+    /// repaired, resumes and replays to the undamaged bytes.
+    #[test]
+    fn a_single_file_is_one_shard_with_no_manifest() {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        webvuln_failpoint::check::run("a file is one shard", 64, |g| {
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let domains = g.range(1..=12) as usize;
+            let weeks = g.range(1..=4) as usize;
+            let resume_at = g.range(0..=weeks as u64) as usize;
+            let finalize = g.bool();
+            // Odd weeks repeat the week before, so they are back-references.
+            let week = |w: usize| WeekData {
+                week: w,
+                ..testkit::week(w - w % 2, domains)
+            };
+            let finish = |writer: &mut AnyWriter| {
+                for w in writer.weeks_committed()..weeks {
+                    writer.commit_week(&week(w)).expect("commit");
+                }
+                if finalize && !writer.is_finalized() {
+                    let filtered = ["site000.example".to_string()];
+                    writer.finalize(&filtered).expect("finalize");
+                }
+            };
+            let file = TempStore::new(&format!("one-shard-{case}"));
+            let group = TempDir::new(&format!("one-shard-{case}"));
+            let shard = shard_path(&group.path, 0);
+            let study = genesis(domains, weeks);
+            let single = StoreWriter::create(&file.path, study.clone()).expect("create");
+            let mut writers = [
+                AnyWriter::from(single),
+                AnyWriter::create(&group.path, study, 1).expect("create group"),
+            ];
+            for w in 0..weeks {
+                if w == resume_at {
+                    writers = writers.map(|writer| {
+                        let path = writer.path().to_path_buf();
+                        drop(writer);
+                        AnyWriter::resume(&path).expect("resume")
+                    });
+                }
+                let infos: Vec<CommitInfo> = writers
+                    .iter_mut()
+                    .map(|writer| writer.commit_week(&week(w)).expect("commit"))
+                    .collect();
+                assert_eq!(
+                    (infos[0].delta_hits, infos[0].segment_bytes),
+                    (infos[1].delta_hits, infos[1].segment_bytes)
+                );
+            }
+            writers.iter_mut().for_each(finish);
+            assert!(writers[0].manifest().is_none());
+            assert_eq!(writers[1].manifest().map(|m| m.weeks), Some(weeks as u64));
+            drop(writers);
+            let clean = std::fs::read(&file.path).expect("read file");
+            assert_eq!(std::fs::read(&shard).expect("read shard"), clean);
+
+            let len = clean.len() as u64;
+            let damage = match g.range(0..=5) {
+                0 => Damage::Torn(g.range(1..=64) as usize),
+                1 => Damage::Cut(g.range(0..=len - 1)),
+                2 => Damage::Flip(g.range(0..=len - 1)),
+                3 => Damage::BadRecord(g.range(0..=weeks as u64 - 1) as usize),
+                4 => Damage::Parked,
+                _ => Damage::Overwritten,
+            };
+            inflict(&file.path, damage);
+            inflict(&shard, damage);
+            let verdict = |path: &std::path::Path| {
+                let report = scrub(path, true).expect("scrub");
+                let shard = &report.shards[0];
+                (report.outcome, shard.status, shard.weeks)
+            };
+            let repaired = verdict(&file.path);
+            assert_eq!(repaired, verdict(&group.path), "{damage:?}");
+            assert_eq!(
+                std::fs::read(&file.path).ok(),
+                std::fs::read(&shard).ok(),
+                "{damage:?}"
+            );
+            if repaired.0 != ScrubOutcome::Quarantined {
+                for path in [&file.path, &group.path] {
+                    finish(&mut AnyWriter::resume(path).expect("resume repaired"));
+                }
+                assert_eq!(std::fs::read(&file.path).expect("file"), clean);
+                assert_eq!(std::fs::read(&shard).expect("shard"), clean);
+            }
+        });
     }
 
     #[test]
@@ -808,8 +975,7 @@ mod tests {
         let single = TempStore::new("stream-single");
         write_weeks(&single.path, 3, 9);
         let sharded = TempDir::new("stream-sharded");
-        let mut writer =
-            ShardedStoreWriter::create(&sharded.path, genesis(9, 3), 4).expect("create");
+        let mut writer = AnyWriter::create(&sharded.path, genesis(9, 3), 4).expect("create");
         for w in 0..3 {
             writer.commit_week(&testkit::week(w, 9)).expect("commit");
         }
@@ -844,7 +1010,7 @@ mod tests {
         let mut writer = StoreWriter::create(&single.path, genesis(9, 3)).expect("create");
         let sharded = TempDir::new("where-sharded");
         let mut sharded_writer =
-            ShardedStoreWriter::create(&sharded.path, genesis(9, 3), 4).expect("create");
+            AnyWriter::create(&sharded.path, genesis(9, 3), 4).expect("create");
         // Week 1 repeats week 0, so its records are back-references.
         for (w, source) in [(0, 0), (1, 0), (2, 2)] {
             let mut week = testkit::week(source, 9);

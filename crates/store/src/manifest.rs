@@ -99,6 +99,16 @@ pub fn load(dir: &Path) -> Result<Manifest, StoreError> {
     }
 }
 
+/// The one place a store's layout is read off its path: a directory is a
+/// group and its committed manifest is loaded; a single file is one shard
+/// with no manifest (`None`).
+pub(crate) fn of(path: &Path) -> Result<Option<Manifest>, StoreError> {
+    match path.is_dir() {
+        true => load(path).map(Some),
+        false => Ok(None),
+    }
+}
+
 /// Atomically publishes `manifest` as the group's committed state through
 /// [`durable::replace`] (`MANIFEST.tmp` → fsync → rename → directory
 /// fsync). The rename is the commit point; the `store.manifest.rename`

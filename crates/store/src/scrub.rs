@@ -1,5 +1,7 @@
-//! Scrub: a full integrity walk over a store (single-file or sharded)
-//! with optional repair.
+//! Scrub: a full integrity walk over a store of either layout, with
+//! optional repair. A single file is one shard with no manifest: its
+//! committed weeks are the ones it holds, and its rebuilt prefix is its
+//! rollback.
 //!
 //! Scrub decodes every record of every week in every shard — CRCs,
 //! back-references, and index cross-checks included — and classifies
@@ -242,7 +244,7 @@ fn rebuild_shard(
     finalize: Option<&[String]>,
 ) -> Result<(), StoreError> {
     let reader = StoreReader::open(source)?;
-    let mut writer = StoreWriter::create(dest, reader.genesis().clone())?;
+    let mut writer = StoreWriter::overwrite(dest, reader.genesis().clone())?;
     for week in 0..weeks {
         writer.commit_week(&reader.week(week)?)?;
     }
@@ -252,90 +254,26 @@ fn rebuild_shard(
     Ok(())
 }
 
-/// Scrubs the store at `path` (auto-detecting single-file vs sharded).
+/// Scrubs the store at `path`, either layout: a single file is one shard
+/// with no manifest, whose committed weeks are the ones it holds.
 /// Read-only without `repair`; see the module docs for what repair does.
 pub fn scrub(path: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
-    if path.is_dir() {
-        scrub_sharded(path, repair)
-    } else {
-        scrub_single(path, repair)
-    }
-}
-
-fn scrub_single(path: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
-    let _ = webvuln_failpoint::failpoint!("store.scrub", "0")?;
-    let mut shard = ShardScrub {
-        shard: 0,
-        path: path.display().to_string(),
-        status: ShardStatus::Clean,
-        weeks: 0,
-        records: 0,
-        torn_bytes: 0,
-        detail: String::new(),
+    let manifest = manifest::of(path)?;
+    let paths: Vec<PathBuf> = match manifest {
+        Some(m) => (0..m.shards as usize)
+            .map(|i| shard_path(path, i))
+            .collect(),
+        None => vec![path.to_path_buf()],
     };
-    match assess_source(path) {
-        Ok(assess) => {
-            shard.weeks = assess.valid_weeks;
-            shard.records = assess.records;
-            shard.torn_bytes = assess.torn_bytes;
-            if !assess.fully_valid {
-                shard.status = ShardStatus::Corrupt;
-                shard.detail = assess.first_error.unwrap_or_default();
-                if repair {
-                    quarantine(path)?;
-                    shard.status = ShardStatus::Quarantined;
-                    shard.detail = format!(
-                        "{}; moved to {}.{QUARANTINE_SUFFIX}",
-                        shard.detail,
-                        path.display()
-                    );
-                }
-            } else if assess.torn_bytes > 0 {
-                if repair {
-                    StoreWriter::resume(path)?;
-                    shard.status = ShardStatus::Healed;
-                    shard.detail = format!("dropped {} torn tail bytes", assess.torn_bytes);
-                } else {
-                    shard.status = ShardStatus::TornTail;
-                }
-            }
-        }
-        Err(detail) => {
-            shard.status = ShardStatus::Corrupt;
-            shard.detail = detail;
-            if repair && path.exists() {
-                quarantine(path)?;
-                shard.status = ShardStatus::Quarantined;
-            }
-        }
-    }
-    let outcome = outcome_of(std::slice::from_ref(&shard));
-    Ok(ScrubReport {
-        store: path.display().to_string(),
-        sharded: false,
-        epoch_before: None,
-        epoch_after: None,
-        rolled_back_to: None,
-        shards: vec![shard],
-        outcome,
-        repaired: repair,
-    })
-}
-
-fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
-    let manifest = manifest::load(dir)?;
-    let shards = manifest.shards as usize;
-    let committed = manifest.weeks as usize;
 
     // Phase A: assess every shard (and, for crash recovery of an
     // interrupted rebuild, its quarantined copy — whichever holds more).
-    let mut assessments: Vec<Result<SourceAssess, String>> = Vec::with_capacity(shards);
-    for index in 0..shards {
+    let mut assessments: Vec<Result<SourceAssess, String>> = Vec::with_capacity(paths.len());
+    for (index, path) in paths.iter().enumerate() {
         let key = index.to_string();
         let _ = webvuln_failpoint::failpoint!("store.scrub", &key)?;
-        let path = shard_path(dir, index);
-        let quarantined = quarantine_path(&path);
-        let primary = assess_source(&path);
+        let quarantined = quarantine_path(path);
+        let primary = assess_source(path);
         let fallback = if quarantined.exists() {
             assess_source(&quarantined).ok()
         } else {
@@ -350,6 +288,13 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
         assessments.push(chosen);
     }
 
+    // What the store published: the manifest's weeks, or the file's own.
+    let (committed, finalized) = match (manifest, &assessments[0]) {
+        (Some(m), _) => (m.weeks as usize, m.finalized),
+        (None, Ok(file)) => (file.claimed_weeks, file.finalized),
+        (None, Err(_)) => (0, false),
+    };
+
     // Phase B: decide the group target and apply per-shard repairs.
     let recoverable = assessments.iter().all(|a| a.is_ok());
     let target = assessments
@@ -359,7 +304,7 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
         .min()
         .unwrap_or(0)
         .min(committed);
-    let group_finalized = manifest.finalized
+    let group_finalized = finalized
         && recoverable
         && target == committed
         && assessments
@@ -367,11 +312,10 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
             .flatten()
             .all(|a| a.fully_valid && a.finalized);
 
-    let mut report_shards = Vec::with_capacity(shards);
-    for (index, assess) in assessments.iter().enumerate() {
+    let mut report_shards = Vec::with_capacity(paths.len());
+    for (index, (assess, path)) in assessments.iter().zip(&paths).enumerate() {
         let key = index.to_string();
         let _ = webvuln_failpoint::failpoint!("store.scrub", &key)?;
-        let path = shard_path(dir, index);
         let mut shard = ShardScrub {
             shard: index,
             path: path.display().to_string(),
@@ -385,7 +329,7 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
             Err(detail) => {
                 shard.status = if repair {
                     if path.exists() {
-                        quarantine(&path)?;
+                        quarantine(path)?;
                     }
                     ShardStatus::Quarantined
                 } else {
@@ -397,7 +341,7 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
                 shard.weeks = assess.valid_weeks.min(committed);
                 shard.records = assess.records;
                 shard.torn_bytes = assess.torn_bytes;
-                let from_quarantine = assess.path != path;
+                let from_quarantine = &assess.path != path;
                 let needs_rebuild = from_quarantine || !assess.fully_valid;
                 let shard_target = if recoverable && repair {
                     target
@@ -412,14 +356,14 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
                         .unwrap_or_else(|| "rebuilding from quarantined copy".to_string());
                     if repair && recoverable {
                         if !from_quarantine {
-                            quarantine(&path)?;
+                            quarantine(path)?;
                         }
                         let finalize = if group_finalized {
                             assess.filtered_out.as_deref()
                         } else {
                             None
                         };
-                        rebuild_shard(&quarantine_path(&path), &path, shard_target, finalize)?;
+                        rebuild_shard(&quarantine_path(path), path, shard_target, finalize)?;
                         shard.status = ShardStatus::Rebuilt;
                         shard.weeks = shard_target;
                         shard.detail = format!(
@@ -428,7 +372,7 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
                         );
                     }
                 } else if repair && recoverable {
-                    let mut writer = StoreWriter::resume(&path)?;
+                    let mut writer = StoreWriter::resume(path)?;
                     if writer.weeks_committed() > shard_target
                         || (writer.is_finalized() && !group_finalized)
                     {
@@ -446,8 +390,7 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
                     shard.weeks = writer.weeks_committed();
                 } else {
                     // Assessment only: report what repair would address.
-                    if assess.claimed_weeks > committed || (assess.finalized && !manifest.finalized)
-                    {
+                    if assess.claimed_weeks > committed || (assess.finalized && !finalized) {
                         shard.status = ShardStatus::Ahead;
                         shard.detail = format!(
                             "{} weeks on disk, manifest has {committed}",
@@ -468,27 +411,30 @@ fn scrub_sharded(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
         report_shards.push(shard);
     }
 
-    // Phase C: publish the rollback, if the group needs one.
-    let mut epoch_after = manifest.epoch;
+    // Phase C: publish the rollback, if the store needs one: a new
+    // manifest for a group; a file's repaired prefix is its own.
+    let mut epoch_after = manifest.map(|m| m.epoch);
     let mut rolled_back_to = None;
-    if repair && recoverable && (target < committed || (manifest.finalized && !group_finalized)) {
-        let next = Manifest {
-            epoch: manifest.epoch + 1,
-            shards: manifest.shards,
-            weeks: target as u64,
-            finalized: group_finalized,
-        };
-        manifest::commit(dir, &next)?;
-        epoch_after = next.epoch;
+    if repair && recoverable && (target < committed || (finalized && !group_finalized)) {
+        if let Some(m) = manifest {
+            let next = Manifest {
+                epoch: m.epoch + 1,
+                weeks: target as u64,
+                finalized: group_finalized,
+                ..m
+            };
+            manifest::commit(path, &next)?;
+            epoch_after = Some(next.epoch);
+        }
         rolled_back_to = Some(target);
     }
 
     let outcome = outcome_of(&report_shards);
     Ok(ScrubReport {
-        store: dir.display().to_string(),
-        sharded: true,
-        epoch_before: Some(manifest.epoch),
-        epoch_after: Some(epoch_after),
+        store: path.display().to_string(),
+        sharded: manifest.is_some(),
+        epoch_before: manifest.map(|m| m.epoch),
+        epoch_after,
         rolled_back_to,
         shards: report_shards,
         outcome,
@@ -519,7 +465,7 @@ fn outcome_of(shards: &[ShardScrub]) -> ScrubOutcome {
     }
 }
 
-fn quarantine_path(path: &Path) -> PathBuf {
+pub(crate) fn quarantine_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(".");
     name.push(QUARANTINE_SUFFIX);

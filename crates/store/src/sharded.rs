@@ -1,5 +1,7 @@
-//! The sharded snapshot store: N shard files + one manifest, written by
-//! one [`StoreWriter`] per shard on the `webvuln-exec` pool.
+//! The store's two layouts behind one reader and one writer: a sharded
+//! directory — N shard files + one manifest, written by one
+//! [`StoreWriter`] per shard on the `webvuln-exec` pool — or a single
+//! file, which is one shard with no manifest.
 //!
 //! Domains are partitioned by a deterministic hash of the host name
 //! ([`shard_of`]), so every shard file is an ordinary single-file store
@@ -17,9 +19,8 @@
 //! refuses with [`StoreError::ShardBehind`] rather than serve a
 //! mixed-epoch store.
 //!
-//! [`AnyReader`] reads a group back, degraded if need be — and every
-//! other store too: a single `.wvstore` file is one healthy shard with
-//! no manifest.
+//! [`AnyWriter`] writes either layout and [`AnyReader`] reads either
+//! back, degraded if need be.
 
 use crate::error::StoreError;
 use crate::format::Genesis;
@@ -150,24 +151,41 @@ fn merge_genesis(parts: &[&Genesis]) -> Result<Genesis, StoreError> {
 /// cloned — claimed by exactly one commit worker.
 type ShardJob<'a> = Mutex<Option<(usize, &'a mut StoreWriter, WeekData<&'a DomainRecord>)>>;
 
-/// Writes a sharded snapshot store: one [`StoreWriter`] per shard plus
-/// the group manifest.
-pub struct ShardedStoreWriter {
-    dir: PathBuf,
+/// Writes a snapshot store of either layout: a sharded directory (one
+/// [`StoreWriter`] per shard plus the group manifest) or a single file,
+/// which is one shard with no manifest and commits through its own
+/// footer. Callers commit, finalize and read back the same way whichever
+/// layout they were given.
+pub struct AnyWriter {
+    path: PathBuf,
     writers: Vec<StoreWriter>,
-    manifest: Manifest,
+    /// The group's committed state; `None` for a single file.
+    manifest: Option<Manifest>,
     genesis: Genesis,
     threads: usize,
 }
 
-impl ShardedStoreWriter {
+/// The name [`AnyWriter`] had while it wrote only directories.
+pub type ShardedStoreWriter = AnyWriter;
+
+/// One file as the store: a shard with no manifest.
+impl From<StoreWriter> for AnyWriter {
+    fn from(writer: StoreWriter) -> AnyWriter {
+        AnyWriter {
+            path: writer.path().to_path_buf(),
+            genesis: writer.genesis().clone(),
+            writers: vec![writer],
+            manifest: None,
+            threads: 1,
+        }
+    }
+}
+
+impl AnyWriter {
     /// Creates (replacing any previous group) a sharded store under
-    /// `dir` with `shards` shard files.
-    pub fn create(
-        dir: &Path,
-        genesis: Genesis,
-        shards: usize,
-    ) -> Result<ShardedStoreWriter, StoreError> {
+    /// `dir` with `shards` shard files. A single file is
+    /// [`StoreWriter::create`], converted.
+    pub fn create(dir: &Path, genesis: Genesis, shards: usize) -> Result<AnyWriter, StoreError> {
         if shards == 0 {
             return Err(StoreError::Mismatch(
                 "a sharded store needs at least one shard".to_string(),
@@ -200,10 +218,10 @@ impl ShardedStoreWriter {
             finalized: false,
         };
         manifest::commit(dir, &manifest)?;
-        Ok(ShardedStoreWriter {
-            dir: dir.to_path_buf(),
+        Ok(AnyWriter {
+            path: dir.to_path_buf(),
             writers,
-            manifest,
+            manifest: Some(manifest),
             genesis,
             threads: 1,
         })
@@ -217,25 +235,28 @@ impl ShardedStoreWriter {
         self
     }
 
-    /// Reopens an existing sharded store for writing: heals each shard's
-    /// torn tail, rolls any shard that ran ahead of the manifest back to
-    /// the committed epoch ([`WriterStats::rolled_back`] counts them), and
-    /// refuses mixed-epoch groups a crash cannot produce (a shard *behind*
-    /// the manifest).
-    pub fn resume(dir: &Path) -> Result<ShardedStoreWriter, StoreError> {
-        let manifest = manifest::load(dir)?;
+    /// Reopens an existing store of either layout for writing. A file
+    /// heals its torn tail ([`StoreWriter::resume`]). A directory heals
+    /// each shard's, rolls any shard that ran ahead of the manifest back
+    /// to the committed epoch ([`WriterStats::rolled_back`] counts them),
+    /// and refuses mixed-epoch groups a crash cannot produce (a shard
+    /// *behind* the manifest).
+    pub fn resume(path: &Path) -> Result<AnyWriter, StoreError> {
+        let Some(manifest) = manifest::of(path)? else {
+            return StoreWriter::resume(path).map(AnyWriter::from);
+        };
         let shards = manifest.shards as usize;
         let committed = manifest.weeks as usize;
         let mut writers = Vec::with_capacity(shards);
         for index in 0..shards {
-            let path = shard_path(dir, index);
-            if !path.exists() {
+            let shard = shard_path(path, index);
+            if !shard.exists() {
                 return Err(StoreError::ShardUnavailable {
                     shard: index,
-                    detail: format!("shard file missing: {}", path.display()),
+                    detail: format!("shard file missing: {}", shard.display()),
                 });
             }
-            let mut writer = StoreWriter::resume(&path)?;
+            let mut writer = StoreWriter::resume(&shard)?;
             if writer.weeks_committed() > committed
                 || (writer.is_finalized() && !manifest.finalized)
             {
@@ -255,25 +276,29 @@ impl ShardedStoreWriter {
             writers.push(writer);
         }
         let genesis = merge_genesis(&writers.iter().map(|w| w.genesis()).collect::<Vec<_>>())?;
-        Ok(ShardedStoreWriter {
-            dir: dir.to_path_buf(),
+        Ok(AnyWriter {
+            path: path.to_path_buf(),
             writers,
-            manifest,
+            manifest: Some(manifest),
             genesis,
             threads: 1,
         })
     }
 
-    /// Commits one group week: splits it by domain hash, appends every
-    /// shard's slice in parallel on the exec pool, then publishes the
-    /// week with one atomic manifest rename. A kill anywhere in between
-    /// leaves the manifest at the previous epoch and the partial shard
-    /// progress is rolled back on resume.
+    /// Commits one week. A file appends it and rewrites its footer. A
+    /// group splits it by domain hash, appends every shard's slice in
+    /// parallel on the exec pool, then publishes the week with one atomic
+    /// manifest rename; a kill anywhere in between leaves the manifest at
+    /// the previous epoch and the partial shard progress is rolled back
+    /// on resume.
     pub fn commit_week(&mut self, week: &WeekData) -> Result<CommitInfo, StoreError> {
-        if self.manifest.finalized {
+        let Some(manifest) = self.manifest else {
+            return self.writers[0].commit_week(week);
+        };
+        if manifest.finalized {
             return Err(StoreError::AlreadyFinalized);
         }
-        let expected = self.manifest.weeks as usize;
+        let expected = manifest.weeks as usize;
         if week.week != expected {
             return Err(StoreError::WeekOutOfOrder {
                 expected,
@@ -314,64 +339,82 @@ impl ShardedStoreWriter {
             info.encoded_bytes += shard_info.encoded_bytes;
             info.segment_bytes += shard_info.segment_bytes;
         }
-        let next = Manifest {
-            epoch: self.manifest.epoch + 1,
-            weeks: self.manifest.weeks + 1,
-            ..self.manifest
-        };
-        manifest::commit(&self.dir, &next)?;
-        self.manifest = next;
+        self.publish(Manifest {
+            epoch: manifest.epoch + 1,
+            weeks: manifest.weeks + 1,
+            ..manifest
+        })?;
         Ok(info)
     }
 
     /// Writes the finalize verdict to every shard (each carries the full
-    /// group list, so scrub can recover it from any healthy shard), then
-    /// publishes with one manifest rename.
+    /// group list, so scrub can recover it from any healthy shard), then,
+    /// for a group, publishes it with one manifest rename.
     pub fn finalize(&mut self, filtered_out: &[String]) -> Result<(), StoreError> {
-        if self.manifest.finalized {
+        if self.is_finalized() {
             return Err(StoreError::AlreadyFinalized);
         }
         for writer in &mut self.writers {
             writer.finalize(filtered_out)?;
         }
-        let next = Manifest {
-            epoch: self.manifest.epoch + 1,
-            finalized: true,
-            ..self.manifest
-        };
-        manifest::commit(&self.dir, &next)?;
-        self.manifest = next;
+        match self.manifest {
+            Some(manifest) => self.publish(Manifest {
+                epoch: manifest.epoch + 1,
+                finalized: true,
+                ..manifest
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Commits `next` as the group's manifest.
+    fn publish(&mut self, next: Manifest) -> Result<(), StoreError> {
+        manifest::commit(&self.path, &next)?;
+        self.manifest = Some(next);
         Ok(())
     }
 
-    /// Weeks committed (published by the manifest).
+    /// Closes the writer and opens what it committed: a file from the
+    /// writer's own bytes (a store kept in memory included), a group
+    /// from disk.
+    pub fn into_reader(mut self) -> Result<AnyReader, StoreError> {
+        match self.manifest {
+            Some(_) => AnyReader::open(&self.path),
+            None => self.writers.remove(0).into_reader().map(AnyReader::from),
+        }
+    }
+
+    /// Weeks committed — as published by the manifest when there is one.
     pub fn weeks_committed(&self) -> usize {
-        self.manifest.weeks as usize
+        self.manifest
+            .map_or_else(|| self.writers[0].weeks_committed(), |m| m.weeks as usize)
     }
 
-    /// Whether the group carries the finalize verdict.
+    /// Whether the store carries the finalize verdict — as published by
+    /// the manifest when there is one.
     pub fn is_finalized(&self) -> bool {
-        self.manifest.finalized
+        self.manifest
+            .map_or_else(|| self.writers[0].is_finalized(), |m| m.finalized)
     }
 
-    /// The merged group genesis.
+    /// The study metadata: a single file's own, or the merged group's.
     pub fn genesis(&self) -> &Genesis {
         &self.genesis
     }
 
-    /// Number of shard files.
+    /// Number of shard files (1 for a single file).
     pub fn shard_count(&self) -> usize {
         self.writers.len()
     }
 
-    /// The current manifest epoch.
-    pub fn epoch(&self) -> u64 {
-        self.manifest.epoch
+    /// The group manifest last committed; `None` for a single file.
+    pub fn manifest(&self) -> Option<Manifest> {
+        self.manifest
     }
 
-    /// The store directory.
+    /// The store path (file or directory).
     pub fn path(&self) -> &Path {
-        &self.dir
+        &self.path
     }
 
     /// Aggregated writer stats across all shards.
@@ -464,11 +507,10 @@ impl AnyReader {
     /// A single file has no shard to lose and opens as [`AnyReader::open`]
     /// does.
     pub fn open_degraded(path: &Path) -> Result<AnyReader, StoreError> {
-        if !path.is_dir() {
+        let Some(manifest) = manifest::of(path)? else {
             return StoreReader::open(path).map(AnyReader::from);
-        }
+        };
         let dir = path;
-        let manifest = manifest::load(dir)?;
         let shards = manifest.shards as usize;
         let committed = manifest.weeks as usize;
         let mut readers = Vec::with_capacity(shards);

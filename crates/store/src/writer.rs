@@ -1,5 +1,6 @@
-//! The append-only store writer: create, resume, commit, finalize — to a
-//! file, or to memory for a run that keeps no file.
+//! The append-only writer of one store file — a single-file store or one
+//! shard of a group, which [`crate::AnyWriter`] drives — create, resume,
+//! commit, finalize; or of memory, for a run that keeps no file.
 //!
 //! Commit discipline: each [`StoreWriter::commit_week`] appends one week
 //! segment at the current data end, then rewrites the footer after it and
@@ -137,7 +138,17 @@ pub struct StoreWriter {
 
 impl StoreWriter {
     /// Creates (truncating) a store at `path` and writes header + genesis.
+    /// A quarantined copy an earlier scrub left beside `path` belongs to
+    /// the store this one replaces, so it goes too, as a group's do in
+    /// [`crate::AnyWriter::create`].
     pub fn create(path: &Path, genesis: Genesis) -> Result<StoreWriter, StoreError> {
+        let _ = std::fs::remove_file(crate::scrub::quarantine_path(path));
+        StoreWriter::overwrite(path, genesis)
+    }
+
+    /// [`StoreWriter::create`], keeping the quarantined copy beside
+    /// `path`: scrub rebuilds the file from it.
+    pub(crate) fn overwrite(path: &Path, genesis: Genesis) -> Result<StoreWriter, StoreError> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)

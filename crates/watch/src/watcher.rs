@@ -49,7 +49,7 @@ use webvuln_analysis::{
 };
 use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
 use webvuln_store::durable::{complete_lines, AppendLog};
-use webvuln_store::{AnyReader, ShardedStoreWriter, MANIFEST_FILE};
+use webvuln_store::{AnyReader, AnyWriter, MANIFEST_FILE};
 use webvuln_telemetry::Telemetry;
 
 /// Where a watcher lives and how wide it runs.
@@ -233,7 +233,7 @@ pub fn load_watch_state(root: &Path) -> WatchState {
 pub struct Watcher {
     cfg: WatchConfig,
     telemetry: Telemetry,
-    writer: ShardedStoreWriter,
+    writer: AnyWriter,
     db: VulnDb,
     /// The live study accumulator, a bucket per domain part.
     live: Buckets<StudyAccum>,
@@ -268,7 +268,7 @@ impl Watcher {
         std::fs::create_dir_all(cfg.root()).map_err(|e| WatchError::io(cfg.root(), e))?;
         let store_dir = cfg.store_dir();
         let writer = if store_dir.join(MANIFEST_FILE).exists() {
-            ShardedStoreWriter::resume(&store_dir)?
+            AnyWriter::resume(&store_dir)?
         } else {
             let genesis_path = cfg.spool_dir().join(GENESIS_FILE);
             if !genesis_path.exists() {
@@ -278,7 +278,7 @@ impl Watcher {
                 ));
             }
             let genesis = read_genesis_file(&genesis_path)?;
-            ShardedStoreWriter::create(&store_dir, genesis, cfg.shards)?
+            AnyWriter::create(&store_dir, genesis, cfg.shards)?
         };
         let writer = writer.threads(cfg.threads);
         let ranks = genesis_ranks(writer.genesis());
@@ -647,7 +647,7 @@ impl Watcher {
 
     /// The store's manifest epoch.
     pub fn epoch(&self) -> u64 {
-        self.writer.epoch()
+        self.writer.manifest().map_or(0, |m| m.epoch)
     }
 
     /// The alert outbox.

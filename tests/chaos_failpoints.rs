@@ -431,57 +431,89 @@ fn a_tampered_shard_is_refused_then_scrub_repairs_it() {
 /// step (assessment and apply), re-run it, and require the surviving
 /// store to match an uninterrupted repair byte for byte — quarantine
 /// copies excluded, since their content legitimately depends on where
-/// the first scrub died.
+/// the first scrub died. A single file is one shard with no manifest and
+/// takes the same loop.
 #[test]
 fn scrub_survives_a_kill_mid_repair() {
     let _guard = lock();
     reset();
     let seed = 7_312;
 
-    let build = |tag: &str| {
-        let dir = temp_store_dir(tag);
-        Pipeline::new(config(seed, 4))
-            .shards(SHARDS)
-            .checkpoint(&dir)
-            .run()
-            .expect("sharded run");
-        // Same tamper as above: shard 2 loses committed weeks.
-        let victim = dir.join(webvuln::store::shard_file_name(2));
-        let len = std::fs::metadata(&victim).expect("stat").len();
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&victim)
-            .expect("open");
-        file.set_len(len / 2).expect("truncate");
-        drop(file);
-        dir
-    };
+    for shards in [SHARDS, 1] {
+        let build = |tag: &str| {
+            let tag = format!("{tag}-{shards}");
+            let (store, victim) = if shards > 1 {
+                let dir = temp_store_dir(&tag);
+                let victim = dir.join(webvuln::store::shard_file_name(2));
+                (dir, victim)
+            } else {
+                let file = temp_store(&tag);
+                let _ = std::fs::remove_file(&file);
+                (file.clone(), file)
+            };
+            Pipeline::new(config(seed, 4))
+                .shards(shards)
+                .checkpoint(&store)
+                .run()
+                .expect("checkpointed run");
+            // Same tamper as above: the victim file loses committed weeks.
+            let len = std::fs::metadata(&victim).expect("stat").len();
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&victim)
+                .expect("open");
+            file.set_len(len / 2).expect("truncate");
+            drop(file);
+            store
+        };
+        let live_bytes = |store: &Path| {
+            if shards > 1 {
+                live_dir_bytes(store)
+            } else {
+                vec![(String::new(), std::fs::read(store).expect("read store"))]
+            }
+        };
+        let remove = |store: &Path| {
+            if shards > 1 {
+                let _ = std::fs::remove_dir_all(store);
+            } else {
+                let _ = std::fs::remove_file(store);
+                let mut parked = store.as_os_str().to_os_string();
+                parked.push(format!(".{}", webvuln::store::QUARANTINE_SUFFIX));
+                let _ = std::fs::remove_file(parked);
+            }
+        };
 
-    // Uninterrupted repair of the same damage.
-    let clean_dir = build("scrub-clean");
-    let clean_report = scrub(&clean_dir, true).expect("clean repair");
-    assert!(clean_report.repaired);
-    let clean_bytes = live_dir_bytes(&clean_dir);
-    let _ = std::fs::remove_dir_all(&clean_dir);
+        // Uninterrupted repair of the same damage.
+        let clean_store = build("scrub-clean");
+        let clean_report = scrub(&clean_store, true).expect("clean repair");
+        assert!(clean_report.repaired);
+        let clean_bytes = live_bytes(&clean_store);
+        remove(&clean_store);
 
-    // Kill at every per-shard scrub step: hits 1..=SHARDS are the
-    // assessments, SHARDS+1..=2*SHARDS the apply steps.
-    for nth in 1..=(2 * SHARDS as u64) {
-        let dir = build(&format!("scrub-kill-{nth}"));
-        arm_nth("store.scrub", nth, Action::Panic);
-        let crashed = catch_unwind(AssertUnwindSafe(|| scrub(&dir, true)));
-        reset();
-        assert!(crashed.is_err(), "store.scrub hit {nth} never fired");
+        // Kill at every per-shard scrub step: hits 1..=shards are the
+        // assessments, shards+1..=2*shards the apply steps.
+        for nth in 1..=(2 * shards as u64) {
+            let store = build(&format!("scrub-kill-{nth}"));
+            arm_nth("store.scrub", nth, Action::Panic);
+            let crashed = catch_unwind(AssertUnwindSafe(|| scrub(&store, true)));
+            reset();
+            assert!(crashed.is_err(), "store.scrub hit {nth} never fired");
 
-        let report = scrub(&dir, true).expect("re-run scrub after kill");
-        assert_eq!(report.outcome, ScrubOutcome::Healed, "kill at hit {nth}");
-        assert_eq!(
-            live_dir_bytes(&dir),
-            clean_bytes,
-            "store after killed-then-rerun scrub (hit {nth}) must match an \
-             uninterrupted repair"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+            let report = scrub(&store, true).expect("re-run scrub after kill");
+            assert_eq!(
+                report.outcome,
+                ScrubOutcome::Healed,
+                "kill at hit {nth}, {shards} shards"
+            );
+            assert_eq!(
+                live_bytes(&store),
+                clean_bytes,
+                "store after killed-then-rerun scrub (hit {nth}, {shards} shards) \
+                 must match an uninterrupted repair"
+            );
+            remove(&store);
+        }
     }
 }
 

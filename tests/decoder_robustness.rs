@@ -30,9 +30,7 @@ use webvuln::net::codec::{encode_request, MessageReader, MAX_BODY, MAX_HEAD};
 use webvuln::net::{serve_stream, Request, Response, Status};
 use webvuln::pattern::Pattern;
 use webvuln::store::codec::{crc32, write_i64, write_str, write_u64, Cursor, WeekFile};
-use webvuln::store::{
-    shard_path, AnyReader, Genesis, Manifest, ShardedStoreWriter, StoreWriter, WeekData,
-};
+use webvuln::store::{shard_path, AnyReader, AnyWriter, Genesis, Manifest, StoreWriter, WeekData};
 use webvuln::watch::wal::{read_frames, write_frame};
 use webvuln::watch::{read_genesis_file, read_week_file, write_genesis_file, write_week_file};
 use webvuln::webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
@@ -416,7 +414,7 @@ fn rows(dir: &Path) -> Vec<Row> {
     let single = dir.join("single.wvstore");
     let group = dir.join("group");
     let mut writer = StoreWriter::create(&single, store_genesis.clone()).expect("create store");
-    let mut sharded = ShardedStoreWriter::create(&group, store_genesis, 2).expect("create group");
+    let mut sharded = AnyWriter::create(&group, store_genesis, 2).expect("create group");
     for store_week in &store_weeks {
         writer.commit_week(store_week).expect("commit");
         sharded.commit_week(store_week).expect("commit shards");

@@ -27,7 +27,7 @@ use webvuln::analysis::fold_study;
 use webvuln::core::{Pipeline, StudyConfig};
 use webvuln::cvedb::VulnDb;
 use webvuln::net::{fetch, Request, Response, ServeConfig, Server, TcpConnector};
-use webvuln::store::ShardedStoreWriter;
+use webvuln::store::AnyWriter;
 use webvuln::telemetry::Registry;
 use webvuln::webgen::Timeline;
 use webvuln::AnyReader;
@@ -179,7 +179,7 @@ fn a_fold_allocates_per_record_and_holds_one_borrowed_week() {
 /// resumed store handed back a writer and not an owned copy of its
 /// history, measured by these tests' own code at that commit: the peak of
 /// live bytes of a `resume(true)` run that kept no weeks, with no week
-/// left to crawl, and the allocations of one `ShardedStoreWriter::resume`
+/// left to crawl, and the allocations of one `AnyWriter::resume`
 /// of the same study in four shards.
 const PARENT_RESUMED_RUN_PEAK_LIVE_BYTES: usize = 4_530_307;
 const PARENT_SHARDED_RESUME_ALLOCATIONS: usize = 52_706;
@@ -214,7 +214,7 @@ fn a_sharded_resume_allocates_per_record_not_per_string() {
     let study = pipeline(WEEKS, &store).shards(4).run();
     study.expect("sharded study");
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    drop(ShardedStoreWriter::resume(&store).expect("resume"));
+    drop(AnyWriter::resume(&store).expect("resume"));
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let _ = std::fs::remove_dir_all(&store);
     println!("resume of {DOMAINS} x {WEEKS} in 4 shards: {allocations} allocations");
