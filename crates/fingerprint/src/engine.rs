@@ -187,7 +187,7 @@ struct Tally {
 /// Stable labels and flat offsets for every compiled pattern, so the
 /// self-profiler can attribute VM steps to individual patterns
 /// (`jQuery/url#0`, `WordPress/generator`, …) without allocating on the
-/// match path, and the literal gates in the same numbering. Built once
+/// match path, and the literal gate in the same numbering. Built once
 /// per [`Engine`].
 struct PatternIndex {
     /// One label per pattern, flat.
@@ -200,13 +200,8 @@ struct PatternIndex {
     generator: usize,
     /// Index of the WordPress path pattern.
     path: usize,
-    /// Over every URL pattern and the WordPress path pattern: one scan per
-    /// script `src`.
-    url_gate: LiteralGate,
-    /// Over every inline-banner pattern: one scan per inline script.
-    inline_gate: LiteralGate,
-    /// Over the WordPress path pattern alone, for `<link href>`.
-    path_gate: LiteralGate,
+    /// Over every pattern: one scan per text, before its patterns run.
+    gate: LiteralGate,
 }
 
 impl PatternIndex {
@@ -214,26 +209,24 @@ impl PatternIndex {
         let mut labels = Vec::new();
         let mut url_base = Vec::with_capacity(db.len());
         let mut inline_base = Vec::with_capacity(db.len());
-        let mut url_gate = LiteralGate::new();
-        let mut inline_gate = LiteralGate::new();
-        let mut path_gate = LiteralGate::new();
+        let mut gate = LiteralGate::new();
         for fp in db {
             url_base.push(labels.len());
             for (i, pattern) in fp.url_patterns.iter().enumerate() {
-                url_gate.add(labels.len(), pattern);
+                gate.add(labels.len(), pattern);
                 labels.push(format!("{}/url#{i}", fp.library.name()));
             }
             inline_base.push(labels.len());
             for (i, pattern) in fp.inline_patterns.iter().enumerate() {
-                inline_gate.add(labels.len(), pattern);
+                gate.add(labels.len(), pattern);
                 labels.push(format!("{}/inline#{i}", fp.library.name()));
             }
         }
         let generator = labels.len();
+        gate.add(generator, &wordpress.generator);
         labels.push("WordPress/generator".to_string());
         let path = labels.len();
-        url_gate.add(path, &wordpress.path);
-        path_gate.add(path, &wordpress.path);
+        gate.add(path, &wordpress.path);
         labels.push("WordPress/path".to_string());
         PatternIndex {
             labels,
@@ -241,9 +234,7 @@ impl PatternIndex {
             inline_base,
             generator,
             path,
-            url_gate,
-            inline_gate,
-            path_gate,
+            gate,
         }
     }
 }
@@ -266,15 +257,20 @@ impl Candidates {
 }
 
 /// Decides in one pass over a text which of a group of patterns can match
-/// it at all: a pattern whose every match begins with a literal
-/// ([`Pattern::literal_prefix`]) cannot match a text the literal does not
-/// occur in. Only the candidates then run the regex VM. Literals are
-/// compared ASCII-case-insensitively, which for a case-sensitive pattern
-/// merely lets a few more candidates through.
+/// it at all: every match of a pattern begins with one of its literals
+/// ([`Pattern::literal_prefixes`]), so a pattern none of whose literals
+/// occurs in the text cannot match. The literals, lower-cased, form one
+/// trie, walked from every byte of the text; only the patterns it reaches
+/// then run the regex VM. Literals are compared ASCII-case-insensitively,
+/// which for a case-sensitive pattern merely lets a few more through.
 struct LiteralGate {
-    /// `by_first[b]`: the patterns whose lower-cased literal starts with
-    /// byte `b`, each with the rest of its literal.
-    by_first: Vec<Vec<(usize, Box<[u8]>)>>,
+    /// `edges[n]`: trie node `n`'s `(lower-cased byte, child)` edges. Node
+    /// 0 is the root, no one's child, so a child of 0 means none.
+    edges: Vec<Vec<(u8, u32)>>,
+    /// The root's edges again, as a table indexed by byte in either case.
+    root: Box<[u32; 256]>,
+    /// `ends[n]`: the patterns one of whose literals ends at node `n`.
+    ends: Vec<Vec<usize>>,
     /// Patterns without a literal: candidates for every text.
     always: Vec<usize>,
 }
@@ -282,17 +278,45 @@ struct LiteralGate {
 impl LiteralGate {
     fn new() -> LiteralGate {
         LiteralGate {
-            by_first: vec![Vec::new(); 256],
+            edges: vec![Vec::new()],
+            root: Box::new([0; 256]),
+            ends: vec![Vec::new()],
             always: Vec::new(),
         }
     }
 
+    /// The child of `node` along the lower-cased `byte`, 0 for none.
+    fn child(&self, node: u32, byte: u8) -> u32 {
+        if node == 0 {
+            return self.root[byte as usize];
+        }
+        let edges = &self.edges[node as usize];
+        edges.iter().find(|e| e.0 == byte).map_or(0, |e| e.1)
+    }
+
     /// Puts `pattern`, flat index `slot`, behind this gate.
     fn add(&mut self, slot: usize, pattern: &Pattern) {
-        let literal = pattern.literal_prefix().to_ascii_lowercase();
-        match literal.as_bytes().split_first() {
-            Some((&first, rest)) => self.by_first[first as usize].push((slot, rest.into())),
-            None => self.always.push(slot),
+        let literals = pattern.literal_prefixes();
+        if literals.is_empty() {
+            self.always.push(slot);
+        }
+        for literal in literals {
+            let mut node = 0;
+            for byte in literal.bytes().map(|b| b.to_ascii_lowercase()) {
+                let mut child = self.child(node, byte);
+                if child == 0 {
+                    child = self.ends.len() as u32;
+                    self.edges.push(Vec::new());
+                    self.ends.push(Vec::new());
+                    self.edges[node as usize].push((byte, child));
+                    if node == 0 {
+                        self.root[byte as usize] = child;
+                        self.root[byte.to_ascii_uppercase() as usize] = child;
+                    }
+                }
+                node = child;
+            }
+            self.ends[node as usize].push(slot);
         }
     }
 
@@ -303,56 +327,37 @@ impl LiteralGate {
             out.insert(index);
         }
         let text = text.as_bytes();
-        for (at, byte) in text.iter().enumerate() {
-            let after = &text[at + 1..];
-            for (index, rest) in &self.by_first[byte.to_ascii_lowercase() as usize] {
-                if after.len() >= rest.len() && after[..rest.len()].eq_ignore_ascii_case(rest) {
-                    out.insert(*index);
+        for at in 0..text.len() {
+            let mut node = self.root[text[at] as usize];
+            let mut rest = text[at + 1..].iter();
+            while node != 0 {
+                for &index in &self.ends[node as usize] {
+                    out.insert(index);
                 }
+                node = rest
+                    .next()
+                    .map_or(0, |&b| self.child(node, b.to_ascii_lowercase()));
             }
         }
-    }
-}
-
-/// Per-page profiler scratch: one [`PatternStat`] slot per pattern in the
-/// [`PatternIndex`], accumulated with plain integer adds and flushed into
-/// the tracer once per page. `None` when tracing is off — the match loops
-/// then pay nothing.
-type PageProfile = Option<Vec<trace::PatternStat>>;
-
-/// Evaluates `pattern(input)` through `eval`, charging the VM steps and
-/// eval/match counts to `slot` when profiling.
-fn profiled<T>(
-    prof: &mut PageProfile,
-    slot: usize,
-    hit: impl Fn(&T) -> bool,
-    eval: impl FnOnce() -> T,
-) -> T {
-    match prof {
-        Some(stats) => {
-            let before = thread_vm_steps();
-            let value = eval();
-            let stat = &mut stats[slot];
-            stat.vm_steps += thread_vm_steps().wrapping_sub(before);
-            stat.evals += 1;
-            stat.matches += hit(&value) as u64;
-            value
-        }
-        None => eval(),
     }
 }
 
 /// What `analyze_resources` carries from pattern to pattern on one page.
 struct PageState {
     tally: Tally,
-    prof: PageProfile,
+    /// Per-page profiler scratch: one [`trace::PatternStat`] slot per
+    /// pattern in the [`PatternIndex`], accumulated with plain integer adds
+    /// and flushed into the tracer once per page. `None` when tracing is
+    /// off — the match loops then pay nothing.
+    prof: Option<Vec<trace::PatternStat>>,
     /// The patterns the latest gate scan let through.
     candidates: Candidates,
 }
 
 impl PageState {
     /// Runs `pattern` (flat index `slot`) over `text` and counts the
-    /// evaluation, unless the gate has ruled the pattern out.
+    /// evaluation, unless the gate has ruled the pattern out; charges its
+    /// VM steps and its hit or miss to `slot` when profiling.
     fn captures<'t>(
         &mut self,
         slot: usize,
@@ -363,9 +368,16 @@ impl PageState {
             return None;
         }
         self.tally.patterns += 1;
-        profiled(&mut self.prof, slot, Option::is_some, || {
-            pattern.captures(text)
-        })
+        let Some(stats) = &mut self.prof else {
+            return pattern.captures(text);
+        };
+        let before = thread_vm_steps();
+        let caps = pattern.captures(text);
+        let stat = &mut stats[slot];
+        stat.vm_steps += thread_vm_steps().wrapping_sub(before);
+        stat.evals += 1;
+        stat.matches += caps.is_some() as u64;
+        caps
     }
 }
 
@@ -440,7 +452,7 @@ impl Engine {
         for script in &resources.scripts {
             match &script.src {
                 Some(src) => {
-                    self.index.url_gate.scan(src, &mut page.candidates);
+                    self.index.gate.scan(src, &mut page.candidates);
                     self.match_script_url(script, src, domain, &mut out, &mut page);
                     wp_path_hit |= page.captures(path_slot, path, src).is_some();
                 }
@@ -448,23 +460,14 @@ impl Engine {
             }
         }
         for link in &resources.links {
-            self.index.path_gate.scan(&link.href, &mut page.candidates);
+            self.index.gate.scan(&link.href, &mut page.candidates);
             wp_path_hit |= page.captures(path_slot, path, &link.href).is_some();
         }
-        for generator in &resources.generators {
-            page.tally.patterns += 1;
-            let caps = profiled(
-                &mut page.prof,
-                self.index.generator,
-                |c: &Option<_>| c.is_some(),
-                || self.wordpress.generator.captures(generator),
-            );
-            if let Some(caps) = caps {
-                let version = caps
-                    .get(1)
-                    .filter(|s| !s.is_empty())
-                    .and_then(|s| Version::parse(s).ok());
-                wp_version = Some(version);
+        let (generator_slot, generator) = (self.index.generator, &self.wordpress.generator);
+        for content in &resources.generators {
+            self.index.gate.scan(content, &mut page.candidates);
+            if let Some(caps) = page.captures(generator_slot, generator, content) {
+                wp_version = Some(version(&caps));
                 page.tally.hits_meta += 1;
             }
         }
@@ -531,10 +534,6 @@ impl Engine {
         for (fi, fp) in self.db.iter().enumerate() {
             for (pi, pat) in fp.url_patterns.iter().enumerate() {
                 if let Some(caps) = page.captures(self.index.url_base[fi] + pi, pat, src) {
-                    let version = caps
-                        .get(1)
-                        .filter(|s| !s.is_empty())
-                        .and_then(|s| Version::parse(s).ok());
                     let inclusion = match &external_host {
                         Some(host) => DetectedInclusion::External { host: host.clone() },
                         None => DetectedInclusion::Internal,
@@ -543,7 +542,7 @@ impl Engine {
                         out,
                         Detection {
                             library: fp.library,
-                            version,
+                            version: version(&caps),
                             inclusion,
                             integrity: script.integrity.is_some(),
                             crossorigin: script.crossorigin.as_deref().map(str::to_string),
@@ -562,19 +561,15 @@ impl Engine {
         if !self.use_inline || text.is_empty() {
             return;
         }
-        self.index.inline_gate.scan(text, &mut page.candidates);
+        self.index.gate.scan(text, &mut page.candidates);
         for (fi, fp) in self.db.iter().enumerate() {
             for (pi, pat) in fp.inline_patterns.iter().enumerate() {
                 if let Some(caps) = page.captures(self.index.inline_base[fi] + pi, pat, text) {
-                    let version = caps
-                        .get(1)
-                        .filter(|s| !s.is_empty())
-                        .and_then(|s| Version::parse(s).ok());
                     push_detection(
                         out,
                         Detection {
                             library: fp.library,
-                            version,
+                            version: version(&caps),
                             inclusion: DetectedInclusion::Internal,
                             integrity: false,
                             crossorigin: None,
@@ -650,6 +645,13 @@ fn classify_url(url: &str, add: &mut dyn FnMut(ResourceType)) {
     if ends_with(b".ico") {
         add(ResourceType::Favicon);
     }
+}
+
+/// The version capture group 1 holds, if it holds one.
+fn version(caps: &Captures<'_>) -> Option<Version> {
+    caps.get(1)
+        .filter(|s| !s.is_empty())
+        .and_then(|s| Version::parse(s).ok())
 }
 
 /// Keeps at most one detection per library, preferring versioned ones.
@@ -893,28 +895,42 @@ mod tests {
 
     #[test]
     fn literal_gate_lets_through_exactly_the_possible_patterns() {
-        let sources = ["jquery", r"/wp-(?:a|b)", r"\d+", "^jquery", "Mixed-Case"];
+        let sources = [
+            "jquery",
+            r"/wp-(?:a|b)",
+            r"\w+",
+            "^jquery",
+            "Mixed-Case",
+            "JQ(?:uery-|x)",
+        ];
         let patterns: Vec<Pattern> = sources.iter().map(|s| Pattern::new(s).unwrap()).collect();
         let mut gate = LiteralGate::new();
         // Flat indices need not be dense or start at zero.
         for (slot, pattern) in (60..).step_by(2).zip(&patterns) {
             gate.add(slot, pattern);
         }
-        let mut candidates = Candidates::with_capacity(70);
+        let mut candidates = Candidates::with_capacity(72);
         let mut let_through = |text: &str| {
             gate.scan(text, &mut candidates);
-            (0..70)
+            (0..72)
                 .filter(|&i| candidates.contains(i))
                 .collect::<Vec<_>>()
         };
-        // No literal (`\d+`) or anchored (`^jquery`): always candidates.
+        // No literal (`\w+`, a class too wide to spell out) or anchored
+        // (`^jquery`): always candidates.
         assert_eq!(let_through(""), [64, 66]);
         assert_eq!(let_through("jquer/wp"), [64, 66]);
-        // A literal that is the whole text, in any case, and one cut short.
+        // A literal that is the whole text, in any case, and one cut short:
+        // `/wp-` is neither of `/wp-a` and `/wp-b`.
         assert_eq!(let_through("JQuery"), [60, 64, 66]);
-        assert_eq!(let_through("x/WP-"), [62, 64, 66]);
+        assert_eq!(let_through("x/WP-"), [64, 66]);
+        assert_eq!(let_through("x/WP-B"), [62, 64, 66]);
         assert_eq!(let_through("éjqueryé/wp"), [60, 64, 66]);
-        assert_eq!(let_through("mixed-case /wp-"), [62, 64, 66, 68]);
+        assert_eq!(let_through("mixed-case /wp-a"), [62, 64, 66, 68]);
+        // Literals sharing a path through the trie: `jquery` ends inside
+        // `jquery-`, and `jqx` branches off it.
+        assert_eq!(let_through("a jquery-"), [60, 64, 66, 70]);
+        assert_eq!(let_through("jqX"), [64, 66, 70]);
         // Each scan starts from nothing.
         assert_eq!(let_through("-"), [64, 66]);
     }
@@ -963,21 +979,27 @@ mod tests {
             .expect("generator evaluated");
         assert_eq!(wp.matches, 1);
         // An evaluation is a run of the regex VM. The gate lets a pattern
-        // run only on a URL its literal prefix occurs in: nothing of
-        // jQuery-Migrate ran, the seven patterns whose literal is a bare
-        // `/` ran on both scripts or (after the CDN script's hit) on the
-        // unknown one, and each run is individually attributed, never
-        // lumped.
+        // run only on a URL one of its literal prefixes occurs in. On the
+        // CDN script `jquery[.-]` (literals `jquery.`, `jquery-`) ran and
+        // missed, then `/jquery/(\d…` (`/jquery/0`…`/jquery/9`) hit. The
+        // `/(?:a|b)@` patterns (`/jqueryui@`, `/jquery-ui@`, …) ran on
+        // neither script, nothing ran on the unknown one, and each run is
+        // individually attributed, never lumped.
         let evals = |label: &str| {
             let stat = data.patterns.iter().find(|(l, _)| l == label);
             stat.map_or(0, |(_, s)| s.evals)
         };
         assert_eq!(evals("jQuery-Migrate/url#0"), 0);
-        assert_eq!(evals("jQuery-UI/url#1"), 2);
-        assert_eq!(evals("Bootstrap/url#0"), 1);
+        assert_eq!(evals("jQuery-UI/url#1"), 0);
+        assert_eq!(evals("Bootstrap/url#0"), 0);
+        assert_eq!(evals("jQuery/url#1"), 1);
+        assert_eq!(evals("jQuery/url#2"), 1);
         assert_eq!(evals("WordPress/path"), 0);
         let total_evals: u64 = data.patterns.iter().map(|(_, s)| s.evals).sum();
-        assert_eq!(total_evals, 4 + 7 + 1, "CDN script, unknown script, meta");
+        assert_eq!(
+            total_evals, 3,
+            "2 on the CDN script, 0 on the unknown one, 1 on the meta"
+        );
         // Without a tracer the profiler adds nothing.
         let again = e.analyze(html, "site.example");
         assert_eq!(again, baseline);
@@ -1002,9 +1024,10 @@ mod tests {
         assert_eq!(snap.counter("fp.hits_inline_total"), Some(1));
         assert_eq!(snap.counter("fp.hits_meta_total"), Some(1));
         assert_eq!(snap.counter("fp.misses_total"), Some(1));
-        // VM runs: 4 on the CDN URL (the hit is the fourth candidate), 1 on
-        // the banner, 7 on the unknown script, 1 on the generator.
-        assert_eq!(snap.counter("fp.patterns_evaluated_total"), Some(13));
+        // VM runs: 2 on the CDN URL (`jquery[.-]` misses, `/jquery/(\d…`
+        // hits), 1 on the banner, none on the unknown script (no literal
+        // of any pattern occurs in it), 1 on the generator: 2 + 1 + 0 + 1.
+        assert_eq!(snap.counter("fp.patterns_evaluated_total"), Some(4));
         assert!(snap.counter("fp.vm_steps_total").unwrap_or(0) > 0);
 
         // The default engine records nothing.

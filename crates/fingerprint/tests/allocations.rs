@@ -2,7 +2,8 @@
 //! synthetic web the gate property reads, and pinned: the page front end
 //! reads tokens straight into borrowed resources, and a parse tree or a
 //! copied token stream put back on this path shows here as a count that
-//! grows several-fold.
+//! grows several-fold. Regex-VM runs per page are pinned over the same
+//! pages: a literal gate that lets more patterns through shows here.
 //!
 //! Run with `--nocapture` to print the counts.
 
@@ -10,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use webvuln_fingerprint::Engine;
+use webvuln_telemetry::Registry;
 use webvuln_webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
 
 /// Forwards to the system allocator, counting the current thread's
@@ -57,8 +59,13 @@ static ALLOCATOR: Counting = Counting;
 /// margin; reading pages through a tree cost 170.5.
 const MAX_ALLOCATIONS_PER_PAGE: f64 = 16.0;
 
-#[test]
-fn analyze_allocations_per_page_are_pinned() {
+/// Regex-VM runs per page measured when this was pinned (2.71: 653 runs
+/// over 241 pages), plus a margin. A gate keyed on one literal per
+/// pattern, cut at the first alternation, ran 15.8.
+const MAX_VM_RUNS_PER_PAGE: f64 = 3.0;
+
+/// Weeks 0 and 3 of a seed-77, 150-domain web: `(domain, page)`.
+fn pages() -> Vec<(String, String)> {
     let eco = Ecosystem::generate(EcosystemConfig {
         seed: 77,
         domain_count: 150,
@@ -72,6 +79,35 @@ fn analyze_allocations_per_page_are_pinned() {
             }
         }
     }
+    pages
+}
+
+#[test]
+fn vm_runs_per_page_are_pinned() {
+    let pages = pages();
+    let registry = Registry::new();
+    let engine = Engine::instrumented(&registry);
+    for (domain, html) in &pages {
+        black_box(engine.analyze(html, domain));
+    }
+    let runs = registry
+        .snapshot()
+        .counter("fp.patterns_evaluated_total")
+        .unwrap_or(0);
+    let per_page = runs as f64 / pages.len() as f64;
+    println!(
+        "Engine::analyze over {} pages: {runs} VM runs, {per_page:.2} per page",
+        pages.len()
+    );
+    assert!(
+        per_page <= MAX_VM_RUNS_PER_PAGE,
+        "{per_page:.2} VM runs per page (pinned at {MAX_VM_RUNS_PER_PAGE})"
+    );
+}
+
+#[test]
+fn analyze_allocations_per_page_are_pinned() {
+    let pages = pages();
     let engine = Engine::new();
     // Once over every page first: per-thread VM scratch grows to size.
     for (domain, html) in &pages {

@@ -420,7 +420,8 @@ fn fetch_domain_resilient(
     clock: &VirtualClock,
     metrics: &RetryMetrics,
 ) -> FetchRecord {
-    use webvuln_telemetry::trace::{domain_stat_add, emit, DomainStat, Sink};
+    // A trace detail is formatted only when a tracer may record it.
+    use webvuln_telemetry::trace::{domain_stat_add, emit, enabled, DomainStat, Sink};
 
     // Ring-only breadcrumb before the fail-point probe: an injected
     // panic's flight-recorder tail always names the domain it hit.
@@ -491,13 +492,10 @@ fn fetch_domain_resilient(
             Ok(response) if response.status.0 >= 500 && retry.allows_retry(attempts) => {
                 let delay = metrics.note_backoff(retry, clock, domain, attempts - 1);
                 stat.backoff_ns += delay;
-                emit(
-                    "fetch.retry",
-                    domain,
-                    &format!("5xx attempt={attempts}"),
-                    delay,
-                    Sink::Export,
-                );
+                if enabled() {
+                    let detail = format!("5xx attempt={attempts}");
+                    emit("fetch.retry", domain, &detail, delay, Sink::Export);
+                }
             }
             Ok(response) => {
                 break (Some(response.status.0), response.body_text(), None, None);
@@ -505,13 +503,10 @@ fn fetch_domain_resilient(
             Err(e) if e.is_retryable() && retry.allows_retry(attempts) => {
                 let delay = metrics.note_backoff(retry, clock, domain, attempts - 1);
                 stat.backoff_ns += delay;
-                emit(
-                    "fetch.retry",
-                    domain,
-                    &format!("{} attempt={attempts}", e.class()),
-                    delay,
-                    Sink::Export,
-                );
+                if enabled() {
+                    let detail = format!("{} attempt={attempts}", e.class());
+                    emit("fetch.retry", domain, &detail, delay, Sink::Export);
+                }
             }
             // Permanent failures and exhausted budgets alike count as
             // inaccessible — the paper's filter does not distinguish them.
@@ -541,12 +536,14 @@ fn fetch_domain_resilient(
     stat.retries += attempts.saturating_sub(1) as u64;
     stat.errors += error.is_some() as u64;
     stat.cost_ns += stat.backoff_ns + attempts as u64 * ATTEMPT_COST_NS;
-    let detail = match (&status, &error_class) {
-        (Some(s), _) => format!("status={s} attempts={attempts} recovered={recovered}"),
-        (None, Some(class)) => format!("error={class} attempts={attempts}"),
-        (None, None) => format!("failed attempts={attempts}"),
-    };
-    emit("fetch.outcome", domain, &detail, stat.cost_ns, Sink::Export);
+    if enabled() {
+        let detail = match (&status, &error_class) {
+            (Some(s), _) => format!("status={s} attempts={attempts} recovered={recovered}"),
+            (None, Some(class)) => format!("error={class} attempts={attempts}"),
+            (None, None) => format!("failed attempts={attempts}"),
+        };
+        emit("fetch.outcome", domain, &detail, stat.cost_ns, Sink::Export);
+    }
     domain_stat_add(domain, stat);
     FetchRecord {
         domain: domain.to_string(),

@@ -48,9 +48,11 @@ pub struct Program {
     pub slot_count: usize,
     /// Whether matching folds ASCII case.
     pub case_insensitive: bool,
-    /// A literal prefix every match must start with (used as a fast
-    /// pre-filter when scanning long haystacks). Lower-cased when
-    /// `case_insensitive` is set.
+    /// Literals one of which every match starts with; empty when a match
+    /// may start with anything. Lower-cased when `case_insensitive` is set.
+    pub literal_prefixes: Vec<String>,
+    /// The longest common prefix of `literal_prefixes`: where a match can
+    /// begin when scanning long haystacks.
     pub literal_prefix: String,
     /// True when the program starts with `^`.
     pub anchored_start: bool,
@@ -69,13 +71,20 @@ pub fn compile(ast: &Ast, group_count: u32, case_insensitive: bool) -> Result<Pr
     c.push(Inst::Save(1))?;
     c.push(Inst::Match)?;
     let anchored_start = matches!(peel_prefix(ast), Some(Ast::StartAnchor));
-    let literal_prefix = literal_prefix(ast, case_insensitive);
+    // An anchored program seeds at offset 0 alone, whatever its literals.
+    let literal_prefixes = if anchored_start {
+        Vec::new()
+    } else {
+        prefix_set(ast, case_insensitive)
+    };
+    let literal_prefix = common_prefix(&literal_prefixes);
     Ok(Program {
         insts: c.insts,
         classes: c.classes,
         group_count,
         slot_count: 2 * (group_count as usize + 1),
         case_insensitive,
+        literal_prefixes,
         literal_prefix,
         anchored_start,
     })
@@ -89,45 +98,89 @@ fn peel_prefix(ast: &Ast) -> Option<&Ast> {
     }
 }
 
-/// Extracts a mandatory literal prefix from the AST, if any.
-fn literal_prefix(ast: &Ast, ci: bool) -> String {
-    let mut out = String::new();
-    collect_prefix(ast, &mut out);
-    if ci {
-        out = out.to_ascii_lowercase();
+/// The most literals a prefix set holds; a wider set says nothing.
+const MAX_PREFIXES: usize = 16;
+
+/// The prefix set of `ast`: literals (lower-cased when `ci`) one of which
+/// every match starts with, none starting with another. Empty when a
+/// match may start with anything.
+fn prefix_set(ast: &Ast, ci: bool) -> Vec<String> {
+    let mut set: Vec<String> = prefixes(ast, ci).into_iter().map(|(lit, _)| lit).collect();
+    set.sort_unstable();
+    // Sorted, a literal follows the shortest one it starts with.
+    set.dedup_by(|lit, kept| lit.starts_with(kept.as_str()));
+    if set.first().is_some_and(String::is_empty) {
+        set.clear();
     }
-    out
+    set
 }
 
-fn collect_prefix(ast: &Ast, out: &mut String) -> bool {
-    // Returns false when the scan must stop (non-literal encountered).
-    match ast {
-        Ast::Literal(c) => {
-            out.push(*c);
-            true
+/// Literals one of which every match of `ast` starts with, each marked
+/// `true` when it is the whole match, so that what follows `ast` extends it.
+fn prefixes(ast: &Ast, ci: bool) -> Vec<(String, bool)> {
+    let fold = |c: char| if ci { c.to_ascii_lowercase() } else { c };
+    let set: Vec<_> = match ast {
+        Ast::Empty | Ast::StartAnchor | Ast::EndAnchor => vec![(String::new(), true)],
+        Ast::Literal(c) => vec![(fold(*c).to_string(), true)],
+        Ast::Class(class) if !class.negated => {
+            let chars = class.ranges.iter().flat_map(|&(lo, hi)| lo..=hi);
+            let chars = chars.take(MAX_PREFIXES + 1).map(fold);
+            chars.map(|c| (c.to_string(), true)).collect()
         }
-        Ast::StartAnchor => true,
-        Ast::Concat(items) => {
-            for item in items {
-                if !collect_prefix(item, out) {
-                    return false;
-                }
+        Ast::Class(_) | Ast::Dot => vec![(String::new(), false)],
+        Ast::Group(g) => prefixes(&g.node, ci),
+        Ast::Alternate(branches) => branches.iter().flat_map(|b| prefixes(b, ci)).collect(),
+        Ast::Repeat(r) => {
+            let mut set = prefixes(&r.node, ci);
+            if r.max != Some(1) {
+                // Another iteration may follow this one.
+                set.iter_mut().for_each(|(_, whole)| *whole = false);
             }
-            true
+            if r.min == 0 {
+                set.push((String::new(), true));
+            }
+            set
         }
-        Ast::Group(g) => {
-            // Keep whatever prefix the group contributes, but stop the
-            // scan at the group boundary (its suffix may be optional).
-            let _ = collect_prefix(&g.node, out);
-            false
+        Ast::Concat(items) => {
+            let mut acc = vec![(String::new(), true)];
+            // What a literal that is not the whole match is extended by.
+            let stop = [(String::new(), false)];
+            for item in items {
+                let next = prefixes(item, ci);
+                let width: usize = acc
+                    .iter()
+                    .map(|&(_, whole)| if whole { next.len() } else { 1 })
+                    .sum();
+                if width > MAX_PREFIXES {
+                    // Too many to extend: what is known so far still holds.
+                    acc.iter_mut().for_each(|(_, whole)| *whole = false);
+                    break;
+                }
+                acc = acc
+                    .into_iter()
+                    .flat_map(|(lit, whole)| {
+                        let tails = if whole { &next[..] } else { &stop[..] };
+                        tails.iter().map(move |(more, w)| (lit.clone() + more, *w))
+                    })
+                    .collect();
+            }
+            acc
         }
-        Ast::Repeat(r) if r.min >= 1 => {
-            // A required first iteration contributes its prefix, then stop.
-            collect_prefix(&r.node, out);
-            false
-        }
-        _ => false,
+    };
+    if set.len() > MAX_PREFIXES {
+        return vec![(String::new(), false)];
     }
+    set
+}
+
+/// The longest prefix, in whole characters, of a sorted set of literals:
+/// that of its first and last.
+fn common_prefix(sorted: &[String]) -> String {
+    let (Some(first), Some(last)) = (sorted.first(), sorted.last()) else {
+        return String::new();
+    };
+    let shared = first.chars().zip(last.chars()).take_while(|(a, b)| a == b);
+    shared.map(|(c, _)| c).collect()
 }
 
 struct Compiler {
@@ -387,6 +440,33 @@ mod tests {
         let (ast, n) = parse("JQuery").expect("parse ok");
         let ci = compile(&ast, n, true).expect("compile ok");
         assert_eq!(ci.literal_prefix, "jquery");
+    }
+
+    #[test]
+    fn prefix_sets_look_through_groups_alternations_and_optionals() {
+        let set = |p: &str| prog(p).literal_prefixes;
+        assert_eq!(
+            set(r"/(?:jqueryui|jquery-ui)@(\d+)"),
+            ["/jquery-ui@", "/jqueryui@"]
+        );
+        assert_eq!(set(r"jquery[.-]"), ["jquery-", "jquery."]);
+        assert_eq!(set(r"a(?:\.min)?\.js"), ["a.js", "a.min.js"]);
+        // Another iteration may follow `b+`; `c?` may be absent.
+        assert_eq!(set(r"ab+c"), ["ab"]);
+        assert_eq!(set(r"c?d"), ["cd", "d"]);
+        // A literal another one starts with adds nothing.
+        assert_eq!(set(r"(?:ab|abc)x"), ["abcx", "abx"]);
+        assert_eq!(set(r"(?:ab|a)"), ["a"]);
+        // A class wider than the cap, or an optional start: no literal.
+        assert!(set(r"[a-z]+x").is_empty());
+        assert!(set(r"a?").is_empty());
+        // Past the cap the set stops growing but stays sound.
+        assert_eq!(set(r"v\d\d").len(), 10);
+        assert_eq!(prog(r"v\d\d").literal_prefix, "v");
+        assert_eq!(prog(r"/(?:jqueryui|jquery-ui)@").literal_prefix, "/jquery");
+        let (ast, n) = parse("(?:JQ|Jq)[X]").expect("parse ok");
+        let ci = compile(&ast, n, true).expect("compile ok");
+        assert_eq!(ci.literal_prefixes, ["jqx"]);
     }
 
     #[test]

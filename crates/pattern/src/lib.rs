@@ -107,17 +107,20 @@ impl Pattern {
         self.prog.group_count
     }
 
-    /// A literal every match begins with (lower-cased for a
-    /// case-insensitive pattern), or `""` when the pattern has none or is
-    /// anchored with `^`. A text the literal does not occur in — compared
-    /// ASCII-case-insensitively when the pattern is — cannot match, which
-    /// lets a caller with many patterns rule most out in one pass.
+    /// Literals one of which every match begins with (lower-cased for a
+    /// case-insensitive pattern), none beginning with another; empty when
+    /// the pattern has none or is anchored with `^`. A text none of them
+    /// occurs in — compared ASCII-case-insensitively when the pattern is —
+    /// cannot match, which lets a caller with many patterns rule most out
+    /// in one pass.
+    pub fn literal_prefixes(&self) -> &[String] {
+        &self.prog.literal_prefixes
+    }
+
+    /// The longest common prefix of [`Pattern::literal_prefixes`]: a
+    /// literal every match begins with, `""` when there is none.
     pub fn literal_prefix(&self) -> &str {
-        if self.prog.anchored_start {
-            ""
-        } else {
-            &self.prog.literal_prefix
-        }
+        &self.prog.literal_prefix
     }
 
     /// Returns true if the pattern matches anywhere in `text`.

@@ -4,7 +4,7 @@
 //! pattern families where the expected behaviour is computable by
 //! construction.
 
-use webvuln_failpoint::check::{self, PRINTABLE};
+use webvuln_failpoint::check::{self, Gen, PRINTABLE};
 use webvuln_pattern::Pattern;
 
 /// Escapes a character so it matches literally.
@@ -116,6 +116,89 @@ fn replace_all_removes_all_matches() {
         let p = Pattern::new(r"[0-9]+").expect("compiles");
         let replaced = p.replace_all(&haystack, "");
         assert!(!p.is_match(&replaced), "digits remain in {replaced:?}");
+    });
+}
+
+/// A random pattern over a few letters and symbols: literals, small
+/// classes, two-way alternations, captures, and `?`, `+`, `{m,n}`.
+fn small_pattern(g: &mut Gen, depth: u32) -> String {
+    let mut out = String::new();
+    for _ in 0..g.range(1..=3) {
+        let atom = match g.range(0..=if depth == 0 { 1 } else { 3 }) {
+            0 => g
+                .pick(&["a", "b", "B", "c", "-", r"\.", "ab", "Ca"])
+                .to_string(),
+            1 => g
+                .pick(&["[ab]", "[a-c]", "[B.]", r"\d", "[^a]"])
+                .to_string(),
+            2 => format!(
+                "(?:{}|{})",
+                small_pattern(g, depth - 1),
+                small_pattern(g, depth - 1)
+            ),
+            _ => format!("({})", small_pattern(g, depth - 1)),
+        };
+        out.push_str(&atom);
+        out.push_str(g.pick::<&str>(&["", "", "?", "+", "{1,2}", "{0,2}", "{2}"]));
+    }
+    out
+}
+
+/// The longest prefix, in whole characters, that every literal shares.
+fn common_prefix(literals: &[String]) -> String {
+    let mut common: Vec<char> = literals.first().map_or(Vec::new(), |l| l.chars().collect());
+    for lit in literals {
+        let shared = common
+            .iter()
+            .zip(lit.chars())
+            .take_while(|(a, b)| **a == *b)
+            .count();
+        common.truncate(shared);
+    }
+    common.into_iter().collect()
+}
+
+/// Every match starts with one of `literal_prefixes()` (case-folded), and
+/// `literal_prefix()` is their longest common prefix. Where a match can
+/// start is read off the same pattern anchored with `^`, which the VM runs
+/// without a literal, at every offset.
+#[test]
+fn every_match_starts_with_a_literal_prefix() {
+    check::run("every_match_starts_with_a_literal_prefix", 2048, |g| {
+        let source = small_pattern(g, 2);
+        let ci = g.bool();
+        let compile = |s: &str| {
+            let p = if ci {
+                Pattern::new_ci(s)
+            } else {
+                Pattern::new(s)
+            };
+            p.unwrap_or_else(|e| panic!("{s:?}: {e}"))
+        };
+        let pattern = compile(&source);
+        let at_start = compile(&format!("^(?:{source})"));
+        let literals = pattern.literal_prefixes();
+        assert_eq!(
+            pattern.literal_prefix(),
+            common_prefix(literals),
+            "{source:?}"
+        );
+        let hay = g.string("abcABC-.01", 0..=24);
+        let starts: Vec<usize> = (0..=hay.len())
+            .filter(|&at| at_start.is_match(&hay[at..]))
+            .collect();
+        let found = pattern.find(&hay).map(|m| m.start());
+        assert_eq!(found, starts.first().copied(), "{source:?} in {hay:?}");
+        for at in starts {
+            let rest = hay[at..].to_ascii_lowercase();
+            assert!(
+                literals.is_empty()
+                    || literals
+                        .iter()
+                        .any(|lit| rest.starts_with(&lit.to_ascii_lowercase())),
+                "{source:?} (ci {ci}) matches {hay:?} at {at}, not at any of {literals:?}"
+            );
+        }
     });
 }
 
