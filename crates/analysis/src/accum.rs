@@ -59,6 +59,13 @@ pub struct AccumCtx<'a> {
     pub ranks: &'a BTreeMap<String, usize>,
 }
 
+impl<'a> AccumCtx<'a> {
+    /// The context of `db` and `ranks`.
+    pub fn new(db: &'a VulnDb, ranks: &'a BTreeMap<String, usize>) -> AccumCtx<'a> {
+        AccumCtx { db, ranks }
+    }
+}
+
 /// A mergeable fold over weeks.
 ///
 /// Implementations must satisfy, for domain-disjoint partitions absorbed
@@ -1613,18 +1620,6 @@ impl<A: Accumulate + Default + Clone> Buckets<A> {
         }
     }
 
-    /// The state over `reader`'s committed weeks, minus `filtered`.
-    pub fn fold(
-        reader: &AnyReader,
-        ctx: &AccumCtx<'_>,
-        threads: usize,
-        filtered: &BTreeSet<String>,
-    ) -> Result<Buckets<A>, StoreError> {
-        let mut buckets = Buckets::new(reader.shard_count());
-        buckets.refold(reader, 0..buckets.count(), ctx, threads, filtered)?;
-        Ok(buckets)
-    }
-
     /// Number of buckets.
     pub fn count(&self) -> usize {
         self.parts.len()
@@ -1682,6 +1677,75 @@ impl<A: Accumulate + Default + Clone> Buckets<A> {
     pub fn merged(&self) -> A {
         let parts = self.parts.iter().flatten().cloned();
         parts.reduce(merge_pair).unwrap_or_default()
+    }
+}
+
+impl Buckets<StudyAccum> {
+    /// What a CVE delta costs the state: one walk, each healthy file's weeks
+    /// decoded once (a file a worker). Every bucket's two accumulators that
+    /// read the database, exposure and behavior, are folded afresh minus
+    /// `filtered` (a bucket holding nothing is folded whole; one whose file
+    /// is unavailable is left holding nothing, as by a refold). `scan` sees
+    /// every page, filtered or not, into one `S` per healthy file.
+    pub fn rejoin<S: Default + Send>(
+        &mut self,
+        reader: &AnyReader,
+        ctx: &AccumCtx<'_>,
+        threads: usize,
+        filtered: &BTreeSet<String>,
+        scan: impl Fn(&mut S, &DecodedWeek<'_>) + Sync,
+    ) -> Result<Vec<S>, StoreError> {
+        let (cut, shards, held) = (self.parts.len(), reader.shard_count(), &self.parts);
+        let nests = shards * BUCKETS_PER_SHARD == cut;
+        assert!(nests, "not the store this state was cut for");
+        // Bucket `b` is part `b / shards` of file `b % shards`; one part more
+        // takes filtered domains and hosts filed under another shard.
+        let walk = |&file: &usize| -> Result<Option<(Vec<StudyAccum>, S)>, StoreError> {
+            let Some(shard) = reader.shard_reader(file) else {
+                return Ok(None);
+            };
+            let place = |host: &str| match shard_of(host, cut) {
+                b if b % shards == file && !filtered.contains(host) => Some(b / shards),
+                _ => Some(BUCKETS_PER_SHARD),
+            };
+            let mut fresh = vec![StudyAccum::default(); BUCKETS_PER_SHARD + 1];
+            let (mut state, mut symbols, none) =
+                (S::default(), SymbolCache::default(), BTreeSet::new());
+            for week in 0..reader.weeks_committed() {
+                let records = shard.week_records(week, |_| true)?;
+                let views =
+                    DecodedWeek::partition(&records, &none, &mut symbols, fresh.len(), place)?;
+                for (i, (accum, view)) in fresh.iter_mut().zip(&views).enumerate() {
+                    scan(&mut state, view);
+                    match held.get(i * shards + file) {
+                        Some(Some(_)) => {
+                            accum.exposure.absorb(view, ctx);
+                            accum.behavior.absorb(view, ctx);
+                        }
+                        Some(None) => accum.absorb(view, ctx),
+                        None => {} // the pages no bucket absorbs
+                    }
+                }
+            }
+            Ok(Some((fresh, state)))
+        };
+        let files: Vec<usize> = (0..shards).collect();
+        let walked = Executor::new(threads.clamp(1, shards)).map(&files, walk);
+        let mut states = Vec::new();
+        for (file, walked) in walked.into_iter().enumerate() {
+            let (fresh, state) = walked?.unzip();
+            states.extend(state);
+            let mut fresh = fresh.into_iter().flatten();
+            for i in 0..BUCKETS_PER_SHARD {
+                match (&mut self.parts[i * shards + file], fresh.next()) {
+                    (Some(accum), Some(new)) => {
+                        (accum.exposure, accum.behavior) = (new.exposure, new.behavior);
+                    }
+                    (bucket, new) => *bucket = new,
+                }
+            }
+        }
+        Ok(states)
     }
 }
 

@@ -1,7 +1,8 @@
 #![cfg(test)]
 //! [`Buckets`] against the cold fold: a model of the watch daemon's
 //! bookkeeping — arrivals absorbed bucket by bucket, the buckets of
-//! flipped domains remembered, a settle that folds exactly those again —
+//! flipped domains remembered, a settle that folds exactly those again, a
+//! database delta rejoined in one walk that leaves them remembered —
 //! driven over generated week sequences and drawn §4.1 verdicts, must
 //! read, merged, as [`fold_store`] over the same store under the same
 //! verdict. The same model with one step of the bookkeeping broken must
@@ -27,6 +28,9 @@ enum Mutation {
     RefoldUnderThePreviousVerdict,
     /// An arrival passes over the buckets the week has no page for.
     EmptyBucketSkipsTheWeek,
+    /// A delta's rejoin forgets the touched buckets, as if it had folded
+    /// them whole.
+    RejoinSpendsTheTouched,
 }
 
 /// The daemon's live state, as `watcher.rs` keeps it.
@@ -90,13 +94,15 @@ impl Model {
         self.settled = self.filtered.clone();
     }
 
-    /// A delta extended the database: every bucket again.
-    fn rebuild(&mut self, reader: &AnyReader, ctx: &AccumCtx<'_>, threads: usize) {
-        self.touched.clear();
-        let all = 0..self.live.count();
-        let refolded = self.live.refold(reader, all, ctx, threads, &self.filtered);
-        refolded.expect("refold");
-        self.settled = self.filtered.clone();
+    /// A delta extended the database: every bucket's exposure accumulators
+    /// again, the touched buckets still touched.
+    fn rejoin(&mut self, reader: &AnyReader, ctx: &AccumCtx<'_>, threads: usize) {
+        let scan = |_: &mut (), _: &DecodedWeek<'_>| {};
+        let rejoined = self.live.rejoin(reader, ctx, threads, &self.filtered, scan);
+        rejoined.expect("rejoin");
+        if self.mutation == Some(Mutation::RejoinSpendsTheTouched) {
+            self.touched.clear();
+        }
     }
 }
 
@@ -119,7 +125,9 @@ fn settles_to_the_cold_fold(g: &mut Gen, mutation: Option<Mutation>) {
     let wordpress = webvuln_cvedb::wordpress_catalog();
     let mut db = VulnDb::builtin();
     let extension = delta(g, &db);
-    let extend_before = g.range(0..=12) as usize;
+    // The delta lands before week `extend_at` arrives, or in that week's
+    // tick, after its arrival and flips.
+    let (extend_at, same_tick) = (g.range(0..=12) as usize, g.bool());
     let (shards, threads) = (*g.pick(&[1usize, 4]), *g.pick(&[1usize, 2]));
     // One ranked domain never answers: its bucket has no page anywhere,
     // and its verdict flips like any other's.
@@ -149,16 +157,17 @@ fn settles_to_the_cold_fold(g: &mut Gen, mutation: Option<Mutation>) {
         mutation,
     };
     for (index, week) in raw.iter().enumerate() {
-        if index == extend_before {
+        let delta_now = index == extend_at;
+        if delta_now && !same_tick {
             db.extend(extension.clone());
         }
         let ctx = AccumCtx {
             db: &db,
             ranks: &ranks,
         };
-        if index == extend_before && index > 0 {
+        if delta_now && !same_tick && index > 0 {
             let reader = AnyReader::open_degraded(&path).expect("open");
-            model.rebuild(&reader, &ctx, threads);
+            model.rejoin(&reader, &ctx, threads);
         }
         writer.commit_week(&snapshot_to_week(week)).expect("commit");
         model.arrive(week, &ctx);
@@ -184,10 +193,23 @@ fn settles_to_the_cold_fold(g: &mut Gen, mutation: Option<Mutation>) {
             _ => ranked.iter().filter(|_| g.bool()).cloned().collect(),
         };
         model.flip_to(fresh);
+        if delta_now && same_tick {
+            db.extend(extension.clone());
+            let ctx = AccumCtx {
+                db: &db,
+                ranks: &ranks,
+            };
+            let reader = AnyReader::open_degraded(&path).expect("open");
+            model.rejoin(&reader, &ctx, threads);
+        }
         // Flips pile up over back-to-back arrivals; a quiet tick settles.
         if index + 1 < raw.len() && g.range(0..=2) == 0 {
             continue;
         }
+        let ctx = AccumCtx {
+            db: &db,
+            ranks: &ranks,
+        };
         let reader = AnyReader::open_degraded(&path).expect("open");
         model.settle(g, &reader, &ctx, threads);
         let cold: StudyAccum = fold_store(&reader, &ctx, threads, &model.filtered).expect("fold");
@@ -211,6 +233,7 @@ fn a_broken_settle_is_caught() {
         Mutation::SkipATouchedBucket,
         Mutation::RefoldUnderThePreviousVerdict,
         Mutation::EmptyBucketSkipsTheWeek,
+        Mutation::RejoinSpendsTheTouched,
     ] {
         let name = format!("bucketed state, {mutation:?}");
         let caught = catch_unwind(AssertUnwindSafe(|| {

@@ -373,20 +373,10 @@ pub struct DecodedWeek<'a> {
 }
 
 impl<'a> DecodedWeek<'a> {
-    /// Views `week` minus the `filtered` domains, teaching `symbols` (the
-    /// cache of the reader that decoded `week`) whatever the week
-    /// mentions for the first time.
-    pub fn new(
-        week: &'a WeekData<DomainRecord<Sym<'a>>>,
-        filtered: &BTreeSet<String>,
-        symbols: &'a mut SymbolCache,
-    ) -> Result<DecodedWeek<'a>, StoreError> {
-        let mut whole = DecodedWeek::partition(week, filtered, symbols, 1, |_| Some(0))?;
-        Ok(whole.pop().expect("one part asked for"))
-    }
-
-    /// [`DecodedWeek::new`] cut into `parts` domain-disjoint views: a
-    /// record goes to the view `part_of` names for its host, or nowhere
+    /// Views `week` minus the `filtered` domains, cut into `parts`
+    /// domain-disjoint views, teaching `symbols` (the cache of the reader
+    /// that decoded `week`) whatever the week mentions for the first time:
+    /// a record goes to the view `part_of` names for its host, or nowhere
     /// on `None`. Every part gets a view, pages or not — accumulators
     /// merge only when they have absorbed the same weeks.
     pub fn partition(

@@ -121,6 +121,9 @@ pub struct RawSegment {
     pub env_len: u64,
     /// The payload bytes (CRC already verified).
     pub payload: Vec<u8>,
+    /// The stored CRC: a reader following the file checks it is still
+    /// where the segment ends before it reads on.
+    pub crc: u32,
 }
 
 impl RawSegment {
@@ -173,64 +176,52 @@ fn check_header(bytes: &[u8]) -> Result<(), StoreError> {
 /// headers. Stops at the first invalid byte: everything before it is the
 /// recovered store, everything after is the torn tail.
 pub fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
-    let file_len = bytes.len() as u64;
     check_header(bytes)?;
+    let scanned = scan_from(&bytes[HEADER_LEN as usize..], HEADER_LEN, None);
+    if scanned.segments.is_empty() {
+        return Err(StoreError::MissingGenesis);
+    }
+    Ok(scanned)
+}
 
+/// [`scan`] from byte `base` on — `tail` holds the file from there — after
+/// a segment of kind `last` (`None`: right after the header).
+pub fn scan_from(tail: &[u8], base: u64, mut last: Option<u8>) -> Scan {
     let mut segments = Vec::new();
-    let mut pos = HEADER_LEN;
-    let mut data_end = HEADER_LEN;
-    let mut valid_end = HEADER_LEN;
-    let mut had_footer = false;
-    let mut finalized = false;
-
-    while pos < file_len {
-        let Some(segment) = read_envelope(bytes, pos) else {
-            break;
-        };
-        let structurally_ok = match segment.kind {
-            kind::GENESIS => segments.is_empty(),
-            kind::WEEK => !segments.is_empty() && !finalized,
-            kind::FINALIZE => {
-                let ok = !segments.is_empty() && !finalized;
-                finalized = ok;
-                ok
+    let (mut pos, mut data_end, mut valid_end, mut had_footer) = (0, 0, 0, false);
+    while let Some(mut segment) = read_envelope(tail, pos) {
+        if segment.kind == kind::FOOTER {
+            // A footer is index data, not a segment; note it and keep
+            // scanning (a well-formed file ends here). The 12-byte trailer
+            // (length + magic) must follow.
+            pos += segment.env_len;
+            if tail.get(pos as usize + 4..pos as usize + 12) != Some(&FOOTER_MAGIC[..]) {
+                break;
             }
-            kind::FOOTER => {
-                // A footer is index data, not a segment; note it and keep
-                // scanning (a well-formed file ends here).
-                pos += segment.env_len;
-                // The 12-byte trailer (length + magic) must follow.
-                let trailer_ok = bytes.len() as u64 >= pos + 12
-                    && bytes[pos as usize + 4..pos as usize + 12] == FOOTER_MAGIC;
-                if !trailer_ok {
-                    break;
-                }
-                pos += 12;
-                had_footer = true;
-                valid_end = pos;
-                continue;
-            }
+            (pos, valid_end, had_footer) = (pos + 12, pos + 12, true);
+            continue;
+        }
+        let in_order = match segment.kind {
+            kind::GENESIS => last.is_none(),
+            kind::WEEK | kind::FINALIZE => matches!(last, Some(kind::GENESIS | kind::WEEK)),
             _ => false,
         };
-        if !structurally_ok {
+        if !in_order {
             break;
         }
         pos += segment.env_len;
-        data_end = pos;
-        valid_end = pos;
-        had_footer = false; // data after a footer supersedes it
+        // Data after a footer supersedes it.
+        (data_end, valid_end, had_footer) = (pos, pos, false);
+        last = Some(segment.kind);
+        segment.offset += base;
         segments.push(segment);
     }
-
-    if segments.is_empty() {
-        return Err(StoreError::MissingGenesis);
-    }
-    Ok(Scan {
+    Scan {
         segments,
-        data_end,
-        torn_bytes: file_len - valid_end,
+        data_end: base + data_end,
+        torn_bytes: tail.len() as u64 - valid_end,
         had_footer,
-    })
+    }
 }
 
 /// Parses one envelope at `offset`, verifying bounds and CRC.
@@ -254,6 +245,7 @@ fn read_envelope(bytes: &[u8], offset: u64) -> Option<RawSegment> {
         offset,
         env_len: (crc_end - start) as u64,
         payload: bytes[payload_start..payload_end].to_vec(),
+        crc: stored,
     })
 }
 
@@ -262,7 +254,7 @@ fn read_envelope(bytes: &[u8], offset: u64) -> Option<RawSegment> {
 // ---------------------------------------------------------------------------
 
 /// Store-wide study metadata, written once at creation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Genesis {
     /// Date of week 0's snapshot, days since the Unix epoch.
     pub start_days: i64,
@@ -731,6 +723,7 @@ pub fn decode_finalize(
 /// What a scanned file's segments say, record bodies left encoded: the
 /// one structural walk under both `StoreReader::open` and
 /// `StoreWriter::resume`.
+#[derive(Default)]
 pub struct Index {
     /// The file's string table, in writer symbol order.
     pub table: Interner,
@@ -744,38 +737,38 @@ pub struct Index {
 }
 
 /// Decodes every segment's string block and structural part, in file
-/// order, so the table ends up exactly the writer's.
+/// order, so the table ends up exactly the writer's. A [`scan`] always
+/// begins with the genesis.
 pub fn index(segments: &[RawSegment]) -> Result<Index, StoreError> {
-    let mut table = Interner::new();
-    let mut genesis = None;
-    let mut weeks = Vec::new();
-    let mut filtered_out = None;
-    for (i, seg) in segments.iter().enumerate() {
-        let base = seg.payload_offset();
-        match seg.kind {
-            kind::GENESIS => genesis = Some(decode_genesis(&seg.payload, &mut table, base)?),
-            kind::WEEK => {
-                let prefix = decode_week_prefix(&seg.payload, &mut table, base)?;
-                if prefix.week != weeks.len() {
-                    return Err(StoreError::WeekOutOfOrder {
-                        expected: weeks.len(),
-                        got: prefix.week,
-                    });
+    let mut index = Index::default();
+    index.extend(segments, 0)?;
+    Ok(index)
+}
+
+impl Index {
+    /// Indexes `segments[from..]` after what `self` already holds: the
+    /// segments a file gained since it was indexed.
+    pub fn extend(&mut self, segments: &[RawSegment], from: usize) -> Result<(), StoreError> {
+        for (i, seg) in segments.iter().enumerate().skip(from) {
+            let (payload, base, table) = (&seg.payload, seg.payload_offset(), &mut self.table);
+            match seg.kind {
+                kind::GENESIS => self.genesis = decode_genesis(payload, table, base)?,
+                kind::WEEK => {
+                    let prefix = decode_week_prefix(payload, table, base)?;
+                    if prefix.week != self.weeks.len() {
+                        return Err(StoreError::WeekOutOfOrder {
+                            expected: self.weeks.len(),
+                            got: prefix.week,
+                        });
+                    }
+                    self.weeks.push((i, prefix));
                 }
-                weeks.push((i, prefix));
+                kind::FINALIZE => self.filtered_out = Some(decode_finalize(payload, table, base)?),
+                _ => return Err(StoreError::corrupt(seg.offset, "unexpected segment kind")),
             }
-            kind::FINALIZE => {
-                filtered_out = Some(decode_finalize(&seg.payload, &mut table, base)?);
-            }
-            _ => return Err(StoreError::corrupt(seg.offset, "unexpected segment kind")),
         }
+        Ok(())
     }
-    Ok(Index {
-        table,
-        genesis: genesis.ok_or(StoreError::MissingGenesis)?,
-        weeks,
-        filtered_out,
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -567,6 +567,65 @@ mod tests {
         ));
     }
 
+    /// A refreshed reader reads what a fresh degraded open reads, at the
+    /// cost of what changed: the new weeks' prefixes, or a shard file that
+    /// is not the one it read, or — the epoch gone backwards — everything.
+    #[test]
+    fn a_refreshed_reader_reads_as_a_fresh_open() {
+        let (tmp, other) = (TempDir::new("refresh"), TempDir::new("refresh-other"));
+        let (domains, shards) = (12, 3);
+        let same = |any: &AnyReader| {
+            let fresh = AnyReader::open_degraded(any.path()).expect("fresh open");
+            assert_eq!(any.shard_health(), fresh.shard_health());
+            assert_eq!(any.weeks_committed(), fresh.weeks_committed());
+            assert_eq!(any.genesis(), fresh.genesis());
+            for w in 0..fresh.weeks_committed() {
+                assert_eq!(any.week(w).expect("week"), fresh.week(w).expect("week"));
+            }
+        };
+        let mut writer = AnyWriter::create(&tmp.path, genesis(domains, 6), shards).expect("create");
+        writer
+            .commit_week(&testkit::week(0, domains))
+            .expect("commit");
+        let mut any = AnyReader::open_degraded(&tmp.path).expect("open");
+        assert_eq!(any.weeks_indexed(), 3);
+        assert!(!any.refresh().expect("refresh"), "nothing changed");
+        assert_eq!(any.weeks_indexed(), 3);
+        for w in 1..4 {
+            writer
+                .commit_week(&testkit::week(w, domains))
+                .expect("commit");
+        }
+        assert!(!any.refresh().expect("refresh"));
+        assert_eq!(any.weeks_indexed(), 3 * 4, "three weeks more, each once");
+        same(&any);
+        assert_eq!(
+            any.get("site005.example", 3).expect("get"),
+            testkit::week(3, domains).records[5]
+        );
+
+        // One shard file gone, one cut short, one another store's.
+        write_sharded(&other.path, 4, domains + 1, shards);
+        std::fs::remove_file(shard_path(&tmp.path, 0)).expect("remove");
+        let bytes = std::fs::read(shard_path(&tmp.path, 1)).expect("read");
+        std::fs::write(shard_path(&tmp.path, 1), &bytes[..bytes.len() * 2 / 3]).expect("cut");
+        let foreign = std::fs::read(shard_path(&other.path, 2)).expect("read");
+        std::fs::write(shard_path(&tmp.path, 2), foreign).expect("replace");
+        assert!(!any.refresh().expect("refresh"));
+        let health = any.shard_health();
+        assert!(!health[0].is_healthy() && !health[1].is_healthy() && health[2].is_healthy());
+        same(&any);
+
+        // An older copy of the store in its place: the epoch moved back.
+        drop(writer);
+        std::fs::remove_dir_all(&tmp.path).expect("remove store");
+        write_sharded(&tmp.path, 2, domains, shards);
+        let indexed = any.weeks_indexed();
+        assert!(any.refresh().expect("refresh"), "reopened whole");
+        assert_eq!(any.weeks_indexed() - indexed, 3 * 2);
+        same(&any);
+    }
+
     #[test]
     fn truncate_to_weeks_rebuilds_an_identical_prefix() {
         let tmp = TempStore::new("truncate");

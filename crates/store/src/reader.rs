@@ -12,28 +12,24 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    self, decode_body_at, decode_week_full, scan, DecodedRecord, Genesis, RawSegment, WeekPrefix,
+    decode_body_at, decode_week_full, scan, scan_from, DecodedRecord, Genesis, Index, RawSegment,
+    Scan, WeekPrefix,
 };
-use crate::intern::Interner;
 use crate::record::{DomainRecord, FromSym, Sym, WeekData};
 use std::collections::HashMap;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-struct WeekEntry {
-    seg_index: usize,
-    prefix: WeekPrefix,
-    by_host: HashMap<u32, u64>,
-}
-
 /// Read-only access to one store file.
+#[derive(Default)]
 pub struct StoreReader {
     path: PathBuf,
     segments: Vec<RawSegment>,
-    table: Interner,
-    genesis: Genesis,
-    weeks: Vec<WeekEntry>,
-    filtered_out: Option<Vec<String>>,
+    index: Index,
+    /// Per indexed week, its index hashed by host symbol, for `get`.
+    by_host: Vec<HashMap<u32, u64>>,
+    data_end: u64,
     torn_bytes: u64,
     had_footer: bool,
     /// Records decoded by whole-week reads since open — a statistic.
@@ -53,46 +49,66 @@ impl StoreReader {
 
     /// Opens the store `bytes` hold as if they were the file at `path`.
     pub(crate) fn from_bytes(path: &Path, bytes: &[u8]) -> Result<StoreReader, StoreError> {
-        let scanned = scan(bytes)?;
-        let mut index = format::index(&scanned.segments)?;
-        // `get` looks hosts up by value.
-        index.table.index_decoded();
-        let entry = |(seg_index, prefix): (usize, WeekPrefix)| WeekEntry {
-            seg_index,
-            by_host: prefix.index.iter().copied().collect(),
-            prefix,
-        };
-        Ok(StoreReader {
+        let mut reader = StoreReader {
             path: path.to_path_buf(),
-            segments: scanned.segments,
-            table: index.table,
-            genesis: index.genesis,
-            weeks: index.weeks.into_iter().map(entry).collect(),
-            filtered_out: index.filtered_out,
-            torn_bytes: scanned.torn_bytes,
-            had_footer: scanned.had_footer,
-            decoded: AtomicU64::new(0),
-        })
+            ..StoreReader::default()
+        };
+        reader.take(scan(bytes)?)?;
+        Ok(reader)
+    }
+
+    /// Reads the bytes the file gained past the last segment read. Fails (drop
+    /// the reader) if the file is gone, shorter, or lost its first or last one.
+    pub(crate) fn follow(&mut self) -> Result<(), StoreError> {
+        let io = |e| StoreError::io(&self.path, e);
+        let mut file = std::fs::File::open(&self.path).map_err(io)?;
+        let (first, last) = (&self.segments[0], &self.segments[self.segments.len() - 1]);
+        let (mut head, mut tail) = ([0; 4], Vec::new());
+        file.seek(SeekFrom::Start(first.offset + first.env_len - 4))
+            .and_then(|_| file.read_exact(&mut head))
+            .and_then(|_| file.seek(SeekFrom::Start(self.data_end - 4)))
+            .and_then(|_| file.read_to_end(&mut tail))
+            .map_err(io)?;
+        if head != first.crc.to_le_bytes() || tail.get(..4) != Some(&last.crc.to_le_bytes()) {
+            return Err(StoreError::corrupt(self.data_end, "not the file it was"));
+        }
+        self.take(scan_from(&tail[4..], self.data_end, Some(last.kind)))
+    }
+
+    /// Adds what a scan found past what the reader holds: the segments,
+    /// their weeks indexed, hashed by host and the table's new strings
+    /// made findable by value, for `get`.
+    fn take(&mut self, scanned: Scan) -> Result<(), StoreError> {
+        let from = self.segments.len();
+        self.segments.extend(scanned.segments);
+        self.index.extend(&self.segments, from)?;
+        self.index.table.index_decoded();
+        let fresh = self.index.weeks[self.by_host.len()..].iter();
+        self.by_host
+            .extend(fresh.map(|(_, prefix)| prefix.index.iter().copied().collect()));
+        (self.data_end, self.torn_bytes) = (scanned.data_end, scanned.torn_bytes);
+        self.had_footer = scanned.had_footer;
+        Ok(())
     }
 
     /// The study metadata the store was created with.
     pub fn genesis(&self) -> &Genesis {
-        &self.genesis
+        &self.index.genesis
     }
 
     /// Number of committed weeks.
     pub fn weeks_committed(&self) -> usize {
-        self.weeks.len()
+        self.index.weeks.len()
     }
 
     /// The stored filter verdict; `Some` only when finalized.
     pub fn filtered_out(&self) -> Option<&[String]> {
-        self.filtered_out.as_deref()
+        self.index.filtered_out.as_deref()
     }
 
     /// Whether the store was finalized.
     pub fn is_finalized(&self) -> bool {
-        self.filtered_out.is_some()
+        self.index.filtered_out.is_some()
     }
 
     /// Torn tail bytes dropped when the file was opened.
@@ -121,7 +137,7 @@ impl StoreReader {
 
     /// The snapshot date (days since epoch) of committed week `week`.
     pub fn week_date_days(&self, week: usize) -> Result<i64, StoreError> {
-        self.entry(week).map(|e| e.prefix.date_days)
+        self.entry(week).map(|(_, prefix)| prefix.date_days)
     }
 
     /// Fully decodes week `week`.
@@ -132,7 +148,7 @@ impl StoreReader {
             .fetch_add(decoded.len() as u64, Ordering::Relaxed);
         Ok(WeekData {
             week,
-            date_days: entry.prefix.date_days,
+            date_days: entry.1.date_days,
             records: decoded.into_iter().map(|d| d.record).collect(),
         })
     }
@@ -147,22 +163,22 @@ impl StoreReader {
         week: usize,
         keep: impl Fn(&str) -> bool,
     ) -> Result<WeekData<DomainRecord<Sym<'_>>>, StoreError> {
-        let entry = self.entry(week)?;
+        let (_, prefix) = self.entry(week)?;
+        let table = &self.index.table;
         let mut records = Vec::new();
-        for &(sym, offset) in &entry.prefix.index {
-            let host = self
-                .table
+        for &(sym, offset) in &prefix.index {
+            let host = table
                 .sym(sym)
                 .ok_or_else(|| StoreError::corrupt(offset, "index host symbol unknown"))?;
             if keep(host.text) {
-                records.push(decode_body_at(&self.segments, &self.table, host, offset)?.0);
+                records.push(decode_body_at(&self.segments, table, host, offset)?.0);
             }
         }
         self.decoded
             .fetch_add(records.len() as u64, Ordering::Relaxed);
         Ok(WeekData {
             week,
-            date_days: entry.prefix.date_days,
+            date_days: prefix.date_days,
             records,
         })
     }
@@ -170,17 +186,12 @@ impl StoreReader {
     /// Random access: the record for `domain` in `week`, located via the
     /// week segment's offset index without decoding anything else.
     pub fn get(&self, domain: &str, week: usize) -> Result<DomainRecord, StoreError> {
-        let id = self
-            .table
-            .lookup(domain)
-            .ok_or_else(|| StoreError::UnknownDomain(domain.to_string()))?;
-        let entry = self.entry(week)?;
-        let offset = *entry
-            .by_host
-            .get(&id)
-            .ok_or_else(|| StoreError::UnknownDomain(domain.to_string()))?;
+        let unknown = || StoreError::UnknownDomain(domain.to_string());
+        let id = self.index.table.lookup(domain).ok_or_else(unknown)?;
+        self.entry(week)?;
+        let offset = *self.by_host[week].get(&id).ok_or_else(unknown)?;
         let host = Sym { id, text: domain };
-        let (record, _) = decode_body_at(&self.segments, &self.table, host, offset)?;
+        let (record, _) = decode_body_at(&self.segments, &self.index.table, host, offset)?;
         Ok(record)
     }
 
@@ -188,8 +199,8 @@ impl StoreReader {
     /// week (resolving and cross-checking all back-references and index
     /// entries). Returns per-week record counts.
     pub fn verify(&self) -> Result<Vec<usize>, StoreError> {
-        let mut counts = Vec::with_capacity(self.weeks.len());
-        for entry in &self.weeks {
+        let mut counts = Vec::with_capacity(self.index.weeks.len());
+        for entry in &self.index.weeks {
             counts.push(self.decode_entry::<Sym<'_>>(entry)?.len());
         }
         Ok(counts)
@@ -200,7 +211,7 @@ impl StoreReader {
     pub fn delta_stats(&self) -> Result<(usize, usize), StoreError> {
         let mut hits = 0;
         let mut total = 0;
-        for entry in &self.weeks {
+        for entry in &self.index.weeks {
             let decoded = self.decode_entry::<Sym<'_>>(entry)?;
             total += decoded.len();
             hits += decoded.iter().filter(|d| d.backref).count();
@@ -217,12 +228,13 @@ impl StoreReader {
     /// The sequential, index-cross-checked walk of one week's records.
     fn decode_entry<'a, S: FromSym<'a>>(
         &'a self,
-        entry: &WeekEntry,
+        (seg_index, prefix): &(usize, WeekPrefix),
     ) -> Result<Vec<DecodedRecord<'a, S>>, StoreError> {
-        decode_week_full(&self.segments, entry.seg_index, &entry.prefix, &self.table)
+        decode_week_full(&self.segments, *seg_index, prefix, &self.index.table)
     }
 
-    fn entry(&self, week: usize) -> Result<&WeekEntry, StoreError> {
-        self.weeks.get(week).ok_or(StoreError::UnknownWeek(week))
+    fn entry(&self, week: usize) -> Result<&(usize, WeekPrefix), StoreError> {
+        let entry = self.index.weeks.get(week);
+        entry.ok_or(StoreError::UnknownWeek(week))
     }
 }

@@ -459,6 +459,7 @@ impl ShardHealth {
 /// weeks come back sorted by host, `(domain, week)` lookups route by
 /// domain hash, and consumers — the analysis fold, the serve layer, the
 /// watch daemon, the CLI — need not know which layout they were given.
+#[derive(Default)]
 pub struct AnyReader {
     path: PathBuf,
     manifest: Option<Manifest>,
@@ -467,6 +468,7 @@ pub struct AnyReader {
     readers: Vec<Option<StoreReader>>,
     health: Vec<ShardHealth>,
     genesis: Genesis,
+    indexed: u64,
 }
 
 /// One file as the store: a healthy shard with no manifest.
@@ -478,6 +480,7 @@ impl From<StoreReader> for AnyReader {
             weeks: reader.weeks_committed(),
             finalized: reader.is_finalized(),
             genesis: reader.genesis().clone(),
+            indexed: reader.weeks_committed() as u64,
             readers: vec![Some(reader)],
             health: vec![ShardHealth::Healthy],
         }
@@ -510,77 +513,81 @@ impl AnyReader {
         let Some(manifest) = manifest::of(path)? else {
             return StoreReader::open(path).map(AnyReader::from);
         };
-        let dir = path;
-        let shards = manifest.shards as usize;
-        let committed = manifest.weeks as usize;
-        let mut readers = Vec::with_capacity(shards);
-        let mut health = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let path = shard_path(dir, index);
-            let opened = if path.exists() {
-                StoreReader::open(&path)
-            } else {
-                Err(StoreError::ShardUnavailable {
-                    shard: index,
-                    detail: format!("shard file missing: {}", path.display()),
-                })
-            };
-            match opened {
-                Ok(reader) => {
-                    // A shard *ahead* of the manifest is a crashed writer
-                    // whose extra progress was never published: serve the
-                    // committed prefix and ignore the rest. A shard
-                    // *behind* is a mixed epoch no crash can produce.
-                    if reader.weeks_committed() < committed
-                        || (manifest.finalized && !reader.is_finalized())
-                    {
-                        health.push(ShardHealth::Unavailable {
-                            detail: format!(
-                                "mixed epoch: shard has {} weeks, manifest requires {committed}",
-                                reader.weeks_committed()
-                            ),
-                        });
-                        readers.push(None);
-                    } else {
-                        health.push(ShardHealth::Healthy);
-                        readers.push(Some(reader));
-                    }
-                }
-                Err(err) => {
-                    // A ShardUnavailable already names the shard; keep
-                    // only its detail so reporters can add their own
-                    // "shard N unavailable:" prefix without duplication.
-                    let detail = match err {
-                        StoreError::ShardUnavailable { detail, .. } => detail,
-                        other => other.to_string(),
-                    };
-                    health.push(ShardHealth::Unavailable { detail });
-                    readers.push(None);
-                }
+        let mut reader = AnyReader {
+            path: path.to_path_buf(),
+            ..AnyReader::default()
+        };
+        reader.catch_up(manifest)?;
+        Ok(reader)
+    }
+
+    /// Reads what the store committed since: the manifest, then the bytes
+    /// each shard file gained; a shard file that is missing, shorter or
+    /// replaced is opened again, as by a fresh open. A single file, or a
+    /// manifest whose epoch moved back or whose shard count changed,
+    /// reopens the whole store, and the answer says so.
+    pub fn refresh(&mut self) -> Result<bool, StoreError> {
+        match (self.manifest, manifest::of(&self.path)?) {
+            (Some(held), Some(now)) if now.epoch >= held.epoch && now.shards == held.shards => {
+                self.catch_up(now)?;
+                Ok(false)
+            }
+            _ => {
+                let indexed = self.indexed;
+                *self = AnyReader::open_degraded(&self.path)?;
+                self.indexed += indexed;
+                Ok(true)
             }
         }
-        if readers.iter().all(|r| r.is_none()) {
-            return Err(StoreError::corrupt(
-                0,
-                format!("all {shards} shards unavailable in {}", dir.display()),
-            ));
+    }
+
+    /// Every shard of a group brought to `manifest`: a shard read before
+    /// follows its file, any other is opened; either serves only if it
+    /// holds every week the manifest committed. A shard *ahead* of the
+    /// manifest is a crashed writer whose extra progress was never
+    /// published: its committed prefix serves. A shard *behind* is a mixed
+    /// epoch no crash can produce.
+    fn catch_up(&mut self, manifest: Manifest) -> Result<(), StoreError> {
+        let (committed, shards) = (manifest.weeks as usize, manifest.shards as usize);
+        self.readers.resize_with(shards, || None);
+        let mut health = Vec::with_capacity(shards);
+        for (index, slot) in self.readers.iter_mut().enumerate() {
+            let path = shard_path(&self.path, index);
+            let mut held = slot.take();
+            let before = held.as_ref().map_or(0, StoreReader::weeks_committed);
+            let opened = match held.as_mut().map(StoreReader::follow) {
+                Some(Ok(())) => Ok((held.expect("followed"), before)),
+                _ if !path.exists() => Err(format!("shard file missing: {}", path.display())),
+                _ => StoreReader::open(&path)
+                    .map(|r| (r, 0))
+                    .map_err(|e| e.to_string()),
+            };
+            let served = opened.and_then(|(reader, before)| {
+                let weeks = reader.weeks_committed();
+                self.indexed += (weeks - before) as u64;
+                let whole = weeks >= committed && (reader.is_finalized() || !manifest.finalized);
+                let behind = || {
+                    format!("mixed epoch: shard has {weeks} weeks, manifest requires {committed}")
+                };
+                whole.then_some(reader).ok_or_else(behind)
+            });
+            health.push(match served {
+                Ok(reader) => {
+                    *slot = Some(reader);
+                    ShardHealth::Healthy
+                }
+                Err(detail) => ShardHealth::Unavailable { detail },
+            });
         }
-        let genesis = merge_genesis(
-            &readers
-                .iter()
-                .flatten()
-                .map(|r| r.genesis())
-                .collect::<Vec<_>>(),
-        )?;
-        Ok(AnyReader {
-            path: dir.to_path_buf(),
-            manifest: Some(manifest),
-            weeks: committed,
-            finalized: manifest.finalized,
-            readers,
-            health,
-            genesis,
-        })
+        (self.manifest, self.health) = (Some(manifest), health);
+        (self.weeks, self.finalized) = (committed, manifest.finalized);
+        if self.readers.iter().all(Option::is_none) {
+            let all = format!("all {shards} shards unavailable in {}", self.path.display());
+            return Err(StoreError::corrupt(0, all));
+        }
+        let healthy: Vec<&Genesis> = self.healthy().map(StoreReader::genesis).collect();
+        self.genesis = merge_genesis(&healthy)?;
+        Ok(())
     }
 
     /// The study metadata: a single file's own, or the merge over healthy
@@ -637,6 +644,12 @@ impl AnyReader {
     /// was opened ([`StoreReader::records_decoded`], summed).
     pub fn records_decoded(&self) -> u64 {
         self.healthy().map(StoreReader::records_decoded).sum()
+    }
+
+    /// Week prefixes (one per shard and week) indexed since this reader
+    /// was opened: by the open, then by each [`AnyReader::refresh`].
+    pub fn weeks_indexed(&self) -> u64 {
+        self.indexed
     }
 
     /// Whether any shard is unavailable (never for single files).

@@ -4,10 +4,11 @@
 //! growing as weekly crawls arrive, keeps the full study accumulator
 //! *live* as domain buckets — each new week absorbed incrementally, and
 //! when the §4.1 verdict drifts only the flipped domains' buckets folded
-//! again on the next quiet tick, so neither the hot path nor the quiet
-//! tick ever refolds the whole history (only a CVE delta extending the
-//! database does) — and turns newly-disclosed CVEs into per-domain
-//! exposure alerts by retro-scanning the committed history.
+//! again on the next quiet tick, so no tick refolds the whole history (a
+//! CVE delta extending the database rebuilds only the exposure
+//! accumulators, in the retro-scan's one walk) — and turns
+//! newly-disclosed CVEs into per-domain exposure alerts by retro-scanning
+//! the committed history.
 //!
 //! The robustness headline is that every side effect is journaled and
 //! idempotent, so crashing the daemon anywhere and restarting it loses
@@ -43,8 +44,9 @@
 ///   `<id>:deliver` — every ENQUEUE durable, no line written), and
 ///   after that sync, before the ACKs' one append and sync (key
 ///   `<id>:ack` — every line durable, no ACK written).
-/// - `watch.retro` — fires before a delta file's retro-scan begins
-///   (key: the delta file name).
+/// - `watch.retro` — fires before a delta file's alerts, found by the
+///   tick's one walk over history, are journaled (key: the delta file
+///   name).
 pub const FAILPOINTS: &[&str] = &[
     "watch.ingest",
     "watch.outbox.append",

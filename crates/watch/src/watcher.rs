@@ -35,6 +35,12 @@
 //! and no other record of history — again under the new verdict, so idle
 //! still means exactly cold-fold-equal.
 //!
+//! History is read through one reader, opened with the watcher and
+//! refreshed ([`AnyReader::refresh`]) only by a settle or a delta tick. A
+//! delta costs one walk ([`Buckets::rejoin`]): every bucket's exposure
+//! accumulators rebuilt and the alert spans collected in one pass, the
+//! touched buckets left touched for the settle.
+//!
 //! [`DecodedWeek`]: webvuln_analysis::store_io::DecodedWeek
 
 use crate::alert::{Alert, Coverage};
@@ -43,7 +49,7 @@ use crate::outbox::{Outbox, OutboxRecovery};
 use crate::spool::{open_week_file, read_genesis_file, scan_spool, GENESIS_FILE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use webvuln_analysis::store_io::{DecodedWeek, SymbolCache};
+use webvuln_analysis::store_io::DecodedWeek;
 use webvuln_analysis::{
     genesis_ranks, AccumCtx, Buckets, FilterWindow, PageView, StudyAccum, WeekView,
 };
@@ -128,9 +134,10 @@ pub struct TickReport {
     /// Spool weeks skipped as already committed (idempotent redelivery).
     pub weeks_skipped: usize,
     /// Times the tick went back to the store's history for the live
-    /// state: once for a CVE delta extending the database (every bucket),
-    /// once for §4.1 verdict drift settling on a quiet tick (the touched
-    /// buckets only). Never on an arrival.
+    /// state: once for a CVE delta extending the database (every bucket's
+    /// two exposure accumulators, in the retro-scan's one walk), once for
+    /// §4.1 verdict drift settling on a quiet tick (the touched buckets,
+    /// whole). Never on an arrival.
     pub refolds: usize,
     /// Buckets of the live state those refolds folded again.
     pub buckets_refolded: usize,
@@ -180,6 +187,9 @@ impl std::ops::AddAssign for TickReport {
         self.alerts_redelivered += alerts_redelivered;
     }
 }
+
+/// Per delta record: exposed domain → (first week, last week, weeks seen).
+type Spans = BTreeMap<String, (u32, u32, u32)>;
 
 /// A point-in-time summary of a watch root, readable by outside
 /// observers (the serve layer's `/healthz`) without a [`Watcher`].
@@ -245,6 +255,8 @@ pub struct Watcher {
     /// Buckets of `live` holding a domain whose verdict flipped since the
     /// bucket was folded — folded again on the next quiet tick.
     touched: BTreeSet<usize>,
+    /// The store read back: opened once, refreshed by ticks that read history.
+    reader: AnyReader,
     ranks: BTreeMap<String, usize>,
     outbox: Outbox,
     recovery: OutboxRecovery,
@@ -293,46 +305,68 @@ impl Watcher {
         let applied_deltas = read_applied(&cfg.applied_journal());
 
         let (outbox, recovery) = Outbox::open(&cfg.outbox_wal(), &cfg.alert_log())?;
-        let registry = telemetry.registry();
-        registry
-            .counter("watch.outbox_replayed_total")
-            .add(recovery.replayed as u64);
-
-        let mut live = Buckets::new(writer.shard_count());
-        let mut filter_window = FilterWindow::new();
-        let mut filtered = BTreeSet::new();
-        if writer.weeks_committed() > 0 {
-            let reader = AnyReader::open_degraded(&store_dir)?;
-            filter_window = FilterWindow::from_store(&reader)?;
-            filtered = filter_window.verdict(ranks.keys());
-            let ctx = AccumCtx {
-                db: &db,
-                ranks: &ranks,
-            };
-            live = Buckets::fold(&reader, &ctx, cfg.threads, &filtered)?;
-            // What the open decoded: the history once, for the buckets,
-            // and the window's trailing weeks once more.
-            registry
-                .counter("watch.records_refolded_total")
-                .add(reader.records_decoded());
-        }
-
-        Ok(Watcher {
+        let reader = AnyReader::open_degraded(&store_dir)?;
+        let mut watcher = Watcher {
             cfg,
             telemetry: telemetry.clone(),
+            live: Buckets::new(writer.shard_count()),
             writer,
             db,
-            live,
-            filtered,
-            filter_window,
+            filtered: BTreeSet::new(),
+            filter_window: FilterWindow::new(),
             touched: BTreeSet::new(),
+            reader,
             ranks,
             outbox,
             recovery,
             known_deltas,
             applied_deltas,
             journal: None,
-        })
+        };
+        watcher.count("watch.outbox_replayed_total", recovery.replayed as u64);
+        watcher.count("watch.weeks_indexed_total", watcher.reader.weeks_indexed());
+        watcher.fold_cold()?;
+        Ok(watcher)
+    }
+
+    /// Adds `by` to the counter `name`.
+    fn count(&self, name: &str, by: u64) {
+        self.telemetry.registry().counter(name).add(by);
+    }
+
+    /// Folds the live buckets cold from the held reader, under the verdict
+    /// of the one §4.1 window built from the store's trailing weeks.
+    fn fold_cold(&mut self) -> Result<(), WatchError> {
+        let decoded = self.reader.records_decoded();
+        self.filter_window = FilterWindow::from_store(&self.reader)?;
+        self.filtered = self.filter_window.verdict(self.ranks.keys());
+        let ctx = AccumCtx::new(&self.db, &self.ranks);
+        self.live = Buckets::new(self.reader.shard_count());
+        let (all, threads) = (0..self.live.count(), self.cfg.threads);
+        self.live
+            .refold(&self.reader, all, &ctx, threads, &self.filtered)?;
+        self.touched.clear();
+        // The history once, for the buckets, and the window's weeks again.
+        let decoded = self.reader.records_decoded() - decoded;
+        self.count("watch.records_refolded_total", decoded);
+        Ok(())
+    }
+
+    /// Brings the reader up to the writer's commits. A store moved back
+    /// under the daemon is read again whole, the writer resumed over it
+    /// and the live state folded cold.
+    fn follow(&mut self) -> Result<(), WatchError> {
+        let indexed = self.reader.weeks_indexed();
+        let reopened = self.reader.refresh()?;
+        let indexed = self.reader.weeks_indexed() - indexed;
+        self.count("watch.weeks_indexed_total", indexed);
+        if reopened {
+            self.count("watch.reopens_total", 1);
+            self.writer = AnyWriter::resume(&self.cfg.store_dir())?.threads(self.cfg.threads);
+            self.ranks = genesis_ranks(self.writer.genesis());
+            self.fold_cold()?;
+        }
+        Ok(())
     }
 
     /// What the outbox found when this watcher opened.
@@ -347,39 +381,33 @@ impl Watcher {
         let syncs_before = self.outbox.syncs();
         let report = self.run_tick();
         // On the error path too: a failed round synced what it had framed.
-        self.telemetry
-            .registry()
-            .counter("watch.outbox_syncs_total")
-            .add(self.outbox.syncs() - syncs_before);
+        let syncs = self.outbox.syncs() - syncs_before;
+        self.count("watch.outbox_syncs_total", syncs);
         report
     }
 
     fn run_tick(&mut self) -> Result<TickReport, WatchError> {
-        let registry = self.telemetry.registry_arc();
-        registry.counter("watch.ticks_total").inc();
+        self.count("watch.ticks_total", 1);
         let mut report = TickReport::default();
         self.ingest_spool(&mut report)?;
         self.apply_deltas(&mut report)?;
         let delivery = self.outbox.deliver_pending()?;
         report.alerts_delivered = delivery.delivered;
         report.alerts_redelivered = delivery.deduped;
-        registry
-            .counter("watch.alerts_delivered_total")
-            .add(delivery.delivered as u64);
+        self.count("watch.alerts_delivered_total", delivery.delivered as u64);
         // Settle verdict drift on a quiet tick: arrival ticks stay
         // O(one week) and the catch-up refold of the touched buckets
         // lands in the poll gap that follows. A settling tick reports its
         // refold, so the daemon is never idle while the live state lags
         // the filter.
         if !self.touched.is_empty() && report.weeks_ingested == 0 {
-            let reader = AnyReader::open_degraded(&self.cfg.store_dir())?;
-            self.refold(&reader, false, &mut report)?;
+            self.follow()?;
+            self.refold(&mut report)?;
         }
         Ok(report)
     }
 
     fn ingest_spool(&mut self, report: &mut TickReport) -> Result<(), WatchError> {
-        let registry = self.telemetry.registry_arc();
         for (index, path) in scan_spool(&self.cfg.spool_dir())? {
             let committed = self.writer.weeks_committed();
             if index < committed {
@@ -388,7 +416,7 @@ impl Watcher {
                 // file is consumed without re-committing.
                 std::fs::remove_file(&path).map_err(|e| WatchError::io(&path, e))?;
                 report.weeks_skipped += 1;
-                registry.counter("watch.weeks_skipped_total").inc();
+                self.count("watch.weeks_skipped_total", 1);
                 continue;
             }
             if index > committed {
@@ -409,16 +437,13 @@ impl Watcher {
             let fetched = records.records.iter();
             self.filter_window
                 .absorb(fetched.map(|r| (r.host.text, r.status, r.body_len as usize)));
-            let ctx = AccumCtx {
-                db: &self.db,
-                ranks: &self.ranks,
-            };
+            let ctx = AccumCtx::new(&self.db, &self.ranks);
             self.live.absorb(&records, &self.filtered, &ctx)?;
             // Consume the spool file only after the commit: a crash
             // between the two re-skips the week above, then cleans up.
             std::fs::remove_file(&path).map_err(|e| WatchError::io(&path, e))?;
             report.weeks_ingested += 1;
-            registry.counter("watch.weeks_ingested_total").inc();
+            self.count("watch.weeks_ingested_total", 1);
         }
         if report.weeks_ingested > 0 {
             self.refresh_filter();
@@ -445,52 +470,36 @@ impl Watcher {
             flips += 1;
         }
         if flips > 0 {
-            self.telemetry
-                .registry()
-                .counter("watch.filter_flips_total")
-                .add(flips);
+            self.count("watch.filter_flips_total", flips);
             self.filtered = fresh;
         }
     }
 
-    /// Folds the touched buckets of the live state — or `every` bucket —
-    /// again from `reader`, under the current verdict and database. The
-    /// touched set is spent only once the fold has succeeded.
-    fn refold(
-        &mut self,
-        reader: &AnyReader,
-        every: bool,
-        report: &mut TickReport,
-    ) -> Result<(), WatchError> {
-        let ctx = AccumCtx {
-            db: &self.db,
-            ranks: &self.ranks,
-        };
-        let buckets: Vec<usize> = if every {
-            (0..self.live.count()).collect()
-        } else {
-            self.touched.iter().copied().collect()
-        };
-        let decoded = reader.records_decoded();
-        let wanted = buckets.iter().copied();
+    /// Folds the touched buckets of the live state again from the held
+    /// reader, under the current verdict and database. The touched set is
+    /// spent only once the fold has succeeded.
+    fn refold(&mut self, report: &mut TickReport) -> Result<(), WatchError> {
+        let ctx = AccumCtx::new(&self.db, &self.ranks);
+        let (decoded, threads) = (self.reader.records_decoded(), self.cfg.threads);
+        let wanted = self.touched.iter().copied();
         self.live
-            .refold(reader, wanted, &ctx, self.cfg.threads, &self.filtered)?;
-        self.touched.clear();
-        report.refolds += 1;
-        report.buckets_refolded += buckets.len();
-        let registry = self.telemetry.registry();
-        registry.counter("watch.refolds_total").inc();
-        registry
-            .counter("watch.buckets_refolded_total")
-            .add(buckets.len() as u64);
-        registry
-            .counter("watch.records_refolded_total")
-            .add(reader.records_decoded() - decoded);
+            .refold(&self.reader, wanted, &ctx, threads, &self.filtered)?;
+        let buckets = std::mem::take(&mut self.touched).len();
+        self.count_refold(buckets, report);
+        let decoded = self.reader.records_decoded() - decoded;
+        self.count("watch.records_refolded_total", decoded);
         Ok(())
     }
 
+    /// Counts one refold of `buckets` buckets.
+    fn count_refold(&self, buckets: usize, report: &mut TickReport) {
+        report.refolds += 1;
+        report.buckets_refolded += buckets;
+        self.count("watch.refolds_total", 1);
+        self.count("watch.buckets_refolded_total", buckets as u64);
+    }
+
     fn apply_deltas(&mut self, report: &mut TickReport) -> Result<(), WatchError> {
-        let registry = self.telemetry.registry_arc();
         let mut db_grew = false;
         // Each new file is parsed once: its records extend the database
         // and, until its scan is journaled, drive the retro-scan.
@@ -508,113 +517,89 @@ impl Watcher {
                 unapplied.push((name, records));
             }
         }
-        // One read-only open serves the refold and every scan of the tick.
-        let work = db_grew || !unapplied.is_empty();
-        let reader = (work && self.writer.weeks_committed() > 0)
-            .then(|| AnyReader::open_degraded(&self.cfg.store_dir()))
-            .transpose()?;
-        if let (true, Some(reader)) = (db_grew, &reader) {
-            // The exposure accumulators consult the database while
-            // absorbing, so new records invalidate every bucket — the
-            // touched ones included.
-            self.refold(reader, true, report)?;
+        if !db_grew && unapplied.is_empty() {
+            return Ok(());
         }
+        self.follow()?;
+        let records: Vec<&VulnRecord> = unapplied.iter().flat_map(|(_, r)| r).collect();
+        let mut spans = self.rejoin(&records, db_grew, report)?.into_iter();
+        let health = self.reader.shard_health();
+        let coverage = Coverage {
+            shards_scanned: health.iter().filter(|h| h.is_healthy()).count() as u32,
+            shards_total: health.len() as u32,
+        };
         for (name, records) in unapplied {
             let _ = webvuln_failpoint::failpoint!("watch.retro", &name)?;
-            let (enqueued, deduped) = match &reader {
-                Some(reader) if !records.is_empty() => self.retro_scan(reader, &records)?,
-                _ => (0, 0),
-            };
+            let mut alerts = Vec::new();
+            for (record, domains) in records.iter().zip(spans.by_ref()) {
+                let (id, library) = (&record.id, record.library.slug());
+                for (domain, (first, last, seen)) in domains {
+                    let alert = Alert::new(id, library, &domain, first, last, seen, coverage);
+                    alerts.push(alert);
+                }
+            }
+            let (enqueued, deduped) = self.outbox.enqueue(&alerts)?;
             report.alerts_enqueued += enqueued;
             report.alerts_deduped += deduped;
-            registry
-                .counter("watch.alerts_enqueued_total")
-                .add(enqueued as u64);
-            registry
-                .counter("watch.alerts_deduped_total")
-                .add(deduped as u64);
+            self.count("watch.alerts_enqueued_total", enqueued as u64);
+            self.count("watch.alerts_deduped_total", deduped as u64);
             // Journaling completion is the commit point: a crash before
             // this line replays the scan, and the outbox dedups it.
             self.journal_applied(&name)?;
             self.applied_deltas.insert(name);
             report.deltas_applied += 1;
-            registry.counter("watch.deltas_applied_total").inc();
+            self.count("watch.deltas_applied_total", 1);
         }
         Ok(())
     }
 
-    /// Scans the full committed history for domains exposed to
-    /// `records` and journals the alerts as one outbox batch. A degraded
-    /// store downgrades coverage (annotated on every alert) instead of
-    /// failing the scan. It reads what the fold reads — each healthy
-    /// shard's records where the reader decoded them, library and version
-    /// resolved once per shard by a [`SymbolCache`] — so a library slug or
-    /// version string this build cannot read fails the scan by name, as it
-    /// fails the fold [`Watcher::open`] runs first; nothing is skipped.
-    fn retro_scan(
+    /// A delta tick's one walk ([`Buckets::rejoin`]): the exposure
+    /// accumulators rebuilt (a refold when the database grew), and per
+    /// record the domains holding a detection it claims, filtered or not,
+    /// read as the fold reads them (a slug this build cannot read fails it).
+    fn rejoin(
         &mut self,
-        reader: &AnyReader,
-        records: &[VulnRecord],
-    ) -> Result<(usize, usize), WatchError> {
-        let health = reader.shard_health();
-        let coverage = Coverage {
-            shards_scanned: health.iter().filter(|h| h.is_healthy()).count() as u32,
-            shards_total: health.len() as u32,
-        };
-        // Per record, domain → (first week, last week, weeks seen). A
-        // domain lives in one shard, whose weeks are visited in order.
-        let mut spans: Vec<BTreeMap<String, (u32, u32, u32)>> =
-            vec![BTreeMap::new(); records.len()];
-        let unfiltered = BTreeSet::new();
-        let decoded = reader.records_decoded();
-        for shard in reader.healthy() {
-            let mut symbols = SymbolCache::default();
-            for wk in 0..reader.weeks_committed() {
-                let decoded = shard.week_records(wk, |_| true)?;
-                let week = DecodedWeek::new(&decoded, &unfiltered, &mut symbols)?;
-                let wk = wk as u32;
-                for (domain, page) in week.pages() {
-                    for det in page.detections() {
-                        let Some(version) = det.version else { continue };
-                        for (record, domains) in records.iter().zip(&mut spans) {
-                            if record.library != det.library || !record.claims(version) {
-                                continue;
+        records: &[&VulnRecord],
+        db_grew: bool,
+        report: &mut TickReport,
+    ) -> Result<Vec<Spans>, WatchError> {
+        let scan = |spans: &mut Vec<Spans>, week: &DecodedWeek<'_>| {
+            spans.resize_with(records.len(), Spans::new);
+            let wk = week.week() as u32;
+            for (domain, page) in week.pages() {
+                for det in page.detections() {
+                    let Some(version) = det.version else { continue };
+                    for (record, domains) in records.iter().zip(spans.iter_mut()) {
+                        if record.library != det.library || !record.claims(version) {
+                            continue;
+                        }
+                        match domains.get_mut(domain) {
+                            Some((_, last, seen)) => {
+                                (*seen, *last) = (*seen + u32::from(*last != wk), wk)
                             }
-                            match domains.get_mut(domain) {
-                                Some((_, last, seen)) => {
-                                    if *last != wk {
-                                        *seen += 1;
-                                    }
-                                    *last = wk;
-                                }
-                                None => {
-                                    domains.insert(domain.to_string(), (wk, wk, 1));
-                                }
-                            }
+                            None => drop(domains.insert(domain.to_string(), (wk, wk, 1))),
                         }
                     }
                 }
             }
+        };
+        let ctx = AccumCtx::new(&self.db, &self.ranks);
+        let (decoded, threads) = (self.reader.records_decoded(), self.cfg.threads);
+        let (reader, filtered) = (&self.reader, &self.filtered);
+        let files = self.live.rejoin(reader, &ctx, threads, filtered, scan)?;
+        let decoded = self.reader.records_decoded() - decoded;
+        self.count("watch.records_scanned_total", decoded);
+        if db_grew {
+            self.count_refold(self.live.count(), report);
         }
-        self.telemetry
-            .registry()
-            .counter("watch.records_scanned_total")
-            .add(reader.records_decoded() - decoded);
-        let mut alerts = Vec::new();
-        for (record, domains) in records.iter().zip(spans) {
-            for (domain, (first, last, seen)) in domains {
-                alerts.push(Alert::new(
-                    &record.id,
-                    record.library.slug(),
-                    &domain,
-                    first,
-                    last,
-                    seen,
-                    coverage,
-                ));
+        // A domain lives in one shard: the files' spans are disjoint.
+        let mut spans = vec![Spans::new(); records.len()];
+        for file in files {
+            for (all, one) in spans.iter_mut().zip(file) {
+                all.extend(one);
             }
         }
-        self.outbox.enqueue(&alerts)
+        Ok(spans)
     }
 
     /// Appends `name` to the applied journal, opened (a torn last line cut,

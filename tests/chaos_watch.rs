@@ -287,13 +287,14 @@ fn live_accumulator_matches_a_cold_fold_and_reopen_is_idle() {
 
 /// The daemon's economics, as counts: with a 32-week spool arriving one
 /// week file per tick, every arrival tick ingests exactly that week and
-/// decodes no record of history — its cost is one week, whatever the
-/// store holds. History is read again only on the quiet tick after an
-/// arrival (§4.1 verdict drift settling: exactly the records of the
-/// buckets the flipped domains fall in, which the test derives on its own
-/// from the corpus) or on the tick a CVE delta lands (one full fold plus
-/// the retro-scan's walk), and after every quiet tick the live state is
-/// exactly a cold fold's.
+/// neither decodes a record of history nor indexes a week of the store —
+/// its cost is one week, whatever the store holds. History is read again
+/// only on the quiet tick after an arrival (§4.1 verdict drift settling:
+/// exactly the records of the buckets the flipped domains fall in, which
+/// the test derives on its own from the corpus) or on the tick a CVE delta
+/// lands (one walk, every record decoded once), and either indexes exactly
+/// the shard weeks committed since the reader last caught up. After every
+/// quiet tick the live state is exactly a cold fold's.
 #[test]
 fn arrival_ticks_ingest_one_week_and_never_refold() {
     const HISTORY: usize = 32;
@@ -322,6 +323,9 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
     let (mut settle_refolds, mut settled_buckets, mut partial_settles) = (0, 0, 0);
     // History records the daemon has decoded for its live state so far.
     let mut history = 0;
+    // Weeks its reader has indexed: the store is empty at open.
+    let mut caught_up = 0;
+    assert_eq!(counter("watch.weeks_indexed_total"), 0);
     for (index, week) in corpus.weeks.iter().enumerate() {
         write_week_file(&spool, week).expect("write week");
         let arrival = watcher.tick().expect("arrival tick");
@@ -331,6 +335,11 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
             counter("watch.records_refolded_total"),
             history,
             "the arrival of week {index} read history"
+        );
+        assert_eq!(
+            counter("watch.weeks_indexed_total"),
+            (SHARDS * caught_up) as u64,
+            "the arrival of week {index} read the store"
         );
 
         let fetched = week.records.iter();
@@ -357,6 +366,14 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
             counter("watch.records_refolded_total"),
             history,
             "the settle of week {index} must decode its touched buckets, no more"
+        );
+        if quiet.refolds == 1 {
+            caught_up = index + 1;
+        }
+        assert_eq!(
+            counter("watch.weeks_indexed_total"),
+            (SHARDS * caught_up) as u64,
+            "the settle of week {index} must index the weeks since the last, no more"
         );
         settle_refolds += quiet.refolds;
         settled_buckets += quiet.buckets_refolded;
@@ -388,15 +405,20 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
     );
 
     // The other tick that goes back to history: a CVE delta extends the
-    // database — every bucket once, then the retro-scan's one walk.
+    // database — one walk decodes every record once, rebuilding every
+    // bucket's exposure accumulators and scanning for the delta's alerts.
     let all: u64 = corpus.weeks.iter().map(|w| w.records.len() as u64).sum();
     land_delta(&root);
     let delta = watcher.tick().expect("delta tick");
     assert_eq!((delta.weeks_ingested, delta.refolds), (0, 1));
     assert_eq!(delta.buckets_refolded, BUCKETS);
     assert_eq!(delta.deltas_applied, 1);
-    assert_eq!(counter("watch.records_refolded_total"), history + all);
+    assert_eq!(counter("watch.records_refolded_total"), history);
     assert_eq!(counter("watch.records_scanned_total"), all);
+    assert_eq!(
+        counter("watch.weeks_indexed_total"),
+        (SHARDS * HISTORY) as u64
+    );
     assert_eq!(
         live_fingerprint(&watcher),
         cold_fold_fingerprint(&root, &watcher, 2)
@@ -453,6 +475,137 @@ fn open_decodes_the_trailing_window_once() {
         telemetry.snapshot().counter("watch.records_refolded_total"),
         Some(records(weeks) + records(trailing))
     );
+    assert_eq!(
+        live_fingerprint(&watcher),
+        cold_fold_fingerprint(&root, &watcher, 2)
+    );
+    drop(watcher);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Ticks `watcher` until a tick changes nothing.
+fn tick_to_idle(watcher: &mut Watcher) {
+    for _ in 0..16 {
+        if watcher.tick().expect("tick").is_idle() {
+            return;
+        }
+    }
+    panic!("watcher failed to reach idle");
+}
+
+/// An arrival, the §4.1 flips it brings and a CVE delta land in one tick.
+/// The delta's walk reads the week that tick committed, decodes every
+/// record once and rebuilds only the exposure accumulators, so the flipped
+/// buckets stay touched; the quiet tick after settles them, and the live
+/// state is a cold fold's. No shard week is indexed twice over the run.
+#[test]
+fn an_arrival_and_a_delta_in_one_tick_settle_to_a_cold_fold() {
+    const SHARDS: usize = 4;
+    let _guard = lock();
+    reset();
+    // The last week whose arrival moves the §4.1 verdict.
+    let weeks = &corpus().weeks;
+    let ranked: Vec<&String> = corpus()
+        .genesis
+        .ranks
+        .iter()
+        .map(|(host, _)| host)
+        .collect();
+    let mut window = FilterWindow::new();
+    let verdicts: Vec<_> = weeks
+        .iter()
+        .map(|week| {
+            let fetched = week.records.iter();
+            window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
+            window.verdict(ranked.iter().copied())
+        })
+        .collect();
+    let last = (1..WEEKS).rev().find(|&w| verdicts[w] != verdicts[w - 1]);
+    let last = last.expect("the hostile corpus must drift the verdict");
+    let root = seed_root("same-tick", last, false);
+    let telemetry = Telemetry::new();
+    let counter = |name: &str| telemetry.snapshot().counter(name).unwrap_or(0);
+    let cfg = WatchConfig::new(&root).threads(2).shards(SHARDS);
+    let mut watcher = Watcher::open(cfg, &telemetry).expect("open watcher");
+    tick_to_idle(&mut watcher);
+    write_week_file(&root.join("spool"), &weeks[last]).expect("write week");
+    land_delta(&root);
+    let scanned = counter("watch.records_scanned_total");
+    let tick = watcher.tick().expect("arrival and delta");
+    assert_eq!((tick.weeks_ingested, tick.deltas_applied), (1, 1));
+    assert!(tick.alerts_enqueued > 0, "{tick:?}");
+    let all: usize = weeks[..=last].iter().map(|w| w.records.len()).sum();
+    assert_eq!(counter("watch.records_scanned_total") - scanned, all as u64);
+    let quiet = watcher.tick().expect("quiet tick");
+    assert_eq!(
+        quiet.refolds, 1,
+        "the arrival must flip a domain: {quiet:?}"
+    );
+    assert!(quiet.buckets_refolded < SHARDS * BUCKETS_PER_SHARD);
+    assert_eq!(
+        live_fingerprint(&watcher),
+        cold_fold_fingerprint(&root, &watcher, 2)
+    );
+    assert!(watcher.tick().expect("idle tick").is_idle());
+    assert_eq!(
+        counter("watch.weeks_indexed_total"),
+        (SHARDS * (last + 1)) as u64
+    );
+    drop(watcher);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A store put back to an older copy under a live daemon — its manifest
+/// epoch moved backwards — is read again whole by the next tick that goes
+/// to history: the writer resumes over it, the live state is a cold fold
+/// of it, and the daemon ingests on from there.
+#[test]
+fn a_store_moved_back_under_the_daemon_is_reopened_whole() {
+    const SHARDS: usize = 4;
+    const KEPT: usize = 3;
+    let _guard = lock();
+    reset();
+    let root = seed_root("moved-back", KEPT, false);
+    let telemetry = Telemetry::new();
+    let counter = |name: &str| telemetry.snapshot().counter(name).unwrap_or(0);
+    let cfg = WatchConfig::new(&root).threads(2).shards(SHARDS);
+    let mut watcher = Watcher::open(cfg, &telemetry).expect("open watcher");
+    tick_to_idle(&mut watcher);
+    let (store, older) = (root.join("store"), root.join("older"));
+    std::fs::create_dir_all(&older).expect("create copy");
+    for entry in std::fs::read_dir(&store).expect("read store") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), older.join(entry.file_name())).expect("copy store file");
+    }
+    let spool = root.join("spool");
+    for week in &corpus().weeks[KEPT..] {
+        write_week_file(&spool, week).expect("write week");
+    }
+    tick_to_idle(&mut watcher);
+    assert_eq!(watcher.weeks_committed(), WEEKS);
+
+    std::fs::remove_dir_all(&store).expect("remove store");
+    std::fs::rename(&older, &store).expect("put the older copy back");
+    land_delta(&root);
+    let indexed = counter("watch.weeks_indexed_total");
+    let tick = watcher.tick().expect("tick over the older store");
+    assert_eq!(counter("watch.reopens_total"), 1);
+    assert_eq!(
+        counter("watch.weeks_indexed_total") - indexed,
+        (SHARDS * KEPT) as u64
+    );
+    assert_eq!(watcher.weeks_committed(), KEPT);
+    assert_eq!(tick.deltas_applied, 1);
+    assert_eq!(
+        live_fingerprint(&watcher),
+        cold_fold_fingerprint(&root, &watcher, 2)
+    );
+
+    for week in &corpus().weeks[KEPT..] {
+        write_week_file(&spool, week).expect("write week");
+    }
+    tick_to_idle(&mut watcher);
+    assert_eq!(watcher.weeks_committed(), WEEKS);
     assert_eq!(
         live_fingerprint(&watcher),
         cold_fold_fingerprint(&root, &watcher, 2)
