@@ -49,7 +49,7 @@ fn resource_type_from_code(code: u8) -> Result<ResourceType, StoreError> {
         .ok_or_else(|| StoreError::Mismatch(format!("unknown resource-type code {code}")))
 }
 
-fn page_into_record(page: PageAnalysis) -> PageRecord {
+pub(crate) fn page_into_record(page: PageAnalysis) -> PageRecord {
     PageRecord {
         detections: page
             .detections
@@ -175,29 +175,18 @@ fn record_into_page(record: PageRecord) -> Result<PageAnalysis, StoreError> {
 /// come out sorted by host (the summaries map is a `BTreeMap`), as the
 /// store's canonical encoding requires.
 pub fn snapshot_to_week(snapshot: &WeekSnapshot) -> WeekData {
-    let pages = snapshot
+    let records = snapshot
         .summaries
         .iter()
-        .map(|(host, summary)| (host.clone(), *summary, snapshot.pages.get(host).cloned()));
-    week_from_pages(snapshot.week, snapshot.date, pages)
-}
-
-/// One week of the store's record model from `(host, fetch summary,
-/// page)` in host order, every page moved into its record.
-pub(crate) fn week_from_pages(
-    week: usize,
-    date: Date,
-    pages: impl Iterator<Item = (String, FetchSummary, Option<PageAnalysis>)>,
-) -> WeekData {
-    let records = pages.map(|(host, summary, page)| DomainRecord {
-        host,
-        status: summary.status,
-        body_len: summary.body_len as u64,
-        page: page.map(page_into_record),
-    });
+        .map(|(host, summary)| DomainRecord {
+            host: host.clone(),
+            status: summary.status,
+            body_len: summary.body_len as u64,
+            page: snapshot.pages.get(host).cloned().map(page_into_record),
+        });
     WeekData {
-        week,
-        date_days: i64::from(date.day_number()),
+        week: snapshot.week,
+        date_days: i64::from(snapshot.date.day_number()),
         records: records.collect(),
     }
 }
@@ -792,7 +781,7 @@ mod tests {
         let (mut writer, _) =
             open_checkpoint(store_path, genesis, &config, false, telemetry).expect("create");
         for (week, date) in timeline.iter().take(weeks) {
-            let mut week = collector.collect_week(week, date, config.concurrency, telemetry);
+            let (mut week, _) = collector.collect_week(week, date, config.concurrency, telemetry);
             collector.settle_week(&mut week);
             commit_checkpoint(&mut writer, &week, telemetry).expect("commit");
         }

@@ -376,11 +376,12 @@ impl<'a> Pipeline<'a> {
         let ecosystem = {
             let _phase = telemetry.phase("generate");
             let _ = webvuln_failpoint::hit("phase.generate", "");
-            let ecosystem = Arc::new(Ecosystem::generate(EcosystemConfig {
+            let web = EcosystemConfig {
                 seed: config.seed,
                 domain_count: config.domain_count,
                 timeline: config.timeline,
-            }));
+            };
+            let ecosystem = Arc::new(Ecosystem::generate_on(web, config.concurrency));
             trace::emit(
                 "generate.done",
                 "",

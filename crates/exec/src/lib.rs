@@ -521,7 +521,7 @@ impl Executor {
     /// Maps `f` over `items` on the pool and hands each result to `sink`
     /// on the calling thread, in input order, as soon as it and every
     /// earlier one are done: the caller's in-order work overlaps the
-    /// pool's, and no more than `2 × threads` results wait at once.
+    /// pool's, and no more than `threads` results wait at once.
     /// Workers claim one item at a time, in order; with one worker, the
     /// calling thread runs the items between results. The first error
     /// `sink` returns stops the pool — items in flight finish, no new one
@@ -561,7 +561,7 @@ impl Executor {
     ///
     /// Workers claim the next range from one cursor — `len / (4 ×
     /// threads)` items, rounded up, or one item `in_order` — never past
-    /// `2 × threads` items beyond the first result the caller has not
+    /// `threads` items beyond the first result the caller has not
     /// taken back when `in_order`. The calling thread takes finished
     /// ranges back in index order and hands each result to `sink` (the
     /// first error `sink` returns stops the pool and is returned), and is
@@ -581,7 +581,7 @@ impl Executor {
     {
         let (threads, len) = (self.threads(), items.len());
         let (step, window) = match in_order {
-            true => (1, 2 * threads),
+            true => (1, threads),
             false => (len.div_ceil(4 * threads).max(1), len),
         };
         // Captured once on the calling thread; each item (re-)installs it

@@ -6,7 +6,6 @@
 //! period." This module implements exactly that rule over per-week fetch
 //! summaries.
 
-use crate::crawler::FetchRecord;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The paper's byte threshold below which a page is error/empty.
@@ -26,22 +25,13 @@ pub fn page_is_error_or_empty(status: Option<u16>, body_len: usize) -> bool {
 }
 
 /// Per-domain, per-week summary used by the filter (a slimmed-down
-/// [`FetchRecord`]).
+/// [`FetchRecord`](crate::FetchRecord)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchSummary {
     /// HTTP status, `None` for transport failures.
     pub status: Option<u16>,
     /// Response body size in bytes.
     pub body_len: usize,
-}
-
-impl From<&FetchRecord> for FetchSummary {
-    fn from(r: &FetchRecord) -> Self {
-        FetchSummary {
-            status: r.status,
-            body_len: r.body_len(),
-        }
-    }
 }
 
 /// Applies the paper's rule: a domain is inaccessible when it is

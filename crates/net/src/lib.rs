@@ -53,8 +53,9 @@ pub mod filter;
 mod http;
 mod server;
 mod transport;
+mod virtual_net;
 
-pub use client::{fetch, fetch_once, fetch_with_redirects, MAX_REDIRECTS};
+pub use client::{fetch, fetch_attempt, MAX_REDIRECTS};
 pub use crawler::{CrawlOptions, FetchRecord, FAILPOINTS};
 pub use error::{ErrorClass, NetError, Result};
 pub use fault::{mix, FaultPlan};
@@ -62,8 +63,9 @@ pub use filter::{
     inaccessible_domains, page_is_error_or_empty, FetchSummary, EMPTY_PAGE_THRESHOLD,
 };
 pub use http::{Headers, Method, Request, Response, Status};
-pub use server::{serve_stream, Connect, Handler, ServeConfig, Server, TcpConnector, VirtualNet};
+pub use server::{serve_stream, Connect, Handler, ServeConfig, Server, TcpConnector};
 pub use transport::{mem_pipe, ByteStream, MemStream};
+pub use virtual_net::VirtualNet;
 pub use webvuln_exec::{ExecStats, Executor, FailureKind, SuperviseConfig, TaskFailure};
 pub use webvuln_resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, HostBreakers, RetryPolicy, VirtualClock,

@@ -1,19 +1,17 @@
 //! Server side: the [`Handler`] trait, the workspace's one HTTP server
 //! ([`Server`]: accept loop, pooled workers, and [`serve_stream`], the one
-//! per-connection loop), and the thread-free in-process "virtual internet"
-//! connector the crawler uses for simulation runs.
+//! per-connection loop), and [`Connect`], how a client reaches a host.
 
 use crate::codec::{encode_response, MessageReader};
 use crate::error::{NetError, Result};
-use crate::fault::FaultPlan;
 use crate::http::{Request, Response, Status};
 use crate::transport::ByteStream;
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use webvuln_exec::Executor;
@@ -172,14 +170,6 @@ pub fn serve_stream(
     served
 }
 
-/// Locks ignoring poison: every update under these mutexes is a single
-/// receive or counter bump, so the data is valid at every step, and a
-/// panicking handler must not wedge the connection queue or the
-/// `VirtualNet` attempts map for the other workers.
-fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// What the accept loop and the pool workers share.
 struct Shared {
     handler: Arc<dyn Handler>,
@@ -314,9 +304,12 @@ impl Shared {
 
     /// Waits for a connection; `None` once the accept loop has ended and
     /// the queue is empty. The queue's lock is released on return, before
-    /// the connection is served.
+    /// the connection is served. The lock ignores poison: each update
+    /// under it is a single receive, so a panicking handler must not wedge
+    /// the queue for the other workers.
     fn next_connection(&self) -> Option<TcpStream> {
-        lock(&self.queue).recv().ok()
+        let queue = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+        queue.recv().ok()
     }
 
     /// Runs `threads` worker loops until the queue is closed and empty.
@@ -347,8 +340,9 @@ impl Shared {
 /// over this, so the same code crawls the in-process virtual internet and
 /// real TCP endpoints.
 pub trait Connect: Send + Sync {
-    /// Opens a stream to `host`.
-    fn connect(&self, host: &str) -> Result<Box<dyn ByteStream>>;
+    /// Opens a stream to `host` for the `attempt`-th try (0-based) of a
+    /// fetch.
+    fn connect(&self, host: &str, attempt: u32) -> Result<Box<dyn ByteStream>>;
 }
 
 /// Connects every host to one fixed TCP address (the live-crawl example
@@ -368,7 +362,7 @@ impl TcpConnector {
 }
 
 impl Connect for TcpConnector {
-    fn connect(&self, _host: &str) -> Result<Box<dyn ByteStream>> {
+    fn connect(&self, _host: &str, _attempt: u32) -> Result<Box<dyn ByteStream>> {
         let stream = TcpStream::connect_timeout(&self.addr, TCP_TIMEOUT).map_err(NetError::Io)?;
         stream
             .set_read_timeout(Some(TCP_TIMEOUT))
@@ -378,251 +372,16 @@ impl Connect for TcpConnector {
     }
 }
 
-/// The in-process virtual internet: a [`Connect`] whose streams loop back
-/// into a handler without threads or sockets.
-///
-/// Every request still round-trips through the full wire codec (the
-/// client's encoded request bytes are parsed server-side, and the encoded
-/// response bytes are parsed client-side), so simulation runs exercise the
-/// identical protocol path as TCP — just without the kernel.
-pub struct VirtualNet {
-    handler: Arc<dyn Handler>,
-    faults: FaultPlan,
-    metrics: FaultMetrics,
-    /// Crawl week mixed into transient-fault decisions.
-    week: usize,
-    /// Per-host connect counter driving transient-fault healing. Reset
-    /// implicitly each week (the collector builds a fresh `VirtualNet`
-    /// per round). Each host is only fetched by one worker at a time, so
-    /// the mutex serializes bookkeeping without affecting outcomes.
-    attempts: Mutex<std::collections::HashMap<String, u32>>,
-}
-
-/// Counters for each injected-fault kind, recorded at the moment the fault
-/// actually bites (a truncation point past the response is not a fault).
-#[derive(Clone, Default)]
-struct FaultMetrics {
-    refused: Counter,
-    transient_refused: Counter,
-    stalled: Counter,
-    flaky_5xx: Counter,
-    truncated: Counter,
-    chunked: Counter,
-}
-
-impl FaultMetrics {
-    fn from_registry(registry: &Registry) -> FaultMetrics {
-        FaultMetrics {
-            refused: registry.counter("net.faults_refused_total"),
-            transient_refused: registry.counter("net.faults_transient_refused_total"),
-            stalled: registry.counter("net.faults_stalled_total"),
-            flaky_5xx: registry.counter("net.faults_5xx_total"),
-            truncated: registry.counter("net.faults_truncated_total"),
-            chunked: registry.counter("net.faults_chunked_total"),
-        }
-    }
-}
-
-impl VirtualNet {
-    /// Creates a virtual internet served entirely by `handler`.
-    pub fn new(handler: Arc<dyn Handler>) -> VirtualNet {
-        VirtualNet {
-            handler,
-            faults: FaultPlan::none(),
-            // Detached counters: nothing reads them until
-            // `with_fault_metrics` swaps in a registry's.
-            metrics: FaultMetrics::default(),
-            week: 0,
-            attempts: Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-
-    /// Installs a fault plan (connection failures, truncation).
-    pub fn with_faults(mut self, faults: FaultPlan) -> VirtualNet {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the crawl week mixed into transient-fault decisions (which
-    /// hosts flap changes week to week).
-    pub fn with_week(mut self, week: usize) -> VirtualNet {
-        self.week = week;
-        self
-    }
-
-    /// Accounts injected faults (`net.faults_*` counters) against
-    /// `registry`; without this they are counted nowhere.
-    pub fn with_fault_metrics(mut self, registry: &Registry) -> VirtualNet {
-        self.metrics = FaultMetrics::from_registry(registry);
-        self
-    }
-}
-
-impl Connect for VirtualNet {
-    fn connect(&self, host: &str) -> Result<Box<dyn ByteStream>> {
-        let attempt = {
-            let mut attempts = lock(&self.attempts);
-            let slot = attempts.entry(host.to_string()).or_insert(0);
-            let current = *slot;
-            *slot += 1;
-            current
-        };
-        if self.faults.connect_fails(host) {
-            self.metrics.refused.inc();
-            return Err(NetError::Io(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("simulated refusal for {host}"),
-            )));
-        }
-        if self
-            .faults
-            .transient_connect_fails(host, self.week, attempt)
-        {
-            self.metrics.transient_refused.inc();
-            return Err(NetError::Io(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("simulated transient refusal for {host} (attempt {attempt})"),
-            )));
-        }
-        if self.faults.stalls(host, self.week, attempt) {
-            // The stall always bites: the client writes its request and
-            // then blocks on the first read until the deadline trips.
-            self.metrics.stalled.inc();
-            return Ok(Box::new(StalledStream));
-        }
-        let chunked = self.faults.prefers_chunked(host);
-        if chunked {
-            self.metrics.chunked.inc();
-        }
-        Ok(Box::new(LoopbackStream {
-            handler: Arc::clone(&self.handler),
-            request_buf: Vec::new(),
-            request_pos: 0,
-            response: Cursor::new(Vec::new()),
-            truncate_at: self.faults.truncate_at(host),
-            chunked,
-            force_5xx: self.faults.serves_5xx(host, self.week, attempt),
-            truncated_counter: self.metrics.truncated.clone(),
-            flaky_5xx_counter: self.metrics.flaky_5xx.clone(),
-        }))
-    }
-}
-
-/// A connection whose reads never produce data: every read trips the
-/// simulated deadline, modeling a server that accepts the connection and
-/// then hangs.
-struct StalledStream;
-
-impl Read for StalledStream {
-    fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-        Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "simulated stalled read",
-        ))
-    }
-}
-
-impl Write for StalledStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Ok(buf.len()) // the request disappears into the void
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Client-side stream that dispatches written requests straight into the
-/// handler and serves the encoded response back on reads.
-struct LoopbackStream {
-    handler: Arc<dyn Handler>,
-    request_buf: Vec<u8>,
-    request_pos: usize,
-    response: Cursor<Vec<u8>>,
-    /// When set, the response bytes are cut at this length and then EOF —
-    /// simulating a connection dropped mid-body.
-    truncate_at: Option<usize>,
-    /// Whether responses use chunked framing (for codec-path diversity).
-    chunked: bool,
-    /// When set, every handled request is answered with `503 Service
-    /// Unavailable` instead of the handler's response.
-    force_5xx: bool,
-    /// Bumped when a response is actually cut (the point fell inside it).
-    truncated_counter: Counter,
-    /// Bumped each time a 503 actually substitutes a handler response.
-    flaky_5xx_counter: Counter,
-}
-
-impl Read for LoopbackStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            let n = self.response.read(buf)?;
-            if n > 0 {
-                return Ok(n);
-            }
-            // Response drained: try to service the next buffered request.
-            if self.request_pos >= self.request_buf.len() {
-                return Ok(0); // no request pending: EOF
-            }
-            let pending = self.request_buf[self.request_pos..].to_vec();
-            let mut reader = MessageReader::new(Cursor::new(pending));
-            let request = match reader.read_request() {
-                Ok(r) => r,
-                Err(NetError::UnexpectedEof) => return Ok(0), // incomplete request
-                Err(_) => {
-                    let mut wire = Vec::new();
-                    encode_response(&Response::status(Status::BAD_REQUEST), false, &mut wire);
-                    self.request_pos = self.request_buf.len();
-                    self.install_response(wire);
-                    continue;
-                }
-            };
-            let consumed = reader.into_inner().position() as usize;
-            self.request_pos += consumed;
-            let response = if self.force_5xx {
-                self.flaky_5xx_counter.inc();
-                Response::status(Status::SERVICE_UNAVAILABLE)
-            } else {
-                self.handler.handle(&request)
-            };
-            let mut wire = Vec::new();
-            encode_response(&response, self.chunked, &mut wire);
-            self.install_response(wire);
-        }
-    }
-}
-
-impl LoopbackStream {
-    fn install_response(&mut self, mut wire: Vec<u8>) {
-        if let Some(limit) = self.truncate_at {
-            if wire.len() > limit {
-                wire.truncate(limit);
-                // After the truncated bytes the stream is dead.
-                self.request_pos = self.request_buf.len();
-                self.truncated_counter.inc();
-            }
-        }
-        self.response = Cursor::new(wire);
-    }
-}
-
-impl Write for LoopbackStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.request_buf.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::fetch;
+    use crate::client::{fetch, fetch_attempt};
     use crate::codec::encode_request;
+    use crate::fault::FaultPlan;
+    use crate::http::Request;
     use crate::transport::mem_pipe;
+    use crate::virtual_net::VirtualNet;
+    use std::io::Read;
 
     fn echo_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request| {
@@ -703,7 +462,7 @@ mod tests {
     #[test]
     fn virtual_net_keep_alive_on_one_stream() {
         let net = VirtualNet::new(echo_handler());
-        let mut stream = net.connect("kv.example").expect("connect");
+        let mut stream = net.connect("kv.example", 0).expect("connect");
         for i in 0..2 {
             let mut wire = Vec::new();
             encode_request(&Request::get("kv.example", &format!("/{i}")), &mut wire);
@@ -932,13 +691,13 @@ mod tests {
                 heal_after_attempts: 2,
                 ..FaultPlan::none()
             });
-        // First two connects are refused, the third heals.
-        for _ in 0..2 {
-            let err = fetch(&net, "flap.example", "/").expect_err("refused");
+        // First two attempts are refused, the third heals.
+        for attempt in 0..2 {
+            let err = fetch_attempt(&net, "flap.example", "/", attempt).expect_err("refused");
             assert_eq!(err.class(), crate::ErrorClass::Refused);
             assert!(err.is_retryable());
         }
-        let resp = fetch(&net, "flap.example", "/").expect("healed");
+        let resp = fetch_attempt(&net, "flap.example", "/", 2).expect("healed");
         assert_eq!(resp.status, Status::OK);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("net.faults_transient_refused_total"), Some(2));
@@ -956,9 +715,9 @@ mod tests {
                 heal_after_attempts: 1,
                 ..FaultPlan::none()
             });
-        let err = fetch(&net, "slow.example", "/").expect_err("stalled");
+        let err = fetch_attempt(&net, "slow.example", "/", 0).expect_err("stalled");
         assert!(matches!(err, NetError::Timeout), "got {err:?}");
-        let resp = fetch(&net, "slow.example", "/").expect("healed");
+        let resp = fetch_attempt(&net, "slow.example", "/", 1).expect("healed");
         assert_eq!(resp.status, Status::OK);
         assert_eq!(
             registry.snapshot().counter("net.faults_stalled_total"),
@@ -978,9 +737,9 @@ mod tests {
                 heal_after_attempts: 1,
                 ..FaultPlan::none()
             });
-        let resp = fetch(&net, "burst.example", "/").expect("a response arrives");
+        let resp = fetch_attempt(&net, "burst.example", "/", 0).expect("a response arrives");
         assert_eq!(resp.status, Status::SERVICE_UNAVAILABLE);
-        let resp = fetch(&net, "burst.example", "/").expect("healed");
+        let resp = fetch_attempt(&net, "burst.example", "/", 1).expect("healed");
         assert_eq!(resp.status, Status::OK);
         assert_eq!(registry.snapshot().counter("net.faults_5xx_total"), Some(1));
     }

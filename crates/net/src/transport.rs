@@ -8,7 +8,7 @@
 //! * `std::net::TcpStream` — real TCP, via the blanket impl.
 //!
 //! The crawler's in-process "virtual internet" uses a third, thread-free
-//! transport defined in [`crate::server`].
+//! transport defined in `virtual_net`.
 
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{channel, Receiver, Sender};

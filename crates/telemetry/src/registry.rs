@@ -62,7 +62,9 @@ impl Registry {
         Span::new(self, name.to_string())
     }
 
-    pub(crate) fn record_span(&self, path: &str, nanos: u64) {
+    /// Records one `nanos`-long run of the span `path`, for a span whose
+    /// time is not one guard's lifetime.
+    pub fn record_span(&self, path: &str, nanos: u64) {
         let mut map = self.spans.lock().expect("registry lock");
         let next_seq = map.len();
         let stat = map.entry(path.to_string()).or_insert(SpanStat {

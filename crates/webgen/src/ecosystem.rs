@@ -7,7 +7,7 @@ use crate::render::{antibot_page, render_page};
 use crate::timeline::Timeline;
 use std::collections::HashMap;
 use std::sync::Arc;
-use webvuln_net::{Handler, Request, Response, Status};
+use webvuln_net::{Executor, Handler, Request, Response, Status};
 
 /// Configuration of the synthetic web.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,13 +38,20 @@ pub struct Ecosystem {
 }
 
 impl Ecosystem {
-    /// Generates the whole population (deterministic in the config).
+    /// Generates the whole population (deterministic in the config) on
+    /// one worker per available core.
     pub fn generate(config: EcosystemConfig) -> Ecosystem {
-        let models: Vec<DomainModel> = (1..=config.domain_count)
-            .map(|rank| {
-                DomainModel::generate(config.seed, rank, config.domain_count, &config.timeline)
-            })
-            .collect();
+        Ecosystem::generate_on(config, 0)
+    }
+
+    /// [`generate`](Ecosystem::generate) on `threads` workers (`0`: one
+    /// per available core). A domain's model is a pure function of the
+    /// seed and its rank, so the thread count never changes the web.
+    pub fn generate_on(config: EcosystemConfig, threads: usize) -> Ecosystem {
+        let ranks: Vec<usize> = (1..=config.domain_count).collect();
+        let models = Executor::new(threads).map(&ranks, |&rank| {
+            DomainModel::generate(config.seed, rank, config.domain_count, &config.timeline)
+        });
         let index = models
             .iter()
             .enumerate()

@@ -103,22 +103,33 @@ fn analysis_part(results: &StudyResults) -> String {
     report.split("Run telemetry").next().unwrap().to_string()
 }
 
+/// Thread count of the killed runs. Stored runs collect whole weeks on
+/// the pool and commit them in order, with at most this many weeks in
+/// flight: a week can start only once the week this many before it is
+/// done, and a panic in a week is re-raised only after every earlier
+/// week is committed.
+const KILL_THREADS: usize = 2;
+
 /// How many hits a site takes before the injected kill. Once-per-run
-/// sites die on their first hit; per-week sites on their second (so at
-/// least one week is already committed); per-task sites deep enough into
-/// the run that the store holds a committed week.
+/// sites die on their first hit. Every other site dies once at least one
+/// week is committed, which the kill loop checks: the commit-side sites
+/// on their second hit (the genesis write takes the first footer
+/// rewrite); the collect-side sites past the first [`KILL_THREADS`]
+/// weeks' hits, which only a week started after week 0 was done can
+/// take.
 fn kill_schedule(site: &str) -> u64 {
+    let weeks_in_flight = KILL_THREADS as u64;
     match site {
         "phase.generate" | "phase.join" | "phase.analyze" | "store.finalize" => 1,
-        "phase.crawl"
-        | "phase.fingerprint"
-        | "checkpoint.commit"
+        "checkpoint.commit"
         | "store.footer.rewrite"
         | "store.segment.mid_write"
         | "store.manifest.rename"
         | "store.shard.mid_write" => 2,
-        "crawl.fetch" => DOMAINS as u64 + 10,
-        "exec.task" => 100,
+        "phase.crawl" | "phase.fingerprint" => weeks_in_flight + 1,
+        "crawl.fetch" => weeks_in_flight * DOMAINS as u64 + 10,
+        // Generation probes one task per domain before any week.
+        "exec.task" => (1 + weeks_in_flight) * DOMAINS as u64 + 10,
         other => panic!("fail-point {other:?} has no kill schedule — add one to this harness"),
     }
 }
@@ -220,15 +231,24 @@ fn kill_at_every_fail_point_resumes_byte_identically() {
         let _ = std::fs::remove_file(&store);
         arm_nth(site, kill_schedule(site), Action::Panic);
         let crashed = catch_unwind(AssertUnwindSafe(|| {
-            Pipeline::new(config(seed, 4)).checkpoint(&store).run()
+            Pipeline::new(config(seed, KILL_THREADS))
+                .checkpoint(&store)
+                .run()
         }));
         reset();
         assert!(
             crashed.is_err(),
             "fail-point {site} never fired — kill schedule stale?"
         );
+        if kill_schedule(site) > 1 {
+            let reader = AnyReader::open(&store).expect("open the crashed store");
+            assert!(
+                reader.weeks_committed() >= 1,
+                "the kill at {site} came before any week was committed"
+            );
+        }
 
-        let resumed = Pipeline::new(config(seed, 4))
+        let resumed = Pipeline::new(config(seed, KILL_THREADS))
             .checkpoint(&store)
             .resume(true)
             .run()

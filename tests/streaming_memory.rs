@@ -120,26 +120,61 @@ fn study(weeks: usize) -> std::path::PathBuf {
 /// Measured by this test's own code at that commit.
 const PARENT_STORE_LESS_PEAK_LIVE_BYTES: usize = 7_741_632;
 
+/// Peak live bytes of the 500 × 16 study at 2 threads, checkpointed to
+/// `store` when given.
+fn two_thread_peak(store: Option<&std::path::Path>) -> usize {
+    peak_live_bytes(|| {
+        let mut study = Pipeline::new(StudyConfig::default())
+            .seed(42)
+            .domains(DOMAINS)
+            .timeline(Timeline::truncated(16))
+            .threads(2);
+        if let Some(store) = store {
+            study = study.checkpoint(store);
+        }
+        study.run().expect("study");
+    })
+}
+
 #[test]
 fn a_store_less_run_holds_its_store_not_its_weeks() {
     let _alone = alone();
     // Two threads and no carry-forward: weeks fan out across the pool and
-    // are committed in order, at most four waiting, to a store kept in
-    // memory.
-    let peak = peak_live_bytes(|| {
-        let study = Pipeline::new(StudyConfig::default())
-            .seed(42)
-            .domains(DOMAINS)
-            .timeline(Timeline::truncated(16))
-            .threads(2)
-            .run();
-        study.expect("study");
-    });
+    // are committed in order, at most two collected ahead of the one
+    // being committed, to a store kept in memory.
+    let peak = two_thread_peak(None);
     println!("store-less run over {DOMAINS} x 16 at 2 threads: peak {peak} live bytes");
     assert!(
         peak * 2 <= PARENT_STORE_LESS_PEAK_LIVE_BYTES,
         "a store-less run peaked at {peak} live bytes; the gate is half of \
          {PARENT_STORE_LESS_PEAK_LIVE_BYTES}"
+    );
+}
+
+/// What a store file's writer may hold beyond a store kept in memory.
+const FILE_WRITER_BUFFERS: usize = 64 << 10;
+
+#[test]
+fn a_stored_fan_out_holds_no_more_weeks_than_a_store_less_one() {
+    let _alone = alone();
+    // The same weeks fan out whether they go to a file or to memory, so
+    // the file's run holds what the store-less one does, less the store's
+    // bytes and plus the file writer's buffers — not one more week.
+    let store = std::env::temp_dir().join(format!(
+        "webvuln-streaming-memory-{}-fan-out.wvstore",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
+    let stored = two_thread_peak(Some(&store));
+    let _ = std::fs::remove_file(&store);
+    let store_less = two_thread_peak(None);
+    println!(
+        "{DOMAINS} x 16 at 2 threads: peak {stored} live bytes to a file, \
+         {store_less} to memory"
+    );
+    assert!(
+        stored <= store_less + FILE_WRITER_BUFFERS,
+        "a stored run peaked at {stored} live bytes, a store-less one at {store_less}"
     );
 }
 
