@@ -32,10 +32,9 @@
 
 /// Fail-point sites owned by this crate, for the chaos-harness catalog.
 ///
-/// - `phase.crawl` — fires at the top of each weekly crawl phase
+/// - `phase.crawl`, then `phase.fingerprint` — fire at the top of each
+///   week's collection, the one pool map that crawls and fingerprints it
 ///   (key: the week number).
-/// - `phase.fingerprint` — fires at the top of each weekly fingerprint
-///   phase (key: the week number).
 /// - `checkpoint.commit` — fires just before a crawled week is committed
 ///   to the snapshot store (key: the week number).
 pub const FAILPOINTS: &[&str] = &["checkpoint.commit", "phase.crawl", "phase.fingerprint"];
