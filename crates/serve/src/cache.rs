@@ -4,10 +4,11 @@
 //! workers rarely contend; a key's shard is chosen by a SplitMix64-seeded
 //! hash, making the shard layout deterministic for a given seed (tests
 //! can pin it) while still spreading adversarial key sets. Each shard
-//! evicts its least-recently-used entry when full — eviction scans the
-//! shard, which stays cheap because shards are small by construction.
+//! evicts its least-recently-used entry when full, found as the first of
+//! its keys ordered by last use, so a hit and a miss cost O(log n) in the
+//! shard's size however large the cache is.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 /// SplitMix64 finalizer — the workspace's standard bit mixer.
@@ -26,7 +27,28 @@ struct Entry<V> {
 
 struct Shard<V> {
     map: HashMap<String, Entry<V>>,
+    /// Every key of `map` by the tick it was last used at: the first is
+    /// the least recently used.
+    recency: BTreeMap<u64, String>,
     tick: u64,
+}
+
+impl<V> Shard<V> {
+    /// Advances the shard's clock and returns the new tick.
+    fn tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Moves the entry for `key` to `tick` in the recency order.
+    fn touch(&mut self, key: &str, tick: u64) -> Option<&mut Entry<V>> {
+        let entry = self.map.get_mut(key)?;
+        let owned = self.recency.remove(&entry.last_used);
+        self.recency
+            .insert(tick, owned.expect("every entry has a recency slot"));
+        entry.last_used = tick;
+        Some(entry)
+    }
 }
 
 /// A sharded LRU keyed by `String`. Values are cloned out on hit, so
@@ -48,6 +70,7 @@ impl<V: Clone> ShardedLru<V> {
                 .map(|_| {
                     Mutex::new(Shard {
                         map: HashMap::new(),
+                        recency: BTreeMap::new(),
                         tick: 0,
                     })
                 })
@@ -76,30 +99,25 @@ impl<V: Clone> ShardedLru<V> {
     /// Looks up `key`, refreshing its recency on hit.
     pub fn get(&self, key: &str) -> Option<V> {
         let mut shard = self.shard(key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        let entry = shard.map.get_mut(key)?;
-        entry.last_used = tick;
-        Some(entry.value.clone())
+        let tick = shard.tick();
+        shard.touch(key, tick).map(|entry| entry.value.clone())
     }
 
     /// Inserts `key`, evicting the shard's least-recently-used entry if
     /// the shard is at capacity.
     pub fn insert(&self, key: String, value: V) {
-        let cap = self.per_shard_cap;
         let mut shard = self.shard(&key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if !shard.map.contains_key(&key) && shard.map.len() >= cap {
-            if let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
+        let tick = shard.tick();
+        if let Some(entry) = shard.touch(&key, tick) {
+            entry.value = value;
+            return;
+        }
+        if shard.map.len() >= self.per_shard_cap {
+            if let Some((_, victim)) = shard.recency.pop_first() {
                 shard.map.remove(&victim);
             }
         }
+        shard.recency.insert(tick, key.clone());
         shard.map.insert(
             key,
             Entry {
@@ -126,6 +144,72 @@ impl<V: Clone> ShardedLru<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The eviction before the recency order, kept as the oracle: one
+    /// shard whose insert scans every entry for the oldest.
+    struct ScanShard {
+        map: HashMap<String, (u32, u64)>,
+        tick: u64,
+        cap: usize,
+    }
+
+    impl ScanShard {
+        fn get(&mut self, key: &str) -> Option<u32> {
+            self.tick += 1;
+            let entry = self.map.get_mut(key)?;
+            entry.1 = self.tick;
+            Some(entry.0)
+        }
+
+        fn insert(&mut self, key: String, value: u32) {
+            self.tick += 1;
+            if !self.map.contains_key(&key) && self.map.len() >= self.cap {
+                if let Some(victim) = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(k, _)| k.clone())
+                {
+                    self.map.remove(&victim);
+                }
+            }
+            self.map.insert(key, (value, self.tick));
+        }
+    }
+
+    #[test]
+    fn recency_order_evicts_what_the_scan_evicted() {
+        webvuln_failpoint::check::run("lru recency order equals the scan", 256, |g| {
+            let (capacity, shards) = (g.range(1..=24) as usize, g.range(1..=4) as usize);
+            let cache: ShardedLru<u32> = ShardedLru::new(capacity, shards, g.range(0..=9));
+            let mut oracle: Vec<ScanShard> = (0..shards)
+                .map(|_| ScanShard {
+                    map: HashMap::new(),
+                    tick: 0,
+                    cap: cache.per_shard_cap,
+                })
+                .collect();
+            let keys = g.range(1..=48);
+            for step in 0..g.range(0..=400) as u32 {
+                let key = format!("/domain/site-{}.example/history", g.range(0..=keys));
+                let index = cache.shard_of(&key);
+                if g.bool() {
+                    assert_eq!(cache.get(&key), oracle[index].get(&key), "get {key}");
+                } else {
+                    cache.insert(key.clone(), step);
+                    oracle[index].insert(key, step);
+                }
+                let shard = cache.shards[index].lock().expect("shard");
+                let held: Vec<&String> = shard.recency.values().collect();
+                let mut want: Vec<(&u64, &String)> =
+                    oracle[index].map.iter().map(|(k, e)| (&e.1, k)).collect();
+                want.sort();
+                assert_eq!(held.len(), shard.map.len(), "recency and map disagree");
+                let want: Vec<&String> = want.into_iter().map(|(_, k)| k).collect();
+                assert_eq!(held, want, "entries differ after step {step}");
+            }
+        });
+    }
 
     #[test]
     fn hit_returns_inserted_value() {

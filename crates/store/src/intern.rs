@@ -61,6 +61,15 @@ impl Interner {
         self.resolve(id).map(|text| Sym { id, text })
     }
 
+    /// Every string with its symbol, in symbol order.
+    pub fn iter(&self) -> impl Iterator<Item = Sym<'_>> {
+        let syms = self.strings.iter().enumerate();
+        syms.map(|(id, text)| Sym {
+            id: id as u32,
+            text,
+        })
+    }
+
     /// The symbol of an already-interned string. Decoded strings count
     /// once [`Interner::index_decoded`] has run.
     pub fn lookup(&self, value: &str) -> Option<u32> {

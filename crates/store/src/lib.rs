@@ -25,8 +25,9 @@
 //!   URLs are written once, file-wide, and referenced by varint symbol.
 //! * **Random access** — every week segment carries its own
 //!   `(host, body offset)` index, which the reader hashes at open, so
-//!   [`AnyReader::get`] reaches one `(domain, week)` record without
-//!   decoding anything else. The footer is *not* that index: it lists
+//!   [`AnyReader::get`] reaches one `(domain, week)` record, and
+//!   [`AnyReader::history`] one domain's every week, without decoding
+//!   anything else. The footer is *not* that index: it lists
 //!   the segments, but no reader decodes the list (every open walks the
 //!   file and checks each CRC). Its rewrite is the commit's `sync_data`
 //!   point, and its presence marks a file whose last commit completed.
@@ -110,7 +111,7 @@ pub mod codec {
 pub use error::StoreError;
 pub use format::{Genesis, FORMAT_VERSION};
 pub use manifest::{Manifest, MANIFEST_FILE, MANIFEST_LEN, MANIFEST_MAGIC, MANIFEST_VERSION};
-pub use reader::StoreReader;
+pub use reader::{History, StoreReader};
 pub use record::{
     DetectionRecord, DomainRecord, FlashRecord, PageRecord, ScriptRecord, Sym, WeekData,
     WordPressRecord,

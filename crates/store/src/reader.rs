@@ -5,10 +5,10 @@
 //! CRC and decoding only the cheap structural parts (string blocks, week
 //! headers, indexes). Record bodies stay encoded until asked for — a
 //! whole-week decode via [`StoreReader::week`] or a single-record lookup
-//! via [`StoreReader::get`], which follows the offset index carried
-//! inside that week's segment (hashed by host at open) straight to the
-//! body bytes. The file's footer plays no part in it; see
-//! [`crate::format`].
+//! via [`StoreReader::get`] and [`StoreReader::history`], which follow the
+//! offset index carried inside each week's segment (hashed by host at
+//! open) straight to the body bytes. The file's footer plays no part in
+//! it; see [`crate::format`].
 
 use crate::error::StoreError;
 use crate::format::{
@@ -18,6 +18,7 @@ use crate::format::{
 use crate::record::{DomainRecord, FromSym, Sym, WeekData};
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -187,12 +188,62 @@ impl StoreReader {
     /// week segment's offset index without decoding anything else.
     pub fn get(&self, domain: &str, week: usize) -> Result<DomainRecord, StoreError> {
         let unknown = || StoreError::UnknownDomain(domain.to_string());
-        let id = self.index.table.lookup(domain).ok_or_else(unknown)?;
-        self.entry(week)?;
-        let offset = *self.by_host[week].get(&id).ok_or_else(unknown)?;
-        let host = Sym { id, text: domain };
-        let (record, _) = decode_body_at(&self.segments, &self.index.table, host, offset)?;
+        let host = self.symbol(domain).ok_or_else(unknown)?;
+        let (_, record) = self.record(host, week)?.ok_or_else(unknown)?;
         Ok(record)
+    }
+
+    /// `domain`'s record in every committed week that holds one, in week
+    /// order: its symbol looked up once, then each week's record decoded
+    /// from its indexed offset with its strings borrowed from this
+    /// reader's table. Fails with [`StoreError::UnknownDomain`] when the
+    /// file never named the domain.
+    pub fn history(&self, domain: &str) -> Result<History<'_>, StoreError> {
+        self.history_to(domain, self.weeks_committed(), 0)
+    }
+
+    /// [`StoreReader::history`] over weeks `0..weeks` of shard `shard`.
+    pub(crate) fn history_to(
+        &self,
+        domain: &str,
+        weeks: usize,
+        shard: usize,
+    ) -> Result<History<'_>, StoreError> {
+        let host = self
+            .symbol(domain)
+            .ok_or_else(|| StoreError::UnknownDomain(domain.to_string()))?;
+        Ok(History {
+            reader: self,
+            host,
+            shard,
+            weeks: 0..weeks,
+        })
+    }
+
+    /// `text` as this reader's string table holds it, if the file names it.
+    pub fn symbol(&self, text: &str) -> Option<Sym<'_>> {
+        let table = &self.index.table;
+        table.lookup(text).and_then(|id| table.sym(id))
+    }
+
+    /// Every string of this reader's table, in symbol order.
+    pub fn symbols(&self) -> impl Iterator<Item = Sym<'_>> {
+        self.index.table.iter()
+    }
+
+    /// The date of `week` and the record `host` has in it, if any: the
+    /// one decode behind [`StoreReader::get`] and [`StoreReader::history`].
+    fn record<'a, S: FromSym<'a>>(
+        &'a self,
+        host: Sym<'a>,
+        week: usize,
+    ) -> Result<Option<(i64, DomainRecord<S>)>, StoreError> {
+        let (_, prefix) = self.entry(week)?;
+        let Some(&offset) = self.by_host[week].get(&host.id) else {
+            return Ok(None);
+        };
+        let (record, _) = decode_body_at(&self.segments, &self.index.table, host, offset)?;
+        Ok(Some((prefix.date_days, record)))
     }
 
     /// Exhaustively verifies the store: decodes every record of every
@@ -236,5 +287,41 @@ impl StoreReader {
     fn entry(&self, week: usize) -> Result<&(usize, WeekPrefix), StoreError> {
         let entry = self.index.weeks.get(week);
         entry.ok_or(StoreError::UnknownWeek(week))
+    }
+}
+
+/// One domain's records, week by week, as [`StoreReader::history`] and
+/// [`crate::AnyReader::history`] read them. Yields `(week, date_days,
+/// record)` for each week that holds the domain and skips the others.
+pub struct History<'a> {
+    reader: &'a StoreReader,
+    host: Sym<'a>,
+    shard: usize,
+    weeks: Range<usize>,
+}
+
+impl<'a> History<'a> {
+    /// The domain as the owning file's table holds it: its symbol keys
+    /// whatever a caller built over that file.
+    pub fn host(&self) -> Sym<'a> {
+        self.host
+    }
+
+    /// The shard that owns the domain (0 for a single file).
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+}
+
+impl<'a> Iterator for History<'a> {
+    type Item = Result<(usize, i64, DomainRecord<Sym<'a>>), StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (reader, host) = (self.reader, self.host);
+        self.weeks.find_map(|week| match reader.record(host, week) {
+            Ok(Some((date_days, record))) => Some(Ok((week, date_days, record))),
+            Ok(None) => None,
+            Err(e) => Some(Err(e)),
+        })
     }
 }

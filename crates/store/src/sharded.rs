@@ -25,7 +25,7 @@
 use crate::error::StoreError;
 use crate::format::Genesis;
 use crate::manifest::{self, Manifest};
-use crate::reader::StoreReader;
+use crate::reader::{History, StoreReader};
 use crate::record::{DomainRecord, WeekData};
 use crate::stream::WeekStream;
 use crate::writer::{CommitInfo, StoreWriter, WriterStats};
@@ -737,9 +737,24 @@ impl AnyReader {
         if week >= self.weeks {
             return Err(StoreError::UnknownWeek(week));
         }
+        self.owner(domain)?.1.get(domain, week)
+    }
+
+    /// `domain`'s record in every week the store published, as
+    /// [`StoreReader::history`] reads it from the owning shard: routed
+    /// once, the domain's symbol looked up once, no week past
+    /// [`AnyReader::weeks_committed`] read. Fails as [`AnyReader::get`]
+    /// does for an unavailable shard or an unknown domain.
+    pub fn history(&self, domain: &str) -> Result<History<'_>, StoreError> {
+        let (shard, reader) = self.owner(domain)?;
+        reader.history_to(domain, self.weeks, shard)
+    }
+
+    /// The shard `domain` routes to and its reader, or why it has none.
+    fn owner(&self, domain: &str) -> Result<(usize, &StoreReader), StoreError> {
         let shard = shard_of(domain, self.health.len());
         match (&self.readers[shard], &self.health[shard]) {
-            (Some(reader), _) => reader.get(domain, week),
+            (Some(reader), _) => Ok((shard, reader)),
             (None, ShardHealth::Unavailable { detail }) => Err(StoreError::ShardUnavailable {
                 shard,
                 detail: detail.clone(),

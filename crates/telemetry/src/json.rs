@@ -10,9 +10,23 @@
 
 use std::fmt::Write as _;
 
+/// Whether JSON needs byte `b` escaped inside a string: a quote, a
+/// backslash, or a control character.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
 /// Appends `s` to `out` as a JSON string literal (quoted, escaped).
 fn json_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
+    // Most strings need nothing escaped: one scan that does not branch
+    // per byte, then one copy.
+    if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     // Everything that needs escaping is one ASCII byte, so the clean runs
     // between escapes are copied as slices.
     let mut clean = 0;
@@ -38,6 +52,22 @@ fn json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Appends `v` in decimal, digit for digit what `Display` writes, without
+/// going through `core::fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
 /// Streaming JSON writer. Values are written in document order and the
 /// writer supplies the commas: [`begin_obj`](JsonWriter::begin_obj) opens
 /// the root object or an array element, every other method writes one
@@ -56,13 +86,25 @@ pub struct JsonWriter {
     comma: bool,
 }
 
+// The member writers are `#[inline]`: a body is written from other crates,
+// one call per member, and across a crate a call is not inlined otherwise.
 impl JsonWriter {
     /// Starts an empty document.
     pub fn new() -> JsonWriter {
         JsonWriter::default()
     }
 
+    /// Starts an empty document in a buffer of `bytes`, for a writer that
+    /// knows about how long its document will be.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            comma: false,
+        }
+    }
+
     /// Positions the buffer for one more value.
+    #[inline]
     fn value(&mut self) -> &mut String {
         if self.comma {
             self.out.push(',');
@@ -72,6 +114,7 @@ impl JsonWriter {
     }
 
     /// Writes a member's name and positions the buffer for its value.
+    #[inline]
     fn member(&mut self, k: &str) -> &mut String {
         json_string(k, self.value());
         self.out.push(':');
@@ -80,6 +123,7 @@ impl JsonWriter {
 
     /// Writes a bracket: a value follows a closing one with a comma, an
     /// opening one without.
+    #[inline]
     fn bracket(&mut self, bracket: char) -> &mut Self {
         self.out.push(bracket);
         self.comma = matches!(bracket, '}' | ']');
@@ -87,29 +131,34 @@ impl JsonWriter {
     }
 
     /// Opens an object that is the document or an array element.
+    #[inline]
     pub fn begin_obj(&mut self) -> &mut Self {
         self.value();
         self.bracket('{')
     }
 
     /// Opens the object member `k`.
+    #[inline]
     pub fn obj(&mut self, k: &str) -> &mut Self {
         self.member(k);
         self.bracket('{')
     }
 
     /// Opens the array member `k`.
+    #[inline]
     pub fn arr(&mut self, k: &str) -> &mut Self {
         self.member(k);
         self.bracket('[')
     }
 
     /// Closes the innermost object.
+    #[inline]
     pub fn end_obj(&mut self) -> &mut Self {
         self.bracket('}')
     }
 
     /// Closes the innermost array.
+    #[inline]
     pub fn end_arr(&mut self) -> &mut Self {
         self.bracket(']')
     }
@@ -124,12 +173,14 @@ impl JsonWriter {
     }
 
     /// Writes a string member.
+    #[inline]
     pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
         json_string(v, self.member(k));
         self
     }
 
     /// Writes a string-or-`null` member.
+    #[inline]
     pub fn opt_str(&mut self, k: &str, v: Option<&str>) -> &mut Self {
         match v {
             Some(v) => self.str(k, v),
@@ -138,18 +189,25 @@ impl JsonWriter {
     }
 
     /// Writes an unsigned integer member.
+    #[inline]
     pub fn u64(&mut self, k: &str, v: u64) -> &mut Self {
-        let _ = write!(self.member(k), "{v}");
+        push_u64(self.member(k), v);
         self
     }
 
     /// Writes a signed integer member.
+    #[inline]
     pub fn i64(&mut self, k: &str, v: i64) -> &mut Self {
-        let _ = write!(self.member(k), "{v}");
+        let out = self.member(k);
+        if v < 0 {
+            out.push('-');
+        }
+        push_u64(out, v.unsigned_abs());
         self
     }
 
     /// Writes a signed-integer-or-`null` member.
+    #[inline]
     pub fn opt_i64(&mut self, k: &str, v: Option<i64>) -> &mut Self {
         match v {
             Some(v) => self.i64(k, v),
@@ -168,11 +226,13 @@ impl JsonWriter {
     }
 
     /// Writes a boolean member.
+    #[inline]
     pub fn bool(&mut self, k: &str, v: bool) -> &mut Self {
         self.member(k).push_str(if v { "true" } else { "false" });
         self
     }
 
+    #[inline]
     fn null(&mut self, k: &str) -> &mut Self {
         self.member(k).push_str("null");
         self
@@ -195,6 +255,84 @@ impl JsonWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use webvuln_failpoint::check::{self, Gen};
+
+    /// The escaper before its fast path, kept as the oracle.
+    fn json_string_oracle(s: &str, out: &mut String) {
+        out.push('"');
+        let mut clean = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[clean..i]);
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escape);
+            }
+            clean = i + 1;
+        }
+        out.push_str(&s[clean..]);
+        out.push('"');
+    }
+
+    /// A string mixing what the escaper treats differently: every control
+    /// byte, quote, backslash, DEL, printable ASCII and non-ASCII text.
+    fn awkward_string(g: &mut Gen) -> String {
+        let pieces = g.vec(0..=24, |g| match g.range(0..=3) {
+            0 => char::from(g.range(0..=0x1f) as u8).to_string(),
+            1 => g
+                .pick(&["\"", "\\", "\u{7f}", "é", "\u{2028}", "😀"])
+                .to_string(),
+            2 => g.string(check::PRINTABLE, 0..=8),
+            _ => g.unicode(0..=4),
+        });
+        pieces.concat()
+    }
+
+    #[test]
+    fn fast_paths_equal_the_formatting_oracles() {
+        check::run("json fast paths equal the formatting oracles", 512, |g| {
+            let s = awkward_string(g);
+            let (mut fast, mut slow) = (String::from("x"), String::from("x"));
+            json_string(&s, &mut fast);
+            json_string_oracle(&s, &mut slow);
+            assert_eq!(fast, slow, "escaping {s:?}");
+            let (u, i) = (g.range(0..=u64::MAX), g.range(0..=u64::MAX) as i64);
+            let mut j = JsonWriter::new();
+            j.begin_obj().u64("u", u).i64("i", i).end_obj();
+            assert_eq!(j.finish(), format!("{{\"u\":{u},\"i\":{i}}}"));
+        });
+    }
+
+    #[test]
+    fn integer_extremes_print_as_display_does() {
+        let mut j = JsonWriter::with_capacity(8);
+        j.begin_obj().u64("zero", 0).u64("max", u64::MAX);
+        j.i64("izero", 0)
+            .i64("min", i64::MIN)
+            .i64("imax", i64::MAX)
+            .i64("neg", -1);
+        j.end_obj();
+        let want = format!(
+            "{{\"zero\":{},\"max\":{},\"izero\":{},\"min\":{},\"imax\":{},\"neg\":{}}}",
+            0u64,
+            u64::MAX,
+            0i64,
+            i64::MIN,
+            i64::MAX,
+            -1i64
+        );
+        assert_eq!(j.finish(), want);
+    }
 
     #[test]
     fn escapes_control_and_quote_characters() {

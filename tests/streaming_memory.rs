@@ -15,6 +15,8 @@
 //!
 //! And the HTTP server has one: a connection it has finished with leaves
 //! nothing behind, so its heap does not grow with connections served.
+//! So does its history route: one read of borrowed records allocates per
+//! week, not per string.
 //!
 //! Its own binary, its tests one at a time on one worker thread: the
 //! counting allocator sees the whole process, and bytes live at once do
@@ -31,6 +33,7 @@ use webvuln::store::AnyWriter;
 use webvuln::telemetry::Registry;
 use webvuln::webgen::Timeline;
 use webvuln::AnyReader;
+use webvuln::QueryService;
 
 /// Forwards to the system allocator, tracking the bytes currently live,
 /// their high-water mark since the last [`peak_live_bytes`] reset, and
@@ -288,5 +291,41 @@ fn a_server_keeps_nothing_of_the_connections_it_has_served() {
         late <= early + (32 << 10),
         "the server's heap grew with connections served: peak {early} B over the \
          first 200, {late} B over the next 1800"
+    );
+}
+
+/// Allocations per `/domain/{d}/history` evaluation over the 500 × 12
+/// store at the commit before a history was one read of borrowed records
+/// (a scan of the rank list, then one owned `AnyReader::get` per week and
+/// a parsed `Version` per detection). Measured by this test's own code at
+/// that commit.
+const PARENT_ALLOCATIONS_PER_HISTORY: f64 = 95.36;
+
+/// The same count for one read: the body's buffer, plus the vectors of
+/// the weeks' borrowed records (their detections and resource tags).
+const ALLOCATIONS_PER_HISTORY: f64 = 17.96;
+
+#[test]
+fn a_history_is_one_read_of_borrowed_records() {
+    let _alone = alone();
+    const WEEKS: usize = 12;
+    let store = study(WEEKS);
+    let service = QueryService::open(&store).expect("open");
+    let ranks = &service.reader().genesis().ranks;
+    let domains: Vec<String> = ranks.iter().map(|(d, _)| d.clone()).collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for domain in &domains {
+        drop(service.domain_history(domain).expect("history"));
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let per_history = allocations as f64 / domains.len() as f64;
+    let _ = std::fs::remove_file(&store);
+    println!(
+        "histories of {DOMAINS} x {WEEKS}: {per_history} allocations per evaluation \
+         ({PARENT_ALLOCATIONS_PER_HISTORY} before it was one read)"
+    );
+    assert!(
+        per_history <= ALLOCATIONS_PER_HISTORY,
+        "{per_history} allocations per history evaluation; pinned at {ALLOCATIONS_PER_HISTORY}"
     );
 }
