@@ -935,6 +935,80 @@ mod tests {
         assert_eq!(let_through("-"), [64, 66]);
     }
 
+    /// The backtracker is every built-in pattern's oracle over the texts
+    /// of a rendered web: the VM reports the captures it reports, and a
+    /// pattern it matches starts that match with one of its literal
+    /// prefixes and gets through the gate.
+    #[test]
+    fn builtin_patterns_agree_with_the_backtracker_over_a_rendered_web() {
+        use std::collections::BTreeSet;
+        use webvuln_pattern::{Backtracker, BtOutcome};
+        use webvuln_webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
+
+        let eco = Ecosystem::generate(EcosystemConfig {
+            seed: 42,
+            domain_count: 3000,
+            timeline: Timeline::paper(),
+        });
+        let mut texts = BTreeSet::new();
+        for model in eco.models() {
+            for week in (0..201).step_by(20) {
+                let PageOutcome::Page(html) = eco.page(&model.name, week) else {
+                    continue;
+                };
+                let page = extract_resources(&html);
+                for script in &page.scripts {
+                    texts.insert(script.src.as_ref().unwrap_or(&script.inline).to_string());
+                }
+                texts.extend(page.links.iter().map(|link| link.href.to_string()));
+                texts.extend(page.generators.iter().map(|content| content.to_string()));
+            }
+        }
+
+        let engine = Engine::new();
+        // In `PatternIndex` order, so that a pattern's slot is its index.
+        let patterns: Vec<&Pattern> = engine
+            .db
+            .iter()
+            .flat_map(|fp| fp.url_patterns.iter().chain(&fp.inline_patterns))
+            .chain([&engine.wordpress.generator, &engine.wordpress.path])
+            .collect();
+        assert_eq!(patterns.len(), engine.index.labels.len());
+        // Every built-in pattern is compiled case-insensitively.
+        let oracles: Vec<Backtracker> = patterns
+            .iter()
+            .map(|p| Backtracker::new(p.as_str(), true).expect("built-in pattern parses"))
+            .collect();
+        let mut candidates = Candidates::with_capacity(patterns.len());
+        let mut matches = 0;
+        for text in &texts {
+            engine.index.gate.scan(text, &mut candidates);
+            for (slot, (pattern, oracle)) in patterns.iter().zip(&oracles).enumerate() {
+                let (outcome, _, expected) = oracle.search(text, 1_000_000);
+                assert_ne!(outcome, BtOutcome::BudgetExhausted, "{pattern} on {text:?}");
+                assert_eq!(pattern.captures(text), expected, "{pattern} on {text:?}");
+                let Some(caps) = expected else { continue };
+                matches += 1;
+                let rest = text[caps.get_match().start()..].to_ascii_lowercase();
+                let literals = pattern.literal_prefixes();
+                assert!(
+                    literals.is_empty() || literals.iter().any(|l| rest.starts_with(l.as_str())),
+                    "{pattern} matches {text:?} at none of {literals:?}"
+                );
+                assert!(
+                    candidates.contains(slot),
+                    "the gate drops {pattern} on {text:?}"
+                );
+            }
+        }
+        println!("{} texts, {matches} matches", texts.len());
+        assert!(
+            texts.len() > 1000 && matches > 1000,
+            "{} texts, {matches} matches",
+            texts.len()
+        );
+    }
+
     #[test]
     fn profiler_attributes_vm_steps_to_individual_patterns() {
         let tracer = trace::Tracer::new(trace::TraceMode::Ring);

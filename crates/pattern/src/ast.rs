@@ -1,8 +1,8 @@
 //! Abstract syntax tree for the pattern language.
 //!
-//! The AST is produced by [`crate::parser`] and consumed by
-//! [`crate::compile`]. It is deliberately small: fingerprint patterns (the
-//! only patterns this engine needs to serve) use literals, classes,
+//! The AST is produced by [`crate::parser`] and run by [`crate::compile`]'s
+//! VM and by [`crate::backtrack`]. It is deliberately small: fingerprint
+//! patterns and the lab's ReDoS patterns use literals, classes,
 //! quantifiers, alternation, groups and anchors — nothing more exotic.
 
 /// A single node of the parsed pattern.

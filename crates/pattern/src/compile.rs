@@ -64,6 +64,8 @@ pub fn compile(ast: &Ast, group_count: u32, case_insensitive: bool) -> Result<Pr
         insts: Vec::new(),
         classes: Vec::new(),
         ci: case_insensitive,
+        landings: Vec::new(),
+        redirect: None,
     };
     // Program shape: Save(0) <body> Save(1) Match
     c.push(Inst::Save(0))?;
@@ -173,6 +175,18 @@ fn prefixes(ast: &Ast, ci: bool) -> Vec<(String, bool)> {
     set
 }
 
+/// Whether `ast` can match the empty string.
+fn nullable(ast: &Ast) -> bool {
+    match ast {
+        Ast::Empty | Ast::StartAnchor | Ast::EndAnchor => true,
+        Ast::Literal(_) | Ast::Class(_) | Ast::Dot => false,
+        Ast::Concat(items) => items.iter().all(nullable),
+        Ast::Alternate(branches) => branches.iter().any(nullable),
+        Ast::Group(g) => nullable(&g.node),
+        Ast::Repeat(r) => r.min == 0 || nullable(&r.node),
+    }
+}
+
 /// The longest prefix, in whole characters, of a sorted set of literals:
 /// that of its first and last.
 fn common_prefix(sorted: &[String]) -> String {
@@ -187,6 +201,12 @@ struct Compiler {
     insts: Vec<Inst>,
     classes: Vec<ClassSet>,
     ci: bool,
+    /// Per `moved` copy being emitted (see `emit_nullable_star`): the pc
+    /// after each of its consuming instructions.
+    landings: Vec<Vec<u32>>,
+    /// While the outermost `fresh` copy is emitted: its twin's landings, and
+    /// how many its consuming instructions have jumped to.
+    redirect: Option<(Vec<u32>, usize)>,
 }
 
 impl Compiler {
@@ -214,12 +234,34 @@ impl Compiler {
         }
     }
 
+    /// Points `split` at `body` and `end`, preferring `body` when greedy.
+    fn patch_choice(&mut self, split: u32, body: u32, end: u32, greedy: bool) {
+        let (first, second) = if greedy { (body, end) } else { (end, body) };
+        self.patch_split(split, 0, first);
+        self.patch_split(split, 1, second);
+    }
+
     fn patch_jmp(&mut self, at: u32, target: u32) {
         if let Inst::Jmp(t) = &mut self.insts[at as usize] {
             *t = target;
         } else {
             unreachable!("patch target is not a jmp");
         }
+    }
+
+    /// Pushes an instruction that consumes a character.
+    fn consume(&mut self, inst: Inst) -> Result<(), Error> {
+        self.push(inst)?;
+        let after = self.next_pc();
+        for landings in &mut self.landings {
+            landings.push(after);
+        }
+        if let Some((targets, emitted)) = &mut self.redirect {
+            let target = targets[*emitted];
+            *emitted += 1;
+            self.push(Inst::Jmp(target))?;
+        }
+        Ok(())
     }
 
     fn class_index(&mut self, set: ClassSet) -> u32 {
@@ -234,27 +276,17 @@ impl Compiler {
     fn emit(&mut self, ast: &Ast) -> Result<(), Error> {
         match ast {
             Ast::Empty => Ok(()),
-            Ast::Literal(c) => {
-                if self.ci && c.is_ascii_alphabetic() {
-                    self.push(Inst::Char(c.to_ascii_lowercase()))?;
-                } else {
-                    self.push(Inst::Char(*c))?;
-                }
-                Ok(())
-            }
+            Ast::Literal(c) if self.ci => self.consume(Inst::Char(c.to_ascii_lowercase())),
+            Ast::Literal(c) => self.consume(Inst::Char(*c)),
             Ast::Class(set) => {
                 let mut set = set.clone();
                 if self.ci {
                     set.ascii_fold();
                 }
                 let idx = self.class_index(set);
-                self.push(Inst::Class(idx))?;
-                Ok(())
+                self.consume(Inst::Class(idx))
             }
-            Ast::Dot => {
-                self.push(Inst::Any)?;
-                Ok(())
-            }
+            Ast::Dot => self.consume(Inst::Any),
             Ast::StartAnchor => {
                 self.push(Inst::AssertStart)?;
                 Ok(())
@@ -316,15 +348,10 @@ impl Compiler {
                 let body = self.next_pc();
                 self.emit(&r.node)?;
                 let end = self.next_pc();
-                if r.greedy {
-                    self.patch_split(split, 0, body);
-                    self.patch_split(split, 1, end);
-                } else {
-                    self.patch_split(split, 0, end);
-                    self.patch_split(split, 1, body);
-                }
+                self.patch_choice(split, body, end, r.greedy);
                 Ok(())
             }
+            (0, None) if nullable(&r.node) => self.emit_nullable_star(r),
             (0, None) => {
                 // e*
                 let split = self.push(Inst::Split(0, 0))?;
@@ -332,28 +359,18 @@ impl Compiler {
                 self.emit(&r.node)?;
                 self.push(Inst::Jmp(split))?;
                 let end = self.next_pc();
-                if r.greedy {
-                    self.patch_split(split, 0, body);
-                    self.patch_split(split, 1, end);
-                } else {
-                    self.patch_split(split, 0, end);
-                    self.patch_split(split, 1, body);
-                }
+                self.patch_choice(split, body, end, r.greedy);
                 Ok(())
             }
-            (1, None) => {
+            // A body that can match empty unrolls as `e e*`: with one copy the
+            // VM would refuse a second iteration where an empty first one ended.
+            (1, None) if !nullable(&r.node) => {
                 // e+
                 let body = self.next_pc();
                 self.emit(&r.node)?;
                 let split = self.push(Inst::Split(0, 0))?;
                 let end = self.next_pc();
-                if r.greedy {
-                    self.patch_split(split, 0, body);
-                    self.patch_split(split, 1, end);
-                } else {
-                    self.patch_split(split, 0, end);
-                    self.patch_split(split, 1, body);
-                }
+                self.patch_choice(split, body, end, r.greedy);
                 Ok(())
             }
             (min, max) => {
@@ -397,6 +414,35 @@ impl Compiler {
                 }
             }
         }
+    }
+
+    /// `e*` for an `e` that can match empty. The VM drops a thread that
+    /// reaches a pc already reached at its position, which ends an empty
+    /// iteration; but with one copy of `e` it also drops an iteration that
+    /// begins where an earlier one is still inside `e`. So `e` is emitted
+    /// twice: `moved`, which a thread enters once it has consumed and which
+    /// loops back, then `fresh`, where every iteration begins and whose end
+    /// (an empty iteration) dies at the split it started from.
+    fn emit_nullable_star(&mut self, r: &Repeat) -> Result<(), Error> {
+        let split = self.push(Inst::Split(0, 0))?;
+        self.landings.push(Vec::new());
+        self.emit(&r.node)?;
+        self.push(Inst::Jmp(split))?;
+        let landings = self.landings.pop().expect("pushed above");
+        let fresh = self.next_pc();
+        // A fresh copy inside another already leaves for the outer twin.
+        let outermost = self.redirect.is_none();
+        if outermost {
+            self.redirect = Some((landings, 0));
+        }
+        self.emit(&r.node)?;
+        self.push(Inst::Jmp(split))?;
+        if outermost {
+            self.redirect = None;
+        }
+        let end = self.next_pc();
+        self.patch_choice(split, fresh, end, r.greedy);
+        Ok(())
     }
 }
 

@@ -18,6 +18,8 @@
 //!    backreferences, no lookaround — fingerprints don't need them and both
 //!    would break the linear-time guarantee.
 //!
+//! [`Backtracker`] runs the same parse by backtracking: the lab's ReDoS engine, the VM's oracle.
+//!
 //! ## Example
 //!
 //! ```
@@ -32,11 +34,13 @@
 #![warn(missing_docs)]
 
 mod ast;
+mod backtrack;
 mod compile;
 mod parser;
 mod vm;
 
 pub use ast::ClassSet;
+pub use backtrack::{Backtracker, BtOutcome};
 pub use vm::thread_vm_steps;
 
 use std::fmt;
@@ -231,7 +235,7 @@ impl<'t> Match<'t> {
 }
 
 /// Capture groups of a single match.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Captures<'t> {
     text: &'t str,
     slots: vm::Slots,
@@ -404,6 +408,17 @@ mod tests {
         assert_eq!(caps.get(1), None);
         let caps = p.captures("abc").unwrap();
         assert_eq!(caps.get(1), Some("b"));
+    }
+
+    #[test]
+    fn loops_over_a_body_that_can_match_empty_keep_iterating() {
+        let found =
+            |p: &str, text: &'static str| Pattern::new(p).unwrap().find(text).map(|m| m.as_str());
+        // An empty first iteration of `+` does not end the loop.
+        assert_eq!(found("(?:a?|b)+", "b"), Some("b"));
+        // An iteration that begins where the last one ended may consume
+        // before the loop is left.
+        assert_eq!(found("^(?:[^a]*?)*.?", "bcd"), Some("bcd"));
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn find_literal(hay: &[u8], needle: &[u8], from: usize, fold: bool) -> Option<us
 }
 
 /// The character starting at byte offset `pos`, `None` at the end.
-fn char_at(haystack: &str, pos: usize) -> Option<char> {
+pub(crate) fn char_at(haystack: &str, pos: usize) -> Option<char> {
     match haystack.as_bytes().get(pos) {
         Some(&b) if b.is_ascii() => Some(b as char),
         Some(_) => haystack[pos..].chars().next(),

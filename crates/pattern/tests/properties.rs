@@ -2,10 +2,10 @@
 //!
 //! These pit the engine against a simple reference model on restricted
 //! pattern families where the expected behaviour is computable by
-//! construction.
+//! construction, and against the backtracker on random patterns.
 
 use webvuln_failpoint::check::{self, Gen, PRINTABLE};
-use webvuln_pattern::Pattern;
+use webvuln_pattern::{Backtracker, BtOutcome, Pattern};
 
 /// Escapes a character so it matches literally.
 fn escape_char(c: char, out: &mut String) {
@@ -119,8 +119,9 @@ fn replace_all_removes_all_matches() {
     });
 }
 
-/// A random pattern over a few letters and symbols: literals, small
-/// classes, two-way alternations, captures, and `?`, `+`, `{m,n}`.
+/// A random pattern over a few letters and symbols: literals, `.`, small
+/// classes, two-way alternations, captures, and greedy or lazy `?`, `*`,
+/// `+`, `{m,n}`.
 fn small_pattern(g: &mut Gen, depth: u32) -> String {
     let mut out = String::new();
     for _ in 0..g.range(1..=3) {
@@ -129,7 +130,7 @@ fn small_pattern(g: &mut Gen, depth: u32) -> String {
                 .pick(&["a", "b", "B", "c", "-", r"\.", "ab", "Ca"])
                 .to_string(),
             1 => g
-                .pick(&["[ab]", "[a-c]", "[B.]", r"\d", "[^a]"])
+                .pick(&["[ab]", "[a-c]", "[B.]", r"\d", "[^a]", "[^c]", "."])
                 .to_string(),
             2 => format!(
                 "(?:{}|{})",
@@ -139,7 +140,10 @@ fn small_pattern(g: &mut Gen, depth: u32) -> String {
             _ => format!("({})", small_pattern(g, depth - 1)),
         };
         out.push_str(&atom);
-        out.push_str(g.pick::<&str>(&["", "", "?", "+", "{1,2}", "{0,2}", "{2}"]));
+        out.push_str(g.pick::<&str>(&["", "", "?", "*", "+", "{1,2}", "{0,2}", "{2}"]));
+        if g.range(0..=3) == 0 {
+            out.push('?');
+        }
     }
     out
 }
@@ -199,6 +203,39 @@ fn every_match_starts_with_a_literal_prefix() {
                 "{source:?} (ci {ci}) matches {hay:?} at {at}, not at any of {literals:?}"
             );
         }
+    });
+}
+
+/// The backtracker is the VM's oracle: wherever it finishes within budget,
+/// the two report the same captures, group by group. Each pattern is also
+/// tried anchored at the start, and at both ends.
+#[test]
+fn vm_captures_equal_the_backtracker() {
+    check::run("vm_captures_equal_the_backtracker", 10_000, |g| {
+        let drawn = small_pattern(g, 2);
+        let source = match g.range(0..=2) {
+            0 => drawn,
+            1 => format!("^(?:{drawn})"),
+            _ => format!("^(?:{drawn})$"),
+        };
+        let ci = g.bool();
+        let vm = if ci {
+            Pattern::new_ci(&source)
+        } else {
+            Pattern::new(&source)
+        };
+        let vm = vm.expect("pattern compiles");
+        let bt = Backtracker::new(&source, ci).expect("pattern parses");
+        let hay = g.string("abcABC-.01\n", 0..=24);
+        let (outcome, _, expected) = bt.search(&hay, 100_000);
+        if outcome == BtOutcome::BudgetExhausted {
+            return;
+        }
+        assert_eq!(
+            vm.captures(&hay),
+            expected,
+            "{source:?} (ci {ci}) in {hay:?}"
+        );
     });
 }
 

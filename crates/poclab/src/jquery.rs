@@ -10,6 +10,7 @@
 //! builds, and exploit success is judged by the sandbox, not by a table.
 
 use crate::sandbox::{JsRealm, JsValue, Sandbox};
+use crate::{in_range, v};
 use std::collections::BTreeMap;
 use webvuln_html::Document;
 use webvuln_pattern::Pattern;
@@ -18,10 +19,6 @@ use webvuln_version::Version;
 /// One jQuery "build" at a specific version.
 pub struct JQuery {
     version: Version,
-}
-
-fn v(s: &str) -> Version {
-    Version::parse(s).expect("static version")
 }
 
 impl JQuery {
@@ -75,14 +72,14 @@ impl JQuery {
     /// prefilter at all (the CVE-2020-11022 precondition; the rewritten
     /// `rxhtmlTag` shipped with 1.12.0).
     pub fn html_method_uses_prefilter(&self) -> bool {
-        self.version >= v("1.12.0") && self.version < v("3.5.0")
+        in_range(&self.version, "1.12.0", "3.5.0")
     }
 
     /// Whether `jQuery.parseHTML`-style fragment building (the
     /// CVE-2020-11023 `<option>` path) routes through the buggy prefilter
     /// (present since 1.4.0).
     pub fn fragment_uses_prefilter(&self) -> bool {
-        self.version >= v("1.4.0") && self.version < v("3.5.0")
+        in_range(&self.version, "1.4.0", "3.5.0")
     }
 
     /// `$(el).html(untrusted)`: prefilters (by version), parses, inserts
@@ -135,7 +132,7 @@ impl JQuery {
     /// 1.5.0 and 2.2.4 the select-wrapper fragment path attached
     /// attacker-controlled attributes live.
     pub fn create_option_element(&self, sandbox: &mut Sandbox, option_markup: &str) {
-        let vulnerable = self.version >= v("1.5.0") && self.version < v("2.2.4");
+        let vulnerable = in_range(&self.version, "1.5.0", "2.2.4");
         if vulnerable {
             sandbox.insert_and_fire(option_markup);
         } else {
@@ -146,7 +143,7 @@ impl JQuery {
     /// Cross-domain `$.ajax` auto-executing `text/javascript` responses
     /// (CVE-2015-9251's range as reported: 1.12.0 ≤ v < 3.0.0).
     pub fn ajax_cross_domain(&self, sandbox: &mut Sandbox, content_type: &str, body: &str) {
-        let auto_executes = self.version >= v("1.12.0") && self.version < v("3.0.0");
+        let auto_executes = in_range(&self.version, "1.12.0", "3.0.0");
         if auto_executes && content_type.eq_ignore_ascii_case("text/javascript") {
             sandbox.eval_script(body);
         }

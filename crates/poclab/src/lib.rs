@@ -13,8 +13,8 @@
 //! * [`jquery`] / [`libs`] — version-parameterized re-implementations of
 //!   the vulnerable code paths (quickExpr eras, `htmlPrefilter`
 //!   expansion, Bootstrap's sanitizer, Underscore's template compiler, …);
-//! * [`backtrack`] — a deliberately naive backtracking regex engine whose
-//!   step counter makes the ReDoS CVEs observable;
+//! * the ReDoS CVEs are made observable by the step counter of
+//!   [`webvuln_pattern::Backtracker`];
 //! * [`poc_corpus`] — one PoC per report (the seven found in the wild are
 //!   flagged, matching the paper);
 //! * [`Lab`] — sweeps each library's release catalog through its PoC and
@@ -36,14 +36,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backtrack;
 pub mod jquery;
 pub mod lab;
 pub mod libs;
 pub mod poc;
 pub mod sandbox;
 
-pub use backtrack::{BtOutcome, BtRegex};
 pub use lab::{builtin_validations, sweeps_run, Lab, ValidationReport};
 pub use poc::{poc_corpus, PocExploit, PocResult};
 pub use sandbox::{JsRealm, JsValue, Sandbox};
+
+use webvuln_version::Version;
+
+/// A version the models name, written in the source.
+fn v(s: &str) -> Version {
+    Version::parse(s).expect("static version")
+}
+
+/// Whether `version` lies in `lo..hi`.
+fn in_range(version: &Version, lo: &str, hi: &str) -> bool {
+    version >= &v(lo) && version < &v(hi)
+}

@@ -5,21 +5,13 @@
 //! As with [`crate::jquery`], each model re-implements the observable
 //! behaviour of the vulnerable code path per release era; PoCs judge
 //! exploitability through the sandbox (or, for the denial-of-service
-//! CVEs, through the step counter of the naive backtracking matcher).
+//! CVEs, through the step counter of the backtracking matcher).
 
-use crate::backtrack::{BtOutcome, BtRegex};
 use crate::sandbox::{escape_html, serialize, Sandbox};
+use crate::{in_range, v};
 use webvuln_html::{Document, Element, Node};
-use webvuln_pattern::Pattern;
+use webvuln_pattern::{Backtracker, BtOutcome, Pattern};
 use webvuln_version::Version;
-
-fn v(s: &str) -> Version {
-    Version::parse(s).expect("static version")
-}
-
-fn in_range(version: &Version, lo: &str, hi: &str) -> bool {
-    version >= &v(lo) && version < &v(hi)
-}
 
 // ---------------------------------------------------------------------
 // Bootstrap
@@ -303,8 +295,7 @@ impl Moment {
     /// builds run an equivalent linear scan.
     pub fn parse_duration(&self, input: &str) -> (BtOutcome, u64) {
         if in_range(&self.version, "2.8.1", "2.15.2") {
-            let regex = BtRegex::new(r"(\d+)*([.,]\d+)?:$");
-            regex.run(input, REDOS_BUDGET)
+            redos(r"^(?:\d+)*(?:[.,]\d+)?:$", input)
         } else {
             linear_scan(input)
         }
@@ -313,8 +304,7 @@ impl Moment {
     /// RFC-2822 date parsing (CVE-2017-18214): vulnerable before 2.19.3.
     pub fn parse_rfc2822(&self, input: &str) -> (BtOutcome, u64) {
         if self.version < v("2.19.3") {
-            let regex = BtRegex::new(r"(\s*[A-Za-z]+)+,$");
-            regex.run(input, REDOS_BUDGET)
+            redos(r"^(?:\s*[A-Za-z]+)+,$", input)
         } else {
             linear_scan(input)
         }
@@ -343,9 +333,15 @@ impl Prototype {
     /// (the pull request has been pending since 2021).
     pub fn strip_tags(&self, input: &str) -> (BtOutcome, u64) {
         let _ = &self.version; // all versions share the vulnerable path
-        let regex = BtRegex::new(r"<(.+)+>$");
-        regex.run(input, REDOS_BUDGET)
+        redos(r"^<(?:.+)+>$", input)
     }
+}
+
+/// Runs a vulnerable build's regex over `input`, within [`REDOS_BUDGET`] steps.
+fn redos(pattern: &str, input: &str) -> (BtOutcome, u64) {
+    let regex = Backtracker::new(pattern, false).expect("static pattern");
+    let (outcome, steps, _) = regex.search(input, REDOS_BUDGET);
+    (outcome, steps)
 }
 
 /// A linear-time stand-in for patched parsers: cost proportional to input.

@@ -7,12 +7,12 @@
 //! polluted prototype, an exhausted step budget) — never by consulting a
 //! range table.
 
-use crate::backtrack::BtOutcome;
 use crate::jquery::JQuery;
 use crate::libs::{Bootstrap, JQueryMigrate, JQueryUi, Moment, Prototype, Underscore};
 use crate::sandbox::{JsRealm, JsValue, Sandbox};
 use std::collections::BTreeMap;
 use webvuln_cvedb::LibraryId;
+use webvuln_pattern::BtOutcome;
 use webvuln_version::Version;
 
 /// Result of one PoC attempt against one library version.
