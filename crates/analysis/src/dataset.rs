@@ -485,7 +485,7 @@ impl WeekCollector {
         if let Some(supervise) = self.config.supervise {
             options = options.supervise(supervise);
         }
-        // The engine is immutable and `Sync`: every task shares it.
+        // The engine is `Sync`: every task, of every week, shares it and its memo.
         let analyze_ns = AtomicU64::new(0);
         let record = |fetched: FetchRecord| {
             let page = fetched.is_usable(EMPTY_PAGE_THRESHOLD).then(|| {

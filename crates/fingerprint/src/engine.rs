@@ -3,6 +3,11 @@
 //! the paper delegates to Wappalyzer (§4.2).
 
 use crate::patterns::{fingerprints, wordpress_fingerprint, Fingerprint, WordPressFingerprint};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use webvuln_cvedb::LibraryId;
 use webvuln_html::{extract_resources, url_host, PageResources, ScriptRef};
 use webvuln_pattern::{thread_vm_steps, Captures, Pattern};
@@ -157,6 +162,8 @@ struct EngineMetrics {
     hits_inline: Counter,
     hits_meta: Counter,
     misses: Counter,
+    memo_hits: Counter,
+    memo_misses: Counter,
 }
 
 impl EngineMetrics {
@@ -169,6 +176,8 @@ impl EngineMetrics {
             hits_inline: registry.counter("fp.hits_inline_total"),
             hits_meta: registry.counter("fp.hits_meta_total"),
             misses: registry.counter("fp.misses_total"),
+            memo_hits: registry.counter("fp.memo_hits_total"),
+            memo_misses: registry.counter("fp.memo_misses_total"),
         }
     }
 }
@@ -182,6 +191,8 @@ struct Tally {
     hits_inline: u64,
     hits_meta: u64,
     misses: u64,
+    memo_hits: u64,
+    memo_misses: u64,
 }
 
 /// Stable labels and flat offsets for every compiled pattern, so the
@@ -357,7 +368,9 @@ struct PageState {
 impl PageState {
     /// Runs `pattern` (flat index `slot`) over `text` and counts the
     /// evaluation, unless the gate has ruled the pattern out; charges its
-    /// VM steps and its hit or miss to `slot` when profiling.
+    /// VM steps and its hit or miss to `slot` when profiling. Inlined, so
+    /// that a ruled-out pattern costs the gate's bit test and no call.
+    #[inline(always)]
     fn captures<'t>(
         &mut self,
         slot: usize,
@@ -381,14 +394,115 @@ impl PageState {
     }
 }
 
+/// Which of a page's texts a [`Verdict`] is on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Script,
+    Inline,
+    Href,
+    Generator,
+}
+
+/// What one text yields on any page: the half of `analyze_resources` that
+/// reads the text alone, and so the half the engine's memo keeps.
+/// A version is kept as its [`Span`] in the text and parsed per page, so
+/// a miss parses it once, as a hit does.
+struct Verdict {
+    /// A script URL's first library (`db` index) with a matching pattern.
+    url: Option<(usize, Span)>,
+    /// A script URL's host, as [`url_host`] reads it.
+    host: Span,
+    /// A URL's resource classes, as [`classify_url`] reads them.
+    classes: u8,
+    /// An inline text's libraries with a matching banner.
+    inline: Vec<(usize, Span)>,
+    /// WordPress, as the path pattern (a URL) or the generator pattern (a
+    /// meta) finds it.
+    wordpress: Option<Span>,
+}
+
+/// Where a part of a verdict's text lies in it, if anywhere.
+type Span = Option<Range<usize>>;
+
+/// The memo's shards, each shard's bounds (verdicts and text bytes; a
+/// shard at either is cleared), and the doorkeeper's slots.
+const MEMO_SHARDS: usize = 16;
+const SHARD_ENTRIES: usize = 256;
+const SHARD_KEY_BYTES: usize = 32 << 10;
+const SEEN_SLOTS: usize = 1 << 14;
+
+/// One shard of the engine's memo of verdicts on texts seen before.
+#[derive(Default)]
+struct Shard {
+    /// Keyed by [`text_hash`]; the kind and the text confirm a hit.
+    entries: HashMap<u64, (Kind, Box<str>, Verdict), BuildHasherDefault<Passthrough>>,
+    key_bytes: usize,
+}
+
+/// The memo's keys are hashes already, and are used as they are. Texts
+/// crafted to collide cost at most a probe of one bounded shard.
+#[derive(Default)]
+struct Passthrough(u64);
+
+impl Hasher for Passthrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, &b| h << 8 | u64::from(b));
+    }
+}
+
+impl Shard {
+    fn get(&self, hash: u64, kind: Kind, text: &str) -> Option<&Verdict> {
+        let (k, key, verdict) = self.entries.get(&hash)?;
+        (*k == kind && **key == *text).then_some(verdict)
+    }
+
+    fn put(&mut self, hash: u64, kind: Kind, text: &str, verdict: Verdict) {
+        if self.entries.len() >= SHARD_ENTRIES || self.key_bytes + text.len() > SHARD_KEY_BYTES {
+            self.entries.clear();
+            self.key_bytes = 0;
+        }
+        if text.len() <= SHARD_KEY_BYTES {
+            self.key_bytes += text.len();
+            if let Some((_, old, _)) = self.entries.insert(hash, (kind, text.into(), verdict)) {
+                self.key_bytes -= old.len();
+            }
+        }
+    }
+}
+
+/// One hash of `text` and its kind, eight bytes a step.
+fn text_hash(kind: Kind, text: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut words = text.as_bytes().chunks_exact(8);
+    let mut h = (kind as u64 + 1).wrapping_mul(K) ^ text.len() as u64;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        h = (h ^ word).wrapping_mul(K).rotate_left(29);
+    }
+    let tail = words.remainder().iter();
+    h = (h ^ tail.fold(0, |t, &b| t << 8 | u64::from(b))).wrapping_mul(K);
+    h ^ h >> 29
+}
+
 /// The fingerprint engine. Compile once, analyze many pages; `Engine` is
-/// immutable and `Sync`, so workers can share one instance.
+/// `Sync`, so workers share one instance, and with it one memo.
 pub struct Engine {
     db: Vec<Fingerprint>,
     wordpress: WordPressFingerprint,
     use_inline: bool,
     metrics: Option<EngineMetrics>,
     index: PatternIndex,
+    /// Picked by [`text_hash`], by bits the shards' maps do not read.
+    memo: Box<[Mutex<Shard>]>,
+    /// The memo's doorkeeper: per pair of slots, the hashes of the last two
+    /// texts first seen there (`Relaxed`: it publishes nothing; a lost
+    /// update costs a miss). A text is copied into the memo on its second
+    /// sighting, and one seen once costs a hash and a miss, with no lock.
+    seen: Box<[AtomicU64]>,
 }
 
 impl Engine {
@@ -403,6 +517,8 @@ impl Engine {
             use_inline: true,
             metrics: None,
             index,
+            memo: (0..MEMO_SHARDS).map(|_| Mutex::default()).collect(),
+            seen: (0..SEEN_SLOTS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -417,8 +533,8 @@ impl Engine {
     }
 
     /// An engine that records `fp.*` metrics into `registry`: pages
-    /// analyzed, patterns evaluated, regex-VM steps, and hit/miss counts
-    /// per detection source (URL / inline banner / generator meta).
+    /// analyzed, patterns evaluated, regex-VM steps, memo hits and misses,
+    /// and hit/miss counts per detection source (URL / inline / meta).
     pub fn instrumented(registry: &Registry) -> Engine {
         Engine {
             metrics: Some(EngineMetrics::from_registry(registry)),
@@ -439,37 +555,56 @@ impl Engine {
             tally: Tally::default(),
             // One profiler check per page: when a tracer is on this causal
             // path, every pattern evaluation below is individually timed in
-            // VM steps and flushed to the tracer once, at the end.
+            // VM steps and flushed to the tracer once, at the end, and the
+            // memo is bypassed so that every text runs its patterns.
             prof: trace::profiling()
                 .then(|| vec![trace::PatternStat::default(); self.index.labels.len()]),
-            candidates: Candidates::with_capacity(self.index.labels.len()),
+            // Sized by the first text the memo cannot answer.
+            candidates: Candidates(Vec::new()),
         };
         let mut out = PageAnalysis::default();
         let mut wp_version: Option<Option<Version>> = None;
-        let mut wp_path_hit = false;
+        let (mut wp_path_hit, mut classes) = (false, 0);
 
-        let (path_slot, path) = (self.index.path, &self.wordpress.path);
         for script in &resources.scripts {
             match &script.src {
-                Some(src) => {
-                    self.index.gate.scan(src, &mut page.candidates);
-                    self.match_script_url(script, src, domain, &mut out, &mut page);
-                    wp_path_hit |= page.captures(path_slot, path, src).is_some();
+                Some(src) => self.verdict(Kind::Script, src, &mut page, |v, tally| {
+                    wp_path_hit |= v.wordpress.is_some();
+                    classes |= v.classes;
+                    self.script_url(script, src, domain, v, &mut out, tally);
+                }),
+                None if self.use_inline && !script.inline.is_empty() => {
+                    self.verdict(Kind::Inline, &script.inline, &mut page, |v, tally| {
+                        for (fi, span) in &v.inline {
+                            let detection = Detection {
+                                library: self.db[*fi].library,
+                                version: version(&script.inline, span),
+                                inclusion: DetectedInclusion::Internal,
+                                integrity: false,
+                                crossorigin: None,
+                                url: String::new(),
+                            };
+                            push_detection(&mut out, detection);
+                            tally.hits_inline += 1;
+                        }
+                    });
                 }
-                None => self.match_inline(&script.inline, &mut out, &mut page),
+                None => {}
             }
         }
         for link in &resources.links {
-            self.index.gate.scan(&link.href, &mut page.candidates);
-            wp_path_hit |= page.captures(path_slot, path, &link.href).is_some();
+            self.verdict(Kind::Href, &link.href, &mut page, |v, _| {
+                wp_path_hit |= v.wordpress.is_some();
+                classes |= v.classes;
+            });
         }
-        let (generator_slot, generator) = (self.index.generator, &self.wordpress.generator);
         for content in &resources.generators {
-            self.index.gate.scan(content, &mut page.candidates);
-            if let Some(caps) = page.captures(generator_slot, generator, content) {
-                wp_version = Some(version(&caps));
-                page.tally.hits_meta += 1;
-            }
+            self.verdict(Kind::Generator, content, &mut page, |v, tally| {
+                if let Some(span) = &v.wordpress {
+                    wp_version = Some(version(content, span));
+                    tally.hits_meta += 1;
+                }
+            });
         }
         if wp_version.is_none() && wp_path_hit {
             wp_version = Some(None);
@@ -483,7 +618,7 @@ impl Engine {
             });
         }
 
-        out.resource_types = self.classify_resources(resources);
+        out.resource_types = classify_resources(resources, classes);
 
         if let Some(metrics) = &self.metrics {
             metrics.pages.inc();
@@ -495,6 +630,8 @@ impl Engine {
             metrics.hits_inline.add(page.tally.hits_inline);
             metrics.hits_meta.add(page.tally.hits_meta);
             metrics.misses.add(page.tally.misses);
+            metrics.memo_hits.add(page.tally.memo_hits);
+            metrics.memo_misses.add(page.tally.memo_misses);
         }
         if let Some(stats) = page.prof {
             // One tracer lock for the whole page; zero-eval slots are
@@ -504,15 +641,112 @@ impl Engine {
         out
     }
 
-    fn match_script_url(
+    /// Hands `apply` the [`Verdict`] on `text`: the memo's, when it holds
+    /// one and no profiler is on; else one the patterns reach, which the
+    /// memo keeps when the doorkeeper has seen `text` before. A text
+    /// seen once takes no lock, and none is held while a pattern runs.
+    fn verdict(
+        &self,
+        kind: Kind,
+        text: &str,
+        page: &mut PageState,
+        apply: impl FnOnce(&Verdict, &mut Tally),
+    ) {
+        if page.prof.is_some() {
+            let verdict = self.judge(kind, text, page);
+            return apply(&verdict, &mut page.tally);
+        }
+        let hash = text_hash(kind, text);
+        let seen = &self.seen[(hash as usize % SEEN_SLOTS) & !1..][..2];
+        let second = seen.iter().any(|slot| slot.load(Relaxed) == hash);
+        if second {
+            if let Some(verdict) = self.shard(hash).get(hash, kind, text) {
+                page.tally.memo_hits += 1;
+                return apply(verdict, &mut page.tally);
+            }
+        } else {
+            seen[1].store(seen[0].load(Relaxed), Relaxed);
+            seen[0].store(hash, Relaxed);
+        }
+        page.tally.memo_misses += 1;
+        let verdict = self.judge(kind, text, page);
+        apply(&verdict, &mut page.tally);
+        if second {
+            self.shard(hash).put(hash, kind, text, verdict);
+        }
+    }
+
+    /// The memo shard for `hash`. One a panicking holder poisoned is used
+    /// as it stands: holders read, or update it in steps that each leave
+    /// it valid.
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        let shard = &self.memo[(hash >> 32) as usize % MEMO_SHARDS];
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs the patterns for a text of `kind` that the gate lets through.
+    /// Out of line: one copy serves every `verdict` instance.
+    #[inline(never)]
+    fn judge(&self, kind: Kind, text: &str, page: &mut PageState) -> Verdict {
+        if page.candidates.0.is_empty() {
+            page.candidates = Candidates::with_capacity(self.index.labels.len());
+        }
+        self.index.gate.scan(text, &mut page.candidates);
+        let index = &self.index;
+        let mut found = self.db.iter().enumerate().filter_map(|(fi, fp)| {
+            let (base, patterns) = match kind {
+                Kind::Inline => (index.inline_base[fi], &fp.inline_patterns),
+                _ => (index.url_base[fi], &fp.url_patterns),
+            };
+            let mut runs = patterns.iter().enumerate();
+            let caps = runs.find_map(|(pi, pat)| page.captures(base + pi, pat, text))?;
+            Some((fi, caps.range(1)))
+        });
+        let (url, inline) = match kind {
+            Kind::Script => (found.next(), Vec::new()),
+            Kind::Inline => (None, found.collect()),
+            Kind::Href | Kind::Generator => (None, Vec::new()),
+        };
+        let wordpress = match kind {
+            Kind::Inline => None,
+            Kind::Generator => page
+                .captures(index.generator, &self.wordpress.generator, text)
+                .map(|caps| caps.range(1)),
+            Kind::Script | Kind::Href => page
+                .captures(index.path, &self.wordpress.path, text)
+                .map(|_| None),
+        };
+        let span = |part: &str| part.as_ptr() as usize - text.as_ptr() as usize;
+        let host = match kind {
+            Kind::Script => url_host(text).map(|host| span(host)..span(host) + host.len()),
+            _ => None,
+        };
+        let classes = match kind {
+            Kind::Script | Kind::Href => classify_url(text),
+            Kind::Inline | Kind::Generator => 0,
+        };
+        Verdict {
+            url,
+            host,
+            classes,
+            inline,
+            wordpress,
+        }
+    }
+
+    /// The per-page half of a script URL: its host against the page's
+    /// domain, SRI and `crossorigin`, and the detection its verdict names.
+    fn script_url(
         &self,
         script: &ScriptRef<'_>,
         src: &str,
         domain: &str,
+        verdict: &Verdict,
         out: &mut PageAnalysis,
-        page: &mut PageState,
+        tally: &mut Tally,
     ) {
-        let external_host = url_host(src)
+        let external_host = verdict.host.clone().map(|host| &src[host]);
+        let external_host = external_host
             .filter(|h| !h.eq_ignore_ascii_case(domain))
             .map(str::to_string);
         if let Some(host) = &external_host {
@@ -531,102 +765,68 @@ impl Engine {
                 });
             }
         }
-        for (fi, fp) in self.db.iter().enumerate() {
-            for (pi, pat) in fp.url_patterns.iter().enumerate() {
-                if let Some(caps) = page.captures(self.index.url_base[fi] + pi, pat, src) {
-                    let inclusion = match &external_host {
-                        Some(host) => DetectedInclusion::External { host: host.clone() },
-                        None => DetectedInclusion::Internal,
-                    };
-                    push_detection(
-                        out,
-                        Detection {
-                            library: fp.library,
-                            version: version(&caps),
-                            inclusion,
-                            integrity: script.integrity.is_some(),
-                            crossorigin: script.crossorigin.as_deref().map(str::to_string),
-                            url: src.to_string(),
-                        },
-                    );
-                    page.tally.hits_url += 1;
-                    return; // first matching library wins for this script
-                }
-            }
-        }
-        page.tally.misses += 1;
-    }
-
-    fn match_inline(&self, text: &str, out: &mut PageAnalysis, page: &mut PageState) {
-        if !self.use_inline || text.is_empty() {
+        let Some((fi, span)) = &verdict.url else {
+            tally.misses += 1;
             return;
-        }
-        self.index.gate.scan(text, &mut page.candidates);
-        for (fi, fp) in self.db.iter().enumerate() {
-            for (pi, pat) in fp.inline_patterns.iter().enumerate() {
-                if let Some(caps) = page.captures(self.index.inline_base[fi] + pi, pat, text) {
-                    push_detection(
-                        out,
-                        Detection {
-                            library: fp.library,
-                            version: version(&caps),
-                            inclusion: DetectedInclusion::Internal,
-                            integrity: false,
-                            crossorigin: None,
-                            url: String::new(),
-                        },
-                    );
-                    page.tally.hits_inline += 1;
-                    break;
-                }
-            }
-        }
-    }
-
-    fn classify_resources(&self, resources: &PageResources<'_>) -> Vec<ResourceType> {
-        let mut found = Vec::new();
-        let mut add = |t: ResourceType| {
-            if !found.contains(&t) {
-                found.push(t);
-            }
         };
-        if !resources.scripts.is_empty() {
-            add(ResourceType::JavaScript);
-        }
-        for script in &resources.scripts {
-            if let Some(src) = &script.src {
-                classify_url(src, &mut add);
-            }
-        }
-        for link in &resources.links {
-            match &*link.rel {
-                // The paper classifies `.php`-generated stylesheets as
-                // imported-HTML, not CSS (§5 footnote 7).
-                "stylesheet" if !link.href.contains(".php") => add(ResourceType::Css),
-                "icon" | "shortcut icon" | "apple-touch-icon" => add(ResourceType::Favicon),
-                "alternate" if (link.href.contains(".xml") || link.href.contains("rss")) => {
-                    add(ResourceType::Xml);
-                }
-                _ => {}
-            }
-            classify_url(&link.href, &mut add);
-        }
-        for img in &resources.images {
-            classify_url(img, &mut add);
-        }
-        if !resources.flash.is_empty() {
-            add(ResourceType::Flash);
-        }
-        found.sort();
-        found
+        let inclusion = match external_host {
+            Some(host) => DetectedInclusion::External { host },
+            None => DetectedInclusion::Internal,
+        };
+        let detection = Detection {
+            library: self.db[*fi].library,
+            version: version(src, span),
+            inclusion,
+            integrity: script.integrity.is_some(),
+            crossorigin: script.crossorigin.as_deref().map(str::to_string),
+            url: src.to_string(),
+        };
+        push_detection(out, detection);
+        tally.hits_url += 1;
     }
 }
 
-fn classify_url(url: &str, add: &mut dyn FnMut(ResourceType)) {
+/// The resource classes of a page whose script and link URLs have the
+/// classes `urls` (a [`classify_url`] set).
+fn classify_resources(resources: &PageResources<'_>, urls: u8) -> Vec<ResourceType> {
+    let mut found = urls;
+    let mut add = |t: ResourceType| found |= 1 << t as u8;
+    if !resources.scripts.is_empty() {
+        add(ResourceType::JavaScript);
+    }
+    for link in &resources.links {
+        match &*link.rel {
+            // The paper classifies `.php`-generated stylesheets as
+            // imported-HTML, not CSS (§5 footnote 7).
+            "stylesheet" if !link.href.contains(".php") => add(ResourceType::Css),
+            "icon" | "shortcut icon" | "apple-touch-icon" => add(ResourceType::Favicon),
+            "alternate" if (link.href.contains(".xml") || link.href.contains("rss")) => {
+                add(ResourceType::Xml);
+            }
+            _ => {}
+        }
+    }
+    for img in &resources.images {
+        found |= classify_url(img);
+    }
+    if !resources.flash.is_empty() {
+        found |= 1 << ResourceType::Flash as u8;
+    }
+    ResourceType::ALL
+        .into_iter()
+        .filter(|&t| found & 1 << t as u8 != 0)
+        .collect()
+}
+
+/// The resource classes `url` names, one bit per [`ResourceType`].
+fn classify_url(url: &str) -> u8 {
+    let mut found = 0;
+    let mut add = |t: ResourceType| found |= 1 << t as u8;
     let path = url.split(['?', '#']).next().unwrap_or(url).as_bytes();
     let ends_with = |ext: &[u8]| {
         path.len() >= ext.len() && path[path.len() - ext.len()..].eq_ignore_ascii_case(ext)
     };
+    let axd_query = |(at, _)| at >= 4 && url.as_bytes()[at - 4..at].eq_ignore_ascii_case(b".axd");
     if path.windows(4).any(|w| w.eq_ignore_ascii_case(b".php")) {
         add(ResourceType::ImportedHtml);
     }
@@ -636,7 +836,7 @@ fn classify_url(url: &str, add: &mut dyn FnMut(ResourceType)) {
     if ends_with(b".svg") {
         add(ResourceType::Svg);
     }
-    if ends_with(b".axd") || url.contains(".axd?") {
+    if ends_with(b".axd") || url.match_indices('?').any(axd_query) {
         add(ResourceType::Axd);
     }
     if ends_with(b".css") {
@@ -645,13 +845,13 @@ fn classify_url(url: &str, add: &mut dyn FnMut(ResourceType)) {
     if ends_with(b".ico") {
         add(ResourceType::Favicon);
     }
+    found
 }
 
-/// The version capture group 1 holds, if it holds one.
-fn version(caps: &Captures<'_>) -> Option<Version> {
-    caps.get(1)
-        .filter(|s| !s.is_empty())
-        .and_then(|s| Version::parse(s).ok())
+/// The version `span` of `text` holds, if it holds one.
+fn version(text: &str, span: &Span) -> Option<Version> {
+    let text = Some(&text[span.clone()?]).filter(|s| !s.is_empty());
+    text.and_then(|s| Version::parse(s).ok())
 }
 
 /// Keeps at most one detection per library, preferring versioned ones.
@@ -830,11 +1030,33 @@ mod tests {
             <script src="https://cdn.a.example/x.js" integrity="sha384-aaa" crossorigin="anonymous"></script>
             <script src="https://cdn.b.example/y.js"></script>
             <script src="/local.js"></script>
+            <script src="HTTPS://cdn.c.example/z.js" integrity="sha384-c" crossorigin="USE-CREDENTIALS"></script>
+            <script src="//[::1]:8080/x.js"></script>
+            <script src="https://S.EXAMPLE/own.js"></script>
+            <script src="HTTPS://CODE.jquery.com/jquery-3.5.1.min.js"></script>
         "#;
         let a = engine().analyze(html, "s.example");
-        assert_eq!(a.external_scripts, 2);
-        assert_eq!(a.external_scripts_without_integrity, 1);
-        assert_eq!(a.crossorigin_values, vec!["anonymous"]);
+        assert_eq!(a.external_scripts, 5);
+        assert_eq!(a.external_scripts_without_integrity, 3);
+        assert_eq!(a.crossorigin_values, vec!["anonymous", "use-credentials"]);
+        let host = "CODE.jquery.com".to_string();
+        let jquery = a.library(LibraryId::JQuery).expect("jquery");
+        assert_eq!(jquery.inclusion, DetectedInclusion::External { host });
+    }
+
+    #[test]
+    fn url_classes_ignore_case() {
+        let classes = |url: &str| {
+            let found = classify_url(url);
+            let all = ResourceType::ALL.into_iter();
+            all.filter(|&t| found & 1 << t as u8 != 0)
+                .collect::<Vec<_>>()
+        };
+        use ResourceType::{Axd, ImportedHtml};
+        assert_eq!(classes("/h.php?r=/Web.AXD?d=1"), [ImportedHtml, Axd]);
+        assert_eq!(classes("/h.php?r=/Web.axd?d=1"), [ImportedHtml, Axd]);
+        assert_eq!(classes("/A.PHP#x.AXD"), [ImportedHtml]);
+        assert_eq!(classes("/WebResource.AXD"), [Axd]);
     }
 
     #[test]
@@ -1019,6 +1241,9 @@ mod tests {
         "#;
         let e = engine();
         let baseline = e.analyze(html, "site.example");
+        // A text seen twice is in the memo, which a profiled page bypasses.
+        assert_eq!(e.analyze(html, "site.example"), baseline);
+        assert_eq!(memo_footprint(&e).0, 3);
         {
             let _g = tracer.install();
             let profiled = e.analyze(html, "site.example");
@@ -1103,10 +1328,130 @@ mod tests {
         // of any pattern occurs in it), 1 on the generator: 2 + 1 + 0 + 1.
         assert_eq!(snap.counter("fp.patterns_evaluated_total"), Some(4));
         assert!(snap.counter("fp.vm_steps_total").unwrap_or(0) > 0);
+        assert_eq!(snap.counter("fp.memo_misses_total"), Some(4));
+        assert_eq!(snap.counter("fp.memo_hits_total"), Some(0));
+
+        // The second sighting of each text runs its patterns again and
+        // fills the memo; the third is answered from it, with no VM run.
+        for _ in 0..2 {
+            assert_eq!(e.analyze(html, "site.example"), a);
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("fp.patterns_evaluated_total"), Some(8));
+        assert_eq!(snap.counter("fp.memo_misses_total"), Some(8));
+        assert_eq!(snap.counter("fp.memo_hits_total"), Some(4));
+        assert_eq!(snap.counter("fp.hits_url_total"), Some(3));
 
         // The default engine records nothing.
         let before = registry.snapshot();
         let _ = engine().analyze(html, "site.example");
         assert_eq!(registry.snapshot(), before);
+    }
+
+    /// The memo's entries and key bytes, after checking every shard holds
+    /// its bounds and counts its key bytes right.
+    fn memo_footprint(engine: &Engine) -> (usize, usize) {
+        let mut total = (0, 0);
+        for shard in engine.memo.iter() {
+            let shard = shard.lock().expect("memo shard");
+            let bytes: usize = shard.entries.values().map(|(_, key, _)| key.len()).sum();
+            assert_eq!(shard.key_bytes, bytes);
+            assert!(shard.entries.len() <= SHARD_ENTRIES && bytes <= SHARD_KEY_BYTES);
+            total = (total.0 + shard.entries.len(), total.1 + bytes);
+        }
+        total
+    }
+
+    /// `resources` with every script URL, inline text, href and generator
+    /// made unique by `n`, none of them changing what a pattern reads.
+    fn made_distinct<'a>(resources: &PageResources<'a>, n: usize) -> PageResources<'a> {
+        let mut out = resources.clone();
+        for script in &mut out.scripts {
+            match &mut script.src {
+                Some(src) => *src = format!("{src}#u{n}").into(),
+                None if !script.inline.is_empty() => {
+                    script.inline = format!("/*u{n}*/{}", script.inline).into();
+                }
+                None => {}
+            }
+        }
+        for link in &mut out.links {
+            link.href = format!("{}#u{n}", link.href).into();
+        }
+        for content in &mut out.generators {
+            *content = format!("{content} u{n}").into();
+        }
+        out
+    }
+
+    /// A memo answer is the answer the patterns give: on every usable page
+    /// of a 2 000-domain web at weeks 0, 10, …, 200, and on the same pages
+    /// with every text made distinct, the engine agrees with itself under a
+    /// tracer (which bypasses the memo), and the memo keeps its bounds.
+    #[test]
+    fn memo_answers_equal_the_patterns_answers() {
+        use webvuln_webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
+
+        let eco = Ecosystem::generate(EcosystemConfig {
+            seed: 42,
+            domain_count: 2000,
+            timeline: Timeline::paper(),
+        });
+        let registry = Registry::new();
+        let engine = Engine::instrumented(&registry);
+        let tracer = trace::Tracer::new(trace::TraceMode::Ring);
+        let (mut pages, mut peak) = (0, (0, 0));
+        for week in (0..201).step_by(10) {
+            for model in eco.models() {
+                let PageOutcome::Page(html) = eco.page(&model.name, week) else {
+                    continue;
+                };
+                let resources = extract_resources(&html);
+                for page in [made_distinct(&resources, pages), resources] {
+                    let memo = engine.analyze_resources(&page, &model.name);
+                    let _traced = tracer.install();
+                    let patterns = engine.analyze_resources(&page, &model.name);
+                    assert_eq!(memo, patterns, "{} at week {week}", model.name);
+                }
+                let (entries, bytes) = memo_footprint(&engine);
+                peak = (peak.0.max(entries), peak.1.max(bytes));
+                pages += 1;
+            }
+        }
+        let snap = registry.snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
+        let (hits, misses) = (count("fp.memo_hits_total"), count("fp.memo_misses_total"));
+        println!(
+            "{pages} pages: {hits} memo hits, {misses} misses; peak {} entries, {} key bytes",
+            peak.0, peak.1
+        );
+        assert!(pages > 30_000, "{pages} usable pages");
+        // Half the look-ups are of distinct texts, which never hit; nearly
+        // all of the web's own texts have been seen before.
+        let web_lookups = (hits + misses) / 2;
+        assert!(hits * 10 > web_lookups * 9, "{hits} hits, {misses} misses");
+    }
+
+    #[test]
+    fn a_poisoned_memo_shard_is_recovered() {
+        let e = engine();
+        let html = r#"<script src="/js/jquery-1.12.4.min.js"></script>"#;
+        let first = e.analyze(html, "x.example");
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held: Vec<_> = e.memo.iter().map(|shard| shard.lock()).collect();
+                panic!("poisons every memo shard");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(e.memo.iter().all(Mutex::is_poisoned));
+        for _ in 0..3 {
+            assert_eq!(e.analyze(html, "x.example"), first);
+        }
+        let shards = e
+            .memo
+            .iter()
+            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner));
+        assert_eq!(shards.map(|shard| shard.entries.len()).sum::<usize>(), 1);
     }
 }

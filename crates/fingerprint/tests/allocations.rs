@@ -3,7 +3,8 @@
 //! reads tokens straight into borrowed resources, and a parse tree or a
 //! copied token stream put back on this path shows here as a count that
 //! grows several-fold. Regex-VM runs per page are pinned over the same
-//! pages: a literal gate that lets more patterns through shows here.
+//! pages: a literal gate that lets more patterns through, or a memo that
+//! answers fewer texts, shows here.
 //!
 //! Run with `--nocapture` to print the counts.
 
@@ -55,14 +56,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations per page measured when this was pinned (13.7), plus a
-/// margin; reading pages through a tree cost 170.5.
+/// Allocations per page measured when this was pinned (13.7; 11.3 once a
+/// warm memo answered every text), plus a margin; reading pages through a
+/// tree cost 170.5.
 const MAX_ALLOCATIONS_PER_PAGE: f64 = 16.0;
 
-/// Regex-VM runs per page measured when this was pinned (2.71: 653 runs
-/// over 241 pages), plus a margin. A gate keyed on one literal per
-/// pattern, cut at the first alternation, ran 15.8.
-const MAX_VM_RUNS_PER_PAGE: f64 = 3.0;
+/// Regex-VM runs per page measured when this was pinned (1.12: 269 runs
+/// over 241 pages), plus a margin. The engine's memo runs a text's
+/// patterns on its first two sightings only; without it the literal gate
+/// alone ran 2.71, and a gate keyed on one literal per pattern, cut at the
+/// first alternation, ran 15.8.
+const MAX_VM_RUNS_PER_PAGE: f64 = 1.3;
 
 /// Weeks 0 and 3 of a seed-77, 150-domain web: `(domain, page)`.
 fn pages() -> Vec<(String, String)> {

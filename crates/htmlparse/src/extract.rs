@@ -424,23 +424,28 @@ pub fn is_swf_url(url: &str) -> bool {
     path.len() >= 4 && path[path.len() - 4..].eq_ignore_ascii_case(b".swf")
 }
 
-/// Extracts the host from an absolute or protocol-relative URL.
+/// Extracts the host from an absolute or protocol-relative URL. The scheme
+/// matches in any case, and an IPv6 host keeps its brackets.
 ///
 /// Returns `None` for relative URLs (which are same-origin by definition).
 pub fn url_host(url: &str) -> Option<&str> {
+    let scheme = |prefix: &str| {
+        let head = url.as_bytes().get(..prefix.len())?;
+        head.eq_ignore_ascii_case(prefix.as_bytes())
+            .then(|| &url[prefix.len()..])
+    };
     let rest = url
-        .strip_prefix("https://")
-        .or_else(|| url.strip_prefix("http://"))
-        .or_else(|| url.strip_prefix("//"))?;
+        .strip_prefix("//")
+        .or_else(|| scheme("https://"))
+        .or_else(|| scheme("http://"))?;
     let end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
     let host_port = &rest[..end];
     let host = host_port.split('@').next_back().unwrap_or(host_port);
-    let host = host.split(':').next().unwrap_or(host);
-    if host.is_empty() {
-        None
-    } else {
-        Some(host)
-    }
+    let host = match host.strip_prefix('[') {
+        Some(v6) => &host[..v6.find(']').map_or(host.len(), |close| close + 2)],
+        None => host.split(':').next().unwrap_or(host),
+    };
+    (!host.is_empty()).then_some(host)
 }
 
 #[cfg(test)]
@@ -493,6 +498,12 @@ mod tests {
         assert_eq!(url_host("relative.js"), None);
         assert_eq!(url_host("https://"), None);
         assert_eq!(url_host("https://user@h/x"), Some("h"));
+        assert_eq!(url_host("HTTPS://CDN.example/x.js"), Some("CDN.example"));
+        assert_eq!(url_host("Http://h:80/x"), Some("h"));
+        assert_eq!(url_host("//[::1]:8080/x.js"), Some("[::1]"));
+        assert_eq!(url_host("https://u@[2001:db8::1]/x"), Some("[2001:db8::1]"));
+        assert_eq!(url_host("HTTPS:/x"), None);
+        assert_eq!(url_host("日本https://x"), None);
     }
 
     #[test]

@@ -61,6 +61,18 @@ impl Backtracker {
     /// steps. Returns the outcome, the steps taken, and on a match its
     /// capture groups.
     pub fn search<'t>(&self, text: &'t str, budget: u64) -> (BtOutcome, u64, Option<Captures<'t>>) {
+        self.search_at(text, 0, budget)
+    }
+
+    /// Like [`Backtracker::search`], trying matches from byte offset
+    /// `start` on, as [`Pattern::captures_at`](crate::Pattern::captures_at)
+    /// does. `start` must lie on a character boundary.
+    pub fn search_at<'t>(
+        &self,
+        text: &'t str,
+        start: usize,
+        budget: u64,
+    ) -> (BtOutcome, u64, Option<Captures<'t>>) {
         let mut run = Run {
             text,
             ci: self.case_insensitive,
@@ -70,9 +82,9 @@ impl Backtracker {
             check_at: 0,
             stack_base: stack_address(),
         };
-        for start in (0..=text.len()).filter(|&at| text.is_char_boundary(at)) {
-            run.slots[0] = Some(start);
-            let matched = run.node(&self.ast, start, &Next::Done);
+        for at in (start..=text.len()).filter(|&at| text.is_char_boundary(at)) {
+            run.slots[0] = Some(at);
+            let matched = run.node(&self.ast, at, &Next::Done);
             // A step refused anywhere leaves the result unproven.
             if run.steps >= run.budget {
                 return (BtOutcome::BudgetExhausted, run.budget, None);

@@ -245,8 +245,14 @@ impl<'t> Captures<'t> {
     /// The text of capture group `i` (0 = whole match), or `None` when the
     /// group did not participate in the match.
     pub fn get(&self, i: usize) -> Option<&'t str> {
+        self.range(i).map(|range| &self.text[range])
+    }
+
+    /// The byte range of capture group `i` in the text, or `None` when the
+    /// group did not participate in the match.
+    pub fn range(&self, i: usize) -> Option<std::ops::Range<usize>> {
         let (s, e) = (*self.slots.get(2 * i)?, *self.slots.get(2 * i + 1)?);
-        Some(&self.text[s?..e?])
+        Some(s?..e?)
     }
 
     /// The whole match as a [`Match`].

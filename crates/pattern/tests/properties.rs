@@ -5,7 +5,7 @@
 //! construction, and against the backtracker on random patterns.
 
 use webvuln_failpoint::check::{self, Gen, PRINTABLE};
-use webvuln_pattern::{Backtracker, BtOutcome, Pattern};
+use webvuln_pattern::{Backtracker, BtOutcome, Captures, Pattern};
 
 /// Escapes a character so it matches literally.
 fn escape_char(c: char, out: &mut String) {
@@ -235,6 +235,102 @@ fn vm_captures_equal_the_backtracker() {
             vm.captures(&hay),
             expected,
             "{source:?} (ci {ci}) in {hay:?}"
+        );
+    });
+}
+
+/// Every non-overlapping match in order, found by the backtracker: from
+/// the end of each match, or one character past an empty one, on, through
+/// [`Backtracker::search_at`]. `None` when a search runs out of budget.
+fn backtracker_matches<'t>(bt: &Backtracker, text: &'t str) -> Option<Vec<Captures<'t>>> {
+    let (mut found, mut at) = (Vec::new(), 0);
+    while at <= text.len() {
+        let (outcome, _, caps) = bt.search_at(text, at, 100_000);
+        match (outcome, caps) {
+            (BtOutcome::BudgetExhausted, _) => return None,
+            (_, None) => break,
+            (_, Some(caps)) => {
+                let m = caps.get_match();
+                let step = text[m.end()..].chars().next().map_or(1, char::len_utf8);
+                at = if m.end() > m.start() {
+                    m.end()
+                } else {
+                    m.end() + step
+                };
+                found.push(caps);
+            }
+        }
+    }
+    Some(found)
+}
+
+/// `replacement` with `$0`..`$9` read from `caps` (empty for a group that
+/// took no part) and `$$` as `$`; any other `$` stays.
+fn expand(replacement: &str, caps: &Captures<'_>) -> String {
+    let (mut out, mut rest) = (String::new(), replacement);
+    while let Some(at) = rest.find('$') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at + 1..];
+        match rest.chars().next() {
+            Some('$') => out.push('$'),
+            Some(d @ '0'..='9') => out.push_str(caps.get(d as usize - '0' as usize).unwrap_or("")),
+            _ => {
+                out.push('$');
+                continue;
+            }
+        }
+        rest = &rest[1..];
+    }
+    out + rest
+}
+
+/// The backtracker is the oracle of iteration too: `captures_iter`,
+/// `find_iter` and `replace_all` equal the same walk built on
+/// `Backtracker::search_at`, wherever every search finishes within budget.
+#[test]
+fn iteration_equals_the_backtracker() {
+    check::run("iteration_equals_the_backtracker", 4096, |g| {
+        let drawn = small_pattern(g, 2);
+        let source = match g.range(0..=3) {
+            0 => format!("^(?:{drawn})"),
+            1 => format!("(?:{drawn})$"),
+            _ => drawn,
+        };
+        let ci = g.bool();
+        let vm = if ci {
+            Pattern::new_ci(&source)
+        } else {
+            Pattern::new(&source)
+        };
+        let vm = vm.expect("pattern compiles");
+        let bt = Backtracker::new(&source, ci).expect("pattern parses");
+        let hay = g.string("abcABC-.01\n", 0..=24);
+        let Some(expected) = backtracker_matches(&bt, &hay) else {
+            return;
+        };
+        let at = format!("{source:?} (ci {ci}) in {hay:?}");
+        assert_eq!(vm.captures_iter(&hay).collect::<Vec<_>>(), expected, "{at}");
+        let ranges = expected.iter().map(|caps| caps.get_match().range());
+        let found = vm.find_iter(&hay).map(|m| m.range());
+        assert_eq!(
+            found.collect::<Vec<_>>(),
+            ranges.collect::<Vec<_>>(),
+            "{at}"
+        );
+        let replacement = *g.pick(&["", "<$0>", "[$1]", "$$", "x$2$", "$9-$1"]);
+        let mut replaced = String::new();
+        let mut last = 0;
+        for caps in &expected {
+            let m = caps.get_match();
+            replaced.push_str(&hay[last..m.start()]);
+            replaced.push_str(&expand(replacement, caps));
+            last = m.end();
+        }
+        replaced.push_str(&hay[last..]);
+        assert_eq!(
+            vm.replace_all(&hay, replacement),
+            replaced,
+            "{at} by {replacement:?}"
         );
     });
 }
