@@ -37,13 +37,12 @@ use crate::updates::{RegressionEvent, UpdateDelayReport, UpdateEvent, WordPressU
 use crate::view::{DetectionView, PageView, WeekView};
 use crate::vuln::{CveImpact, PrevalenceSeries, RefinementSummary, VulnCountDistribution};
 use crate::wordpress::WordPressCveRow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use webvuln_cvedb::{Basis, Date, LibraryId, Verdict, VulnDb, VulnRecord};
 use webvuln_exec::Executor;
 use webvuln_fingerprint::ResourceType;
-use webvuln_store::{
-    shard_of, AnyReader, DomainRecord, Genesis, StoreError, StoreReader, Sym, WeekData,
-};
+use webvuln_store::{shard_of, AnyReader, DomainRecord, Genesis, StoreError, Sym, WeekData};
 use webvuln_version::Version;
 
 // ---------------------------------------------------------------------------
@@ -70,15 +69,36 @@ impl<'a> AccumCtx<'a> {
 ///
 /// Implementations must satisfy, for domain-disjoint partitions absorbed
 /// over the same weeks in order: `merge` is associative, commutative up
-/// to the deterministic finish, and `Default` is its identity.
+/// to the deterministic finish, and `Default` is its identity; `retract`
+/// undoes a `merge` exactly.
 pub trait Accumulate: Sized + Send {
     /// Folds one week in. Weeks must be absorbed in ascending order.
     fn absorb<W: WeekView>(&mut self, week: &W, ctx: &AccumCtx<'_>);
+    /// Combines a partition's state into `self`, or with `out` takes a
+    /// partition merged in earlier back out of it.
+    fn combine(&mut self, other: Self, out: bool);
     /// Combines a partition's state into `self`.
-    fn merge(&mut self, other: Self);
+    fn merge(&mut self, other: Self) {
+        self.combine(other, false);
+    }
+    /// Takes back a partition merged in earlier: `self` reads as if it
+    /// had never seen `part`'s domains, every count that reaches zero
+    /// dropped from its map.
+    fn retract(&mut self, part: Self) {
+        self.combine(part, true);
+    }
 }
 
-/// Merges two per-week vectors pointwise with `combine`; either side may
+/// `into += from`, or `into -= from` taking a part back `out`.
+fn tally<T: std::ops::AddAssign + std::ops::SubAssign>(into: &mut T, from: T, out: bool) {
+    if out {
+        *into -= from;
+    } else {
+        *into += from;
+    }
+}
+
+/// Combines two per-week vectors pointwise with `combine`; either side may
 /// be empty (the identity accumulator has absorbed no weeks).
 fn zip_merge<T>(weeks: &mut Vec<T>, other: Vec<T>, mut combine: impl FnMut(&mut T, T)) {
     if weeks.is_empty() {
@@ -98,9 +118,28 @@ fn zip_merge<T>(weeks: &mut Vec<T>, other: Vec<T>, mut combine: impl FnMut(&mut 
     }
 }
 
-fn add_counts<K: Ord>(into: &mut BTreeMap<K, usize>, from: BTreeMap<K, usize>) {
+/// [`tally`] per key, dropping the keys that reach zero.
+fn tally_counts<K: Ord>(into: &mut BTreeMap<K, usize>, from: BTreeMap<K, usize>, out: bool) {
     for (key, count) in from {
-        *into.entry(key).or_default() += count;
+        match into.entry(key) {
+            Entry::Vacant(slot) => drop(slot.insert(count)),
+            Entry::Occupied(mut slot) => {
+                tally(slot.get_mut(), count, out);
+                if *slot.get() == 0 {
+                    slot.remove();
+                }
+            }
+        }
+    }
+}
+
+/// Puts a partition's per-domain entries into `into`, or takes them back
+/// `out`.
+fn tally_domains<V>(into: &mut BTreeMap<String, V>, mut from: BTreeMap<String, V>, out: bool) {
+    if out {
+        from.keys().for_each(|domain| drop(into.remove(domain)));
+    } else {
+        into.append(&mut from);
     }
 }
 
@@ -115,29 +154,58 @@ fn bump(counts: &mut BTreeMap<String, usize>, key: &str) {
     }
 }
 
-/// Adds `count` sightings of `version`. `Version`'s `Ord` makes `2.2` and
-/// `2.2.0` one key, so which *spelling* the key keeps — the one Table 1
-/// prints — is decided by a rule that ignores arrival order (fewest
-/// components, then the shorter, then the lesser pre-release tag):
-/// absorbing or merging mixed spellings in any order keeps the same one.
-fn count_version(counts: &mut BTreeMap<Version, usize>, version: &Version, count: usize) {
+/// Sightings of one version, per exact spelling. `Version`'s `Ord` makes
+/// `2.2` and `2.2.0` one map key; its list tells them apart, so taking a
+/// part's sightings back leaves exactly the spellings the rest was seen in.
+type Spellings = Vec<(Version, usize)>;
+
+/// Adds `count` sightings of `version`, as spelled, or takes them back
+/// `out`: a spelling no longer seen is dropped, and a version no longer
+/// seen in any.
+fn count_version(
+    counts: &mut BTreeMap<Version, Spellings>,
+    version: &Version,
+    count: usize,
+    out: bool,
+) {
+    let add = |spellings: &mut Spellings| {
+        match spellings
+            .iter()
+            .position(|(kept, _)| same_spelling(kept, version))
+        {
+            Some(slot) => tally(&mut spellings[slot].1, count, out),
+            None => spellings.push((version.clone(), count)),
+        }
+        spellings.retain(|&(_, count)| count > 0);
+        spellings.is_empty()
+    };
+    let emptied = match counts.get_mut(version) {
+        Some(spellings) => add(spellings),
+        None => add(counts.entry(version.clone()).or_default()),
+    };
+    if emptied {
+        counts.remove(version);
+    }
+}
+
+fn same_spelling(a: &Version, b: &Version) -> bool {
+    a.parts() == b.parts() && a.pre() == b.pre()
+}
+
+/// Table 1's counts: per version its sightings, keyed by the spelling a
+/// rule that ignores arrival order picks (fewest components, then the
+/// shorter, then the lesser pre-release tag), so any fold of the same
+/// sightings prints the same one.
+fn collapse_versions(counts: &BTreeMap<Version, Spellings>) -> BTreeMap<Version, usize> {
     fn spelling(v: &Version) -> (usize, Option<usize>, Option<&str>) {
         (v.parts().len(), v.pre().map(str::len), v.pre())
     }
-    let respelled = match counts.range_mut(version..=version).next() {
-        Some((kept, total)) => {
-            *total += count;
-            spelling(version) < spelling(kept)
-        }
-        None => {
-            counts.insert(version.clone(), count);
-            false
-        }
+    let collapse = |spellings: &Spellings| {
+        let kept = spellings.iter().map(|(v, _)| v).min_by_key(|v| spelling(v));
+        let kept = kept.expect("a counted version has a spelling").clone();
+        (kept, spellings.iter().map(|&(_, count)| count).sum())
     };
-    if respelled {
-        let total = counts.remove(version).expect("counted above");
-        counts.insert(version.clone(), total);
-    }
+    counts.values().map(collapse).collect()
 }
 
 /// Runs `update` on `domain`'s entry, creating it on first sight: one
@@ -202,7 +270,7 @@ struct LibraryState {
     internal: usize,
     external: usize,
     external_cdn: usize,
-    version_counts: BTreeMap<Version, usize>,
+    version_counts: BTreeMap<Version, Spellings>,
     users_with_version: usize,
     host_counts: BTreeMap<String, usize>,
     host_total: usize,
@@ -231,17 +299,16 @@ impl LandscapeAccum {
                     weekly_share.push(users as f64 / week.collected.max(1) as f64);
                 }
                 let inclusions = (lib.internal + lib.external).max(1);
-                let dominant = lib
-                    .version_counts
-                    .iter()
-                    .max_by_key(|(_, &count)| count)
-                    .map(|(version, &count)| {
+                let version_counts = collapse_versions(&lib.version_counts);
+                let dominant = version_counts.iter().max_by_key(|(_, &count)| count).map(
+                    |(version, &count)| {
                         (
                             version.clone(),
                             count as f64 / lib.users_with_version.max(1) as f64,
                         )
-                    });
-                let latest_observed = lib.version_counts.keys().max().cloned();
+                    },
+                );
+                let latest_observed = version_counts.keys().max().cloned();
                 LibraryRow {
                     library,
                     average_sites: mean(&weekly_sites),
@@ -249,7 +316,7 @@ impl LandscapeAccum {
                     internal_share: lib.internal as f64 / inclusions as f64,
                     external_share: lib.external as f64 / inclusions as f64,
                     cdn_share: lib.external_cdn as f64 / lib.external.max(1) as f64,
-                    versions_found: lib.version_counts.len(),
+                    versions_found: version_counts.len(),
                     versions_total: db.catalog(library).len(),
                     dominant,
                     latest_observed,
@@ -348,7 +415,7 @@ impl Accumulate for LandscapeAccum {
                     }
                 }
                 if let Some(version) = det.version {
-                    count_version(&mut lib.version_counts, version, 1);
+                    count_version(&mut lib.version_counts, version, 1, false);
                     lib.users_with_version += 1;
                 }
             }
@@ -356,31 +423,28 @@ impl Accumulate for LandscapeAccum {
         self.weeks.push(week);
     }
 
-    fn merge(&mut self, other: LandscapeAccum) {
+    fn combine(&mut self, other: LandscapeAccum, out: bool) {
         zip_merge(&mut self.weeks, other.weeks, |into, from| {
-            into.collected += from.collected;
-            into.carried += from.carried;
+            tally(&mut into.collected, from.collected, out);
+            tally(&mut into.carried, from.carried, out);
             for (u, v) in into.users.iter_mut().zip(from.users) {
-                *u += v;
+                tally(u, v, out);
             }
         });
         if self.libs.is_empty() {
             self.libs = other.libs;
             return;
         }
-        if other.libs.is_empty() {
-            return;
-        }
         for (into, from) in self.libs.iter_mut().zip(other.libs) {
-            into.internal += from.internal;
-            into.external += from.external;
-            into.external_cdn += from.external_cdn;
-            into.users_with_version += from.users_with_version;
-            into.host_total += from.host_total;
-            for (version, count) in &from.version_counts {
-                count_version(&mut into.version_counts, version, *count);
+            tally(&mut into.internal, from.internal, out);
+            tally(&mut into.external, from.external, out);
+            tally(&mut into.external_cdn, from.external_cdn, out);
+            tally(&mut into.users_with_version, from.users_with_version, out);
+            tally(&mut into.host_total, from.host_total, out);
+            for (version, count) in from.version_counts.into_values().flatten() {
+                count_version(&mut into.version_counts, &version, count, out);
             }
-            add_counts(&mut into.host_counts, from.host_counts);
+            tally_counts(&mut into.host_counts, from.host_counts, out);
         }
     }
 }
@@ -579,23 +643,18 @@ impl Accumulate for CveExposureAccum {
         self.weeks.push(week);
     }
 
-    fn merge(&mut self, other: CveExposureAccum) {
+    fn combine(&mut self, other: CveExposureAccum, out: bool) {
         zip_merge(&mut self.weeks, other.weeks, |into, from| {
-            into.collected += from.collected;
-            into.vulnerable_claimed += from.vulnerable_claimed;
-            into.vulnerable_tvv += from.vulnerable_tvv;
+            tally(&mut into.collected, from.collected, out);
+            tally(&mut into.vulnerable_claimed, from.vulnerable_claimed, out);
+            tally(&mut into.vulnerable_tvv, from.vulnerable_tvv, out);
             for (u, v) in into.per_record.iter_mut().zip(from.per_record) {
-                u.0 += v.0;
-                u.1 += v.1;
-                u.2 += v.2;
+                tally(&mut u.0, v.0, out);
+                tally(&mut u.1, v.1, out);
+                tally(&mut u.2, v.2, out);
             }
         });
-        for (domain, from) in other.per_site {
-            let site = self.per_site.entry(domain).or_default();
-            site.claimed += from.claimed;
-            site.tvv += from.tvv;
-            site.weeks += from.weeks;
-        }
+        tally_domains(&mut self.per_site, other.per_site, out);
     }
 }
 
@@ -859,18 +918,31 @@ impl Accumulate for UpdateBehaviorAccum {
         });
     }
 
-    fn merge(&mut self, mut other: UpdateBehaviorAccum) {
+    fn combine(&mut self, other: UpdateBehaviorAccum, out: bool) {
         zip_merge(&mut self.weeks, other.weeks, |into, from| {
-            into.collected += from.collected;
-            into.wordpress += from.wordpress;
+            tally(&mut into.collected, from.collected, out);
+            tally(&mut into.wordpress, from.wordpress, out);
         });
-        self.domains.append(&mut other.domains);
-        self.events_claimed.extend(other.events_claimed);
-        self.events_tvv.extend(other.events_tvv);
-        self.regressions.extend(other.regressions);
+        if out {
+            // Every event is filed under a tracked domain.
+            let ours = |domain: &String| !other.domains.contains_key(domain);
+            self.events_claimed.retain(|(_, domain, _)| ours(domain));
+            self.events_tvv.retain(|(_, domain, _)| ours(domain));
+            self.regressions.retain(|(_, domain, _)| ours(domain));
+        } else {
+            self.events_claimed.extend(other.events_claimed);
+            self.events_tvv.extend(other.events_tvv);
+            self.regressions.extend(other.regressions);
+        }
+        tally_domains(&mut self.domains, other.domains, out);
         match (&mut self.final_wordpress, other.final_wordpress) {
             (Some((week, versions)), Some((other_week, other_versions))) => {
-                if other_week == *week {
+                if other_week == *week && out {
+                    for version in other_versions {
+                        let slot = versions.iter().position(|kept| *kept == version);
+                        versions.swap_remove(slot.expect("a retracted version was merged"));
+                    }
+                } else if other_week == *week {
                     versions.extend(other_versions);
                 } else if other_week > *week {
                     self.final_wordpress = Some((other_week, other_versions));
@@ -962,11 +1034,11 @@ impl Accumulate for CollectionAccum {
         self.weeks.push(week);
     }
 
-    fn merge(&mut self, other: CollectionAccum) {
+    fn combine(&mut self, other: CollectionAccum, out: bool) {
         zip_merge(&mut self.weeks, other.weeks, |into, from| {
-            into.collected += from.collected;
+            tally(&mut into.collected, from.collected, out);
             for (u, v) in into.using.iter_mut().zip(from.using) {
-                *u += v;
+                tally(u, v, out);
             }
         });
     }
@@ -1133,29 +1205,29 @@ impl Accumulate for FlashAccum {
                 last.cn_flash += finale.cn_flash;
                 last.cn_all += finale.cn_all;
                 last.all += finale.all;
-                add_counts(&mut last.tld_counts, finale.tld_counts);
+                tally_counts(&mut last.tld_counts, finale.tld_counts, false);
             }
             Some(last) if last.week > finale.week => {}
             slot => *slot = Some(finale),
         }
     }
 
-    fn merge(&mut self, other: FlashAccum) {
+    fn combine(&mut self, other: FlashAccum, out: bool) {
         zip_merge(&mut self.weeks, other.weeks, |into, from| {
-            into.flash += from.flash;
-            into.top10k += from.top10k;
-            into.top1k += from.top1k;
-            into.with_param += from.with_param;
-            into.always += from.always;
+            tally(&mut into.flash, from.flash, out);
+            tally(&mut into.top10k, from.top10k, out);
+            tally(&mut into.top1k, from.top1k, out);
+            tally(&mut into.with_param, from.with_param, out);
+            tally(&mut into.always, from.always, out);
         });
         match (&mut self.last, other.last) {
             (Some(last), Some(from)) => {
                 if from.week == last.week {
-                    last.flash_total += from.flash_total;
-                    last.cn_flash += from.cn_flash;
-                    last.cn_all += from.cn_all;
-                    last.all += from.all;
-                    add_counts(&mut last.tld_counts, from.tld_counts);
+                    tally(&mut last.flash_total, from.flash_total, out);
+                    tally(&mut last.cn_flash, from.cn_flash, out);
+                    tally(&mut last.cn_all, from.cn_all, out);
+                    tally(&mut last.all, from.all, out);
+                    tally_counts(&mut last.tld_counts, from.tld_counts, out);
                 } else if from.week > last.week {
                     self.last = Some(from);
                 }
@@ -1291,19 +1363,19 @@ impl Accumulate for SriAccum {
         self.weeks.push(week);
     }
 
-    fn merge(&mut self, other: SriAccum) {
+    fn combine(&mut self, other: SriAccum, out: bool) {
         zip_merge(&mut self.weeks, other.weeks, |into, from| {
-            into.with_external += from.with_external;
-            into.unprotected += from.unprotected;
-            into.github_sites += from.github_sites;
+            tally(&mut into.with_external, from.with_external, out);
+            tally(&mut into.unprotected, from.unprotected, out);
+            tally(&mut into.github_sites, from.github_sites, out);
         });
-        self.anonymous += other.anonymous;
-        self.credentials += other.credentials;
-        self.crossorigin_total += other.crossorigin_total;
-        self.inclusions += other.inclusions;
-        self.with_sri += other.with_sri;
-        add_counts(&mut self.host_counts, other.host_counts);
-        self.top_tier.extend(other.top_tier);
+        tally(&mut self.anonymous, other.anonymous, out);
+        tally(&mut self.credentials, other.credentials, out);
+        tally(&mut self.crossorigin_total, other.crossorigin_total, out);
+        tally(&mut self.inclusions, other.inclusions, out);
+        tally(&mut self.with_sri, other.with_sri, out);
+        tally_counts(&mut self.host_counts, other.host_counts, out);
+        tally_domains(&mut self.top_tier, other.top_tier, out);
     }
 }
 
@@ -1419,13 +1491,13 @@ impl Accumulate for StudyAccum {
         self.sri.absorb(week, ctx);
     }
 
-    fn merge(&mut self, other: StudyAccum) {
-        self.landscape.merge(other.landscape);
-        self.exposure.merge(other.exposure);
-        self.behavior.merge(other.behavior);
-        self.collection.merge(other.collection);
-        self.flash.merge(other.flash);
-        self.sri.merge(other.sri);
+    fn combine(&mut self, other: StudyAccum, out: bool) {
+        self.landscape.combine(other.landscape, out);
+        self.exposure.combine(other.exposure, out);
+        self.behavior.combine(other.behavior, out);
+        self.collection.combine(other.collection, out);
+        self.flash.combine(other.flash, out);
+        self.sri.combine(other.sri, out);
     }
 }
 
@@ -1446,9 +1518,8 @@ pub fn genesis_ranks(genesis: &Genesis) -> BTreeMap<String, usize> {
 /// verdict `filtered`. Peak memory is the accumulator plus one borrowed
 /// week per worker, whatever the week count.
 ///
-/// The store is cut into domain-disjoint parts (see `fold_parts`), every
-/// part folded by the one loop (`fold_group`), the parts merged in
-/// order; the artifacts are byte-identical whatever the cut:
+/// The store is cut into domain-disjoint parts, every part folded by the
+/// one loop (`fold_parts`), the parts merged in order; the artifacts are byte-identical whatever the cut:
 ///
 /// * sharded store — a part per shard (shards partition domains), on up
 ///   to `threads` workers; unhealthy shards of a degraded reader
@@ -1468,13 +1539,12 @@ pub fn fold_store<A>(
 where
     A: Accumulate + Default + Send,
 {
-    let cut = match reader.shard_count() {
-        1 => workers(threads),
-        shards => shards,
-    };
-    let folded = fold_parts(reader, cut, 0..cut, threads, filtered, ctx)?;
-    let parts = folded.into_iter().filter_map(|(_, part)| part);
-    Ok(parts.reduce(merge_pair).unwrap_or_default())
+    let folded = fold_parts(reader, fold_cut(reader, threads), threads, filtered, ctx)?;
+    Ok(folded
+        .into_iter()
+        .flatten()
+        .reduce(merge_pair)
+        .unwrap_or_default())
 }
 
 /// Convenience: folds the full study accumulator over a store using the
@@ -1501,114 +1571,68 @@ fn workers(threads: usize) -> usize {
     threads.clamp(1, cores)
 }
 
-/// Folds the `wanted` parts of a store cut `cut` ways: part `p` is the
-/// domains with `shard_of(host, cut) == p`. `cut` is a multiple of the
-/// shard count, so part `p` lies wholly in file `p % shards`
-/// ([`shard_of`] nests) and folding it reads that file alone. Returns
-/// `(part, accumulator)` in part order, `None` where a degraded reader
-/// lacks the part's file.
-///
-/// A file's wanted parts fold as one group — one decode per week, one
-/// [`SymbolCache`] — split only as far as it takes to give every worker
-/// a group.
+/// The cut [`fold_store`] folds `reader` in: a part per shard, or for a
+/// single file a part per worker.
+fn fold_cut(reader: &AnyReader, threads: usize) -> usize {
+    match reader.shard_count() {
+        1 => workers(threads),
+        shards => shards,
+    }
+}
+
+/// Folds a store cut `cut` ways, part `p` the domains with
+/// `shard_of(host, cut) == p`, a part a task on up to `threads` workers.
+/// `cut` is a multiple of the shard count, so part `p` lies wholly in
+/// file `p % shards` ([`shard_of`] nests) and folding it reads that file
+/// alone: each week's records of the part decoded as borrowed records and
+/// absorbed in place, on the one worker that decoded them, under one
+/// [`SymbolCache`]. Returns the parts in order, `None` where a degraded
+/// reader lacks the part's file. A part that is a whole file takes every
+/// record in it; a finer part takes only its own hosts, so a host a
+/// foreign writer filed under the wrong shard is then folded nowhere.
 fn fold_parts<A>(
     reader: &AnyReader,
     cut: usize,
-    wanted: impl IntoIterator<Item = usize>,
     threads: usize,
     filtered: &BTreeSet<String>,
     ctx: &AccumCtx<'_>,
-) -> Result<Vec<(usize, Option<A>)>, StoreError>
+) -> Result<Vec<Option<A>>, StoreError>
 where
     A: Accumulate + Default + Send,
 {
     let shards = reader.shard_count();
     assert_eq!(cut % shards, 0, "a cut must nest inside the shards");
-    let weeks = reader.weeks_committed();
-    let mut by_file = vec![Vec::new(); shards];
-    for part in wanted {
-        by_file[part % shards].push(part);
-    }
-    let files = by_file.iter().filter(|parts| !parts.is_empty()).count();
-    let split = workers(threads).div_ceil(files.max(1));
-    let groups: Vec<(usize, &[usize])> = by_file
-        .iter()
-        .enumerate()
-        .flat_map(|(file, parts)| {
-            let size = parts.len().div_ceil(split).max(1);
-            parts.chunks(size).map(move |group| (file, group))
-        })
-        .collect();
-    let executor = Executor::new(threads.clamp(1, groups.len().max(1)));
-    let fold = |&(file, group): &(usize, &[usize])| -> Result<Vec<Option<A>>, StoreError> {
-        let Some(file) = reader.shard_reader(file) else {
-            return Ok(group.iter().map(|_| None).collect());
+    let (weeks, whole_file) = (reader.weeks_committed(), cut == shards);
+    let fold = |&part: &usize| -> Result<Option<A>, StoreError> {
+        let Some(file) = reader.shard_reader(part % shards) else {
+            return Ok(None);
         };
-        let whole_file = group.len() == cut / shards;
-        let accums = fold_group(file, weeks, cut, group, whole_file, filtered, ctx)?;
-        Ok(accums.into_iter().map(Some).collect())
-    };
-    let folded = executor.map(&groups, fold);
-    let mut parts = Vec::new();
-    for ((_, group), accums) in groups.iter().zip(folded) {
-        parts.extend(group.iter().copied().zip(accums?));
-    }
-    parts.sort_by_key(|&(part, _)| part);
-    Ok(parts)
-}
-
-/// The fold loop: the first `weeks` weeks of `file`, the records whose
-/// host falls in one of `parts` (ascending part numbers of a `cut`-way
-/// cut; all of the file's when `whole_file`), each week decoded as
-/// borrowed records and absorbed in place, part by part, on the one
-/// worker that decoded it. A host a foreign writer filed under the wrong
-/// shard belongs to no part of this file and is not folded.
-fn fold_group<A: Accumulate + Default>(
-    file: &StoreReader,
-    weeks: usize,
-    cut: usize,
-    parts: &[usize],
-    whole_file: bool,
-    filtered: &BTreeSet<String>,
-    ctx: &AccumCtx<'_>,
-) -> Result<Vec<A>, StoreError> {
-    let part_of = |host: &str| parts.binary_search(&shard_of(host, cut)).ok();
-    let keep = |host: &str| whole_file || part_of(host).is_some();
-    // A lone part's kept records are all its own: no second hash.
-    let place = |host: &str| match parts {
-        [_] => Some(0),
-        _ => part_of(host),
-    };
-    let mut accums: Vec<A> = parts.iter().map(|_| A::default()).collect();
-    let mut symbols = SymbolCache::default();
-    for week in 0..weeks {
-        let records = file.week_records(week, keep)?;
-        let views = DecodedWeek::partition(&records, filtered, &mut symbols, parts.len(), place)?;
-        for (accum, view) in accums.iter_mut().zip(&views) {
-            accum.absorb(view, ctx);
+        let keep = |host: &str| whole_file || shard_of(host, cut) == part;
+        let (mut accum, mut symbols) = (A::default(), SymbolCache::default());
+        for week in 0..weeks {
+            let records = file.week_records(week, keep)?;
+            let views = DecodedWeek::partition(&records, filtered, &mut symbols, 1, |_| Some(0))?;
+            accum.absorb(&views[0], ctx);
         }
-    }
-    Ok(accums)
+        Ok(Some(accum))
+    };
+    let parts: Vec<usize> = (0..cut).collect();
+    let folded = Executor::new(threads.clamp(1, cut)).map(&parts, fold);
+    folded.into_iter().collect()
 }
 
-/// Buckets a [`Buckets`] state keeps per shard of its store. A constant:
-/// at 16, the flips of a quiet week (about 1 % of the domains) leave most
-/// buckets alone, and a week's per-bucket rows stay small beside the
-/// per-domain state.
-pub const BUCKETS_PER_SHARD: usize = 16;
-
-/// An accumulator held as its parts, so that it can change by what
-/// changed: the domains are cut `shards` × [`BUCKETS_PER_SHARD`] ways (the
-/// finest cut `fold_parts` nests inside the store's files), every bucket
-/// absorbs every arriving week's share, and when the §4.1 verdict moves
-/// only the buckets the moved domains fall in are folded again, each from
-/// its one file. Read it merged: [`Buckets::merged`] is what
-/// [`fold_store`] returns over the same store under the same verdict.
+/// An accumulator held as one part per shard of its store, so that it can
+/// change by what changed: every part absorbs its share of each arriving
+/// week, and when the §4.1 verdict moves, [`Buckets::settle`] reads only
+/// the moved domains' histories and merges them in or retracts them. Read
+/// it merged: [`Buckets::merged`] is what [`fold_store`] returns over the
+/// same store under the same verdict.
 #[derive(Debug)]
 pub struct Buckets<A> {
-    /// `None`: the bucket's file was unreadable when the bucket was last
-    /// folded. It holds nothing and absorbs nothing until a refold finds
-    /// the file again — what a degraded cold fold makes of that shard.
+    /// `None`: the shard's file was unreadable when the part was last
+    /// folded or settled. It holds nothing and absorbs nothing until a
+    /// delta's walk finds the file again — what a degraded cold fold
+    /// makes of that shard.
     parts: Vec<Option<A>>,
 }
 
@@ -1616,22 +1640,30 @@ impl<A: Accumulate + Default + Clone> Buckets<A> {
     /// The state over an empty store of `shards` files.
     pub fn new(shards: usize) -> Buckets<A> {
         Buckets {
-            parts: vec![Some(A::default()); shards.max(1) * BUCKETS_PER_SHARD],
+            parts: vec![Some(A::default()); shards.max(1)],
         }
     }
 
-    /// Number of buckets.
-    pub fn count(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The bucket `host` falls in.
-    pub fn bucket_of(&self, host: &str) -> usize {
-        shard_of(host, self.parts.len())
+    /// The state over `reader` minus `filtered`: the parts of
+    /// [`fold_store`]'s fold, each file's kept apart.
+    pub fn fold(
+        reader: &AnyReader,
+        ctx: &AccumCtx<'_>,
+        threads: usize,
+        filtered: &BTreeSet<String>,
+    ) -> Result<Buckets<A>, StoreError> {
+        let shards = reader.shard_count();
+        let mut parts: Vec<Option<A>> = vec![None; shards];
+        let folded = fold_parts(reader, fold_cut(reader, threads), threads, filtered, ctx)?;
+        for (part, accum) in folded.into_iter().enumerate() {
+            let slot = &mut parts[part % shards];
+            *slot = slot.take().into_iter().chain(accum).reduce(merge_pair);
+        }
+        Ok(Buckets { parts })
     }
 
     /// Absorbs the next week — `week` as its own file (a spool file, with
-    /// a string table of its own) decoded it — cut by bucket: every bucket
+    /// a string table of its own) decoded it — cut by shard: every part
     /// its share, pages or not. Nothing is absorbed when the week cannot
     /// be read.
     pub fn absorb(
@@ -1640,40 +1672,90 @@ impl<A: Accumulate + Default + Clone> Buckets<A> {
         filtered: &BTreeSet<String>,
         ctx: &AccumCtx<'_>,
     ) -> Result<(), StoreError> {
-        let cut = self.parts.len();
-        let place = |host: &str| Some(shard_of(host, cut));
+        let shards = self.parts.len();
+        let place = |host: &str| Some(shard_of(host, shards));
         let mut symbols = SymbolCache::default();
-        let views = DecodedWeek::partition(week, filtered, &mut symbols, cut, place)?;
-        for (bucket, view) in self.parts.iter_mut().zip(&views) {
-            if let Some(accum) = bucket {
+        let views = DecodedWeek::partition(week, filtered, &mut symbols, shards, place)?;
+        for (part, view) in self.parts.iter_mut().zip(&views) {
+            if let Some(accum) = part {
                 accum.absorb(view, ctx);
             }
         }
         Ok(())
     }
 
-    /// Folds the `wanted` buckets again from `reader` (the store every
-    /// absorbed week was committed to), minus `filtered`, decoding only
-    /// the records that fall in them.
-    pub fn refold(
+    /// Settles §4.1 verdict drift on `reader` (the store every absorbed
+    /// week was committed to): each domain of `flipped` changes side, put
+    /// back in if `settled` (the verdict the state was folded under)
+    /// dropped it, taken out if not. Only those domains' histories are
+    /// read ([`AnyReader::history`], one lookup each), folded over every
+    /// committed week into a part per shard and side, and merged or
+    /// retracted. A flipped domain whose file cannot be read leaves its
+    /// shard holding nothing, as a degraded cold fold would. Returns the
+    /// history records read.
+    pub fn settle(
         &mut self,
         reader: &AnyReader,
-        wanted: impl IntoIterator<Item = usize>,
+        flipped: &BTreeSet<String>,
+        settled: &BTreeSet<String>,
         ctx: &AccumCtx<'_>,
-        threads: usize,
-        filtered: &BTreeSet<String>,
-    ) -> Result<(), StoreError> {
-        let cut = self.parts.len();
-        let nests = reader.shard_count() * BUCKETS_PER_SHARD == cut;
-        assert!(nests, "not the store this state was cut for");
-        let folded = fold_parts(reader, cut, wanted, threads, filtered, ctx)?;
-        for (bucket, accum) in folded {
-            self.parts[bucket] = accum;
+    ) -> Result<u64, StoreError> {
+        let shards = self.parts.len();
+        let mut by_shard = vec![Vec::new(); shards];
+        for domain in flipped {
+            by_shard[shard_of(domain, shards)].push(domain.as_str());
         }
-        Ok(())
+        let mut read = 0;
+        for (part, domains) in self.parts.iter_mut().zip(by_shard) {
+            let Some(accum) = part.as_mut().filter(|_| !domains.is_empty()) else {
+                continue;
+            };
+            let Some(file) = reader.shard_reader(shard_of(domains[0], shards)) else {
+                *part = None;
+                continue;
+            };
+            let mut weeks = Vec::new();
+            for week in 0..reader.weeks_committed() {
+                let (date_days, records) = (file.week_date_days(week)?, Vec::new());
+                weeks.push(WeekData {
+                    week,
+                    date_days,
+                    records,
+                });
+            }
+            for &domain in &domains {
+                let history = match reader.history(domain) {
+                    Err(StoreError::UnknownDomain(_)) => continue,
+                    history => history?,
+                };
+                for record in history {
+                    let (week, _, record) = record?;
+                    weeks[week].records.push(record);
+                    read += 1;
+                }
+            }
+            // Side 0 comes back in, side 1 goes; a side no domain is on
+            // folds to the identity and is left out.
+            let side = |host: &str| Some(usize::from(!settled.contains(host)));
+            let used = [0, 1].map(|s| domains.iter().any(|domain| side(domain) == Some(s)));
+            let mut sides = [A::default(), A::default()];
+            let (mut symbols, none) = (SymbolCache::default(), BTreeSet::new());
+            for week in &weeks {
+                let views = DecodedWeek::partition(week, &none, &mut symbols, 2, side)?;
+                for ((accum, view), used) in sides.iter_mut().zip(&views).zip(used) {
+                    if used {
+                        accum.absorb(view, ctx);
+                    }
+                }
+            }
+            let [back, gone] = sides;
+            accum.merge(back);
+            accum.retract(gone);
+        }
+        Ok(read)
     }
 
-    /// The whole accumulator: the buckets merged in order.
+    /// The whole accumulator: the parts merged in order.
     pub fn merged(&self) -> A {
         let parts = self.parts.iter().flatten().cloned();
         parts.reduce(merge_pair).unwrap_or_default()
@@ -1682,11 +1764,11 @@ impl<A: Accumulate + Default + Clone> Buckets<A> {
 
 impl Buckets<StudyAccum> {
     /// What a CVE delta costs the state: one walk, each healthy file's weeks
-    /// decoded once (a file a worker). Every bucket's two accumulators that
+    /// decoded once (a file a worker). Every part's two accumulators that
     /// read the database, exposure and behavior, are folded afresh minus
-    /// `filtered` (a bucket holding nothing is folded whole; one whose file
-    /// is unavailable is left holding nothing, as by a refold). `scan` sees
-    /// every page, filtered or not, into one `S` per healthy file.
+    /// `filtered` (a part holding nothing is folded whole; one whose file
+    /// is unavailable is left holding nothing, as by a cold fold). `scan`
+    /// sees every page, filtered or not, into one `S` per healthy file.
     pub fn rejoin<S: Default + Send>(
         &mut self,
         reader: &AnyReader,
@@ -1695,36 +1777,34 @@ impl Buckets<StudyAccum> {
         filtered: &BTreeSet<String>,
         scan: impl Fn(&mut S, &DecodedWeek<'_>) + Sync,
     ) -> Result<Vec<S>, StoreError> {
-        let (cut, shards, held) = (self.parts.len(), reader.shard_count(), &self.parts);
-        let nests = shards * BUCKETS_PER_SHARD == cut;
-        assert!(nests, "not the store this state was cut for");
-        // Bucket `b` is part `b / shards` of file `b % shards`; one part more
-        // takes filtered domains and hosts filed under another shard.
-        let walk = |&file: &usize| -> Result<Option<(Vec<StudyAccum>, S)>, StoreError> {
+        let (shards, held) = (self.parts.len(), &self.parts);
+        assert_eq!(
+            shards,
+            reader.shard_count(),
+            "not the store this state was cut for"
+        );
+        // View 0 is the file's part; view 1 takes filtered domains and
+        // hosts filed under another shard.
+        let walk = |&file: &usize| -> Result<Option<(StudyAccum, S)>, StoreError> {
             let Some(shard) = reader.shard_reader(file) else {
                 return Ok(None);
             };
-            let place = |host: &str| match shard_of(host, cut) {
-                b if b % shards == file && !filtered.contains(host) => Some(b / shards),
-                _ => Some(BUCKETS_PER_SHARD),
+            let place = |host: &str| {
+                Some(usize::from(
+                    shard_of(host, shards) != file || filtered.contains(host),
+                ))
             };
-            let mut fresh = vec![StudyAccum::default(); BUCKETS_PER_SHARD + 1];
-            let (mut state, mut symbols, none) =
-                (S::default(), SymbolCache::default(), BTreeSet::new());
+            let (mut fresh, mut state) = (StudyAccum::default(), S::default());
+            let (mut symbols, none) = (SymbolCache::default(), BTreeSet::new());
             for week in 0..reader.weeks_committed() {
                 let records = shard.week_records(week, |_| true)?;
-                let views =
-                    DecodedWeek::partition(&records, &none, &mut symbols, fresh.len(), place)?;
-                for (i, (accum, view)) in fresh.iter_mut().zip(&views).enumerate() {
-                    scan(&mut state, view);
-                    match held.get(i * shards + file) {
-                        Some(Some(_)) => {
-                            accum.exposure.absorb(view, ctx);
-                            accum.behavior.absorb(view, ctx);
-                        }
-                        Some(None) => accum.absorb(view, ctx),
-                        None => {} // the pages no bucket absorbs
-                    }
+                let views = DecodedWeek::partition(&records, &none, &mut symbols, 2, place)?;
+                views.iter().for_each(|view| scan(&mut state, view));
+                if held[file].is_some() {
+                    fresh.exposure.absorb(&views[0], ctx);
+                    fresh.behavior.absorb(&views[0], ctx);
+                } else {
+                    fresh.absorb(&views[0], ctx);
                 }
             }
             Ok(Some((fresh, state)))
@@ -1732,25 +1812,22 @@ impl Buckets<StudyAccum> {
         let files: Vec<usize> = (0..shards).collect();
         let walked = Executor::new(threads.clamp(1, shards)).map(&files, walk);
         let mut states = Vec::new();
-        for (file, walked) in walked.into_iter().enumerate() {
+        for (part, walked) in self.parts.iter_mut().zip(walked) {
             let (fresh, state) = walked?.unzip();
             states.extend(state);
-            let mut fresh = fresh.into_iter().flatten();
-            for i in 0..BUCKETS_PER_SHARD {
-                match (&mut self.parts[i * shards + file], fresh.next()) {
-                    (Some(accum), Some(new)) => {
-                        (accum.exposure, accum.behavior) = (new.exposure, new.behavior);
-                    }
-                    (bucket, new) => *bucket = new,
+            match (part, fresh) {
+                (Some(accum), Some(new)) => {
+                    (accum.exposure, accum.behavior) = (new.exposure, new.behavior);
                 }
+                (part, new) => *part = new,
             }
         }
         Ok(states)
     }
 }
 
-mod bucket_property;
 mod oracle;
+mod retract_property;
 
 #[cfg(test)]
 mod tests {

@@ -49,7 +49,7 @@ impl LandscapeAccum {
                     }
                 }
                 if let Some(version) = &det.version {
-                    count_version(&mut lib.version_counts, version, 1);
+                    count_version(&mut lib.version_counts, version, 1, false);
                     lib.users_with_version += 1;
                 }
             }

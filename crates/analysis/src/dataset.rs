@@ -286,7 +286,7 @@ impl<'a> Collector<'a> {
         }
 
         let mut collector = WeekCollector::new(ecosystem, config, telemetry);
-        let mut window = FilterWindow::new();
+        let mut window = FilterWindow::new(&names);
         let mut absorb = |week: &WeekData, note: &str| -> Result<(), StoreError> {
             let pages = week.records.iter().filter(|r| r.page.is_some()).count();
             let date = date_from_days(week.date_days)?;
@@ -353,7 +353,7 @@ impl<'a> Collector<'a> {
         let filtered = match stored_verdict {
             Some(filtered) => filtered.iter().cloned().collect(),
             None => {
-                let filtered = window.verdict(&names);
+                let filtered = window.verdict();
                 let listed: Vec<String> = filtered.iter().cloned().collect();
                 writer.finalize(&listed)?;
                 filtered

@@ -7,40 +7,54 @@
 //! wording and as the window's differential oracle.
 
 use crate::dataset::WeekSnapshot;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use webvuln_net::filter::{page_is_error_or_empty, FINAL_WEEKS};
 use webvuln_store::{AnyReader, StoreError};
 
 /// The trailing [`FINAL_WEEKS`] weeks of the §4.1 filter: per week, the
-/// set of domains that answered with a usable page ("alive").
+/// candidates that answered with a usable page ("alive").
 ///
-/// A domain is filtered out when it is alive in **none** of the window's
-/// weeks — error/empty or absent in each, as
+/// A candidate is filtered out when it is alive in **none** of the
+/// window's weeks — error/empty or absent in each, as
 /// [`inaccessible_domains`](webvuln_net::filter::inaccessible_domains)
 /// puts it. The candidates are the study's **rank list**, handed to
-/// [`verdict`](FilterWindow::verdict), not the domains observed so far:
-/// a consumer that rebuilds the window from a store's last four weeks
-/// (a fold, the watch daemon) cannot know what earlier weeks observed,
-/// and a crawl fetches every ranked domain every week, so the two agree
-/// on every collected dataset. They differ only for a ranked domain with
-/// no fetch summary in any week — dropped here, not a candidate under the
-/// batch rule — which has no page anywhere, so no analysis can tell.
+/// [`FilterWindow::new`], not the domains observed so far: a consumer that
+/// rebuilds the window from a store's last four weeks (a fold, the watch
+/// daemon) cannot know what earlier weeks observed, and a crawl fetches
+/// every ranked domain every week, so the two agree on every collected
+/// dataset. They differ only for a ranked domain with no fetch summary in
+/// any week — dropped here, not a candidate under the batch rule — which
+/// has no page anywhere, so no analysis can tell.
 #[derive(Debug, Default)]
 pub struct FilterWindow {
-    alive: VecDeque<BTreeSet<String>>,
+    /// Each candidate's slot in `ranked`.
+    slots: HashMap<String, usize>,
+    /// Per slot: the candidate, and how many of the window's weeks it was
+    /// alive in.
+    ranked: Vec<(String, usize)>,
+    /// Per window week, the slots of the candidates alive in it.
+    alive: VecDeque<Vec<usize>>,
 }
 
 impl FilterWindow {
-    /// An empty window: no week absorbed, nothing filtered.
-    pub fn new() -> FilterWindow {
-        FilterWindow::default()
+    /// An empty window over the candidates `ranked`: no week absorbed,
+    /// nothing filtered.
+    pub fn new<'a>(ranked: impl IntoIterator<Item = &'a String>) -> FilterWindow {
+        let mut window = FilterWindow::default();
+        for domain in ranked {
+            if !window.slots.contains_key(domain) {
+                window.slots.insert(domain.clone(), window.ranked.len());
+                window.ranked.push((domain.clone(), 0));
+            }
+        }
+        window
     }
 
-    /// The window over a store's trailing committed weeks, read off the
-    /// decoded records of every healthy shard.
+    /// The window over a store's trailing committed weeks and its genesis
+    /// rank list, read off the decoded records of every healthy shard.
     pub fn from_store(reader: &AnyReader) -> Result<FilterWindow, StoreError> {
         let weeks = reader.weeks_committed();
-        let mut window = FilterWindow::new();
+        let mut window = FilterWindow::new(reader.genesis().ranks.iter().map(|(host, _)| host));
         for week in weeks - FINAL_WEEKS.min(weeks)..weeks {
             let shards = reader
                 .healthy()
@@ -56,29 +70,61 @@ impl FilterWindow {
     }
 
     /// Slides the window over the next week's fetch outcomes:
-    /// `(domain, status, body length)` of every attempted domain.
-    pub fn absorb<'a>(&mut self, fetched: impl IntoIterator<Item = (&'a str, Option<u16>, usize)>) {
-        if self.alive.len() == FINAL_WEEKS {
-            self.alive.pop_front();
+    /// `(domain, status, body length)` of every attempted domain. Returns
+    /// the candidates whose verdict the slide flipped, either way: on the
+    /// first week every candidate not alive in it, after that those alive
+    /// in the new week and in no other, or in the dropped week alone.
+    pub fn absorb<'a>(
+        &mut self,
+        fetched: impl IntoIterator<Item = (&'a str, Option<u16>, usize)>,
+    ) -> Vec<&str> {
+        let first = self.alive.is_empty();
+        let (mut week, mut flips) = (Vec::new(), Vec::new());
+        // Arrivals count before departures: a candidate alive in both the
+        // new and the dropped week never reaches zero, so never flips.
+        for (domain, status, body_len) in fetched {
+            let Some(&slot) = self.slots.get(domain) else {
+                continue;
+            };
+            if page_is_error_or_empty(status, body_len) {
+                continue;
+            }
+            let alive = &mut self.ranked[slot].1;
+            if *alive == 0 && !first {
+                flips.push(slot);
+            }
+            *alive += 1;
+            week.push(slot);
         }
-        let alive = fetched
+        self.alive.push_back(week);
+        if self.alive.len() > FINAL_WEEKS {
+            for slot in self.alive.pop_front().expect("a week past the window") {
+                let alive = &mut self.ranked[slot].1;
+                *alive -= 1;
+                if *alive == 0 {
+                    flips.push(slot);
+                }
+            }
+        }
+        if first {
+            flips = (0..self.ranked.len())
+                .filter(|&slot| self.ranked[slot].1 == 0)
+                .collect();
+        }
+        flips
             .into_iter()
-            .filter(|&(_, status, body_len)| !page_is_error_or_empty(status, body_len));
-        self.alive
-            .push_back(alive.map(|(domain, ..)| domain.to_string()).collect());
+            .map(|slot| self.ranked[slot].0.as_str())
+            .collect()
     }
 
-    /// The domains of `ranked` to filter out, given the weeks absorbed so
-    /// far. Before the first week there is no evidence and no verdict.
-    pub fn verdict<'a>(&self, ranked: impl IntoIterator<Item = &'a String>) -> BTreeSet<String> {
+    /// The candidates to filter out, given the weeks absorbed so far.
+    /// Before the first week there is no evidence and no verdict.
+    pub fn verdict(&self) -> BTreeSet<String> {
         if self.alive.is_empty() {
             return BTreeSet::new();
         }
-        ranked
-            .into_iter()
-            .filter(|domain| !self.alive.iter().any(|week| week.contains(*domain)))
-            .cloned()
-            .collect()
+        let dead = self.ranked.iter().filter(|(_, alive)| *alive == 0);
+        dead.map(|(domain, _)| domain.clone()).collect()
     }
 }
 
@@ -89,8 +135,7 @@ pub fn store_filter_verdict(reader: &AnyReader) -> Result<BTreeSet<String>, Stor
     if let Some(filtered) = reader.filtered_out() {
         return Ok(filtered.iter().cloned().collect());
     }
-    let ranked = reader.genesis().ranks.iter().map(|(host, _)| host);
-    Ok(FilterWindow::from_store(reader)?.verdict(ranked))
+    Ok(FilterWindow::from_store(reader)?.verdict())
 }
 
 /// Drops filtered-out domains from a snapshot — pages, fetch summaries
@@ -116,8 +161,13 @@ mod tests {
     use webvuln_failpoint::check::{self, Gen};
     use webvuln_net::filter::{inaccessible_domains, FetchSummary};
 
-    fn absorb(window: &mut FilterWindow, week: &BTreeMap<String, FetchSummary>) {
-        window.absorb(week.iter().map(|(d, s)| (d.as_str(), s.status, s.body_len)));
+    fn absorb(window: &mut FilterWindow, week: &BTreeMap<String, FetchSummary>) -> Vec<String> {
+        let fetched = week.iter().map(|(d, s)| (d.as_str(), s.status, s.body_len));
+        window
+            .absorb(fetched)
+            .into_iter()
+            .map(str::to_string)
+            .collect()
     }
 
     fn summary(g: &mut Gen) -> FetchSummary {
@@ -137,14 +187,17 @@ mod tests {
     /// from zero weeks up past [`FINAL_WEEKS`]. The batch rule's
     /// candidates are the domains observed so far; the window's are the
     /// rank list, so the ranked-but-never-observed are added to the
-    /// expectation (see the literal case below).
+    /// expectation (see the literal case below). Each slide reports
+    /// exactly the candidates whose verdict it flipped, each once; an
+    /// unranked domain is never one.
     #[test]
     fn filter_window_matches_the_batch_filter_rule() {
         check::run("filter window matches the batch rule", 256, |g| {
             let ranked: Vec<String> = (0..g.range(1..=10)).map(|i| format!("d{i}.com")).collect();
-            let mut window = FilterWindow::new();
+            let mut window = FilterWindow::new(&ranked);
             let mut weekly: Vec<BTreeMap<String, FetchSummary>> = Vec::new();
-            assert!(window.verdict(&ranked).is_empty(), "zero weeks");
+            let mut previous = window.verdict();
+            assert!(previous.is_empty(), "zero weeks");
             for _ in 0..g.range(0..=FINAL_WEEKS as u64 + 4) {
                 let mut week = BTreeMap::new();
                 for domain in &ranked {
@@ -152,8 +205,18 @@ mod tests {
                         week.insert(domain.clone(), summary(g));
                     }
                 }
-                absorb(&mut window, &week);
+                if g.bool() {
+                    week.insert("unranked.com".to_string(), summary(g));
+                }
+                let mut flips = absorb(&mut window, &week);
+                week.remove("unranked.com");
                 weekly.push(week);
+                let verdict = window.verdict();
+                flips.sort();
+                let expected: Vec<String> =
+                    verdict.symmetric_difference(&previous).cloned().collect();
+                assert_eq!(flips, expected, "flips after week {}", weekly.len());
+                previous = verdict;
                 let mut expected = inaccessible_domains(&weekly, FINAL_WEEKS);
                 expected.extend(
                     ranked
@@ -161,12 +224,7 @@ mod tests {
                         .filter(|domain| !weekly.iter().any(|week| week.contains_key(*domain)))
                         .cloned(),
                 );
-                assert_eq!(
-                    window.verdict(&ranked),
-                    expected,
-                    "after week {}",
-                    weekly.len()
-                );
+                assert_eq!(previous, expected, "after week {}", weekly.len());
             }
         });
     }
@@ -182,12 +240,9 @@ mod tests {
         };
         let ranked = ["seen.com".to_string(), "never.com".to_string()];
         let week = BTreeMap::from([("seen.com".to_string(), ok)]);
-        let mut window = FilterWindow::new();
-        absorb(&mut window, &week);
-        assert_eq!(
-            window.verdict(&ranked),
-            BTreeSet::from(["never.com".to_string()])
-        );
+        let mut window = FilterWindow::new(&ranked);
+        assert_eq!(absorb(&mut window, &week), ["never.com"]);
+        assert_eq!(window.verdict(), BTreeSet::from(["never.com".to_string()]));
         assert!(inaccessible_domains(&[week], FINAL_WEEKS).is_empty());
     }
 }

@@ -417,7 +417,7 @@ struct EncEntry {
 ///
 /// Records must be sorted by host name; the canonical encoding (and the
 /// byte-identical comparison underlying delta hits) depends on it.
-pub fn encode_week<R: Borrow<DomainRecord>>(
+pub fn encode_week<S: AsRef<str>, R: Borrow<DomainRecord<S>>>(
     week: &WeekData<R>,
     table: &mut Interner,
     prev: &PrevWeek,
@@ -436,7 +436,7 @@ pub fn encode_week<R: Borrow<DomainRecord>>(
     let mut encoded = Vec::new();
     for record in &week.records {
         let record = record.borrow();
-        let host_sym = table.intern(&record.host);
+        let host_sym = table.intern(record.host.as_ref());
         encoded.clear();
         encode_body(record, table, &mut encoded);
         raw_bytes += encoded.len() as u64;
@@ -803,7 +803,8 @@ fn read_segment_file(bytes: &[u8], want: u8) -> Result<RawSegment, StoreError> {
 /// Encodes `week` as a standalone file: the header and one week segment
 /// with its own string table and every body in full.
 pub fn encode_week_file(week: &WeekData) -> Vec<u8> {
-    let encoded = encode_week(week, &mut Interner::new(), &PrevWeek::new(), HEADER_LEN);
+    let encoded =
+        encode_week::<String, _>(week, &mut Interner::new(), &PrevWeek::new(), HEADER_LEN);
     segment_file(kind::WEEK, &encoded.payload)
 }
 

@@ -377,6 +377,43 @@ mod tests {
         out
     }
 
+    /// A week file's records as its reader decoded them — borrowed, each
+    /// string a `Sym` of the file's own table — commit to the bytes their
+    /// owned copies do, into either layout, week after week (so the delta
+    /// back-references are compared too).
+    #[test]
+    fn borrowed_records_commit_to_the_owned_bytes() {
+        // 0: a single file.
+        for shards in [0, 1, 3] {
+            let (owned, borrowed) = (TempDir::new("owned"), TempDir::new("borrowed"));
+            let create = |dir: &TempDir| match shards {
+                0 => {
+                    std::fs::create_dir_all(&dir.path).expect("create dir");
+                    let path = dir.path.join("one.wvstore");
+                    StoreWriter::create(&path, genesis(12, 3)).map(AnyWriter::from)
+                }
+                _ => AnyWriter::create(&dir.path, genesis(12, 3), shards),
+            };
+            let (mut owned_writer, mut borrowed_writer) = (create(&owned), create(&borrowed));
+            for w in 0..3 {
+                let bytes = codec::encode_week_file(&testkit::week(w, 12));
+                let file = codec::WeekFile::parse(&bytes).expect("parse week file");
+                let week = file.week().expect("decode week file");
+                let owned_writer = owned_writer.as_mut().expect("create owned");
+                owned_writer
+                    .commit_week(&week.to_owned())
+                    .expect("commit owned");
+                let borrowed_writer = borrowed_writer.as_mut().expect("create borrowed");
+                borrowed_writer.commit_week(&week).expect("commit borrowed");
+            }
+            assert_eq!(
+                dir_bytes(&borrowed.path),
+                dir_bytes(&owned.path),
+                "{shards} shards"
+            );
+        }
+    }
+
     #[test]
     fn shard_assignment_is_deterministic_and_in_range() {
         for shards in [1usize, 2, 4, 16] {

@@ -52,6 +52,12 @@ pub trait FromSym<'a> {
     fn from_sym(sym: Sym<'a>) -> Self;
 }
 
+impl AsRef<str> for Sym<'_> {
+    fn as_ref(&self) -> &str {
+        self.text
+    }
+}
+
 impl<'a> FromSym<'a> for Sym<'a> {
     fn from_sym(sym: Sym<'a>) -> Self {
         sym
@@ -149,12 +155,12 @@ pub struct ScriptRecord<S = String> {
     pub crossorigin: Option<S>,
 }
 
-fn write_opt_sym(out: &mut Vec<u8>, table: &mut Interner, value: Option<&str>) {
+fn write_opt_sym(out: &mut Vec<u8>, table: &mut Interner, value: Option<&impl AsRef<str>>) {
     match value {
         None => out.push(0),
         Some(s) => {
             out.push(1);
-            write_u64(out, u64::from(table.intern(s)));
+            write_u64(out, u64::from(table.intern(s.as_ref())));
         }
     }
 }
@@ -164,8 +170,13 @@ fn write_sym(out: &mut Vec<u8>, table: &mut Interner, value: &str) {
 }
 
 /// Encodes the body of a domain record (everything except the host symbol
-/// and the full/back-reference tag, which belong to the segment layer).
-pub fn encode_body(record: &DomainRecord, table: &mut Interner, out: &mut Vec<u8>) {
+/// and the full/back-reference tag, which belong to the segment layer),
+/// owned or as decoded: a string is written as its text, whoever holds it.
+pub fn encode_body<S: AsRef<str>>(
+    record: &DomainRecord<S>,
+    table: &mut Interner,
+    out: &mut Vec<u8>,
+) {
     match record.status {
         None => out.push(0),
         Some(status) => {
@@ -183,43 +194,43 @@ pub fn encode_body(record: &DomainRecord, table: &mut Interner, out: &mut Vec<u8
     }
 }
 
-fn encode_page(page: &PageRecord, table: &mut Interner, out: &mut Vec<u8>) {
+fn encode_page<S: AsRef<str>>(page: &PageRecord<S>, table: &mut Interner, out: &mut Vec<u8>) {
     write_u64(out, page.detections.len() as u64);
     for det in &page.detections {
-        write_sym(out, table, &det.library);
-        write_opt_sym(out, table, det.version.as_deref());
-        write_opt_sym(out, table, det.external_host.as_deref());
+        write_sym(out, table, det.library.as_ref());
+        write_opt_sym(out, table, det.version.as_ref());
+        write_opt_sym(out, table, det.external_host.as_ref());
         out.push(u8::from(det.integrity));
-        write_opt_sym(out, table, det.crossorigin.as_deref());
-        write_sym(out, table, &det.url);
+        write_opt_sym(out, table, det.crossorigin.as_ref());
+        write_sym(out, table, det.url.as_ref());
     }
     match &page.wordpress {
         WordPressRecord::Absent => out.push(0),
         WordPressRecord::DetectedUnknownVersion => out.push(1),
         WordPressRecord::Detected(version) => {
             out.push(2);
-            write_sym(out, table, version);
+            write_sym(out, table, version.as_ref());
         }
     }
     write_u64(out, page.flash.len() as u64);
     for flash in &page.flash {
-        write_sym(out, table, &flash.swf_url);
-        write_opt_sym(out, table, flash.allow_script_access.as_deref());
+        write_sym(out, table, flash.swf_url.as_ref());
+        write_opt_sym(out, table, flash.allow_script_access.as_ref());
     }
     write_u64(out, page.resource_types.len() as u64);
     out.extend_from_slice(&page.resource_types);
     write_u64(out, page.github_scripts.len() as u64);
     for script in &page.github_scripts {
-        write_sym(out, table, &script.host);
-        write_sym(out, table, &script.url);
+        write_sym(out, table, script.host.as_ref());
+        write_sym(out, table, script.url.as_ref());
         out.push(u8::from(script.integrity));
-        write_opt_sym(out, table, script.crossorigin.as_deref());
+        write_opt_sym(out, table, script.crossorigin.as_ref());
     }
     write_u64(out, page.external_scripts);
     write_u64(out, page.external_scripts_without_integrity);
     write_u64(out, page.crossorigin_values.len() as u64);
     for value in &page.crossorigin_values {
-        write_sym(out, table, value);
+        write_sym(out, table, value.as_ref());
     }
 }
 

@@ -73,10 +73,10 @@ pub fn split_week(week: &WeekData, shards: usize) -> Vec<WeekData> {
 
 /// [`split_week`] with each record cloned, or — a commit, which only
 /// reads them — lent (`|r| r`).
-fn partition_week<'a, R>(
-    week: &'a WeekData,
+fn partition_week<'a, S: AsRef<str>, R>(
+    week: &'a WeekData<DomainRecord<S>>,
     shards: usize,
-    lend: impl Fn(&'a DomainRecord) -> R,
+    lend: impl Fn(&'a DomainRecord<S>) -> R,
 ) -> Vec<WeekData<R>> {
     let mut parts: Vec<WeekData<R>> = (0..shards)
         .map(|_| WeekData {
@@ -86,7 +86,7 @@ fn partition_week<'a, R>(
         })
         .collect();
     for record in &week.records {
-        parts[shard_of(&record.host, shards)]
+        parts[shard_of(record.host.as_ref(), shards)]
             .records
             .push(lend(record));
     }
@@ -149,7 +149,7 @@ fn merge_genesis(parts: &[&Genesis]) -> Result<Genesis, StoreError> {
 
 /// One shard's slice of a week — borrowed from the group week, never
 /// cloned — claimed by exactly one commit worker.
-type ShardJob<'a> = Mutex<Option<(usize, &'a mut StoreWriter, WeekData<&'a DomainRecord>)>>;
+type ShardJob<'a, S> = Mutex<Option<(usize, &'a mut StoreWriter, WeekData<&'a DomainRecord<S>>)>>;
 
 /// Writes a snapshot store of either layout: a sharded directory (one
 /// [`StoreWriter`] per shard plus the group manifest) or a single file,
@@ -290,10 +290,14 @@ impl AnyWriter {
     /// parallel on the exec pool, then publishes the week with one atomic
     /// manifest rename; a kill anywhere in between leaves the manifest at
     /// the previous epoch and the partial shard progress is rolled back
-    /// on resume.
-    pub fn commit_week(&mut self, week: &WeekData) -> Result<CommitInfo, StoreError> {
+    /// on resume. The records may be owned or as a reader decoded them
+    /// (a spool file's): either encodes to the same bytes.
+    pub fn commit_week<S: AsRef<str> + Sync>(
+        &mut self,
+        week: &WeekData<DomainRecord<S>>,
+    ) -> Result<CommitInfo, StoreError> {
         let Some(manifest) = self.manifest else {
-            return self.writers[0].commit_week(week);
+            return self.writers[0].commit_lent::<S, _>(week);
         };
         if manifest.finalized {
             return Err(StoreError::AlreadyFinalized);
@@ -306,7 +310,7 @@ impl AnyWriter {
             });
         }
         let parts = partition_week(week, self.writers.len(), |record| record);
-        let jobs: Vec<ShardJob<'_>> = self
+        let jobs: Vec<ShardJob<'_, S>> = self
             .writers
             .iter_mut()
             .zip(parts)
@@ -321,7 +325,7 @@ impl AnyWriter {
                 .expect("each shard job runs exactly once");
             let key = index.to_string();
             let _ = webvuln_failpoint::failpoint!("store.shard.mid_write", &key)?;
-            writer.commit_lent(&part)
+            writer.commit_lent::<S, _>(&part)
         });
         let mut info = CommitInfo {
             week: week.week,

@@ -249,11 +249,12 @@ impl StoreWriter {
     /// arrive in order, starting at 0 (or at the first uncommitted week
     /// after a resume), with records sorted by host.
     pub fn commit_week(&mut self, week: &WeekData) -> Result<CommitInfo, StoreError> {
-        self.commit_lent(week)
+        self.commit_lent::<String, _>(week)
     }
 
-    /// [`StoreWriter::commit_week`] over records the caller only lends.
-    pub(crate) fn commit_lent<R: Borrow<DomainRecord>>(
+    /// [`StoreWriter::commit_week`] over records the caller only lends,
+    /// owned or as decoded.
+    pub(crate) fn commit_lent<S: AsRef<str>, R: Borrow<DomainRecord<S>>>(
         &mut self,
         week: &WeekData<R>,
     ) -> Result<CommitInfo, StoreError> {
@@ -274,7 +275,7 @@ impl StoreWriter {
         // the shard count.
         let _phase = trace::phase_scope("store");
         let _week = trace::week_scope(week.week as u64);
-        let encoded = encode_week(week, &mut self.table, &self.prev, self.data_end);
+        let encoded = encode_week::<S, R>(week, &mut self.table, &self.prev, self.data_end);
         let envelope = encode_segment(kind::WEEK, &encoded.payload);
         self.append_segment(&envelope, kind::WEEK, week.week)?;
 

@@ -2,9 +2,10 @@
 //!
 //! The supervised live-ingestion daemon: keeps a sharded snapshot store
 //! growing as weekly crawls arrive, keeps the full study accumulator
-//! *live* as domain buckets — each new week absorbed incrementally, and
-//! when the §4.1 verdict drifts only the flipped domains' buckets folded
-//! again on the next quiet tick, so no tick refolds the whole history (a
+//! *live* as a part per shard — each new week absorbed incrementally, and
+//! when the §4.1 verdict drifts only the flipped domains' histories merged
+//! in or retracted on the next quiet tick, so no tick refolds the whole
+//! history (a
 //! CVE delta extending the database rebuilds only the exposure
 //! accumulators, in the retro-scan's one walk) — and turns
 //! newly-disclosed CVEs into per-domain exposure alerts by retro-scanning

@@ -20,26 +20,27 @@
 //! applied-journal append (a crash mid-scan replays the scan, and the
 //! outbox dedups the replayed alerts by deterministic ID), and delivery
 //! is the outbox's journaled three-sync round. The live accumulator is
-//! *not* persisted — the store is its journal — and it is held as domain
-//! [`Buckets`], merged only when read ([`Watcher::live`]): a cold open
-//! folds every bucket from the store, and an arrival tick hands each
-//! bucket its share of the one new week, which is exactly the fold's
-//! per-week step (`absorb` of a [`DecodedWeek`]). The §4.1 filter rides
-//! along the same way: the [`FilterWindow`] over the trailing weeks is
-//! held in memory (built from the store once, on open), so an arrival
-//! tick costs one week — read, commit, absorb — independent of how much
+//! *not* persisted — the store is its journal — and it is held as
+//! [`Buckets`], one part per shard, merged only when read
+//! ([`Watcher::live`]). It keeps one invariant: it is the fold of every
+//! committed week minus the *settled* §4.1 verdict. A cold open folds it
+//! from the store, and an arrival tick hands each part its share of the
+//! one new week under the settled verdict, which is exactly the fold's
+//! per-week step (`absorb` of a [`DecodedWeek`]). The [`FilterWindow`]
+//! over the trailing weeks is held in memory (built from the store once,
+//! on open) and names the domains each arrival flips, so an arrival tick
+//! costs one week — read, commit, absorb — independent of how much
 //! history the store holds. Verdict drift (domains crossing the
-//! trailing-inaccessibility boundary, a weekly occurrence at scale)
-//! changes the state by what changed: the buckets the flipped domains
-//! fall in are remembered, and the next quiet tick folds those buckets —
-//! and no other record of history — again under the new verdict, so idle
-//! still means exactly cold-fold-equal.
+//! trailing-inaccessibility boundary, a weekly occurrence at scale) waits
+//! in a pending set; the next quiet tick reads the flipped domains'
+//! histories alone and merges each one in or retracts it
+//! ([`Buckets::settle`]), so idle still means exactly cold-fold-equal.
 //!
 //! History is read through one reader, opened with the watcher and
 //! refreshed ([`AnyReader::refresh`]) only by a settle or a delta tick. A
-//! delta costs one walk ([`Buckets::rejoin`]): every bucket's exposure
-//! accumulators rebuilt and the alert spans collected in one pass, the
-//! touched buckets left touched for the settle.
+//! delta costs one walk ([`Buckets::rejoin`]): every part's exposure
+//! accumulators rebuilt under the settled verdict and the alert spans
+//! collected in one pass, the pending flips left for the settle.
 //!
 //! [`DecodedWeek`]: webvuln_analysis::store_io::DecodedWeek
 
@@ -55,7 +56,7 @@ use webvuln_analysis::{
 };
 use webvuln_cvedb::{parse_delta, VulnDb, VulnRecord};
 use webvuln_store::durable::{complete_lines, AppendLog};
-use webvuln_store::{AnyReader, AnyWriter, MANIFEST_FILE};
+use webvuln_store::{AnyReader, AnyWriter, DomainRecord, Sym, MANIFEST_FILE};
 use webvuln_telemetry::Telemetry;
 
 /// Where a watcher lives and how wide it runs.
@@ -134,13 +135,14 @@ pub struct TickReport {
     /// Spool weeks skipped as already committed (idempotent redelivery).
     pub weeks_skipped: usize,
     /// Times the tick went back to the store's history for the live
-    /// state: once for a CVE delta extending the database (every bucket's
+    /// state: once for a CVE delta extending the database (every domain's
     /// two exposure accumulators, in the retro-scan's one walk), once for
-    /// §4.1 verdict drift settling on a quiet tick (the touched buckets,
-    /// whole). Never on an arrival.
+    /// §4.1 verdict drift settling on a quiet tick (the flipped domains'
+    /// histories). Never on an arrival.
     pub refolds: usize,
-    /// Buckets of the live state those refolds folded again.
-    pub buckets_refolded: usize,
+    /// Domains whose history those refolds read again: the flipped ones a
+    /// settle folded in or out, every ranked one for a delta's walk.
+    pub domains_refolded: usize,
     /// Delta files whose retro-scan completed this tick.
     pub deltas_applied: usize,
     /// Alerts newly journaled into the outbox.
@@ -169,7 +171,7 @@ impl std::ops::AddAssign for TickReport {
             weeks_ingested,
             weeks_skipped,
             refolds,
-            buckets_refolded,
+            domains_refolded,
             deltas_applied,
             alerts_enqueued,
             alerts_deduped,
@@ -179,7 +181,7 @@ impl std::ops::AddAssign for TickReport {
         self.weeks_ingested += weeks_ingested;
         self.weeks_skipped += weeks_skipped;
         self.refolds += refolds;
-        self.buckets_refolded += buckets_refolded;
+        self.domains_refolded += domains_refolded;
         self.deltas_applied += deltas_applied;
         self.alerts_enqueued += alerts_enqueued;
         self.alerts_deduped += alerts_deduped;
@@ -245,16 +247,19 @@ pub struct Watcher {
     telemetry: Telemetry,
     writer: AnyWriter,
     db: VulnDb,
-    /// The live study accumulator, a bucket per domain part.
+    /// The live study accumulator, a part per shard: every committed week
+    /// folded minus `settled`.
     live: Buckets<StudyAccum>,
-    filtered: BTreeSet<String>,
+    /// The §4.1 verdict `live` was folded under.
+    settled: BTreeSet<String>,
     /// The §4.1 window over the trailing committed weeks — the verdict
     /// is derived from this in memory, so a steady-state tick never
     /// re-reads the store.
     filter_window: FilterWindow,
-    /// Buckets of `live` holding a domain whose verdict flipped since the
-    /// bucket was folded — folded again on the next quiet tick.
-    touched: BTreeSet<usize>,
+    /// Domains whose verdict flipped since `live` was settled (the
+    /// window's verdict is `settled` with these toggled): folded in or out
+    /// on the next quiet tick.
+    pending: BTreeSet<String>,
     /// The store read back: opened once, refreshed by ticks that read history.
     reader: AnyReader,
     ranks: BTreeMap<String, usize>,
@@ -273,7 +278,7 @@ impl Watcher {
     ///
     /// Resumes an existing store — healing torn shard tails and rolling
     /// back uncommitted shard progress — or creates one from the spool's
-    /// `genesis.wvgenesis`. The live buckets are folded cold from whatever
+    /// `genesis.wvgenesis`. The live parts are folded cold from whatever
     /// the store holds, under the verdict of the one §4.1 window built
     /// from its trailing weeks.
     pub fn open(cfg: WatchConfig, telemetry: &Telemetry) -> Result<Watcher, WatchError> {
@@ -312,9 +317,9 @@ impl Watcher {
             live: Buckets::new(writer.shard_count()),
             writer,
             db,
-            filtered: BTreeSet::new(),
-            filter_window: FilterWindow::new(),
-            touched: BTreeSet::new(),
+            settled: BTreeSet::new(),
+            filter_window: FilterWindow::default(),
+            pending: BTreeSet::new(),
             reader,
             ranks,
             outbox,
@@ -334,19 +339,17 @@ impl Watcher {
         self.telemetry.registry().counter(name).add(by);
     }
 
-    /// Folds the live buckets cold from the held reader, under the verdict
+    /// Folds the live state cold from the held reader, under the verdict
     /// of the one §4.1 window built from the store's trailing weeks.
     fn fold_cold(&mut self) -> Result<(), WatchError> {
         let decoded = self.reader.records_decoded();
         self.filter_window = FilterWindow::from_store(&self.reader)?;
-        self.filtered = self.filter_window.verdict(self.ranks.keys());
+        self.settled = self.filter_window.verdict();
+        self.pending.clear();
         let ctx = AccumCtx::new(&self.db, &self.ranks);
-        self.live = Buckets::new(self.reader.shard_count());
-        let (all, threads) = (0..self.live.count(), self.cfg.threads);
-        self.live
-            .refold(&self.reader, all, &ctx, threads, &self.filtered)?;
-        self.touched.clear();
-        // The history once, for the buckets, and the window's weeks again.
+        let (reader, threads) = (&self.reader, self.cfg.threads);
+        self.live = Buckets::fold(reader, &ctx, threads, &self.settled)?;
+        // The history once, for the live state, and the window's weeks again.
         let decoded = self.reader.records_decoded() - decoded;
         self.count("watch.records_refolded_total", decoded);
         Ok(())
@@ -396,13 +399,12 @@ impl Watcher {
         report.alerts_redelivered = delivery.deduped;
         self.count("watch.alerts_delivered_total", delivery.delivered as u64);
         // Settle verdict drift on a quiet tick: arrival ticks stay
-        // O(one week) and the catch-up refold of the touched buckets
-        // lands in the poll gap that follows. A settling tick reports its
-        // refold, so the daemon is never idle while the live state lags
-        // the filter.
-        if !self.touched.is_empty() && report.weeks_ingested == 0 {
+        // O(one week) and the flipped domains' histories are read in the
+        // poll gap that follows. A settling tick reports its refold, so
+        // the daemon is never idle while the live state lags the filter.
+        if !self.pending.is_empty() && report.weeks_ingested == 0 {
             self.follow()?;
-            self.refold(&mut report)?;
+            self.settle(&mut report)?;
         }
         Ok(report)
     }
@@ -430,73 +432,73 @@ impl Watcher {
                 .map_err(|e| WatchError::corrupt(&path, e.to_string()))?;
             let key = index.to_string();
             let _ = webvuln_failpoint::failpoint!("watch.ingest", &key)?;
-            self.writer.commit_week(&records.to_owned())?;
-            // The incremental step: every bucket absorbs exactly what a
-            // cold fold's per-week iteration would hand it, off the spool
-            // file's own records.
-            let fetched = records.records.iter();
-            self.filter_window
-                .absorb(fetched.map(|r| (r.host.text, r.status, r.body_len as usize)));
+            self.writer.commit_week(&records)?;
+            // The incremental step: every part absorbs exactly what a cold
+            // fold's per-week iteration under the settled verdict would
+            // hand it, off the spool file's own records.
             let ctx = AccumCtx::new(&self.db, &self.ranks);
-            self.live.absorb(&records, &self.filtered, &ctx)?;
+            self.live.absorb(&records, &self.settled, &ctx)?;
+            self.slide_filter(&records.records);
             // Consume the spool file only after the commit: a crash
             // between the two re-skips the week above, then cleans up.
             std::fs::remove_file(&path).map_err(|e| WatchError::io(&path, e))?;
             report.weeks_ingested += 1;
             self.count("watch.weeks_ingested_total", 1);
         }
-        if report.weeks_ingested > 0 {
-            self.refresh_filter();
-        }
         Ok(())
     }
 
-    /// Re-derives the §4.1 filter verdict from the in-memory trailing
-    /// window — the same answer [`store_filter_verdict`] would read back
-    /// from the store, without touching it. A changed verdict cannot be
-    /// applied retroactively to an incremental accumulator, so the
-    /// buckets the flipped domains fall in are marked touched; folding
-    /// them again is deferred to the next quiet tick. Domains cross the
-    /// trailing-inaccessibility boundary most weeks at scale (the
-    /// marginal population flaps), so paying even that inside the arrival
-    /// tick would make every arrival cost a walk over history.
+    /// Slides the §4.1 window over a committed week and toggles the
+    /// domains whose verdict that flipped in the pending set — the same
+    /// verdict [`store_filter_verdict`] would read back from the store,
+    /// without touching it. An incremental accumulator cannot apply a
+    /// changed verdict retroactively, so the flipped domains wait for the
+    /// next quiet tick. Domains cross the trailing-inaccessibility
+    /// boundary most weeks at scale (the marginal population flaps), so
+    /// settling inside the arrival tick would make every arrival read
+    /// history.
     ///
     /// [`store_filter_verdict`]: webvuln_analysis::store_filter_verdict
-    fn refresh_filter(&mut self) {
-        let fresh = self.filter_window.verdict(self.ranks.keys());
-        let mut flips = 0;
-        for domain in fresh.symmetric_difference(&self.filtered) {
-            self.touched.insert(self.live.bucket_of(domain));
-            flips += 1;
+    fn slide_filter(&mut self, records: &[DomainRecord<Sym<'_>>]) {
+        let fetched = records.iter();
+        let fetched = fetched.map(|r| (r.host.text, r.status, r.body_len as usize));
+        let flips = self.filter_window.absorb(fetched);
+        let flipped = flips.len() as u64;
+        for domain in flips {
+            if !self.pending.remove(domain) {
+                self.pending.insert(domain.to_string());
+            }
         }
-        if flips > 0 {
-            self.count("watch.filter_flips_total", flips);
-            self.filtered = fresh;
+        if flipped > 0 {
+            self.count("watch.filter_flips_total", flipped);
         }
     }
 
-    /// Folds the touched buckets of the live state again from the held
-    /// reader, under the current verdict and database. The touched set is
-    /// spent only once the fold has succeeded.
-    fn refold(&mut self, report: &mut TickReport) -> Result<(), WatchError> {
+    /// Settles the pending flips from the held reader: each flipped
+    /// domain's history folded in or out of the live state, under the
+    /// current database. The pending set is spent only once the settle
+    /// has succeeded.
+    fn settle(&mut self, report: &mut TickReport) -> Result<(), WatchError> {
         let ctx = AccumCtx::new(&self.db, &self.ranks);
-        let (decoded, threads) = (self.reader.records_decoded(), self.cfg.threads);
-        let wanted = self.touched.iter().copied();
-        self.live
-            .refold(&self.reader, wanted, &ctx, threads, &self.filtered)?;
-        let buckets = std::mem::take(&mut self.touched).len();
-        self.count_refold(buckets, report);
-        let decoded = self.reader.records_decoded() - decoded;
-        self.count("watch.records_refolded_total", decoded);
+        let (reader, settled) = (&self.reader, &self.settled);
+        let read = self.live.settle(reader, &self.pending, settled, &ctx)?;
+        let flipped = std::mem::take(&mut self.pending);
+        self.count_refold(flipped.len(), report);
+        self.count("watch.records_refolded_total", read);
+        for domain in flipped {
+            if !self.settled.remove(&domain) {
+                self.settled.insert(domain);
+            }
+        }
         Ok(())
     }
 
-    /// Counts one refold of `buckets` buckets.
-    fn count_refold(&self, buckets: usize, report: &mut TickReport) {
+    /// Counts one refold that read `domains` domains' histories.
+    fn count_refold(&self, domains: usize, report: &mut TickReport) {
         report.refolds += 1;
-        report.buckets_refolded += buckets;
+        report.domains_refolded += domains;
         self.count("watch.refolds_total", 1);
-        self.count("watch.buckets_refolded_total", buckets as u64);
+        self.count("watch.domains_refolded_total", domains as u64);
     }
 
     fn apply_deltas(&mut self, report: &mut TickReport) -> Result<(), WatchError> {
@@ -585,12 +587,12 @@ impl Watcher {
         };
         let ctx = AccumCtx::new(&self.db, &self.ranks);
         let (decoded, threads) = (self.reader.records_decoded(), self.cfg.threads);
-        let (reader, filtered) = (&self.reader, &self.filtered);
-        let files = self.live.rejoin(reader, &ctx, threads, filtered, scan)?;
+        let (reader, settled) = (&self.reader, &self.settled);
+        let files = self.live.rejoin(reader, &ctx, threads, settled, scan)?;
         let decoded = self.reader.records_decoded() - decoded;
         self.count("watch.records_scanned_total", decoded);
         if db_grew {
-            self.count_refold(self.live.count(), report);
+            self.count_refold(self.ranks.len(), report);
         }
         // A domain lives in one shard: the files' spans are disjoint.
         let mut spans = vec![Spans::new(); records.len()];
@@ -614,7 +616,7 @@ impl Watcher {
         Ok(journal.append(format!("{name}\n").as_bytes())?)
     }
 
-    /// The live study accumulator: the buckets merged, by value. Nothing
+    /// The live study accumulator: the parts merged, by value. Nothing
     /// reads it per tick, so a read pays the merges and a tick pays none.
     pub fn live(&self) -> StudyAccum {
         self.live.merged()

@@ -822,12 +822,12 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
     let totals = &report.totals;
     out!("watch root: {root}");
     out!(
-        "ticks:      {} ({} weeks ingested, {} skipped, {} refolds of {} buckets)",
+        "ticks:      {} ({} weeks ingested, {} skipped, {} refolds of {} domains)",
         report.ticks,
         totals.weeks_ingested,
         totals.weeks_skipped,
         totals.refolds,
-        totals.buckets_refolded
+        totals.domains_refolded
     );
     out!(
         "deltas:     {} applied ({} alerts enqueued, {} deduped)",

@@ -12,16 +12,16 @@
 //! batch path produces. A CVE delta file targeting the corpus's most
 //! common library drives the retro-scan and the outbox.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
-use webvuln::analysis::accum::BUCKETS_PER_SHARD;
 use webvuln::analysis::{fold_study, FilterWindow};
 use webvuln::core::{Pipeline, StudyConfig};
 use webvuln::failpoint::{arm, arm_key, arm_nth, disarm, reset, Action};
 use webvuln::net::FaultPlan;
 use webvuln::resilience::RetryPolicy;
-use webvuln::store::{shard_of, AnyReader, Genesis, WeekData};
+use webvuln::store::{AnyReader, Genesis, WeekData};
 use webvuln::telemetry::Telemetry;
 use webvuln::watch::{
     load_watch_state, supervise, write_genesis_file, write_week_file, Alert, OutboxSnapshot,
@@ -94,6 +94,23 @@ fn build_corpus(weeks: usize) -> Corpus {
 
 fn corpus() -> &'static Corpus {
     CORPUS.get_or_init(|| build_corpus(WEEKS))
+}
+
+/// The §4.1 verdict after each of `corpus`'s weeks, derived beside the
+/// daemon by a window of the test's own.
+fn verdicts(corpus: &Corpus) -> Vec<BTreeSet<String>> {
+    let mut window = FilterWindow::new(corpus.genesis.ranks.iter().map(|(host, _)| host));
+    let verdict = |week: &WeekData| {
+        let fetched = week.records.iter();
+        window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
+        window.verdict()
+    };
+    corpus.weeks.iter().map(verdict).collect()
+}
+
+/// The domains whose verdict differs between `before` and `after`.
+fn flipped(before: &BTreeSet<String>, after: &BTreeSet<String>) -> BTreeSet<String> {
+    before.symmetric_difference(after).cloned().collect()
 }
 
 /// A fresh watch root with `weeks` corpus weeks spooled and (optionally)
@@ -290,16 +307,15 @@ fn live_accumulator_matches_a_cold_fold_and_reopen_is_idle() {
 /// neither decodes a record of history nor indexes a week of the store —
 /// its cost is one week, whatever the store holds. History is read again
 /// only on the quiet tick after an arrival (§4.1 verdict drift settling:
-/// exactly the records of the buckets the flipped domains fall in, which
-/// the test derives on its own from the corpus) or on the tick a CVE delta
-/// lands (one walk, every record decoded once), and either indexes exactly
-/// the shard weeks committed since the reader last caught up. After every
-/// quiet tick the live state is exactly a cold fold's.
+/// exactly the flipped domains' records, which the test derives on its
+/// own from the corpus) or on the tick a CVE delta lands (one walk, every
+/// record decoded once), and either indexes exactly the shard weeks
+/// committed since the reader last caught up. After every quiet tick the
+/// live state is exactly a cold fold's.
 #[test]
 fn arrival_ticks_ingest_one_week_and_never_refold() {
     const HISTORY: usize = 32;
     const SHARDS: usize = 4;
-    const BUCKETS: usize = SHARDS * BUCKETS_PER_SHARD;
     let _guard = lock();
     reset();
     let corpus = build_corpus(HISTORY);
@@ -317,10 +333,9 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
     let cfg = WatchConfig::new(&root).threads(2).shards(SHARDS);
     let mut watcher = Watcher::open(cfg, &telemetry).expect("open watcher");
     // The §4.1 verdict, derived beside the daemon from the same weeks.
-    let ranked: Vec<&String> = corpus.genesis.ranks.iter().map(|(host, _)| host).collect();
-    let mut window = FilterWindow::new();
-    let mut verdict = window.verdict(ranked.iter().copied());
-    let (mut settle_refolds, mut settled_buckets, mut partial_settles) = (0, 0, 0);
+    let (verdicts, ranked) = (verdicts(&corpus), corpus.genesis.ranks.len());
+    let mut verdict = BTreeSet::new();
+    let (mut settle_refolds, mut settled_domains, mut partial_settles) = (0, 0, 0);
     // History records the daemon has decoded for its live state so far.
     let mut history = 0;
     // Weeks its reader has indexed: the store is empty at open.
@@ -342,30 +357,24 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
             "the arrival of week {index} read the store"
         );
 
-        let fetched = week.records.iter();
-        window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
-        let fresh = window.verdict(ranked.iter().copied());
-        let touched: std::collections::BTreeSet<usize> = fresh
-            .symmetric_difference(&verdict)
-            .map(|domain| shard_of(domain, BUCKETS))
-            .collect();
-        verdict = fresh;
-        let in_touched = corpus.weeks[..=index]
+        let flipped = flipped(&verdict, &verdicts[index]);
+        verdict = verdicts[index].clone();
+        let in_flipped = corpus.weeks[..=index]
             .iter()
             .flat_map(|week| &week.records)
-            .filter(|record| touched.contains(&shard_of(&record.host, BUCKETS)))
+            .filter(|record| flipped.contains(&record.host))
             .count() as u64;
         let all: usize = corpus.weeks[..=index].iter().map(|w| w.records.len()).sum();
 
         let quiet = watcher.tick().expect("quiet tick");
         assert_eq!(quiet.weeks_ingested, 0);
-        assert_eq!(quiet.refolds, usize::from(!touched.is_empty()), "{quiet:?}");
-        assert_eq!(quiet.buckets_refolded, touched.len(), "week {index}");
-        history += in_touched;
+        assert_eq!(quiet.refolds, usize::from(!flipped.is_empty()), "{quiet:?}");
+        assert_eq!(quiet.domains_refolded, flipped.len(), "week {index}");
+        history += in_flipped;
         assert_eq!(
             counter("watch.records_refolded_total"),
             history,
-            "the settle of week {index} must decode its touched buckets, no more"
+            "the settle of week {index} must decode the flipped domains' records, no more"
         );
         if quiet.refolds == 1 {
             caught_up = index + 1;
@@ -376,16 +385,16 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
             "the settle of week {index} must index the weeks since the last, no more"
         );
         settle_refolds += quiet.refolds;
-        settled_buckets += quiet.buckets_refolded;
-        if quiet.refolds == 1 && touched.len() < BUCKETS {
+        settled_domains += quiet.domains_refolded;
+        if quiet.refolds == 1 && flipped.len() < ranked {
             assert!(
-                in_touched < all as u64,
-                "week {index}: {in_touched} of {all}"
+                in_flipped < all as u64,
+                "week {index}: {in_flipped} of {all}"
             );
             partial_settles += 1;
         }
         assert!(
-            index < 3 || touched.len() < BUCKETS,
+            index < 3 || flipped.len() < ranked,
             "week {index} flipped all"
         );
         assert!(
@@ -406,12 +415,12 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
 
     // The other tick that goes back to history: a CVE delta extends the
     // database — one walk decodes every record once, rebuilding every
-    // bucket's exposure accumulators and scanning for the delta's alerts.
+    // domain's exposure accumulators and scanning for the delta's alerts.
     let all: u64 = corpus.weeks.iter().map(|w| w.records.len() as u64).sum();
     land_delta(&root);
     let delta = watcher.tick().expect("delta tick");
     assert_eq!((delta.weeks_ingested, delta.refolds), (0, 1));
-    assert_eq!(delta.buckets_refolded, BUCKETS);
+    assert_eq!(delta.domains_refolded, ranked);
     assert_eq!(delta.deltas_applied, 1);
     assert_eq!(counter("watch.records_refolded_total"), history);
     assert_eq!(counter("watch.records_scanned_total"), all);
@@ -436,8 +445,8 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
         Some(settle_refolds as u64 + 1)
     );
     assert_eq!(
-        counters.counter("watch.buckets_refolded_total"),
-        Some((settled_buckets + BUCKETS) as u64)
+        counters.counter("watch.domains_refolded_total"),
+        Some((settled_domains + ranked) as u64)
     );
     assert_eq!(
         counters.counter("watch.ticks_total"),
@@ -455,7 +464,7 @@ fn arrival_ticks_ingest_one_week_and_never_refold() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A cold open decodes every history record once, for the live buckets,
+/// A cold open decodes every history record once, for the live state,
 /// and the trailing §4.1 weeks once more, for the one window it builds
 /// and folds under — not twice more, as when the fold derived a window
 /// of its own beside the watcher's.
@@ -496,8 +505,9 @@ fn tick_to_idle(watcher: &mut Watcher) {
 /// An arrival, the §4.1 flips it brings and a CVE delta land in one tick.
 /// The delta's walk reads the week that tick committed, decodes every
 /// record once and rebuilds only the exposure accumulators, so the flipped
-/// buckets stay touched; the quiet tick after settles them, and the live
-/// state is a cold fold's. No shard week is indexed twice over the run.
+/// domains stay pending; the quiet tick after settles exactly those, and
+/// the live state is a cold fold's. No shard week is indexed twice over
+/// the run.
 #[test]
 fn an_arrival_and_a_delta_in_one_tick_settle_to_a_cold_fold() {
     const SHARDS: usize = 4;
@@ -505,21 +515,7 @@ fn an_arrival_and_a_delta_in_one_tick_settle_to_a_cold_fold() {
     reset();
     // The last week whose arrival moves the §4.1 verdict.
     let weeks = &corpus().weeks;
-    let ranked: Vec<&String> = corpus()
-        .genesis
-        .ranks
-        .iter()
-        .map(|(host, _)| host)
-        .collect();
-    let mut window = FilterWindow::new();
-    let verdicts: Vec<_> = weeks
-        .iter()
-        .map(|week| {
-            let fetched = week.records.iter();
-            window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
-            window.verdict(ranked.iter().copied())
-        })
-        .collect();
+    let verdicts = verdicts(corpus());
     let last = (1..WEEKS).rev().find(|&w| verdicts[w] != verdicts[w - 1]);
     let last = last.expect("the hostile corpus must drift the verdict");
     let root = seed_root("same-tick", last, false);
@@ -541,7 +537,8 @@ fn an_arrival_and_a_delta_in_one_tick_settle_to_a_cold_fold() {
         quiet.refolds, 1,
         "the arrival must flip a domain: {quiet:?}"
     );
-    assert!(quiet.buckets_refolded < SHARDS * BUCKETS_PER_SHARD);
+    let flips = flipped(&verdicts[last - 1], &verdicts[last]);
+    assert_eq!(quiet.domains_refolded, flips.len());
     assert_eq!(
         live_fingerprint(&watcher),
         cold_fold_fingerprint(&root, &watcher, 2)
@@ -851,9 +848,14 @@ fn supervisor_restarts_through_a_transient_fault() {
     assert_eq!(report.totals.deltas_applied, 1);
     assert!(report.totals.alerts_delivered > 0);
     // The totals are the ticks' sum, field for field: the one settle
-    // after the restarted ingest, and the buckets it folded again.
+    // after the restarted ingest, and the domains it folded again — those
+    // flipped between the verdict the reopen folded under (week 0's) and
+    // the last week's.
     assert_eq!(report.totals.refolds, 1);
-    assert!((1..4 * BUCKETS_PER_SHARD).contains(&report.totals.buckets_refolded));
+    let verdicts = verdicts(corpus());
+    let flips = flipped(&verdicts[0], &verdicts[WEEKS - 1]);
+    assert!(!flips.is_empty());
+    assert_eq!(report.totals.domains_refolded, flips.len());
     let state = load_watch_state(&root);
     assert_eq!(state.weeks_committed, WEEKS as u64);
     assert_eq!(state.alerts_pending, 0);

@@ -144,3 +144,53 @@ fn help_names_every_entry_of_every_table() {
         }
     }
 }
+
+/// `watch` over a sharded store the CLI built: three supervised ticks
+/// apply the landed CVE delta in one walk, settle nothing (a finished
+/// study's verdict never moves) and say so in the summary, refolds by the
+/// domains they read again.
+#[test]
+fn watch_summarizes_its_ticks_by_the_domains_it_refolded() {
+    let root = std::env::temp_dir().join(format!("webvuln-cli-watch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = root.join("store");
+    let store = store.to_str().expect("utf-8 path");
+    let built = webvuln(&[
+        "study",
+        "--domains",
+        "60",
+        "--weeks",
+        "3",
+        "--store",
+        store,
+        "--shards",
+        "4",
+    ]);
+    assert!(built.status.success(), "{built:?}");
+    std::fs::create_dir_all(root.join("deltas")).expect("create deltas");
+    let delta = "# webvuln cve delta v1\nid: CVE-2099-9999\nlibrary: jquery\n\
+                 claimed: < 9.0.0\nattack: xss\ndisclosed: 2022-01-01\n";
+    std::fs::write(root.join("deltas/batch.cvedelta"), delta).expect("land delta");
+    let out = webvuln(&[
+        "watch",
+        root.to_str().expect("utf-8 path"),
+        "--ticks",
+        "3",
+        "--pause-ms",
+        "0",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(
+        lines.contains(&"ticks:      3 (0 weeks ingested, 0 skipped, 0 refolds of 0 domains)"),
+        "{stdout}"
+    );
+    assert!(
+        lines
+            .iter()
+            .any(|line| line.starts_with("deltas:     1 applied")),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
