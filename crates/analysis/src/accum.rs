@@ -286,11 +286,12 @@ pub struct LandscapeAccum {
 impl LandscapeAccum {
     /// Table 1 rows, ordered by usage share descending.
     pub fn table1(&self, db: &VulnDb) -> Vec<LibraryRow> {
+        let none = LibraryState::default();
         let mut rows: Vec<LibraryRow> = LibraryId::ALL
             .iter()
             .enumerate()
             .map(|(index, &library)| {
-                let lib = self.libs.get(index).cloned().unwrap_or_default();
+                let lib = self.libs.get(index).unwrap_or(&none);
                 let mut weekly_sites = Vec::new();
                 let mut weekly_share = Vec::new();
                 for week in &self.weeks {
@@ -351,15 +352,16 @@ impl LandscapeAccum {
 
     /// Table 5: top external hosts per library.
     pub fn table5(&self, top: usize) -> Vec<CdnBreakdown> {
+        let none = LibraryState::default();
         LibraryId::ALL
             .iter()
             .enumerate()
             .map(|(index, &library)| {
-                let lib = self.libs.get(index).cloned().unwrap_or_default();
+                let lib = self.libs.get(index).unwrap_or(&none);
                 let mut hosts: Vec<(String, f64)> = lib
                     .host_counts
-                    .into_iter()
-                    .map(|(h, c)| (h, c as f64 / lib.host_total.max(1) as f64))
+                    .iter()
+                    .map(|(h, &c)| (h.clone(), c as f64 / lib.host_total.max(1) as f64))
                     .collect();
                 hosts.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaNs"));
                 hosts.truncate(top);
