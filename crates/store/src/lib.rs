@@ -435,7 +435,7 @@ mod tests {
         assert_eq!(shard_of("anything.example", 1), 0);
     }
 
-    /// The nesting a fold's bucket → file mapping relies on: a cut `k`
+    /// The nesting a fold's part → file mapping relies on: a cut `k`
     /// times finer than the shard count refines it, never straddles it.
     #[test]
     fn a_finer_cut_nests_inside_the_shard_cut() {
