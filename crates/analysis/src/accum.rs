@@ -1766,17 +1766,20 @@ impl<A: Accumulate + Default + Clone> Buckets<A> {
 
 impl Buckets<StudyAccum> {
     /// What a CVE delta costs the state: one walk, each healthy file's weeks
-    /// decoded once (a file a worker). Every part's two accumulators that
-    /// read the database, exposure and behavior, are folded afresh minus
-    /// `filtered` (a part holding nothing is folded whole; one whose file
-    /// is unavailable is left holding nothing, as by a cold fold). `scan`
-    /// sees every page, filtered or not, into one `S` per healthy file.
+    /// decoded once (a file a worker). When the database grew (`refold`),
+    /// every part's two accumulators that read it, exposure and behavior,
+    /// are folded afresh minus `filtered`; when it did not (a delta the
+    /// database already held), they stand as they are. Either way a part
+    /// holding nothing is folded whole, and one whose file is unavailable
+    /// is left holding nothing, as by a cold fold. `scan` sees every page,
+    /// filtered or not, into one `S` per healthy file.
     pub fn rejoin<S: Default + Send>(
         &mut self,
         reader: &AnyReader,
         ctx: &AccumCtx<'_>,
         threads: usize,
         filtered: &BTreeSet<String>,
+        refold: bool,
         scan: impl Fn(&mut S, &DecodedWeek<'_>) + Sync,
     ) -> Result<Vec<S>, StoreError> {
         let (shards, held) = (self.parts.len(), &self.parts);
@@ -1802,11 +1805,11 @@ impl Buckets<StudyAccum> {
                 let records = shard.week_records(week, |_| true)?;
                 let views = DecodedWeek::partition(&records, &none, &mut symbols, 2, place)?;
                 views.iter().for_each(|view| scan(&mut state, view));
-                if held[file].is_some() {
+                if held[file].is_none() {
+                    fresh.absorb(&views[0], ctx);
+                } else if refold {
                     fresh.exposure.absorb(&views[0], ctx);
                     fresh.behavior.absorb(&views[0], ctx);
-                } else {
-                    fresh.absorb(&views[0], ctx);
                 }
             }
             Ok(Some((fresh, state)))
@@ -1818,9 +1821,10 @@ impl Buckets<StudyAccum> {
             let (fresh, state) = walked?.unzip();
             states.extend(state);
             match (part, fresh) {
-                (Some(accum), Some(new)) => {
+                (Some(accum), Some(new)) if refold => {
                     (accum.exposure, accum.behavior) = (new.exposure, new.behavior);
                 }
+                (Some(_), Some(_)) => {}
                 (part, new) => *part = new,
             }
         }

@@ -268,11 +268,15 @@ impl Model {
         self.settled = self.filtered.clone();
     }
 
-    /// A delta extended the database: every part's exposure accumulators
-    /// again, the flipped domains still pending.
-    fn rejoin(&mut self, reader: &AnyReader, ctx: &AccumCtx<'_>, threads: usize) {
+    /// A delta tick: when it extended the database (`refold`), every
+    /// part's exposure accumulators again; else (a delta the database
+    /// already held) a walk that only reads. The flipped domains stay
+    /// pending either way.
+    fn rejoin(&mut self, reader: &AnyReader, ctx: &AccumCtx<'_>, threads: usize, refold: bool) {
         let scan = |_: &mut (), _: &DecodedWeek<'_>| {};
-        let rejoined = self.live.rejoin(reader, ctx, threads, &self.settled, scan);
+        let rejoined = self
+            .live
+            .rejoin(reader, ctx, threads, &self.settled, refold, scan);
         rejoined.expect("rejoin");
         if self.mutation == Some(Mutation::RejoinSpendsThePending) {
             self.pending.clear();
@@ -336,7 +340,11 @@ fn settles_to_the_cold_fold(g: &mut Gen, mutation: Option<Mutation>) {
         };
         if delta_now && !same_tick && index > 0 {
             let reader = AnyReader::open_degraded(&path).expect("open");
-            model.rejoin(&reader, &ctx, threads);
+            model.rejoin(&reader, &ctx, threads, true);
+        } else if index > 0 && g.range(0..=3) == 0 {
+            // A delta file the database already holds, replayed.
+            let reader = AnyReader::open_degraded(&path).expect("open");
+            model.rejoin(&reader, &ctx, threads, false);
         }
         writer.commit_week(&snapshot_to_week(week)).expect("commit");
         model.arrive(week, &ctx);
@@ -369,7 +377,7 @@ fn settles_to_the_cold_fold(g: &mut Gen, mutation: Option<Mutation>) {
                 ranks: &ranks,
             };
             let reader = AnyReader::open_degraded(&path).expect("open");
-            model.rejoin(&reader, &ctx, threads);
+            model.rejoin(&reader, &ctx, threads, true);
         }
         // Flips pile up over back-to-back arrivals; a quiet tick settles.
         if index + 1 < raw.len() && g.range(0..=2) == 0 {

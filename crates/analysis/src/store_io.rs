@@ -79,10 +79,10 @@ pub(crate) fn page_into_record(page: PageAnalysis) -> PageRecord {
                 allow_script_access: f.allow_script_access,
             })
             .collect(),
+        // In place: a `ResourceType` and its code are one byte each.
         resource_types: page
             .resource_types
-            .iter()
-            .copied()
+            .into_iter()
             .map(resource_type_code)
             .collect(),
         github_scripts: page

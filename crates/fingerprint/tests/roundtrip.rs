@@ -28,7 +28,8 @@ fn every_planted_deployment_is_recovered() {
             pages += 1;
             let truth = model.state_at(week);
             let analysis = engine.analyze(&html, &model.name);
-            for dep in &truth.deployments {
+            for deployed in &truth.deployments {
+                let dep = deployed.deployment;
                 let det = analysis
                     .library(dep.library)
                     .unwrap_or_else(|| panic!("{}: {} missing", model.name, dep.library));
@@ -38,7 +39,7 @@ fn every_planted_deployment_is_recovered() {
                         panic!("{}: {} version missing", model.name, dep.library)
                     });
                     assert_eq!(
-                        got, &dep.version,
+                        got, deployed.version,
                         "{}: {} version mismatch",
                         model.name, dep.library
                     );
@@ -67,7 +68,10 @@ fn every_planted_deployment_is_recovered() {
             // No phantom detections: everything found was planted.
             for det in &analysis.detections {
                 assert!(
-                    truth.deployments.iter().any(|d| d.library == det.library),
+                    truth
+                        .deployments
+                        .iter()
+                        .any(|d| d.deployment.library == det.library),
                     "{}: phantom {}",
                     model.name,
                     det.library
@@ -91,7 +95,7 @@ fn wordpress_and_flash_round_trip() {
         };
         let truth = model.state_at(1);
         let analysis = engine.analyze(&html, &model.name);
-        match (&truth.wordpress, &analysis.wordpress) {
+        match (truth.wordpress, &analysis.wordpress) {
             (Some(v), Some(Some(got))) => {
                 assert_eq!(got, v, "{}", model.name);
                 wp_seen += 1;

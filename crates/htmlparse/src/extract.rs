@@ -316,6 +316,10 @@ impl<'a> OnePass<'a> {
     }
 
     fn start_tag(&mut self, name: &'a str, attrs: Attributes<'a>, opens: bool) {
+        // Every tag read below (`img` … `script`, `object`) is 3 to 6 bytes.
+        if !(3..=6).contains(&name.len()) {
+            return;
+        }
         let out = &mut self.out;
         let is = |tag: &str| name.eq_ignore_ascii_case(tag);
         if is("script") {

@@ -14,6 +14,12 @@
 //!
 //! `<script>` and `<style>` switch the tokenizer into raw-text mode: their
 //! content is emitted as a single [`Token::Text`] without interpreting `<`.
+//!
+//! It scans bytes: markup and entities are found eight bytes a step, and a
+//! character is decoded only where a non-ASCII byte might start
+//! whitespace. A start tag keeps the spans of the attributes its scan met
+//! on the way to its end, so reading them scans nothing again. The
+//! char-level tokenizer this replaced is kept, in tests, as its oracle.
 
 use std::borrow::Cow;
 
@@ -24,7 +30,7 @@ pub enum Token<'a> {
     StartTag {
         /// Tag name as written.
         name: &'a str,
-        /// The attributes, read on demand.
+        /// The attributes, as the tag's scan found them.
         attrs: Attributes<'a>,
         /// Whether the tag ended with `/>`.
         self_closing: bool,
@@ -42,11 +48,20 @@ pub enum Token<'a> {
     Doctype(&'a str),
 }
 
-/// A start tag's attributes: the tag's source after its name, parsed
-/// again each time they are read.
+/// Attributes whose spans a start tag keeps; a tag with more, or longer
+/// than a `u16` can index, is scanned again when they are read.
+const HELD: usize = 8;
+
+/// A start tag's attributes: the tag's source after its name, and where
+/// in it the scan that found the tag's end met each attribute's name and
+/// value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Attributes<'a> {
     src: &'a str,
+    /// `[name start, name end, value start, value end]` in `src`.
+    spans: [[u16; 4]; HELD],
+    /// How many of `spans` are set; `None` when they do not cover the tag.
+    held: Option<u8>,
 }
 
 impl<'a> Attributes<'a> {
@@ -54,18 +69,25 @@ impl<'a> Attributes<'a> {
     /// keep their case and values are not entity-decoded (read one with
     /// [`decode_entities`]). A valueless attribute has the value `""`.
     pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
-        let mut scan = AttrScan {
-            s: self.src,
-            p: 0,
-            self_closing: false,
-        };
-        std::iter::from_fn(move || scan.next_attr())
+        let (src, spans) = (self.src, self.spans);
+        let mut held = self.held.map(|n| spans.into_iter().take(n.into()));
+        let mut scan = AttrScan::new(src, 0);
+        std::iter::from_fn(move || match &mut held {
+            Some(spans) => spans.next().map(|[a, b, c, d]| {
+                let at = |from: u16, to: u16| &src[from.into()..to.into()];
+                (at(a, b), at(c, d))
+            }),
+            None => scan.next_attr(),
+        })
     }
 }
 
 /// Tokenizes `input` into a sequence of [`Token`]s. Never fails.
 pub fn tokenize(input: &str) -> Vec<Token<'_>> {
-    Tokenizer::new(input).collect()
+    // About one token per sixteen bytes of a landing page.
+    let mut tokens = Vec::with_capacity(input.len() / 16 + 1);
+    tokens.extend(Tokenizer::new(input));
+    tokens
 }
 
 /// Elements whose content is raw text (no markup interpretation).
@@ -85,10 +107,58 @@ fn name_len(s: &str) -> usize {
     s.bytes().position(|b| !is_name_byte(b)).unwrap_or(s.len())
 }
 
-fn skip_whitespace(s: &str, p: usize) -> usize {
-    p + s[p..]
-        .find(|c: char| !c.is_whitespace())
-        .unwrap_or(s.len() - p)
+/// The first byte of `hay` that is `a` or `b`, eight bytes a step.
+fn find_either(hay: &[u8], a: u8, b: u8) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    // The lowest zero byte of `x` sets its high bit here.
+    let zero = |x: u64| x.wrapping_sub(LOW) & !x & (LOW << 7);
+    let mut words = hay.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let found = zero(x ^ (LOW * u64::from(a))) | zero(x ^ (LOW * u64::from(b)));
+        if found != 0 {
+            return Some(i * 8 + found.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder().iter().position(|&c| c == a || c == b);
+    tail.map(|i| hay.len() / 8 * 8 + i)
+}
+
+/// The length of the whitespace character ([`char::is_whitespace`]) at
+/// byte `p` of `s`, or 0. An ASCII byte is read as it is; a character is
+/// decoded only when its first byte is not ASCII.
+fn space_at(s: &str, p: usize) -> usize {
+    match s.as_bytes().get(p) {
+        Some(b'\t'..=b'\r' | b' ') => 1,
+        Some(0x80..=0xFF) => s[p..]
+            .chars()
+            .next()
+            .filter(|c| c.is_whitespace())
+            .map_or(0, char::len_utf8),
+        _ => 0,
+    }
+}
+
+fn skip_whitespace(s: &str, mut p: usize) -> usize {
+    loop {
+        match space_at(s, p) {
+            0 => return p,
+            n => p += n,
+        }
+    }
+}
+
+/// Where the run of `s` from byte `p` ends: at whitespace, at a byte
+/// `stop` accepts, or at the end.
+fn run_end(s: &str, mut p: usize, stop: impl Fn(u8) -> bool) -> usize {
+    while let Some(&b) = s.as_bytes().get(p) {
+        if stop(b) || space_at(s, p) > 0 {
+            break;
+        }
+        // A character's length is the count of its first byte's high ones.
+        p += (b.leading_ones() as usize).max(1);
+    }
+    p
 }
 
 /// The pull tokenizer: yields the [`Token`]s of `input` in order.
@@ -97,8 +167,6 @@ pub struct Tokenizer<'a> {
     pos: usize,
     /// The raw-text element whose content comes next.
     raw: Option<&'a str>,
-    /// A token read while looking for the end of a text run.
-    pending: Option<Token<'a>>,
 }
 
 impl<'a> Tokenizer<'a> {
@@ -108,7 +176,6 @@ impl<'a> Tokenizer<'a> {
             input,
             pos: 0,
             raw: None,
-            pending: None,
         }
     }
 
@@ -120,49 +187,68 @@ impl<'a> Tokenizer<'a> {
                 .is_some_and(|&c| matches!(c, b'!' | b'?' | b'/') || c.is_ascii_alphabetic())
     }
 
-    /// Where the text starting at `from` ends: the next markup, or the end.
-    fn text_end(&self, from: usize) -> usize {
-        let mut at = from;
-        while let Some(rel) = self.input[at..].find('<') {
-            if self.is_markup(at + rel) {
-                return at + rel;
+    /// Where the text starting at `from` ends (the next markup, or the
+    /// end), entity-decoded: one scan finds both `<` and `&`.
+    fn text_run(&mut self, from: usize) -> Cow<'a, str> {
+        let (bytes, mut at, mut amp) = (self.input.as_bytes(), from, false);
+        self.pos = loop {
+            let Some(rel) = find_either(&bytes[at..], b'<', b'&') else {
+                break bytes.len();
+            };
+            at += rel;
+            if bytes[at] == b'<' && self.is_markup(at) {
+                break at;
             }
-            at += rel + 1;
+            amp |= bytes[at] == b'&';
+            at += 1;
+        };
+        let run = &self.input[from..self.pos];
+        if amp {
+            decode_entities(run)
+        } else {
+            Cow::Borrowed(run)
         }
-        self.input.len()
     }
 
     fn text(&mut self) -> Token<'a> {
-        let start = self.pos;
-        self.pos = self.text_end(start);
-        let mut text = decode_entities(&self.input[start..self.pos]);
+        let mut text = self.text_run(self.pos);
         // Markup that makes no token (`</>`, `<?…>`, a declaration that is
         // not a doctype) does not end the text: the run after it belongs
         // to the same token.
-        while self.pos < self.input.len() {
-            if let Some(token) = self.markup() {
-                self.pending = Some(token);
-                break;
-            }
-            let from = self.pos;
-            self.pos = self.text_end(from);
-            if from < self.pos {
-                text.to_mut()
-                    .push_str(&decode_entities(&self.input[from..self.pos]));
-            }
+        while self.pos < self.input.len() && !self.makes_token() {
+            let _ = self.markup();
+            let more = self.text_run(self.pos);
+            text.to_mut().push_str(&more);
         }
         Token::Text(text)
+    }
+
+    /// Whether the markup at `self.pos` makes a token, read without
+    /// consuming it.
+    fn makes_token(&self) -> bool {
+        let rest = &self.input.as_bytes()[self.pos..];
+        match rest[1] {
+            b'!' if rest.starts_with(b"<!--") => true,
+            b'!' => {
+                let doctype = rest
+                    .get(2..9)
+                    .is_some_and(|p| p.eq_ignore_ascii_case(b"DOCTYPE"));
+                doctype && rest.contains(&b'>')
+            }
+            b'/' => rest.get(2).is_some_and(|&b| is_name_byte(b)),
+            b => b != b'?',
+        }
     }
 
     /// Consumes the markup at `self.pos` (a `<` that opens markup); `None`
     /// when it makes no token.
     fn markup(&mut self) -> Option<Token<'a>> {
-        let rest = &self.input[self.pos..];
-        if rest.starts_with("<!--") {
+        let rest = &self.input.as_bytes()[self.pos..];
+        if rest.starts_with(b"<!--") {
             Some(self.comment())
-        } else if matches!(rest.as_bytes()[1], b'!' | b'?') {
+        } else if matches!(rest[1], b'!' | b'?') {
             self.declaration()
-        } else if rest.as_bytes()[1] == b'/' {
+        } else if rest[1] == b'/' {
             self.end_tag()
         } else {
             Some(self.start_tag())
@@ -185,18 +271,24 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
+    /// The byte after the next `>` from `from`, or the end of the input.
+    fn past_gt(&self, from: usize) -> Option<usize> {
+        find_either(&self.input.as_bytes()[from..], b'>', b'>').map(|rel| from + rel + 1)
+    }
+
     fn declaration(&mut self) -> Option<Token<'a>> {
         // `<!DOCTYPE …>`, `<![CDATA[…]]>`, `<?xml …?>` — find closing '>'.
         let start = self.pos;
-        let Some(rel) = self.input[start..].find('>') else {
+        let Some(end) = self.past_gt(start) else {
             self.pos = self.input.len();
             return None;
         };
-        self.pos = start + rel + 1;
-        let inner = &self.input[start + 2..start + rel];
+        self.pos = end;
+        let inner = &self.input[start + 2..end - 1];
         let is_doctype = inner
+            .as_bytes()
             .get(..7)
-            .is_some_and(|p| p.eq_ignore_ascii_case("DOCTYPE"));
+            .is_some_and(|p| p.eq_ignore_ascii_case(b"DOCTYPE"));
         is_doctype.then(|| Token::Doctype(inner[7..].trim()))
     }
 
@@ -204,10 +296,7 @@ impl<'a> Tokenizer<'a> {
         let name_start = self.pos + 2;
         let name_end = name_start + name_len(&self.input[name_start..]);
         // Skip to '>' (tolerating junk inside the end tag).
-        self.pos = match self.input[name_end..].find('>') {
-            Some(rel) => name_end + rel + 1,
-            None => self.input.len(),
-        };
+        self.pos = self.past_gt(name_end).unwrap_or(self.input.len());
         let name = &self.input[name_start..name_end];
         (!name.is_empty()).then_some(Token::EndTag { name })
     }
@@ -215,12 +304,21 @@ impl<'a> Tokenizer<'a> {
     fn start_tag(&mut self) -> Token<'a> {
         let name_start = self.pos + 1;
         let name_end = name_start + name_len(&self.input[name_start..]);
-        let mut scan = AttrScan {
-            s: self.input,
-            p: name_end,
-            self_closing: false,
-        };
-        while scan.next_attr().is_some() {}
+        let mut scan = AttrScan::new(self.input, name_end);
+        let mut spans = [[0; 4]; HELD];
+        let mut held = Some(0u8);
+        while let Some(attr) = scan.next_attr() {
+            let at = |part: &str| part.as_ptr() as usize - self.input.as_ptr() as usize - name_end;
+            let [a, b] = [attr.0, attr.1].map(|part| [at(part), at(part) + part.len()]);
+            let span = [a[0], a[1], b[0], b[1]].map(u16::try_from);
+            held = match (held, span) {
+                (Some(n), [Ok(a), Ok(b), Ok(c), Ok(d)]) if usize::from(n) < HELD => {
+                    spans[usize::from(n)] = [a, b, c, d];
+                    Some(n + 1)
+                }
+                _ => None,
+            };
+        }
         self.pos = scan.p.min(self.input.len());
         let name = &self.input[name_start..name_end];
         if is_raw_text_element(name) && !scan.self_closing {
@@ -230,6 +328,8 @@ impl<'a> Tokenizer<'a> {
             name,
             attrs: Attributes {
                 src: &self.input[name_end..self.pos],
+                spans,
+                held,
             },
             self_closing: scan.self_closing,
         }
@@ -250,9 +350,6 @@ impl<'a> Iterator for Tokenizer<'a> {
     type Item = Token<'a>;
 
     fn next(&mut self) -> Option<Token<'a>> {
-        if let Some(token) = self.pending.take() {
-            return Some(token);
-        }
         if let Some(name) = self.raw.take() {
             if let Some(text) = self.raw_text(name) {
                 return Some(text);
@@ -275,24 +372,26 @@ impl<'a> Iterator for Tokenizer<'a> {
 /// name, so that the end tag read there is `name` itself.
 fn closer(hay: &str, name: &str) -> Option<usize> {
     let bytes = hay.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = hay[from..].find("</") {
-        let at = from + rel;
+    let mut at = 0;
+    while let Some(rel) = find_either(&bytes[at..], b'<', b'<') {
+        at += rel;
         let after = at + 2 + name.len();
-        let named = bytes
-            .get(at + 2..after)
-            .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()));
+        let named = bytes.get(at + 1) == Some(&b'/')
+            && bytes
+                .get(at + 2..after)
+                .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()));
         if named && !bytes.get(after).is_some_and(|&b| is_name_byte(b)) {
             return Some(at);
         }
-        from = at + 2;
+        at += 1;
     }
     None
 }
 
 /// Reads a start tag's attributes from byte `p` of `s` (just past the tag
-/// name) to the tag's end. The tokenizer runs it once to find where the
-/// tag ends; [`Attributes::iter`] runs it again over the same bytes.
+/// name) to the tag's end. The tokenizer runs it once, to find where the
+/// tag ends, and keeps the spans it met; [`Attributes::iter`] runs it
+/// again only over a tag whose spans were not all kept.
 struct AttrScan<'a> {
     s: &'a str,
     p: usize,
@@ -300,6 +399,14 @@ struct AttrScan<'a> {
 }
 
 impl<'a> AttrScan<'a> {
+    fn new(s: &'a str, p: usize) -> AttrScan<'a> {
+        AttrScan {
+            s,
+            p,
+            self_closing: false,
+        }
+    }
+
     /// The next `(name, raw value)`, or `None` at the tag's end with `p`
     /// just past it.
     fn next_attr(&mut self) -> Option<(&'a str, &'a str)> {
@@ -322,9 +429,7 @@ impl<'a> AttrScan<'a> {
                 continue;
             }
             let start = self.p;
-            self.p += s[start..]
-                .find(|c: char| c.is_whitespace() || c == '=' || c == '>' || c == '/')
-                .unwrap_or(s.len() - start);
+            self.p = run_end(s, start, |b| matches!(b, b'=' | b'>' | b'/'));
             let name = &s[start..self.p];
             if name.is_empty() {
                 // Defensive: avoid an infinite loop on weird bytes.
@@ -334,7 +439,7 @@ impl<'a> AttrScan<'a> {
             // Optional value.
             let q = skip_whitespace(s, self.p);
             if s.as_bytes().get(q) != Some(&b'=') {
-                return Some((name, ""));
+                return Some((name, &s[self.p..self.p]));
             }
             let (value, next) = attr_value(s, skip_whitespace(s, q + 1));
             self.p = next;
@@ -344,22 +449,21 @@ impl<'a> AttrScan<'a> {
 }
 
 /// The raw attribute value at byte `at` of `s`, and the byte after it.
+/// Every value, even an empty one, is a slice of `s`.
 fn attr_value(s: &str, at: usize) -> (&str, usize) {
     match s.as_bytes().get(at) {
         Some(&q @ (b'"' | b'\'')) => {
             let start = at + 1;
-            match s[start..].find(q as char) {
+            match find_either(&s.as_bytes()[start..], q, q) {
                 Some(rel) => (&s[start..start + rel], start + rel + 1),
                 None => (&s[start..], s.len()),
             }
         }
         Some(_) => {
-            let end = s[at..]
-                .find(|c: char| c.is_whitespace() || c == '>')
-                .map_or(s.len(), |r| at + r);
+            let end = run_end(s, at, |b| b == b'>');
             (&s[at..end], end)
         }
-        None => ("", s.len()),
+        None => (&s[s.len()..], s.len()),
     }
 }
 
@@ -586,3 +690,6 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+mod oracle;

@@ -1,9 +1,9 @@
 //! The HTTP client used by the crawler: one-shot fetches with redirect
 //! following, generic over the [`Connect`] transport.
 
-use crate::codec::{encode_request, MessageReader};
+use crate::codec::{encode_get, MessageReader};
 use crate::error::{NetError, Result};
-use crate::http::{Request, Response};
+use crate::http::Response;
 use crate::server::Connect;
 use std::borrow::Cow;
 
@@ -32,7 +32,7 @@ pub fn fetch_attempt(
         // One request/response exchange on a fresh connection.
         let mut stream = connector.connect(&host, attempt)?;
         let mut wire = Vec::new();
-        encode_request(&Request::get(&host, &target), &mut wire);
+        encode_get(&host, &target, &mut wire);
         stream.write_all(&wire).map_err(NetError::from)?;
         stream.flush().map_err(NetError::from)?;
         let response = MessageReader::new(stream).into_response(false)?;
@@ -85,7 +85,7 @@ fn parse_location(location: &str, current_host: &str) -> Option<(String, String)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{Response, Status};
+    use crate::http::{Request, Response, Status};
     use crate::virtual_net::VirtualNet;
     use std::sync::Arc;
 

@@ -7,7 +7,7 @@
 //! headers, 8 MiB of body.
 
 use crate::error::{NetError, Result};
-use crate::http::{field, Headers, Method, Request, Response, Status};
+use crate::http::{field, Headers, Method, Request, Response, Status, GET_FIELDS};
 use std::io::{self, Read, Write};
 use std::ops::Range;
 
@@ -25,6 +25,19 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     out.extend_from_slice(b" HTTP/1.1\r\n");
     encode_headers(&req.headers, req.body.len(), !req.body.is_empty(), out);
     out.extend_from_slice(&req.body);
+}
+
+/// Serializes the crawler's `GET` for `target` on `host`: the bytes
+/// [`encode_request`] writes for [`Request::get`], with no request built.
+pub fn encode_get(host: &str, target: &str, out: &mut Vec<u8>) {
+    out.reserve(96 + target.len() + host.len());
+    for part in ["GET ", target, " HTTP/1.1\r\nHost: ", host, "\r\n"] {
+        out.extend_from_slice(part.as_bytes());
+    }
+    for (name, value) in GET_FIELDS {
+        push_field(name, value, out);
+    }
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Serializes a response. When `chunked` is set the body is written as a
@@ -81,7 +94,12 @@ fn encode_headers(headers: &Headers, body_len: usize, ensure_length: bool, out: 
 /// Incremental HTTP/1.1 message reader over any byte stream.
 pub struct MessageReader<R> {
     inner: R,
+    /// Bytes read, then room to read into: `buf[..end]` was read, and the
+    /// rest is initialized once, when the buffer grows, so a read writes
+    /// into it without zeroing it first.
     buf: Vec<u8>,
+    /// End of the bytes read in `buf`.
+    end: usize,
     /// Consumed prefix of `buf`.
     pos: usize,
     /// True once the underlying stream reported EOF.
@@ -98,6 +116,7 @@ impl<R: Read> MessageReader<R> {
         MessageReader {
             inner,
             buf: Vec::new(),
+            end: 0,
             pos: 0,
             eof: false,
             last: false,
@@ -124,10 +143,7 @@ impl<R: Read> MessageReader<R> {
             .next()
             .and_then(Method::parse)
             .ok_or(NetError::Malformed("request method"))?;
-        let target = parts
-            .next()
-            .ok_or(NetError::Malformed("request target"))?
-            .to_string();
+        let target = field(parts.next().ok_or(NetError::Malformed("request target"))?);
         let version = parts.next().ok_or(NetError::Malformed("http version"))?;
         if !version.starts_with("HTTP/1.") {
             return Err(NetError::Malformed("http version"));
@@ -179,7 +195,7 @@ impl<R: Read> MessageReader<R> {
 
     /// True when the next read would hit a cleanly-closed stream.
     pub fn at_eof(&mut self) -> bool {
-        if self.pos < self.buf.len() {
+        if self.pos < self.end {
             return false;
         }
         if self.eof {
@@ -188,28 +204,37 @@ impl<R: Read> MessageReader<R> {
         // Peek by attempting a fill.
         match self.fill() {
             Ok(0) => true,
-            _ => self.pos >= self.buf.len() && self.eof,
+            _ => self.pos >= self.end && self.eof,
         }
     }
 
-    fn fill(&mut self) -> Result<usize> {
-        // Compact the consumed prefix: always when fully drained, and
-        // whenever it exceeds 16 KiB — otherwise a long keep-alive
-        // connection's buffer grows with the total bytes ever received.
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
+    /// Bytes read and not yet consumed.
+    fn unread(&self) -> usize {
+        self.end - self.pos
+    }
+
+    /// Drops the consumed prefix: always when fully drained, and whenever
+    /// it exceeds 16 KiB — otherwise a long keep-alive connection's buffer
+    /// grows with the total bytes ever received.
+    fn compact(&mut self) {
+        if self.pos == self.end {
+            (self.pos, self.end) = (0, 0);
         } else if self.pos > 16 * 1024 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+            self.buf.copy_within(self.pos..self.end, 0);
+            (self.pos, self.end) = (0, self.end - self.pos);
         }
-        let mut chunk = [0u8; 8 * 1024];
-        let n = self.inner.read(&mut chunk)?;
-        if n == 0 {
-            self.eof = true;
-        } else {
-            self.buf.extend_from_slice(&chunk[..n]);
+    }
+
+    /// Reads once from the stream into the room after `end`, growing the
+    /// buffer (2 KiB, then doubling) only when there is none.
+    fn fill(&mut self) -> Result<usize> {
+        self.compact();
+        if self.end == self.buf.len() {
+            self.buf.resize((2 * self.buf.len()).max(2 * 1024), 0);
         }
+        let n = self.inner.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        self.eof |= n == 0;
         Ok(n)
     }
 
@@ -218,12 +243,15 @@ impl<R: Read> MessageReader<R> {
     /// limit that was hit).
     fn read_until(&mut self, terminator: &[u8], what: &'static str) -> Result<Range<usize>> {
         loop {
-            if let Some(end) = find_subsequence(&self.buf[self.pos..], terminator) {
+            // A terminator past the limit is not looked for: one read may
+            // bring in more than the limit at once.
+            let window = self.end.min(self.pos + MAX_HEAD + terminator.len());
+            if let Some(end) = find_subsequence(&self.buf[self.pos..window], terminator) {
                 let found = self.pos..self.pos + end;
                 self.pos = found.end + terminator.len();
                 return Ok(found);
             }
-            if self.buf.len() - self.pos > MAX_HEAD {
+            if self.unread() > MAX_HEAD {
                 return Err(NetError::TooLarge(what));
             }
             if self.eof {
@@ -247,19 +275,19 @@ impl<R: Read> MessageReader<R> {
         if allow_eof_body {
             // Response without framing: body runs to connection close.
             while !self.eof {
-                if self.buf.len() - self.pos > MAX_BODY {
+                if self.unread() > MAX_BODY {
                     return Err(NetError::TooLarge("body"));
                 }
                 self.fill()?;
             }
-            return Ok(self.take(self.buf.len() - self.pos));
+            return Ok(self.take(self.unread()));
         }
         Ok(Vec::new())
     }
 
     /// Reads until `len` unconsumed bytes are buffered.
     fn buffer(&mut self, len: usize) -> Result<()> {
-        while self.buf.len() - self.pos < len {
+        while self.unread() < len {
             if self.eof {
                 return Err(NetError::UnexpectedEof);
             }
@@ -274,10 +302,12 @@ impl<R: Read> MessageReader<R> {
     fn take(&mut self, len: usize) -> Vec<u8> {
         let start = self.pos;
         self.pos += len;
-        if !self.last || self.pos < self.buf.len() {
+        if !self.last || self.pos < self.end {
             return self.buf[start..self.pos].to_vec();
         }
+        self.buf.truncate(self.end);
         self.buf.drain(..start);
+        (self.pos, self.end) = (0, 0);
         std::mem::take(&mut self.buf)
     }
 
@@ -321,11 +351,10 @@ impl MessageReader<io::Empty> {
 
     /// Appends `bytes` to what is left to read.
     pub(crate) fn feed(&mut self, bytes: &[u8]) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
+        self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
     }
 }
 
@@ -353,7 +382,7 @@ fn parse_head(head: &[u8]) -> Result<(&str, Headers)> {
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack
         .windows(needle.len())
-        .position(|window| window == needle)
+        .position(|window| window[0] == needle[0] && window == needle)
 }
 
 #[cfg(test)]
@@ -377,6 +406,16 @@ mod tests {
             .read_request()
             .expect("parse");
         assert_eq!(back, req);
+    }
+
+    #[test]
+    fn a_get_is_encoded_as_its_request_would_be() {
+        for (host, target) in [("example.com", "/"), ("a.example", "/x?y=1")] {
+            let (mut direct, mut built) = (Vec::new(), Vec::new());
+            encode_get(host, target, &mut direct);
+            encode_request(&Request::get(host, target), &mut built);
+            assert_eq!(direct, built);
+        }
     }
 
     #[test]

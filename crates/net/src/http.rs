@@ -137,13 +137,20 @@ impl fmt::Display for Status {
 /// any other is owned.
 pub type Field = Cow<'static, str>;
 
-/// The header names and values this stack writes itself, so that
-/// neither building nor decoding its own messages allocates for them.
+/// The header names and values (and the root target) this stack writes
+/// itself, so that neither building nor decoding its own messages
+/// allocates for them.
 #[rustfmt::skip]
-const STANDARD: [&str; 13] = [
+const STANDARD: [&str; 14] = [
     "Host", "User-Agent", "Accept", "Content-Type", "Content-Length", "Transfer-Encoding",
     "Connection", "Location", "text/html; charset=utf-8", "text/html", "webvuln-crawler/0.1",
-    "chunked", "close",
+    "chunked", "close", "/",
+];
+
+/// The fields the crawler's `GET` carries after `Host`.
+pub(crate) const GET_FIELDS: [(&str, &str); 2] = [
+    ("User-Agent", "webvuln-crawler/0.1"),
+    ("Accept", "text/html"),
 ];
 
 /// `text` as a [`Field`]: borrowed when it is one of the [`STANDARD`]
@@ -231,8 +238,9 @@ impl Headers {
 pub struct Request {
     /// Method.
     pub method: Method,
-    /// Request target (origin-form path, e.g. `/index.html`).
-    pub target: String,
+    /// Request target (origin-form path, e.g. `/index.html`); the root
+    /// path is borrowed.
+    pub target: Field,
     /// Header fields.
     pub headers: Headers,
     /// Body bytes (empty for GET).
@@ -244,11 +252,12 @@ impl Request {
     pub fn get(host: &str, target: &str) -> Request {
         let mut headers = Headers::new();
         headers.insert("Host", host.to_string());
-        headers.insert("User-Agent", "webvuln-crawler/0.1");
-        headers.insert("Accept", "text/html");
+        for (name, value) in GET_FIELDS {
+            headers.insert(name, value);
+        }
         Request {
             method: Method::Get,
-            target: target.to_string(),
+            target: field(target),
             headers,
             body: Vec::new(),
         }

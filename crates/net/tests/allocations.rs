@@ -55,15 +55,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations per crawled domain measured when this was pinned (34.3),
-/// plus a margin. With an up-front 8 KiB read buffer per message, copied
-/// heads, requests and bodies, owned standard header names and a shared
-/// attempts map it was 75.0.
-const MAX_ALLOCATIONS_PER_DOMAIN: f64 = 40.0;
+/// Allocations per crawled domain measured when this was pinned (14.7),
+/// plus a margin. With the page rendered through `format!` from a cloned
+/// domain state, a zeroed 8 KiB stack chunk copied into the read buffer
+/// and the crawler's request built before it was encoded it was 34.3;
+/// with an up-front 8 KiB read buffer per message, copied heads, requests
+/// and bodies, owned standard header names and a shared attempts map,
+/// 75.0.
+const MAX_ALLOCATIONS_PER_DOMAIN: f64 = 17.0;
 
 /// Bytes asked for per crawled domain measured when this was pinned
-/// (8 505), plus a margin; it was 26 744 with the plumbing above.
-const MAX_BYTES_PER_DOMAIN: f64 = 10_000.0;
+/// (5 999), plus a margin; it was 8 505 before the page was rendered into
+/// one buffer sized for it, and 26 744 with the plumbing above.
+const MAX_BYTES_PER_DOMAIN: f64 = 7_000.0;
 
 #[test]
 fn crawl_allocations_per_domain_are_pinned() {

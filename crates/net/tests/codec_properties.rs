@@ -44,7 +44,7 @@ fn arb_request(g: &mut Gen) -> Request {
     };
     Request {
         method,
-        target,
+        target: target.into(),
         headers,
         body,
     }
@@ -101,7 +101,7 @@ fn duplicate_header_with_an_empty_value_round_trips() {
     }
     assert_request_round_trips(&Request {
         method: Method::Get,
-        target: "/".to_string(),
+        target: "/".into(),
         headers,
         body: Vec::new(),
     });

@@ -38,9 +38,10 @@
 //!
 //! History is read through one reader, opened with the watcher and
 //! refreshed ([`AnyReader::refresh`]) only by a settle or a delta tick. A
-//! delta costs one walk ([`Buckets::rejoin`]): every part's exposure
-//! accumulators rebuilt under the settled verdict and the alert spans
-//! collected in one pass, the pending flips left for the settle.
+//! delta costs one walk ([`Buckets::rejoin`]): the alert spans collected,
+//! and, when it grew the database, every part's exposure accumulators
+//! rebuilt under the settled verdict in the same pass; the pending flips
+//! are left for the settle.
 //!
 //! [`DecodedWeek`]: webvuln_analysis::store_io::DecodedWeek
 
@@ -556,7 +557,7 @@ impl Watcher {
     }
 
     /// A delta tick's one walk ([`Buckets::rejoin`]): the exposure
-    /// accumulators rebuilt (a refold when the database grew), and per
+    /// accumulators rebuilt only when the database grew (a refold), and per
     /// record the domains holding a detection it claims, filtered or not,
     /// read as the fold reads them (a slug this build cannot read fails it).
     fn rejoin(
@@ -588,7 +589,9 @@ impl Watcher {
         let ctx = AccumCtx::new(&self.db, &self.ranks);
         let (decoded, threads) = (self.reader.records_decoded(), self.cfg.threads);
         let (reader, settled) = (&self.reader, &self.settled);
-        let files = self.live.rejoin(reader, &ctx, threads, settled, scan)?;
+        let files = self
+            .live
+            .rejoin(reader, &ctx, threads, settled, db_grew, scan)?;
         let decoded = self.reader.records_decoded() - decoded;
         self.count("watch.records_scanned_total", decoded);
         if db_grew {

@@ -110,23 +110,34 @@ pub struct GithubScript {
     pub integrity: bool,
 }
 
-/// The resolved state of a domain at one snapshot week.
+/// A deployment as it stands in one week: as it was planted, at the
+/// version its updates have reached by then.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deployed<'m> {
+    /// The deployment as planted; its own `version` is the planted one.
+    pub deployment: &'m Deployment,
+    /// The version deployed this week.
+    pub version: &'m Version,
+}
+
+/// The resolved state of a domain at one snapshot week, borrowed from
+/// its [`DomainModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DomainState {
+pub struct DomainState<'m> {
     /// False when the domain is dead/unreachable this week.
     pub online: bool,
     /// True when the site answers with an anti-bot block page.
     pub antibot: bool,
     /// Library deployments.
-    pub deployments: Vec<Deployment>,
+    pub deployments: Vec<Deployed<'m>>,
     /// WordPress core version when the site runs WordPress.
-    pub wordpress: Option<Version>,
+    pub wordpress: Option<&'m Version>,
     /// Flash content, if any.
-    pub flash: Option<FlashState>,
+    pub flash: Option<&'m FlashState>,
     /// GitHub-hosted extra script, if any.
-    pub github_script: Option<GithubScript>,
+    pub github_script: Option<&'m GithubScript>,
     /// Generic third-party scripts (never SRI-protected).
-    pub extra_scripts: Vec<ExtraScript>,
+    pub extra_scripts: &'m [ExtraScript],
     /// Resource-type flags.
     pub resources: ResourceFlags,
 }
@@ -243,30 +254,42 @@ impl DomainModel {
         .build()
     }
 
-    /// Resolves the state at `week`.
-    pub fn state_at(&self, week: usize) -> DomainState {
+    /// Resolves the state at `week`: the planted deployments with the
+    /// events up to `week` replayed over them, copying none of them.
+    pub fn state_at(&self, week: usize) -> DomainState<'_> {
         let online = self.online_at(week);
         let antibot = self.antibot_from.is_some_and(|w| week >= w);
-        let mut deployments = self.base_deployments.clone();
-        let mut wordpress = self.base_wordpress.clone();
-        let mut flash = self.base_flash.clone();
+        let deployed = |deployment| Deployed {
+            deployment,
+            version: &deployment.version,
+        };
+        let mut deployments: Vec<Deployed<'_>> =
+            self.base_deployments.iter().map(deployed).collect();
+        let mut wordpress = self.base_wordpress.as_ref();
+        let mut flash = self.base_flash.as_ref();
         for (event_week, event) in &self.events {
             if *event_week > week {
                 break;
             }
             match event {
                 Event::SetVersion(lib, version) => {
-                    for d in deployments.iter_mut().filter(|d| d.library == *lib) {
-                        d.version = version.clone();
+                    for d in deployments
+                        .iter_mut()
+                        .filter(|d| d.deployment.library == *lib)
+                    {
+                        d.version = version;
                     }
                 }
-                Event::Remove(lib) => deployments.retain(|d| d.library != *lib),
+                Event::Remove(lib) => deployments.retain(|d| d.deployment.library != *lib),
                 Event::Add(dep) => {
-                    if !deployments.iter().any(|d| d.library == dep.library) {
-                        deployments.push(dep.clone());
+                    if !deployments
+                        .iter()
+                        .any(|d| d.deployment.library == dep.library)
+                    {
+                        deployments.push(deployed(dep));
                     }
                 }
-                Event::WordPress(v) => wordpress = Some(v.clone()),
+                Event::WordPress(v) => wordpress = Some(v),
                 Event::FlashRemoved => flash = None,
             }
         }
@@ -276,8 +299,8 @@ impl DomainModel {
             deployments,
             wordpress,
             flash,
-            github_script: self.github_script.clone(),
-            extra_scripts: self.extra_scripts.clone(),
+            github_script: self.github_script.as_ref(),
+            extra_scripts: &self.extra_scripts,
             resources: self.resources,
         }
     }
@@ -912,9 +935,9 @@ mod tests {
         let n = 500;
         let diff = (0..n)
             .filter(|&r| {
-                let a = DomainModel::generate(1, r, n, &paper_tl()).state_at(0);
-                let b = DomainModel::generate(2, r, n, &paper_tl()).state_at(0);
-                a != b
+                let a = DomainModel::generate(1, r, n, &paper_tl());
+                let b = DomainModel::generate(2, r, n, &paper_tl());
+                a.state_at(0) != b.state_at(0)
             })
             .count();
         assert!(diff > n / 4, "{diff} of {n} differ");
@@ -932,14 +955,18 @@ mod tests {
             let hits = online.iter().filter(|m| pred(&m.state_at(0))).count();
             hits as f64 / online.len() as f64
         };
-        let jquery = frac(&|s| s.deployments.iter().any(|d| d.library == LibraryId::JQuery));
+        let jquery = frac(&|s| {
+            s.deployments
+                .iter()
+                .any(|d| d.deployment.library == LibraryId::JQuery)
+        });
         assert!((0.58..0.70).contains(&jquery), "jQuery {jquery}");
         let wp = frac(&|s| s.wordpress.is_some());
         assert!((0.22..0.32).contains(&wp), "WordPress {wp}");
         let bootstrap = frac(&|s| {
             s.deployments
                 .iter()
-                .any(|d| d.library == LibraryId::Bootstrap)
+                .any(|d| d.deployment.library == LibraryId::Bootstrap)
         });
         assert!((0.17..0.27).contains(&bootstrap), "Bootstrap {bootstrap}");
         let collected = online.len() as f64 / n as f64;
@@ -970,7 +997,7 @@ mod tests {
                 m.state_at(week)
                     .deployments
                     .iter()
-                    .any(|d| d.library == LibraryId::JQuery && &d.version == v)
+                    .any(|d| d.deployment.library == LibraryId::JQuery && d.version == v)
             };
             pre += count_at(w_pre, &v351) as usize;
             post += count_at(w_post, &v351) as usize;
@@ -999,7 +1026,7 @@ mod tests {
                         && m.state_at(week)
                             .deployments
                             .iter()
-                            .any(|d| d.library == LibraryId::JQueryMigrate)
+                            .any(|d| d.deployment.library == LibraryId::JQueryMigrate)
                 })
                 .count()
         };
@@ -1078,7 +1105,7 @@ mod tests {
             m.state_at(week)
                 .deployments
                 .iter()
-                .find(|d| d.library == LibraryId::JQuery)
+                .find(|d| d.deployment.library == LibraryId::JQuery)
                 .map(|d| d.version.to_string())
                 .expect("jQuery present")
         };

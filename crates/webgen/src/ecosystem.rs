@@ -90,7 +90,7 @@ impl Ecosystem {
     }
 
     /// Resolved state of `host` at `week`.
-    pub fn state(&self, host: &str, week: usize) -> Option<DomainState> {
+    pub fn state(&self, host: &str, week: usize) -> Option<DomainState<'_>> {
         self.model(host).map(|m| m.state_at(week))
     }
 

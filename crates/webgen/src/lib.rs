@@ -41,7 +41,8 @@ pub mod shares;
 pub mod timeline;
 
 pub use domain::{
-    Deployment, DomainModel, DomainState, FlashState, GithubScript, Inclusion, ResourceFlags,
+    Deployed, Deployment, DomainModel, DomainState, FlashState, GithubScript, Inclusion,
+    ResourceFlags,
 };
 pub use ecosystem::{Ecosystem, EcosystemConfig, PageOutcome, WeekHandler};
 pub use render::{antibot_page, render_page, script_url};

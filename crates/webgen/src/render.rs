@@ -9,70 +9,69 @@
 //! fingerprint sees the library but not the version, reproducing the
 //! "Found < Total" gap of Table 1.
 
-use crate::domain::{Deployment, DomainState, FlashState, GithubScript, Inclusion};
+use crate::domain::{Deployed, DomainState, FlashState, GithubScript, Inclusion};
 use crate::rng::hash_str;
+use std::fmt::Write;
 use webvuln_cvedb::LibraryId;
+use webvuln_version::Version;
 
-/// Renders the landing page for `domain` at snapshot `week`.
-pub fn render_page(domain: &str, week: usize, state: &DomainState) -> String {
-    let mut html = String::with_capacity(4096);
+/// Renders the landing page for `domain` at snapshot `week`, into one
+/// buffer sized for it up front.
+pub fn render_page(domain: &str, week: usize, state: &DomainState<'_>) -> String {
+    let mut html = String::with_capacity(page_capacity(domain, state));
     html.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n");
     html.push_str("<meta charset=\"utf-8\">\n");
-    if let Some(wp) = &state.wordpress {
-        html.push_str(&format!(
-            "<meta name=\"generator\" content=\"WordPress {wp}\">\n"
-        ));
+    if let Some(wp) = state.wordpress {
+        let _ = writeln!(html, "<meta name=\"generator\" content=\"WordPress {wp}\">");
     }
-    html.push_str(&format!("<title>{domain}</title>\n"));
+    push_all(&mut html, &["<title>", domain, "</title>\n"]);
     if state.resources.css {
-        let ver = state
-            .wordpress
-            .as_ref()
-            .map(|w| format!("?ver={w}"))
-            .unwrap_or_default();
-        html.push_str(&format!(
-            "<link rel=\"stylesheet\" href=\"/assets/style.css{ver}\">\n"
-        ));
+        html.push_str("<link rel=\"stylesheet\" href=\"/assets/style.css");
+        if let Some(wp) = state.wordpress {
+            let _ = write!(html, "?ver={wp}");
+        }
+        html.push_str("\">\n");
     }
     if state.resources.favicon {
         html.push_str("<link rel=\"icon\" href=\"/favicon.ico\">\n");
     }
     if state.resources.xml {
-        html.push_str(&format!(
-            "<link rel=\"alternate\" type=\"application/rss+xml\" href=\"https://{domain}/feed.xml\">\n"
-        ));
+        html.push_str("<link rel=\"alternate\" type=\"application/rss+xml\" href=\"https://");
+        push_all(&mut html, &[domain, "/feed.xml\">\n"]);
     }
     if state.resources.imported_html {
         html.push_str("<link rel=\"stylesheet\" href=\"/theme/compiled.css.php\">\n");
         html.push_str("<script src=\"/inc/loader.js.php\"></script>\n");
     }
     for dep in &state.deployments {
-        if dep.inlined {
-            html.push_str(&inline_script_tag(dep));
+        if dep.deployment.inlined {
+            push_inline_script(&mut html, dep);
         } else {
-            html.push_str(&script_tag(domain, dep));
+            push_script_tag(&mut html, domain, dep);
         }
         html.push('\n');
     }
-    for extra in &state.extra_scripts {
-        html.push_str(&format!(
-            "<script src=\"https://{}{}\" async></script>\n",
-            extra.host, extra.path
-        ));
+    for extra in state.extra_scripts {
+        let (host, path) = (&extra.host, &extra.path);
+        push_all(
+            &mut html,
+            &["<script src=\"https://", host, path, "\" async></script>\n"],
+        );
     }
-    if let Some(gh) = &state.github_script {
-        html.push_str(&github_tag(gh));
+    if let Some(gh) = state.github_script {
+        push_github_tag(&mut html, gh);
         html.push('\n');
     }
     html.push_str("</head>\n<body>\n");
-    html.push_str(&format!("<h1>Welcome to {domain}</h1>\n"));
+    push_all(&mut html, &["<h1>Welcome to ", domain, "</h1>\n"]);
     // Filler so real pages clear the 400-byte empty-page threshold.
-    for i in 0..3 {
-        html.push_str(&format!(
-            "<p>Section {i}: weekly edition {week}. Lorem ipsum dolor sit amet, \
-             consectetur adipiscing elit, sed do eiusmod tempor incididunt ut \
-             labore et dolore magna aliqua.</p>\n"
-        ));
+    for i in ["0", "1", "2"] {
+        push_all(&mut html, &["<p>Section ", i, ": weekly edition "]);
+        let _ = write!(html, "{week}");
+        html.push_str(
+            ". Lorem ipsum dolor sit amet, consectetur adipiscing elit, sed do eiusmod tempor \
+             incididunt ut labore et dolore magna aliqua.</p>\n",
+        );
     }
     if state.resources.svg {
         html.push_str("<img src=\"/img/logo.svg\" alt=\"logo\">\n");
@@ -80,14 +79,33 @@ pub fn render_page(domain: &str, week: usize, state: &DomainState) -> String {
     if state.resources.axd {
         html.push_str("<script src=\"/WebResource.axd?d=aGVsbG8\"></script>\n");
     }
-    if let Some(flash) = &state.flash {
-        html.push_str(&flash_markup(flash));
+    if let Some(flash) = state.flash {
+        push_flash_markup(&mut html, flash);
     }
     if state.resources.javascript {
         html.push_str("<script>document.addEventListener('DOMContentLoaded',function(){var x=1;});</script>\n");
     }
     html.push_str("</body>\n</html>\n");
     html
+}
+
+/// Appends `parts` to `out`, with none of `write!`'s formatting machinery.
+fn push_all(out: &mut String, parts: &[&str]) {
+    parts.iter().for_each(|part| out.push_str(part));
+}
+
+/// Bytes enough for the page [`render_page`] writes for `state`: the
+/// fixed markup, plus a bound on each part that varies.
+fn page_capacity(domain: &str, state: &DomainState<'_>) -> usize {
+    let extra = state.extra_scripts.iter();
+    let extra: usize = extra.map(|e| 48 + e.host.len() + e.path.len()).sum();
+    let github = state.github_script.map_or(0, |gh| 96 + gh.url_path.len());
+    let flash = state.flash.map_or(0, |f| 384 + 2 * f.swf_url.len());
+    1024 + 4 * domain.len()
+        + state.deployments.len() * (224 + domain.len())
+        + extra
+        + github
+        + flash
 }
 
 /// The small page anti-bot blockers answer with (paper §4.1: "Not allowed
@@ -140,174 +158,185 @@ fn cdn_dir(lib: LibraryId) -> &'static str {
 }
 
 /// Builds the `src` URL for a deployment.
-pub fn script_url(domain: &str, dep: &Deployment) -> String {
-    let stem = file_stem(dep.library);
-    let version = &dep.version;
-    match &dep.inclusion {
+pub fn script_url(domain: &str, dep: &Deployed<'_>) -> String {
+    let mut url = String::new();
+    push_script_url(&mut url, domain, dep);
+    url
+}
+
+/// Appends the `src` URL of a deployment to `out`.
+fn push_script_url(out: &mut String, domain: &str, dep: &Deployed<'_>) {
+    let (stem, version) = (file_stem(dep.deployment.library), dep.version);
+    let library = dep.deployment.library;
+    let visible = dep.deployment.version_visible;
+    let host = match &dep.deployment.inclusion {
         Inclusion::Internal => {
-            if dep.via_wordpress {
+            if dep.deployment.via_wordpress {
                 // WordPress ships versions in the query string.
-                let path = match dep.library {
+                out.push_str(match library {
                     LibraryId::JQueryMigrate => "/wp-includes/js/jquery/jquery-migrate.min.js",
                     _ => "/wp-includes/js/jquery/jquery.min.js",
-                };
-                if dep.version_visible {
-                    format!("{path}?ver={version}")
-                } else {
-                    path.to_string()
+                });
+                if visible {
+                    let _ = write!(out, "?ver={version}");
                 }
-            } else if dep.version_visible {
-                format!("/assets/js/{stem}-{version}.min.js")
+            } else if visible {
+                let _ = write!(out, "/assets/js/{stem}-{version}.min.js");
             } else {
-                format!("/assets/js/{stem}.min.js")
+                let _ = write!(out, "/assets/js/{stem}.min.js");
             }
+            return;
         }
-        Inclusion::External { host, .. } => {
-            let path = match host.as_str() {
-                "ajax.googleapis.com" => {
-                    let dir = match dep.library {
-                        LibraryId::JQueryUi => "jqueryui",
-                        other => file_stem(other),
-                    };
-                    format!("/ajax/libs/{dir}/{version}/{stem}.min.js")
-                }
-                "code.jquery.com" => match dep.library {
-                    LibraryId::JQueryUi => format!("/ui/{version}/jquery-ui.min.js"),
-                    _ => format!("/{stem}-{version}.min.js"),
-                },
-                "maxcdn.bootstrapcdn.com" | "stackpath.bootstrapcdn.com" => {
-                    format!("/bootstrap/{version}/js/bootstrap.min.js")
-                }
-                "c0.wp.com" => format!("/p/{}/{version}/{stem}.min.js", cdn_dir(dep.library)),
-                "polyfill.io" | "cdn.polyfill.io" => {
-                    format!("/v{version}/polyfill.min.js")
-                }
-                "cdnjs.cloudflare.com" => {
-                    format!(
-                        "/ajax/libs/{}/{version}/{stem}.min.js",
-                        cdn_dir(dep.library)
-                    )
-                }
-                "cdn.jsdelivr.net" => {
-                    format!("/npm/{}@{version}/dist/{stem}.min.js", cdn_dir(dep.library))
-                }
-                _ => {
-                    if dep.version_visible {
-                        format!("/libs/{stem}/{version}/{stem}.min.js")
-                    } else {
-                        format!("/libs/{stem}/{stem}.min.js")
-                    }
-                }
+        Inclusion::External { host, .. } => host.as_str(),
+    };
+    let start = out.len();
+    push_all(out, &["https://", host]);
+    let path = out.len();
+    let _ = match host {
+        "ajax.googleapis.com" => {
+            let dir = match library {
+                LibraryId::JQueryUi => "jqueryui",
+                other => file_stem(other),
             };
-            // A hidden version on a versioned-path CDN makes no sense;
-            // hide by switching to an unversioned self-path instead.
-            if !dep.version_visible && path.contains(&version.to_string()) {
-                return format!("https://static.{domain}/js/{stem}.min.js");
-            }
-            format!("https://{host}{path}")
+            write!(out, "/ajax/libs/{dir}/{version}/{stem}.min.js")
         }
+        "code.jquery.com" => match library {
+            LibraryId::JQueryUi => write!(out, "/ui/{version}/jquery-ui.min.js"),
+            _ => write!(out, "/{stem}-{version}.min.js"),
+        },
+        "maxcdn.bootstrapcdn.com" | "stackpath.bootstrapcdn.com" => {
+            write!(out, "/bootstrap/{version}/js/bootstrap.min.js")
+        }
+        "c0.wp.com" => write!(out, "/p/{}/{version}/{stem}.min.js", cdn_dir(library)),
+        "polyfill.io" | "cdn.polyfill.io" => write!(out, "/v{version}/polyfill.min.js"),
+        "cdnjs.cloudflare.com" => {
+            write!(
+                out,
+                "/ajax/libs/{}/{version}/{stem}.min.js",
+                cdn_dir(library)
+            )
+        }
+        "cdn.jsdelivr.net" => {
+            write!(
+                out,
+                "/npm/{}@{version}/dist/{stem}.min.js",
+                cdn_dir(library)
+            )
+        }
+        _ if visible => write!(out, "/libs/{stem}/{version}/{stem}.min.js"),
+        _ => write!(out, "/libs/{stem}/{stem}.min.js"),
+    };
+    // A hidden version on a versioned-path CDN makes no sense; hide by
+    // switching to an unversioned self-path instead.
+    if !visible && out[path..].contains(&version.to_string()) {
+        out.truncate(start);
+        push_all(out, &["https://static.", domain, "/js/", stem, ".min.js"]);
     }
 }
 
-/// The banner comment a library's distributed file starts with, when the
-/// project ships one (what the fingerprint engine's inline patterns key
-/// on). `None` for projects without a recognisable banner.
-pub fn inline_banner(library: LibraryId, version: &webvuln_version::Version) -> Option<String> {
-    Some(match library {
-        LibraryId::JQuery => format!("/*! jQuery v{version} | (c) OpenJS Foundation */"),
-        LibraryId::JQueryMigrate => format!("/*! jQuery Migrate v{version} */"),
-        LibraryId::JQueryUi => format!("/*! jQuery UI v{version} */"),
+/// Appends the banner comment a library's distributed file starts with,
+/// when the project ships one (what the fingerprint engine's inline
+/// patterns key on); `false`, with nothing appended, for projects without
+/// a recognisable banner.
+pub fn push_inline_banner(out: &mut String, library: LibraryId, version: &Version) -> bool {
+    let _ = match library {
+        LibraryId::JQuery => write!(out, "/*! jQuery v{version} | (c) OpenJS Foundation */"),
+        LibraryId::JQueryMigrate => write!(out, "/*! jQuery Migrate v{version} */"),
+        LibraryId::JQueryUi => write!(out, "/*! jQuery UI v{version} */"),
         LibraryId::Bootstrap => {
-            format!("/*! Bootstrap v{version} (https://getbootstrap.com) */")
+            write!(
+                out,
+                "/*! Bootstrap v{version} (https://getbootstrap.com) */"
+            )
         }
-        LibraryId::Modernizr => format!("/*! Modernizr v{version} (Custom Build) */"),
-        LibraryId::Underscore => format!("// Underscore.js {version}"),
-        LibraryId::Isotope => format!("/*! Isotope PACKAGED v{version} */"),
-        LibraryId::MomentJs => format!("//! moment.js\n//! version : {version}"),
-        LibraryId::RequireJs => format!("/** vim: et:ts=4 RequireJS {version} */"),
-        LibraryId::SwfObject => format!("/*! SWFObject v{version} */"),
+        LibraryId::Modernizr => write!(out, "/*! Modernizr v{version} (Custom Build) */"),
+        LibraryId::Underscore => write!(out, "// Underscore.js {version}"),
+        LibraryId::Isotope => write!(out, "/*! Isotope PACKAGED v{version} */"),
+        LibraryId::MomentJs => write!(out, "//! moment.js\n//! version : {version}"),
+        LibraryId::RequireJs => write!(out, "/** vim: et:ts=4 RequireJS {version} */"),
+        LibraryId::SwfObject => write!(out, "/*! SWFObject v{version} */"),
         LibraryId::Prototype => {
-            format!("/*  Prototype JavaScript framework, version {version} */")
+            write!(
+                out,
+                "/*  Prototype JavaScript framework, version {version} */"
+            )
         }
-        _ => return None,
-    })
+        _ => return false,
+    };
+    true
 }
 
-/// Whether [`inline_banner`] exists for `library`.
+/// Whether [`push_inline_banner`] writes a banner for `library`.
 pub fn has_inline_banner(library: LibraryId) -> bool {
-    inline_banner(
-        library,
-        &webvuln_version::Version::parse("1.0").expect("static version"),
-    )
-    .is_some()
+    let version = Version::parse("1.0").expect("static version");
+    push_inline_banner(&mut String::new(), library, &version)
 }
 
 /// An inlined library: its banner comment plus a minified-looking stub.
-fn inline_script_tag(dep: &Deployment) -> String {
-    let banner =
-        inline_banner(dep.library, &dep.version).expect("inlined deployments require a banner");
-    format!(
-        "<script>{banner}\n!function(g){{g.__{}_loaded=true}}(window);</script>",
-        dep.library.slug().replace(['.', '-'], "_")
-    )
+fn push_inline_script(out: &mut String, dep: &Deployed<'_>) {
+    out.push_str("<script>");
+    let library = dep.deployment.library;
+    let banner = push_inline_banner(out, library, dep.version);
+    assert!(banner, "inlined deployments require a banner");
+    out.push_str("\n!function(g){g.__");
+    out.extend(library.slug().chars().map(|c| match c {
+        '.' | '-' => '_',
+        c => c,
+    }));
+    out.push_str("_loaded=true}(window);</script>");
 }
 
-fn script_tag(domain: &str, dep: &Deployment) -> String {
-    let url = script_url(domain, dep);
-    let mut attrs = String::new();
-    if dep.integrity {
-        attrs.push_str(&format!(
-            " integrity=\"sha384-{:016x}{:016x}\"",
-            hash_str(&url),
-            hash_str(domain)
-        ));
+fn push_script_tag(out: &mut String, domain: &str, dep: &Deployed<'_>) {
+    out.push_str("<script src=\"");
+    let url = out.len();
+    push_script_url(out, domain, dep);
+    out.push('"');
+    if dep.deployment.integrity {
+        let (url, domain) = (hash_str(&out[url..out.len() - 1]), hash_str(domain));
+        let _ = write!(out, " integrity=\"sha384-{url:016x}{domain:016x}\"");
     }
-    if let Some(co) = &dep.crossorigin {
-        if co.is_empty() {
-            attrs.push_str(" crossorigin");
-        } else {
-            attrs.push_str(&format!(" crossorigin=\"{co}\""));
+    match dep.deployment.crossorigin.as_deref() {
+        Some("") => out.push_str(" crossorigin"),
+        Some(co) => {
+            push_all(out, &[" crossorigin=\"", co, "\""]);
         }
+        None => {}
     }
-    format!("<script src=\"{url}\"{attrs}></script>")
+    out.push_str("></script>");
 }
 
-fn github_tag(gh: &GithubScript) -> String {
-    let integrity = if gh.integrity {
-        format!(" integrity=\"sha384-{:032x}\"", hash_str(&gh.url_path))
-    } else {
-        String::new()
-    };
-    format!(
-        "<script src=\"https://{}\"{integrity}></script>",
-        gh.url_path
-    )
+fn push_github_tag(out: &mut String, gh: &GithubScript) {
+    push_all(out, &["<script src=\"https://", &gh.url_path, "\""]);
+    if gh.integrity {
+        let _ = write!(out, " integrity=\"sha384-{:032x}\"", hash_str(&gh.url_path));
+    }
+    out.push_str("></script>");
 }
 
-fn flash_markup(flash: &FlashState) -> String {
-    let param = flash
-        .allow_script_access
-        .as_ref()
-        .map(|v| format!("  <param name=\"AllowScriptAccess\" value=\"{v}\">\n"))
-        .unwrap_or_default();
-    let embed_attr = flash
-        .allow_script_access
-        .as_ref()
-        .map(|v| format!(" allowscriptaccess=\"{v}\""))
-        .unwrap_or_default();
-    format!(
-        "<object classid=\"clsid:D27CDB6E-AE6D-11cf-96B8-444553540000\" width=\"550\" height=\"400\">\n\
-         \x20 <param name=\"movie\" value=\"{swf}\">\n{param}\
-         \x20 <embed src=\"{swf}\" type=\"application/x-shockwave-flash\"{embed_attr}>\n\
-         </object>\n",
-        swf = flash.swf_url,
-    )
+fn push_flash_markup(out: &mut String, flash: &FlashState) {
+    let swf = &flash.swf_url;
+    out.push_str(
+        "<object classid=\"clsid:D27CDB6E-AE6D-11cf-96B8-444553540000\" width=\"550\" \
+         height=\"400\">\n",
+    );
+    let _ = writeln!(out, "  <param name=\"movie\" value=\"{swf}\">");
+    if let Some(v) = &flash.allow_script_access {
+        let _ = writeln!(out, "  <param name=\"AllowScriptAccess\" value=\"{v}\">");
+    }
+    let _ = write!(
+        out,
+        "  <embed src=\"{swf}\" type=\"application/x-shockwave-flash\""
+    );
+    if let Some(v) = &flash.allow_script_access {
+        let _ = write!(out, " allowscriptaccess=\"{v}\"");
+    }
+    out.push_str(">\n</object>\n");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::ResourceFlags;
+    use crate::domain::{Deployment, ResourceFlags};
     use webvuln_cvedb::LibraryId;
     use webvuln_version::Version;
 
@@ -324,7 +353,14 @@ mod tests {
         }
     }
 
-    fn base_state() -> DomainState {
+    fn at(d: &Deployment) -> Deployed<'_> {
+        Deployed {
+            deployment: d,
+            version: &d.version,
+        }
+    }
+
+    fn base_state() -> DomainState<'static> {
         DomainState {
             online: true,
             antibot: false,
@@ -332,7 +368,7 @@ mod tests {
             wordpress: None,
             flash: None,
             github_script: None,
-            extra_scripts: vec![],
+            extra_scripts: &[],
             resources: ResourceFlags {
                 javascript: true,
                 css: true,
@@ -348,7 +384,10 @@ mod tests {
     #[test]
     fn internal_url_carries_version() {
         let d = dep(LibraryId::JQuery, "1.12.4");
-        assert_eq!(script_url("a.com", &d), "/assets/js/jquery-1.12.4.min.js");
+        assert_eq!(
+            script_url("a.com", &at(&d)),
+            "/assets/js/jquery-1.12.4.min.js"
+        );
     }
 
     #[test]
@@ -356,7 +395,7 @@ mod tests {
         let mut d = dep(LibraryId::JQuery, "3.5.1");
         d.via_wordpress = true;
         assert_eq!(
-            script_url("a.com", &d),
+            script_url("a.com", &at(&d)),
             "/wp-includes/js/jquery/jquery.min.js?ver=3.5.1"
         );
     }
@@ -369,7 +408,7 @@ mod tests {
             cdn: true,
         };
         assert_eq!(
-            script_url("a.com", &d),
+            script_url("a.com", &at(&d)),
             "https://ajax.googleapis.com/ajax/libs/jquery/3.5.1/jquery.min.js"
         );
         let mut d = dep(LibraryId::Bootstrap, "3.3.7");
@@ -378,7 +417,7 @@ mod tests {
             cdn: true,
         };
         assert_eq!(
-            script_url("a.com", &d),
+            script_url("a.com", &at(&d)),
             "https://maxcdn.bootstrapcdn.com/bootstrap/3.3.7/js/bootstrap.min.js"
         );
         let mut d = dep(LibraryId::MomentJs, "2.18.1");
@@ -387,7 +426,7 @@ mod tests {
             cdn: true,
         };
         assert_eq!(
-            script_url("a.com", &d),
+            script_url("a.com", &at(&d)),
             "https://cdnjs.cloudflare.com/ajax/libs/moment.js/2.18.1/moment.min.js"
         );
     }
@@ -396,19 +435,20 @@ mod tests {
     fn hidden_version_is_really_hidden() {
         let mut d = dep(LibraryId::JQuery, "1.12.4");
         d.version_visible = false;
-        assert!(!script_url("a.com", &d).contains("1.12.4"));
+        assert!(!script_url("a.com", &at(&d)).contains("1.12.4"));
         d.inclusion = Inclusion::External {
             host: "ajax.googleapis.com".into(),
             cdn: true,
         };
-        let url = script_url("a.com", &d);
+        let url = script_url("a.com", &at(&d));
         assert!(!url.contains("1.12.4"), "{url}");
     }
 
     #[test]
     fn page_contains_core_structure_and_clears_threshold() {
         let mut state = base_state();
-        state.deployments.push(dep(LibraryId::JQuery, "1.12.4"));
+        let d = dep(LibraryId::JQuery, "1.12.4");
+        state.deployments.push(at(&d));
         let page = render_page("news1.example", 10, &state);
         assert!(page.len() >= 400, "{} bytes", page.len());
         assert!(page.contains("<!DOCTYPE html>"));
@@ -420,7 +460,8 @@ mod tests {
     #[test]
     fn wordpress_page_has_generator_meta() {
         let mut state = base_state();
-        state.wordpress = Some(Version::parse("5.6").expect("version"));
+        let wp = Version::parse("5.6").expect("version");
+        state.wordpress = Some(&wp);
         let page = render_page("wp.example", 0, &state);
         assert!(page.contains("content=\"WordPress 5.6\""));
         assert!(page.contains("style.css?ver=5.6"));
@@ -429,10 +470,11 @@ mod tests {
     #[test]
     fn flash_markup_includes_script_access() {
         let mut state = base_state();
-        state.flash = Some(FlashState {
+        let flash = FlashState {
             swf_url: "/media/banner.swf".into(),
             allow_script_access: Some("always".into()),
-        });
+        };
+        state.flash = Some(&flash);
         let page = render_page("f.example", 0, &state);
         assert!(page.contains("banner.swf"));
         assert!(page.contains("AllowScriptAccess"));
@@ -450,7 +492,7 @@ mod tests {
         };
         d.integrity = true;
         d.crossorigin = Some("anonymous".into());
-        state.deployments.push(d);
+        state.deployments.push(at(&d));
         let page = render_page("s.example", 0, &state);
         assert!(page.contains("integrity=\"sha384-"));
         assert!(page.contains("crossorigin=\"anonymous\""));
@@ -459,10 +501,11 @@ mod tests {
     #[test]
     fn github_script_renders() {
         let mut state = base_state();
-        state.github_script = Some(GithubScript {
+        let gh = GithubScript {
             url_path: "malsup.github.com/jquery.form.js".into(),
             integrity: false,
-        });
+        };
+        state.github_script = Some(&gh);
         let page = render_page("g.example", 0, &state);
         assert!(page.contains("https://malsup.github.com/jquery.form.js"));
     }
@@ -478,7 +521,7 @@ mod tests {
         let mut state = base_state();
         let mut d = dep(LibraryId::JQuery, "1.12.4");
         d.inlined = true;
-        state.deployments.push(d);
+        state.deployments.push(at(&d));
         let page = render_page("i.example", 0, &state);
         assert!(page.contains("/*! jQuery v1.12.4"), "{page}");
         assert!(!page.contains("jquery-1.12.4.min.js"));
@@ -488,11 +531,13 @@ mod tests {
     fn banner_coverage_matches_flag() {
         let v = Version::parse("2.0").expect("version");
         for lib in LibraryId::ALL {
+            let mut banner = String::new();
             assert_eq!(
-                inline_banner(lib, &v).is_some(),
+                push_inline_banner(&mut banner, lib, &v),
                 has_inline_banner(lib),
                 "{lib}"
             );
+            assert_eq!(banner.is_empty(), !has_inline_banner(lib), "{lib}");
         }
         assert!(has_inline_banner(LibraryId::JQuery));
         assert!(!has_inline_banner(LibraryId::JsCookie));
@@ -501,7 +546,8 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         let mut state = base_state();
-        state.deployments.push(dep(LibraryId::Underscore, "1.8.3"));
+        let d = dep(LibraryId::Underscore, "1.8.3");
+        state.deployments.push(at(&d));
         assert_eq!(
             render_page("d.example", 3, &state),
             render_page("d.example", 3, &state)

@@ -983,3 +983,45 @@ fn torn_applied_journal_is_healed_before_the_next_append() {
     assert_eq!(load_watch_state(&root).deltas_applied, 1);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A crash after a delta's alerts were enqueued but before its scan was
+/// journaled leaves a delta the database already holds when the daemon
+/// reopens (the open loads every delta file before its cold fold). The
+/// scan replays in one walk that only reads: no accumulator is refolded,
+/// the live state is a cold fold's and every alert dedups, so the alert
+/// log keeps its bytes.
+#[test]
+fn a_known_but_unapplied_delta_scans_without_a_refold() {
+    let _guard = lock();
+    reset();
+    let root = seed_root("known-unapplied", WEEKS, true);
+    let (watcher, _) = run_to_idle(&root, 2, 4);
+    drop(watcher);
+    let alerts = std::fs::read(root.join("alerts.log")).expect("read alert log");
+    std::fs::remove_file(root.join("deltas.applied")).expect("drop the applied journal");
+
+    let telemetry = Telemetry::new();
+    let counter = |name: &str| telemetry.snapshot().counter(name).unwrap_or(0);
+    let cfg = WatchConfig::new(&root).threads(2).shards(4);
+    let mut watcher = Watcher::open(cfg, &telemetry).expect("reopen watcher");
+    let (scanned, refolded) = (
+        counter("watch.records_scanned_total"),
+        counter("watch.records_refolded_total"),
+    );
+    let tick = watcher.tick().expect("replayed scan");
+    assert_eq!(tick.deltas_applied, 1, "{tick:?}");
+    assert_eq!((tick.refolds, tick.domains_refolded), (0, 0), "{tick:?}");
+    assert_eq!(tick.alerts_enqueued, 0, "{tick:?}");
+    let all: usize = corpus().weeks.iter().map(|w| w.records.len()).sum();
+    assert_eq!(counter("watch.records_scanned_total") - scanned, all as u64);
+    assert_eq!(counter("watch.records_refolded_total"), refolded);
+    assert_eq!(
+        live_fingerprint(&watcher),
+        cold_fold_fingerprint(&root, &watcher, 2)
+    );
+    tick_to_idle(&mut watcher);
+    drop(watcher);
+    let after = std::fs::read(root.join("alerts.log")).expect("read alert log");
+    assert_eq!(after, alerts, "the replayed scan delivers nothing new");
+    let _ = std::fs::remove_dir_all(&root);
+}

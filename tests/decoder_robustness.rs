@@ -25,7 +25,7 @@ use webvuln::analysis::store_io::{snapshot_to_week, week_into_snapshot};
 use webvuln::cvedb::parse_delta;
 use webvuln::failpoint::check::{self, Gen};
 use webvuln::fingerprint::Engine;
-use webvuln::html::{extract_resources, PageResources};
+use webvuln::html::{extract_resources, PageResources, Token, Tokenizer};
 use webvuln::net::codec::{encode_request, MessageReader, MAX_BODY, MAX_HEAD};
 use webvuln::net::{serve_stream, Request, Response, Status};
 use webvuln::pattern::Pattern;
@@ -359,6 +359,37 @@ fn pages(ecosystem: &Ecosystem) -> Vec<Vec<u8>> {
     rendered.chain(written).map(String::into_bytes).collect()
 }
 
+/// Tags for the tokenizer row: quoted, unquoted and valueless
+/// attributes, a self-closing tag, raw text and its closers, a comment, a
+/// doctype and an end tag with junk in it.
+const TAGS: [&str; 5] = [
+    r#"<script src="/a.js" integrity='sha384-x' async>x</script-x></script >"#,
+    "<p a=b c = d e/><br/><img src=/i.svg alt>",
+    "<!DOCTYPE html><!-- c --><meta name=generator content=\"WordPress 5.6\">",
+    "<object data=\"m.swf\"><param name=movie value=m.swf></object junk>",
+    "t &amp; u < v <a href='x'>y</a><?x?><!x>",
+];
+
+/// Asserts that every slice `token` holds lies within `page`.
+fn assert_within(page: &str, token: Token<'_>) {
+    let range = page.as_bytes().as_ptr_range();
+    let within = |part: &str| part.is_empty() || range.contains(&part.as_ptr());
+    let parts: Vec<&str> = match &token {
+        Token::StartTag { name, attrs, .. } => {
+            let attrs = attrs.iter().flat_map(|(name, value)| [name, value]);
+            [*name].into_iter().chain(attrs).collect()
+        }
+        Token::EndTag { name } => vec![*name],
+        Token::Text(Cow::Borrowed(text)) | Token::Comment(text) | Token::Doctype(text) => {
+            vec![*text]
+        }
+        Token::Text(Cow::Owned(_)) => vec![],
+    };
+    for part in parts {
+        assert!(within(part), "{part:?} is not a slice of {page:?}");
+    }
+}
+
 const DELTA: &str = "# webvuln cve delta v1\n\
     id: CVE-2099-0001\nlibrary: jquery\nclaimed: < 3.5.0\ntvv: <= 3.5.1\nattack: xss\n\
     disclosed: 2022-04-10\npatched-version: 3.5.0\npatched-date: 2022-04-10\npoc: yes\n\
@@ -461,6 +492,34 @@ fn rows(dir: &Path) -> Vec<Row> {
                     "{extracted} bytes of resources from a {}-byte page",
                     html.len()
                 );
+                true
+            },
+        ),
+        // The tokenizer scans bytes and decodes a character only where a
+        // byte is not ASCII: a multibyte character put at every position
+        // of a tag (its name, between and inside attributes, in a quote,
+        // at its end) must leave every token a slice of the page, each cut
+        // on a character boundary (a slip off one panics the slice).
+        row(
+            "html::Tokenizer (a multibyte character at every position)",
+            ALLOC_FLOOR,
+            TAGS.iter().map(|tag| tag.as_bytes().to_vec()).collect(),
+            |bytes| {
+                let html = String::from_utf8_lossy(bytes);
+                let mut end = html.len().min(160);
+                while !html.is_char_boundary(end) {
+                    end -= 1;
+                }
+                let html = &html[..end];
+                let positions = html.char_indices().map(|(at, _)| at).chain([html.len()]);
+                for (at, c) in
+                    positions.flat_map(|at| ['é', '\u{a0}', '\u{3000}', '日'].map(|c| (at, c)))
+                {
+                    let page = format!("{}{c}{}", &html[..at], &html[at..]);
+                    for token in Tokenizer::new(&page) {
+                        assert_within(&page, token);
+                    }
+                }
                 true
             },
         ),
