@@ -1566,18 +1566,17 @@ fn merge_pair<A: Accumulate>(mut into: A, from: A) -> A {
     into
 }
 
-/// Workers worth starting for `threads`: more than there are cores only
-/// adds threads that take turns.
-fn workers(threads: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    threads.clamp(1, cores)
+/// Workers worth starting for `threads` (`0`: one per core) to run at
+/// most `most` tasks at once: more only adds threads that take turns.
+fn workers(threads: usize, most: usize) -> usize {
+    Executor::new(threads).threads().min(most)
 }
 
 /// The cut [`fold_store`] folds `reader` in: a part per shard, or for a
 /// single file a part per worker.
 fn fold_cut(reader: &AnyReader, threads: usize) -> usize {
     match reader.shard_count() {
-        1 => workers(threads),
+        1 => workers(threads, Executor::auto().threads()),
         shards => shards,
     }
 }
@@ -1619,7 +1618,7 @@ where
         Ok(Some(accum))
     };
     let parts: Vec<usize> = (0..cut).collect();
-    let folded = Executor::new(threads.clamp(1, cut)).map(&parts, fold);
+    let folded = Executor::new(workers(threads, cut)).map(&parts, fold);
     folded.into_iter().collect()
 }
 
@@ -1815,7 +1814,7 @@ impl Buckets<StudyAccum> {
             Ok(Some((fresh, state)))
         };
         let files: Vec<usize> = (0..shards).collect();
-        let walked = Executor::new(threads.clamp(1, shards)).map(&files, walk);
+        let walked = Executor::new(workers(threads, shards)).map(&files, walk);
         let mut states = Vec::new();
         for (part, walked) in self.parts.iter_mut().zip(walked) {
             let (fresh, state) = walked?.unzip();
@@ -2110,6 +2109,23 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `0` threads means one per core, as everywhere else: the fold's cut
+    /// and pool are the ones `available_parallelism` threads get.
+    #[test]
+    fn zero_threads_cuts_a_file_as_one_thread_per_core_does() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let genesis = Genesis {
+            start_days: 0,
+            weeks_total: 1,
+            ranks: vec![("a.example".to_string(), 1)],
+        };
+        let writer = StoreWriter::in_memory(genesis).expect("memory store");
+        let reader = AnyReader::from(writer.into_reader().expect("reader"));
+        assert_eq!(fold_cut(&reader, 0), fold_cut(&reader, cores));
+        assert_eq!(fold_cut(&reader, 0), cores);
+        assert_eq!((workers(0, 16), workers(0, 1)), (cores.min(16), 1));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::store_io::{
     CheckpointOutcome, StoreError,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,7 +73,9 @@ pub struct Dataset {
 /// Collection configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectConfig {
-    /// Crawler worker threads.
+    /// Worker threads for the crawl and fingerprint pools. `0` sizes the
+    /// pools by [`std::thread::available_parallelism`]. Thread count never
+    /// changes the dataset — only how fast it arrives.
     pub concurrency: usize,
     /// Connection-level fault plan for the virtual internet.
     pub faults: FaultPlan,
@@ -86,7 +88,8 @@ pub struct CollectConfig {
     pub carry_forward: bool,
     /// Supervised execution: run every crawl and fingerprint task under
     /// panic containment and a virtual deadline, quarantining failures
-    /// as down-domains instead of aborting the run (default: off —
+    /// as down-domains — a failed [`FetchRecord`] for that week, eligible
+    /// for carry-forward — instead of aborting the run (default: off —
     /// panics propagate). `supervise.max_failures` is the run-wide
     /// quarantine budget; exceeding it fails collection with
     /// [`StoreError::FailureBudgetExceeded`].
@@ -94,8 +97,8 @@ pub struct CollectConfig {
     /// Shard count for the checkpoint store (default 1 — a single
     /// `.wvstore` file). With 2 or more, the checkpoint path is a
     /// directory of domain-hash shard files committed in parallel under
-    /// one manifest epoch. No effect without a checkpoint store: a store
-    /// kept in memory is one file.
+    /// one manifest epoch; 0 is treated as 1. No effect without a
+    /// checkpoint store: a store kept in memory is one file.
     pub shards: usize,
 }
 
@@ -113,268 +116,144 @@ impl Default for CollectConfig {
     }
 }
 
-/// Builder for one dataset collection: resilience, carry-forward,
-/// checkpointing and threads compose as orthogonal options, then
-/// [`run`](Collector::run) executes the §4 pipeline end-to-end — HTTP
-/// fetch (through the full wire codec), the 400-byte/4xx usability rule,
-/// Wappalyzer-style fingerprinting, a commit of every week to the
-/// snapshot store, and the trailing-month inaccessibility filter.
+/// Collects the dataset: the §4 pipeline end to end — HTTP fetch
+/// (through the full wire codec), the 400-byte/4xx usability rule,
+/// Wappalyzer-style fingerprinting, a commit of every week to the snapshot
+/// store, and the trailing-month inaccessibility filter. `telemetry`
+/// records the crawl/fingerprint metrics, per-week phase spans and weekly
+/// progress events.
 ///
-/// ```no_run
-/// # use std::sync::Arc;
-/// # use webvuln_analysis::dataset::Collector;
-/// # use webvuln_webgen::{Ecosystem, EcosystemConfig};
-/// # let eco = Arc::new(Ecosystem::generate(EcosystemConfig::default()));
-/// let outcome = Collector::new()
-///     .threads(8)
-///     .carry_forward(true)
-///     .run(&eco)
-///     .expect("collection");
-/// println!("{} weeks", outcome.reader.weeks_committed());
-/// ```
-#[derive(Clone)]
-pub struct Collector<'a> {
-    config: CollectConfig,
-    telemetry: Option<&'a Telemetry>,
-    store: Option<PathBuf>,
+/// The one collection loop: restore and replay what a resumed store
+/// already holds; per remaining week collect, commit, and feed the filter
+/// window; then take the §4.1 verdict, finalize the store and open it for
+/// reading. Every week is committed — to the store at `store`, or to one
+/// kept in memory — and dropped, so what the run holds is the weeks in
+/// flight, the window and the store. A finalized store is this loop with
+/// no week left to crawl.
+///
+/// With `resume` set and a store present, committed weeks are restored
+/// from disk (after torn-tail recovery) and only the missing ones are
+/// crawled; the restored crawl is byte-for-byte the crawl that produced
+/// them, because collection is deterministic in the ecosystem seed. The
+/// store must have been created from the same ecosystem — timeline and
+/// domain list are checked against its genesis segment.
+///
+/// A run without a store fails only under [`CollectConfig::supervise`],
+/// when quarantined tasks exceed the failure budget.
+pub fn collect(
+    ecosystem: &Arc<Ecosystem>,
+    config: &CollectConfig,
+    telemetry: &Telemetry,
+    store: Option<&Path>,
     resume: bool,
-}
+) -> Result<CheckpointOutcome, StoreError> {
+    let config = *config;
+    let timeline = *ecosystem.timeline();
+    let names = ecosystem.domain_names();
+    let genesis = genesis_for(&timeline, &names);
 
-impl Default for Collector<'_> {
-    fn default() -> Self {
-        Collector::new()
-    }
-}
-
-impl<'a> Collector<'a> {
-    /// A fault-free, single-attempt, non-checkpointed collection on the
-    /// default 8-thread pool, accounting to a private telemetry handle.
-    pub fn new() -> Collector<'a> {
-        Collector::from_config(CollectConfig::default())
-    }
-
-    /// Starts from an existing [`CollectConfig`].
-    pub fn from_config(config: CollectConfig) -> Collector<'a> {
-        Collector {
-            config,
-            telemetry: None,
-            store: None,
-            resume: false,
-        }
+    let (mut writer, reader) = match store {
+        Some(path) => open_checkpoint(path, genesis, &config, resume, telemetry)?,
+        None => (StoreWriter::in_memory(genesis)?.into(), None),
+    };
+    let weeks_recovered = reader.as_ref().map_or(0, AnyReader::weeks_committed);
+    let stored_verdict = reader.as_ref().and_then(AnyReader::filtered_out);
+    if stored_verdict.is_some() && weeks_recovered != timeline.weeks {
+        return Err(StoreError::Mismatch(format!(
+            "store is finalized but holds {weeks_recovered} of {} weeks",
+            timeline.weeks
+        )));
     }
 
-    /// Worker threads for the crawl and fingerprint pools. `0` sizes the
-    /// pools by [`std::thread::available_parallelism`]. Thread count
-    /// never changes the dataset — only how fast it arrives.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.concurrency = threads;
-        self
+    let mut collector = WeekCollector::new(ecosystem, config, telemetry);
+    let mut window = FilterWindow::new(&names);
+    let mut absorb = |week: &WeekData, note: &str| -> Result<(), StoreError> {
+        let pages = week.records.iter().filter(|r| r.page.is_some()).count();
+        let date = date_from_days(week.date_days)?;
+        let (done, total) = (week.week as u64 + 1, timeline.weeks as u64);
+        let detail = format!("{date}: {pages} pages{note}");
+        telemetry.progress("crawl", done, total, &detail);
+        let fetched = week.records.iter();
+        window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
+        Ok(())
+    };
+
+    // Replaying the restored weeks, one decoded week in flight, puts
+    // the week-to-week state — circuit breakers, carry-forward
+    // baselines, the filter window — exactly where the interrupted
+    // run left it, straight off the stored records.
+    for week in reader.iter().flat_map(AnyReader::stream) {
+        let week = week?;
+        collector.replay_week(&week);
+        absorb(&week, " (restored from store)")?;
     }
 
-    /// Connection-level fault plan for the virtual internet.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Retry policy for each weekly fetch.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Per-host circuit breakers across weeks.
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.config.breaker = Some(breaker);
-        self
-    }
-
-    /// Carries a domain's last usable page forward through weeks where
-    /// it stays down.
-    pub fn carry_forward(mut self, carry_forward: bool) -> Self {
-        self.config.carry_forward = carry_forward;
-        self
-    }
-
-    /// Runs every crawl and fingerprint task under supervision: a
-    /// panicking or over-deadline task is quarantined — its domain gets
-    /// a failed [`FetchRecord`] for that week, eligible for
-    /// [`carry_forward`](Collector::carry_forward) — instead of aborting
-    /// the run. Collection fails with
-    /// [`StoreError::FailureBudgetExceeded`] once quarantined tasks
-    /// outnumber `supervise.max_failures`.
-    pub fn supervise(mut self, supervise: SuperviseConfig) -> Self {
-        self.config.supervise = Some(supervise);
-        self
-    }
-
-    /// Records crawl/fingerprint metrics, per-week phase spans, and
-    /// weekly progress events into `telemetry` instead of a handle
-    /// private to the run.
-    pub fn telemetry(mut self, telemetry: &'a Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Commits every crawled week to the snapshot store at `path` as it
-    /// completes, instead of to a store kept in memory.
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.store = Some(path.into());
-        self
-    }
-
-    /// Shards the checkpoint store `shards` ways by domain hash (see
-    /// [`CollectConfig::shards`]). Values above 1 make the checkpoint
-    /// path a directory; 0 is treated as 1.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards.max(1);
-        self
-    }
-
-    /// With a [`checkpoint`](Collector::checkpoint) store present,
-    /// restores committed weeks from disk and crawls only the missing
-    /// ones.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// The accumulated [`CollectConfig`] (builder round-trip).
-    pub fn config(&self) -> CollectConfig {
-        self.config
-    }
-
-    /// Collects the dataset — the one collection loop: restore and
-    /// replay what a resumed store already holds; per remaining week
-    /// collect, commit, and feed the filter window; then take the §4.1
-    /// verdict, finalize the store and open it for reading. Every week is
-    /// committed — to the [`checkpoint`](Collector::checkpoint) store, or
-    /// to one kept in memory — and dropped, so what the run holds is the
-    /// weeks in flight, the window and the store. A finalized store is
-    /// this loop with no week left to crawl.
-    ///
-    /// With `resume` set and a store present, committed weeks are
-    /// restored from disk (after torn-tail recovery) and only the missing
-    /// ones are crawled; the restored crawl is byte-for-byte the crawl
-    /// that produced them, because collection is deterministic in the
-    /// ecosystem seed. The store must have been created from the same
-    /// ecosystem — timeline and domain list are checked against its
-    /// genesis segment.
-    ///
-    /// A run without [`checkpoint`](Collector::checkpoint) fails only
-    /// under [`supervise`](Collector::supervise), when quarantined tasks
-    /// exceed the failure budget.
-    pub fn run(&self, ecosystem: &Arc<Ecosystem>) -> Result<CheckpointOutcome, StoreError> {
-        let private = Telemetry::new();
-        let telemetry = self.telemetry.unwrap_or(&private);
-        let config = self.config;
-        let timeline = *ecosystem.timeline();
-        let names = ecosystem.domain_names();
-        let genesis = genesis_for(&timeline, &names);
-
-        let (mut writer, reader) = match &self.store {
-            Some(path) => open_checkpoint(path, genesis, &config, self.resume, telemetry)?,
-            None => (StoreWriter::in_memory(genesis)?.into(), None),
-        };
-        let weeks_recovered = reader.as_ref().map_or(0, AnyReader::weeks_committed);
-        let stored_verdict = reader.as_ref().and_then(AnyReader::filtered_out);
-        if stored_verdict.is_some() && weeks_recovered != timeline.weeks {
-            return Err(StoreError::Mismatch(format!(
-                "store is finalized but holds {weeks_recovered} of {} weeks",
-                timeline.weeks
-            )));
-        }
-
-        let mut collector = WeekCollector::new(ecosystem, config, telemetry);
-        let mut window = FilterWindow::new(&names);
-        let mut absorb = |week: &WeekData, note: &str| -> Result<(), StoreError> {
-            let pages = week.records.iter().filter(|r| r.page.is_some()).count();
-            let date = date_from_days(week.date_days)?;
-            let (done, total) = (week.week as u64 + 1, timeline.weeks as u64);
-            let detail = format!("{date}: {pages} pages{note}");
-            telemetry.progress("crawl", done, total, &detail);
-            let fetched = week.records.iter();
-            window.absorb(fetched.map(|r| (r.host.as_str(), r.status, r.body_len as usize)));
-            Ok(())
-        };
-
-        // Replaying the restored weeks, one decoded week in flight, puts
-        // the week-to-week state — circuit breakers, carry-forward
-        // baselines, the filter window — exactly where the interrupted
-        // run left it, straight off the stored records.
-        for week in reader.iter().flat_map(AnyReader::stream) {
-            let week = week?;
-            collector.replay_week(&week);
-            absorb(&week, " (restored from store)")?;
-        }
-
-        // Scheduling: weeks that share no state (no circuit breakers, no
-        // carry-forward, so nothing to settle) are collected a whole week
-        // per pool worker, each week single-threaded so the pool is not
-        // oversubscribed, and committed in order while later weeks are
-        // still collected; otherwise one week at a time with the pool
-        // inside the week. Either way each week is dropped once committed.
-        // Same `collect_week`, same records — the fan-out is kept because
-        // it measured faster (CHANGES.md), not for what it computes.
-        let remaining: Vec<(usize, Date)> = timeline.iter().skip(weeks_recovered).collect();
-        let mut commit = |week: &WeekData| -> Result<(), StoreError> {
-            commit_checkpoint(&mut writer, week, telemetry)?;
-            absorb(week, "")
-        };
-        let registry = telemetry.registry();
-        if collector.weeks_are_independent() && config.concurrency != 1 {
-            let collect = |&(week, date): &(usize, Date)| {
-                let (week, mut stats) = collector.collect_week(week, date, 1, telemetry);
-                // The week ran on one pool worker, whose busy time the
-                // outer map counts.
-                stats.worker_busy_ns.clear();
-                stats.record(registry);
-                week
-            };
-            let stats =
-                Executor::new(config.concurrency).map_in_order(&remaining, collect, |week| {
-                    collector.check_failure_budget()?;
-                    commit(&week)
-                })?;
+    // Scheduling: weeks that share no state (no circuit breakers, no
+    // carry-forward, so nothing to settle) are collected a whole week
+    // per pool worker, each week single-threaded so the pool is not
+    // oversubscribed, and committed in order while later weeks are
+    // still collected; otherwise one week at a time with the pool
+    // inside the week. Either way each week is dropped once committed.
+    // Same `collect_week`, same records — the fan-out is kept because
+    // it measured faster (CHANGES.md), not for what it computes.
+    let remaining: Vec<(usize, Date)> = timeline.iter().skip(weeks_recovered).collect();
+    let mut commit = |week: &WeekData| -> Result<(), StoreError> {
+        commit_checkpoint(&mut writer, week, telemetry)?;
+        absorb(week, "")
+    };
+    let registry = telemetry.registry();
+    if collector.weeks_are_independent() && config.concurrency != 1 {
+        let collect = |&(week, date): &(usize, Date)| {
+            let (week, mut stats) = collector.collect_week(week, date, 1, telemetry);
+            // The week ran on one pool worker, whose busy time the
+            // outer map counts.
+            stats.worker_busy_ns.clear();
             stats.record(registry);
-        } else {
-            for &(week, date) in &remaining {
-                let (mut week, stats) =
-                    collector.collect_week(week, date, config.concurrency, telemetry);
-                stats.record(registry);
-                collector.settle_week(&mut week);
-                collector.check_failure_budget()?;
-                commit(&week)?;
-            }
-        }
-
-        // A store that was already finalized keeps its stored verdict
-        // (its weeks may have been saved post-filter).
-        let filtered = match stored_verdict {
-            Some(filtered) => filtered.iter().cloned().collect(),
-            None => {
-                let filtered = window.verdict();
-                let listed: Vec<String> = filtered.iter().cloned().collect();
-                writer.finalize(&listed)?;
-                filtered
-            }
+            week
         };
-        // The resume gate's reader has served; the finished store is read
-        // through the writer that finished it.
-        drop(reader);
-        let torn_bytes_recovered = writer.stats().torn_bytes_recovered;
-        let reader = writer.into_reader()?;
-        Ok(CheckpointOutcome {
-            dataset: Dataset::shell_from_reader(&reader, &filtered)?,
-            reader,
-            weeks_crawled: remaining.len(),
-            weeks_recovered,
-            torn_bytes_recovered,
-        })
+        let stats =
+            Executor::new(config.concurrency).map_in_order(&remaining, collect, |week| {
+                collector.check_failure_budget()?;
+                commit(&week)
+            })?;
+        stats.record(registry);
+    } else {
+        for &(week, date) in &remaining {
+            let (mut week, stats) =
+                collector.collect_week(week, date, config.concurrency, telemetry);
+            stats.record(registry);
+            collector.settle_week(&mut week);
+            collector.check_failure_budget()?;
+            commit(&week)?;
+        }
     }
+
+    // A store that was already finalized keeps its stored verdict
+    // (its weeks may have been saved post-filter).
+    let filtered = match stored_verdict {
+        Some(filtered) => filtered.iter().cloned().collect(),
+        None => {
+            let filtered = window.verdict();
+            let listed: Vec<String> = filtered.iter().cloned().collect();
+            writer.finalize(&listed)?;
+            filtered
+        }
+    };
+    // The resume gate's reader has served; the finished store is read
+    // through the writer that finished it.
+    drop(reader);
+    let torn_bytes_recovered = writer.stats().torn_bytes_recovered;
+    let reader = writer.into_reader()?;
+    Ok(CheckpointOutcome {
+        dataset: Dataset::shell_from_reader(&reader, &filtered)?,
+        reader,
+        weeks_crawled: remaining.len(),
+        weeks_recovered,
+        torn_bytes_recovered,
+    })
 }
 
-/// The per-week collector behind [`Collector::run`].
+/// The per-week collector behind [`collect`].
 ///
 /// Week-to-week state lives here: per-host circuit breakers, the virtual
 /// backoff clock, and each domain's last usable fingerprint (the
@@ -700,13 +579,11 @@ pub(crate) mod testkit {
 
     impl<A: Accumulate + Default> Over for A {}
 
-    /// Collects through the builder, store kept in memory.
+    /// Collects with the store kept in memory.
     pub fn collect(ecosystem: &Arc<Ecosystem>, config: CollectConfig) -> Kept {
-        Kept::of(
-            Collector::from_config(config)
-                .run(ecosystem)
-                .expect("plain collection is infallible"),
-        )
+        let telemetry = Telemetry::new();
+        let outcome = super::collect(ecosystem, &config, &telemetry, None, false);
+        Kept::of(outcome.expect("plain collection is infallible"))
     }
 
     /// A small but fully featured dataset: 1,200 domains, 30 weeks
@@ -893,13 +770,13 @@ mod tests {
                 domain_count: 120,
                 timeline: Timeline::truncated(6),
             }));
-            let outcome = Collector::new()
-                .threads(threads)
-                .faults(FaultPlan::hostile(63))
-                .retry(RetryPolicy::standard(2))
-                .run(&eco)
-                .expect("plain collection");
-            Kept::of(outcome)
+            let config = CollectConfig {
+                concurrency: threads,
+                faults: FaultPlan::hostile(63),
+                retry: RetryPolicy::standard(2),
+                ..CollectConfig::default()
+            };
+            testkit::collect(&eco, config)
         };
         let sequential = make(1);
         let parallel = make(8);
@@ -928,39 +805,14 @@ mod tests {
             timeline: Timeline::truncated(3),
         }));
         let telemetry = Telemetry::new();
-        Collector::new()
-            .threads(4)
-            .telemetry(&telemetry)
-            .run(&eco)
-            .expect("plain collection");
+        let config = CollectConfig {
+            concurrency: 4,
+            ..CollectConfig::default()
+        };
+        collect(&eco, &config, &telemetry, None, false).expect("plain collection");
         let snap = telemetry.snapshot();
         assert!(snap.counter("exec.tasks_total").unwrap_or(0) > 0);
         assert!(snap.histogram("exec.worker_busy_ns").is_some());
-    }
-
-    #[test]
-    fn builder_round_trips_its_config() {
-        let config = CollectConfig {
-            concurrency: 3,
-            shards: 4,
-            faults: FaultPlan::hostile(9),
-            retry: RetryPolicy::standard(4),
-            breaker: Some(BreakerConfig::default()),
-            carry_forward: true,
-            supervise: Some(SuperviseConfig::default().max_failures(7)),
-        };
-        let round_tripped = Collector::from_config(config).config();
-        assert_eq!(round_tripped.concurrency, config.concurrency);
-        assert_eq!(round_tripped.shards, config.shards);
-        assert_eq!(round_tripped.faults.seed, config.faults.seed);
-        assert_eq!(round_tripped.retry.retries(), config.retry.retries());
-        assert_eq!(round_tripped.breaker.is_some(), config.breaker.is_some());
-        assert_eq!(round_tripped.carry_forward, config.carry_forward);
-        assert_eq!(round_tripped.supervise, config.supervise);
-        let via_builder = Collector::new()
-            .supervise(SuperviseConfig::default().max_failures(7))
-            .config();
-        assert_eq!(via_builder.supervise, config.supervise);
     }
 
     #[test]

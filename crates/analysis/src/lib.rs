@@ -6,7 +6,7 @@
 //! experiment index for the artifact-to-function mapping.
 //!
 //! * [`dataset`] — §4 collection: weekly crawls over the virtual internet
-//!   and usability filtering, in one loop ([`Collector::run`]).
+//!   and usability filtering, in one loop ([`collect`]).
 //! * [`filter`] — the §4.1 trailing-month inaccessibility rule as one
 //!   incremental [`FilterWindow`].
 //! * [`resources`] — Figure 2 (collection series, resource classes).
@@ -57,7 +57,7 @@ pub use accum::{
     fold_store, fold_study, genesis_ranks, AccumCtx, Accumulate, Buckets, StudyAccum,
     StudyArtifacts,
 };
-pub use dataset::{CollectConfig, Collector, Dataset, WeekSnapshot};
+pub use dataset::{collect, CollectConfig, Dataset, WeekSnapshot};
 pub use filter::{apply_filter, store_filter_verdict, FilterWindow};
 pub use store_io::CheckpointOutcome;
 pub use view::{DetectionView, PageView, WeekView};

@@ -1,6 +1,6 @@
 //! Bridge between the analysis dataset and the `webvuln-store` binary
 //! snapshot store: type conversions, the JSON export, and the writer
-//! every [`Collector::run`](crate::dataset::Collector::run) commits
+//! every [`collect`](crate::dataset::collect) commits
 //! through — to the `study --store` path, or to memory.
 //!
 //! The store is dependency-free and speaks a plain-string record model;
@@ -604,7 +604,7 @@ fn write_page(j: &mut JsonWriter, page: &PageRecord) -> Result<(), StoreError> {
 // Checkpointed collection
 // ---------------------------------------------------------------------------
 
-/// What a [`Collector::run`](crate::dataset::Collector::run) did.
+/// What a [`collect`](crate::dataset::collect) did.
 pub struct CheckpointOutcome {
     /// The run's timeline, ranks and §4.1 verdict.
     pub dataset: Dataset,
@@ -619,10 +619,9 @@ pub struct CheckpointOutcome {
     pub torn_bytes_recovered: u64,
 }
 
-/// Opens or creates the checkpoint store a
-/// [`Collector::run`](crate::dataset::Collector::run) commits to: one
-/// file for `shards == 1`, a sharded directory otherwise. With `resume`
-/// set and a store on disk, the store first passes
+/// Opens or creates the checkpoint store a [`collect`](crate::dataset::collect)
+/// commits to: one file for `shards == 1`, a sharded directory otherwise.
+/// With `resume` set and a store on disk, the store first passes
 /// [`verify_resume_store`], its shard count must agree with
 /// `config.shards` and it must have been created from `genesis` — all
 /// checked on the gate's reader, before the writer reopens the store
@@ -746,12 +745,12 @@ fn verify_resume_store(store_path: &Path) -> Result<Option<AnyReader>, StoreErro
 mod tests {
     use super::*;
     use crate::dataset::testkit::{self, Kept};
-    use crate::dataset::{Collector, WeekCollector};
+    use crate::dataset::{collect, WeekCollector};
     use std::sync::Arc;
     use webvuln_net::{BreakerConfig, FaultPlan, RetryPolicy};
     use webvuln_webgen::{Ecosystem, EcosystemConfig};
 
-    /// A checkpointed [`Collector::run`], spelled positionally.
+    /// A checkpointed [`collect`].
     fn collect_checkpointed(
         eco: &Arc<Ecosystem>,
         config: CollectConfig,
@@ -759,11 +758,7 @@ mod tests {
         store_path: &Path,
         resume: bool,
     ) -> Result<CheckpointOutcome, StoreError> {
-        Collector::from_config(config)
-            .telemetry(telemetry)
-            .checkpoint(store_path)
-            .resume(resume)
-            .run(eco)
+        collect(eco, &config, telemetry, Some(store_path), resume)
     }
 
     /// Leaves the store a run killed after `weeks` commits would: those
@@ -835,7 +830,14 @@ mod tests {
     #[test]
     fn store_round_trip_preserves_the_dataset() {
         let eco = small_eco(21, 120, 6);
-        let outcome = Collector::new().run(&eco).expect("collect");
+        let outcome = collect(
+            &eco,
+            &CollectConfig::default(),
+            &Telemetry::new(),
+            None,
+            false,
+        )
+        .expect("collect");
         let path = temp_store("roundtrip");
         let mut writer =
             StoreWriter::create(&path, outcome.reader.genesis().clone()).expect("create");
@@ -964,7 +966,14 @@ mod tests {
     #[test]
     fn checkpointed_collection_matches_plain_collection() {
         let eco = small_eco(31, 100, 6);
-        let plain = Collector::new().run(&eco).expect("collect in memory");
+        let plain = collect(
+            &eco,
+            &CollectConfig::default(),
+            &Telemetry::new(),
+            None,
+            false,
+        )
+        .expect("collect in memory");
         let path = temp_store("checkpointed");
         let outcome = collect_checkpointed(
             &eco,
@@ -1270,7 +1279,14 @@ mod tests {
     #[test]
     fn a_run_without_a_checkpoint_commits_to_memory() {
         let eco = small_eco(1, 10, 2);
-        let outcome = Collector::new().run(&eco).expect("collect");
+        let outcome = collect(
+            &eco,
+            &CollectConfig::default(),
+            &Telemetry::new(),
+            None,
+            false,
+        )
+        .expect("collect");
         let reader = &outcome.reader;
         assert_eq!((reader.weeks_committed(), reader.shard_count()), (2, 1));
         assert_eq!(
@@ -1287,7 +1303,7 @@ mod tests {
             faults: FaultPlan::hostile(77),
             ..CollectConfig::default()
         };
-        let in_memory = Collector::from_config(config).run(&eco).expect("in memory");
+        let in_memory = collect(&eco, &config, &Telemetry::new(), None, false).expect("in memory");
         let path = temp_store("stream-collect");
         let checkpointed =
             collect_checkpointed(&eco, config, &Telemetry::new(), &path, false).expect("file");

@@ -3,9 +3,10 @@
 //! never panic on arbitrarily mutilated store bytes.
 
 use std::sync::Arc;
-use webvuln_analysis::dataset::{CollectConfig, Collector};
+use webvuln_analysis::dataset::{collect, CollectConfig};
 use webvuln_failpoint::check;
 use webvuln_store::{AnyReader, StoreReader, StoreWriter};
+use webvuln_telemetry::Telemetry;
 use webvuln_webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn temp_path(tag: &str, seed: u64) -> std::path::PathBuf {
@@ -18,16 +19,15 @@ fn temp_path(tag: &str, seed: u64) -> std::path::PathBuf {
 }
 
 /// The store a collection kept in memory.
-fn collect(seed: u64, domains: usize, weeks: usize) -> AnyReader {
+fn collected(seed: u64, domains: usize, weeks: usize) -> AnyReader {
     let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
         seed,
         domain_count: domains,
         timeline: Timeline::truncated(weeks),
     }));
-    Collector::from_config(CollectConfig::default())
-        .run(&eco)
-        .expect("collection")
-        .reader
+    let telemetry = Telemetry::new();
+    let outcome = collect(&eco, &CollectConfig::default(), &telemetry, None, false);
+    outcome.expect("collection").reader
 }
 
 /// Writes every week and the verdict of `reader` to a store file at `path`.
@@ -49,7 +49,7 @@ fn dataset_survives_the_store() {
         let seed = g.range(0..=9_999);
         let domains = g.range(5..=59) as usize;
         let weeks = g.range(1..=4) as usize;
-        let original = collect(seed, domains, weeks);
+        let original = collected(seed, domains, weeks);
         let path = temp_path("roundtrip", seed);
         write_out(&original, &path);
         let restored = AnyReader::open(&path).expect("open store");
@@ -77,7 +77,7 @@ fn mutilated_stores_never_panic() {
         let position_permille = g.range(0..=999) as usize;
         let flip = g.range(1..=255) as u8;
         let path = temp_path("mutate", position_permille as u64);
-        write_out(&collect(7, 20, 3), &path);
+        write_out(&collected(7, 20, 3), &path);
         let mut bytes = std::fs::read(&path).expect("read store");
         let position = position_permille * (bytes.len() - 1) / 999;
         bytes[position] ^= flip;

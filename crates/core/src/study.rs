@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use webvuln_analysis::accum::{fold_store, AccumCtx, StudyAccum, StudyArtifacts};
-use webvuln_analysis::dataset::{CollectConfig, Collector, Dataset};
+use webvuln_analysis::dataset::{collect, CollectConfig, Dataset};
 use webvuln_analysis::flash::{FlashByTld, FlashUsage, ScriptAccessAudit};
 use webvuln_analysis::landscape::{CdnBreakdown, LibraryRow, UsageTrend};
 use webvuln_analysis::resources::{CollectionSeries, ResourceUsage};
@@ -74,28 +74,11 @@ pub struct StudyConfig {
     pub domain_count: usize,
     /// Snapshot timeline (the paper: 201 weeks, Mar 2018 – Feb 2022).
     pub timeline: Timeline,
-    /// Crawler worker threads.
-    pub concurrency: usize,
-    /// Shard count for the checkpoint store (default 1: a single store
-    /// file). With `shards > 1` the checkpoint path becomes a directory
-    /// of per-shard stores committed in parallel under one manifest
-    /// epoch. No effect without a checkpoint store.
-    pub shards: usize,
-    /// Connection-level fault injection.
-    pub faults: FaultPlan,
-    /// Per-fetch retry budget and backoff (default: single attempt).
-    pub retry: RetryPolicy,
-    /// Per-host circuit breakers (default: disabled).
-    pub breaker: Option<BreakerConfig>,
-    /// Carry a domain's last usable snapshot through weeks it is down.
-    pub carry_forward: bool,
-    /// Supervised execution (default: off — a panicking task aborts the
-    /// run). When set, every crawl and fingerprint task runs under panic
-    /// containment and a virtual deadline; failures are quarantined as
-    /// down-domains, and the run fails only once quarantined tasks
-    /// exceed `supervise.max_failures` (the `--max-task-failures`
-    /// budget).
-    pub supervise: Option<SuperviseConfig>,
+    /// Collection: threads, fault plan, retries, breakers, carry-forward,
+    /// supervision and the checkpoint store's shard count (default:
+    /// [`CollectConfig::default`] under the realistic fault plan of seed
+    /// 42).
+    pub collect: CollectConfig,
 }
 
 impl Default for StudyConfig {
@@ -104,13 +87,10 @@ impl Default for StudyConfig {
             seed: 42,
             domain_count: 3_000,
             timeline: Timeline::paper(),
-            concurrency: 8,
-            shards: 1,
-            faults: FaultPlan::realistic(42),
-            retry: RetryPolicy::none(),
-            breaker: None,
-            carry_forward: false,
-            supervise: None,
+            collect: CollectConfig {
+                faults: FaultPlan::realistic(42),
+                ..CollectConfig::default()
+            },
         }
     }
 }
@@ -260,7 +240,7 @@ impl<'a> Pipeline<'a> {
     /// pools by [`std::thread::available_parallelism`]. Thread count
     /// never changes the results — only how fast they arrive.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.concurrency = threads;
+        self.config.collect.concurrency = threads;
         self
     }
 
@@ -270,31 +250,31 @@ impl<'a> Pipeline<'a> {
     /// manifest rename per week. Shard count never changes the results —
     /// only the on-disk layout and commit parallelism.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards.max(1);
+        self.config.collect.shards = shards.max(1);
         self
     }
 
     /// Connection-level fault injection.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.config.faults = faults;
+        self.config.collect.faults = faults;
         self
     }
 
     /// Per-fetch retry budget and backoff.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
+        self.config.collect.retry = retry;
         self
     }
 
     /// Per-host circuit breakers.
     pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.config.breaker = Some(breaker);
+        self.config.collect.breaker = Some(breaker);
         self
     }
 
     /// Carries a domain's last usable snapshot through weeks it is down.
     pub fn carry_forward(mut self, carry_forward: bool) -> Self {
-        self.config.carry_forward = carry_forward;
+        self.config.collect.carry_forward = carry_forward;
         self
     }
 
@@ -303,7 +283,7 @@ impl<'a> Pipeline<'a> {
     /// [`carry_forward`](Pipeline::carry_forward)) instead of aborting
     /// the study.
     pub fn supervise(mut self, supervise: SuperviseConfig) -> Self {
-        self.config.supervise = Some(supervise);
+        self.config.collect.supervise = Some(supervise);
         self
     }
 
@@ -312,8 +292,8 @@ impl<'a> Pipeline<'a> {
     /// of `budget` tasks. Exceeding the budget fails the run with
     /// [`StoreError::FailureBudgetExceeded`].
     pub fn max_task_failures(mut self, budget: u64) -> Self {
-        let supervise = self.config.supervise.unwrap_or_default();
-        self.config.supervise = Some(supervise.max_failures(budget));
+        let supervise = self.config.collect.supervise.unwrap_or_default();
+        self.config.collect.supervise = Some(supervise.max_failures(budget));
         self
     }
 
@@ -381,7 +361,7 @@ impl<'a> Pipeline<'a> {
                 domain_count: config.domain_count,
                 timeline: config.timeline,
             };
-            let ecosystem = Arc::new(Ecosystem::generate_on(web, config.concurrency));
+            let ecosystem = Arc::new(Ecosystem::generate_on(web, config.collect.concurrency));
             trace::emit(
                 "generate.done",
                 "",
@@ -403,21 +383,8 @@ impl<'a> Pipeline<'a> {
                 config.domain_count, config.timeline.weeks
             ),
         );
-        let mut collector = Collector::from_config(CollectConfig {
-            concurrency: config.concurrency,
-            shards: config.shards,
-            faults: config.faults,
-            retry: config.retry,
-            breaker: config.breaker,
-            carry_forward: config.carry_forward,
-            supervise: config.supervise,
-        })
-        .telemetry(telemetry)
-        .resume(self.resume);
-        if let Some(path) = &self.store {
-            collector = collector.checkpoint(path);
-        }
-        let outcome = match collector.run(&ecosystem) {
+        let store = self.store.as_deref();
+        let outcome = match collect(&ecosystem, &config.collect, telemetry, store, self.resume) {
             Ok(outcome) => outcome,
             Err(err) => {
                 // The run is aborting (failure budget exhausted or a
@@ -447,7 +414,7 @@ pub fn analyze_store(
 }
 
 /// The analysis driver: the CVE join (one fold of every committed week
-/// through the study accumulator, on `config.concurrency` workers) and
+/// through the study accumulator, on `config.collect.concurrency` workers) and
 /// the table/figure build, timed through `telemetry`, whose snapshot is
 /// attached to the results. The store's §4.1 verdict is taken once, for
 /// the fold and for the results' [`Dataset`]. Peak memory is one decoded
@@ -467,7 +434,7 @@ fn analyze(
             db: &db,
             ranks: &dataset.ranks,
         };
-        let accum: StudyAccum = fold_store(reader, &ctx, config.concurrency, &filtered)?;
+        let accum: StudyAccum = fold_store(reader, &ctx, config.collect.concurrency, &filtered)?;
         trace::emit(
             "join.done",
             "",
@@ -658,13 +625,15 @@ mod tests {
             seed: 7,
             domain_count: 123,
             timeline: Timeline::truncated(17),
-            concurrency: 3,
-            shards: 4,
-            faults: FaultPlan::hostile(7),
-            retry: RetryPolicy::standard(2),
-            breaker: Some(BreakerConfig::default()),
-            carry_forward: true,
-            supervise: Some(SuperviseConfig::default().max_failures(5)),
+            collect: CollectConfig {
+                concurrency: 3,
+                shards: 4,
+                faults: FaultPlan::hostile(7),
+                retry: RetryPolicy::standard(2),
+                breaker: Some(BreakerConfig::default()),
+                carry_forward: true,
+                supervise: Some(SuperviseConfig::default().max_failures(5)),
+            },
         };
         assert_eq!(Pipeline::from(custom).build(), custom);
         // Builder setters land in the built config too.

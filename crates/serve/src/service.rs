@@ -18,10 +18,11 @@
 //!   of weeks.
 
 use crate::router::{ApiError, Route};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
-use webvuln_analysis::accum::{fold_study, LandscapeAccum};
+use webvuln_analysis::accum::{fold_store, genesis_ranks, AccumCtx, LandscapeAccum, StudyAccum};
 use webvuln_analysis::landscape::{LibraryRow, UsageTrend};
+use webvuln_analysis::store_filter_verdict;
 use webvuln_analysis::vuln::CveImpact;
 use webvuln_cvedb::{Basis, LibraryId, VulnDb};
 use webvuln_store::{AnyReader, ShardHealth, StoreError, StoreReader, Sym};
@@ -42,6 +43,9 @@ pub struct QueryService {
     landscape: LandscapeAccum,
     impacts: Vec<CveImpact>,
     watch_root: Option<PathBuf>,
+    /// How many domains the §4.1 verdict the tables were folded under
+    /// drops.
+    filtered_out: usize,
     /// Per shard, what a history reads off its symbols; empty for a shard
     /// that is unavailable.
     symbols: Vec<ShardSymbols>,
@@ -74,7 +78,7 @@ struct ShardSymbols {
 impl ShardSymbols {
     /// The tables of `shard`, which opened healthy, given the store's §4.1
     /// verdict.
-    fn build(shard: &StoreReader, filtered_out: &[String], db: &VulnDb) -> ShardSymbols {
+    fn build(shard: &StoreReader, filtered_out: &BTreeSet<String>, db: &VulnDb) -> ShardSymbols {
         let mut symbols = ShardSymbols::default();
         for (domain, rank) in &shard.genesis().ranks {
             let Some(host) = shard.symbol(domain) else {
@@ -128,7 +132,10 @@ impl ShardSymbols {
 
 impl QueryService {
     /// Opens `path` and folds the store through the study accumulators,
-    /// precomputing the hot analysis tables.
+    /// precomputing the hot analysis tables. The store's §4.1 verdict is
+    /// taken once ([`store_filter_verdict`]: the stored one, or on an
+    /// unfinalized store the trailing window's) and is the one the
+    /// tables, every history and `/healthz` answer under.
     ///
     /// A sharded store opens in degraded mode when shards are missing or
     /// quarantined: the healthy shards keep serving, the analysis tables
@@ -139,14 +146,19 @@ impl QueryService {
         let reader = AnyReader::open_degraded(path)?;
         let db = VulnDb::builtin();
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let accum = fold_study(&reader, &db, threads)?;
+        let filtered_out = store_filter_verdict(&reader)?;
+        let ranks = genesis_ranks(reader.genesis());
+        let ctx = AccumCtx {
+            db: &db,
+            ranks: &ranks,
+        };
+        let accum: StudyAccum = fold_store(&reader, &ctx, threads, &filtered_out)?;
         let rows = accum.landscape.table1(&db);
         let trends = accum.landscape.trends();
         let impacts = accum.exposure.cve_impacts(&db);
-        let filtered_out = reader.filtered_out().unwrap_or_default();
         let symbols = (0..reader.shard_count())
             .map(|shard| match reader.shard_reader(shard) {
-                Some(shard) => ShardSymbols::build(shard, filtered_out, &db),
+                Some(shard) => ShardSymbols::build(shard, &filtered_out, &db),
                 None => ShardSymbols::default(),
             })
             .collect();
@@ -158,6 +170,7 @@ impl QueryService {
             landscape: accum.landscape,
             impacts,
             watch_root: None,
+            filtered_out: filtered_out.len(),
             symbols,
         })
     }
@@ -205,7 +218,6 @@ impl QueryService {
     pub fn healthz(&self, requests_total: u64) -> String {
         let genesis = self.reader.genesis();
         let degraded = self.reader.is_degraded();
-        let filtered_out = self.reader.filtered_out().map_or(0, |f| f.len());
         let mut j = JsonWriter::new();
         j.begin_obj();
         j.str("status", if degraded { "degraded" } else { "ok" });
@@ -213,7 +225,7 @@ impl QueryService {
         j.u64("weeks_total", genesis.weeks_total as u64);
         j.u64("domains", genesis.ranks.len() as u64);
         j.bool("finalized", self.reader.is_finalized());
-        j.u64("filtered_out", filtered_out as u64);
+        j.u64("filtered_out", self.filtered_out as u64);
         j.bool("degraded", degraded);
         j.u64("shard_count", self.reader.shard_count() as u64);
         j.arr("shards");
@@ -446,7 +458,7 @@ mod tests {
     use super::*;
     use crate::router::route;
     use std::sync::Arc;
-    use webvuln_analysis::dataset::Collector;
+    use webvuln_analysis::dataset::{collect, CollectConfig};
     use webvuln_net::Request;
     use webvuln_webgen::{Ecosystem, EcosystemConfig, Timeline};
 
@@ -459,6 +471,18 @@ mod tests {
         path
     }
 
+    /// Collects `eco` on two threads into a store of `shards` shards at
+    /// `path`.
+    fn collect_into(eco: &Arc<Ecosystem>, path: &Path, shards: usize) {
+        let config = CollectConfig {
+            concurrency: 2,
+            shards,
+            ..CollectConfig::default()
+        };
+        let telemetry = webvuln_telemetry::Telemetry::new();
+        collect(eco, &config, &telemetry, Some(path), false).expect("collect");
+    }
+
     fn service(tag: &str) -> QueryService {
         let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
             seed: 77,
@@ -466,11 +490,7 @@ mod tests {
             timeline: Timeline::truncated(3),
         }));
         let path = temp_store(tag);
-        Collector::new()
-            .threads(2)
-            .checkpoint(&path)
-            .run(&eco)
-            .expect("collect");
+        collect_into(&eco, &path, 1);
         QueryService::open(&path).expect("open")
     }
 
@@ -482,23 +502,14 @@ mod tests {
             timeline: Timeline::truncated(3),
         }));
         let single = temp_store("degraded-single");
-        Collector::new()
-            .threads(2)
-            .checkpoint(&single)
-            .run(&eco)
-            .expect("collect single");
+        collect_into(&eco, &single, 1);
         let baseline = QueryService::open(&single).expect("open single");
         let dir = std::env::temp_dir().join(format!(
             "webvuln-serve-svc-degraded-{}.wvshards",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        Collector::new()
-            .threads(2)
-            .shards(3)
-            .checkpoint(&dir)
-            .run(&eco)
-            .expect("collect sharded");
+        collect_into(&eco, &dir, 3);
         std::fs::remove_file(dir.join(webvuln_store::shard_file_name(1))).expect("delete shard");
 
         // The server still comes up, reports the outage, and serves

@@ -228,10 +228,10 @@ impl AnyWriter {
     }
 
     /// Sets the thread count for parallel per-shard commits (the
-    /// `webvuln-exec` pool). Purely a scheduling knob: store bytes are
-    /// identical at any thread count.
+    /// `webvuln-exec` pool; `0`: one per core). Purely a scheduling knob:
+    /// store bytes are identical at any thread count.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = Executor::new(threads).threads();
         self
     }
 
@@ -805,5 +805,28 @@ impl AnyReader {
             total += t;
         }
         Ok((hits, total))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `0` threads means one per core, as everywhere else: the pool the
+    /// shard commits run on is as wide as `available_parallelism` makes it.
+    #[test]
+    fn zero_threads_commits_on_one_thread_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let width = |threads| {
+            let genesis = Genesis {
+                start_days: 0,
+                weeks_total: 1,
+                ranks: vec![("a.example".to_string(), 1)],
+            };
+            let writer = StoreWriter::in_memory(genesis).expect("memory store");
+            AnyWriter::from(writer).threads(threads).threads
+        };
+        assert_eq!(width(0), width(cores));
+        assert_eq!((width(0), width(3)), (cores, 3));
     }
 }

@@ -10,6 +10,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
+use webvuln::analysis::CollectConfig;
 use webvuln::core::{
     full_report, series_to_csv, telemetry_json, Pipeline, StudyConfig, StudyResults, Telemetry,
     TraceMode,
@@ -354,16 +355,20 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         seed,
         domain_count: domains,
         timeline: Timeline::truncated(weeks),
-        concurrency: args.get("--threads")?.unwrap_or(defaults.concurrency),
-        faults: fault_profile(args, seed)?,
-        retry: if retries > 0 {
-            RetryPolicy::standard(retries)
-        } else {
-            RetryPolicy::none()
+        collect: CollectConfig {
+            concurrency: args
+                .get("--threads")?
+                .unwrap_or(defaults.collect.concurrency),
+            faults: fault_profile(args, seed)?,
+            retry: if retries > 0 {
+                RetryPolicy::standard(retries)
+            } else {
+                RetryPolicy::none()
+            },
+            breaker: (retries > 0).then(BreakerConfig::default),
+            carry_forward: args.has("--carry-forward"),
+            ..defaults.collect
         },
-        breaker: (retries > 0).then(BreakerConfig::default),
-        carry_forward: args.has("--carry-forward"),
-        ..defaults
     };
     let mut telemetry = Telemetry::new();
     if args.has("--progress") {

@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use webvuln::analysis::apply_filter;
-use webvuln::analysis::dataset::{CollectConfig, Collector, WeekSnapshot};
+use webvuln::analysis::dataset::{CollectConfig, WeekSnapshot};
 use webvuln::analysis::store_io::{week_into_snapshot, CheckpointOutcome};
 use webvuln::core::{full_report, Pipeline, StudyConfig, Telemetry};
 use webvuln::net::{
@@ -42,7 +42,8 @@ fn kept_weeks(outcome: CheckpointOutcome) -> Vec<WeekSnapshot> {
 }
 
 fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> CheckpointOutcome {
-    Collector::from_config(config).run(eco).expect("collection")
+    let outcome = webvuln::analysis::collect(eco, &config, &Telemetry::new(), None, false);
+    outcome.expect("collection")
 }
 
 fn collect_with(
@@ -50,7 +51,7 @@ fn collect_with(
     config: CollectConfig,
     telemetry: &Telemetry,
 ) -> Vec<WeekSnapshot> {
-    let outcome = Collector::from_config(config).telemetry(telemetry).run(eco);
+    let outcome = webvuln::analysis::collect(eco, &config, telemetry, None, false);
     kept_weeks(outcome.expect("collection"))
 }
 
@@ -228,11 +229,13 @@ fn store_resumes_cleanly_mid_retry_storm() {
         seed: 4_246,
         domain_count: 80,
         timeline: Timeline::truncated(5),
-        faults: FaultPlan::hostile(4_246),
-        retry: RetryPolicy::standard(2),
-        breaker: Some(BreakerConfig::default()),
-        carry_forward: true,
-        ..StudyConfig::default()
+        collect: CollectConfig {
+            faults: FaultPlan::hostile(4_246),
+            retry: RetryPolicy::standard(2),
+            breaker: Some(BreakerConfig::default()),
+            carry_forward: true,
+            ..StudyConfig::default().collect
+        },
     };
     let analysis_part = |report: &str| report.split("Run telemetry").next().unwrap().to_string();
     let baseline = analysis_part(&full_report(
@@ -281,10 +284,12 @@ fn study_is_byte_identical_across_threads() {
         seed: 4_247,
         domain_count: 70,
         timeline: Timeline::truncated(4),
-        concurrency: threads,
-        faults: FaultPlan::hostile(4_247),
-        retry: RetryPolicy::standard(2),
-        ..StudyConfig::default()
+        collect: CollectConfig {
+            concurrency: threads,
+            faults: FaultPlan::hostile(4_247),
+            retry: RetryPolicy::standard(2),
+            ..StudyConfig::default().collect
+        },
     };
     let analysis_part = |report: &str| report.split("Run telemetry").next().unwrap().to_string();
     let run = |threads: usize| {
@@ -331,12 +336,14 @@ fn torn_store_resumes_identically_under_parallelism() {
         seed: 4_248,
         domain_count: 60,
         timeline: Timeline::truncated(5),
-        concurrency: threads,
-        faults: FaultPlan::hostile(4_248),
-        retry: RetryPolicy::standard(2),
-        breaker: Some(BreakerConfig::default()),
-        carry_forward: true,
-        ..StudyConfig::default()
+        collect: CollectConfig {
+            concurrency: threads,
+            faults: FaultPlan::hostile(4_248),
+            retry: RetryPolicy::standard(2),
+            breaker: Some(BreakerConfig::default()),
+            carry_forward: true,
+            ..StudyConfig::default().collect
+        },
     };
     let analysis_part = |report: &str| report.split("Run telemetry").next().unwrap().to_string();
     let store = std::env::temp_dir().join(format!(

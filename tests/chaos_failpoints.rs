@@ -21,6 +21,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use webvuln::analysis::CollectConfig;
 use webvuln::core::{failpoint_catalog, full_report, Pipeline, StudyConfig, StudyResults};
 use webvuln::failpoint::{arm_key, arm_nth, disarm, reset, Action};
 use webvuln::net::{FaultPlan, RetryPolicy, SuperviseConfig};
@@ -43,10 +44,12 @@ fn config(seed: u64, threads: usize) -> StudyConfig {
         seed,
         domain_count: DOMAINS,
         timeline: Timeline::truncated(WEEKS),
-        concurrency: threads,
-        faults: FaultPlan::realistic(seed),
-        retry: RetryPolicy::standard(1),
-        ..StudyConfig::default()
+        collect: CollectConfig {
+            concurrency: threads,
+            faults: FaultPlan::realistic(seed),
+            retry: RetryPolicy::standard(1),
+            ..StudyConfig::default().collect
+        },
     }
 }
 

@@ -13,10 +13,10 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use webvuln::analysis::Collector;
+use webvuln::analysis::{collect, CollectConfig};
 use webvuln::failpoint::{arm, arm_key, arm_nth, reset, Action};
 use webvuln::net::{fetch, Status, TcpConnector};
-use webvuln::telemetry::Registry;
+use webvuln::telemetry::{Registry, Telemetry};
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 use webvuln::{ApiServer, QueryService, ServeConfig};
 
@@ -44,11 +44,11 @@ fn start(tag: &str, config: ServeConfig) -> (ApiServer, Registry) {
         timeline: Timeline::truncated(3),
     }));
     let path = temp_store(tag);
-    Collector::new()
-        .threads(2)
-        .checkpoint(&path)
-        .run(&eco)
-        .expect("collect");
+    let collection = CollectConfig {
+        concurrency: 2,
+        ..CollectConfig::default()
+    };
+    collect(&eco, &collection, &Telemetry::new(), Some(&path), false).expect("collect");
     let svc = Arc::new(QueryService::open(&path).expect("open"));
     let registry = Registry::new();
     let server = ApiServer::serve(svc, config, &registry).expect("bind");

@@ -16,6 +16,7 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
+use webvuln::analysis::CollectConfig;
 use webvuln::analysis::{fold_study, FilterWindow};
 use webvuln::core::{Pipeline, StudyConfig};
 use webvuln::failpoint::{arm, arm_key, arm_nth, disarm, reset, Action};
@@ -76,9 +77,11 @@ fn build_corpus(weeks: usize) -> Corpus {
         seed: 8_100,
         domain_count: DOMAINS,
         timeline: Timeline::truncated(weeks),
-        faults: FaultPlan::hostile(8_100),
-        carry_forward: true,
-        ..StudyConfig::default()
+        collect: CollectConfig {
+            faults: FaultPlan::hostile(8_100),
+            carry_forward: true,
+            ..StudyConfig::default().collect
+        },
     })
     .checkpoint(&store)
     .run()

@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
 use webvuln::analysis::apply_filter;
-use webvuln::analysis::dataset::{CollectConfig, Collector};
+use webvuln::analysis::dataset::{collect, CollectConfig};
 use webvuln::analysis::store_io::{snapshot_to_week, week_into_snapshot};
 use webvuln::cvedb::parse_delta;
 use webvuln::failpoint::check::{self, Gen};
@@ -411,9 +411,15 @@ fn rows(dir: &Path) -> Vec<Row> {
         domain_count: 12,
         timeline: Timeline::truncated(1),
     }));
-    let outcome = Collector::from_config(CollectConfig::default())
-        .run(&ecosystem)
-        .expect("collection");
+    let telemetry = webvuln::telemetry::Telemetry::new();
+    let outcome = collect(
+        &ecosystem,
+        &CollectConfig::default(),
+        &telemetry,
+        None,
+        false,
+    )
+    .expect("collection");
     let filtered = outcome.dataset.filtered_out.iter().cloned().collect();
     let stored = outcome.reader.week(0).expect("week 0");
     let mut snapshot = week_into_snapshot(stored).expect("snapshot");

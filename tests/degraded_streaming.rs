@@ -9,6 +9,7 @@
 //! coverage, it never changes *which* answer the healthy shards give.
 
 use webvuln::analysis::store_io::week_to_snapshot;
+use webvuln::analysis::CollectConfig;
 use webvuln::analysis::{
     apply_filter, fold_study, genesis_ranks, store_filter_verdict, AccumCtx, Accumulate, StudyAccum,
 };
@@ -32,9 +33,11 @@ fn build_store(tag: &str) -> std::path::PathBuf {
         seed: 8_200,
         domain_count: 80,
         timeline: Timeline::truncated(WEEKS),
-        faults: FaultPlan::hostile(8_200),
-        carry_forward: true,
-        ..StudyConfig::default()
+        collect: CollectConfig {
+            faults: FaultPlan::hostile(8_200),
+            carry_forward: true,
+            ..StudyConfig::default().collect
+        },
     })
     .shards(SHARDS)
     .checkpoint(&dir)

@@ -3,6 +3,7 @@
 //! the paper section it checks.
 
 use std::sync::OnceLock;
+use webvuln::analysis::CollectConfig;
 use webvuln::core::{Pipeline, StudyConfig, StudyResults};
 use webvuln::cvedb::{Accuracy, Date, LibraryId};
 use webvuln::net::FaultPlan;
@@ -15,9 +16,11 @@ fn study() -> &'static StudyResults {
             seed: 7_777,
             domain_count: 900,
             timeline: Timeline::paper(),
-            concurrency: 8,
-            faults: FaultPlan::realistic(7_777),
-            ..StudyConfig::default()
+            collect: CollectConfig {
+                concurrency: 8,
+                faults: FaultPlan::realistic(7_777),
+                ..StudyConfig::default().collect
+            },
         })
         .run()
         .expect("study")

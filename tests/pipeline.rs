@@ -8,15 +8,16 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use webvuln::analysis::apply_filter;
-use webvuln::analysis::dataset::{CollectConfig, Collector, WeekSnapshot};
+use webvuln::analysis::dataset::{CollectConfig, WeekSnapshot};
 use webvuln::analysis::store_io::{week_into_snapshot, CheckpointOutcome};
 use webvuln::fingerprint::Engine;
 use webvuln::net::{CrawlOptions, FaultPlan, ServeConfig, Server, TcpConnector, VirtualNet};
-use webvuln::telemetry::Registry;
+use webvuln::telemetry::{Registry, Telemetry};
 use webvuln::webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
 
 fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> CheckpointOutcome {
-    Collector::from_config(config).run(eco).expect("collection")
+    let outcome = webvuln::analysis::collect(eco, &config, &Telemetry::new(), None, false);
+    outcome.expect("collection")
 }
 
 /// The weeks a collection committed, minus its §4.1 verdict.

@@ -3,18 +3,19 @@
 //! store — and every table endpoint cross-checked against the batch
 //! `webvuln-analysis` computation for the same store.
 
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use webvuln::analysis::accum::fold_study;
-use webvuln::analysis::Collector;
+use webvuln::analysis::{collect, store_filter_verdict, CollectConfig};
 use webvuln::cvedb::{Basis, LibraryId, VulnDb};
 use webvuln::net::codec::{encode_request, MessageReader};
 use webvuln::net::{fetch, Request, Status, TcpConnector};
 use webvuln::serve::ApiError;
 use webvuln::store::{shard_path, split_week, AnyWriter, StoreError, StoreWriter};
-use webvuln::telemetry::{JsonWriter, Registry};
+use webvuln::telemetry::{JsonWriter, Registry, Telemetry};
 use webvuln::version::Version;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 use webvuln::AnyReader;
@@ -22,6 +23,17 @@ use webvuln::{ApiServer, QueryService, ServeConfig};
 
 const DOMAINS: usize = 40;
 const WEEKS: usize = 3;
+
+/// Collects `eco` on two threads into a store of `shards` shards at
+/// `path`.
+fn collect_into(eco: &Arc<Ecosystem>, path: &Path, shards: usize) {
+    let config = CollectConfig {
+        concurrency: 2,
+        shards,
+        ..CollectConfig::default()
+    };
+    collect(eco, &config, &Telemetry::new(), Some(path), false).expect("collect");
+}
 
 fn temp_store(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
@@ -40,11 +52,7 @@ fn service(tag: &str) -> (Arc<QueryService>, PathBuf) {
         timeline: Timeline::truncated(WEEKS),
     }));
     let path = temp_store(tag);
-    Collector::new()
-        .threads(2)
-        .checkpoint(&path)
-        .run(&eco)
-        .expect("collect");
+    collect_into(&eco, &path, 1);
     (Arc::new(QueryService::open(&path).expect("open")), path)
 }
 
@@ -293,8 +301,15 @@ fn shutdown_drains_and_unbinds() {
 /// `/domain/{d}/history` as it was composed before it was one read: a
 /// scan of the rank list and the §4.1 list, then one owned
 /// `AnyReader::get` per week, with the claimed reports counted from a
-/// parsed `Version`. The served body must equal it byte for byte.
-fn history_oracle(reader: &AnyReader, db: &VulnDb, domain: &str) -> Result<String, ApiError> {
+/// parsed `Version`, the §4.1 flag read off `verdict`, the store's
+/// verdict as the tables are folded under it. The served body must equal
+/// it byte for byte.
+fn history_oracle(
+    reader: &AnyReader,
+    verdict: &BTreeSet<String>,
+    db: &VulnDb,
+    domain: &str,
+) -> Result<String, ApiError> {
     if let (shard, Some(detail)) = reader.shard_for(domain) {
         return Err(ApiError::Unavailable(format!(
             "shard {shard} unavailable: {detail}"
@@ -307,9 +322,7 @@ fn history_oracle(reader: &AnyReader, db: &VulnDb, domain: &str) -> Result<Strin
         .find(|(d, _)| d == domain)
         .map(|&(_, r)| r)
         .ok_or_else(|| ApiError::NotFound(format!("unknown domain '{domain}'")))?;
-    let filtered_out = reader
-        .filtered_out()
-        .is_some_and(|f| f.iter().any(|d| d == domain));
+    let filtered_out = verdict.contains(domain);
     let mut j = JsonWriter::new();
     j.begin_obj().str("domain", domain).u64("rank", rank);
     j.bool("filtered_out", filtered_out);
@@ -355,9 +368,12 @@ fn weeks_listed(body: &str) -> Vec<usize> {
 }
 
 /// Every domain's history, in a single file, in four shards with one
-/// deleted and in four shards with one a week ahead of its manifest,
-/// equals the per-week composition byte for byte; no unpublished week is
-/// served and a dead shard's domains answer 503.
+/// deleted, in four shards with one a week ahead of its manifest and in a
+/// file never finalized, equals the per-week composition byte for byte;
+/// no unpublished week is served and a dead shard's domains answer 503.
+/// A store with no stored §4.1 verdict (every watch root's) serves the
+/// trailing window's, the one its tables are folded under, in every
+/// history and in `/healthz`.
 #[test]
 fn history_is_one_read_that_equals_per_week_point_reads() {
     const DOMAINS: usize = 200;
@@ -371,17 +387,14 @@ fn history_is_one_read_that_equals_per_week_point_reads() {
     let root = std::env::temp_dir().join(format!("webvuln-serve-history-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("mkdir");
-    let (single, dead, ahead) = (
+    let (single, dead, ahead, open) = (
         root.join("single.wvstore"),
         root.join("dead"),
         root.join("ahead"),
+        root.join("open.wvstore"),
     );
-    let collect = |path: &PathBuf, shards: usize| {
-        let run = Collector::new().threads(2).shards(shards);
-        run.checkpoint(path).run(&eco).expect("collect");
-    };
-    collect(&single, 1);
-    collect(&dead, 4);
+    collect_into(&eco, &single, 1);
+    collect_into(&eco, &dead, 4);
     std::fs::remove_file(shard_path(&dead, 1)).expect("delete shard 1");
     // Four shards whose manifest published 11 weeks, and shard AHEAD
     // holding week 11 too: a writer that crashed before its rename.
@@ -397,6 +410,13 @@ fn history_is_one_read_that_equals_per_week_point_reads() {
     let mut shard = StoreWriter::resume(&shard_path(&ahead, AHEAD)).expect("resume shard");
     shard.commit_week(&last[AHEAD]).expect("unpublished commit");
     drop(shard);
+    // Every week of the single file, committed and never finalized.
+    let mut writer = StoreWriter::create(&open, source.genesis().clone()).expect("create");
+    for week in source.stream() {
+        writer.commit_week(&week.expect("week")).expect("commit");
+    }
+    drop(writer);
+    let stored = source.filtered_out().expect("finalized").len();
 
     let db = VulnDb::builtin();
     let mut domains: Vec<&str> = source
@@ -411,15 +431,20 @@ fn history_is_one_read_that_equals_per_week_point_reads() {
         ("single file", &single),
         ("dead shard", &dead),
         ("shard ahead", &ahead),
+        ("unfinalized", &open),
     ] {
         let svc = QueryService::open(path).expect("open service");
         let reader = svc.reader();
+        let verdict = store_filter_verdict(reader).expect("verdict");
+        let health = svc.healthz(0);
+        let count = format!("\"filtered_out\":{},", verdict.len());
+        assert!(health.contains(&count), "{form}: {health}");
         let (mut served, mut refused, mut filtered, mut unpublished) = (0, 0, 0, 0);
         for domain in &domains {
             let body = svc.domain_history(domain);
             assert_eq!(
                 body,
-                history_oracle(reader, &db, domain),
+                history_oracle(reader, &verdict, &db, domain),
                 "{form}: {domain}"
             );
             match body {
@@ -450,9 +475,15 @@ fn history_is_one_read_that_equals_per_week_point_reads() {
         match form {
             "single file" => assert!(served == DOMAINS && filtered > 0, "{served} {filtered}"),
             "dead shard" => assert!(served > 0 && refused > 0 && served + refused == DOMAINS),
-            _ => assert!(
+            "shard ahead" => assert!(
                 served == DOMAINS && unpublished > 0,
                 "{served} {unpublished}"
+            ),
+            // The window over the same twelve weeks drops what finalize
+            // stored: some domain is dead in its last four weeks.
+            _ => assert!(
+                served == DOMAINS && filtered == stored,
+                "{filtered} {stored}"
             ),
         }
     }

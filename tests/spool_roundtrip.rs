@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use webvuln::analysis::apply_filter;
-use webvuln::analysis::dataset::{CollectConfig, Collector};
+use webvuln::analysis::dataset::{collect, CollectConfig};
 use webvuln::analysis::store_io::{snapshot_to_week, week_into_snapshot};
 use webvuln::failpoint::check;
 use webvuln::net::FaultPlan;
@@ -14,6 +14,7 @@ use webvuln::store::{
     DetectionRecord, DomainRecord, FlashRecord, Genesis, PageRecord, ScriptRecord, WeekData,
     WordPressRecord,
 };
+use webvuln::telemetry::Telemetry;
 use webvuln::watch::{
     read_genesis_file, read_week_file, week_file_name, write_genesis_file, write_week_file,
     WatchError, GENESIS_FILE,
@@ -37,13 +38,12 @@ fn collected_weeks() -> Vec<WeekData> {
         domain_count: 24,
         timeline: Timeline::truncated(6),
     }));
-    let outcome = Collector::from_config(CollectConfig {
+    let config = CollectConfig {
         faults: FaultPlan::hostile(19),
         carry_forward: true,
         ..CollectConfig::default()
-    })
-    .run(&ecosystem)
-    .expect("collection");
+    };
+    let outcome = collect(&ecosystem, &config, &Telemetry::new(), None, false).expect("collection");
     // The weeks minus the §4.1 verdict, as the analysis sees them.
     let filtered = outcome.dataset.filtered_out.iter().cloned().collect();
     let kept = |week| {

@@ -10,9 +10,10 @@
 //! pins the end-to-end contract.
 
 use std::sync::Arc;
-use webvuln::analysis::dataset::{CollectConfig, Collector};
+use webvuln::analysis::dataset::{collect, CollectConfig};
 use webvuln::core::{full_report, Pipeline, StudyConfig, StudyResults};
 use webvuln::net::FaultPlan;
+use webvuln::telemetry::Telemetry;
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 use webvuln::AnyReader;
 
@@ -21,9 +22,11 @@ fn config(carry_forward: bool) -> StudyConfig {
         seed: 99,
         domain_count: 150,
         timeline: Timeline::truncated(8),
-        faults: FaultPlan::hostile(99),
-        carry_forward,
-        ..StudyConfig::default()
+        collect: CollectConfig {
+            faults: FaultPlan::hostile(99),
+            carry_forward,
+            ..StudyConfig::default().collect
+        },
     }
 }
 
@@ -52,13 +55,12 @@ fn in_memory_store(config: StudyConfig, threads: usize) -> AnyReader {
         domain_count: config.domain_count,
         timeline: config.timeline,
     }));
-    let collector = Collector::from_config(CollectConfig {
+    let config = CollectConfig {
         concurrency: threads,
-        faults: config.faults,
-        carry_forward: config.carry_forward,
-        ..CollectConfig::default()
-    });
-    collector.run(&ecosystem).expect("collection").reader
+        ..config.collect
+    };
+    let outcome = collect(&ecosystem, &config, &Telemetry::new(), None, false);
+    outcome.expect("collection").reader
 }
 
 /// Two stores hold the same study: genesis, §4.1 verdict and every week,

@@ -3,7 +3,7 @@
 //! actually did, and a study run must time every phase.
 
 use std::sync::Arc;
-use webvuln::analysis::dataset::{CollectConfig, Collector};
+use webvuln::analysis::dataset::{collect, CollectConfig};
 use webvuln::core::{telemetry_json, Pipeline, StudyConfig};
 use webvuln::net::{CrawlOptions, FaultPlan, VirtualNet};
 use webvuln::net::{Request, Response};
@@ -24,10 +24,8 @@ fn crawler_fetch_count_equals_dataset_page_count() {
     let weeks = 4;
     let eco = ecosystem(domains, weeks);
     let telemetry = Telemetry::new();
-    let outcome = Collector::from_config(CollectConfig::default())
-        .telemetry(&telemetry)
-        .run(&eco)
-        .expect("collection");
+    let outcome =
+        collect(&eco, &CollectConfig::default(), &telemetry, None, false).expect("collection");
 
     // Every domain is attempted every week, regardless of filtering.
     let snap = telemetry.snapshot();
