@@ -351,7 +351,7 @@ impl LandscapeAccum {
     }
 
     /// Table 5: top external hosts per library.
-    pub fn table5(&self, top: usize) -> Vec<CdnBreakdown> {
+    pub(crate) fn table5(&self, top: usize) -> Vec<CdnBreakdown> {
         let none = LibraryState::default();
         LibraryId::ALL
             .iter()
@@ -482,7 +482,7 @@ pub struct CveExposureAccum {
 
 impl CveExposureAccum {
     /// §6.2's weekly prevalence series under one basis.
-    pub fn prevalence(&self, basis: Basis) -> PrevalenceSeries {
+    pub(crate) fn prevalence(&self, basis: Basis) -> PrevalenceSeries {
         let points: Vec<(Date, f64)> = self
             .weeks
             .iter()
@@ -506,7 +506,7 @@ impl CveExposureAccum {
     }
 
     /// §6.4's claimed-vs-TVV comparison.
-    pub fn refinement(&self) -> RefinementSummary {
+    pub(crate) fn refinement(&self) -> RefinementSummary {
         let claimed = self.prevalence(Basis::CveClaimed);
         let tvv = self.prevalence(Basis::TrueVulnerable);
         let gap = claimed
@@ -566,7 +566,7 @@ impl CveExposureAccum {
     }
 
     /// Figure 12's per-website vulnerability-count distribution.
-    pub fn distribution(&self, basis: Basis) -> VulnCountDistribution {
+    pub(crate) fn distribution(&self, basis: Basis) -> VulnCountDistribution {
         let averages: Vec<f64> = self
             .per_site
             .values()
@@ -699,7 +699,7 @@ pub struct UpdateBehaviorAccum {
 
 impl UpdateBehaviorAccum {
     /// §7's update-delay report under one basis.
-    pub fn delays(&self, basis: Basis) -> UpdateDelayReport {
+    pub(crate) fn delays(&self, basis: Basis) -> UpdateDelayReport {
         let mut tagged: Vec<(usize, String, UpdateEvent)> = match basis {
             Basis::CveClaimed => self.events_claimed.clone(),
             Basis::TrueVulnerable => self.events_tvv.clone(),
@@ -737,14 +737,14 @@ impl UpdateBehaviorAccum {
     }
 
     /// §9's version-downgrade events, in sequential scan order.
-    pub fn regression_events(&self) -> Vec<RegressionEvent> {
+    pub(crate) fn regression_events(&self) -> Vec<RegressionEvent> {
         let mut tagged = self.regressions.clone();
         sequential_order(&mut tagged);
         tagged.into_iter().map(|(_, _, e)| e).collect()
     }
 
     /// Figure 9: WordPress usage over time.
-    pub fn wordpress_usage(&self) -> WordPressUsage {
+    pub(crate) fn wordpress_usage(&self) -> WordPressUsage {
         let points: Vec<(Date, usize, usize)> = self
             .weeks
             .iter()
@@ -767,7 +767,7 @@ impl UpdateBehaviorAccum {
     }
 
     /// Table 4: WordPress CVE census at the final snapshot.
-    pub fn table4(&self, db: &VulnDb) -> Vec<WordPressCveRow> {
+    pub(crate) fn table4(&self, db: &VulnDb) -> Vec<WordPressCveRow> {
         let versions: &[Version] = self
             .final_wordpress
             .as_ref()
@@ -976,7 +976,7 @@ pub struct CollectionAccum {
 
 impl CollectionAccum {
     /// Figure 2(a): pages collected per week.
-    pub fn collection(&self) -> CollectionSeries {
+    pub(crate) fn collection(&self) -> CollectionSeries {
         let points: Vec<(Date, usize)> = self
             .weeks
             .iter()
@@ -987,7 +987,7 @@ impl CollectionAccum {
     }
 
     /// Figure 2(b): usage series per resource class, ordered by share.
-    pub fn resources(&self) -> Vec<ResourceUsage> {
+    pub(crate) fn resources(&self) -> Vec<ResourceUsage> {
         let mut out: Vec<ResourceUsage> = ResourceType::ALL
             .iter()
             .enumerate()
@@ -1080,7 +1080,7 @@ pub struct FlashAccum {
 
 impl FlashAccum {
     /// Figure 8: Flash usage by rank tier.
-    pub fn usage(&self) -> FlashUsage {
+    pub(crate) fn usage(&self) -> FlashUsage {
         let points: Vec<(Date, usize, usize, usize)> = self
             .weeks
             .iter()
@@ -1113,7 +1113,7 @@ impl FlashAccum {
     }
 
     /// Figure 11: the `AllowScriptAccess` audit.
-    pub fn script_access(&self) -> ScriptAccessAudit {
+    pub(crate) fn script_access(&self) -> ScriptAccessAudit {
         let points: Vec<(Date, usize, usize, usize)> = self
             .weeks
             .iter()
@@ -1144,7 +1144,7 @@ impl FlashAccum {
     }
 
     /// The post-EOL TLD census from the final snapshot.
-    pub fn by_tld(&self) -> FlashByTld {
+    pub(crate) fn by_tld(&self) -> FlashByTld {
         let last = self.last.clone().unwrap_or_default();
         let mut counts: Vec<(String, usize)> = last.tld_counts.into_iter().collect();
         counts.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
@@ -1267,7 +1267,7 @@ pub struct SriAccum {
 
 impl SriAccum {
     /// Figure 10: SRI adoption over time.
-    pub fn adoption(&self) -> SriAdoption {
+    pub(crate) fn adoption(&self) -> SriAdoption {
         let points: Vec<(Date, usize, usize)> = self
             .weeks
             .iter()
@@ -1291,7 +1291,7 @@ impl SriAccum {
     }
 
     /// §6.5's `crossorigin` value census.
-    pub fn crossorigin(&self) -> CrossoriginCensus {
+    pub(crate) fn crossorigin(&self) -> CrossoriginCensus {
         CrossoriginCensus {
             anonymous_share: self.anonymous as f64 / self.crossorigin_total.max(1) as f64,
             use_credentials_share: self.credentials as f64 / self.crossorigin_total.max(1) as f64,
@@ -1300,7 +1300,7 @@ impl SriAccum {
     }
 
     /// Table 6: GitHub-hosted inclusions.
-    pub fn github(&self) -> GithubReport {
+    pub(crate) fn github(&self) -> GithubReport {
         let weekly_counts: Vec<f64> = self
             .weeks
             .iter()
@@ -1878,20 +1878,20 @@ mod tests {
         let artifacts = accum.finish(&db);
         assert_eq!(
             format!("{:?}", artifacts.table1),
-            format!("{:?}", crate::landscape::table1(data, &db))
+            format!("{:?}", crate::landscape::oracle::table1(data, &db))
         );
         assert_eq!(
             format!("{:?}", artifacts.trends),
-            format!("{:?}", crate::landscape::usage_trends(data))
+            format!("{:?}", crate::landscape::oracle::usage_trends(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.collection),
-            format!("{:?}", crate::resources::collection_series(data))
+            format!("{:?}", crate::resources::oracle::collection_series(data))
         );
         let impacts: Vec<CveImpact> = db
             .records()
             .iter()
-            .filter_map(|r| crate::vuln::cve_impact(data, &db, &r.id))
+            .filter_map(|r| crate::vuln::oracle::cve_impact(data, &db, &r.id))
             .collect();
         assert_eq!(
             format!("{:?}", artifacts.cve_impacts),
@@ -1899,93 +1899,93 @@ mod tests {
         );
         assert_eq!(
             format!("{:?}", artifacts.resources),
-            format!("{:?}", crate::resources::resource_usage(data))
+            format!("{:?}", crate::resources::oracle::resource_usage(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.refinement),
-            format!("{:?}", crate::vuln::refinement_summary(data, &db))
+            format!("{:?}", crate::vuln::oracle::refinement_summary(data, &db))
         );
         assert_eq!(
             format!("{:?}", artifacts.crossorigin),
-            format!("{:?}", crate::sri::crossorigin_census(data))
+            format!("{:?}", crate::sri::oracle::crossorigin_census(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.prevalence_tvv),
             format!(
                 "{:?}",
-                crate::vuln::prevalence(data, &db, Basis::TrueVulnerable)
+                crate::vuln::oracle::prevalence(data, &db, Basis::TrueVulnerable)
             )
         );
         assert_eq!(
             format!("{:?}", artifacts.fig12_claimed),
             format!(
                 "{:?}",
-                crate::vuln::vuln_count_distribution(data, &db, Basis::CveClaimed)
+                crate::vuln::oracle::vuln_count_distribution(data, &db, Basis::CveClaimed)
             )
         );
         assert_eq!(
             format!("{:?}", artifacts.delays_tvv),
             format!(
                 "{:?}",
-                crate::updates::update_delays(data, &db, Basis::TrueVulnerable)
+                crate::updates::oracle::update_delays(data, &db, Basis::TrueVulnerable)
             )
         );
         assert_eq!(
             format!("{:?}", artifacts.table5),
-            format!("{:?}", crate::landscape::table5(data, 3))
+            format!("{:?}", crate::landscape::oracle::table5(data, 3))
         );
         assert_eq!(
             format!("{:?}", artifacts.prevalence_claimed),
             format!(
                 "{:?}",
-                crate::vuln::prevalence(data, &db, Basis::CveClaimed)
+                crate::vuln::oracle::prevalence(data, &db, Basis::CveClaimed)
             )
         );
         assert_eq!(
             format!("{:?}", artifacts.fig12_tvv),
             format!(
                 "{:?}",
-                crate::vuln::vuln_count_distribution(data, &db, Basis::TrueVulnerable)
+                crate::vuln::oracle::vuln_count_distribution(data, &db, Basis::TrueVulnerable)
             )
         );
         assert_eq!(
             format!("{:?}", artifacts.delays_claimed),
             format!(
                 "{:?}",
-                crate::updates::update_delays(data, &db, Basis::CveClaimed)
+                crate::updates::oracle::update_delays(data, &db, Basis::CveClaimed)
             )
         );
         assert_eq!(
             format!("{:?}", artifacts.regressions),
-            format!("{:?}", crate::updates::regressions(data, &db))
+            format!("{:?}", crate::updates::oracle::regressions(data, &db))
         );
         assert_eq!(
             format!("{:?}", artifacts.table4),
-            format!("{:?}", crate::wordpress::table4(data, &db))
+            format!("{:?}", crate::wordpress::oracle::table4(data, &db))
         );
         assert_eq!(
             format!("{:?}", artifacts.flash),
-            format!("{:?}", crate::flash::flash_usage(data))
+            format!("{:?}", crate::flash::oracle::flash_usage(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.flash_by_tld),
-            format!("{:?}", crate::flash::flash_by_tld(data))
+            format!("{:?}", crate::flash::oracle::flash_by_tld(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.script_access),
-            format!("{:?}", crate::flash::script_access_audit(data))
+            format!("{:?}", crate::flash::oracle::script_access_audit(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.sri),
-            format!("{:?}", crate::sri::sri_adoption(data))
+            format!("{:?}", crate::sri::oracle::sri_adoption(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.github),
-            format!("{:?}", crate::sri::github_report(data))
+            format!("{:?}", crate::sri::oracle::github_report(data))
         );
         assert_eq!(
             format!("{:?}", artifacts.wordpress),
-            format!("{:?}", crate::updates::wordpress_usage(data))
+            format!("{:?}", crate::updates::oracle::wordpress_usage(data))
         );
     }
 

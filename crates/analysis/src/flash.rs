@@ -2,11 +2,9 @@
 //! the `AllowScriptAccess` audit (Figure 11), and the post-EOL census.
 
 use webvuln_cvedb::Date;
-#[cfg(test)]
-use {crate::dataset::testkit::Kept, crate::stats::mean};
 
 /// Flash's end-of-life date (Adobe, Jan 1 2021).
-pub fn flash_eol() -> Date {
+pub(crate) fn flash_eol() -> Date {
     Date::new(2021, 1, 1)
 }
 
@@ -19,58 +17,6 @@ pub struct FlashUsage {
     pub average: f64,
     /// Average sites with Flash after EOL.
     pub average_after_eol: f64,
-}
-
-/// Builds Figure 8. Rank tiers scale with the dataset: "top-10K" and
-/// "top-1K" become the top 1% and top 0.1% of the simulated list when it
-/// is smaller than the real Alexa 1M.
-/// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn flash_usage(data: &Kept) -> FlashUsage {
-    let population = data.ranks.len().max(1);
-    let tier_10k = tier_cutoff(population, 10_000);
-    let tier_1k = tier_cutoff(population, 1_000);
-    let points: Vec<(Date, usize, usize, usize)> = data
-        .weeks
-        .iter()
-        .map(|week| {
-            let mut all = 0usize;
-            let mut top10k = 0usize;
-            let mut top1k = 0usize;
-            for (domain, page) in &week.pages {
-                if page.flash.is_empty() {
-                    continue;
-                }
-                all += 1;
-                if let Some(rank) = data.rank(domain) {
-                    if rank <= tier_10k {
-                        top10k += 1;
-                    }
-                    if rank <= tier_1k {
-                        top1k += 1;
-                    }
-                }
-            }
-            (week.date, all, top10k, top1k)
-        })
-        .collect();
-    let average = mean(
-        &points
-            .iter()
-            .map(|&(_, a, _, _)| a as f64)
-            .collect::<Vec<_>>(),
-    );
-    let eol = flash_eol();
-    let after: Vec<f64> = points
-        .iter()
-        .filter(|&&(d, ..)| d >= eol)
-        .map(|&(_, a, _, _)| a as f64)
-        .collect();
-    FlashUsage {
-        points,
-        average,
-        average_after_eol: mean(&after),
-    }
 }
 
 /// Maps a real-web tier (e.g. top-10K of 1M) onto the simulated list.
@@ -96,41 +42,6 @@ pub struct FlashByTld {
     pub cn_base_rate: f64,
 }
 
-/// Builds the post-EOL Flash TLD census from the final snapshot.
-/// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn flash_by_tld(data: &Kept) -> FlashByTld {
-    let mut counts: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    let mut cn_flash = 0usize;
-    let mut flash_total = 0usize;
-    let mut cn_all = 0usize;
-    let mut all = 0usize;
-    if let Some(week) = data.weeks.last() {
-        for (domain, page) in &week.pages {
-            let tld = domain.rsplit('.').next().unwrap_or("").to_string();
-            all += 1;
-            if tld == "cn" {
-                cn_all += 1;
-            }
-            if page.flash.is_empty() {
-                continue;
-            }
-            flash_total += 1;
-            if tld == "cn" {
-                cn_flash += 1;
-            }
-            *counts.entry(tld).or_default() += 1;
-        }
-    }
-    let mut counts: Vec<(String, usize)> = counts.into_iter().collect();
-    counts.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-    FlashByTld {
-        counts,
-        cn_share: cn_flash as f64 / flash_total.max(1) as f64,
-        cn_base_rate: cn_all as f64 / all.max(1) as f64,
-    }
-}
-
 /// Figure 11: the `AllowScriptAccess` audit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScriptAccessAudit {
@@ -144,50 +55,144 @@ pub struct ScriptAccessAudit {
     pub late_always_share: f64,
 }
 
-/// Builds Figure 11.
-/// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn script_access_audit(data: &Kept) -> ScriptAccessAudit {
-    let points: Vec<(Date, usize, usize, usize)> = data
-        .weeks
-        .iter()
-        .map(|week| {
-            let mut flash = 0usize;
-            let mut with_param = 0usize;
-            let mut always = 0usize;
-            for page in week.pages.values() {
+pub(crate) mod oracle {
+    //! The one-shot builders over a whole kept dataset that the
+    //! accumulators are pinned against.
+
+    use super::*;
+    use {crate::dataset::testkit::Kept, crate::stats::mean};
+
+    /// Builds Figure 8. Rank tiers scale with the dataset: "top-10K" and
+    /// "top-1K" become the top 1% and top 0.1% of the simulated list when it
+    /// is smaller than the real Alexa 1M.
+    /// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
+    pub(crate) fn flash_usage(data: &Kept) -> FlashUsage {
+        let population = data.ranks.len().max(1);
+        let tier_10k = tier_cutoff(population, 10_000);
+        let tier_1k = tier_cutoff(population, 1_000);
+        let points: Vec<(Date, usize, usize, usize)> = data
+            .weeks
+            .iter()
+            .map(|week| {
+                let mut all = 0usize;
+                let mut top10k = 0usize;
+                let mut top1k = 0usize;
+                for (domain, page) in &week.pages {
+                    if page.flash.is_empty() {
+                        continue;
+                    }
+                    all += 1;
+                    if let Some(rank) = data.rank(domain) {
+                        if rank <= tier_10k {
+                            top10k += 1;
+                        }
+                        if rank <= tier_1k {
+                            top1k += 1;
+                        }
+                    }
+                }
+                (week.date, all, top10k, top1k)
+            })
+            .collect();
+        let average = mean(
+            &points
+                .iter()
+                .map(|&(_, a, _, _)| a as f64)
+                .collect::<Vec<_>>(),
+        );
+        let eol = flash_eol();
+        let after: Vec<f64> = points
+            .iter()
+            .filter(|&&(d, ..)| d >= eol)
+            .map(|&(_, a, _, _)| a as f64)
+            .collect();
+        FlashUsage {
+            points,
+            average,
+            average_after_eol: mean(&after),
+        }
+    }
+
+    /// Builds the post-EOL Flash TLD census from the final snapshot.
+    /// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
+    pub(crate) fn flash_by_tld(data: &Kept) -> FlashByTld {
+        let mut counts: std::collections::BTreeMap<String, usize> =
+            std::collections::BTreeMap::new();
+        let mut cn_flash = 0usize;
+        let mut flash_total = 0usize;
+        let mut cn_all = 0usize;
+        let mut all = 0usize;
+        if let Some(week) = data.weeks.last() {
+            for (domain, page) in &week.pages {
+                let tld = domain.rsplit('.').next().unwrap_or("").to_string();
+                all += 1;
+                if tld == "cn" {
+                    cn_all += 1;
+                }
                 if page.flash.is_empty() {
                     continue;
                 }
-                flash += 1;
-                let param = page
-                    .flash
-                    .iter()
-                    .find_map(|f| f.allow_script_access.as_deref());
-                if let Some(value) = param {
-                    with_param += 1;
-                    if value == "always" {
-                        always += 1;
+                flash_total += 1;
+                if tld == "cn" {
+                    cn_flash += 1;
+                }
+                *counts.entry(tld).or_default() += 1;
+            }
+        }
+        let mut counts: Vec<(String, usize)> = counts.into_iter().collect();
+        counts.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        FlashByTld {
+            counts,
+            cn_share: cn_flash as f64 / flash_total.max(1) as f64,
+            cn_base_rate: cn_all as f64 / all.max(1) as f64,
+        }
+    }
+
+    /// Builds Figure 11.
+    /// Test-only: the one-shot reference [`crate::accum::FlashAccum`] is pinned against.
+    pub(crate) fn script_access_audit(data: &Kept) -> ScriptAccessAudit {
+        let points: Vec<(Date, usize, usize, usize)> = data
+            .weeks
+            .iter()
+            .map(|week| {
+                let mut flash = 0usize;
+                let mut with_param = 0usize;
+                let mut always = 0usize;
+                for page in week.pages.values() {
+                    if page.flash.is_empty() {
+                        continue;
+                    }
+                    flash += 1;
+                    let param = page
+                        .flash
+                        .iter()
+                        .find_map(|f| f.allow_script_access.as_deref());
+                    if let Some(value) = param {
+                        with_param += 1;
+                        if value == "always" {
+                            always += 1;
+                        }
                     }
                 }
-            }
-            (week.date, flash, with_param, always)
-        })
-        .collect();
-    let share = |slice: &[(Date, usize, usize, usize)]| {
-        let shares: Vec<f64> = slice
-            .iter()
-            .filter(|&&(_, flash, ..)| flash > 0)
-            .map(|&(_, flash, _, always)| always as f64 / flash as f64)
+                (week.date, flash, with_param, always)
+            })
             .collect();
-        mean(&shares)
-    };
-    let quarter = (points.len() / 4).max(1);
-    ScriptAccessAudit {
-        average_always_share: share(&points),
-        early_always_share: share(&points[..quarter]),
-        late_always_share: share(&points[points.len() - quarter..]),
-        points,
+        let share = |slice: &[(Date, usize, usize, usize)]| {
+            let shares: Vec<f64> = slice
+                .iter()
+                .filter(|&&(_, flash, ..)| flash > 0)
+                .map(|&(_, flash, _, always)| always as f64 / flash as f64)
+                .collect();
+            mean(&shares)
+        };
+        let quarter = (points.len() / 4).max(1);
+        ScriptAccessAudit {
+            average_always_share: share(&points),
+            early_always_share: share(&points[..quarter]),
+            late_always_share: share(&points[points.len() - quarter..]),
+            points,
+        }
     }
 }
 

@@ -4,11 +4,6 @@
 
 use webvuln_cvedb::{Date, LibraryId};
 use webvuln_version::Version;
-#[cfg(test)]
-use {
-    crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap,
-    webvuln_cvedb::VulnDb, webvuln_fingerprint::DetectedInclusion,
-};
 
 /// One Table 1 row.
 #[derive(Debug, Clone)]
@@ -39,7 +34,7 @@ pub struct LibraryRow {
 
 /// CDN hosts known to the analysis (used to split "CDN" from other
 /// external origins, mirroring the paper's manual host classification).
-pub fn is_cdn_host(host: &str) -> bool {
+pub(crate) fn is_cdn_host(host: &str) -> bool {
     const CDNS: &[&str] = &[
         "ajax.googleapis.com",
         "code.jquery.com",
@@ -64,82 +59,6 @@ pub fn is_cdn_host(host: &str) -> bool {
     CDNS.contains(&host)
 }
 
-/// Builds Table 1 for the top-15 libraries, ordered by usage.
-/// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn table1(data: &Kept, db: &VulnDb) -> Vec<LibraryRow> {
-    let mut rows: Vec<LibraryRow> = LibraryId::ALL
-        .iter()
-        .map(|&library| library_row(data, db, library))
-        .collect();
-    rows.sort_by(|a, b| b.usage_share.partial_cmp(&a.usage_share).expect("no NaNs"));
-    rows
-}
-
-#[cfg(test)]
-fn library_row(data: &Kept, db: &VulnDb, library: LibraryId) -> LibraryRow {
-    let mut weekly_share = Vec::new();
-    let mut weekly_sites = Vec::new();
-    let mut internal = 0usize;
-    let mut external = 0usize;
-    let mut external_cdn = 0usize;
-    let mut version_counts: BTreeMap<Version, usize> = BTreeMap::new();
-    let mut users_with_version = 0usize;
-
-    for week in &data.weeks {
-        let total = week.collected().max(1);
-        let mut users = 0usize;
-        for page in week.pages.values() {
-            let Some(det) = page.library(library) else {
-                continue;
-            };
-            users += 1;
-            match &det.inclusion {
-                DetectedInclusion::Internal => internal += 1,
-                DetectedInclusion::External { host } => {
-                    external += 1;
-                    if is_cdn_host(host) {
-                        external_cdn += 1;
-                    }
-                }
-            }
-            if let Some(version) = &det.version {
-                *version_counts.entry(version.clone()).or_default() += 1;
-                users_with_version += 1;
-            }
-        }
-        weekly_sites.push(users as f64);
-        weekly_share.push(users as f64 / total as f64);
-    }
-
-    let inclusions = (internal + external).max(1);
-    let dominant =
-        version_counts
-            .iter()
-            .max_by_key(|(_, &count)| count)
-            .map(|(version, &count)| {
-                (
-                    version.clone(),
-                    count as f64 / users_with_version.max(1) as f64,
-                )
-            });
-    let latest_observed = version_counts.keys().max().cloned();
-
-    LibraryRow {
-        library,
-        average_sites: mean(&weekly_sites),
-        usage_share: mean(&weekly_share),
-        internal_share: internal as f64 / inclusions as f64,
-        external_share: external as f64 / inclusions as f64,
-        cdn_share: external_cdn as f64 / external.max(1) as f64,
-        versions_found: version_counts.len(),
-        versions_total: db.catalog(library).len(),
-        dominant,
-        latest_observed,
-        vuln_reports: db.vuln_report_count(library),
-    }
-}
-
 /// Figure 3: weekly usage share series for one library.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UsageTrend {
@@ -159,40 +78,6 @@ impl UsageTrend {
     pub fn last(&self) -> f64 {
         self.points.last().map_or(0.0, |&(_, s)| s)
     }
-
-    /// Minimum share over a date range (for dip detection).
-    pub fn min_between(&self, from: Date, to: Date) -> f64 {
-        self.points
-            .iter()
-            .filter(|(d, _)| *d >= from && *d <= to)
-            .map(|&(_, s)| s)
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// Builds Figure 3's series for every library.
-/// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn usage_trends(data: &Kept) -> Vec<UsageTrend> {
-    LibraryId::ALL
-        .iter()
-        .map(|&library| UsageTrend {
-            library,
-            points: data
-                .weeks
-                .iter()
-                .map(|week| {
-                    let total = week.collected().max(1);
-                    let users = week
-                        .pages
-                        .values()
-                        .filter(|p| p.has_library(library))
-                        .count();
-                    (week.date, users as f64 / total as f64)
-                })
-                .collect(),
-        })
-        .collect()
 }
 
 /// Table 5: external-host breakdown for one library.
@@ -204,34 +89,143 @@ pub struct CdnBreakdown {
     pub hosts: Vec<(String, f64)>,
 }
 
-/// Builds Table 5: top external hosts per library.
-/// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn table5(data: &Kept, top: usize) -> Vec<CdnBreakdown> {
-    LibraryId::ALL
-        .iter()
-        .map(|&library| {
-            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-            let mut total = 0usize;
-            for week in &data.weeks {
-                for page in week.pages.values() {
-                    if let Some(det) = page.library(library) {
-                        if let DetectedInclusion::External { host } = &det.inclusion {
-                            *counts.entry(host.clone()).or_default() += 1;
-                            total += 1;
+pub(crate) mod oracle {
+    //! The one-shot builders over a whole kept dataset that the
+    //! accumulators are pinned against.
+
+    use super::*;
+    use {
+        crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap,
+        webvuln_cvedb::VulnDb, webvuln_fingerprint::DetectedInclusion,
+    };
+
+    /// Builds Table 1 for the top-15 libraries, ordered by usage.
+    /// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
+    pub(crate) fn table1(data: &Kept, db: &VulnDb) -> Vec<LibraryRow> {
+        let mut rows: Vec<LibraryRow> = LibraryId::ALL
+            .iter()
+            .map(|&library| library_row(data, db, library))
+            .collect();
+        rows.sort_by(|a, b| b.usage_share.partial_cmp(&a.usage_share).expect("no NaNs"));
+        rows
+    }
+
+    fn library_row(data: &Kept, db: &VulnDb, library: LibraryId) -> LibraryRow {
+        let mut weekly_share = Vec::new();
+        let mut weekly_sites = Vec::new();
+        let mut internal = 0usize;
+        let mut external = 0usize;
+        let mut external_cdn = 0usize;
+        let mut version_counts: BTreeMap<Version, usize> = BTreeMap::new();
+        let mut users_with_version = 0usize;
+
+        for week in &data.weeks {
+            let total = week.collected().max(1);
+            let mut users = 0usize;
+            for page in week.pages.values() {
+                let Some(det) = page.library(library) else {
+                    continue;
+                };
+                users += 1;
+                match &det.inclusion {
+                    DetectedInclusion::Internal => internal += 1,
+                    DetectedInclusion::External { host } => {
+                        external += 1;
+                        if is_cdn_host(host) {
+                            external_cdn += 1;
                         }
                     }
                 }
+                if let Some(version) = &det.version {
+                    *version_counts.entry(version.clone()).or_default() += 1;
+                    users_with_version += 1;
+                }
             }
-            let mut hosts: Vec<(String, f64)> = counts
-                .into_iter()
-                .map(|(h, c)| (h, c as f64 / total.max(1) as f64))
-                .collect();
-            hosts.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaNs"));
-            hosts.truncate(top);
-            CdnBreakdown { library, hosts }
-        })
-        .collect()
+            weekly_sites.push(users as f64);
+            weekly_share.push(users as f64 / total as f64);
+        }
+
+        let inclusions = (internal + external).max(1);
+        let dominant =
+            version_counts
+                .iter()
+                .max_by_key(|(_, &count)| count)
+                .map(|(version, &count)| {
+                    (
+                        version.clone(),
+                        count as f64 / users_with_version.max(1) as f64,
+                    )
+                });
+        let latest_observed = version_counts.keys().max().cloned();
+
+        LibraryRow {
+            library,
+            average_sites: mean(&weekly_sites),
+            usage_share: mean(&weekly_share),
+            internal_share: internal as f64 / inclusions as f64,
+            external_share: external as f64 / inclusions as f64,
+            cdn_share: external_cdn as f64 / external.max(1) as f64,
+            versions_found: version_counts.len(),
+            versions_total: db.catalog(library).len(),
+            dominant,
+            latest_observed,
+            vuln_reports: db.vuln_report_count(library),
+        }
+    }
+
+    /// Builds Figure 3's series for every library.
+    /// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
+    pub(crate) fn usage_trends(data: &Kept) -> Vec<UsageTrend> {
+        LibraryId::ALL
+            .iter()
+            .map(|&library| UsageTrend {
+                library,
+                points: data
+                    .weeks
+                    .iter()
+                    .map(|week| {
+                        let total = week.collected().max(1);
+                        let users = week
+                            .pages
+                            .values()
+                            .filter(|p| p.library(library).is_some())
+                            .count();
+                        (week.date, users as f64 / total as f64)
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Builds Table 5: top external hosts per library.
+    /// Test-only: the one-shot reference [`crate::accum::LandscapeAccum`] is pinned against.
+    pub(crate) fn table5(data: &Kept, top: usize) -> Vec<CdnBreakdown> {
+        LibraryId::ALL
+            .iter()
+            .map(|&library| {
+                let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+                let mut total = 0usize;
+                for week in &data.weeks {
+                    for page in week.pages.values() {
+                        if let Some(det) = page.library(library) {
+                            if let DetectedInclusion::External { host } = &det.inclusion {
+                                *counts.entry(host.clone()).or_default() += 1;
+                                total += 1;
+                            }
+                        }
+                    }
+                }
+                let mut hosts: Vec<(String, f64)> = counts
+                    .into_iter()
+                    .map(|(h, c)| (h, c as f64 / total.max(1) as f64))
+                    .collect();
+                hosts.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaNs"));
+                hosts.truncate(top);
+                CdnBreakdown { library, hosts }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -239,6 +233,7 @@ mod tests {
     use super::*;
     use crate::accum::LandscapeAccum;
     use crate::dataset::testkit::{self, Over};
+    use webvuln_cvedb::VulnDb;
 
     #[test]
     fn table1_order_and_shares_match_paper() {

@@ -7,7 +7,7 @@
 //!
 //! * [`dataset`] — §4 collection: weekly crawls over the virtual internet
 //!   and usability filtering, in one loop ([`collect`]).
-//! * [`filter`] — the §4.1 trailing-month inaccessibility rule as one
+//! * `filter` — the §4.1 trailing-month inaccessibility rule as one
 //!   incremental [`FilterWindow`].
 //! * [`resources`] — Figure 2 (collection series, resource classes).
 //! * [`landscape`] — Table 1, Figure 3, Table 5 (library usage landscape).
@@ -24,7 +24,7 @@
 //! * [`accum`] — the mergeable streaming accumulators behind every
 //!   artifact above, and [`accum::fold_store`], the one way they read a
 //!   store.
-//! * [`view`] — what an accumulator reads of a week: a store's decoded
+//! * `view` — what an accumulator reads of a week: a store's decoded
 //!   records in place, or a [`WeekSnapshot`].
 
 #![forbid(unsafe_code)]
@@ -41,7 +41,7 @@ pub const FAILPOINTS: &[&str] = &["checkpoint.commit", "phase.crawl", "phase.fin
 
 pub mod accum;
 pub mod dataset;
-pub mod filter;
+pub(crate) mod filter;
 pub mod flash;
 pub mod landscape;
 pub mod resources;
@@ -49,7 +49,7 @@ pub mod sri;
 pub mod stats;
 pub mod store_io;
 pub mod updates;
-pub mod view;
+mod view;
 pub mod vuln;
 pub mod wordpress;
 

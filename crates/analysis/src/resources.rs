@@ -2,8 +2,6 @@
 
 use webvuln_cvedb::Date;
 use webvuln_fingerprint::ResourceType;
-#[cfg(test)]
-use {crate::dataset::testkit::Kept, crate::stats::mean};
 
 /// Figure 2(a): pages collected per week.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,15 +10,6 @@ pub struct CollectionSeries {
     pub points: Vec<(Date, usize)>,
     /// Average per week.
     pub average: f64,
-}
-
-/// Builds Figure 2(a).
-/// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn collection_series(data: &Kept) -> CollectionSeries {
-    let points: Vec<(Date, usize)> = data.weeks.iter().map(|w| (w.date, w.collected())).collect();
-    let average = mean(&points.iter().map(|&(_, c)| c as f64).collect::<Vec<_>>());
-    CollectionSeries { points, average }
 }
 
 /// Figure 2(b): one usage series per resource class.
@@ -34,40 +23,57 @@ pub struct ResourceUsage {
     pub average_share: f64,
 }
 
-/// Builds Figure 2(b) for all eight classes, ordered by average share.
-/// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn resource_usage(data: &Kept) -> Vec<ResourceUsage> {
-    let mut out: Vec<ResourceUsage> = ResourceType::ALL
-        .iter()
-        .map(|&resource| {
-            let weekly_share: Vec<(Date, f64)> = data
-                .weeks
-                .iter()
-                .map(|w| {
-                    let total = w.collected().max(1);
-                    let using = w
-                        .pages
-                        .values()
-                        .filter(|p| p.resource_types.contains(&resource))
-                        .count();
-                    (w.date, using as f64 / total as f64)
-                })
-                .collect();
-            let average_share = mean(&weekly_share.iter().map(|&(_, s)| s).collect::<Vec<_>>());
-            ResourceUsage {
-                resource,
-                weekly_share,
-                average_share,
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        b.average_share
-            .partial_cmp(&a.average_share)
-            .expect("no NaNs")
-    });
-    out
+pub(crate) mod oracle {
+    //! The one-shot builders over a whole kept dataset that the
+    //! accumulators are pinned against.
+
+    use super::*;
+    use {crate::dataset::testkit::Kept, crate::stats::mean};
+
+    /// Builds Figure 2(a).
+    /// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
+    pub(crate) fn collection_series(data: &Kept) -> CollectionSeries {
+        let points: Vec<(Date, usize)> =
+            data.weeks.iter().map(|w| (w.date, w.collected())).collect();
+        let average = mean(&points.iter().map(|&(_, c)| c as f64).collect::<Vec<_>>());
+        CollectionSeries { points, average }
+    }
+
+    /// Builds Figure 2(b) for all eight classes, ordered by average share.
+    /// Test-only: the one-shot reference [`crate::accum::CollectionAccum`] is pinned against.
+    pub(crate) fn resource_usage(data: &Kept) -> Vec<ResourceUsage> {
+        let mut out: Vec<ResourceUsage> = ResourceType::ALL
+            .iter()
+            .map(|&resource| {
+                let weekly_share: Vec<(Date, f64)> = data
+                    .weeks
+                    .iter()
+                    .map(|w| {
+                        let total = w.collected().max(1);
+                        let using = w
+                            .pages
+                            .values()
+                            .filter(|p| p.resource_types.contains(&resource))
+                            .count();
+                        (w.date, using as f64 / total as f64)
+                    })
+                    .collect();
+                let average_share = mean(&weekly_share.iter().map(|&(_, s)| s).collect::<Vec<_>>());
+                ResourceUsage {
+                    resource,
+                    weekly_share,
+                    average_share,
+                }
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            b.average_share
+                .partial_cmp(&a.average_share)
+                .expect("no NaNs")
+        });
+        out
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,6 @@
 //! GitHub-hosted inclusions (Table 6).
 
 use webvuln_cvedb::Date;
-#[cfg(test)]
-use {crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap};
 
 /// Figure 10: SRI adoption over time.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,39 +14,6 @@ pub struct SriAdoption {
     pub average_unprotected_share: f64,
 }
 
-/// Builds Figure 10.
-/// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn sri_adoption(data: &Kept) -> SriAdoption {
-    let points: Vec<(Date, usize, usize)> = data
-        .weeks
-        .iter()
-        .map(|week| {
-            let mut with_external = 0usize;
-            let mut unprotected = 0usize;
-            for page in week.pages.values() {
-                if page.external_scripts == 0 {
-                    continue;
-                }
-                with_external += 1;
-                if page.external_scripts_without_integrity > 0 {
-                    unprotected += 1;
-                }
-            }
-            (week.date, with_external, unprotected)
-        })
-        .collect();
-    let shares: Vec<f64> = points
-        .iter()
-        .filter(|&&(_, ext, _)| ext > 0)
-        .map(|&(_, ext, un)| un as f64 / ext as f64)
-        .collect();
-    SriAdoption {
-        points,
-        average_unprotected_share: mean(&shares),
-    }
-}
-
 /// §6.5's `crossorigin` value census among integrity-carrying scripts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossoriginCensus {
@@ -58,32 +23,6 @@ pub struct CrossoriginCensus {
     pub use_credentials_share: f64,
     /// Total values observed.
     pub total: usize,
-}
-
-/// Builds the census across all weeks.
-/// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn crossorigin_census(data: &Kept) -> CrossoriginCensus {
-    let mut anonymous = 0usize;
-    let mut credentials = 0usize;
-    let mut total = 0usize;
-    for week in &data.weeks {
-        for page in week.pages.values() {
-            for value in &page.crossorigin_values {
-                total += 1;
-                match value.as_str() {
-                    "anonymous" => anonymous += 1,
-                    "use-credentials" => credentials += 1,
-                    _ => {}
-                }
-            }
-        }
-    }
-    CrossoriginCensus {
-        anonymous_share: anonymous as f64 / total.max(1) as f64,
-        use_credentials_share: credentials as f64 / total.max(1) as f64,
-        total,
-    }
 }
 
 /// Table 6: GitHub-hosted library inclusions.
@@ -102,49 +41,114 @@ pub struct GithubReport {
     pub top_tier_sites: Vec<(String, usize)>,
 }
 
-/// Builds Table 6.
-/// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn github_report(data: &Kept) -> GithubReport {
-    let mut weekly_counts = Vec::new();
-    let mut host_counts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut with_sri = 0usize;
-    let mut inclusions = 0usize;
-    let mut top_tier: BTreeMap<String, usize> = BTreeMap::new();
-    let population = data.ranks.len().max(1);
-    let tier = (population / 100).max(1); // scaled "top-10K of 1M"
+pub(crate) mod oracle {
+    //! The one-shot builders over a whole kept dataset that the
+    //! accumulators are pinned against.
 
-    for week in &data.weeks {
-        let mut this_week = 0usize;
-        for (domain, page) in &week.pages {
-            if page.github_scripts.is_empty() {
-                continue;
-            }
-            this_week += 1;
-            for script in &page.github_scripts {
-                *host_counts.entry(script.host.clone()).or_default() += 1;
-                inclusions += 1;
-                if script.integrity {
-                    with_sri += 1;
+    use super::*;
+    use {crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap};
+
+    /// Builds Figure 10.
+    /// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
+    pub(crate) fn sri_adoption(data: &Kept) -> SriAdoption {
+        let points: Vec<(Date, usize, usize)> = data
+            .weeks
+            .iter()
+            .map(|week| {
+                let mut with_external = 0usize;
+                let mut unprotected = 0usize;
+                for page in week.pages.values() {
+                    if page.external_scripts == 0 {
+                        continue;
+                    }
+                    with_external += 1;
+                    if page.external_scripts_without_integrity > 0 {
+                        unprotected += 1;
+                    }
                 }
-            }
-            if let Some(rank) = data.rank(domain) {
-                if rank <= tier {
-                    top_tier.insert(domain.clone(), rank);
+                (week.date, with_external, unprotected)
+            })
+            .collect();
+        let shares: Vec<f64> = points
+            .iter()
+            .filter(|&&(_, ext, _)| ext > 0)
+            .map(|&(_, ext, un)| un as f64 / ext as f64)
+            .collect();
+        SriAdoption {
+            points,
+            average_unprotected_share: mean(&shares),
+        }
+    }
+
+    /// Builds the census across all weeks.
+    /// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
+    pub(crate) fn crossorigin_census(data: &Kept) -> CrossoriginCensus {
+        let mut anonymous = 0usize;
+        let mut credentials = 0usize;
+        let mut total = 0usize;
+        for week in &data.weeks {
+            for page in week.pages.values() {
+                for value in &page.crossorigin_values {
+                    total += 1;
+                    match value.as_str() {
+                        "anonymous" => anonymous += 1,
+                        "use-credentials" => credentials += 1,
+                        _ => {}
+                    }
                 }
             }
         }
-        weekly_counts.push(this_week as f64);
+        CrossoriginCensus {
+            anonymous_share: anonymous as f64 / total.max(1) as f64,
+            use_credentials_share: credentials as f64 / total.max(1) as f64,
+            total,
+        }
     }
-    let mut hosts: Vec<(String, usize)> = host_counts.into_iter().collect();
-    hosts.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-    let mut top_tier_sites: Vec<(String, usize)> = top_tier.into_iter().collect();
-    top_tier_sites.sort_by_key(|&(_, rank)| rank);
-    GithubReport {
-        average_sites: mean(&weekly_counts),
-        hosts,
-        sri_share: with_sri as f64 / inclusions.max(1) as f64,
-        top_tier_sites,
+
+    /// Builds Table 6.
+    /// Test-only: the one-shot reference [`crate::accum::SriAccum`] is pinned against.
+    pub(crate) fn github_report(data: &Kept) -> GithubReport {
+        let mut weekly_counts = Vec::new();
+        let mut host_counts: BTreeMap<String, usize> = BTreeMap::new();
+        let mut with_sri = 0usize;
+        let mut inclusions = 0usize;
+        let mut top_tier: BTreeMap<String, usize> = BTreeMap::new();
+        let population = data.ranks.len().max(1);
+        let tier = (population / 100).max(1); // scaled "top-10K of 1M"
+
+        for week in &data.weeks {
+            let mut this_week = 0usize;
+            for (domain, page) in &week.pages {
+                if page.github_scripts.is_empty() {
+                    continue;
+                }
+                this_week += 1;
+                for script in &page.github_scripts {
+                    *host_counts.entry(script.host.clone()).or_default() += 1;
+                    inclusions += 1;
+                    if script.integrity {
+                        with_sri += 1;
+                    }
+                }
+                if let Some(rank) = data.rank(domain) {
+                    if rank <= tier {
+                        top_tier.insert(domain.clone(), rank);
+                    }
+                }
+            }
+            weekly_counts.push(this_week as f64);
+        }
+        let mut hosts: Vec<(String, usize)> = host_counts.into_iter().collect();
+        hosts.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
+        let mut top_tier_sites: Vec<(String, usize)> = top_tier.into_iter().collect();
+        top_tier_sites.sort_by_key(|&(_, rank)| rank);
+        GithubReport {
+            average_sites: mean(&weekly_counts),
+            hosts,
+            sri_share: with_sri as f64 / inclusions.max(1) as f64,
+            top_tier_sites,
+        }
     }
 }
 

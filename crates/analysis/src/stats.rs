@@ -1,7 +1,7 @@
 //! Small statistics helpers shared by the table/figure builders.
 
 /// Arithmetic mean; 0 for empty input.
-pub fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -9,7 +9,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Median; 0 for empty input.
-pub fn median(values: &[f64]) -> f64 {
+pub(crate) fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -34,7 +34,7 @@ pub struct Cdf {
 
 impl Cdf {
     /// Builds the empirical CDF of `values`.
-    pub fn of(values: &[f64]) -> Cdf {
+    pub(crate) fn of(values: &[f64]) -> Cdf {
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in analysis data"));
         let n = sorted.len();
@@ -51,27 +51,6 @@ impl Cdf {
         }
         Cdf { points, n }
     }
-
-    /// `F(x)` — fraction of samples ≤ `x`.
-    pub fn at(&self, x: f64) -> f64 {
-        let mut f = 0.0;
-        for &(v, cum) in &self.points {
-            if v <= x {
-                f = cum;
-            } else {
-                break;
-            }
-        }
-        f
-    }
-
-    /// Smallest value with `F(value) ≥ q` (quantile).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|&&(_, cum)| cum >= q)
-            .map(|&(v, _)| v)
-    }
 }
 
 /// Percentage formatting helper (one decimal).
@@ -82,6 +61,29 @@ pub fn pct(fraction: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cdf {
+        /// `F(x)` — fraction of samples ≤ `x`.
+        pub(crate) fn at(&self, x: f64) -> f64 {
+            let mut f = 0.0;
+            for &(v, cum) in &self.points {
+                if v <= x {
+                    f = cum;
+                } else {
+                    break;
+                }
+            }
+            f
+        }
+
+        /// Smallest value with `F(value) ≥ q` (quantile).
+        fn quantile(&self, q: f64) -> Option<f64> {
+            self.points
+                .iter()
+                .find(|&&(_, cum)| cum >= q)
+                .map(|&(v, _)| v)
+        }
+    }
 
     #[test]
     fn mean_and_median() {

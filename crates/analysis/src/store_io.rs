@@ -244,7 +244,7 @@ pub fn week_to_snapshot(week: &WeekData) -> Result<WeekSnapshot, StoreError> {
 /// Symbols belong to the string table that issued them: a cache must
 /// never outlive its reader or serve a second one.
 #[derive(Debug, Default)]
-pub struct SymbolCache {
+pub(crate) struct SymbolCache {
     libraries: Vec<(u32, LibraryId)>,
     /// Per symbol, one more than its version's place in `versions`;
     /// 0 = not seen as a version yet.
@@ -296,7 +296,7 @@ impl SymbolCache {
 }
 
 /// A page of a [`DecodedWeek`]: the decoded record where it lies, read
-/// through its reader's [`SymbolCache`].
+/// through its reader's `SymbolCache`.
 pub struct DecodedPage<'a> {
     page: &'a PageRecord<Sym<'a>>,
     symbols: &'a SymbolCache,
@@ -368,7 +368,7 @@ impl<'a> DecodedWeek<'a> {
     /// a record goes to the view `part_of` names for its host, or nowhere
     /// on `None`. Every part gets a view, pages or not — accumulators
     /// merge only when they have absorbed the same weeks.
-    pub fn partition(
+    pub(crate) fn partition(
         week: &'a WeekData<DomainRecord<Sym<'a>>>,
         filtered: &BTreeSet<String>,
         symbols: &'a mut SymbolCache,

@@ -5,121 +5,6 @@
 
 use webvuln_cvedb::{Basis, Date, LibraryId};
 use webvuln_version::Version;
-#[cfg(test)]
-use {
-    crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap,
-    webvuln_cvedb::VulnDb,
-};
-
-/// Weekly site counts for one specific library version.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct VersionSeries {
-    /// The version tracked.
-    pub version: Version,
-    /// `(date, sites running it)` per week.
-    pub points: Vec<(Date, usize)>,
-}
-
-#[cfg(test)]
-impl VersionSeries {
-    /// Count at the snapshot covering `date` (nearest on/after).
-    pub fn at(&self, date: Date) -> usize {
-        self.points
-            .iter()
-            .find(|&&(d, _)| d >= date)
-            .map_or(0, |&(_, c)| c)
-    }
-}
-
-/// Builds per-version usage series for `library` (Figures 6 and 7(a)).
-/// When `versions` is empty, the most popular versions are picked
-/// automatically (up to `auto_top`).
-/// Test-only: what the Figure 6 and 7(a) assertions read.
-#[cfg(test)]
-pub(crate) fn version_series(
-    data: &Kept,
-    library: LibraryId,
-    versions: &[Version],
-    auto_top: usize,
-) -> Vec<VersionSeries> {
-    let chosen: Vec<Version> = if versions.is_empty() {
-        let mut totals: BTreeMap<Version, usize> = BTreeMap::new();
-        for week in &data.weeks {
-            for page in week.pages.values() {
-                if let Some(det) = page.library(library) {
-                    if let Some(v) = &det.version {
-                        *totals.entry(v.clone()).or_default() += 1;
-                    }
-                }
-            }
-        }
-        let mut ranked: Vec<(Version, usize)> = totals.into_iter().collect();
-        ranked.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-        ranked.into_iter().take(auto_top).map(|(v, _)| v).collect()
-    } else {
-        versions.to_vec()
-    };
-
-    chosen
-        .into_iter()
-        .map(|version| {
-            let points = data
-                .weeks
-                .iter()
-                .map(|week| {
-                    let count = week
-                        .pages
-                        .values()
-                        .filter(|page| {
-                            page.library(library)
-                                .and_then(|d| d.version.as_ref())
-                                .is_some_and(|v| *v == version)
-                        })
-                        .count();
-                    (week.date, count)
-                })
-                .collect();
-            VersionSeries { version, points }
-        })
-        .collect()
-}
-
-/// Like [`version_series`], restricted to sites detected as WordPress —
-/// Figure 7(b)'s attribution evidence.
-#[cfg(test)]
-pub(crate) fn version_series_wordpress(
-    data: &Kept,
-    library: LibraryId,
-    versions: &[Version],
-) -> Vec<VersionSeries> {
-    versions
-        .iter()
-        .map(|version| {
-            let points = data
-                .weeks
-                .iter()
-                .map(|week| {
-                    let count = week
-                        .pages
-                        .values()
-                        .filter(|page| page.wordpress.is_some())
-                        .filter(|page| {
-                            page.library(library)
-                                .and_then(|d| d.version.as_ref())
-                                .is_some_and(|v| v == version)
-                        })
-                        .count();
-                    (week.date, count)
-                })
-                .collect();
-            VersionSeries {
-                version: version.clone(),
-                points,
-            }
-        })
-        .collect()
-}
 
 /// Figure 9: WordPress usage over time.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,32 +13,6 @@ pub struct WordPressUsage {
     pub points: Vec<(Date, usize, usize)>,
     /// Average WordPress share of collected sites.
     pub average_share: f64,
-}
-
-/// Builds Figure 9.
-/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn wordpress_usage(data: &Kept) -> WordPressUsage {
-    let points: Vec<(Date, usize, usize)> = data
-        .weeks
-        .iter()
-        .map(|week| {
-            let wp = week
-                .pages
-                .values()
-                .filter(|p| p.wordpress.is_some())
-                .count();
-            (week.date, week.collected(), wp)
-        })
-        .collect();
-    let shares: Vec<f64> = points
-        .iter()
-        .map(|&(_, total, wp)| wp as f64 / total.max(1) as f64)
-        .collect();
-    WordPressUsage {
-        points,
-        average_share: mean(&shares),
-    }
 }
 
 /// One observed security update: a site leaving a vulnerability's
@@ -197,89 +56,6 @@ pub struct UpdateDelayReport {
     pub wordpress_share: f64,
 }
 
-/// Measures update delays: for every `(site, vulnerability)` pair, the
-/// days between the patch release and the first snapshot where the site
-/// runs a version outside the affected range (having been inside it on
-/// the previous snapshot), counting only post-patch updates.
-/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn update_delays(data: &Kept, db: &VulnDb, basis: Basis) -> UpdateDelayReport {
-    let mut events = Vec::new();
-    // Track, per (domain, record), the last affected version seen.
-    let mut armed: BTreeMap<(String, usize), Version> = BTreeMap::new();
-    let records: Vec<_> = db
-        .records()
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.patched_date.is_some())
-        .collect();
-
-    for week in &data.weeks {
-        for (domain, page) in &week.pages {
-            for &(idx, record) in &records {
-                let Some(det) = page.library(record.library) else {
-                    continue;
-                };
-                let Some(version) = &det.version else {
-                    continue;
-                };
-                let affected = match basis {
-                    Basis::CveClaimed => record.claims(version),
-                    Basis::TrueVulnerable => record.truly_affects(version),
-                };
-                let key = (domain.clone(), idx);
-                if affected {
-                    armed.insert(key, version.clone());
-                } else if let Some(from_version) = armed.remove(&key) {
-                    // Left the affected range: a security update, provided
-                    // it moved forward and happened after the patch.
-                    let patched_date = record.patched_date.expect("filtered");
-                    if version > &from_version && week.date >= patched_date {
-                        events.push(UpdateEvent {
-                            domain: domain.clone(),
-                            vuln_id: record.id.clone(),
-                            from_version,
-                            to_version: version.clone(),
-                            observed: week.date,
-                            delay_days: week.date.days_since(patched_date),
-                            wordpress: page.wordpress.is_some(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    let delays: Vec<f64> = events.iter().map(|e| e.delay_days as f64).collect();
-    let websites = events
-        .iter()
-        .map(|e| &e.domain)
-        .collect::<std::collections::BTreeSet<_>>()
-        .len();
-    let wp = events.iter().filter(|e| e.wordpress).count();
-    let mut grouped: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    for e in &events {
-        grouped
-            .entry(e.vuln_id.as_str())
-            .or_default()
-            .push(e.delay_days as f64);
-    }
-    let per_vuln: Vec<(String, f64, usize)> = grouped
-        .into_iter()
-        .map(|(id, d)| (id.to_string(), mean(&d), d.len()))
-        .collect();
-    let macro_mean_delay_days = mean(&per_vuln.iter().map(|&(_, m, _)| m).collect::<Vec<_>>());
-    UpdateDelayReport {
-        basis,
-        mean_delay_days: mean(&delays),
-        per_vuln,
-        macro_mean_delay_days,
-        websites,
-        wordpress_share: wp as f64 / events.len().max(1) as f64,
-        events,
-    }
-}
-
 /// §9 (future work): a regression — a site observed moving *down* a
 /// library's version order, typically right after an upgrade broke it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -299,49 +75,275 @@ pub struct RegressionEvent {
     pub back_into_vulnerable: bool,
 }
 
-/// Scans the dataset for version downgrades (the paper's §9 future-work
-/// question: do sites update and then regress for compatibility?).
-/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn regressions(data: &Kept, db: &VulnDb) -> Vec<RegressionEvent> {
-    let mut last: BTreeMap<(String, LibraryId), Version> = BTreeMap::new();
-    let mut out = Vec::new();
-    for week in &data.weeks {
-        for (domain, page) in &week.pages {
-            for det in &page.detections {
-                let Some(version) = &det.version else {
-                    continue;
-                };
-                let key = (domain.clone(), det.library);
-                if let Some(prev) = last.get(&key) {
-                    if version < prev {
-                        out.push(RegressionEvent {
-                            domain: domain.clone(),
-                            library: det.library,
-                            from_version: prev.clone(),
-                            to_version: version.clone(),
-                            observed: week.date,
-                            back_into_vulnerable: db.is_vulnerable_known_by(
-                                det.library,
-                                version,
-                                Basis::CveClaimed,
-                                week.date,
-                            ),
-                        });
-                    }
-                }
-                last.insert(key, version.clone());
-            }
+pub(crate) mod oracle {
+    //! The one-shot builders over a whole kept dataset that the
+    //! accumulators are pinned against.
+
+    use super::*;
+    use {
+        crate::dataset::testkit::Kept, crate::stats::mean, std::collections::BTreeMap,
+        webvuln_cvedb::VulnDb,
+    };
+
+    /// Weekly site counts for one specific library version.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct VersionSeries {
+        /// The version tracked.
+        pub version: Version,
+        /// `(date, sites running it)` per week.
+        pub points: Vec<(Date, usize)>,
+    }
+
+    impl VersionSeries {
+        /// Count at the snapshot covering `date` (nearest on/after).
+        pub fn at(&self, date: Date) -> usize {
+            self.points
+                .iter()
+                .find(|&&(d, _)| d >= date)
+                .map_or(0, |&(_, c)| c)
         }
     }
-    out
+
+    /// Builds per-version usage series for `library` (Figures 6 and 7(a)).
+    /// When `versions` is empty, the most popular versions are picked
+    /// automatically (up to `auto_top`).
+    /// Test-only: what the Figure 6 and 7(a) assertions read.
+    pub(crate) fn version_series(
+        data: &Kept,
+        library: LibraryId,
+        versions: &[Version],
+        auto_top: usize,
+    ) -> Vec<VersionSeries> {
+        let chosen: Vec<Version> = if versions.is_empty() {
+            let mut totals: BTreeMap<Version, usize> = BTreeMap::new();
+            for week in &data.weeks {
+                for page in week.pages.values() {
+                    if let Some(det) = page.library(library) {
+                        if let Some(v) = &det.version {
+                            *totals.entry(v.clone()).or_default() += 1;
+                        }
+                    }
+                }
+            }
+            let mut ranked: Vec<(Version, usize)> = totals.into_iter().collect();
+            ranked.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
+            ranked.into_iter().take(auto_top).map(|(v, _)| v).collect()
+        } else {
+            versions.to_vec()
+        };
+
+        chosen
+            .into_iter()
+            .map(|version| {
+                let points = data
+                    .weeks
+                    .iter()
+                    .map(|week| {
+                        let count = week
+                            .pages
+                            .values()
+                            .filter(|page| {
+                                page.library(library)
+                                    .and_then(|d| d.version.as_ref())
+                                    .is_some_and(|v| *v == version)
+                            })
+                            .count();
+                        (week.date, count)
+                    })
+                    .collect();
+                VersionSeries { version, points }
+            })
+            .collect()
+    }
+
+    /// Like [`version_series`], restricted to sites detected as WordPress —
+    /// Figure 7(b)'s attribution evidence.
+    pub(crate) fn version_series_wordpress(
+        data: &Kept,
+        library: LibraryId,
+        versions: &[Version],
+    ) -> Vec<VersionSeries> {
+        versions
+            .iter()
+            .map(|version| {
+                let points = data
+                    .weeks
+                    .iter()
+                    .map(|week| {
+                        let count = week
+                            .pages
+                            .values()
+                            .filter(|page| page.wordpress.is_some())
+                            .filter(|page| {
+                                page.library(library)
+                                    .and_then(|d| d.version.as_ref())
+                                    .is_some_and(|v| v == version)
+                            })
+                            .count();
+                        (week.date, count)
+                    })
+                    .collect();
+                VersionSeries {
+                    version: version.clone(),
+                    points,
+                }
+            })
+            .collect()
+    }
+
+    /// Builds Figure 9.
+    /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+    pub(crate) fn wordpress_usage(data: &Kept) -> WordPressUsage {
+        let points: Vec<(Date, usize, usize)> = data
+            .weeks
+            .iter()
+            .map(|week| {
+                let wp = week
+                    .pages
+                    .values()
+                    .filter(|p| p.wordpress.is_some())
+                    .count();
+                (week.date, week.collected(), wp)
+            })
+            .collect();
+        let shares: Vec<f64> = points
+            .iter()
+            .map(|&(_, total, wp)| wp as f64 / total.max(1) as f64)
+            .collect();
+        WordPressUsage {
+            points,
+            average_share: mean(&shares),
+        }
+    }
+
+    /// Measures update delays: for every `(site, vulnerability)` pair, the
+    /// days between the patch release and the first snapshot where the site
+    /// runs a version outside the affected range (having been inside it on
+    /// the previous snapshot), counting only post-patch updates.
+    /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+    pub(crate) fn update_delays(data: &Kept, db: &VulnDb, basis: Basis) -> UpdateDelayReport {
+        let mut events = Vec::new();
+        // Track, per (domain, record), the last affected version seen.
+        let mut armed: BTreeMap<(String, usize), Version> = BTreeMap::new();
+        let records: Vec<_> = db
+            .records()
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.patched_date.is_some())
+            .collect();
+
+        for week in &data.weeks {
+            for (domain, page) in &week.pages {
+                for &(idx, record) in &records {
+                    let Some(det) = page.library(record.library) else {
+                        continue;
+                    };
+                    let Some(version) = &det.version else {
+                        continue;
+                    };
+                    let affected = match basis {
+                        Basis::CveClaimed => record.claims(version),
+                        Basis::TrueVulnerable => record.truly_affects(version),
+                    };
+                    let key = (domain.clone(), idx);
+                    if affected {
+                        armed.insert(key, version.clone());
+                    } else if let Some(from_version) = armed.remove(&key) {
+                        // Left the affected range: a security update, provided
+                        // it moved forward and happened after the patch.
+                        let patched_date = record.patched_date.expect("filtered");
+                        if version > &from_version && week.date >= patched_date {
+                            events.push(UpdateEvent {
+                                domain: domain.clone(),
+                                vuln_id: record.id.clone(),
+                                from_version,
+                                to_version: version.clone(),
+                                observed: week.date,
+                                delay_days: week.date.days_since(patched_date),
+                                wordpress: page.wordpress.is_some(),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+
+        let delays: Vec<f64> = events.iter().map(|e| e.delay_days as f64).collect();
+        let websites = events
+            .iter()
+            .map(|e| &e.domain)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        let wp = events.iter().filter(|e| e.wordpress).count();
+        let mut grouped: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+        for e in &events {
+            grouped
+                .entry(e.vuln_id.as_str())
+                .or_default()
+                .push(e.delay_days as f64);
+        }
+        let per_vuln: Vec<(String, f64, usize)> = grouped
+            .into_iter()
+            .map(|(id, d)| (id.to_string(), mean(&d), d.len()))
+            .collect();
+        let macro_mean_delay_days = mean(&per_vuln.iter().map(|&(_, m, _)| m).collect::<Vec<_>>());
+        UpdateDelayReport {
+            basis,
+            mean_delay_days: mean(&delays),
+            per_vuln,
+            macro_mean_delay_days,
+            websites,
+            wordpress_share: wp as f64 / events.len().max(1) as f64,
+            events,
+        }
+    }
+
+    /// Scans the dataset for version downgrades (the paper's §9 future-work
+    /// question: do sites update and then regress for compatibility?).
+    /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+    pub(crate) fn regressions(data: &Kept, db: &VulnDb) -> Vec<RegressionEvent> {
+        let mut last: BTreeMap<(String, LibraryId), Version> = BTreeMap::new();
+        let mut out = Vec::new();
+        for week in &data.weeks {
+            for (domain, page) in &week.pages {
+                for det in &page.detections {
+                    let Some(version) = &det.version else {
+                        continue;
+                    };
+                    let key = (domain.clone(), det.library);
+                    if let Some(prev) = last.get(&key) {
+                        if version < prev {
+                            out.push(RegressionEvent {
+                                domain: domain.clone(),
+                                library: det.library,
+                                from_version: prev.clone(),
+                                to_version: version.clone(),
+                                observed: week.date,
+                                back_into_vulnerable: db.is_vulnerable_known_by(
+                                    det.library,
+                                    version,
+                                    Basis::CveClaimed,
+                                    week.date,
+                                ),
+                            });
+                        }
+                    }
+                    last.insert(key, version.clone());
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
     use crate::accum::UpdateBehaviorAccum;
     use crate::dataset::testkit::{self, Over};
+    use webvuln_cvedb::VulnDb;
 
     fn v(s: &str) -> Version {
         Version::parse(s).expect("version")

@@ -5,13 +5,6 @@
 
 use crate::stats::Cdf;
 use webvuln_cvedb::{Basis, Date};
-#[cfg(test)]
-use {
-    crate::dataset::testkit::Kept,
-    crate::stats::{mean, median},
-    std::collections::BTreeMap,
-    webvuln_cvedb::VulnDb,
-};
 
 /// Weekly prevalence of vulnerable websites under one basis.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,41 +15,6 @@ pub struct PrevalenceSeries {
     pub points: Vec<(Date, f64)>,
     /// Average fraction across the study.
     pub average: f64,
-}
-
-/// Computes §6.2's headline series: the share of websites carrying at
-/// least one vulnerable library. A site counts as vulnerable in week `w`
-/// only through reports already *disclosed* by `w` — what a developer
-/// consulting the CVE database that week could know. (Retroactive
-/// constant-range counting is what [`CveImpact`] holds instead.)
-/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn prevalence(data: &Kept, db: &VulnDb, basis: Basis) -> PrevalenceSeries {
-    let points: Vec<(Date, f64)> = data
-        .weeks
-        .iter()
-        .map(|week| {
-            let total = week.collected().max(1);
-            let vulnerable = week
-                .pages
-                .values()
-                .filter(|page| {
-                    page.detections.iter().any(|det| {
-                        det.version.as_ref().is_some_and(|v| {
-                            db.is_vulnerable_known_by(det.library, v, basis, week.date)
-                        })
-                    })
-                })
-                .count();
-            (week.date, vulnerable as f64 / total as f64)
-        })
-        .collect();
-    let average = mean(&points.iter().map(|&(_, f)| f).collect::<Vec<_>>());
-    PrevalenceSeries {
-        basis,
-        points,
-        average,
-    }
 }
 
 /// Table 2 / Figure 5: affected-website counts for one vulnerability.
@@ -76,62 +34,6 @@ pub struct CveImpact {
     pub claimed_share_of_users: f64,
 }
 
-/// Builds per-CVE impact series (Figures 5 and 14; Table 2's website
-/// columns).
-/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn cve_impact(data: &Kept, db: &VulnDb, id: &str) -> Option<CveImpact> {
-    let record = db.record(id)?;
-    let mut claimed_sites = Vec::new();
-    let mut true_sites = Vec::new();
-    let mut shares = Vec::new();
-    for week in &data.weeks {
-        let mut claimed = 0usize;
-        let mut truly = 0usize;
-        let mut users = 0usize;
-        for page in week.pages.values() {
-            let Some(det) = page.library(record.library) else {
-                continue;
-            };
-            users += 1;
-            let Some(version) = &det.version else {
-                continue;
-            };
-            if record.claims(version) {
-                claimed += 1;
-            }
-            if record.truly_affects(version) {
-                truly += 1;
-            }
-        }
-        claimed_sites.push((week.date, claimed));
-        true_sites.push((week.date, truly));
-        shares.push(if users == 0 {
-            0.0
-        } else {
-            claimed as f64 / users as f64
-        });
-    }
-    Some(CveImpact {
-        id: id.to_string(),
-        claimed_average: mean(
-            &claimed_sites
-                .iter()
-                .map(|&(_, c)| c as f64)
-                .collect::<Vec<_>>(),
-        ),
-        true_average: mean(
-            &true_sites
-                .iter()
-                .map(|&(_, c)| c as f64)
-                .collect::<Vec<_>>(),
-        ),
-        claimed_share_of_users: mean(&shares),
-        claimed_sites,
-        true_sites,
-    })
-}
-
 /// Figure 12: the distribution of per-website vulnerability counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VulnCountDistribution {
@@ -143,41 +45,6 @@ pub struct VulnCountDistribution {
     pub mean: f64,
     /// Median of the per-website averages.
     pub median: f64,
-}
-
-/// Builds Figure 12 under one basis: for every website, the average
-/// number of vulnerabilities it carries across the weeks it was observed.
-/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
-#[cfg(test)]
-pub(crate) fn vuln_count_distribution(
-    data: &Kept,
-    db: &VulnDb,
-    basis: Basis,
-) -> VulnCountDistribution {
-    let mut per_site: BTreeMap<&String, (u64, u64)> = BTreeMap::new(); // (sum, weeks)
-    for week in &data.weeks {
-        for (domain, page) in &week.pages {
-            let count: u64 = page
-                .detections
-                .iter()
-                .filter_map(|det| det.version.as_ref().map(|v| (det.library, v)))
-                .map(|(lib, v)| db.vuln_count_known_by(lib, v, basis, week.date) as u64)
-                .sum();
-            let entry = per_site.entry(domain).or_default();
-            entry.0 += count;
-            entry.1 += 1;
-        }
-    }
-    let averages: Vec<f64> = per_site
-        .values()
-        .map(|&(sum, weeks)| sum as f64 / weeks.max(1) as f64)
-        .collect();
-    VulnCountDistribution {
-        basis,
-        cdf: Cdf::of(&averages),
-        mean: mean(&averages),
-        median: median(&averages),
-    }
 }
 
 /// §6.4's refined-vulnerable-websites summary: sites affected only when
@@ -192,22 +59,158 @@ pub struct RefinementSummary {
     pub gap: Vec<(Date, f64)>,
 }
 
-/// Compares the two bases (the "+2%" takeaway, and its growth over time).
-/// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn refinement_summary(data: &Kept, db: &VulnDb) -> RefinementSummary {
-    let claimed = prevalence(data, db, Basis::CveClaimed);
-    let tvv = prevalence(data, db, Basis::TrueVulnerable);
-    let gap = claimed
-        .points
-        .iter()
-        .zip(&tvv.points)
-        .map(|(&(d, c), &(_, t))| (d, t - c))
-        .collect();
-    RefinementSummary {
-        claimed_average: claimed.average,
-        true_average: tvv.average,
-        gap,
+pub(crate) mod oracle {
+    //! The one-shot builders over a whole kept dataset that the
+    //! accumulators are pinned against.
+
+    use super::*;
+    use {
+        crate::dataset::testkit::Kept,
+        crate::stats::{mean, median},
+        std::collections::BTreeMap,
+        webvuln_cvedb::VulnDb,
+    };
+
+    /// Computes §6.2's headline series: the share of websites carrying at
+    /// least one vulnerable library. A site counts as vulnerable in week `w`
+    /// only through reports already *disclosed* by `w` — what a developer
+    /// consulting the CVE database that week could know. (Retroactive
+    /// constant-range counting is what [`CveImpact`] holds instead.)
+    /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+    pub(crate) fn prevalence(data: &Kept, db: &VulnDb, basis: Basis) -> PrevalenceSeries {
+        let points: Vec<(Date, f64)> = data
+            .weeks
+            .iter()
+            .map(|week| {
+                let total = week.collected().max(1);
+                let vulnerable = week
+                    .pages
+                    .values()
+                    .filter(|page| {
+                        page.detections.iter().any(|det| {
+                            det.version.as_ref().is_some_and(|v| {
+                                db.is_vulnerable_known_by(det.library, v, basis, week.date)
+                            })
+                        })
+                    })
+                    .count();
+                (week.date, vulnerable as f64 / total as f64)
+            })
+            .collect();
+        let average = mean(&points.iter().map(|&(_, f)| f).collect::<Vec<_>>());
+        PrevalenceSeries {
+            basis,
+            points,
+            average,
+        }
+    }
+
+    /// Builds per-CVE impact series (Figures 5 and 14; Table 2's website
+    /// columns).
+    /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+    pub(crate) fn cve_impact(data: &Kept, db: &VulnDb, id: &str) -> Option<CveImpact> {
+        let record = db.record(id)?;
+        let mut claimed_sites = Vec::new();
+        let mut true_sites = Vec::new();
+        let mut shares = Vec::new();
+        for week in &data.weeks {
+            let mut claimed = 0usize;
+            let mut truly = 0usize;
+            let mut users = 0usize;
+            for page in week.pages.values() {
+                let Some(det) = page.library(record.library) else {
+                    continue;
+                };
+                users += 1;
+                let Some(version) = &det.version else {
+                    continue;
+                };
+                if record.claims(version) {
+                    claimed += 1;
+                }
+                if record.truly_affects(version) {
+                    truly += 1;
+                }
+            }
+            claimed_sites.push((week.date, claimed));
+            true_sites.push((week.date, truly));
+            shares.push(if users == 0 {
+                0.0
+            } else {
+                claimed as f64 / users as f64
+            });
+        }
+        Some(CveImpact {
+            id: id.to_string(),
+            claimed_average: mean(
+                &claimed_sites
+                    .iter()
+                    .map(|&(_, c)| c as f64)
+                    .collect::<Vec<_>>(),
+            ),
+            true_average: mean(
+                &true_sites
+                    .iter()
+                    .map(|&(_, c)| c as f64)
+                    .collect::<Vec<_>>(),
+            ),
+            claimed_share_of_users: mean(&shares),
+            claimed_sites,
+            true_sites,
+        })
+    }
+
+    /// Builds Figure 12 under one basis: for every website, the average
+    /// number of vulnerabilities it carries across the weeks it was observed.
+    /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+    pub(crate) fn vuln_count_distribution(
+        data: &Kept,
+        db: &VulnDb,
+        basis: Basis,
+    ) -> VulnCountDistribution {
+        let mut per_site: BTreeMap<&String, (u64, u64)> = BTreeMap::new(); // (sum, weeks)
+        for week in &data.weeks {
+            for (domain, page) in &week.pages {
+                let count: u64 = page
+                    .detections
+                    .iter()
+                    .filter_map(|det| det.version.as_ref().map(|v| (det.library, v)))
+                    .map(|(lib, v)| db.vuln_count_known_by(lib, v, basis, week.date) as u64)
+                    .sum();
+                let entry = per_site.entry(domain).or_default();
+                entry.0 += count;
+                entry.1 += 1;
+            }
+        }
+        let averages: Vec<f64> = per_site
+            .values()
+            .map(|&(sum, weeks)| sum as f64 / weeks.max(1) as f64)
+            .collect();
+        VulnCountDistribution {
+            basis,
+            cdf: Cdf::of(&averages),
+            mean: mean(&averages),
+            median: median(&averages),
+        }
+    }
+
+    /// Compares the two bases (the "+2%" takeaway, and its growth over time).
+    /// Test-only: the one-shot reference [`crate::accum::CveExposureAccum`] is pinned against.
+    pub(crate) fn refinement_summary(data: &Kept, db: &VulnDb) -> RefinementSummary {
+        let claimed = prevalence(data, db, Basis::CveClaimed);
+        let tvv = prevalence(data, db, Basis::TrueVulnerable);
+        let gap = claimed
+            .points
+            .iter()
+            .zip(&tvv.points)
+            .map(|(&(d, c), &(_, t))| (d, t - c))
+            .collect();
+        RefinementSummary {
+            claimed_average: claimed.average,
+            true_average: tvv.average,
+            gap,
+        }
     }
 }
 
@@ -215,7 +218,8 @@ pub(crate) fn refinement_summary(data: &Kept, db: &VulnDb) -> RefinementSummary 
 mod tests {
     use super::*;
     use crate::accum::CveExposureAccum;
-    use crate::dataset::testkit::{self, Over};
+    use crate::dataset::testkit::{self, Kept, Over};
+    use webvuln_cvedb::VulnDb;
 
     /// One report's impact series, as the accumulator computes it.
     fn impact_of(data: &Kept, db: &VulnDb, id: &str) -> Option<CveImpact> {

@@ -2,11 +2,6 @@
 //! affected by its ten highlighted CVEs.
 
 use webvuln_cvedb::WordPressCve;
-#[cfg(test)]
-use {
-    crate::dataset::testkit::Kept, std::collections::BTreeMap, webvuln_cvedb::VulnDb,
-    webvuln_version::Version,
-};
 
 /// One Table 4 output row.
 #[derive(Debug, Clone)]
@@ -20,51 +15,63 @@ pub struct WordPressCveRow {
     pub affected_share: f64,
 }
 
-/// Builds Table 4 from the final snapshot (the paper reports a census).
-/// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
 #[cfg(test)]
-pub(crate) fn table4(data: &Kept, db: &VulnDb) -> Vec<WordPressCveRow> {
-    let last = data.weeks.last();
-    let versions: Vec<Version> = last
-        .map(|week| {
-            week.pages
-                .values()
-                .filter_map(|p| p.wordpress.clone().flatten())
-                .collect()
-        })
-        .unwrap_or_default();
-    db.wordpress_cves()
-        .iter()
-        .map(|cve| {
-            let affected = versions.iter().filter(|v| cve.affected.contains(v)).count();
-            WordPressCveRow {
-                cve: cve.clone(),
-                affected_sites: affected,
-                affected_share: affected as f64 / versions.len().max(1) as f64,
-            }
-        })
-        .collect()
-}
+pub(crate) mod oracle {
+    //! The one-shot builders over a whole kept dataset that the
+    //! accumulators are pinned against.
 
-/// Distribution of observed WordPress core versions at one week.
-#[cfg(test)]
-pub(crate) fn version_census(data: &Kept, week: usize) -> BTreeMap<Version, usize> {
-    let mut out = BTreeMap::new();
-    if let Some(snapshot) = data.weeks.get(week) {
-        for page in snapshot.pages.values() {
-            if let Some(Some(version)) = &page.wordpress {
-                *out.entry(version.clone()).or_default() += 1;
+    use super::*;
+    use {
+        crate::dataset::testkit::Kept, std::collections::BTreeMap, webvuln_cvedb::VulnDb,
+        webvuln_version::Version,
+    };
+
+    /// Builds Table 4 from the final snapshot (the paper reports a census).
+    /// Test-only: the one-shot reference [`crate::accum::UpdateBehaviorAccum`] is pinned against.
+    pub(crate) fn table4(data: &Kept, db: &VulnDb) -> Vec<WordPressCveRow> {
+        let last = data.weeks.last();
+        let versions: Vec<Version> = last
+            .map(|week| {
+                week.pages
+                    .values()
+                    .filter_map(|p| p.wordpress.clone().flatten())
+                    .collect()
+            })
+            .unwrap_or_default();
+        db.wordpress_cves()
+            .iter()
+            .map(|cve| {
+                let affected = versions.iter().filter(|v| cve.affected.contains(v)).count();
+                WordPressCveRow {
+                    cve: cve.clone(),
+                    affected_sites: affected,
+                    affected_share: affected as f64 / versions.len().max(1) as f64,
+                }
+            })
+            .collect()
+    }
+
+    /// Distribution of observed WordPress core versions at one week.
+    pub(crate) fn version_census(data: &Kept, week: usize) -> BTreeMap<Version, usize> {
+        let mut out = BTreeMap::new();
+        if let Some(snapshot) = data.weeks.get(week) {
+            for page in snapshot.pages.values() {
+                if let Some(Some(version)) = &page.wordpress {
+                    *out.entry(version.clone()).or_default() += 1;
+                }
             }
         }
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::oracle::*;
     use crate::accum::UpdateBehaviorAccum;
     use crate::dataset::testkit::{self, Over};
+    use webvuln_cvedb::VulnDb;
+    use webvuln_version::Version;
 
     #[test]
     fn recent_cves_affect_more_sites_than_ancient_ones() {

@@ -17,14 +17,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
-pub mod study;
+pub(crate) mod report;
+pub(crate) mod study;
 
-pub use report::{
-    full_report, render_containment, render_cost_centers, render_headlines, render_parallelism,
-    render_table1, render_table2, render_table3, render_table4, render_table5, render_table6,
-    render_telemetry, render_validation, series_to_csv, telemetry_json,
-};
+pub use report::{full_report, series_to_csv, telemetry_json};
 pub use study::{
     analyze_store, failpoint_catalog, Pipeline, StudyConfig, StudyResults, FAILPOINTS,
 };

@@ -8,7 +8,7 @@ use webvuln_analysis::stats::pct;
 use webvuln_cvedb::{browser_flash_support, Accuracy};
 
 /// Renders Table 1 (top-15 library usage/inclusion/version/vulns).
-pub fn render_table1(results: &StudyResults) -> String {
+pub(crate) fn render_table1(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -58,7 +58,7 @@ pub fn render_table1(results: &StudyResults) -> String {
 }
 
 /// Renders Table 2 (per-vulnerability impact, CVE vs TVV, accuracy).
-pub fn render_table2(results: &StudyResults) -> String {
+pub(crate) fn render_table2(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -85,7 +85,7 @@ pub fn render_table2(results: &StudyResults) -> String {
 }
 
 /// Renders Table 3 (browser Flash support — the paper's manual survey).
-pub fn render_table3() -> String {
+pub(crate) fn render_table3() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -105,7 +105,7 @@ pub fn render_table3() -> String {
 }
 
 /// Renders Table 4 (WordPress CVEs and affected sites).
-pub fn render_table4(results: &StudyResults) -> String {
+pub(crate) fn render_table4(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -131,7 +131,7 @@ pub fn render_table4(results: &StudyResults) -> String {
 }
 
 /// Renders Table 5 (top CDNs per library).
-pub fn render_table5(results: &StudyResults) -> String {
+pub(crate) fn render_table5(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Table 5 — Top 3 CDNs per JavaScript library");
     for breakdown in &results.table5 {
@@ -145,7 +145,7 @@ pub fn render_table5(results: &StudyResults) -> String {
 }
 
 /// Renders Table 6 (GitHub-hosted inclusions).
-pub fn render_table6(results: &StudyResults) -> String {
+pub(crate) fn render_table6(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Table 6 — Libraries loaded directly from GitHub hosts");
     let _ = writeln!(
@@ -164,7 +164,7 @@ pub fn render_table6(results: &StudyResults) -> String {
 }
 
 /// Renders the §6.4 version-validation summary (Figures 4/13 in text).
-pub fn render_validation(results: &StudyResults) -> String {
+pub(crate) fn render_validation(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "§6.4 — Version Validation Experiment");
     let mut incorrect = 0;
@@ -194,7 +194,7 @@ pub fn render_validation(results: &StudyResults) -> String {
 }
 
 /// Renders the headline findings (§6.2, §6.4, §7, §8 takeaways).
-pub fn render_headlines(results: &StudyResults) -> String {
+pub(crate) fn render_headlines(results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Headline findings");
     let _ = writeln!(
@@ -285,7 +285,7 @@ pub fn render_headlines(results: &StudyResults) -> String {
 /// Renders the run's telemetry snapshot: the phase-timing table followed
 /// by crawler and fingerprint counters. Empty snapshots render a stub so
 /// the report shape stays stable.
-pub fn render_telemetry(results: &StudyResults) -> String {
+pub(crate) fn render_telemetry(results: &StudyResults) -> String {
     let body = results.telemetry.render();
     if body.is_empty() {
         return "Run telemetry — none recorded\n".to_string();
@@ -302,7 +302,7 @@ pub fn telemetry_json(results: &StudyResults) -> String {
 /// Renders the crawl-resilience summary: how many fetches were retried,
 /// how many recovered, how many were skipped by an open circuit breaker,
 /// and how many weekly snapshots were carried forward for downed domains.
-pub fn render_resilience(results: &StudyResults) -> String {
+pub(crate) fn render_resilience(results: &StudyResults) -> String {
     let snap = &results.telemetry;
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let mut out = String::new();
@@ -334,7 +334,7 @@ pub fn render_resilience(results: &StudyResults) -> String {
 /// panicked, how many blew their virtual deadline, the total quarantined
 /// (each one degraded to a down-domain instead of aborting the run), and
 /// how many wall-clock stalls the watchdog flagged.
-pub fn render_containment(results: &StudyResults) -> String {
+pub(crate) fn render_containment(results: &StudyResults) -> String {
     let snap = &results.telemetry;
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let mut out = String::new();
@@ -364,7 +364,7 @@ pub fn render_containment(results: &StudyResults) -> String {
 
 /// Renders the parallel-execution summary: pool size, executor tasks and
 /// per-worker busy time from the `exec.*` metrics the executor records.
-pub fn render_parallelism(results: &StudyResults) -> String {
+pub(crate) fn render_parallelism(results: &StudyResults) -> String {
     let snap = &results.telemetry;
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let mut out = String::new();
@@ -392,7 +392,7 @@ pub fn render_parallelism(results: &StudyResults) -> String {
 /// Renders the "Top cost centers" section from a run's trace: the
 /// top-K fingerprint patterns by VM steps, the top-K slowest domains,
 /// and the per-phase timeline. Empty when the run was not traced.
-pub fn render_cost_centers(results: &StudyResults) -> String {
+pub(crate) fn render_cost_centers(results: &StudyResults) -> String {
     match &results.trace {
         Some(trace) => trace.render_top_cost_centers(10),
         None => String::new(),

@@ -18,7 +18,7 @@ use webvuln_analysis::vuln::{
 use webvuln_analysis::wordpress::WordPressCveRow;
 use webvuln_cvedb::VulnDb;
 use webvuln_exec::SuperviseConfig;
-use webvuln_net::{BreakerConfig, FaultPlan, RetryPolicy};
+use webvuln_net::{FaultPlan, RetryPolicy};
 use webvuln_poclab::{builtin_validations, ValidationReport};
 use webvuln_store::AnyReader;
 use webvuln_telemetry::trace::{self, Sink};
@@ -266,12 +266,6 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Per-host circuit breakers.
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.config.collect.breaker = Some(breaker);
-        self
-    }
-
     /// Carries a domain's last usable snapshot through weeks it is down.
     pub fn carry_forward(mut self, carry_forward: bool) -> Self {
         self.config.collect.carry_forward = carry_forward;
@@ -506,7 +500,16 @@ mod tests {
     use super::*;
     use webvuln_analysis::apply_filter;
     use webvuln_analysis::store_io::week_into_snapshot;
+    use webvuln_net::BreakerConfig;
     use webvuln_telemetry::TraceMode;
+
+    impl<'a> Pipeline<'a> {
+        /// Per-host circuit breakers.
+        fn breaker(mut self, breaker: BreakerConfig) -> Self {
+            self.config.collect.breaker = Some(breaker);
+            self
+        }
+    }
 
     fn temp_store(tag: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!(

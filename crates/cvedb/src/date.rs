@@ -49,7 +49,7 @@ impl Date {
     }
 
     /// Parses `YYYY-MM-DD` or the paper's `MM/DD/YYYY`.
-    pub fn parse(s: &str) -> Result<Date, ParseDateError> {
+    pub(crate) fn parse(s: &str) -> Result<Date, ParseDateError> {
         let err = || ParseDateError(s.to_string());
         let (y, m, d) = if s.contains('-') {
             let mut it = s.split('-');
@@ -87,7 +87,7 @@ impl Date {
     }
 
     /// `(year, month, day)` components.
-    pub fn civil(&self) -> (i32, u32, u32) {
+    pub(crate) fn civil(&self) -> (i32, u32, u32) {
         civil_from_days(self.days)
     }
 
@@ -99,11 +99,6 @@ impl Date {
     /// The month (1–12).
     pub fn month(&self) -> u32 {
         self.civil().1
-    }
-
-    /// The day of month (1–31).
-    pub fn day(&self) -> u32 {
-        self.civil().2
     }
 
     /// This date plus `n` days (negative moves backwards).

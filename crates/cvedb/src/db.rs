@@ -136,7 +136,7 @@ impl Verdict<'_> {
     }
 
     /// Count of reports that apply under `basis`.
-    pub fn count(&self, basis: Basis) -> usize {
+    pub(crate) fn count(&self, basis: Basis) -> usize {
         match self.source {
             Source::Masks(masks) => masks.of(basis).count_ones() as usize,
             Source::Ranges(_) => (0..self.indices.len())
@@ -186,7 +186,7 @@ impl VulnDb {
         db
     }
 
-    /// Extends the database with delta records (see [`crate::delta`]),
+    /// Extends the database with delta records (see `crate::delta`),
     /// rebuilding the verdict index of every library that gained one.
     /// Records whose ID is already present are skipped — re-applying a
     /// delta file after a crash or redelivery is a no-op. Returns the
@@ -227,7 +227,7 @@ impl VulnDb {
     }
 
     /// Records affecting `library` (any version).
-    pub fn records_for(&self, library: LibraryId) -> impl Iterator<Item = &VulnRecord> {
+    pub(crate) fn records_for(&self, library: LibraryId) -> impl Iterator<Item = &VulnRecord> {
         self.record_indices(library)
             .iter()
             .map(move |&i| &self.records[i])

@@ -61,7 +61,7 @@ fn err(line: usize, detail: impl Into<String>) -> DeltaError {
 }
 
 /// The attack-type slugs delta files use.
-pub fn attack_from_slug(slug: &str) -> Option<AttackType> {
+pub(crate) fn attack_from_slug(slug: &str) -> Option<AttackType> {
     Some(match slug {
         "xss" => AttackType::Xss,
         "prototype-pollution" => AttackType::PrototypePollution,

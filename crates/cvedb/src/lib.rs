@@ -36,7 +36,7 @@
 mod browsers;
 mod date;
 mod db;
-pub mod delta;
+pub(crate) mod delta;
 mod library;
 mod record;
 mod wordpress;
@@ -46,5 +46,5 @@ pub use date::{Date, ParseDateError};
 pub use db::{Basis, Verdict, VulnDb};
 pub use delta::{parse_delta, DeltaError};
 pub use library::{catalog, wordpress_catalog, Catalog, LibraryId, Release};
-pub use record::{builtin_records, classify, Accuracy, AttackType, VulnRecord};
+pub use record::{builtin_records, Accuracy, AttackType, VulnRecord};
 pub use wordpress::{wordpress_cves, WordPressCve, WordPressEvents};

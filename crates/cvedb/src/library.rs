@@ -121,11 +121,6 @@ impl LibraryId {
     pub fn from_slug(slug: &str) -> Option<LibraryId> {
         LibraryId::ALL.into_iter().find(|lib| lib.slug() == slug)
     }
-
-    /// True for projects the paper calls discontinued (§6.3).
-    pub fn is_discontinued(&self) -> bool {
-        matches!(self, LibraryId::SwfObject | LibraryId::JQueryCookie)
-    }
 }
 
 impl fmt::Display for LibraryId {
@@ -155,7 +150,7 @@ pub struct Catalog {
 impl Catalog {
     /// All versions released on or before `date` (what a developer could
     /// have deployed at that time).
-    pub fn available_at(&self, date: Date) -> impl Iterator<Item = &Release> {
+    pub(crate) fn available_at(&self, date: Date) -> impl Iterator<Item = &Release> {
         self.releases.iter().filter(move |r| r.date <= date)
     }
 
@@ -165,11 +160,6 @@ impl Catalog {
             .max_by(|a, b| a.version.cmp(&b.version))
     }
 
-    /// The newest version overall.
-    pub fn latest(&self) -> &Release {
-        self.releases.last().expect("catalogs are non-empty")
-    }
-
     /// The newest version available at `date` within major version
     /// `major` — what a compatibility-wary developer upgrades to (§6.3:
     /// breaking changes across majors are the main update blocker).
@@ -177,14 +167,6 @@ impl Catalog {
         self.available_at(date)
             .filter(|r| r.version.major() == major)
             .max_by(|a, b| a.version.cmp(&b.version))
-    }
-
-    /// Release date of `version`, if it is a known release.
-    pub fn release_date(&self, version: &Version) -> Option<Date> {
-        self.releases
-            .iter()
-            .find(|r| &r.version == version)
-            .map(|r| r.date)
     }
 
     /// Total number of releases.
@@ -543,7 +525,7 @@ static POLYFILL_IO: Raw = &[
 
 /// WordPress core releases (subset: the branches visible in the dataset;
 /// versions the paper's events hinge on carry real dates).
-pub static WORDPRESS: Raw = &[
+pub(crate) static WORDPRESS: Raw = &[
     ("2.8.3", "2009-08-03"),
     ("3.1.3", "2011-05-25"),
     ("3.3.2", "2012-04-20"),
@@ -619,6 +601,13 @@ pub fn wordpress_catalog() -> Vec<Release> {
 mod tests {
     use super::*;
 
+    impl Catalog {
+        /// The newest version overall.
+        pub(crate) fn latest(&self) -> &Release {
+            self.releases.last().expect("catalogs are non-empty")
+        }
+    }
+
     #[test]
     fn index_is_the_position_in_all() {
         for (position, lib) in LibraryId::ALL.into_iter().enumerate() {
@@ -654,8 +643,9 @@ mod tests {
     fn paper_critical_jquery_dates() {
         let cat = catalog(LibraryId::JQuery);
         let d = |v: &str| {
-            cat.release_date(&Version::parse(v).expect("version"))
-                .unwrap_or_else(|| panic!("{v} in catalog"))
+            let version = Version::parse(v).expect("version");
+            let release = cat.releases.iter().find(|r| r.version == version);
+            release.unwrap_or_else(|| panic!("{v} in catalog")).date
         };
         assert_eq!(
             d("1.12.4"),
@@ -722,13 +712,6 @@ mod tests {
         let in_3x = cat.latest_at_in_major(late_2020, 3).expect("3.x exists");
         assert_eq!(in_3x.version.to_string(), "3.5.1");
         assert!(cat.latest_at_in_major(late_2020, 9).is_none());
-    }
-
-    #[test]
-    fn discontinued_flags() {
-        assert!(LibraryId::SwfObject.is_discontinued());
-        assert!(LibraryId::JQueryCookie.is_discontinued());
-        assert!(!LibraryId::JQuery.is_discontinued());
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl fmt::Display for Accuracy {
 }
 
 /// Classifies `claimed` against the measured set `tvv`.
-pub fn classify(claimed: &IntervalSet, tvv: &IntervalSet) -> Accuracy {
+pub(crate) fn classify(claimed: &IntervalSet, tvv: &IntervalSet) -> Accuracy {
     let hidden = tvv.subtract(claimed); // vulnerable but not reported
     let excess = claimed.subtract(tvv); // reported but not vulnerable
     match (hidden.is_empty(), excess.is_empty()) {
@@ -107,7 +107,7 @@ pub struct VulnRecord {
 
 impl VulnRecord {
     /// The range to treat as vulnerable: TVV when measured, claim otherwise.
-    pub fn effective_range(&self) -> &IntervalSet {
+    pub(crate) fn effective_range(&self) -> &IntervalSet {
         self.tvv.as_ref().unwrap_or(&self.claimed)
     }
 
@@ -124,7 +124,7 @@ impl VulnRecord {
     /// Accuracy classification of the claimed range (strict set algebra
     /// over the whole version space; ranges differing on both sides are
     /// [`Accuracy::Mixed`]).
-    pub fn accuracy(&self) -> Accuracy {
+    pub(crate) fn accuracy(&self) -> Accuracy {
         match &self.tvv {
             None => Accuracy::Accurate,
             Some(tvv) => classify(&self.claimed, tvv),

@@ -254,12 +254,6 @@ impl SuperviseConfig {
         self.max_failures = max_failures;
         self
     }
-
-    /// Sets the wall-clock stall-watchdog threshold.
-    pub fn stall_ms(mut self, stall_ms: u64) -> Self {
-        self.stall_ms = stall_ms;
-        self
-    }
 }
 
 /// Renders a caught panic payload as text. `panic!` with a literal gives
@@ -730,6 +724,14 @@ impl Executor {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    impl SuperviseConfig {
+        /// Sets the wall-clock stall-watchdog threshold.
+        fn stall_ms(mut self, stall_ms: u64) -> Self {
+            self.stall_ms = stall_ms;
+            self
+        }
+    }
 
     #[test]
     fn maps_in_input_order() {

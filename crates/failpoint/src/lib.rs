@@ -17,12 +17,9 @@
 //! - **Zero-cost when disarmed.** [`check()`] is a single relaxed atomic
 //!   load and a predictable branch while no site is armed; the registry
 //!   mutex is touched only once something is armed.
-//! - **Deterministic.** Nothing here reads the wall clock or an RNG.
-//!   Probabilistic arming ([`Failpoints::arm_seeded`]) derives its
-//!   fire/skip decision from `mix(seed, site, key)` — the same
-//!   SplitMix64 idiom `webvuln-net` uses for `(seed, host, week,
-//!   attempt)` fault keying — so a given seed injects the same failures
-//!   every run, on any thread count.
+//! - **Deterministic.** Nothing here reads the wall clock or an RNG: a
+//!   site fires on every hit, on its nth hit or for one key, so a given
+//!   arming injects the same failures every run, on any thread count.
 //!
 //! Sites are declared by the crates that own them (each exports a
 //! `FAILPOINTS: &[&str]` catalog; `webvuln-core` unions them), so the
@@ -105,9 +102,6 @@ struct Arm {
     nth: Option<u64>,
     /// Fire only when the probing call's key equals this.
     key: Option<String>,
-    /// Fire on `mix(seed, site + key) % 1000 < permille` — a seeded,
-    /// reproducible sample of hits.
-    seeded: Option<(u64, u64)>,
 }
 
 #[derive(Debug)]
@@ -122,7 +116,7 @@ struct Inner {
 /// functions ([`check()`], [`arm`], [`reset`], …); unit tests that want
 /// isolation can hold their own `Failpoints`.
 #[derive(Debug)]
-pub struct Failpoints {
+pub(crate) struct Failpoints {
     /// Fast-path gate: false whenever no site is armed, so [`check()`]
     /// costs one relaxed load on the fault-free path.
     active: AtomicBool,
@@ -137,7 +131,7 @@ impl Default for Failpoints {
 
 impl Failpoints {
     /// An empty registry with nothing armed.
-    pub const fn new() -> Failpoints {
+    pub(crate) const fn new() -> Failpoints {
         Failpoints {
             active: AtomicBool::new(false),
             inner: Mutex::new(Inner {
@@ -160,67 +154,44 @@ impl Failpoints {
         self.active.store(true, Ordering::Release);
     }
 
-    /// Arms `site` to fire `action` on every hit.
-    pub fn arm(&self, site: &'static str, action: Action) {
+    /// [`arm`] on this registry.
+    pub(crate) fn arm(&self, site: &'static str, action: Action) {
         self.install(
             site,
             Arm {
                 action,
                 nth: None,
                 key: None,
-                seeded: None,
             },
         );
     }
 
-    /// Arms `site` to fire `action` on exactly its `nth` hit (1-based).
-    /// Lets the chaos harness crash a per-week site mid-run rather than
-    /// on first touch.
-    pub fn arm_nth(&self, site: &'static str, nth: u64, action: Action) {
+    /// [`arm_nth`] on this registry.
+    pub(crate) fn arm_nth(&self, site: &'static str, nth: u64, action: Action) {
         self.install(
             site,
             Arm {
                 action,
                 nth: Some(nth.max(1)),
                 key: None,
-                seeded: None,
             },
         );
     }
 
-    /// Arms `site` to fire `action` only for hits whose key equals
-    /// `key` — e.g. one specific domain at `"crawl.fetch"`.
-    pub fn arm_key(&self, site: &'static str, key: &str, action: Action) {
+    /// [`arm_key`] on this registry.
+    pub(crate) fn arm_key(&self, site: &'static str, key: &str, action: Action) {
         self.install(
             site,
             Arm {
                 action,
                 nth: None,
                 key: Some(key.to_string()),
-                seeded: None,
             },
         );
     }
 
-    /// Arms `site` to fire `action` on a seeded sample of hits:
-    /// roughly `permille`/1000 of distinct keys, chosen by
-    /// `mix(seed, site + key)`. Reproducible for a given seed, on any
-    /// thread count, like the crawler's `(seed, host, week, attempt)`
-    /// fault plans.
-    pub fn arm_seeded(&self, site: &'static str, seed: u64, permille: u64, action: Action) {
-        self.install(
-            site,
-            Arm {
-                action,
-                nth: None,
-                key: None,
-                seeded: Some((seed, permille.min(1000))),
-            },
-        );
-    }
-
-    /// Disarms one site, leaving others armed.
-    pub fn disarm(&self, site: &str) {
+    /// [`disarm`] on this registry.
+    pub(crate) fn disarm(&self, site: &str) {
         let mut inner = self.lock();
         inner.arms.remove(site);
         if inner.arms.is_empty() {
@@ -228,45 +199,31 @@ impl Failpoints {
         }
     }
 
-    /// Disarms every site and clears hit counts.
-    pub fn reset(&self) {
+    /// [`reset`] on this registry.
+    pub(crate) fn reset(&self) {
         let mut inner = self.lock();
         inner.arms.clear();
         inner.hits.clear();
         self.active.store(false, Ordering::Release);
     }
 
-    /// Times `site` has been probed while the registry was active.
-    pub fn hits(&self, site: &str) -> u64 {
+    /// [`hits`] on this registry.
+    pub(crate) fn hits(&self, site: &str) -> u64 {
         self.lock().hits.get(site).copied().unwrap_or(0)
     }
 
-    /// Every site probed while active, with its hit count.
-    pub fn sites_hit(&self) -> Vec<(&'static str, u64)> {
-        self.lock().hits.iter().map(|(s, n)| (*s, *n)).collect()
-    }
-
-    /// Probes `site`. On the fault-free path (nothing armed) this is one
-    /// relaxed atomic load returning `Ok(0)`.
-    ///
-    /// When `site` is armed and its filters match: [`Action::Delay`]
-    /// returns `Ok(ns)` for the caller to charge, [`Action::Error`]
-    /// returns `Err(`[`Injected`]`)`, and [`Action::Panic`] panics with
-    /// a deterministic message (the registry lock is released first, so
-    /// a caught unwind leaves the registry healthy).
+    /// [`check()`] on this registry.
     #[inline]
-    pub fn check(&self, site: &'static str, key: &str) -> Result<u64, Injected> {
+    pub(crate) fn check(&self, site: &'static str, key: &str) -> Result<u64, Injected> {
         if !self.active.load(Ordering::Relaxed) {
             return Ok(0);
         }
         self.check_armed(site, key)
     }
 
-    /// Like [`check()`], but escalates [`Action::Error`] to a panic — for
-    /// probe sites that have no error channel (phase boundaries, worker
-    /// loops).
+    /// [`hit`] on this registry.
     #[inline]
-    pub fn hit(&self, site: &'static str, key: &str) -> u64 {
+    pub(crate) fn hit(&self, site: &'static str, key: &str) -> u64 {
         match self.check(site, key) {
             Ok(ns) => ns,
             Err(injected) => panic!("{injected}"),
@@ -294,12 +251,6 @@ impl Failpoints {
                 return Ok(0);
             }
         }
-        if let Some((seed, permille)) = arm.seeded {
-            let sample = mix(seed, &format!("{site}\u{1}{key}")) % 1000;
-            if sample >= permille {
-                return Ok(0);
-            }
-        }
         match arm.action {
             Action::Delay(ns) => Ok(ns),
             Action::Error => Err(Injected {
@@ -320,49 +271,55 @@ impl Failpoints {
 /// [`failpoint!`] macro.
 static GLOBAL: Failpoints = Failpoints::new();
 
-/// Arms `site` on the global registry. See [`Failpoints::arm`].
+/// Arms `site` to fire `action` on every hit.
 pub fn arm(site: &'static str, action: Action) {
     GLOBAL.arm(site, action);
 }
 
-/// Arms `site` for its nth hit. See [`Failpoints::arm_nth`].
+/// Arms `site` to fire `action` on exactly its `nth` hit (1-based).
+/// Lets the chaos harness crash a per-week site mid-run rather than
+/// on first touch.
 pub fn arm_nth(site: &'static str, nth: u64, action: Action) {
     GLOBAL.arm_nth(site, nth, action);
 }
 
-/// Arms `site` for one key. See [`Failpoints::arm_key`].
+/// Arms `site` to fire `action` only for hits whose key equals
+/// `key` — e.g. one specific domain at `"crawl.fetch"`.
 pub fn arm_key(site: &'static str, key: &str, action: Action) {
     GLOBAL.arm_key(site, key, action);
 }
 
-/// Arms `site` on a seeded sample. See [`Failpoints::arm_seeded`].
-pub fn arm_seeded(site: &'static str, seed: u64, permille: u64, action: Action) {
-    GLOBAL.arm_seeded(site, seed, permille, action);
-}
-
-/// Disarms one global site. See [`Failpoints::disarm`].
+/// Disarms one site, leaving others armed.
 pub fn disarm(site: &str) {
     GLOBAL.disarm(site);
 }
 
-/// Disarms everything on the global registry. See [`Failpoints::reset`].
+/// Disarms every site and clears hit counts.
 pub fn reset() {
     GLOBAL.reset();
 }
 
-/// Global hit count for `site`. See [`Failpoints::hits`].
+/// Times `site` has been probed while the registry was active.
 pub fn hits(site: &str) -> u64 {
     GLOBAL.hits(site)
 }
 
-/// Probes `site` on the global registry. See [`Failpoints::check`].
+/// Probes `site`. On the fault-free path (nothing armed) this is one
+/// relaxed atomic load returning `Ok(0)`.
+///
+/// When `site` is armed and its filters match: [`Action::Delay`]
+/// returns `Ok(ns)` for the caller to charge, [`Action::Error`]
+/// returns `Err(`[`Injected`]`)`, and [`Action::Panic`] panics with
+/// a deterministic message (the registry lock is released first, so
+/// a caught unwind leaves the registry healthy).
 #[inline]
 pub fn check(site: &'static str, key: &str) -> Result<u64, Injected> {
     GLOBAL.check(site, key)
 }
 
-/// Probes `site`, escalating injected errors to panics. See
-/// [`Failpoints::hit`].
+/// Like [`check()`], but escalates [`Action::Error`] to a panic — for
+/// probe sites that have no error channel (phase boundaries, worker
+/// loops).
 #[inline]
 pub fn hit(site: &'static str, key: &str) -> u64 {
     GLOBAL.hit(site, key)
@@ -454,29 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_sampling_is_deterministic_and_partial() {
-        let fp = Failpoints::new();
-        fp.arm_seeded("seeded.site", 42, 500, Action::Error);
-        let outcomes: Vec<bool> = (0..64)
-            .map(|i| fp.check("seeded.site", &format!("host-{i}")).is_err())
-            .collect();
-        // Same seed, same keys, same verdicts.
-        let again: Vec<bool> = (0..64)
-            .map(|i| fp.check("seeded.site", &format!("host-{i}")).is_err())
-            .collect();
-        assert_eq!(outcomes, again);
-        // A 50% sample should be neither empty nor total over 64 keys.
-        let fired = outcomes.iter().filter(|f| **f).count();
-        assert!(fired > 0 && fired < 64, "fired {fired}/64");
-        // A different seed fires a different subset.
-        fp.arm_seeded("seeded.site", 43, 500, Action::Error);
-        let other: Vec<bool> = (0..64)
-            .map(|i| fp.check("seeded.site", &format!("host-{i}")).is_err())
-            .collect();
-        assert_ne!(outcomes, other);
-    }
-
-    #[test]
     fn disarm_and_reset_clear_state() {
         let fp = Failpoints::new();
         fp.arm("x.site", Action::Error);
@@ -487,7 +421,6 @@ mod tests {
         fp.reset();
         assert_eq!(fp.check("y.site", ""), Ok(0));
         assert_eq!(fp.hits("y.site"), 0);
-        assert!(fp.sites_hit().is_empty());
     }
 
     #[test]
@@ -500,7 +433,6 @@ mod tests {
             assert_eq!(fp.check("watched.site", ""), Ok(0));
         }
         assert_eq!(fp.hits("watched.site"), 5);
-        assert_eq!(fp.sites_hit(), vec![("watched.site", 5)]);
     }
 
     #[test]

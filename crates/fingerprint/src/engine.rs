@@ -140,16 +140,6 @@ impl PageAnalysis {
     pub fn library(&self, lib: LibraryId) -> Option<&Detection> {
         self.detections.iter().find(|d| d.library == lib)
     }
-
-    /// True when the page includes `lib` at any version.
-    pub fn has_library(&self, lib: LibraryId) -> bool {
-        self.library(lib).is_some()
-    }
-
-    /// True when any library at all was recognised.
-    pub fn has_any_library(&self) -> bool {
-        !self.detections.is_empty()
-    }
 }
 
 /// Counter handles for the `fp.*` metrics an instrumented engine records.
@@ -983,9 +973,9 @@ mod tests {
             <script src="https://code.jquery.com/ui/1.12.1/jquery-ui.min.js"></script>
         "#;
         let a = engine().analyze(html, "x.example");
-        assert!(a.has_library(LibraryId::JQueryMigrate));
-        assert!(a.has_library(LibraryId::JQueryUi));
-        assert!(!a.has_library(LibraryId::JQuery));
+        assert!(a.library(LibraryId::JQueryMigrate).is_some());
+        assert!(a.library(LibraryId::JQueryUi).is_some());
+        assert!(a.library(LibraryId::JQuery).is_none());
     }
 
     #[test]
@@ -1315,7 +1305,7 @@ mod tests {
             <script src="/js/unknown-widget.js"></script>
         "#;
         let a = e.analyze(html, "site.example");
-        assert!(a.has_library(LibraryId::JQuery));
+        assert!(a.library(LibraryId::JQuery).is_some());
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("fp.pages_total"), Some(1));

@@ -435,7 +435,7 @@ fn gated_engine_equals_the_ungated_reference() {
             "{html}"
         );
         for det in &without_inline.detections {
-            assert!(analysis.has_library(det.library), "{html}");
+            assert!(analysis.library(det.library).is_some(), "{html}");
         }
         analysis
     };

@@ -47,23 +47,11 @@ impl Element {
             .map(|(_, v)| v.as_str())
     }
 
-    /// True when attribute `name` is present (even if valueless).
-    pub fn has_attr(&self, name: &str) -> bool {
-        self.attrs.iter().any(|(k, _)| k.eq_ignore_ascii_case(name))
-    }
-
     /// Concatenated text of all descendant text nodes.
     pub fn text_content(&self) -> String {
         let mut out = String::new();
         collect_text(&self.children, &mut out);
         out
-    }
-
-    /// Depth-first iterator over descendant elements (excluding `self`).
-    pub fn descendants(&self) -> Descendants<'_> {
-        Descendants {
-            stack: self.children.iter().rev().collect(),
-        }
     }
 }
 
@@ -173,12 +161,6 @@ impl Document {
         }
     }
 
-    /// All elements with the given (case-insensitive) tag name.
-    pub fn elements_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.elements()
-            .filter(move |e| e.name.eq_ignore_ascii_case(name))
-    }
-
     /// Concatenated text of the whole document.
     pub fn text_content(&self) -> String {
         let mut out = String::new();
@@ -271,6 +253,14 @@ impl Builder {
 mod tests {
     use super::*;
 
+    impl Document {
+        /// All elements with the given (case-insensitive) tag name.
+        fn elements_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
+            self.elements()
+                .filter(move |e| e.name.eq_ignore_ascii_case(name))
+        }
+    }
+
     #[test]
     fn builds_nested_tree() {
         let doc = Document::parse("<div><p>a</p><p>b</p></div>");
@@ -311,7 +301,6 @@ mod tests {
         let s = doc.elements_named("script").next().expect("script");
         assert_eq!(s.attr("src"), Some("x.js"));
         assert_eq!(s.attr("integrity"), Some("sha384-abc"));
-        assert!(s.has_attr("SRC"));
         assert_eq!(s.attr("missing"), None);
     }
 
@@ -332,14 +321,10 @@ mod tests {
               <embed src="banner.swf" allowscriptaccess="always">
             </object>"#;
         let doc = Document::parse(html);
-        let object = doc.elements_named("object").next().expect("object");
-        let params: Vec<_> = object.descendants().filter(|e| e.name == "param").collect();
+        let params: Vec<_> = doc.elements_named("param").collect();
         assert_eq!(params.len(), 2);
         assert_eq!(params[1].attr("value"), Some("always"));
-        let embed = object
-            .descendants()
-            .find(|e| e.name == "embed")
-            .expect("embed");
+        let embed = doc.elements_named("embed").next().expect("embed");
         assert_eq!(embed.attr("allowscriptaccess"), Some("always"));
     }
 

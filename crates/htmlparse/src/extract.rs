@@ -28,23 +28,6 @@ pub struct ScriptRef<'a> {
     pub crossorigin: Option<Cow<'a, str>>,
 }
 
-impl ScriptRef<'_> {
-    /// True when the script is loaded from another origin than `host`.
-    ///
-    /// Protocol-relative (`//cdn…`) and absolute (`https://…`) URLs that
-    /// name a different host are external; everything else (relative paths,
-    /// same-host absolute URLs) is internal.
-    pub fn is_external_to(&self, host: &str) -> bool {
-        match &self.src {
-            None => false,
-            Some(src) => match url_host(src) {
-                Some(h) => !h.eq_ignore_ascii_case(host),
-                None => false,
-            },
-        }
-    }
-}
-
 /// A `<link>` reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkRef<'a> {
@@ -422,7 +405,7 @@ impl<'a> OnePass<'a> {
 }
 
 /// True when `url` points at a Flash movie.
-pub fn is_swf_url(url: &str) -> bool {
+pub(crate) fn is_swf_url(url: &str) -> bool {
     // Bytes, not chars: the suffix may start inside a multibyte character.
     let path = url.split(['?', '#']).next().unwrap_or(url).as_bytes();
     path.len() >= 4 && path[path.len() - 4..].eq_ignore_ascii_case(b".swf")
@@ -476,21 +459,6 @@ mod tests {
         assert_eq!(res.scripts[0].crossorigin.as_deref(), Some("anonymous"));
         assert!(res.scripts[1].src.is_none());
         assert_eq!(res.scripts[1].inline, "inline()");
-    }
-
-    #[test]
-    fn externality_detection() {
-        let s = |src: &'static str| ScriptRef {
-            src: Some(src.into()),
-            inline: "".into(),
-            integrity: None,
-            crossorigin: None,
-        };
-        assert!(s("https://cdn.example/a.js").is_external_to("example.com"));
-        assert!(!s("https://example.com/a.js").is_external_to("example.com"));
-        assert!(!s("/local/a.js").is_external_to("example.com"));
-        assert!(!s("a.js").is_external_to("example.com"));
-        assert!(s("//ajax.googleapis.com/x.js").is_external_to("example.com"));
     }
 
     #[test]

@@ -38,6 +38,6 @@ mod tokenizer;
 
 pub use dom::{Descendants, Document, Element, Node};
 pub use extract::{
-    extract, extract_resources, is_swf_url, url_host, FlashRef, LinkRef, PageResources, ScriptRef,
+    extract, extract_resources, url_host, FlashRef, LinkRef, PageResources, ScriptRef,
 };
-pub use tokenizer::{decode_entities, tokenize, Attributes, Token, Tokenizer};
+pub use tokenizer::{tokenize, Attributes, Token, Tokenizer};

@@ -67,7 +67,7 @@ pub struct Attributes<'a> {
 impl<'a> Attributes<'a> {
     /// `(name, value)` pairs in document order, both as written: names
     /// keep their case and values are not entity-decoded (read one with
-    /// [`decode_entities`]). A valueless attribute has the value `""`.
+    /// `decode_entities`). A valueless attribute has the value `""`.
     pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
         let (src, spans) = (self.src, self.spans);
         let mut held = self.held.map(|n| spans.into_iter().take(n.into()));
@@ -469,7 +469,7 @@ fn attr_value(s: &str, at: usize) -> (&str, usize) {
 
 /// Decodes the five standard named entities plus `&nbsp;` and numeric
 /// references; borrows `s` when it holds no `&`.
-pub fn decode_entities(s: &str) -> Cow<'_, str> {
+pub(crate) fn decode_entities(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
         return Cow::Borrowed(s);
     }

@@ -9,10 +9,10 @@ use std::borrow::Cow;
 
 /// Maximum redirect hops before giving up (the paper's crawler fetches
 /// landing pages; deep redirect chains are treated as inaccessible).
-pub const MAX_REDIRECTS: usize = 5;
+pub(crate) const MAX_REDIRECTS: usize = 5;
 
 /// Fetches `http(s)://host{target}` through `connector`, following up
-/// to [`MAX_REDIRECTS`] 3xx hops (both same-host path redirects and
+/// to `MAX_REDIRECTS` 3xx hops (both same-host path redirects and
 /// absolute-URL host changes).
 pub fn fetch(connector: &dyn Connect, host: &str, target: &str) -> Result<Response> {
     fetch_attempt(connector, host, target, 0)
@@ -21,7 +21,7 @@ pub fn fetch(connector: &dyn Connect, host: &str, target: &str) -> Result<Respon
 /// [`fetch`] as the `attempt`-th try (0-based) of a retry loop: every
 /// connection it opens is that attempt's, which is what a transport
 /// with faults that heal after a few attempts keys on.
-pub fn fetch_attempt(
+pub(crate) fn fetch_attempt(
     connector: &dyn Connect,
     host: &str,
     target: &str,
@@ -93,7 +93,7 @@ mod tests {
     fn follows_same_host_redirect() {
         let net = VirtualNet::new(Arc::new(|req: &Request| {
             if req.target == "/" {
-                let mut r = Response::status(Status::MOVED_PERMANENTLY);
+                let mut r = Response::status(Status(301));
                 r.headers.insert("Location", "/home");
                 r
             } else {
@@ -101,14 +101,14 @@ mod tests {
             }
         }));
         let resp = fetch(&net, "r.example", "/").expect("fetch");
-        assert_eq!(resp.body_text(), "at /home");
+        assert_eq!(String::from_utf8_lossy(&resp.body), "at /home");
     }
 
     #[test]
     fn follows_cross_host_redirect() {
         let net = VirtualNet::new(Arc::new(|req: &Request| match req.host() {
             Some("old.example") => {
-                let mut r = Response::status(Status::FOUND);
+                let mut r = Response::status(Status(302));
                 r.headers.insert("Location", "https://new.example/landed");
                 r
             }
@@ -119,13 +119,16 @@ mod tests {
             )),
         }));
         let resp = fetch(&net, "old.example", "/").expect("fetch");
-        assert_eq!(resp.body_text(), "welcome to new.example /landed");
+        assert_eq!(
+            String::from_utf8_lossy(&resp.body),
+            "welcome to new.example /landed"
+        );
     }
 
     #[test]
     fn redirect_loop_errors_out() {
         let net = VirtualNet::new(Arc::new(|_req: &Request| {
-            let mut r = Response::status(Status::FOUND);
+            let mut r = Response::status(Status(302));
             r.headers.insert("Location", "/again");
             r
         }));
@@ -134,9 +137,9 @@ mod tests {
 
     #[test]
     fn redirect_without_location_is_returned() {
-        let net = VirtualNet::new(Arc::new(|_req: &Request| Response::status(Status::FOUND)));
+        let net = VirtualNet::new(Arc::new(|_req: &Request| Response::status(Status(302))));
         let resp = fetch(&net, "bare.example", "/").expect("fetch");
-        assert_eq!(resp.status, Status::FOUND);
+        assert_eq!(resp.status, Status(302));
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl FetchRecord {
     /// supervision) leaves behind: failed, `attempts == 0`, mirroring a
     /// breaker-skipped host, with a deterministic `quarantined: …` error
     /// text.
-    pub fn quarantined(domain: &str, failure: &TaskFailure) -> FetchRecord {
+    pub(crate) fn quarantined(domain: &str, failure: &TaskFailure) -> FetchRecord {
         FetchRecord::unfetched(domain, format!("quarantined: {}", failure.describe()))
     }
 

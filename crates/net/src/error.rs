@@ -47,7 +47,7 @@ pub enum ErrorClass {
 impl ErrorClass {
     /// Short lowercase label (`refused`, `timeout`, …) used in rendered
     /// error strings and reports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ErrorClass::Refused => "refused",
             ErrorClass::Timeout => "timeout",
@@ -59,7 +59,7 @@ impl ErrorClass {
     }
 
     /// Whether a failure of this class is plausibly transient.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         match self {
             ErrorClass::Refused | ErrorClass::Timeout | ErrorClass::Truncated | ErrorClass::Io => {
                 true
@@ -77,7 +77,7 @@ impl fmt::Display for ErrorClass {
 
 impl NetError {
     /// Classifies the error for attribution and retry decisions.
-    pub fn class(&self) -> ErrorClass {
+    pub(crate) fn class(&self) -> ErrorClass {
         match self {
             NetError::Io(e) if e.kind() == io::ErrorKind::ConnectionRefused => ErrorClass::Refused,
             NetError::Io(e)
@@ -103,7 +103,7 @@ impl NetError {
     /// proxy cutting a stream); malformed or oversized messages and
     /// unreachable hosts are properties of the peer that a retry cannot
     /// change.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         self.class().is_retryable()
     }
 }

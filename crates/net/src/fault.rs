@@ -109,7 +109,7 @@ impl FaultPlan {
     }
 
     /// Whether `host` frames responses with chunked transfer encoding.
-    pub fn prefers_chunked(&self, host: &str) -> bool {
+    pub(crate) fn prefers_chunked(&self, host: &str) -> bool {
         self.decide(host, 0x11, self.chunked_permille)
     }
 
@@ -121,23 +121,15 @@ impl FaultPlan {
     }
 
     /// Whether `host` stalls (the read deadline trips) on this attempt.
-    pub fn stalls(&self, host: &str, week: usize, attempt: u32) -> bool {
+    pub(crate) fn stalls(&self, host: &str, week: usize, attempt: u32) -> bool {
         attempt < self.heal_after_attempts
             && self.decide_weekly(host, week, 0xA2, self.stall_permille)
     }
 
     /// Whether `host` answers this attempt with a 503 burst.
-    pub fn serves_5xx(&self, host: &str, week: usize, attempt: u32) -> bool {
+    pub(crate) fn serves_5xx(&self, host: &str, week: usize, attempt: u32) -> bool {
         attempt < self.heal_after_attempts
             && self.decide_weekly(host, week, 0xA3, self.flaky_5xx_permille)
-    }
-
-    /// Whether any transient fault class is configured.
-    pub fn has_transients(&self) -> bool {
-        self.heal_after_attempts > 0
-            && (self.transient_fail_permille > 0
-                || self.stall_permille > 0
-                || self.flaky_5xx_permille > 0)
     }
 
     fn decide(&self, host: &str, salt: u64, permille: u32) -> bool {
@@ -184,7 +176,6 @@ mod tests {
             assert!(!plan.stalls(host, 3, 0));
             assert!(!plan.serves_5xx(host, 7, 1));
         }
-        assert!(!plan.has_transients());
     }
 
     #[test]
@@ -192,7 +183,6 @@ mod tests {
         // tests/paper_facts.rs pins statistics computed under this plan;
         // it must keep behaving exactly like the pre-resilience crawler.
         let plan = FaultPlan::realistic(42);
-        assert!(!plan.has_transients());
         assert_eq!(plan.transient_fail_permille, 0);
         assert_eq!(plan.stall_permille, 0);
         assert_eq!(plan.flaky_5xx_permille, 0);
@@ -304,7 +294,6 @@ mod tests {
     #[test]
     fn hostile_plan_reports_transients() {
         let plan = FaultPlan::hostile(9);
-        assert!(plan.has_transients());
         assert_eq!(plan.heal_after_attempts, 3);
         // Permanent classes stay independent of week/attempt.
         let n = 5000;

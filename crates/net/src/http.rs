@@ -28,7 +28,7 @@ pub enum Method {
 
 impl Method {
     /// Parses a method token.
-    pub fn parse(s: &str) -> Option<Method> {
+    pub(crate) fn parse(s: &str) -> Option<Method> {
         Some(match s {
             "GET" => Method::Get,
             "HEAD" => Method::Head,
@@ -41,7 +41,7 @@ impl Method {
     }
 
     /// The canonical token.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             Method::Get => "GET",
             Method::Head => "HEAD",
@@ -66,22 +66,12 @@ pub struct Status(pub u16);
 impl Status {
     /// 200 OK.
     pub const OK: Status = Status(200);
-    /// 204 No Content.
-    pub const NO_CONTENT: Status = Status(204);
-    /// 301 Moved Permanently.
-    pub const MOVED_PERMANENTLY: Status = Status(301);
-    /// 302 Found.
-    pub const FOUND: Status = Status(302);
     /// 400 Bad Request.
     pub const BAD_REQUEST: Status = Status(400);
     /// 403 Forbidden — the anti-crawler blocks the paper observed.
     pub const FORBIDDEN: Status = Status(403);
     /// 404 Not Found.
     pub const NOT_FOUND: Status = Status(404);
-    /// 429 Too Many Requests.
-    pub const TOO_MANY_REQUESTS: Status = Status(429);
-    /// 500 Internal Server Error.
-    pub const INTERNAL_SERVER_ERROR: Status = Status(500);
     /// 503 Service Unavailable.
     pub const SERVICE_UNAVAILABLE: Status = Status(503);
 
@@ -91,7 +81,7 @@ impl Status {
     }
 
     /// 3xx?
-    pub fn is_redirect(&self) -> bool {
+    pub(crate) fn is_redirect(&self) -> bool {
         (300..400).contains(&self.0)
     }
 
@@ -100,13 +90,8 @@ impl Status {
         (400..500).contains(&self.0)
     }
 
-    /// 5xx?
-    pub fn is_server_error(&self) -> bool {
-        (500..600).contains(&self.0)
-    }
-
     /// Canonical reason phrase.
-    pub fn reason(&self) -> &'static str {
+    pub(crate) fn reason(&self) -> &'static str {
         match self.0 {
             200 => "OK",
             204 => "No Content",
@@ -135,7 +120,7 @@ impl fmt::Display for Status {
 
 /// A header name or value: a standard one is borrowed from the binary,
 /// any other is owned.
-pub type Field = Cow<'static, str>;
+pub(crate) type Field = Cow<'static, str>;
 
 /// The header names and values (and the root target) this stack writes
 /// itself, so that neither building nor decoding its own messages
@@ -180,7 +165,7 @@ impl Headers {
     }
 
     /// First value of `name`, case-insensitive.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.fields
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
@@ -188,7 +173,7 @@ impl Headers {
     }
 
     /// Replaces every occurrence of `name` with a single field.
-    pub fn set(&mut self, name: &'static str, value: impl Into<Field>) {
+    pub(crate) fn set(&mut self, name: &'static str, value: impl Into<Field>) {
         self.fields.retain(|(k, _)| !k.eq_ignore_ascii_case(name));
         self.fields.push((Cow::Borrowed(name), value.into()));
     }
@@ -198,23 +183,13 @@ impl Headers {
         self.fields.iter().map(|(k, v)| (k.as_ref(), v.as_ref()))
     }
 
-    /// Number of fields.
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// True when no fields are present.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-
     /// `Content-Length` parsed as usize, if present and well-formed.
-    pub fn content_length(&self) -> Option<usize> {
+    pub(crate) fn content_length(&self) -> Option<usize> {
         self.get("content-length")?.trim().parse().ok()
     }
 
     /// True when `Transfer-Encoding` ends with `chunked`.
-    pub fn is_chunked(&self) -> bool {
+    pub(crate) fn is_chunked(&self) -> bool {
         self.get("transfer-encoding")
             .map(|v| {
                 v.split(',')
@@ -226,7 +201,7 @@ impl Headers {
     }
 
     /// True when the peer asked to close the connection.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.get("connection")
             .map(|v| v.eq_ignore_ascii_case("close"))
             .unwrap_or(false)
@@ -303,23 +278,24 @@ impl Response {
     pub fn status(status: Status) -> Response {
         Response::new(status, "text/html; charset=utf-8", Vec::new())
     }
-
-    /// Body interpreted as UTF-8 (lossy).
-    pub fn body_text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl Headers {
+        /// Number of fields.
+        fn len(&self) -> usize {
+            self.fields.len()
+        }
+    }
+
     #[test]
     fn status_classes() {
         assert!(Status::OK.is_success());
         assert!(Status(301).is_redirect());
         assert!(Status::FORBIDDEN.is_client_error());
-        assert!(Status(503).is_server_error());
         assert!(!Status::OK.is_client_error());
     }
 
@@ -368,7 +344,7 @@ mod tests {
         let r = Response::html("<html></html>");
         assert_eq!(r.status, Status::OK);
         assert_eq!(r.headers.content_length(), Some(13));
-        assert_eq!(r.body_text(), "<html></html>");
+        assert_eq!(String::from_utf8_lossy(&r.body), "<html></html>");
         let e = Response::status(Status::FORBIDDEN);
         assert_eq!(e.status.0, 403);
         assert!(e.body.is_empty());

@@ -8,7 +8,7 @@
 //! Layering, bottom-up:
 //!
 //! * [`ByteStream`] — blocking byte transport. Implemented by
-//!   `std::net::TcpStream`, by [`mem_pipe`] (in-memory duplex for tests),
+//!   `std::net::TcpStream`, by `mem_pipe` (in-memory duplex for tests),
 //!   and by the thread-free loopback streams of [`VirtualNet`].
 //! * [`codec`] — HTTP/1.1 wire format: content-length, chunked and
 //!   EOF-delimited bodies, size limits against hostile peers.
@@ -55,7 +55,7 @@ mod server;
 mod transport;
 mod virtual_net;
 
-pub use client::{fetch, fetch_attempt, MAX_REDIRECTS};
+pub use client::fetch;
 pub use crawler::{CrawlOptions, FetchRecord, FAILPOINTS};
 pub use error::{ErrorClass, NetError, Result};
 pub use fault::{mix, FaultPlan};
@@ -64,7 +64,7 @@ pub use filter::{
 };
 pub use http::{Headers, Method, Request, Response, Status};
 pub use server::{serve_stream, Connect, Handler, ServeConfig, Server, TcpConnector};
-pub use transport::{mem_pipe, ByteStream, MemStream};
+pub use transport::ByteStream;
 pub use virtual_net::VirtualNet;
 pub use webvuln_exec::{ExecStats, Executor, FailureKind, SuperviseConfig, TaskFailure};
 pub use webvuln_resilience::{

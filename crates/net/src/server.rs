@@ -379,7 +379,7 @@ mod tests {
     use crate::codec::encode_request;
     use crate::fault::FaultPlan;
     use crate::http::Request;
-    use crate::transport::mem_pipe;
+    use crate::transport::pipe::mem_pipe;
     use crate::virtual_net::VirtualNet;
     use std::io::Read;
 
@@ -394,7 +394,7 @@ mod tests {
     }
 
     /// [`serve_stream`] on one end of a pipe, not draining.
-    fn serve_pipe(mut server: crate::MemStream) -> usize {
+    fn serve_pipe(mut server: crate::transport::pipe::MemStream) -> usize {
         let handler = echo_handler();
         let (draining, killed) = (AtomicBool::new(false), Counter::default());
         serve_stream(&mut server, handler.as_ref(), &draining, &killed)
@@ -415,7 +415,7 @@ mod tests {
         let resp = MessageReader::new(&mut client)
             .read_response(false)
             .expect("response");
-        assert!(resp.body_text().contains("host=pipe.example"));
+        assert!(String::from_utf8_lossy(&resp.body).contains("host=pipe.example"));
         drop(client); // EOF ends the serve loop
         assert_eq!(t.join().expect("join"), 1);
     }
@@ -431,7 +431,7 @@ mod tests {
             let resp = MessageReader::new(&mut client)
                 .read_response(false)
                 .expect("response");
-            assert!(resp.body_text().contains(&format!("target=/{i}")));
+            assert!(String::from_utf8_lossy(&resp.body).contains(&format!("target=/{i}")));
         }
         drop(client);
         assert_eq!(t.join().expect("join"), 3);
@@ -455,8 +455,8 @@ mod tests {
         let net = VirtualNet::new(echo_handler());
         let resp = fetch(&net, "v.example", "/index.html").expect("fetch");
         assert_eq!(resp.status, Status::OK);
-        assert!(resp.body_text().contains("host=v.example"));
-        assert!(resp.body_text().contains("target=/index.html"));
+        assert!(String::from_utf8_lossy(&resp.body).contains("host=v.example"));
+        assert!(String::from_utf8_lossy(&resp.body).contains("target=/index.html"));
     }
 
     #[test]
@@ -470,7 +470,7 @@ mod tests {
             let resp = MessageReader::new(&mut stream)
                 .read_response(false)
                 .expect("response");
-            assert!(resp.body_text().contains(&format!("target=/{i}")));
+            assert!(String::from_utf8_lossy(&resp.body).contains(&format!("target=/{i}")));
         }
     }
 
@@ -480,7 +480,7 @@ mod tests {
         let connector = TcpConnector::fixed(server.addr());
         let resp = fetch(&connector, "tcp.example", "/live").expect("fetch");
         assert_eq!(resp.status, Status::OK);
-        assert!(resp.body_text().contains("host=tcp.example"));
+        assert!(String::from_utf8_lossy(&resp.body).contains("host=tcp.example"));
         server.shutdown();
     }
 
@@ -501,7 +501,7 @@ mod tests {
                 .read_response(false)
                 .expect("response");
             assert!(
-                resp.body_text().contains(&format!("target=/c{tag}/r{i}")),
+                String::from_utf8_lossy(&resp.body).contains(&format!("target=/c{tag}/r{i}")),
                 "client {tag} request {i} got wrong body"
             );
             served += 1;
@@ -554,7 +554,7 @@ mod tests {
         for i in 0..3 {
             let resp = reader.read_response(false).expect("response");
             assert!(
-                resp.body_text().contains(&format!("target=/p{i}")),
+                String::from_utf8_lossy(&resp.body).contains(&format!("target=/p{i}")),
                 "pipelined response {i} out of order"
             );
         }
@@ -573,7 +573,7 @@ mod tests {
         stream.write_all(&wire).expect("send");
         let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
         let resp = reader.read_response(false).expect("response");
-        assert!(resp.body_text().contains("target=/last"));
+        assert!(String::from_utf8_lossy(&resp.body).contains("target=/last"));
         // The server closed its side: the next read is EOF, not a hang.
         let mut rest = Vec::new();
         let n = stream.read_to_end(&mut rest).expect("read to end");
@@ -595,7 +595,7 @@ mod tests {
         stream.write_all(&wire).expect("send");
         let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
         let resp = reader.read_response(false).expect("response");
-        assert!(resp.body_text().contains("target=/one"));
+        assert!(String::from_utf8_lossy(&resp.body).contains("target=/one"));
 
         // Shutdown with the connection still open: the drain must finish
         // well under the join-forever failure mode (bounded by the idle

@@ -1,109 +1,115 @@
 //! Byte-stream transports.
 //!
 //! The whole HTTP stack is written against [`ByteStream`] (blocking
-//! `Read + Write`), with two families of implementations:
-//!
-//! * [`mem_pipe`] — an in-memory duplex stream over `std::sync::mpsc`
-//!   channels, used to test the server loop without sockets;
-//! * `std::net::TcpStream` — real TCP, via the blanket impl.
+//! `Read + Write`): `std::net::TcpStream` through the blanket impl, and
+//! in tests an in-memory duplex pipe that runs the server loop without
+//! sockets.
 //!
 //! The crawler's in-process "virtual internet" uses a third, thread-free
 //! transport defined in `virtual_net`.
 
-use std::io::{self, Read, Write};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::io::{Read, Write};
 
 /// A blocking, bidirectional byte stream.
 pub trait ByteStream: Read + Write + Send {}
 
 impl<T: Read + Write + Send> ByteStream for T {}
 
-/// One end of an in-memory duplex pipe.
-pub struct MemStream {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    /// The chunk currently being read; `pending[offset..]` is unconsumed.
-    pending: Vec<u8>,
-    offset: usize,
-    /// Set once the write side has been shut down.
-    closed: bool,
-}
+#[cfg(test)]
+pub(crate) mod pipe {
+    //! An in-memory duplex stream over `std::sync::mpsc` channels.
 
-/// Creates a connected pair of in-memory streams. Bytes written to one end
-/// become readable at the other; dropping an end signals EOF.
-pub fn mem_pipe() -> (MemStream, MemStream) {
-    let (atx, brx) = channel();
-    let (btx, arx) = channel();
-    (
-        MemStream {
-            tx: atx,
-            rx: arx,
-            pending: Vec::new(),
-            offset: 0,
-            closed: false,
-        },
-        MemStream {
-            tx: btx,
-            rx: brx,
-            pending: Vec::new(),
-            offset: 0,
-            closed: false,
-        },
-    )
-}
+    use std::io::{self, Read, Write};
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
-impl MemStream {
-    /// Shuts down the write half: the peer will observe EOF after draining
-    /// buffered chunks. Reading remains possible.
-    pub fn shutdown_write(&mut self) {
-        // Replacing the sender with a dropped one closes the channel.
-        let (dead_tx, _) = channel();
-        self.tx = dead_tx;
-        self.closed = true;
+    /// One end of an in-memory duplex pipe.
+    pub(crate) struct MemStream {
+        tx: Sender<Vec<u8>>,
+        rx: Receiver<Vec<u8>>,
+        /// The chunk currently being read; `pending[offset..]` is unconsumed.
+        pending: Vec<u8>,
+        offset: usize,
+        /// Set once the write side has been shut down.
+        closed: bool,
     }
-}
 
-impl Read for MemStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.offset == self.pending.len() {
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.pending = chunk;
-                    self.offset = 0;
+    /// Creates a connected pair of in-memory streams. Bytes written to one end
+    /// become readable at the other; dropping an end signals EOF.
+    pub(crate) fn mem_pipe() -> (MemStream, MemStream) {
+        let (atx, brx) = channel();
+        let (btx, arx) = channel();
+        (
+            MemStream {
+                tx: atx,
+                rx: arx,
+                pending: Vec::new(),
+                offset: 0,
+                closed: false,
+            },
+            MemStream {
+                tx: btx,
+                rx: brx,
+                pending: Vec::new(),
+                offset: 0,
+                closed: false,
+            },
+        )
+    }
+
+    impl MemStream {
+        /// Shuts down the write half: the peer will observe EOF after draining
+        /// buffered chunks. Reading remains possible.
+        pub(crate) fn shutdown_write(&mut self) {
+            // Replacing the sender with a dropped one closes the channel.
+            let (dead_tx, _) = channel();
+            self.tx = dead_tx;
+            self.closed = true;
+        }
+    }
+
+    impl Read for MemStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.offset == self.pending.len() {
+                match self.rx.recv() {
+                    Ok(chunk) => {
+                        self.pending = chunk;
+                        self.offset = 0;
+                    }
+                    Err(_) => return Ok(0), // peer dropped: EOF
                 }
-                Err(_) => return Ok(0), // peer dropped: EOF
             }
+            let rest = &self.pending[self.offset..];
+            let n = rest.len().min(buf.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.offset += n;
+            Ok(n)
         }
-        let rest = &self.pending[self.offset..];
-        let n = rest.len().min(buf.len());
-        buf[..n].copy_from_slice(&rest[..n]);
-        self.offset += n;
-        Ok(n)
-    }
-}
-
-impl Write for MemStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.closed {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "write end shut down",
-            ));
-        }
-        self.tx
-            .send(buf.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))?;
-        Ok(buf.len())
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
+    impl Write for MemStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.closed {
+                return Err(io::Error::new(
+                    io::ErrorKind::BrokenPipe,
+                    "write end shut down",
+                ));
+            }
+            self.tx
+                .send(buf.to_vec())
+                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))?;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::pipe::*;
+    use std::io::{Read, Write};
     use std::thread;
 
     #[test]

@@ -7,7 +7,7 @@
 
 /// A single node of the parsed pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ast {
+pub(crate) enum Ast {
     /// Matches the empty string.
     Empty,
     /// A single literal character.
@@ -32,7 +32,7 @@ pub enum Ast {
 
 /// Repetition of a sub-expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Repeat {
+pub(crate) struct Repeat {
     /// The repeated sub-expression.
     pub node: Ast,
     /// Minimum number of repetitions.
@@ -45,7 +45,7 @@ pub struct Repeat {
 
 /// A parenthesised group.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Group {
+pub(crate) struct Group {
     /// `Some(i)` for capturing group number `i` (1-based); `None` for `(?:…)`.
     pub index: Option<u32>,
     /// The grouped sub-expression.
@@ -57,7 +57,7 @@ pub struct Group {
 /// Ranges are kept sorted and non-overlapping by [`ClassSet::canonicalize`],
 /// which makes membership a binary search and equality structural.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ClassSet {
+pub(crate) struct ClassSet {
     /// Inclusive character ranges.
     pub ranges: Vec<(char, char)>,
     /// When set, the class matches characters *not* in `ranges`.
@@ -66,28 +66,28 @@ pub struct ClassSet {
 
 impl ClassSet {
     /// An empty, non-negated class (matches nothing).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a single character to the set.
-    pub fn push_char(&mut self, c: char) {
+    pub(crate) fn push_char(&mut self, c: char) {
         self.ranges.push((c, c));
     }
 
     /// Adds an inclusive range to the set.
-    pub fn push_range(&mut self, lo: char, hi: char) {
+    pub(crate) fn push_range(&mut self, lo: char, hi: char) {
         debug_assert!(lo <= hi);
         self.ranges.push((lo, hi));
     }
 
     /// Extends the set with all ranges of another set (ignores its negation).
-    pub fn push_set(&mut self, other: &ClassSet) {
+    pub(crate) fn push_set(&mut self, other: &ClassSet) {
         self.ranges.extend_from_slice(&other.ranges);
     }
 
     /// Sorts and merges overlapping/adjacent ranges.
-    pub fn canonicalize(&mut self) {
+    pub(crate) fn canonicalize(&mut self) {
         self.ranges.sort_unstable();
         let mut merged: Vec<(char, char)> = Vec::with_capacity(self.ranges.len());
         for &(lo, hi) in &self.ranges {
@@ -104,7 +104,7 @@ impl ClassSet {
     }
 
     /// Membership test honouring negation.
-    pub fn matches(&self, c: char) -> bool {
+    pub(crate) fn matches(&self, c: char) -> bool {
         let inside = self
             .ranges
             .binary_search_by(|&(lo, hi)| {
@@ -121,7 +121,7 @@ impl ClassSet {
     }
 
     /// Builds the perl class `\d`.
-    pub fn digits() -> Self {
+    pub(crate) fn digits() -> Self {
         ClassSet {
             ranges: vec![('0', '9')],
             negated: false,
@@ -129,7 +129,7 @@ impl ClassSet {
     }
 
     /// Builds the perl class `\w` (`[0-9A-Za-z_]`).
-    pub fn word() -> Self {
+    pub(crate) fn word() -> Self {
         ClassSet {
             ranges: vec![('0', '9'), ('A', 'Z'), ('_', '_'), ('a', 'z')],
             negated: false,
@@ -137,7 +137,7 @@ impl ClassSet {
     }
 
     /// Builds the perl class `\s` (ASCII whitespace).
-    pub fn space() -> Self {
+    pub(crate) fn space() -> Self {
         ClassSet {
             ranges: vec![
                 ('\t', '\r'), // \t \n \x0B \x0C \r
@@ -148,14 +148,14 @@ impl ClassSet {
     }
 
     /// Returns a negated copy of this class.
-    pub fn negate(mut self) -> Self {
+    pub(crate) fn negate(mut self) -> Self {
         self.negated = !self.negated;
         self
     }
 
     /// Case-folds the class for case-insensitive matching by adding, for
     /// every ASCII letter range, the range in the opposite case.
-    pub fn ascii_fold(&mut self) {
+    pub(crate) fn ascii_fold(&mut self) {
         let mut extra = Vec::new();
         for &(lo, hi) in &self.ranges {
             // Fold the portion overlapping 'a'..='z' to upper case.

@@ -65,7 +65,7 @@ impl Backtracker {
     }
 
     /// Like [`Backtracker::search`], trying matches from byte offset
-    /// `start` on, as [`Pattern::captures_at`](crate::Pattern::captures_at)
+    /// `start` on, as `Pattern::captures_at`
     /// does. `start` must lie on a character boundary.
     pub fn search_at<'t>(
         &self,

@@ -14,7 +14,7 @@ const MAX_PROGRAM: usize = 100_000;
 
 /// A single VM instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inst {
+pub(crate) enum Inst {
     /// Match one specific character and advance.
     Char(char),
     /// Match any character in the indexed class and advance.
@@ -37,14 +37,13 @@ pub enum Inst {
 
 /// A compiled pattern program.
 #[derive(Debug, Clone)]
-pub struct Program {
+pub(crate) struct Program {
     /// Instruction stream; entry point is instruction 0.
     pub insts: Vec<Inst>,
     /// Character classes referenced by [`Inst::Class`].
     pub classes: Vec<ClassSet>,
-    /// Number of capturing groups (excluding the implicit group 0).
-    pub group_count: u32,
-    /// Number of capture slots (`2 * (group_count + 1)`).
+    /// Number of capture slots: two for each capturing group and two for
+    /// the implicit group 0.
     pub slot_count: usize,
     /// Whether matching folds ASCII case.
     pub case_insensitive: bool,
@@ -59,7 +58,11 @@ pub struct Program {
 }
 
 /// Compiles `ast` into a [`Program`].
-pub fn compile(ast: &Ast, group_count: u32, case_insensitive: bool) -> Result<Program, Error> {
+pub(crate) fn compile(
+    ast: &Ast,
+    group_count: u32,
+    case_insensitive: bool,
+) -> Result<Program, Error> {
     let mut c = Compiler {
         insts: Vec::new(),
         classes: Vec::new(),
@@ -83,7 +86,6 @@ pub fn compile(ast: &Ast, group_count: u32, case_insensitive: bool) -> Result<Pr
     Ok(Program {
         insts: c.insts,
         classes: c.classes,
-        group_count,
         slot_count: 2 * (group_count as usize + 1),
         case_insensitive,
         literal_prefixes,

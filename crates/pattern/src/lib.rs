@@ -39,7 +39,6 @@ mod compile;
 mod parser;
 mod vm;
 
-pub use ast::ClassSet;
 pub use backtrack::{Backtracker, BtOutcome};
 pub use vm::thread_vm_steps;
 
@@ -106,11 +105,6 @@ impl Pattern {
         &self.source
     }
 
-    /// Number of capturing groups (excluding the implicit whole-match group).
-    pub fn group_count(&self) -> u32 {
-        self.prog.group_count
-    }
-
     /// Literals one of which every match begins with (lower-cased for a
     /// case-insensitive pattern), none beginning with another; empty when
     /// the pattern has none or is anchored with `^`. A text none of them
@@ -140,7 +134,7 @@ impl Pattern {
     /// Finds the leftmost match in `text` starting at byte offset `start`.
     ///
     /// `start` must lie on a character boundary.
-    pub fn find_at<'t>(&self, text: &'t str, start: usize) -> Option<Match<'t>> {
+    pub(crate) fn find_at<'t>(&self, text: &'t str, start: usize) -> Option<Match<'t>> {
         let slots = vm::exec(&self.prog, text, start)?;
         Some(Match {
             text,
@@ -155,7 +149,7 @@ impl Pattern {
     }
 
     /// Like [`Pattern::captures`], starting the search at byte offset `start`.
-    pub fn captures_at<'t>(&self, text: &'t str, start: usize) -> Option<Captures<'t>> {
+    pub(crate) fn captures_at<'t>(&self, text: &'t str, start: usize) -> Option<Captures<'t>> {
         let slots = vm::exec(&self.prog, text, start)?;
         Some(Captures { text, slots })
     }
@@ -263,16 +257,6 @@ impl<'t> Captures<'t> {
             end: self.slots[1].expect("group 0 end"),
         }
     }
-
-    /// Number of groups (including group 0).
-    pub fn len(&self) -> usize {
-        self.slots.len() / 2
-    }
-
-    /// True when there are no groups at all (never the case in practice).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
 /// Iterator over non-overlapping matches; see [`Pattern::find_iter`].
@@ -361,6 +345,13 @@ fn expand_replacement(replacement: &str, caps: &Captures<'_>, out: &mut String) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<'t> Captures<'t> {
+        /// Number of groups (including group 0).
+        pub(crate) fn len(&self) -> usize {
+            self.slots.len() / 2
+        }
+    }
 
     #[test]
     fn version_extraction_end_to_end() {

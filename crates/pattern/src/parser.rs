@@ -20,7 +20,7 @@ use crate::Error;
 const MAX_REPEAT: u32 = 1000;
 
 /// Parses `pattern`, returning the AST and the number of capturing groups.
-pub fn parse(pattern: &str) -> Result<(Ast, u32), Error> {
+pub(crate) fn parse(pattern: &str) -> Result<(Ast, u32), Error> {
     let mut p = Parser {
         chars: pattern.chars().collect(),
         pos: 0,

@@ -17,7 +17,7 @@ use std::cell::{Cell, RefCell};
 
 /// Capture slots for one match: `slots[2k]`/`slots[2k+1]` hold the byte
 /// offsets of group `k`'s start/end (group 0 is the whole match).
-pub type Slots = Vec<Option<usize>>;
+pub(crate) type Slots = Vec<Option<usize>>;
 
 thread_local! {
     /// Cumulative VM work done on this thread, in instruction dispatches
@@ -45,7 +45,7 @@ pub fn thread_vm_steps() -> u64 {
 /// program with `.*?` by seeding a fresh thread (at lowest priority,
 /// preserving leftmost-first semantics) at every input position where a
 /// match can begin: everywhere, or only where `prog.literal_prefix` occurs.
-pub fn exec(prog: &Program, haystack: &str, start: usize) -> Option<Slots> {
+pub(crate) fn exec(prog: &Program, haystack: &str, start: usize) -> Option<Slots> {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
         let (matched, steps) = scratch.run(prog, haystack, start);

@@ -17,21 +17,16 @@ use webvuln_pattern::Pattern;
 use webvuln_version::Version;
 
 /// One jQuery "build" at a specific version.
-pub struct JQuery {
+pub(crate) struct JQuery {
     version: Version,
 }
 
 impl JQuery {
     /// Instantiates the model for `version`.
-    pub fn at(version: &Version) -> JQuery {
+    pub(crate) fn at(version: &Version) -> JQuery {
         JQuery {
             version: version.clone(),
         }
-    }
-
-    /// The modelled version.
-    pub fn version(&self) -> &Version {
-        &self.version
     }
 
     /// `jQuery(input)`: does this build treat `input` as HTML?
@@ -44,7 +39,7 @@ impl JQuery {
     ///   the hash vector but still accepting `text<img …>` smuggling
     ///   (CVE-2012-6708's true range, `< 1.9.0`).
     /// * `≥ 1.9.0` — HTML must start with `<`.
-    pub fn interprets_as_html(&self, input: &str) -> bool {
+    pub(crate) fn interprets_as_html(&self, input: &str) -> bool {
         if self.version >= v("1.9.0") {
             let strict = Pattern::new(r"^\s*(<(?:.|\n)+>)[^>]*$").expect("static pattern");
             strict.is_match(input)
@@ -61,7 +56,7 @@ impl JQuery {
     /// self-closing tags (`<style/>` → `<style></style>`), mutating markup
     /// in a way that lets payloads escape raw-text contexts
     /// (CVE-2020-11022 / CVE-2020-11023). 3.5.0 made it the identity.
-    pub fn html_prefilter(&self, html: &str) -> String {
+    pub(crate) fn html_prefilter(&self, html: &str) -> String {
         if self.version >= v("3.5.0") {
             return html.to_string();
         }
@@ -71,20 +66,20 @@ impl JQuery {
     /// Whether the `.html()` / manipulation path routes through the buggy
     /// prefilter at all (the CVE-2020-11022 precondition; the rewritten
     /// `rxhtmlTag` shipped with 1.12.0).
-    pub fn html_method_uses_prefilter(&self) -> bool {
+    pub(crate) fn html_method_uses_prefilter(&self) -> bool {
         in_range(&self.version, "1.12.0", "3.5.0")
     }
 
     /// Whether `jQuery.parseHTML`-style fragment building (the
     /// CVE-2020-11023 `<option>` path) routes through the buggy prefilter
     /// (present since 1.4.0).
-    pub fn fragment_uses_prefilter(&self) -> bool {
+    pub(crate) fn fragment_uses_prefilter(&self) -> bool {
         in_range(&self.version, "1.4.0", "3.5.0")
     }
 
     /// `$(el).html(untrusted)`: prefilters (by version), parses, inserts
     /// into the sandbox, and lets broken-image handlers fire.
-    pub fn html_method(&self, sandbox: &mut Sandbox, html: &str) {
+    pub(crate) fn html_method(&self, sandbox: &mut Sandbox, html: &str) {
         let markup = if self.html_method_uses_prefilter() {
             self.html_prefilter(html)
         } else if self.version >= v("3.5.0") {
@@ -98,7 +93,7 @@ impl JQuery {
     }
 
     /// Fragment building with `<option>` content (CVE-2020-11023 path).
-    pub fn build_fragment(&self, sandbox: &mut Sandbox, html: &str) {
+    pub(crate) fn build_fragment(&self, sandbox: &mut Sandbox, html: &str) {
         let markup = if self.fragment_uses_prefilter() {
             self.html_prefilter(html)
         } else {
@@ -110,7 +105,7 @@ impl JQuery {
     /// `$(sel).load(url)` with a response body: before 3.6.0, scripts in
     /// the response are evaluated when no selector suffix is given
     /// (CVE-2020-7656's true reach — the paper's re-implemented PoC).
-    pub fn load(&self, sandbox: &mut Sandbox, response_html: &str) {
+    pub(crate) fn load(&self, sandbox: &mut Sandbox, response_html: &str) {
         let doc = Document::parse(response_html);
         if self.version < v("3.6.0") {
             sandbox.insert_markup(&doc); // evaluates <script> bodies
@@ -120,7 +115,7 @@ impl JQuery {
 
     /// `jQuery(input)` end-to-end: selector → inert; HTML → DOM insertion
     /// with handlers firing.
-    pub fn construct(&self, sandbox: &mut Sandbox, input: &str) {
+    pub(crate) fn construct(&self, sandbox: &mut Sandbox, input: &str) {
         if self.interprets_as_html(input) {
             // Strip the non-HTML prefix like jQuery's fragment builder.
             let at = input.find('<').unwrap_or(0);
@@ -131,7 +126,7 @@ impl JQuery {
     /// The `<option>` runtime creation path of CVE-2014-6071: between
     /// 1.5.0 and 2.2.4 the select-wrapper fragment path attached
     /// attacker-controlled attributes live.
-    pub fn create_option_element(&self, sandbox: &mut Sandbox, option_markup: &str) {
+    pub(crate) fn create_option_element(&self, sandbox: &mut Sandbox, option_markup: &str) {
         let vulnerable = in_range(&self.version, "1.5.0", "2.2.4");
         if vulnerable {
             sandbox.insert_and_fire(option_markup);
@@ -142,7 +137,7 @@ impl JQuery {
 
     /// Cross-domain `$.ajax` auto-executing `text/javascript` responses
     /// (CVE-2015-9251's range as reported: 1.12.0 ≤ v < 3.0.0).
-    pub fn ajax_cross_domain(&self, sandbox: &mut Sandbox, content_type: &str, body: &str) {
+    pub(crate) fn ajax_cross_domain(&self, sandbox: &mut Sandbox, content_type: &str, body: &str) {
         let auto_executes = in_range(&self.version, "1.12.0", "3.0.0");
         if auto_executes && content_type.eq_ignore_ascii_case("text/javascript") {
             sandbox.eval_script(body);
@@ -151,7 +146,7 @@ impl JQuery {
 
     /// `$.extend(true, target, source)`: before 3.4.0 a `__proto__` key in
     /// `source` merges into `Object.prototype` (CVE-2019-11358).
-    pub fn extend_deep(
+    pub(crate) fn extend_deep(
         &self,
         realm: &mut JsRealm,
         target: &mut BTreeMap<String, JsValue>,
@@ -184,7 +179,7 @@ impl JQuery {
 
     /// `location.hash`-based construction guard (CVE-2011-4969): before
     /// 1.6.3, `$(location.hash)` parsed the fragment as HTML.
-    pub fn construct_from_location_hash(&self, sandbox: &mut Sandbox, hash: &str) {
+    pub(crate) fn construct_from_location_hash(&self, sandbox: &mut Sandbox, hash: &str) {
         if self.version < v("1.6.3") {
             // Pre-1.6.3 quickExpr accepted `#<tag>` as HTML.
             let at = hash.find('<').unwrap_or(0);
@@ -333,9 +328,9 @@ mod tests {
     #[test]
     fn extend_deep_still_merges_normal_keys() {
         let mut source = BTreeMap::new();
-        source.insert("a".to_string(), JsValue::Num(1));
+        source.insert("a".to_string(), JsValue::Bool(false));
         let mut nested = BTreeMap::new();
-        nested.insert("inner".to_string(), JsValue::Str("x".into()));
+        nested.insert("inner".to_string(), JsValue::Bool(false));
         source.insert("obj".to_string(), JsValue::Object(nested));
 
         let mut realm = JsRealm::new();
@@ -344,11 +339,11 @@ mod tests {
         existing.insert("keep".to_string(), JsValue::Bool(true));
         target.insert("obj".to_string(), JsValue::Object(existing));
         jq("3.4.0").extend_deep(&mut realm, &mut target, &source);
-        assert_eq!(target.get("a"), Some(&JsValue::Num(1)));
+        assert_eq!(target.get("a"), Some(&JsValue::Bool(false)));
         match target.get("obj") {
             Some(JsValue::Object(o)) => {
                 assert_eq!(o.get("keep"), Some(&JsValue::Bool(true)));
-                assert_eq!(o.get("inner"), Some(&JsValue::Str("x".into())));
+                assert_eq!(o.get("inner"), Some(&JsValue::Bool(false)));
             }
             other => panic!("{other:?}"),
         }

@@ -61,7 +61,7 @@ impl Lab {
     }
 
     /// The PoC for a report id.
-    pub fn poc(&self, id: &str) -> Option<&dyn PocExploit> {
+    pub(crate) fn poc(&self, id: &str) -> Option<&dyn PocExploit> {
         self.corpus
             .iter()
             .find(|p| p.id() == id)

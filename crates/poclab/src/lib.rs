@@ -8,14 +8,14 @@
 //! that 13 of 27 CVE reports state incorrect ranges. This crate rebuilds
 //! that experiment mechanically:
 //!
-//! * [`sandbox`] — a miniature DOM/JS environment that observes script
+//! * `sandbox` — a miniature DOM/JS environment that observes script
 //!   execution, fired event handlers, and prototype pollution;
-//! * [`jquery`] / [`libs`] — version-parameterized re-implementations of
+//! * `jquery` / `libs` — version-parameterized re-implementations of
 //!   the vulnerable code paths (quickExpr eras, `htmlPrefilter`
 //!   expansion, Bootstrap's sanitizer, Underscore's template compiler, …);
 //! * the ReDoS CVEs are made observable by the step counter of
 //!   [`webvuln_pattern::Backtracker`];
-//! * [`poc_corpus`] — one PoC per report (the seven found in the wild are
+//! * `poc_corpus` — one PoC per report (the seven found in the wild are
 //!   flagged, matching the paper);
 //! * [`Lab`] — sweeps each library's release catalog through its PoC and
 //!   classifies every report as accurate / understated / overstated;
@@ -36,15 +36,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod jquery;
-pub mod lab;
-pub mod libs;
-pub mod poc;
-pub mod sandbox;
+pub(crate) mod jquery;
+pub(crate) mod lab;
+pub(crate) mod libs;
+pub(crate) mod poc;
+mod sandbox;
 
 pub use lab::{builtin_validations, sweeps_run, Lab, ValidationReport};
-pub use poc::{poc_corpus, PocExploit, PocResult};
-pub use sandbox::{JsRealm, JsValue, Sandbox};
+pub use poc::PocResult;
 
 use webvuln_version::Version;
 

@@ -18,13 +18,13 @@ use webvuln_version::Version;
 // ---------------------------------------------------------------------
 
 /// One Bootstrap build.
-pub struct Bootstrap {
+pub(crate) struct Bootstrap {
     version: Version,
 }
 
 impl Bootstrap {
     /// Instantiates the model.
-    pub fn at(version: &Version) -> Bootstrap {
+    pub(crate) fn at(version: &Version) -> Bootstrap {
         Bootstrap {
             version: version.clone(),
         }
@@ -32,14 +32,14 @@ impl Bootstrap {
 
     /// Whether this build ships the 3.4.1/4.3.1 template sanitizer
     /// (CVE-2019-8331's fix).
-    pub fn has_sanitizer(&self) -> bool {
+    pub(crate) fn has_sanitizer(&self) -> bool {
         (self.version >= v("3.4.1") && self.version < v("4.0.0")) || self.version >= v("4.3.1")
     }
 
     /// Tooltip/popover rendering with an attacker-supplied template
     /// (CVE-2019-8331): sanitized builds strip scripts and event-handler
     /// attributes using a real allow-list walk over the parsed DOM.
-    pub fn render_tooltip_template(&self, sandbox: &mut Sandbox, template: &str) {
+    pub(crate) fn render_tooltip_template(&self, sandbox: &mut Sandbox, template: &str) {
         if self.has_sanitizer() {
             let doc = Document::parse(template);
             let clean = sanitize(&doc);
@@ -52,7 +52,7 @@ impl Bootstrap {
     /// Collapse `data-parent` selector injection (CVE-2018-20676/20677):
     /// the affected code shipped with 3.2.0 and was fixed in 3.4.0 — the
     /// CVE's claimed `< 3.4.0` overstates the early 3.x line.
-    pub fn collapse_data_parent(&self, sandbox: &mut Sandbox, selector: &str) {
+    pub(crate) fn collapse_data_parent(&self, sandbox: &mut Sandbox, selector: &str) {
         if in_range(&self.version, "3.2.0", "3.4.0") {
             // Vulnerable builds pass the selector into $() unescaped.
             if selector.contains('<') {
@@ -64,7 +64,7 @@ impl Bootstrap {
 
     /// Tooltip `data-container`/`data-target` injection
     /// (CVE-2018-14040/14042): present from 2.3.0, fixed in 4.1.2.
-    pub fn data_target_selector(&self, sandbox: &mut Sandbox, selector: &str) {
+    pub(crate) fn data_target_selector(&self, sandbox: &mut Sandbox, selector: &str) {
         if in_range(&self.version, "2.3.0", "4.1.2") && selector.contains('<') {
             let at = selector.find('<').expect("checked");
             sandbox.insert_and_fire(&selector[at..]);
@@ -73,7 +73,7 @@ impl Bootstrap {
 
     /// Tooltip `data-viewport` injection (CVE-2018-14041): claimed
     /// `< 4.1.2`, not re-measured by the paper.
-    pub fn data_viewport_selector(&self, sandbox: &mut Sandbox, selector: &str) {
+    pub(crate) fn data_viewport_selector(&self, sandbox: &mut Sandbox, selector: &str) {
         if self.version < v("4.1.2") && selector.contains('<') {
             let at = selector.find('<').expect("checked");
             sandbox.insert_and_fire(&selector[at..]);
@@ -82,7 +82,7 @@ impl Bootstrap {
 
     /// Affix/ScrollSpy `data-target` (CVE-2016-10735): the affected
     /// attribute handling shipped with 2.1.0, fixed in 3.4.0.
-    pub fn affix_data_target(&self, sandbox: &mut Sandbox, selector: &str) {
+    pub(crate) fn affix_data_target(&self, sandbox: &mut Sandbox, selector: &str) {
         if in_range(&self.version, "2.1.0", "3.4.0") && selector.contains('<') {
             let at = selector.find('<').expect("checked");
             sandbox.insert_and_fire(&selector[at..]);
@@ -141,13 +141,13 @@ fn sanitize(doc: &Document) -> String {
 // ---------------------------------------------------------------------
 
 /// One jQuery-UI build.
-pub struct JQueryUi {
+pub(crate) struct JQueryUi {
     version: Version,
 }
 
 impl JQueryUi {
     /// Instantiates the model.
-    pub fn at(version: &Version) -> JQueryUi {
+    pub(crate) fn at(version: &Version) -> JQueryUi {
         JQueryUi {
             version: version.clone(),
         }
@@ -156,7 +156,7 @@ impl JQueryUi {
     /// Dialog `closeText` sink (CVE-2016-7103). The paper's experiment
     /// shows the *true* range is `[1.10.0, 1.13.0)` — both earlier and
     /// later builds escape the text; the CVE claims `< 1.12.0`.
-    pub fn dialog_close_text(&self, sandbox: &mut Sandbox, close_text: &str) {
+    pub(crate) fn dialog_close_text(&self, sandbox: &mut Sandbox, close_text: &str) {
         if in_range(&self.version, "1.10.0", "1.13.0") {
             sandbox.insert_and_fire(close_text);
         } else {
@@ -165,7 +165,7 @@ impl JQueryUi {
     }
 
     /// Dialog `title` sink (CVE-2010-5312 / CVE-2012-6662): `< 1.10.0`.
-    pub fn dialog_title(&self, sandbox: &mut Sandbox, title: &str) {
+    pub(crate) fn dialog_title(&self, sandbox: &mut Sandbox, title: &str) {
         if self.version < v("1.10.0") {
             sandbox.insert_and_fire(title);
         } else {
@@ -174,7 +174,7 @@ impl JQueryUi {
     }
 
     /// `*-of`-option sinks (CVE-2021-41182/41183/41184): `< 1.13.0`.
-    pub fn position_of_option(&self, sandbox: &mut Sandbox, value: &str) {
+    pub(crate) fn position_of_option(&self, sandbox: &mut Sandbox, value: &str) {
         if self.version < v("1.13.0") {
             if value.contains('<') {
                 let at = value.find('<').expect("checked");
@@ -191,13 +191,13 @@ impl JQueryUi {
 // ---------------------------------------------------------------------
 
 /// One jQuery-Migrate build (paired with a modern jQuery core).
-pub struct JQueryMigrate {
+pub(crate) struct JQueryMigrate {
     version: Version,
 }
 
 impl JQueryMigrate {
     /// Instantiates the model.
-    pub fn at(version: &Version) -> JQueryMigrate {
+    pub(crate) fn at(version: &Version) -> JQueryMigrate {
         JQueryMigrate {
             version: version.clone(),
         }
@@ -207,7 +207,7 @@ impl JQueryMigrate {
     /// construction semantics. The advisory claims only `< 1.2.1`, but the
     /// paper measured the relaxation in every 1.x/2.x build (fixed in the
     /// 3.0.0 rewrite): `[1.0.0, 3.0.0)`.
-    pub fn construct_with_migrate(&self, sandbox: &mut Sandbox, input: &str) {
+    pub(crate) fn construct_with_migrate(&self, sandbox: &mut Sandbox, input: &str) {
         let relaxed = in_range(&self.version, "1.0.0", "3.0.0");
         if relaxed {
             let legacy = Pattern::new(r"^[^<]*(<(?:.|\n)+>)[^>]*$").expect("static pattern");
@@ -226,13 +226,13 @@ impl JQueryMigrate {
 // ---------------------------------------------------------------------
 
 /// One Underscore build.
-pub struct Underscore {
+pub(crate) struct Underscore {
     version: Version,
 }
 
 impl Underscore {
     /// Instantiates the model.
-    pub fn at(version: &Version) -> Underscore {
+    pub(crate) fn at(version: &Version) -> Underscore {
         Underscore {
             version: version.clone(),
         }
@@ -242,7 +242,7 @@ impl Underscore {
     /// setting is spliced into the compiled function source. Before
     /// 1.12.1 it is not validated, so `obj=alert(1)` escapes the `with`
     /// scope. The setting itself appeared in 1.3.2.
-    pub fn template(
+    pub(crate) fn template(
         &self,
         sandbox: &mut Sandbox,
         text: &str,
@@ -273,16 +273,16 @@ impl Underscore {
 // ---------------------------------------------------------------------
 
 /// Step budget that separates linear parses from catastrophic ones.
-pub const REDOS_BUDGET: u64 = 200_000;
+pub(crate) const REDOS_BUDGET: u64 = 200_000;
 
 /// One Moment.js build.
-pub struct Moment {
+pub(crate) struct Moment {
     version: Version,
 }
 
 impl Moment {
     /// Instantiates the model.
-    pub fn at(version: &Version) -> Moment {
+    pub(crate) fn at(version: &Version) -> Moment {
         Moment {
             version: version.clone(),
         }
@@ -293,7 +293,7 @@ impl Moment {
     /// claims `< 2.11.2` — both understated and overstated). Vulnerable
     /// builds run a catastrophic pattern in a backtracking engine; fixed
     /// builds run an equivalent linear scan.
-    pub fn parse_duration(&self, input: &str) -> (BtOutcome, u64) {
+    pub(crate) fn parse_duration(&self, input: &str) -> (BtOutcome, u64) {
         if in_range(&self.version, "2.8.1", "2.15.2") {
             redos(r"^(?:\d+)*(?:[.,]\d+)?:$", input)
         } else {
@@ -302,7 +302,7 @@ impl Moment {
     }
 
     /// RFC-2822 date parsing (CVE-2017-18214): vulnerable before 2.19.3.
-    pub fn parse_rfc2822(&self, input: &str) -> (BtOutcome, u64) {
+    pub(crate) fn parse_rfc2822(&self, input: &str) -> (BtOutcome, u64) {
         if self.version < v("2.19.3") {
             redos(r"^(?:\s*[A-Za-z]+)+,$", input)
         } else {
@@ -316,13 +316,13 @@ impl Moment {
 // ---------------------------------------------------------------------
 
 /// One Prototype build.
-pub struct Prototype {
+pub(crate) struct Prototype {
     version: Version,
 }
 
 impl Prototype {
     /// Instantiates the model.
-    pub fn at(version: &Version) -> Prototype {
+    pub(crate) fn at(version: &Version) -> Prototype {
         Prototype {
             version: version.clone(),
         }
@@ -331,7 +331,7 @@ impl Prototype {
     /// `stripTags`/`unescapeHTML` (CVE-2020-27511): every released build
     /// carries the catastrophic regex — the project never merged the fix
     /// (the pull request has been pending since 2021).
-    pub fn strip_tags(&self, input: &str) -> (BtOutcome, u64) {
+    pub(crate) fn strip_tags(&self, input: &str) -> (BtOutcome, u64) {
         let _ = &self.version; // all versions share the vulnerable path
         redos(r"^<(?:.+)+>$", input)
     }

@@ -11,7 +11,6 @@ use crate::jquery::JQuery;
 use crate::libs::{Bootstrap, JQueryMigrate, JQueryUi, Moment, Prototype, Underscore};
 use crate::sandbox::{JsRealm, JsValue, Sandbox};
 use std::collections::BTreeMap;
-use webvuln_cvedb::LibraryId;
 use webvuln_pattern::BtOutcome;
 use webvuln_version::Version;
 
@@ -27,16 +26,9 @@ pub enum PocResult {
 }
 
 /// A proof-of-concept exploit for one vulnerability report.
-pub trait PocExploit: Send + Sync {
+pub(crate) trait PocExploit: Send + Sync {
     /// The report id this PoC validates (matches `VulnRecord::id`).
     fn id(&self) -> &'static str;
-    /// Target library.
-    fn library(&self) -> LibraryId;
-    /// Whether this PoC existed publicly (7 of them) or was re-implemented
-    /// by the paper's authors.
-    fn preexisting(&self) -> bool;
-    /// One-line description of the attack.
-    fn description(&self) -> &'static str;
     /// Runs the exploit against a build of `version`.
     fn attempt(&self, version: &Version) -> PocResult;
 }
@@ -50,20 +42,12 @@ fn verdict(exploited: bool) -> PocResult {
 }
 
 macro_rules! poc {
-    ($name:ident, $id:literal, $lib:expr, $pre:literal, $desc:literal, |$ver:ident| $body:expr) => {
+    ($name:ident, $id:literal, $desc:literal, |$ver:ident| $body:expr) => {
+        #[doc = $desc]
         struct $name;
         impl PocExploit for $name {
             fn id(&self) -> &'static str {
                 $id
-            }
-            fn library(&self) -> LibraryId {
-                $lib
-            }
-            fn preexisting(&self) -> bool {
-                $pre
-            }
-            fn description(&self) -> &'static str {
-                $desc
             }
             fn attempt(&self, $ver: &Version) -> PocResult {
                 $body
@@ -77,8 +61,6 @@ macro_rules! poc {
 poc!(
     Poc20207656,
     "CVE-2020-7656",
-    LibraryId::JQuery,
-    true,
     "load() evaluates <script> in fetched fragments (paper Listings 1-2)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -94,8 +76,6 @@ poc!(
 poc!(
     Poc202011023,
     "CVE-2020-11023",
-    LibraryId::JQuery,
-    false,
     "htmlPrefilter mutation XSS via <option> fragments",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -109,8 +89,6 @@ poc!(
 poc!(
     Poc202011022,
     "CVE-2020-11022",
-    LibraryId::JQuery,
-    false,
     "htmlPrefilter mutation XSS through .html() after sanitization",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -123,8 +101,6 @@ poc!(
 poc!(
     Poc201911358,
     "CVE-2019-11358",
-    LibraryId::JQuery,
-    false,
     "$.extend(true, {}, …) prototype pollution",
     |version| {
         let mut realm = JsRealm::new();
@@ -141,8 +117,6 @@ poc!(
 poc!(
     Poc20159251,
     "CVE-2015-9251",
-    LibraryId::JQuery,
-    false,
     "cross-domain ajax auto-executes text/javascript responses",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -158,8 +132,6 @@ poc!(
 poc!(
     Poc20146071,
     "CVE-2014-6071",
-    LibraryId::JQuery,
-    true,
     "reflected XSS creating <option> elements at runtime (seclists PoC)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -172,8 +144,6 @@ poc!(
 poc!(
     Poc20126708,
     "CVE-2012-6708",
-    LibraryId::JQuery,
-    false,
     "jQuery(strInput) treats selector-looking strings as HTML",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -188,8 +158,6 @@ poc!(
 poc!(
     Poc20114969,
     "CVE-2011-4969",
-    LibraryId::JQuery,
-    false,
     "$(location.hash) parses the URL fragment as HTML",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -206,8 +174,6 @@ poc!(
 poc!(
     Poc20198331,
     "CVE-2019-8331",
-    LibraryId::Bootstrap,
-    false,
     "tooltip/popover template XSS (sanitizer added in 3.4.1/4.3.1)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -220,8 +186,6 @@ poc!(
 poc!(
     Poc201820676,
     "CVE-2018-20676",
-    LibraryId::Bootstrap,
-    false,
     "affix data-target selector XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -236,8 +200,6 @@ poc!(
 poc!(
     Poc201820677,
     "CVE-2018-20677",
-    LibraryId::Bootstrap,
-    true,
     "collapse data-parent selector XSS (jsbin PoC)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -252,8 +214,6 @@ poc!(
 poc!(
     Poc201814042,
     "CVE-2018-14042",
-    LibraryId::Bootstrap,
-    false,
     "tooltip data-container property XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -268,8 +228,6 @@ poc!(
 poc!(
     Poc201814041,
     "CVE-2018-14041",
-    LibraryId::Bootstrap,
-    false,
     "scrollspy data-viewport XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -284,8 +242,6 @@ poc!(
 poc!(
     Poc201814040,
     "CVE-2018-14040",
-    LibraryId::Bootstrap,
-    true,
     "collapse data-target XSS (jsbin PoC)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -300,8 +256,6 @@ poc!(
 poc!(
     Poc201610735,
     "CVE-2016-10735",
-    LibraryId::Bootstrap,
-    true,
     "affix/scrollspy data-target XSS (jsbin PoC)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -318,8 +272,6 @@ poc!(
 poc!(
     PocMigrate,
     "SNYK-JQUERY-MIGRATE-XSS",
-    LibraryId::JQueryMigrate,
-    true,
     "Migrate restores legacy HTML-anywhere jQuery() semantics (jsbin PoC)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -336,8 +288,6 @@ poc!(
 poc!(
     Poc20105312,
     "CVE-2010-5312",
-    LibraryId::JQueryUi,
-    false,
     "dialog title option XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -350,8 +300,6 @@ poc!(
 poc!(
     Poc20126662,
     "CVE-2012-6662",
-    LibraryId::JQueryUi,
-    false,
     "tooltip content option XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -364,8 +312,6 @@ poc!(
 poc!(
     Poc20167103,
     "CVE-2016-7103",
-    LibraryId::JQueryUi,
-    true,
     "dialog closeText XSS (github issue PoC)",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -378,8 +324,6 @@ poc!(
 poc!(
     Poc202141182,
     "CVE-2021-41182",
-    LibraryId::JQueryUi,
-    false,
     "datepicker altField option XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -394,8 +338,6 @@ poc!(
 poc!(
     Poc202141183,
     "CVE-2021-41183",
-    LibraryId::JQueryUi,
-    false,
     "datepicker text-option XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -410,8 +352,6 @@ poc!(
 poc!(
     Poc202141184,
     "CVE-2021-41184",
-    LibraryId::JQueryUi,
-    false,
     ".position() of-option XSS",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -428,8 +368,6 @@ poc!(
 poc!(
     Poc202123358,
     "CVE-2021-23358",
-    LibraryId::Underscore,
-    false,
     "_.template variable-setting arbitrary code injection",
     |version| {
         let mut sandbox = Sandbox::new();
@@ -447,8 +385,6 @@ poc!(
 poc!(
     Poc201718214,
     "CVE-2017-18214",
-    LibraryId::MomentJs,
-    false,
     "RFC-2822 parsing ReDoS",
     |version| {
         let evil = format!("{}!", "a".repeat(30));
@@ -460,8 +396,6 @@ poc!(
 poc!(
     Poc20164055,
     "CVE-2016-4055",
-    LibraryId::MomentJs,
-    false,
     "duration parsing ReDoS",
     |version| {
         let evil = format!("{}!", "1".repeat(40));
@@ -475,8 +409,6 @@ poc!(
 poc!(
     Poc202027511,
     "CVE-2020-27511",
-    LibraryId::Prototype,
-    false,
     "stripTags/unescapeHTML ReDoS (unpatched)",
     |version| {
         let evil = format!("<{}", "x".repeat(30));
@@ -488,14 +420,12 @@ poc!(
 poc!(
     Poc20207993,
     "CVE-2020-7993",
-    LibraryId::Prototype,
-    false,
     "missing authorization — affected build no longer distributed",
     |_version| PocResult::Unavailable
 );
 
 /// The full PoC corpus, one entry per vulnerability report.
-pub fn poc_corpus() -> Vec<Box<dyn PocExploit>> {
+pub(crate) fn poc_corpus() -> Vec<Box<dyn PocExploit>> {
     vec![
         Box::new(Poc20207656),
         Box::new(Poc202011023),
@@ -537,23 +467,15 @@ mod tests {
         let records = webvuln_cvedb::builtin_records();
         assert_eq!(corpus.len(), records.len());
         for record in &records {
-            let poc = corpus
-                .iter()
-                .find(|p| p.id() == record.id)
-                .unwrap_or_else(|| panic!("no PoC for {}", record.id));
-            assert_eq!(poc.library(), record.library, "{}", record.id);
-            assert_eq!(
-                poc.preexisting(),
-                record.has_poc,
-                "{}: pre-existing PoC flag",
-                record.id
-            );
+            let found = corpus.iter().any(|p| p.id() == record.id);
+            assert!(found, "no PoC for {}", record.id);
         }
     }
 
     #[test]
     fn seven_pocs_are_preexisting() {
-        let pre = poc_corpus().iter().filter(|p| p.preexisting()).count();
+        let records = webvuln_cvedb::builtin_records();
+        let pre = records.iter().filter(|r| r.has_poc).count();
         assert_eq!(pre, 7, "paper: seven PoCs found in the wild");
     }
 

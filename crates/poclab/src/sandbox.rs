@@ -14,7 +14,7 @@ use webvuln_pattern::Pattern;
 
 /// Execution observations for one PoC run.
 #[derive(Debug, Default)]
-pub struct Sandbox {
+pub(crate) struct Sandbox {
     /// Script bodies that were evaluated.
     pub executed: Vec<String>,
     /// Arguments of observed `alert(...)` calls — the exploit beacon.
@@ -23,12 +23,12 @@ pub struct Sandbox {
 
 impl Sandbox {
     /// A fresh environment.
-    pub fn new() -> Sandbox {
+    pub(crate) fn new() -> Sandbox {
         Sandbox::default()
     }
 
     /// Evaluates a script body: records it and extracts `alert()` beacons.
-    pub fn eval_script(&mut self, source: &str) {
+    pub(crate) fn eval_script(&mut self, source: &str) {
         static ALERT: std::sync::OnceLock<Pattern> = std::sync::OnceLock::new();
         let alert = ALERT
             .get_or_init(|| Pattern::new(r#"alert\(\s*['"]?([^'")]*)"#).expect("static pattern"));
@@ -41,7 +41,7 @@ impl Sandbox {
     /// Inserts parsed markup into the document: `<script>` elements are
     /// evaluated (matching `domManip`/`globalEval` semantics), but event
     /// handlers do **not** fire — that needs [`Sandbox::fire_error_events`].
-    pub fn insert_markup(&mut self, doc: &Document) {
+    pub(crate) fn insert_markup(&mut self, doc: &Document) {
         for element in doc.elements() {
             if element.name == "script" {
                 let body = element.text_content();
@@ -55,7 +55,7 @@ impl Sandbox {
     /// Models the browser firing `onerror` for broken images and `on*`
     /// mouse handlers the PoC can trigger: any element carrying an
     /// event-handler attribute executes it.
-    pub fn fire_error_events(&mut self, doc: &Document) {
+    pub(crate) fn fire_error_events(&mut self, doc: &Document) {
         for element in doc.elements() {
             for (name, value) in &element.attrs {
                 if name.starts_with("on") && !value.trim().is_empty() {
@@ -67,20 +67,20 @@ impl Sandbox {
 
     /// Convenience: insert markup and fire events, as a DOM insertion of
     /// attacker-controlled HTML would end up doing.
-    pub fn insert_and_fire(&mut self, html: &str) {
+    pub(crate) fn insert_and_fire(&mut self, html: &str) {
         let doc = Document::parse(html);
         self.insert_markup(&doc);
         self.fire_error_events(&doc);
     }
 
     /// True when any alert beacon fired — the exploit succeeded.
-    pub fn exploited(&self) -> bool {
+    pub(crate) fn exploited(&self) -> bool {
         !self.alerts.is_empty()
     }
 }
 
 /// HTML-escapes text (what a safe sink does with untrusted input).
-pub fn escape_html(text: &str) -> String {
+pub(crate) fn escape_html(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {
@@ -96,7 +96,7 @@ pub fn escape_html(text: &str) -> String {
 }
 
 /// Serializes a parsed DOM back to markup (used by sanitizer models).
-pub fn serialize(doc: &Document) -> String {
+pub(crate) fn serialize(doc: &Document) -> String {
     let mut out = String::new();
     for node in &doc.children {
         serialize_node(node, &mut out);
@@ -139,13 +139,9 @@ fn serialize_element(e: &Element, out: &mut String) {
 
 /// A JavaScript value in the miniature object model.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsValue {
-    /// String.
-    Str(String),
+pub(crate) enum JsValue {
     /// Boolean.
     Bool(bool),
-    /// Number (integer model suffices for the experiments).
-    Num(i64),
     /// Nested object (own properties only).
     Object(BTreeMap<String, JsValue>),
 }
@@ -153,29 +149,19 @@ pub enum JsValue {
 /// A JavaScript realm: `Object.prototype` shared by every plain object —
 /// the thing prototype pollution corrupts.
 #[derive(Debug, Default)]
-pub struct JsRealm {
+pub(crate) struct JsRealm {
     /// Properties on `Object.prototype`.
     pub object_prototype: BTreeMap<String, JsValue>,
 }
 
 impl JsRealm {
     /// A clean realm.
-    pub fn new() -> JsRealm {
+    pub(crate) fn new() -> JsRealm {
         JsRealm::default()
     }
 
-    /// Property lookup as any object in the realm would see it: own
-    /// properties first, then the (possibly polluted) prototype.
-    pub fn lookup<'a>(
-        &'a self,
-        object: &'a BTreeMap<String, JsValue>,
-        key: &str,
-    ) -> Option<&'a JsValue> {
-        object.get(key).or_else(|| self.object_prototype.get(key))
-    }
-
     /// True when the prototype carries `key` — pollution detector.
-    pub fn is_polluted(&self, key: &str) -> bool {
+    pub(crate) fn is_polluted(&self, key: &str) -> bool {
         self.object_prototype.contains_key(key)
     }
 }
@@ -230,19 +216,5 @@ mod tests {
         assert!(s.contains("<div class=\"a\">"));
         assert!(s.contains("<b>hi</b>"));
         assert!(s.contains("there"));
-    }
-
-    #[test]
-    fn realm_lookup_falls_back_to_prototype() {
-        let mut realm = JsRealm::new();
-        let mut obj = BTreeMap::new();
-        obj.insert("own".to_string(), JsValue::Num(1));
-        assert_eq!(realm.lookup(&obj, "own"), Some(&JsValue::Num(1)));
-        assert_eq!(realm.lookup(&obj, "isAdmin"), None);
-        realm
-            .object_prototype
-            .insert("isAdmin".to_string(), JsValue::Bool(true));
-        assert_eq!(realm.lookup(&obj, "isAdmin"), Some(&JsValue::Bool(true)));
-        assert!(realm.is_polluted("isAdmin"));
     }
 }

@@ -35,7 +35,7 @@ pub enum BreakerState {
 /// One host's breaker.
 ///
 /// Time is counted in *rounds* (crawl weeks), not wall clock: the
-/// collector calls [`tick`](CircuitBreaker::tick) once per round, which
+/// collector calls `tick` once per round, which
 /// makes every transition a pure function of the host's own outcome
 /// sequence — reproducible regardless of scheduling, and replayable from
 /// a checkpointed store.
@@ -49,7 +49,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with no recorded failures.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
+    pub(crate) fn new(config: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker {
             config,
             state: BreakerState::Closed,
@@ -58,19 +58,14 @@ impl CircuitBreaker {
         }
     }
 
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
     /// Whether a request may proceed right now.
-    pub fn allow(&self) -> bool {
+    pub(crate) fn allow(&self) -> bool {
         !matches!(self.state, BreakerState::Open)
     }
 
     /// Records a successful exchange: the breaker closes and the failure
     /// streak resets.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
         self.cooldown_left = 0;
@@ -79,7 +74,7 @@ impl CircuitBreaker {
     /// Records a failed exchange. In `Closed`, the streak grows and the
     /// breaker opens at the threshold; in `HalfOpen`, the probe failed
     /// and the breaker re-opens for a full cooldown.
-    pub fn record_failure(&mut self) {
+    pub(crate) fn record_failure(&mut self) {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
@@ -93,7 +88,7 @@ impl CircuitBreaker {
     }
 
     /// Advances one round: an open breaker counts down toward half-open.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         if self.state == BreakerState::Open {
             self.cooldown_left = self.cooldown_left.saturating_sub(1);
             if self.cooldown_left == 0 {
@@ -173,16 +168,6 @@ impl HostBreakers {
         }
     }
 
-    /// The state of `host`'s breaker (closed when never recorded).
-    pub fn state(&self, host: &str) -> BreakerState {
-        self.shard(host)
-            .lock()
-            .expect("breaker shard lock")
-            .get(host)
-            .map(CircuitBreaker::state)
-            .unwrap_or(BreakerState::Closed)
-    }
-
     /// Ends a crawl round: every breaker ticks once.
     pub fn tick_round(&self) {
         for shard in &self.shards {
@@ -191,26 +176,45 @@ impl HostBreakers {
             }
         }
     }
-
-    /// Number of breakers currently open.
-    pub fn open_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .lock()
-                    .expect("breaker shard lock")
-                    .values()
-                    .filter(|b| b.state() == BreakerState::Open)
-                    .count()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CircuitBreaker {
+        /// Current state.
+        fn state(&self) -> BreakerState {
+            self.state
+        }
+    }
+
+    impl HostBreakers {
+        /// The state of `host`'s breaker (closed when never recorded).
+        fn state(&self, host: &str) -> BreakerState {
+            self.shard(host)
+                .lock()
+                .expect("breaker shard lock")
+                .get(host)
+                .map(CircuitBreaker::state)
+                .unwrap_or(BreakerState::Closed)
+        }
+
+        /// Number of breakers currently open.
+        fn open_count(&self) -> usize {
+            self.shards
+                .iter()
+                .map(|shard| {
+                    shard
+                        .lock()
+                        .expect("breaker shard lock")
+                        .values()
+                        .filter(|b| b.state() == BreakerState::Open)
+                        .count()
+                })
+                .sum()
+        }
+    }
 
     fn config(threshold: u32, cooldown: u32) -> BreakerConfig {
         BreakerConfig {

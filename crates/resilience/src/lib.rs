@@ -30,7 +30,10 @@
 //! ```
 //! use webvuln_resilience::{RetryPolicy, VirtualClock};
 //!
-//! let policy = RetryPolicy::standard(3).with_seed(42);
+//! let policy = RetryPolicy {
+//!     seed: 42,
+//!     ..RetryPolicy::standard(3)
+//! };
 //! let clock = VirtualClock::new();
 //! for attempt in 0..policy.retries() {
 //!     clock.advance(policy.backoff_ns("flaky.example", attempt));

@@ -49,12 +49,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Returns the policy with `seed` mixed into jitter decisions.
-    pub fn with_seed(mut self, seed: u64) -> RetryPolicy {
-        self.seed = seed;
-        self
-    }
-
     /// Extra attempts after the first.
     pub fn retries(&self) -> u32 {
         self.max_attempts.saturating_sub(1)
@@ -164,7 +158,10 @@ mod tests {
 
     #[test]
     fn jitter_is_bounded_and_deterministic() {
-        let policy = RetryPolicy::standard(5).with_seed(99);
+        let policy = RetryPolicy {
+            seed: 99,
+            ..RetryPolicy::standard(5)
+        };
         for attempt in 0..5 {
             for host in ["a.example", "b.example", "c.example"] {
                 let base = RetryPolicy {
@@ -185,7 +182,10 @@ mod tests {
 
     #[test]
     fn jitter_decorrelates_hosts() {
-        let policy = RetryPolicy::standard(3).with_seed(7);
+        let policy = RetryPolicy {
+            seed: 7,
+            ..RetryPolicy::standard(3)
+        };
         let delays: std::collections::HashSet<u64> = (0..100)
             .map(|i| policy.backoff_ns(&format!("host{i}.example"), 0))
             .collect();
@@ -194,8 +194,14 @@ mod tests {
 
     #[test]
     fn different_seeds_move_the_jitter() {
-        let a = RetryPolicy::standard(3).with_seed(1);
-        let b = RetryPolicy::standard(3).with_seed(2);
+        let a = RetryPolicy {
+            seed: 1,
+            ..RetryPolicy::standard(3)
+        };
+        let b = RetryPolicy {
+            seed: 2,
+            ..RetryPolicy::standard(3)
+        };
         let differs =
             (0..50).any(|i| a.backoff_ns(&format!("h{i}"), 1) != b.backoff_ns(&format!("h{i}"), 1));
         assert!(differs);
@@ -203,7 +209,10 @@ mod tests {
 
     #[test]
     fn full_jitter_is_bounded_by_the_capped_delay() {
-        let policy = RetryPolicy::standard(10).with_seed(42);
+        let policy = RetryPolicy {
+            seed: 42,
+            ..RetryPolicy::standard(10)
+        };
         for attempt in 0..8 {
             let capped = RetryPolicy {
                 jitter_permille: 0,
@@ -219,7 +228,10 @@ mod tests {
 
     #[test]
     fn full_jitter_is_deterministic_under_a_fixed_seed() {
-        let policy = RetryPolicy::standard(5).with_seed(0xC0FFEE);
+        let policy = RetryPolicy {
+            seed: 0xC0FFEE,
+            ..RetryPolicy::standard(5)
+        };
         let first: Vec<u64> = (0..6)
             .map(|a| policy.full_jitter_backoff_ns("watch.supervisor", a))
             .collect();
@@ -234,7 +246,10 @@ mod tests {
         // Uniform-in-[0, capped] means samples land both well below half
         // the window and well above it — the ± schedule never goes below
         // capped·(1-jitter). 200 hosts give a dense enough sample.
-        let policy = RetryPolicy::standard(5).with_seed(9);
+        let policy = RetryPolicy {
+            seed: 9,
+            ..RetryPolicy::standard(5)
+        };
         let capped = RetryPolicy {
             jitter_permille: 0,
             ..policy
@@ -254,8 +269,14 @@ mod tests {
 
     #[test]
     fn full_jitter_moves_with_the_seed_and_not_the_permille() {
-        let a = RetryPolicy::standard(3).with_seed(1);
-        let b = RetryPolicy::standard(3).with_seed(2);
+        let a = RetryPolicy {
+            seed: 1,
+            ..RetryPolicy::standard(3)
+        };
+        let b = RetryPolicy {
+            seed: 2,
+            ..RetryPolicy::standard(3)
+        };
         assert!((0..50).any(|i| {
             a.full_jitter_backoff_ns(&format!("h{i}"), 1)
                 != b.full_jitter_backoff_ns(&format!("h{i}"), 1)

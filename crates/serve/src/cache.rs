@@ -53,7 +53,7 @@ impl<V> Shard<V> {
 
 /// A sharded LRU keyed by `String`. Values are cloned out on hit, so
 /// callers typically store `Arc`s.
-pub struct ShardedLru<V> {
+pub(crate) struct ShardedLru<V> {
     shards: Vec<Mutex<Shard<V>>>,
     per_shard_cap: usize,
     seed: u64,
@@ -62,7 +62,7 @@ pub struct ShardedLru<V> {
 impl<V: Clone> ShardedLru<V> {
     /// A cache holding at most `capacity` entries across `shards` shards
     /// (both floored to 1). `seed` fixes the key→shard mapping.
-    pub fn new(capacity: usize, shards: usize, seed: u64) -> ShardedLru<V> {
+    pub(crate) fn new(capacity: usize, shards: usize, seed: u64) -> ShardedLru<V> {
         let shards = shards.max(1);
         let per_shard_cap = capacity.max(1).div_ceil(shards);
         ShardedLru {
@@ -81,7 +81,7 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// The shard index for `key` (deterministic per seed).
-    pub fn shard_of(&self, key: &str) -> usize {
+    pub(crate) fn shard_of(&self, key: &str) -> usize {
         let mut h = self.seed ^ 0x51_7c_c1_b7_27_22_0a_95;
         for chunk in key.as_bytes().chunks(8) {
             let mut word = [0u8; 8];
@@ -97,7 +97,7 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// Looks up `key`, refreshing its recency on hit.
-    pub fn get(&self, key: &str) -> Option<V> {
+    pub(crate) fn get(&self, key: &str) -> Option<V> {
         let mut shard = self.shard(key);
         let tick = shard.tick();
         shard.touch(key, tick).map(|entry| entry.value.clone())
@@ -105,7 +105,7 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Inserts `key`, evicting the shard's least-recently-used entry if
     /// the shard is at capacity.
-    pub fn insert(&self, key: String, value: V) {
+    pub(crate) fn insert(&self, key: String, value: V) {
         let mut shard = self.shard(&key);
         let tick = shard.tick();
         if let Some(entry) = shard.touch(&key, tick) {
@@ -126,24 +126,21 @@ impl<V: Clone> ShardedLru<V> {
             },
         );
     }
-
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<V: Clone> ShardedLru<V> {
+        /// Total entries across all shards.
+        fn len(&self) -> usize {
+            self.shards
+                .iter()
+                .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).map.len())
+                .sum()
+        }
+    }
 
     /// The eviction before the recency order, kept as the oracle: one
     /// shard whose insert scans every entry for the oldest.

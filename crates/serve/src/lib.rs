@@ -6,7 +6,7 @@
 //!
 //! Layering, bottom-up:
 //!
-//! * [`ShardedLru`] — the seeded, shard-locked response cache for hot
+//! * `ShardedLru` — the seeded, shard-locked response cache for hot
 //!   tables, keyed by a route's canonical path.
 //! * [`Route`] / [`route`] — the request router and structured
 //!   [`ApiError`] responses (404/400/405/503).
@@ -50,12 +50,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+pub(crate) mod cache;
 mod router;
 mod server;
 mod service;
 
-pub use cache::ShardedLru;
 pub use router::{route, ApiError, Route};
 pub use server::{ApiHandler, ApiServer, FAILPOINTS};
 pub use service::QueryService;

@@ -25,7 +25,7 @@ impl Route {
     /// Every route's label, in variant order — the one table of them:
     /// [`Route::label`] indexes it and the server registers a latency
     /// histogram per entry.
-    pub const LABELS: [&'static str; 6] = [
+    pub(crate) const LABELS: [&'static str; 6] = [
         "healthz",
         "domain_history",
         "library_prevalence",
@@ -47,13 +47,13 @@ impl Route {
     }
 
     /// Short label used in metric names and fail-point keys.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         Route::LABELS[self.index()]
     }
 
     /// The route's canonical path — what [`route`] parses back to this
     /// route, however the request spelled it — and so the cache key.
-    pub fn path(&self) -> String {
+    pub(crate) fn path(&self) -> String {
         match self {
             Route::Healthz => "/healthz".to_string(),
             Route::DomainHistory(d) => format!("/domain/{d}/history"),
@@ -67,7 +67,7 @@ impl Route {
     /// Whether responses for this route may be served from the LRU cache.
     /// `/healthz` reports live counters and `/alerts` reads the watch
     /// daemon's outbox files, so neither is ever cached.
-    pub fn cacheable(&self) -> bool {
+    pub(crate) fn cacheable(&self) -> bool {
         !matches!(self, Route::Healthz | Route::Alerts)
     }
 }
@@ -85,7 +85,7 @@ pub enum ApiError {
 
 impl ApiError {
     /// The HTTP status this error maps to.
-    pub fn status(&self) -> Status {
+    pub(crate) fn status(&self) -> Status {
         match self {
             ApiError::NotFound(_) => Status::NOT_FOUND,
             ApiError::BadRequest(d) if d.starts_with("method ") => Status(405),
@@ -95,7 +95,7 @@ impl ApiError {
     }
 
     /// Renders the error as a JSON response.
-    pub fn to_response(&self) -> Response {
+    pub(crate) fn to_response(&self) -> Response {
         let (kind, detail) = match self {
             ApiError::NotFound(d) => ("not found", d),
             ApiError::BadRequest(d) => ("bad request", d),
@@ -213,7 +213,7 @@ mod tests {
         let err = route(&req).unwrap_err();
         assert_eq!(err.status(), Status(405));
         let resp = err.to_response();
-        assert!(resp.body_text().contains("\"error\":\"bad request\""));
+        assert!(String::from_utf8_lossy(&resp.body).contains("\"error\":\"bad request\""));
     }
 
     #[test]
@@ -221,7 +221,7 @@ mod tests {
         let resp = ApiError::NotFound("unknown domain 'x'".into()).to_response();
         assert_eq!(resp.status, Status::NOT_FOUND);
         assert_eq!(
-            resp.body_text(),
+            String::from_utf8_lossy(&resp.body),
             r#"{"error":"not found","detail":"unknown domain 'x'"}"#
         );
     }

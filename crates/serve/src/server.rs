@@ -88,7 +88,7 @@ pub struct ApiHandler {
 
 impl ApiHandler {
     /// Builds a handler over `service` with a fresh cache.
-    pub fn new(
+    pub(crate) fn new(
         service: Arc<QueryService>,
         config: &ServeConfig,
         registry: &Registry,

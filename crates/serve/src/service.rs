@@ -184,11 +184,6 @@ impl QueryService {
         self
     }
 
-    /// The attached watch root, if any.
-    pub fn watch_root(&self) -> Option<&Path> {
-        self.watch_root.as_deref()
-    }
-
     /// The underlying store reader (tests inspect it).
     pub fn reader(&self) -> &AnyReader {
         &self.reader
@@ -261,7 +256,7 @@ impl QueryService {
     /// `GET /alerts`: the watch daemon's outbox, read through the
     /// daemon-safe snapshot loader (no healing writes). 404 when the
     /// server was started without a watch root.
-    pub fn alerts(&self) -> Result<String, ApiError> {
+    pub(crate) fn alerts(&self) -> Result<String, ApiError> {
         let root = self.watch_root.as_deref().ok_or_else(|| {
             ApiError::NotFound("live alerting not enabled (no watch root)".to_string())
         })?;
@@ -342,7 +337,7 @@ impl QueryService {
 
     /// `GET /library/{lib}/prevalence`: the library's Table 1 row plus
     /// its Figure 3 weekly usage-share series.
-    pub fn library_prevalence(&self, slug: &str) -> Result<String, ApiError> {
+    pub(crate) fn library_prevalence(&self, slug: &str) -> Result<String, ApiError> {
         let library = LibraryId::from_slug(slug)
             .ok_or_else(|| ApiError::NotFound(format!("unknown library '{slug}'")))?;
         let row = self
@@ -379,7 +374,7 @@ impl QueryService {
 
     /// `GET /week/{w}/landscape`: per-library users and share for one
     /// week, consistent with the Figure 3 series at that index.
-    pub fn week_landscape(&self, week: usize) -> Result<String, ApiError> {
+    pub(crate) fn week_landscape(&self, week: usize) -> Result<String, ApiError> {
         let snapshot = self.landscape.week(week).ok_or_else(|| {
             ApiError::NotFound(format!(
                 "week {week} out of range (store holds {})",
@@ -407,7 +402,7 @@ impl QueryService {
 
     /// `GET /cve/{id}/exposure`: the report's Table 2 / Figure 5 series
     /// plus its exposure window under True Vulnerable Versions.
-    pub fn cve_exposure(&self, id: &str) -> Result<String, ApiError> {
+    pub(crate) fn cve_exposure(&self, id: &str) -> Result<String, ApiError> {
         let impact: &CveImpact = self
             .impacts
             .iter()

@@ -31,23 +31,23 @@ const fn build_table() -> [u32; 256] {
 
 /// An incremental CRC-32 state.
 #[derive(Clone, Copy)]
-pub struct Crc32(u32);
+pub(crate) struct Crc32(u32);
 
 impl Crc32 {
     /// A fresh state.
-    pub fn new() -> Crc32 {
+    pub(crate) fn new() -> Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
     /// Folds `data` into the state.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         for &byte in data {
             self.0 = (self.0 >> 8) ^ TABLE[((self.0 ^ u32::from(byte)) & 0xff) as usize];
         }
     }
 
     /// The final checksum.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }

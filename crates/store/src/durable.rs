@@ -89,13 +89,6 @@ impl AppendLog {
         Ok(())
     }
 
-    /// The clean length: everything before it is synced. (A sync point,
-    /// not a size, so there is no `is_empty`.)
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
     /// Appends synced since open.
     pub fn syncs(&self) -> u64 {
         self.syncs
@@ -192,8 +185,8 @@ mod tests {
                     ends.push(ends.last().unwrap() + record.len() as u64);
                 }
                 log.append(&batch.concat()).expect("append");
-                assert_eq!(log.len(), *ends.last().unwrap());
-                synced.push(log.len());
+                assert_eq!(log.len, *ends.last().unwrap());
+                synced.push(log.len);
             }
             assert_eq!(log.syncs(), batches.len() as u64);
             drop(log);
@@ -204,10 +197,10 @@ mod tests {
             fs::write(&path, &full[..cut as usize]).expect("tear");
             let (mut log, clean) = AppendLog::open(&path, rule).expect("reopen");
             assert_eq!(clean, &full[..ends[whole] as usize], "cut at {cut}");
-            assert_eq!(log.len(), ends[whole], "cut at {cut}");
+            assert_eq!(log.len, ends[whole], "cut at {cut}");
             let last_synced = synced.iter().rev().find(|&&len| len <= cut).unwrap();
-            assert!(log.len() >= *last_synced, "cut at {cut} lost a synced byte");
-            assert_eq!(fs::metadata(&path).expect("stat").len(), log.len());
+            assert!(log.len >= *last_synced, "cut at {cut} lost a synced byte");
+            assert_eq!(fs::metadata(&path).expect("stat").len(), log.len);
 
             let (mut seen, mut appends) = (0, 0);
             for batch in &batches {

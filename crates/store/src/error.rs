@@ -81,7 +81,7 @@ pub enum StoreError {
 
 impl StoreError {
     /// Builds a [`StoreError::Corrupt`].
-    pub fn corrupt(offset: u64, detail: impl Into<String>) -> StoreError {
+    pub(crate) fn corrupt(offset: u64, detail: impl Into<String>) -> StoreError {
         StoreError::Corrupt {
             offset,
             detail: detail.into(),
@@ -89,7 +89,7 @@ impl StoreError {
     }
 
     /// Wraps an I/O error with the path it happened on.
-    pub fn io(path: &std::path::Path, source: io::Error) -> StoreError {
+    pub(crate) fn io(path: &std::path::Path, source: io::Error) -> StoreError {
         StoreError::Io {
             path: path.display().to_string(),
             source,

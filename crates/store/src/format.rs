@@ -40,30 +40,30 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// File magic: identifies a webvuln snapshot store.
-pub const MAGIC: [u8; 8] = *b"WVSTORE\0";
+pub(crate) const MAGIC: [u8; 8] = *b"WVSTORE\0";
 /// Trailing footer magic, read backwards from the file tail.
-pub const FOOTER_MAGIC: [u8; 8] = *b"WVSFOOT\0";
+pub(crate) const FOOTER_MAGIC: [u8; 8] = *b"WVSFOOT\0";
 /// Current (and only) format version.
 pub const FORMAT_VERSION: u32 = 1;
 /// Byte length of the fixed file header.
-pub const HEADER_LEN: u64 = 16;
+pub(crate) const HEADER_LEN: u64 = 16;
 /// Byte length of a segment envelope around its payload (kind + len + crc).
-pub const ENVELOPE_OVERHEAD: u64 = 9;
+pub(crate) const ENVELOPE_OVERHEAD: u64 = 9;
 
 /// Segment kind tags.
-pub mod kind {
+pub(crate) mod kind {
     /// Timeline + rank list; always the first segment.
-    pub const GENESIS: u8 = 0;
+    pub(crate) const GENESIS: u8 = 0;
     /// One committed weekly snapshot.
-    pub const WEEK: u8 = 1;
+    pub(crate) const WEEK: u8 = 1;
     /// The inaccessibility-filter verdict; closes the store.
-    pub const FINALIZE: u8 = 2;
+    pub(crate) const FINALIZE: u8 = 2;
     /// The rewritten tail index (not a data segment).
-    pub const FOOTER: u8 = 0xFF;
+    pub(crate) const FOOTER: u8 = 0xFF;
 }
 
 /// The 16-byte file header.
-pub fn encode_header() -> [u8; 16] {
+pub(crate) fn encode_header() -> [u8; 16] {
     let mut header = [0u8; 16];
     header[..8].copy_from_slice(&MAGIC);
     header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -71,7 +71,7 @@ pub fn encode_header() -> [u8; 16] {
 }
 
 /// Wraps `payload` in a segment envelope.
-pub fn encode_segment(kind: u8, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_segment(kind: u8, payload: &[u8]) -> Vec<u8> {
     let len = u32::try_from(payload.len()).expect("segment payload under 4 GiB");
     let mut out = Vec::with_capacity(payload.len() + ENVELOPE_OVERHEAD as usize);
     out.push(kind);
@@ -83,7 +83,7 @@ pub fn encode_segment(kind: u8, payload: &[u8]) -> Vec<u8> {
 
 /// Index entry for one data segment, as carried by the footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentMeta {
+pub(crate) struct SegmentMeta {
     /// Segment kind ([`kind`]).
     pub kind: u8,
     /// Week index for week segments, 0 otherwise.
@@ -95,7 +95,7 @@ pub struct SegmentMeta {
 }
 
 /// Encodes the footer (envelope + tail trailer) for `segments`.
-pub fn encode_footer(segments: &[SegmentMeta]) -> Vec<u8> {
+pub(crate) fn encode_footer(segments: &[SegmentMeta]) -> Vec<u8> {
     let mut body = Vec::new();
     write_u64(&mut body, segments.len() as u64);
     for meta in segments {
@@ -112,7 +112,7 @@ pub fn encode_footer(segments: &[SegmentMeta]) -> Vec<u8> {
 }
 
 /// One validated segment as found on disk.
-pub struct RawSegment {
+pub(crate) struct RawSegment {
     /// Segment kind.
     pub kind: u8,
     /// Absolute file offset of the envelope.
@@ -128,13 +128,13 @@ pub struct RawSegment {
 
 impl RawSegment {
     /// Absolute file offset of the first payload byte.
-    pub fn payload_offset(&self) -> u64 {
+    pub(crate) fn payload_offset(&self) -> u64 {
         self.offset + 5
     }
 
     /// This segment's footer entry. `week` must be supplied by the
     /// structural layer (the envelope does not repeat it).
-    pub fn meta(&self, week: usize) -> SegmentMeta {
+    pub(crate) fn meta(&self, week: usize) -> SegmentMeta {
         SegmentMeta {
             kind: self.kind,
             week,
@@ -145,7 +145,7 @@ impl RawSegment {
 }
 
 /// Result of walking a store file front to back.
-pub struct Scan {
+pub(crate) struct Scan {
     /// Every structurally valid data segment, in file order.
     pub segments: Vec<RawSegment>,
     /// Offset one past the last valid data segment — where the next
@@ -175,7 +175,7 @@ fn check_header(bytes: &[u8]) -> Result<(), StoreError> {
 /// weeks count 0, 1, 2, … is checked by [`index`], which decodes their
 /// headers. Stops at the first invalid byte: everything before it is the
 /// recovered store, everything after is the torn tail.
-pub fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
+pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
     check_header(bytes)?;
     let scanned = scan_from(&bytes[HEADER_LEN as usize..], HEADER_LEN, None);
     if scanned.segments.is_empty() {
@@ -186,7 +186,7 @@ pub fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
 
 /// [`scan`] from byte `base` on — `tail` holds the file from there — after
 /// a segment of kind `last` (`None`: right after the header).
-pub fn scan_from(tail: &[u8], base: u64, mut last: Option<u8>) -> Scan {
+pub(crate) fn scan_from(tail: &[u8], base: u64, mut last: Option<u8>) -> Scan {
     let mut segments = Vec::new();
     let (mut pos, mut data_end, mut valid_end, mut had_footer) = (0, 0, 0, false);
     while let Some(mut segment) = read_envelope(tail, pos) {
@@ -274,7 +274,7 @@ fn encode_string_block(table: &Interner, out: &mut Vec<u8>) {
 
 /// Decodes a segment's string block into `table`, extending the symbol
 /// space in writer order.
-pub fn decode_string_block(
+pub(crate) fn decode_string_block(
     cur: &mut Cursor<'_>,
     table: &mut Interner,
     base_offset: u64,
@@ -289,7 +289,7 @@ pub fn decode_string_block(
 }
 
 /// Encodes the genesis payload, interning every domain name.
-pub fn encode_genesis(genesis: &Genesis, table: &mut Interner) -> Vec<u8> {
+pub(crate) fn encode_genesis(genesis: &Genesis, table: &mut Interner) -> Vec<u8> {
     table.set_mark();
     let mut body = Vec::new();
     write_i64(&mut body, genesis.start_days);
@@ -306,7 +306,7 @@ pub fn encode_genesis(genesis: &Genesis, table: &mut Interner) -> Vec<u8> {
 }
 
 /// Decodes a genesis payload (string block included).
-pub fn decode_genesis(
+pub(crate) fn decode_genesis(
     payload: &[u8],
     table: &mut Interner,
     base_offset: u64,
@@ -343,7 +343,7 @@ pub fn decode_genesis(
 /// (unlike `DefaultHasher`), and wide enough that a collision between
 /// *different* bodies of equal length is not a practical concern; the
 /// delta encoder treats equal `(len, hash)` as equal bytes.
-pub fn body_hash(body: &[u8]) -> u128 {
+pub(crate) fn body_hash(body: &[u8]) -> u128 {
     const BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
     let mut hash = BASIS;
@@ -359,7 +359,7 @@ pub fn body_hash(body: &[u8]) -> u128 {
 /// bytes themselves are *not* retained — at paper scale the previous
 /// week's bodies are the single largest resident allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrevBody {
+pub(crate) struct PrevBody {
     /// Absolute file offset of the canonical body.
     pub offset: u64,
     /// Exact encoded length of the body.
@@ -370,7 +370,7 @@ pub struct PrevBody {
 
 impl PrevBody {
     /// Fingerprints `body` as it sits at `offset`.
-    pub fn of(offset: u64, body: &[u8]) -> PrevBody {
+    pub(crate) fn of(offset: u64, body: &[u8]) -> PrevBody {
         PrevBody {
             offset,
             len: body.len(),
@@ -381,10 +381,10 @@ impl PrevBody {
 
 /// Per-host state the delta encoder carries from the previous committed
 /// week.
-pub type PrevWeek = HashMap<u32, PrevBody>;
+pub(crate) type PrevWeek = HashMap<u32, PrevBody>;
 
 /// Everything [`encode_week`] produces.
-pub struct EncodedWeek {
+pub(crate) struct EncodedWeek {
     /// The segment payload, ready for [`encode_segment`].
     pub payload: Vec<u8>,
     /// Delta state to carry into the next week's encode.
@@ -417,7 +417,7 @@ struct EncEntry {
 ///
 /// Records must be sorted by host name; the canonical encoding (and the
 /// byte-identical comparison underlying delta hits) depends on it.
-pub fn encode_week<S: AsRef<str>, R: Borrow<DomainRecord<S>>>(
+pub(crate) fn encode_week<S: AsRef<str>, R: Borrow<DomainRecord<S>>>(
     week: &WeekData<R>,
     table: &mut Interner,
     prev: &PrevWeek,
@@ -515,7 +515,7 @@ pub fn encode_week<S: AsRef<str>, R: Borrow<DomainRecord<S>>>(
 
 /// The cheaply-decoded part of a week segment: header fields and the
 /// random-access index, with record bodies left untouched.
-pub struct WeekPrefix {
+pub(crate) struct WeekPrefix {
     /// Week index.
     pub week: usize,
     /// Snapshot date, days since epoch.
@@ -530,7 +530,7 @@ pub struct WeekPrefix {
 
 /// Decodes a week payload's string block, header, and index — skipping
 /// the records region entirely.
-pub fn decode_week_prefix(
+pub(crate) fn decode_week_prefix(
     payload: &[u8],
     table: &mut Interner,
     base_offset: u64,
@@ -566,7 +566,7 @@ pub fn decode_week_prefix(
 }
 
 /// One record of a fully decoded week, its strings held as `S`.
-pub struct DecodedRecord<'a, S> {
+pub(crate) struct DecodedRecord<'a, S> {
     /// The host's symbol in the file-global table.
     pub host_sym: u32,
     /// Absolute file offset of the canonical (full) body — for
@@ -582,7 +582,7 @@ pub struct DecodedRecord<'a, S> {
 
 /// Finds the scanned segment containing absolute payload offset `abs` and
 /// returns it with the offset translated into its payload.
-pub fn locate(segments: &[RawSegment], abs: u64) -> Option<(&RawSegment, usize)> {
+pub(crate) fn locate(segments: &[RawSegment], abs: u64) -> Option<(&RawSegment, usize)> {
     let idx = segments.partition_point(|seg| seg.payload_offset() <= abs);
     let seg = segments.get(idx.checked_sub(1)?)?;
     let rel = usize::try_from(abs.checked_sub(seg.payload_offset())?).ok()?;
@@ -594,7 +594,7 @@ pub fn locate(segments: &[RawSegment], abs: u64) -> Option<(&RawSegment, usize)>
 
 /// Decodes the record body stored at absolute file offset `abs`, returning
 /// the record and its exact encoded bytes.
-pub fn decode_body_at<'a, S: FromSym<'a>>(
+pub(crate) fn decode_body_at<'a, S: FromSym<'a>>(
     segments: &'a [RawSegment],
     table: &'a Interner,
     host: Sym<'a>,
@@ -610,7 +610,7 @@ pub fn decode_body_at<'a, S: FromSym<'a>>(
 /// Fully decodes the records region of the week segment at
 /// `segments[seg_index]`, resolving back-references through earlier
 /// segments, and cross-checks the region against the on-disk index.
-pub fn decode_week_full<'a, S: FromSym<'a>>(
+pub(crate) fn decode_week_full<'a, S: FromSym<'a>>(
     segments: &'a [RawSegment],
     seg_index: usize,
     prefix: &WeekPrefix,
@@ -682,7 +682,7 @@ pub fn decode_week_full<'a, S: FromSym<'a>>(
 }
 
 /// Encodes the finalize payload: the filtered-out domain list.
-pub fn encode_finalize(filtered_out: &[String], table: &mut Interner) -> Vec<u8> {
+pub(crate) fn encode_finalize(filtered_out: &[String], table: &mut Interner) -> Vec<u8> {
     table.set_mark();
     let mut body = Vec::new();
     write_u64(&mut body, filtered_out.len() as u64);
@@ -696,7 +696,7 @@ pub fn encode_finalize(filtered_out: &[String], table: &mut Interner) -> Vec<u8>
 }
 
 /// Decodes a finalize payload.
-pub fn decode_finalize(
+pub(crate) fn decode_finalize(
     payload: &[u8],
     table: &mut Interner,
     base_offset: u64,
@@ -724,7 +724,7 @@ pub fn decode_finalize(
 /// one structural walk under both `StoreReader::open` and
 /// `StoreWriter::resume`.
 #[derive(Default)]
-pub struct Index {
+pub(crate) struct Index {
     /// The file's string table, in writer symbol order.
     pub table: Interner,
     /// The study metadata.
@@ -739,7 +739,7 @@ pub struct Index {
 /// Decodes every segment's string block and structural part, in file
 /// order, so the table ends up exactly the writer's. A [`scan`] always
 /// begins with the genesis.
-pub fn index(segments: &[RawSegment]) -> Result<Index, StoreError> {
+pub(crate) fn index(segments: &[RawSegment]) -> Result<Index, StoreError> {
     let mut index = Index::default();
     index.extend(segments, 0)?;
     Ok(index)
@@ -748,7 +748,11 @@ pub fn index(segments: &[RawSegment]) -> Result<Index, StoreError> {
 impl Index {
     /// Indexes `segments[from..]` after what `self` already holds: the
     /// segments a file gained since it was indexed.
-    pub fn extend(&mut self, segments: &[RawSegment], from: usize) -> Result<(), StoreError> {
+    pub(crate) fn extend(
+        &mut self,
+        segments: &[RawSegment],
+        from: usize,
+    ) -> Result<(), StoreError> {
         for (i, seg) in segments.iter().enumerate().skip(from) {
             let (payload, base, table) = (&seg.payload, seg.payload_offset(), &mut self.table);
             match seg.kind {
@@ -840,11 +844,6 @@ impl WeekFile {
             records: decoded.into_iter().map(|d| d.record).collect(),
         })
     }
-}
-
-/// Decodes a file written by [`encode_week_file`] into an owned week.
-pub fn decode_week_file(bytes: &[u8]) -> Result<WeekData, StoreError> {
-    Ok(WeekFile::parse(bytes)?.week()?.to_owned())
 }
 
 /// Encodes `genesis` as a standalone file — byte for byte what

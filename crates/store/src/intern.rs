@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 /// An append-only string table with reverse lookup.
 #[derive(Default)]
-pub struct Interner {
+pub(crate) struct Interner {
     strings: Vec<String>,
     /// Reverse map over `strings[..indexed]`. Decoding appends without
     /// filling it — a one-segment decode only ever resolves symbols —
@@ -25,12 +25,12 @@ pub struct Interner {
 
 impl Interner {
     /// An empty table.
-    pub fn new() -> Interner {
+    pub(crate) fn new() -> Interner {
         Interner::default()
     }
 
     /// Returns the symbol for `value`, inserting it if unseen.
-    pub fn intern(&mut self, value: &str) -> u32 {
+    pub(crate) fn intern(&mut self, value: &str) -> u32 {
         self.index_decoded();
         if let Some(&sym) = self.by_value.get(value) {
             return sym;
@@ -44,7 +44,7 @@ impl Interner {
 
     /// Brings the reverse map up to date with every decoded string. A
     /// string a corrupt block repeats keeps its first symbol.
-    pub fn index_decoded(&mut self) {
+    pub(crate) fn index_decoded(&mut self) {
         for (sym, value) in self.strings.iter().enumerate().skip(self.indexed) {
             self.by_value.entry(value.clone()).or_insert(sym as u32);
         }
@@ -52,17 +52,17 @@ impl Interner {
     }
 
     /// The string behind `sym`, if allocated.
-    pub fn resolve(&self, sym: u32) -> Option<&str> {
+    pub(crate) fn resolve(&self, sym: u32) -> Option<&str> {
         self.strings.get(sym as usize).map(String::as_str)
     }
 
     /// `id` paired with the string behind it, as decoded records hold one.
-    pub fn sym(&self, id: u32) -> Option<Sym<'_>> {
+    pub(crate) fn sym(&self, id: u32) -> Option<Sym<'_>> {
         self.resolve(id).map(|text| Sym { id, text })
     }
 
     /// Every string with its symbol, in symbol order.
-    pub fn iter(&self) -> impl Iterator<Item = Sym<'_>> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Sym<'_>> {
         let syms = self.strings.iter().enumerate();
         syms.map(|(id, text)| Sym {
             id: id as u32,
@@ -72,26 +72,26 @@ impl Interner {
 
     /// The symbol of an already-interned string. Decoded strings count
     /// once [`Interner::index_decoded`] has run.
-    pub fn lookup(&self, value: &str) -> Option<u32> {
+    pub(crate) fn lookup(&self, value: &str) -> Option<u32> {
         debug_assert_eq!(self.indexed, self.strings.len(), "reverse map is stale");
         self.by_value.get(value).copied()
     }
 
     /// Remembers the current table size; [`Interner::new_strings`] returns
     /// everything interned after this point. Called at segment start.
-    pub fn set_mark(&mut self) {
+    pub(crate) fn set_mark(&mut self) {
         self.mark = self.strings.len();
     }
 
     /// The strings interned since the last [`Interner::set_mark`] — the
     /// segment's string block.
-    pub fn new_strings(&self) -> &[String] {
+    pub(crate) fn new_strings(&self) -> &[String] {
         &self.strings[self.mark..]
     }
 
     /// Appends a string decoded from a segment's string block, preserving
     /// writer symbol order.
-    pub fn push_decoded(&mut self, value: String) {
+    pub(crate) fn push_decoded(&mut self, value: String) {
         self.strings.push(value);
     }
 }

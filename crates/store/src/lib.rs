@@ -102,15 +102,13 @@ mod writer;
 /// from these.
 pub mod codec {
     pub use crate::crc32::crc32;
-    pub use crate::format::{
-        decode_genesis_file, decode_week_file, encode_genesis_file, encode_week_file, WeekFile,
-    };
+    pub use crate::format::{decode_genesis_file, encode_genesis_file, encode_week_file, WeekFile};
     pub use crate::varint::{write_i64, write_str, write_u64, Cursor};
 }
 
 pub use error::StoreError;
 pub use format::{Genesis, FORMAT_VERSION};
-pub use manifest::{Manifest, MANIFEST_FILE, MANIFEST_LEN, MANIFEST_MAGIC, MANIFEST_VERSION};
+pub use manifest::{Manifest, MANIFEST_FILE};
 pub use reader::{History, StoreReader};
 pub use record::{
     DetectionRecord, DomainRecord, FlashRecord, PageRecord, ScriptRecord, Sym, WeekData,
@@ -1031,11 +1029,14 @@ mod tests {
         };
         for week in [testkit::week(7, 9), empty] {
             let file = codec::encode_week_file(&week);
-            assert_eq!(codec::decode_week_file(&file).expect("week"), week);
+            let parsed = codec::WeekFile::parse(&file).expect("week file");
+            assert_eq!(parsed.week().expect("week").to_owned(), week);
             // Each decoder refuses the other's kind.
             assert!(codec::decode_genesis_file(&file).is_err());
         }
-        assert!(codec::decode_week_file(&file).is_err());
+        assert!(codec::WeekFile::parse(&file)
+            .and_then(|f| f.week().map(drop))
+            .is_err());
     }
 
     #[test]

@@ -22,13 +22,13 @@ use std::fs;
 use std::path::Path;
 
 /// Manifest file magic.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"WVSMANIF";
+pub(crate) const MANIFEST_MAGIC: [u8; 8] = *b"WVSMANIF";
 /// Current (and only) manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+pub(crate) const MANIFEST_VERSION: u32 = 1;
 /// File name of the committed manifest inside a sharded-store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Encoded manifest length in bytes.
-pub const MANIFEST_LEN: usize = 37;
+pub(crate) const MANIFEST_LEN: usize = 37;
 
 /// The committed state of a sharded store: what every shard must agree on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serializes the manifest (fixed [`MANIFEST_LEN`] bytes).
+    /// Serializes the manifest (fixed `MANIFEST_LEN` bytes).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(MANIFEST_LEN);
         out.extend_from_slice(&MANIFEST_MAGIC);
@@ -90,7 +90,7 @@ impl Manifest {
 /// [`StoreError::MissingGenesis`], exactly like an empty single-file
 /// store. A stale `MANIFEST.tmp` is the writer's: a reader leaves it, so a
 /// read between a live commit's tmp sync and its rename cannot fail it.
-pub fn load(dir: &Path) -> Result<Manifest, StoreError> {
+pub(crate) fn load(dir: &Path) -> Result<Manifest, StoreError> {
     let path = dir.join(MANIFEST_FILE);
     match fs::read(&path) {
         Ok(bytes) => Manifest::decode(&bytes),
@@ -114,7 +114,7 @@ pub(crate) fn of(path: &Path) -> Result<Option<Manifest>, StoreError> {
 /// fsync). The rename is the commit point; the `store.manifest.rename`
 /// fail-point fires just before it, so a chaos kill there leaves every
 /// shard synced but the old manifest in force.
-pub fn commit(dir: &Path, manifest: &Manifest) -> Result<(), StoreError> {
+pub(crate) fn commit(dir: &Path, manifest: &Manifest) -> Result<(), StoreError> {
     durable::replace(&dir.join(MANIFEST_FILE), &manifest.encode(), || {
         webvuln_failpoint::failpoint!("store.manifest.rename")?;
         Ok(())

@@ -103,12 +103,12 @@ impl StoreReader {
     }
 
     /// The stored filter verdict; `Some` only when finalized.
-    pub fn filtered_out(&self) -> Option<&[String]> {
+    pub(crate) fn filtered_out(&self) -> Option<&[String]> {
         self.index.filtered_out.as_deref()
     }
 
     /// Whether the store was finalized.
-    pub fn is_finalized(&self) -> bool {
+    pub(crate) fn is_finalized(&self) -> bool {
         self.index.filtered_out.is_some()
     }
 
@@ -124,7 +124,7 @@ impl StoreReader {
     }
 
     /// The store file path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
@@ -132,7 +132,7 @@ impl StoreReader {
     /// [`StoreReader::week_records`] since it was opened: what a caller's
     /// walk over history cost, as a count ([`StoreReader::get`]'s point
     /// reads are not in it).
-    pub fn records_decoded(&self) -> u64 {
+    pub(crate) fn records_decoded(&self) -> u64 {
         self.decoded.load(Ordering::Relaxed)
     }
 
@@ -193,16 +193,7 @@ impl StoreReader {
         Ok(record)
     }
 
-    /// `domain`'s record in every committed week that holds one, in week
-    /// order: its symbol looked up once, then each week's record decoded
-    /// from its indexed offset with its strings borrowed from this
-    /// reader's table. Fails with [`StoreError::UnknownDomain`] when the
-    /// file never named the domain.
-    pub fn history(&self, domain: &str) -> Result<History<'_>, StoreError> {
-        self.history_to(domain, self.weeks_committed(), 0)
-    }
-
-    /// [`StoreReader::history`] over weeks `0..weeks` of shard `shard`.
+    /// `domain`'s records over weeks `0..weeks`, tagged as shard `shard`'s.
     pub(crate) fn history_to(
         &self,
         domain: &str,
@@ -290,8 +281,8 @@ impl StoreReader {
     }
 }
 
-/// One domain's records, week by week, as [`StoreReader::history`] and
-/// [`crate::AnyReader::history`] read them. Yields `(week, date_days,
+/// One domain's records, week by week, as [`crate::AnyReader::history`]
+/// reads them. Yields `(week, date_days,
 /// record)` for each week that holds the domain and skips the others.
 pub struct History<'a> {
     reader: &'a StoreReader,

@@ -47,7 +47,7 @@ pub struct Sym<'a> {
 
 /// How a decoded record holds a string: as the [`Sym`] it was stored as,
 /// or copied out of the table.
-pub trait FromSym<'a> {
+pub(crate) trait FromSym<'a> {
     /// Takes `sym` as decoded.
     fn from_sym(sym: Sym<'a>) -> Self;
 }
@@ -172,7 +172,7 @@ fn write_sym(out: &mut Vec<u8>, table: &mut Interner, value: &str) {
 /// Encodes the body of a domain record (everything except the host symbol
 /// and the full/back-reference tag, which belong to the segment layer),
 /// owned or as decoded: a string is written as its text, whoever holds it.
-pub fn encode_body<S: AsRef<str>>(
+pub(crate) fn encode_body<S: AsRef<str>>(
     record: &DomainRecord<S>,
     table: &mut Interner,
     out: &mut Vec<u8>,
@@ -296,7 +296,7 @@ impl<'a> BodyReader<'a, '_> {
 ///
 /// `base_offset` is the body's absolute file offset, used to position
 /// corruption errors.
-pub fn decode_body<'a, S: FromSym<'a>>(
+pub(crate) fn decode_body<'a, S: FromSym<'a>>(
     cur: &mut Cursor<'a>,
     table: &'a Interner,
     host: Sym<'a>,

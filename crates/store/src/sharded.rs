@@ -396,7 +396,7 @@ impl AnyWriter {
 
     /// Whether the store carries the finalize verdict — as published by
     /// the manifest when there is one.
-    pub fn is_finalized(&self) -> bool {
+    pub(crate) fn is_finalized(&self) -> bool {
         self.manifest
             .map_or_else(|| self.writers[0].is_finalized(), |m| m.finalized)
     }
@@ -414,11 +414,6 @@ impl AnyWriter {
     /// The group manifest last committed; `None` for a single file.
     pub fn manifest(&self) -> Option<Manifest> {
         self.manifest
-    }
-
-    /// The store path (file or directory).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Aggregated writer stats across all shards.
@@ -645,7 +640,7 @@ impl AnyReader {
     }
 
     /// Records decoded by whole-week reads of any shard since this reader
-    /// was opened ([`StoreReader::records_decoded`], summed).
+    /// was opened (`StoreReader::records_decoded`, summed).
     pub fn records_decoded(&self) -> u64 {
         self.healthy().map(StoreReader::records_decoded).sum()
     }
@@ -744,8 +739,8 @@ impl AnyReader {
         self.owner(domain)?.1.get(domain, week)
     }
 
-    /// `domain`'s record in every week the store published, as
-    /// [`StoreReader::history`] reads it from the owning shard: routed
+    /// `domain`'s record in every week the store published, read from the
+    /// owning shard: routed
     /// once, the domain's symbol looked up once, no week past
     /// [`AnyReader::weeks_committed`] read. Fails as [`AnyReader::get`]
     /// does for an unavailable shard or an unknown domain.
@@ -811,6 +806,13 @@ impl AnyReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AnyWriter {
+        /// The store path (file or directory).
+        pub(crate) fn path(&self) -> &Path {
+            &self.path
+        }
+    }
 
     /// `0` threads means one per core, as everywhere else: the pool the
     /// shard commits run on is as wide as `available_parallelism` makes it.

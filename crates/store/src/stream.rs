@@ -30,7 +30,7 @@ pub struct WeekStream<'a> {
 
 impl<'a> WeekStream<'a> {
     /// Streams every committed week of `reader`, either layout.
-    pub fn over(reader: &'a AnyReader) -> WeekStream<'a> {
+    pub(crate) fn over(reader: &'a AnyReader) -> WeekStream<'a> {
         WeekStream {
             end: reader.weeks_committed(),
             reader,
@@ -39,7 +39,7 @@ impl<'a> WeekStream<'a> {
     }
 
     /// Weeks not yet yielded.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.end - self.next
     }
 }

@@ -31,12 +31,6 @@ pub fn write_str(out: &mut Vec<u8>, value: &str) {
     out.extend_from_slice(value.as_bytes());
 }
 
-/// The number of bytes [`write_u64`] would emit for `value`.
-#[cfg(test)]
-pub fn len_u64(value: u64) -> usize {
-    (64 - value.max(1).leading_zeros() as usize).div_ceil(7)
-}
-
 /// A bounds-checked forward reader over an in-memory byte slice.
 ///
 /// All decoding errors collapse to `None`; callers translate that into a
@@ -58,7 +52,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -114,7 +108,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Advances past `n` bytes without looking at them.
-    pub fn skip(&mut self, n: usize) -> Option<()> {
+    pub(crate) fn skip(&mut self, n: usize) -> Option<()> {
         self.bytes(n).map(|_| ())
     }
 }
@@ -122,6 +116,11 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The number of bytes [`write_u64`] would emit for `value`.
+    fn len_u64(value: u64) -> usize {
+        (64 - value.max(1).leading_zeros() as usize).div_ceil(7)
+    }
 
     fn round_trip_u64(value: u64) {
         let mut buf = Vec::new();

@@ -98,7 +98,7 @@ pub struct WriterStats {
     /// Torn tail bytes truncated during resume.
     pub torn_bytes_recovered: u64,
     /// Files cut back to an earlier week by
-    /// [`StoreWriter::truncate_to_weeks`] — for a sharded writer, the
+    /// `StoreWriter::truncate_to_weeks` — for a sharded writer, the
     /// shards rolled back to the manifest's epoch (each one is a
     /// recovery event).
     pub rolled_back: usize,
@@ -385,7 +385,7 @@ impl StoreWriter {
     /// table and delta state. The sharded store uses this to roll a
     /// shard that ran ahead of the manifest back to the committed epoch;
     /// a store kept in memory has no file to reopen and refuses.
-    pub fn truncate_to_weeks(self, weeks: usize) -> Result<StoreWriter, StoreError> {
+    pub(crate) fn truncate_to_weeks(self, weeks: usize) -> Result<StoreWriter, StoreError> {
         if let Sink::Memory(_) = self.sink {
             return Err(StoreError::Mismatch(
                 "cannot truncate a store kept in memory".to_string(),
@@ -439,17 +439,17 @@ impl StoreWriter {
     }
 
     /// Whether the store carries a finalize segment.
-    pub fn is_finalized(&self) -> bool {
+    pub(crate) fn is_finalized(&self) -> bool {
         self.finalized
     }
 
     /// The study metadata this store was created with.
-    pub fn genesis(&self) -> &Genesis {
+    pub(crate) fn genesis(&self) -> &Genesis {
         &self.genesis
     }
 
     /// The store file path; for a store kept in memory, `(in memory)`.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 

@@ -58,7 +58,7 @@
 //! carry no timestamps at all — only a deterministic `cost_ns`. The
 //! exporter sorts events canonically (phase, week, task, seq, …) and
 //! *synthesizes* a timeline from the costs; physical worker ids are folded
-//! onto [`trace::LANES`] deterministic lanes. The result: the exported
+//! onto `trace::LANES` deterministic lanes. The result: the exported
 //! JSON is byte-identical for any thread count. Spans, by contrast, are
 //! wall time and live only in the [`Snapshot`].
 //!
@@ -99,10 +99,11 @@ mod span;
 pub mod trace;
 
 pub use json::JsonWriter;
-pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
-pub use progress::{NullProgress, Progress, ProgressEvent, StderrProgress};
+pub use metrics::{Counter, Gauge, Histogram};
+use progress::NullProgress;
+pub use progress::{Progress, ProgressEvent, StderrProgress};
 pub use registry::Registry;
-pub use snapshot::{fmt_nanos, HistogramSnapshot, Snapshot, SpanSnapshot};
+pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::Span;
 pub use trace::{TraceData, TraceMode, Tracer};
 

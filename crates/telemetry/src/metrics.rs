@@ -13,11 +13,6 @@ use std::time::Duration;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A new counter at zero, not attached to any registry.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -39,11 +34,6 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// A new gauge at zero, not attached to any registry.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
     /// Sets the value.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
@@ -62,7 +52,7 @@ impl Gauge {
 
 /// Number of histogram buckets: bucket `i` holds values whose bit length
 /// is `i`, i.e. `[2^(i-1), 2^i)` (bucket 0 holds exactly zero).
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 struct HistogramInner {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -81,7 +71,7 @@ pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
     /// A new empty histogram, not attached to any registry.
-    pub fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram(Arc::new(HistogramInner {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -105,22 +95,22 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
 
     /// Largest observation (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.0.max.load(Ordering::Relaxed)
     }
 
     /// Mean observation (0 when empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum().checked_div(self.count()).unwrap_or(0)
     }
 
@@ -129,7 +119,7 @@ impl Histogram {
     /// zero; the top bucket's bound is `u64::MAX`), so the pairs fully
     /// reconstruct the recorded distribution at bucket resolution —
     /// empty buckets are implied by the fixed power-of-two boundaries.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn buckets(&self) -> Vec<(u64, u64)> {
         self.0
             .buckets
             .iter()
@@ -144,7 +134,7 @@ impl Histogram {
     /// Estimated `q`-quantile (`0.0 ..= 1.0`): the upper bound of the
     /// bucket containing the `ceil(q * count)`-th smallest observation,
     /// clamped to the observed maximum.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -198,7 +188,7 @@ mod tests {
 
     #[test]
     fn counter_basics() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
@@ -209,7 +199,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.add(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
@@ -219,7 +209,7 @@ mod tests {
 
     #[test]
     fn multi_thread_counter_sums_exactly() {
-        let c = Counter::new();
+        let c = Counter::default();
         let threads = 8;
         let per_thread = 10_000u64;
         std::thread::scope(|scope| {

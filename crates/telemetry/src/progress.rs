@@ -28,7 +28,7 @@ pub trait Progress: Send + Sync {
 
 /// Discards every event.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullProgress;
+pub(crate) struct NullProgress;
 
 impl Progress for NullProgress {
     fn on_event(&self, _event: &ProgressEvent<'_>) {}

@@ -58,7 +58,7 @@ impl Registry {
 
     /// Opens a top-level span named `name`; its wall time is recorded here
     /// when the returned guard drops.
-    pub fn span(&self, name: &str) -> Span<'_> {
+    pub(crate) fn span(&self, name: &str) -> Span<'_> {
         Span::new(self, name.to_string())
     }
 

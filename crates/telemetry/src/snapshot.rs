@@ -25,7 +25,7 @@ pub struct HistogramSnapshot {
     /// Largest observation.
     pub max: u64,
     /// Non-empty buckets as `(upper_bound, count)` pairs, sorted by
-    /// bound (see [`Histogram::buckets`](crate::Histogram::buckets)).
+    /// bound (see `Histogram::buckets`).
     /// Empty buckets are implied by the fixed power-of-two boundaries,
     /// so these pairs carry the full distribution at bucket resolution.
     pub buckets: Vec<(u64, u64)>,
@@ -83,14 +83,6 @@ impl Snapshot {
     /// Looks up a span by full path.
     pub fn span(&self, path: &str) -> Option<&SpanSnapshot> {
         self.spans.iter().find(|s| s.path == path)
-    }
-
-    /// True when nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
     }
 
     /// Renders the snapshot as a human-readable report section: the
@@ -189,7 +181,7 @@ fn nanos(d: Duration) -> u64 {
 
 /// Formats a nanosecond quantity with a human-friendly unit
 /// (`421ns`, `3.2µs`, `15.4ms`, `2.41s`).
-pub fn fmt_nanos(nanos: u64) -> String {
+pub(crate) fn fmt_nanos(nanos: u64) -> String {
     if nanos >= 1_000_000_000 {
         format!("{:.2}s", nanos as f64 / 1e9)
     } else if nanos >= 1_000_000 {
@@ -263,7 +255,6 @@ mod tests {
     #[test]
     fn empty_snapshot_renders_empty() {
         let snap = Snapshot::default();
-        assert!(snap.is_empty());
         assert_eq!(snap.render(), "");
         assert_eq!(
             snap.to_json(),

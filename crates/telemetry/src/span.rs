@@ -1,15 +1,14 @@
 //! Hierarchical wall-clock span timers.
 //!
 //! A [`Span`] measures the time from creation to drop and records it into
-//! its [`Registry`](crate::Registry) under a `/`-separated path. Children
-//! created with [`Span::child`] extend the path (`collect/crawl`), so a
+//! its [`Registry`](crate::Registry) under a `/`-separated path, so a
 //! phase entered once per week aggregates into one row with `count = 201`.
 
 use crate::registry::Registry;
 use std::time::{Duration, Instant};
 
 /// A running timer; records its elapsed wall time into the registry when
-/// dropped (or explicitly via [`Span::finish`]).
+/// dropped.
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct Span<'r> {
     registry: &'r Registry,
@@ -26,28 +25,6 @@ impl<'r> Span<'r> {
             start: Instant::now(),
             recorded: false,
         }
-    }
-
-    /// Opens a child span `self.path + "/" + name`.
-    pub fn child(&self, name: &str) -> Span<'r> {
-        Span::new(self.registry, format!("{}/{}", self.path, name))
-    }
-
-    /// The full `/`-separated path of this span.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Time elapsed since the span was opened.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Ends the span now and returns its duration.
-    pub fn finish(mut self) -> Duration {
-        let elapsed = self.record();
-        self.recorded = true;
-        elapsed
     }
 
     fn record(&self) -> Duration {
@@ -69,6 +46,20 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<'r> Span<'r> {
+        /// Opens a child span `self.path + "/" + name`.
+        pub(crate) fn child(&self, name: &str) -> Span<'r> {
+            Span::new(self.registry, format!("{}/{}", self.path, name))
+        }
+
+        /// Ends the span now and returns its duration.
+        pub(crate) fn finish(mut self) -> Duration {
+            let elapsed = self.record();
+            self.recorded = true;
+            elapsed
+        }
+    }
 
     #[test]
     fn span_records_on_drop() {

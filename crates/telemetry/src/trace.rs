@@ -33,7 +33,7 @@ const SCOPE_TAIL: usize = 32;
 
 /// Deterministic export lanes: tasks map to lane `task % LANES`, so the
 /// exported timeline is independent of the physical thread count.
-pub const LANES: u64 = 8;
+pub(crate) const LANES: u64 = 8;
 
 /// Count of installed tracers process-wide. The disabled fast path is a
 /// single relaxed load of this.
@@ -193,11 +193,6 @@ impl Tracer {
                 domains: Mutex::new(BTreeMap::new()),
             }),
         }
-    }
-
-    /// The recording mode.
-    pub fn mode(&self) -> TraceMode {
-        self.inner.mode
     }
 
     /// Installs this tracer into the current thread's context until the

@@ -76,12 +76,12 @@ pub struct Interval {
 
 impl Interval {
     /// Builds an interval from explicit bounds.
-    pub fn new(lo: Bound, hi: Bound) -> Self {
+    pub(crate) fn new(lo: Bound, hi: Bound) -> Self {
         Interval { lo, hi }
     }
 
     /// The full space: every version.
-    pub fn all() -> Self {
+    pub(crate) fn all() -> Self {
         Interval::new(Bound::Unbounded, Bound::Unbounded)
     }
 
@@ -96,12 +96,12 @@ impl Interval {
     }
 
     /// `>= v`.
-    pub fn at_least(v: Version) -> Self {
+    pub(crate) fn at_least(v: Version) -> Self {
         Interval::new(Bound::Inclusive(v), Bound::Unbounded)
     }
 
     /// `> v`.
-    pub fn above(v: Version) -> Self {
+    pub(crate) fn above(v: Version) -> Self {
         Interval::new(Bound::Exclusive(v), Bound::Unbounded)
     }
 
@@ -110,13 +110,8 @@ impl Interval {
         Interval::new(Bound::Inclusive(lo), Bound::Exclusive(hi))
     }
 
-    /// `[lo, hi]`.
-    pub fn closed(lo: Version, hi: Version) -> Self {
-        Interval::new(Bound::Inclusive(lo), Bound::Inclusive(hi))
-    }
-
     /// Exactly one version.
-    pub fn exact(v: Version) -> Self {
+    pub(crate) fn exact(v: Version) -> Self {
         Interval::new(Bound::Inclusive(v.clone()), Bound::Inclusive(v))
     }
 
@@ -136,7 +131,7 @@ impl Interval {
     }
 
     /// Membership test.
-    pub fn contains(&self, v: &Version) -> bool {
+    pub(crate) fn contains(&self, v: &Version) -> bool {
         let lo_ok = match &self.lo {
             Bound::Unbounded => true,
             Bound::Inclusive(l) => v >= l,
@@ -227,11 +222,6 @@ pub struct IntervalSet {
 }
 
 impl IntervalSet {
-    /// The empty set.
-    pub fn empty() -> Self {
-        IntervalSet::default()
-    }
-
     /// The full space.
     pub fn all() -> Self {
         IntervalSet {
@@ -332,11 +322,6 @@ impl IntervalSet {
     pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
         self.intersect(&other.complement())
     }
-
-    /// True when every version in `self` is also in `other`.
-    pub fn is_subset_of(&self, other: &IntervalSet) -> bool {
-        self.subtract(other).is_empty()
-    }
 }
 
 /// Converts an interval's *upper* bound into the lower bound of the gap
@@ -367,6 +352,20 @@ impl fmt::Display for IntervalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Interval {
+        /// `[lo, hi]`.
+        fn closed(lo: Version, hi: Version) -> Self {
+            Interval::new(Bound::Inclusive(lo), Bound::Inclusive(hi))
+        }
+    }
+
+    impl IntervalSet {
+        /// The empty set.
+        fn empty() -> Self {
+            IntervalSet::default()
+        }
+    }
 
     fn v(s: &str) -> Version {
         Version::parse(s).expect("valid version")
@@ -456,8 +455,8 @@ mod tests {
     fn intersect_and_subset() {
         let a = IntervalSet::from_interval(Interval::half_open(v("1.2"), v("3.5")));
         let b = IntervalSet::from_interval(Interval::half_open(v("1.12"), v("3.5")));
-        assert!(b.is_subset_of(&a));
-        assert!(!a.is_subset_of(&b));
+        assert!(b.subtract(&a).is_empty());
+        assert!(!a.subtract(&b).is_empty());
         let x = a.intersect(&b);
         assert_eq!(x, b);
     }

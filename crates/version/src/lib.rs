@@ -31,34 +31,5 @@ mod req;
 mod version;
 
 pub use interval::{Bound, Interval, IntervalSet};
-pub use req::{Comparator, Op, ParseReqError, VersionReq};
+pub use req::{ParseReqError, VersionReq};
 pub use version::{ParseVersionError, Version};
-
-/// Sorts a vector of version strings ascending, dropping unparseable ones.
-///
-/// Convenience used by analysis code that works with raw detected strings.
-pub fn sort_version_strings(strings: &mut Vec<String>) {
-    let mut parsed: Vec<(Version, String)> = strings
-        .drain(..)
-        .filter_map(|s| Version::parse(&s).ok().map(|v| (v, s)))
-        .collect();
-    parsed.sort_by(|a, b| a.0.cmp(&b.0));
-    *strings = parsed.into_iter().map(|(_, s)| s).collect();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sort_version_strings_orders_and_drops_garbage() {
-        let mut v = vec![
-            "3.5.1".to_string(),
-            "not-a-version".to_string(),
-            "1.12.4".to_string(),
-            "1.9".to_string(),
-        ];
-        sort_version_strings(&mut v);
-        assert_eq!(v, vec!["1.9", "1.12.4", "3.5.1"]);
-    }
-}

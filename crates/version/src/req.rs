@@ -9,7 +9,7 @@ use std::str::FromStr;
 
 /// A comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Op {
+pub(crate) enum Op {
     /// `<`
     Lt,
     /// `<=`
@@ -36,7 +36,7 @@ impl fmt::Display for Op {
 
 /// A single comparison against a version.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Comparator {
+pub(crate) struct Comparator {
     /// The operator.
     pub op: Op,
     /// The right-hand side.
@@ -45,7 +45,7 @@ pub struct Comparator {
 
 impl Comparator {
     /// Evaluates the comparison for `v`.
-    pub fn matches(&self, v: &Version) -> bool {
+    pub(crate) fn matches(&self, v: &Version) -> bool {
         match self.op {
             Op::Lt => v < &self.version,
             Op::Le => v <= &self.version,
@@ -56,7 +56,7 @@ impl Comparator {
     }
 
     /// The half-space this comparator describes.
-    pub fn to_interval(&self) -> Interval {
+    pub(crate) fn to_interval(&self) -> Interval {
         match self.op {
             Op::Lt => Interval::below(self.version.clone()),
             Op::Le => Interval::at_most(self.version.clone()),
@@ -117,7 +117,7 @@ impl From<ParseVersionError> for ParseReqError {
 
 impl VersionReq {
     /// The requirement matching every version.
-    pub fn any() -> Self {
+    pub(crate) fn any() -> Self {
         VersionReq {
             comparators: Vec::new(),
         }
@@ -165,11 +165,6 @@ impl VersionReq {
     /// Evaluates the requirement.
     pub fn matches(&self, v: &Version) -> bool {
         self.comparators.iter().all(|c| c.matches(v))
-    }
-
-    /// The comparators of this requirement (empty = matches everything).
-    pub fn comparators(&self) -> &[Comparator] {
-        &self.comparators
     }
 
     /// Converts to an interval set (a single interval, since requirements

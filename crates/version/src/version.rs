@@ -100,11 +100,6 @@ impl Version {
         }
     }
 
-    /// Convenience constructor for the common three-component case.
-    pub fn semver(major: u32, minor: u32, patch: u32) -> Self {
-        Version::new(&[major, minor, patch])
-    }
-
     /// Parses a version string.
     ///
     /// Accepts an optional leading `v`, one to six dot-separated numeric
@@ -175,16 +170,6 @@ impl Version {
     /// Major (first) component.
     pub fn major(&self) -> u32 {
         self.parts[0]
-    }
-
-    /// Minor (second) component, 0 when absent.
-    pub fn minor(&self) -> u32 {
-        self.parts.get(1).copied().unwrap_or(0)
-    }
-
-    /// Patch (third) component, 0 when absent.
-    pub fn patch(&self) -> u32 {
-        self.parts.get(2).copied().unwrap_or(0)
     }
 
     /// The pre-release identifier, if any.

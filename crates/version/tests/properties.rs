@@ -6,7 +6,7 @@ use webvuln_version::{Interval, IntervalSet, Version, VersionReq};
 /// An arbitrary (small) version.
 fn arb_version(g: &mut Gen) -> Version {
     let mut part = || g.range(0..=7) as u32;
-    Version::semver(part(), part(), part())
+    Version::new(&[part(), part(), part()])
 }
 
 /// An interval set built from random half-open ranges.

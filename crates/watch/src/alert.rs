@@ -26,7 +26,7 @@ impl Coverage {
 /// `library` inside `cve_id`'s claimed range during the week span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alert {
-    /// Deterministic identifier (see [`alert_id`]); dedup key for
+    /// Deterministic identifier (see `alert_id`); dedup key for
     /// exactly-once-effective delivery.
     pub id: u64,
     /// The vulnerability report that triggered the scan.
@@ -53,7 +53,7 @@ pub struct Alert {
 /// what lets at-least-once journaling collapse to exactly-once delivery.
 /// The week span is part of the identity: a *longer* exposure discovered
 /// after more weeks arrive is a new alert, not a duplicate.
-pub fn alert_id(cve_id: &str, domain: &str, first_week: u32, last_week: u32) -> u64 {
+pub(crate) fn alert_id(cve_id: &str, domain: &str, first_week: u32, last_week: u32) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in cve_id
         .bytes()
@@ -96,7 +96,7 @@ impl Alert {
     }
 
     /// Encodes the alert into the outbox's frame payload format.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         write_u64(out, self.id);
         write_str(out, &self.cve_id);
         write_str(out, &self.library);
@@ -109,7 +109,7 @@ impl Alert {
     }
 
     /// Decodes an alert encoded by [`Alert::encode`].
-    pub fn decode(cur: &mut Cursor<'_>) -> Option<Alert> {
+    pub(crate) fn decode(cur: &mut Cursor<'_>) -> Option<Alert> {
         Some(Alert {
             id: cur.u64()?,
             cve_id: cur.str()?,
@@ -127,7 +127,7 @@ impl Alert {
 
     /// The delivered-log line for this alert. The ID leads the line so a
     /// reopened outbox can recover the delivered set with a prefix scan.
-    pub fn log_line(&self) -> String {
+    pub(crate) fn log_line(&self) -> String {
         format!(
             "{:016x} {} {} {} weeks {}-{} exposed {} coverage {}/{}",
             self.id,

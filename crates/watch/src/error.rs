@@ -37,7 +37,7 @@ pub enum WatchError {
 
 impl WatchError {
     /// Wraps an [`io::Error`] with its path.
-    pub fn io(path: &Path, source: io::Error) -> WatchError {
+    pub(crate) fn io(path: &Path, source: io::Error) -> WatchError {
         WatchError::Io {
             path: path.to_path_buf(),
             source,
@@ -45,7 +45,7 @@ impl WatchError {
     }
 
     /// A decode failure at `path`.
-    pub fn corrupt(path: &Path, detail: impl Into<String>) -> WatchError {
+    pub(crate) fn corrupt(path: &Path, detail: impl Into<String>) -> WatchError {
         WatchError::Corrupt {
             path: path.to_path_buf(),
             detail: detail.into(),

@@ -19,7 +19,7 @@
 //!   at or below the committed count is a no-op ([`Watcher`]).
 //! * **Retro-scans** commit by appending to an applied-journal; a crash
 //!   mid-scan replays the scan and the outbox dedups the alerts by
-//!   their deterministic ID ([`alert_id`]).
+//!   their deterministic ID (`alert_id`).
 //! * **Delivery** runs through a CRC-framed write-ahead log, a round
 //!   (three synced batches) at a time, with at-least-once semantics
 //!   plus ID dedup — exactly-once effective ([`Outbox`]).
@@ -55,20 +55,20 @@ pub const FAILPOINTS: &[&str] = &[
     "watch.retro",
 ];
 
-pub mod alert;
-pub mod error;
-pub mod outbox;
-pub mod spool;
-pub mod supervisor;
+pub(crate) mod alert;
+pub(crate) mod error;
+pub(crate) mod outbox;
+pub(crate) mod spool;
+pub(crate) mod supervisor;
 pub mod wal;
-pub mod watcher;
+pub(crate) mod watcher;
 
-pub use alert::{alert_id, Alert, Coverage};
+pub use alert::{Alert, Coverage};
 pub use error::WatchError;
 pub use outbox::{DeliveryReport, Outbox, OutboxRecovery, OutboxSnapshot};
 pub use spool::{
-    read_genesis_file, read_week_file, scan_spool, week_file_name, write_genesis_file,
-    write_week_file, GENESIS_FILE,
+    read_genesis_file, read_week_file, week_file_name, write_genesis_file, write_week_file,
+    GENESIS_FILE,
 };
 pub use supervisor::{supervise, SupervisorConfig, SupervisorReport};
-pub use watcher::{load_watch_state, scan_deltas, TickReport, WatchConfig, WatchState, Watcher};
+pub use watcher::{load_watch_state, TickReport, WatchConfig, WatchState, Watcher};

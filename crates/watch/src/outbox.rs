@@ -177,11 +177,6 @@ impl Outbox {
         Ok(report)
     }
 
-    /// Alerts journaled but not yet acked, in enqueue order.
-    pub fn pending(&self) -> &[Alert] {
-        &self.owed
-    }
-
     /// Count of owed alerts.
     pub fn pending_count(&self) -> usize {
         self.owed.len()
@@ -280,6 +275,13 @@ mod tests {
     use std::sync::{Mutex, MutexGuard};
     use webvuln_failpoint::check::{self, Gen};
     use webvuln_failpoint::{arm_key, hits, reset, Action};
+
+    impl Outbox {
+        /// Alerts journaled but not yet acked, in enqueue order.
+        fn pending(&self) -> &[Alert] {
+            &self.owed
+        }
+    }
 
     /// Serializes this module: the fail-point registry is process-global
     /// and every test here builds the same `alert(n)` IDs, so one test's

@@ -51,7 +51,7 @@ pub fn write_week_file(spool_dir: &Path, week: &WeekData) -> Result<PathBuf, Wat
 
 /// Reads and verifies one spool week file, leaving its records to be
 /// decoded in place ([`WeekFile::week`]).
-pub fn open_week_file(path: &Path) -> Result<WeekFile, WatchError> {
+pub(crate) fn open_week_file(path: &Path) -> Result<WeekFile, WatchError> {
     read_file(path, WeekFile::parse)
 }
 
@@ -62,7 +62,7 @@ pub fn read_week_file(path: &Path) -> Result<WeekData, WatchError> {
 }
 
 /// Lists spool week files as `(week index, path)`, sorted by week.
-pub fn scan_spool(spool_dir: &Path) -> Result<Vec<(usize, PathBuf)>, WatchError> {
+pub(crate) fn scan_spool(spool_dir: &Path) -> Result<Vec<(usize, PathBuf)>, WatchError> {
     let mut weeks = Vec::new();
     let entries = match std::fs::read_dir(spool_dir) {
         Ok(entries) => entries,

@@ -47,7 +47,7 @@
 
 use crate::alert::{Alert, Coverage};
 use crate::error::WatchError;
-use crate::outbox::{Outbox, OutboxRecovery};
+use crate::outbox::Outbox;
 use crate::spool::{open_week_file, read_genesis_file, scan_spool, GENESIS_FILE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -93,22 +93,22 @@ impl WatchConfig {
     }
 
     /// The root directory.
-    pub fn root(&self) -> &Path {
+    pub(crate) fn root(&self) -> &Path {
         &self.root
     }
 
     /// The sharded store directory.
-    pub fn store_dir(&self) -> PathBuf {
+    pub(crate) fn store_dir(&self) -> PathBuf {
         self.root.join("store")
     }
 
     /// The incoming-week spool directory.
-    pub fn spool_dir(&self) -> PathBuf {
+    pub(crate) fn spool_dir(&self) -> PathBuf {
         self.root.join("spool")
     }
 
     /// The incoming CVE delta directory.
-    pub fn deltas_dir(&self) -> PathBuf {
+    pub(crate) fn deltas_dir(&self) -> PathBuf {
         self.root.join("deltas")
     }
 
@@ -123,7 +123,7 @@ impl WatchConfig {
     }
 
     /// The retro-scan completion journal.
-    pub fn applied_journal(&self) -> PathBuf {
+    pub(crate) fn applied_journal(&self) -> PathBuf {
         self.root.join("deltas.applied")
     }
 }
@@ -265,7 +265,6 @@ pub struct Watcher {
     reader: AnyReader,
     ranks: BTreeMap<String, usize>,
     outbox: Outbox,
-    recovery: OutboxRecovery,
     /// Delta files whose records are already in `db`.
     known_deltas: BTreeSet<String>,
     /// Delta files whose retro-scan completed (journaled).
@@ -324,7 +323,6 @@ impl Watcher {
             reader,
             ranks,
             outbox,
-            recovery,
             known_deltas,
             applied_deltas,
             journal: None,
@@ -371,11 +369,6 @@ impl Watcher {
             self.fold_cold()?;
         }
         Ok(())
-    }
-
-    /// What the outbox found when this watcher opened.
-    pub fn recovery(&self) -> OutboxRecovery {
-        self.recovery
     }
 
     /// One supervised pass: ingest newly-arrived spool weeks, apply
@@ -635,24 +628,14 @@ impl Watcher {
         self.writer.weeks_committed()
     }
 
-    /// The store's manifest epoch.
-    pub fn epoch(&self) -> u64 {
-        self.writer.manifest().map_or(0, |m| m.epoch)
-    }
-
     /// The alert outbox.
     pub fn outbox(&self) -> &Outbox {
         &self.outbox
     }
-
-    /// This watcher's configuration.
-    pub fn config(&self) -> &WatchConfig {
-        &self.cfg
-    }
 }
 
 /// Lists `*.cvedelta` files as `(file name, path)`, sorted by name.
-pub fn scan_deltas(dir: &Path) -> Result<Vec<(String, PathBuf)>, WatchError> {
+pub(crate) fn scan_deltas(dir: &Path) -> Result<Vec<(String, PathBuf)>, WatchError> {
     let mut deltas = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,

@@ -236,7 +236,7 @@ const NAME_PARTS: &[&str] = &[
 impl DomainModel {
     /// Generates the model for `(seed, rank)` on `timeline` with
     /// `domain_count` total domains (for rank-relative probabilities).
-    pub fn generate(
+    pub(crate) fn generate(
         seed: u64,
         rank: usize,
         domain_count: usize,
@@ -306,7 +306,7 @@ impl DomainModel {
     }
 
     /// Whether the domain answers at all in `week`.
-    pub fn online_at(&self, week: usize) -> bool {
+    pub(crate) fn online_at(&self, week: usize) -> bool {
         if self.dead_from_start {
             return false;
         }

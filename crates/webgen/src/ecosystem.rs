@@ -2,7 +2,7 @@
 //! [`webvuln_net::Handler`] so the crawler fetches it over the real HTTP
 //! codec.
 
-use crate::domain::{DomainModel, DomainState};
+use crate::domain::DomainModel;
 use crate::render::{antibot_page, render_page};
 use crate::timeline::Timeline;
 use std::collections::HashMap;
@@ -64,11 +64,6 @@ impl Ecosystem {
         }
     }
 
-    /// The configuration used to generate this web.
-    pub fn config(&self) -> &EcosystemConfig {
-        &self.config
-    }
-
     /// The timeline.
     pub fn timeline(&self) -> &Timeline {
         &self.config.timeline
@@ -85,13 +80,8 @@ impl Ecosystem {
     }
 
     /// Looks a model up by host name.
-    pub fn model(&self, host: &str) -> Option<&DomainModel> {
+    pub(crate) fn model(&self, host: &str) -> Option<&DomainModel> {
         self.index.get(host).map(|&i| &self.models[i])
-    }
-
-    /// Resolved state of `host` at `week`.
-    pub fn state(&self, host: &str, week: usize) -> Option<DomainState<'_>> {
-        self.model(host).map(|m| m.state_at(week))
     }
 
     /// What the web serves for `host` at `week`.
@@ -165,7 +155,15 @@ impl Handler for WeekHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::DomainState;
     use webvuln_net::{CrawlOptions, VirtualNet};
+
+    impl Ecosystem {
+        /// Resolved state of `host` at `week`.
+        fn state(&self, host: &str, week: usize) -> Option<DomainState<'_>> {
+            self.model(host).map(|m| m.state_at(week))
+        }
+    }
 
     fn small() -> Arc<Ecosystem> {
         Arc::new(Ecosystem::generate(EcosystemConfig {

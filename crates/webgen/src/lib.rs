@@ -12,7 +12,7 @@
 //! the exact HTML the crawler downloads that week.
 //!
 //! The marginal distributions come straight from the paper's tables
-//! ([`shares`]); the temporal events come from its findings (WordPress
+//! (`shares`); the temporal events come from its findings (WordPress
 //! 5.5/5.6, the Dec 2020 and Aug 2021 jQuery waves, Flash end-of-life).
 //!
 //! ```
@@ -33,17 +33,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod domain;
-pub mod ecosystem;
-pub mod render;
-pub mod rng;
-pub mod shares;
-pub mod timeline;
+pub(crate) mod domain;
+pub(crate) mod ecosystem;
+pub(crate) mod render;
+pub(crate) mod rng;
+pub(crate) mod shares;
+pub(crate) mod timeline;
 
 pub use domain::{
     Deployed, Deployment, DomainModel, DomainState, FlashState, GithubScript, Inclusion,
     ResourceFlags,
 };
 pub use ecosystem::{Ecosystem, EcosystemConfig, PageOutcome, WeekHandler};
-pub use render::{antibot_page, render_page, script_url};
+pub use render::script_url;
 pub use timeline::Timeline;

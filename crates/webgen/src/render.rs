@@ -17,7 +17,7 @@ use webvuln_version::Version;
 
 /// Renders the landing page for `domain` at snapshot `week`, into one
 /// buffer sized for it up front.
-pub fn render_page(domain: &str, week: usize, state: &DomainState<'_>) -> String {
+pub(crate) fn render_page(domain: &str, week: usize, state: &DomainState<'_>) -> String {
     let mut html = String::with_capacity(page_capacity(domain, state));
     html.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n");
     html.push_str("<meta charset=\"utf-8\">\n");
@@ -110,7 +110,7 @@ fn page_capacity(domain: &str, state: &DomainState<'_>) -> usize {
 
 /// The small page anti-bot blockers answer with (paper §4.1: "Not allowed
 /// to access", served with a 200 status).
-pub fn antibot_page() -> String {
+pub(crate) fn antibot_page() -> String {
     "<html><body>Not allowed to access.</body></html>".to_string()
 }
 
@@ -238,7 +238,7 @@ fn push_script_url(out: &mut String, domain: &str, dep: &Deployed<'_>) {
 /// when the project ships one (what the fingerprint engine's inline
 /// patterns key on); `false`, with nothing appended, for projects without
 /// a recognisable banner.
-pub fn push_inline_banner(out: &mut String, library: LibraryId, version: &Version) -> bool {
+pub(crate) fn push_inline_banner(out: &mut String, library: LibraryId, version: &Version) -> bool {
     let _ = match library {
         LibraryId::JQuery => write!(out, "/*! jQuery v{version} | (c) OpenJS Foundation */"),
         LibraryId::JQueryMigrate => write!(out, "/*! jQuery Migrate v{version} */"),
@@ -267,7 +267,7 @@ pub fn push_inline_banner(out: &mut String, library: LibraryId, version: &Versio
 }
 
 /// Whether [`push_inline_banner`] writes a banner for `library`.
-pub fn has_inline_banner(library: LibraryId) -> bool {
+pub(crate) fn has_inline_banner(library: LibraryId) -> bool {
     let version = Version::parse("1.0").expect("static version");
     push_inline_banner(&mut String::new(), library, &version)
 }

@@ -7,7 +7,7 @@
 
 /// A PCG-XSH-RR 32-bit generator (O'Neill 2014).
 #[derive(Debug, Clone)]
-pub struct Pcg32 {
+pub(crate) struct Pcg32 {
     state: u64,
     inc: u64,
 }
@@ -16,7 +16,7 @@ const PCG_MULT: u64 = 6_364_136_223_846_793_005;
 
 impl Pcg32 {
     /// Creates a generator from a seed and stream selector.
-    pub fn new(seed: u64, stream: u64) -> Pcg32 {
+    pub(crate) fn new(seed: u64, stream: u64) -> Pcg32 {
         let mut rng = Pcg32 {
             state: 0,
             inc: (stream << 1) | 1,
@@ -28,7 +28,7 @@ impl Pcg32 {
     }
 
     /// Next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
@@ -37,7 +37,7 @@ impl Pcg32 {
     }
 
     /// Uniform draw in `[0, n)`. Returns 0 when `n == 0`.
-    pub fn below(&mut self, n: u32) -> u32 {
+    pub(crate) fn below(&mut self, n: u32) -> u32 {
         if n == 0 {
             return 0;
         }
@@ -58,12 +58,12 @@ impl Pcg32 {
     }
 
     /// Bernoulli draw with probability `p`/1000.
-    pub fn permille(&mut self, p: u32) -> bool {
+    pub(crate) fn permille(&mut self, p: u32) -> bool {
         self.below(1000) < p
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u32() as f64) / (u32::MAX as f64 + 1.0)
     }
 
@@ -72,7 +72,7 @@ impl Pcg32 {
     /// # Panics
     ///
     /// Panics when all weights are zero or the list is empty.
-    pub fn pick_weighted_index(&mut self, weights: &[u32]) -> usize {
+    pub(crate) fn pick_weighted_index(&mut self, weights: &[u32]) -> usize {
         let total: u64 = weights.iter().map(|&w| w as u64).sum();
         assert!(total > 0, "weighted pick over empty distribution");
         let mut ticket = (self.unit() * total as f64) as u64;
@@ -91,7 +91,7 @@ impl Pcg32 {
 
     /// Geometric draw: number of weeks until an event with per-week
     /// probability `1/mean_weeks` fires. Returns at least 1.
-    pub fn geometric_weeks(&mut self, mean_weeks: f64) -> usize {
+    pub(crate) fn geometric_weeks(&mut self, mean_weeks: f64) -> usize {
         if mean_weeks <= 1.0 {
             return 1;
         }
@@ -112,7 +112,7 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 /// Hashes a string into a stream selector.
-pub fn hash_str(text: &str) -> u64 {
+pub(crate) fn hash_str(text: &str) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in text.as_bytes() {
         h ^= b as u64;
@@ -122,7 +122,7 @@ pub fn hash_str(text: &str) -> u64 {
 }
 
 /// Derives an independent stream for `(seed, domain, purpose)`.
-pub fn stream(seed: u64, domain: &str, purpose: &str) -> Pcg32 {
+pub(crate) fn stream(seed: u64, domain: &str, purpose: &str) -> Pcg32 {
     let sel = splitmix(hash_str(domain) ^ splitmix(hash_str(purpose)));
     Pcg32::new(splitmix(seed) ^ sel, sel | 1)
 }

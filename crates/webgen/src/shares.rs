@@ -10,7 +10,7 @@ use webvuln_cvedb::LibraryId;
 
 /// Behavioural model for one library.
 #[derive(Debug, Clone)]
-pub struct LibraryModel {
+pub(crate) struct LibraryModel {
     /// Which library.
     pub library: LibraryId,
     /// Target share of (non-WordPress-forced) websites using it, ‰.
@@ -305,7 +305,7 @@ static POLYFILL_CDNS: &[(&str, u32)] = &[
 /// WordPress forces jQuery and usually jQuery-Migrate onto its 26.9% of
 /// sites, so the organic jQuery share is chosen such that the combined
 /// average lands on Table 1's 64.0% (and 20.8% for Migrate).
-pub fn library_models() -> Vec<LibraryModel> {
+pub(crate) fn library_models() -> Vec<LibraryModel> {
     use LibraryId::*;
     let m = |library,
              usage_permille,
@@ -357,11 +357,11 @@ pub fn library_models() -> Vec<LibraryModel> {
 }
 
 /// Share of WordPress sites (Figure 9: 26.9%).
-pub const WORDPRESS_PERMILLE: u32 = 269;
+pub(crate) const WORDPRESS_PERMILLE: u32 = 269;
 
 /// Resource-type usage targets (Figure 2(b)), ‰ of collected sites.
 #[derive(Debug, Clone, Copy)]
-pub struct ResourceTargets {
+pub(crate) struct ResourceTargets {
     /// Sites with any JavaScript (94.7%).
     pub javascript: u32,
     /// CSS (88.4%).
@@ -380,7 +380,7 @@ pub struct ResourceTargets {
 
 impl ResourceTargets {
     /// The paper's Figure 2(b) values.
-    pub fn paper() -> ResourceTargets {
+    pub(crate) fn paper() -> ResourceTargets {
         ResourceTargets {
             javascript: 947,
             css: 884,
@@ -393,12 +393,8 @@ impl ResourceTargets {
     }
 }
 
-/// Share of JavaScript-using sites that use recognisable libraries
-/// (§5: 97.04%).
-pub const LIBRARY_OF_JS_PERMILLE: u32 = 970;
-
 /// GitHub-hosted library sources (Table 6): weight-ordered repositories.
-pub static GITHUB_HOSTS: &[(&str, u32)] = &[
+pub(crate) static GITHUB_HOSTS: &[(&str, u32)] = &[
     ("partnercoll.github.io/actualize.js", 113),
     (
         "blueimp.github.io/jQuery-File-Upload/js/vendor/jquery.ui.widget.js",
@@ -436,24 +432,24 @@ pub static GITHUB_HOSTS: &[(&str, u32)] = &[
 
 /// Share of sites loading a library from a GitHub host (§6.5: an average
 /// of 1,670 of 782,300 collected sites ≈ 2.1‰).
-pub const GITHUB_HOSTED_PERMILLE: u32 = 2;
+pub(crate) const GITHUB_HOSTED_PERMILLE: u32 = 2;
 
 /// Of GitHub-hosted inclusions, the share carrying `integrity` (0.6%).
-pub const GITHUB_SRI_PERMILLE: u32 = 6;
+pub(crate) const GITHUB_SRI_PERMILLE: u32 = 6;
 
 /// Probability that an external library deployment carries `integrity`
 /// under the site-wide policy draw (Figure 10's protected minority).
-pub const FULL_SRI_PERMILLE: u32 = 6;
+pub(crate) const FULL_SRI_PERMILLE: u32 = 6;
 
 /// Probability that an external library deployment carries `integrity`
 /// opportunistically (copied from a Bootstrap-style snippet).
-pub const PARTIAL_SRI_PERMILLE: u32 = 90;
+pub(crate) const PARTIAL_SRI_PERMILLE: u32 = 90;
 
 /// Generic third-party scripts (analytics, tag managers, social SDKs).
 /// Practically never carry `integrity`, which is why Figure 10's
 /// "no unprotected external" population stays at 0.3% even on sites that
 /// protect their libraries.
-pub static EXTRA_SCRIPT_HOSTS: &[(&str, &str, u32)] = &[
+pub(crate) static EXTRA_SCRIPT_HOSTS: &[(&str, &str, u32)] = &[
     ("www.google-analytics.com", "/analytics.js", 380),
     ("www.googletagmanager.com", "/gtm.js?id=GTM-XYZ", 250),
     ("connect.facebook.net", "/en_US/fbevents.js", 140),
@@ -463,11 +459,11 @@ pub static EXTRA_SCRIPT_HOSTS: &[(&str, &str, u32)] = &[
 ];
 
 /// Share of sites embedding at least one generic third-party script.
-pub const EXTRA_SCRIPT_PERMILLE: u32 = 700;
+pub(crate) const EXTRA_SCRIPT_PERMILLE: u32 = 700;
 
 /// `crossorigin` values among scripts that carry `integrity` (§6.5:
 /// 97.1% anonymous, 1.9% use-credentials, remainder absent).
-pub static CROSSORIGIN_WEIGHTS: &[(&str, u32)] =
+pub(crate) static CROSSORIGIN_WEIGHTS: &[(&str, u32)] =
     &[("anonymous", 971), ("use-credentials", 19), ("", 10)];
 
 #[cfg(test)]
@@ -494,9 +490,10 @@ mod tests {
                 assert!(*w > 0, "{}: zero weight {v}", model.library);
                 let version =
                     Version::parse(v).unwrap_or_else(|e| panic!("{}: {e}", model.library));
-                let date = cat
-                    .release_date(&version)
-                    .unwrap_or_else(|| panic!("{} {v} missing from catalog", model.library));
+                let release = cat.releases.iter().find(|r| r.version == version);
+                let date = release
+                    .unwrap_or_else(|| panic!("{} {v} missing from catalog", model.library))
+                    .date;
                 assert!(
                     date <= start,
                     "{} {v} released {date}, after study start",

@@ -34,19 +34,14 @@ impl Timeline {
     }
 
     /// Snapshot date of week `w`.
-    pub fn date_of(&self, week: usize) -> Date {
+    pub(crate) fn date_of(&self, week: usize) -> Date {
         self.start.add_days(7 * week as i32)
-    }
-
-    /// The last snapshot's date.
-    pub fn end(&self) -> Date {
-        self.date_of(self.weeks.saturating_sub(1))
     }
 
     /// The snapshot week covering `date`: the first week whose snapshot
     /// date is on or after `date`. Returns `None` when `date` falls after
     /// the last snapshot.
-    pub fn week_of(&self, date: Date) -> Option<usize> {
+    pub(crate) fn week_of(&self, date: Date) -> Option<usize> {
         if date <= self.start {
             return Some(0);
         }
@@ -68,6 +63,13 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Timeline {
+        /// The last snapshot's date.
+        fn end(&self) -> Date {
+            self.date_of(self.weeks.saturating_sub(1))
+        }
+    }
 
     #[test]
     fn paper_timeline_spans_to_early_2022() {

@@ -92,7 +92,7 @@ const COMMANDS: [Command; 7] = [
         about: "run the full study and print every table and figure of the paper",
         table: &[
             ("--domains", Number, "domains in the synthetic web (default 2000)"),
-            ("--weeks", Number, "weekly snapshots from the paper's first (default 201)"),
+            ("--weeks", Number, "weekly snapshots from the paper's first, at most 201 (default 201)"),
             ("--seed", Number, "seed of the web and its faults (default 42)"),
             ("--threads", Number, "workers, 0 = one per core (default 8)"),
             ("--csv", Value("DIR"), "write every figure series as a CSV file into DIR"),
@@ -121,7 +121,7 @@ const COMMANDS: [Command; 7] = [
         about: "crawl one snapshot week and summarize detections",
         table: &[
             ("--domains", Number, "domains in the synthetic web (default 500)"),
-            ("--week", Number, "the snapshot week (default 100)"),
+            ("--week", Number, "the snapshot week, 0 to 200 (default 100)"),
             ("--retries", Number, "retry a failed fetch N times, with backoff"),
             ("--threads", Number, "crawl workers (default 8, with --tcp 16)"),
             ("--fault-profile", Value("P"), "faults: none, realistic (default) or hostile"),
@@ -321,6 +321,17 @@ fn invalid(name: &str, value: &str) -> String {
     format!("{name}: invalid number {value:?}")
 }
 
+/// Refuses a `value` of flag `name` past `last`: the web is generated for
+/// the paper's timeline alone, and a later week would be one it never modelled.
+fn within_timeline(name: &str, value: usize, last: usize) -> Result<usize, String> {
+    if value > last {
+        return Err(format!(
+            "{name}: {value} is outside the paper's timeline, 0 to {last}"
+        ));
+    }
+    Ok(value)
+}
+
 /// Reports a runtime failure on stderr and exits with status 1.
 fn die(message: impl Display) -> ! {
     eprintln!("{message}");
@@ -340,7 +351,8 @@ fn fault_profile(args: &Args, seed: u64) -> Result<FaultPlan, String> {
 
 fn cmd_study(args: &Args) -> Result<(), String> {
     let domains = args.get("--domains")?.unwrap_or(2_000);
-    let weeks = args.get("--weeks")?.unwrap_or(201);
+    let paper = Timeline::paper().weeks;
+    let weeks = within_timeline("--weeks", args.get("--weeks")?.unwrap_or(paper), paper)?;
     let seed = args.get("--seed")?.unwrap_or(42);
     let retries = args.get("--retries")?.unwrap_or(0);
     let store: Option<PathBuf> = args.get("--store")?;
@@ -531,7 +543,8 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
 
 fn cmd_crawl(args: &Args) -> Result<(), String> {
     let domains = args.get("--domains")?.unwrap_or(500);
-    let week = args.get("--week")?.unwrap_or(100);
+    let last = Timeline::paper().weeks - 1;
+    let week = within_timeline("--week", args.get("--week")?.unwrap_or(100), last)?;
     let tcp = args.has("--tcp");
     if tcp && args.has("--fault-profile") {
         return Err("--fault-profile injects faults in memory only, not with --tcp".into());

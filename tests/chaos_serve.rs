@@ -57,7 +57,8 @@ fn start(tag: &str, config: ServeConfig) -> (ApiServer, Registry) {
 
 fn get(server: &ApiServer, target: &str) -> Result<(Status, String), webvuln::net::NetError> {
     let connector = TcpConnector::fixed(server.addr());
-    fetch(&connector, "chaos.test", target).map(|r| (r.status, r.body_text()))
+    fetch(&connector, "chaos.test", target)
+        .map(|r| (r.status, String::from_utf8_lossy(&r.body).into_owned()))
 }
 
 /// Every catalogued site must have a scenario in this file. A new

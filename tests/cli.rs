@@ -73,6 +73,25 @@ fn a_flag_that_cannot_apply_exits_2_naming_what_it_needs() {
 }
 
 #[test]
+fn a_week_outside_the_paper_timeline_exits_2_naming_the_range() {
+    refused(
+        &["crawl", "--week", "201"],
+        "--week: 201 is outside the paper's timeline, 0 to 200",
+    );
+    refused(&["crawl", "--week", "500", "--tcp"], "0 to 200");
+    refused(
+        &["study", "--weeks", "202"],
+        "--weeks: 202 is outside the paper's timeline, 0 to 201",
+    );
+    let out = webvuln(&["crawl", "--domains", "3", "--week", "200"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn a_closed_stdout_ends_the_command_quietly() {
     for args in [
         &["study", "--domains", "40", "--weeks", "2"][..],
