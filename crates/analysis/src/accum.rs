@@ -687,7 +687,7 @@ struct DomainTrack {
 /// Update behavior: §7 update delays, §9 regressions, Figure 9's
 /// WordPress usage and Table 4.
 #[derive(Debug, Default, Clone)]
-pub struct UpdateBehaviorAccum {
+pub(crate) struct UpdateBehaviorAccum {
     weeks: Vec<BehaviorWeek>,
     domains: BTreeMap<String, DomainTrack>,
     events_claimed: Vec<(usize, String, UpdateEvent)>,
@@ -970,7 +970,7 @@ struct CollectionWeek {
 
 /// Figure 2: the collected-pages series and resource-class usage.
 #[derive(Debug, Default, Clone)]
-pub struct CollectionAccum {
+pub(crate) struct CollectionAccum {
     weeks: Vec<CollectionWeek>,
 }
 
@@ -1073,7 +1073,7 @@ struct FlashFinalWeek {
 /// §8 Flash: Figure 8's usage, Figure 11's `AllowScriptAccess` audit and
 /// the post-EOL TLD census.
 #[derive(Debug, Default, Clone)]
-pub struct FlashAccum {
+pub(crate) struct FlashAccum {
     weeks: Vec<FlashWeek>,
     last: Option<FlashFinalWeek>,
 }
@@ -1254,7 +1254,7 @@ struct SriWeek {
 
 /// §6.5: Figure 10's SRI adoption, the `crossorigin` census and Table 6.
 #[derive(Debug, Default, Clone)]
-pub struct SriAccum {
+pub(crate) struct SriAccum {
     weeks: Vec<SriWeek>,
     anonymous: usize,
     credentials: usize,
@@ -1444,13 +1444,13 @@ pub struct StudyAccum {
     /// CVE exposure (§6.2/§6.4).
     pub exposure: CveExposureAccum,
     /// Update behavior (§7/§9).
-    pub behavior: UpdateBehaviorAccum,
+    pub(crate) behavior: UpdateBehaviorAccum,
     /// Collection (§5).
-    pub collection: CollectionAccum,
+    pub(crate) collection: CollectionAccum,
     /// Flash (§8).
-    pub flash: FlashAccum,
+    pub(crate) flash: FlashAccum,
     /// SRI and externals (§6.5).
-    pub sri: SriAccum,
+    pub(crate) sri: SriAccum,
 }
 
 impl StudyAccum {

@@ -17,7 +17,7 @@ use webvuln_exec::{ExecStats, Executor, SuperviseConfig};
 use webvuln_fingerprint::{Engine, PageAnalysis};
 use webvuln_net::{
     page_is_error_or_empty, BreakerConfig, CrawlOptions, FaultPlan, FetchRecord, FetchSummary,
-    HostBreakers, RetryPolicy, VirtualClock, VirtualNet, EMPTY_PAGE_THRESHOLD,
+    HostBreakers, RetryPolicy, VirtualClock, VirtualNet,
 };
 use webvuln_store::{AnyReader, DomainRecord, PageRecord, StoreWriter, WeekData};
 use webvuln_telemetry::trace::{self, Sink};
@@ -28,9 +28,9 @@ use webvuln_webgen::{Ecosystem, Timeline};
 #[derive(Debug, Clone)]
 pub struct WeekSnapshot {
     /// Snapshot index.
-    pub week: usize,
+    pub(crate) week: usize,
     /// Snapshot date.
-    pub date: Date,
+    pub(crate) date: Date,
     /// Fingerprinted pages of domains that served usable content this
     /// week, plus carried-forward pages for domains that were down (see
     /// [`WeekSnapshot::carried_forward`]).
@@ -237,14 +237,10 @@ pub fn collect(
     // The resume gate's reader has served; the finished store is read
     // through the writer that finished it.
     drop(reader);
-    let torn_bytes_recovered = writer.stats().torn_bytes_recovered;
     let reader = writer.into_reader()?;
     Ok(CheckpointOutcome {
         dataset: Dataset::shell_from_reader(&reader, &filtered)?,
         reader,
-        weeks_crawled: remaining.len(),
-        weeks_recovered,
-        torn_bytes_recovered,
     })
 }
 
@@ -362,7 +358,7 @@ impl WeekCollector {
         // The engine is `Sync`: every task, of every week, shares it and its memo.
         let analyze_ns = AtomicU64::new(0);
         let record = |fetched: FetchRecord| {
-            let page = fetched.is_usable(EMPTY_PAGE_THRESHOLD).then(|| {
+            let page = fetched.is_usable().then(|| {
                 let started = Instant::now();
                 let page = self.engine.analyze(&fetched.body, &fetched.domain);
                 analyze_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);

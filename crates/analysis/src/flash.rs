@@ -35,7 +35,7 @@ pub(crate) fn tier_cutoff(population: usize, real_tier: usize) -> usize {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlashByTld {
     /// `(tld, sites with Flash at the final snapshot)`, descending.
-    pub counts: Vec<(String, usize)>,
+    pub(crate) counts: Vec<(String, usize)>,
     /// Share of post-EOL Flash sites under `.cn`.
     pub cn_share: f64,
     /// Share of *all* sites under `.cn` (the base rate, for contrast).
@@ -48,11 +48,11 @@ pub struct ScriptAccessAudit {
     /// `(date, flash sites, sites setting the parameter, sites with "always")`.
     pub points: Vec<(Date, usize, usize, usize)>,
     /// Average share of Flash sites using the insecure `always` option.
-    pub average_always_share: f64,
+    pub(crate) average_always_share: f64,
     /// `always` share in the first quarter of the study.
-    pub early_always_share: f64,
+    pub(crate) early_always_share: f64,
     /// `always` share in the last quarter of the study.
-    pub late_always_share: f64,
+    pub(crate) late_always_share: f64,
 }
 
 #[cfg(test)]

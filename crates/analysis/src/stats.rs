@@ -29,7 +29,7 @@ pub struct Cdf {
     /// `(x, F(x))` pairs at each distinct observed value.
     pub points: Vec<(f64, f64)>,
     /// Sample count.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl Cdf {

@@ -611,12 +611,6 @@ pub struct CheckpointOutcome {
     /// The finalized store the run committed every week to — its
     /// checkpoint, or the store it kept in memory — open for reading.
     pub reader: AnyReader,
-    /// Weeks actually crawled in this run.
-    pub weeks_crawled: usize,
-    /// Weeks restored from the store instead of crawled.
-    pub weeks_recovered: usize,
-    /// Torn tail bytes truncated during resume (0 for a clean store).
-    pub torn_bytes_recovered: u64,
 }
 
 /// Opens or creates the checkpoint store a [`collect`](crate::dataset::collect)
@@ -780,6 +774,17 @@ mod tests {
             collector.settle_week(&mut week);
             commit_checkpoint(&mut writer, &week, telemetry).expect("commit");
         }
+    }
+
+    /// Weeks a `collect` restored from its store and weeks it crawled, as
+    /// its `store.*` counters say.
+    fn weeks_recovered_and_crawled(telemetry: &Telemetry) -> (u64, u64) {
+        let snap = telemetry.snapshot();
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        (
+            count("store.weeks_recovered_total"),
+            count("store.segments_total"),
+        )
     }
 
     fn temp_store(tag: &str) -> std::path::PathBuf {
@@ -975,16 +980,11 @@ mod tests {
         )
         .expect("collect in memory");
         let path = temp_store("checkpointed");
-        let outcome = collect_checkpointed(
-            &eco,
-            CollectConfig::default(),
-            &Telemetry::new(),
-            &path,
-            false,
-        )
-        .expect("collect");
-        assert_eq!(outcome.weeks_crawled, 6);
-        assert_eq!(outcome.weeks_recovered, 0);
+        let telemetry = Telemetry::new();
+        let outcome =
+            collect_checkpointed(&eco, CollectConfig::default(), &telemetry, &path, false)
+                .expect("collect");
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (0, 6));
         // The store kept in memory holds what the checkpoint file holds.
         assert_same_store(&plain.reader, &AnyReader::open(&path).expect("open"));
         let plain = Kept::of(plain);
@@ -1005,8 +1005,6 @@ mod tests {
         let telemetry = Telemetry::new();
         let outcome = collect_checkpointed(&eco, CollectConfig::default(), &telemetry, &path, true)
             .expect("resume");
-        assert_eq!(outcome.weeks_recovered, 4);
-        assert_eq!(outcome.weeks_crawled, 2);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("store.weeks_recovered_total"), Some(4));
         assert_eq!(snap.counter("store.segments_total"), Some(2));
@@ -1016,15 +1014,10 @@ mod tests {
         let plain = testkit::collect(&eco, CollectConfig::default());
         assert_datasets_equal(&plain, &Kept::of(outcome));
         // A second resume finds the finalized store and crawls nothing.
-        let outcome = collect_checkpointed(
-            &eco,
-            CollectConfig::default(),
-            &Telemetry::new(),
-            &path,
-            true,
-        )
-        .expect("resume finalized");
-        assert_eq!(outcome.weeks_crawled, 0);
+        let telemetry = Telemetry::new();
+        let outcome = collect_checkpointed(&eco, CollectConfig::default(), &telemetry, &path, true)
+            .expect("resume finalized");
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (6, 0));
         assert_datasets_equal(&plain, &Kept::of(outcome));
         let _ = std::fs::remove_file(&path);
     }
@@ -1069,10 +1062,9 @@ mod tests {
         // Kill after week 2: breaker and carry-forward state must be
         // replayed from the store for the resumed weeks to match.
         commit_first_weeks(&eco, config, &telemetry, &path, 3);
-        let outcome =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &path, true).expect("resume");
-        assert_eq!(outcome.weeks_recovered, 3);
-        assert_eq!(outcome.weeks_crawled, 3);
+        let telemetry = Telemetry::new();
+        let outcome = collect_checkpointed(&eco, config, &telemetry, &path, true).expect("resume");
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (3, 3));
         assert_datasets_equal(&plain, &Kept::of(outcome));
         let _ = std::fs::remove_file(&path);
     }
@@ -1097,9 +1089,12 @@ mod tests {
         let path = temp_store("carry-resume");
         let telemetry = Telemetry::new();
         commit_first_weeks(&eco, config, &telemetry, &path, KILLED_AFTER);
-        let outcome =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &path, true).expect("resume");
-        assert_eq!(outcome.weeks_recovered, KILLED_AFTER);
+        let telemetry = Telemetry::new();
+        let outcome = collect_checkpointed(&eco, config, &telemetry, &path, true).expect("resume");
+        assert_eq!(
+            weeks_recovered_and_crawled(&telemetry).0,
+            KILLED_AFTER as u64
+        );
         let resumed = Kept::of(outcome);
         assert_datasets_equal(&plain, &resumed);
         // Every page carried in the first crawled week was last fetched
@@ -1182,9 +1177,9 @@ mod tests {
             shards: 3,
             ..CollectConfig::default()
         };
-        let outcome =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &dir, false).expect("collect");
-        assert_eq!(outcome.weeks_crawled, 6);
+        let telemetry = Telemetry::new();
+        let outcome = collect_checkpointed(&eco, config, &telemetry, &dir, false).expect("collect");
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (0, 6));
         assert_eq!(outcome.reader.shard_count(), 3);
         assert_datasets_equal(&plain, &Kept::of(outcome));
         // The store on disk is a directory; reading it through the
@@ -1205,10 +1200,9 @@ mod tests {
         let telemetry = Telemetry::new();
         // Simulate a run killed after week 3: commit 4 weeks by hand.
         commit_first_weeks(&eco, config, &telemetry, &dir, 4);
-        let outcome =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &dir, true).expect("resume");
-        assert_eq!(outcome.weeks_recovered, 4);
-        assert_eq!(outcome.weeks_crawled, 2);
+        let telemetry = Telemetry::new();
+        let outcome = collect_checkpointed(&eco, config, &telemetry, &dir, true).expect("resume");
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (4, 2));
         let plain = testkit::collect(&eco, CollectConfig::default());
         assert_datasets_equal(&plain, &Kept::of(outcome));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1305,8 +1299,9 @@ mod tests {
         };
         let in_memory = collect(&eco, &config, &Telemetry::new(), None, false).expect("in memory");
         let path = temp_store("stream-collect");
+        let telemetry = Telemetry::new();
         let checkpointed =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &path, false).expect("file");
+            collect_checkpointed(&eco, config, &telemetry, &path, false).expect("file");
         // Same committed weeks, same filter verdict, same shell.
         assert_same_store(&in_memory.reader, &checkpointed.reader);
         assert_eq!(
@@ -1315,7 +1310,7 @@ mod tests {
         );
         assert_eq!(in_memory.dataset.timeline, checkpointed.dataset.timeline);
         assert_eq!(in_memory.dataset.ranks, checkpointed.dataset.ranks);
-        assert_eq!(checkpointed.weeks_crawled, 6);
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (0, 6));
         // Reading the checkpoint back gives the run's weeks.
         assert_datasets_equal(&Kept::of(in_memory), &Kept::open(&path));
         let _ = std::fs::remove_file(&path);
@@ -1362,10 +1357,10 @@ mod tests {
         let telemetry = Telemetry::new();
         // Simulate a run killed after week 3: commit 4 weeks by hand.
         commit_first_weeks(&eco, CollectConfig::default(), &telemetry, &path, 4);
+        let telemetry = Telemetry::new();
         let outcome = collect_checkpointed(&eco, CollectConfig::default(), &telemetry, &path, true)
             .expect("resume");
-        assert_eq!(outcome.weeks_recovered, 4);
-        assert_eq!(outcome.weeks_crawled, 2);
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (4, 2));
         assert_eq!(outcome.reader.weeks_committed(), 6);
         // The healed store and the shell's verdict match an
         // uninterrupted run.
@@ -1374,15 +1369,11 @@ mod tests {
         assert_datasets_equal(&plain, &Kept::open(&path));
         // Resuming the now-finalized store crawls nothing and returns the
         // stored verdict.
-        let finalized = collect_checkpointed(
-            &eco,
-            CollectConfig::default(),
-            &Telemetry::new(),
-            &path,
-            true,
-        )
-        .expect("resume finalized");
-        assert_eq!(finalized.weeks_crawled, 0);
+        let telemetry = Telemetry::new();
+        let finalized =
+            collect_checkpointed(&eco, CollectConfig::default(), &telemetry, &path, true)
+                .expect("resume finalized");
+        assert_eq!(weeks_recovered_and_crawled(&telemetry), (6, 0));
         assert_eq!(finalized.reader.weeks_committed(), 6);
         assert_eq!(finalized.dataset.filtered_out, plain.filtered_out);
         let _ = std::fs::remove_file(&path);

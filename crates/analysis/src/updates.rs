@@ -20,32 +20,32 @@ pub struct WordPressUsage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateEvent {
     /// The site.
-    pub domain: String,
+    pub(crate) domain: String,
     /// The vulnerability left behind.
-    pub vuln_id: String,
+    pub(crate) vuln_id: String,
     /// Version the site ran while vulnerable (last seen).
-    pub from_version: Version,
+    pub(crate) from_version: Version,
     /// Version that took it out of the affected range.
-    pub to_version: Version,
+    pub(crate) to_version: Version,
     /// Snapshot date of the update.
-    pub observed: Date,
+    pub(crate) observed: Date,
     /// Days between the patch release and the observed update.
-    pub delay_days: i32,
+    pub(crate) delay_days: i32,
     /// Whether the site was WordPress at update time (attribution).
-    pub wordpress: bool,
+    pub(crate) wordpress: bool,
 }
 
 /// §7's aggregate: the window of vulnerability.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateDelayReport {
     /// Basis used for "affected".
-    pub basis: Basis,
+    pub(crate) basis: Basis,
     /// Every observed update of a vulnerable deployment.
     pub events: Vec<UpdateEvent>,
     /// Mean delay over all events (micro average).
     pub mean_delay_days: f64,
     /// Mean delay per vulnerability: `(id, mean days, events)`.
-    pub per_vuln: Vec<(String, f64, usize)>,
+    pub(crate) per_vuln: Vec<(String, f64, usize)>,
     /// Mean of the per-vulnerability means (macro average — the paper's
     /// 531.2-day CVE-basis / 701.2-day TVV-basis framing, which weights
     /// each vulnerability equally instead of each update event).
@@ -61,15 +61,15 @@ pub struct UpdateDelayReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegressionEvent {
     /// The site.
-    pub domain: String,
+    pub(crate) domain: String,
     /// The library rolled back.
-    pub library: LibraryId,
+    pub(crate) library: LibraryId,
     /// Version before the rollback.
-    pub from_version: Version,
+    pub(crate) from_version: Version,
     /// Version rolled back to.
-    pub to_version: Version,
+    pub(crate) to_version: Version,
     /// Snapshot date of the rollback.
-    pub observed: Date,
+    pub(crate) observed: Date,
     /// True when the rollback re-entered a known-vulnerable range
     /// (CVE-claimed basis, reports disclosed by the rollback date).
     pub back_into_vulnerable: bool,

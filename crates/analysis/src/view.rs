@@ -23,7 +23,7 @@ pub struct DetectionView<'a> {
     /// The extracted version, when observable.
     pub version: Option<&'a Version>,
     /// Serving host of a cross-origin inclusion; `None` = same-origin.
-    pub external_host: Option<&'a str>,
+    pub(crate) external_host: Option<&'a str>,
 }
 
 /// One fingerprinted page.

@@ -10,9 +10,9 @@ use webvuln_cvedb::{Basis, Date};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrevalenceSeries {
     /// Which version information was trusted.
-    pub basis: Basis,
+    pub(crate) basis: Basis,
     /// `(date, fraction of collected sites with ≥1 vulnerability)`.
-    pub points: Vec<(Date, f64)>,
+    pub(crate) points: Vec<(Date, f64)>,
     /// Average fraction across the study.
     pub average: f64,
 }
@@ -38,7 +38,7 @@ pub struct CveImpact {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VulnCountDistribution {
     /// Basis used.
-    pub basis: Basis,
+    pub(crate) basis: Basis,
     /// Empirical CDF over websites of their across-weeks average count.
     pub cdf: Cdf,
     /// Mean of the per-website averages.
@@ -52,9 +52,9 @@ pub struct VulnCountDistribution {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefinementSummary {
     /// Average prevalence under CVE-claimed ranges.
-    pub claimed_average: f64,
+    pub(crate) claimed_average: f64,
     /// Average prevalence under TVV.
-    pub true_average: f64,
+    pub(crate) true_average: f64,
     /// Weekly gap series `(date, tvv_fraction - claimed_fraction)`.
     pub gap: Vec<(Date, f64)>,
 }

@@ -123,7 +123,7 @@ pub struct StudyResults {
     /// Figure 3.
     pub trends: Vec<UsageTrend>,
     /// Table 5.
-    pub table5: Vec<CdnBreakdown>,
+    pub(crate) table5: Vec<CdnBreakdown>,
     /// §6.2 prevalence under CVE-claimed ranges.
     pub prevalence_claimed: PrevalenceSeries,
     /// §6.4 prevalence under True Vulnerable Versions.
@@ -143,21 +143,21 @@ pub struct StudyResults {
     /// Figure 9.
     pub wordpress: WordPressUsage,
     /// Table 4.
-    pub table4: Vec<WordPressCveRow>,
+    pub(crate) table4: Vec<WordPressCveRow>,
     /// Figure 8.
     pub flash: FlashUsage,
     /// Figure 11.
     pub script_access: ScriptAccessAudit,
     /// §8 country census of post-EOL Flash.
-    pub flash_by_tld: FlashByTld,
+    pub(crate) flash_by_tld: FlashByTld,
     /// §9 (future work): observed upgrade-then-rollback cycles.
-    pub regressions: Vec<RegressionEvent>,
+    pub(crate) regressions: Vec<RegressionEvent>,
     /// Figure 10.
     pub sri: SriAdoption,
     /// §6.5 crossorigin census.
     pub crossorigin: CrossoriginCensus,
     /// Table 6.
-    pub github: GithubReport,
+    pub(crate) github: GithubReport,
     /// §6.4 version-validation experiment reports — a property of the
     /// built-in database, derived once per process and shared by every
     /// study in it ([`builtin_validations`]).

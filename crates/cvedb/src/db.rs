@@ -7,8 +7,9 @@
 //! ranges, and by the True Vulnerable Versions?
 
 use crate::date::Date;
+use crate::delta::parse_delta;
 use crate::library::{catalog, Catalog, LibraryId};
-use crate::record::{builtin_records, VulnRecord};
+use crate::record::VulnRecord;
 use crate::wordpress::{wordpress_cves, WordPressCve};
 use webvuln_version::Version;
 
@@ -171,7 +172,8 @@ pub struct VulnDb {
 }
 
 impl VulnDb {
-    /// Builds the database from the built-in corpus.
+    /// Builds the database from the built-in corpus, the delta document
+    /// of paper Table 2.
     pub fn builtin() -> VulnDb {
         let mut db = VulnDb {
             records: Vec::new(),
@@ -182,7 +184,9 @@ impl VulnDb {
             catalogs: LibraryId::ALL.into_iter().map(catalog).collect(),
             wordpress: wordpress_cves(),
         };
-        db.extend(builtin_records());
+        let corpus = parse_delta(include_str!("table2.cvedelta"))
+            .unwrap_or_else(|e| panic!("table2.cvedelta: {e}"));
+        db.extend(corpus);
         db
     }
 

@@ -24,16 +24,18 @@
 //! ```
 //!
 //! `id`, `library`, `claimed`, `attack`, and `disclosed` are required;
-//! the rest are optional. Ranges use the same comparator syntax as
-//! [`webvuln_version::VersionReq`]. Parsing is strict: an unknown key,
-//! library, or attack slug fails the whole file (a half-applied delta is
-//! worse than a rejected one).
+//! the rest are optional. A range is what an
+//! [`IntervalSet`](webvuln_version::IntervalSet) prints: comparator
+//! conjunctions joined by ` or ` (`< 3.4.1 or >= 4.0.0, < 4.3.1`). Parsing
+//! is strict: an unknown or repeated key, library, or attack slug fails
+//! the whole file (a half-applied delta is worse than a rejected one).
+//! The study's own corpus is such a file, `table2.cvedelta`.
 
 use crate::date::Date;
 use crate::library::LibraryId;
 use crate::record::{AttackType, VulnRecord};
 use std::fmt;
-use webvuln_version::{Version, VersionReq};
+use webvuln_version::{IntervalSet, Version};
 
 /// A delta file failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,8 +86,16 @@ struct Stanza {
     disclosed: Option<Date>,
     patched_version: Option<Version>,
     patched_date: Option<Date>,
-    poc: bool,
+    poc: Option<bool>,
     any: bool,
+}
+
+/// Fills one key's slot of a stanza; a key given twice fails the file.
+fn fill<T>(slot: &mut Option<T>, value: T, line: usize, key: &str) -> Result<(), DeltaError> {
+    match slot.replace(value) {
+        Some(_) => Err(err(line, format!("repeated key {key:?}"))),
+        None => Ok(()),
+    }
 }
 
 impl Stanza {
@@ -98,15 +108,13 @@ impl Stanza {
         let claimed_src = self
             .claimed
             .ok_or_else(|| err(line, "missing key: claimed"))?;
-        let claimed = VersionReq::parse(&claimed_src)
-            .map_err(|e| err(line, format!("claimed range {claimed_src:?}: {e}")))?
-            .to_interval_set();
+        let claimed = IntervalSet::parse(&claimed_src)
+            .map_err(|e| err(line, format!("claimed range {claimed_src:?}: {e}")))?;
         let tvv = match self.tvv {
             None => None,
             Some(src) => Some(
-                VersionReq::parse(&src)
-                    .map_err(|e| err(line, format!("tvv range {src:?}: {e}")))?
-                    .to_interval_set(),
+                IntervalSet::parse(&src)
+                    .map_err(|e| err(line, format!("tvv range {src:?}: {e}")))?,
             ),
         };
         let attack = self
@@ -126,7 +134,7 @@ impl Stanza {
             disclosed,
             patched_date: self.patched_date,
             attack,
-            has_poc: self.poc,
+            has_poc: self.poc.unwrap_or(false),
         })
     }
 }
@@ -157,42 +165,41 @@ pub fn parse_delta(text: &str) -> Result<Vec<VulnRecord>, DeltaError> {
             stanza.start_line = lineno;
         }
         match key {
-            "id" => stanza.id = Some(value.to_string()),
+            "id" => fill(&mut stanza.id, value.to_string(), lineno, key)?,
             "library" => {
-                stanza.library = Some(
-                    LibraryId::from_slug(value)
-                        .ok_or_else(|| err(lineno, format!("unknown library {value:?}")))?,
-                )
+                let library = LibraryId::from_slug(value)
+                    .ok_or_else(|| err(lineno, format!("unknown library {value:?}")))?;
+                fill(&mut stanza.library, library, lineno, key)?
             }
-            "claimed" => stanza.claimed = Some(value.to_string()),
-            "tvv" => stanza.tvv = Some(value.to_string()),
+            "claimed" => fill(&mut stanza.claimed, value.to_string(), lineno, key)?,
+            "tvv" => fill(&mut stanza.tvv, value.to_string(), lineno, key)?,
             "attack" => {
-                stanza.attack = Some(
-                    attack_from_slug(value)
-                        .ok_or_else(|| err(lineno, format!("unknown attack {value:?}")))?,
-                )
+                let attack = attack_from_slug(value)
+                    .ok_or_else(|| err(lineno, format!("unknown attack {value:?}")))?;
+                fill(&mut stanza.attack, attack, lineno, key)?
             }
             "disclosed" => {
-                stanza.disclosed =
-                    Some(Date::parse(value).map_err(|e| err(lineno, format!("disclosed: {e}")))?)
+                let date =
+                    Date::parse(value).map_err(|e| err(lineno, format!("disclosed: {e}")))?;
+                fill(&mut stanza.disclosed, date, lineno, key)?
             }
             "patched-version" => {
-                stanza.patched_version = Some(
-                    Version::parse(value)
-                        .map_err(|e| err(lineno, format!("patched-version: {e}")))?,
-                )
+                let version = Version::parse(value)
+                    .map_err(|e| err(lineno, format!("patched-version: {e}")))?;
+                fill(&mut stanza.patched_version, version, lineno, key)?
             }
             "patched-date" => {
-                stanza.patched_date = Some(
-                    Date::parse(value).map_err(|e| err(lineno, format!("patched-date: {e}")))?,
-                )
+                let date =
+                    Date::parse(value).map_err(|e| err(lineno, format!("patched-date: {e}")))?;
+                fill(&mut stanza.patched_date, date, lineno, key)?
             }
             "poc" => {
-                stanza.poc = match value {
+                let poc = match value {
                     "yes" | "true" => true,
                     "no" | "false" => false,
                     _ => return Err(err(lineno, format!("poc must be yes/no, got {value:?}"))),
-                }
+                };
+                fill(&mut stanza.poc, poc, lineno, key)?
             }
             _ => return Err(err(lineno, format!("unknown key {key:?}"))),
         }
@@ -271,6 +278,22 @@ disclosed: 2021-03-29
             "id: X\nlibrary: jquery\nclaimed: banana\nattack: xss\ndisclosed: 2020-01-01\n";
         let e = parse_delta(bad_range).unwrap_err();
         assert!(e.detail.contains("claimed range"), "{e}");
+
+        let repeated = "id: X\nlibrary: jquery\nclaimed: < 3.0.0\nclaimed: < 9.0.0\n";
+        let e = parse_delta(repeated).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.detail.contains("repeated key \"claimed\""), "{e}");
+    }
+
+    #[test]
+    fn a_range_reads_every_or_branch() {
+        let branches = "id: X\nlibrary: bootstrap\nclaimed: < 3.4.1 or >= 4.0.0, < 4.3.1\n\
+                        attack: xss\ndisclosed: 2019-02-11\n";
+        let r = &parse_delta(branches).expect("parse")[0];
+        let v = |s: &str| Version::parse(s).unwrap();
+        assert!(r.claims(&v("3.3.7")) && r.claims(&v("4.1.2")));
+        assert!(!r.claims(&v("3.9")) && !r.claims(&v("4.3.1")));
+        assert_eq!(r.claimed.to_string(), "< 3.4.1 or >= 4.0.0, < 4.3.1");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * [`LibraryId`] + release [`Catalog`]s — the top-15 libraries of Table 1
 //!   with their published versions and release dates (boundary versions
 //!   carry real dates).
-//! * [`VulnRecord`] — the 28-report corpus of Table 2, each with the
+//! * [`VulnRecord`] — one report of the Table 2 corpus, with the
 //!   CVE-claimed range *and* the paper's measured True Vulnerable Versions,
 //!   plus the [`Accuracy`] classification (understated / overstated /
-//!   mixed) computed by interval algebra.
+//!   mixed) computed by interval algebra. The corpus is a delta document
+//!   ([`parse_delta`]) embedded in the crate.
 //! * [`WordPressCve`] (Table 4), WordPress event dates, and the Table 3
 //!   browser/Flash-support survey.
 //! * [`VulnDb`] — the query facade: which vulnerabilities affect
@@ -46,5 +47,5 @@ pub use date::{Date, ParseDateError};
 pub use db::{Basis, Verdict, VulnDb};
 pub use delta::{parse_delta, DeltaError};
 pub use library::{catalog, wordpress_catalog, Catalog, LibraryId, Release};
-pub use record::{builtin_records, Accuracy, AttackType, VulnRecord};
+pub use record::{Accuracy, AttackType, VulnRecord};
 pub use wordpress::{wordpress_cves, WordPressCve, WordPressEvents};

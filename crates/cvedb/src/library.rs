@@ -141,8 +141,6 @@ pub struct Release {
 /// The release history of one library, sorted by version ascending.
 #[derive(Debug, Clone)]
 pub struct Catalog {
-    /// Which library this catalog describes.
-    pub library: LibraryId,
     /// All releases, ascending by version.
     pub releases: Vec<Release>,
 }
@@ -549,7 +547,8 @@ pub(crate) static WORDPRESS: Raw = &[
     ("5.9", "2022-01-25"),
 ];
 
-fn build(library: LibraryId, raw: Raw) -> Catalog {
+/// The releases of a built-in table, ascending by version.
+fn releases(raw: Raw) -> Vec<Release> {
     let mut releases: Vec<Release> = raw
         .iter()
         .map(|(v, d)| Release {
@@ -558,7 +557,7 @@ fn build(library: LibraryId, raw: Raw) -> Catalog {
         })
         .collect();
     releases.sort_by(|a, b| a.version.cmp(&b.version));
-    Catalog { library, releases }
+    releases
 }
 
 /// Builds the release catalog for `library`.
@@ -580,21 +579,15 @@ pub fn catalog(library: LibraryId) -> Catalog {
         LibraryId::JQueryCookie => JQUERY_COOKIE,
         LibraryId::PolyfillIo => POLYFILL_IO,
     };
-    build(library, raw)
+    Catalog {
+        releases: releases(raw),
+    }
 }
 
 /// Builds the WordPress core release catalog (not a JS library; modelled
 /// separately because it drives the §7 auto-update attribution).
 pub fn wordpress_catalog() -> Vec<Release> {
-    let mut releases: Vec<Release> = WORDPRESS
-        .iter()
-        .map(|(v, d)| Release {
-            version: Version::parse(v).unwrap_or_else(|e| panic!("wp version {v}: {e}")),
-            date: Date::parse(d).unwrap_or_else(|e| panic!("wp date {d}: {e}")),
-        })
-        .collect();
-    releases.sort_by(|a, b| a.version.cmp(&b.version));
-    releases
+    releases(WORDPRESS)
 }
 
 #[cfg(test)]

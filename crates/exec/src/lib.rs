@@ -108,17 +108,17 @@ pub struct ExecStats {
     /// Number of worker threads the pool ran with.
     pub threads: usize,
     /// Number of items mapped.
-    pub items: u64,
+    pub(crate) items: u64,
     /// Number of ranges (tasks) the workers claimed from the cursor.
-    pub tasks: u64,
+    pub(crate) tasks: u64,
     /// Per-worker busy time in nanoseconds (time spent inside the mapped
     /// closure, excluding waiting). Length equals `threads`.
     pub worker_busy_ns: Vec<u64>,
     /// Supervised tasks quarantined because they panicked.
-    pub panics: u64,
+    pub(crate) panics: u64,
     /// Supervised tasks quarantined because their virtual cost exceeded
     /// the per-task deadline.
-    pub deadline_exceeded: u64,
+    pub(crate) deadline_exceeded: u64,
     /// Stall-watchdog events: a worker observed past the wall-clock
     /// stall threshold while inside one task. Observational only.
     pub stalls: u64,
@@ -187,7 +187,7 @@ pub struct TaskFailure {
     /// Panic or deadline.
     pub kind: FailureKind,
     /// Panic payload rendered as text, or the deadline description.
-    pub payload: String,
+    pub(crate) payload: String,
     /// Virtual cost the task had accumulated when it failed.
     pub elapsed_ns: u64,
     /// The task's last trace events (newest last) at quarantine time —
@@ -218,12 +218,12 @@ impl TaskFailure {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// Virtual per-task deadline in nanoseconds (`u64::MAX` = none).
-    pub deadline_ns: u64,
+    pub(crate) deadline_ns: u64,
     /// Run-wide quarantine budget, enforced by the caller.
     pub max_failures: u64,
     /// Wall-clock stall-watchdog threshold in milliseconds
     /// (`u64::MAX` = watchdog off).
-    pub stall_ms: u64,
+    pub(crate) stall_ms: u64,
 }
 
 impl Default for SuperviseConfig {

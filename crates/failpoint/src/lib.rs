@@ -60,7 +60,7 @@ pub struct Injected {
     /// The site that fired.
     pub site: &'static str,
     /// The key the probing call supplied (often a domain or week).
-    pub key: String,
+    pub(crate) key: String,
 }
 
 impl fmt::Display for Injected {

@@ -19,6 +19,7 @@
 
 use crate::client::fetch_attempt;
 use crate::error::ErrorClass;
+use crate::filter::page_is_error_or_empty;
 
 use crate::server::Connect;
 use std::collections::BTreeMap;
@@ -50,21 +51,20 @@ pub struct FetchRecord {
     /// Transport/protocol error rendered as text, if any.
     pub error: Option<String>,
     /// Classification of the final error, when there was one.
-    pub error_class: Option<ErrorClass>,
+    pub(crate) error_class: Option<ErrorClass>,
     /// Fetch attempts made (1 on the single-attempt path; 0 when the
     /// domain was skipped because its circuit breaker was open).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// True when the first attempt failed but a retry produced a usable
     /// response — the fetches a single-attempt crawler would have lost.
     pub recovered: bool,
 }
 
 impl FetchRecord {
-    /// True when the fetch produced a usable page: 2xx status and a body
-    /// of at least `min_bytes` (the paper prunes pages under 400 bytes as
-    /// error/empty pages).
-    pub fn is_usable(&self, min_bytes: usize) -> bool {
-        matches!(self.status, Some(s) if (200..300).contains(&s)) && self.body.len() >= min_bytes
+    /// True when the fetch produced a usable page: not an error or empty
+    /// page under the paper's rule ([`page_is_error_or_empty`]).
+    pub fn is_usable(&self) -> bool {
+        !page_is_error_or_empty(self.status, self.body.len())
     }
 
     /// The record a quarantined task (panicked or over-deadline under
@@ -606,8 +606,8 @@ mod tests {
         let got = CrawlOptions::new().run(&ds, &net);
         assert_eq!(got["site0007.example"].status, Some(403));
         assert_eq!(got["site0001.example"].status, Some(200));
-        assert!(got["site0001.example"].is_usable(400));
-        assert!(!got["site0007.example"].is_usable(400));
+        assert!(got["site0001.example"].is_usable());
+        assert!(!got["site0007.example"].is_usable());
         assert_eq!(got["site0001.example"].attempts, 1);
         assert!(!got["site0001.example"].recovered);
     }
@@ -638,7 +638,7 @@ mod tests {
             assert_eq!(rec.status, None);
             assert!(rec.error.is_some());
             assert_eq!(rec.error_class, Some(ErrorClass::Refused));
-            assert!(!rec.is_usable(400));
+            assert!(!rec.is_usable());
         }
     }
 
@@ -757,7 +757,7 @@ mod tests {
             .clock(&clock)
             .registry(&registry)
             .run(&ds, &net);
-        let usable = got.values().filter(|r| r.is_usable(400)).count();
+        let usable = got.values().filter(|r| r.is_usable()).count();
         let blocked = got.values().filter(|r| r.status == Some(403)).count();
         assert_eq!(usable + blocked, 16, "every host answered after retries");
         for r in got.values() {

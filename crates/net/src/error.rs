@@ -29,7 +29,7 @@ pub enum NetError {
 /// different recovery behavior, so the crawler records which one it saw
 /// instead of flattening them all into one error string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ErrorClass {
+pub(crate) enum ErrorClass {
     /// The peer refused the connection.
     Refused,
     /// The exchange exceeded its deadline (stall or slow network).

@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The paper's byte threshold below which a page is error/empty.
-pub const EMPTY_PAGE_THRESHOLD: usize = 400;
+pub(crate) const EMPTY_PAGE_THRESHOLD: usize = 400;
 
 /// The paper's window: four consecutive weeks at the end of the study.
 pub const FINAL_WEEKS: usize = 4;

@@ -250,7 +250,7 @@ pub struct Response {
     /// Status code.
     pub status: Status,
     /// Header fields.
-    pub headers: Headers,
+    pub(crate) headers: Headers,
     /// Body bytes.
     pub body: Vec<u8>,
 }

@@ -57,11 +57,9 @@ mod virtual_net;
 
 pub use client::fetch;
 pub use crawler::{CrawlOptions, FetchRecord, FAILPOINTS};
-pub use error::{ErrorClass, NetError, Result};
+pub use error::{NetError, Result};
 pub use fault::{mix, FaultPlan};
-pub use filter::{
-    inaccessible_domains, page_is_error_or_empty, FetchSummary, EMPTY_PAGE_THRESHOLD,
-};
+pub use filter::{inaccessible_domains, page_is_error_or_empty, FetchSummary};
 pub use http::{Headers, Method, Request, Response, Status};
 pub use server::{serve_stream, Connect, Handler, ServeConfig, Server, TcpConnector};
 pub use transport::ByteStream;

@@ -694,7 +694,7 @@ mod tests {
         // First two attempts are refused, the third heals.
         for attempt in 0..2 {
             let err = fetch_attempt(&net, "flap.example", "/", attempt).expect_err("refused");
-            assert_eq!(err.class(), crate::ErrorClass::Refused);
+            assert_eq!(err.class(), crate::error::ErrorClass::Refused);
             assert!(err.is_retryable());
         }
         let resp = fetch_attempt(&net, "flap.example", "/", 2).expect("healed");

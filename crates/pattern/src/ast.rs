@@ -34,22 +34,22 @@ pub(crate) enum Ast {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Repeat {
     /// The repeated sub-expression.
-    pub node: Ast,
+    pub(crate) node: Ast,
     /// Minimum number of repetitions.
-    pub min: u32,
+    pub(crate) min: u32,
     /// Maximum number of repetitions; `None` means unbounded.
-    pub max: Option<u32>,
+    pub(crate) max: Option<u32>,
     /// Greedy repetitions prefer more matches; lazy (`*?`) prefer fewer.
-    pub greedy: bool,
+    pub(crate) greedy: bool,
 }
 
 /// A parenthesised group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Group {
     /// `Some(i)` for capturing group number `i` (1-based); `None` for `(?:…)`.
-    pub index: Option<u32>,
+    pub(crate) index: Option<u32>,
     /// The grouped sub-expression.
-    pub node: Ast,
+    pub(crate) node: Ast,
 }
 
 /// A set of character ranges, optionally negated.
@@ -59,9 +59,9 @@ pub(crate) struct Group {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct ClassSet {
     /// Inclusive character ranges.
-    pub ranges: Vec<(char, char)>,
+    pub(crate) ranges: Vec<(char, char)>,
     /// When set, the class matches characters *not* in `ranges`.
-    pub negated: bool,
+    pub(crate) negated: bool,
 }
 
 impl ClassSet {

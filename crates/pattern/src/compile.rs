@@ -39,22 +39,22 @@ pub(crate) enum Inst {
 #[derive(Debug, Clone)]
 pub(crate) struct Program {
     /// Instruction stream; entry point is instruction 0.
-    pub insts: Vec<Inst>,
+    pub(crate) insts: Vec<Inst>,
     /// Character classes referenced by [`Inst::Class`].
-    pub classes: Vec<ClassSet>,
+    pub(crate) classes: Vec<ClassSet>,
     /// Number of capture slots: two for each capturing group and two for
     /// the implicit group 0.
-    pub slot_count: usize,
+    pub(crate) slot_count: usize,
     /// Whether matching folds ASCII case.
-    pub case_insensitive: bool,
+    pub(crate) case_insensitive: bool,
     /// Literals one of which every match starts with; empty when a match
     /// may start with anything. Lower-cased when `case_insensitive` is set.
-    pub literal_prefixes: Vec<String>,
+    pub(crate) literal_prefixes: Vec<String>,
     /// The longest common prefix of `literal_prefixes`: where a match can
     /// begin when scanning long haystacks.
-    pub literal_prefix: String,
+    pub(crate) literal_prefix: String,
     /// True when the program starts with `^`.
-    pub anchored_start: bool,
+    pub(crate) anchored_start: bool,
 }
 
 /// Compiles `ast` into a [`Program`].

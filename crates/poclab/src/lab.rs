@@ -30,7 +30,7 @@ pub struct ValidationReport {
     /// Classification over the release catalog.
     pub accuracy: Accuracy,
     /// True when the PoC could not run at all (unavailable builds).
-    pub unavailable: bool,
+    pub(crate) unavailable: bool,
 }
 
 impl ValidationReport {

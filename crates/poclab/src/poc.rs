@@ -464,9 +464,10 @@ mod tests {
     #[test]
     fn corpus_covers_every_builtin_record() {
         let corpus = poc_corpus();
-        let records = webvuln_cvedb::builtin_records();
+        let db = webvuln_cvedb::VulnDb::builtin();
+        let records = db.records();
         assert_eq!(corpus.len(), records.len());
-        for record in &records {
+        for record in records {
             let found = corpus.iter().any(|p| p.id() == record.id);
             assert!(found, "no PoC for {}", record.id);
         }
@@ -474,8 +475,8 @@ mod tests {
 
     #[test]
     fn seven_pocs_are_preexisting() {
-        let records = webvuln_cvedb::builtin_records();
-        let pre = records.iter().filter(|r| r.has_poc).count();
+        let db = webvuln_cvedb::VulnDb::builtin();
+        let pre = db.records().iter().filter(|r| r.has_poc).count();
         assert_eq!(pre, 7, "paper: seven PoCs found in the wild");
     }
 

@@ -16,9 +16,9 @@ use webvuln_pattern::Pattern;
 #[derive(Debug, Default)]
 pub(crate) struct Sandbox {
     /// Script bodies that were evaluated.
-    pub executed: Vec<String>,
+    pub(crate) executed: Vec<String>,
     /// Arguments of observed `alert(...)` calls — the exploit beacon.
-    pub alerts: Vec<String>,
+    pub(crate) alerts: Vec<String>,
 }
 
 impl Sandbox {
@@ -151,7 +151,7 @@ pub(crate) enum JsValue {
 #[derive(Debug, Default)]
 pub(crate) struct JsRealm {
     /// Properties on `Object.prototype`.
-    pub object_prototype: BTreeMap<String, JsValue>,
+    pub(crate) object_prototype: BTreeMap<String, JsValue>,
 }
 
 impl JsRealm {

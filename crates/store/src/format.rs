@@ -85,13 +85,13 @@ pub(crate) fn encode_segment(kind: u8, payload: &[u8]) -> Vec<u8> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegmentMeta {
     /// Segment kind ([`kind`]).
-    pub kind: u8,
+    pub(crate) kind: u8,
     /// Week index for week segments, 0 otherwise.
-    pub week: usize,
+    pub(crate) week: usize,
     /// Absolute file offset of the envelope.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Total envelope length in bytes.
-    pub env_len: u64,
+    pub(crate) env_len: u64,
 }
 
 /// Encodes the footer (envelope + tail trailer) for `segments`.
@@ -114,16 +114,16 @@ pub(crate) fn encode_footer(segments: &[SegmentMeta]) -> Vec<u8> {
 /// One validated segment as found on disk.
 pub(crate) struct RawSegment {
     /// Segment kind.
-    pub kind: u8,
+    pub(crate) kind: u8,
     /// Absolute file offset of the envelope.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Total envelope length.
-    pub env_len: u64,
+    pub(crate) env_len: u64,
     /// The payload bytes (CRC already verified).
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// The stored CRC: a reader following the file checks it is still
     /// where the segment ends before it reads on.
-    pub crc: u32,
+    pub(crate) crc: u32,
 }
 
 impl RawSegment {
@@ -147,15 +147,15 @@ impl RawSegment {
 /// Result of walking a store file front to back.
 pub(crate) struct Scan {
     /// Every structurally valid data segment, in file order.
-    pub segments: Vec<RawSegment>,
+    pub(crate) segments: Vec<RawSegment>,
     /// Offset one past the last valid data segment — where the next
     /// commit must write, and where recovery truncates.
-    pub data_end: u64,
+    pub(crate) data_end: u64,
     /// Bytes of torn/corrupt tail dropped by the scan (including any
     /// stale footer).
-    pub torn_bytes: u64,
+    pub(crate) torn_bytes: u64,
     /// Whether a valid footer was found after the last data segment.
-    pub had_footer: bool,
+    pub(crate) had_footer: bool,
 }
 
 /// Checks the 16-byte file header: magic and format version.
@@ -361,11 +361,11 @@ pub(crate) fn body_hash(body: &[u8]) -> u128 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PrevBody {
     /// Absolute file offset of the canonical body.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Exact encoded length of the body.
-    pub len: usize,
+    pub(crate) len: usize,
     /// [`body_hash`] of the body bytes.
-    pub hash: u128,
+    pub(crate) hash: u128,
 }
 
 impl PrevBody {
@@ -386,15 +386,15 @@ pub(crate) type PrevWeek = HashMap<u32, PrevBody>;
 /// Everything [`encode_week`] produces.
 pub(crate) struct EncodedWeek {
     /// The segment payload, ready for [`encode_segment`].
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// Delta state to carry into the next week's encode.
-    pub next_prev: PrevWeek,
+    pub(crate) next_prev: PrevWeek,
     /// Records whose body was identical to the previous week.
-    pub delta_hits: usize,
+    pub(crate) delta_hits: usize,
     /// Total bytes of all bodies before delta substitution.
-    pub raw_bytes: u64,
+    pub(crate) raw_bytes: u64,
     /// Bytes of the records region actually written.
-    pub encoded_bytes: u64,
+    pub(crate) encoded_bytes: u64,
 }
 
 /// One record as staged by [`encode_week`] before the segment's string
@@ -517,15 +517,15 @@ pub(crate) fn encode_week<S: AsRef<str>, R: Borrow<DomainRecord<S>>>(
 /// random-access index, with record bodies left untouched.
 pub(crate) struct WeekPrefix {
     /// Week index.
-    pub week: usize,
+    pub(crate) week: usize,
     /// Snapshot date, days since epoch.
-    pub date_days: i64,
+    pub(crate) date_days: i64,
     /// Offset of the records region *within the payload*.
-    pub records_pos: usize,
+    pub(crate) records_pos: usize,
     /// Byte length of the records region.
-    pub records_len: usize,
+    pub(crate) records_len: usize,
     /// `(host_sym, absolute body offset)` pairs in record order.
-    pub index: Vec<(u32, u64)>,
+    pub(crate) index: Vec<(u32, u64)>,
 }
 
 /// Decodes a week payload's string block, header, and index — skipping
@@ -568,16 +568,16 @@ pub(crate) fn decode_week_prefix(
 /// One record of a fully decoded week, its strings held as `S`.
 pub(crate) struct DecodedRecord<'a, S> {
     /// The host's symbol in the file-global table.
-    pub host_sym: u32,
+    pub(crate) host_sym: u32,
     /// Absolute file offset of the canonical (full) body — for
     /// back-referenced records this points into an earlier week.
-    pub body_offset: u64,
+    pub(crate) body_offset: u64,
     /// Whether this record was stored as a back-reference.
-    pub backref: bool,
+    pub(crate) backref: bool,
     /// The decoded record.
-    pub record: DomainRecord<S>,
+    pub(crate) record: DomainRecord<S>,
     /// The canonical body bytes (delta state for the next week).
-    pub body: &'a [u8],
+    pub(crate) body: &'a [u8],
 }
 
 /// Finds the scanned segment containing absolute payload offset `abs` and
@@ -726,14 +726,14 @@ pub(crate) fn decode_finalize(
 #[derive(Default)]
 pub(crate) struct Index {
     /// The file's string table, in writer symbol order.
-    pub table: Interner,
+    pub(crate) table: Interner,
     /// The study metadata.
-    pub genesis: Genesis,
+    pub(crate) genesis: Genesis,
     /// Per committed week, checked to count 0, 1, 2, …: the segment's
     /// place in [`Scan::segments`] and its decoded prefix.
-    pub weeks: Vec<(usize, WeekPrefix)>,
+    pub(crate) weeks: Vec<(usize, WeekPrefix)>,
     /// The stored filter verdict; `Some` only when finalized.
-    pub filtered_out: Option<Vec<String>>,
+    pub(crate) filtered_out: Option<Vec<String>>,
 }
 
 /// Decodes every segment's string block and structural part, in file

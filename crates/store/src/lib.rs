@@ -114,7 +114,7 @@ pub use record::{
     DetectionRecord, DomainRecord, FlashRecord, PageRecord, ScriptRecord, Sym, WeekData,
     WordPressRecord,
 };
-pub use scrub::{scrub, ScrubOutcome, ScrubReport, ShardScrub, ShardStatus};
+pub use scrub::{scrub, ScrubOutcome, ScrubReport};
 pub use sharded::{
     shard_file_name, shard_of, shard_path, split_week, AnyReader, AnyWriter, ShardHealth,
     ShardedStoreWriter, QUARANTINE_SUFFIX,
@@ -126,6 +126,7 @@ pub use writer::{CommitInfo, StoreWriter, WriterStats, FAILPOINTS};
 mod tests {
     use super::*;
     use crate::record::testkit;
+    use crate::scrub::ShardStatus;
     use std::path::PathBuf;
 
     /// A scratch file that cleans up after itself.
@@ -399,7 +400,7 @@ mod tests {
                 let week = file.week().expect("decode week file");
                 let owned_writer = owned_writer.as_mut().expect("create owned");
                 owned_writer
-                    .commit_week(&week.to_owned())
+                    .commit_week(&week.owned())
                     .expect("commit owned");
                 let borrowed_writer = borrowed_writer.as_mut().expect("create borrowed");
                 borrowed_writer.commit_week(&week).expect("commit borrowed");
@@ -1030,7 +1031,7 @@ mod tests {
         for week in [testkit::week(7, 9), empty] {
             let file = codec::encode_week_file(&week);
             let parsed = codec::WeekFile::parse(&file).expect("week file");
-            assert_eq!(parsed.week().expect("week").to_owned(), week);
+            assert_eq!(parsed.week().expect("week").owned(), week);
             // Each decoder refuses the other's kind.
             assert!(codec::decode_genesis_file(&file).is_err());
         }
@@ -1125,7 +1126,7 @@ mod tests {
             for w in 0..3 {
                 let full = reader.week(w).expect("week");
                 let all = reader.week_records(w, |_| true).expect("all");
-                assert_eq!(all.to_owned(), full);
+                assert_eq!(all.owned(), full);
                 for (borrowed, owned) in all.records.iter().zip(&full.records) {
                     assert_eq!(&reader.get(borrowed.host.text, w).expect("get"), owned);
                 }
@@ -1139,7 +1140,7 @@ mod tests {
                     let slice = reader.week_records(w, mine).expect("partition");
                     let expected: Vec<&DomainRecord> =
                         full.records.iter().filter(|r| mine(&r.host)).collect();
-                    let slice = slice.to_owned().records;
+                    let slice = slice.owned().records;
                     assert_eq!(slice.iter().collect::<Vec<_>>(), expected);
                     rejoined.extend(slice);
                 }

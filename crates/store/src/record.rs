@@ -16,7 +16,7 @@
 //! reader's symbol and the text it resolves to, no allocation per field)
 //! that a fold absorbs in place, or — the same walk, each [`Sym`] copied
 //! out as it is met ([`FromSym`]) — the owned form a point read returns.
-//! [`DomainRecord::to_owned`] maps the first to the second.
+//! [`DomainRecord::owned`] maps the first to the second.
 
 use crate::error::StoreError;
 use crate::intern::Interner;
@@ -394,7 +394,9 @@ fn decode_page<'a, S: FromSym<'a>>(
 
 impl DomainRecord<Sym<'_>> {
     /// The owned record: every borrowed string copied out of the table.
-    pub fn to_owned(&self) -> DomainRecord {
+    /// (Not `to_owned`: that name would fall back to `ToOwned`'s clone of
+    /// the borrowed record wherever this method is out of reach.)
+    pub fn owned(&self) -> DomainRecord {
         let own = |sym: &Sym<'_>| sym.text.to_string();
         DomainRecord {
             host: own(&self.host),
@@ -448,12 +450,12 @@ impl DomainRecord<Sym<'_>> {
 }
 
 impl WeekData<DomainRecord<Sym<'_>>> {
-    /// The owned week: [`DomainRecord::to_owned`] of every record.
-    pub fn to_owned(&self) -> WeekData {
+    /// The owned week: [`DomainRecord::owned`] of every record.
+    pub fn owned(&self) -> WeekData {
         WeekData {
             week: self.week,
             date_days: self.date_days,
-            records: self.records.iter().map(DomainRecord::to_owned).collect(),
+            records: self.records.iter().map(DomainRecord::owned).collect(),
         }
     }
 }
@@ -562,7 +564,7 @@ mod tests {
         // Borrowed, then owned, is the same record.
         let borrowed: DomainRecord<Sym<'_>> =
             decode_body(&mut Cursor::new(&buf), &table, host(&record.host), 0).expect("decode");
-        assert_eq!(borrowed.to_owned(), back);
+        assert_eq!(borrowed.owned(), back);
         back
     }
 

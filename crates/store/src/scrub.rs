@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 /// What scrub found (and, under repair, did) for one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardStatus {
+pub(crate) enum ShardStatus {
     /// Fully valid and consistent with the manifest.
     Clean,
     /// Valid data followed by torn tail bytes (repair heals this).
@@ -76,21 +76,19 @@ impl fmt::Display for ShardStatus {
 
 /// Per-shard scrub result.
 #[derive(Debug, Clone)]
-pub struct ShardScrub {
+pub(crate) struct ShardScrub {
     /// Shard index (0 for a single-file store).
-    pub shard: usize,
-    /// The shard file path.
-    pub path: String,
+    pub(crate) shard: usize,
     /// Final classification.
-    pub status: ShardStatus,
+    pub(crate) status: ShardStatus,
     /// Valid weeks found (after repair, weeks kept).
-    pub weeks: usize,
+    pub(crate) weeks: usize,
     /// Records across those weeks.
-    pub records: usize,
+    pub(crate) records: usize,
     /// Torn tail bytes found.
-    pub torn_bytes: u64,
+    pub(crate) torn_bytes: u64,
     /// Extra context: what was wrong, what repair did.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// Overall scrub verdict, in increasing severity. The CLI maps these to
@@ -109,18 +107,18 @@ pub enum ScrubOutcome {
 #[derive(Debug, Clone)]
 pub struct ScrubReport {
     /// The store path scrubbed.
-    pub store: String,
+    pub(crate) store: String,
     /// Whether the store is sharded.
-    pub sharded: bool,
+    pub(crate) sharded: bool,
     /// Manifest epoch before scrub (sharded only).
-    pub epoch_before: Option<u64>,
+    pub(crate) epoch_before: Option<u64>,
     /// Manifest epoch after scrub — differs only when a group rollback
     /// committed a new manifest.
-    pub epoch_after: Option<u64>,
+    pub(crate) epoch_after: Option<u64>,
     /// Week count the group was rolled back to, when a rollback happened.
     pub rolled_back_to: Option<usize>,
     /// Per-shard results.
-    pub shards: Vec<ShardScrub>,
+    pub(crate) shards: Vec<ShardScrub>,
     /// Overall verdict.
     pub outcome: ScrubOutcome,
     /// Whether repair was requested.
@@ -318,7 +316,6 @@ pub fn scrub(path: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
         let _ = webvuln_failpoint::failpoint!("store.scrub", &key)?;
         let mut shard = ShardScrub {
             shard: index,
-            path: path.display().to_string(),
             status: ShardStatus::Clean,
             weeks: 0,
             records: 0,

@@ -328,7 +328,6 @@ impl AnyWriter {
             writer.commit_lent::<S, _>(&part)
         });
         let mut info = CommitInfo {
-            week: week.week,
             records: 0,
             delta_hits: 0,
             raw_bytes: 0,

@@ -86,15 +86,15 @@ impl Sink {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriterStats {
     /// Week segments written by this process (excludes recovered ones).
-    pub segments_written: usize,
+    pub(crate) segments_written: usize,
     /// Records stored as back-references to the previous week.
-    pub delta_hits: usize,
+    pub(crate) delta_hits: usize,
     /// Records stored with a full body.
-    pub delta_misses: usize,
+    pub(crate) delta_misses: usize,
     /// Total body bytes before delta substitution.
-    pub raw_bytes: u64,
+    pub(crate) raw_bytes: u64,
     /// Bytes of record regions actually written.
-    pub encoded_bytes: u64,
+    pub(crate) encoded_bytes: u64,
     /// Torn tail bytes truncated during resume.
     pub torn_bytes_recovered: u64,
     /// Files cut back to an earlier week by
@@ -107,8 +107,6 @@ pub struct WriterStats {
 /// What one [`StoreWriter::commit_week`] call did.
 #[derive(Debug, Clone, Copy)]
 pub struct CommitInfo {
-    /// The committed week index.
-    pub week: usize,
     /// Records in the segment.
     pub records: usize,
     /// Records stored as back-references.
@@ -118,7 +116,7 @@ pub struct CommitInfo {
     /// Record-region bytes actually written.
     pub encoded_bytes: u64,
     /// Total envelope bytes appended (segment only, not the footer).
-    pub segment_bytes: u64,
+    pub(crate) segment_bytes: u64,
 }
 
 /// Writes a snapshot store: a file, or memory.
@@ -301,7 +299,6 @@ impl StoreWriter {
             trace::Sink::Export,
         );
         Ok(CommitInfo {
-            week: week.week,
             records,
             delta_hits: encoded.delta_hits,
             raw_bytes: encoded.raw_bytes,

@@ -10,13 +10,13 @@
 #[derive(Debug, Clone, Copy)]
 pub struct ProgressEvent<'a> {
     /// The pipeline phase emitting the event (e.g. `"crawl"`).
-    pub phase: &'a str,
+    pub(crate) phase: &'a str,
     /// Completed units (1-based).
-    pub current: u64,
+    pub(crate) current: u64,
     /// Total units expected (0 when unknown).
-    pub total: u64,
+    pub(crate) total: u64,
     /// Free-form detail (e.g. `"2018-03-05: 483 pages"`).
-    pub detail: &'a str,
+    pub(crate) detail: &'a str,
 }
 
 /// Receives progress events. Implementations must be cheap and

@@ -9,7 +9,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Metric name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of observations.
     pub count: u64,
     /// Sum of observations.
@@ -17,18 +17,18 @@ pub struct HistogramSnapshot {
     /// Mean observation (0 when empty).
     pub mean: u64,
     /// Estimated 50th percentile.
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// Estimated 90th percentile.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// Estimated 99th percentile.
-    pub p99: u64,
+    pub(crate) p99: u64,
     /// Largest observation.
     pub max: u64,
     /// Non-empty buckets as `(upper_bound, count)` pairs, sorted by
     /// bound (see `Histogram::buckets`).
     /// Empty buckets are implied by the fixed power-of-two boundaries,
     /// so these pairs carry the full distribution at bucket resolution.
-    pub buckets: Vec<(u64, u64)>,
+    pub(crate) buckets: Vec<(u64, u64)>,
 }
 
 /// Aggregated timings of one span path at snapshot time.
@@ -41,11 +41,11 @@ pub struct SpanSnapshot {
     /// Total wall time across entries.
     pub total: Duration,
     /// Mean wall time per entry.
-    pub mean: Duration,
+    pub(crate) mean: Duration,
     /// Shortest entry.
-    pub min: Duration,
+    pub(crate) min: Duration,
     /// Longest entry.
-    pub max: Duration,
+    pub(crate) max: Duration,
 }
 
 /// Everything a [`Registry`](crate::Registry) held at snapshot time.
@@ -54,9 +54,9 @@ pub struct Snapshot {
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Gauges, sorted by name.
-    pub gauges: Vec<(String, i64)>,
+    pub(crate) gauges: Vec<(String, i64)>,
     /// Histogram summaries, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
+    pub(crate) histograms: Vec<HistogramSnapshot>,
     /// Span timings, in order of first entry (pipeline order).
     pub spans: Vec<SpanSnapshot>,
 }

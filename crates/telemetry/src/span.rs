@@ -5,7 +5,7 @@
 //! phase entered once per week aggregates into one row with `count = 201`.
 
 use crate::registry::Registry;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A running timer; records its elapsed wall time into the registry when
 /// dropped.
@@ -14,7 +14,6 @@ pub struct Span<'r> {
     registry: &'r Registry,
     path: String,
     start: Instant,
-    recorded: bool,
 }
 
 impl<'r> Span<'r> {
@@ -23,29 +22,21 @@ impl<'r> Span<'r> {
             registry,
             path,
             start: Instant::now(),
-            recorded: false,
         }
-    }
-
-    fn record(&self) -> Duration {
-        let elapsed = self.start.elapsed();
-        let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        self.registry.record_span(&self.path, nanos);
-        elapsed
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if !self.recorded {
-            self.record();
-        }
+        let nanos = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.registry.record_span(&self.path, nanos);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     impl<'r> Span<'r> {
         /// Opens a child span `self.path + "/" + name`.
@@ -54,9 +45,9 @@ mod tests {
         }
 
         /// Ends the span now and returns its duration.
-        pub(crate) fn finish(mut self) -> Duration {
-            let elapsed = self.record();
-            self.recorded = true;
+        pub(crate) fn finish(self) -> Duration {
+            let elapsed = self.start.elapsed();
+            drop(self);
             elapsed
         }
     }

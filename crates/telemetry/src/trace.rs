@@ -77,23 +77,23 @@ pub struct TraceEvent {
     /// `analyze`, or `""` outside any phase scope).
     pub phase: &'static str,
     /// Snapshot week, or [`NONE`].
-    pub week: u64,
+    pub(crate) week: u64,
     /// Logical task index within the phase, or [`NONE`].
     pub task: u64,
     /// Emission sequence within the enclosing scope (starts at 0).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Physical worker at record time; lane after [`Tracer::finish`].
-    pub worker: u64,
+    pub(crate) worker: u64,
     /// Event name (`fetch.outcome`, `store.commit`, …).
     pub name: &'static str,
     /// Domain the event concerns, or `""`.
-    pub domain: String,
+    pub(crate) domain: String,
     /// Free-form deterministic detail (status, error class, attempt …).
-    pub detail: String,
+    pub(crate) detail: String,
     /// Deterministic cost used to lay out the exported timeline.
-    pub cost_ns: u64,
+    pub(crate) cost_ns: u64,
     /// Destination of the event.
-    pub sink: Sink,
+    pub(crate) sink: Sink,
 }
 
 /// Cost attributed to one fingerprint pattern.
@@ -644,7 +644,7 @@ fn canonical_cmp(a: &TraceEvent, b: &TraceEvent) -> std::cmp::Ordering {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceData {
     /// The mode the tracer recorded at.
-    pub mode: TraceMode,
+    pub(crate) mode: TraceMode,
     /// Exportable events in canonical order, workers folded onto lanes.
     /// Empty under [`TraceMode::Ring`].
     pub events: Vec<TraceEvent>,

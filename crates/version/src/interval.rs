@@ -7,13 +7,14 @@
 //! over version ranges — implemented here as sorted, disjoint interval
 //! sets with union, intersection and difference.
 
+use crate::req::{ParseReqError, VersionReq};
 use crate::version::Version;
 use std::cmp::Ordering;
 use std::fmt;
 
 /// One endpoint of an interval.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Bound {
+pub(crate) enum Bound {
     /// No constraint at this end.
     Unbounded,
     /// Endpoint included in the interval.
@@ -69,9 +70,9 @@ fn cmp_upper(a: &Bound, b: &Bound) -> Ordering {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Lower endpoint.
-    pub lo: Bound,
+    pub(crate) lo: Bound,
     /// Upper endpoint.
-    pub hi: Bound,
+    pub(crate) hi: Bound,
 }
 
 impl Interval {
@@ -321,6 +322,16 @@ impl IntervalSet {
     /// Set difference: versions in `self` but not in `other`.
     pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
         self.intersect(&other.complement())
+    }
+
+    /// Parses the form [`Display`](fmt::Display) prints: [`VersionReq`]
+    /// conjunctions joined by ` or ` (`< 3.4.1 or >= 4.0.0, < 4.3.1`).
+    pub fn parse(input: &str) -> Result<IntervalSet, ParseReqError> {
+        let mut set = IntervalSet::default();
+        for branch in input.split(" or ") {
+            set = set.union(&VersionReq::parse(branch)?.to_interval_set());
+        }
+        Ok(set)
     }
 }
 

@@ -30,6 +30,6 @@ mod interval;
 mod req;
 mod version;
 
-pub use interval::{Bound, Interval, IntervalSet};
+pub use interval::{Interval, IntervalSet};
 pub use req::{ParseReqError, VersionReq};
 pub use version::{ParseVersionError, Version};

@@ -38,9 +38,9 @@ impl fmt::Display for Op {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Comparator {
     /// The operator.
-    pub op: Op,
+    pub(crate) op: Op,
     /// The right-hand side.
-    pub version: Version,
+    pub(crate) version: Version,
 }
 
 impl Comparator {

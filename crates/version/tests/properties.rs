@@ -148,3 +148,37 @@ fn req_matches_interval_set() {
         assert_eq!(req.matches(&probe), req.to_interval_set().contains(&probe));
     });
 }
+
+/// One non-empty piece of every shape a set can hold: unbounded below or
+/// above, both bounds of either kind, a single point, or everything.
+fn arb_piece(g: &mut Gen) -> IntervalSet {
+    let one = |iv: Interval| IntervalSet::from_interval(iv);
+    let (a, b) = (arb_version(g), arb_version(g));
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    match g.range(0..=7) {
+        0 => one(Interval::below(hi)),
+        1 => one(Interval::at_most(hi)),
+        2 => one(Interval::below(lo)).complement(),
+        3 => one(Interval::at_most(lo)).complement(),
+        4 if lo < hi => one(Interval::half_open(lo, hi)),
+        5 if lo < hi => one(Interval::at_most(hi)).subtract(&one(Interval::at_most(lo))),
+        7 => IntervalSet::all(),
+        _ => one(Interval::at_most(lo.clone())).subtract(&one(Interval::below(lo))),
+    }
+}
+
+/// `IntervalSet::parse` inverts `Display` on every non-empty set: the
+/// ` or ` branches, unbounded sides and single points all come back.
+#[test]
+fn interval_set_display_parse_round_trip() {
+    check::run("interval_set_display_parse_round_trip", 1024, |g| {
+        let pieces = g.vec(1..=4, arb_piece);
+        let set = pieces
+            .iter()
+            .fold(IntervalSet::default(), |acc, p| acc.union(p));
+        assert!(!set.is_empty());
+        let text = set.to_string();
+        let back = IntervalSet::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        assert_eq!(back, set, "{text}");
+    });
+}

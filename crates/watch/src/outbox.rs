@@ -47,21 +47,21 @@ const TAG_ACK: u8 = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OutboxRecovery {
     /// ENQUEUE records replayed from the WAL.
-    pub replayed: usize,
+    pub(crate) replayed: usize,
     /// Alerts still owed (enqueued, never acked) at open.
-    pub pending: usize,
+    pub(crate) pending: usize,
     /// IDs already present in the delivery log.
-    pub delivered: usize,
+    pub(crate) delivered: usize,
 }
 
 /// One `deliver_pending` round's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeliveryReport {
     /// Alert lines appended to the delivery log this round.
-    pub delivered: usize,
+    pub(crate) delivered: usize,
     /// Owed alerts whose ID was already in the log (crash between
     /// delivery and ACK on a previous run); acked without re-appending.
-    pub deduped: usize,
+    pub(crate) deduped: usize,
 }
 
 /// The crash-journaled alert outbox. See the module docs for the

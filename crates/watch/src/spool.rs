@@ -57,7 +57,7 @@ pub(crate) fn open_week_file(path: &Path) -> Result<WeekFile, WatchError> {
 
 /// Reads, verifies and decodes one spool week file.
 pub fn read_week_file(path: &Path) -> Result<WeekData, WatchError> {
-    let decoded = open_week_file(path)?.week().map(|week| week.to_owned());
+    let decoded = open_week_file(path)?.week().map(|week| week.owned());
     decoded.map_err(|e| WatchError::corrupt(path, e.to_string()))
 }
 

@@ -26,15 +26,15 @@ const SUPERVISOR_HOST: &str = "watch.supervisor";
 pub struct SupervisorConfig {
     /// Restart budget and backoff schedule. `max_attempts` bounds
     /// *consecutive* failures — any successful tick resets the count.
-    pub policy: RetryPolicy,
+    pub(crate) policy: RetryPolicy,
     /// Real-time budget for a single tick before the watchdog flags a
     /// stall. Zero disables the watchdog.
-    pub stall_limit: Duration,
+    pub(crate) stall_limit: Duration,
     /// Real pause between ticks (zero for tests; a daemon wants a poll
     /// interval).
-    pub tick_pause: Duration,
+    pub(crate) tick_pause: Duration,
     /// Stop after this many successful ticks.
-    pub max_ticks: usize,
+    pub(crate) max_ticks: usize,
 }
 
 impl SupervisorConfig {

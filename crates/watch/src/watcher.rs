@@ -65,9 +65,9 @@ use webvuln_telemetry::Telemetry;
 pub struct WatchConfig {
     root: PathBuf,
     /// Worker threads for store commits and refolds.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Shard count used when bootstrapping a fresh store.
-    pub shards: usize,
+    pub(crate) shards: usize,
 }
 
 impl WatchConfig {

@@ -46,21 +46,21 @@ pub struct Deployment {
     /// Which library.
     pub library: LibraryId,
     /// Deployed version.
-    pub version: Version,
+    pub(crate) version: Version,
     /// Inclusion type.
     pub inclusion: Inclusion,
     /// Whether the `<script>` tag carries an `integrity` hash.
     pub integrity: bool,
     /// `crossorigin` attribute value (`Some("")` = bare attribute).
-    pub crossorigin: Option<String>,
+    pub(crate) crossorigin: Option<String>,
     /// Rendered WordPress-style (`/wp-includes/... ?ver=x.y.z`).
-    pub via_wordpress: bool,
+    pub(crate) via_wordpress: bool,
     /// Whether the version is observable (URL or banner). A few percent
     /// of deployments hide it, matching Wappalyzer's blind spots.
     pub version_visible: bool,
     /// The library is pasted into the page as an inline `<script>` (with
     /// its banner comment) instead of referenced by URL.
-    pub inlined: bool,
+    pub(crate) inlined: bool,
 }
 
 /// Flash presence on a site.
@@ -84,7 +84,7 @@ pub struct ResourceFlags {
     /// A `.php`-generated resource.
     pub imported_html: bool,
     /// An XML resource (RSS etc.).
-    pub xml: bool,
+    pub(crate) xml: bool,
     /// An SVG image.
     pub svg: bool,
     /// An `.axd` resource.
@@ -93,11 +93,11 @@ pub struct ResourceFlags {
 
 /// A generic third-party script (analytics, tag manager, social SDK).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtraScript {
+pub(crate) struct ExtraScript {
     /// Serving host.
-    pub host: String,
+    pub(crate) host: String,
     /// Path (may include a query string).
-    pub path: String,
+    pub(crate) path: String,
 }
 
 /// An extra (non-top-15) script pulled from a GitHub-hosted repository
@@ -125,9 +125,9 @@ pub struct Deployed<'m> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainState<'m> {
     /// False when the domain is dead/unreachable this week.
-    pub online: bool,
+    pub(crate) online: bool,
     /// True when the site answers with an anti-bot block page.
-    pub antibot: bool,
+    pub(crate) antibot: bool,
     /// Library deployments.
     pub deployments: Vec<Deployed<'m>>,
     /// WordPress core version when the site runs WordPress.
@@ -137,7 +137,7 @@ pub struct DomainState<'m> {
     /// GitHub-hosted extra script, if any.
     pub github_script: Option<&'m GithubScript>,
     /// Generic third-party scripts (never SRI-protected).
-    pub extra_scripts: &'m [ExtraScript],
+    pub(crate) extra_scripts: &'m [ExtraScript],
     /// Resource-type flags.
     pub resources: ResourceFlags,
 }
@@ -163,7 +163,7 @@ pub struct DomainModel {
     /// Host name.
     pub name: String,
     /// Alexa-style rank (1-based).
-    pub rank: usize,
+    pub(crate) rank: usize,
     resources: ResourceFlags,
     base_deployments: Vec<Deployment>,
     base_wordpress: Option<Version>,

@@ -221,7 +221,7 @@ mod tests {
         let names = eco.domain_names();
         let snapshot = CrawlOptions::new().threads(4).run(&names, &net);
         assert_eq!(snapshot.len(), names.len());
-        let usable = snapshot.values().filter(|r| r.is_usable(400)).count();
+        let usable = snapshot.values().filter(|r| r.is_usable()).count();
         assert!(
             (150..=290).contains(&usable),
             "{usable} of {} usable",
@@ -230,7 +230,7 @@ mod tests {
         // Served bodies match the generator's output exactly.
         let some_ok = snapshot
             .values()
-            .find(|r| r.is_usable(400))
+            .find(|r| r.is_usable())
             .expect("at least one usable page");
         match eco.page(&some_ok.domain, 0) {
             PageOutcome::Page(body) => assert_eq!(body, some_ok.body),

@@ -12,18 +12,18 @@ use webvuln_cvedb::LibraryId;
 #[derive(Debug, Clone)]
 pub(crate) struct LibraryModel {
     /// Which library.
-    pub library: LibraryId,
+    pub(crate) library: LibraryId,
     /// Target share of (non-WordPress-forced) websites using it, ‰.
-    pub usage_permille: u32,
+    pub(crate) usage_permille: u32,
     /// Internal (self-hosted) inclusion share among its users, ‰
     /// (Table 1 "Avg. Int.").
-    pub internal_permille: u32,
+    pub(crate) internal_permille: u32,
     /// CDN share among external inclusions, ‰ (Table 1 "Avg. CDN").
-    pub cdn_of_external_permille: u32,
+    pub(crate) cdn_of_external_permille: u32,
     /// CDN host weights (Table 5 top-3 plus a generic tail).
-    pub cdn_hosts: &'static [(&'static str, u32)],
+    pub(crate) cdn_hosts: &'static [(&'static str, u32)],
     /// Initial version distribution at study start (weights).
-    pub initial_versions: &'static [(&'static str, u32)],
+    pub(crate) initial_versions: &'static [(&'static str, u32)],
 }
 
 /// jQuery's initial version mix: 1.12.4 dominant, long 1.x tail, a
@@ -363,19 +363,19 @@ pub(crate) const WORDPRESS_PERMILLE: u32 = 269;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResourceTargets {
     /// Sites with any JavaScript (94.7%).
-    pub javascript: u32,
+    pub(crate) javascript: u32,
     /// CSS (88.4%).
-    pub css: u32,
+    pub(crate) css: u32,
     /// Favicon (55.0%).
-    pub favicon: u32,
+    pub(crate) favicon: u32,
     /// Imported HTML — `.php` generated resources (31.8%).
-    pub imported_html: u32,
+    pub(crate) imported_html: u32,
     /// XML (25.6%).
-    pub xml: u32,
+    pub(crate) xml: u32,
     /// SVG (≈1.5%).
-    pub svg: u32,
+    pub(crate) svg: u32,
     /// AXD (≈0.5%).
-    pub axd: u32,
+    pub(crate) axd: u32,
 }
 
 impl ResourceTargets {

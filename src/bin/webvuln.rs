@@ -321,15 +321,24 @@ fn invalid(name: &str, value: &str) -> String {
     format!("{name}: invalid number {value:?}")
 }
 
-/// Refuses a `value` of flag `name` past `last`: the web is generated for
-/// the paper's timeline alone, and a later week would be one it never modelled.
-fn within_timeline(name: &str, value: usize, last: usize) -> Result<usize, String> {
-    if value > last {
+/// Refuses a `value` of flag `name` outside `first..=last`: the web is
+/// generated for the paper's timeline alone, and a later week would be one
+/// it never modelled.
+fn within_timeline(name: &str, value: usize, first: usize, last: usize) -> Result<usize, String> {
+    if !(first..=last).contains(&value) {
         return Err(format!(
-            "{name}: {value} is outside the paper's timeline, 0 to {last}"
+            "{name}: {value} is outside the paper's timeline, {first} to {last}"
         ));
     }
     Ok(value)
+}
+
+/// Refuses `--domains 0`: a run over no domains measures nothing.
+fn domain_count(args: &Args, default: usize) -> Result<usize, String> {
+    match args.get("--domains")?.unwrap_or(default) {
+        0 => Err("--domains: 0 is out of range, 1 or more".into()),
+        domains => Ok(domains),
+    }
 }
 
 /// Reports a runtime failure on stderr and exits with status 1.
@@ -350,9 +359,9 @@ fn fault_profile(args: &Args, seed: u64) -> Result<FaultPlan, String> {
 }
 
 fn cmd_study(args: &Args) -> Result<(), String> {
-    let domains = args.get("--domains")?.unwrap_or(2_000);
+    let domains = domain_count(args, 2_000)?;
     let paper = Timeline::paper().weeks;
-    let weeks = within_timeline("--weeks", args.get("--weeks")?.unwrap_or(paper), paper)?;
+    let weeks = within_timeline("--weeks", args.get("--weeks")?.unwrap_or(paper), 1, paper)?;
     let seed = args.get("--seed")?.unwrap_or(42);
     let retries = args.get("--retries")?.unwrap_or(0);
     let store: Option<PathBuf> = args.get("--store")?;
@@ -542,9 +551,9 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_crawl(args: &Args) -> Result<(), String> {
-    let domains = args.get("--domains")?.unwrap_or(500);
+    let domains = domain_count(args, 500)?;
     let last = Timeline::paper().weeks - 1;
-    let week = within_timeline("--week", args.get("--week")?.unwrap_or(100), last)?;
+    let week = within_timeline("--week", args.get("--week")?.unwrap_or(100), 0, last)?;
     let tcp = args.has("--tcp");
     if tcp && args.has("--fault-profile") {
         return Err("--fault-profile injects faults in memory only, not with --tcp".into());
@@ -590,7 +599,7 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     }
     let engine = Engine::new();
     let db = VulnDb::builtin();
-    let usable: Vec<_> = snapshot.values().filter(|r| r.is_usable(400)).collect();
+    let usable: Vec<_> = snapshot.values().filter(|r| r.is_usable()).collect();
     let mut vulnerable = 0;
     let mut jquery = BTreeMap::<String, usize>::new();
     for record in &usable {

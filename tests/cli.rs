@@ -81,13 +81,29 @@ fn a_week_outside_the_paper_timeline_exits_2_naming_the_range() {
     refused(&["crawl", "--week", "500", "--tcp"], "0 to 200");
     refused(
         &["study", "--weeks", "202"],
-        "--weeks: 202 is outside the paper's timeline, 0 to 201",
+        "--weeks: 202 is outside the paper's timeline, 1 to 201",
+    );
+    refused(
+        &["study", "--weeks", "0"],
+        "--weeks: 0 is outside the paper's timeline, 1 to 201",
     );
     let out = webvuln(&["crawl", "--domains", "3", "--week", "200"]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn a_run_over_no_domains_exits_2_naming_the_range() {
+    refused(
+        &["study", "--domains", "0"],
+        "--domains: 0 is out of range, 1 or more",
+    );
+    refused(
+        &["crawl", "--domains", "0"],
+        "--domains: 0 is out of range, 1 or more",
     );
 }
 

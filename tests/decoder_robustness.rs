@@ -217,7 +217,7 @@ fn drive_store(path: &Path) -> bool {
             let _ = shard.week_records(week, |host| host.len() % 2 == 0);
             let borrowed = shard.week_records(week, |_| true);
             if let Ok(owned) = shard.week(week) {
-                assert_eq!(borrowed.expect("indexed walk").to_owned(), owned);
+                assert_eq!(borrowed.expect("indexed walk").owned(), owned);
             }
         }
         for (host, _) in &reader.genesis().ranks {
@@ -535,6 +535,31 @@ fn rows(dir: &Path) -> Vec<Row> {
             vec![DELTA.as_bytes().to_vec()],
             |bytes| parse_delta(&String::from_utf8_lossy(bytes)).is_ok(),
         ),
+        // A key given twice is refused at its second line, whichever key
+        // of whichever stanza it is: keeping either value would apply a
+        // record the file does not state.
+        row(
+            "cvedb::parse_delta (a key line given twice)",
+            ALLOC_FLOOR,
+            vec![DELTA.as_bytes().to_vec()],
+            |bytes| {
+                let text = String::from_utf8_lossy(bytes);
+                let parsed = parse_delta(&text).is_ok();
+                let mut end = 0;
+                for (index, line) in text.split_inclusive('\n').enumerate() {
+                    end += line.len();
+                    let key = line.trim();
+                    if !parsed || key.is_empty() || key.starts_with('#') || !line.ends_with('\n') {
+                        continue;
+                    }
+                    let doubled = [&text[..end], line, &text[end..]].concat();
+                    let e = parse_delta(&doubled).expect_err("a repeated key parses");
+                    assert_eq!(e.line, index + 2, "{e}");
+                    assert!(e.detail.starts_with("repeated key"), "{e}");
+                }
+                parsed
+            },
+        ),
         // The compiler caps a program at 100 000 instructions and the VM
         // keeps per-instruction thread lists: megabytes, but fixed.
         row(
@@ -590,12 +615,12 @@ fn rows(dir: &Path) -> Vec<Row> {
             let path = write_week_file(dir, &week).expect("week file");
             let read = path.clone();
             file_row("watch::read_week_file", path, reseal, move || {
-                // The owned week is `to_owned` of the file's borrowed one.
+                // The owned week is `owned` of the file's borrowed one.
                 let owned = read_week_file(&read).ok();
                 let file = std::fs::read(&read).ok();
                 let file = file.and_then(|bytes| WeekFile::parse(&bytes).ok());
                 let borrowed = file.as_ref().and_then(|file| file.week().ok());
-                assert_eq!(borrowed.map(|week| week.to_owned()), owned);
+                assert_eq!(borrowed.map(|week| week.owned()), owned);
                 owned.is_some()
             })
         },
