@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use webvuln_cvedb::Date;
-use webvuln_exec::{ExecStats, Executor, SuperviseConfig};
+use webvuln_exec::{ExecStats, Executor};
 use webvuln_fingerprint::{Engine, PageAnalysis};
 use webvuln_net::{
     page_is_error_or_empty, BreakerConfig, CrawlOptions, FaultPlan, FetchRecord, FetchSummary,
@@ -81,14 +81,13 @@ pub struct CollectConfig {
     /// Carry a domain's last usable page forward through weeks where it
     /// stays down (default: off — missing weeks stay missing).
     pub carry_forward: bool,
-    /// Supervised execution: run every crawl and fingerprint task under
-    /// panic containment and a virtual deadline, quarantining failures
-    /// as down-domains — a failed [`FetchRecord`] for that week, eligible
-    /// for carry-forward — instead of aborting the run (default: off —
-    /// panics propagate). `supervise.max_failures` is the run-wide
-    /// quarantine budget; exceeding it fails collection with
-    /// [`StoreError::FailureBudgetExceeded`].
-    pub supervise: Option<SuperviseConfig>,
+    /// Supervised execution with a run-wide quarantine budget: every
+    /// crawl and fingerprint task runs under `catch_unwind`, and a panic
+    /// leaves its domain down that week — a failed [`FetchRecord`],
+    /// eligible for carry-forward — instead of aborting the run (default:
+    /// off — panics propagate). More than this many quarantined tasks
+    /// fail collection with [`StoreError::FailureBudgetExceeded`].
+    pub max_task_failures: Option<u64>,
     /// Shard count for the checkpoint store (default 1 — a single
     /// `.wvstore` file). With 2 or more, the checkpoint path is a
     /// directory of domain-hash shard files committed in parallel under
@@ -105,7 +104,7 @@ impl Default for CollectConfig {
             retry: RetryPolicy::none(),
             breaker: None,
             carry_forward: false,
-            supervise: None,
+            max_task_failures: None,
             shards: 1,
         }
     }
@@ -133,8 +132,9 @@ impl Default for CollectConfig {
 /// store must have been created from the same ecosystem — timeline and
 /// domain list are checked against its genesis segment.
 ///
-/// A run without a store fails only under [`CollectConfig::supervise`],
-/// when quarantined tasks exceed the failure budget.
+/// A run without a store fails only under
+/// [`CollectConfig::max_task_failures`], when quarantined tasks exceed
+/// the budget.
 pub fn collect(
     ecosystem: &Arc<Ecosystem>,
     config: &CollectConfig,
@@ -303,19 +303,16 @@ impl WeekCollector {
         self.breakers.is_none() && !self.config.carry_forward
     }
 
-    /// Fails the run once quarantined tasks outnumber the supervision
-    /// budget. A no-op without [`CollectConfig::supervise`] (nothing is
-    /// ever quarantined) or with the default unlimited budget.
+    /// Fails the run once quarantined tasks outnumber the budget. A no-op
+    /// without [`CollectConfig::max_task_failures`] (nothing is ever
+    /// quarantined).
     fn check_failure_budget(&self) -> Result<(), StoreError> {
-        let Some(supervise) = self.config.supervise else {
+        let Some(budget) = self.config.max_task_failures else {
             return Ok(());
         };
         let failures = self.task_failures.load(Ordering::Relaxed);
-        if failures > supervise.max_failures {
-            return Err(StoreError::FailureBudgetExceeded {
-                failures,
-                budget: supervise.max_failures,
-            });
+        if failures > budget {
+            return Err(StoreError::FailureBudgetExceeded { failures, budget });
         }
         Ok(())
     }
@@ -324,8 +321,8 @@ impl WeekCollector {
     /// records the store commits: one pool task per domain fetches its
     /// landing page, fingerprints it when usable and keeps the store
     /// record, the body dropped in the task. Under supervision a task
-    /// that panics or blows its deadline, in the fetch or in the analysis,
-    /// leaves its domain down this week. This half of a week touches no
+    /// that panics, in the fetch or in the analysis, leaves its domain
+    /// down this week. This half of a week touches no
     /// carry-forward state, so fanned-out weeks can run it at once;
     /// [`settle_week`](Self::settle_week) is the other half. Returns the
     /// pool's statistics, not yet recorded.
@@ -352,8 +349,8 @@ impl WeekCollector {
         if let Some(breakers) = &self.breakers {
             options = options.breakers(breakers);
         }
-        if let Some(supervise) = self.config.supervise {
-            options = options.supervise(supervise);
+        if self.config.max_task_failures.is_some() {
+            options = options.supervise();
         }
         // The engine is `Sync`: every task, of every week, shares it and its memo.
         let analyze_ns = AtomicU64::new(0);
@@ -810,9 +807,9 @@ mod tests {
     #[test]
     fn supervised_fault_free_collection_matches_unsupervised() {
         // Supervision must be a pure containment layer: with no panics
-        // and no deadline pressure it changes nothing, whether the weeks
-        // run in order (carry-forward) or fanned out.
-        let make = |supervise, carry_forward| {
+        // it changes nothing, whether the weeks run in order
+        // (carry-forward) or fanned out.
+        let make = |max_task_failures, carry_forward| {
             let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
                 seed: 66,
                 domain_count: 100,
@@ -824,14 +821,13 @@ mod tests {
                     faults: FaultPlan::hostile(66),
                     retry: RetryPolicy::standard(2),
                     carry_forward,
-                    supervise,
+                    max_task_failures,
                     ..CollectConfig::default()
                 },
             )
         };
-        let supervise = Some(SuperviseConfig::default().max_failures(0));
-        assert_datasets_identical(&make(None, false), &make(supervise, false));
-        assert_datasets_identical(&make(None, true), &make(supervise, true));
+        assert_datasets_identical(&make(None, false), &make(Some(0), false));
+        assert_datasets_identical(&make(None, true), &make(Some(0), true));
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub use report::{full_report, series_to_csv, telemetry_json};
 pub use study::{
     analyze_store, failpoint_catalog, Pipeline, StudyConfig, StudyResults, FAILPOINTS,
 };
-pub use webvuln_telemetry::{Snapshot, StderrProgress, Telemetry, TraceData, TraceMode};
+pub use webvuln_telemetry::{Snapshot, StderrProgress, Telemetry, TraceData};

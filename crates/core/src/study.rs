@@ -17,7 +17,6 @@ use webvuln_analysis::vuln::{
 };
 use webvuln_analysis::wordpress::WordPressCveRow;
 use webvuln_cvedb::VulnDb;
-use webvuln_exec::SuperviseConfig;
 use webvuln_net::{FaultPlan, RetryPolicy};
 use webvuln_poclab::{builtin_validations, ValidationReport};
 use webvuln_store::AnyReader;
@@ -272,22 +271,13 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Runs crawl and fingerprint tasks under supervision: panicking or
-    /// over-deadline tasks are quarantined as down-domains (eligible for
-    /// [`carry_forward`](Pipeline::carry_forward)) instead of aborting
-    /// the study.
-    pub fn supervise(mut self, supervise: SuperviseConfig) -> Self {
-        self.config.collect.supervise = Some(supervise);
-        self
-    }
-
-    /// Convenience for the CLI's `--max-task-failures N`: enables
-    /// supervision (if not already configured) with a quarantine budget
-    /// of `budget` tasks. Exceeding the budget fails the run with
-    /// [`StoreError::FailureBudgetExceeded`].
+    /// Runs crawl and fingerprint tasks under supervision (the CLI's
+    /// `--max-task-failures N`): a panicking task is quarantined as a
+    /// down-domain (eligible for [`carry_forward`](Pipeline::carry_forward))
+    /// instead of aborting the study, until more than `budget` tasks have
+    /// been, which fails the run with [`StoreError::FailureBudgetExceeded`].
     pub fn max_task_failures(mut self, budget: u64) -> Self {
-        let supervise = self.config.collect.supervise.unwrap_or_default();
-        self.config.collect.supervise = Some(supervise.max_failures(budget));
+        self.config.collect.max_task_failures = Some(budget);
         self
     }
 
@@ -339,8 +329,8 @@ impl<'a> Pipeline<'a> {
     /// Runs the full study: collection commits every week to the store,
     /// and the analysis folds what was committed on `threads` workers. A
     /// pipeline without [`checkpoint`](Pipeline::checkpoint) fails only
-    /// under [`supervise`](Pipeline::supervise), when quarantined tasks
-    /// exceed the failure budget.
+    /// under [`max_task_failures`](Pipeline::max_task_failures), when
+    /// quarantined tasks exceed the budget.
     pub fn run(&self) -> Result<StudyResults, StoreError> {
         let private = Telemetry::new();
         let telemetry = self.telemetry.unwrap_or(&private);
@@ -501,7 +491,6 @@ mod tests {
     use webvuln_analysis::apply_filter;
     use webvuln_analysis::store_io::week_into_snapshot;
     use webvuln_net::BreakerConfig;
-    use webvuln_telemetry::TraceMode;
 
     impl<'a> Pipeline<'a> {
         /// Per-host circuit breakers.
@@ -635,7 +624,7 @@ mod tests {
                 retry: RetryPolicy::standard(2),
                 breaker: Some(BreakerConfig::default()),
                 carry_forward: true,
-                supervise: Some(SuperviseConfig::default().max_failures(5)),
+                max_task_failures: Some(5),
             },
         };
         assert_eq!(Pipeline::from(custom).build(), custom);
@@ -701,7 +690,7 @@ mod tests {
     fn traced_study_is_deterministic_and_attributes_costs() {
         let traced_store = temp_store("traced");
         let run = |threads| {
-            let telemetry = Telemetry::new().with_trace(TraceMode::Full);
+            let telemetry = Telemetry::new().with_trace();
             Pipeline::new(StudyConfig::quick())
                 .domains(80)
                 .timeline(Timeline::truncated(4))

@@ -80,8 +80,8 @@ struct Stanza {
     start_line: usize,
     id: Option<String>,
     library: Option<LibraryId>,
-    claimed: Option<String>,
-    tvv: Option<String>,
+    claimed: Option<IntervalSet>,
+    tvv: Option<IntervalSet>,
     attack: Option<AttackType>,
     disclosed: Option<Date>,
     patched_version: Option<Version>,
@@ -105,18 +105,9 @@ impl Stanza {
         let library = self
             .library
             .ok_or_else(|| err(line, "missing key: library"))?;
-        let claimed_src = self
+        let claimed = self
             .claimed
             .ok_or_else(|| err(line, "missing key: claimed"))?;
-        let claimed = IntervalSet::parse(&claimed_src)
-            .map_err(|e| err(line, format!("claimed range {claimed_src:?}: {e}")))?;
-        let tvv = match self.tvv {
-            None => None,
-            Some(src) => Some(
-                IntervalSet::parse(&src)
-                    .map_err(|e| err(line, format!("tvv range {src:?}: {e}")))?,
-            ),
-        };
         let attack = self
             .attack
             .ok_or_else(|| err(line, "missing key: attack"))?;
@@ -129,7 +120,7 @@ impl Stanza {
             has_cve_id,
             library,
             claimed,
-            tvv,
+            tvv: self.tvv,
             patched_version: self.patched_version,
             disclosed,
             patched_date: self.patched_date,
@@ -171,8 +162,15 @@ pub fn parse_delta(text: &str) -> Result<Vec<VulnRecord>, DeltaError> {
                     .ok_or_else(|| err(lineno, format!("unknown library {value:?}")))?;
                 fill(&mut stanza.library, library, lineno, key)?
             }
-            "claimed" => fill(&mut stanza.claimed, value.to_string(), lineno, key)?,
-            "tvv" => fill(&mut stanza.tvv, value.to_string(), lineno, key)?,
+            "claimed" | "tvv" => {
+                let range = IntervalSet::parse(value)
+                    .map_err(|e| err(lineno, format!("{key} range {value:?}: {e}")))?;
+                let slot = match key {
+                    "claimed" => &mut stanza.claimed,
+                    _ => &mut stanza.tvv,
+                };
+                fill(slot, range, lineno, key)?
+            }
             "attack" => {
                 let attack = attack_from_slug(value)
                     .ok_or_else(|| err(lineno, format!("unknown attack {value:?}")))?;

@@ -26,13 +26,9 @@
 //!   pool. Unsupervised maps catch the unwind, stop the cursor, and
 //!   re-raise the first panic in index order after every worker has
 //!   joined. [`Executor::map_supervised`] goes further: each task runs
-//!   under `catch_unwind` with a per-task *virtual* deadline (tasks charge
-//!   simulated cost via [`charge_task`], mirroring the
-//!   `webvuln-resilience` virtual clock), and a panicking or over-deadline
-//!   task is quarantined as a structured [`TaskFailure`] instead of
-//!   failing the run. A wall-clock stall watchdog counts workers stuck
-//!   past the deadline into [`ExecStats::stalls`] — observational only,
-//!   so it can never perturb results.
+//!   under `catch_unwind`, and a panicking task is quarantined as a
+//!   structured [`TaskFailure`] instead of failing the run. How many
+//!   quarantines a run tolerates is the caller's budget to enforce.
 //!
 //! All four maps are thin callers of one loop, generic over what runs
 //! around each item (propagate a panic, or quarantine it), so the cursor,
@@ -47,14 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use webvuln_telemetry::trace::{self, Sink, TraceCtx};
 use webvuln_telemetry::Registry;
 
@@ -63,39 +57,9 @@ use webvuln_telemetry::Registry;
 /// - `exec.task` — probed before every mapped item runs, on both the
 ///   plain and supervised paths. `Panic` crashes the task (quarantined
 ///   under supervision, propagated otherwise), `Error` escalates to a
-///   panic (the worker loop has no error channel), `Delay(ns)` charges
-///   virtual task cost toward the supervision deadline.
+///   panic (the worker loop has no error channel), and `Delay` does
+///   nothing.
 pub const FAILPOINTS: &[&str] = &["exec.task"];
-
-thread_local! {
-    /// Virtual cost accumulated by the task currently running on this
-    /// worker. Reset before each supervised task; compared against the
-    /// supervision deadline after it returns.
-    static TASK_COST: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Charges `ns` of *virtual* cost to the task currently running on this
-/// thread. Deterministic collaborators (retry backoff, injected
-/// fail-point delays) call this instead of sleeping; the supervised
-/// executor compares the accumulated cost against the per-task deadline.
-/// Outside a supervised map the charge is accumulated and discarded.
-pub fn charge_task(ns: u64) {
-    TASK_COST.with(|c| c.set(c.get().saturating_add(ns)));
-}
-
-/// Resets and returns the current task's accumulated virtual cost.
-fn take_task_cost() -> u64 {
-    TASK_COST.with(|c| c.replace(0))
-}
-
-/// Probes the `exec.task` fail-point, charging any injected delay.
-#[inline]
-fn probe_task() {
-    let ns = webvuln_failpoint::hit("exec.task", "");
-    if ns > 0 {
-        charge_task(ns);
-    }
-}
 
 /// Scheduling statistics for one [`Executor::map_with_stats`] call.
 ///
@@ -116,22 +80,15 @@ pub struct ExecStats {
     pub worker_busy_ns: Vec<u64>,
     /// Supervised tasks quarantined because they panicked.
     pub(crate) panics: u64,
-    /// Supervised tasks quarantined because their virtual cost exceeded
-    /// the per-task deadline.
-    pub(crate) deadline_exceeded: u64,
-    /// Stall-watchdog events: a worker observed past the wall-clock
-    /// stall threshold while inside one task. Observational only.
-    pub stalls: u64,
 }
 
 impl ExecStats {
     /// Adds this run's scheduling stats to the `exec.*` metrics of
     /// `registry`: `exec.tasks_total`, the `exec.workers` gauge and the
-    /// `exec.worker_busy_ns` per-worker busy histogram. Failure
-    /// containment counters (`exec.panics_total`,
-    /// `exec.deadline_exceeded_total`, `exec.quarantined_total`,
-    /// `exec.stalls_total`) are published only when nonzero, so fault-free
-    /// snapshots keep their historical shape.
+    /// `exec.worker_busy_ns` per-worker busy histogram. The failure
+    /// containment counters (`exec.panics_total`, `exec.quarantined_total`)
+    /// are published only when nonzero, so fault-free snapshots keep their
+    /// historical shape.
     pub fn record(&self, registry: &Registry) {
         registry.counter("exec.tasks_total").add(self.tasks);
         registry.gauge("exec.workers").set(self.threads as i64);
@@ -139,35 +96,10 @@ impl ExecStats {
         for &ns in &self.worker_busy_ns {
             busy.record(ns);
         }
-        let quarantined = self.panics + self.deadline_exceeded;
-        for (name, count) in [
-            ("exec.panics_total", self.panics),
-            ("exec.deadline_exceeded_total", self.deadline_exceeded),
-            ("exec.quarantined_total", quarantined),
-            ("exec.stalls_total", self.stalls),
-        ] {
-            if count > 0 {
-                registry.counter(name).add(count);
-            }
-        }
-    }
-}
-
-/// Why a supervised task was quarantined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The task panicked; the unwind was caught at the task boundary.
-    Panic,
-    /// The task's accumulated virtual cost exceeded the per-task
-    /// deadline.
-    DeadlineExceeded,
-}
-
-impl fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FailureKind::Panic => write!(f, "panic"),
-            FailureKind::DeadlineExceeded => write!(f, "deadline exceeded"),
+        if self.panics > 0 {
+            // Every quarantine is a caught panic.
+            registry.counter("exec.panics_total").add(self.panics);
+            registry.counter("exec.quarantined_total").add(self.panics);
         }
     }
 }
@@ -175,21 +107,15 @@ impl fmt::Display for FailureKind {
 /// One quarantined task from an [`Executor::map_supervised`] run.
 ///
 /// Everything in here is deterministic for a deterministic workload: the
-/// item index, the failure kind, the panic payload text (or deadline
-/// description), the *virtual* elapsed cost — never wall time — and the
-/// flight-recorder tail (rendered without physical worker ids), so
-/// quarantine decisions and any records derived from them are
-/// byte-identical across thread counts.
+/// item index, the panic payload text and the flight-recorder tail
+/// (rendered without physical worker ids), so quarantine decisions and
+/// any records derived from them are byte-identical across thread counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// Index of the failed item in the input slice.
     pub index: usize,
-    /// Panic or deadline.
-    pub kind: FailureKind,
-    /// Panic payload rendered as text, or the deadline description.
+    /// Panic payload rendered as text.
     pub(crate) payload: String,
-    /// Virtual cost the task had accumulated when it failed.
-    pub elapsed_ns: u64,
     /// The task's last trace events (newest last) at quarantine time —
     /// the flight-recorder tail. Empty when tracing is off.
     pub trace_tail: Vec<String>,
@@ -199,60 +125,7 @@ impl TaskFailure {
     /// One-line deterministic description, used for quarantined fetch
     /// records and reports.
     pub fn describe(&self) -> String {
-        match self.kind {
-            FailureKind::Panic => format!("panic: {}", self.payload),
-            FailureKind::DeadlineExceeded => self.payload.clone(),
-        }
-    }
-}
-
-/// Supervision policy for [`Executor::map_supervised`].
-///
-/// `deadline_ns` is a *virtual* per-task budget (tasks charge cost via
-/// [`charge_task`]); `u64::MAX` disables it. `max_failures` is the
-/// run-wide quarantine budget — the executor reports failures and leaves
-/// enforcement to the caller, which can degrade gracefully (carry
-/// forward quarantined domains) until the budget is exhausted.
-/// `stall_ms` is the wall-clock threshold for the observational stall
-/// watchdog; `u64::MAX` disables the watchdog thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperviseConfig {
-    /// Virtual per-task deadline in nanoseconds (`u64::MAX` = none).
-    pub(crate) deadline_ns: u64,
-    /// Run-wide quarantine budget, enforced by the caller.
-    pub max_failures: u64,
-    /// Wall-clock stall-watchdog threshold in milliseconds
-    /// (`u64::MAX` = watchdog off).
-    pub(crate) stall_ms: u64,
-}
-
-impl Default for SuperviseConfig {
-    fn default() -> Self {
-        SuperviseConfig {
-            deadline_ns: u64::MAX,
-            max_failures: u64::MAX,
-            stall_ms: 30_000,
-        }
-    }
-}
-
-impl SuperviseConfig {
-    /// Supervision with no deadline, an unlimited failure budget, and a
-    /// 30s stall watchdog.
-    pub fn new() -> SuperviseConfig {
-        SuperviseConfig::default()
-    }
-
-    /// Sets the virtual per-task deadline.
-    pub fn deadline_ns(mut self, deadline_ns: u64) -> Self {
-        self.deadline_ns = deadline_ns;
-        self
-    }
-
-    /// Sets the run-wide quarantine budget.
-    pub fn max_failures(mut self, max_failures: u64) -> Self {
-        self.max_failures = max_failures;
-        self
+        format!("panic: {}", self.payload)
     }
 }
 
@@ -266,68 +139,6 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// The observational stall watchdog of a supervised map: workers stamp
-/// when their current item started, one extra thread counts each
-/// (worker, item) pair seen past the threshold once. It cannot cancel
-/// work — CI's hard test timeout backstops a true hang.
-struct Watchdog {
-    stall_ms: u64,
-    base: Instant,
-    /// Wall milliseconds since `base` (+1, so 0 means idle) when each
-    /// worker's current item started — the watchdog's only input.
-    item_started_ms: Vec<AtomicU64>,
-    stalls: AtomicU64,
-    /// Set once every worker has joined, so the pool never waits out the
-    /// poll interval on a short run.
-    done: (Mutex<bool>, Condvar),
-}
-
-impl Watchdog {
-    fn now_ms(&self) -> u64 {
-        self.base.elapsed().as_millis().min(u64::MAX as u128) as u64 + 1
-    }
-
-    /// Stamps `worker`'s current item as started now, or as finished.
-    fn stamp(&self, worker: usize, started: bool) {
-        let at_ms = if started { self.now_ms() } else { 0 };
-        self.item_started_ms[worker].store(at_ms, Ordering::Relaxed);
-    }
-
-    /// The watchdog thread: polls until [`Watchdog::stop`].
-    fn watch(&self) {
-        let poll = Duration::from_millis((self.stall_ms / 4).clamp(1, 50));
-        let mut flagged: Vec<u64> = vec![0; self.item_started_ms.len()];
-        let (done, signal) = &self.done;
-        let mut guard = lock_ignore_poison(done);
-        loop {
-            guard = signal
-                .wait_timeout(guard, poll)
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
-            if *guard {
-                break;
-            }
-            let now_ms = self.now_ms();
-            for (flag, started) in flagged.iter_mut().zip(&self.item_started_ms) {
-                let started = started.load(Ordering::Relaxed);
-                if started != 0
-                    && now_ms.saturating_sub(started) > self.stall_ms
-                    && *flag != started
-                {
-                    *flag = started;
-                    self.stalls.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    fn stop(&self) {
-        let (done, signal) = &self.done;
-        *lock_ignore_poison(done) = true;
-        signal.notify_all();
     }
 }
 
@@ -444,20 +255,15 @@ impl Executor {
     }
 
     /// Maps `f` over `items` under supervision: each task runs inside
-    /// `catch_unwind` with a virtual per-task deadline, and a failing
-    /// task yields `None` in the output plus a structured [`TaskFailure`]
-    /// instead of aborting the run.
+    /// `catch_unwind`, and a panicking task yields `None` in the output
+    /// plus a structured [`TaskFailure`] instead of aborting the run.
     ///
     /// Output positions and failures are index-ordered and — for a
     /// deterministic workload — byte-identical across thread counts,
-    /// exactly like [`Executor::map`]. The stall watchdog (one extra
-    /// thread while the pool runs, when `stall_ms` is finite) only
-    /// increments [`ExecStats::stalls`]; it cannot cancel a task, so it
-    /// never affects results.
+    /// exactly like [`Executor::map`].
     pub fn map_supervised<T, R, F>(
         &self,
         items: &[T],
-        supervise: SuperviseConfig,
         f: F,
     ) -> (Vec<Option<R>>, ExecStats, Vec<TaskFailure>)
     where
@@ -465,50 +271,40 @@ impl Executor {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let deadline_ns = supervise.deadline_ns;
-        let stall_ms = (supervise.stall_ms != u64::MAX).then_some(supervise.stall_ms);
         let mut out = Vec::with_capacity(items.len());
         let push = |value| {
             out.push(value);
             Ok::<(), Infallible>(())
         };
-        // The quarantine policy: reset the virtual cost, catch the unwind,
-        // apply the deadline; a failing item leaves `None` plus a
-        // `TaskFailure` carrying the task's flight-recorder tail.
+        // The quarantine policy: catch the unwind; a panicking item leaves
+        // `None` plus a `TaskFailure` carrying the task's flight-recorder
+        // tail.
         let quarantine = |item: &T, index, worker, ctx: Option<&_>, failures: &mut Vec<_>| {
             let _scope = trace::task_scope(ctx, index as u64, worker);
             // Ring-only breadcrumb: guarantees the tail is non-empty even
             // when the very first thing the task does (the fail-point
             // probe) panics.
             trace::emit("task.begin", "", "", 0, Sink::RingOnly);
-            let _ = take_task_cost();
             // AssertUnwindSafe: on panic the task's partial result is
             // discarded and the item is quarantined; mapped closures
             // observe only shared state that is itself unwind-tolerant
             // (atomic counters, breakers keyed per domain).
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                probe_task();
+                let _ = webvuln_failpoint::hit("exec.task", "");
                 f(item)
             }));
-            let elapsed_ns = take_task_cost();
-            let (kind, payload) = match caught {
-                Ok(value) if elapsed_ns <= deadline_ns => return Some(value),
-                Ok(_) => (
-                    FailureKind::DeadlineExceeded,
-                    format!("virtual task cost {elapsed_ns}ns exceeded deadline {deadline_ns}ns"),
-                ),
-                Err(payload) => (FailureKind::Panic, payload_text(payload.as_ref())),
+            let payload = match caught {
+                Ok(value) => return Some(value),
+                Err(payload) => payload_text(payload.as_ref()),
             };
             failures.push(TaskFailure {
                 index,
-                kind,
                 payload,
-                elapsed_ns,
                 trace_tail: trace::current_tail(),
             });
             None
         };
-        let Ok((stats, failures)) = self.run(items, false, stall_ms, push, quarantine);
+        let Ok((stats, failures)) = self.run(items, false, push, quarantine);
         (out, stats, failures)
     }
 
@@ -541,10 +337,10 @@ impl Executor {
     ) -> Result<ExecStats, E> {
         let propagate = |item: &T, index: usize, worker, ctx: Option<&_>, _: &mut Vec<_>| {
             let _scope = trace::task_scope(ctx, index as u64, worker);
-            probe_task();
+            let _ = webvuln_failpoint::hit("exec.task", "");
             f(item)
         };
-        Ok(self.run(items, in_order, None, sink, propagate)?.0)
+        Ok(self.run(items, in_order, sink, propagate)?.0)
     }
 
     /// The one worker loop behind every map, generic over the per-item
@@ -559,13 +355,11 @@ impl Executor {
     /// taken back when `in_order`. The calling thread takes finished
     /// ranges back in index order and hands each result to `sink` (the
     /// first error `sink` returns stops the pool and is returned), and is
-    /// the worker itself when there is one. `stall_ms` adds the stall
-    /// watchdog.
+    /// the worker itself when there is one.
     fn run<T, O, E>(
         &self,
         items: &[T],
         in_order: bool,
-        stall_ms: Option<u64>,
         mut sink: impl FnMut(O) -> Result<(), E>,
         run_item: impl Fn(&T, usize, u64, Option<&TraceCtx>, &mut Vec<TaskFailure>) -> O + Sync,
     ) -> Result<(ExecStats, Vec<TaskFailure>), E>
@@ -591,14 +385,6 @@ impl Executor {
         });
         let signal = Condvar::new();
         let busy_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        let watchdog = stall_ms.map(|stall_ms| Watchdog {
-            stall_ms,
-            base: Instant::now(),
-            item_started_ms: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            stalls: AtomicU64::new(0),
-            done: (Mutex::new(false), Condvar::new()),
-        });
-        let watchdog = watchdog.as_ref();
         // Beside a pool the caller only takes results back. An in-order
         // caller busy with an item holds every worker past the window (a
         // store-less study at 8 threads on 2 cores took 2 % more CPU), and
@@ -639,16 +425,10 @@ impl Executor {
                     // panic — no torn state is ever observed.
                     let out = catch_unwind(AssertUnwindSafe(|| {
                         let run = |index| {
-                            if let Some(watchdog) = watchdog {
-                                watchdog.stamp(worker, true);
-                            }
                             run_item(&items[index], index, worker as u64, ctx, &mut failures)
                         };
                         (lo..hi).map(run).collect::<Vec<O>>()
                     }));
-                    if let Some(watchdog) = watchdog {
-                        watchdog.stamp(worker, false);
-                    }
                     let busy = started.elapsed().as_nanos() as u64;
                     busy_ns[worker].fetch_add(busy, Ordering::Relaxed);
                     s = lock_ignore_poison(&state);
@@ -676,17 +456,12 @@ impl Executor {
                     })
                 })
                 .collect();
-            let watcher = watchdog.map(|watchdog| scope.spawn(|| watchdog.watch()));
             // A panic re-raised by the take-back, or one in `sink`, is
             // caught until the pool has stopped and joined.
             let taken = catch_unwind(AssertUnwindSafe(|| work(0, Some(&mut sink))));
             lock_ignore_poison(&state).claim = len;
             signal.notify_all();
             join_all(workers);
-            if let Some(watchdog) = watchdog {
-                watchdog.stop();
-            }
-            join_all(watcher);
             taken
         });
         taken.unwrap_or_else(|payload| {
@@ -703,18 +478,12 @@ impl Executor {
             .unwrap_or_else(|p| p.into_inner())
             .failures;
         failures.sort_by_key(|failure| failure.index);
-        let panics = failures
-            .iter()
-            .filter(|t| t.kind == FailureKind::Panic)
-            .count() as u64;
         let stats = ExecStats {
             threads,
             items: len as u64,
             tasks: len.div_ceil(step) as u64,
             worker_busy_ns: busy_ns.into_iter().map(AtomicU64::into_inner).collect(),
-            panics,
-            deadline_exceeded: failures.len() as u64 - panics,
-            stalls: watchdog.map_or(0, |w| w.stalls.load(Ordering::Relaxed)),
+            panics: failures.len() as u64,
         };
         Ok((stats, failures))
     }
@@ -724,14 +493,7 @@ impl Executor {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    impl SuperviseConfig {
-        /// Sets the wall-clock stall-watchdog threshold.
-        fn stall_ms(mut self, stall_ms: u64) -> Self {
-            self.stall_ms = stall_ms;
-            self
-        }
-    }
+    use std::time::Duration;
 
     #[test]
     fn maps_in_input_order() {
@@ -923,7 +685,7 @@ mod tests {
     fn supervised_quarantines_panics_deterministically() {
         let items: Vec<u64> = (0..300).collect();
         let run = |threads: usize| {
-            Executor::new(threads).map_supervised(&items, SuperviseConfig::new(), |n| {
+            Executor::new(threads).map_supervised(&items, |n| {
                 if n % 71 == 3 {
                     panic!("bad item {n}");
                 }
@@ -933,7 +695,6 @@ mod tests {
         let (ref_out, ref_stats, ref_failures) = run(1);
         assert_eq!(ref_out.len(), 300);
         assert_eq!(ref_stats.panics, ref_failures.len() as u64);
-        assert!(ref_failures.iter().all(|t| t.kind == FailureKind::Panic));
         assert_eq!(
             ref_failures.iter().map(|t| t.index).collect::<Vec<_>>(),
             vec![3, 74, 145, 216, 287]
@@ -944,82 +705,27 @@ mod tests {
             assert_eq!(out, ref_out, "threads={threads}");
             assert_eq!(failures, ref_failures, "threads={threads}");
             assert_eq!(stats.panics, 5);
-            assert_eq!(stats.deadline_exceeded, 0);
-        }
-    }
-
-    #[test]
-    fn supervised_deadline_uses_virtual_cost() {
-        let items: Vec<u64> = (0..50).collect();
-        let supervise = SuperviseConfig::new().deadline_ns(1_000);
-        for threads in [1, 4] {
-            let (out, stats, failures) =
-                Executor::new(threads).map_supervised(&items, supervise, |n| {
-                    if n % 10 == 0 {
-                        charge_task(5_000);
-                    } else {
-                        charge_task(10);
-                    }
-                    *n
-                });
-            assert_eq!(stats.deadline_exceeded, 5, "threads={threads}");
-            assert_eq!(stats.panics, 0);
-            assert_eq!(
-                failures.iter().map(|t| t.index).collect::<Vec<_>>(),
-                vec![0, 10, 20, 30, 40]
-            );
-            assert!(failures
-                .iter()
-                .all(|t| t.kind == FailureKind::DeadlineExceeded && t.elapsed_ns == 5_000));
-            let returned: Vec<u64> = out.into_iter().flatten().collect();
-            assert_eq!(returned.len(), 45);
         }
     }
 
     #[test]
     fn supervised_fault_free_run_has_no_failures() {
         let items: Vec<u64> = (0..128).collect();
-        let (out, stats, failures) =
-            Executor::new(4).map_supervised(&items, SuperviseConfig::new(), |n| n + 1);
+        let (out, stats, failures) = Executor::new(4).map_supervised(&items, |n| n + 1);
         assert_eq!(failures, Vec::new());
-        assert_eq!(stats.panics + stats.deadline_exceeded, 0);
+        assert_eq!(stats.panics, 0);
         let expected: Vec<Option<u64>> = (1..=128).map(Some).collect();
         assert_eq!(out, expected);
     }
 
     #[test]
-    fn stall_watchdog_counts_slow_tasks() {
-        // One task sleeps well past a 5ms threshold; the watchdog must
-        // notice without changing the results — with one worker too,
-        // where the calling thread runs every item.
-        let items: Vec<u64> = (0..8).collect();
-        let supervise = SuperviseConfig::new().stall_ms(5);
-        for threads in [1, 2] {
-            let (out, stats, failures) =
-                Executor::new(threads).map_supervised(&items, supervise, |n| {
-                    if *n == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(40));
-                    }
-                    *n
-                });
-            assert_eq!(failures, Vec::new());
-            assert_eq!(out.into_iter().flatten().collect::<Vec<_>>(), items);
-            assert!(
-                stats.stalls >= 1,
-                "threads={threads}: stalls = {}",
-                stats.stalls
-            );
-        }
-    }
-
-    #[test]
     fn trace_context_propagates_and_failures_carry_tails() {
-        let tracer = trace::Tracer::new(trace::TraceMode::Full);
+        let tracer = trace::Tracer::new();
         let items: Vec<u64> = (0..120).collect();
         let run = |threads: usize| {
             let _g = tracer.install();
             let _p = trace::phase_scope("crawl");
-            Executor::new(threads).map_supervised(&items, SuperviseConfig::new(), |n| {
+            Executor::new(threads).map_supervised(&items, |n| {
                 trace::emit("item.seen", "", "", 100, Sink::Export);
                 if n % 37 == 1 {
                     panic!("bad item {n}");
@@ -1075,8 +781,6 @@ mod tests {
     /// an item and when, never what the caller gets back.
     #[test]
     fn every_map_agrees_with_a_sequential_oracle() {
-        const DEADLINE_NS: u64 = 1_000;
-
         struct Running<'a>(&'a AtomicUsize);
         impl Drop for Running<'_> {
             fn drop(&mut self) {
@@ -1089,21 +793,14 @@ mod tests {
             let items: Vec<(usize, u8)> = g.bytes(0..=300).into_iter().enumerate().collect();
             let len = items.len();
             let panic_every = *g.pick(&[0u8, 5, 31, 251]);
-            let late_every = *g.pick(&[0u8, 7, 29]);
             // The in-order sink refuses this result (none, when `len`).
             let refused = g.range(0..=len as u64) as usize;
             let panics = |b: u8| panic_every != 0 && b % panic_every == 1;
-            let late = |b: u8| late_every != 0 && b % late_every == 2;
             let value = |i: usize, b: u8| i as u64 * 257 + u64::from(b);
-            let cost = |i: usize, b: u8| match late(b) {
-                true => DEADLINE_NS + 1 + i as u64,
-                false => i as u64 % DEADLINE_NS,
-            };
             let task = |&(i, b): &(usize, u8)| {
                 if panics(b) {
                     panic!("item {i} exploded");
                 }
-                charge_task(cost(i, b));
                 value(i, b)
             };
 
@@ -1115,20 +812,15 @@ mod tests {
                 .filter(|&&(_, b)| panics(b))
                 .map(|(i, _)| format!("item {i} exploded"))
                 .collect();
-            let mut supervised = Vec::new();
-            let mut quarantined = Vec::new();
-            for &(i, b) in &items {
-                supervised.push((!panics(b) && !late(b)).then(|| value(i, b)));
-                if panics(b) {
-                    quarantined.push((i, FailureKind::Panic, format!("item {i} exploded")));
-                } else if late(b) {
-                    let text = format!(
-                        "virtual task cost {}ns exceeded deadline {DEADLINE_NS}ns",
-                        cost(i, b)
-                    );
-                    quarantined.push((i, FailureKind::DeadlineExceeded, text));
-                }
-            }
+            let supervised: Vec<Option<u64>> = items
+                .iter()
+                .map(|&(i, b)| (!panics(b)).then(|| value(i, b)))
+                .collect();
+            let quarantined: Vec<(usize, String)> = items
+                .iter()
+                .filter(|&&(_, b)| panics(b))
+                .map(|&(i, _)| (i, format!("item {i} exploded")))
+                .collect();
 
             for threads in [1, 2, 3, 8] {
                 let exec = Executor::new(threads);
@@ -1223,33 +915,13 @@ mod tests {
                 assert!(ran.into_inner() <= bound, "threads={threads}: pool ran on");
 
                 // Quarantine: outputs, failures and counts, exactly.
-                let supervise = SuperviseConfig::new().deadline_ns(DEADLINE_NS);
-                let (out, stats, failures) = exec.map_supervised(&items, supervise, task);
+                let (out, stats, failures) = exec.map_supervised(&items, task);
                 assert_eq!(out, supervised, "threads={threads}");
-                let failures: Vec<_> = failures
-                    .into_iter()
-                    .map(|t| (t.index, t.kind, t.payload))
-                    .collect();
+                let failures: Vec<_> = failures.into_iter().map(|t| (t.index, t.payload)).collect();
                 assert_eq!(failures, quarantined, "threads={threads}");
                 assert_eq!(stats.panics, exploding.len() as u64, "threads={threads}");
-                assert_eq!(
-                    stats.deadline_exceeded,
-                    (quarantined.len() - exploding.len()) as u64,
-                    "threads={threads}"
-                );
             }
         });
-    }
-
-    #[test]
-    fn charge_outside_supervision_is_harmless() {
-        charge_task(123);
-        let items: Vec<u64> = (0..10).collect();
-        let out = Executor::new(2).map(&items, |n| {
-            charge_task(1);
-            *n
-        });
-        assert_eq!(out.len(), 10);
     }
 
     /// Two single-item claims on two workers must run concurrently: the

@@ -1223,7 +1223,7 @@ mod tests {
 
     #[test]
     fn profiler_attributes_vm_steps_to_individual_patterns() {
-        let tracer = trace::Tracer::new(trace::TraceMode::Ring);
+        let tracer = trace::Tracer::new();
         let html = r#"
             <meta name="generator" content="WordPress 5.6">
             <script src="https://ajax.googleapis.com/ajax/libs/jquery/1.12.4/jquery.min.js"></script>
@@ -1389,7 +1389,7 @@ mod tests {
         });
         let registry = Registry::new();
         let engine = Engine::instrumented(&registry);
-        let tracer = trace::Tracer::new(trace::TraceMode::Ring);
+        let tracer = trace::Tracer::new();
         let (mut pages, mut peak) = (0, (0, 0));
         for week in (0..201).step_by(10) {
             for model in eco.models() {

@@ -24,7 +24,7 @@ use crate::filter::page_is_error_or_empty;
 use crate::server::Connect;
 use std::collections::BTreeMap;
 use std::time::Instant;
-use webvuln_exec::{charge_task, ExecStats, Executor, SuperviseConfig, TaskFailure};
+use webvuln_exec::{ExecStats, Executor, TaskFailure};
 use webvuln_resilience::{HostBreakers, RetryPolicy, VirtualClock};
 use webvuln_telemetry::{Counter, Histogram, Registry};
 
@@ -35,8 +35,8 @@ use webvuln_telemetry::{Counter, Histogram, Registry};
 ///   an injected panic or error leaves no partial crawl state behind,
 ///   so injection is deterministic across thread counts. `Error`
 ///   yields a failed [`FetchRecord`], `Panic` crashes the task
-///   (quarantined under supervision), `Delay(ns)` charges virtual task
-///   cost toward the supervision deadline.
+///   (quarantined under supervision), `Delay(ns)` is traced as the
+///   domain's cost.
 pub const FAILPOINTS: &[&str] = &["crawl.fetch"];
 
 /// Outcome of fetching one domain's landing page.
@@ -67,10 +67,9 @@ impl FetchRecord {
         !page_is_error_or_empty(self.status, self.body.len())
     }
 
-    /// The record a quarantined task (panicked or over-deadline under
-    /// supervision) leaves behind: failed, `attempts == 0`, mirroring a
-    /// breaker-skipped host, with a deterministic `quarantined: …` error
-    /// text.
+    /// The record a task that panicked under supervision leaves behind:
+    /// failed, `attempts == 0`, mirroring a breaker-skipped host, with a
+    /// deterministic `quarantined: …` error text.
     pub(crate) fn quarantined(domain: &str, failure: &TaskFailure) -> FetchRecord {
         FetchRecord::unfetched(domain, format!("quarantined: {}", failure.describe()))
     }
@@ -209,9 +208,6 @@ impl RetryMetrics {
         self.retries.inc();
         let delay = retry.backoff_ns(domain, failed_attempt);
         clock.advance(delay);
-        // Backoff also counts against the supervised per-task deadline:
-        // virtual cost, never a sleep.
-        charge_task(delay);
         self.backoff_delay.record(delay);
         delay
     }
@@ -233,8 +229,9 @@ impl RetryMetrics {
 /// ```
 ///
 /// Defaults: 8 worker threads (`threads(0)` sizes the pool by
-/// [`std::thread::available_parallelism`]), no retries, no breakers, a
-/// private [`VirtualClock`], a private [`Registry`] nobody reads.
+/// [`std::thread::available_parallelism`]), no retries, no breakers, no
+/// supervision, a private [`VirtualClock`], a private [`Registry`] nobody
+/// reads.
 #[derive(Clone, Copy)]
 pub struct CrawlOptions<'a> {
     threads: usize,
@@ -242,7 +239,7 @@ pub struct CrawlOptions<'a> {
     breakers: Option<&'a HostBreakers>,
     clock: Option<&'a VirtualClock>,
     registry: Option<&'a Registry>,
-    supervise: Option<SuperviseConfig>,
+    supervise: bool,
 }
 
 impl Default for CrawlOptions<'_> {
@@ -261,7 +258,7 @@ impl<'a> CrawlOptions<'a> {
             breakers: None,
             clock: None,
             registry: None,
-            supervise: None,
+            supervise: false,
         }
     }
 
@@ -301,23 +298,14 @@ impl<'a> CrawlOptions<'a> {
         self
     }
 
-    /// Supervises every fetch task: panics and blown virtual deadlines
-    /// are quarantined as [`TaskFailure`]s (surfaced by
-    /// [`run_then`](CrawlOptions::run_then)) and the domain gets a
-    /// deterministic failed [`FetchRecord`] instead of crashing the
-    /// crawl. Quarantine counts surface as `exec.panics_total` /
-    /// `exec.deadline_exceeded_total` / `exec.quarantined_total` (and
-    /// `exec.stalls_total` from the watchdog).
-    pub fn supervise(mut self, supervise: SuperviseConfig) -> Self {
-        self.supervise = Some(supervise);
+    /// Supervises every fetch task: a panic is quarantined as a
+    /// [`TaskFailure`] (surfaced by [`run_then`](CrawlOptions::run_then))
+    /// and the domain gets a deterministic failed [`FetchRecord`] instead
+    /// of crashing the crawl. Quarantine counts surface as
+    /// `exec.panics_total` / `exec.quarantined_total`.
+    pub fn supervise(mut self) -> Self {
+        self.supervise = true;
         self
-    }
-
-    /// True when any resilience feature is engaged — retry metrics are
-    /// only published then, matching the historical split between the
-    /// plain and resilient entry points.
-    fn is_resilient(&self) -> bool {
-        self.retry.retries() > 0 || self.breakers.is_some() || self.clock.is_some()
     }
 
     /// Fetches the landing page of every domain. Returns records in
@@ -326,9 +314,9 @@ impl<'a> CrawlOptions<'a> {
     /// Breaker-skipped domains still produce a [`FetchRecord`] (with
     /// `attempts == 0`) and still count toward `net.fetches_total` /
     /// `net.fetch_errors_total`, so coverage arithmetic stays uniform.
-    /// On the resilient path `net.retries_total`,
-    /// `net.retry_success_total`, `net.breaker_open_total` and the
-    /// `net.backoff_delay_ns` histogram are published too. A task that
+    /// `net.retries_total`, `net.retry_success_total`,
+    /// `net.breaker_open_total` and the `net.backoff_delay_ns` histogram
+    /// are published too. A task that
     /// [`supervise`](CrawlOptions::supervise) quarantined still yields a
     /// record — failed, with a deterministic `quarantined: …` error text
     /// and `attempts == 0` — so downstream coverage arithmetic and
@@ -359,8 +347,8 @@ impl<'a> CrawlOptions<'a> {
     /// statistics (not yet recorded) and the quarantined
     /// [`TaskFailure`]s in index order. The `net.*` metrics are recorded
     /// here, once per final record, a quarantined one as the failed
-    /// fetch it stands for, so a task that completes but blows its
-    /// deadline is not double-counted.
+    /// fetch it stands for, so a task whose `then` panics after its
+    /// fetch is counted once.
     pub fn run_then<R: Send>(
         &self,
         domains: &[String],
@@ -370,16 +358,7 @@ impl<'a> CrawlOptions<'a> {
         let private = Registry::new();
         let registry = self.registry.unwrap_or(&private);
         let metrics = CrawlerMetrics::from_registry(registry);
-        // The plain path keeps retry counters out of the caller's
-        // registry (they would all be zero); a scratch registry absorbs
-        // the handles.
-        let scratch;
-        let retry_metrics = if self.is_resilient() {
-            RetryMetrics::from_registry(registry)
-        } else {
-            scratch = Registry::new();
-            RetryMetrics::from_registry(&scratch)
-        };
+        let retry_metrics = RetryMetrics::from_registry(registry);
         let owned_clock;
         let clock = match self.clock {
             Some(clock) => clock,
@@ -402,12 +381,11 @@ impl<'a> CrawlOptions<'a> {
             (Tally::of(&record), elapsed_ns, then(record))
         };
         let executor = Executor::new(self.threads);
-        let (outcomes, stats, failures) = match self.supervise {
-            Some(supervise) => executor.map_supervised(domains, supervise, fetch),
-            None => {
-                let (outcomes, stats) = executor.map_with_stats(domains, fetch);
-                (outcomes.into_iter().map(Some).collect(), stats, Vec::new())
-            }
+        let (outcomes, stats, failures) = if self.supervise {
+            executor.map_supervised(domains, fetch)
+        } else {
+            let (outcomes, stats) = executor.map_with_stats(domains, fetch);
+            (outcomes.into_iter().map(Some).collect(), stats, Vec::new())
         };
         let values = outcomes.into_iter().map(|outcome| {
             let (tally, elapsed_ns, value) =
@@ -453,7 +431,6 @@ fn fetch_domain_resilient(
     match webvuln_failpoint::failpoint!("crawl.fetch", domain) {
         Ok(0) => {}
         Ok(delay_ns) => {
-            charge_task(delay_ns);
             stat.failpoints += 1;
             stat.cost_ns += delay_ns;
             emit("fetch.failpoint", domain, "delay", delay_ns, Sink::Export);
@@ -568,7 +545,6 @@ mod tests {
     use crate::http::{Request, Response, Status};
     use crate::virtual_net::VirtualNet;
     use std::sync::Arc;
-    use webvuln_exec::FailureKind;
     use webvuln_resilience::BreakerConfig;
     use webvuln_telemetry::trace;
 
@@ -703,9 +679,9 @@ mod tests {
         assert_eq!(snap.counter("net.fetch_errors_total"), Some(0));
         let latency = snap.histogram("net.fetch_latency_ns").expect("histogram");
         assert_eq!(latency.count, 30);
-        // The plain path publishes no retry counters, but the executor
-        // always accounts its scheduling.
-        assert_eq!(snap.counter("net.retries_total"), None);
+        // Retry counters are published (at zero without retries), and the
+        // executor always accounts its scheduling.
+        assert_eq!(snap.counter("net.retries_total"), Some(0));
         assert!(snap.counter("exec.tasks_total").unwrap_or(0) > 0);
         assert_eq!(snap.gauge("exec.workers"), Some(4));
         let busy = snap.histogram("exec.worker_busy_ns").expect("histogram");
@@ -913,9 +889,7 @@ mod tests {
         let run = |workers: usize| {
             let net = VirtualNet::new(content_handler()).with_week(3);
             let registry = webvuln_telemetry::Registry::new();
-            let options = CrawlOptions::new()
-                .threads(workers)
-                .supervise(SuperviseConfig::new());
+            let options = CrawlOptions::new().threads(workers).supervise();
             let records = options.registry(&registry).run(&ds, &net);
             let (_, _, failures) = options.run_then(&ds, &net, drop);
             (records, failures, registry.snapshot())
@@ -927,7 +901,7 @@ mod tests {
         assert_eq!(records, records8, "quarantine is thread-count independent");
         assert_eq!(failures, failures8);
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].kind, FailureKind::Panic);
+        assert!(failures[0].describe().starts_with("panic:"));
         let bad = &records[victim];
         assert_eq!(bad.status, None);
         assert_eq!(bad.attempts, 0);
@@ -948,33 +922,6 @@ mod tests {
         assert_eq!(snapshot.counter("exec.panics_total"), Some(1));
         assert_eq!(snapshot.counter("exec.quarantined_total"), Some(1));
         assert_eq!(snapshot.counter("net.fetches_total"), Some(24));
-    }
-
-    #[test]
-    fn supervised_deadline_quarantines_injected_slowness() {
-        let _guard = CRAWL_FP_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let victim = "quarantine-11.example";
-        webvuln_failpoint::arm_key(
-            "crawl.fetch",
-            victim,
-            webvuln_failpoint::Action::Delay(10_000_000),
-        );
-        let ds = quarantine_domains(16);
-        let net = VirtualNet::new(content_handler());
-        let options = CrawlOptions::new()
-            .threads(4)
-            .supervise(SuperviseConfig::new().deadline_ns(1_000_000));
-        let records = options.run(&ds, &net);
-        let (_, _, failures) = options.run_then(&ds, &net, drop);
-        webvuln_failpoint::disarm("crawl.fetch");
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].kind, FailureKind::DeadlineExceeded);
-        assert_eq!(failures[0].elapsed_ns, 10_000_000);
-        assert!(records[victim]
-            .error
-            .as_deref()
-            .unwrap()
-            .contains("exceeded deadline"));
     }
 
     #[test]
@@ -1056,7 +1003,7 @@ mod tests {
 
     #[test]
     fn traced_crawl_attributes_cost_to_domains() {
-        let tracer = trace::Tracer::new(trace::TraceMode::Full);
+        let tracer = trace::Tracer::new();
         {
             let _g = tracer.install();
             let _p = trace::phase_scope("crawl");

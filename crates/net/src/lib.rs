@@ -64,7 +64,7 @@ pub use http::{Headers, Method, Request, Response, Status};
 pub use server::{serve_stream, Connect, Handler, ServeConfig, Server, TcpConnector};
 pub use transport::ByteStream;
 pub use virtual_net::VirtualNet;
-pub use webvuln_exec::{ExecStats, Executor, FailureKind, SuperviseConfig, TaskFailure};
+pub use webvuln_exec::{ExecStats, Executor, TaskFailure};
 pub use webvuln_resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, HostBreakers, RetryPolicy, VirtualClock,
 };

@@ -105,7 +105,7 @@ pub use progress::{Progress, ProgressEvent, StderrProgress};
 pub use registry::Registry;
 pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::Span;
-pub use trace::{TraceData, TraceMode, Tracer};
+pub use trace::{TraceData, Tracer};
 
 use std::sync::Arc;
 
@@ -146,16 +146,14 @@ impl Telemetry {
         self.with_progress(Arc::new(StderrProgress))
     }
 
-    /// Causal tracing at `mode` (default: none). [`TraceMode::Ring`]
-    /// keeps only the flight recorder (bounded memory, panic/quarantine
-    /// context); [`TraceMode::Full`] also retains the exportable event
-    /// log and cost attribution. The handle only owns the [`Tracer`]:
-    /// whoever runs the traced region [`install`](Tracer::install)s it
-    /// and collects the [`TraceData`] with [`finish`](Tracer::finish), as
-    /// a study run does. Tracing never changes results — only what is
-    /// observed about them.
-    pub fn with_trace(mut self, mode: TraceMode) -> Telemetry {
-        self.tracer = (mode != TraceMode::Disabled).then(|| Tracer::new(mode));
+    /// Causal tracing (default: none): the flight recorder, the
+    /// exportable event log and cost attribution. The handle only owns
+    /// the [`Tracer`]: whoever runs the traced region
+    /// [`install`](Tracer::install)s it and collects the [`TraceData`]
+    /// with [`finish`](Tracer::finish), as a study run does. Tracing
+    /// never changes results — only what is observed about them.
+    pub fn with_trace(mut self) -> Telemetry {
+        self.tracer = Some(Tracer::new());
         self
     }
 
@@ -253,7 +251,7 @@ mod tests {
 
     #[test]
     fn phase_times_the_span_and_stamps_trace_events() {
-        let telemetry = Telemetry::new().with_trace(TraceMode::Full);
+        let telemetry = Telemetry::new().with_trace();
         let tracer = telemetry.tracer().expect("tracing on");
         {
             let _installed = tracer.install();
@@ -279,7 +277,7 @@ mod tests {
         assert_eq!(snap.span("join").expect("join span").count, 1);
 
         // Untraced handles time the span all the same.
-        let plain = Telemetry::new().with_trace(TraceMode::Disabled);
+        let plain = Telemetry::new();
         assert!(plain.tracer().is_none());
         drop(plain.phase("crawl").week(0));
         assert_eq!(plain.snapshot().span("crawl").expect("span").count, 1);
@@ -308,7 +306,7 @@ mod tests {
 
     #[test]
     fn install_scopes_and_sequences() {
-        let tracer = Tracer::new(TraceMode::Full);
+        let tracer = Tracer::new();
         {
             let _g = tracer.install();
             assert!(profiling());
@@ -343,7 +341,7 @@ mod tests {
 
     #[test]
     fn context_propagates_across_threads() {
-        let tracer = Tracer::new(TraceMode::Full);
+        let tracer = Tracer::new();
         let _g = tracer.install();
         let _p = phase_scope("fingerprint");
         let _w = week_scope(11);
@@ -370,7 +368,7 @@ mod tests {
     #[test]
     fn canonical_export_is_independent_of_interleaving() {
         let run = |order: &[usize]| {
-            let tracer = Tracer::new(TraceMode::Full);
+            let tracer = Tracer::new();
             let _g = tracer.install();
             let _p = phase_scope("crawl");
             let _w = week_scope(0);
@@ -401,7 +399,7 @@ mod tests {
 
     #[test]
     fn profilers_aggregate_commutatively() {
-        let tracer = Tracer::new(TraceMode::Ring);
+        let tracer = Tracer::new();
         let _g = tracer.install();
         pattern_stats_add([
             (
@@ -470,7 +468,7 @@ mod tests {
 
     #[test]
     fn top_cost_centers_ranks_and_names() {
-        let tracer = Tracer::new(TraceMode::Full);
+        let tracer = Tracer::new();
         {
             let _g = tracer.install();
             let _p = phase_scope("crawl");
@@ -528,7 +526,7 @@ mod tests {
 
     #[test]
     fn chrome_json_shape() {
-        let tracer = Tracer::new(TraceMode::Full);
+        let tracer = Tracer::new();
         {
             let _g = tracer.install();
             for (phase, week) in [("generate", NONE), ("crawl", 0), ("crawl", 1)] {

@@ -47,24 +47,13 @@ pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
-/// How much the tracer records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Record nothing (a [`Tracer`] in this mode never installs).
-    Disabled,
-    /// Flight recorder + profilers only: bounded memory, no export.
-    Ring,
-    /// Everything: flight recorder, profilers, and the full export log.
-    Full,
-}
-
 /// Where an event is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sink {
     /// Flight recorder and per-task tail only — never exported. Use for
     /// high-frequency breadcrumbs (task/fetch begin markers).
     RingOnly,
-    /// Also appended to the export log under [`TraceMode::Full`].
+    /// Also appended to the export log.
     Export,
 }
 
@@ -155,13 +144,13 @@ struct Shard {
 }
 
 struct TracerInner {
-    mode: TraceMode,
     shards: Vec<Shard>,
     patterns: Mutex<BTreeMap<String, PatternStat>>,
     domains: Mutex<BTreeMap<String, DomainStat>>,
 }
 
-/// A tracing session. Clone freely — clones share storage. Create one,
+/// A tracing session: flight recorder, profilers and the full export log.
+/// Clone freely — clones share storage. Create one,
 /// [`install`](Tracer::install) it around the traced region, then
 /// [`finish`](Tracer::finish) to collect the [`TraceData`].
 #[derive(Clone)]
@@ -171,18 +160,21 @@ pub struct Tracer {
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("mode", &self.inner.mode)
-            .finish()
+        f.debug_struct("Tracer").finish_non_exhaustive()
+    }
+}
+
+impl Default for Tracer {
+    fn default() -> Self {
+        Tracer::new()
     }
 }
 
 impl Tracer {
-    /// A tracer recording at `mode`.
-    pub fn new(mode: TraceMode) -> Tracer {
+    /// A tracer with empty storage.
+    pub fn new() -> Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
-                mode,
                 shards: (0..SHARDS)
                     .map(|_| Shard {
                         ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
@@ -198,14 +190,8 @@ impl Tracer {
     /// Installs this tracer into the current thread's context until the
     /// guard drops. Everything the thread does — and everything executor
     /// workers do on its behalf, via [`capture`]/[`task_scope`] — records
-    /// here. A [`TraceMode::Disabled`] tracer installs nothing.
+    /// here.
     pub fn install(&self) -> InstallGuard {
-        if self.inner.mode == TraceMode::Disabled {
-            return InstallGuard {
-                prev: None,
-                counted: false,
-            };
-        }
         ACTIVE.fetch_add(1, Ordering::Relaxed);
         let prev = CURRENT.with(|c| {
             c.replace(Ctx {
@@ -213,15 +199,12 @@ impl Tracer {
                 ..Ctx::default()
             })
         });
-        InstallGuard {
-            prev: Some(prev),
-            counted: true,
-        }
+        InstallGuard { prev }
     }
 
     fn record(&self, ev: TraceEvent) {
         let shard = &self.inner.shards[(ev.task % SHARDS as u64) as usize];
-        let export = self.inner.mode == TraceMode::Full && ev.sink == Sink::Export;
+        let export = ev.sink == Sink::Export;
         {
             let mut ring = shard.ring.lock().expect("trace ring");
             if ring.len() == RING_CAPACITY {
@@ -283,7 +266,6 @@ impl Tracer {
             .map(|(k, v)| (k.clone(), *v))
             .collect();
         TraceData {
-            mode: self.inner.mode,
             events,
             patterns,
             domains,
@@ -294,18 +276,14 @@ impl Tracer {
 /// Restores the previous thread context (and the global enablement count)
 /// when dropped.
 pub struct InstallGuard {
-    prev: Option<Ctx>,
-    counted: bool,
+    prev: Ctx,
 }
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-        }
-        if self.counted {
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        }
+        let prev = std::mem::take(&mut self.prev);
+        CURRENT.with(|c| *c.borrow_mut() = prev);
+        ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -643,10 +621,7 @@ fn canonical_cmp(a: &TraceEvent, b: &TraceEvent) -> std::cmp::Ordering {
 /// Everything a finished [`Tracer`] collected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceData {
-    /// The mode the tracer recorded at.
-    pub(crate) mode: TraceMode,
     /// Exportable events in canonical order, workers folded onto lanes.
-    /// Empty under [`TraceMode::Ring`].
     pub events: Vec<TraceEvent>,
     /// Per-pattern cost attribution, sorted by label.
     pub patterns: Vec<(String, PatternStat)>,
@@ -809,12 +784,6 @@ impl TraceData {
             p.1 += ev.cost_ns;
             *lanes.entry(ev.worker).or_insert(0) += 1;
         }
-        if phases.is_empty() {
-            let _ = writeln!(
-                out,
-                "    (no exported events — ring mode records profiles only)"
-            );
-        }
         for ((_, phase), (count, cost)) in &phases {
             let _ = writeln!(
                 out,
@@ -864,7 +833,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_dump_renders() {
-        let tracer = Tracer::new(TraceMode::Ring);
+        let tracer = Tracer::new();
         {
             let _g = tracer.install();
             let parent = capture().expect("on");
@@ -884,13 +853,13 @@ mod tests {
         let dump = tracer.flight_recorder_dump();
         assert!(dump.contains("shard 00"), "{dump}");
         assert!(dump.contains("tick"), "{dump}");
-        // Ring mode exports nothing.
-        assert!(tracer.finish().events.is_empty());
+        // The export log keeps what the ring forgot.
+        assert_eq!(tracer.finish().events.len(), RING_CAPACITY + 100);
     }
 
     #[test]
     fn tail_is_capped_deterministic_and_per_task() {
-        let tracer = Tracer::new(TraceMode::Ring);
+        let tracer = Tracer::new();
         let _g = tracer.install();
         let parent = capture().expect("on");
         let tail_a = {
@@ -915,17 +884,6 @@ mod tests {
         assert_eq!(tail_a, tail_b);
         // Outside any scope the tail is empty again.
         assert!(current_tail().is_empty());
-    }
-
-    #[test]
-    fn disabled_tracer_installs_nothing() {
-        let tracer = Tracer::new(TraceMode::Disabled);
-        let _g = tracer.install();
-        CURRENT.with(|c| assert!(c.borrow().tracer.is_none()));
-        emit("nothing", "", "", 1, Sink::Export);
-        let data = tracer.finish();
-        assert!(data.events.is_empty());
-        assert!(data.patterns.is_empty());
     }
 
     #[test]

@@ -159,6 +159,22 @@ impl VersionReq {
             }
             comparators.push(parse_comparator(clause)?);
         }
+        // One bound a side, or a lone `=`: a second bound on one side
+        // would silently drop the branch it was meant to add.
+        let (mut lower, mut upper, mut eq) = (0, 0, 0);
+        for c in &comparators {
+            match c.op {
+                Op::Gt | Op::Ge => lower += 1,
+                Op::Lt | Op::Le => upper += 1,
+                Op::Eq => eq += 1,
+            }
+        }
+        if lower > 1 || upper > 1 || (eq > 0 && comparators.len() > 1) {
+            return Err(ParseReqError::Syntax(format!(
+                "{s:?} bounds one side twice or puts `=` beside another comparator; \
+                 join alternatives with ` or ` (`< 3.4.1 or >= 4.0.0, < 4.3.1`)"
+            )));
+        }
         Ok(VersionReq { comparators })
     }
 
@@ -292,6 +308,25 @@ mod tests {
         assert!(VersionReq::parse("~").is_err());
         assert!(VersionReq::parse("< x.y").is_err());
         assert!(VersionReq::parse(">= 1.0 and").is_err());
+    }
+
+    #[test]
+    fn refuses_a_second_bound_on_one_side() {
+        for spec in [
+            "< 3.4.1, < 4.3.1",
+            "<= 2.0 and < 3.0",
+            ">= 1.0, > 1.5",
+            "= 2.2, < 3.0",
+            "= 1.0 and = 1.0",
+        ] {
+            let e = VersionReq::parse(spec).expect_err(spec);
+            assert!(matches!(e, ParseReqError::Syntax(_)), "{spec}: {e}");
+            assert!(e.to_string().contains(" or "), "{spec}: {e}");
+        }
+        assert!(
+            VersionReq::parse("> 3.0 and < 2.0").is_ok(),
+            "one bound a side"
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use webvuln::analysis::CollectConfig;
 use webvuln::core::{
     full_report, series_to_csv, telemetry_json, Pipeline, StudyConfig, StudyResults, Telemetry,
-    TraceMode,
 };
 use webvuln::cvedb::{Accuracy, Basis, LibraryId, VulnDb};
 use webvuln::fingerprint::Engine;
@@ -396,7 +395,7 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         telemetry = telemetry.with_stderr_progress();
     }
     if trace_out.is_some() {
-        telemetry = telemetry.with_trace(TraceMode::Full);
+        telemetry = telemetry.with_trace();
     }
     eprintln!("study: {domains} domains x {weeks} weeks (seed {seed})");
     let mut pipeline = Pipeline::new(config).telemetry(&telemetry);

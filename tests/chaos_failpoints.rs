@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use webvuln::analysis::CollectConfig;
 use webvuln::core::{failpoint_catalog, full_report, Pipeline, StudyConfig, StudyResults};
 use webvuln::failpoint::{arm_key, arm_nth, disarm, reset, Action};
-use webvuln::net::{FaultPlan, RetryPolicy, SuperviseConfig};
+use webvuln::net::{FaultPlan, RetryPolicy};
 use webvuln::store::{scrub, AnyReader, ScrubOutcome, StoreError};
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
@@ -561,7 +561,6 @@ fn supervised_study_quarantines_a_panicking_domain_across_threads() {
         let store = temp_store(&format!("supervised-{threads}"));
         let _ = std::fs::remove_file(&store);
         let results = Pipeline::new(config(seed, threads))
-            .supervise(SuperviseConfig::new())
             .max_task_failures(10)
             .checkpoint(&store)
             .run()
@@ -619,10 +618,7 @@ fn exhausted_failure_budget_is_a_structured_error() {
     let victim = eco.domain_names()[3].clone();
     arm_key("crawl.fetch", &victim, Action::Panic);
     // Budget 1 < the 3 weekly quarantines the victim will accrue.
-    let outcome = Pipeline::new(config(seed, 4))
-        .supervise(SuperviseConfig::new())
-        .max_task_failures(1)
-        .run();
+    let outcome = Pipeline::new(config(seed, 4)).max_task_failures(1).run();
     disarm("crawl.fetch");
     let message = match outcome {
         Ok(_) => panic!("budget of 1 must not survive 3 quarantines"),

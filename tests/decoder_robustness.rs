@@ -560,6 +560,32 @@ fn rows(dir: &Path) -> Vec<Row> {
                 parsed
             },
         ),
+        // A range with two upper bounds in one conjunction is refused at
+        // its line: read as the first bound alone, `< 3.4.1, < 4.3.1`
+        // would lose the 4.x branch that only the ` or ` form keeps.
+        row(
+            "cvedb::parse_delta (two upper bounds in one range)",
+            ALLOC_FLOOR,
+            vec![DELTA.as_bytes().to_vec()],
+            |bytes| {
+                let text = String::from_utf8_lossy(bytes);
+                let parsed = parse_delta(&text).is_ok();
+                let mut start = 0;
+                for (index, line) in text.split_inclusive('\n').enumerate() {
+                    let end = start + line.len();
+                    if parsed && line.starts_with("claimed:") {
+                        let narrowed =
+                            [&text[..start], "claimed: < 3.4.1, < 4.3.1\n", &text[end..]];
+                        let e =
+                            parse_delta(&narrowed.concat()).expect_err("two upper bounds parse");
+                        assert_eq!(e.line, index + 1, "{e}");
+                        assert!(e.detail.starts_with("claimed range"), "{e}");
+                    }
+                    start = end;
+                }
+                parsed
+            },
+        ),
         // The compiler caps a program at 100 000 instructions and the VM
         // keeps per-instruction thread lists: megabytes, but fixed.
         row(

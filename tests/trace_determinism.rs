@@ -8,10 +8,10 @@
 
 use std::sync::Arc;
 use webvuln::core::{full_report, Pipeline, StudyConfig};
-use webvuln::exec::{Executor, SuperviseConfig};
+use webvuln::exec::Executor;
 use webvuln::net::{FaultPlan, RetryPolicy};
 use webvuln::telemetry::trace::{self, Sink};
-use webvuln::telemetry::{Telemetry, TraceMode, Tracer};
+use webvuln::telemetry::{Telemetry, Tracer};
 use webvuln::webgen::Timeline;
 
 fn hostile_pipeline(threads: usize) -> Pipeline<'static> {
@@ -26,7 +26,7 @@ fn hostile_pipeline(threads: usize) -> Pipeline<'static> {
 #[test]
 fn hostile_traced_study_is_byte_identical_across_thread_counts() {
     let traced = |threads: usize| {
-        let telemetry = Telemetry::new().with_trace(TraceMode::Full);
+        let telemetry = Telemetry::new().with_trace();
         let results = hostile_pipeline(threads)
             .telemetry(&telemetry)
             .run()
@@ -79,7 +79,7 @@ fn tracing_never_changes_the_dataset() {
         path
     };
     let (traced_store, untraced_store) = (store("traced"), store("untraced"));
-    let telemetry = Telemetry::new().with_trace(TraceMode::Full);
+    let telemetry = Telemetry::new().with_trace();
     let traced = hostile_pipeline(2)
         .telemetry(&telemetry)
         .checkpoint(&traced_store)
@@ -104,20 +104,19 @@ fn tracing_never_changes_the_dataset() {
 
 #[test]
 fn quarantined_failures_carry_flight_recorder_tails() {
-    // Ring mode is the always-affordable tier: no export, but every
-    // supervised quarantine still snapshots the task's last events.
-    let tracer = Tracer::new(TraceMode::Ring);
+    // Every supervised quarantine snapshots the task's last events, the
+    // ring-only breadcrumbs included.
+    let tracer = Tracer::new();
     let _guard = tracer.install();
     let items: Vec<u64> = (0..64).collect();
     let executor = Arc::new(Executor::new(4));
-    let (out, _stats, failures) =
-        executor.map_supervised(&items, SuperviseConfig::new().max_failures(64), |n| {
-            trace::emit("item.seen", "", &format!("n={n}"), 10, Sink::RingOnly);
-            if n % 7 == 3 {
-                panic!("injected failure on item {n}");
-            }
-            *n
-        });
+    let (out, _stats, failures) = executor.map_supervised(&items, |n| {
+        trace::emit("item.seen", "", &format!("n={n}"), 10, Sink::RingOnly);
+        if n % 7 == 3 {
+            panic!("injected failure on item {n}");
+        }
+        *n
+    });
     assert!(out.iter().filter(|o| o.is_none()).count() >= 8);
     assert!(!failures.is_empty());
     for failure in &failures {
@@ -158,7 +157,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `store.commit`s and a `store.finalize`, 857 → 862 events).
 #[test]
 fn canonical_trace_bytes_are_pinned() {
-    let telemetry = Telemetry::new().with_trace(TraceMode::Full);
+    let telemetry = Telemetry::new().with_trace();
     let results = Pipeline::new(StudyConfig::quick())
         .seed(42)
         .domains(120)
