@@ -331,18 +331,13 @@ pub(crate) fn render_resilience(results: &StudyResults) -> String {
 }
 
 /// Renders the failure-containment summary: how many supervised tasks
-/// panicked and the total quarantined (each one degraded to a down-domain
+/// panicked and were quarantined (each one degraded to a down-domain
 /// instead of aborting the run).
 pub(crate) fn render_containment(results: &StudyResults) -> String {
     let snap = &results.telemetry;
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let mut out = String::new();
     let _ = writeln!(out, "Failure containment");
-    let _ = writeln!(
-        out,
-        "  panicking tasks:            {}",
-        counter("exec.panics_total")
-    );
     let _ = writeln!(
         out,
         "  quarantined (total):        {}",
@@ -503,7 +498,6 @@ mod tests {
     fn containment_summary_renders_counters() {
         let r = results();
         let text = render_containment(r);
-        assert!(text.contains("panicking tasks"), "{text}");
         assert!(text.contains("quarantined (total):        0"), "{text}");
     }
 

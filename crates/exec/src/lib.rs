@@ -4,8 +4,7 @@
 //! over 201 weeks only becomes tractable when fetch and fingerprint work
 //! fans out across every core. This crate provides the one execution
 //! primitive the pipeline needs — a parallel `map` over a slice — built
-//! on plain `std`, exactly like `webvuln-telemetry` and
-//! `webvuln-resilience`.
+//! on plain `std`, exactly like `webvuln-telemetry`.
 //!
 //! Design:
 //!
@@ -49,7 +48,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-use webvuln_telemetry::trace::{self, Sink, TraceCtx};
+use webvuln_telemetry::trace::{self, TraceCtx};
 use webvuln_telemetry::Registry;
 
 /// Fail-point sites owned by this crate, for the chaos-harness catalog.
@@ -86,9 +85,8 @@ impl ExecStats {
     /// Adds this run's scheduling stats to the `exec.*` metrics of
     /// `registry`: `exec.tasks_total`, the `exec.workers` gauge and the
     /// `exec.worker_busy_ns` per-worker busy histogram. The failure
-    /// containment counters (`exec.panics_total`, `exec.quarantined_total`)
-    /// are published only when nonzero, so fault-free snapshots keep their
-    /// historical shape.
+    /// containment counter (`exec.quarantined_total`) is published only
+    /// when nonzero, so fault-free snapshots keep their historical shape.
     pub fn record(&self, registry: &Registry) {
         registry.counter("exec.tasks_total").add(self.tasks);
         registry.gauge("exec.workers").set(self.threads as i64);
@@ -97,8 +95,6 @@ impl ExecStats {
             busy.record(ns);
         }
         if self.panics > 0 {
-            // Every quarantine is a caught panic.
-            registry.counter("exec.panics_total").add(self.panics);
             registry.counter("exec.quarantined_total").add(self.panics);
         }
     }
@@ -106,19 +102,15 @@ impl ExecStats {
 
 /// One quarantined task from an [`Executor::map_supervised`] run.
 ///
-/// Everything in here is deterministic for a deterministic workload: the
-/// item index, the panic payload text and the flight-recorder tail
-/// (rendered without physical worker ids), so quarantine decisions and
-/// any records derived from them are byte-identical across thread counts.
+/// Both fields are deterministic for a deterministic workload — the item
+/// index and the panic payload text — so quarantine decisions and any
+/// records derived from them are byte-identical across thread counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// Index of the failed item in the input slice.
     pub index: usize,
     /// Panic payload rendered as text.
     pub(crate) payload: String,
-    /// The task's last trace events (newest last) at quarantine time —
-    /// the flight-recorder tail. Empty when tracing is off.
-    pub trace_tail: Vec<String>,
 }
 
 impl TaskFailure {
@@ -277,14 +269,9 @@ impl Executor {
             Ok::<(), Infallible>(())
         };
         // The quarantine policy: catch the unwind; a panicking item leaves
-        // `None` plus a `TaskFailure` carrying the task's flight-recorder
-        // tail.
+        // `None` plus a `TaskFailure`.
         let quarantine = |item: &T, index, worker, ctx: Option<&_>, failures: &mut Vec<_>| {
             let _scope = trace::task_scope(ctx, index as u64, worker);
-            // Ring-only breadcrumb: guarantees the tail is non-empty even
-            // when the very first thing the task does (the fail-point
-            // probe) panics.
-            trace::emit("task.begin", "", "", 0, Sink::RingOnly);
             // AssertUnwindSafe: on panic the task's partial result is
             // discarded and the item is quarantined; mapped closures
             // observe only shared state that is itself unwind-tolerant
@@ -297,11 +284,7 @@ impl Executor {
                 Ok(value) => return Some(value),
                 Err(payload) => payload_text(payload.as_ref()),
             };
-            failures.push(TaskFailure {
-                index,
-                payload,
-                trace_tail: trace::current_tail(),
-            });
+            failures.push(TaskFailure { index, payload });
             None
         };
         let Ok((stats, failures)) = self.run(items, false, push, quarantine);
@@ -720,60 +703,30 @@ mod tests {
 
     #[test]
     fn trace_context_propagates_and_failures_carry_tails() {
-        let tracer = trace::Tracer::new();
         let items: Vec<u64> = (0..120).collect();
-        let run = |threads: usize| {
-            let _g = tracer.install();
-            let _p = trace::phase_scope("crawl");
-            Executor::new(threads).map_supervised(&items, |n| {
-                trace::emit("item.seen", "", "", 100, Sink::Export);
-                if n % 37 == 1 {
-                    panic!("bad item {n}");
-                }
-                *n
-            })
-        };
-        let (_, _, ref_failures) = run(1);
-        assert_eq!(
-            ref_failures.iter().map(|t| t.index).collect::<Vec<_>>(),
-            vec![1, 38, 75, 112]
-        );
-        for failure in &ref_failures {
-            assert!(!failure.trace_tail.is_empty(), "tail must not be empty");
-            // task.begin breadcrumb plus the event emitted before the panic.
-            assert!(
-                failure.trace_tail[0].contains("task.begin"),
-                "{:?}",
-                failure.trace_tail
-            );
-            assert!(
-                failure.trace_tail.iter().any(|l| l.contains("item.seen")),
-                "{:?}",
-                failure.trace_tail
-            );
-            assert!(
-                failure.trace_tail[0].starts_with("[crawl"),
-                "phase propagated"
-            );
+        for threads in [1, 2, 8] {
+            let tracer = trace::Tracer::new();
+            let (_, _, failures) = {
+                let _g = tracer.install();
+                let _p = trace::phase_scope("crawl");
+                Executor::new(threads).map_supervised(&items, |n| {
+                    trace::emit("item.seen", "", "", 100, trace::Sink::Export);
+                    if n % 37 == 1 {
+                        panic!("bad item {n}");
+                    }
+                    *n
+                })
+            };
+            let indices: Vec<usize> = failures.iter().map(|t| t.index).collect();
+            assert_eq!(indices, vec![1, 38, 75, 112], "threads={threads}");
+            // Every item, quarantined or not, emitted one event in the
+            // submitter's phase with its own index as the task, whichever
+            // worker ran it.
+            let events = tracer.finish().events;
+            let seen: Vec<_> = events.iter().map(|e| (e.phase, e.task, e.name)).collect();
+            let expected: Vec<_> = items.iter().map(|&n| ("crawl", n, "item.seen")).collect();
+            assert_eq!(seen, expected, "threads={threads}");
         }
-        // Identical failures — tails included — at any thread count.
-        for threads in [2, 8] {
-            let (_, _, failures) = run(threads);
-            assert_eq!(failures, ref_failures, "threads={threads}");
-        }
-        // Every mapped item emitted exactly one export event with its own
-        // task index, regardless of which worker ran it.
-        let data = tracer.finish();
-        let mut item_events: Vec<u64> = data
-            .events
-            .iter()
-            .filter(|e| e.name == "item.seen")
-            .map(|e| e.task)
-            .collect();
-        assert_eq!(item_events.len(), 3 * items.len(), "3 runs x 120 items");
-        item_events.dedup();
-        assert_eq!(item_events.len(), items.len(), "every task index covered");
-        assert!(data.events.iter().all(|e| e.phase == "crawl"));
     }
 
     /// Every map against sequential oracles, over random item counts and

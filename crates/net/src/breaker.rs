@@ -23,7 +23,7 @@ impl Default for BreakerConfig {
 
 /// The breaker's position in the classic state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Requests flow; failures are being counted.
     Closed,
     /// Requests are skipped until the cooldown elapses.
@@ -40,7 +40,7 @@ pub enum BreakerState {
 /// sequence — reproducible regardless of scheduling, and replayable from
 /// a checkpointed store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
@@ -126,7 +126,7 @@ pub struct HostBreakers {
 
 /// The shard `host`'s breaker lives in.
 fn shard_index(host: &str) -> usize {
-    (crate::mix(0xb4ea_4e85, host) % BREAKER_SHARDS as u64) as usize
+    (crate::fault::mix(0xb4ea_4e85, host) % BREAKER_SHARDS as u64) as usize
 }
 
 impl HostBreakers {

@@ -17,15 +17,16 @@
 //! function of `(policy seed, domain, attempt)`, so the resilient path is
 //! exactly as deterministic as the single-attempt one.
 
+use crate::breaker::HostBreakers;
 use crate::client::fetch_attempt;
+use crate::clock::VirtualClock;
 use crate::error::ErrorClass;
 use crate::filter::page_is_error_or_empty;
-
+use crate::retry::RetryPolicy;
 use crate::server::Connect;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use webvuln_exec::{ExecStats, Executor, TaskFailure};
-use webvuln_resilience::{HostBreakers, RetryPolicy, VirtualClock};
 use webvuln_telemetry::{Counter, Histogram, Registry};
 
 /// Fail-point sites owned by this crate, for the chaos-harness catalog.
@@ -302,7 +303,7 @@ impl<'a> CrawlOptions<'a> {
     /// [`TaskFailure`] (surfaced by [`run_then`](CrawlOptions::run_then))
     /// and the domain gets a deterministic failed [`FetchRecord`] instead
     /// of crashing the crawl. Quarantine counts surface as
-    /// `exec.panics_total` / `exec.quarantined_total`.
+    /// `exec.quarantined_total`.
     pub fn supervise(mut self) -> Self {
         self.supervise = true;
         self
@@ -418,8 +419,8 @@ fn fetch_domain_resilient(
     // A trace detail is formatted only when a tracer may record it.
     use webvuln_telemetry::trace::{domain_stat_add, emit, enabled, DomainStat, Sink};
 
-    // Ring-only breadcrumb before the fail-point probe: an injected
-    // panic's flight-recorder tail always names the domain it hit.
+    // Ring-only breadcrumb before the fail-point probe: the flight
+    // recorder always names the domain an injected panic hit.
     emit("fetch.begin", domain, "", 0, Sink::RingOnly);
     let mut stat = DomainStat {
         fetches: 1,
@@ -541,11 +542,11 @@ fn fetch_domain_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerConfig;
     use crate::fault::FaultPlan;
     use crate::http::{Request, Response, Status};
     use crate::virtual_net::VirtualNet;
     use std::sync::Arc;
-    use webvuln_resilience::BreakerConfig;
     use webvuln_telemetry::trace;
 
     fn domains(n: usize) -> Vec<String> {
@@ -919,7 +920,6 @@ mod tests {
             .iter()
             .filter(|(d, _)| d.as_str() != victim)
             .all(|(_, r)| r.status.is_some()));
-        assert_eq!(snapshot.counter("exec.panics_total"), Some(1));
         assert_eq!(snapshot.counter("exec.quarantined_total"), Some(1));
         assert_eq!(snapshot.counter("net.fetches_total"), Some(24));
     }

@@ -44,27 +44,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod breaker;
 mod client;
+mod clock;
 pub mod codec;
 mod crawler;
 mod error;
 mod fault;
 pub mod filter;
 mod http;
+mod retry;
 mod server;
 mod transport;
 mod virtual_net;
 
+pub use breaker::{BreakerConfig, HostBreakers};
 pub use client::fetch;
+pub use clock::VirtualClock;
 pub use crawler::{CrawlOptions, FetchRecord, FAILPOINTS};
 pub use error::{NetError, Result};
 pub use fault::{mix, FaultPlan};
 pub use filter::{inaccessible_domains, page_is_error_or_empty, FetchSummary};
 pub use http::{Headers, Method, Request, Response, Status};
+pub use retry::RetryPolicy;
 pub use server::{serve_stream, Connect, Handler, ServeConfig, Server, TcpConnector};
 pub use transport::ByteStream;
 pub use virtual_net::VirtualNet;
 pub use webvuln_exec::{ExecStats, Executor, TaskFailure};
-pub use webvuln_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, HostBreakers, RetryPolicy, VirtualClock,
-};

@@ -1,7 +1,7 @@
 //! Retry policies: attempt caps and exponential backoff with seeded,
 //! deterministic jitter.
 
-use crate::mix;
+use crate::fault::mix;
 
 /// When and how long to back off between fetch attempts.
 ///
@@ -10,6 +10,26 @@ use crate::mix;
 /// matter how crawler workers interleave. Jitter is therefore *seeded*
 /// rather than random — it still decorrelates hosts from each other
 /// (which is what jitter is for) without sacrificing reproducibility.
+/// A backoff *advances* a [`VirtualClock`](crate::VirtualClock) instead
+/// of sleeping, so a retry storm costs simulated time only:
+///
+/// ```
+/// use webvuln_net::{RetryPolicy, VirtualClock};
+///
+/// let policy = RetryPolicy {
+///     seed: 42,
+///     ..RetryPolicy::standard(3)
+/// };
+/// let backoff = |clock: &VirtualClock| {
+///     for attempt in 0..3 {
+///         clock.advance(policy.backoff_ns("flaky.example", attempt));
+///     }
+///     clock.now_ns()
+/// };
+/// // The delays went to simulated time, and replay to the nanosecond.
+/// assert!(backoff(&VirtualClock::new()) > 0);
+/// assert_eq!(backoff(&VirtualClock::new()), backoff(&VirtualClock::new()));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per fetch, including the first (≥ 1).
@@ -49,13 +69,8 @@ impl RetryPolicy {
         }
     }
 
-    /// Extra attempts after the first.
-    pub fn retries(&self) -> u32 {
-        self.max_attempts.saturating_sub(1)
-    }
-
     /// Whether another attempt is allowed after `attempts_made` attempts.
-    pub fn allows_retry(&self, attempts_made: u32) -> bool {
+    pub(crate) fn allows_retry(&self, attempts_made: u32) -> bool {
         attempts_made < self.max_attempts.max(1)
     }
 
@@ -84,33 +99,6 @@ impl RetryPolicy {
         let offset = h % (2 * amplitude + 1);
         capped - amplitude + offset
     }
-
-    /// Full-jitter variant of [`RetryPolicy::backoff_ns`]: the delay is
-    /// drawn uniformly from `[0, capped]`, where `capped` is the same
-    /// exponentially-grown, capped delay the plain schedule computes.
-    ///
-    /// Where `backoff_ns` clusters delays around the exponential curve
-    /// (±`jitter_permille`‰), full jitter spreads simultaneous restarts
-    /// across the *whole* window — the right shape for supervisor restart
-    /// storms, where many instances fail at the same instant and anything
-    /// correlated re-thunders the herd. Like the plain schedule it is a
-    /// pure function of `(seed, host, attempt)`, so restart schedules
-    /// replay identically under the virtual clock; `jitter_permille` is
-    /// ignored.
-    pub fn full_jitter_backoff_ns(&self, host: &str, failed_attempt: u32) -> u64 {
-        if self.base_delay_ns == 0 {
-            return 0;
-        }
-        let exp = failed_attempt.min(20);
-        let uncapped = self.base_delay_ns.saturating_mul(1u64 << exp);
-        let capped = uncapped.min(self.max_delay_ns.max(self.base_delay_ns));
-        // Salted so the full-jitter draw never mirrors the ± schedule's.
-        let h = mix(
-            self.seed ^ 0x46_4A49_5454 ^ ((failed_attempt as u64) << 32),
-            host,
-        );
-        h % (capped.saturating_add(1))
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +109,6 @@ mod tests {
     fn none_policy_is_single_attempt() {
         let policy = RetryPolicy::none();
         assert_eq!(policy.max_attempts, 1);
-        assert_eq!(policy.retries(), 0);
         assert!(policy.allows_retry(0));
         assert!(!policy.allows_retry(1));
         assert_eq!(policy.backoff_ns("a.example", 0), 0);
@@ -131,7 +118,6 @@ mod tests {
     fn standard_counts_attempts_from_retries() {
         assert_eq!(RetryPolicy::standard(0).max_attempts, 1);
         assert_eq!(RetryPolicy::standard(3).max_attempts, 4);
-        assert_eq!(RetryPolicy::standard(3).retries(), 3);
     }
 
     #[test]
@@ -205,98 +191,6 @@ mod tests {
         let differs =
             (0..50).any(|i| a.backoff_ns(&format!("h{i}"), 1) != b.backoff_ns(&format!("h{i}"), 1));
         assert!(differs);
-    }
-
-    #[test]
-    fn full_jitter_is_bounded_by_the_capped_delay() {
-        let policy = RetryPolicy {
-            seed: 42,
-            ..RetryPolicy::standard(10)
-        };
-        for attempt in 0..8 {
-            let capped = RetryPolicy {
-                jitter_permille: 0,
-                ..policy
-            }
-            .backoff_ns("h.example", attempt);
-            for host in ["a.example", "b.example", "c.example", "d.example"] {
-                let d = policy.full_jitter_backoff_ns(host, attempt);
-                assert!(d <= capped, "attempt {attempt} host {host}: {d} > {capped}");
-            }
-        }
-    }
-
-    #[test]
-    fn full_jitter_is_deterministic_under_a_fixed_seed() {
-        let policy = RetryPolicy {
-            seed: 0xC0FFEE,
-            ..RetryPolicy::standard(5)
-        };
-        let first: Vec<u64> = (0..6)
-            .map(|a| policy.full_jitter_backoff_ns("watch.supervisor", a))
-            .collect();
-        let second: Vec<u64> = (0..6)
-            .map(|a| policy.full_jitter_backoff_ns("watch.supervisor", a))
-            .collect();
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn full_jitter_fills_the_whole_window() {
-        // Uniform-in-[0, capped] means samples land both well below half
-        // the window and well above it — the ± schedule never goes below
-        // capped·(1-jitter). 200 hosts give a dense enough sample.
-        let policy = RetryPolicy {
-            seed: 9,
-            ..RetryPolicy::standard(5)
-        };
-        let capped = RetryPolicy {
-            jitter_permille: 0,
-            ..policy
-        }
-        .backoff_ns("x", 3);
-        let samples: Vec<u64> = (0..200)
-            .map(|i| policy.full_jitter_backoff_ns(&format!("host{i}.example"), 3))
-            .collect();
-        assert!(samples.iter().any(|&d| d < capped / 4), "low tail present");
-        assert!(
-            samples.iter().any(|&d| d > 3 * capped / 4),
-            "high tail present"
-        );
-        let distinct: std::collections::HashSet<u64> = samples.iter().copied().collect();
-        assert!(distinct.len() > 150, "distinct: {}", distinct.len());
-    }
-
-    #[test]
-    fn full_jitter_moves_with_the_seed_and_not_the_permille() {
-        let a = RetryPolicy {
-            seed: 1,
-            ..RetryPolicy::standard(3)
-        };
-        let b = RetryPolicy {
-            seed: 2,
-            ..RetryPolicy::standard(3)
-        };
-        assert!((0..50).any(|i| {
-            a.full_jitter_backoff_ns(&format!("h{i}"), 1)
-                != b.full_jitter_backoff_ns(&format!("h{i}"), 1)
-        }));
-        let no_jitter = RetryPolicy {
-            jitter_permille: 0,
-            ..a
-        };
-        for attempt in 0..4 {
-            assert_eq!(
-                a.full_jitter_backoff_ns("h.example", attempt),
-                no_jitter.full_jitter_backoff_ns("h.example", attempt),
-                "jitter_permille must not feed the full-jitter draw"
-            );
-        }
-    }
-
-    #[test]
-    fn full_jitter_zero_base_is_immediate() {
-        assert_eq!(RetryPolicy::none().full_jitter_backoff_ns("h", 0), 0);
     }
 
     #[test]

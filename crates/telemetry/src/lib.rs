@@ -32,11 +32,9 @@
 //!   with [`trace::capture`] and re-installs it with [`trace::task_scope`]
 //!   on whichever worker ends up running an item, so events land in
 //!   the right trace regardless of scheduling.
-//! * A fixed-size, lock-sharded **ring-buffer flight recorder**. Every
-//!   event also lands in a small per-task tail kept inside the active
-//!   scope; [`trace::current_tail`] renders it for attachment to
-//!   quarantine records, and [`Tracer::flight_recorder_dump`] renders the
-//!   shared rings for panic/budget-exhaustion dumps.
+//! * A fixed-size, lock-sharded **ring-buffer flight recorder**:
+//!   [`Tracer::flight_recorder_dump`] renders the shared rings for
+//!   panic/budget-exhaustion dumps.
 //! * A **self-profiler**: [`trace::pattern_stats_add`] attributes regex-VM
 //!   steps to individual fingerprint patterns, [`trace::domain_stat_add`]
 //!   attributes retry/backoff/breaker cost to individual domains. Both

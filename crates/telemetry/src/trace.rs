@@ -5,7 +5,7 @@
 //! contracts they keep.
 //!
 //! Everything here is *ambient*: [`emit`], [`capture`], [`task_scope`],
-//! [`current_tail`], [`profiling`] and the `*_stat_add` functions find
+//! [`profiling`] and the `*_stat_add` functions find
 //! the [`Tracer`] through a thread-local, so the executor, the crawler,
 //! the store writer and the fingerprint engine record without being
 //! handed a [`Telemetry`](crate::Telemetry). The handle owns the tracer
@@ -28,9 +28,6 @@ const SHARDS: usize = 16;
 /// Events retained per flight-recorder shard.
 const RING_CAPACITY: usize = 512;
 
-/// Events retained in the per-task tail attached to quarantine records.
-const SCOPE_TAIL: usize = 32;
-
 /// Deterministic export lanes: tasks map to lane `task % LANES`, so the
 /// exported timeline is independent of the physical thread count.
 pub(crate) const LANES: u64 = 8;
@@ -50,8 +47,8 @@ pub fn enabled() -> bool {
 /// Where an event is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sink {
-    /// Flight recorder and per-task tail only — never exported. Use for
-    /// high-frequency breadcrumbs (task/fetch begin markers).
+    /// Flight recorder only — never exported. Use for high-frequency
+    /// breadcrumbs (fetch begin markers).
     RingOnly,
     /// Also appended to the export log.
     Export,
@@ -295,7 +292,6 @@ struct Ctx {
     task: u64,
     worker: u64,
     seq: u64,
-    tail: VecDeque<TraceEvent>,
 }
 
 impl Default for Ctx {
@@ -307,7 +303,6 @@ impl Default for Ctx {
             task: NONE,
             worker: 0,
             seq: 0,
-            tail: VecDeque::new(),
         }
     }
 }
@@ -363,7 +358,7 @@ pub fn capture() -> Option<TraceCtx> {
 /// Installs `parent` on the current thread as task `task`, run by
 /// physical worker `worker`, until the guard drops. Events emitted under
 /// the guard carry the parent's phase/week, the task index, and a fresh
-/// per-task sequence and tail. A `None` parent yields a no-op guard.
+/// per-task sequence. A `None` parent yields a no-op guard.
 pub fn task_scope(parent: Option<&TraceCtx>, task: u64, worker: u64) -> TaskScope {
     let Some(parent) = parent else {
         return TaskScope { prev: None };
@@ -376,7 +371,6 @@ pub fn task_scope(parent: Option<&TraceCtx>, task: u64, worker: u64) -> TaskScop
             task,
             worker,
             seq: 0,
-            tail: VecDeque::new(),
         })
     });
     TaskScope { prev: Some(prev) }
@@ -469,32 +463,12 @@ pub fn emit(name: &'static str, domain: &str, detail: &str, cost_ns: u64, sink: 
             sink,
         };
         c.seq += 1;
-        if c.tail.len() == SCOPE_TAIL {
-            c.tail.pop_front();
-        }
-        c.tail.push_back(ev.clone());
         Some((tracer, ev))
     }) {
         Some(pair) => pair,
         None => return,
     };
     tracer.record(ev);
-}
-
-/// Renders the current scope's event tail — the last events this task
-/// emitted, newest last, physical worker omitted so the rendering is
-/// deterministic for any thread count. Empty when tracing is off.
-pub fn current_tail() -> Vec<String> {
-    if !enabled() {
-        return Vec::new();
-    }
-    CURRENT.with(|c| {
-        let c = c.borrow();
-        if c.tracer.is_none() {
-            return Vec::new();
-        }
-        c.tail.iter().map(render_tail_line).collect()
-    })
 }
 
 fn render_tail_line(ev: &TraceEvent) -> String {
@@ -825,7 +799,6 @@ mod tests {
         emit("orphan", "x.example", "", 1, Sink::Export);
         CURRENT.with(|c| assert!(c.borrow().tracer.is_none()));
         assert!(capture().is_none());
-        assert!(current_tail().is_empty());
         assert!(!profiling());
         domain_stat_add("x.example", DomainStat::default());
         pattern_stats_add([("p", PatternStat::default())]);
@@ -855,35 +828,6 @@ mod tests {
         assert!(dump.contains("tick"), "{dump}");
         // The export log keeps what the ring forgot.
         assert_eq!(tracer.finish().events.len(), RING_CAPACITY + 100);
-    }
-
-    #[test]
-    fn tail_is_capped_deterministic_and_per_task() {
-        let tracer = Tracer::new();
-        let _g = tracer.install();
-        let parent = capture().expect("on");
-        let tail_a = {
-            let _t = task_scope(Some(&parent), 4, 3);
-            for i in 0..(SCOPE_TAIL + 5) {
-                emit("step", "d.example", "", i as u64, Sink::RingOnly);
-            }
-            current_tail()
-        };
-        assert_eq!(tail_a.len(), SCOPE_TAIL);
-        // Oldest events were dropped; newest survive.
-        assert!(tail_a.last().expect("tail").contains("step"));
-        assert!(!tail_a.iter().any(|l| l.contains("worker")), "{tail_a:?}");
-        // A different physical worker renders the identical tail.
-        let tail_b = {
-            let _t = task_scope(Some(&parent), 4, 0);
-            for i in 0..(SCOPE_TAIL + 5) {
-                emit("step", "d.example", "", i as u64, Sink::RingOnly);
-            }
-            current_tail()
-        };
-        assert_eq!(tail_a, tail_b);
-        // Outside any scope the tail is empty again.
-        assert!(current_tail().is_empty());
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! * **Delivery** runs through a CRC-framed write-ahead log, a round
 //!   (three synced batches) at a time, with at-least-once semantics
 //!   plus ID dedup — exactly-once effective ([`Outbox`]).
-//! * **Supervision** catches faults and panics, backs restarts off with
-//!   seeded full jitter on the virtual clock, and reopens the watcher
-//!   from disk — reopen *is* the recovery path ([`supervise`]).
+//! * **Supervision** catches faults and panics and reopens the watcher
+//!   from disk at once — reopen *is* the recovery path — until a budget
+//!   of consecutive failures is spent ([`supervise`]).
 //! * **Degradation**: a quarantined shard downgrades retro-scan
 //!   [`Coverage`] (annotated on every alert) instead of stopping the
 //!   daemon.

@@ -180,8 +180,7 @@ const COMMANDS: [Command; 7] = [
             ("--threads", Number, "worker threads (default 2)"),
             ("--shards", Number, "shards of ROOT/store (default 4)"),
             ("--pause-ms", Number, "pause between ticks (default 200)"),
-            ("--stall-ms", Number, "flag a tick running longer than N ms as stalled"),
-            ("--restarts", Number, "consecutive faults before giving up (default 4)"),
+            ("--restarts", Number, "consecutive restarts before giving up (default 4)"),
             ("--telemetry", Switch, "print the watch.* counters on stderr"),
         ],
         run: cmd_watch,
@@ -835,12 +834,9 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
     };
     let restarts = args.get("--restarts")?.unwrap_or(4);
     let pause_ms = args.get("--pause-ms")?.unwrap_or(200);
-    let mut sup_cfg = webvuln::SupervisorConfig::bounded(ticks)
-        .policy(webvuln::resilience::RetryPolicy::standard(restarts))
+    let sup_cfg = webvuln::SupervisorConfig::bounded(ticks)
+        .restarts(restarts)
         .tick_pause(std::time::Duration::from_millis(pause_ms));
-    if let Some(stall_ms) = args.get("--stall-ms")? {
-        sup_cfg = sup_cfg.stall_limit(std::time::Duration::from_millis(stall_ms));
-    }
 
     let telemetry = webvuln::telemetry::Telemetry::new();
     let report = webvuln::watch::supervise(&watch_cfg, sup_cfg, &telemetry);
@@ -866,12 +862,7 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
         totals.alerts_delivered,
         totals.alerts_redelivered
     );
-    out!(
-        "faults:     {} restarts, {} stalls flagged, {} ns virtual backoff",
-        report.restarts,
-        report.stalls,
-        report.backoff_ns
-    );
+    out!("faults:     {} restarts", report.restarts);
     if let Some(err) = &report.last_error {
         eprintln!("last error: {err}");
     }
@@ -1032,6 +1023,6 @@ mod tests {
             );
         }
         let flags = entries().filter(|(_, e)| !matches!(e.1, Operand | Optional));
-        assert_eq!(flags.count(), 38, "every command x flag entry");
+        assert_eq!(flags.count(), 37, "every command x flag entry");
     }
 }

@@ -14,8 +14,7 @@
 //! | [`html`] | `webvuln-html` | pull tokenizer, one-pass extractor, DOM |
 //! | [`cvedb`] | `webvuln-cvedb` | embedded CVE corpus + release catalogs |
 //! | [`webgen`] | `webvuln-webgen` | synthetic web ecosystem |
-//! | [`net`] | `webvuln-net` | HTTP/1.1 stack + crawler |
-//! | [`resilience`] | `webvuln-resilience` | retries, backoff, circuit breakers |
+//! | [`net`] | `webvuln-net` | HTTP/1.1 stack + crawler, retries, circuit breakers |
 //! | [`exec`] | `webvuln-exec` | parallel-map executor, supervised tasks |
 //! | [`failpoint`] | `webvuln-failpoint` | deterministic fail-point injection |
 //! | [`fingerprint`] | `webvuln-fingerprint` | Wappalyzer-equivalent |
@@ -52,7 +51,6 @@ pub use webvuln_html as html;
 pub use webvuln_net as net;
 pub use webvuln_pattern as pattern;
 pub use webvuln_poclab as poclab;
-pub use webvuln_resilience as resilience;
 pub use webvuln_serve as serve;
 pub use webvuln_store as store;
 pub use webvuln_telemetry as telemetry;

@@ -586,11 +586,10 @@ fn supervised_study_quarantines_a_panicking_domain_across_threads() {
     disarm("crawl.fetch");
 
     // The victim panicked once per week and was quarantined each time.
-    let panics = one.telemetry.counter("exec.panics_total").unwrap_or(0);
-    assert_eq!(panics, WEEKS as u64, "one quarantined fetch per week");
     assert_eq!(
         one.telemetry.counter("exec.quarantined_total"),
-        Some(WEEKS as u64)
+        Some(WEEKS as u64),
+        "one quarantined fetch per week"
     );
     // The quarantined domain is carried as a failed fetch, not dropped:
     // every week still accounts for all domains minus the §4.1 filter.

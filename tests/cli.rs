@@ -24,7 +24,7 @@ const TABLES: [(&str, &str); 7] = [
     ),
     (
         "watch",
-        "ROOT --ticks --threads --shards --pause-ms --stall-ms --restarts --telemetry",
+        "ROOT --ticks --threads --shards --pause-ms --restarts --telemetry",
     ),
 ];
 
@@ -60,6 +60,7 @@ fn an_unlisted_flag_or_an_extra_operand_exits_2_naming_it() {
     refused(&["study", "--domains", "2k"], "--domains");
     refused(&["serve", "--store", "s", "--port", "70000"], "--port");
     refused(&["study", "--store", "--resume"], "--store needs a value");
+    refused(&["watch", "ROOT", "--stall-ms", "5"], "--stall-ms");
 }
 
 #[test]
@@ -162,7 +163,7 @@ fn help_names_every_entry_of_every_table() {
     let flags = want.iter().flat_map(|(_, entries)| entries);
     assert_eq!(
         flags.filter(|e| e.starts_with("--")).count(),
-        38,
+        37,
         "command x flag entries"
     );
 

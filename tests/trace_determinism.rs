@@ -1,17 +1,13 @@
 //! Chaos integration for the causal tracer: a hostile-profile study must
-//! export a byte-identical canonical trace at every thread count, and
-//! every quarantined task failure must carry its flight-recorder tail.
+//! export a byte-identical canonical trace at every thread count.
 //!
 //! Tracing is pure observation — the same run untraced produces the
 //! same dataset — so these tests also pin the "never changes results"
 //! contract at the full-pipeline level.
 
-use std::sync::Arc;
 use webvuln::core::{full_report, Pipeline, StudyConfig};
-use webvuln::exec::Executor;
 use webvuln::net::{FaultPlan, RetryPolicy};
-use webvuln::telemetry::trace::{self, Sink};
-use webvuln::telemetry::{Telemetry, Tracer};
+use webvuln::telemetry::Telemetry;
 use webvuln::webgen::Timeline;
 
 fn hostile_pipeline(threads: usize) -> Pipeline<'static> {
@@ -99,37 +95,6 @@ fn tracing_never_changes_the_dataset() {
     assert_eq!(traced.dataset.filtered_out, untraced.dataset.filtered_out);
     for path in [traced_store, untraced_store] {
         let _ = std::fs::remove_file(path);
-    }
-}
-
-#[test]
-fn quarantined_failures_carry_flight_recorder_tails() {
-    // Every supervised quarantine snapshots the task's last events, the
-    // ring-only breadcrumbs included.
-    let tracer = Tracer::new();
-    let _guard = tracer.install();
-    let items: Vec<u64> = (0..64).collect();
-    let executor = Arc::new(Executor::new(4));
-    let (out, _stats, failures) = executor.map_supervised(&items, |n| {
-        trace::emit("item.seen", "", &format!("n={n}"), 10, Sink::RingOnly);
-        if n % 7 == 3 {
-            panic!("injected failure on item {n}");
-        }
-        *n
-    });
-    assert!(out.iter().filter(|o| o.is_none()).count() >= 8);
-    assert!(!failures.is_empty());
-    for failure in &failures {
-        assert!(
-            !failure.trace_tail.is_empty(),
-            "quarantine record for item {} lost its flight-recorder tail",
-            failure.index
-        );
-        assert!(
-            failure.trace_tail.iter().any(|l| l.contains("item.seen")),
-            "tail misses the task's own events: {:?}",
-            failure.trace_tail
-        );
     }
 }
 
